@@ -42,9 +42,6 @@ fn node_capacity(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("C=48"), |b| {
         b.iter(|| black_box(run::<48>(&pts)))
     });
-    // The gapped leaf layout packs presence bits into a u64 word, capping
-    // node capacity at 63; C=96 is only measurable on the ungapped layout.
-    #[cfg(not(feature = "gapped"))]
     group.bench_function(BenchmarkId::from_parameter("C=96"), |b| {
         b.iter(|| black_box(run::<96>(&pts)))
     });

@@ -152,10 +152,9 @@ fn main() {
     };
     let reps = if args.quick { 1 } else { 11 };
 
-    // The same three TC regimes the scheduler study uses: long chain (many
-    // tiny deltas), acyclic grid (medium deltas), cyclic random graph (fat
-    // deltas). The closure is precomputed once; the merge phase is then
-    // measured in isolation.
+    // Three TC regimes: long chain (many tiny deltas), acyclic grid
+    // (medium deltas), cyclic random graph (fat deltas). The closure is
+    // precomputed once; the merge phase is then measured in isolation.
     let workloads: Vec<(&str, Vec<(u64, u64)>)> = if args.quick {
         vec![
             ("chain_tc", graphs::chain(64)),

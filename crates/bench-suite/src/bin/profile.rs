@@ -27,7 +27,7 @@
 
 use bench_suite::obs::ObsSession;
 use bench_suite::{emit_telemetry, Args};
-use datalog::{parse, Engine, ParallelStrategy, StorageKind};
+use datalog::{parse, Engine, StorageKind};
 use specbtree::BTreeSet;
 use workloads::graphs;
 
@@ -43,7 +43,6 @@ fn run_chain_tc(nodes: u64, threads: usize) -> Engine {
     let edges = graphs::chain(nodes);
     let program = parse(TC_PROGRAM).unwrap();
     let mut engine = Engine::new(&program, StorageKind::SpecBTree, threads).unwrap();
-    engine.set_parallel_strategy(ParallelStrategy::ChunkStealing);
     engine
         .add_facts("edge", edges.iter().map(|&(a, b)| vec![a, b]))
         .unwrap();
@@ -113,7 +112,7 @@ fn main() {
     telemetry::reset();
 
     // Phase 1: engine workload, then a retraction so the storage report
-    // has scars to show (buried leaves, gapped-leaf sentinels).
+    // has scars to show (buried leaves).
     let nodes = if args.quick { 64 } else { 256 * scale };
     let mut engine = run_chain_tc(nodes, threads);
     engine

@@ -19,7 +19,7 @@
 use bench_suite::json::JsonWriter;
 use bench_suite::obs::ObsSession;
 use bench_suite::{emit_telemetry, print_row, Args};
-use datalog::{parse, Engine, ParallelStrategy, StorageKind};
+use datalog::{parse, Engine, StorageKind};
 use std::time::Instant;
 use workloads::graphs;
 
@@ -69,7 +69,6 @@ fn measure(edges: &[(u64, u64)], kind: StorageKind, threads: usize, reps: usize)
     for _ in 0..reps.max(1) {
         let program = parse(TC_PROGRAM).unwrap();
         let mut engine = Engine::new(&program, kind, threads).unwrap();
-        engine.set_parallel_strategy(ParallelStrategy::ChunkStealing);
         engine
             .add_facts("edge", edges.iter().map(|&(a, b)| vec![a, b]))
             .unwrap();

@@ -10,7 +10,6 @@
 //! | `fig5` | Figure 5 (a–b): Datalog engine end-to-end |
 //! | `table2` | Table 2: workload properties & operation statistics |
 //! | `table3` | Table 3: 32-bit integer insertion vs PALM/Masstree/B-slack |
-//! | `sched` | scheduler study: chunk stealing vs materialize-then-split |
 //!
 //! All binaries accept `--scale`, `--threads` and `--seed` flags (see
 //! [`Args`]); defaults are scaled down from the paper's 100M-element runs

@@ -4,8 +4,7 @@
 use crate::ast::{Atom, Literal, Program, Rule, Term};
 use crate::eval::{
     compile_one, compile_one_at, compile_versions, eval_plan, fill, has_unprefixed_inner_scan,
-    materialize, merge_new, plan_delta_rel, CtxSet, ParallelStrategy, Plan, StorageEnv,
-    WorkerStats,
+    materialize, merge_new, plan_delta_rel, CtxSet, Plan, StorageEnv, WorkerStats,
 };
 use crate::planner::{self, IndexCatalog};
 use crate::storage::{pad, CountingStorage, OpCounters, RelationStorage, StorageKind, TupleBuf};
@@ -309,7 +308,6 @@ pub struct Engine {
     edb: Vec<HashSet<TupleBuf>>,
     counters: Arc<OpCounters>,
     stats: EvalStats,
-    strategy: ParallelStrategy,
     /// Per-worker scheduler counters from the last run.
     worker_stats: Vec<WorkerStats>,
     /// Per-rule (by rule index) evaluation counts and time.
@@ -357,7 +355,6 @@ impl Engine {
             edb: vec![HashSet::new(); nrels],
             counters,
             stats: EvalStats::default(),
-            strategy: ParallelStrategy::default(),
             worker_stats: Vec::new(),
             profile: HashMap::new(),
             planner_enabled: true,
@@ -372,17 +369,6 @@ impl Engine {
     /// The storage kind backing this engine's relations.
     pub fn storage_kind(&self) -> StorageKind {
         self.kind
-    }
-
-    /// Selects how recursive-rule evaluation is parallelised (default:
-    /// [`ParallelStrategy::ChunkStealing`]).
-    pub fn set_parallel_strategy(&mut self, strategy: ParallelStrategy) {
-        self.strategy = strategy;
-    }
-
-    /// The parallel scheduling strategy in effect.
-    pub fn parallel_strategy(&self) -> ParallelStrategy {
-        self.strategy
     }
 
     /// Enables or disables the cost-based planner (default: enabled).
@@ -736,7 +722,7 @@ impl Engine {
             for (ri, plan) in &base_plans {
                 let t0 = std::time::Instant::now();
                 let _span = telemetry::span("eval.plan", plan.id as u64);
-                eval_plan(plan, &env, pools, wstats, self.strategy);
+                eval_plan(plan, &env, pools, wstats);
                 let entry = self.profile.entry(*ri).or_insert((0, 0.0));
                 entry.0 += 1;
                 entry.1 += t0.elapsed().as_secs_f64();
@@ -758,11 +744,9 @@ impl Engine {
         }
 
         // A cleared side-table set parked for reuse: once the loop is
-        // two iterations deep, the outgoing delta tables are cleared
-        // (an O(slabs) arena reset for the specialized B-tree, which
-        // keeps its warm slabs) and become the next iteration's `new`,
-        // instead of allocating a fresh tree per relation per
-        // iteration.
+        // two iterations deep, the outgoing delta tables are cleared and
+        // become the next iteration's `new`, instead of allocating a
+        // fresh storage per relation per iteration.
         let mut spare: Option<HashMap<usize, Box<dyn RelationStorage>>> = None;
 
         loop {
@@ -783,7 +767,7 @@ impl Engine {
                 for (ri, plan) in &rec_plans {
                     let t0 = std::time::Instant::now();
                     let _span = telemetry::span("eval.plan", plan.id as u64);
-                    eval_plan(plan, &env, pools, wstats, self.strategy);
+                    eval_plan(plan, &env, pools, wstats);
                     let entry = self.profile.entry(*ri).or_insert((0, 0.0));
                     entry.0 += 1;
                     entry.1 += t0.elapsed().as_secs_f64();
@@ -1072,7 +1056,7 @@ impl Engine {
                             continue;
                         }
                         let t0 = std::time::Instant::now();
-                        eval_plan(plan, &env, &mut pools, &mut wstats, self.strategy);
+                        eval_plan(plan, &env, &mut pools, &mut wstats);
                         trace_plan("overdelete", plan, t0);
                     }
                 }
@@ -1362,7 +1346,7 @@ impl Engine {
                             new: &new_tabs,
                         };
                         let t0 = std::time::Instant::now();
-                        eval_plan(&job.del_plan, &env, &mut pools, &mut wstats, self.strategy);
+                        eval_plan(&job.del_plan, &env, &mut pools, &mut wstats);
                         trace_plan("rederive-seed", &job.del_plan, t0);
                     }
                     del_acc.insert(r, saved);
@@ -1387,7 +1371,7 @@ impl Engine {
                     };
                     let plan = job.alt_plan.as_ref().expect("switch requires alt");
                     let t0 = std::time::Instant::now();
-                    eval_plan(plan, &env, &mut pools, &mut wstats, self.strategy);
+                    eval_plan(plan, &env, &mut pools, &mut wstats);
                     trace_plan("rederive-alt", plan, t0);
                 }
             }
@@ -1414,7 +1398,7 @@ impl Engine {
                         if idle {
                             continue;
                         }
-                        eval_plan(plan, &env, &mut pools, &mut wstats, self.strategy);
+                        eval_plan(plan, &env, &mut pools, &mut wstats);
                     }
                 }
                 let mut grew = false;
@@ -1663,7 +1647,7 @@ impl Engine {
     /// Takes a storage-health census of every relation (see
     /// [`StorageReport`](crate::StorageReport)): tuple counts, and for
     /// B-tree-backed relations the full structural stats — depth,
-    /// occupancy histogram, gap fill, graveyard/arena bytes. Quiescent
+    /// occupancy histogram, graveyard and node bytes. Quiescent
     /// phases only (between runs), like `BTreeSet::stats` itself.
     pub fn storage_report(&self) -> crate::StorageReport {
         crate::StorageReport {

@@ -35,19 +35,6 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 /// out skew (a worker stuck on a dense chunk simply claims fewer).
 pub const CHUNKS_PER_WORKER: usize = 8;
 
-/// How the outermost loop of each plan is distributed across workers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ParallelStrategy {
-    /// Partition the storage's key space into many chunks and let workers
-    /// claim them dynamically off a shared cursor (the default).
-    #[default]
-    ChunkStealing,
-    /// The pre-chunking behavior: copy the outer scan into a `Vec` and
-    /// split it statically into one slice per worker. Kept for A/B
-    /// benchmarking (`bench-suite`'s `sched` binary).
-    MaterializeSplit,
-}
-
 /// Per-worker scheduler counters, accumulated across plans and iterations
 /// of one engine run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -614,7 +601,6 @@ pub(crate) fn eval_plan(
     env: &StorageEnv<'_>,
     pools: &mut [CtxSet],
     stats: &mut [WorkerStats],
-    strategy: ParallelStrategy,
 ) {
     debug_assert_eq!(pools.len(), stats.len());
     if plan.steps.is_empty() || !matches!(plan.steps.first(), Some(Step::Scan { .. })) {
@@ -643,96 +629,54 @@ pub(crate) fn eval_plan(
     let (rel, delta) = (*rel, *delta);
     let storage = env.source(rel, delta);
 
-    match strategy {
-        ParallelStrategy::ChunkStealing => {
-            let workers = pools.len().max(1);
-            let chunks = storage.partition(workers * CHUNKS_PER_WORKER, &consts);
-            if chunks.is_empty() {
-                return;
-            }
-            // Chunks arrive grouped by shard id (one group for unsharded
-            // backends). Each group gets its own claim cursor; a worker
-            // drains its home group first and only then steals from the
-            // others, so under sharded storage a worker's scans stay
-            // inside the shard whose tree (and arena) it owns.
-            let groups = shard_groups(&chunks);
-            let cursors: Vec<AtomicUsize> =
-                groups.iter().map(|g| AtomicUsize::new(g.start)).collect();
-            if workers == 1 || chunks.len() == 1 {
-                // Nothing to distribute: run inline, skipping the spawn
-                // cost (it recurs once per plan per fixpoint iteration).
-                run_worker(
-                    plan,
-                    env,
-                    storage,
-                    rel,
-                    delta,
-                    &chunks,
-                    &groups,
-                    &cursors,
-                    0,
-                    &mut pools[0],
-                    &mut stats[0],
-                );
-                return;
-            }
-            // Never spawn more workers than there are chunks to claim —
-            // surplus workers would only pay the spawn cost and exit.
-            let active = workers.min(chunks.len());
-            std::thread::scope(|s| {
-                for (w, (ctxs, wstats)) in pools
-                    .iter_mut()
-                    .zip(stats.iter_mut())
-                    .take(active)
-                    .enumerate()
-                {
-                    let (cursors, chunks, groups) = (&cursors, &chunks, &groups);
-                    s.spawn(move || {
-                        run_worker(
-                            plan, env, storage, rel, delta, chunks, groups, cursors, w, ctxs,
-                            wstats,
-                        );
-                    });
-                }
-            });
-        }
-        ParallelStrategy::MaterializeSplit => {
-            // Pre-chunking scheduler: copy the whole outer scan, then hand
-            // each worker one static slice.
-            let mut ctx = storage.make_ctx();
-            let mut outer: Vec<TupleBuf> = Vec::new();
-            storage.scan_prefix(&consts, &mut ctx, &mut |t| outer.push(*t));
-            if outer.is_empty() {
-                return;
-            }
-            let threads = pools.len().max(1).min(outer.len());
-            let chunk_size = outer.len().div_ceil(threads);
-            let chunks: Vec<&[TupleBuf]> = outer.chunks(chunk_size).collect();
-
-            std::thread::scope(|s| {
-                for ((chunk, ctxs), wstats) in chunks
-                    .into_iter()
-                    .zip(pools.iter_mut())
-                    .zip(stats.iter_mut())
-                {
-                    s.spawn(move || {
-                        let mut evaluator = Evaluator {
-                            plan,
-                            env,
-                            ctxs,
-                            stats: wstats,
-                        };
-                        evaluator.stats.chunks_claimed += 1;
-                        evaluator.stats.tuples_scanned += chunk.len() as u64;
-                        let mut vars = vec![0u64; plan.nvars];
-                        for t in chunk {
-                            evaluator.seed_and_run(t, &mut vars);
-                        }
-                    });
-                }
-            });
-        }
+    let workers = pools.len().max(1);
+    let chunks = storage.partition(workers * CHUNKS_PER_WORKER, &consts);
+    if chunks.is_empty() {
+        return;
     }
+    // Chunks arrive grouped by shard id (one group for unsharded
+    // backends). Each group gets its own claim cursor; a worker
+    // drains its home group first and only then steals from the
+    // others, so under sharded storage a worker's scans stay
+    // inside the shard whose tree it owns.
+    let groups = shard_groups(&chunks);
+    let cursors: Vec<AtomicUsize> = groups.iter().map(|g| AtomicUsize::new(g.start)).collect();
+    if workers == 1 || chunks.len() == 1 {
+        // Nothing to distribute: run inline, skipping the spawn
+        // cost (it recurs once per plan per fixpoint iteration).
+        run_worker(
+            plan,
+            env,
+            storage,
+            rel,
+            delta,
+            &chunks,
+            &groups,
+            &cursors,
+            0,
+            &mut pools[0],
+            &mut stats[0],
+        );
+        return;
+    }
+    // Never spawn more workers than there are chunks to claim —
+    // surplus workers would only pay the spawn cost and exit.
+    let active = workers.min(chunks.len());
+    std::thread::scope(|s| {
+        for (w, (ctxs, wstats)) in pools
+            .iter_mut()
+            .zip(stats.iter_mut())
+            .take(active)
+            .enumerate()
+        {
+            let (cursors, chunks, groups) = (&cursors, &chunks, &groups);
+            s.spawn(move || {
+                run_worker(
+                    plan, env, storage, rel, delta, chunks, groups, cursors, w, ctxs, wstats,
+                );
+            });
+        }
+    });
 }
 
 /// Splits a shard-grouped chunk vector into per-shard index ranges.

@@ -7,10 +7,10 @@
 //! performed; this report describes the *state* the relations are left
 //! in: tuple counts per relation plus, for relations backed by the
 //! specialized B-tree, the full structural census of
-//! [`specbtree::TreeStats`] — depth, occupancy, gap fill, graveyard and
-//! arena bytes. After a retraction workload this is where the cost of
-//! tolerated underflow becomes visible: sparse leaves, sentinel-heavy
-//! scan regions, and buried subtrees awaiting the next `clear`.
+//! [`specbtree::TreeStats`] — depth, occupancy, graveyard and node bytes.
+//! After a retraction workload this is where the cost of tolerated
+//! underflow becomes visible: sparse leaves and buried subtrees awaiting
+//! the next `clear`.
 
 use specbtree::TreeStats;
 use std::fmt::Write as _;
@@ -58,12 +58,11 @@ impl StorageReport {
                 Some(t) => {
                     let _ = writeln!(
                         out,
-                        "{}: {} tuples, depth {}, {:.0}% leaf fill, {:.0}% gap fill, {} buried",
+                        "{}: {} tuples, depth {}, {:.0}% leaf fill, {} buried",
                         rel.name,
                         rel.len,
                         t.depth,
                         100.0 * t.leaf_fill(),
-                        100.0 * t.gap_fill(),
                         t.graveyard_len,
                     );
                     out.push_str(&t.to_table());
@@ -128,16 +127,15 @@ impl StorageReport {
         out
     }
 
-    /// Totals across every tree-backed relation: `(keys, sentinels,
-    /// buried subtrees, abandoned bytes)` — the headline "how sparse did
-    /// the database get" figures.
-    pub fn totals(&self) -> (u64, u64, u64, u64) {
-        let mut t = (0, 0, 0, 0);
+    /// Totals across every tree-backed relation: `(keys, buried
+    /// subtrees, abandoned bytes)` — the headline "how sparse did the
+    /// database get" figures.
+    pub fn totals(&self) -> (u64, u64, u64) {
+        let mut t = (0, 0, 0);
         for rel in self.relations.iter().filter_map(|r| r.tree.as_ref()) {
             t.0 += rel.keys;
-            t.1 += rel.sentinels;
-            t.2 += rel.graveyard_len;
-            t.3 += rel.abandoned_bytes;
+            t.1 += rel.graveyard_len;
+            t.2 += rel.abandoned_bytes;
         }
         t
     }

@@ -181,10 +181,8 @@ pub trait RelationStorage: Send + Sync {
     /// backends without a cheap reset.
     ///
     /// The engine uses this to recycle the per-stratum delta/new side
-    /// tables across fixpoint iterations: with the specialized B-tree's
-    /// arena (`fastpath`), a cleared tree keeps its warm slabs, so the next
-    /// iteration's inserts reuse memory instead of growing a new tree from
-    /// the global allocator.
+    /// tables across fixpoint iterations instead of allocating a fresh
+    /// storage (and re-registering its indexes) every round.
     fn clear(&mut self) -> bool {
         false
     }
@@ -326,7 +324,7 @@ pub enum StorageKind {
     /// The lock-free split-ordered hash set (`TBB hashset`).
     ConcurrentHashSet,
     /// The specialized B-tree hash-partitioned across N independent
-    /// per-shard trees, each with its own arena (`btree (sharded)`).
+    /// per-shard trees (`btree (sharded)`).
     /// The payload is the shard count; `0` means *auto* — resolved to
     /// the worker-thread count by `Engine::new`.
     ShardedBTree(usize),
@@ -369,11 +367,15 @@ impl StorageKind {
                 indexes: Vec::new(),
                 hints: false,
             }),
-            StorageKind::RbTreeLocked => Box::new(RbTreeStorage(GlobalLock::new(RbTreeSet::new()))),
+            StorageKind::RbTreeLocked => Box::new(LockedOrderedStorage(GlobalLock::new(
+                RbTreeSet::<TupleBuf>::new(),
+            ))),
             StorageKind::HashSetLocked => {
                 Box::new(HashSetStorage(GlobalLock::new(OaHashSet::new())))
             }
-            StorageKind::GBTreeLocked => Box::new(GBTreeStorage(GlobalLock::new(GBTreeSet::new()))),
+            StorageKind::GBTreeLocked => Box::new(LockedOrderedStorage(GlobalLock::new(
+                GBTreeSet::<TupleBuf>::new(),
+            ))),
             StorageKind::ConcurrentHashSet => Box::new(ConcHashStorage(SplitOrderedSet::new())),
             StorageKind::ShardedBTree(n) => Box::new(ShardedStorage::new((*n).max(1))),
         }
@@ -796,11 +798,10 @@ impl RelationStorage for SpecBTreeStorage {
     }
 
     fn clear(&mut self) -> bool {
-        // O(slabs) arena reset under `fastpath` (warm slabs retained),
-        // recursive node walk otherwise. Clearing re-brands the tree, so
-        // hints cached in still-live worker contexts degrade to misses
-        // rather than dangling. Index trees clear alongside the primary
-        // but keep their registered permutations.
+        // Clearing re-brands the tree, so hints cached in still-live
+        // worker contexts degrade to misses rather than dangling. Index
+        // trees clear alongside the primary but keep their registered
+        // permutations.
         self.tree.clear();
         for ix in &mut self.indexes {
             ix.tree.clear();
@@ -939,9 +940,8 @@ pub fn shard_of(t0: u64, nshards: usize) -> usize {
 
 /// The specialized B-tree hash-partitioned across N independent trees.
 ///
-/// Each shard is a complete [`BTreeSet`] with its own arena, so slabs are
-/// allocated by whichever thread populates the shard and no two shards
-/// ever share a root, a lock word, or an allocator. [`shard_of`] routes by
+/// Each shard is a complete [`BTreeSet`], so no two shards ever share a
+/// root or a lock word. [`shard_of`] routes by
 /// the leading tuple column: point operations and bounded prefix scans
 /// touch exactly one shard, full scans visit shards in index order (tuple
 /// order *across* shards is not globally sorted — every engine-level
@@ -952,7 +952,7 @@ pub fn shard_of(t0: u64, nshards: usize) -> usize {
 /// ever touches shard *i* of both trees, so the only synchronization left
 /// is the shard-index cursor. This is strictly stronger than the
 /// single-tree parallel merge, whose separator-aligned chunks still
-/// contend on shared parents and the shared arena.
+/// contend on shared parents.
 pub struct ShardedStorage {
     shards: Vec<BTreeSet<MAX_ARITY>>,
     indexes: Vec<ShardedIndex>,
@@ -1442,56 +1442,47 @@ impl RelationStorage for ShardedStorage {
 // Globally locked sequential backends
 // ---------------------------------------------------------------------
 
-struct RbTreeStorage(GlobalLock<RbTreeSet<TupleBuf>>);
-
-impl RelationStorage for RbTreeStorage {
-    fn make_ctx(&self) -> StorageCtx {
-        Box::new(())
-    }
-
-    fn insert(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
-        self.0.with(|s| s.insert(*t))
-    }
-
-    fn remove(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
-        self.0.with(|s| s.remove(t))
-    }
-
-    fn contains(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
-        self.0.with(|s| s.contains(t))
-    }
-
-    fn scan_prefix(&self, prefix: &[u64], _ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
-        let lo = pad(prefix);
-        let hi = prefix_upper(prefix);
-        self.0.with(|s| {
-            for t in s.lower_bound(&lo) {
-                if let Some(hi) = &hi {
-                    if t >= *hi {
-                        break;
-                    }
-                }
-                f(&t);
-            }
-        });
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&TupleBuf)) {
-        self.0.with(|s| {
-            for t in s.iter() {
-                f(&t);
-            }
-        });
-    }
-
-    fn len(&self) -> usize {
-        self.0.with(|s| s.len())
-    }
+/// What the locked adapter needs of a sequential ordered set.
+trait OrderedSet: Send {
+    fn insert(&mut self, t: TupleBuf) -> bool;
+    fn remove(&mut self, t: &TupleBuf) -> bool;
+    fn contains(&self, t: &TupleBuf) -> bool;
+    fn len(&self) -> usize;
+    fn iter(&self) -> impl Iterator<Item = TupleBuf> + '_;
+    fn lower_bound(&self, lo: &TupleBuf) -> impl Iterator<Item = TupleBuf> + '_;
 }
 
-struct GBTreeStorage(GlobalLock<GBTreeSet<TupleBuf>>);
+macro_rules! impl_ordered_set {
+    ($($set:ident),*) => {$(
+        impl OrderedSet for $set<TupleBuf> {
+            fn insert(&mut self, t: TupleBuf) -> bool {
+                $set::insert(self, t)
+            }
+            fn remove(&mut self, t: &TupleBuf) -> bool {
+                $set::remove(self, t)
+            }
+            fn contains(&self, t: &TupleBuf) -> bool {
+                $set::contains(self, t)
+            }
+            fn len(&self) -> usize {
+                $set::len(self)
+            }
+            fn iter(&self) -> impl Iterator<Item = TupleBuf> + '_ {
+                $set::iter(self)
+            }
+            fn lower_bound(&self, lo: &TupleBuf) -> impl Iterator<Item = TupleBuf> + '_ {
+                $set::lower_bound(self, lo)
+            }
+        }
+    )*};
+}
+impl_ordered_set!(RbTreeSet, GBTreeSet);
 
-impl RelationStorage for GBTreeStorage {
+/// A sequential ordered set behind one global lock (`STL rbtset`,
+/// `google btree`).
+struct LockedOrderedStorage<S>(GlobalLock<S>);
+
+impl<S: OrderedSet> RelationStorage for LockedOrderedStorage<S> {
     fn make_ctx(&self) -> StorageCtx {
         Box::new(())
     }

@@ -1,9 +1,9 @@
 //! Differential test for the chunk-driven parallel scheduler: on every
 //! storage backend and at several thread counts, work-stealing evaluation
-//! must produce byte-identical relation contents to sequential evaluation
-//! (and to an independent reference closure computed over std sets).
+//! must produce byte-identical relation contents to an independent
+//! reference closure computed over std sets.
 
-use datalog::{parse, Engine, ParallelStrategy, StorageKind};
+use datalog::{parse, Engine, StorageKind};
 use workloads::graphs;
 
 const TC_PROGRAM: &str = r#"
@@ -28,15 +28,9 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-fn run_tc(
-    edges: &[(u64, u64)],
-    kind: StorageKind,
-    threads: usize,
-    strategy: ParallelStrategy,
-) -> Vec<Vec<u64>> {
+fn run_tc(edges: &[(u64, u64)], kind: StorageKind, threads: usize) -> Vec<Vec<u64>> {
     let program = parse(TC_PROGRAM).unwrap();
     let mut engine = Engine::new(&program, kind, threads).unwrap();
-    engine.set_parallel_strategy(strategy);
     engine
         .add_facts("edge", edges.iter().map(|&(a, b)| vec![a, b]))
         .unwrap();
@@ -55,18 +49,11 @@ fn check_workload(name: &str, edges: Vec<(u64, u64)>) {
     // counts (1 = degenerate single shard, 8 > typical test thread count).
     let sharded = [1, 2, 8].map(StorageKind::ShardedBTree);
     for kind in StorageKind::ALL.into_iter().chain(sharded) {
-        // Sequential baseline on this backend (legacy scheduler, 1 thread).
-        let sequential = run_tc(&edges, kind, 1, ParallelStrategy::MaterializeSplit);
-        assert_eq!(
-            sequential, expect,
-            "{name}: sequential {kind:?} disagrees with reference closure"
-        );
-
         for threads in thread_counts() {
-            let chunked = run_tc(&edges, kind, threads, ParallelStrategy::ChunkStealing);
             assert_eq!(
-                chunked, sequential,
-                "{name}: chunk-driven {kind:?} at {threads} threads diverges from sequential"
+                run_tc(&edges, kind, threads),
+                expect,
+                "{name}: {kind:?} at {threads} threads disagrees with the reference closure"
             );
         }
     }
@@ -92,26 +79,6 @@ fn layered_dag_closure_is_schedule_independent() {
     check_workload("layered_dag(5,8,2,3)", graphs::layered_dag(5, 8, 2, 3));
 }
 
-/// The legacy materialize-then-split scheduler must also stay correct at
-/// every thread count (it remains selectable as the benchmark baseline).
-#[test]
-fn materialize_split_matches_at_all_thread_counts() {
-    let edges = graphs::random_graph(40, 2, 11);
-    let expect: Vec<Vec<u64>> = graphs::reference_tc(&edges)
-        .into_iter()
-        .map(|(a, b)| vec![a, b])
-        .collect();
-    for kind in [StorageKind::SpecBTree, StorageKind::HashSetLocked] {
-        for threads in thread_counts() {
-            let got = run_tc(&edges, kind, threads, ParallelStrategy::MaterializeSplit);
-            assert_eq!(
-                got, expect,
-                "materialize-split {kind:?} at {threads} threads"
-            );
-        }
-    }
-}
-
 /// Skewed-hash corner: a star graph whose tuples all share leading column
 /// 0 routes >90% of `path` into one shard. The closure must still match
 /// the reference, and the storage report must expose the imbalance.
@@ -127,7 +94,6 @@ fn skewed_hash_concentrates_in_one_shard_and_stays_correct() {
 
     let program = parse(TC_PROGRAM).unwrap();
     let mut engine = Engine::new(&program, StorageKind::ShardedBTree(8), 4).unwrap();
-    engine.set_parallel_strategy(ParallelStrategy::ChunkStealing);
     engine
         .add_facts("edge", edges.iter().map(|&(a, b)| vec![a, b]))
         .unwrap();
@@ -157,7 +123,6 @@ fn worker_stats_are_populated() {
     let edges = graphs::grid(6);
     let program = parse(TC_PROGRAM).unwrap();
     let mut engine = Engine::new(&program, StorageKind::SpecBTree, 4).unwrap();
-    engine.set_parallel_strategy(ParallelStrategy::ChunkStealing);
     engine
         .add_facts("edge", edges.iter().map(|&(a, b)| vec![a, b]))
         .unwrap();

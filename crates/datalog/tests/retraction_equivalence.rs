@@ -346,8 +346,7 @@ fn retraction_stats_accumulate() {
 #[test]
 fn storage_report_shows_retraction_scars() {
     // A retraction-heavy workload leaves visible structural scars on the
-    // specialized B-tree: drained-and-buried leaves (graveyard) and, under
-    // the gapped layout, sentinel-filled gaps in surviving leaves. The
+    // specialized B-tree: drained-and-buried leaves (graveyard). The
     // storage report is how those become observable.
     let edges = graphs::chain(400);
     let program = parse(TC_PROGRAM).unwrap();
@@ -382,14 +381,7 @@ fn storage_report_shows_retraction_scars() {
         "mass removal buries drained leaves: {tree:?}"
     );
     assert!(tree.abandoned_bytes > 0);
-    if cfg!(feature = "gapped") {
-        assert!(
-            tree.sentinels > 0,
-            "gapped removals leave sentinel-filled gaps: {tree:?}"
-        );
-        assert!(tree.gap_fill() < 1.0);
-    }
-    let (_, _, buried, abandoned) = after.totals();
+    let (_, buried, abandoned) = after.totals();
     assert!(buried >= tree.graveyard_len && abandoned >= tree.abandoned_bytes);
     // Both renderings stay consistent with the numbers.
     assert!(after.to_table().contains("path"));

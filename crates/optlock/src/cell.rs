@@ -15,7 +15,7 @@ use chaos::sync::{AtomicU64, Ordering::Relaxed};
 /// ```
 /// use optlock::SeqCell;
 ///
-/// let cell: SeqCell<2> = SeqCell::new([1, 2]);
+/// let cell: SeqCell<2> = SeqCell::new([0, 0]);
 /// std::thread::scope(|s| {
 ///     s.spawn(|| {
 ///         for i in 0..10_000u64 {

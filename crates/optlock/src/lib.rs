@@ -27,12 +27,6 @@
 //! | [`end_write`](OptimisticRwLock::end_write) | no | publish the modification, release the lock |
 //! | [`abort_write`](OptimisticRwLock::abort_write) | no | release the lock *without* a version bump |
 //!
-//! One extension beyond Figure 2:
-//! [`probe_quiescent`](OptimisticRwLock::probe_quiescent), a single
-//! non-spinning load of the version word used as the *fence word* of the
-//! B-tree's latch-free interior descent (readers that observe quiescence
-//! may use plain loads and rely on the post-read lease validation).
-//!
 //! # Memory ordering
 //!
 //! Implementing a seqlock on top of a language memory model is subtle: the
@@ -277,22 +271,6 @@ impl OptimisticRwLock {
         self.version.store(v - 1, Ordering::Release);
     }
 
-    /// Non-spinning quiescence probe: one `Acquire` load of the version
-    /// word, returning whether it was even (no writer active at that
-    /// instant). This is the *fence word* read of the latch-free descent:
-    /// a reader that already holds a [`Lease`] on the node probes once,
-    /// and on `true` may read the node's fields with plain (non-atomic)
-    /// loads — any concurrent write that starts afterwards flips the
-    /// version, so the lease validation that follows the read rejects the
-    /// result. On `false` the caller takes the per-slot atomic fallback
-    /// instead of spinning. Unlike [`start_read`](Self::start_read) this
-    /// never loops and never stores.
-    #[inline]
-    pub fn probe_quiescent(&self) -> bool {
-        chaos::checkpoint("optlock::probe");
-        self.version.load(Ordering::Acquire) & 1 == 0
-    }
-
     /// Whether a writer currently holds the lock. Diagnostic only — the
     /// answer may be stale by the time it is returned.
     #[inline]
@@ -453,18 +431,6 @@ mod tests {
         l.end_write();
         let lease = l.start_read();
         assert_eq!(lease.version(), 2);
-    }
-
-    #[test]
-    fn probe_quiescent_tracks_writer_presence() {
-        let l = OptimisticRwLock::new();
-        assert!(l.probe_quiescent());
-        l.start_write();
-        assert!(!l.probe_quiescent());
-        l.end_write();
-        assert!(l.probe_quiescent());
-        // The probe itself never disturbs the version word.
-        assert_eq!(l.raw_version(), 2);
     }
 
     #[test]

@@ -79,25 +79,13 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         Ok(shape)
     }
 
-    /// Approximate heap footprint of the tree's nodes in bytes. Quiescent
-    /// phases only.
-    ///
-    /// Under `fastpath` this reports the bytes the arena actually handed
-    /// out (64-byte-aligned node sizes, including any slack), which is the
-    /// tree's true node footprint; without `fastpath` it is derived from
-    /// the node counts and the boxed node sizes.
+    /// Approximate heap footprint of the tree's reachable nodes in bytes,
+    /// derived from the node counts and sizes. Quiescent phases only.
     pub fn memory_usage(&self) -> usize {
-        #[cfg(feature = "fastpath")]
-        {
-            self.arena_stats().bytes_used
-        }
-        #[cfg(not(feature = "fastpath"))]
-        {
-            self.shape().memory_bytes(
-                std::mem::size_of::<crate::node::LeafNode<K, C>>(),
-                std::mem::size_of::<crate::node::InnerNode<K, C>>(),
-            )
-        }
+        self.shape().memory_bytes(
+            std::mem::size_of::<crate::node::LeafNode<K, C>>(),
+            std::mem::size_of::<crate::node::InnerNode<K, C>>(),
+        )
     }
 
     /// Returns shape statistics without checking invariants. Quiescent
@@ -160,73 +148,6 @@ fn check_node<const K: usize, const C: usize>(
     shape.nodes += 1;
     shape.keys += num;
 
-    // Gapped layout: `num` counts *occupied* slots; the scan region
-    // [0, scan_len()) additionally holds gap slots whose sentinel value
-    // must duplicate the nearest occupied key to their right. Checked
-    // here: occupancy/count agreement, packed inner occupancy, strict
-    // ascent among occupied slots, sentinel agreement, and separator
-    // intervals over every scanned slot (sentinels included — they
-    // duplicate in-node keys, so the same bounds apply).
-    #[cfg(feature = "gapped")]
-    {
-        let occ = node.occupied_mask();
-        let top = node.scan_len();
-        if occ.count_ones() as usize != num {
-            return Err(InvariantViolation(format!(
-                "node {p:?}: occupancy popcount {} disagrees with num {num}",
-                occ.count_ones()
-            )));
-        }
-        if node.is_inner() && occ != crate::node::packed_mask(num) {
-            return Err(InvariantViolation(format!(
-                "inner node {p:?}: occupancy {occ:#x} not packed for {num} keys"
-            )));
-        }
-        // Slot 0 may be a gap after removals: its sentinel duplicates the
-        // real minimum (checked below), so bounds and searches still hold.
-        let mut prev: Option<Tuple<K>> = None;
-        for i in 0..top {
-            let k = node.key(i);
-            if (occ >> i) & 1 == 1 {
-                if let Some(pk) = &prev {
-                    if cmp3(pk, &k) != Ordering::Less {
-                        return Err(InvariantViolation(format!(
-                            "node {p:?}: occupied keys not strictly ascending at slot {i}"
-                        )));
-                    }
-                }
-                prev = Some(k);
-            } else {
-                let j = node.next_occupied(i + 1);
-                if j >= top {
-                    return Err(InvariantViolation(format!(
-                        "node {p:?}: trailing gap at slot {i} (no occupied slot above)"
-                    )));
-                }
-                if cmp3(&k, &node.key(j)) != Ordering::Equal {
-                    return Err(InvariantViolation(format!(
-                        "node {p:?}: gap slot {i} sentinel disagrees with occupied slot {j}"
-                    )));
-                }
-            }
-            if let Some(lo) = &lower {
-                if cmp3(&k, lo) != Ordering::Greater {
-                    return Err(InvariantViolation(format!(
-                        "node {p:?}: key {k:?} not above separator {lo:?}"
-                    )));
-                }
-            }
-            if let Some(hi) = &upper {
-                if cmp3(&k, hi) != Ordering::Less {
-                    return Err(InvariantViolation(format!(
-                        "node {p:?}: key {k:?} not below separator {hi:?}"
-                    )));
-                }
-            }
-        }
-    }
-
-    #[cfg(not(feature = "gapped"))]
     for i in 0..num {
         let k = node.key(i);
         if i > 0 && cmp3(&node.key(i - 1), &k) != Ordering::Less {

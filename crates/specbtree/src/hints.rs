@@ -10,10 +10,12 @@
 //! Hints are held in thread-local fashion by convention: each worker thread
 //! obtains one from [`BTreeSet::create_hints`] and threads it through its
 //! operations, exactly as the paper describes. Because tree nodes are never
-//! deleted or moved, a cached leaf pointer can never dangle *while its tree
-//! is alive*; to make the API safe even across tree lifetimes each hint is
-//! **branded** with the unique id of the tree it was created for, and a tree
-//! only dereferences hints carrying its own brand.
+//! freed or moved while the tree is alive (a leaf unlinked by `remove` waits
+//! in the graveyard, where a stale hint simply stops covering anything), a
+//! cached leaf pointer can never dangle; to make the API safe across tree
+//! lifetimes and `clear` as well, each hint is **branded** with the unique
+//! id of the tree it was created for, and a tree only dereferences hints
+//! carrying its own brand.
 //!
 //! Hit/miss statistics are recorded for every hinted operation — the paper
 //! reports these rates (54% for the Doop analysis, 77% for the security
@@ -22,56 +24,6 @@
 //! [`BTreeSet::create_hints`]: crate::BTreeSet::create_hints
 
 use crate::node::NodePtr;
-use crate::search::prefetch_read;
-
-/// Consecutive hinted-operation misses past which the hinted-leaf probe is
-/// bypassed entirely (`fastpath` only): on hint-hostile patterns (uniform
-/// random keys, pure appends) the probe is a near-certain wasted leaf
-/// search plus boundary check on every operation. Bypassed probes are
-/// retried periodically (see [`REPROBE_MASK`]) so a workload that turns
-/// local again recovers within a bounded number of operations.
-pub(crate) const BYPASS_STREAK: u8 = 16;
-
-/// Consecutive *forward* misses (probe beyond the leaf's last key) that
-/// classify the pattern as append-like. Append descents are predictable,
-/// so the fallback keeps the classic speculative search; a random workload
-/// produces a forward miss only ~50% of the time, so a streak this long is
-/// rare (~6%) and self-corrects at the next non-forward miss.
-pub(crate) const APPEND_STREAK: u8 = 4;
-
-/// Miss streak past which the fallback descent switches to the
-/// branch-free search (unless the pattern looks append-like): a few
-/// consecutive misses mean the workload is not leaf-local, which is
-/// exactly when descent branches stop predicting well.
-pub(crate) const ROUTE_STREAK: u8 = 4;
-
-/// While bypassing, the hinted leaf is re-probed whenever the operation's
-/// miss counter is a multiple of this period — the recovery clock for
-/// workload phase changes. The period is **prime** on purpose: the gapped
-/// layout's redistribution pass packs append regions into perfectly
-/// regular leaves (e.g. 7 keys per leaf plus 1 separator, period 8), and a
-/// power-of-two reprobe period resonates with such geometry — every
-/// reprobe lands on the same offset within a leaf, and if that offset is
-/// the boundary, recovery never happens. A prime period is coprime to
-/// every small leaf period, so the reprobe offset drifts across the leaf
-/// and a leaf-local phase is re-detected within a few reprobes.
-const REPROBE_PERIOD: u64 = 29;
-
-/// Updates one (miss, forward) streak pair with a probe outcome.
-#[inline]
-fn note_streaks(miss: &mut u8, forward_run: &mut u8, hit: bool, forward: bool) {
-    if hit {
-        *miss = 0;
-        *forward_run = 0;
-    } else {
-        *miss = miss.saturating_add(1);
-        *forward_run = if forward {
-            forward_run.saturating_add(1)
-        } else {
-            0
-        };
-    }
-}
 
 /// Hit/miss counters per hinted operation kind.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -163,14 +115,6 @@ pub struct BTreeHints<const K: usize, const C: usize = { crate::DEFAULT_NODE_CAP
     contains_leaf: NodePtr<K, C>,
     lower_leaf: NodePtr<K, C>,
     upper_leaf: NodePtr<K, C>,
-    /// Consecutive hinted-insert misses (saturating; reset on a hit).
-    insert_miss_streak: u8,
-    /// Consecutive *forward* hinted-insert misses — the append signature.
-    insert_forward_streak: u8,
-    /// Consecutive hinted-contains misses.
-    contains_miss_streak: u8,
-    /// Consecutive forward hinted-contains misses.
-    contains_forward_streak: u8,
     /// Hit/miss statistics for this hint object (i.e. this thread).
     pub stats: HintStats,
 }
@@ -189,10 +133,6 @@ impl<const K: usize, const C: usize> BTreeHints<K, C> {
             contains_leaf: std::ptr::null_mut(),
             lower_leaf: std::ptr::null_mut(),
             upper_leaf: std::ptr::null_mut(),
-            insert_miss_streak: 0,
-            insert_forward_streak: 0,
-            contains_miss_streak: 0,
-            contains_forward_streak: 0,
             stats: HintStats::default(),
         }
     }
@@ -210,101 +150,25 @@ impl<const K: usize, const C: usize> BTreeHints<K, C> {
         self.contains_leaf = std::ptr::null_mut();
         self.lower_leaf = std::ptr::null_mut();
         self.upper_leaf = std::ptr::null_mut();
-        self.insert_miss_streak = 0;
-        self.insert_forward_streak = 0;
-        self.contains_miss_streak = 0;
-        self.contains_forward_streak = 0;
     }
-
-    // ------------------------------------------------------------------
-    // Adaptive probe/descent policy (consulted only under `fastpath`;
-    // without it the tree probes unconditionally and descends with the
-    // classic search, byte-for-byte the historical behavior).
-    // ------------------------------------------------------------------
-
-    /// Should the hinted-insert leaf be probed at all? `false` once the
-    /// miss streak shows the probe is near-certain wasted work, except on
-    /// the periodic re-probe tick (every [`REPROBE_PERIOD`]th miss) that
-    /// detects workload phase changes. The streaks freeze while bypassing —
-    /// only actual probe outcomes (see
-    /// [`note_insert_probe`](Self::note_insert_probe)) move them.
-    #[inline]
-    pub(crate) fn insert_probe_useful(&self) -> bool {
-        self.insert_miss_streak < BYPASS_STREAK
-            || self.stats.insert_misses.is_multiple_of(REPROBE_PERIOD)
-    }
-
-    /// Should the fallback insert descent use the branch-free search?
-    /// Yes once the workload is demonstrably not leaf-local, unless the
-    /// misses look like an append run (predictable descents, where the
-    /// classic search's speculation wins).
-    #[inline]
-    pub(crate) fn insert_descend_branchfree(&self) -> bool {
-        self.insert_miss_streak >= ROUTE_STREAK && self.insert_forward_streak < APPEND_STREAK
-    }
-
-    /// Feeds a hinted-insert probe outcome to the adaptive policy.
-    /// `forward` = the probe fell beyond the hinted leaf's last key.
-    #[inline]
-    pub(crate) fn note_insert_probe(&mut self, hit: bool, forward: bool) {
-        note_streaks(
-            &mut self.insert_miss_streak,
-            &mut self.insert_forward_streak,
-            hit,
-            forward,
-        );
-    }
-
-    /// [`insert_probe_useful`](Self::insert_probe_useful) for contains.
-    #[inline]
-    pub(crate) fn contains_probe_useful(&self) -> bool {
-        self.contains_miss_streak < BYPASS_STREAK
-            || self.stats.contains_misses.is_multiple_of(REPROBE_PERIOD)
-    }
-
-    /// [`insert_descend_branchfree`](Self::insert_descend_branchfree) for
-    /// contains.
-    #[inline]
-    pub(crate) fn contains_descend_branchfree(&self) -> bool {
-        self.contains_miss_streak >= ROUTE_STREAK && self.contains_forward_streak < APPEND_STREAK
-    }
-
-    /// [`note_insert_probe`](Self::note_insert_probe) for contains.
-    #[inline]
-    pub(crate) fn note_contains_probe(&mut self, hit: bool, forward: bool) {
-        note_streaks(
-            &mut self.contains_miss_streak,
-            &mut self.contains_forward_streak,
-            hit,
-            forward,
-        );
-    }
-
-    // Each accessor prefetches the cached leaf as it hands the pointer
-    // out: the caller's next step is the leaf's coverage (boundary) check,
-    // so the line is in flight while the brand/null tests resolve.
 
     #[inline]
     pub(crate) fn insert_leaf(&self) -> NodePtr<K, C> {
-        prefetch_read(self.insert_leaf);
         self.insert_leaf
     }
 
     #[inline]
     pub(crate) fn contains_leaf(&self) -> NodePtr<K, C> {
-        prefetch_read(self.contains_leaf);
         self.contains_leaf
     }
 
     #[inline]
     pub(crate) fn lower_leaf(&self) -> NodePtr<K, C> {
-        prefetch_read(self.lower_leaf);
         self.lower_leaf
     }
 
     #[inline]
     pub(crate) fn upper_leaf(&self) -> NodePtr<K, C> {
-        prefetch_read(self.upper_leaf);
         self.upper_leaf
     }
 
@@ -434,56 +298,5 @@ mod tests {
         assert_eq!(h.tree_id(), 9);
         assert!(h.insert_leaf().is_null());
         assert_eq!(h.stats.insert_hits, 5);
-    }
-
-    #[test]
-    fn probe_bypass_engages_after_miss_streak_and_reprobes_periodically() {
-        let mut h: BTreeHints<2, 8> = BTreeHints::new(1);
-        assert!(h.insert_probe_useful());
-        for _ in 0..BYPASS_STREAK {
-            h.note_insert_probe(false, false);
-            h.stats.insert_misses += 1;
-        }
-        // Streak reached: bypass, except when the miss counter hits the
-        // re-probe tick.
-        h.stats.insert_misses = REPROBE_PERIOD + 1;
-        assert!(!h.insert_probe_useful());
-        h.stats.insert_misses = 2 * REPROBE_PERIOD;
-        assert!(h.insert_probe_useful());
-        // A single hit resets the streak: probing resumes unconditionally.
-        h.note_insert_probe(true, false);
-        h.stats.insert_misses = REPROBE_PERIOD + 1;
-        assert!(h.insert_probe_useful());
-    }
-
-    #[test]
-    fn descent_routing_tracks_pattern() {
-        let mut h: BTreeHints<2, 8> = BTreeHints::new(1);
-        // Leaf-local workload: classic descent.
-        assert!(!h.insert_descend_branchfree());
-        // Random workload (misses, rarely forward): branch-free descent.
-        for _ in 0..ROUTE_STREAK {
-            h.note_insert_probe(false, false);
-        }
-        assert!(h.insert_descend_branchfree());
-        // Append run (every miss forward): back to the classic descent.
-        for _ in 0..APPEND_STREAK {
-            h.note_insert_probe(false, true);
-        }
-        assert!(!h.insert_descend_branchfree());
-        // One non-forward miss breaks the append classification.
-        h.note_insert_probe(false, false);
-        assert!(h.insert_descend_branchfree());
-        // The contains policy is independent state.
-        assert!(!h.contains_descend_branchfree());
-        for _ in 0..ROUTE_STREAK {
-            h.note_contains_probe(false, false);
-        }
-        assert!(h.contains_descend_branchfree());
-        // Rebinding resets all pattern state.
-        h.rebind(2);
-        assert!(!h.insert_descend_branchfree());
-        assert!(!h.contains_descend_branchfree());
-        assert!(h.insert_probe_useful() && h.contains_probe_useful());
     }
 }

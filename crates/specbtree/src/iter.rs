@@ -29,18 +29,6 @@ pub struct Iter<'a, const K: usize, const C: usize> {
 
 impl<'a, const K: usize, const C: usize> Iter<'a, K, C> {
     pub(crate) fn new(node: NodePtr<K, C>, pos: usize) -> Self {
-        // Under the gapped layout a position produced by a search can land
-        // on a gap slot (whose sentinel duplicates the key to its right);
-        // normalize to the occupied slot carrying that key so the cursor
-        // invariant — `pos` is real or exhausted — holds from the start.
-        // Identity on inner nodes (always packed) and non-gapped builds.
-        #[cfg(feature = "gapped")]
-        let pos = if node.is_null() {
-            pos
-        } else {
-            // SAFETY: non-null cursor nodes are live tree nodes.
-            unsafe { &*node }.next_occupied(pos)
-        };
         let mut it = Self {
             node,
             pos,
@@ -61,7 +49,7 @@ impl<'a, const K: usize, const C: usize> Iter<'a, K, C> {
         }
         // SAFETY: non-null cursor nodes are live tree nodes.
         let n = unsafe { &*self.node };
-        if self.pos < n.scan_len() {
+        if self.pos < n.num_clamped() {
             Some(n.key(self.pos))
         } else {
             None
@@ -96,15 +84,15 @@ impl<'a, const K: usize, const C: usize> Iter<'a, K, C> {
     }
 
     /// Restores the cursor invariant — `pos` names a real key or the
-    /// cursor is exhausted — by climbing past any node whose scan region
-    /// ends at or before `pos`. Removals make empty leaves and trailing
+    /// cursor is exhausted — by climbing past any node whose keys end at
+    /// or before `pos`. Removals make empty leaves and trailing
     /// positions legal mid-tree, so this can climb more than one level
     /// (an empty leaf under a unary inner chain).
     fn normalize(&mut self) {
         while !self.node.is_null() {
             // SAFETY: non-null cursor nodes are live tree nodes.
             let n = unsafe { &*self.node };
-            if self.pos < n.scan_len() {
+            if self.pos < n.num_clamped() {
                 return;
             }
             self.climb();
@@ -124,8 +112,6 @@ impl<'a, const K: usize, const C: usize> Iter<'a, K, C> {
             }
             // SAFETY: kind checked above.
             node = unsafe { n.as_inner() }.child(0);
-            // Overlap the next level's cache miss with the loop overhead.
-            crate::search::prefetch_read(node);
         }
     }
 }
@@ -143,7 +129,7 @@ impl<'a, const K: usize, const C: usize> Iterator for Iter<'a, K, C> {
             }
             // SAFETY: live tree node.
             let n = unsafe { &*self.node };
-            let num = n.scan_len();
+            let num = n.num_clamped();
             if self.pos < num {
                 break (n, num);
             }
@@ -156,20 +142,9 @@ impl<'a, const K: usize, const C: usize> Iterator for Iter<'a, K, C> {
             // SAFETY: kind checked.
             let child = unsafe { n.as_inner() }.child(self.pos + 1);
             self.node = Iter::<K, C>::leftmost(child);
-            // Slot 0 of the landing leaf may be a gap after removals, whose
-            // sentinel duplicates the first real key: snap to that key's
-            // occupied slot so it is yielded exactly once.
-            self.pos = if self.node.is_null() {
-                0
-            } else {
-                // SAFETY: non-null cursor nodes are live tree nodes.
-                unsafe { &*self.node }.next_occupied(0)
-            };
+            self.pos = 0;
         } else {
-            // Skip gap slots: `next_occupied` is identity when non-gapped,
-            // and returns its argument when no occupied slot remains (which
-            // then fails the bound check below and triggers the climb).
-            self.pos = n.next_occupied(self.pos + 1);
+            self.pos += 1;
             if self.pos >= num {
                 // Climb until we come up from a non-last child.
                 self.climb();
@@ -179,12 +154,8 @@ impl<'a, const K: usize, const C: usize> Iterator for Iter<'a, K, C> {
     }
 
     /// Bulk traversal: `count`, `sum`, `for_each` and friends all funnel
-    /// through `fold`, so full scans stream each leaf as one occupancy-mask
-    /// walk instead of paying [`Iterator::next`]'s per-element cursor
-    /// checks and per-element gap skips. The climb target (the parent) is
-    /// prefetched before the leaf's keys are consumed, overlapping the
-    /// pointer-chase miss with useful work — this is what restores
-    /// sequential-scan throughput on the gapped layout.
+    /// through `fold`, so full scans stream each leaf as one slot walk
+    /// instead of paying [`Iterator::next`]'s per-element cursor checks.
     fn fold<B, F>(mut self, init: B, mut f: F) -> B
     where
         F: FnMut(B, Self::Item) -> B,
@@ -202,24 +173,12 @@ impl<'a, const K: usize, const C: usize> Iterator for Iter<'a, K, C> {
                 }
                 continue;
             }
-            let num = n.scan_len();
+            let num = n.num_clamped();
             if self.pos >= num {
                 // Empty leaf (legal after removals): climb past it.
                 self.climb();
                 continue;
             }
-            // Overlap the climb's pointer-chase miss with the key walk.
-            crate::search::prefetch_read(n.parent.load(Relaxed));
-            #[cfg(feature = "gapped")]
-            {
-                let mut rem = n.occupied_mask() & !((1u64 << self.pos) - 1);
-                while rem != 0 {
-                    let i = rem.trailing_zeros() as usize;
-                    acc = f(acc, n.key(i));
-                    rem &= rem - 1;
-                }
-            }
-            #[cfg(not(feature = "gapped"))]
             for i in self.pos..num {
                 acc = f(acc, n.key(i));
             }
@@ -256,7 +215,7 @@ impl<'a, const K: usize, const C: usize> RangeIter<'a, K, C> {
             }
             // SAFETY: non-null cursor nodes are live tree nodes.
             let n = unsafe { &*node };
-            let num = n.scan_len();
+            let num = n.num_clamped();
             if self.inner.pos >= num {
                 // Empty leaf (legal after removals): climb past it.
                 self.inner.climb();
@@ -271,44 +230,24 @@ impl<'a, const K: usize, const C: usize> RangeIter<'a, K, C> {
                 }
                 continue;
             }
-            // Leaf: copy the remaining run of occupied slots. Per-key bound
-            // compares only happen when the leaf's last (real) key reaches
-            // the bound — the common interior leaf copies compare-free.
-            #[cfg(feature = "gapped")]
-            {
-                let check = match &self.end {
-                    Some(end) => cmp3(&n.key(num - 1), end) != Ordering::Less,
-                    None => false,
-                };
-                let mut rem = n.occupied_mask() & !((1u64 << self.inner.pos) - 1);
-                while rem != 0 {
-                    let i = rem.trailing_zeros() as usize;
-                    let k = n.key(i);
-                    if check && cmp3(&k, self.end.as_ref().unwrap()) != Ordering::Less {
-                        return; // bound hit inside the leaf
+            // Leaf: copy the remaining run of keys. Per-key bound compares
+            // only happen when the leaf's last key reaches the bound — the
+            // common interior leaf copies compare-free.
+            let mut stop = num;
+            if let Some(end) = &self.end {
+                if cmp3(&n.key(num - 1), end) != Ordering::Less {
+                    let mut s = self.inner.pos;
+                    while s < num && cmp3(&n.key(s), end) == Ordering::Less {
+                        s += 1;
                     }
-                    buf.push(k);
-                    rem &= rem - 1;
+                    stop = s;
                 }
             }
-            #[cfg(not(feature = "gapped"))]
-            {
-                let mut stop = num;
-                if let Some(end) = &self.end {
-                    if cmp3(&n.key(num - 1), end) != Ordering::Less {
-                        let mut s = self.inner.pos;
-                        while s < num && cmp3(&n.key(s), end) == Ordering::Less {
-                            s += 1;
-                        }
-                        stop = s;
-                    }
-                }
-                for i in self.inner.pos..stop {
-                    buf.push(n.key(i));
-                }
-                if stop < num {
-                    return; // bound hit inside the leaf
-                }
+            for i in self.inner.pos..stop {
+                buf.push(n.key(i));
+            }
+            if stop < num {
+                return; // bound hit inside the leaf
             }
             // Climb until we come up from a non-last child (Iter::next's
             // tail), once per leaf instead of once per element.
@@ -364,18 +303,12 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         while !node.is_null() {
             // SAFETY: live tree node.
             let n = unsafe { &*node };
-            if !n.is_inner() {
-                // The leaf maximum sits at scan_len() - 1 (the topmost
-                // occupied slot), not num - 1, under the gapped layout.
-                let top = n.scan_len();
-                if top > 0 {
-                    return Some(n.key(top - 1));
-                }
-                return best;
-            }
             let num = n.num_clamped();
             if num > 0 {
                 best = Some(n.key(num - 1));
+            }
+            if !n.is_inner() {
+                return best;
             }
             // SAFETY: kind checked.
             node = unsafe { n.as_inner() }.child(num);
@@ -425,6 +358,8 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                     };
                 }
             }
+        } else {
+            hints.rebind(self.id);
         }
         let res = self.lower_bound_pos(t);
         let node = res.map(|(n, _)| n).unwrap_or(std::ptr::null_mut());
@@ -448,6 +383,8 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                     };
                 }
             }
+        } else {
+            hints.rebind(self.id);
         }
         let res = self.upper_bound_pos(t);
         let node = res.map(|(n, _)| n).unwrap_or(std::ptr::null_mut());
@@ -577,30 +514,10 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             for &p in &level {
                 // SAFETY: live tree nodes collected below.
                 let node = unsafe { &*p };
-                // The level may be the leaf level (shallow trees): walk only
-                // occupied slots so gap sentinels never become separators.
-                // Inner occupancy is always packed, so this degenerates to
-                // 0..num there.
-                #[cfg(feature = "gapped")]
-                {
-                    let mut rem = node.occupied_mask();
-                    while rem != 0 {
-                        let i = rem.trailing_zeros() as usize;
-                        let k = node.key(i);
-                        if in_range(&k) {
-                            seps.push(k);
-                        }
-                        rem &= rem - 1;
-                    }
-                }
-                #[cfg(not(feature = "gapped"))]
-                {
-                    let num = node.num_clamped();
-                    for i in 0..num {
-                        let k = node.key(i);
-                        if in_range(&k) {
-                            seps.push(k);
-                        }
+                for i in 0..node.num_clamped() {
+                    let k = node.key(i);
+                    if in_range(&k) {
+                        seps.push(k);
                     }
                 }
             }

@@ -8,8 +8,11 @@
 //! The structure is specialized for the access patterns of parallel
 //! semi-naive Datalog evaluation:
 //!
-//! * **No deletions.** Relations only grow; nodes are never freed or moved,
-//!   which keeps stale pointers harmless and lets hints live forever.
+//! * **Nodes are never freed or moved** while the tree is alive, which
+//!   keeps stale pointers harmless and lets hints live forever. Relations
+//!   only grow during a fixpoint; between fixpoints [`BTreeSet::remove`]
+//!   retracts tuples, tolerating underflow and parking unlinked leaves in a
+//!   graveyard until `clear`/`Drop`.
 //! * **Optimistic fine-grained locking** ([`optlock`]): readers validate
 //!   version leases instead of taking locks, writers upgrade in place and
 //!   escalate bottom-up on splits (paper Algorithms 1 and 2).
@@ -23,12 +26,9 @@
 //! paper's "seq btree" baseline): same geometry and algorithms, no atomics,
 //! no locks — quantifying the cost of the synchronization machinery.
 //!
-//! The default-on **`fastpath`** feature adds the cache-conscious memory
-//! and search layer (see DESIGN.md "Memory layout"): a per-tree
-//! cache-line-aligned slab arena for nodes, branch-free column-0
-//! specialized intra-node search (with an AVX2 kernel picked by runtime
-//! detection), and software prefetching on the descent. Build with
-//! `--no-default-features` to benchmark the historical boxed layout.
+//! There is one node layout, the paper's: individually allocated nodes,
+//! classic binary search, plain last-leaf hints (DESIGN.md, "Layouts tried
+//! and removed", records the alternatives that were measured and deleted).
 //!
 //! ## Quickstart
 //!
@@ -58,27 +58,20 @@
 // code, each site carrying a SAFETY comment; the public API is entirely safe.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod arena;
 mod check;
 mod hints;
 mod iter;
 mod merge;
 mod node;
-// Without `fastpath` only `prefetch_read` (a no-op there) is reached from
-// the live tree code; the rest of the module stays compiled — and its tests
-// keep running — so both configurations validate the shared search.
-#[cfg_attr(not(feature = "fastpath"), allow(dead_code))]
-mod search;
 pub mod seq;
 mod stats;
 mod tree;
 
-pub use arena::{ArenaStats, NODE_ALIGN, SLAB_BYTES};
 pub use check::{InvariantViolation, TreeShape};
 pub use hints::{BTreeHints, HintStats};
 pub use iter::{Iter, RangeChunk, RangeIter};
 pub use node::{cmp3, Tuple};
-pub use stats::{TreeStats, OCCUPANCY_BUCKETS};
+pub use stats::{ArenaStats, TreeStats, OCCUPANCY_BUCKETS};
 pub use tree::{BTreeSet, DEFAULT_NODE_CAPACITY};
 
 /// Packs a pair of 32-bit values into a single word, preserving

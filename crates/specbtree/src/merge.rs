@@ -20,7 +20,6 @@
 //!    scans use), so each worker's chunk maps onto a distinct region of the
 //!    target and per-worker hints stay hot.
 
-use crate::arena::Arena;
 use crate::node::{cmp3, InnerNode, LeafNode, NodePtr, Tuple};
 use crate::tree::BTreeSet;
 use std::cmp::Ordering;
@@ -52,13 +51,9 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             return;
         }
         // Fast path: an empty target adopts a bulk-loaded copy wholesale.
-        // The copy is built in the *target's* arena, so adopting it keeps
-        // ownership lifetimes simple (the target reclaims it like any of
-        // its own subtrees).
         if self.root.load(Relaxed).is_null() {
-            let built = build_from_sorted::<K, C>(other.iter(), &self.arena);
+            let built = build_from_sorted::<K, C>(other.iter());
             if !built.is_null() {
-                #[allow(clippy::collapsible_if)] // the arms differ by feature
                 if self.root_lock.try_start_write() {
                     if self.root.load(Relaxed).is_null() {
                         self.root.store(built, Relaxed);
@@ -68,10 +63,8 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                     }
                     self.root_lock.end_write();
                 }
-                // Lost the race: discard the prebuilt copy, insert normally
-                // (boxed path frees it; arena path abandons it in place and
-                // records the waste in `arena_abandoned_bytes`).
-                self.abandon_subtree(built);
+                // Lost the race: discard the prebuilt copy, insert normally.
+                Self::abandon_subtree(built);
             }
         }
         telemetry::count(telemetry::Counter::BtreeMergePerTuple);
@@ -90,7 +83,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// * an empty target adopts a bulk-loaded copy wholesale (as
     ///   [`insert_all`](Self::insert_all));
     /// * the part of the source that sorts entirely **after** the target's
-    ///   current maximum is bulk-built in the target's arena and spliced in
+    ///   current maximum is bulk-built and spliced in
     ///   under a single write-locked ancestor of the rightmost spine (the
     ///   append fast path — `specbtree.merge_splice` counts engagements);
     /// * the rest is partitioned by the *target's* upper-level separators
@@ -121,9 +114,8 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         if self.root.load(Relaxed).is_null() {
             let mut items: Vec<Tuple<K>> = Vec::with_capacity(other.len());
             crate::iter::RangeIter::new(other.iter(), None).collect_into(&mut items);
-            let built = build_from_slice::<K, C>(&items, &self.arena);
+            let built = build_from_slice::<K, C>(&items);
             if !built.is_null() {
-                #[allow(clippy::collapsible_if)] // the arms differ by feature
                 if self.root_lock.try_start_write() {
                     if self.root.load(Relaxed).is_null() {
                         self.root.store(built, Relaxed);
@@ -133,7 +125,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                     }
                     self.root_lock.end_write();
                 }
-                self.abandon_subtree(built);
+                Self::abandon_subtree(built);
             }
         }
 
@@ -230,12 +222,10 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// The bulk-retraction mirror of
     /// [`insert_all_parallel`](Self::insert_all_parallel): the source is
     /// partitioned by the *target's* upper-level separators, so each
-    /// worker's chunk maps onto a distinct target region and the logical
+    /// worker's chunk maps onto a distinct target region and the
     /// deletions it performs ([`remove`](Self::remove)) stay cache-local.
-    /// There is no bulk fast path — retraction only ever clears occupancy
-    /// bits and occasionally unlinks a drained leaf, both of which are
-    /// per-tuple O(1)-ish under the gapped layout, so chunked per-tuple
-    /// removal *is* the structure-aware strategy.
+    /// There is no bulk fast path: retraction removes keys one leaf shift
+    /// at a time and occasionally unlinks a drained leaf.
     ///
     /// Concurrency contract as the merge: safe on the target under
     /// concurrent inserts/merges/removes; the source must be quiescent.
@@ -462,11 +452,6 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             idx_hint = Some(idx);
             let child = pi.child(idx);
             debug_assert!(!child.is_null());
-            // Stream the leaf's key area into cache while the sub-batch
-            // bound is computed and its lock acquired: the descent only
-            // touched inner nodes, so the merge pass would otherwise
-            // serialize one cold miss per cache line.
-            crate::node::prefetch_node::<K, C>(child);
             // Sub-batch: keys below the child's right-hand separator (its
             // own separator for an interior child, the group bound for the
             // rightmost child).
@@ -604,7 +589,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             k += 1;
         }
         telemetry::count(telemetry::Counter::BtreeLeafSplits);
-        let sib = LeafNode::<K, C>::alloc_in(&self.arena);
+        let sib = LeafNode::<K, C>::alloc();
         // SAFETY: freshly allocated, private until published below.
         let sn = unsafe { &*sib };
         let mut added = 0u64;
@@ -747,7 +732,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         }
         let sep = run[0];
         // Build outside the locks: lock hold time stays O(depth).
-        let built = build_from_slice::<K, C>(&run[1..], &self.arena);
+        let built = build_from_slice::<K, C>(&run[1..]);
         debug_assert!(!built.is_null());
         let built_h = subtree_height(built);
 
@@ -756,7 +741,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         let spine: Vec<NodePtr<K, C>> = 'acquire: loop {
             attempts += 1;
             if attempts > SPLICE_ATTEMPTS {
-                self.abandon_subtree(built);
+                Self::abandon_subtree(built);
                 return false;
             }
             // Optimistic descent along the rightmost spine (hand-over-hand
@@ -824,9 +809,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             });
             // SAFETY: the leaf is write-locked by us.
             let leaf = unsafe { &*spine[0] };
-            // scan_len: the leaf maximum sits at the topmost *occupied*
-            // slot under the gapped layout (== num when packed).
-            let leaf_n = leaf.scan_len();
+            let leaf_n = leaf.num();
             let max_below = leaf_n > 0 && cmp3(&leaf.key(leaf_n - 1), &sep) == Ordering::Less;
             if top_is_root && rightmost && max_below {
                 break spine;
@@ -835,7 +818,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             // and that cannot be appended *after*): release and retry.
             self.release_spine(&spine);
             if leaf_n == 0 {
-                self.abandon_subtree(built);
+                Self::abandon_subtree(built);
                 return false;
             }
         };
@@ -849,7 +832,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             false // taller than the target: per-tuple fallback handles it
         } else if built_h == h {
             let old_root = *spine.last().unwrap();
-            let new_root = InnerNode::<K, C>::alloc_in(&self.arena);
+            let new_root = InnerNode::<K, C>::alloc();
             // SAFETY: freshly allocated, private until published below.
             let rn = unsafe { &*new_root };
             rn.set_key(0, &sep);
@@ -891,7 +874,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         if spliced {
             telemetry::count(telemetry::Counter::BtreeMergeSplice);
         } else {
-            self.abandon_subtree(built);
+            Self::abandon_subtree(built);
         }
         spliced
     }
@@ -906,23 +889,12 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         }
     }
 
-    /// Discards a prebuilt, never-published subtree. The boxed path frees
-    /// it node by node; the arena path abandons it in place (nodes are
-    /// never individually freed — that is what makes optimistic reads
-    /// safe) and records the waste in `specbtree.arena_abandoned_bytes`,
-    /// so the Observability layer sees every byte of arena slack.
-    fn abandon_subtree(&self, root: NodePtr<K, C>) {
-        if root.is_null() {
-            return;
-        }
-        #[cfg(not(feature = "fastpath"))]
-        // SAFETY: the subtree is private to the caller and never published.
-        unsafe {
-            LeafNode::free_subtree(root)
-        };
-        #[cfg(feature = "fastpath")]
-        if telemetry::ENABLED {
-            telemetry::add(telemetry::Counter::ArenaAbandonedBytes, subtree_bytes(root));
+    /// Frees a prebuilt, never-published subtree.
+    fn abandon_subtree(root: NodePtr<K, C>) {
+        if !root.is_null() {
+            // SAFETY: the subtree is private to the caller and never
+            // published.
+            unsafe { LeafNode::free_subtree(root) };
         }
     }
 
@@ -933,7 +905,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// In debug builds, panics if the input is not strictly ascending.
     pub fn from_sorted<I: IntoIterator<Item = Tuple<K>>>(items: I) -> Self {
         let set = Self::new();
-        let root = build_from_sorted::<K, C>(items.into_iter(), &set.arena);
+        let root = build_from_sorted::<K, C>(items.into_iter());
         if !root.is_null() {
             set.root.store(root, Relaxed);
         }
@@ -949,58 +921,6 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
 /// the untouched prefix stays put. Returns the new run position and the
 /// number of keys added; a position short of `j` means the leaf was left
 /// exactly full (ready to split).
-/// Gapped variant of [`merge_leaf_pass`]: instead of the two-pass
-/// count-then-backward-merge (which assumes a packed leaf and shifts the
-/// whole suffix), each fresh run key drops into the leaf through
-/// [`gap_insert`](LeafNode::gap_insert) — usually an in-place store into a
-/// hole, or a shift bounded by the nearest gap. The scan pointer `li` is
-/// a forward lower-bound cursor seeded by one binary search: because the
-/// run is ascending, after an insert the next key's lower bound can only
-/// sit at or beyond `li` (an insert never places anything *greater* below
-/// `li`), so the cursor is never rewound. Same contract as the packed
-/// variant: a returned position short of `j` means the leaf was left
-/// exactly full (and a full gapped leaf is packed — ready to split).
-#[cfg(feature = "gapped")]
-fn merge_leaf_pass<const K: usize, const C: usize>(
-    node: &LeafNode<K, C>,
-    run: &[Tuple<K>],
-    k: usize,
-    j: usize,
-) -> (usize, usize) {
-    let mut k = k;
-    let mut fresh = 0usize;
-    // Jump-start the cursor once; afterwards it only walks forward.
-    let (mut li, _) = node.search(&run[k], node.scan_len());
-    while k < j {
-        let top = node.scan_len();
-        let ord = if li < top {
-            node.cmp_key(li, &run[k])
-        } else {
-            Ordering::Greater
-        };
-        match ord {
-            Ordering::Less => li += 1,
-            Ordering::Equal => k += 1, // duplicate: the leaf copy stays
-            Ordering::Greater => {
-                if node.num() == C {
-                    break;
-                }
-                // `li` is the exact lower bound of run[k]: every slot
-                // below it compares Less (loop invariant), slot `li`
-                // compares Greater. After the insert the new key sits at
-                // `li` or `li - 1`; the cursor stays put and the next
-                // iteration's Less-advance walks over it.
-                node.gap_insert(li, &run[k]);
-                fresh += 1;
-                k += 1;
-            }
-        }
-    }
-    debug_assert!(k >= j || node.num() == C);
-    (k, fresh)
-}
-
-#[cfg(not(feature = "gapped"))]
 fn merge_leaf_pass<const K: usize, const C: usize>(
     node: &LeafNode<K, C>,
     run: &[Tuple<K>],
@@ -1080,43 +1000,10 @@ fn subtree_height<const K: usize, const C: usize>(mut node: NodePtr<K, C>) -> us
     h
 }
 
-/// Arena bytes occupied by a subtree (64-byte-rounded node sizes, matching
-/// what the `fastpath` arena hands out) — the amount abandoned when such a
-/// subtree is discarded unpublished.
-#[cfg(feature = "fastpath")]
-fn subtree_bytes<const K: usize, const C: usize>(root: NodePtr<K, C>) -> u64 {
-    let round = |s: usize| s.div_ceil(crate::arena::NODE_ALIGN) * crate::arena::NODE_ALIGN;
-    let leaf_bytes = round(std::mem::size_of::<LeafNode<K, C>>()) as u64;
-    let inner_bytes = round(std::mem::size_of::<InnerNode<K, C>>()) as u64;
-    let mut bytes = 0u64;
-    let mut stack = vec![root];
-    while let Some(p) = stack.pop() {
-        // SAFETY: live subtree nodes reachable from a private root.
-        let n = unsafe { &*p };
-        if n.is_inner() {
-            bytes += inner_bytes;
-            // SAFETY: kind checked above.
-            let inner = unsafe { n.as_inner() };
-            for i in 0..=n.num_clamped() {
-                let c = inner.child(i);
-                if !c.is_null() {
-                    stack.push(c);
-                }
-            }
-        } else {
-            bytes += leaf_bytes;
-        }
-    }
-    bytes
-}
-
 /// [`build_from_sorted`] over a slice (avoids re-collecting when the caller
 /// already materialized the run).
-fn build_from_slice<const K: usize, const C: usize>(
-    items: &[Tuple<K>],
-    arena: &Arena,
-) -> NodePtr<K, C> {
-    build_from_sorted::<K, C>(items.iter().copied(), arena)
+fn build_from_slice<const K: usize, const C: usize>(items: &[Tuple<K>]) -> NodePtr<K, C> {
+    build_from_sorted::<K, C>(items.iter().copied())
 }
 
 /// Builds a packed subtree from a sorted stream; returns null for an empty
@@ -1124,7 +1011,6 @@ fn build_from_slice<const K: usize, const C: usize>(
 /// in-order insertion converges towards, taken to its limit).
 fn build_from_sorted<const K: usize, const C: usize>(
     items: impl Iterator<Item = Tuple<K>>,
-    arena: &Arena,
 ) -> NodePtr<K, C> {
     let items: Vec<Tuple<K>> = items.collect();
     if items.is_empty() {
@@ -1152,7 +1038,7 @@ fn build_from_sorted<const K: usize, const C: usize>(
         if n - i - take == 1 && take > 1 {
             take -= 1;
         }
-        let leaf = LeafNode::<K, C>::alloc_in(arena);
+        let leaf = LeafNode::<K, C>::alloc();
         // SAFETY: freshly allocated, private.
         let ln = unsafe { &*leaf };
         for (slot, item) in items[i..i + take].iter().enumerate() {
@@ -1185,7 +1071,7 @@ fn build_from_sorted<const K: usize, const C: usize>(
                 group -= 1;
             }
             debug_assert!(group >= 2 || nodes.len() == 1);
-            let inner = InnerNode::<K, C>::alloc_in(arena);
+            let inner = InnerNode::<K, C>::alloc();
             // SAFETY: freshly allocated, private.
             let pn = unsafe { &*inner };
             let pi = unsafe { pn.as_inner() };

@@ -23,17 +23,15 @@
 //!
 //! # Safety invariants
 //!
-//! * Nodes are allocated from the owning tree's [`Arena`] (cache-line
-//!   aligned slabs under the `fastpath` feature, individually boxed
-//!   otherwise) and **never freed or moved** while the tree is alive
-//!   (Datalog relations only grow). Dereferencing any pointer ever
-//!   published inside the tree is therefore memory-safe; only the *values*
-//!   read may be stale.
+//! * Nodes are allocated individually from the global allocator and
+//!   **never freed or moved** while the tree is alive (subtrees unlinked by
+//!   `remove` are parked in the tree's graveyard until `clear`/`Drop`).
+//!   Dereferencing any pointer ever published inside the tree is therefore
+//!   memory-safe; only the *values* read may be stale.
 //! * A node's kind (leaf/inner) is fixed at allocation and never changes.
 //! * `num_elements` read optimistically is clamped to the node capacity
 //!   before being used as an index bound.
 
-use crate::arena::Arena;
 use optlock::OptimisticRwLock;
 use std::alloc::Layout;
 use std::cmp::Ordering;
@@ -42,7 +40,7 @@ use std::cmp::Ordering;
 // can interleave threads between any two field accesses. In normal builds
 // these are literal `std::sync::atomic` aliases; under `--cfg chaos` they
 // are `#[repr(transparent)]` wrappers, so the zeroed-allocation reasoning
-// in `alloc()` holds in both modes.
+// in `LeafNode::alloc` holds in both modes.
 use chaos::sync::{AtomicPtr, AtomicU16, AtomicU64, Ordering::Relaxed};
 
 /// A Datalog tuple: a fixed-arity array of `u64` words.
@@ -76,17 +74,10 @@ pub(crate) type NodePtr<const K: usize, const C: usize> = *mut LeafNode<K, C>;
 /// The common prefix of every node — and the entire layout of a leaf.
 ///
 /// `C` is the key capacity of a node; a node holding `C` keys is full and
-/// splits on the next insertion routed to it.
-///
-/// Under `fastpath` the node is 64-byte aligned so it starts on a cache
-/// line: the hot header (`lock`, `num_elements`) and the first keys then
-/// share one line, and a node never straddles a line it does not have to.
-/// With the default geometry (`K = 2`, `C = 24`) a leaf is 448 bytes
-/// (7 lines) and an inner node 704 bytes (11 lines, its leaf prefix
-/// padded to 448); without `fastpath` they are 408 and 608 bytes at
+/// splits on the next insertion routed to it. With the default geometry
+/// (`K = 2`, `C = 24`) a leaf is 408 bytes and an inner node 608 bytes at
 /// natural (8-byte) alignment.
 #[repr(C)]
-#[cfg_attr(feature = "fastpath", repr(align(64)))]
 pub(crate) struct LeafNode<const K: usize, const C: usize> {
     /// Version lock protecting this node's keys, counters and child array.
     pub lock: OptimisticRwLock,
@@ -103,28 +94,9 @@ pub(crate) struct LeafNode<const K: usize, const C: usize> {
     /// `0` = leaf, `1` = inner. Written once before publication; atomic so
     /// optimistic readers racing with node publication stay well-defined.
     pub inner_flag: AtomicU16,
-    /// Occupancy bitmask: bit `i` set means slot `i` holds a *real* key.
-    /// Clear bits below the highest set bit are gaps; a gap slot duplicates
-    /// the nearest real key to its right (sentinel scheme), so the key array
-    /// is non-decreasing over `[0, scan_len())` and every ordered search
-    /// works unchanged. `num_elements` always equals `popcount(occ)`. Inner
-    /// nodes are always packed (`occ == (1 << num) - 1`); only leaves grow
-    /// gaps. Covered by the node's lock like `keys`.
-    #[cfg(feature = "gapped")]
-    pub occ: AtomicU64,
     /// The keys, each a `K`-word tuple, sorted ascending. Slots `>= num`
-    /// are stale garbage (under `gapped`: slots `>= scan_len()`, and gap
-    /// slots below that duplicate their right neighbour's real key).
+    /// are stale garbage.
     pub keys: [KeySlot<K>; C],
-}
-
-/// Packed occupancy mask: the low `n` bits set. Requires `n < 64`, which
-/// the tree's geometry assertion (`C <= 63` under `gapped`) guarantees.
-#[cfg(feature = "gapped")]
-#[inline]
-pub(crate) fn packed_mask(n: usize) -> u64 {
-    debug_assert!(n < 64);
-    (1u64 << n) - 1
 }
 
 /// An inner node: a leaf prefix plus `C + 1` child pointers.
@@ -141,15 +113,16 @@ pub(crate) struct InnerNode<const K: usize, const C: usize> {
 }
 
 impl<const K: usize, const C: usize> LeafNode<K, C> {
-    /// Allocates a fresh leaf node from `arena`. All-zero is a valid
-    /// initial state (unlocked lock, null parent, zero elements, leaf
-    /// kind), so the allocation is a single zeroed carve-out. Every field
-    /// of `LeafNode` is valid at the all-zero bit pattern: atomics of
+    /// Allocates a fresh leaf node. All-zero is a valid initial state
+    /// (unlocked lock, null parent, zero elements, leaf kind), so the
+    /// allocation is a single zeroed request to the global allocator. Every
+    /// field of `LeafNode` is valid at the all-zero bit pattern: atomics of
     /// integers are plain integers, `AtomicPtr` null is the zero pattern,
     /// and `OptimisticRwLock` documents version 0 as a valid unlocked
-    /// state. The node lives until the arena is reset or dropped.
-    pub fn alloc_in(arena: &Arena) -> NodePtr<K, C> {
-        arena.alloc_zeroed(Layout::new::<Self>()) as NodePtr<K, C>
+    /// state. The node lives until [`free_subtree`](Self::free_subtree)
+    /// reaches it (`BTreeSet::clear`/`Drop`).
+    pub fn alloc() -> NodePtr<K, C> {
+        alloc_zeroed_node(Layout::new::<Self>()) as NodePtr<K, C>
     }
 
     /// Whether this node is an inner node (and may be widened with
@@ -188,243 +161,35 @@ impl<const K: usize, const C: usize> LeafNode<K, C> {
         self.num_elements.load(Relaxed) as usize
     }
 
-    /// Sets the element count, declaring the node *packed*: real keys in
-    /// slots `[0, n)`, no gaps. Every bulk rewrite in the tree (splits,
-    /// builders, redistribution, splice attach) produces packed nodes and
-    /// goes through here; the only sites that create gapped layouts —
-    /// [`gap_insert`](Self::gap_insert) and
-    /// [`interleave_left`](Self::interleave_left) — store `occ` and
-    /// `num_elements` directly instead.
+    /// Sets the element count: the keys live in slots `[0, n)`. Caller
+    /// must hold the write lock (or own the node exclusively).
     #[inline]
     pub fn set_num(&self, n: usize) {
         debug_assert!(n <= C);
         self.num_elements.store(n as u16, Relaxed);
-        #[cfg(feature = "gapped")]
-        self.occ.store(packed_mask(n), Relaxed);
     }
 
-    /// Number of key slots a reader must scan to see every real key: one
-    /// past the highest occupied slot under `gapped` (clamped to `C`
-    /// against torn masks), the clamped element count otherwise. The key
-    /// array is non-decreasing over `[0, scan_len())` — gaps duplicate the
-    /// next real key to their right — so ordered search and iteration over
-    /// this prefix behave exactly like a packed node. Inner nodes are
-    /// always packed, so for them this equals [`num_clamped`](Self::num_clamped).
-    #[inline]
-    pub fn scan_len(&self) -> usize {
-        #[cfg(feature = "gapped")]
-        {
-            (64 - self.occ.load(Relaxed).leading_zeros() as usize).min(C)
-        }
-        #[cfg(not(feature = "gapped"))]
-        {
-            self.num_clamped()
-        }
-    }
-
-    /// Bitmask of the slots holding real keys, clamped to the capacity.
-    /// Only meaningful on leaves (inner nodes are packed; use the element
-    /// count). Exists only under `gapped`, where `C <= 63` keeps the mask
-    /// in one word.
-    #[cfg(feature = "gapped")]
-    #[inline]
-    pub fn occupied_mask(&self) -> u64 {
-        self.occ.load(Relaxed) & packed_mask(C)
-    }
-
-    /// Smallest occupied slot index `>= pos`; when none exists the returned
-    /// index is `>= scan_len()`, which every caller treats as exhaustion.
-    /// Identity without `gapped` (all slots below `num` are occupied).
-    #[inline]
-    pub fn next_occupied(&self, pos: usize) -> usize {
-        #[cfg(feature = "gapped")]
-        {
-            if pos >= 64 {
-                return pos;
-            }
-            let rem = self.occ.load(Relaxed) & (!0u64 << pos);
-            if rem == 0 {
-                // No occupied slot at or above `pos`: the highest set bit is
-                // below `pos`, so `pos >= scan_len()` already.
-                pos
-            } else {
-                rem.trailing_zeros() as usize
-            }
-        }
-        #[cfg(not(feature = "gapped"))]
-        {
-            pos
-        }
-    }
-
-    /// Inserts `t` at lower-bound position `idx` (as returned by a search
-    /// over `[0, scan_len())` that did not find `t`), filling the nearest
-    /// gap instead of shifting the whole suffix. Caller must hold the write
-    /// lock and guarantee `num() < C`.
-    ///
-    /// Three cases, by distance to the nearest gap:
-    /// * the landing slot is itself a gap (or the fresh slot one past the
-    ///   top) — write in place, zero shifts;
-    /// * a gap exists at `g > idx` — shift the occupied run `[idx, g)` right
-    ///   by one and write at `idx`;
-    /// * all gaps are below `idx` — shift the run `(g, idx)` left into the
-    ///   highest gap `g < idx` and write at `idx - 1`.
-    ///
-    /// In every case the occupied run adjacent to the landing position is
-    /// solid (the gap is the first clear bit in the scan direction), so the
-    /// new occupancy is simply `occ | (1 << filled_gap)`. Sortedness and the
-    /// sentinel invariant are preserved: the lower-bound property makes slot
-    /// `idx - 1` (when it exists) either real with key `< t` or a gap whose
-    /// sentinel run is rewritten by the left shift.
-    #[cfg(feature = "gapped")]
-    pub fn gap_insert(&self, idx: usize, t: &Tuple<K>) {
+    /// Inserts `t` at slot `idx` by shifting the suffix `[idx, num)` right.
+    /// Caller must hold the write lock and guarantee `num() < C`.
+    pub fn insert_at(&self, idx: usize, t: &Tuple<K>) {
         let n = self.num();
-        debug_assert!(n < C);
-        debug_assert!(idx <= self.scan_len());
-        let occ = self.occ.load(Relaxed);
-        let filled: usize;
-        if idx < C && occ & (1u64 << idx) == 0 {
-            // In-place: safe unconditionally — slot idx-1 is always real (a
-            // gap there would duplicate a key >= t, contradicting
-            // key[idx-1] < t), so no sentinel to the left reaches past idx.
-            self.set_key(idx, t);
-            filled = idx;
-        } else {
-            let g = idx + ((!occ >> idx).trailing_zeros() as usize);
-            if g < C {
-                // Right-shift the solid run [idx, g) into the gap at g.
-                for p in (idx..g).rev() {
-                    self.copy_key_within(p, p + 1);
-                }
-                self.set_key(idx, t);
-                filled = g;
-            } else {
-                // Left-shift: highest gap below idx (exists since n < C).
-                let below = !occ & packed_mask(idx);
-                debug_assert!(below != 0);
-                let gl = 63 - below.leading_zeros() as usize;
-                for p in gl..idx - 1 {
-                    self.copy_key_within(p + 1, p);
-                }
-                self.set_key(idx - 1, t);
-                filled = gl;
-            }
+        debug_assert!(idx <= n && n < C);
+        for p in (idx..n).rev() {
+            self.copy_key_within(p, p + 1);
         }
-        self.occ.store(occ | (1u64 << filled), Relaxed);
-        self.num_elements.store((n + 1) as u16, Relaxed);
+        self.set_key(idx, t);
+        self.set_num(n + 1);
     }
 
-    /// Removes the real key in slot `i`, the inverse of
-    /// [`gap_insert`](Self::gap_insert). Caller must hold the write lock;
-    /// `i` must be occupied.
-    ///
-    /// Logical deletion: the occupancy bit is cleared and the slot is
-    /// rewritten as a *sentinel* copy of the nearest real key to its right
-    /// — together with the contiguous gap run immediately below `i`, whose
-    /// sentinels were copies of the removed key. That keeps the key array
-    /// non-decreasing over `[0, scan_len())`, so racing optimistic readers
-    /// (including the contiguous fenced/AVX2 rank) keep ranking over
-    /// sorted, well-defined data and the lease validation remains the only
-    /// correctness gate. When no real key exists to the right, the slot
-    /// (and any gap run below it) falls above the shrunken `scan_len()`
-    /// and needs no rewrite — readers never look at it.
-    #[cfg(feature = "gapped")]
-    pub fn gap_clear(&self, i: usize) {
-        let n = self.num();
-        debug_assert!(n >= 1 && i < C);
-        let occ = self.occ.load(Relaxed);
-        debug_assert!(occ & (1u64 << i) != 0, "gap_clear of an unoccupied slot");
-        let new_occ = occ & !(1u64 << i);
-        // Planted-bug hook for the chaos tier: skipping the sentinel
-        // rewrite leaves stale duplicates of the removed key in the scan
-        // prefix, breaking the gap/sentinel agreement invariant.
-        let skip_sentinel = cfg!(all(chaos, feature = "chaos-inject-bug"));
-        let above = new_occ & (!0u64 << i);
-        if above != 0 && !skip_sentinel {
-            let r = above.trailing_zeros() as usize;
-            let v = self.key(r);
-            let mut j = i;
-            loop {
-                self.set_key(j, &v);
-                if j == 0 || new_occ & (1u64 << (j - 1)) != 0 {
-                    break;
-                }
-                j -= 1;
-            }
-        }
-        self.occ.store(new_occ, Relaxed);
-        self.num_elements.store((n - 1) as u16, Relaxed);
-    }
-
-    /// Removes the key in slot `i` by shifting the packed suffix left —
-    /// the packed-layout counterpart of the gapped logical delete. Caller
-    /// must hold the write lock.
-    #[cfg(not(feature = "gapped"))]
-    pub fn gap_clear(&self, i: usize) {
+    /// Removes the key in slot `i` by shifting the suffix left. Caller must
+    /// hold the write lock.
+    pub fn remove_at(&self, i: usize) {
         let n = self.num();
         debug_assert!(i < n);
         for p in i..n - 1 {
             self.copy_key_within(p + 1, p);
         }
-        self.num_elements.store((n - 1) as u16, Relaxed);
-    }
-
-    /// After a median split keeps the lower half `[0, m)` of a full
-    /// (packed) leaf, spreads those keys across the even slots
-    /// `0, 2, .., 2(m-1)` with sentinel gaps between them, so subsequent
-    /// inserts into this half land in gaps instead of shifting. The split's
-    /// right sibling stays packed — ascending appends keep their no-shift
-    /// path. Caller must hold the write lock. Requires `2m - 1 <= C`
-    /// (holds for every median split: `m = C/2`).
-    #[cfg(feature = "gapped")]
-    pub fn interleave_left(&self, m: usize) {
-        debug_assert!(m >= 1 && 2 * m - 1 <= C);
-        // Descending spread: target slot 2i for i > j never clobbers an
-        // unread source slot j.
-        for i in (1..m).rev() {
-            self.copy_key_within(i, 2 * i);
-        }
-        // Fill each gap with its right neighbour's real key (sentinel).
-        for i in 0..m - 1 {
-            self.copy_key_within(2 * i + 2, 2 * i + 1);
-        }
-        // Even bits 0, 2, .., 2(m-1): top slot 2m-2 is real, no trailing gap.
-        let occ = 0x5555_5555_5555_5555u64 & packed_mask(2 * m - 1);
-        self.occ.store(occ, Relaxed);
-        self.num_elements.store(m as u16, Relaxed);
-    }
-
-    /// Ranks `t` among the first `n` key slots with one contiguous pass,
-    /// assuming the node is quiescent: the caller probed the version word
-    /// ([`OptimisticRwLock::probe_quiescent`]) before calling and validates
-    /// its lease after. On x86-64 outside chaos builds the key words are
-    /// read as one plain slice so the AVX2 counting kernels in
-    /// [`crate::search`] apply; that read is formally racy, which is exactly
-    /// why the result is only used when the post-rank validation passes.
-    /// Under `--cfg chaos` (and on other targets) it degrades to the
-    /// per-slot atomic search, so the schedule explorer exercises the
-    /// probe/rank/validate/fallback *protocol* rather than the SIMD.
-    #[cfg(feature = "fastpath")]
-    #[inline]
-    pub fn search_fenced(&self, t: &Tuple<K>, n: usize) -> (usize, bool) {
-        debug_assert!(n <= C);
-        #[cfg(all(target_arch = "x86_64", not(chaos)))]
-        {
-            // SAFETY: `[KeySlot<K>; C]` is `C * K` consecutive atomic u64
-            // words with the same size and bit validity as `u64`, and the
-            // node is arena-allocated and never freed while the tree is
-            // alive, so the slice views live memory of the right length. A
-            // concurrent writer makes the plain loads a data race in the
-            // formal model; the surrounding protocol (quiescence probe
-            // before, lease validation after) discards any affected result.
-            let words =
-                unsafe { std::slice::from_raw_parts(self.keys.as_ptr() as *const u64, n * K) };
-            crate::search::rank_contiguous::<K>(words, t)
-        }
-        #[cfg(not(all(target_arch = "x86_64", not(chaos))))]
-        {
-            crate::search::search(self, t, n)
-        }
+        self.set_num(n - 1);
     }
 
     /// Loads the key at `i` word by word (relaxed).
@@ -478,13 +243,10 @@ impl<const K: usize, const C: usize> LeafNode<K, C> {
     /// `>= t` (i.e. the lower bound, `n` if all keys are smaller) and
     /// `found` says whether the key at `idx` equals `t`.
     ///
-    /// This is the classic branchy binary search, deliberately kept as the
-    /// default in *every* configuration: on predictable probe sequences
-    /// (hinted leaf checks, sorted bulk loads, range positioning) its
-    /// branches let the core speculate across the whole descent, which the
-    /// branch-free variant cannot. Callers on misprediction-dominated
-    /// paths (random point descents) opt into
-    /// [`search_branchfree`](Self::search_branchfree) instead.
+    /// This is the classic branchy binary search: on the predictable probe
+    /// sequences Datalog produces (hinted leaf checks, sorted bulk loads,
+    /// range positioning) its branches let the core speculate across the
+    /// whole descent.
     ///
     /// Under optimistic reads the result may be garbage; it only becomes
     /// trustworthy after the caller validates its lease.
@@ -503,28 +265,8 @@ impl<const K: usize, const C: usize> LeafNode<K, C> {
         (lo, false)
     }
 
-    /// [`search`](Self::search) for misprediction-dominated probe
-    /// sequences: under `fastpath` this routes through the shared
-    /// branch-free implementation in [`crate::search`] (conditional-move
-    /// binary search, counting scan for short prefixes), which wins on
-    /// uniformly random probes and loses on predictable ones. Without
-    /// `fastpath` it is the classic search.
-    #[inline]
-    pub fn search_branchfree(&self, t: &Tuple<K>, n: usize) -> (usize, bool) {
-        debug_assert!(n <= C);
-        #[cfg(feature = "fastpath")]
-        {
-            crate::search::search(self, t, n)
-        }
-        #[cfg(not(feature = "fastpath"))]
-        {
-            self.search(t, n)
-        }
-    }
-
     /// Index of the first key strictly greater than `t` among the first `n`
-    /// keys (`n` if none). Classic branchy form, same rationale as
-    /// [`search`](Self::search).
+    /// keys (`n` if none).
     #[inline]
     pub fn search_upper(&self, t: &Tuple<K>, n: usize) -> usize {
         debug_assert!(n <= C);
@@ -541,22 +283,20 @@ impl<const K: usize, const C: usize> LeafNode<K, C> {
     }
 
     /// Frees this node and (recursively, via an explicit stack) all its
-    /// descendants. Only exists on the boxed (non-`fastpath`) path; the
-    /// arena path reclaims all nodes wholesale via `Arena::reset`/`Drop`.
+    /// descendants.
     ///
     /// # Safety
     /// `node` must be a valid tree node pointer, exclusively owned (the
     /// tree is being dropped or cleared: `&mut` access, no concurrent
     /// operations, no outstanding iterators).
-    #[cfg(not(feature = "fastpath"))]
     pub unsafe fn free_subtree(node: NodePtr<K, C>) {
         let mut stack = vec![node];
         while let Some(n) = stack.pop() {
             // SAFETY (for the whole body): the caller owns the subtree
-            // exclusively; every reachable pointer is a live node that the
-            // non-`fastpath` arena carved individually out of the global
-            // allocator with the node type's exact layout, so it is freed
-            // exactly once with the matching `Box` type.
+            // exclusively; every reachable pointer is a live node that
+            // `alloc` obtained from the global allocator with the node
+            // type's exact layout, so it is freed exactly once with the
+            // matching `Box` type.
             unsafe {
                 let leaf = &*n;
                 if leaf.is_inner() {
@@ -577,12 +317,12 @@ impl<const K: usize, const C: usize> LeafNode<K, C> {
 }
 
 impl<const K: usize, const C: usize> InnerNode<K, C> {
-    /// Allocates a fresh inner node from `arena` (zeroed, kind flag set).
-    /// `InnerNode` adds only atomic pointers to the leaf prefix, which are
-    /// valid when zeroed (null), so the all-zero reasoning of
-    /// [`LeafNode::alloc_in`] carries over.
-    pub fn alloc_in(arena: &Arena) -> NodePtr<K, C> {
-        let p = arena.alloc_zeroed(Layout::new::<Self>()) as *mut Self;
+    /// Allocates a fresh inner node (zeroed, kind flag set). `InnerNode`
+    /// adds only atomic pointers to the leaf prefix, which are valid when
+    /// zeroed (null), so the all-zero reasoning of [`LeafNode::alloc`]
+    /// carries over.
+    pub fn alloc() -> NodePtr<K, C> {
+        let p = alloc_zeroed_node(Layout::new::<Self>()) as *mut Self;
         // SAFETY: `p` is a valid, zero-initialized `InnerNode` allocation.
         unsafe { &*p }.base.inner_flag.store(1, Relaxed);
         p as NodePtr<K, C>
@@ -611,40 +351,15 @@ impl<const K: usize, const C: usize> InnerNode<K, C> {
     }
 }
 
-// The concurrent node exposes its sorted key prefix to the shared
-// branch-free search through relaxed atomic loads — same memory orders as
-// the classic search, so the optimistic-read contract is unchanged.
-impl<const K: usize, const C: usize> crate::search::KeyView<K> for LeafNode<K, C> {
-    #[inline]
-    fn col(&self, i: usize, c: usize) -> u64 {
-        self.keys[i][c].load(Relaxed)
+/// One zeroed node allocation from the global allocator (compatible with
+/// `Box::from_raw`, which [`LeafNode::free_subtree`] relies on).
+fn alloc_zeroed_node(layout: Layout) -> *mut u8 {
+    // SAFETY: node layouts are never zero-sized.
+    let p = unsafe { std::alloc::alloc_zeroed(layout) };
+    if p.is_null() {
+        std::alloc::handle_alloc_error(layout);
     }
-
-    #[inline]
-    fn cmp_key(&self, i: usize, t: &Tuple<K>) -> Ordering {
-        cmp3(&self.key(i), t)
-    }
-}
-
-/// Prefetches every cache line of `node` — header plus the key slots
-/// (for an inner node the trailing child-pointer array is left alone; the
-/// descent reads exactly one slot of it and cannot know which). The lines
-/// fill in parallel, so a descent that issues this while the parent's
-/// lease validates pays one memory round-trip per level instead of one
-/// per binary-search probe. See `tree::prefetch_child` and the merge
-/// pass, which share it.
-#[inline]
-pub(crate) fn prefetch_node<const K: usize, const C: usize>(node: NodePtr<K, C>) {
-    if node.is_null() {
-        return;
-    }
-    let base = node as *const u8;
-    let mut off = 0;
-    while off < std::mem::size_of::<LeafNode<K, C>>() {
-        // SAFETY: in bounds of the node's own allocation.
-        crate::search::prefetch_read(unsafe { base.add(off) });
-        off += 64;
-    }
+    p
 }
 
 #[cfg(test)]
@@ -654,24 +369,13 @@ mod tests {
     type Leaf = LeafNode<2, 8>;
     type Inner = InnerNode<2, 8>;
 
-    // Node tests allocate from a scratch arena. On the boxed path each
-    // node must be freed individually; on the arena path the arena's own
-    // `Drop` reclaims everything and these helpers are no-ops.
-    #[cfg(not(feature = "fastpath"))]
     fn free_leaf(p: NodePtr<2, 8>) {
         unsafe { drop(Box::from_raw(p)) }
     }
 
-    #[cfg(feature = "fastpath")]
-    fn free_leaf(_p: NodePtr<2, 8>) {}
-
-    #[cfg(not(feature = "fastpath"))]
     fn free_inner(p: NodePtr<2, 8>) {
         unsafe { drop(Box::from_raw(p as *mut Inner)) }
     }
-
-    #[cfg(feature = "fastpath")]
-    fn free_inner(_p: NodePtr<2, 8>) {}
 
     #[test]
     fn cmp3_is_lexicographic() {
@@ -694,8 +398,7 @@ mod tests {
 
     #[test]
     fn fresh_leaf_is_empty_unlocked_leaf() {
-        let a = Arena::new();
-        let p = Leaf::alloc_in(&a);
+        let p = Leaf::alloc();
         let leaf = unsafe { &*p };
         assert!(!leaf.is_inner());
         assert_eq!(leaf.num(), 0);
@@ -706,8 +409,7 @@ mod tests {
 
     #[test]
     fn fresh_inner_has_kind_flag_and_null_children() {
-        let a = Arena::new();
-        let p = Inner::alloc_in(&a);
+        let p = Inner::alloc();
         let leaf = unsafe { &*p };
         assert!(leaf.is_inner());
         let inner = unsafe { leaf.as_inner() };
@@ -719,8 +421,7 @@ mod tests {
 
     #[test]
     fn key_roundtrip() {
-        let a = Arena::new();
-        let p = Leaf::alloc_in(&a);
+        let p = Leaf::alloc();
         let leaf = unsafe { &*p };
         leaf.set_key(3, &[7, u64::MAX]);
         assert_eq!(leaf.key(3), [7, u64::MAX]);
@@ -731,10 +432,9 @@ mod tests {
 
     #[test]
     fn child_slot_seam_at_capacity() {
-        let a = Arena::new();
-        let p = Inner::alloc_in(&a);
+        let p = Inner::alloc();
         let inner = unsafe { (&*p).as_inner() };
-        let kid = Leaf::alloc_in(&a);
+        let kid = Leaf::alloc();
         inner.set_child(8, kid); // last_child slot
         assert_eq!(inner.child(8), kid);
         assert!(inner.child(7).is_null());
@@ -746,8 +446,7 @@ mod tests {
 
     #[test]
     fn num_clamped_bounds_garbage_counters() {
-        let a = Arena::new();
-        let p = Leaf::alloc_in(&a);
+        let p = Leaf::alloc();
         let leaf = unsafe { &*p };
         leaf.num_elements.store(u16::MAX, Relaxed);
         assert_eq!(leaf.num_clamped(), 8);
@@ -758,8 +457,7 @@ mod tests {
 
     #[test]
     fn search_finds_lower_bound_and_exact() {
-        let a = Arena::new();
-        let p = Leaf::alloc_in(&a);
+        let p = Leaf::alloc();
         let leaf = unsafe { &*p };
         for (i, v) in [[1u64, 0], [3, 0], [5, 0], [7, 0]].iter().enumerate() {
             leaf.set_key(i, v);
@@ -775,8 +473,7 @@ mod tests {
 
     #[test]
     fn search_upper_is_strict() {
-        let a = Arena::new();
-        let p = Leaf::alloc_in(&a);
+        let p = Leaf::alloc();
         let leaf = unsafe { &*p };
         for (i, v) in [[1u64, 0], [3, 0], [3, 5], [7, 0]].iter().enumerate() {
             leaf.set_key(i, v);
@@ -792,315 +489,47 @@ mod tests {
 
     #[test]
     fn search_on_empty_prefix() {
-        let a = Arena::new();
-        let p = Leaf::alloc_in(&a);
+        let p = Leaf::alloc();
         let leaf = unsafe { &*p };
         assert_eq!(leaf.search(&[1, 1], 0), (0, false));
         assert_eq!(leaf.search_upper(&[1, 1], 0), 0);
         free_leaf(p);
     }
 
-    /// Model-checks one `gap_insert` against a packed reference: same real
-    /// keys, sorted-among-occupied, sentinel agreement, popcount == num.
-    #[cfg(feature = "gapped")]
-    fn assert_gapped_well_formed(leaf: &Leaf, expect: &[[u64; 2]]) {
-        let occ = leaf.occupied_mask();
-        assert_eq!(occ.count_ones() as usize, leaf.num(), "popcount != num");
-        assert_eq!(leaf.num(), expect.len());
-        let top = leaf.scan_len();
-        assert!(top <= 8);
-        // Slot 0 may be a gap after removals — its sentinel (checked
-        // below) equals the real minimum, so searches stay correct.
-        let mut reals = Vec::new();
-        for i in 0..top {
-            if occ & (1 << i) != 0 {
-                reals.push(leaf.key(i));
-            } else {
-                // Sentinel: gap duplicates the next real key to its right.
-                let nxt = leaf.next_occupied(i + 1);
-                assert!(nxt < top, "trailing gap at {i}");
-                assert_eq!(leaf.key(i), leaf.key(nxt), "sentinel mismatch at {i}");
-            }
-            if i > 0 {
-                assert!(leaf.key(i - 1) <= leaf.key(i), "not non-decreasing at {i}");
-            }
-        }
-        assert_eq!(reals, expect);
-    }
-
-    #[cfg(feature = "gapped")]
     #[test]
-    fn gap_insert_matches_sorted_model_from_any_interleaving() {
-        // Drive gap_insert through search-provided lower bounds in many
-        // orders; the node must always hold exactly the sorted reals.
-        let orders: [&[u64]; 4] = [
-            &[4, 2, 6, 1, 7, 3, 5, 0],
-            &[0, 1, 2, 3, 4, 5, 6, 7],
-            &[7, 6, 5, 4, 3, 2, 1, 0],
-            &[3, 3, 1, 5, 1, 7, 0, 2, 6, 4],
-        ];
-        for order in orders {
-            let a = Arena::new();
-            let p = Leaf::alloc_in(&a);
-            let leaf = unsafe { &*p };
-            let mut model: Vec<[u64; 2]> = Vec::new();
-            for &v in order {
-                let t = [v, v * 10];
-                let (idx, found) = leaf.search(&t, leaf.scan_len());
-                if found {
-                    assert!(model.contains(&t));
-                    continue;
-                }
-                leaf.gap_insert(idx, &t);
-                model.push(t);
-                model.sort_unstable();
-                assert_gapped_well_formed(leaf, &model);
-            }
-            free_leaf(p);
-        }
-    }
-
-    #[cfg(feature = "gapped")]
-    #[test]
-    fn gap_clear_matches_model_under_interleaved_ops() {
-        // Interleave inserts and removes in several orders; after every
-        // operation the node must hold exactly the sorted survivors with
-        // well-formed occupancy and sentinels (including gap-at-slot-0 and
-        // shrunken-scan-prefix states gap_insert alone never produces).
-        let scripts: [&[(bool, u64)]; 3] = [
-            &[
-                (true, 4),
-                (true, 2),
-                (true, 6),
-                (false, 2),
-                (true, 1),
-                (false, 4),
-                (true, 5),
-                (false, 1),
-                (false, 6),
-                (false, 5),
-            ],
-            &[
-                (true, 0),
-                (true, 1),
-                (true, 2),
-                (true, 3),
-                (false, 0),
-                (false, 3),
-                (true, 0),
-                (true, 7),
-                (false, 1),
-                (false, 2),
-            ],
-            &[
-                (true, 7),
-                (true, 5),
-                (true, 3),
-                (false, 7),
-                (true, 6),
-                (false, 3),
-                (false, 5),
-                (false, 6),
-                (true, 2),
-            ],
-        ];
-        for script in scripts {
-            let a = Arena::new();
-            let p = Leaf::alloc_in(&a);
-            let leaf = unsafe { &*p };
-            let mut model: Vec<[u64; 2]> = Vec::new();
-            for &(insert, v) in script {
-                let t = [v, v * 10];
-                let (idx, found) = leaf.search(&t, leaf.scan_len());
-                if insert {
-                    if found {
-                        continue;
-                    }
-                    leaf.gap_insert(idx, &t);
-                    model.push(t);
-                    model.sort_unstable();
-                } else {
-                    assert!(found, "script removes only present keys");
-                    // Normalize a sentinel hit to the real occupied slot.
-                    let slot = if leaf.occupied_mask() & (1 << idx) != 0 {
-                        idx
-                    } else {
-                        leaf.next_occupied(idx + 1)
-                    };
-                    leaf.gap_clear(slot);
-                    model.retain(|m| m != &t);
-                }
-                assert_gapped_well_formed(leaf, &model);
-            }
-            free_leaf(p);
-        }
-    }
-
-    #[cfg(feature = "gapped")]
-    #[test]
-    fn gap_clear_rewrites_sentinel_run_below() {
-        // Clearing a key that a gap run sentinels must rewrite the whole
-        // run to the new right neighbour, not just the cleared slot.
-        let a = Arena::new();
-        let p = Leaf::alloc_in(&a);
+    fn insert_at_and_remove_at_shift_the_suffix() {
+        let p = Leaf::alloc();
         let leaf = unsafe { &*p };
         for i in 0..6u64 {
             leaf.set_key(i as usize, &[i * 10, 0]);
         }
         leaf.set_num(6);
-        // Clear 10 and 20 to open a gap run sentineling 30 at slot 3.
-        leaf.gap_clear(1);
-        leaf.gap_clear(2);
-        assert_eq!(leaf.key(1), [30, 0]);
-        assert_eq!(leaf.key(2), [30, 0]);
-        // Now clear 30 itself: slots 1..=3 must all re-sentinel to 40.
-        leaf.gap_clear(3);
-        for i in 1..=3 {
-            assert_eq!(leaf.key(i), [40, 0], "stale sentinel at {i}");
-        }
-        assert_gapped_well_formed(leaf, &[[0, 0], [40, 0], [50, 0]]);
-        free_leaf(p);
-    }
-
-    #[cfg(not(feature = "gapped"))]
-    #[test]
-    fn gap_clear_shifts_packed_suffix() {
-        let a = Arena::new();
-        let p = Leaf::alloc_in(&a);
-        let leaf = unsafe { &*p };
-        for i in 0..6u64 {
-            leaf.set_key(i as usize, &[i * 10, 0]);
-        }
-        leaf.set_num(6);
-        leaf.gap_clear(2);
+        leaf.remove_at(2);
         assert_eq!(leaf.num(), 5);
         let got: Vec<[u64; 2]> = (0..5).map(|i| leaf.key(i)).collect();
         assert_eq!(got, vec![[0, 0], [10, 0], [30, 0], [40, 0], [50, 0]]);
-        leaf.gap_clear(4);
-        leaf.gap_clear(0);
+        leaf.remove_at(4);
+        leaf.remove_at(0);
         let got: Vec<[u64; 2]> = (0..3).map(|i| leaf.key(i)).collect();
         assert_eq!(got, vec![[10, 0], [30, 0], [40, 0]]);
+        leaf.insert_at(1, &[20, 0]);
+        leaf.insert_at(0, &[5, 0]);
+        leaf.insert_at(5, &[60, 0]);
+        let got: Vec<[u64; 2]> = (0..leaf.num()).map(|i| leaf.key(i)).collect();
+        assert_eq!(
+            got,
+            vec![[5, 0], [10, 0], [20, 0], [30, 0], [40, 0], [60, 0]]
+        );
         free_leaf(p);
     }
 
-    #[cfg(feature = "gapped")]
-    #[test]
-    fn gap_insert_left_shift_case() {
-        // Force case C: gaps only below the landing index.
-        let a = Arena::new();
-        let p = Leaf::alloc_in(&a);
-        let leaf = unsafe { &*p };
-        // Occupy slots 0, 2..=7 with a gap at 1 (sentinel dups slot 2).
-        let vals = [
-            [0u64, 0],
-            [20, 0],
-            [30, 0],
-            [40, 0],
-            [50, 0],
-            [60, 0],
-            [70, 0],
-        ];
-        leaf.set_key(0, &vals[0]);
-        for (i, v) in vals[1..].iter().enumerate() {
-            leaf.set_key(i + 2, v);
-        }
-        leaf.set_key(1, &vals[1]); // sentinel
-        leaf.occ.store(0b1111_1101, Relaxed);
-        leaf.num_elements.store(7, Relaxed);
-        // Insert 65: lower bound is 7 (slot of 70); only gap is at 1.
-        let (idx, found) = leaf.search(&[65, 0], leaf.scan_len());
-        assert!(!found);
-        assert_eq!(idx, 7);
-        leaf.gap_insert(idx, &[65, 0]);
-        let expect = [
-            [0u64, 0],
-            [20, 0],
-            [30, 0],
-            [40, 0],
-            [50, 0],
-            [60, 0],
-            [65, 0],
-            [70, 0],
-        ];
-        assert_gapped_well_formed(leaf, &expect);
-        assert_eq!(leaf.occupied_mask(), 0xFF);
-        free_leaf(p);
-    }
-
-    #[cfg(feature = "gapped")]
-    #[test]
-    fn interleave_left_spreads_lower_half() {
-        let a = Arena::new();
-        let p = Leaf::alloc_in(&a);
-        let leaf = unsafe { &*p };
-        for i in 0..8u64 {
-            leaf.set_key(i as usize, &[i, i]);
-        }
-        leaf.set_num(8);
-        leaf.interleave_left(4);
-        assert_eq!(leaf.num(), 4);
-        assert_eq!(leaf.occupied_mask(), 0b0101_0101);
-        assert_eq!(leaf.scan_len(), 7);
-        assert_gapped_well_formed(leaf, &[[0, 0], [1, 1], [2, 2], [3, 3]]);
-        // A later insert between spread keys lands in a gap, in place.
-        let (idx, found) = leaf.search(&[1, 0], leaf.scan_len());
-        assert!(!found);
-        leaf.gap_insert(idx, &[1, 0]);
-        assert_gapped_well_formed(leaf, &[[0, 0], [1, 0], [1, 1], [2, 2], [3, 3]]);
-        free_leaf(p);
-    }
-
-    #[cfg(feature = "gapped")]
-    #[test]
-    fn set_num_packs_occupancy() {
-        let a = Arena::new();
-        let p = Leaf::alloc_in(&a);
-        let leaf = unsafe { &*p };
-        for i in 0..5u64 {
-            leaf.set_key(i as usize, &[i, 0]);
-        }
-        leaf.set_num(5);
-        assert_eq!(leaf.occupied_mask(), 0b1_1111);
-        assert_eq!(leaf.scan_len(), 5);
-        assert_eq!(leaf.next_occupied(0), 0);
-        assert_eq!(leaf.next_occupied(5), 5);
-        free_leaf(p);
-    }
-
-    #[cfg(all(feature = "fastpath", target_arch = "x86_64", not(chaos)))]
-    #[test]
-    fn search_fenced_agrees_with_classic_search() {
-        let a = Arena::new();
-        let p = Leaf::alloc_in(&a);
-        let leaf = unsafe { &*p };
-        for (i, v) in [[1u64, 5], [3, 0], [3, 7], [7, 2], [9, 9]]
-            .iter()
-            .enumerate()
-        {
-            leaf.set_key(i, v);
-        }
-        leaf.set_num(5);
-        for probe in [[0u64, 0], [1, 5], [3, 1], [3, 7], [8, 0], [9, 9], [10, 0]] {
-            assert_eq!(
-                leaf.search_fenced(&probe, 5),
-                leaf.search(&probe, 5),
-                "{probe:?}"
-            );
-        }
-        free_leaf(p);
-    }
-
-    // The walk only exists on the boxed path; the arena path reclaims
-    // nodes wholesale (covered by the tests in `arena.rs`).
-    #[cfg(not(feature = "fastpath"))]
     #[test]
     fn free_subtree_handles_multi_level_tree() {
         // Build a 2-level tree by hand, then free it; run under Miri/ASan to
         // catch leaks or double frees.
-        let a = Arena::new();
-        let root = Inner::alloc_in(&a);
-        let l0 = Leaf::alloc_in(&a);
-        let l1 = Leaf::alloc_in(&a);
+        let root = Inner::alloc();
+        let l0 = Leaf::alloc();
+        let l1 = Leaf::alloc();
         unsafe {
             let r = &*root;
             r.set_key(0, &[10, 0]);
@@ -1111,30 +540,8 @@ mod tests {
         }
     }
 
-    /// Layout guarantees the `fastpath` arena relies on: 64-byte node
-    /// alignment and the documented byte sizes for the default geometry.
-    #[cfg(feature = "fastpath")]
     #[test]
-    fn fastpath_layout_is_cache_line_aligned() {
-        use std::mem::{align_of, size_of};
-        assert_eq!(align_of::<LeafNode<2, 24>>(), 64);
-        assert_eq!(align_of::<InnerNode<2, 24>>(), 64);
-        assert_eq!(size_of::<LeafNode<2, 24>>(), 448);
-        assert_eq!(size_of::<InnerNode<2, 24>>(), 704);
-        // Alignment holds for every geometry, not just the default.
-        assert_eq!(align_of::<LeafNode<1, 8>>(), 64);
-        assert_eq!(align_of::<InnerNode<4, 48>>(), 64);
-        // An allocated node actually starts on a cache line.
-        let a = Arena::new();
-        let p = LeafNode::<2, 24>::alloc_in(&a);
-        assert_eq!(p as usize % 64, 0);
-        let q = InnerNode::<2, 24>::alloc_in(&a);
-        assert_eq!(q as usize % 64, 0);
-    }
-
-    #[cfg(not(feature = "fastpath"))]
-    #[test]
-    fn boxed_layout_has_natural_alignment() {
+    fn layout_has_natural_alignment() {
         use std::mem::{align_of, size_of};
         assert_eq!(align_of::<LeafNode<2, 24>>(), 8);
         assert_eq!(size_of::<LeafNode<2, 24>>(), 408);

@@ -79,13 +79,6 @@ struct SeqNode<const K: usize, const C: usize> {
     parent: u32,
     position: u16,
     num: u16,
-    /// Occupancy bitmask, mirroring `LeafNode::occ`: bit `i` set means
-    /// slot `i` holds a real key; clear slots within the scan region are
-    /// gaps duplicating the nearest real key to their right. Inner nodes
-    /// are always packed. Kept in lockstep with the concurrent layout so
-    /// the twin produces byte-for-byte the same shape.
-    #[cfg(feature = "gapped")]
-    occ: u64,
     inner: bool,
 }
 
@@ -98,94 +91,12 @@ impl<const K: usize, const C: usize> SeqNode<K, C> {
             parent: NONE,
             position: 0,
             num: 0,
-            #[cfg(feature = "gapped")]
-            occ: 0,
             inner,
         }
     }
 
-    /// Sets the key count *and* marks slots `[0, n)` occupied — the twin
-    /// of `LeafNode::set_num`'s packed-occupancy rule. Every writer goes
-    /// through this except the gap-insert and interleave paths.
-    #[inline]
-    fn set_num_packed(&mut self, n: usize) {
-        self.num = n as u16;
-        #[cfg(feature = "gapped")]
-        {
-            debug_assert!(n < 64);
-            self.occ = (1u64 << n) - 1;
-        }
-    }
-
-    /// One past the topmost occupied slot (== `num` when packed; gaps
-    /// inflate it). The scan bound for every intra-node search.
-    #[inline]
-    fn scan_len(&self) -> usize {
-        #[cfg(feature = "gapped")]
-        {
-            (64 - self.occ.leading_zeros() as usize).min(C)
-        }
-        #[cfg(not(feature = "gapped"))]
-        {
-            self.num as usize
-        }
-    }
-
-    /// Smallest occupied slot `>= pos`, or `pos` itself when none exists
-    /// (then `pos >= scan_len()`). Identity on non-gapped builds.
-    #[inline]
-    fn next_occupied(&self, pos: usize) -> usize {
-        #[cfg(feature = "gapped")]
-        {
-            if pos >= 64 {
-                return pos;
-            }
-            let above = self.occ & (!0u64 << pos);
-            if above == 0 {
-                pos
-            } else {
-                above.trailing_zeros() as usize
-            }
-        }
-        #[cfg(not(feature = "gapped"))]
-        {
-            pos
-        }
-    }
-
-    /// Mirror of `LeafNode::gap_clear`: clears the occupied slot `i`,
-    /// rewriting it — and the contiguous gap run directly below it — as
-    /// sentinel copies of the nearest remaining key to the right. When
-    /// nothing real remains above, the scan region simply shrinks.
-    #[cfg(feature = "gapped")]
-    fn gap_clear(&mut self, i: usize) {
-        let n = self.num as usize;
-        debug_assert!(n >= 1 && i < C);
-        debug_assert!(
-            self.occ & (1u64 << i) != 0,
-            "gap_clear of an unoccupied slot"
-        );
-        let new_occ = self.occ & !(1u64 << i);
-        let above = new_occ & (!0u64 << i);
-        if above != 0 {
-            let r = above.trailing_zeros() as usize;
-            let v = self.keys[r];
-            let mut j = i;
-            loop {
-                self.keys[j] = v;
-                if j == 0 || new_occ & (1u64 << (j - 1)) != 0 {
-                    break;
-                }
-                j -= 1;
-            }
-        }
-        self.occ = new_occ;
-        self.num = (n - 1) as u16;
-    }
-
-    /// Packed layout: shift the suffix left over the removed slot.
-    #[cfg(not(feature = "gapped"))]
-    fn gap_clear(&mut self, i: usize) {
+    /// Removes the key in slot `i` by shifting the suffix left.
+    fn remove_at(&mut self, i: usize) {
         let n = self.num as usize;
         debug_assert!(i < n);
         for p in i..n - 1 {
@@ -212,20 +123,10 @@ impl<const K: usize, const C: usize> SeqNode<K, C> {
         }
     }
 
-    /// Search: `(first index with key >= t, exact match?)`. Single-column
-    /// keys route through the shared `fastpath` search, whose contiguous
-    /// counting scan (AVX2 when available) beats binary search at every
-    /// node size on the plain arrays here. Multi-column keys keep the
-    /// classic branchy binary search: the sequential twin is probed with
-    /// mixed patterns, and the branchy form's speculation wins the
-    /// predictable ones without measurably losing the random ones.
+    /// Search: `(first index with key >= t, exact match?)`.
     #[inline]
     fn search(&self, t: &Tuple<K>) -> (usize, bool) {
-        #[cfg(feature = "fastpath")]
-        if K == 1 {
-            return crate::search::search(self, t, self.scan_len());
-        }
-        let (mut lo, mut hi) = (0usize, self.scan_len());
+        let (mut lo, mut hi) = (0usize, self.num as usize);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             match cmp3(&self.keys[mid], t) {
@@ -237,15 +138,10 @@ impl<const K: usize, const C: usize> SeqNode<K, C> {
         (lo, false)
     }
 
-    /// First index with key strictly greater than `t`. Routed like
-    /// [`search`](Self::search).
+    /// First index with key strictly greater than `t`.
     #[inline]
     fn search_upper(&self, t: &Tuple<K>) -> usize {
-        #[cfg(feature = "fastpath")]
-        if K == 1 {
-            return crate::search::search_upper(self, t, self.scan_len());
-        }
-        let (mut lo, mut hi) = (0usize, self.scan_len());
+        let (mut lo, mut hi) = (0usize, self.num as usize);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             if cmp3(&self.keys[mid], t) == Ordering::Greater {
@@ -255,32 +151,6 @@ impl<const K: usize, const C: usize> SeqNode<K, C> {
             }
         }
         lo
-    }
-}
-
-// The sequential node's keys are plain arrays; exposing them to the shared
-// branch-free search is a direct read.
-impl<const K: usize, const C: usize> crate::search::KeyView<K> for SeqNode<K, C> {
-    #[inline]
-    fn col(&self, i: usize, c: usize) -> u64 {
-        self.keys[i][c]
-    }
-
-    #[inline]
-    fn cmp_key(&self, i: usize, t: &Tuple<K>) -> Ordering {
-        cmp3(&self.keys[i], t)
-    }
-
-    #[inline]
-    fn col0_words(&self) -> Option<&[u64]> {
-        if K == 1 {
-            // SAFETY: `[[u64; 1]; C]` and `[u64; C]` have identical layout,
-            // and the node is single-threaded — plain (vector) loads are
-            // fine.
-            Some(unsafe { std::slice::from_raw_parts(self.keys.as_ptr() as *const u64, C) })
-        } else {
-            None
-        }
     }
 }
 
@@ -317,8 +187,6 @@ impl<const K: usize, const C: usize> Default for SeqBTreeSet<K, C> {
 impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
     /// Creates an empty set.
     pub fn new() -> Self {
-        #[cfg(feature = "gapped")]
-        assert!(C <= 63, "the gapped layout caps node capacity at 63");
         Self {
             nodes: Vec::new(),
             root: NONE,
@@ -364,16 +232,7 @@ impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
                     continue;
                 }
                 if node.num as usize == C {
-                    // Mirror the concurrent tree: rotate into the left
-                    // sibling only on the append signature (`idx == C`),
-                    // else split.
-                    #[cfg(feature = "gapped")]
-                    let split_needed = idx < C || !self.redistribute(cur);
-                    #[cfg(not(feature = "gapped"))]
-                    let split_needed = true;
-                    if split_needed {
-                        self.split(cur);
-                    }
+                    self.split(cur);
                     continue 'restart;
                 }
                 self.leaf_insert_at(cur, idx, &t);
@@ -440,13 +299,10 @@ impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
             let node = &self.nodes[cur as usize];
             let (idx, found) = node.search(t);
             if found {
-                // Normalize a gap-slot hit to the occupied slot carrying
-                // the same key (identity on inner nodes).
-                let idx = node.next_occupied(idx);
                 if node.inner {
                     self.remove_inner_key(cur, idx);
                 } else {
-                    self.nodes[cur as usize].gap_clear(idx);
+                    self.nodes[cur as usize].remove_at(idx);
                     if self.nodes[cur as usize].num == 0 {
                         self.try_unlink_empty_leaf(cur);
                     }
@@ -484,14 +340,13 @@ impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
                 let pred;
                 if self.nodes[hid].inner {
                     // The donated key's right subtree is the drained chain
-                    // below; dropping the key orphans it (arena nodes are
+                    // below; dropping the key orphans it (its nodes are
                     // simply left unreferenced, like the graveyard).
                     pred = self.nodes[hid].keys[hnum - 1];
-                    self.nodes[hid].set_num_packed(hnum - 1);
+                    self.nodes[hid].num = (hnum - 1) as u16;
                 } else {
-                    let top = self.nodes[hid].scan_len() - 1;
-                    pred = self.nodes[hid].keys[top];
-                    self.nodes[hid].gap_clear(top);
+                    pred = self.nodes[hid].keys[hnum - 1];
+                    self.nodes[hid].remove_at(hnum - 1);
                 }
                 self.nodes[n as usize].keys[idx] = pred;
             }
@@ -506,7 +361,7 @@ impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
                     self.nodes[n as usize].set_child(j, ch);
                     self.nodes[ch as usize].position = j as u16;
                 }
-                self.nodes[n as usize].set_num_packed(num - 1);
+                self.nodes[n as usize].num = (num - 1) as u16;
             }
         }
     }
@@ -540,7 +395,7 @@ impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
         let at = if at_front {
             0 // the separator precedes everything in the right sibling
         } else {
-            self.nodes[s].scan_len() // one past the left sibling's maximum
+            self.nodes[s].num as usize // one past the left sibling's maximum
         };
         self.leaf_insert_at(sib, at, &sep);
         self.len -= 1; // the separator moved, it was not added
@@ -553,7 +408,7 @@ impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
             self.nodes[p].set_child(j, ch);
             self.nodes[ch as usize].position = j as u16;
         }
-        self.nodes[p].set_num_packed(pnum - 1);
+        self.nodes[p].num = (pnum - 1) as u16;
     }
 
     fn leaf_covers(&self, leaf: u32, t: &Tuple<K>) -> bool {
@@ -561,121 +416,20 @@ impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
         if node.inner || node.num == 0 {
             return false;
         }
-        // The real min/max sit at slots 0 and scan_len()-1 (gap-safe).
         cmp3(&node.keys[0], t) != Ordering::Greater
-            && cmp3(t, &node.keys[node.scan_len() - 1]) != Ordering::Greater
+            && cmp3(t, &node.keys[node.num as usize - 1]) != Ordering::Greater
     }
 
     fn leaf_insert_at(&mut self, leaf: u32, idx: usize, t: &Tuple<K>) {
         let node = &mut self.nodes[leaf as usize];
         let n = node.num as usize;
         debug_assert!(n < C);
-        // Mirror of `LeafNode::gap_insert`: fill the lower-bound slot in
-        // place when it is a gap, else shift the solid run into the
-        // nearest gap (rightward preferred, leftward as fallback).
-        #[cfg(feature = "gapped")]
-        {
-            let occ = node.occ;
-            let filled: usize;
-            if idx < C && occ & (1u64 << idx) == 0 {
-                node.keys[idx] = *t;
-                filled = idx;
-            } else {
-                let g = idx + ((!occ >> idx).trailing_zeros() as usize);
-                if g < C {
-                    for p in (idx..g).rev() {
-                        node.keys[p + 1] = node.keys[p];
-                    }
-                    node.keys[idx] = *t;
-                    filled = g;
-                } else {
-                    let below = !occ & ((1u64 << idx) - 1);
-                    debug_assert!(below != 0);
-                    let gl = 63 - below.leading_zeros() as usize;
-                    for p in gl..idx - 1 {
-                        node.keys[p] = node.keys[p + 1];
-                    }
-                    node.keys[idx - 1] = *t;
-                    filled = gl;
-                }
-            }
-            node.occ = occ | (1u64 << filled);
-            node.num = (n + 1) as u16;
+        for j in (idx..n).rev() {
+            node.keys[j + 1] = node.keys[j];
         }
-        #[cfg(not(feature = "gapped"))]
-        {
-            for j in (idx..n).rev() {
-                node.keys[j + 1] = node.keys[j];
-            }
-            node.keys[idx] = *t;
-            node.num = (n + 1) as u16;
-        }
+        node.keys[idx] = *t;
+        node.num = (n + 1) as u16;
         self.len += 1;
-    }
-
-    /// Mirror of the concurrent tree's `try_redistribute` (single-threaded,
-    /// so the bounded sibling try-lock always "succeeds"): rotates
-    /// `free / 2` keys from the full `leaf` through the parent separator
-    /// into the left sibling when that sibling has at least
-    /// `max(C / 4, 2)` free slots. Identical policy, identical resulting
-    /// shape — required for twin shape parity.
-    #[cfg(feature = "gapped")]
-    fn redistribute(&mut self, leaf: u32) -> bool {
-        let (parent, pos) = {
-            let node = &self.nodes[leaf as usize];
-            debug_assert_eq!(node.num as usize, C);
-            if node.inner || node.parent == NONE {
-                return false;
-            }
-            (node.parent, node.position as usize)
-        };
-        if pos == 0 {
-            return false;
-        }
-        let left = self.nodes[parent as usize].child(pos - 1);
-        let lnum = self.nodes[left as usize].num as usize;
-        let free = C - lnum;
-        if free < (C / 4).max(2) {
-            return false;
-        }
-        let q = free / 2;
-        debug_assert!(q >= 1);
-        // Materialize the left sibling's occupied keys, append the old
-        // separator and the leaf's first q-1 keys, rewrite it packed.
-        let mut lkeys: Vec<Tuple<K>> = Vec::with_capacity(lnum + q);
-        {
-            let ln = &self.nodes[left as usize];
-            let mut rem = ln.occ;
-            while rem != 0 {
-                let i = rem.trailing_zeros() as usize;
-                lkeys.push(ln.keys[i]);
-                rem &= rem - 1;
-            }
-        }
-        debug_assert_eq!(lkeys.len(), lnum);
-        lkeys.push(self.nodes[parent as usize].keys[pos - 1]);
-        for i in 0..q - 1 {
-            lkeys.push(self.nodes[leaf as usize].keys[i]);
-        }
-        {
-            let ln = &mut self.nodes[left as usize];
-            for (i, k) in lkeys.iter().enumerate() {
-                ln.keys[i] = *k;
-            }
-            ln.set_num_packed(lnum + q);
-        }
-        // The leaf's q-th key becomes the new separator; survivors compact
-        // to a packed prefix.
-        let sep = self.nodes[leaf as usize].keys[q - 1];
-        self.nodes[parent as usize].keys[pos - 1] = sep;
-        {
-            let node = &mut self.nodes[leaf as usize];
-            for (j, i) in (q..C).enumerate() {
-                node.keys[j] = node.keys[i];
-            }
-            node.set_num_packed(C - q);
-        }
-        true
     }
 
     /// Splits the full node `x`, making room in its parent chain first.
@@ -697,7 +451,7 @@ impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
         for (j, i) in (m + 1..C).enumerate() {
             self.nodes[sib as usize].keys[j] = self.nodes[x as usize].keys[i];
         }
-        self.nodes[sib as usize].set_num_packed(C - m - 1);
+        self.nodes[sib as usize].num = (C - m - 1) as u16;
         if is_inner {
             for (j, i) in (m + 1..=C).enumerate() {
                 let ch = self.nodes[x as usize].child(i);
@@ -706,35 +460,13 @@ impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
                 self.nodes[ch as usize].position = j as u16;
             }
         }
-        // Mirror of `LeafNode::interleave_left`: the retained lower half
-        // of a leaf spreads across even slots with sentinel gaps between;
-        // inner nodes (and the right sibling) stay packed.
-        #[cfg(feature = "gapped")]
-        {
-            let xn = &mut self.nodes[x as usize];
-            if is_inner {
-                xn.set_num_packed(m);
-            } else {
-                for i in (1..m).rev() {
-                    xn.keys[2 * i] = xn.keys[i];
-                }
-                for i in 0..m - 1 {
-                    xn.keys[2 * i + 1] = xn.keys[2 * i + 2];
-                }
-                xn.occ = 0x5555_5555_5555_5555u64 & ((1u64 << (2 * m - 1)) - 1);
-                xn.num = m as u16;
-            }
-        }
-        #[cfg(not(feature = "gapped"))]
-        {
-            self.nodes[x as usize].num = m as u16;
-        }
+        self.nodes[x as usize].num = m as u16;
 
         if parent == NONE {
             let new_root = self.alloc(true);
             let r = &mut self.nodes[new_root as usize];
             r.keys[0] = median;
-            r.set_num_packed(1);
+            r.num = 1;
             r.set_child(0, x);
             r.set_child(1, sib);
             self.nodes[x as usize].parent = new_root;
@@ -758,7 +490,7 @@ impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
             let p = &mut self.nodes[parent as usize];
             p.keys[pos] = median;
             p.set_child(pos + 1, sib);
-            p.set_num_packed(pnum + 1);
+            p.num = (pnum + 1) as u16;
             self.nodes[sib as usize].parent = parent;
             self.nodes[sib as usize].position = (pos + 1) as u16;
         }
@@ -821,16 +553,12 @@ impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
             } else {
                 let (idx, found) = node.search(t);
                 if found {
-                    // A gap-slot hit duplicates the occupied key to its
-                    // right; normalize so the cursor starts on a real slot
-                    // (identity on inner nodes and non-gapped builds).
-                    return Some((cur, node.next_occupied(idx)));
+                    return Some((cur, idx));
                 }
                 idx
             };
             if !node.inner {
-                let idx = node.next_occupied(idx);
-                return if idx < node.scan_len() {
+                return if idx < node.num as usize {
                     Some((cur, idx))
                 } else {
                     candidate
@@ -884,7 +612,7 @@ impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
             return SeqIter {
                 set: self,
                 node: hints.lower_leaf,
-                pos: node.next_occupied(idx),
+                pos: idx,
             };
         }
         hints.stats.misses += 1;
@@ -904,14 +632,14 @@ impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
             if !node.inner
                 && node.num > 0
                 && cmp3(&node.keys[0], t) != Ordering::Greater
-                && cmp3(t, &node.keys[node.scan_len() - 1]) == Ordering::Less
+                && cmp3(t, &node.keys[node.num as usize - 1]) == Ordering::Less
             {
                 hints.stats.hits += 1;
                 let idx = node.search_upper(t);
                 return SeqIter {
                     set: self,
                     node: leaf,
-                    pos: node.next_occupied(idx),
+                    pos: idx,
                 };
             }
         }
@@ -936,13 +664,12 @@ impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
         while self.nodes[cur as usize].inner {
             cur = self.nodes[cur as usize].child(0);
         }
-        // The leftmost leaf's slot 0 may be a gap (or the leaf empty) after
-        // removals: snap to the first occupied slot; `next()`'s climb loop
-        // handles the empty-leaf case.
+        // The leftmost leaf may be empty after removals; `next()`'s climb
+        // loop handles that.
         SeqIter {
             set: self,
             node: cur,
-            pos: self.nodes[cur as usize].next_occupied(0),
+            pos: 0,
         }
     }
 
@@ -1034,69 +761,6 @@ impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
         }
         shape.nodes += 1;
         shape.keys += n;
-        // Gapped layout: same occupancy invariants as the concurrent
-        // checker — popcount agreement, packed inner occupancy, strict
-        // ascent among occupied slots, sentinel agreement, and separator
-        // intervals over every scanned slot.
-        #[cfg(feature = "gapped")]
-        {
-            let occ = node.occ;
-            let top = node.scan_len();
-            if occ.count_ones() as usize != n {
-                return Err(InvariantViolation(format!(
-                    "node {id}: occupancy popcount {} disagrees with num {n}",
-                    occ.count_ones()
-                )));
-            }
-            if node.inner && occ != (1u64 << n) - 1 {
-                return Err(InvariantViolation(format!(
-                    "inner node {id}: occupancy {occ:#x} not packed for {n} keys"
-                )));
-            }
-            // Slot 0 may be a gap after removals: its sentinel duplicates
-            // the real minimum (checked below), so searches still hold.
-            let mut prev: Option<Tuple<K>> = None;
-            for i in 0..top {
-                let k = &node.keys[i];
-                if (occ >> i) & 1 == 1 {
-                    if let Some(pk) = &prev {
-                        if cmp3(pk, k) != Ordering::Less {
-                            return Err(InvariantViolation(format!(
-                                "node {id}: occupied keys not strictly ascending at slot {i}"
-                            )));
-                        }
-                    }
-                    prev = Some(*k);
-                } else {
-                    let j = node.next_occupied(i + 1);
-                    if j >= top {
-                        return Err(InvariantViolation(format!(
-                            "node {id}: trailing gap at slot {i}"
-                        )));
-                    }
-                    if cmp3(k, &node.keys[j]) != Ordering::Equal {
-                        return Err(InvariantViolation(format!(
-                            "node {id}: gap slot {i} sentinel disagrees with occupied slot {j}"
-                        )));
-                    }
-                }
-                if let Some(lo) = &lower {
-                    if cmp3(k, lo) != Ordering::Greater {
-                        return Err(InvariantViolation(format!(
-                            "node {id}: key {i} below its separator interval"
-                        )));
-                    }
-                }
-                if let Some(hi) = &upper {
-                    if cmp3(k, hi) != Ordering::Less {
-                        return Err(InvariantViolation(format!(
-                            "node {id}: key {i} above its separator interval"
-                        )));
-                    }
-                }
-            }
-        }
-        #[cfg(not(feature = "gapped"))]
         for i in 0..n {
             let k = &node.keys[i];
             if i > 0 && cmp3(&node.keys[i - 1], k) != Ordering::Less {
@@ -1214,7 +878,7 @@ impl<'a, const K: usize, const C: usize> Iterator for SeqIter<'a, K, C> {
             if self.node == NONE {
                 return None;
             }
-            if self.pos < self.set.nodes[self.node as usize].scan_len() {
+            if self.pos < self.set.nodes[self.node as usize].num as usize {
                 break;
             }
             self.climb();
@@ -1228,14 +892,10 @@ impl<'a, const K: usize, const C: usize> Iterator for SeqIter<'a, K, C> {
                 cur = self.set.nodes[cur as usize].child(0);
             }
             self.node = cur;
-            // Slot 0 of the landing leaf may be a gap after removals (its
-            // sentinel duplicates the first real key): snap to the occupied
-            // slot so the key is yielded exactly once.
-            self.pos = self.set.nodes[cur as usize].next_occupied(0);
+            self.pos = 0;
         } else {
-            // Skip gap slots (identity on non-gapped builds).
-            self.pos = node.next_occupied(self.pos + 1);
-            if self.pos >= node.scan_len() {
+            self.pos += 1;
+            if self.pos >= node.num as usize {
                 // Climb until coming up from a non-last child.
                 self.climb();
             }

@@ -1,20 +1,15 @@
 //! Tree-health introspection — [`BTreeSet::stats`] and [`TreeStats`].
 //!
-//! PR 7's gapped leaves and removal graveyard changed what "the tree"
-//! physically is: leaves carry sentinel-filled gaps, removals park whole
-//! subtrees as unreachable-but-allocated structure, and the arena keeps
-//! every byte until `clear`. None of that was observable. This module
-//! adds the missing read-only census: a single traversal producing node
-//! and key counts, a per-leaf occupancy histogram (log2-bucketed), gap
-//! fill under the `gapped` layout, burial/graveyard accounting, and the
-//! arena's byte-level occupancy — the numbers FB+-tree and BS-tree use
-//! to motivate their layout choices, computed for our own tree.
+//! Removals change what "the tree" physically is: leaves go sparse and
+//! whole subtrees are parked as unreachable-but-allocated structure until
+//! `clear`. This module is the read-only census of that state: a single
+//! traversal producing node and key counts, a per-leaf occupancy histogram
+//! (log2-bucketed), burial/graveyard accounting and the bytes both hold.
 //!
 //! Like [`BTreeSet::shape`](crate::BTreeSet::shape) and the invariant
 //! checker, the traversal is for quiescent phases (between evaluation
 //! phases): it tolerates no concurrent structural modification.
 
-use crate::arena::ArenaStats;
 use crate::node::{InnerNode, LeafNode};
 use crate::tree::BTreeSet;
 use std::fmt::Write as _;
@@ -24,6 +19,15 @@ use std::sync::atomic::Ordering::Relaxed;
 /// bucket 0 holds empty leaves, bucket `b >= 1` holds leaves with
 /// `2^(b-1) <= keys < 2^b` (the last bucket absorbs everything above).
 pub const OCCUPANCY_BUCKETS: usize = 8;
+
+/// Bytes of node storage a tree holds, as reported by
+/// [`BTreeSet::arena_stats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ArenaStats {
+    /// Bytes of every allocated node: reachable from the root plus buried
+    /// in the graveyard.
+    pub bytes_used: usize,
+}
 
 /// A point-in-time structural census of one [`BTreeSet`], produced by
 /// [`BTreeSet::stats`]. All counts are exact for a quiescent tree.
@@ -45,16 +49,8 @@ pub struct TreeStats {
     /// Leaves bucketed by occupied-key count, log2: bucket 0 = empty,
     /// bucket b = `[2^(b-1), 2^b)` keys, last bucket open-ended.
     pub occupancy_hist: [u64; OCCUPANCY_BUCKETS],
-    /// Sum over leaves of the scan region length (`scan_len()`): the
-    /// slots a reader must look at, occupied or gap. Equals `leaf_keys`
-    /// on packed layouts.
-    pub leaf_scan_slots: u64,
-    /// Gap slots holding sentinel copies inside leaf scan regions
-    /// (`leaf_scan_slots - leaf_keys`); 0 on packed layouts.
-    pub sentinels: u64,
-    /// Subtrees parked by removals since the last `clear` (the boxed
-    /// path's graveyard length; the same count is kept under `fastpath`
-    /// where the arena reclaims wholesale).
+    /// Subtrees parked by removals since the last `clear` (the graveyard
+    /// length).
     pub graveyard_len: u64,
     /// Total nodes across all buried subtrees.
     pub buried_nodes: u64,
@@ -64,27 +60,15 @@ pub struct TreeStats {
     pub abandoned_bytes: u64,
     /// Bytes of reachable node structure.
     pub live_bytes: u64,
-    /// Node arena occupancy (all zero on the boxed path).
-    pub arena: ArenaStats,
 }
 
 impl TreeStats {
-    /// Fraction of leaf scan slots holding real keys, in `[0, 1]`
-    /// (1.0 for an empty tree: no slots, no gaps). Under `gapped` this
-    /// is the figure of merit the layout trades search width for.
-    pub fn gap_fill(&self) -> f64 {
-        if self.leaf_scan_slots == 0 {
-            return 1.0;
-        }
-        self.leaf_keys as f64 / self.leaf_scan_slots as f64
-    }
-
     /// Folds another census into this one — the aggregation a *sharded*
     /// relation needs to report itself as a single logical structure.
-    /// Additive fields (nodes, keys, occupancy buckets, bytes, arena
-    /// slabs) sum; `depth` takes the maximum over shards and `capacity`
-    /// the maximum (all shards share one `C` in practice, but an absorbed
-    /// default-zero census must not clobber it).
+    /// Additive fields (nodes, keys, occupancy buckets, bytes) sum; `depth`
+    /// takes the maximum over shards and `capacity` the maximum (all shards
+    /// share one `C` in practice, but an absorbed default-zero census must
+    /// not clobber it).
     pub fn absorb(&mut self, other: &TreeStats) {
         self.depth = self.depth.max(other.depth);
         self.inner_nodes += other.inner_nodes;
@@ -95,16 +79,11 @@ impl TreeStats {
         for (b, n) in self.occupancy_hist.iter_mut().zip(other.occupancy_hist) {
             *b += n;
         }
-        self.leaf_scan_slots += other.leaf_scan_slots;
-        self.sentinels += other.sentinels;
         self.graveyard_len += other.graveyard_len;
         self.buried_nodes += other.buried_nodes;
         self.buried_leaves += other.buried_leaves;
         self.abandoned_bytes += other.abandoned_bytes;
         self.live_bytes += other.live_bytes;
-        self.arena.slabs += other.arena.slabs;
-        self.arena.bytes_used += other.arena.bytes_used;
-        self.arena.bytes_reserved += other.arena.bytes_reserved;
     }
 
     /// Fraction of total leaf capacity holding real keys, in `[0, 1]`.
@@ -139,15 +118,6 @@ impl TreeStats {
             ),
         );
         row(
-            "gap fill",
-            format!(
-                "{:.1}% ({} sentinels over {} scan slots)",
-                100.0 * self.gap_fill(),
-                self.sentinels,
-                self.leaf_scan_slots
-            ),
-        );
-        row(
             "occupancy hist",
             self.occupancy_hist
                 .iter()
@@ -164,13 +134,7 @@ impl TreeStats {
                 self.graveyard_len, self.buried_nodes, self.buried_leaves, self.abandoned_bytes
             ),
         );
-        row(
-            "bytes",
-            format!(
-                "{} live / arena {} slabs, {} used of {} reserved",
-                self.live_bytes, self.arena.slabs, self.arena.bytes_used, self.arena.bytes_reserved
-            ),
-        );
+        row("bytes", format!("{} live", self.live_bytes));
         out
     }
 
@@ -181,12 +145,10 @@ impl TreeStats {
             concat!(
                 "{{\"depth\": {}, \"inner_nodes\": {}, \"leaf_nodes\": {}, ",
                 "\"keys\": {}, \"leaf_keys\": {}, \"capacity\": {}, ",
-                "\"occupancy_hist\": [{}], \"leaf_scan_slots\": {}, ",
-                "\"sentinels\": {}, \"gap_fill\": {:.4}, \"leaf_fill\": {:.4}, ",
+                "\"occupancy_hist\": [{}], \"leaf_fill\": {:.4}, ",
                 "\"graveyard_len\": {}, \"buried_nodes\": {}, ",
                 "\"buried_leaves\": {}, \"abandoned_bytes\": {}, ",
-                "\"live_bytes\": {}, \"arena\": {{\"slabs\": {}, ",
-                "\"bytes_used\": {}, \"bytes_reserved\": {}}}}}"
+                "\"live_bytes\": {}}}"
             ),
             self.depth,
             self.inner_nodes,
@@ -195,18 +157,12 @@ impl TreeStats {
             self.leaf_keys,
             self.capacity,
             hist.join(", "),
-            self.leaf_scan_slots,
-            self.sentinels,
-            self.gap_fill(),
             self.leaf_fill(),
             self.graveyard_len,
             self.buried_nodes,
             self.buried_leaves,
             self.abandoned_bytes,
             self.live_bytes,
-            self.arena.slabs,
-            self.arena.bytes_used,
-            self.arena.bytes_reserved,
         )
     }
 }
@@ -240,7 +196,6 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             graveyard_len: self.buried_subtrees.load(Relaxed),
             buried_nodes: self.buried_nodes.load(Relaxed),
             buried_leaves: self.buried_leaves.load(Relaxed),
-            arena: self.arena.stats(),
             ..TreeStats::default()
         };
         let leaf_size = std::mem::size_of::<LeafNode<K, C>>() as u64;
@@ -271,14 +226,22 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             } else {
                 s.leaf_nodes += 1;
                 s.leaf_keys += num as u64;
-                s.leaf_scan_slots += node.scan_len() as u64;
                 s.occupancy_hist[bucket_of(num)] += 1;
                 s.depth = s.depth.max(d);
             }
         }
-        s.sentinels = s.leaf_scan_slots - s.leaf_keys;
         s.live_bytes = s.leaf_nodes * leaf_size + s.inner_nodes * inner_size;
         s
+    }
+
+    /// Bytes of every node this tree has allocated and not yet freed —
+    /// live plus buried — from the census's node counts. Quiescent phases
+    /// only, like [`stats`](Self::stats).
+    pub fn arena_stats(&self) -> ArenaStats {
+        let s = self.stats();
+        ArenaStats {
+            bytes_used: (s.live_bytes + s.abandoned_bytes) as usize,
+        }
     }
 }
 
@@ -307,7 +270,6 @@ mod tests {
         assert_eq!(s.depth, 0);
         assert_eq!(s.keys, 0);
         assert_eq!(s.leaf_nodes, 0);
-        assert_eq!(s.gap_fill(), 1.0);
         assert_eq!(s.leaf_fill(), 0.0);
         assert!(s.to_json().contains("\"depth\": 0"));
     }
@@ -323,9 +285,6 @@ mod tests {
         assert_eq!((s.inner_nodes + s.leaf_nodes) as usize, shape.nodes);
         assert_eq!(s.leaf_nodes as usize, shape.leaves);
         assert_eq!(s.occupancy_hist.iter().sum::<u64>(), s.leaf_nodes);
-        assert!(s.leaf_scan_slots >= s.leaf_keys);
-        assert_eq!(s.sentinels, s.leaf_scan_slots - s.leaf_keys);
-        assert!(s.gap_fill() > 0.0 && s.gap_fill() <= 1.0);
         assert!(s.live_bytes > 0);
         let table = s.to_table();
         assert!(table.contains("depth") && table.contains("graveyard"));
@@ -353,5 +312,30 @@ mod tests {
         assert_eq!(cleared.graveyard_len, 0);
         assert_eq!(cleared.buried_nodes, 0);
         assert_eq!(cleared.abandoned_bytes, 0);
+    }
+
+    #[test]
+    fn arena_stats_counts_live_and_buried_node_bytes() {
+        let leaf = std::mem::size_of::<LeafNode<1, 24>>() as u64;
+        let inner = std::mem::size_of::<InnerNode<1, 24>>() as u64;
+        let expected = |s: &TreeStats| {
+            let buried_inner = s.buried_nodes - s.buried_leaves;
+            (s.leaf_nodes + s.buried_leaves) * leaf + (s.inner_nodes + buried_inner) * inner
+        };
+        let mut set: BTreeSet<1> = (0..4_096u64).map(|i| [i]).collect();
+        let filled = set.stats();
+        assert!(filled.leaf_nodes > 1 && filled.inner_nodes > 0);
+        assert_eq!(set.arena_stats().bytes_used as u64, expected(&filled));
+        for i in 0..4_096u64 {
+            set.remove(&[i]);
+        }
+        // Removal frees nothing: drained leaves move to the graveyard and
+        // keep counting until `clear`.
+        let drained = set.stats();
+        assert!(drained.buried_leaves > 0);
+        assert_eq!(set.arena_stats().bytes_used as u64, expected(&drained));
+        assert_eq!(expected(&drained), expected(&filled));
+        set.clear();
+        assert_eq!(set.arena_stats().bytes_used, 0);
     }
 }

@@ -7,11 +7,9 @@
 //! ordered iteration. The paper's structure has **no delete** — Datalog
 //! relations only grow during a fixpoint — but incremental maintenance
 //! (delete-rederive) needs retraction between fixpoints, so this
-//! implementation adds [`remove`](BTreeSet::remove): a *logical* deletion
-//! that clears the key's occupancy bit and rewrites the slot as a sentinel
-//! copy of its right neighbor, keeping the scan region sorted for racing
-//! optimistic readers. The memory contract is unchanged: nodes are never
-//! freed or moved while the tree is alive (spliced-out nodes go to a
+//! implementation adds [`remove`](BTreeSet::remove), which deletes the key
+//! under its node's write lock. The memory contract is unchanged: nodes are
+//! never freed or moved while the tree is alive (spliced-out nodes go to a
 //! graveyard reclaimed on `clear`/`Drop`), so stale pointers always
 //! reference live memory and operation hints can never dangle. Underflow
 //! is tolerated rather than rebalanced — sparse and even empty leaves are
@@ -35,11 +33,8 @@
 //!   **memory-safe** — every field access is an atomic and every index is
 //!   clamped — but the sequence of elements observed is unspecified.
 
-use crate::arena::{Arena, ArenaStats};
 use crate::hints::BTreeHints;
 use crate::node::{cmp3, InnerNode, LeafNode, NodePtr, Tuple};
-#[cfg(not(feature = "gapped"))]
-use crate::search::prefetch_read;
 use optlock::OptimisticRwLock;
 use std::cmp::Ordering;
 // The root pointer participates in the optimistic protocol, so it goes
@@ -54,25 +49,12 @@ use std::sync::atomic::AtomicU64;
 ///
 /// Chosen so a node occupies a handful of cache lines, the regime the
 /// paper's evaluation identifies as most effective. At this capacity a
-/// binary-tuple (`K = 2`) leaf is 408 bytes and an inner node 608 bytes
-/// (8-byte natural alignment); under the `fastpath` feature they are
-/// padded to 64-byte alignment — 448 bytes (7 cache lines) and 704 bytes
-/// (11 lines) — so every node starts on a line boundary. The `ablation`
-/// bench sweeps this parameter.
+/// binary-tuple (`K = 2`) leaf is 408 bytes and an inner node 608 bytes.
+/// The `ablation` bench sweeps this parameter.
 pub const DEFAULT_NODE_CAPACITY: usize = 24;
 
 /// Source of unique tree identities used to brand operation hints.
 static TREE_IDS: AtomicU64 = AtomicU64::new(1);
-
-/// Bounded attempts to write-lock the left sibling during gap
-/// redistribution. The sibling is locked *after* the parent (top-down at
-/// the leaf level), the opposite of the split protocol's bottom-up order,
-/// so an unbounded acquire could deadlock against a splitter that holds
-/// the sibling and waits for our parent; a bounded try-lock simply falls
-/// back to the eager split instead. Mirrors `CHILD_LOCK_ATTEMPTS` in
-/// `merge.rs`, which faces the same ordering inversion.
-#[cfg(feature = "gapped")]
-const REDIST_LOCK_ATTEMPTS: usize = 8;
 
 /// Bounded attempts to write-lock each node of the predecessor spine
 /// during an inner-key remove, and the sibling leaf during empty-leaf
@@ -83,58 +65,6 @@ const REDIST_LOCK_ATTEMPTS: usize = 8;
 /// restarts (spine) or the empty leaf is simply left in place
 /// (reclamation is an optimization; empty leaves are legal).
 const REMOVE_LOCK_ATTEMPTS: usize = 8;
-
-/// Ranks `val` within an interior node during a descent. Under `fastpath`
-/// this is the latch-free fenced read: one non-spinning probe of the
-/// node's version word (the *fence word*); when it shows quiescence the
-/// keys are ranked with the contiguous SIMD kernel
-/// ([`LeafNode::search_fenced`]), per-slot atomic validation work dropping
-/// to a single probe per node. When the fence shows an active writer the
-/// rank falls back to per-slot atomic loads (routed by `branchfree` like
-/// any other rank). Returns `(idx, found, fenced)`; the result is only
-/// trustworthy after the caller validates its lease — the fence probe
-/// narrows the race window, the validation closes it.
-#[inline]
-fn rank_interior<const K: usize, const C: usize>(
-    node: &LeafNode<K, C>,
-    val: &Tuple<K>,
-    n: usize,
-    branchfree: bool,
-) -> (usize, bool, bool) {
-    #[cfg(feature = "fastpath")]
-    if node.lock.probe_quiescent() {
-        telemetry::count(telemetry::Counter::BtreeFencedRank);
-        chaos::checkpoint("btree::descend::fence_read");
-        let (idx, found) = node.search_fenced(val, n);
-        return (idx, found, true);
-    }
-    #[cfg(feature = "fastpath")]
-    {
-        telemetry::count(telemetry::Counter::BtreeFencedFallback);
-        chaos::checkpoint("btree::descend::fence_fallback");
-    }
-    let (idx, found) = if branchfree {
-        node.search_branchfree(val, n)
-    } else {
-        node.search(val, n)
-    };
-    (idx, found, false)
-}
-
-/// Child prefetch on descent, issued while the parent's lease validates.
-/// Under the gapped layout the *whole* child node is prefetched: its key
-/// lines all fill in parallel, so the intra-node binary search that would
-/// otherwise take its ~log2(C) probe misses serially costs one memory
-/// round-trip — the lever that moves DRAM-resident random descents. The
-/// packed fastpath keeps its measured baseline behaviour (first line
-/// only).
-#[inline(always)]
-fn prefetch_child<const K: usize, const C: usize>(next: NodePtr<K, C>) {
-    #[cfg(feature = "gapped")]
-    crate::node::prefetch_node(next);
-    #[cfg(not(feature = "gapped"))]
-    prefetch_read(next);
-}
 
 /// Records one Algorithm 1 restart: the aggregate and per-cause counters,
 /// a flight-recorder event naming the node we restarted from, and — when
@@ -193,23 +123,16 @@ pub struct BTreeSet<const K: usize, const C: usize = DEFAULT_NODE_CAPACITY> {
     pub(crate) root_lock: OptimisticRwLock,
     /// Unique identity used to brand [`BTreeHints`] (see `hints` module).
     pub(crate) id: u64,
-    /// Node storage: cache-line-aligned bump slabs under `fastpath`, a
-    /// pass-through to the global allocator otherwise. Owns every node of
-    /// this tree; reclaimed wholesale on `clear`/`Drop`.
-    pub(crate) arena: Arena,
     /// Subtrees spliced out by `remove` (empty leaves, drained predecessor
     /// chains). They stay allocated until `clear`/`Drop` — racing
     /// optimistic readers may still hold pointers into them — and are
-    /// individually freed then. Only needed on the boxed path; the
-    /// `fastpath` arena reclaims unlinked nodes wholesale.
-    #[cfg(not(feature = "fastpath"))]
+    /// individually freed then.
     pub(crate) graveyard: std::sync::Mutex<Vec<NodePtr<K, C>>>,
     /// Cumulative accounting of what `bury` has parked since the last
-    /// `clear`. Kept on *both* allocation paths (the graveyard `Vec`
-    /// exists only on the boxed one) so [`BTreeSet::stats`] can report
-    /// how much unreachable-but-allocated structure removals have
-    /// produced: subtrees buried, total nodes in them, and how many of
-    /// those were leaves.
+    /// `clear`, so [`BTreeSet::stats`] can report how much
+    /// unreachable-but-allocated structure removals have produced:
+    /// subtrees buried, total nodes in them, and how many of those were
+    /// leaves.
     pub(crate) buried_subtrees: AtomicU64,
     pub(crate) buried_nodes: AtomicU64,
     pub(crate) buried_leaves: AtomicU64,
@@ -229,18 +152,6 @@ pub(crate) struct Located<const K: usize, const C: usize> {
     pub node: NodePtr<K, C>,
 }
 
-/// Outcome of probing a hinted leaf.
-enum HintProbe<T> {
-    /// The leaf covered the probe; the operation completed with this
-    /// result.
-    Hit(T),
-    /// The hint did not apply; the caller falls back to a full descent.
-    /// `forward` = the probed tuple lies beyond the leaf's last key (the
-    /// append-pattern signature the adaptive hint policy watches for);
-    /// best-effort `false` when the probe raced and learned nothing.
-    Miss { forward: bool },
-}
-
 impl<const K: usize, const C: usize> Default for BTreeSet<K, C> {
     fn default() -> Self {
         Self::new()
@@ -248,12 +159,8 @@ impl<const K: usize, const C: usize> Default for BTreeSet<K, C> {
 }
 
 impl<const K: usize, const C: usize> BTreeSet<K, C> {
-    /// Compile-time sanity of the geometry parameters. The gapped layout
-    /// additionally needs the per-leaf occupancy to fit one `u64` word.
-    const GEOMETRY_OK: () = assert!(
-        K >= 1 && C >= 4 && (!cfg!(feature = "gapped") || C <= 63),
-        "BTreeSet requires K >= 1, C >= 4 (and C <= 63 under `gapped`)"
-    );
+    /// Compile-time sanity of the geometry parameters.
+    const GEOMETRY_OK: () = assert!(K >= 1 && C >= 4, "BTreeSet requires K >= 1, C >= 4");
 
     /// Creates an empty set. No nodes are allocated until the first insert.
     pub fn new() -> Self {
@@ -263,19 +170,11 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             root: AtomicPtr::new(std::ptr::null_mut()),
             root_lock: OptimisticRwLock::new(),
             id: TREE_IDS.fetch_add(1, Relaxed),
-            arena: Arena::new(),
-            #[cfg(not(feature = "fastpath"))]
             graveyard: std::sync::Mutex::new(Vec::new()),
             buried_subtrees: AtomicU64::new(0),
             buried_nodes: AtomicU64::new(0),
             buried_leaves: AtomicU64::new(0),
         }
-    }
-
-    /// Occupancy of this tree's node arena (all zero without `fastpath`,
-    /// where nodes are individually boxed).
-    pub fn arena_stats(&self) -> ArenaStats {
-        self.arena.stats()
     }
 
     /// Creates a hint container for this tree (the paper's "factory
@@ -302,38 +201,25 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// Inserts `t`, returning `true` if it was not yet present.
     /// Thread-safe; lock-free for readers of other parts of the tree.
     pub fn insert(&self, t: Tuple<K>) -> bool {
-        self.insert_located(&t, false).inserted
+        self.insert_located(&t).inserted
     }
 
     /// Inserts `t` using (and updating) thread-local operation hints
     /// (paper §3.2). On sorted workloads this skips the root-to-leaf
     /// descent almost always.
-    ///
-    /// Under `fastpath` the hints additionally drive an adaptive policy:
-    /// after a run of consecutive misses the (near-certain futile) hinted
-    /// leaf probe is bypassed, and the fallback descent switches to the
-    /// branch-free intra-node search unless the miss pattern looks like an
-    /// append run — see the policy methods on [`BTreeHints`].
     pub fn insert_hinted(&self, t: Tuple<K>, hints: &mut BTreeHints<K, C>) -> bool {
         if hints.tree_id() == self.id {
-            if !cfg!(feature = "fastpath") || hints.insert_probe_useful() {
-                let leaf = hints.insert_leaf();
-                if !leaf.is_null() {
-                    match self.try_hinted_insert(leaf, &t) {
-                        HintProbe::Hit(res) => {
-                            hints.note_insert_probe(true, false);
-                            hints.record_insert(true, res.node);
-                            return res.inserted;
-                        }
-                        HintProbe::Miss { forward } => hints.note_insert_probe(false, forward),
-                    }
+            let leaf = hints.insert_leaf();
+            if !leaf.is_null() {
+                if let Some(res) = self.try_hinted_insert(leaf, &t) {
+                    hints.record_insert(true, res.node);
+                    return res.inserted;
                 }
             }
         } else {
             hints.rebind(self.id);
         }
-        let branchfree = cfg!(feature = "fastpath") && hints.insert_descend_branchfree();
-        let res = self.insert_located(&t, branchfree);
+        let res = self.insert_located(&t);
         hints.record_insert(false, res.node);
         res.inserted
     }
@@ -343,29 +229,20 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         self.locate(t).is_some()
     }
 
-    /// Membership test with operation hints. Applies the same adaptive
-    /// probe-bypass and descent-routing policy as
-    /// [`insert_hinted`](Self::insert_hinted).
+    /// Membership test with operation hints.
     pub fn contains_hinted(&self, t: &Tuple<K>, hints: &mut BTreeHints<K, C>) -> bool {
         if hints.tree_id() == self.id {
-            if !cfg!(feature = "fastpath") || hints.contains_probe_useful() {
-                let leaf = hints.contains_leaf();
-                if !leaf.is_null() {
-                    match self.try_hinted_contains(leaf, t) {
-                        HintProbe::Hit(found) => {
-                            hints.note_contains_probe(true, false);
-                            hints.record_contains(true, leaf);
-                            return found;
-                        }
-                        HintProbe::Miss { forward } => hints.note_contains_probe(false, forward),
-                    }
+            let leaf = hints.contains_leaf();
+            if !leaf.is_null() {
+                if let Some(found) = self.try_hinted_contains(leaf, t) {
+                    hints.record_contains(true, leaf);
+                    return found;
                 }
             }
         } else {
             hints.rebind(self.id);
         }
-        let branchfree = cfg!(feature = "fastpath") && hints.contains_descend_branchfree();
-        let res = self.locate_full(t, branchfree);
+        let res = self.locate_full(t);
         hints.record_contains(false, res.1);
         res.0.is_some()
     }
@@ -383,8 +260,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 continue;
             }
             if self.root.load(Relaxed).is_null() {
-                self.root
-                    .store(LeafNode::<K, C>::alloc_in(&self.arena), Relaxed);
+                self.root.store(LeafNode::<K, C>::alloc(), Relaxed);
             }
             self.root_lock.end_write();
         }
@@ -413,12 +289,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     }
 
     /// Full optimistic insertion (Algorithm 1).
-    ///
-    /// `branchfree` selects the branch-free intra-node search for the
-    /// descent (misprediction-dominated random keys, `fastpath` only);
-    /// `false` keeps the classic speculative search, which wins on
-    /// predictable key sequences.
-    pub(crate) fn insert_located(&self, val: &Tuple<K>, branchfree: bool) -> Located<K, C> {
+    pub(crate) fn insert_located(&self, val: &Tuple<K>) -> Located<K, C> {
         self.ensure_root();
 
         let mut restarts = 0u64;
@@ -432,25 +303,11 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 // SAFETY: live node (nodes are never freed).
                 let node = unsafe { &*cur };
                 let is_inner = node.is_inner();
-                // Search bound: under `gapped` a leaf's real keys live in
-                // `[0, scan_len())` with order-preserving sentinel gaps, so
-                // every rank below works unchanged; inner nodes are always
-                // packed (scan_len == num there).
-                let n = node.scan_len();
-                let (idx, found, fenced) = if is_inner {
-                    rank_interior(node, val, n, branchfree)
-                } else {
-                    let (idx, found) = if branchfree {
-                        node.search_branchfree(val, n)
-                    } else {
-                        node.search(val, n)
-                    };
-                    (idx, found, false)
-                };
-                // Planted bug for the chaos self-test: trusting a fenced
-                // interior rank without re-validating the lease lets a torn
-                // rank pick the wrong child.
-                let skip_validate = cfg!(all(chaos, feature = "chaos-inject-bug")) && fenced;
+                let (idx, found) = node.search(val, node.num_clamped());
+                // Planted bug for the chaos self-test: trusting an interior
+                // rank without re-validating the lease lets a torn rank
+                // pick the wrong child.
+                let skip_validate = cfg!(all(chaos, feature = "chaos-inject-bug"));
 
                 // Line 22: value already present => done.
                 if found {
@@ -474,10 +331,6 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 if is_inner {
                     // SAFETY: is_inner just checked; kind never changes.
                     let next = unsafe { node.as_inner() }.child(idx);
-                    // Overlap the child's cache miss with the validation
-                    // below: the prefetch is a hint, so issuing it for a
-                    // stale pointer (validation about to fail) is harmless.
-                    prefetch_child(next);
                     if !skip_validate && !node.lock.validate(cur_lease) {
                         note_insert_restart(
                             telemetry::Counter::BtreeRestartDescend,
@@ -532,45 +385,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 // exact count is trustworthy.
                 let num = node.num();
                 if num == C {
-                    // Gapped layout, append signature only (`idx == C`:
-                    // `val` sorts past every key of this full, packed
-                    // leaf): rotate keys into free slots of the left
-                    // sibling instead of splitting — an append front
-                    // leaves its left neighbourhood cold, so packing it
-                    // buys occupancy for free. Mid-leaf (uniform) pressure
-                    // splits eagerly instead: there the rotation is
-                    // parent-lock churn that invalidates concurrent
-                    // descents and restarts this insert, only for the
-                    // neighbourhood to fill straight back up (measured on
-                    // the layout bench's random-order insert).
-                    #[cfg(feature = "gapped")]
-                    let split_needed = idx < num || !self.try_redistribute(cur);
-                    #[cfg(not(feature = "gapped"))]
-                    let split_needed = true;
-                    if split_needed {
-                        let sep = self.split(cur); // Algorithm 2
-                                                   // Gapped descent protocol: the median moved up but
-                                                   // everything strictly below it still lives in this
-                                                   // leaf, which we still hold write-locked — when
-                                                   // `val` sorts below the median, finish in place
-                                                   // instead of paying a full re-descent (half of all
-                                                   // splits, each a multi-level DRAM round-trip).
-                        #[cfg(feature = "gapped")]
-                        if cmp3(val, &sep) == Ordering::Less {
-                            let n = node.scan_len();
-                            let (idx, _found) = node.search(val, n);
-                            debug_assert!(!_found, "val was absent under the validated lease");
-                            node.gap_insert(idx, val);
-                            node.lock.end_write();
-                            telemetry::record(telemetry::Hist::BtreeInsertRestartsPerOp, restarts);
-                            return Located {
-                                inserted: true,
-                                node: cur,
-                            };
-                        }
-                        #[cfg(not(feature = "gapped"))]
-                        let _ = sep;
-                    }
+                    self.split(cur); // Algorithm 2
                     node.lock.end_write();
                     note_insert_restart(
                         telemetry::Counter::BtreeRestartSplitRetry,
@@ -581,18 +396,8 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                     continue 'restart;
                 }
 
-                // Lines 45–48: insert into this leaf — into the nearest gap
-                // under the gapped layout, by suffix shift otherwise.
-                #[cfg(feature = "gapped")]
-                node.gap_insert(idx, val);
-                #[cfg(not(feature = "gapped"))]
-                {
-                    for j in (idx..num).rev() {
-                        node.copy_key_within(j, j + 1);
-                    }
-                    node.set_key(idx, val);
-                    node.set_num(num + 1);
-                }
+                // Lines 45–48: insert into this leaf.
+                node.insert_at(idx, val);
                 node.lock.end_write();
                 telemetry::record(telemetry::Hist::BtreeInsertRestartsPerOp, restarts);
                 return Located {
@@ -607,247 +412,66 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// leaf, walking upwards only if it must split (paper §3.2 — this is
     /// precisely why write locks are acquired bottom-up).
     ///
-    /// Returns [`HintProbe::Miss`] when the hint does not apply (wrong
-    /// leaf, lost race), in which case the caller falls back to the full
-    /// descent; the `forward` flag feeds the adaptive hint policy.
-    fn try_hinted_insert(&self, leaf: NodePtr<K, C>, val: &Tuple<K>) -> HintProbe<Located<K, C>> {
+    /// Returns `None` when the hint does not apply (wrong leaf, lost race),
+    /// in which case the caller falls back to the full descent.
+    fn try_hinted_insert(&self, leaf: NodePtr<K, C>, val: &Tuple<K>) -> Option<Located<K, C>> {
         // SAFETY: hints are branded with the tree id, so `leaf` is a node of
         // *this* tree: live memory for as long as `&self` exists.
         let node = unsafe { &*leaf };
         if node.is_inner() {
-            return HintProbe::Miss { forward: false }; // hints only ever cache leaves; defensive
+            return None; // hints only ever cache leaves; defensive
         }
         // The hinted path never restarts in place (a full leaf splits with
-        // the insert finished in place, below), so `restarts` stays zero;
-        // completed operations still record it so the telemetry CI
-        // invariant (restart counter == per-op histogram sum) holds.
-        let restarts = 0u64;
-        let bail = |restarts: u64, forward: bool| {
-            if restarts > 0 {
-                telemetry::record(telemetry::Hist::BtreeInsertRestartsPerOp, restarts);
-            }
-            HintProbe::Miss { forward }
-        };
-        {
-            let lease = node.lock.start_read();
-            // Scan bound: real keys live in [0, scan_len()); slot 0 is the
-            // real minimum and slot scan_len()-1 the real maximum even when
-            // the leaf is gapped (gaps duplicate rightward).
-            let n = node.scan_len();
-            if n == 0 {
-                return bail(restarts, false);
-            }
-            // The leaf covers `val` iff first <= val <= last: every tree key
-            // in that closed interval lives in this very leaf. `forward`
-            // (val beyond the last key) is the append signature; it is a
-            // heuristic, so using it even when validation fails is fine.
-            let forward = cmp3(val, &node.key(n - 1)) == Ordering::Greater;
-            let covered = cmp3(&node.key(0), val) != Ordering::Greater && !forward;
-            let (idx, found) = node.search(val, n);
-            if !node.lock.validate(lease) {
-                return bail(restarts, forward); // lost a race; let the slow path sort it out
-            }
-            if !covered {
-                return bail(restarts, forward); // genuine hint miss
-            }
-            if found {
-                telemetry::record(telemetry::Hist::BtreeInsertRestartsPerOp, restarts);
-                return HintProbe::Hit(Located {
-                    inserted: false,
-                    node: leaf,
-                });
-            }
-            if !node.lock.try_upgrade_to_write(lease) {
-                return bail(restarts, forward);
-            }
-            let num = node.num();
-            if num == C {
-                // Full: split, never redistribute — the hinted probe only
-                // proceeds when `val` is strictly covered by this leaf, so
-                // this is never the append signature, and redistribution
-                // off the append path is parent-lock churn that buys
-                // nothing (see `insert_located`).
-                //
-                // Split bottom-up right from the leaf (§3.2). The upgrade
-                // came from the validated lease, so `val` is covered by
-                // this leaf and absent from it; after the split it sorts
-                // either strictly below the median that moved up — i.e.
-                // into this very leaf, still write-locked and now
-                // half-empty: finish the insert in place — or above it,
-                // into the fresh sibling: bail to the slow path (the
-                // append signature, rare for the leaf-local patterns
-                // hints serve).
-                let sep = self.split(leaf);
-                if cmp3(val, &sep) == Ordering::Less {
-                    let n = node.scan_len();
-                    let (idx, _found) = node.search(val, n);
-                    debug_assert!(!_found, "val was absent under the validated lease");
-                    #[cfg(feature = "gapped")]
-                    node.gap_insert(idx, val);
-                    #[cfg(not(feature = "gapped"))]
-                    {
-                        let num = node.num();
-                        for j in (idx..num).rev() {
-                            node.copy_key_within(j, j + 1);
-                        }
-                        node.set_key(idx, val);
-                        node.set_num(num + 1);
-                    }
-                    node.lock.end_write();
-                    telemetry::record(telemetry::Hist::BtreeInsertRestartsPerOp, restarts);
-                    return HintProbe::Hit(Located {
-                        inserted: true,
-                        node: leaf,
-                    });
-                }
-                node.lock.end_write();
-                return bail(restarts, true);
-            }
-            #[cfg(feature = "gapped")]
-            node.gap_insert(idx, val);
-            #[cfg(not(feature = "gapped"))]
-            {
-                for j in (idx..num).rev() {
-                    node.copy_key_within(j, j + 1);
-                }
-                node.set_key(idx, val);
-                node.set_num(num + 1);
-            }
-            node.lock.end_write();
-            telemetry::record(telemetry::Hist::BtreeInsertRestartsPerOp, restarts);
-            HintProbe::Hit(Located {
-                inserted: true,
+        // the insert finished in place, below); completed operations still
+        // record zero restarts so the telemetry CI invariant (restart
+        // counter == per-op histogram sum) holds.
+        let done = |inserted: bool| {
+            telemetry::record(telemetry::Hist::BtreeInsertRestartsPerOp, 0);
+            Some(Located {
+                inserted,
                 node: leaf,
             })
+        };
+        let lease = node.lock.start_read();
+        let n = node.num_clamped();
+        if n == 0 {
+            return None;
         }
-    }
-
-    /// Gapped layout: tries to resolve a full leaf by rotating keys into
-    /// free slots of its **left sibling** through the parent separator,
-    /// instead of splitting eagerly. Called with the leaf's write lock
-    /// held; returns `true` when the leaf now has room (the caller restarts
-    /// its insert — the tuple may now belong in the left sibling).
-    ///
-    /// The rotation moves `q = free / 2` keys: the old separator drops into
-    /// the left sibling, the leaf's first `q - 1` keys follow, and the
-    /// leaf's `q`-th key becomes the new separator. Both siblings are
-    /// rewritten packed (the left gains fresh trailing slots; the leaf's
-    /// survivors compact to a prefix, and being full it was packed
-    /// already). Engages only when the sibling has at least
-    /// `max(C / 4, 2)` free slots — below that the rotation would buy just
-    /// an insert or two before the neighbourhood is full anyway, and the
-    /// split is better amortized.
-    ///
-    /// Locking: the parent is acquired with the split path's re-check
-    /// idiom (child lock already held → bottom-up, deadlock-free); the
-    /// left sibling is then acquired top-down with a *bounded* try-lock
-    /// (see [`REDIST_LOCK_ATTEMPTS`]) — on failure the caller falls back
-    /// to the eager split. Single-threaded the try-lock always succeeds,
-    /// so the decision is deterministic and the sequential twin mirrors it
-    /// exactly (shape parity).
-    #[cfg(feature = "gapped")]
-    fn try_redistribute(&self, leaf: NodePtr<K, C>) -> bool {
-        let node = unsafe { &*leaf };
-        debug_assert_eq!(node.num(), C, "only full leaves redistribute");
-        if node.is_inner() {
-            return false;
+        // The leaf covers `val` iff first <= val <= last: every tree key
+        // in that closed interval lives in this very leaf.
+        let covered = cmp3(&node.key(0), val) != Ordering::Greater
+            && cmp3(val, &node.key(n - 1)) != Ordering::Greater;
+        let (idx, found) = node.search(val, n);
+        if !node.lock.validate(lease) {
+            return None; // lost a race; let the slow path sort it out
         }
-        let parent = node.parent.load(Relaxed);
-        if parent.is_null() {
-            return false; // root leaf: no sibling exists
+        if !covered {
+            return None; // genuine hint miss
         }
-        // Lock the (current) parent, re-checking the link as in `split`.
-        let mut p = parent;
-        loop {
-            // SAFETY: parent pointers always reference live nodes.
-            unsafe { &*p }.lock.start_write();
-            let now = node.parent.load(Relaxed);
-            if now == p {
-                break;
+        if found {
+            return done(false);
+        }
+        if !node.lock.try_upgrade_to_write(lease) {
+            return None;
+        }
+        if node.num() == C {
+            // Split bottom-up right from the leaf (§3.2). The upgrade
+            // came from the validated lease, so `val` is covered by
+            // this leaf and absent from it; after the split it sorts
+            // either strictly below the median that moved up — i.e.
+            // into this very leaf, still write-locked and now
+            // half-empty, at the same index as before: finish the
+            // insert in place — or above it, into the fresh sibling:
+            // fall back to the slow path.
+            let sep = self.split(leaf);
+            if cmp3(val, &sep) != Ordering::Less {
+                node.lock.end_write();
+                return None;
             }
-            unsafe { &*p }.lock.abort_write();
-            debug_assert!(!now.is_null(), "a node never becomes the root");
-            p = now;
         }
-        let pn = unsafe { &*p };
-        let pi = unsafe { pn.as_inner() };
-        let pos = node.position.load(Relaxed) as usize;
-        debug_assert_eq!(pi.child(pos), leaf, "position link out of date");
-        if pos == 0 {
-            pn.lock.abort_write();
-            return false; // leftmost child: no left sibling
-        }
-        let left = pi.child(pos - 1);
-        debug_assert!(!left.is_null());
-        // SAFETY: a child read under the parent's write lock is current.
-        let ln = unsafe { &*left };
-        let mut locked = false;
-        for _ in 0..REDIST_LOCK_ATTEMPTS {
-            chaos::checkpoint("btree::redistribute::sibling_lock");
-            if ln.lock.try_start_write() {
-                locked = true;
-                break;
-            }
-            chaos::hint::spin_loop();
-        }
-        if !locked {
-            pn.lock.abort_write();
-            return false;
-        }
-        let lnum = ln.num();
-        debug_assert!(!ln.is_inner(), "siblings share a level");
-        let free = C - lnum;
-        if free < (C / 4).max(2) {
-            ln.lock.abort_write();
-            pn.lock.abort_write();
-            return false;
-        }
-        let q = free / 2;
-        debug_assert!(q >= 1);
-
-        // Materialize the left sibling's real keys (it may be gapped),
-        // append the old separator and the leaf's first q-1 keys, and
-        // rewrite it packed. The leaf is full, hence packed: key(i) is
-        // real for every i.
-        // Stack buffer, not a Vec: this runs inside the insert hot path
-        // with the parent write-locked, and `lnum + q <= C` always fits.
-        let mut lkeys = [[0u64; K]; C];
-        let mut cnt = 0usize;
-        let mut rem = ln.occupied_mask();
-        while rem != 0 {
-            let i = rem.trailing_zeros() as usize;
-            lkeys[cnt] = ln.key(i);
-            cnt += 1;
-            rem &= rem - 1;
-        }
-        debug_assert_eq!(cnt, lnum);
-        lkeys[cnt] = pn.key(pos - 1); // old separator drops left
-        cnt += 1;
-        for i in 0..q - 1 {
-            lkeys[cnt] = node.key(i);
-            cnt += 1;
-        }
-        debug_assert_eq!(cnt, lnum + q);
-        for (i, k) in lkeys[..cnt].iter().enumerate() {
-            ln.set_key(i, k);
-        }
-        ln.set_num(lnum + q);
-
-        // The leaf's q-th key becomes the new separator; survivors compact
-        // to a packed prefix.
-        let sep = node.key(q - 1);
-        pn.set_key(pos - 1, &sep);
-        for (j, i) in (q..C).enumerate() {
-            node.copy_key_within(i, j);
-        }
-        node.set_num(C - q);
-
-        telemetry::count(telemetry::Counter::BtreeRedistributions);
-        telemetry::flight::event("btree::redistribute", leaf as u64, q as u64);
-        chaos::checkpoint("btree::redistribute");
-        ln.lock.end_write();
-        pn.lock.end_write();
-        true
+        node.insert_at(idx, val);
+        node.lock.end_write();
+        done(true)
     }
 
     // ------------------------------------------------------------------
@@ -911,16 +535,19 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         } else {
             path.len() - 1 // the last entry is the non-full stopper
         };
+        let mut fresh: Vec<NodePtr<K, C>> = Vec::new();
         for i in (0..full_ancestors).rev() {
-            self.split_one(path[i]);
+            fresh.extend(self.split_one(path[i]).1);
         }
-        let median = self.split_one(node);
+        let (median, sib) = self.split_one(node);
+        fresh.extend(sib);
 
-        // Phase 3 (lines 28–35): release the path locks top-down.
+        // Phase 3 (lines 28–35): release the path locks top-down, then the
+        // inner siblings the splits created locked.
         if holds_root_lock {
             self.root_lock.end_write();
         }
-        for p in path.iter().rev() {
+        for p in path.iter().rev().chain(&fresh) {
             unsafe { &**p }.lock.end_write();
         }
         median
@@ -930,24 +557,27 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// parent's write lock — or the root lock — are held. Creates the
     /// sibling, moves the upper half across, and pushes the median key into
     /// the parent (growing the tree by one level for a root split).
-    /// Returns that median.
-    pub(crate) fn split_one(&self, x: NodePtr<K, C>) -> Tuple<K> {
+    ///
+    /// Returns that median and, when `x` is an inner node, its sibling —
+    /// still write-locked, as the original implementation does it: from the
+    /// moment a child is re-homed its parent link leads to the sibling, so
+    /// a thread holding that child's lock (a hinted insert splitting it)
+    /// could otherwise lock the sibling bottom-up and rewrite it while this
+    /// chain of splits is still inserting into it. The caller releases it
+    /// together with its path locks.
+    pub(crate) fn split_one(&self, x: NodePtr<K, C>) -> (Tuple<K>, Option<NodePtr<K, C>>) {
         let xn = unsafe { &*x };
         let n = xn.num();
         debug_assert_eq!(n, C, "only full nodes split");
         let m = C / 2; // median index: lower half [0, m), median, upper half (m, C)
         let median = xn.key(m);
 
-        // The sibling comes from the tree's own arena: under `fastpath` it
-        // lands in the same slab as (and usually adjacent to) the most
-        // recently split nodes, keeping a split burst's output on
-        // neighboring cache lines.
         let sib = if xn.is_inner() {
             telemetry::count(telemetry::Counter::BtreeInnerSplits);
-            InnerNode::<K, C>::alloc_in(&self.arena)
+            InnerNode::<K, C>::alloc()
         } else {
             telemetry::count(telemetry::Counter::BtreeLeafSplits);
-            LeafNode::<K, C>::alloc_in(&self.arena)
+            LeafNode::<K, C>::alloc()
         };
         // SAFETY: freshly allocated, private to us until published below.
         let sn = unsafe { &*sib };
@@ -962,8 +592,11 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         // Move the corresponding children (inner nodes only), re-homing
         // each moved child. The children themselves are not locked: their
         // `parent`/`position` fields are covered by the parent's lock,
-        // which we hold for `x`, and `sib` is unpublished.
+        // which we hold for `x` and take on `sib` before any child points
+        // at it.
         if xn.is_inner() {
+            let took = sn.lock.try_start_write();
+            debug_assert!(took, "a fresh node is unlocked and unreachable");
             let xi = unsafe { xn.as_inner() };
             let si = unsafe { sn.as_inner() };
             for (j, i) in (m + 1..=C).enumerate() {
@@ -975,27 +608,12 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 chn.position.store(j as u16, Relaxed);
             }
         }
-        // Under the gapped layout the retained lower half of a *leaf* is
-        // spread across its slots with interleaved gaps, so the next m-1
-        // inserts land in free slots without shifting. The right sibling
-        // stays packed: splits are triggered overwhelmingly by ascending
-        // runs, which append to the sibling's tail and never shift anyway.
-        // Inner nodes are always packed.
-        #[cfg(feature = "gapped")]
-        {
-            if xn.is_inner() {
-                xn.set_num(m);
-            } else {
-                xn.interleave_left(m);
-            }
-        }
-        #[cfg(not(feature = "gapped"))]
         xn.set_num(m);
 
         let parent = xn.parent.load(Relaxed);
         if parent.is_null() {
             // Root split (root lock held): grow the tree by one level.
-            let new_root = InnerNode::<K, C>::alloc_in(&self.arena);
+            let new_root = InnerNode::<K, C>::alloc();
             let rn = unsafe { &*new_root };
             rn.set_key(0, &median);
             rn.set_num(1);
@@ -1011,9 +629,8 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             chaos::checkpoint("btree::root_swap");
             self.root.store(new_root, Relaxed);
         } else {
-            // SAFETY: the parent is write-locked (phase 1) or is a fresh
-            // sibling created by a previous `split_one`, unreachable by any
-            // validated read until the path locks are released.
+            // SAFETY: the parent is write-locked: in phase 1, or as the
+            // fresh sibling a previous `split_one` created locked.
             let pn = unsafe { &*parent };
             let pi = unsafe { pn.as_inner() };
             let pnum = pn.num();
@@ -1035,7 +652,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             sn.position.store((pos + 1) as u16, Relaxed);
             pn.set_num(pnum + 1);
         }
-        median
+        (median, xn.is_inner().then_some(sib))
     }
 
     // ------------------------------------------------------------------
@@ -1044,18 +661,13 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
 
     /// Locates `t`, returning its position if present.
     pub(crate) fn locate(&self, t: &Tuple<K>) -> Option<(NodePtr<K, C>, usize)> {
-        self.locate_full(t, false).0
+        self.locate_full(t).0
     }
 
     /// Like [`locate`](Self::locate), additionally reporting the last node
     /// visited (the leaf the search ended in when the tuple is absent) so
-    /// hinted lookups can cache it. `branchfree` routes the intra-node
-    /// search as in [`insert_located`](Self::insert_located).
-    fn locate_full(
-        &self,
-        t: &Tuple<K>,
-        branchfree: bool,
-    ) -> (Option<(NodePtr<K, C>, usize)>, NodePtr<K, C>) {
+    /// hinted lookups can cache it.
+    fn locate_full(&self, t: &Tuple<K>) -> (Option<(NodePtr<K, C>, usize)>, NodePtr<K, C>) {
         if self.root.load(Relaxed).is_null() {
             return (None, std::ptr::null_mut());
         }
@@ -1069,21 +681,8 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             loop {
                 let node = unsafe { &*cur };
                 let is_inner = node.is_inner();
-                let n = node.scan_len();
-                let (idx, found) = if is_inner {
-                    let (idx, found, _fenced) = rank_interior(node, t, n, branchfree);
-                    (idx, found)
-                } else if branchfree {
-                    node.search_branchfree(t, n)
-                } else {
-                    node.search(t, n)
-                };
+                let (idx, found) = node.search(t, node.num_clamped());
                 if found {
-                    // A hit on a leaf gap slot is a genuine membership (the
-                    // sentinel duplicates the real key to its right);
-                    // normalize to the occupied slot, under the lease, so
-                    // callers can treat the position as a cursor.
-                    let idx = node.next_occupied(idx);
                     if node.lock.validate(cur_lease) {
                         return (Some((cur, idx)), cur);
                     }
@@ -1096,8 +695,6 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                     continue 'restart;
                 }
                 let next = unsafe { node.as_inner() }.child(idx);
-                // Overlap the child's cache miss with the lease validation.
-                prefetch_child(next);
                 if !node.lock.validate(cur_lease) {
                     continue 'restart;
                 }
@@ -1114,26 +711,24 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         }
     }
 
-    /// Hinted membership fast path; [`HintProbe::Miss`] = hint not
-    /// applicable (the `forward` flag feeds the adaptive hint policy).
-    fn try_hinted_contains(&self, leaf: NodePtr<K, C>, t: &Tuple<K>) -> HintProbe<bool> {
+    /// Hinted membership fast path; `None` = hint not applicable.
+    fn try_hinted_contains(&self, leaf: NodePtr<K, C>, t: &Tuple<K>) -> Option<bool> {
         let node = unsafe { &*leaf };
         if node.is_inner() {
-            return HintProbe::Miss { forward: false };
+            return None;
         }
         let lease = node.lock.start_read();
-        let n = node.scan_len();
+        let n = node.num_clamped();
         if n == 0 {
-            return HintProbe::Miss { forward: false };
+            return None;
         }
-        // key(0) / key(n - 1) are the real min/max even on a gapped leaf.
-        let forward = cmp3(t, &node.key(n - 1)) == Ordering::Greater;
-        let covered = cmp3(&node.key(0), t) != Ordering::Greater && !forward;
+        let covered = cmp3(&node.key(0), t) != Ordering::Greater
+            && cmp3(t, &node.key(n - 1)) != Ordering::Greater;
         let (_, found) = node.search(t, n);
         if !node.lock.validate(lease) || !covered {
-            return HintProbe::Miss { forward };
+            return None;
         }
-        HintProbe::Hit(found)
+        Some(found)
     }
 
     /// Position of the first tuple `>= t` (`None` if all are smaller).
@@ -1163,15 +758,12 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             let mut candidate: Option<(NodePtr<K, C>, usize)> = None;
             loop {
                 let node = unsafe { &*cur };
-                let n = node.scan_len();
+                let n = node.num_clamped();
                 let idx = if strict {
                     node.search_upper(t, n)
                 } else {
                     let (idx, found) = node.search(t, n);
                     if found {
-                        // Normalize a gap-slot hit to the occupied slot
-                        // holding the same key (identity on inner nodes).
-                        let idx = node.next_occupied(idx);
                         if node.lock.validate(cur_lease) {
                             return Some((cur, idx));
                         }
@@ -1180,10 +772,6 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                     idx
                 };
                 if !node.is_inner() {
-                    // A bound landing on a gap slot points at the same key
-                    // value as the occupied slot to its right; normalize so
-                    // the cursor starts on a real element.
-                    let idx = node.next_occupied(idx);
                     let res = if idx < n { Some((cur, idx)) } else { candidate };
                     if node.lock.validate(cur_lease) {
                         return res;
@@ -1191,8 +779,6 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                     continue 'restart;
                 }
                 let next = unsafe { node.as_inner() }.child(idx);
-                // Overlap the child's cache miss with the lease validation.
-                prefetch_child(next);
                 if !node.lock.validate(cur_lease) {
                     continue 'restart;
                 }
@@ -1225,11 +811,10 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             return None;
         }
         let lease = node.lock.start_read();
-        let n = node.scan_len();
+        let n = node.num_clamped();
         if n == 0 {
             return None;
         }
-        // Real min/max of the leaf, also under the gapped layout.
         let first = node.key(0);
         let last = node.key(n - 1);
         // For a non-strict bound the answer lies in this leaf when
@@ -1246,9 +831,6 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         } else {
             node.search(t, n).0
         };
-        // Normalize a gap-slot landing to the occupied slot carrying the
-        // same key; must happen under the lease (reads the occupancy word).
-        let idx = node.next_occupied(idx);
         if !node.lock.validate(lease) {
             return None;
         }
@@ -1260,15 +842,14 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     }
 
     // ------------------------------------------------------------------
-    // Removal (logical deletion + tolerated underflow)
+    // Removal (tolerated underflow)
     // ------------------------------------------------------------------
 
     /// Removes `t`, returning `true` if it was present. Thread-safe under
     /// the same optimistic protocol as [`insert`](Self::insert): an
     /// optimistic descent locates the key, then the holding node is
-    /// write-locked and the slot is cleared *logically* — its occupancy
-    /// bit drops and the slot is rewritten as a sentinel copy of its right
-    /// neighbor, so racing readers keep seeing sorted, well-defined data.
+    /// write-locked and the key is shifted out; racing optimistic readers
+    /// fail their lease validation and retry.
     ///
     /// Underflow is tolerated, never rebalanced: leaves may go sparse or
     /// empty (searches, bounds and iteration all handle that), and a fully
@@ -1294,13 +875,8 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 // is alive; spliced-out nodes go to the graveyard).
                 let node = unsafe { &*cur };
                 let is_inner = node.is_inner();
-                let n = node.scan_len();
-                let (idx, found) = node.search(t, n);
+                let (idx, found) = node.search(t, node.num_clamped());
                 if found {
-                    // A hit on a leaf gap slot is a sentinel duplicate of
-                    // the real key to its right; normalize to the occupied
-                    // slot (identity on packed inner nodes).
-                    let idx = node.next_occupied(idx);
                     // The upgrade doubles as the lease validation: success
                     // means the pre-upgrade search result is current.
                     if !node.lock.try_upgrade_to_write(cur_lease) {
@@ -1311,8 +887,8 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                             continue 'restart;
                         }
                     } else {
-                        chaos::checkpoint("btree::remove::gap_clear");
-                        node.gap_clear(idx);
+                        chaos::checkpoint("btree::remove::key");
+                        node.remove_at(idx);
                         if node.num() == 0 {
                             self.try_unlink_empty_leaf(cur);
                         } else {
@@ -1330,7 +906,6 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 }
                 // SAFETY: is_inner just checked; kind never changes.
                 let next = unsafe { node.as_inner() }.child(idx);
-                prefetch_child(next);
                 if !node.lock.validate(cur_lease) {
                     continue 'restart;
                 }
@@ -1413,12 +988,9 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                     hn.set_num(hnum - 1);
                     buried = spine[h + 1];
                 } else {
-                    // Leaf maximum: the topmost occupied slot (no trailing
-                    // gaps, so scan_len() - 1 is always real).
-                    let top = hn.scan_len() - 1;
-                    pred = hn.key(top);
-                    chaos::checkpoint("btree::remove::gap_clear");
-                    hn.gap_clear(top);
+                    pred = hn.key(hnum - 1);
+                    chaos::checkpoint("btree::remove::key");
+                    hn.remove_at(hnum - 1);
                 }
                 nn.set_key(idx, &pred);
             }
@@ -1540,27 +1112,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             return;
         }
         let sep = pn.key(sep_idx);
-        #[cfg(feature = "gapped")]
-        {
-            // Front: lands in slot 0 (or its gap). Back: one past the
-            // scan region; gap_insert left-shifts into an interior gap
-            // when the region is full-width.
-            let at = if at_front { 0 } else { sn.scan_len() };
-            sn.gap_insert(at, &sep);
-        }
-        #[cfg(not(feature = "gapped"))]
-        {
-            let snum = sn.num();
-            if at_front {
-                for j in (0..snum).rev() {
-                    sn.copy_key_within(j, j + 1);
-                }
-                sn.set_key(0, &sep);
-            } else {
-                sn.set_key(snum, &sep);
-            }
-            sn.set_num(snum + 1);
-        }
+        sn.insert_at(if at_front { 0 } else { sn.num() }, &sep);
         // Splice the separator and the empty leaf out of the parent
         // (split_one's insertion shift, inverted).
         let drop_child = if at_front { 0 } else { pos };
@@ -1585,8 +1137,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// Parks an unlinked subtree until `clear`/`Drop`. Nodes are never
     /// freed while the tree is alive — racing optimistic readers may still
     /// hold pointers into them, and the memory-safety of stale descents
-    /// depends on it — so the boxed path keeps spliced-out subtrees in a
-    /// graveyard; the `fastpath` arena reclaims them wholesale anyway.
+    /// depends on it — so spliced-out subtrees wait in the graveyard.
     fn bury(&self, node: NodePtr<K, C>) {
         // Account for what is being parked before parking it. The buried
         // subtree is unreachable from the root and no writer holds a path
@@ -1614,10 +1165,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         self.buried_subtrees.fetch_add(1, Relaxed);
         self.buried_nodes.fetch_add(nodes, Relaxed);
         self.buried_leaves.fetch_add(leaves, Relaxed);
-        #[cfg(not(feature = "fastpath"))]
         self.graveyard.lock().unwrap().push(node);
-        #[cfg(feature = "fastpath")]
-        let _ = node;
     }
 }
 
@@ -1626,65 +1174,35 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// access — the only "shrinking" operation, and exactly as in the
     /// paper's engine, only available between evaluation phases.
     ///
-    /// Under `fastpath` this is where the arena design pays off: instead of
-    /// walking the whole tree to free each node (`free_subtree`), the root
-    /// is nulled and the arena's slabs are re-zeroed and kept for reuse —
-    /// O(slabs) instead of O(nodes), and a cleared-then-refilled tree (the
-    /// engine's recycled delta relations) allocates from warm memory.
-    ///
     /// Clearing re-brands the tree: hints created before the `clear` are
     /// safely treated as misses afterwards (their cached leaves are gone),
     /// never dereferenced.
     pub fn clear(&mut self) {
-        let root = *self.root.get_mut();
-        if !root.is_null() {
-            *self.root.get_mut() = std::ptr::null_mut();
-            // SAFETY / boxed path: `&mut self` gives exclusive access; see
-            // `Drop`. Arena path: with the root nulled no node is reachable
-            // any more, so resetting the arena invalidates nothing live.
-            #[cfg(not(feature = "fastpath"))]
-            unsafe {
-                LeafNode::free_subtree(root)
-            };
-            #[cfg(feature = "fastpath")]
-            self.arena.reset();
-        }
-        // Subtrees spliced out by `remove` became unreachable from the
-        // root but stayed allocated for racing readers; `&mut self` means
-        // no reader is left, so they can finally go.
-        #[cfg(not(feature = "fastpath"))]
-        for dead in self.graveyard.get_mut().unwrap().drain(..) {
-            // SAFETY: exclusively owned, unreachable, freed exactly once.
-            unsafe { LeafNode::free_subtree(dead) };
-        }
-        // Buried structure is gone (freed above / reclaimed with the
-        // arena), so the burial accounting restarts from zero.
+        self.free_nodes();
         *self.buried_subtrees.get_mut() = 0;
         *self.buried_nodes.get_mut() = 0;
         *self.buried_leaves.get_mut() = 0;
         self.id = TREE_IDS.fetch_add(1, Relaxed);
     }
+
+    /// Frees every node this tree ever allocated: the live tree under the
+    /// root and the subtrees `remove` spliced out, which stayed allocated
+    /// for racing readers — `&mut self` means no reader is left.
+    fn free_nodes(&mut self) {
+        let root = std::mem::replace(self.root.get_mut(), std::ptr::null_mut());
+        let graveyard = self.graveyard.get_mut().unwrap().drain(..);
+        for subtree in graveyard.chain((!root.is_null()).then_some(root)) {
+            // SAFETY: `&mut self` guarantees exclusive access; the live
+            // tree and the buried subtrees are disjoint and were allocated
+            // by this tree, so every node is freed exactly once.
+            unsafe { LeafNode::free_subtree(subtree) };
+        }
+    }
 }
 
 impl<const K: usize, const C: usize> Drop for BTreeSet<K, C> {
     fn drop(&mut self) {
-        // Arena path: nothing to do — dropping the `arena` field releases
-        // every node in O(slabs).
-        #[cfg(not(feature = "fastpath"))]
-        {
-            let root = *self.root.get_mut();
-            if !root.is_null() {
-                // SAFETY: `&mut self` guarantees exclusive access; all
-                // nodes reachable from the root were allocated by this tree
-                // and are freed exactly once.
-                unsafe { LeafNode::free_subtree(root) };
-            }
-            for dead in self.graveyard.get_mut().unwrap().drain(..) {
-                // SAFETY: spliced-out subtrees are unreachable from the
-                // root, so each is freed exactly once.
-                unsafe { LeafNode::free_subtree(dead) };
-            }
-        }
+        self.free_nodes();
     }
 }
 

@@ -63,10 +63,6 @@ fn ordered_inserts_default_nodes() {
 
 #[test]
 fn ordered_inserts_large_nodes() {
-    // The gapped layout's 64-bit occupancy word caps capacity at 63.
-    #[cfg(feature = "gapped")]
-    ordered_roundtrip::<63>(20_000);
-    #[cfg(not(feature = "gapped"))]
     ordered_roundtrip::<64>(20_000);
 }
 

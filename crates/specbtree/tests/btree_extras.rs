@@ -137,10 +137,8 @@ fn interleaved_hinted_and_unhinted_operations() {
 }
 
 /// Drives the hinted operations through alternating workload phases
-/// (append runs, uniform-random bursts, back to appends). Under `fastpath`
-/// this crosses every state of the adaptive hint policy — probe, bypass,
-/// periodic re-probe, append reclassification — and the tree must stay
-/// correct and keep recovering hint hits in the leaf-local phases.
+/// (append runs, uniform-random bursts, back to appends): the tree must
+/// stay correct and keep recovering hint hits in the leaf-local phases.
 #[test]
 fn hinted_operations_survive_workload_phase_changes() {
     let t: BTreeSet<2, 8> = BTreeSet::new();
@@ -164,8 +162,7 @@ fn hinted_operations_survive_workload_phase_changes() {
         let probe = [1 + s % 96, (s >> 13) % 4_096];
         assert_eq!(t.contains_hinted(&probe, &mut h), expected.contains(&probe));
     }
-    // Phase 3: leaf-local walk — the policy must resume probing (via the
-    // periodic re-probe) and start hitting again.
+    // Phase 3: leaf-local walk — the hints must start hitting again.
     let before = h.stats.contains_hits;
     for i in 0..2_000u64 {
         assert!(t.contains_hinted(&[0, i], &mut h));
@@ -187,4 +184,19 @@ fn hinted_operations_survive_workload_phase_changes() {
     for k in &expected {
         assert!(t.contains(k), "{k:?} lost");
     }
+}
+
+/// Hints used on a tree other than the one they are branded for must be
+/// re-branded by *every* hinted operation: a bound query that cached a leaf
+/// of the foreign tree under the old brand would make the next query on
+/// the original tree trust that foreign leaf.
+#[test]
+fn bound_hints_used_on_another_tree_are_rebranded() {
+    let evens: BTreeSet<1, 4> = (0..100u64).map(|i| [2 * i]).collect();
+    let odds: BTreeSet<1, 4> = (0..100u64).map(|i| [2 * i + 1]).collect();
+    let mut h = evens.create_hints();
+    assert_eq!(odds.lower_bound_hinted(&[51], &mut h).next(), Some([51]));
+    assert_eq!(evens.lower_bound_hinted(&[51], &mut h).next(), Some([52]));
+    assert_eq!(odds.upper_bound_hinted(&[51], &mut h).next(), Some([53]));
+    assert_eq!(evens.upper_bound_hinted(&[51], &mut h).next(), Some([52]));
 }

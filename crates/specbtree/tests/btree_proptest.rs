@@ -193,10 +193,9 @@ proptest! {
         }
     }
 
-    /// Ascending runs are the gapped layout's hot path: appends trigger
-    /// interleaved splits and left-sibling redistribution, so every
-    /// occupancy transition (packed -> interleaved -> repacked) is crossed
-    /// while the model checks contents and the checker checks occupancy.
+    /// Ascending runs are Datalog's dominant pattern: hinted appends with
+    /// duplicate-heavy rewinds cross every split transition at `C = 4`
+    /// while the model checks contents and the checker checks structure.
     #[test]
     fn ascending_runs_match_model(
         start in 0u64..1_000,
@@ -224,8 +223,8 @@ proptest! {
         prop_assert_eq!(tree.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
     }
 
-    /// Duplicate-heavy merges drive `merge_leaf_pass`'s gap-aware cursor:
-    /// overlapping sources re-encounter existing keys between gap inserts.
+    /// Duplicate-heavy merges drive `merge_leaf_pass`'s forward cursor:
+    /// overlapping sources re-encounter existing keys between fresh ones.
     /// Every worker count must produce exactly the model union.
     #[test]
     fn duplicate_heavy_merge_matches_model(
@@ -253,11 +252,11 @@ proptest! {
         prop_assert_eq!(target.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
     }
 
-    /// Iterator paths over gapped leaves: `fold` (the bitmask-walking scan
-    /// used by `count`/`sum`), `last`, and bounded range collection must all
-    /// agree with the model on mixed ascending/random contents.
+    /// Iterator paths: `fold` (the per-leaf scan used by `count`/`sum`),
+    /// `last`, and bounded range collection must all agree with the model
+    /// on mixed ascending/random contents.
     #[test]
-    fn gapped_iteration_matches_model(
+    fn iteration_matches_model(
         keys in prop::collection::vec(key_strategy(), 1..500),
         ascending in 0u64..200,
         probes in prop::collection::vec(key_strategy(), 1..20),
@@ -289,10 +288,8 @@ proptest! {
 
     /// Retraction tier: arbitrary interleavings of inserts and removes must
     /// track `std::collections::BTreeSet` exactly — return values, final
-    /// contents, bound queries — and the structural invariants (occupancy /
-    /// sentinel agreement, tolerated underflow, equal leaf depth) must hold
-    /// after the mixed sequence. Runs under all three layouts via the CI
-    /// feature matrix.
+    /// contents, bound queries — and the structural invariants (tolerated
+    /// underflow, equal leaf depth) must hold after the mixed sequence.
     #[test]
     fn interleaved_insert_remove_matches_model(
         ops in prop::collection::vec((key_strategy(), any::<bool>()), 0..800),

@@ -214,30 +214,28 @@ fn racing_overlapping_merges_count_exactly_once() {
     });
 }
 
-/// Fence-word interior descent (the gapped-layout fast path): descents
-/// probe an interior node's version word once (`btree::descend::fence_read`
-/// when quiescent, `btree::descend::fence_fallback` when a writer holds it)
-/// and must stay correct in every interleaving with concurrent splits that
-/// rewrite the interior — separator shifts, child shifts, redistribution
-/// through the parent, and a full root swap all occur under this workload.
-/// The writer's dense low-key run drives the root from one separator to a
-/// root split (depth growth), so a reader parked at the fence probe across
-/// the entire excursion resumes on a stale lease over a *halved* old root —
-/// exactly the state the per-node validation must reject. Explored under
-/// both random and PCT scheduling; PCT's depth-1 priority change point is
-/// what produces the long writer excursions.
+/// Interior descent vs interior rewrites: descents rank a key inside an
+/// interior node under a read lease and must stay correct in every
+/// interleaving with concurrent splits that rewrite the interior —
+/// separator shifts, child shifts and a full root swap all occur under this
+/// workload. The writer's dense low-key run drives the root from one
+/// separator to a root split (depth growth), so a reader parked mid-descent
+/// across the entire excursion resumes on a stale lease over a *halved* old
+/// root — exactly the state the per-node validation must reject. Explored
+/// under both random and PCT scheduling; PCT's depth-1 priority change
+/// point is what produces the long writer excursions.
 #[cfg(not(feature = "chaos-inject-bug"))]
 #[test]
-fn fenced_interior_descent_survives_interior_rewrites() {
+fn interior_descent_survives_interior_rewrites() {
     let scenario = || {
         let set: Arc<BTreeSet<1, 4>> = Arc::new(BTreeSet::new());
         // Depth 2 up front: a root interior node over two leaves, so every
-        // insert crosses the fence-word protocol.
+        // insert descends through an interior rank.
         for k in [0u64, 10, 20, 30, 40] {
             set.insert([k]);
         }
-        // Low thread: 1..=16 forces repeated leaf splits, left-sibling
-        // redistribution, and finally a root split (root swap). High
+        // Low thread: 1..=16 forces repeated leaf splits and finally a
+        // root split (root swap). High
         // thread: keys routed through the root's last child — the slot a
         // torn interior read would misroute.
         let low = {
@@ -264,7 +262,7 @@ fn fenced_interior_descent_survives_interior_rewrites() {
             "5 seeded + 15 new low (10 is a duplicate) + 3 high"
         );
         for k in (0u64..=16).chain([20, 30, 40, 50, 60, 70]) {
-            assert!(set.contains(&[k]), "key {k} lost in a fenced descent");
+            assert!(set.contains(&[k]), "key {k} lost in a racing descent");
         }
         let got: Vec<u64> = set.iter().map(|t| t[0]).collect();
         let expect: Vec<u64> = (0u64..=16).chain([20, 30, 40, 50, 60, 70]).collect();
@@ -274,6 +272,57 @@ fn fenced_interior_descent_survives_interior_rewrites() {
     chaos::model_with(
         &chaos::Config::pct(1),
         chaos::seeds_from_env(0..32),
+        scenario,
+    );
+}
+
+/// A hinted insert splitting a leaf while another thread's split chain is
+/// re-homing that leaf: the writer's append splits the full rightmost leaf
+/// *and* the full root above it, which moves leaves `[90, 100]` and
+/// `[120..150]` under a fresh inner sibling; the hinted thread, whose hint
+/// takes it straight to `[90, 100]` without passing the write-locked root,
+/// fills and splits that leaf. From the moment the leaf's parent link
+/// names the sibling the hinted thread can reach it bottom-up, so the
+/// sibling must already be write-locked (Algorithm 2 as implemented in
+/// Soufflé locks every node a split creates) — otherwise both threads
+/// insert separators into it at once and a leaf drops out of the tree.
+#[cfg(not(feature = "chaos-inject-bug"))]
+#[test]
+fn hinted_leaf_split_waits_for_the_inner_split_rehoming_it() {
+    let scenario = || {
+        let set: Arc<BTreeSet<1, 4>> = Arc::new(BTreeSet::new());
+        // Root [20, 50, 80, 110] (full) over [0,10] [30,40] [60,70]
+        // [90,100] [120,130,140,150] (full).
+        for k in (0..=150u64).step_by(10) {
+            set.insert([k]);
+        }
+        let appender = {
+            let set = set.clone();
+            chaos::thread::spawn(move || {
+                set.insert([160]);
+            })
+        };
+        let hinted = {
+            let set = set.clone();
+            chaos::thread::spawn(move || {
+                let mut hints = set.create_hints();
+                for k in [91u64, 92, 93, 94] {
+                    set.insert_hinted([k], &mut hints);
+                }
+            })
+        };
+        appender.join();
+        hinted.join();
+        set.check_invariants().unwrap();
+        let got: Vec<u64> = set.iter().map(|t| t[0]).collect();
+        let mut expect: Vec<u64> = (0..=160).step_by(10).chain(91..=94).collect();
+        expect.sort_unstable();
+        assert_eq!(got, expect, "a racing split lost keys");
+    };
+    chaos::model(chaos::seeds_from_env(0..64), scenario);
+    chaos::model_with(
+        &chaos::Config::pct(2),
+        chaos::seeds_from_env(0..64),
         scenario,
     );
 }
@@ -335,9 +384,10 @@ fn remove_insert_race_is_linearizable() {
 
 /// A reader racing removals must never observe a half-deleted key: a key
 /// never removed is always found, a key whose removal completed before the
-/// lookup began is never found, and the gap-clear sentinel rewrite keeps
-/// concurrent descents routed correctly (`btree::remove::gap_clear` is the
-/// preemption point that exposes a torn rewrite).
+/// lookup began is never found, and the suffix shift that closes the
+/// removed slot keeps concurrent descents routed correctly
+/// (`btree::remove::key` is the preemption point that exposes a torn
+/// rewrite).
 #[cfg(not(feature = "chaos-inject-bug"))]
 #[test]
 fn contains_during_removes_is_linearizable() {
@@ -385,7 +435,7 @@ fn contains_during_removes_is_linearizable() {
 
 /// Bulk retraction racing a bulk merge on the same target: a
 /// `remove_all_parallel` of the even half runs against an
-/// `insert_all_parallel` of a disjoint high run. The removal's logical
+/// `insert_all_parallel` of a disjoint high run. The removal's
 /// deletes and possible leaf unlinks interleave with the merge's grouped
 /// leaf locking and splice fast path; every schedule must end with exactly
 /// the odd half plus the merged run, with both counts exact.
@@ -471,21 +521,20 @@ fn racing_removers_claim_each_key_once() {
     });
 }
 
-/// Mutation self-test for the fence-word protocol: with the planted
-/// `chaos-inject-bug` defect compiled in (a fenced interior rank skips the
-/// per-node lease validation in the insert descent), a reader that probes
-/// the root's fence word, gets parked, and resumes after the writer's run
-/// has *root-split* that node proceeds on a stale lease over the halved old
+/// Mutation self-test for the descent's lease validation: with the planted
+/// `chaos-inject-bug` defect compiled in (an interior rank skips the
+/// per-node lease validation in the insert descent), a reader that ranks
+/// its key in the root, gets parked, and resumes after the writer's run has
+/// *root-split* that node proceeds on a stale lease over the halved old
 /// root and routes its key into a subtree that no longer covers it. The
 /// harness must surface the misplaced key (an invariant violation or a
 /// failed membership check) within a bounded seed budget — proving the
-/// chaos checkpoints around the fence protocol (`optlock::probe`,
-/// `btree::descend::fence_read`) give the scheduler the preemption points
-/// it needs. PCT depth 1 supplies the single demotion that opens the
-/// probe-to-rank window.
+/// chaos checkpoints on the descent give the scheduler the preemption
+/// points it needs. PCT depth 1 supplies the single demotion that opens
+/// the rank-to-child-read window.
 #[cfg(all(chaos, feature = "chaos-inject-bug"))]
 #[test]
-fn planted_fence_bug_is_caught() {
+fn planted_descent_bug_is_caught() {
     let out = chaos::find_failure(&chaos::Config::pct(1), 0..256, || {
         let set: Arc<BTreeSet<1, 4>> = Arc::new(BTreeSet::new());
         for k in [0u64, 10, 20, 30, 40] {
@@ -515,64 +564,11 @@ fn planted_fence_bug_is_caught() {
         }
     });
     let out = out.expect(
-        "the planted fenced-descent bug must be caught within 256 seeds; \
+        "the planted descent-validation bug must be caught within 256 seeds; \
          if this fails the harness has lost its bug-finding power",
     );
     println!(
-        "planted fence bug caught at seed {} after {} steps (trace {:#018x})",
-        out.seed, out.steps, out.trace_hash
-    );
-}
-
-/// Mutation self-test for the gap-clear protocol: with the planted
-/// `chaos-inject-bug` defect compiled in, `gap_clear` skips the sentinel
-/// rewrite — the cleared slot keeps the *removed* key as its "sentinel"
-/// instead of a copy of its right neighbor. The removed key then remains
-/// visible to searches (a resurrected tuple) and the occupancy checker's
-/// sentinel-agreement invariant is violated. The harness must surface one
-/// of the two within a bounded seed budget, proving the retraction tier's
-/// checkpoints (`btree::remove::descend`, `btree::remove::gap_clear`,
-/// `btree::remove::leaf_unlink`) and the generalized invariants give the
-/// scheduler and checker the purchase they need on the remove path.
-/// First caught at seed 0 (the defect corrupts even sequential schedules;
-/// the budget covers scheduler drift).
-#[cfg(all(chaos, feature = "chaos-inject-bug"))]
-#[test]
-fn planted_gap_clear_bug_is_caught() {
-    let out = chaos::find_failure(&chaos::Config::pct(1), 0..256, || {
-        let set: Arc<BTreeSet<1, 4>> = Arc::new(BTreeSet::new());
-        for k in 0..8u64 {
-            set.insert([k]);
-        }
-        let remover = {
-            let set = set.clone();
-            chaos::thread::spawn(move || {
-                for k in [2u64, 3, 5] {
-                    set.remove(&[k]);
-                }
-            })
-        };
-        let reader = {
-            let set = set.clone();
-            chaos::thread::spawn(move || {
-                assert!(set.contains(&[6]), "key 6 is never removed");
-            })
-        };
-        remover.join();
-        reader.join();
-        set.check_invariants().expect("structure corrupted");
-        for k in [2u64, 3, 5] {
-            assert!(!set.contains(&[k]), "removed key {k} resurfaced");
-        }
-        let got: Vec<u64> = set.iter().map(|t| t[0]).collect();
-        assert_eq!(got, vec![0, 1, 4, 6, 7], "contents wrong after removals");
-    });
-    let out = out.expect(
-        "the planted gap-clear sentinel bug must be caught within 256 seeds; \
-         if this fails the retraction tier has lost its bug-finding power",
-    );
-    println!(
-        "planted gap-clear bug caught at seed {} after {} steps (trace {:#018x})",
+        "planted descent bug caught at seed {} after {} steps (trace {:#018x})",
         out.seed, out.steps, out.trace_hash
     );
 }

@@ -117,16 +117,6 @@ pub enum Counter {
     /// `telemetry`: flight-recorder dumps emitted (restart budget
     /// exceeded).
     FlightDumps,
-    /// `specbtree`: arena slabs allocated (`fastpath` node arena).
-    ArenaSlabAllocs,
-    /// `specbtree`: bytes handed out for nodes by the arena (aligned
-    /// sizes, accumulated via `add`).
-    ArenaBytesUsed,
-    /// `specbtree`: node allocations served by the bump fast path (room in
-    /// the current slab).
-    ArenaAllocFast,
-    /// `specbtree`: node allocations that had to open or reuse a slab.
-    ArenaAllocSlow,
     /// `specbtree`: parallel `insert_all` merges served by the subtree
     /// splice fast path (a prebuilt run attached under one write-locked
     /// ancestor instead of per-tuple insertion).
@@ -134,21 +124,6 @@ pub enum Counter {
     /// `specbtree`: source chunks processed by parallel `insert_all`
     /// workers (target-separator-aligned partitions).
     BtreeMergeChunks,
-    /// `specbtree`: arena bytes abandoned by merge fast paths that built a
-    /// subtree and then lost a publication race or failed validation
-    /// (`fastpath` only — the boxed path frees the subtree instead).
-    /// Accumulated via `add`; the bounded, by-design leak DESIGN.md's
-    /// memory-layout section describes.
-    ArenaAbandonedBytes,
-    /// `specbtree`: interior descent steps ranked through the latch-free
-    /// fenced path (quiescence probe succeeded, contiguous SIMD rank).
-    BtreeFencedRank,
-    /// `specbtree`: interior descent steps that saw a concurrent writer at
-    /// the fence probe and fell back to per-slot atomic search.
-    BtreeFencedFallback,
-    /// `specbtree`: gap redistributions into a left sibling performed
-    /// instead of an eager leaf split (`gapped` layout).
-    BtreeRedistributions,
     /// `specbtree`: successful `remove` operations (tuple was present).
     BtreeRemoves,
     /// `specbtree`: remove operations restarted (failed validation or
@@ -171,7 +146,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 34;
+    pub const COUNT: usize = 26;
 
     /// All counters, in declaration order.
     pub const ALL: [Counter; Self::COUNT] = [
@@ -193,16 +168,8 @@ impl Counter {
         Counter::BtreeMergePerTuple,
         Counter::EvalIterations,
         Counter::FlightDumps,
-        Counter::ArenaSlabAllocs,
-        Counter::ArenaBytesUsed,
-        Counter::ArenaAllocFast,
-        Counter::ArenaAllocSlow,
         Counter::BtreeMergeSplice,
         Counter::BtreeMergeChunks,
-        Counter::ArenaAbandonedBytes,
-        Counter::BtreeFencedRank,
-        Counter::BtreeFencedFallback,
-        Counter::BtreeRedistributions,
         Counter::BtreeRemoves,
         Counter::BtreeRemoveRestarts,
         Counter::BtreeLeafUnlinks,
@@ -232,16 +199,8 @@ impl Counter {
             Counter::BtreeMergePerTuple => "specbtree.merge_per_tuple",
             Counter::EvalIterations => "datalog.iterations",
             Counter::FlightDumps => "telemetry.flight_dumps",
-            Counter::ArenaSlabAllocs => "specbtree.arena_slabs",
-            Counter::ArenaBytesUsed => "specbtree.arena_bytes",
-            Counter::ArenaAllocFast => "specbtree.arena_alloc_fast",
-            Counter::ArenaAllocSlow => "specbtree.arena_alloc_slow",
             Counter::BtreeMergeSplice => "specbtree.merge_splice",
             Counter::BtreeMergeChunks => "specbtree.merge_chunks",
-            Counter::ArenaAbandonedBytes => "specbtree.arena_abandoned_bytes",
-            Counter::BtreeFencedRank => "specbtree.fenced_rank",
-            Counter::BtreeFencedFallback => "specbtree.fenced_fallback",
-            Counter::BtreeRedistributions => "specbtree.redistributions",
             Counter::BtreeRemoves => "specbtree.removes",
             Counter::BtreeRemoveRestarts => "specbtree.remove_restarts",
             Counter::BtreeLeafUnlinks => "specbtree.leaf_unlinks",
@@ -265,10 +224,6 @@ pub enum Hist {
     EvalChunkNanos,
     /// `datalog`: wall time of one stratum's full fixpoint (nanoseconds).
     EvalStratumNanos,
-    /// `specbtree`: key-slot probes per intra-node search (`fastpath`
-    /// branch-free search: the prefix length for the linear/SIMD scan,
-    /// comparator invocations for the branchless binary path).
-    BtreeSearchProbes,
     /// `datalog`: wall time of one merge phase — folding every `new`
     /// relation of a stratum into its full relation (nanoseconds).
     EvalMergeNanos,
@@ -287,7 +242,7 @@ pub enum Hist {
 
 impl Hist {
     /// Number of histograms (array dimension).
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// All histograms, in declaration order.
     pub const ALL: [Hist; Self::COUNT] = [
@@ -295,7 +250,6 @@ impl Hist {
         Hist::EvalDeltaTuples,
         Hist::EvalChunkNanos,
         Hist::EvalStratumNanos,
-        Hist::BtreeSearchProbes,
         Hist::EvalMergeNanos,
         Hist::EvalShardBalance,
         Hist::EvalShardMergeNanos,
@@ -309,7 +263,6 @@ impl Hist {
             Hist::EvalDeltaTuples => "datalog.delta_tuples",
             Hist::EvalChunkNanos => "datalog.chunk_nanos",
             Hist::EvalStratumNanos => "datalog.stratum_nanos",
-            Hist::BtreeSearchProbes => "specbtree.search_probe",
             Hist::EvalMergeNanos => "datalog.merge_nanos",
             Hist::EvalShardBalance => "datalog.shard_balance",
             Hist::EvalShardMergeNanos => "datalog.shard_merge_nanos",
