@@ -7,9 +7,10 @@ Usage: validate_planner.py [path] [--quick|--full]
 relations, where millisecond-scale runs make the speedup and parity
 figures noisy, so only structure and index accounting are checked.
 --full additionally enforces the acceptance criterion: on both
-scenarios the planner must beat the adversarial hand order by at least
-`target_speedup` and stay within `parity_floor` of the best hand order
-at the top thread count.
+adversarial scenarios the planner must beat the adversarial hand order by
+at least `target_speedup` and stay within `parity_floor` of the best hand
+order at the top thread count, and on `fig5a` (the paper's points-to
+suite, planner on vs off) it must not be slower than source order.
 """
 from benchlib import assert_ratio, load_bench, parse_cli
 
@@ -61,8 +62,20 @@ for sc in doc["scenarios"]:
     )
     assert sc["pass"] is expect_pass, sc["name"]
 
-assert doc["headline_pass"] is all(sc["pass"] for sc in doc["scenarios"])
+# fig5a: the paper's own workload, planner on against planner off.
+f5 = doc["fig5a"]
+assert f5["programs"] >= 1 and f5["produced_tuples"] > 0, f5
+assert f5["planner_seconds"] > 0 and f5["off_seconds"] > 0, f5
+assert_ratio(f5["gain"], f5["off_seconds"], f5["planner_seconds"], "fig5a gain")
+# Scans plus range queries repeat exactly, so this holds at any scale:
+# the planner never does more join work than source order.
+assert f5["planner_join_work"] <= f5["off_join_work"], f5
+assert f5["pass"] is (f5["gain"] >= 1.0), f5
+
+assert doc["headline_pass"] is (all(sc["pass"] for sc in doc["scenarios"]) and f5["pass"])
 if mode == "--full":
+    assert (f5["programs"], f5["scale"]) == (11, 5), f5
+    assert f5["gain"] >= 1.0, f"fig5a: planner on is {f5['gain']}x planner off"
     # Acceptance: ≥2x over the adversarial order AND parity with the best
     # hand order, on every scenario, at full scale.
     for sc in doc["scenarios"]:
@@ -74,7 +87,10 @@ if mode == "--full":
         )
 
 summary = ", ".join(
-    f"{sc['name']} {sc['speedup_vs_adversarial']}x/{sc['parity_vs_best_hand']}"
-    for sc in doc["scenarios"]
+    [
+        f"{sc['name']} {sc['speedup_vs_adversarial']}x/{sc['parity_vs_best_hand']}"
+        for sc in doc["scenarios"]
+    ]
+    + [f"fig5a {f5['gain']}x"]
 )
 print(f"{path} OK: {summary} (headline_pass={doc['headline_pass']})")

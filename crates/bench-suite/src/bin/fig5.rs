@@ -2,8 +2,9 @@
 //! two real-world-shaped analyses (paper §4.3).
 //!
 //! Part (a): the Doop-substitute context-insensitive points-to analysis
-//! (insertion heavy). Part (b): the EC2-substitute security vulnerability
-//! analysis (read heavy). Rows are relation backends, columns are thread
+//! (insertion heavy); part (a-off) repeats it for the ordered backends with
+//! the query planner off. Part (b): the EC2-substitute security
+//! vulnerability analysis (read heavy). Rows are relation backends, columns are thread
 //! counts, cells are end-to-end runtime in seconds (lower is better).
 //!
 //! `--scale N` scales the generated fact bases (default 6). `--threads`
@@ -26,13 +27,32 @@ fn main() {
         args.threads.clone()
     };
 
-    if args.wants_part("a") {
-        // Like the paper ("the total time for analysis of all 11 DaCapo
-        // benchmarks"), part (a) analyses a suite of 11 generated programs
-        // and reports the summed runtime.
-        const SUITE: usize = 11;
+    // Like the paper ("the total time for analysis of all 11 DaCapo
+    // benchmarks"), part (a) analyses a suite of 11 generated programs
+    // and reports the summed runtime. Part (a-off) repeats it for the
+    // ordered backends with the planner off, i.e. rules evaluated in the
+    // order they are written: the comparison the planner has to win.
+    const SUITE: usize = 11;
+    let all = StorageKind::ALL.as_slice();
+    let ordered = [
+        StorageKind::SpecBTree,
+        StorageKind::RbTreeLocked,
+        StorageKind::GBTreeLocked,
+    ];
+    for (part, title, kinds, planner) in [
+        ("a", "", all, true),
+        (
+            "a-off",
+            ", planner off (source order)",
+            ordered.as_slice(),
+            false,
+        ),
+    ] {
+        if !args.wants_part(part) {
+            continue;
+        }
         println!(
-            "\n== Figure 5a: context-insensitive var-points-to over {SUITE} synthetic programs (insertion heavy), scale {scale} [total runtime s]"
+            "\n== Figure 5a: context-insensitive var-points-to over {SUITE} synthetic programs (insertion heavy), scale {scale}{title} [total runtime s]"
         );
         print_row(
             args.csv,
@@ -44,13 +64,14 @@ fn main() {
             .collect();
         let program = pointsto::program();
         let mut reference: Option<usize> = None;
-        for kind in StorageKind::ALL {
+        for &kind in kinds {
             let mut cells = Vec::new();
             for &t in &threads {
                 let mut total = 0.0f64;
                 let mut vpt_total = 0usize;
                 for facts in &suite {
                     let mut engine = Engine::new(&program, kind, t).unwrap();
+                    engine.set_planner_enabled(planner);
                     pointsto::load_facts(&mut engine, facts).unwrap();
                     let sw = Stopwatch::start();
                     engine.run().unwrap();

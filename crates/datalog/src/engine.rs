@@ -3,15 +3,15 @@
 
 use crate::ast::{Atom, Literal, Program, Rule, Term};
 use crate::eval::{
-    compile_one, compile_one_at, compile_versions, eval_plan, fill, has_unprefixed_inner_scan,
-    materialize, merge_new, plan_delta_rel, CtxSet, Plan, StorageEnv, WorkerStats,
+    compile_one, compile_one_at, delta_positions, eval_plan, fill, has_unprefixed_inner_scan,
+    materialize, merge_new, plan_delta_rel, source_order, CtxSet, Plan, StorageEnv, WorkerStats,
 };
-use crate::planner::{self, IndexCatalog};
+use crate::planner::{self, CostModel, IndexCatalog, Version};
 use crate::storage::{pad, CountingStorage, OpCounters, RelationStorage, StorageKind, TupleBuf};
 use crate::strat::{stratify, StratError, Stratification, Stratum};
 use specbtree::HintStats;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// An error raised while building or running an engine.
@@ -229,7 +229,7 @@ impl RuleProfile {
     }
 }
 
-///// Prints one per-plan timing line when `DATALOG_RETRACT_TRACE` is set —
+/// Prints one per-plan timing line when `DATALOG_RETRACT_TRACE` is set —
 /// retraction plans are synthesized on the fly, so they are invisible to
 /// `explain`/`profile`; this is the equivalent escape hatch.
 fn trace_plan(phase: &str, plan: &Plan, t0: std::time::Instant) {
@@ -301,6 +301,10 @@ pub struct Engine {
     kind: StorageKind,
     threads: usize,
     rels: Vec<Box<dyn RelationStorage>>,
+    /// Tuples per relation, kept in step by every path that changes one
+    /// (`add_fact`'s inserted flag, `merge_from`'s and `retract_from`'s
+    /// returned counts) — the storages themselves only count by walking.
+    counts: Vec<usize>,
     /// The extensional database: per relation, exactly the facts asserted
     /// through [`add_fact`](Self::add_fact) (and program facts), kept apart
     /// from derived tuples so retraction knows what rederivation may put
@@ -319,6 +323,9 @@ pub struct Engine {
     /// catalog only ever grows — storage-level index ids are positions in
     /// it, so compiled plans stay valid across incremental runs.
     catalog: IndexCatalog,
+    /// Per rule, the versions its stratum last evaluated (what
+    /// [`explain`](Self::explain) reports once the rule has run).
+    executed: Vec<Vec<Version>>,
 }
 
 impl Engine {
@@ -352,6 +359,7 @@ impl Engine {
             kind,
             threads: threads.max(1),
             rels,
+            counts: vec![0; nrels],
             edb: vec![HashSet::new(); nrels],
             counters,
             stats: EvalStats::default(),
@@ -359,6 +367,7 @@ impl Engine {
             profile: HashMap::new(),
             planner_enabled: true,
             catalog: IndexCatalog::new(&arities),
+            executed: vec![Vec::new(); program.rules.len()],
         };
         for (name, tuple) in &engine.program.facts.clone() {
             engine.add_fact(name, tuple)?;
@@ -386,123 +395,164 @@ impl Engine {
         self.planner_enabled
     }
 
-    /// Derives the index catalog the program's plans need: compile every
-    /// rule with cost-based ordering (indexes don't influence the greedy
-    /// order, so no fixpoint is needed), collect the bound-column
-    /// signatures of inner scans, and chain-cover them per relation. With
-    /// `include_dred`, the DRed machinery's synthetic Δ⁻ shapes —
-    /// overdeletion, rederivation seed, and rederivation delta rules for
-    /// *every* rule, as if all relations were dirty — contribute their
-    /// signatures too; that is how overdelete's reverse joins get their
-    /// `{2,1}`-style indexes.
-    fn derive_needed_catalog(&self, include_dred: bool, card: &dyn Fn(usize) -> f64) -> IndexCatalog {
-        let arities: Vec<usize> = self.program.decls.iter().map(|d| d.arity).collect();
-        let empty = IndexCatalog::new(&arities);
-        let mut plans: Vec<Plan> = Vec::new();
-        for stratum in &self.strat.strata {
-            for &ri in &stratum.rules {
-                plans.extend(planner::plan_versions(
-                    &self.program.rules[ri],
-                    &self.strat.rel_ids,
-                    &stratum.relations,
-                    card,
-                    &empty,
-                ));
+    /// Builds on the storages every catalog permutation they lack: what a
+    /// planning step just added, or all of a relation's after the negation
+    /// fallback replaced its storage. Plans only carry catalog ids, and
+    /// the catalog only gains entries on backends that build indexes, so
+    /// every id a plan routes through was registered here.
+    fn sync_indexes(&mut self) {
+        for (rel, storage) in self.rels.iter_mut().enumerate() {
+            let have = storage.index_perms().len();
+            for (id, perm) in self.catalog.perms(rel).iter().enumerate().skip(have) {
+                let got = storage.add_index(perm, self.threads);
+                debug_assert_eq!(got, Some(id), "storage and catalog index ids diverged");
             }
         }
-        if include_dred {
-            plans.extend(self.dred_shape_plans(card, &empty));
-        }
-        planner::derive_catalog(&plans, &arities)
     }
 
-    /// The plan shapes [`retract_facts`](Self::retract_facts) synthesizes,
-    /// compiled for signature collection only (all relations treated as
-    /// dirty — a catalog is a superset commitment, and an index nothing
-    /// ends up scanning costs only its maintenance).
-    fn dred_shape_plans(&self, card: &dyn Fn(usize) -> f64, empty: &IndexCatalog) -> Vec<Plan> {
-        let nrels = self.program.decls.len();
-        let mut ext_ids = self.strat.rel_ids.clone();
-        let del_name: Vec<String> = self
-            .program
-            .decls
+    /// Counts what a planning step added to the catalog since it held
+    /// `before` permutations, and builds it.
+    fn build_new_indexes(&mut self, before: usize) {
+        let added = self.catalog.len() - before;
+        if added > 0 {
+            self.stats.index_builds += added as u64;
+            self.sync_indexes();
+        }
+    }
+
+    /// Re-orders `versions` of `stratum` for the database as it is now,
+    /// registering in `catalog` the indexes the new orders were costed
+    /// with. A relation the stratum defines is still growing, so it is
+    /// costed at no less than the largest relation the stratum reads —
+    /// never at the near-empty state the first iterations find it in.
+    /// `deltas[r]` is the current size of relation `r`'s delta (its whole
+    /// content before the first iteration): what a delta literal is costed
+    /// with, and what an index on `r` has to absorb per iteration.
+    fn plan_stratum(
+        &self,
+        versions: &mut [Version],
+        stratum: &Stratum,
+        deltas: &[f64],
+        iteration: u64,
+        catalog: &mut IndexCatalog,
+    ) {
+        let rel_ids = &self.strat.rel_ids;
+        let floor = versions
             .iter()
-            .map(|d| format!("~del~{}", d.name))
+            .flat_map(|v| &v.rule.body)
+            .filter(|l| !l.negated)
+            .map(|l| self.counts[rel_ids[&l.atom.relation]])
+            .max()
+            .unwrap_or(0);
+        let cards: Vec<f64> = (0..self.counts.len())
+            .map(|r| match stratum.relations.contains(&r) {
+                true => self.counts[r].max(floor) as f64,
+                false => self.counts[r] as f64,
+            })
             .collect();
-        for (r, n) in del_name.iter().enumerate() {
-            ext_ids.insert(n.clone(), nrels + r);
-        }
-        let mut plans = Vec::new();
-        for rule in &self.program.rules {
-            let head_rel = self.strat.rel_ids[&rule.head.relation];
-            let del_lit = Literal {
-                atom: Atom {
-                    relation: del_name[head_rel].clone(),
-                    terms: rule.head.terms.clone(),
-                },
-                negated: false,
-            };
-            // Overdeletion: Δ⁻h :- b1, …, bn, h — one version per
-            // positive body literal, which reads the deletion delta.
-            let mut body = rule.body.clone();
-            body.push(Literal {
-                atom: rule.head.clone(),
-                negated: false,
-            });
-            let over = Rule {
-                head: del_lit.atom.clone(),
-                body,
-                constraints: rule.constraints.clone(),
-            };
-            for (p, lit) in rule.body.iter().enumerate() {
-                if !lit.negated {
-                    plans.push(planner::plan_rule(&over, &ext_ids, Some(p), true, card, empty));
-                }
-            }
-            // Rederivation seed (h :- Δ⁻h, b1, …, bn) and its semi-naive
-            // delta versions.
-            let mut body = vec![del_lit];
-            body.extend(rule.body.iter().cloned());
-            let red = Rule {
-                head: rule.head.clone(),
-                body,
-                constraints: rule.constraints.clone(),
-            };
-            plans.push(planner::plan_rule(&red, &ext_ids, None, true, card, empty));
-            for (bi, lit) in red.body.iter().enumerate().skip(1) {
-                if !lit.negated {
-                    plans.push(planner::plan_rule(&red, &ext_ids, Some(bi), true, card, empty));
-                }
-            }
-        }
-        plans
+        let model = CostModel {
+            cards: &cards,
+            deltas,
+            horizon: iteration as f64,
+            can_index: self.kind.supports_indexes(),
+        };
+        planner::replan(versions, rel_ids, &model, catalog, iteration);
     }
 
-    /// Makes sure every index the current plans need exists: merges the
-    /// freshly derived catalog into the engine's (ids never move) and
-    /// registers each permutation on the backing storage, which backfills
-    /// the permuted tree from the primary in bulk. Idempotent; no-op with
-    /// the planner off. `card` is the caller's cardinality snapshot —
-    /// relation `len()` is a full O(n) walk, so callers that already
-    /// counted for other reasons share the count instead of re-walking.
-    fn ensure_indexes(&mut self, include_dred: bool, card: &dyn Fn(usize) -> f64) {
+    /// The source-order versions of `rules` (rules of `stratum`),
+    /// non-recursive and recursive apart, with plan ids from
+    /// `next_plan_id` on that stay with them through every re-plan.
+    fn versions_of(
+        &self,
+        stratum: &Stratum,
+        rules: impl Iterator<Item = usize>,
+        next_plan_id: &mut usize,
+    ) -> (Vec<Version>, Vec<Version>) {
+        let (mut base, mut rec) = (Vec::new(), Vec::new());
+        for ri in rules {
+            let rule = &self.program.rules[ri];
+            for p in delta_positions(rule, &self.strat.rel_ids, &stratum.relations) {
+                let v = Version::new(ri, rule, &self.strat.rel_ids, p, *next_plan_id);
+                *next_plan_id += 1;
+                if p.is_some() { &mut rec } else { &mut base }.push(v);
+            }
+        }
+        (base, rec)
+    }
+
+    /// The delta sizes a fixpoint of `stratum` starts from: the whole
+    /// content of every relation it defines, nothing anywhere else.
+    fn whole_deltas(&self, stratum: &Stratum) -> Vec<f64> {
+        let mut deltas = vec![0.0; self.counts.len()];
+        for &r in &stratum.relations {
+            deltas[r] = self.counts[r] as f64;
+        }
+        deltas
+    }
+
+    /// [`plan_stratum`](Self::plan_stratum) against the engine's own
+    /// catalog, building the indexes it gains. No-op with the planner off.
+    fn replan(
+        &mut self,
+        versions: &mut [Version],
+        stratum: &Stratum,
+        deltas: &[f64],
+        iteration: u64,
+    ) {
         if !self.planner_enabled {
             return;
         }
-        let derived = self.derive_needed_catalog(include_dred, card);
-        for rel in 0..self.rels.len() {
-            for perm in derived.perms(rel) {
-                let before = self.catalog.perms(rel).len();
-                self.catalog.add(rel, perm.clone());
-                if self.catalog.perms(rel).len() > before {
-                    self.stats.index_builds += 1;
-                }
-                // Registering an already-known permutation is a cheap
-                // storage-side no-op (deduped by perm), which re-syncs
-                // after the negation fallback replaces a storage.
-                self.rels[rel].add_index(perm, self.threads);
+        let mut catalog = std::mem::take(&mut self.catalog);
+        let before = catalog.len();
+        self.plan_stratum(versions, stratum, deltas, iteration, &mut catalog);
+        self.catalog = catalog;
+        self.build_new_indexes(before);
+    }
+
+    /// Plans one synthetic retraction rule. With the planner on the
+    /// literals are cost-ordered from `cards` — the counts the retraction
+    /// found, which rederivation largely restores; the counts in between,
+    /// after the overdeleted tuples are gone, say little about what the
+    /// rederivation joins will meet — with deletion sets costed at 1, and
+    /// every scan the primary tree cannot serve gets an index: the deletion
+    /// sets' sizes are only known once the fixpoint they drive has ended,
+    /// and the index outlives the call. When hoisting the delta
+    /// still strands a scan without a bound prefix (planner off, or a
+    /// backend without indexes), the source-order version — which probes
+    /// the delta where it sits and sweeps the stranded relation once,
+    /// chunked across workers — is used if it strands none.
+    fn plan_synthetic(
+        &mut self,
+        rule: &Rule,
+        ids: &HashMap<String, usize>,
+        delta_pos: Option<usize>,
+        cards: &[f64],
+        next_plan_id: &mut usize,
+    ) -> Plan {
+        let mut plan = if self.planner_enabled {
+            let model = CostModel {
+                cards,
+                deltas: &[],
+                horizon: f64::INFINITY,
+                can_index: self.kind.supports_indexes(),
+            };
+            let before = self.catalog.len();
+            let plan = planner::plan_rule(rule, ids, delta_pos, &model, &mut self.catalog);
+            self.build_new_indexes(before);
+            plan
+        } else {
+            compile_one(rule, ids, delta_pos)
+        };
+        if delta_pos.is_some() && has_unprefixed_inner_scan(&plan) {
+            let catalog = self.planner_enabled.then_some(&self.catalog);
+            let flat = compile_one_at(rule, ids, delta_pos, false, catalog);
+            if !has_unprefixed_inner_scan(&flat) {
+                plan = flat;
             }
         }
+        plan.id = *next_plan_id;
+        *next_plan_id += 1;
+        plan
     }
 
     /// Per-worker scheduler counters from the last [`run`](Self::run)
@@ -511,29 +561,28 @@ impl Engine {
         &self.worker_stats
     }
 
-    /// Adds an input fact before (or between) runs.
-    pub fn add_fact(&mut self, relation: &str, tuple: &[u64]) -> Result<(), EngineError> {
-        let &rel = self
-            .strat
-            .rel_ids
-            .get(relation)
-            .ok_or_else(|| EngineError::UnknownRelation(relation.to_string()))?;
-        let expected = self.program.decls[rel].arity;
-        if tuple.len() != expected {
+    /// The id of a declared relation.
+    fn rel_id(&self, name: &str) -> Result<usize, EngineError> {
+        let id = self.strat.rel_ids.get(name).copied();
+        id.ok_or_else(|| EngineError::UnknownRelation(name.to_string()))
+    }
+
+    /// `tuple` padded for storage, or the error for one of the wrong arity.
+    fn padded(&self, rel: usize, tuple: &[u64]) -> Result<TupleBuf, EngineError> {
+        let decl = &self.program.decls[rel];
+        if tuple.len() != decl.arity {
             return Err(EngineError::ArityMismatch {
-                relation: relation.to_string(),
-                expected,
+                relation: decl.name.clone(),
+                expected: decl.arity,
                 got: tuple.len(),
             });
         }
-        let t = pad(tuple);
-        let storage = self.rels[rel].as_ref();
-        let mut ctx = storage.make_ctx();
-        if storage.insert(&t, &mut ctx) {
-            self.stats.input_tuples += 1;
-        }
-        self.edb[rel].insert(t);
-        Ok(())
+        Ok(pad(tuple))
+    }
+
+    /// Adds an input fact before (or between) runs.
+    pub fn add_fact(&mut self, relation: &str, tuple: &[u64]) -> Result<(), EngineError> {
+        self.add_facts(relation, [tuple.to_vec()])
     }
 
     /// Bulk-adds facts (convenience for workload generators).
@@ -542,25 +591,14 @@ impl Engine {
         relation: &str,
         tuples: impl IntoIterator<Item = Vec<u64>>,
     ) -> Result<(), EngineError> {
-        let &rel = self
-            .strat
-            .rel_ids
-            .get(relation)
-            .ok_or_else(|| EngineError::UnknownRelation(relation.to_string()))?;
-        let expected = self.program.decls[rel].arity;
+        let rel = self.rel_id(relation)?;
         let storage = self.rels[rel].as_ref();
         let mut ctx = storage.make_ctx();
         for tuple in tuples {
-            if tuple.len() != expected {
-                return Err(EngineError::ArityMismatch {
-                    relation: relation.to_string(),
-                    expected,
-                    got: tuple.len(),
-                });
-            }
-            let t = pad(&tuple);
+            let t = self.padded(rel, &tuple)?;
             if storage.insert(&t, &mut ctx) {
                 self.stats.input_tuples += 1;
+                self.counts[rel] += 1;
             }
             self.edb[rel].insert(t);
         }
@@ -569,26 +607,17 @@ impl Engine {
 
     /// Number of extensional (asserted, not derived) facts of a relation.
     pub fn edb_len(&self, relation: &str) -> Result<usize, EngineError> {
-        let &rel = self
-            .strat
-            .rel_ids
-            .get(relation)
-            .ok_or_else(|| EngineError::UnknownRelation(relation.to_string()))?;
+        let rel = self.rel_id(relation)?;
         Ok(self.edb[rel].len())
     }
 
     /// Runs the stratified semi-naive evaluation to fixpoint.
     pub fn run(&mut self) -> Result<(), EngineError> {
         self.profile.clear();
-        // One O(n) cardinality walk serves both the produced-tuples
-        // baseline and the index-derivation cost model below.
-        let lens: Vec<usize> = self.rels.iter().map(|r| r.len()).collect();
-        let size_before: usize = lens.iter().sum();
-        // Build the secondary indexes the program's plans call for
-        // (DRed's synthetic shapes are deferred to the first retraction,
-        // so insert-only runs never pay for indexes only deletion needs).
-        let card = |r: usize| lens.get(r).map_or(1.0, |&n| n as f64);
-        self.ensure_indexes(false, &card);
+        // Indexes are built when a plan about to run was costed with one
+        // (DRed's synthetic shapes when a retraction first plans them), so
+        // nothing is walked, planned or built before the first stratum.
+        let size_before: usize = self.counts.iter().sum();
 
         // Persistent per-worker operation-hint contexts (paper §3.2:
         // thread-local hints, kept across rules and fixpoint iterations)
@@ -626,8 +655,9 @@ impl Engine {
         };
         self.worker_stats = wstats;
 
-        let size_after: usize = self.rels.iter().map(|r| r.len()).sum();
+        let size_after: usize = self.counts.iter().sum();
         self.stats.produced_tuples += (size_after - size_before) as u64;
+        debug_assert!(self.counts_are_exact());
         let (ins, mem, lb, ub) = self.counters.snapshot();
         self.stats.inserts = ins;
         self.stats.membership_tests = mem;
@@ -638,9 +668,11 @@ impl Engine {
     }
 
     /// Evaluates one stratum to fixpoint over the current contents of
-    /// `self.rels`: non-recursive rules once, then the semi-naive loop.
-    /// Shared by [`run`](Self::run) and the negation-fallback recompute
-    /// inside [`retract_facts`](Self::retract_facts).
+    /// `self.rels`: non-recursive rules once, then the semi-naive loop,
+    /// whose versions are ordered once the base rules have merged and again
+    /// before every iteration, from the counts and delta sizes of that
+    /// moment. Shared by [`run`](Self::run) and the negation-fallback
+    /// recompute inside [`retract_facts`](Self::retract_facts).
     fn eval_stratum(
         &mut self,
         stratum: &Stratum,
@@ -649,48 +681,12 @@ impl Engine {
         next_plan_id: &mut usize,
     ) {
         let stratum_timer = telemetry::start_timer();
-        // Relation sizes as of this stratum's start drive the greedy join
-        // order: earlier strata have already materialized, so the
-        // cardinalities the cost model sees are the ones the joins will
-        // actually run against.
-        let card_vec: Vec<f64> = self.rels.iter().map(|r| r.len() as f64).collect();
-        let card = |r: usize| card_vec.get(r).copied().unwrap_or(1.0);
-        // Split the stratum's rules into non-recursive and recursive,
-        // remembering each plan's source rule for profiling.
-        let mut base_plans: Vec<(usize, Plan)> = Vec::new();
-        let mut rec_plans: Vec<(usize, Plan)> = Vec::new();
         for &ri in &stratum.rules {
-            let rule = &self.program.rules[ri];
-            let is_recursive = rule.body.iter().any(|l| {
-                !l.negated
-                    && stratum
-                        .relations
-                        .contains(&self.strat.rel_ids[&l.atom.relation])
-            });
-            let mut plans = if self.planner_enabled {
-                planner::plan_versions(
-                    rule,
-                    &self.strat.rel_ids,
-                    &stratum.relations,
-                    &card,
-                    &self.catalog,
-                )
-            } else {
-                compile_versions(rule, &self.strat.rel_ids, &stratum.relations)
-            };
-            for plan in &mut plans {
-                plan.id = *next_plan_id;
-                *next_plan_id += 1;
-            }
-            if is_recursive {
-                rec_plans.extend(plans.into_iter().map(|p| (ri, p)));
-            } else {
-                base_plans.extend(plans.into_iter().map(|p| (ri, p)));
-            }
+            self.executed[ri].clear();
         }
-
-        // Borrowed view of the full relations for the storage env.
-        let full: Vec<&dyn RelationStorage> = self.rels.iter().map(|b| b.as_ref()).collect();
+        let (mut base, mut rec) =
+            self.versions_of(stratum, stratum.rules.iter().copied(), next_plan_id);
+        self.replan(&mut base, stratum, &self.whole_deltas(stratum), 1);
 
         // Fresh delta/new relations for this stratum.
         let make_side_tables = |engine: &Engine| -> HashMap<usize, Box<dyn RelationStorage>> {
@@ -714,23 +710,12 @@ impl Engine {
         {
             let delta = make_side_tables(self);
             let new = make_side_tables(self);
-            let env = StorageEnv {
-                full: &full,
-                delta: &delta,
-                new: &new,
-            };
-            for (ri, plan) in &base_plans {
-                let t0 = std::time::Instant::now();
-                let _span = telemetry::span("eval.plan", plan.id as u64);
-                eval_plan(plan, &env, pools, wstats);
-                let entry = self.profile.entry(*ri).or_insert((0, 0.0));
-                entry.0 += 1;
-                entry.1 += t0.elapsed().as_secs_f64();
-            }
+            self.eval_versions(&base, &delta, &new, pools, wstats);
             self.merge_stratum(&new);
         }
+        self.record(base);
 
-        if !stratum.recursive || rec_plans.is_empty() {
+        if !stratum.recursive || rec.is_empty() {
             stratum_timer.observe(telemetry::Hist::EvalStratumNanos);
             return;
         }
@@ -738,8 +723,9 @@ impl Engine {
         // Phase 2: the semi-naive fixpoint. Delta starts as the full
         // current contents of the stratum's relations.
         let mut delta = make_side_tables(self);
+        let mut deltas = self.whole_deltas(stratum);
         for &r in &stratum.relations {
-            let tuples = materialize(self.rels[r].as_ref());
+            let tuples = materialize(self.rels[r].as_ref(), self.counts[r]);
             fill(delta[&r].as_ref(), &tuples, self.threads);
         }
 
@@ -749,31 +735,22 @@ impl Engine {
         // fresh storage per relation per iteration.
         let mut spare: Option<HashMap<usize, Box<dyn RelationStorage>>> = None;
 
-        loop {
+        for iteration in 1u64.. {
             self.stats.iterations += 1;
             telemetry::count(telemetry::Counter::EvalIterations);
             let _iter_span = telemetry::span("eval.iteration", self.stats.iterations);
             if telemetry::ENABLED {
-                let delta_size: usize = delta.values().map(|d| d.len()).sum();
+                let delta_size: f64 = deltas.iter().sum();
                 telemetry::record(telemetry::Hist::EvalDeltaTuples, delta_size as u64);
             }
+            self.replan(&mut rec, stratum, &deltas, iteration);
             let new = spare.take().unwrap_or_else(|| make_side_tables(self));
-            {
-                let env = StorageEnv {
-                    full: &full,
-                    delta: &delta,
-                    new: &new,
-                };
-                for (ri, plan) in &rec_plans {
-                    let t0 = std::time::Instant::now();
-                    let _span = telemetry::span("eval.plan", plan.id as u64);
-                    eval_plan(plan, &env, pools, wstats);
-                    let entry = self.profile.entry(*ri).or_insert((0, 0.0));
-                    entry.0 += 1;
-                    entry.1 += t0.elapsed().as_secs_f64();
-                }
+            self.eval_versions(&rec, &delta, &new, pools, wstats);
+            let mut any = false;
+            for (r, added) in self.merge_stratum(&new) {
+                deltas[r] = added as f64;
+                any |= added > 0;
             }
-            let any = self.merge_stratum(&new) > 0;
             if !any {
                 break;
             }
@@ -786,7 +763,41 @@ impl Engine {
                 spare = Some(old);
             }
         }
+        self.record(rec);
         stratum_timer.observe(telemetry::Hist::EvalStratumNanos);
+    }
+
+    /// Keeps evaluated versions for [`explain`](Self::explain).
+    fn record(&mut self, versions: Vec<Version>) {
+        for v in versions {
+            self.executed[v.rule_idx].push(v);
+        }
+    }
+
+    /// Evaluates every version's current plan over the full relations,
+    /// `delta` and `new`, attributing the time to the version's rule.
+    fn eval_versions(
+        &mut self,
+        versions: &[Version],
+        delta: &HashMap<usize, Box<dyn RelationStorage>>,
+        new: &HashMap<usize, Box<dyn RelationStorage>>,
+        pools: &mut [CtxSet],
+        wstats: &mut [WorkerStats],
+    ) {
+        let full: Vec<&dyn RelationStorage> = self.rels.iter().map(|b| b.as_ref()).collect();
+        let env = StorageEnv {
+            full: &full,
+            delta,
+            new,
+        };
+        for v in versions {
+            let t0 = std::time::Instant::now();
+            let _span = telemetry::span("eval.plan", v.plan.id as u64);
+            eval_plan(&v.plan, &env, pools, wstats);
+            let entry = self.profile.entry(v.rule_idx).or_insert((0, 0.0));
+            entry.0 += 1;
+            entry.1 += t0.elapsed().as_secs_f64();
+        }
     }
 
     /// Withdraws one EDB fact — see [`retract_facts`](Self::retract_facts).
@@ -832,32 +843,15 @@ impl Engine {
         facts: impl IntoIterator<Item = (String, Vec<u64>)>,
     ) -> Result<RetractOutcome, EngineError> {
         let nrels = self.program.decls.len();
-        // Pre-retraction sizes: one O(n) walk shared by the net-change
-        // accounting and the cost model for every synthetic plan below.
-        // Pseudo relations (deletion accumulators) default to cardinality
-        // 1, which keeps Δ⁻ literals outermost-or-early.
-        let card_vec: Vec<f64> = self.rels.iter().map(|r| r.len() as f64).collect();
-        let card = |r: usize| card_vec.get(r).copied().unwrap_or(1.0);
-        let size_before: i64 = card_vec.iter().map(|&n| n as i64).sum();
+        let cards: Vec<f64> = self.counts.iter().map(|&n| n as f64).collect();
+        let size_before: i64 = self.counts.iter().map(|&n| n as i64).sum();
         let mut outcome = RetractOutcome::default();
 
         // Seed the deletion sets with the withdrawn facts.
         let mut seeds: HashMap<usize, Vec<TupleBuf>> = HashMap::new();
         for (name, tuple) in facts {
-            let &rel = self
-                .strat
-                .rel_ids
-                .get(&name)
-                .ok_or_else(|| EngineError::UnknownRelation(name.clone()))?;
-            let expected = self.program.decls[rel].arity;
-            if tuple.len() != expected {
-                return Err(EngineError::ArityMismatch {
-                    relation: name,
-                    expected,
-                    got: tuple.len(),
-                });
-            }
-            let t = pad(&tuple);
+            let rel = self.rel_id(&name)?;
+            let t = self.padded(rel, &tuple)?;
             if self.edb[rel].remove(&t) {
                 outcome.retracted_inputs += 1;
                 seeds.entry(rel).or_default().push(t);
@@ -867,12 +861,6 @@ impl Engine {
             return Ok(outcome);
         }
         self.stats.retracted_inputs += outcome.retracted_inputs;
-
-        // First retraction on this engine registers the indexes DRed's
-        // synthetic shapes need (notably the reverse-join permutations of
-        // the overdelete phase); the one-time backfill replaces the full
-        // relation scan every overdelete round used to pay.
-        self.ensure_indexes(true, &card);
 
         // Dirty-relation fixpoint in stratum order. The first stratum with
         // a rule negating an already-dirty relation becomes the fallback
@@ -977,35 +965,17 @@ impl Engine {
                     body,
                     constraints: rule.constraints.clone(),
                 };
+                // The first retraction that plans a reverse join builds
+                // its index here (`plan_synthetic`); the one-time backfill
+                // replaces a full relation scan per overdelete round.
                 for p in dirty_positions {
-                    // Hoisting the deletion delta outermost is right when
-                    // the remaining literals stay index-supported; with
-                    // the planner on, the reverse joins this strands are
-                    // rescued by the secondary indexes registered above,
-                    // so the source-order fallback below almost never
-                    // fires. When it still would strand a scan (planner
-                    // off, or a shape no index covers), evaluate in
-                    // source order instead and probe the delta where it
-                    // sits — the full scan then runs once, chunked across
-                    // workers.
-                    let mut plan = if self.planner_enabled {
-                        planner::plan_rule(&syn, &ext_ids, Some(p), true, &card, &self.catalog)
-                    } else {
-                        compile_one(&syn, &ext_ids, Some(p))
-                    };
-                    if has_unprefixed_inner_scan(&plan) {
-                        let flat = if self.planner_enabled {
-                            planner::plan_rule(&syn, &ext_ids, Some(p), false, &card, &self.catalog)
-                        } else {
-                            compile_one_at(&syn, &ext_ids, Some(p), false)
-                        };
-                        if !has_unprefixed_inner_scan(&flat) {
-                            plan = flat;
-                        }
-                    }
-                    plan.id = next_plan_id;
-                    next_plan_id += 1;
-                    over_plans.push(plan);
+                    over_plans.push(self.plan_synthetic(
+                        &syn,
+                        &ext_ids,
+                        Some(p),
+                        &cards,
+                        &mut next_plan_id,
+                    ));
                 }
             }
         }
@@ -1082,7 +1052,8 @@ impl Engine {
         let phase_span = telemetry::span("dred.delete", outcome.overdeleted);
         for &r in &dred_dirty {
             if !del_acc[&r].is_empty() {
-                self.rels[r].retract_from(del_acc[&r].as_ref(), self.threads);
+                let gone = self.rels[r].retract_from(del_acc[&r].as_ref(), self.threads);
+                self.counts[r] -= gone as usize;
             }
         }
         drop(phase_span);
@@ -1120,7 +1091,7 @@ impl Engine {
                     }
                 });
                 if !keep.is_empty() {
-                    fill(self.rels[r].as_ref(), &keep, self.threads);
+                    self.counts[r] += fill(self.rels[r].as_ref(), &keep, self.threads) as usize;
                     fill(round[&r].as_ref(), &keep, self.threads);
                     outcome.rederived += keep.len() as u64;
                 }
@@ -1159,7 +1130,7 @@ impl Engine {
             let mut jobs: Vec<SeedJob> = Vec::new();
             let mut delta_plans: Vec<Plan> = Vec::new();
             for &ri in &stratum.rules {
-                let rule = &self.program.rules[ri];
+                let rule = self.program.rules[ri].clone();
                 let head_rel = self.strat.rel_ids[&rule.head.relation];
                 if !ds.contains(&head_rel) {
                     continue;
@@ -1178,40 +1149,16 @@ impl Engine {
                     body,
                     constraints: rule.constraints.clone(),
                 };
-                let mut del_plan = if self.planner_enabled {
-                    planner::plan_rule(&syn, &ext_ids, None, true, &card, &self.catalog)
-                } else {
-                    compile_one(&syn, &ext_ids, None)
-                };
-                del_plan.id = next_plan_id;
-                next_plan_id += 1;
+                let del_plan = self.plan_synthetic(&syn, &ext_ids, None, &cards, &mut next_plan_id);
                 for (bi, lit) in syn.body.iter().enumerate().skip(1) {
                     if !lit.negated && ds.contains(&ext_ids[&lit.atom.relation]) {
-                        let mut plan = if self.planner_enabled {
-                            planner::plan_rule(&syn, &ext_ids, Some(bi), true, &card, &self.catalog)
-                        } else {
-                            compile_one(&syn, &ext_ids, Some(bi))
-                        };
-                        if has_unprefixed_inner_scan(&plan) {
-                            let flat = if self.planner_enabled {
-                                planner::plan_rule(
-                                    &syn,
-                                    &ext_ids,
-                                    Some(bi),
-                                    false,
-                                    &card,
-                                    &self.catalog,
-                                )
-                            } else {
-                                compile_one_at(&syn, &ext_ids, Some(bi), false)
-                            };
-                            if !has_unprefixed_inner_scan(&flat) {
-                                plan = flat;
-                            }
-                        }
-                        plan.id = next_plan_id;
-                        next_plan_id += 1;
-                        delta_plans.push(plan);
+                        delta_plans.push(self.plan_synthetic(
+                            &syn,
+                            &ext_ids,
+                            Some(bi),
+                            &cards,
+                            &mut next_plan_id,
+                        ));
                     }
                 }
                 // Body-first alternative: head vars are body-bound (range
@@ -1227,17 +1174,15 @@ impl Engine {
                         };
                         // Deliberately body-first — the whole point of
                         // this alternative is one sweep of the surviving
-                        // body — so only index assignment applies, never
-                        // the greedy reorder (which would put the small
-                        // Δ⁻ literal back in front).
-                        let mut plan = compile_one(&syn, &ext_ids, None);
-                        if self.planner_enabled {
-                            plan = planner::assign_indexes(plan, &self.catalog);
-                        }
+                        // body — so existing indexes apply, never the cost
+                        // order (which would put the small Δ⁻ literal back
+                        // in front).
+                        let catalog = self.planner_enabled.then_some(&self.catalog);
+                        let mut plan = compile_one_at(&syn, &ext_ids, None, true, catalog);
                         plan.id = next_plan_id;
                         next_plan_id += 1;
                         let outer = self.strat.rel_ids[&first.atom.relation];
-                        (Some(plan), self.rels[outer].len() as u64)
+                        (Some(plan), self.counts[outer] as u64)
                     }
                     _ => (None, u64::MAX),
                 };
@@ -1271,9 +1216,9 @@ impl Engine {
                             Some((rel, pairs))
                         }
                     })
-                    .min_by_key(|(rel, _)| self.rels[*rel].len())
+                    .min_by_key(|(rel, _)| self.counts[*rel])
                     .filter(|(rel, _)| {
-                        self.rels[*rel].len() < del_tuples[&head_rel].len().saturating_mul(32)
+                        self.counts[*rel] < del_tuples[&head_rel].len().saturating_mul(32)
                     });
                 jobs.push(SeedJob {
                     head_rel,
@@ -1377,6 +1322,7 @@ impl Engine {
             }
             for &r in &ds {
                 let added = self.rels[r].merge_from(new_tabs[&r].as_ref(), self.threads);
+                self.counts[r] += added as usize;
                 outcome.rederived += added;
                 round[&r].merge_from(new_tabs[&r].as_ref(), self.threads);
             }
@@ -1398,12 +1344,15 @@ impl Engine {
                         if idle {
                             continue;
                         }
+                        let t0 = std::time::Instant::now();
                         eval_plan(plan, &env, &mut pools, &mut wstats);
+                        trace_plan("rederive-round", plan, t0);
                     }
                 }
                 let mut grew = false;
                 for &r in &ds {
                     let added = self.rels[r].merge_from(new_tabs[&r].as_ref(), self.threads);
+                    self.counts[r] += added as usize;
                     outcome.rederived += added;
                     grew |= added > 0;
                 }
@@ -1429,18 +1378,12 @@ impl Engine {
                         Arc::clone(&self.counters),
                     ));
                     let tuples: Vec<TupleBuf> = self.edb[r].iter().copied().collect();
-                    if !tuples.is_empty() {
-                        fill(self.rels[r].as_ref(), &tuples, self.threads);
-                    }
-                    // The replacement storage lost the relation's index
-                    // trees; re-register the catalog's permutations (the
-                    // compiled plans still reference their ids) before
-                    // the recompute scans run.
-                    for pi in 0..self.catalog.perms(r).len() {
-                        let perm = self.catalog.perms(r)[pi].clone();
-                        self.rels[r].add_index(&perm, self.threads);
-                    }
+                    self.counts[r] = fill(self.rels[r].as_ref(), &tuples, self.threads) as usize;
                 }
+                // The replacement storages lost their index trees; rebuild
+                // the catalog's permutations (plans reference their ids)
+                // before the recompute scans run.
+                self.sync_indexes();
                 self.eval_stratum(stratum, &mut pools, &mut wstats, &mut next_plan_id);
                 outcome.recomputed_strata += 1;
             }
@@ -1455,61 +1398,75 @@ impl Engine {
             self.stats.inner_scans_full += w.inner_scans_full;
         }
         self.stats.removes = self.counters.removes_count();
-        let size_after: i64 = self.rels.iter().map(|r| r.len() as i64).sum();
+        let size_after: i64 = self.counts.iter().map(|&n| n as i64).sum();
         outcome.net_removed = size_before - size_after;
+        debug_assert!(self.counts_are_exact());
         Ok(outcome)
     }
 
     /// Folds every `new` side table of a stratum into its full relation
-    /// (Figure 1 line 17 for the whole stratum), returning the total number
-    /// of tuples actually added.
+    /// (Figure 1 line 17 for the whole stratum), returning per relation the
+    /// number of tuples actually added — which is also what keeps
+    /// `self.counts` exact and sizes the next iteration's deltas.
     ///
     /// Relations of one stratum are independent, so their merges run
     /// concurrently on scoped threads; each merge additionally splits the
     /// remaining thread budget across the structure-aware parallel merge
     /// inside the storage backend ([`RelationStorage::merge_from`]).
-    fn merge_stratum(&self, new: &HashMap<usize, Box<dyn RelationStorage>>) -> u64 {
+    fn merge_stratum(
+        &mut self,
+        new: &HashMap<usize, Box<dyn RelationStorage>>,
+    ) -> Vec<(usize, u64)> {
         let timer = telemetry::start_timer();
         let jobs: Vec<(usize, &dyn RelationStorage)> =
             new.iter().map(|(&r, s)| (r, s.as_ref())).collect();
-        let added = if self.threads <= 1 || jobs.len() <= 1 {
-            jobs.iter()
-                .map(|&(r, src)| {
-                    let _span = telemetry::span("eval.merge", r as u64);
-                    merge_new(self.rels[r].as_ref(), src, self.threads)
-                })
-                .sum()
+        let rels = &self.rels;
+        let merge = |&(r, src): &(usize, &dyn RelationStorage), workers: usize| {
+            let _span = telemetry::span("eval.merge", r as u64);
+            (r, merge_new(rels[r].as_ref(), src, workers))
+        };
+        let added: Vec<(usize, u64)> = if self.threads <= 1 || jobs.len() <= 1 {
+            jobs.iter().map(|job| merge(job, self.threads)).collect()
         } else {
             let outer = self.threads.min(jobs.len());
             let inner = (self.threads / outer).max(1);
             let cursor = AtomicUsize::new(0);
-            let total = AtomicU64::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..outer {
-                    s.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(r, src)) = jobs.get(i) else { break };
-                        let _span = telemetry::span("eval.merge", r as u64);
-                        let added = merge_new(self.rels[r].as_ref(), src, inner);
-                        total.fetch_add(added, Ordering::Relaxed);
-                    });
+            let claim = || {
+                let mut mine = Vec::new();
+                while let Some(job) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    mine.push(merge(job, inner));
                 }
-            });
-            total.into_inner()
+                mine
+            };
+            std::thread::scope(|s| {
+                let workers: Vec<_> = (0..outer).map(|_| s.spawn(claim)).collect();
+                let joined = workers.into_iter().map(|w| w.join());
+                joined
+                    .flat_map(|r| r.expect("merge worker panicked"))
+                    .collect()
+            })
         };
+        for &(r, n) in &added {
+            self.counts[r] += n as usize;
+        }
         timer.observe(telemetry::Hist::EvalMergeNanos);
         added
     }
 
+    /// Whether `self.counts` agrees with a walk of every relation (debug
+    /// builds check it after each run and retraction).
+    fn counts_are_exact(&self) -> bool {
+        self.rels
+            .iter()
+            .zip(&self.counts)
+            .all(|(r, &n)| r.len() == n)
+    }
+
     /// The contents of a relation, unpadded to its declared arity, sorted.
     pub fn relation(&self, name: &str) -> Result<Vec<Vec<u64>>, EngineError> {
-        let &rel = self
-            .strat
-            .rel_ids
-            .get(name)
-            .ok_or_else(|| EngineError::UnknownRelation(name.to_string()))?;
+        let rel = self.rel_id(name)?;
         let arity = self.program.decls[rel].arity;
-        let mut out = Vec::with_capacity(self.rels[rel].len());
+        let mut out = Vec::with_capacity(self.counts[rel]);
         self.rels[rel].for_each(&mut |t| out.push(t[..arity].to_vec()));
         out.sort_unstable();
         Ok(out)
@@ -1517,23 +1474,15 @@ impl Engine {
 
     /// Number of tuples in a relation.
     pub fn relation_len(&self, name: &str) -> Result<usize, EngineError> {
-        let &rel = self
-            .strat
-            .rel_ids
-            .get(name)
-            .ok_or_else(|| EngineError::UnknownRelation(name.to_string()))?;
-        Ok(self.rels[rel].len())
+        let rel = self.rel_id(name)?;
+        Ok(self.counts[rel])
     }
 
     /// The contents of a relation rendered for humans: symbol columns are
     /// resolved through the program's symbol table, number columns are
     /// printed as integers.
     pub fn relation_display(&self, name: &str) -> Result<Vec<Vec<String>>, EngineError> {
-        let &rel = self
-            .strat
-            .rel_ids
-            .get(name)
-            .ok_or_else(|| EngineError::UnknownRelation(name.to_string()))?;
+        let rel = self.rel_id(name)?;
         let decl = &self.program.decls[rel];
         let rows = self.relation(name)?;
         Ok(rows
@@ -1608,11 +1557,7 @@ impl Engine {
     /// Tuples of `relation` whose leading columns equal `prefix`, sorted
     /// (a point/range query against the evaluated database).
     pub fn query(&self, relation: &str, prefix: &[u64]) -> Result<Vec<Vec<u64>>, EngineError> {
-        let &rel = self
-            .strat
-            .rel_ids
-            .get(relation)
-            .ok_or_else(|| EngineError::UnknownRelation(relation.to_string()))?;
+        let rel = self.rel_id(relation)?;
         let arity = self.program.decls[rel].arity;
         if prefix.len() > arity {
             return Err(EngineError::ArityMismatch {
@@ -1638,7 +1583,7 @@ impl Engine {
             .decls
             .iter()
             .enumerate()
-            .map(|(i, d)| (d.name.clone(), self.rels[i].len()))
+            .map(|(i, d)| (d.name.clone(), self.counts[i]))
             .collect();
         sizes.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         sizes
@@ -1672,7 +1617,7 @@ impl Engine {
                     };
                     crate::RelationReport {
                         name: d.name.clone(),
-                        len: self.rels[i].len(),
+                        len: self.counts[i],
                         tree,
                         shard_lens,
                         index_perms: self.rels[i].index_perms(),
@@ -1706,23 +1651,20 @@ impl Engine {
     /// every rule, each compiled semi-naive plan version — the engine's
     /// `EXPLAIN` facility.
     ///
-    /// With the planner enabled, plans show the cost-chosen literal order
-    /// and the secondary index each scan routes through (`index=[perm]`),
-    /// and any rule the cost model reordered away from source order gets
-    /// a `cardinalities:` line with the relation sizes that justified the
-    /// choice. The catalog is derived locally from the current database —
-    /// `explain` never mutates the engine or builds real indexes.
+    /// A rule whose stratum has been evaluated shows the versions that
+    /// last *ran*; any other shows the versions a run would start from,
+    /// planned against the current database without building an index or
+    /// otherwise touching the engine. With the planner enabled, plans show
+    /// the cost-chosen literal order and the secondary index each scan
+    /// routes through (`index=[perm]`); a version the cost model moved away
+    /// from source order is followed by a `cardinalities:` line with what
+    /// every body literal was costed with, and by the fixpoint iteration
+    /// of its last re-ordering if there was one.
     pub fn explain(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let names: Vec<&str> = self.program.decls.iter().map(|d| d.name.as_str()).collect();
-        let card_vec: Vec<f64> = self.rels.iter().map(|r| r.len() as f64).collect();
-        let card = |r: usize| card_vec.get(r).copied().unwrap_or(1.0);
-        let local_catalog = self.planner_enabled.then(|| {
-            let mut c = self.catalog.clone();
-            c.merge(&self.derive_needed_catalog(false, &card));
-            c
-        });
+        let mut catalog = self.catalog.clone();
         for (si, stratum) in self.strat.strata.iter().enumerate() {
             let rels: Vec<&str> = stratum.relations.iter().map(|&r| names[r]).collect();
             let _ = writeln!(
@@ -1735,70 +1677,34 @@ impl Engine {
                 },
                 rels.join(", ")
             );
+            // What a run would start the stratum's unrun rules from, planned
+            // the way `eval_stratum` does: base versions, then recursive.
+            let unrun = stratum.rules.iter().copied();
+            let unrun = unrun.filter(|&ri| self.executed[ri].is_empty());
+            let (mut base, mut rec) = self.versions_of(stratum, unrun, &mut 0);
+            if self.planner_enabled {
+                let deltas = self.whole_deltas(stratum);
+                self.plan_stratum(&mut base, stratum, &deltas, 1, &mut catalog);
+                self.plan_stratum(&mut rec, stratum, &deltas, 1, &mut catalog);
+            }
             for &ri in &stratum.rules {
-                let rule = &self.program.rules[ri];
-                let _ = writeln!(out, "  rule {ri}: {rule}");
-                let plans = match &local_catalog {
-                    Some(catalog) => planner::plan_versions(
-                        rule,
-                        &self.strat.rel_ids,
-                        &stratum.relations,
-                        &card,
-                        catalog,
-                    ),
-                    None => compile_versions(rule, &self.strat.rel_ids, &stratum.relations),
-                };
-                if local_catalog.is_some() && self.rule_reordered(rule, &stratum.relations, &card) {
-                    let mut parts = Vec::new();
-                    let mut seen = HashSet::new();
-                    for lit in &rule.body {
-                        let r = self.strat.rel_ids[&lit.atom.relation];
-                        if seen.insert(r) {
-                            parts.push(format!("{}={}", names[r], self.rels[r].len()));
+                let _ = writeln!(out, "  rule {ri}: {}", self.program.rules[ri]);
+                let ran = self.executed[ri].iter().chain(&base).chain(&rec);
+                for (vi, v) in ran.filter(|v| v.rule_idx == ri).enumerate() {
+                    let _ = writeln!(out, "    version {vi}: {}", v.plan.describe(&names));
+                    if v.order != source_order(v.rule.body.len(), v.delta_pos)
+                        || v.replanned_at.is_some()
+                    {
+                        let _ = write!(out, "      cardinalities: {}", v.describe_cards());
+                        if let Some(k) = v.replanned_at {
+                            let _ = write!(out, " (replanned at iteration {k})");
                         }
+                        out.push('\n');
                     }
-                    let _ = writeln!(out, "    cardinalities: {}", parts.join(", "));
-                }
-                for (vi, plan) in plans.iter().enumerate() {
-                    let _ = writeln!(out, "    version {vi}: {}", plan.describe(&names));
                 }
             }
         }
         out
-    }
-
-    /// Whether the greedy cost order of any semi-naive version of `rule`
-    /// differs from the legacy delta-hoisted source order (drives the
-    /// `cardinalities:` justification line in [`explain`](Self::explain)).
-    fn rule_reordered(
-        &self,
-        rule: &Rule,
-        stratum_rels: &[usize],
-        card: &dyn Fn(usize) -> f64,
-    ) -> bool {
-        let recursive_positions: Vec<usize> = rule
-            .body
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| {
-                !l.negated && stratum_rels.contains(&self.strat.rel_ids[&l.atom.relation])
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let versions: Vec<Option<usize>> = if recursive_positions.is_empty() {
-            vec![None]
-        } else {
-            recursive_positions.iter().map(|&p| Some(p)).collect()
-        };
-        versions.into_iter().any(|dp| {
-            let greedy = planner::greedy_order(rule, &self.strat.rel_ids, dp, card);
-            let mut source: Vec<usize> = (0..rule.body.len()).collect();
-            if let Some(p) = dp {
-                source.retain(|&i| i != p);
-                source.insert(0, p);
-            }
-            greedy != source
-        })
     }
 }
 

@@ -22,13 +22,14 @@
 //! the B-tree's synchronization is specialized for.
 
 use crate::ast::{CmpOp, Rule, Term, MAX_ARITY};
+use crate::planner::IndexCatalog;
 use crate::storage::{
     pin_counter_stripe, shard_of, RelationStorage, StorageChunk, StorageCtx, TupleBuf,
 };
 use specbtree::HintStats;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 /// Oversplit factor: each plan's outer scan is partitioned into
 /// `CHUNKS_PER_WORKER ×` the worker count so the shared cursor can smooth
@@ -138,79 +139,85 @@ pub(crate) struct Plan {
     pub nvars: usize,
 }
 
-/// Compiles all semi-naive versions of `rule`.
-///
-/// `stratum_rels` are the relation ids defined in the current stratum; one
-/// version is emitted per body occurrence of a stratum relation (that
-/// occurrence reads the delta and becomes the outermost loop). A rule
-/// without stratum-relation occurrences yields a single non-delta version.
-pub(crate) fn compile_versions(
+/// The delta position of every semi-naive version of `rule`: one per
+/// positive body occurrence of a relation of the current stratum, or a
+/// single `None` for a rule that reads none.
+pub(crate) fn delta_positions(
     rule: &Rule,
     rel_ids: &HashMap<String, usize>,
     stratum_rels: &[usize],
-) -> Vec<Plan> {
-    let recursive_positions: Vec<usize> = rule
+) -> Vec<Option<usize>> {
+    let recursive: Vec<Option<usize>> = rule
         .body
         .iter()
         .enumerate()
         .filter(|(_, l)| !l.negated && stratum_rels.contains(&rel_ids[&l.atom.relation]))
-        .map(|(i, _)| i)
+        .map(|(i, _)| Some(i))
         .collect();
-
-    if recursive_positions.is_empty() {
-        return vec![compile_one(rule, rel_ids, None)];
+    if recursive.is_empty() {
+        vec![None]
+    } else {
+        recursive
     }
-    recursive_positions
-        .iter()
-        .map(|&p| compile_one(rule, rel_ids, Some(p)))
-        .collect()
 }
 
-/// Compiles one version; `delta_pos` marks the body literal that reads the
-/// delta relation and is hoisted to the front. Exposed to the engine so the
-/// retraction machinery can pick delta positions itself (its synthetic
-/// rules carry appended/prepended literals that must never drive a delta).
+/// Source order with the delta literal hoisted outermost.
+pub(crate) fn source_order(nlits: usize, delta_pos: Option<usize>) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..nlits).collect();
+    if let Some(p) = delta_pos {
+        order.retain(|&i| i != p);
+        order.insert(0, p);
+    }
+    order
+}
+
+/// Compiles one version in source order, without secondary indexes;
+/// `delta_pos` marks the body literal that reads the delta relation and is
+/// hoisted to the front. The retraction machinery picks delta positions
+/// itself (its synthetic rules carry appended/prepended literals that must
+/// never drive a delta).
 pub(crate) fn compile_one(
     rule: &Rule,
     rel_ids: &HashMap<String, usize>,
     delta_pos: Option<usize>,
 ) -> Plan {
-    compile_one_at(rule, rel_ids, delta_pos, true)
+    compile_one_at(rule, rel_ids, delta_pos, true, None)
 }
 
-/// [`compile_one`] with an explicit hoisting choice. `hoist: false` leaves
-/// the delta literal at its source position: when hoisting would strand a
-/// later literal without any bound prefix, evaluating the body in source
-/// order and probing the delta where it sits can be cheaper — the full
-/// scan becomes the outermost loop and runs once, chunked across workers.
-/// With the planner enabled this fallback rarely fires: stranded scans are
-/// usually rescued first by cost-based reordering and then by a secondary
-/// index covering the bound columns ([`crate::planner::assign_indexes`]),
-/// and [`has_unprefixed_inner_scan`] only reports scans neither could fix.
+/// [`compile_one`] with an explicit hoisting choice and an optional index
+/// catalog. `hoist: false` leaves the delta literal at its source position:
+/// when hoisting would strand a later literal without any bound prefix,
+/// evaluating the body in source order and probing the delta where it sits
+/// can be cheaper — the full scan becomes the outermost loop and runs
+/// once, chunked across workers. With the planner enabled this fallback
+/// rarely fires: a stranded scan usually gets a secondary index, and
+/// [`has_unprefixed_inner_scan`] only reports scans that did not.
 pub(crate) fn compile_one_at(
     rule: &Rule,
     rel_ids: &HashMap<String, usize>,
     delta_pos: Option<usize>,
     hoist: bool,
+    catalog: Option<&IndexCatalog>,
 ) -> Plan {
-    // Literal evaluation order: delta literal first, others in source order.
-    let mut order: Vec<usize> = (0..rule.body.len()).collect();
-    if let (Some(p), true) = (delta_pos, hoist) {
-        order.retain(|&i| i != p);
-        order.insert(0, p);
-    }
-    compile_ordered(rule, rel_ids, delta_pos, &order)
+    let order = source_order(rule.body.len(), delta_pos.filter(|_| hoist));
+    compile_ordered(rule, rel_ids, delta_pos, &order, catalog)
 }
 
 /// Compiles one version with a fully explicit literal evaluation order
-/// (`order[0]` becomes the outermost loop). The cost-based planner
-/// computes orders from relation cardinalities and calls this directly;
-/// [`compile_one_at`] is the legacy source-order wrapper.
+/// (`order[0]` becomes the outermost loop); the cost-based planner computes
+/// orders and calls this directly. An inner scan of a stored relation whose
+/// fixed columns — constants and variables bound by earlier literals —
+/// are exactly the leading columns of an index in `catalog` becomes a range
+/// query over that index: the fixed columns move from `checks` into a
+/// prefix *in the index's permuted order* and the step carries the
+/// [`IndexSel`]. Any other scan is served by the primary tree: its bound
+/// leading columns as a prefix, the rest as checks.
 pub(crate) fn compile_ordered(
     rule: &Rule,
     rel_ids: &HashMap<String, usize>,
     delta_pos: Option<usize>,
     order: &[usize],
+    catalog: Option<&IndexCatalog>,
 ) -> Plan {
     debug_assert_eq!(order.len(), rule.body.len());
     let mut var_ids: HashMap<String, usize> = HashMap::new();
@@ -266,16 +273,22 @@ pub(crate) fn compile_ordered(
         let mut checks = Vec::new();
         let mut binds = Vec::new();
         let mut in_prefix = true;
+        // Columns fixed before the scan runs. A repeated variable bound by
+        // this literal's own earlier column (`e(X, X)`) is not: it stays a
+        // post-scan check whichever tree serves the scan.
+        let mut fixed = 0u32;
         for (col, t) in lit.atom.terms.iter().enumerate() {
             let slot_if_bound = match t {
-                Term::Const(c) => Some(Slot::Const(*c)),
+                Term::Const(c) => {
+                    fixed |= 1 << col;
+                    Some(Slot::Const(*c))
+                }
                 Term::Var(v) => {
                     let id = var_of(&mut var_ids, &mut bound, v);
-                    if bound[id] {
-                        Some(Slot::Var(id))
-                    } else {
-                        None
+                    if bound[id] && !binds.iter().any(|&(_, b)| b == id) {
+                        fixed |= 1 << col;
                     }
+                    bound[id].then_some(Slot::Var(id))
                 }
                 Term::Wildcard => None,
             };
@@ -296,13 +309,32 @@ pub(crate) fn compile_ordered(
                 }
             }
         }
+        let mut index = None;
+        let inner = li != order[0] && !delta && fixed & (fixed + 1) != 0;
+        if let Some((id, perm)) = catalog.filter(|_| inner).and_then(|c| c.find(rel, fixed)) {
+            let slots: Vec<(usize, Slot)> =
+                prefix.iter().copied().enumerate().chain(checks).collect();
+            let slot_of = |c: usize| slots.iter().find(|s| s.0 == c).expect("fixed column").1;
+            prefix = perm[..fixed.count_ones() as usize]
+                .iter()
+                .map(|&c| slot_of(c))
+                .collect();
+            checks = slots
+                .into_iter()
+                .filter(|(c, _)| fixed & (1 << c) == 0)
+                .collect();
+            index = Some(IndexSel {
+                id,
+                perm: perm.to_vec(),
+            });
+        }
         steps.push(Step::Scan {
             rel,
             delta,
             prefix,
             checks,
             binds,
-            index: None,
+            index,
         });
     }
 
@@ -315,9 +347,7 @@ pub(crate) fn compile_ordered(
         for (si, step) in steps.iter().enumerate() {
             if let Step::Scan { binds, .. } = step {
                 for (_, v) in binds {
-                    bound_at[*v] = bound_at[*v].max(si + 1).max(si + 1);
-                    // (vars are bound exactly once; the max keeps this
-                    //  robust if that ever changes)
+                    bound_at[*v] = si + 1; // vars are bound exactly once
                 }
             }
         }
@@ -610,6 +640,7 @@ pub(crate) fn eval_plan(
             env,
             ctxs: &mut pools[0],
             stats: &mut stats[0],
+            scratch: vec![Vec::new(); plan.steps.len()],
         };
         let mut vars = vec![0u64; plan.nvars];
         evaluator.run_from(0, &mut vars);
@@ -735,6 +766,7 @@ fn run_worker(
         env,
         ctxs,
         stats,
+        scratch: vec![Vec::new(); plan.steps.len()],
     };
     let mut vars = vec![0u64; plan.nvars];
     for offset in 0..ngroups {
@@ -769,6 +801,10 @@ struct Evaluator<'p, 'e, 'c> {
     env: &'e StorageEnv<'e>,
     ctxs: &'c mut CtxSet,
     stats: &'c mut WorkerStats,
+    /// Per step, the buffer its scan's matches are collected into — kept
+    /// across outer tuples so an inner scan allocates once per plan
+    /// execution, not once per binding that reaches it.
+    scratch: Vec<Vec<TupleBuf>>,
 }
 
 impl Evaluator<'_, '_, '_> {
@@ -831,7 +867,11 @@ impl Evaluator<'_, '_, '_> {
                 binds,
                 index,
             } => {
-                let consts: Vec<u64> = prefix.iter().map(|s| s.value(vars)).collect();
+                let mut consts = [0u64; MAX_ARITY];
+                for (c, s) in consts.iter_mut().zip(prefix) {
+                    *c = s.value(vars);
+                }
+                let consts = &consts[..prefix.len()];
                 let storage = self.env.source(*rel, *delta);
                 let role = u8::from(*delta);
                 if index.is_some() || !prefix.is_empty() {
@@ -841,18 +881,19 @@ impl Evaluator<'_, '_, '_> {
                 }
                 // Materialize matches first: the scan holds the storage
                 // context mutably, and deeper steps need other contexts.
-                let mut matches: Vec<TupleBuf> = Vec::new();
+                let mut matches = std::mem::take(&mut self.scratch[si]);
+                matches.clear();
                 {
                     let site = (self.plan.id << 8) | si;
                     let ctx = self.ctxs.ctx(storage, *rel, role, site);
                     match index {
                         Some(sel) => {
-                            storage.scan_index(sel.id, &sel.perm, &consts, ctx, &mut |t| {
+                            storage.scan_index(sel.id, &sel.perm, consts, ctx, &mut |t| {
                                 matches.push(*t);
                             });
                         }
                         None => {
-                            storage.scan_prefix(&consts, ctx, &mut |t| {
+                            storage.scan_prefix(consts, ctx, &mut |t| {
                                 matches.push(*t);
                             });
                         }
@@ -871,6 +912,7 @@ impl Evaluator<'_, '_, '_> {
                     }
                     self.run_from(si + 1, vars);
                 }
+                self.scratch[si] = matches;
             }
         }
     }
@@ -915,9 +957,10 @@ pub(crate) fn merge_new(
     full.merge_from(new, workers.max(1))
 }
 
-/// Copies every tuple of `src` into a [`TupleBuf`] vector.
-pub(crate) fn materialize(src: &dyn RelationStorage) -> Vec<TupleBuf> {
-    let mut out = Vec::with_capacity(src.len());
+/// Copies every tuple of `src` into a [`TupleBuf`] vector; `len` is the
+/// caller's tuple count (`src.len()` would walk the relation once more).
+pub(crate) fn materialize(src: &dyn RelationStorage, len: usize) -> Vec<TupleBuf> {
+    let mut out = Vec::with_capacity(len);
     src.for_each(&mut |t| out.push(*t));
     out
 }
@@ -926,7 +969,8 @@ pub(crate) fn materialize(src: &dyn RelationStorage) -> Vec<TupleBuf> {
 /// spawn overhead.
 const PAR_FILL_MIN: usize = 4096;
 
-/// Seeds a storage with tuples (used for delta initialization).
+/// Seeds a storage with tuples (used for delta initialization), returning
+/// how many were not in it yet.
 ///
 /// Large inputs are split and inserted from `workers` scoped threads;
 /// every [`RelationStorage`] backend is internally synchronized (insert
@@ -937,14 +981,15 @@ const PAR_FILL_MIN: usize = 4096;
 /// worker inserts whole buckets, so no two workers ever write the same
 /// shard's tree — the fill becomes contention-free by construction, like
 /// the shard-parallel merge.
-pub(crate) fn fill(dst: &dyn RelationStorage, tuples: &[TupleBuf], workers: usize) {
-    if workers <= 1 || tuples.len() < PAR_FILL_MIN {
+pub(crate) fn fill(dst: &dyn RelationStorage, tuples: &[TupleBuf], workers: usize) -> u64 {
+    let insert_all = |part: &[TupleBuf]| -> u64 {
         let mut ctx = dst.make_ctx();
-        for t in tuples {
-            dst.insert(t, &mut ctx);
-        }
-        return;
+        part.iter().filter(|t| dst.insert(t, &mut ctx)).count() as u64
+    };
+    if workers <= 1 || tuples.len() < PAR_FILL_MIN {
+        return insert_all(tuples);
     }
+    let added = AtomicU64::new(0);
     let nshards = dst.shard_count();
     if nshards > 1 {
         let mut buckets: Vec<Vec<TupleBuf>> = vec![Vec::new(); nshards];
@@ -954,8 +999,7 @@ pub(crate) fn fill(dst: &dyn RelationStorage, tuples: &[TupleBuf], workers: usiz
         let cursor = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..workers.min(nshards) {
-                let (cursor, buckets) = (&cursor, &buckets);
-                s.spawn(move || loop {
+                s.spawn(|| loop {
                     let b = cursor.fetch_add(1, Relaxed);
                     if b >= nshards {
                         break;
@@ -964,27 +1008,20 @@ pub(crate) fn fill(dst: &dyn RelationStorage, tuples: &[TupleBuf], workers: usiz
                         continue;
                     }
                     pin_counter_stripe(b);
-                    let mut ctx = dst.make_ctx();
-                    for t in &buckets[b] {
-                        dst.insert(t, &mut ctx);
-                    }
+                    added.fetch_add(insert_all(&buckets[b]), Relaxed);
                 });
             }
         });
-        return;
+        return added.into_inner();
     }
     let workers = workers.min(tuples.len());
     let per = tuples.len().div_ceil(workers);
     std::thread::scope(|s| {
         for chunk in tuples.chunks(per) {
-            s.spawn(move || {
-                let mut ctx = dst.make_ctx();
-                for t in chunk {
-                    dst.insert(t, &mut ctx);
-                }
-            });
+            s.spawn(|| added.fetch_add(insert_all(chunk), Relaxed));
         }
     });
+    added.into_inner()
 }
 
 #[cfg(test)]
@@ -997,6 +1034,18 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, n)| (n.to_string(), i))
+            .collect()
+    }
+
+    /// The source-order plan of every semi-naive version of `rule`.
+    fn compile_versions(
+        rule: &Rule,
+        rel_ids: &HashMap<String, usize>,
+        stratum_rels: &[usize],
+    ) -> Vec<Plan> {
+        delta_positions(rule, rel_ids, stratum_rels)
+            .into_iter()
+            .map(|p| compile_one(rule, rel_ids, p))
             .collect()
     }
 

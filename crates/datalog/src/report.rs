@@ -72,11 +72,7 @@ impl StorageReport {
                 }
             }
             if !rel.index_perms.is_empty() {
-                let perms: Vec<String> = rel
-                    .index_perms
-                    .iter()
-                    .map(|p| format!("{p:?}"))
-                    .collect();
+                let perms: Vec<String> = rel.index_perms.iter().map(|p| format!("{p:?}")).collect();
                 let _ = writeln!(out, "  {:<18} {}", "indexes", perms.join(" "));
             }
             if !rel.shard_lens.is_empty() {

@@ -241,10 +241,12 @@ pub trait RelationStorage: Send + Sync {
     /// it from the current contents on up to `workers` threads. Returns
     /// the index id — stable for the life of the storage, and idempotent:
     /// re-registering an existing permutation returns its id without
-    /// rebuilding. The default returns `None` ("not supported"): backends
-    /// without ordered secondary structures serve
-    /// [`scan_index`](Self::scan_index) by filtering instead. Quiescent
-    /// phases only.
+    /// rebuilding. May be called between fixpoint iterations on a
+    /// non-empty relation: the backfill reads the primary, and every later
+    /// insert, merge and retraction keeps the index in step. The default
+    /// returns `None` ("not supported"); a caller must only route
+    /// [`scan_index`](Self::scan_index) through an id it was given here.
+    /// Quiescent phases only.
     fn add_index(&mut self, perm: &[usize], workers: usize) -> Option<usize> {
         let _ = (perm, workers);
         None
@@ -260,10 +262,10 @@ pub trait RelationStorage: Send + Sync {
     /// all `i < prefix.len()` — a prefix scan *in the permuted column
     /// order*, yielding tuples in their **original** column order.
     /// Backends with a registered index `index` serve this as a range scan
-    /// of the permuted tree; the default filters a full scan, which is
-    /// behaviorally identical to the unindexed scan-plus-equality-checks
-    /// it replaces (so the planner may route through `scan_index` on any
-    /// backend). Quiescent phases only.
+    /// of the permuted tree; the default filters a full scan — correct,
+    /// but the cost of a full scan per call, which is why the planner
+    /// never assigns an index [`add_index`](Self::add_index) did not
+    /// register. Quiescent phases only.
     fn scan_index(
         &self,
         index: usize,
@@ -352,6 +354,18 @@ impl StorageKind {
             StorageKind::ConcurrentHashSet => "TBB hashset",
             StorageKind::ShardedBTree(_) => "btree (sharded)",
         }
+    }
+
+    /// Whether relations of this kind build secondary indexes — what
+    /// [`RelationStorage::add_index`] answers with `Some`, known to the
+    /// planner before any relation exists (the `all_backends_conform` test
+    /// holds the two together). A non-prefix search on any other kind is costed
+    /// and compiled as the filtered scan it is.
+    pub(crate) fn supports_indexes(&self) -> bool {
+        matches!(
+            self,
+            StorageKind::SpecBTree | StorageKind::SpecBTreeNoHints | StorageKind::ShardedBTree(_)
+        )
     }
 
     /// Creates an empty relation of this kind.
@@ -576,7 +590,8 @@ impl SpecBTreeStorage {
     /// index registration.
     fn idx_hints<'c>(&self, ctx: &'c mut SpecCtx, i: usize) -> &'c mut BTreeHints<MAX_ARITY> {
         while ctx.idx.len() <= i {
-            ctx.idx.push(self.indexes[ctx.idx.len()].tree.create_hints());
+            ctx.idx
+                .push(self.indexes[ctx.idx.len()].tree.create_hints());
         }
         &mut ctx.idx[i]
     }
@@ -592,7 +607,9 @@ impl SpecBTreeStorage {
         }
         let timer = telemetry::start_timer();
         let chunks = src.partition(workers.max(1) * 2, &[]);
-        let work = |chunk: &StorageChunk, sctx: &mut StorageCtx, hints: &mut Vec<BTreeHints<MAX_ARITY>>| {
+        let work = |chunk: &StorageChunk,
+                    sctx: &mut StorageCtx,
+                    hints: &mut Vec<BTreeHints<MAX_ARITY>>| {
             src.scan_chunk(chunk, sctx, &mut |t| {
                 for (ix, h) in self.indexes.iter().zip(hints.iter_mut()) {
                     let p = ix.permute(t);
@@ -605,7 +622,10 @@ impl SpecBTreeStorage {
             });
         };
         let fresh_hints = || -> Vec<BTreeHints<MAX_ARITY>> {
-            self.indexes.iter().map(|ix| ix.tree.create_hints()).collect()
+            self.indexes
+                .iter()
+                .map(|ix| ix.tree.create_hints())
+                .collect()
         };
         if workers <= 1 || chunks.len() <= 1 {
             let mut sctx = src.make_ctx();
@@ -639,7 +659,11 @@ impl RelationStorage for SpecBTreeStorage {
     fn make_ctx(&self) -> StorageCtx {
         Box::new(SpecCtx {
             main: self.tree.create_hints(),
-            idx: self.indexes.iter().map(|ix| ix.tree.create_hints()).collect(),
+            idx: self
+                .indexes
+                .iter()
+                .map(|ix| ix.tree.create_hints())
+                .collect(),
         })
     }
 
@@ -756,7 +780,9 @@ impl RelationStorage for SpecBTreeStorage {
             return;
         };
         let it = match (lower, self.hints) {
-            (Some(lo), true) => self.tree.lower_bound_hinted(lo, &mut Self::ctx_of(ctx).main),
+            (Some(lo), true) => self
+                .tree
+                .lower_bound_hinted(lo, &mut Self::ctx_of(ctx).main),
             (Some(lo), false) => self.tree.lower_bound(lo),
             (None, _) => self.tree.iter(),
         };
@@ -1070,7 +1096,8 @@ impl ShardedStorage {
         let ctx = ctx.downcast_mut::<ShardedCtx>().expect("sharded btree ctx");
         while ctx.idx.len() <= i {
             let ix = &self.indexes[ctx.idx.len()];
-            ctx.idx.push(ix.shards.iter().map(|t| t.create_hints()).collect());
+            ctx.idx
+                .push(ix.shards.iter().map(|t| t.create_hints()).collect());
         }
         &mut ctx.idx[i][s]
     }
@@ -1921,6 +1948,10 @@ mod tests {
         assert_eq!(after, vec![pad(&[1, 3])], "{}", kind.label());
         assert!(s.insert(&pad(&[1, 2]), &mut ctx), "reinsert after remove");
         assert_eq!(s.len(), 3);
+
+        // What the planner is told up front is what the storage answers.
+        let indexed = kind.create().add_index(&[1, 0], 1).is_some();
+        assert_eq!(kind.supports_indexes(), indexed, "{}", kind.label());
     }
 
     #[test]

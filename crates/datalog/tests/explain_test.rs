@@ -205,6 +205,63 @@ fn explain_is_stable_across_thread_counts_and_runs() {
 }
 
 #[test]
+fn explain_after_a_run_reports_the_plans_that_ran() {
+    // The paper's points-to program (Fig. 5a): vpt and hpt are defined by
+    // the one recursive stratum, so before a run both are empty and only
+    // the counts of each iteration say how rule 3 should be ordered.
+    use workloads::pointsto::{self, PointsToConfig};
+    let program = pointsto::program();
+    let mut engine = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();
+    let facts = pointsto::generate_facts(&PointsToConfig::scaled(5), 42);
+    pointsto::load_facts(&mut engine, &facts).unwrap();
+    engine.run().unwrap();
+    let after = engine.explain();
+    let rule3 = &after[after.find("rule 3:").expect("rule 3")..];
+    // Δvpt binds load's second column; load is scanned through an index
+    // built for it, and hpt — large by then — last, on a (h, f) prefix.
+    let version0 = rule3.lines().nth(1).unwrap();
+    let (load, hpt) = (
+        version0.find("range load index=").expect(version0),
+        version0.find("range hpt prefix=").expect(version0),
+    );
+    assert!(load < hpt, "{version0}");
+    assert!(
+        !after.contains("vpt index="),
+        "no index on a relation still growing:\n{after}"
+    );
+    // Δhpt was empty until the second iteration; the plan that then took
+    // over (load through its third column, vpt probed) is on record with
+    // what it was costed with, the delta's size included.
+    let version1: Vec<&str> = rule3.lines().skip(2).take(2).collect();
+    assert!(
+        version1[0].contains("range load index=[2,0,1]") && version1[0].contains("probe vpt("),
+        "{rule3}"
+    );
+    assert!(
+        version1[1].contains("cardinalities: load=100, vpt="),
+        "{rule3}"
+    );
+    assert!(
+        version1[1].contains("Δhpt=") && version1[1].ends_with("(replanned at iteration 2)"),
+        "{rule3}"
+    );
+    // Reported, not re-planned: asking again changes nothing, and the
+    // indexes named are the ones the storages hold.
+    assert_eq!(engine.explain(), after);
+    let report = engine.storage_report();
+    for rel in &report.relations {
+        for perm in &rel.index_perms {
+            let shown = format!("range {} index={perm:?}", rel.name).replace(' ', "");
+            assert!(
+                after.replace(' ', "").contains(&shown),
+                "{shown} not in\n{after}"
+            );
+        }
+    }
+    assert_eq!(engine.stats().index_builds, 4);
+}
+
+#[test]
 fn rule_profile_to_json_shape() {
     let program = parse(STABLE_TC).unwrap();
     let mut engine = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();

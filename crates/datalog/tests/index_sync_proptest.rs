@@ -137,21 +137,39 @@ proptest! {
     }
 
     /// Index registration on a non-empty storage backfills from the
-    /// current contents — late registration (the first-retraction DRed
-    /// path) must land on the same trees as eager registration.
+    /// current contents, and everything merged afterwards lands in the
+    /// index too: the engine registers an index between two fixpoint
+    /// iterations, when a re-plan first wants it, while worker contexts
+    /// made before it existed stay in use.
     #[test]
-    fn late_registration_backfills(keys in prop::collection::vec(key(), 0..150)) {
+    fn mid_fixpoint_registration_backfills_and_stays_in_sync(
+        keys in prop::collection::vec(key(), 0..150),
+        rounds in prop::collection::vec(prop::collection::vec(key(), 0..40), 0..4),
+    ) {
         for kind in INDEXED {
             let mut storage = kind.create();
+            let mut old_ctx = storage.make_ctx();
             fill(&*storage, &keys);
             storage.add_index(&[1, 0], 4).unwrap();
             assert_indexes_in_sync(&*storage, &format!("{kind:?} late registration"));
+            for (i, round) in rounds.iter().enumerate() {
+                // One iteration's `new → full` fold (tree-to-tree path).
+                let new = kind.create();
+                fill(&*new, round);
+                storage.merge_from(&*new, 2);
+                // The context that predates the index inserts and probes.
+                storage.insert(&pad(&[i as u64, 11]), &mut old_ctx);
+                let mut hits = 0;
+                storage.scan_index(0, &[1, 0], &[11], &mut old_ctx, &mut |_| hits += 1);
+                prop_assert!(hits > i, "{:?}: round {} probe saw {} tuples", kind, i, hits);
+                assert_indexes_in_sync(&*storage, &format!("{kind:?} after round {i}"));
+            }
         }
     }
 
-    /// Backends without ordered secondary structures serve `scan_index`
-    /// by filtering a full scan — behaviorally identical to the indexed
-    /// answer, so the planner may route through it on any backend.
+    /// Backends without ordered secondary structures register nothing and
+    /// answer `scan_index` by filtering a full scan: the right tuples at
+    /// the price of a sweep, which is why the planner assigns them no index.
     #[test]
     fn fallback_scan_index_filters_correctly(keys in prop::collection::vec(key(), 0..100)) {
         for kind in [StorageKind::ConcurrentHashSet, StorageKind::HashSetLocked, StorageKind::RbTreeLocked] {

@@ -485,7 +485,11 @@ mod tests {
             for _ in 0..READERS {
                 s.spawn(move || {
                     let mut observed = 0u64;
-                    while !stop.load(Relaxed) {
+                    // `stop` is sampled before the attempt: a reader first
+                    // scheduled once the writers are done still makes one
+                    // read, which then meets no writer and validates.
+                    loop {
+                        let last = stop.load(Relaxed);
                         let lease = lock.start_read();
                         let snapshot: Vec<u64> = data.iter().map(|w| w.load(Relaxed)).collect();
                         if lock.validate(lease) {
@@ -494,6 +498,9 @@ mod tests {
                                 "torn read observed: {snapshot:?}"
                             );
                             observed += 1;
+                        }
+                        if last {
+                            break;
                         }
                     }
                     assert!(observed > 0, "reader never completed a valid read");
