@@ -4,15 +4,15 @@
 use crate::ast::{Atom, Literal, Program, Rule, Term};
 use crate::eval::{
     compile_one, compile_one_at, delta_positions, eval_plan, fill, has_unprefixed_inner_scan,
-    materialize, merge_new, plan_delta_rel, source_order, CtxSet, Plan, StorageEnv, WorkerStats,
+    plan_delta_rel, side_table, source_order, Plan, SideTables, StorageEnv, WorkerCtxs,
+    WorkerStats,
 };
 use crate::planner::{self, CostModel, IndexCatalog, Version};
-use crate::storage::{pad, CountingStorage, OpCounters, RelationStorage, StorageKind, TupleBuf};
+use crate::storage::{pad, RelationStorage, StorageKind, TupleBuf};
 use crate::strat::{stratify, StratError, Stratification, Stratum};
-use specbtree::HintStats;
+use specbtree::{HintStats, TreeStats};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// An error raised while building or running an engine.
 #[derive(Debug)]
@@ -58,11 +58,17 @@ impl From<StratError> for EngineError {
 /// reports ("Evaluation Statistics") plus hint effectiveness (§4.3's hint
 /// hit rates).
 ///
+/// The four operation counts are taken where the engine and its workers
+/// issue the calls — one per `insert`, per membership test and per range
+/// query, a bulk merge counting one insert (a retraction one remove) per
+/// tuple it moves — not inside the storages.
+///
 /// # Semantics across runs
 ///
 /// Every counter **accumulates** for the lifetime of the engine: repeated
-/// [`Engine::run`] calls (incremental evaluation) keep adding to the same
-/// totals, and [`Engine::reset_stats`] restarts all of them from zero.
+/// [`Engine::run`] calls (incremental evaluation) and retractions keep
+/// adding to the same totals, and [`Engine::reset_stats`] restarts all of
+/// them from zero.
 /// The one exception is [`sched_imbalance`](Self::sched_imbalance), which
 /// — like [`Engine::worker_stats`] and [`Engine::profile`] — describes
 /// only the most recent run (a ratio cannot meaningfully accumulate).
@@ -74,7 +80,9 @@ pub struct EvalStats {
     pub membership_tests: u64,
     /// Total `lower_bound` calls.
     pub lower_bound_calls: u64,
-    /// Total `upper_bound` calls.
+    /// Total `upper_bound` calls in the sense of Figure 1's synthesized
+    /// code: range queries bounded above. The scan stops at the bound; no
+    /// tree descent is made for it.
     pub upper_bound_calls: u64,
     /// Tuples loaded as input facts.
     pub input_tuples: u64,
@@ -248,16 +256,11 @@ fn trace_plan(phase: &str, plan: &Plan, t0: std::time::Instant) {
 /// deletion accumulators (an empty placeholder where a relation has none).
 fn extended_full<'a>(
     rels: &'a [Box<dyn RelationStorage>],
-    del_acc: &'a HashMap<usize, Box<dyn RelationStorage>>,
+    del_acc: &'a SideTables,
     empty: &'a dyn RelationStorage,
 ) -> Vec<&'a dyn RelationStorage> {
-    let nrels = rels.len();
-    let mut full: Vec<&'a dyn RelationStorage> = Vec::with_capacity(nrels * 2);
-    full.extend(rels.iter().map(|b| b.as_ref()));
-    for r in 0..nrels {
-        full.push(del_acc.get(&r).map(|b| b.as_ref()).unwrap_or(empty));
-    }
-    full
+    let accs = del_acc.iter().map(|acc| acc.as_deref().unwrap_or(empty));
+    rels.iter().map(|b| b.as_ref()).chain(accs).collect()
 }
 
 /// Escapes a string for embedding in a JSON literal.
@@ -310,7 +313,6 @@ pub struct Engine {
     /// from derived tuples so retraction knows what rederivation may put
     /// back and what a from-scratch recompute starts from.
     edb: Vec<HashSet<TupleBuf>>,
-    counters: Arc<OpCounters>,
     stats: EvalStats,
     /// Per-worker scheduler counters from the last run.
     worker_stats: Vec<WorkerStats>,
@@ -342,17 +344,9 @@ impl Engine {
             StorageKind::ShardedBTree(0) => StorageKind::ShardedBTree(threads.max(1)),
             other => other,
         };
-        let counters = Arc::new(OpCounters::default());
-        let rels: Vec<Box<dyn RelationStorage>> = program
-            .decls
-            .iter()
-            .map(|_| {
-                Box::new(CountingStorage::new(kind.create(), Arc::clone(&counters)))
-                    as Box<dyn RelationStorage>
-            })
-            .collect();
-        let nrels = program.decls.len();
         let arities: Vec<usize> = program.decls.iter().map(|d| d.arity).collect();
+        let rels: Vec<_> = arities.iter().map(|&a| kind.create_for(a)).collect();
+        let nrels = program.decls.len();
         let mut engine = Self {
             program: program.clone(),
             strat,
@@ -361,7 +355,6 @@ impl Engine {
             rels,
             counts: vec![0; nrels],
             edb: vec![HashSet::new(); nrels],
-            counters,
             stats: EvalStats::default(),
             worker_stats: Vec::new(),
             profile: HashMap::new(),
@@ -596,6 +589,7 @@ impl Engine {
         let mut ctx = storage.make_ctx();
         for tuple in tuples {
             let t = self.padded(rel, &tuple)?;
+            self.stats.inserts += 1;
             if storage.insert(&t, &mut ctx) {
                 self.stats.input_tuples += 1;
                 self.counts[rel] += 1;
@@ -622,7 +616,7 @@ impl Engine {
         // Persistent per-worker operation-hint contexts (paper §3.2:
         // thread-local hints, kept across rules and fixpoint iterations)
         // and per-worker scheduler counters.
-        let mut pools: Vec<CtxSet> = (0..self.threads).map(|_| CtxSet::new()).collect();
+        let mut pools: Vec<WorkerCtxs> = (0..self.threads).map(|_| WorkerCtxs::default()).collect();
         let mut wstats: Vec<WorkerStats> = vec![WorkerStats::default(); self.threads];
         let mut next_plan_id = 0usize;
 
@@ -635,16 +629,9 @@ impl Engine {
             self.stats.hints.merge(&pool.hint_stats(&self.rels));
         }
 
-        // Aggregate scheduler counters and compute the load-imbalance
+        // Aggregate the workers' counters and compute the load-imbalance
         // figure (max/mean of tuples scanned across workers).
-        for w in &wstats {
-            self.stats.chunks_claimed += w.chunks_claimed;
-            self.stats.chunks_stolen += w.chunks_stolen;
-            self.stats.tuples_scanned += w.tuples_scanned;
-            self.stats.tuples_emitted += w.tuples_emitted;
-            self.stats.inner_scans_indexed += w.inner_scans_indexed;
-            self.stats.inner_scans_full += w.inner_scans_full;
-        }
+        self.absorb_worker_stats(&wstats);
         let active = wstats.iter().filter(|w| w.chunks_claimed > 0).count();
         self.stats.sched_imbalance = if active > 0 && self.stats.tuples_scanned > 0 {
             let mean = self.stats.tuples_scanned as f64 / self.threads as f64;
@@ -658,13 +645,42 @@ impl Engine {
         let size_after: usize = self.counts.iter().sum();
         self.stats.produced_tuples += (size_after - size_before) as u64;
         debug_assert!(self.counts_are_exact());
-        let (ins, mem, lb, ub) = self.counters.snapshot();
-        self.stats.inserts = ins;
-        self.stats.membership_tests = mem;
-        self.stats.lower_bound_calls = lb;
-        self.stats.upper_bound_calls = ub;
-        self.stats.removes = self.counters.removes_count();
         Ok(())
+    }
+
+    /// Adds what the workers of a run or a retraction counted to the
+    /// engine's totals.
+    fn absorb_worker_stats(&mut self, wstats: &[WorkerStats]) {
+        let mut sum = WorkerStats::default();
+        wstats.iter().for_each(|w| sum.merge(w));
+        let stats = &mut self.stats;
+        stats.chunks_claimed += sum.chunks_claimed;
+        stats.chunks_stolen += sum.chunks_stolen;
+        stats.tuples_scanned += sum.tuples_scanned;
+        stats.tuples_emitted += sum.tuples_emitted;
+        stats.inner_scans_indexed += sum.inner_scans_indexed;
+        stats.inner_scans_full += sum.inner_scans_full;
+        stats.inserts += sum.inserts;
+        stats.membership_tests += sum.membership_tests;
+        stats.lower_bound_calls += sum.lower_bound_calls;
+        stats.upper_bound_calls += sum.upper_bound_calls;
+    }
+
+    /// An empty storage of the engine's kind at relation `r`'s arity: what
+    /// every delta, `new` and retraction table of `r` is, so that it merges
+    /// with `r` tree to tree.
+    fn table_for(&self, r: usize) -> Box<dyn RelationStorage> {
+        self.kind.create_for(self.program.decls[r].arity)
+    }
+
+    /// A fresh table for each of `rels`, at index `offset + r`.
+    fn side_tables(&self, rels: &[usize], offset: usize) -> SideTables {
+        let mut tables: SideTables = Vec::new();
+        tables.resize_with(offset + self.rels.len(), || None);
+        for &r in rels {
+            tables[offset + r] = Some(self.table_for(r));
+        }
+        tables
     }
 
     /// Evaluates one stratum to fixpoint over the current contents of
@@ -676,7 +692,7 @@ impl Engine {
     fn eval_stratum(
         &mut self,
         stratum: &Stratum,
-        pools: &mut [CtxSet],
+        pools: &mut [WorkerCtxs],
         wstats: &mut [WorkerStats],
         next_plan_id: &mut usize,
     ) {
@@ -688,29 +704,11 @@ impl Engine {
             self.versions_of(stratum, stratum.rules.iter().copied(), next_plan_id);
         self.replan(&mut base, stratum, &self.whole_deltas(stratum), 1);
 
-        // Fresh delta/new relations for this stratum.
-        let make_side_tables = |engine: &Engine| -> HashMap<usize, Box<dyn RelationStorage>> {
-            stratum
-                .relations
-                .iter()
-                .map(|&r| {
-                    (
-                        r,
-                        Box::new(CountingStorage::new(
-                            engine.kind.create(),
-                            Arc::clone(&engine.counters),
-                        )) as Box<dyn RelationStorage>,
-                    )
-                })
-                .collect()
-        };
-
         // Phase 1: non-recursive rules derive directly into `new`, then
-        // merge.
+        // merge (no version of them reads a delta).
         {
-            let delta = make_side_tables(self);
-            let new = make_side_tables(self);
-            self.eval_versions(&base, &delta, &new, pools, wstats);
+            let new = self.side_tables(&stratum.relations, 0);
+            self.eval_versions(&base, &Vec::new(), &new, pools, wstats);
             self.merge_stratum(&new);
         }
         self.record(base);
@@ -722,18 +720,18 @@ impl Engine {
 
         // Phase 2: the semi-naive fixpoint. Delta starts as the full
         // current contents of the stratum's relations.
-        let mut delta = make_side_tables(self);
+        let mut delta = self.side_tables(&stratum.relations, 0);
         let mut deltas = self.whole_deltas(stratum);
         for &r in &stratum.relations {
-            let tuples = materialize(self.rels[r].as_ref(), self.counts[r]);
-            fill(delta[&r].as_ref(), &tuples, self.threads);
+            let seeded = side_table(&delta, r).merge_from(self.rels[r].as_ref(), self.threads);
+            self.stats.inserts += seeded;
         }
 
         // A cleared side-table set parked for reuse: once the loop is
         // two iterations deep, the outgoing delta tables are cleared and
         // become the next iteration's `new`, instead of allocating a
         // fresh storage per relation per iteration.
-        let mut spare: Option<HashMap<usize, Box<dyn RelationStorage>>> = None;
+        let mut spare: Option<SideTables> = None;
 
         for iteration in 1u64.. {
             self.stats.iterations += 1;
@@ -744,7 +742,9 @@ impl Engine {
                 telemetry::record(telemetry::Hist::EvalDeltaTuples, delta_size as u64);
             }
             self.replan(&mut rec, stratum, &deltas, iteration);
-            let new = spare.take().unwrap_or_else(|| make_side_tables(self));
+            let new = spare
+                .take()
+                .unwrap_or_else(|| self.side_tables(&stratum.relations, 0));
             self.eval_versions(&rec, &delta, &new, pools, wstats);
             let mut any = false;
             for (r, added) in self.merge_stratum(&new) {
@@ -757,9 +757,8 @@ impl Engine {
             let mut old = std::mem::replace(&mut delta, new);
             // Park the outgoing delta tables for the next iteration if
             // every backend supports a cheap reset; otherwise drop them
-            // and let `make_side_tables` allocate fresh ones (the
-            // pre-recycling behavior).
-            if old.values_mut().all(|s| s.clear()) {
+            // and allocate fresh ones next iteration.
+            if old.iter_mut().flatten().all(|s| s.clear()) {
                 spare = Some(old);
             }
         }
@@ -779,9 +778,9 @@ impl Engine {
     fn eval_versions(
         &mut self,
         versions: &[Version],
-        delta: &HashMap<usize, Box<dyn RelationStorage>>,
-        new: &HashMap<usize, Box<dyn RelationStorage>>,
-        pools: &mut [CtxSet],
+        delta: &SideTables,
+        new: &SideTables,
+        pools: &mut [WorkerCtxs],
         wstats: &mut [WorkerStats],
     ) {
         let full: Vec<&dyn RelationStorage> = self.rels.iter().map(|b| b.as_ref()).collect();
@@ -982,32 +981,28 @@ impl Engine {
 
         // Phase 1 — overdelete to fixpoint. Nothing is physically removed
         // yet, so non-delta positions still read the old database.
-        let mut pools: Vec<CtxSet> = (0..self.threads).map(|_| CtxSet::new()).collect();
+        let mut pools: Vec<WorkerCtxs> = (0..self.threads).map(|_| WorkerCtxs::default()).collect();
         let mut wstats: Vec<WorkerStats> = vec![WorkerStats::default(); self.threads];
+        // Stands in for the deletion set of a relation that has none; no
+        // plan reads one.
         let empty = self.kind.create();
 
-        let mut del_acc: HashMap<usize, Box<dyn RelationStorage>> = HashMap::new();
-        let mut del_round: HashMap<usize, Box<dyn RelationStorage>> = HashMap::new();
+        let mut del_acc = self.side_tables(&dred_dirty, 0);
+        let mut del_round = self.side_tables(&dred_dirty, 0);
+        // A seed of a relation the fallback recomputes has no deletion set:
+        // its fact is already out of `edb`, which is all the recompute reads.
         for &r in &dred_dirty {
-            let acc = self.kind.create();
-            let rnd = self.kind.create();
             if let Some(ts) = seeds.get(&r) {
-                fill(acc.as_ref(), ts, self.threads);
-                fill(rnd.as_ref(), ts, self.threads);
+                outcome.overdeleted += fill(side_table(&del_acc, r), ts, self.threads);
+                fill(side_table(&del_round, r), ts, self.threads);
             }
-            outcome.overdeleted += acc.len() as u64;
-            del_acc.insert(r, acc);
-            del_round.insert(r, rnd);
         }
 
         let t_phase = std::time::Instant::now();
         let phase_span = telemetry::span("dred.overdelete", dred_dirty.len() as u64);
         if !over_plans.is_empty() {
             loop {
-                let mut del_new: HashMap<usize, Box<dyn RelationStorage>> = dred_dirty
-                    .iter()
-                    .map(|&r| (nrels + r, self.kind.create()))
-                    .collect();
+                let mut del_new = self.side_tables(&dred_dirty, nrels);
                 {
                     let full = extended_full(&self.rels, &del_acc, empty.as_ref());
                     let env = StorageEnv {
@@ -1021,7 +1016,7 @@ impl Engine {
                         // source-order versions, whose outer scan is a
                         // full relation.
                         let idle = plan_delta_rel(plan)
-                            .is_some_and(|r| del_round.get(&r).is_none_or(|s| s.is_empty()));
+                            .is_some_and(|r| del_round[r].as_ref().is_none_or(|s| s.is_empty()));
                         if idle {
                             continue;
                         }
@@ -1032,11 +1027,11 @@ impl Engine {
                 }
                 let mut grew = false;
                 for &r in &dred_dirty {
-                    let newly = del_new.remove(&(nrels + r)).expect("allocated above");
-                    let added = del_acc[&r].merge_from(newly.as_ref(), self.threads);
+                    let newly = del_new[nrels + r].take().expect("allocated above");
+                    let added = side_table(&del_acc, r).merge_from(newly.as_ref(), self.threads);
                     outcome.overdeleted += added;
                     grew |= added > 0;
-                    del_round.insert(r, newly);
+                    del_round[r] = Some(newly);
                 }
                 if !grew {
                     break;
@@ -1051,11 +1046,14 @@ impl Engine {
         let t_phase = std::time::Instant::now();
         let phase_span = telemetry::span("dred.delete", outcome.overdeleted);
         for &r in &dred_dirty {
-            if !del_acc[&r].is_empty() {
-                let gone = self.rels[r].retract_from(del_acc[&r].as_ref(), self.threads);
+            let acc = side_table(&del_acc, r);
+            if !acc.is_empty() {
+                let gone = self.rels[r].retract_from(acc, self.threads);
                 self.counts[r] -= gone as usize;
             }
         }
+        // One remove per overdeleted tuple.
+        self.stats.removes += outcome.overdeleted;
         drop(phase_span);
         outcome.delete_seconds = t_phase.elapsed().as_secs_f64();
 
@@ -1067,7 +1065,7 @@ impl Engine {
                 .relations
                 .iter()
                 .copied()
-                .filter(|r| del_acc.get(r).map(|a| !a.is_empty()).unwrap_or(false))
+                .filter(|&r| del_acc[r].as_ref().is_some_and(|a| !a.is_empty()))
                 .collect();
             if ds.is_empty() {
                 continue;
@@ -1077,14 +1075,13 @@ impl Engine {
             // definition; putting them back seeds the rederivation delta.
             // The full deletion sets are materialized on the side for the
             // seed pass's batching below.
-            let mut round: HashMap<usize, Box<dyn RelationStorage>> =
-                ds.iter().map(|&r| (r, self.kind.create())).collect();
+            let mut round = self.side_tables(&ds, 0);
             let mut del_tuples: HashMap<usize, Vec<TupleBuf>> = HashMap::new();
             for &r in &ds {
-                let mut all: Vec<TupleBuf> = Vec::with_capacity(del_acc[&r].len());
+                let mut all: Vec<TupleBuf> = Vec::new();
                 let mut keep: Vec<TupleBuf> = Vec::new();
                 let edb = &self.edb[r];
-                del_acc[&r].for_each(&mut |t| {
+                side_table(&del_acc, r).for_each(&mut |t| {
                     all.push(*t);
                     if edb.contains(t) {
                         keep.push(*t);
@@ -1092,7 +1089,8 @@ impl Engine {
                 });
                 if !keep.is_empty() {
                     self.counts[r] += fill(self.rels[r].as_ref(), &keep, self.threads) as usize;
-                    fill(round[&r].as_ref(), &keep, self.threads);
+                    fill(side_table(&round, r), &keep, self.threads);
+                    self.stats.inserts += keep.len() as u64;
                     outcome.rederived += keep.len() as u64;
                 }
                 del_tuples.insert(r, all);
@@ -1234,9 +1232,8 @@ impl Engine {
             // the side tables, so overlap between jobs (or between the
             // batched prefix and a body-first sweep) is harmless.
             const SEED_BATCH: usize = 256;
-            let no_delta: HashMap<usize, Box<dyn RelationStorage>> = HashMap::new();
-            let new_tabs: HashMap<usize, Box<dyn RelationStorage>> =
-                ds.iter().map(|&r| (r, self.kind.create())).collect();
+            let no_delta: SideTables = Vec::new();
+            let new_tabs = self.side_tables(&ds, 0);
             let mut projections: HashMap<(usize, usize), HashSet<u64>> = HashMap::new();
             for job in &jobs {
                 let r = job.head_rel;
@@ -1280,9 +1277,9 @@ impl Engine {
                 };
                 while idx < dels.len() {
                     let end = (idx + batch).min(dels.len());
-                    let part = self.kind.create();
+                    let part = self.table_for(r);
                     fill(part.as_ref(), &dels[idx..end], self.threads);
-                    let saved = del_acc.insert(r, part).expect("r is dirty");
+                    let saved = del_acc[r].replace(part);
                     {
                         let full = extended_full(&self.rels, &del_acc, empty.as_ref());
                         let env = StorageEnv {
@@ -1294,7 +1291,7 @@ impl Engine {
                         eval_plan(&job.del_plan, &env, &mut pools, &mut wstats);
                         trace_plan("rederive-seed", &job.del_plan, t0);
                     }
-                    del_acc.insert(r, saved);
+                    del_acc[r] = saved;
                     idx = end;
                     batch = batch.saturating_mul(4);
                     if idx < dels.len() {
@@ -1320,17 +1317,15 @@ impl Engine {
                     trace_plan("rederive-alt", plan, t0);
                 }
             }
-            for &r in &ds {
-                let added = self.rels[r].merge_from(new_tabs[&r].as_ref(), self.threads);
-                self.counts[r] += added as usize;
+            for (r, added) in self.merge_stratum(&new_tabs) {
                 outcome.rederived += added;
-                round[&r].merge_from(new_tabs[&r].as_ref(), self.threads);
+                side_table(&round, r).merge_from(side_table(&new_tabs, r), self.threads);
             }
 
             // Semi-naive rounds: rederived tuples may re-prove more.
-            while !delta_plans.is_empty() && round.values().any(|s| !s.is_empty()) {
-                let new_tabs: HashMap<usize, Box<dyn RelationStorage>> =
-                    ds.iter().map(|&r| (r, self.kind.create())).collect();
+            let unfinished = |round: &SideTables| round.iter().flatten().any(|s| !s.is_empty());
+            while !delta_plans.is_empty() && unfinished(&round) {
+                let new_tabs = self.side_tables(&ds, 0);
                 {
                     let full = extended_full(&self.rels, &del_acc, empty.as_ref());
                     let env = StorageEnv {
@@ -1340,7 +1335,7 @@ impl Engine {
                     };
                     for plan in &delta_plans {
                         let idle = plan_delta_rel(plan)
-                            .is_some_and(|dr| round.get(&dr).is_none_or(|s| s.is_empty()));
+                            .is_some_and(|dr| round[dr].as_ref().is_none_or(|s| s.is_empty()));
                         if idle {
                             continue;
                         }
@@ -1350,9 +1345,7 @@ impl Engine {
                     }
                 }
                 let mut grew = false;
-                for &r in &ds {
-                    let added = self.rels[r].merge_from(new_tabs[&r].as_ref(), self.threads);
-                    self.counts[r] += added as usize;
+                for (_, added) in self.merge_stratum(&new_tabs) {
                     outcome.rederived += added;
                     grew |= added > 0;
                 }
@@ -1373,12 +1366,10 @@ impl Engine {
         if fallback_from < strata.len() {
             for stratum in &strata[fallback_from..] {
                 for &r in &stratum.relations {
-                    self.rels[r] = Box::new(CountingStorage::new(
-                        self.kind.create(),
-                        Arc::clone(&self.counters),
-                    ));
+                    self.rels[r] = self.table_for(r);
                     let tuples: Vec<TupleBuf> = self.edb[r].iter().copied().collect();
                     self.counts[r] = fill(self.rels[r].as_ref(), &tuples, self.threads) as usize;
+                    self.stats.inserts += tuples.len() as u64;
                 }
                 // The replacement storages lost their index trees; rebuild
                 // the catalog's permutations (plans reference their ids)
@@ -1393,11 +1384,7 @@ impl Engine {
 
         self.stats.overdeleted_tuples += outcome.overdeleted;
         self.stats.rederived_tuples += outcome.rederived;
-        for w in &wstats {
-            self.stats.inner_scans_indexed += w.inner_scans_indexed;
-            self.stats.inner_scans_full += w.inner_scans_full;
-        }
-        self.stats.removes = self.counters.removes_count();
+        self.absorb_worker_stats(&wstats);
         let size_after: i64 = self.counts.iter().map(|&n| n as i64).sum();
         outcome.net_removed = size_before - size_after;
         debug_assert!(self.counts_are_exact());
@@ -1407,23 +1394,23 @@ impl Engine {
     /// Folds every `new` side table of a stratum into its full relation
     /// (Figure 1 line 17 for the whole stratum), returning per relation the
     /// number of tuples actually added — which is also what keeps
-    /// `self.counts` exact and sizes the next iteration's deltas.
+    /// `self.counts` exact, sizes the next iteration's deltas and counts as
+    /// that many inserts.
     ///
     /// Relations of one stratum are independent, so their merges run
     /// concurrently on scoped threads; each merge additionally splits the
     /// remaining thread budget across the structure-aware parallel merge
     /// inside the storage backend ([`RelationStorage::merge_from`]).
-    fn merge_stratum(
-        &mut self,
-        new: &HashMap<usize, Box<dyn RelationStorage>>,
-    ) -> Vec<(usize, u64)> {
+    fn merge_stratum(&mut self, new: &SideTables) -> Vec<(usize, u64)> {
         let timer = telemetry::start_timer();
-        let jobs: Vec<(usize, &dyn RelationStorage)> =
-            new.iter().map(|(&r, s)| (r, s.as_ref())).collect();
+        let tables = new.iter().enumerate();
+        let jobs: Vec<(usize, &dyn RelationStorage)> = tables
+            .filter_map(|(r, s)| Some((r, s.as_deref()?)))
+            .collect();
         let rels = &self.rels;
         let merge = |&(r, src): &(usize, &dyn RelationStorage), workers: usize| {
             let _span = telemetry::span("eval.merge", r as u64);
-            (r, merge_new(rels[r].as_ref(), src, workers))
+            (r, rels[r].merge_from(src, workers.max(1)))
         };
         let added: Vec<(usize, u64)> = if self.threads <= 1 || jobs.len() <= 1 {
             jobs.iter().map(|job| merge(job, self.threads)).collect()
@@ -1446,8 +1433,11 @@ impl Engine {
                     .collect()
             })
         };
+        // `new` holds only tuples the full relation lacked when they were
+        // derived, so a merge adds — and counts as inserted — all of them.
         for &(r, n) in &added {
             self.counts[r] += n as usize;
+            self.stats.inserts += n;
         }
         timer.observe(telemetry::Hist::EvalMergeNanos);
         added
@@ -1532,14 +1522,10 @@ impl Engine {
         &self.stats
     }
 
-    /// Zeroes the accumulated [`EvalStats`] — including the shared
-    /// operation counters feeding `inserts` / `membership_tests` /
-    /// `lower_bound_calls` / `upper_bound_calls` — along with the
-    /// per-worker scheduler counters and the per-rule profile. Call
-    /// between runs, never during one.
+    /// Zeroes the accumulated [`EvalStats`] along with the per-worker
+    /// counters and the per-rule profile.
     pub fn reset_stats(&mut self) {
         self.stats = EvalStats::default();
-        self.counters.reset();
         self.worker_stats.clear();
         self.profile.clear();
     }
@@ -1604,16 +1590,18 @@ impl Engine {
                 .map(|(i, d)| {
                     // Sharded relations report one aggregated census (per-
                     // shard censuses folded with `TreeStats::absorb`) plus
-                    // the raw per-shard tuple counts for balance checks.
-                    let (tree, shard_lens) = match self.rels[i].as_sharded() {
-                        Some(sharded) => {
-                            let mut agg = specbtree::TreeStats::default();
-                            for shard in sharded.shards() {
-                                agg.absorb(&shard.stats());
-                            }
-                            (Some(agg), sharded.shard_lens())
-                        }
-                        None => (self.rels[i].as_spec_btree().map(|t| t.stats()), Vec::new()),
+                    // the raw per-shard tuple counts for balance checks
+                    // (every key of this tree is a tuple).
+                    let per_tree = self.rels[i].tree_stats();
+                    let tree = (!per_tree.is_empty()).then(|| {
+                        let mut agg = TreeStats::default();
+                        per_tree.iter().for_each(|t| agg.absorb(t));
+                        agg
+                    });
+                    let shard_lens = if self.rels[i].shard_count() > 1 {
+                        per_tree.iter().map(|t| t.keys as usize).collect()
+                    } else {
+                        Vec::new()
                     };
                     crate::RelationReport {
                         name: d.name.clone(),

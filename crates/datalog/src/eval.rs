@@ -14,18 +14,18 @@
 //! space into many more chunks than workers
 //! ([`RelationStorage::partition`]), and workers claim chunks off a shared
 //! atomic cursor, walking each chunk directly in the tree
-//! ([`RelationStorage::scan_chunk`]) with no intermediate tuple buffer.
-//! Every worker owns private storage contexts (operation hints) and
-//! inserts into the shared `new` relation through the concurrent storage
-//! API. Reads (scans over stable relations) and writes (inserts into
-//! `new`) never target the same structure — the two-phase property (§2)
-//! the B-tree's synchronization is specialized for.
+//! ([`RelationStorage::scan_chunk`]) with no intermediate tuple buffer;
+//! inner scans join inside the scan's callback the same way. Every worker
+//! owns private storage contexts (operation hints), bound to the plan's
+//! operation sites once per plan execution, and inserts into the shared
+//! `new` relation through the concurrent storage API. Reads (scans over
+//! stable relations) and writes (inserts into `new`) never target the same
+//! structure — the two-phase property (§2) the B-tree's synchronization is
+//! specialized for.
 
 use crate::ast::{CmpOp, Rule, Term, MAX_ARITY};
 use crate::planner::IndexCatalog;
-use crate::storage::{
-    pin_counter_stripe, shard_of, RelationStorage, StorageChunk, StorageCtx, TupleBuf,
-};
+use crate::storage::{shard_of, ChunkSpan, RelationStorage, StorageChunk, StorageCtx, TupleBuf};
 use specbtree::HintStats;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -57,6 +57,19 @@ pub struct WorkerStats {
     /// Inner scans that fell through to an unindexed full sweep of the
     /// relation (no bound prefix, no secondary index).
     pub inner_scans_full: u64,
+    /// `insert` calls the worker issued (head tuples not in the full
+    /// relation, offered to `new`).
+    pub inserts: u64,
+    /// Membership tests the worker issued (fully bound body literals and
+    /// the head's test against the full relation).
+    pub membership_tests: u64,
+    /// `lower_bound` calls: one per inner scan and per range chunk of an
+    /// outer scan.
+    pub lower_bound_calls: u64,
+    /// `upper_bound` calls in the sense of Figure 1's synthesized code:
+    /// inner scans bounded above, i.e. with a bound prefix. The scan stops
+    /// at the bound; no descent is made for it.
+    pub upper_bound_calls: u64,
 }
 
 impl WorkerStats {
@@ -68,6 +81,10 @@ impl WorkerStats {
         self.tuples_emitted += other.tuples_emitted;
         self.inner_scans_indexed += other.inner_scans_indexed;
         self.inner_scans_full += other.inner_scans_full;
+        self.inserts += other.inserts;
+        self.membership_tests += other.membership_tests;
+        self.lower_bound_calls += other.lower_bound_calls;
+        self.upper_bound_calls += other.upper_bound_calls;
     }
 }
 
@@ -525,6 +542,16 @@ impl Plan {
     }
 }
 
+/// The delta or `new` side tables of one evaluation round, by relation id
+/// (`None` where the round has none).
+pub(crate) type SideTables = Vec<Option<Box<dyn RelationStorage>>>;
+
+/// The side table of `rel`, which the caller knows to exist.
+pub(crate) fn side_table(tables: &SideTables, rel: usize) -> &dyn RelationStorage {
+    let table = tables.get(rel).and_then(|t| t.as_deref());
+    table.expect("a side table for every relation a plan reads the delta of or derives")
+}
+
 /// Resolves `delta` flags to concrete storages for one evaluation round.
 ///
 /// `full` is a slice of borrowed storages (not owned boxes) so callers can
@@ -534,84 +561,130 @@ impl Plan {
 pub(crate) struct StorageEnv<'a> {
     /// Full contents of every relation (indexed by relation id).
     pub full: &'a [&'a dyn RelationStorage],
-    /// Delta relations of the current stratum (relation id → storage).
-    pub delta: &'a HashMap<usize, Box<dyn RelationStorage>>,
+    /// Delta relations of the current stratum.
+    pub delta: &'a SideTables,
     /// The `new` relations tuples are derived into.
-    pub new: &'a HashMap<usize, Box<dyn RelationStorage>>,
+    pub new: &'a SideTables,
 }
+
+/// One operation site of a plan — step `i` at index `i`, then the head's
+/// membership test and its insert — as `(relation, storage)`; `None` for a
+/// filter, which touches no storage.
+type Bound<'a> = Option<(usize, &'a dyn RelationStorage)>;
 
 impl<'a> StorageEnv<'a> {
-    fn source(&self, rel: usize, delta: bool) -> &'a dyn RelationStorage {
-        if delta {
-            self.delta[&rel].as_ref()
-        } else {
-            self.full[rel]
-        }
+    /// The storage every operation site of `plan` goes to, resolved once
+    /// per plan execution.
+    ///
+    /// Scans and membership tests read `full` and `delta`, inserts go to
+    /// `new`, and no table is both: the two-phase property (§2) that lets a
+    /// join run inside a scan's callback, since nothing a plan reads
+    /// changes while it runs.
+    fn bind(&self, plan: &Plan) -> Vec<Bound<'a>> {
+        let source = |rel: usize, delta: bool| match delta {
+            true => side_table(self.delta, rel),
+            false => self.full[rel],
+        };
+        let new = side_table(self.new, plan.head_rel);
+        let mut sites: Vec<Bound<'a>> = plan
+            .steps
+            .iter()
+            .map(|step| match step {
+                Step::Scan { rel, delta, .. } | Step::Check { rel, delta, .. } => {
+                    Some((*rel, source(*rel, *delta)))
+                }
+                Step::Filter { .. } => None,
+            })
+            .collect();
+        let reads_new = |&(_, src): &(usize, &dyn RelationStorage)| std::ptr::addr_eq(src, new);
+        assert!(
+            !sites.iter().flatten().any(reads_new),
+            "plan {} reads the table it derives into",
+            plan.id
+        );
+        sites.push(Some((plan.head_rel, self.full[plan.head_rel])));
+        sites.push(Some((plan.head_rel, new)));
+        sites
     }
 }
 
-/// Per-thread contexts for every storage a plan touches, plus hint-stat
-/// aggregation on drop-out.
+/// An operation site during one plan execution: where the operation goes
+/// and this worker's context for it, both settled before the first tuple.
+struct Site<'a> {
+    rel: usize,
+    src: &'a dyn RelationStorage,
+    ctx: StorageCtx,
+}
+
+/// One worker's operation contexts (the paper's thread-local hints),
+/// living across rules and fixpoint iterations.
 ///
-/// Contexts are keyed by *operation site* in addition to the relation and
-/// role: distinct scan/probe sites have distinct access streams, and
-/// sharing one hint between them makes each evict the other's cached leaf
-/// (Soufflé likewise creates one operation context per call site in its
-/// generated code).
-pub(crate) struct CtxSet {
-    /// Context per (relation id, role, site) where role 0 = full,
-    /// 1 = delta, 2 = new.
-    ctxs: HashMap<(usize, u8, usize), StorageCtx>,
+/// There is one per *operation site* of every plan: distinct scan/probe
+/// sites have distinct access streams, and sharing one hint between them
+/// makes each evict the other's cached leaf (Soufflé likewise creates one
+/// operation context per call site in its generated code). A context made
+/// for a previous iteration's delta relation rebinds through the hint
+/// branding when the delta is replaced.
+#[derive(Default)]
+pub(crate) struct WorkerCtxs {
+    /// `[plan id][site]`: the relation a context was made for, and it.
+    plans: Vec<Vec<Option<(usize, StorageCtx)>>>,
+    /// Hint statistics of the contexts re-plans retired.
+    retired: HintStats,
 }
 
-impl CtxSet {
-    pub(crate) fn new() -> Self {
-        Self {
-            ctxs: HashMap::new(),
+impl WorkerCtxs {
+    /// Takes the contexts of plan `id` out for one execution over `bound`.
+    /// A re-plan keeps the plan's id and may move another relation to a
+    /// site: that site starts over with a context of the new relation.
+    fn take<'a>(
+        &mut self,
+        id: usize,
+        bound: &[Bound<'a>],
+        full: &[&dyn RelationStorage],
+    ) -> Vec<Option<Site<'a>>> {
+        if self.plans.len() <= id {
+            self.plans.resize_with(id + 1, Vec::new);
         }
+        let Self { plans, retired } = self;
+        let mut retire = |old: Option<(usize, StorageCtx)>| {
+            let stats = old.and_then(|(rel, ctx)| full.get(rel)?.hint_stats(&ctx));
+            stats.inspect(|s| retired.merge(s));
+        };
+        plans[id].resize_with(bound.len(), || None);
+        let sites = bound.iter().zip(&mut plans[id]).map(|(site, kept)| {
+            let kept = kept.take();
+            let Some((rel, src)) = *site else {
+                retire(kept);
+                return None;
+            };
+            let ctx = match kept {
+                Some((had, ctx)) if had == rel => ctx,
+                stale => {
+                    retire(stale);
+                    src.make_ctx()
+                }
+            };
+            Some(Site { rel, src, ctx })
+        });
+        sites.collect()
     }
 
-    pub(crate) fn ctx(
-        &mut self,
-        storage: &dyn RelationStorage,
-        rel: usize,
-        role: u8,
-        site: usize,
-    ) -> &mut StorageCtx {
-        self.ctxs
-            .entry((rel, role, site))
-            .or_insert_with(|| storage.make_ctx())
-    }
-
-    /// Removes the context for a site so it can be used while the rest of
-    /// the set is borrowed elsewhere (the outer chunk scan holds its
-    /// context across deeper steps that need other contexts). Pair with
-    /// [`put_ctx`](Self::put_ctx) to preserve hint locality.
-    pub(crate) fn take_ctx(
-        &mut self,
-        storage: &dyn RelationStorage,
-        rel: usize,
-        role: u8,
-        site: usize,
-    ) -> StorageCtx {
-        self.ctxs
-            .remove(&(rel, role, site))
-            .unwrap_or_else(|| storage.make_ctx())
-    }
-
-    /// Returns a context taken with [`take_ctx`](Self::take_ctx).
-    pub(crate) fn put_ctx(&mut self, rel: usize, role: u8, site: usize, ctx: StorageCtx) {
-        self.ctxs.insert((rel, role, site), ctx);
+    /// Puts back what [`take`](Self::take) handed out.
+    fn put(&mut self, id: usize, sites: Vec<Option<Site<'_>>>) {
+        let keep = |s: Option<Site<'_>>| s.map(|s| (s.rel, s.ctx));
+        self.plans[id] = sites.into_iter().map(keep).collect();
     }
 
     /// Sums hint statistics over all contexts. The full relations serve as
-    /// the interpreter for every role — all roles share one storage kind,
-    /// and reading a context's statistics only inspects the context — so
-    /// stats survive the per-iteration replacement of delta/new relations.
+    /// the interpreter for every role — a relation's side tables are of its
+    /// kind and width, and reading a context's statistics only inspects
+    /// the context — so stats survive the per-iteration replacement of
+    /// delta/new relations.
     pub(crate) fn hint_stats(&self, full: &[Box<dyn RelationStorage>]) -> HintStats {
-        let mut total = HintStats::default();
-        for (&(rel, _role, _site), ctx) in &self.ctxs {
-            if let Some(s) = full[rel].hint_stats(ctx) {
+        let mut total = self.retired;
+        for (rel, ctx) in self.plans.iter().flatten().flatten() {
+            if let Some(s) = full[*rel].hint_stats(ctx) {
                 total.merge(&s);
             }
         }
@@ -619,49 +692,46 @@ impl CtxSet {
     }
 }
 
+/// One plan execution as every worker sees it: the outer scan's chunks,
+/// grouped by shard with one claim cursor per group.
+struct Job<'a> {
+    plan: &'a Plan,
+    full: &'a [&'a dyn RelationStorage],
+    bound: Vec<Bound<'a>>,
+    chunks: Vec<StorageChunk>,
+    groups: Vec<Range<usize>>,
+    cursors: Vec<AtomicUsize>,
+}
+
 /// Evaluates one plan over `env`, deriving tuples into `env.new`.
 ///
-/// `pools` are persistent per-worker context sets (operation hints): they
-/// live across rules and fixpoint iterations, exactly like the paper's
-/// thread-local hints. Contexts created for a previous iteration's delta
-/// relation rebind automatically through the hint branding when the delta
-/// is replaced.
+/// `pools` are the persistent per-worker contexts and `stats` the
+/// per-worker counters, both indexed by worker.
 pub(crate) fn eval_plan(
     plan: &Plan,
     env: &StorageEnv<'_>,
-    pools: &mut [CtxSet],
+    pools: &mut [WorkerCtxs],
     stats: &mut [WorkerStats],
 ) {
     debug_assert_eq!(pools.len(), stats.len());
-    if plan.steps.is_empty() || !matches!(plan.steps.first(), Some(Step::Scan { .. })) {
-        // Degenerate plan (starts with a check): evaluate sequentially.
-        let mut evaluator = Evaluator {
-            plan,
-            env,
-            ctxs: &mut pools[0],
-            stats: &mut stats[0],
-            scratch: vec![Vec::new(); plan.steps.len()],
-        };
-        let mut vars = vec![0u64; plan.nvars];
-        evaluator.run_from(0, &mut vars);
-        return;
-    }
-    let Some(Step::Scan {
-        rel, delta, prefix, ..
-    }) = plan.steps.first()
+    let bound = env.bind(plan);
+    let (Some(Step::Scan { prefix, .. }), Some(Some((_, outer)))) =
+        (plan.steps.first(), bound.first())
     else {
-        unreachable!("scan-headed checked above")
+        // Degenerate plan (starts with a check): evaluate sequentially.
+        let mut sites = pools[0].take(plan.id, &bound, env.full);
+        let stats = &mut stats[0];
+        Evaluator { plan, stats }.run_from(0, &mut vec![0u64; plan.nvars], &mut sites);
+        pools[0].put(plan.id, sites);
+        return;
     };
     debug_assert!(
         prefix.iter().all(|s| matches!(s, Slot::Const(_))),
         "outermost prefix can only contain constants"
     );
     let consts: Vec<u64> = prefix.iter().map(|s| s.value(&[])).collect();
-    let (rel, delta) = (*rel, *delta);
-    let storage = env.source(rel, delta);
-
     let workers = pools.len().max(1);
-    let chunks = storage.partition(workers * CHUNKS_PER_WORKER, &consts);
+    let chunks = outer.partition(workers * CHUNKS_PER_WORKER, &consts);
     if chunks.is_empty() {
         return;
     }
@@ -671,41 +741,27 @@ pub(crate) fn eval_plan(
     // others, so under sharded storage a worker's scans stay
     // inside the shard whose tree it owns.
     let groups = shard_groups(&chunks);
-    let cursors: Vec<AtomicUsize> = groups.iter().map(|g| AtomicUsize::new(g.start)).collect();
-    if workers == 1 || chunks.len() == 1 {
-        // Nothing to distribute: run inline, skipping the spawn
-        // cost (it recurs once per plan per fixpoint iteration).
-        run_worker(
-            plan,
-            env,
-            storage,
-            rel,
-            delta,
-            &chunks,
-            &groups,
-            &cursors,
-            0,
-            &mut pools[0],
-            &mut stats[0],
-        );
-        return;
+    let job = Job {
+        plan,
+        full: env.full,
+        bound,
+        cursors: groups.iter().map(|g| AtomicUsize::new(g.start)).collect(),
+        groups,
+        chunks,
+    };
+    // Never spawn more workers than there are chunks to claim — surplus
+    // workers would only pay the spawn cost and exit — and with nothing
+    // to distribute run inline: the spawn cost recurs once per plan per
+    // fixpoint iteration.
+    let active = workers.min(job.chunks.len());
+    if active == 1 {
+        return job.run(0, &mut pools[0], &mut stats[0]);
     }
-    // Never spawn more workers than there are chunks to claim —
-    // surplus workers would only pay the spawn cost and exit.
-    let active = workers.min(chunks.len());
     std::thread::scope(|s| {
-        for (w, (ctxs, wstats)) in pools
-            .iter_mut()
-            .zip(stats.iter_mut())
-            .take(active)
-            .enumerate()
-        {
-            let (cursors, chunks, groups) = (&cursors, &chunks, &groups);
-            s.spawn(move || {
-                run_worker(
-                    plan, env, storage, rel, delta, chunks, groups, cursors, w, ctxs, wstats,
-                );
-            });
+        let workers = pools.iter_mut().zip(stats.iter_mut()).take(active);
+        for (w, (ctxs, wstats)) in workers.enumerate() {
+            let job = &job;
+            s.spawn(move || job.run(w, ctxs, wstats));
         }
     });
 }
@@ -726,94 +782,72 @@ fn shard_groups(chunks: &[StorageChunk]) -> Vec<Range<usize>> {
     groups
 }
 
-/// One worker's claim loop: drain the home shard's chunk group off its
-/// shared cursor, then steal from the other groups in rotation (home+1,
-/// home+2, …) until every group is exhausted. The outer scan's context is
-/// taken out of the `CtxSet` for the whole loop (deeper steps borrow the
-/// set for their own contexts) and restored afterwards so its hints stay
-/// warm across plans and iterations.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    plan: &Plan,
-    env: &StorageEnv<'_>,
-    storage: &dyn RelationStorage,
-    rel: usize,
-    delta: bool,
-    chunks: &[StorageChunk],
-    groups: &[Range<usize>],
-    cursors: &[AtomicUsize],
-    widx: usize,
-    ctxs: &mut CtxSet,
-    stats: &mut WorkerStats,
-) {
-    let ngroups = groups.len();
-    let home = widx % ngroups;
-    // Counter stripes follow the home shard under sharded evaluation
-    // (stripe = the shard whose tree this worker's operations hit), and
-    // the worker index otherwise (pairwise distinct for ≤16 workers,
-    // like the old round-robin but stable across plans).
-    if ngroups > 1 {
-        pin_counter_stripe(chunks[groups[home].start].shard);
-    } else {
-        pin_counter_stripe(widx);
-    }
-    let sharded = ngroups > 1;
-    let role = u8::from(delta);
-    let outer_site = plan.id << 8; // step index 0
-    let mut outer_ctx = ctxs.take_ctx(storage, rel, role, outer_site);
-    let mut evaluator = Evaluator {
-        plan,
-        env,
-        ctxs,
-        stats,
-        scratch: vec![Vec::new(); plan.steps.len()],
-    };
-    let mut vars = vec![0u64; plan.nvars];
-    for offset in 0..ngroups {
-        let g = (home + offset) % ngroups;
-        let stolen = offset > 0;
-        loop {
-            let i = cursors[g].fetch_add(1, Relaxed);
-            if i >= groups[g].end {
-                break;
+impl Job<'_> {
+    /// One worker's claim loop: drain the home shard's chunk group off its
+    /// shared cursor, then steal from the other groups in rotation (home+1,
+    /// home+2, …) until every group is exhausted. The worker's contexts
+    /// for this plan are out of its pool for the whole loop and go back
+    /// afterwards, so their hints stay warm across plans and iterations.
+    fn run(&self, widx: usize, ctxs: &mut WorkerCtxs, stats: &mut WorkerStats) {
+        let plan = self.plan;
+        let ngroups = self.groups.len();
+        let home = widx % ngroups;
+        let sharded = ngroups > 1;
+        let mut sites = ctxs.take(plan.id, &self.bound, self.full);
+        let (outer, inner) = sites.split_first_mut().expect("a site per step");
+        let outer = outer.as_mut().expect("the outer scan's site");
+        let mut evaluator = Evaluator { plan, stats };
+        let mut vars = vec![0u64; plan.nvars];
+        for offset in 0..ngroups {
+            let g = (home + offset) % ngroups;
+            let stolen = offset > 0;
+            loop {
+                let i = self.cursors[g].fetch_add(1, Relaxed);
+                if i >= self.groups[g].end {
+                    break;
+                }
+                evaluator.stats.chunks_claimed += 1;
+                if stolen {
+                    evaluator.stats.chunks_stolen += 1;
+                    telemetry::count(telemetry::Counter::EvalShardSteals);
+                }
+                let chunk = &self.chunks[i];
+                // A range chunk starts with one descent to its lower
+                // bound; a snapshot chunk touches no tree.
+                if matches!(chunk.span, ChunkSpan::Range { .. }) {
+                    evaluator.stats.lower_bound_calls += 1;
+                }
+                let chunk_timer = telemetry::start_timer();
+                let _shard_span =
+                    sharded.then(|| telemetry::span("eval.shard", chunk.shard as u64));
+                let _span = telemetry::span("eval.chunk", i as u64);
+                outer.src.scan_chunk(chunk, &mut outer.ctx, &mut |t| {
+                    evaluator.join(0, t, &mut vars, inner);
+                });
+                chunk_timer.observe(telemetry::Hist::EvalChunkNanos);
             }
-            evaluator.stats.chunks_claimed += 1;
-            if stolen {
-                evaluator.stats.chunks_stolen += 1;
-                telemetry::count(telemetry::Counter::EvalShardSteals);
-            }
-            let chunk = &chunks[i];
-            let chunk_timer = telemetry::start_timer();
-            let _shard_span = sharded.then(|| telemetry::span("eval.shard", chunk.shard as u64));
-            let _span = telemetry::span("eval.chunk", i as u64);
-            storage.scan_chunk(chunk, &mut outer_ctx, &mut |t| {
-                evaluator.stats.tuples_scanned += 1;
-                evaluator.seed_and_run(t, &mut vars);
-            });
-            chunk_timer.observe(telemetry::Hist::EvalChunkNanos);
         }
+        ctxs.put(plan.id, sites);
     }
-    evaluator.ctxs.put_ctx(rel, role, outer_site, outer_ctx);
 }
 
-struct Evaluator<'p, 'e, 'c> {
+/// The nested-loop join of one plan on one worker. The Table 2 operation
+/// counts are taken here, where each storage call is issued.
+struct Evaluator<'p, 'c> {
     plan: &'p Plan,
-    env: &'e StorageEnv<'e>,
-    ctxs: &'c mut CtxSet,
     stats: &'c mut WorkerStats,
-    /// Per step, the buffer its scan's matches are collected into — kept
-    /// across outer tuples so an inner scan allocates once per plan
-    /// execution, not once per binding that reaches it.
-    scratch: Vec<Vec<TupleBuf>>,
 }
 
-impl Evaluator<'_, '_, '_> {
-    /// Applies the outermost scan's checks/binds to a pre-materialized
-    /// tuple, then runs the remaining steps.
-    fn seed_and_run(&mut self, t: &TupleBuf, vars: &mut [u64]) {
-        let Step::Scan { checks, binds, .. } = &self.plan.steps[0] else {
-            unreachable!("seed_and_run only used for scan-headed plans")
+impl Evaluator<'_, '_> {
+    /// Takes tuple `t` of the scan at step `si` through the scan's binds
+    /// and checks and, if it passes, through the steps after it; `rest`
+    /// are the sites of those steps.
+    #[inline]
+    fn join(&mut self, si: usize, t: &TupleBuf, vars: &mut [u64], rest: &mut [Option<Site<'_>>]) {
+        let Step::Scan { checks, binds, .. } = &self.plan.steps[si] else {
+            unreachable!("only scans produce tuples")
         };
+        self.stats.tuples_scanned += 1;
         // Binds first: a check may reference a variable bound by an earlier
         // column of this very atom (repeated variables, e.g. `e(X, X)`).
         // Binds and checks never target the same variable, so this order is
@@ -821,156 +855,91 @@ impl Evaluator<'_, '_, '_> {
         for (col, var) in binds {
             vars[*var] = t[*col];
         }
-        for (col, slot) in checks {
-            if t[*col] != slot.value(vars) {
-                return;
-            }
+        if checks.iter().all(|(col, slot)| t[*col] == slot.value(vars)) {
+            self.run_from(si + 1, vars, rest);
         }
-        self.run_from(1, vars);
     }
 
-    fn run_from(&mut self, si: usize, vars: &mut [u64]) {
-        if si == self.plan.steps.len() {
-            self.emit(vars);
-            return;
-        }
-        match &self.plan.steps[si] {
-            Step::Filter { op, lhs, rhs } => {
+    /// Runs steps `si..` and the emit; `sites` starts at step `si`'s.
+    fn run_from(&mut self, si: usize, vars: &mut [u64], sites: &mut [Option<Site<'_>>]) {
+        let plan = self.plan;
+        let Some(step) = plan.steps.get(si) else {
+            return self.emit(vars, sites);
+        };
+        let (site, rest) = sites.split_first_mut().expect("a site per step");
+        match (step, site) {
+            (Step::Filter { op, lhs, rhs }, _) => {
                 if op.eval(lhs.value(vars), rhs.value(vars)) {
-                    self.run_from(si + 1, vars);
+                    self.run_from(si + 1, vars, rest);
                 }
             }
-            Step::Check {
-                rel,
-                delta,
-                terms,
-                negated,
-            } => {
+            (Step::Check { terms, negated, .. }, Some(site)) => {
                 let mut t = [0u64; MAX_ARITY];
-                for (i, slot) in terms.iter().enumerate() {
-                    t[i] = slot.value(vars);
+                for (w, slot) in t.iter_mut().zip(terms) {
+                    *w = slot.value(vars);
                 }
-                let storage = self.env.source(*rel, *delta);
-                let role = u8::from(*delta);
-                let site = (self.plan.id << 8) | si;
-                let ctx = self.ctxs.ctx(storage, *rel, role, site);
-                let present = storage.contains(&t, ctx);
-                if present != *negated {
-                    self.run_from(si + 1, vars);
+                self.stats.membership_tests += 1;
+                if site.src.contains(&t, &mut site.ctx) != *negated {
+                    self.run_from(si + 1, vars, rest);
                 }
             }
-            Step::Scan {
-                rel,
-                delta,
-                prefix,
-                checks,
-                binds,
-                index,
-            } => {
+            (Step::Scan { prefix, index, .. }, Some(site)) => {
                 let mut consts = [0u64; MAX_ARITY];
                 for (c, s) in consts.iter_mut().zip(prefix) {
                     *c = s.value(vars);
                 }
                 let consts = &consts[..prefix.len()];
-                let storage = self.env.source(*rel, *delta);
-                let role = u8::from(*delta);
-                if index.is_some() || !prefix.is_empty() {
-                    self.stats.inner_scans_indexed += 1;
-                } else {
+                // A range query is a `lower_bound` and, when bounded above,
+                // an `upper_bound` in Figure 1's synthesized code; here the
+                // scan stops at the bound instead of descending for it.
+                self.stats.lower_bound_calls += 1;
+                if prefix.is_empty() {
                     self.stats.inner_scans_full += 1;
+                } else {
+                    self.stats.upper_bound_calls += 1;
+                    self.stats.inner_scans_indexed += 1;
                 }
-                // Materialize matches first: the scan holds the storage
-                // context mutably, and deeper steps need other contexts.
-                let mut matches = std::mem::take(&mut self.scratch[si]);
-                matches.clear();
-                {
-                    let site = (self.plan.id << 8) | si;
-                    let ctx = self.ctxs.ctx(storage, *rel, role, site);
-                    match index {
-                        Some(sel) => {
-                            storage.scan_index(sel.id, &sel.perm, consts, ctx, &mut |t| {
-                                matches.push(*t);
-                            });
-                        }
-                        None => {
-                            storage.scan_prefix(consts, ctx, &mut |t| {
-                                matches.push(*t);
-                            });
-                        }
+                // The join runs inside the scan: the tuple is used where
+                // the tree yields it, never copied aside first.
+                let mut join = |t: &TupleBuf| self.join(si, t, vars, rest);
+                match index {
+                    Some(sel) => {
+                        let (id, perm) = (sel.id, &sel.perm);
+                        site.src
+                            .scan_index(id, perm, consts, &mut site.ctx, &mut join)
                     }
+                    None => site.src.scan_prefix(consts, &mut site.ctx, &mut join),
                 }
-                self.stats.tuples_scanned += matches.len() as u64;
-                'tuples: for t in &matches {
-                    // Binds before checks (see `seed_and_run`).
-                    for (col, var) in binds {
-                        vars[*var] = t[*col];
-                    }
-                    for (col, slot) in checks {
-                        if t[*col] != slot.value(vars) {
-                            continue 'tuples;
-                        }
-                    }
-                    self.run_from(si + 1, vars);
-                }
-                self.scratch[si] = matches;
             }
+            (_, None) => unreachable!("scans and checks have a site"),
         }
     }
 
     /// Emits the head tuple: the Figure 1 pattern — check the full
     /// relation, insert into `new` when unseen.
-    fn emit(&mut self, vars: &[u64]) {
-        let mut t = [0u64; MAX_ARITY];
-        for (i, slot) in self.plan.head_slots.iter().enumerate() {
-            t[i] = slot.value(vars);
-        }
-        let site = (self.plan.id << 8) | 0xFF;
-        let full = self.env.full[self.plan.head_rel];
-        let known = {
-            let ctx = self.ctxs.ctx(full, self.plan.head_rel, 0, site);
-            full.contains(&t, ctx)
+    fn emit(&mut self, vars: &[u64], sites: &mut [Option<Site<'_>>]) {
+        let [Some(full), Some(new)] = sites else {
+            unreachable!("the head's two sites follow the steps'")
         };
-        if !known {
-            let new = self.env.new[&self.plan.head_rel].as_ref();
-            let ctx = self.ctxs.ctx(new, self.plan.head_rel, 2, site);
-            if new.insert(&t, ctx) {
+        let mut t = [0u64; MAX_ARITY];
+        for (w, slot) in t.iter_mut().zip(&self.plan.head_slots) {
+            *w = slot.value(vars);
+        }
+        self.stats.membership_tests += 1;
+        if !full.src.contains(&t, &mut full.ctx) {
+            self.stats.inserts += 1;
+            if new.src.insert(&t, &mut new.ctx) {
                 self.stats.tuples_emitted += 1;
             }
         }
     }
 }
 
-/// Merges `new` into `full` (Figure 1 line 17), returning how many tuples
-/// were actually added.
-///
-/// Duplicate detection is fused into the merge itself: workers report how
-/// many of their inserts were genuinely new, so no second counting pass
-/// over `full` is needed. Structure-aware backends (the specialized B-tree)
-/// partition the source by the target's separators and merge chunks in
-/// parallel; everything else falls back to a sequential tuple-at-a-time
-/// merge inside [`RelationStorage::merge_from`].
-pub(crate) fn merge_new(
-    full: &dyn RelationStorage,
-    new: &dyn RelationStorage,
-    workers: usize,
-) -> u64 {
-    full.merge_from(new, workers.max(1))
-}
-
-/// Copies every tuple of `src` into a [`TupleBuf`] vector; `len` is the
-/// caller's tuple count (`src.len()` would walk the relation once more).
-pub(crate) fn materialize(src: &dyn RelationStorage, len: usize) -> Vec<TupleBuf> {
-    let mut out = Vec::with_capacity(len);
-    src.for_each(&mut |t| out.push(*t));
-    out
-}
-
 /// Below this many tuples a parallel [`fill`] is not worth the thread
 /// spawn overhead.
 const PAR_FILL_MIN: usize = 4096;
 
-/// Seeds a storage with tuples (used for delta initialization), returning
-/// how many were not in it yet.
+/// Seeds a storage with tuples, returning how many were not in it yet.
 ///
 /// Large inputs are split and inserted from `workers` scoped threads;
 /// every [`RelationStorage`] backend is internally synchronized (insert
@@ -999,16 +968,10 @@ pub(crate) fn fill(dst: &dyn RelationStorage, tuples: &[TupleBuf], workers: usiz
         let cursor = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..workers.min(nshards) {
-                s.spawn(|| loop {
-                    let b = cursor.fetch_add(1, Relaxed);
-                    if b >= nshards {
-                        break;
+                s.spawn(|| {
+                    while let Some(bucket) = buckets.get(cursor.fetch_add(1, Relaxed)) {
+                        added.fetch_add(insert_all(bucket), Relaxed);
                     }
-                    if buckets[b].is_empty() {
-                        continue;
-                    }
-                    pin_counter_stripe(b);
-                    added.fetch_add(insert_all(&buckets[b]), Relaxed);
                 });
             }
         });

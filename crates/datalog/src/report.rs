@@ -29,7 +29,7 @@ pub struct RelationReport {
     /// [`TreeStats::absorb`].
     pub tree: Option<TreeStats>,
     /// Per-shard tuple counts, in shard-index order; empty for unsharded
-    /// backends. `max / mean` of this vector is the relation's balance
+    /// backends and for a single shard. `max / mean` of this vector is the relation's balance
     /// figure.
     pub shard_lens: Vec<usize>,
     /// Column permutations of the secondary indexes maintained on this

@@ -2,14 +2,21 @@
 //!
 //! The engine stores every relation through the [`RelationStorage`] trait,
 //! mirroring how §4.3 of the paper swaps the data structure underneath the
-//! Soufflé engine. Tuples are padded to a fixed [`MAX_ARITY`]-word buffer
-//! (padding zeros never affect equality or lexicographic prefix order).
+//! Soufflé engine. Every backend is generic over the stored width `K` and
+//! is built at the relation's declared arity by
+//! [`StorageKind::create_for`]: a binary relation is a `BTreeSet<2>` of
+//! 16-byte keys, the per-relation specialisation the paper's tree gets
+//! from Soufflé's generated code. At the trait boundary tuples travel as
+//! [`TupleBuf`]s — padded to [`MAX_ARITY`] words; padding zeros never
+//! affect equality or lexicographic prefix order — and a backend narrows
+//! them on the way in and widens them on the way out.
 //!
 //! Operations take a per-thread *context* created by
 //! [`RelationStorage::make_ctx`]; the specialized B-tree keeps its operation
-//! hints there (the paper's thread-local hints), other backends use a unit
-//! context. Contexts are type-erased (`dyn Any`) so the evaluator stays
-//! storage-agnostic.
+//! hints there (the paper's thread-local hints), the locked baselines a
+//! scratch buffer. Contexts are type-erased (`dyn Any`) so the evaluator
+//! stays storage-agnostic; a context belongs to storages of the kind and
+//! width that made it.
 
 use crate::ast::MAX_ARITY;
 use baselines::gbtree::GBTreeSet;
@@ -17,8 +24,9 @@ use baselines::global_lock::GlobalLock;
 use baselines::hashset::HashSet as OaHashSet;
 use baselines::rbtree::RbTreeSet;
 use baselines::splitorder::SplitOrderedSet;
-use specbtree::{BTreeHints, BTreeSet, HintStats};
+use specbtree::{BTreeHints, BTreeSet, HintStats, TreeStats};
 use std::any::Any;
+use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -32,8 +40,21 @@ pub fn pad(t: &[u64]) -> TupleBuf {
     out
 }
 
-/// A per-thread operation context (hints for the specialized B-tree, unit
-/// for everything else).
+/// `words` as a width-`K` key, zero-extended: how a backend narrows a
+/// [`TupleBuf`] or completes a scan prefix. Anything beyond the width must
+/// be padding — dropping a real column would silently alias distinct
+/// tuples, which is what merging storages of different arity would do.
+#[inline]
+fn key<const K: usize>(words: &[u64]) -> [u64; K] {
+    debug_assert!(
+        words.iter().skip(K).all(|&w| w == 0),
+        "tuple {words:?} is wider than the storage's {K} columns"
+    );
+    std::array::from_fn(|i| words.get(i).copied().unwrap_or(0))
+}
+
+/// A per-thread operation context (hints for the specialized B-tree, a
+/// scratch buffer for the locked baselines, unit for the rest).
 pub type StorageCtx = Box<dyn Any + Send>;
 
 /// One unit of parallel scan work handed out by
@@ -98,7 +119,9 @@ pub trait RelationStorage: Send + Sync {
     fn contains(&self, t: &TupleBuf, ctx: &mut StorageCtx) -> bool;
 
     /// Calls `f` for every tuple whose leading words equal `prefix`.
-    /// Quiescent phases only (the two-phase Datalog contract).
+    /// Quiescent phases only (the two-phase Datalog contract). `f` may
+    /// read this or any other quiescent storage — the evaluator joins
+    /// inside it — through contexts other than `ctx`.
     fn scan_prefix(&self, prefix: &[u64], ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf));
 
     /// Splits the tuples matching `prefix` into at most `n` chunks for
@@ -107,8 +130,7 @@ pub trait RelationStorage: Send + Sync {
     ///
     /// Ordered backends split the key space itself (no tuples copied);
     /// this default materializes the prefix scan once into a shared
-    /// snapshot and slices it — the pre-refactor behavior, kept for
-    /// backends without ordered cursors.
+    /// snapshot and slices it, for backends without ordered cursors.
     fn partition(&self, n: usize, prefix: &[u64]) -> Vec<StorageChunk> {
         let mut all = Vec::new();
         let mut ctx = self.make_ctx();
@@ -143,9 +165,7 @@ pub trait RelationStorage: Send + Sync {
     ) {
         match &chunk.span {
             ChunkSpan::Materialized { tuples, start, end } => {
-                for t in &tuples[*start..*end] {
-                    f(t);
-                }
+                tuples[*start..*end].iter().for_each(f);
             }
             // Generic backends never produce `Range` chunks, but honor one
             // robustly: full scan filtered to the interval.
@@ -177,8 +197,7 @@ pub trait RelationStorage: Send + Sync {
     /// Removes every tuple, retaining the backend's allocated capacity
     /// where it can. Returns `true` when the receiver is now empty and
     /// reusable; the default returns `false` ("not supported — allocate a
-    /// fresh storage instead"), which keeps the pre-existing behavior for
-    /// backends without a cheap reset.
+    /// fresh storage instead").
     ///
     /// The engine uses this to recycle the per-stratum delta/new side
     /// tables across fixpoint iterations instead of allocating a fresh
@@ -187,22 +206,23 @@ pub trait RelationStorage: Send + Sync {
         false
     }
 
-    /// The specialized B-tree behind this storage, if that is what backs
-    /// it. Lets [`merge_from`](Self::merge_from) recognize tree-to-tree
-    /// merges and route them through the structure-aware parallel merge;
-    /// wrappers forward to their inner storage.
-    fn as_spec_btree(&self) -> Option<&BTreeSet<MAX_ARITY>> {
-        None
-    }
-
-    /// The sharded B-tree backend behind this storage, if that is what
-    /// backs it — the sharded analog of
-    /// [`as_spec_btree`](Self::as_spec_btree). Lets
+    /// The storage as its concrete type:
     /// [`merge_from`](Self::merge_from)/[`retract_from`](Self::retract_from)
-    /// recognize shard-aligned pairs and run shard-parallel with zero
-    /// cross-shard locks; wrappers forward to their inner storage.
-    fn as_sharded(&self) -> Option<&ShardedStorage> {
-        None
+    /// downcast their source to `Self` to recognise a pair of the same kind
+    /// *and* width, which is what the tree-to-tree bulk paths need.
+    fn as_any(&self) -> &dyn Any;
+
+    /// Number of columns a stored tuple has: the `arity` this storage was
+    /// [created for](StorageKind::create_for). Narrower tuples fit, padded
+    /// with zeros; a wider storage's do not.
+    fn width(&self) -> usize;
+
+    /// Structural censuses of the specialized B-trees holding this
+    /// relation's tuples: one per shard, one for the unsharded tree, none
+    /// for the baselines, which expose no comparable introspection.
+    /// Secondary indexes are not part of it. Quiescent phases only.
+    fn tree_stats(&self) -> Vec<TreeStats> {
+        Vec::new()
     }
 
     /// Number of independent shards backing this storage (1 for every
@@ -219,8 +239,9 @@ pub trait RelationStorage: Send + Sync {
     ///
     /// The default is the sequential per-tuple fallback every backend
     /// supports; the specialized B-tree overrides it with the parallel
-    /// structure-aware merge when `src` is also a B-tree. `src` must be
-    /// quiescent.
+    /// structure-aware merge when `src` is a B-tree of the same width.
+    /// `src` must be quiescent, and no wider than `self`: a wider source
+    /// panics, in every build, rather than being truncated.
     fn merge_from(&self, src: &dyn RelationStorage, workers: usize) -> u64 {
         let _ = workers;
         merge_sequential(self, src)
@@ -230,30 +251,32 @@ pub trait RelationStorage: Send + Sync {
     /// returning how many were actually present — the deletion dual of
     /// [`merge_from`](Self::merge_from), used by the engine's retraction
     /// pass to subtract an over-deletion set from a full relation. `src`
-    /// must be quiescent.
+    /// must be quiescent and no wider than `self`.
     fn retract_from(&self, src: &dyn RelationStorage, workers: usize) -> u64 {
         let _ = workers;
         retract_sequential(self, src)
     }
 
-    /// Registers a secondary index keyed by the column permutation `perm`
-    /// (which must cover the relation's full declared arity), backfilling
-    /// it from the current contents on up to `workers` threads. Returns
-    /// the index id — stable for the life of the storage, and idempotent:
-    /// re-registering an existing permutation returns its id without
-    /// rebuilding. May be called between fixpoint iterations on a
-    /// non-empty relation: the backfill reads the primary, and every later
-    /// insert, merge and retraction keeps the index in step. The default
-    /// returns `None` ("not supported"); a caller must only route
-    /// [`scan_index`](Self::scan_index) through an id it was given here.
-    /// Quiescent phases only.
+    /// Registers a secondary index keyed by the column permutation `perm`,
+    /// backfilling it from the current contents on up to `workers` threads.
+    /// `perm` lists distinct columns of the storage; the engine lists all
+    /// of a relation's, and a shorter list is completed with the remaining
+    /// columns in ascending order. Returns the index id — stable for the
+    /// life of the storage, and idempotent: re-registering an existing
+    /// permutation returns its id without rebuilding. May be called between
+    /// fixpoint iterations on a non-empty relation: the backfill reads the
+    /// primary, and every later insert, merge and retraction keeps the
+    /// index in step. The default returns `None` ("not supported"); a
+    /// caller must only route [`scan_index`](Self::scan_index) through an
+    /// id it was given here. Quiescent phases only.
     fn add_index(&mut self, perm: &[usize], workers: usize) -> Option<usize> {
         let _ = (perm, workers);
         None
     }
 
-    /// The column permutations of every registered secondary index, in
-    /// index-id order. Empty for backends without index support.
+    /// The column permutations of every registered secondary index, as
+    /// registered, in index-id order. Empty for backends without index
+    /// support.
     fn index_perms(&self) -> Vec<Vec<usize>> {
         Vec::new()
     }
@@ -265,7 +288,8 @@ pub trait RelationStorage: Send + Sync {
     /// of the permuted tree; the default filters a full scan — correct,
     /// but the cost of a full scan per call, which is why the planner
     /// never assigns an index [`add_index`](Self::add_index) did not
-    /// register. Quiescent phases only.
+    /// register. Quiescent phases only; `f` as for
+    /// [`scan_prefix`](Self::scan_prefix).
     fn scan_index(
         &self,
         index: usize,
@@ -274,38 +298,41 @@ pub trait RelationStorage: Send + Sync {
         ctx: &mut StorageCtx,
         f: &mut dyn FnMut(&TupleBuf),
     ) {
-        let _ = (index, ctx);
-        self.for_each(&mut |t| {
-            if prefix.iter().enumerate().all(|(i, &v)| t[perm[i]] == v) {
-                f(t);
-            }
-        });
+        let _ = index;
+        scan_filtered(self, perm, prefix, ctx, f);
     }
+}
+
+/// Every bulk operation between storages that are not the same type ends in
+/// one of the two per-tuple fallbacks below, which check this once: `dst`
+/// cannot hold `src`'s tuples without dropping columns, and in a release
+/// build [`key`] would drop them silently.
+fn assert_fits(dst: &(impl RelationStorage + ?Sized), src: &dyn RelationStorage) {
+    assert!(
+        src.width() <= dst.width(),
+        "a storage of {} columns cannot take the tuples of one of {}",
+        dst.width(),
+        src.width()
+    );
 }
 
 /// The universal per-tuple merge fallback: iterate `src`, insert into
 /// `dst`, count the tuples that were new.
 fn merge_sequential(dst: &(impl RelationStorage + ?Sized), src: &dyn RelationStorage) -> u64 {
+    assert_fits(dst, src);
     let mut ctx = dst.make_ctx();
     let mut added = 0u64;
-    src.for_each(&mut |t| {
-        if dst.insert(t, &mut ctx) {
-            added += 1;
-        }
-    });
+    src.for_each(&mut |t| added += u64::from(dst.insert(t, &mut ctx)));
     added
 }
 
 /// The universal per-tuple retraction fallback: iterate `src`, remove from
 /// `dst`, count the tuples that were present.
 fn retract_sequential(dst: &(impl RelationStorage + ?Sized), src: &dyn RelationStorage) -> u64 {
+    assert_fits(dst, src);
     let mut ctx = dst.make_ctx();
     let mut removed = 0u64;
-    src.for_each(&mut |t| {
-        if dst.remove(t, &mut ctx) {
-            removed += 1;
-        }
-    });
+    src.for_each(&mut |t| removed += u64::from(dst.remove(t, &mut ctx)));
     removed
 }
 
@@ -331,6 +358,9 @@ pub enum StorageKind {
     /// the worker-thread count by `Engine::new`.
     ShardedBTree(usize),
 }
+
+// `create_for` names every width once; a wider `TupleBuf` needs an arm.
+const _: () = assert!(MAX_ARITY == 5);
 
 impl StorageKind {
     /// All kinds, in the order the paper's Figure 5 legend lists them.
@@ -368,111 +398,215 @@ impl StorageKind {
         )
     }
 
-    /// Creates an empty relation of this kind.
+    /// Creates an empty relation of this kind that stores `arity` columns
+    /// per tuple: the one place a declared arity becomes a stored width.
+    /// Tuples handed to it must be zero beyond that many columns.
+    pub fn create_for(&self, arity: usize) -> Box<dyn RelationStorage> {
+        match arity {
+            0 | 1 => self.build::<1>(),
+            2 => self.build::<2>(),
+            3 => self.build::<3>(),
+            4 => self.build::<4>(),
+            _ => self.build::<MAX_ARITY>(),
+        }
+    }
+
+    /// Creates an empty relation of this kind wide enough for any tuple.
     pub fn create(&self) -> Box<dyn RelationStorage> {
+        self.create_for(MAX_ARITY)
+    }
+
+    fn build<const K: usize>(&self) -> Box<dyn RelationStorage> {
+        let spec = |hints| SpecBTreeStorage::<K> {
+            tree: BTreeSet::new(),
+            indexes: Vec::new(),
+            hints,
+        };
         match self {
-            StorageKind::SpecBTree => Box::new(SpecBTreeStorage {
-                tree: BTreeSet::new(),
-                indexes: Vec::new(),
-                hints: true,
-            }),
-            StorageKind::SpecBTreeNoHints => Box::new(SpecBTreeStorage {
-                tree: BTreeSet::new(),
-                indexes: Vec::new(),
-                hints: false,
-            }),
+            StorageKind::SpecBTree => Box::new(spec(true)),
+            StorageKind::SpecBTreeNoHints => Box::new(spec(false)),
             StorageKind::RbTreeLocked => Box::new(LockedOrderedStorage(GlobalLock::new(
-                RbTreeSet::<TupleBuf>::new(),
+                RbTreeSet::<[u64; K]>::new(),
             ))),
             StorageKind::HashSetLocked => {
-                Box::new(HashSetStorage(GlobalLock::new(OaHashSet::new())))
+                Box::new(HashSetStorage::<K>(GlobalLock::new(OaHashSet::new())))
             }
             StorageKind::GBTreeLocked => Box::new(LockedOrderedStorage(GlobalLock::new(
-                GBTreeSet::<TupleBuf>::new(),
+                GBTreeSet::<[u64; K]>::new(),
             ))),
-            StorageKind::ConcurrentHashSet => Box::new(ConcHashStorage(SplitOrderedSet::new())),
-            StorageKind::ShardedBTree(n) => Box::new(ShardedStorage::new((*n).max(1))),
+            StorageKind::ConcurrentHashSet => {
+                Box::new(ConcHashStorage::<K>(SplitOrderedSet::new()))
+            }
+            StorageKind::ShardedBTree(n) => Box::new(ShardedStorage::<K> {
+                shards: (0..(*n).max(1)).map(|_| BTreeSet::new()).collect(),
+                indexes: Vec::new(),
+            }),
         }
     }
 }
 
 /// Computes the exclusive upper bound of a prefix range, or `None` when the
 /// prefix is empty or saturated (scan to the end).
-fn prefix_upper(prefix: &[u64]) -> Option<TupleBuf> {
-    if prefix.is_empty() {
-        return None;
-    }
-    let mut hi = pad(prefix);
+fn prefix_upper<const K: usize>(prefix: &[u64]) -> Option<[u64; K]> {
+    let mut hi = key::<K>(prefix);
     for i in (0..prefix.len()).rev() {
         let (v, overflow) = hi[i].overflowing_add(1);
         hi[i] = v;
         if !overflow {
-            for w in hi[i + 1..].iter_mut() {
-                *w = 0;
-            }
+            hi[i + 1..].fill(0);
             return Some(hi);
         }
     }
     None
 }
 
+/// Feeds `f` the tuples of an ascending cursor that sort below `hi` — the
+/// one scan loop of every ordered backend.
+#[inline]
+fn feed_below<const K: usize>(
+    it: impl Iterator<Item = [u64; K]>,
+    hi: Option<&[u64; K]>,
+    mut f: impl FnMut(&[u64; K]),
+) {
+    for t in it {
+        if hi.is_some_and(|hi| specbtree::cmp3(&t, hi) != Ordering::Less) {
+            break;
+        }
+        f(&t);
+    }
+}
+
+/// A cursor at the first tuple `>= lo`, through the thread's hints when
+/// the backend uses them.
+fn lower_bound<'t, const K: usize>(
+    tree: &'t BTreeSet<K>,
+    lo: &[u64; K],
+    hints: Option<&mut BTreeHints<K>>,
+) -> specbtree::Iter<'t, K, { specbtree::DEFAULT_NODE_CAPACITY }> {
+    match hints {
+        Some(h) => tree.lower_bound_hinted(lo, h),
+        None => tree.lower_bound(lo),
+    }
+}
+
+/// Feeds `f` the tuples of `tree` that start with `prefix`: one descent to
+/// the lower bound, then the leaf walk stops at the first tuple past the
+/// range (no second descent for an end cursor the walk would not use).
+fn scan_tree_prefix<const K: usize>(
+    tree: &BTreeSet<K>,
+    prefix: &[u64],
+    hints: Option<&mut BTreeHints<K>>,
+    f: impl FnMut(&[u64; K]),
+) {
+    let it = lower_bound(tree, &key(prefix), hints);
+    feed_below(it, prefix_upper(prefix).as_ref(), f);
+}
+
+/// Walks one chunk of `tree`'s [`partition`](RelationStorage::partition).
+fn scan_tree_chunk<const K: usize>(
+    tree: &BTreeSet<K>,
+    span: &ChunkSpan,
+    hints: Option<&mut BTreeHints<K>>,
+    f: &mut dyn FnMut(&TupleBuf),
+) {
+    match span {
+        // Snapshot chunks carry their own tuples; no tree access needed.
+        ChunkSpan::Materialized { tuples, start, end } => tuples[*start..*end].iter().for_each(f),
+        ChunkSpan::Range { lower, upper } => {
+            let it = match lower {
+                Some(lo) => lower_bound(tree, &key(lo), hints),
+                None => tree.iter(),
+            };
+            let hi = upper.as_ref().map(|hi| key::<K>(hi));
+            feed_below(it, hi.as_ref(), |t| f(&pad(t)));
+        }
+    }
+}
+
+/// The chunks of `tree` matching `prefix`, tagged with `shard`.
+fn tree_chunks<const K: usize>(
+    tree: &BTreeSet<K>,
+    shard: usize,
+    n: usize,
+    prefix: &[u64],
+) -> Vec<StorageChunk> {
+    if tree.is_empty() {
+        return Vec::new();
+    }
+    let chunks = if prefix.is_empty() {
+        tree.partition(n)
+    } else {
+        tree.partition_range(n, Some(&key(prefix)), prefix_upper(prefix).as_ref())
+    };
+    let chunk = |c: specbtree::RangeChunk<K>| StorageChunk {
+        shard,
+        span: ChunkSpan::Range {
+            lower: c.lower.map(|t| pad(&t)),
+            upper: c.upper.map(|t| pad(&t)),
+        },
+    };
+    chunks.into_iter().map(chunk).collect()
+}
+
 // ---------------------------------------------------------------------
 // Secondary index trees (column-permuted copies of the primary)
 // ---------------------------------------------------------------------
 
-/// One secondary index: a B-tree over column-permuted copies of the
-/// primary tuples, so a search binding the permutation's leading columns
-/// becomes an ordinary prefix range scan. `perm` covers the relation's
-/// full declared arity — storing *whole* permuted tuples (not projections)
-/// keeps the index a faithful bijection of the primary, which is what the
-/// sync proptests pin.
-struct IndexTree {
+/// The key order of one secondary index: a B-tree over column-permuted
+/// copies of the primary tuples, so a search binding the permutation's
+/// leading columns becomes an ordinary prefix range scan. Storing *whole*
+/// permuted tuples (not projections) keeps the index a faithful bijection
+/// of the primary, which is what the sync proptests pin.
+struct IndexPerm<const K: usize> {
+    /// The permutation as registered.
     perm: Vec<usize>,
-    tree: BTreeSet<MAX_ARITY>,
+    /// Key column `i` holds tuple column `cols[i]`: `perm`, then whatever
+    /// columns of the storage it left out, ascending.
+    cols: [usize; K],
 }
 
-/// Reorders `t` into index-key order: `out[i] = t[perm[i]]`.
-#[inline]
-fn permute_tuple(perm: &[usize], t: &TupleBuf) -> TupleBuf {
-    let mut out = [0u64; MAX_ARITY];
-    for (i, &c) in perm.iter().enumerate() {
-        out[i] = t[c];
+impl<const K: usize> IndexPerm<K> {
+    /// `None` unless `perm` lists distinct columns of a width-`K` storage.
+    fn new(perm: &[usize]) -> Option<Self> {
+        let valid = |(i, c): (usize, &usize)| *c < K && !perm[..i].contains(c);
+        if !perm.iter().enumerate().all(valid) {
+            return None;
+        }
+        let rest = (0..K).filter(|c| !perm.contains(c));
+        let order: Vec<usize> = perm.iter().copied().chain(rest).collect();
+        Some(Self {
+            perm: perm.to_vec(),
+            cols: std::array::from_fn(|i| order[i]),
+        })
     }
-    out
-}
 
-/// Inverts [`permute_tuple`]: `out[perm[i]] = p[i]`. Columns beyond the
-/// declared arity are zero in every stored tuple, so this reconstructs
-/// the original buffer exactly.
-#[inline]
-fn unpermute_tuple(perm: &[usize], p: &TupleBuf) -> TupleBuf {
-    let mut out = [0u64; MAX_ARITY];
-    for (i, &c) in perm.iter().enumerate() {
-        out[c] = p[i];
-    }
-    out
-}
-
-impl IndexTree {
+    /// Reorders `t` into index-key order.
     #[inline]
-    fn permute(&self, t: &TupleBuf) -> TupleBuf {
-        permute_tuple(&self.perm, t)
+    fn permute(&self, t: &[u64; K]) -> [u64; K] {
+        self.cols.map(|c| t[c])
     }
 
+    /// Inverts [`permute`](Self::permute), widening on the way.
     #[inline]
-    fn unpermute(&self, p: &TupleBuf) -> TupleBuf {
-        unpermute_tuple(&self.perm, p)
+    fn unpermute(&self, p: &[u64; K]) -> TupleBuf {
+        let mut out = [0u64; MAX_ARITY];
+        for (&c, &v) in self.cols.iter().zip(p) {
+            out[c] = v;
+        }
+        out
     }
 }
 
-/// Sorts `tuples` and inserts them into `tree` on up to `workers` scoped
-/// threads — the backfill path of `add_index`. Sorted, disjoint per-worker
-/// runs make the hinted inserts near-sequential leaf appends.
+struct IndexTree<const K: usize> {
+    order: IndexPerm<K>,
+    tree: BTreeSet<K>,
+}
+
 /// Sorts ascending on up to `workers` threads: parallel chunk sorts
 /// followed by parallel pairwise merges. Index backfill sorts millions of
 /// permuted tuples in one shot, where a single-threaded `sort_unstable`
 /// is the dominant cost of `add_index` on a populated relation.
-fn par_sort_tuples(tuples: Vec<TupleBuf>, workers: usize) -> Vec<TupleBuf> {
+fn par_sort_tuples<T: Ord + Copy + Send>(tuples: Vec<T>, workers: usize) -> Vec<T> {
     let n = tuples.len();
     let workers = workers.max(1).min(n.max(1));
     if workers == 1 || n < (1 << 15) {
@@ -481,7 +615,7 @@ fn par_sort_tuples(tuples: Vec<TupleBuf>, workers: usize) -> Vec<TupleBuf> {
         return t;
     }
     let per = n.div_ceil(workers);
-    let mut runs: Vec<Vec<TupleBuf>> = tuples.chunks(per).map(<[TupleBuf]>::to_vec).collect();
+    let mut runs: Vec<Vec<T>> = tuples.chunks(per).map(<[T]>::to_vec).collect();
     std::thread::scope(|s| {
         let handles: Vec<_> = runs
             .drain(..)
@@ -512,7 +646,7 @@ fn par_sort_tuples(tuples: Vec<TupleBuf>, workers: usize) -> Vec<TupleBuf> {
     runs.pop().unwrap_or_default()
 }
 
-fn merge_two_sorted(a: Vec<TupleBuf>, b: Vec<TupleBuf>) -> Vec<TupleBuf> {
+fn merge_two_sorted<T: Ord + Copy>(a: Vec<T>, b: Vec<T>) -> Vec<T> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -531,43 +665,19 @@ fn merge_two_sorted(a: Vec<TupleBuf>, b: Vec<TupleBuf>) -> Vec<TupleBuf> {
 
 /// Sorts, dedupes, and bulk-builds a packed tree from `tuples` in O(n)
 /// — the backfill path for registering an index on a populated relation.
-fn build_index_tree(tuples: Vec<TupleBuf>, workers: usize) -> BTreeSet<MAX_ARITY> {
+fn build_index_tree<const K: usize>(tuples: Vec<[u64; K]>, workers: usize) -> BTreeSet<K> {
     let mut sorted = par_sort_tuples(tuples, workers);
     sorted.dedup();
     BTreeSet::from_sorted(sorted)
-}
-
-fn bulk_insert_sorted(tree: &BTreeSet<MAX_ARITY>, mut tuples: Vec<TupleBuf>, workers: usize) {
-    tuples.sort_unstable();
-    tuples.dedup();
-    let workers = workers.max(1).min(tuples.len().max(1));
-    if workers == 1 {
-        let mut hints = tree.create_hints();
-        for t in &tuples {
-            tree.insert_hinted(*t, &mut hints);
-        }
-        return;
-    }
-    let per = tuples.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        for chunk in tuples.chunks(per) {
-            s.spawn(move || {
-                let mut hints = tree.create_hints();
-                for t in chunk {
-                    tree.insert_hinted(*t, &mut hints);
-                }
-            });
-        }
-    });
 }
 
 // ---------------------------------------------------------------------
 // Specialized B-tree backend
 // ---------------------------------------------------------------------
 
-struct SpecBTreeStorage {
-    tree: BTreeSet<MAX_ARITY>,
-    indexes: Vec<IndexTree>,
+struct SpecBTreeStorage<const K: usize> {
+    tree: BTreeSet<K>,
+    indexes: Vec<IndexTree<K>>,
     hints: bool,
 }
 
@@ -575,25 +685,31 @@ struct SpecBTreeStorage {
 /// tree plus one hint set per secondary index. `idx` is extended lazily —
 /// contexts created before an index registration grow the missing slots
 /// on first use.
-struct SpecCtx {
-    main: BTreeHints<MAX_ARITY>,
-    idx: Vec<BTreeHints<MAX_ARITY>>,
+struct SpecCtx<const K: usize> {
+    main: BTreeHints<K>,
+    idx: Vec<BTreeHints<K>>,
 }
 
-impl SpecBTreeStorage {
+impl<const K: usize> SpecBTreeStorage<K> {
     #[inline]
-    fn ctx_of(ctx: &mut StorageCtx) -> &mut SpecCtx {
-        ctx.downcast_mut().expect("spec btree ctx")
+    fn ctx_of(ctx: &mut StorageCtx) -> &mut SpecCtx<K> {
+        ctx.downcast_mut()
+            .expect("a context made by a spec btree of this width")
     }
 
-    /// The hint set for index `i`, growing the context if it predates the
-    /// index registration.
-    fn idx_hints<'c>(&self, ctx: &'c mut SpecCtx, i: usize) -> &'c mut BTreeHints<MAX_ARITY> {
+    /// The primary tree's hints in `ctx`, or `None` on the hint-less kind.
+    fn main_hints<'c>(&self, ctx: &'c mut StorageCtx) -> Option<&'c mut BTreeHints<K>> {
+        self.hints.then(|| &mut Self::ctx_of(ctx).main)
+    }
+
+    /// The hint set for index `i` (growing a context that predates the
+    /// index registration), or `None` on the hint-less kind.
+    fn idx_hints<'c>(&self, ctx: &'c mut SpecCtx<K>, i: usize) -> Option<&'c mut BTreeHints<K>> {
         while ctx.idx.len() <= i {
             ctx.idx
                 .push(self.indexes[ctx.idx.len()].tree.create_hints());
         }
-        &mut ctx.idx[i]
+        self.hints.then_some(&mut ctx.idx[i])
     }
 
     /// Replays every tuple of `src` against all secondary indexes —
@@ -601,51 +717,41 @@ impl SpecBTreeStorage {
     /// the per-tuple [`RelationStorage::insert`] path. Parallel over
     /// source chunks; every worker touches every index tree (the trees
     /// are concurrent, so this contends instead of locking out).
-    fn maintain_indexes(&self, src: &dyn RelationStorage, workers: usize, remove: bool) {
-        if self.indexes.is_empty() || src.is_empty() {
+    fn maintain_indexes(&self, src: &Self, workers: usize, remove: bool) {
+        if self.indexes.is_empty() || src.tree.is_empty() {
             return;
         }
         let timer = telemetry::start_timer();
-        let chunks = src.partition(workers.max(1) * 2, &[]);
-        let work = |chunk: &StorageChunk,
-                    sctx: &mut StorageCtx,
-                    hints: &mut Vec<BTreeHints<MAX_ARITY>>| {
-            src.scan_chunk(chunk, sctx, &mut |t| {
+        let chunks = src.tree.partition(workers.max(1) * 2);
+        let work = |chunk: &specbtree::RangeChunk<K>, hints: &mut Vec<BTreeHints<K>>| {
+            for t in src.tree.chunk_range(chunk) {
                 for (ix, h) in self.indexes.iter().zip(hints.iter_mut()) {
-                    let p = ix.permute(t);
+                    let p = ix.order.permute(&t);
                     if remove {
                         ix.tree.remove(&p);
                     } else {
                         ix.tree.insert_hinted(p, h);
                     }
                 }
-            });
+            }
         };
-        let fresh_hints = || -> Vec<BTreeHints<MAX_ARITY>> {
+        let fresh_hints = || -> Vec<BTreeHints<K>> {
             self.indexes
                 .iter()
                 .map(|ix| ix.tree.create_hints())
                 .collect()
         };
         if workers <= 1 || chunks.len() <= 1 {
-            let mut sctx = src.make_ctx();
             let mut hints = fresh_hints();
-            for c in &chunks {
-                work(c, &mut sctx, &mut hints);
-            }
+            chunks.iter().for_each(|c| work(c, &mut hints));
         } else {
             let cursor = AtomicUsize::new(0);
             std::thread::scope(|s| {
                 for _ in 0..workers.min(chunks.len()) {
                     s.spawn(|| {
-                        let mut sctx = src.make_ctx();
                         let mut hints = fresh_hints();
-                        loop {
-                            let i = cursor.fetch_add(1, Relaxed);
-                            if i >= chunks.len() {
-                                break;
-                            }
-                            work(&chunks[i], &mut sctx, &mut hints);
+                        while let Some(c) = chunks.get(cursor.fetch_add(1, Relaxed)) {
+                            work(c, &mut hints);
                         }
                     });
                 }
@@ -655,7 +761,7 @@ impl SpecBTreeStorage {
     }
 }
 
-impl RelationStorage for SpecBTreeStorage {
+impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
     fn make_ctx(&self) -> StorageCtx {
         Box::new(SpecCtx {
             main: self.tree.create_hints(),
@@ -668,21 +774,19 @@ impl RelationStorage for SpecBTreeStorage {
     }
 
     fn insert(&self, t: &TupleBuf, ctx: &mut StorageCtx) -> bool {
-        let ctx = Self::ctx_of(ctx);
+        let (t, ctx) = (key(t), Self::ctx_of(ctx));
         let added = if self.hints {
-            self.tree.insert_hinted(*t, &mut ctx.main)
+            self.tree.insert_hinted(t, &mut ctx.main)
         } else {
-            self.tree.insert(*t)
+            self.tree.insert(t)
         };
         if added {
-            for i in 0..self.indexes.len() {
-                let p = self.indexes[i].permute(t);
-                if self.hints {
-                    let h = self.idx_hints(ctx, i);
-                    self.indexes[i].tree.insert_hinted(p, h);
-                } else {
-                    self.indexes[i].tree.insert(p);
-                }
+            for (i, ix) in self.indexes.iter().enumerate() {
+                let p = ix.order.permute(&t);
+                match self.idx_hints(ctx, i) {
+                    Some(h) => ix.tree.insert_hinted(p, h),
+                    None => ix.tree.insert(p),
+                };
             }
         }
         added
@@ -692,117 +796,41 @@ impl RelationStorage for SpecBTreeStorage {
         // No hinted variant: the removal protocol's restart-on-conflict
         // descent re-validates from the root, so a cached leaf lease buys
         // nothing and may be mid-unlink.
-        let removed = self.tree.remove(t);
+        let t = key(t);
+        let removed = self.tree.remove(&t);
         if removed {
             for ix in &self.indexes {
-                ix.tree.remove(&ix.permute(t));
+                ix.tree.remove(&ix.order.permute(&t));
             }
         }
         removed
     }
 
     fn contains(&self, t: &TupleBuf, ctx: &mut StorageCtx) -> bool {
-        let ctx = Self::ctx_of(ctx);
+        // Branching on the flag first measures 2–4 % faster end to end on
+        // `tc_random` than matching on `main_hints(ctx)`.
         if self.hints {
-            self.tree.contains_hinted(t, &mut ctx.main)
+            self.tree
+                .contains_hinted(&key(t), &mut Self::ctx_of(ctx).main)
         } else {
-            self.tree.contains(t)
+            self.tree.contains(&key(t))
         }
     }
 
     fn scan_prefix(&self, prefix: &[u64], ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
-        let lo = pad(prefix);
-        let hi = prefix_upper(prefix);
-        if self.hints {
-            let hints = &mut Self::ctx_of(ctx).main;
-            let it = self.tree.lower_bound_hinted(&lo, hints);
-            // The explicit upper-bound probe mirrors Figure 1's synthesized
-            // code (`upper_bound({t1[1]+1, 0})`) and keeps the Table 2
-            // operation counts comparable.
-            if let Some(hi) = &hi {
-                let _ = self.tree.upper_bound_hinted(hi, hints);
-            }
-            for t in it {
-                if let Some(hi) = &hi {
-                    if specbtree::cmp3(&t, hi) != std::cmp::Ordering::Less {
-                        break;
-                    }
-                }
-                f(&t);
-            }
-        } else {
-            let it = self.tree.lower_bound(&lo);
-            if let Some(hi) = &hi {
-                let _ = self.tree.upper_bound(hi);
-            }
-            for t in it {
-                if let Some(hi) = &hi {
-                    if specbtree::cmp3(&t, hi) != std::cmp::Ordering::Less {
-                        break;
-                    }
-                }
-                f(&t);
-            }
-        }
+        scan_tree_prefix(&self.tree, prefix, self.main_hints(ctx), |t| f(&pad(t)));
     }
 
     fn partition(&self, n: usize, prefix: &[u64]) -> Vec<StorageChunk> {
-        if self.tree.is_empty() {
-            return Vec::new();
-        }
-        let chunks = if prefix.is_empty() {
-            self.tree.partition(n)
-        } else {
-            let lo = pad(prefix);
-            let hi = prefix_upper(prefix);
-            self.tree.partition_range(n, Some(&lo), hi.as_ref())
-        };
-        chunks
-            .into_iter()
-            .map(|c| StorageChunk {
-                shard: 0,
-                span: ChunkSpan::Range {
-                    lower: c.lower,
-                    upper: c.upper,
-                },
-            })
-            .collect()
+        tree_chunks(&self.tree, 0, n, prefix)
     }
 
     fn scan_chunk(&self, chunk: &StorageChunk, ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
-        let ChunkSpan::Range { lower, upper } = &chunk.span else {
-            // Snapshot chunks carry their own tuples; no tree access needed.
-            if let ChunkSpan::Materialized { tuples, start, end } = &chunk.span {
-                for t in &tuples[*start..*end] {
-                    f(t);
-                }
-            }
-            return;
-        };
-        let it = match (lower, self.hints) {
-            (Some(lo), true) => self
-                .tree
-                .lower_bound_hinted(lo, &mut Self::ctx_of(ctx).main),
-            (Some(lo), false) => self.tree.lower_bound(lo),
-            (None, _) => self.tree.iter(),
-        };
-        // No upper_bound probe here: chunk boundaries come from
-        // `partition`'s separators, not from a synthesized range query, so
-        // probing would distort the Table 2 operation counts.
-        for t in it {
-            if let Some(hi) = upper {
-                if specbtree::cmp3(&t, hi) != std::cmp::Ordering::Less {
-                    break;
-                }
-            }
-            f(&t);
-        }
+        scan_tree_chunk(&self.tree, &chunk.span, self.main_hints(ctx), f);
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&TupleBuf)) {
-        for t in self.tree.iter() {
-            f(&t);
-        }
+        self.tree.iter().for_each(|t| f(&pad(&t)));
     }
 
     fn len(&self) -> usize {
@@ -814,11 +842,9 @@ impl RelationStorage for SpecBTreeStorage {
     }
 
     fn hint_stats(&self, ctx: &StorageCtx) -> Option<HintStats> {
-        ctx.downcast_ref::<SpecCtx>().map(|c| {
+        ctx.downcast_ref::<SpecCtx<K>>().map(|c| {
             let mut agg = c.main.stats;
-            for h in &c.idx {
-                agg.merge(&h.stats);
-            }
+            c.idx.iter().for_each(|h| agg.merge(&h.stats));
             agg
         })
     }
@@ -829,25 +855,31 @@ impl RelationStorage for SpecBTreeStorage {
         // trees clear alongside the primary but keep their registered
         // permutations.
         self.tree.clear();
-        for ix in &mut self.indexes {
-            ix.tree.clear();
-        }
+        self.indexes.iter_mut().for_each(|ix| ix.tree.clear());
         true
     }
 
-    fn as_spec_btree(&self) -> Option<&BTreeSet<MAX_ARITY>> {
-        Some(&self.tree)
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn width(&self) -> usize {
+        K
+    }
+
+    fn tree_stats(&self) -> Vec<TreeStats> {
+        vec![self.tree.stats()]
     }
 
     fn merge_from(&self, src: &dyn RelationStorage, workers: usize) -> u64 {
-        match src.as_spec_btree() {
+        match src.as_any().downcast_ref::<Self>() {
             // Tree-to-tree: the structure-aware parallel merge (partition
             // by the target's separators, bulk-load/splice disjoint runs).
             // The bulk path bypasses per-tuple `insert`, so secondary
             // indexes are replayed explicitly afterwards.
-            Some(tree) => {
-                let added = self.tree.insert_all_parallel(tree, workers.max(1));
-                self.maintain_indexes(src, workers, false);
+            Some(other) => {
+                let added = self.tree.insert_all_parallel(&other.tree, workers.max(1));
+                self.maintain_indexes(other, workers, false);
                 added
             }
             // The per-tuple fallback routes through `insert`, which
@@ -857,12 +889,12 @@ impl RelationStorage for SpecBTreeStorage {
     }
 
     fn retract_from(&self, src: &dyn RelationStorage, workers: usize) -> u64 {
-        match src.as_spec_btree() {
+        match src.as_any().downcast_ref::<Self>() {
             // Tree-to-tree: chunk the victim set along the target's
             // separators and remove each run on its own worker.
-            Some(tree) => {
-                let removed = self.tree.remove_all_parallel(tree, workers.max(1));
-                self.maintain_indexes(src, workers, true);
+            Some(other) => {
+                let removed = self.tree.remove_all_parallel(&other.tree, workers.max(1));
+                self.maintain_indexes(other, workers, true);
                 removed
             }
             None => retract_sequential(self, src),
@@ -870,26 +902,24 @@ impl RelationStorage for SpecBTreeStorage {
     }
 
     fn add_index(&mut self, perm: &[usize], workers: usize) -> Option<usize> {
-        if let Some(i) = self.indexes.iter().position(|ix| ix.perm == perm) {
+        if let Some(i) = self.indexes.iter().position(|ix| ix.order.perm == perm) {
             return Some(i);
         }
+        let order = IndexPerm::new(perm)?;
         let timer = telemetry::start_timer();
-        let mut ix = IndexTree {
-            perm: perm.to_vec(),
-            tree: BTreeSet::new(),
-        };
-        if !self.tree.is_empty() {
-            let permuted: Vec<TupleBuf> = self.tree.iter().map(|t| ix.permute(&t)).collect();
-            ix.tree = build_index_tree(permuted, workers);
-        }
-        self.indexes.push(ix);
+        let permuted: Vec<[u64; K]> = self.tree.iter().map(|t| order.permute(&t)).collect();
+        let tree = build_index_tree(permuted, workers);
+        self.indexes.push(IndexTree { order, tree });
         timer.observe(telemetry::Hist::EvalIndexMaintainNanos);
         telemetry::count(telemetry::Counter::EvalIndexBuilds);
         Some(self.indexes.len() - 1)
     }
 
     fn index_perms(&self) -> Vec<Vec<usize>> {
-        self.indexes.iter().map(|ix| ix.perm.clone()).collect()
+        self.indexes
+            .iter()
+            .map(|ix| ix.order.perm.clone())
+            .collect()
     }
 
     fn scan_index(
@@ -904,48 +934,27 @@ impl RelationStorage for SpecBTreeStorage {
             // No such index (e.g. a storage rebuilt mid-retraction before
             // re-registration): the filtered-full-scan fallback is always
             // correct.
-            self.for_each(&mut |t| {
-                if prefix.iter().enumerate().all(|(i, &v)| t[perm[i]] == v) {
-                    f(t);
-                }
-            });
-            return;
+            return scan_filtered(self, perm, prefix, ctx, f);
         };
-        debug_assert_eq!(ix.perm, perm, "index id / permutation mismatch");
-        let lo = pad(prefix);
-        let hi = prefix_upper(prefix);
-        if self.hints {
-            let ctx = Self::ctx_of(ctx);
-            let h = self.idx_hints(ctx, index);
-            let it = ix.tree.lower_bound_hinted(&lo, h);
-            // Explicit upper-bound probe, mirroring the primary prefix
-            // scan (Figure 1) so Table 2 operation counts stay comparable.
-            if let Some(hi) = &hi {
-                let _ = ix.tree.upper_bound_hinted(hi, h);
-            }
-            for t in it {
-                if let Some(hi) = &hi {
-                    if specbtree::cmp3(&t, hi) != std::cmp::Ordering::Less {
-                        break;
-                    }
-                }
-                f(&ix.unpermute(&t));
-            }
-        } else {
-            let it = ix.tree.lower_bound(&lo);
-            if let Some(hi) = &hi {
-                let _ = ix.tree.upper_bound(hi);
-            }
-            for t in it {
-                if let Some(hi) = &hi {
-                    if specbtree::cmp3(&t, hi) != std::cmp::Ordering::Less {
-                        break;
-                    }
-                }
-                f(&ix.unpermute(&t));
-            }
-        }
+        debug_assert_eq!(ix.order.perm, perm, "index id / permutation mismatch");
+        let hints = self.idx_hints(Self::ctx_of(ctx), index);
+        scan_tree_prefix(&ix.tree, prefix, hints, |t| f(&ix.order.unpermute(t)));
     }
+}
+
+/// [`RelationStorage::scan_index`] without an index: a filtered sweep.
+fn scan_filtered(
+    storage: &(impl RelationStorage + ?Sized),
+    perm: &[usize],
+    prefix: &[u64],
+    ctx: &mut StorageCtx,
+    f: &mut dyn FnMut(&TupleBuf),
+) {
+    storage.scan_prefix(&[], ctx, &mut |t| {
+        if prefix.iter().zip(perm).all(|(&v, &c)| t[c] == v) {
+            f(t);
+        }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -979,60 +988,57 @@ pub fn shard_of(t0: u64, nshards: usize) -> usize {
 /// is the shard-index cursor. This is strictly stronger than the
 /// single-tree parallel merge, whose separator-aligned chunks still
 /// contend on shared parents.
-pub struct ShardedStorage {
-    shards: Vec<BTreeSet<MAX_ARITY>>,
-    indexes: Vec<ShardedIndex>,
+struct ShardedStorage<const K: usize> {
+    shards: Vec<BTreeSet<K>>,
+    indexes: Vec<ShardedIndex<K>>,
 }
 
 /// One secondary index of a sharded relation: per-shard permuted trees
 /// routed by the **permuted** leading column, so an index scan (which by
 /// construction binds that column) stays single-shard exactly like a
 /// primary prefix scan.
-struct ShardedIndex {
-    perm: Vec<usize>,
-    shards: Vec<BTreeSet<MAX_ARITY>>,
+struct ShardedIndex<const K: usize> {
+    order: IndexPerm<K>,
+    shards: Vec<BTreeSet<K>>,
 }
 
-impl ShardedIndex {
-    #[inline]
-    fn permute_one(&self, t: &TupleBuf) -> TupleBuf {
-        permute_tuple(&self.perm, t)
-    }
-
+impl<const K: usize> ShardedIndex<K> {
     /// Permutes `t` and appends it to the destination-shard bucket.
     #[inline]
-    fn bucket(&self, t: &TupleBuf, buckets: &mut [Vec<TupleBuf>]) {
-        let p = permute_tuple(&self.perm, t);
+    fn bucket(&self, t: &[u64; K], buckets: &mut [Vec<[u64; K]>]) {
+        let p = self.order.permute(t);
         buckets[shard_of(p[0], buckets.len())].push(p);
     }
 
     /// Applies a bucketed batch — sorted hinted inserts or removes — with
     /// each destination shard owned by exactly one worker: the same
     /// zero-cross-shard-lock discipline as the primary sharded merge.
-    fn apply_buckets(&self, buckets: Vec<Vec<TupleBuf>>, workers: usize, remove: bool) {
+    fn apply_buckets(&self, buckets: Vec<Vec<[u64; K]>>, workers: usize, remove: bool) {
         let w = workers.max(1).min(buckets.len().max(1));
-        let mut per_worker: Vec<Vec<(usize, Vec<TupleBuf>)>> = (0..w).map(|_| Vec::new()).collect();
+        let mut per_worker: Vec<Vec<(usize, Vec<[u64; K]>)>> = (0..w).map(|_| Vec::new()).collect();
         for (b, bucket) in buckets.into_iter().enumerate() {
             if !bucket.is_empty() {
                 per_worker[b % w].push((b, bucket));
             }
         }
         let shards = &self.shards;
-        let run = |mine: Vec<(usize, Vec<TupleBuf>)>| {
-            for (b, bucket) in mine {
+        let run = |mine: Vec<(usize, Vec<[u64; K]>)>| {
+            for (b, mut bucket) in mine {
                 if remove {
                     for p in &bucket {
                         shards[b].remove(p);
                     }
                 } else {
-                    bulk_insert_sorted(&shards[b], bucket, 1);
+                    bucket.sort_unstable();
+                    let mut hints = shards[b].create_hints();
+                    for p in bucket {
+                        shards[b].insert_hinted(p, &mut hints);
+                    }
                 }
             }
         };
         if w == 1 {
-            for mine in per_worker {
-                run(mine);
-            }
+            per_worker.into_iter().for_each(run);
         } else {
             let run = &run;
             std::thread::scope(|s| {
@@ -1047,53 +1053,27 @@ impl ShardedIndex {
 /// Per-thread context for [`ShardedStorage`]: one hint set per primary
 /// shard, plus one per shard per secondary index (extended lazily for
 /// contexts that predate an index registration).
-struct ShardedCtx {
-    main: Vec<BTreeHints<MAX_ARITY>>,
-    idx: Vec<Vec<BTreeHints<MAX_ARITY>>>,
+struct ShardedCtx<const K: usize> {
+    main: Vec<BTreeHints<K>>,
+    idx: Vec<Vec<BTreeHints<K>>>,
 }
 
-impl ShardedStorage {
-    /// Creates an empty storage with `nshards` shards (min 1).
-    pub fn new(nshards: usize) -> Self {
-        Self {
-            shards: (0..nshards.max(1)).map(|_| BTreeSet::new()).collect(),
-            indexes: Vec::new(),
-        }
-    }
-
-    /// Per-shard tuple counts, in shard-index order — the raw balance
-    /// figure `Engine::storage_report` and the shard bench expose.
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|t| t.len()).collect()
-    }
-
-    /// The shards themselves (read-only; used for per-shard censuses).
-    pub fn shards(&self) -> &[BTreeSet<MAX_ARITY>] {
-        &self.shards
-    }
-
+impl<const K: usize> ShardedStorage<K> {
     #[inline]
     fn route(&self, t0: u64) -> usize {
         shard_of(t0, self.shards.len())
     }
 
     #[inline]
-    fn hints(ctx: &mut StorageCtx) -> &mut Vec<BTreeHints<MAX_ARITY>> {
-        &mut ctx
-            .downcast_mut::<ShardedCtx>()
-            .expect("sharded btree ctx")
-            .main
+    fn ctx_of(ctx: &mut StorageCtx) -> &mut ShardedCtx<K> {
+        ctx.downcast_mut()
+            .expect("a context made by a sharded btree of this width")
     }
 
     /// The hint set for shard `s` of index `i`, growing the context if it
     /// predates the index registration.
-    fn idx_hints<'c>(
-        &self,
-        ctx: &'c mut StorageCtx,
-        i: usize,
-        s: usize,
-    ) -> &'c mut BTreeHints<MAX_ARITY> {
-        let ctx = ctx.downcast_mut::<ShardedCtx>().expect("sharded btree ctx");
+    fn idx_hints<'c>(&self, ctx: &'c mut StorageCtx, i: usize, s: usize) -> &'c mut BTreeHints<K> {
+        let ctx = Self::ctx_of(ctx);
         while ctx.idx.len() <= i {
             let ix = &self.indexes[ctx.idx.len()];
             ctx.idx
@@ -1103,21 +1083,19 @@ impl ShardedStorage {
     }
 
     /// Replays every tuple of `src` against all secondary indexes after a
-    /// bulk primary merge/retract that bypassed per-tuple `insert`.
-    /// Materializes the moved set once, buckets it per index by
-    /// *destination index shard*, and applies each bucket on its owning
-    /// worker — zero cross-shard locks, like the primary sharded merge.
-    fn maintain_indexes(&self, src: &dyn RelationStorage, workers: usize, remove: bool) {
+    /// bulk primary merge/retract that bypassed per-tuple `insert`:
+    /// buckets the moved set per index by *destination index shard* and
+    /// applies each bucket on its owning worker — zero cross-shard locks,
+    /// like the primary sharded merge.
+    fn maintain_indexes(&self, src: &Self, workers: usize, remove: bool) {
         if self.indexes.is_empty() || src.is_empty() {
             return;
         }
         let timer = telemetry::start_timer();
-        let mut moved = Vec::with_capacity(src.len());
-        src.for_each(&mut |t| moved.push(*t));
         for ix in &self.indexes {
-            let mut buckets: Vec<Vec<TupleBuf>> = vec![Vec::new(); ix.shards.len()];
-            for t in &moved {
-                ix.bucket(t, &mut buckets);
+            let mut buckets: Vec<Vec<[u64; K]>> = vec![Vec::new(); ix.shards.len()];
+            for t in src.shards.iter().flat_map(|tree| tree.iter()) {
+                ix.bucket(&t, &mut buckets);
             }
             ix.apply_buckets(buckets, workers, remove);
         }
@@ -1138,8 +1116,7 @@ impl ShardedStorage {
             telemetry::count(telemetry::Counter::EvalShardMerges);
             // Balance = per-shard tuples this operation moved. NOT the
             // absolute shard size: `BTreeSet::len` is a deliberate O(n)
-            // full iteration, far too hot for a per-merge probe (absolute
-            // sizes are in `shard_lens`, sampled at quiescent points).
+            // full iteration, far too hot for a per-merge probe.
             telemetry::record(telemetry::Hist::EvalShardBalance, r);
             r
         };
@@ -1162,32 +1139,35 @@ impl ShardedStorage {
         });
         total.into_inner()
     }
+
+    /// `src` as an equally sharded storage of this width: the pairs whose
+    /// bulk operations run shard by shard.
+    fn aligned<'s>(&self, src: &'s dyn RelationStorage) -> Option<&'s Self> {
+        let other = src.as_any().downcast_ref::<Self>()?;
+        (other.shards.len() == self.shards.len()).then_some(other)
+    }
 }
 
-impl RelationStorage for ShardedStorage {
+impl<const K: usize> RelationStorage for ShardedStorage<K> {
     fn make_ctx(&self) -> StorageCtx {
         // One hint set per shard: a worker's context follows it across
         // whichever shards it ends up scanning or probing.
-        Box::new(ShardedCtx {
-            main: self.shards.iter().map(|t| t.create_hints()).collect(),
-            idx: self
-                .indexes
-                .iter()
-                .map(|ix| ix.shards.iter().map(|t| t.create_hints()).collect())
-                .collect(),
+        let hints = |trees: &[BTreeSet<K>]| trees.iter().map(|t| t.create_hints()).collect();
+        Box::new(ShardedCtx::<K> {
+            main: hints(&self.shards),
+            idx: self.indexes.iter().map(|ix| hints(&ix.shards)).collect(),
         })
     }
 
     fn insert(&self, t: &TupleBuf, ctx: &mut StorageCtx) -> bool {
+        let t = key(t);
         let s = self.route(t[0]);
-        let added = self.shards[s].insert_hinted(*t, &mut Self::hints(ctx)[s]);
+        let added = self.shards[s].insert_hinted(t, &mut Self::ctx_of(ctx).main[s]);
         if added {
-            for i in 0..self.indexes.len() {
-                let ix = &self.indexes[i];
-                let p = ix.permute_one(t);
+            for (i, ix) in self.indexes.iter().enumerate() {
+                let p = ix.order.permute(&t);
                 let d = shard_of(p[0], ix.shards.len());
-                let h = self.idx_hints(ctx, i, d);
-                ix.shards[d].insert_hinted(p, h);
+                ix.shards[d].insert_hinted(p, self.idx_hints(ctx, i, d));
             }
         }
         added
@@ -1196,10 +1176,11 @@ impl RelationStorage for ShardedStorage {
     fn remove(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
         // Unhinted, matching the single-tree backend: the removal
         // protocol restarts from the root anyway.
-        let removed = self.shards[self.route(t[0])].remove(t);
+        let t = key(t);
+        let removed = self.shards[self.route(t[0])].remove(&t);
         if removed {
             for ix in &self.indexes {
-                let p = ix.permute_one(t);
+                let p = ix.order.permute(&t);
                 ix.shards[shard_of(p[0], ix.shards.len())].remove(&p);
             }
         }
@@ -1208,107 +1189,46 @@ impl RelationStorage for ShardedStorage {
 
     fn contains(&self, t: &TupleBuf, ctx: &mut StorageCtx) -> bool {
         let s = self.route(t[0]);
-        self.shards[s].contains_hinted(t, &mut Self::hints(ctx)[s])
+        self.shards[s].contains_hinted(&key(t), &mut Self::ctx_of(ctx).main[s])
     }
 
     fn scan_prefix(&self, prefix: &[u64], ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
-        if prefix.is_empty() {
+        let Some(&first) = prefix.first() else {
             // Full scan: shards in index order (not globally sorted).
-            for tree in &self.shards {
-                for t in tree.iter() {
-                    f(&t);
-                }
-            }
-            return;
-        }
+            return self.for_each(f);
+        };
         // A bounded prefix fixes the leading column, so exactly one shard
         // can hold matches — the same single-tree scan as before, minus
         // (nshards - 1) trees of irrelevant structure.
-        let s = self.route(prefix[0]);
-        let lo = pad(prefix);
-        let hi = prefix_upper(prefix);
-        let hints = &mut Self::hints(ctx)[s];
-        let it = self.shards[s].lower_bound_hinted(&lo, hints);
-        // Explicit upper-bound probe, mirroring Figure 1 (see the
-        // single-tree backend).
-        if let Some(hi) = &hi {
-            let _ = self.shards[s].upper_bound_hinted(hi, hints);
-        }
-        for t in it {
-            if let Some(hi) = &hi {
-                if specbtree::cmp3(&t, hi) != std::cmp::Ordering::Less {
-                    break;
-                }
-            }
-            f(&t);
-        }
+        let s = self.route(first);
+        let hints = &mut Self::ctx_of(ctx).main[s];
+        scan_tree_prefix(&self.shards[s], prefix, Some(hints), |t| f(&pad(t)));
     }
 
     fn partition(&self, n: usize, prefix: &[u64]) -> Vec<StorageChunk> {
-        let to_chunk = |s: usize| {
-            move |c: specbtree::RangeChunk<MAX_ARITY>| StorageChunk {
-                shard: s,
-                span: ChunkSpan::Range {
-                    lower: c.lower,
-                    upper: c.upper,
-                },
-            }
-        };
-        if !prefix.is_empty() {
+        if let Some(&first) = prefix.first() {
             // One shard holds every match; split inside it.
-            let s = self.route(prefix[0]);
-            let lo = pad(prefix);
-            let hi = prefix_upper(prefix);
-            return self.shards[s]
-                .partition_range(n, Some(&lo), hi.as_ref())
-                .into_iter()
-                .map(to_chunk(s))
-                .collect();
+            let s = self.route(first);
+            return tree_chunks(&self.shards[s], s, n, prefix);
         }
         // Full-scan split: every shard contributes its share of chunks,
         // emitted grouped shard-by-shard so the scheduler can hand each
         // worker a contiguous home-shard run.
         let per = (n / self.shards.len()).max(1);
-        let mut out = Vec::new();
-        for (s, tree) in self.shards.iter().enumerate() {
-            if tree.is_empty() {
-                continue;
-            }
-            out.extend(tree.partition(per).into_iter().map(to_chunk(s)));
-        }
-        out
+        let shards = self.shards.iter().enumerate();
+        shards
+            .flat_map(|(s, tree)| tree_chunks(tree, s, per, &[]))
+            .collect()
     }
 
     fn scan_chunk(&self, chunk: &StorageChunk, ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
-        let ChunkSpan::Range { lower, upper } = &chunk.span else {
-            if let ChunkSpan::Materialized { tuples, start, end } = &chunk.span {
-                for t in &tuples[*start..*end] {
-                    f(t);
-                }
-            }
-            return;
-        };
-        let tree = &self.shards[chunk.shard];
-        let it = match lower {
-            Some(lo) => tree.lower_bound_hinted(lo, &mut Self::hints(ctx)[chunk.shard]),
-            None => tree.iter(),
-        };
-        for t in it {
-            if let Some(hi) = upper {
-                if specbtree::cmp3(&t, hi) != std::cmp::Ordering::Less {
-                    break;
-                }
-            }
-            f(&t);
-        }
+        let hints = &mut Self::ctx_of(ctx).main[chunk.shard];
+        scan_tree_chunk(&self.shards[chunk.shard], &chunk.span, Some(hints), f);
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&TupleBuf)) {
-        for tree in &self.shards {
-            for t in tree.iter() {
-                f(&t);
-            }
-        }
+        let all = self.shards.iter().flat_map(|tree| tree.iter());
+        all.for_each(|t| f(&pad(&t)));
     }
 
     fn len(&self) -> usize {
@@ -1320,29 +1240,33 @@ impl RelationStorage for ShardedStorage {
     }
 
     fn hint_stats(&self, ctx: &StorageCtx) -> Option<HintStats> {
-        ctx.downcast_ref::<ShardedCtx>().map(|c| {
+        ctx.downcast_ref::<ShardedCtx<K>>().map(|c| {
             let mut agg = HintStats::default();
-            for h in c.main.iter().chain(c.idx.iter().flatten()) {
-                agg.merge(&h.stats);
-            }
+            let all = c.main.iter().chain(c.idx.iter().flatten());
+            all.for_each(|h| agg.merge(&h.stats));
             agg
         })
     }
 
     fn clear(&mut self) -> bool {
-        for tree in &mut self.shards {
-            tree.clear();
-        }
-        for ix in &mut self.indexes {
-            for tree in &mut ix.shards {
-                tree.clear();
-            }
-        }
+        let index_trees = self.indexes.iter_mut().flat_map(|ix| &mut ix.shards);
+        self.shards
+            .iter_mut()
+            .chain(index_trees)
+            .for_each(|t| t.clear());
         true
     }
 
-    fn as_sharded(&self) -> Option<&ShardedStorage> {
-        Some(self)
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn width(&self) -> usize {
+        K
+    }
+
+    fn tree_stats(&self) -> Vec<TreeStats> {
+        self.shards.iter().map(|t| t.stats()).collect()
     }
 
     fn shard_count(&self) -> usize {
@@ -1350,69 +1274,63 @@ impl RelationStorage for ShardedStorage {
     }
 
     fn merge_from(&self, src: &dyn RelationStorage, workers: usize) -> u64 {
-        match src.as_sharded() {
+        match self.aligned(src) {
             // Shard-aligned: one worker per shard, each merging its
             // shard's delta into its shard's tree. No cross-shard locks —
             // the per-shard merge runs single-threaded against a tree no
             // other worker touches. The bulk path bypasses per-tuple
             // `insert`, so secondary indexes are replayed afterwards.
-            Some(other) if other.shards.len() == self.shards.len() => {
+            Some(other) => {
                 let added = self.shard_parallel(workers, &|i| {
                     self.shards[i].insert_all_parallel(&other.shards[i], 1)
                 });
-                self.maintain_indexes(src, workers, false);
+                self.maintain_indexes(other, workers, false);
                 added
             }
             // Mismatched shard counts or a foreign backend: route every
             // tuple through the shard map individually (`insert` maintains
             // indexes inline).
-            _ => merge_sequential(self, src),
+            None => merge_sequential(self, src),
         }
     }
 
     fn retract_from(&self, src: &dyn RelationStorage, workers: usize) -> u64 {
-        match src.as_sharded() {
-            Some(other) if other.shards.len() == self.shards.len() => {
+        match self.aligned(src) {
+            Some(other) => {
                 let removed = self.shard_parallel(workers, &|i| {
                     self.shards[i].remove_all_parallel(&other.shards[i], 1)
                 });
-                self.maintain_indexes(src, workers, true);
+                self.maintain_indexes(other, workers, true);
                 removed
             }
-            _ => retract_sequential(self, src),
+            None => retract_sequential(self, src),
         }
     }
 
     fn add_index(&mut self, perm: &[usize], workers: usize) -> Option<usize> {
-        if let Some(i) = self.indexes.iter().position(|ix| ix.perm == perm) {
+        if let Some(i) = self.indexes.iter().position(|ix| ix.order.perm == perm) {
             return Some(i);
         }
         let timer = telemetry::start_timer();
         let mut ix = ShardedIndex {
-            perm: perm.to_vec(),
-            shards: (0..self.shards.len()).map(|_| BTreeSet::new()).collect(),
+            order: IndexPerm::new(perm)?,
+            shards: Vec::new(),
         };
-        if !self.is_empty() {
-            let mut buckets: Vec<Vec<TupleBuf>> = vec![Vec::new(); ix.shards.len()];
-            for tree in &self.shards {
-                for t in tree.iter() {
-                    ix.bucket(&t, &mut buckets);
-                }
-            }
-            // One packed O(n) build per shard beats routing every tuple
-            // through the insert path of an initially empty tree; leftover
-            // workers parallelize the per-shard sorts.
-            let per_shard = (workers / ix.shards.len()).max(1);
-            let mut built = Vec::with_capacity(buckets.len());
-            std::thread::scope(|s| {
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .map(|b| s.spawn(move || build_index_tree(b, per_shard)))
-                    .collect();
-                built = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            });
-            ix.shards = built;
+        let mut buckets: Vec<Vec<[u64; K]>> = vec![Vec::new(); self.shards.len()];
+        for t in self.shards.iter().flat_map(|tree| tree.iter()) {
+            ix.bucket(&t, &mut buckets);
         }
+        // One packed O(n) build per shard beats routing every tuple
+        // through the insert path of an initially empty tree; leftover
+        // workers parallelize the per-shard sorts.
+        let per_shard = (workers / buckets.len()).max(1);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = buckets
+                .into_iter()
+                .map(|b| s.spawn(move || build_index_tree(b, per_shard)))
+                .collect();
+            ix.shards = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        });
         self.indexes.push(ix);
         timer.observe(telemetry::Hist::EvalIndexMaintainNanos);
         telemetry::count(telemetry::Counter::EvalIndexBuilds);
@@ -1420,7 +1338,10 @@ impl RelationStorage for ShardedStorage {
     }
 
     fn index_perms(&self) -> Vec<Vec<usize>> {
-        self.indexes.iter().map(|ix| ix.perm.clone()).collect()
+        self.indexes
+            .iter()
+            .map(|ix| ix.order.perm.clone())
+            .collect()
     }
 
     fn scan_index(
@@ -1431,37 +1352,18 @@ impl RelationStorage for ShardedStorage {
         ctx: &mut StorageCtx,
         f: &mut dyn FnMut(&TupleBuf),
     ) {
-        let Some(ix) = self.indexes.get(index) else {
-            self.for_each(&mut |t| {
-                if prefix.iter().enumerate().all(|(i, &v)| t[perm[i]] == v) {
-                    f(t);
-                }
-            });
-            return;
+        let (Some(ix), Some(&first)) = (self.indexes.get(index), prefix.first()) else {
+            // No such index, or nothing bound: a (filtered) sweep.
+            return scan_filtered(self, perm, prefix, ctx, f);
         };
-        debug_assert_eq!(ix.perm, perm, "index id / permutation mismatch");
-        if prefix.is_empty() {
-            self.for_each(f);
-            return;
-        }
+        debug_assert_eq!(ix.order.perm, perm, "index id / permutation mismatch");
         // The permuted prefix binds the permuted leading column, so the
         // scan stays single-shard — same locality as a primary prefix scan.
-        let s = shard_of(prefix[0], ix.shards.len());
-        let lo = pad(prefix);
-        let hi = prefix_upper(prefix);
-        let h = self.idx_hints(ctx, index, s);
-        let it = ix.shards[s].lower_bound_hinted(&lo, h);
-        if let Some(hi) = &hi {
-            let _ = ix.shards[s].upper_bound_hinted(hi, h);
-        }
-        for t in it {
-            if let Some(hi) = &hi {
-                if specbtree::cmp3(&t, hi) != std::cmp::Ordering::Less {
-                    break;
-                }
-            }
-            f(&unpermute_tuple(&ix.perm, &t));
-        }
+        let s = shard_of(first, ix.shards.len());
+        let hints = self.idx_hints(ctx, index, s);
+        scan_tree_prefix(&ix.shards[s], prefix, Some(hints), |t| {
+            f(&ix.order.unpermute(t))
+        });
     }
 }
 
@@ -1470,34 +1372,34 @@ impl RelationStorage for ShardedStorage {
 // ---------------------------------------------------------------------
 
 /// What the locked adapter needs of a sequential ordered set.
-trait OrderedSet: Send {
-    fn insert(&mut self, t: TupleBuf) -> bool;
-    fn remove(&mut self, t: &TupleBuf) -> bool;
-    fn contains(&self, t: &TupleBuf) -> bool;
+trait OrderedSet<T>: Send + 'static {
+    fn insert(&mut self, t: T) -> bool;
+    fn remove(&mut self, t: &T) -> bool;
+    fn contains(&self, t: &T) -> bool;
     fn len(&self) -> usize;
-    fn iter(&self) -> impl Iterator<Item = TupleBuf> + '_;
-    fn lower_bound(&self, lo: &TupleBuf) -> impl Iterator<Item = TupleBuf> + '_;
+    fn iter(&self) -> impl Iterator<Item = T> + '_;
+    fn lower_bound(&self, lo: &T) -> impl Iterator<Item = T> + '_;
 }
 
 macro_rules! impl_ordered_set {
     ($($set:ident),*) => {$(
-        impl OrderedSet for $set<TupleBuf> {
-            fn insert(&mut self, t: TupleBuf) -> bool {
+        impl<T: Ord + Copy + Send + 'static> OrderedSet<T> for $set<T> {
+            fn insert(&mut self, t: T) -> bool {
                 $set::insert(self, t)
             }
-            fn remove(&mut self, t: &TupleBuf) -> bool {
+            fn remove(&mut self, t: &T) -> bool {
                 $set::remove(self, t)
             }
-            fn contains(&self, t: &TupleBuf) -> bool {
+            fn contains(&self, t: &T) -> bool {
                 $set::contains(self, t)
             }
             fn len(&self) -> usize {
                 $set::len(self)
             }
-            fn iter(&self) -> impl Iterator<Item = TupleBuf> + '_ {
+            fn iter(&self) -> impl Iterator<Item = T> + '_ {
                 $set::iter(self)
             }
-            fn lower_bound(&self, lo: &TupleBuf) -> impl Iterator<Item = TupleBuf> + '_ {
+            fn lower_bound(&self, lo: &T) -> impl Iterator<Item = T> + '_ {
                 $set::lower_bound(self, lo)
             }
         }
@@ -1505,532 +1407,405 @@ macro_rules! impl_ordered_set {
 }
 impl_ordered_set!(RbTreeSet, GBTreeSet);
 
+/// Runs one locked scan: `collect` copies the matches out into the
+/// context's scratch buffer while it holds the lock, and `f` sees them
+/// after it is released. The evaluator joins inside `f` and may come back
+/// to this very relation (a self-join, or the head's membership test);
+/// the mutex is not reentrant, and a scan that held it across `f` would
+/// also order lock acquisitions by plan shape, not by any global order.
+fn scan_unlocked<const K: usize>(
+    ctx: &mut StorageCtx,
+    collect: impl FnOnce(&mut Vec<[u64; K]>),
+    f: &mut dyn FnMut(&TupleBuf),
+) {
+    let scratch: &mut Vec<[u64; K]> = ctx
+        .downcast_mut()
+        .expect("a context made by a locked storage of this width");
+    scratch.clear();
+    collect(scratch);
+    scratch.iter().for_each(|t| f(&pad(t)));
+}
+
 /// A sequential ordered set behind one global lock (`STL rbtset`,
 /// `google btree`).
-struct LockedOrderedStorage<S>(GlobalLock<S>);
+struct LockedOrderedStorage<S, const K: usize>(GlobalLock<S>);
 
-impl<S: OrderedSet> RelationStorage for LockedOrderedStorage<S> {
+impl<S: OrderedSet<[u64; K]>, const K: usize> RelationStorage for LockedOrderedStorage<S, K> {
     fn make_ctx(&self) -> StorageCtx {
-        Box::new(())
+        Box::new(Vec::<[u64; K]>::new())
     }
 
     fn insert(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
-        self.0.with(|s| s.insert(*t))
+        self.0.with(|s| s.insert(key(t)))
     }
 
     fn remove(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
-        self.0.with(|s| s.remove(t))
+        self.0.with(|s| s.remove(&key(t)))
     }
 
     fn contains(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
-        self.0.with(|s| s.contains(t))
+        self.0.with(|s| s.contains(&key(t)))
     }
 
-    fn scan_prefix(&self, prefix: &[u64], _ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
-        let lo = pad(prefix);
-        let hi = prefix_upper(prefix);
-        self.0.with(|s| {
-            for t in s.lower_bound(&lo) {
-                if let Some(hi) = &hi {
-                    if t >= *hi {
-                        break;
-                    }
-                }
-                f(&t);
-            }
-        });
+    fn scan_prefix(&self, prefix: &[u64], ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
+        let (lo, hi) = (key(prefix), prefix_upper(prefix));
+        let matches = |out: &mut Vec<[u64; K]>| {
+            self.0
+                .with(|s| feed_below(s.lower_bound(&lo), hi.as_ref(), |t| out.push(*t)))
+        };
+        scan_unlocked(ctx, matches, f);
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&TupleBuf)) {
-        self.0.with(|s| {
-            for t in s.iter() {
-                f(&t);
-            }
-        });
+        self.0.with(|s| s.iter().for_each(|t| f(&pad(&t))));
     }
 
     fn len(&self) -> usize {
         self.0.with(|s| s.len())
     }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn width(&self) -> usize {
+        K
+    }
 }
 
-struct HashSetStorage(GlobalLock<OaHashSet<TupleBuf>>);
+struct HashSetStorage<const K: usize>(GlobalLock<OaHashSet<[u64; K]>>);
 
-impl RelationStorage for HashSetStorage {
+impl<const K: usize> RelationStorage for HashSetStorage<K> {
     fn make_ctx(&self) -> StorageCtx {
-        Box::new(())
+        Box::new(Vec::<[u64; K]>::new())
     }
 
     fn insert(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
-        self.0.with(|s| s.insert(*t))
+        self.0.with(|s| s.insert(key(t)))
     }
 
     fn remove(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
-        self.0.with(|s| s.remove(t))
+        self.0.with(|s| s.remove(&key(t)))
     }
 
     fn contains(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
-        self.0.with(|s| s.contains(t))
+        self.0.with(|s| s.contains(&key(t)))
     }
 
-    fn scan_prefix(&self, prefix: &[u64], _ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
+    fn scan_prefix(&self, prefix: &[u64], ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
         // Hash sets cannot answer range queries: full scan + filter — the
         // structural deficiency the paper's comparison highlights.
-        let plen = prefix.len();
-        self.0.with(|s| {
-            for t in s.iter() {
-                if t[..plen] == *prefix {
-                    f(&t);
-                }
-            }
-        });
+        let matches = |out: &mut Vec<[u64; K]>| {
+            self.0
+                .with(|s| out.extend(s.iter().filter(|t| t.starts_with(prefix))))
+        };
+        scan_unlocked(ctx, matches, f);
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&TupleBuf)) {
-        self.0.with(|s| {
-            for t in s.iter() {
-                f(&t);
-            }
-        });
+        self.0.with(|s| s.iter().for_each(|t| f(&pad(&t))));
     }
 
     fn len(&self) -> usize {
         self.0.with(|s| s.len())
     }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn width(&self) -> usize {
+        K
+    }
 }
 
-struct ConcHashStorage(SplitOrderedSet<TupleBuf>);
+struct ConcHashStorage<const K: usize>(SplitOrderedSet<[u64; K]>);
 
-impl RelationStorage for ConcHashStorage {
+impl<const K: usize> RelationStorage for ConcHashStorage<K> {
     fn make_ctx(&self) -> StorageCtx {
         Box::new(())
     }
 
     fn insert(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
-        self.0.insert(*t)
+        self.0.insert(key(t))
     }
 
     fn remove(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
-        self.0.remove(t)
+        self.0.remove(&key(t))
     }
 
     fn contains(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
-        self.0.contains(t)
+        self.0.contains(&key(t))
     }
 
     fn scan_prefix(&self, prefix: &[u64], _ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
         // Unordered structure: range queries degrade to a full scan.
-        let plen = prefix.len();
         self.0.for_each(|t| {
-            if t[..plen] == *prefix {
-                f(t);
+            if t.starts_with(prefix) {
+                f(&pad(t));
             }
         });
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&TupleBuf)) {
-        self.0.for_each(|t| f(t));
+        self.0.for_each(|t| f(&pad(t)));
     }
 
     fn len(&self) -> usize {
         self.0.len()
     }
-}
 
-// ---------------------------------------------------------------------
-// Operation counting (Table 2's "Evaluation Statistics")
-// ---------------------------------------------------------------------
-
-/// Stripe count for [`OpCounters`]. Scoped workers are handed consecutive
-/// stripe indices, so any ≤16 concurrent workers land on distinct stripes.
-const COUNTER_STRIPES: usize = 16;
-
-/// One cache-line-isolated set of operation counters. The alignment keeps
-/// neighbouring stripes off each other's (prefetch-paired) cache lines so
-/// per-operation `fetch_add`s from different workers never ping-pong.
-#[repr(align(128))]
-#[derive(Debug, Default)]
-struct CounterStripe {
-    inserts: AtomicU64,
-    removes: AtomicU64,
-    membership: AtomicU64,
-    lower_bound: AtomicU64,
-    upper_bound: AtomicU64,
-}
-
-/// Next round-robin stripe for threads that never pinned one.
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's stripe index; `usize::MAX` = not yet assigned.
-    static STRIPE: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-}
-
-/// Returns this thread's stripe index, assigned round-robin on first use.
-/// Consecutive assignment (not hashing) guarantees a scope of ≤16 workers
-/// gets pairwise-distinct stripes.
-fn counter_stripe() -> usize {
-    STRIPE.with(|s| {
-        let mut v = s.get();
-        if v == usize::MAX {
-            v = NEXT_STRIPE.fetch_add(1, Relaxed) % COUNTER_STRIPES;
-            s.set(v);
-        }
-        v
-    })
-}
-
-/// Pins the calling thread's [`OpCounters`] stripe to `idx % 16`,
-/// overriding (or preempting) the round-robin assignment.
-///
-/// Under sharded evaluation the scheduler pins each worker to its *home
-/// shard's* index instead of a spawn-order slot: a worker's per-operation
-/// `fetch_add`s then land on the stripe associated with the shard whose
-/// tuples it is scanning, so stripes stay core-local when shards do.
-pub fn pin_counter_stripe(idx: usize) {
-    STRIPE.with(|s| s.set(idx % COUNTER_STRIPES));
-}
-
-/// Shared operation counters, aggregated across all relations of an engine.
-///
-/// Internally striped per thread: inner scans issue one `lower_bound`
-/// count per outer tuple, and with a single counter word those relaxed
-/// `fetch_add`s from every worker serialize the whole join on one
-/// contended cache line (measured: a 1M-tuple parallel scan ran no faster
-/// at 8 threads than at 1). Each worker increments its own stripe;
-/// readers sum across stripes.
-#[derive(Debug)]
-pub struct OpCounters {
-    stripes: [CounterStripe; COUNTER_STRIPES],
-}
-
-impl Default for OpCounters {
-    fn default() -> Self {
-        Self {
-            stripes: std::array::from_fn(|_| CounterStripe::default()),
-        }
-    }
-}
-
-impl OpCounters {
-    #[inline]
-    fn stripe(&self) -> &CounterStripe {
-        &self.stripes[counter_stripe()]
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 
-    /// Counts `n` `insert` calls against the calling thread's stripe.
-    #[inline]
-    pub fn add_inserts(&self, n: u64) {
-        self.stripe().inserts.fetch_add(n, Relaxed);
-    }
-
-    /// Counts `n` `remove` calls against the calling thread's stripe.
-    #[inline]
-    pub fn add_removes(&self, n: u64) {
-        self.stripe().removes.fetch_add(n, Relaxed);
-    }
-
-    /// Counts `n` `contains` calls against the calling thread's stripe.
-    #[inline]
-    pub fn add_membership(&self, n: u64) {
-        self.stripe().membership.fetch_add(n, Relaxed);
-    }
-
-    /// Counts `n` `lower_bound` probes against the calling thread's stripe.
-    #[inline]
-    pub fn add_lower_bound(&self, n: u64) {
-        self.stripe().lower_bound.fetch_add(n, Relaxed);
-    }
-
-    /// Counts `n` `upper_bound` probes against the calling thread's stripe.
-    #[inline]
-    pub fn add_upper_bound(&self, n: u64) {
-        self.stripe().upper_bound.fetch_add(n, Relaxed);
-    }
-
-    /// Snapshot as plain numbers: `(inserts, membership, lower, upper)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        self.stripes.iter().fold((0, 0, 0, 0), |acc, s| {
-            (
-                acc.0 + s.inserts.load(Relaxed),
-                acc.1 + s.membership.load(Relaxed),
-                acc.2 + s.lower_bound.load(Relaxed),
-                acc.3 + s.upper_bound.load(Relaxed),
-            )
-        })
-    }
-
-    /// `remove` calls as a plain number (kept out of [`snapshot`]'s
-    /// 4-tuple, whose shape Table 2 consumers rely on).
-    ///
-    /// [`snapshot`]: Self::snapshot
-    pub fn removes_count(&self) -> u64 {
-        self.stripes.iter().map(|s| s.removes.load(Relaxed)).sum()
-    }
-
-    /// Zeroes every counter. Quiescent callers only (no evaluation in
-    /// flight); used by `Engine::reset_stats`.
-    pub fn reset(&self) {
-        for s in &self.stripes {
-            s.inserts.store(0, Relaxed);
-            s.removes.store(0, Relaxed);
-            s.membership.store(0, Relaxed);
-            s.lower_bound.store(0, Relaxed);
-            s.upper_bound.store(0, Relaxed);
-        }
-    }
-}
-
-/// Wraps a storage backend, counting every operation into shared
-/// [`OpCounters`].
-pub struct CountingStorage {
-    inner: Box<dyn RelationStorage>,
-    counters: Arc<OpCounters>,
-}
-
-impl CountingStorage {
-    /// Wraps `inner`, accumulating into `counters`.
-    pub fn new(inner: Box<dyn RelationStorage>, counters: Arc<OpCounters>) -> Self {
-        Self { inner, counters }
-    }
-}
-
-impl RelationStorage for CountingStorage {
-    fn make_ctx(&self) -> StorageCtx {
-        self.inner.make_ctx()
-    }
-
-    fn insert(&self, t: &TupleBuf, ctx: &mut StorageCtx) -> bool {
-        self.counters.add_inserts(1);
-        self.inner.insert(t, ctx)
-    }
-
-    fn remove(&self, t: &TupleBuf, ctx: &mut StorageCtx) -> bool {
-        self.counters.add_removes(1);
-        self.inner.remove(t, ctx)
-    }
-
-    fn contains(&self, t: &TupleBuf, ctx: &mut StorageCtx) -> bool {
-        self.counters.add_membership(1);
-        self.inner.contains(t, ctx)
-    }
-
-    fn scan_prefix(&self, prefix: &[u64], ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
-        self.counters.add_lower_bound(1);
-        // Bounded prefixes issue an explicit upper_bound probe (Figure 1);
-        // empty prefixes are plain full iterations.
-        if !prefix.is_empty() {
-            self.counters.add_upper_bound(1);
-        }
-        self.inner.scan_prefix(prefix, ctx, f)
-    }
-
-    fn partition(&self, n: usize, prefix: &[u64]) -> Vec<StorageChunk> {
-        // `partition` itself reads only separator keys (or materializes a
-        // snapshot); the bound queries are counted when chunks are scanned.
-        self.inner.partition(n, prefix)
-    }
-
-    fn scan_chunk(&self, chunk: &StorageChunk, ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
-        // Each ordered chunk scan starts with one lower_bound descent
-        // (hinted or not); snapshot chunks touch no index structure.
-        if matches!(chunk.span, ChunkSpan::Range { .. }) {
-            self.counters.add_lower_bound(1);
-        }
-        self.inner.scan_chunk(chunk, ctx, f)
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&TupleBuf)) {
-        self.inner.for_each(f)
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn hint_stats(&self, ctx: &StorageCtx) -> Option<HintStats> {
-        self.inner.hint_stats(ctx)
-    }
-
-    fn clear(&mut self) -> bool {
-        // Clearing is bookkeeping, not a counted tuple operation.
-        self.inner.clear()
-    }
-
-    fn as_spec_btree(&self) -> Option<&BTreeSet<MAX_ARITY>> {
-        self.inner.as_spec_btree()
-    }
-
-    fn as_sharded(&self) -> Option<&ShardedStorage> {
-        self.inner.as_sharded()
-    }
-
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-
-    fn merge_from(&self, src: &dyn RelationStorage, workers: usize) -> u64 {
-        // A fused merge attempts one insert per source tuple, whichever
-        // path serves it — count them all, preserving the "insert calls"
-        // semantics of the per-tuple loop it replaces.
-        self.counters.add_inserts(src.len() as u64);
-        self.inner.merge_from(src, workers)
-    }
-
-    fn retract_from(&self, src: &dyn RelationStorage, workers: usize) -> u64 {
-        // A fused retraction attempts one remove per source tuple — count
-        // them all, mirroring `merge_from`'s insert accounting.
-        self.counters.add_removes(src.len() as u64);
-        self.inner.retract_from(src, workers)
-    }
-
-    fn add_index(&mut self, perm: &[usize], workers: usize) -> Option<usize> {
-        // Registration/backfill is bookkeeping, not a counted tuple op.
-        self.inner.add_index(perm, workers)
-    }
-
-    fn index_perms(&self) -> Vec<Vec<usize>> {
-        self.inner.index_perms()
-    }
-
-    fn scan_index(
-        &self,
-        index: usize,
-        perm: &[usize],
-        prefix: &[u64],
-        ctx: &mut StorageCtx,
-        f: &mut dyn FnMut(&TupleBuf),
-    ) {
-        // An index scan costs the same probes as a bounded prefix scan:
-        // one lower_bound descent plus one explicit upper_bound.
-        self.counters.add_lower_bound(1);
-        if !prefix.is_empty() {
-            self.counters.add_upper_bound(1);
-        }
-        self.inner.scan_index(index, perm, prefix, ctx, f)
+    fn width(&self) -> usize {
+        K
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet as Model;
 
-    fn exercise(kind: StorageKind) {
-        let s = kind.create();
+    /// Every kind, the sharded one at three shard counts.
+    fn all_kinds() -> impl Iterator<Item = StorageKind> {
+        let sharded = [1usize, 2, 8].map(StorageKind::ShardedBTree);
+        StorageKind::ALL.into_iter().chain(sharded)
+    }
+
+    /// An `arity`-column tuple made of `a` and `b`: distinct `(a, b)` give
+    /// distinct tuples at every arity, and from arity 2 on the leading
+    /// column is `a`.
+    fn tuple(arity: usize, a: u64, b: u64) -> TupleBuf {
+        match arity {
+            1 => pad(&[a * 1_000 + b]),
+            _ => pad(&[a, b, a + b, 7, b % 3][..arity]),
+        }
+    }
+
+    fn filled(kind: StorageKind, arity: usize, tuples: &[TupleBuf]) -> Box<dyn RelationStorage> {
+        let s = kind.create_for(arity);
+        let mut ctx = s.make_ctx();
+        for t in tuples {
+            s.insert(t, &mut ctx);
+        }
+        s
+    }
+
+    fn contents(s: &dyn RelationStorage) -> Model<TupleBuf> {
+        let mut all = Model::new();
+        s.for_each(&mut |t| assert!(all.insert(*t), "for_each repeated {t:?}"));
+        all
+    }
+
+    /// Point operations, prefix scans at every prefix length, and removal,
+    /// against a model set.
+    fn exercise(kind: StorageKind, arity: usize) {
+        let what = format!("{} arity {arity}", kind.label());
+        let s = kind.create_for(arity);
         let mut ctx = s.make_ctx();
         assert!(s.is_empty());
-        assert!(s.insert(&pad(&[1, 2]), &mut ctx));
-        assert!(!s.insert(&pad(&[1, 2]), &mut ctx));
-        assert!(s.insert(&pad(&[1, 3]), &mut ctx));
-        assert!(s.insert(&pad(&[2, 1]), &mut ctx));
-        assert!(s.contains(&pad(&[1, 2]), &mut ctx));
-        assert!(!s.contains(&pad(&[9, 9]), &mut ctx));
-        assert_eq!(s.len(), 3);
+        let mut model = Model::new();
+        for (a, b) in [(1, 2), (1, 3), (2, 1), (1, 2), (9, 0), (2, 2)] {
+            let t = tuple(arity, a, b);
+            assert_eq!(s.insert(&t, &mut ctx), model.insert(t), "{what}");
+        }
+        assert_eq!(s.len(), model.len(), "{what}");
+        assert_eq!(contents(&*s), model, "{what}");
+        assert!(s.contains(&tuple(arity, 1, 3), &mut ctx), "{what}");
+        assert!(!s.contains(&tuple(arity, 3, 1), &mut ctx), "{what}");
 
-        // Prefix scan for leading column 1.
-        let mut got = Vec::new();
-        s.scan_prefix(&[1], &mut ctx, &mut |t| got.push(*t));
-        got.sort_unstable();
-        assert_eq!(got, vec![pad(&[1, 2]), pad(&[1, 3])], "{}", kind.label());
-
-        let mut all = Vec::new();
-        s.for_each(&mut |t| all.push(*t));
-        assert_eq!(all.len(), 3);
+        let scans_match = |model: &Model<TupleBuf>, ctx: &mut StorageCtx| {
+            for probe in [tuple(arity, 1, 2), tuple(arity, 2, 9), tuple(arity, 5, 5)] {
+                for plen in 0..=arity {
+                    let mut got = Vec::new();
+                    s.scan_prefix(&probe[..plen], ctx, &mut |t| got.push(*t));
+                    got.sort_unstable();
+                    let want: Vec<TupleBuf> = model
+                        .iter()
+                        .filter(|t| t[..plen] == probe[..plen])
+                        .copied()
+                        .collect();
+                    assert_eq!(got, want, "{what} prefix {:?}", &probe[..plen]);
+                }
+            }
+        };
+        scans_match(&model, &mut ctx);
 
         // Removal: present, absent, removed-then-gone, reinsert.
-        assert!(s.remove(&pad(&[1, 2]), &mut ctx), "{}", kind.label());
-        assert!(!s.remove(&pad(&[1, 2]), &mut ctx));
-        assert!(!s.remove(&pad(&[9, 9]), &mut ctx));
-        assert!(!s.contains(&pad(&[1, 2]), &mut ctx));
-        assert_eq!(s.len(), 2);
-        let mut after = Vec::new();
-        s.scan_prefix(&[1], &mut ctx, &mut |t| after.push(*t));
-        assert_eq!(after, vec![pad(&[1, 3])], "{}", kind.label());
-        assert!(s.insert(&pad(&[1, 2]), &mut ctx), "reinsert after remove");
-        assert_eq!(s.len(), 3);
+        let gone = tuple(arity, 1, 2);
+        assert!(s.remove(&gone, &mut ctx), "{what}");
+        assert!(!s.remove(&gone, &mut ctx), "{what}");
+        assert!(!s.remove(&tuple(arity, 3, 1), &mut ctx), "{what}");
+        assert!(!s.contains(&gone, &mut ctx), "{what}");
+        model.remove(&gone);
+        assert_eq!(s.len(), model.len(), "{what}");
+        scans_match(&model, &mut ctx);
+        assert!(s.insert(&gone, &mut ctx), "{what}: reinsert after remove");
+        assert_eq!(s.len(), model.len() + 1, "{what}");
+    }
 
-        // What the planner is told up front is what the storage answers.
-        let indexed = kind.create().add_index(&[1, 0], 1).is_some();
-        assert_eq!(kind.supports_indexes(), indexed, "{}", kind.label());
+    /// Index registration and index scans against the model: a permutation
+    /// of all `arity` columns on a storage of that width, and the same one
+    /// — now shorter than the storage is wide — on a `create()`d storage.
+    fn exercise_indexes(kind: StorageKind, arity: usize) {
+        let what = format!("{} arity {arity}", kind.label());
+        let perm: Vec<usize> = (0..arity).rev().collect();
+        let tuples: Vec<TupleBuf> = (0..40u64).map(|i| tuple(arity, i % 5, i / 3)).collect();
+        let model: Model<TupleBuf> = tuples.iter().copied().collect();
+        for mut s in [kind.create_for(arity), kind.create()] {
+            // What the planner is told up front is what the storage answers.
+            let id = s.add_index(&perm, 2);
+            assert_eq!(id.is_some(), kind.supports_indexes(), "{what}");
+            let mut ctx = s.make_ctx();
+            // Half through the backfill of a second index, half through
+            // inserts that maintain both.
+            let (early, late) = tuples.split_at(tuples.len() / 2);
+            for t in early {
+                s.insert(t, &mut ctx);
+            }
+            if id.is_none() {
+                assert!(s.index_perms().is_empty(), "{what}");
+                continue;
+            }
+            assert_eq!(s.add_index(&perm, 2), id, "{what}: idempotent");
+            let rotated: Vec<usize> = (1..arity).chain([0]).collect();
+            s.add_index(&rotated, 2).expect("a second index");
+            let perms = s.index_perms();
+            assert_eq!(perms[0], perm, "{what}");
+            assert_eq!(perms.last(), Some(&rotated), "{what}");
+            assert_eq!(s.add_index(&[0, 0], 1), None, "{what}: repeated column");
+            assert_eq!(s.add_index(&[MAX_ARITY], 1), None, "{what}: no such column");
+            for t in late {
+                s.insert(t, &mut ctx);
+            }
+            for (id, perm) in perms.iter().enumerate() {
+                for probe in &tuples[..6] {
+                    for plen in 0..=arity {
+                        let prefix: Vec<u64> = perm[..plen].iter().map(|&c| probe[c]).collect();
+                        let mut got = Vec::new();
+                        s.scan_index(id, perm, &prefix, &mut ctx, &mut |t| got.push(*t));
+                        got.sort_unstable();
+                        let bound = |t: &&TupleBuf| perm[..plen].iter().all(|&c| t[c] == probe[c]);
+                        let want: Vec<TupleBuf> = model.iter().filter(bound).copied().collect();
+                        assert_eq!(got, want, "{what} index {perm:?} prefix {prefix:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn all_backends_conform() {
-        for kind in StorageKind::ALL {
-            exercise(kind);
-        }
-        for shards in [1usize, 2, 8] {
-            exercise(StorageKind::ShardedBTree(shards));
+        for kind in all_kinds() {
+            for arity in 1..=MAX_ARITY {
+                exercise(kind, arity);
+                exercise_indexes(kind, arity);
+            }
         }
     }
 
     #[test]
     fn prefix_upper_handles_saturation() {
-        assert_eq!(prefix_upper(&[]), None);
-        assert_eq!(prefix_upper(&[3]).map(|t| t[0]), Some(4));
-        assert_eq!(prefix_upper(&[u64::MAX]), None);
+        assert_eq!(prefix_upper::<2>(&[]), None);
+        assert_eq!(prefix_upper::<1>(&[3]), Some([4]));
+        assert_eq!(prefix_upper::<MAX_ARITY>(&[3]).map(|t| t[0]), Some(4));
+        assert_eq!(prefix_upper::<2>(&[u64::MAX]), None);
         // Carry into the previous word.
-        let hi = prefix_upper(&[7, u64::MAX]).unwrap();
-        assert_eq!(hi[0], 8);
-        assert_eq!(hi[1], 0);
+        assert_eq!(prefix_upper::<3>(&[7, u64::MAX]), Some([8, 0, 0]));
     }
 
     #[test]
-    fn counting_storage_counts() {
-        let counters = Arc::new(OpCounters::default());
-        let s = CountingStorage::new(StorageKind::SpecBTree.create(), Arc::clone(&counters));
+    fn storage_width_follows_the_declared_arity() {
+        // Node bytes per tuple track the arity: the point of the dispatch.
+        let bytes_per_tuple = |arity: usize| {
+            let tuples: Vec<TupleBuf> = (0..5_000u64).map(|i| tuple(arity, i, i)).collect();
+            let s = filled(StorageKind::SpecBTree, arity, &tuples);
+            let stats = s.tree_stats();
+            assert_eq!(stats.len(), 1);
+            assert_eq!(stats[0].keys, 5_000);
+            stats[0].live_bytes as f64 / 5_000.0
+        };
+        let wide = bytes_per_tuple(MAX_ARITY);
+        assert!(bytes_per_tuple(2) <= 0.5 * wide);
+        assert!(bytes_per_tuple(1) < bytes_per_tuple(2));
+        // `create()` is the widest storage, and baselines have no census.
+        let s = StorageKind::SpecBTree.create();
         let mut ctx = s.make_ctx();
-        s.insert(&pad(&[1]), &mut ctx);
-        s.insert(&pad(&[2]), &mut ctx);
-        s.contains(&pad(&[1]), &mut ctx);
-        s.scan_prefix(&[1], &mut ctx, &mut |_| {});
-        let (ins, mem, lb, ub) = counters.snapshot();
-        assert_eq!((ins, mem, lb, ub), (2, 1, 1, 1));
-        s.remove(&pad(&[1]), &mut ctx);
-        s.remove(&pad(&[1]), &mut ctx); // absent: still counted as a call
-        assert_eq!(counters.removes_count(), 2);
-        counters.reset();
-        assert_eq!(counters.removes_count(), 0);
-        assert_eq!(counters.snapshot(), (0, 0, 0, 0));
+        assert!(s.insert(&[1, 2, 3, 4, 5], &mut ctx));
+        assert!(s.contains(&[1, 2, 3, 4, 5], &mut ctx));
+        assert!(StorageKind::RbTreeLocked.create().tree_stats().is_empty());
+    }
+
+    /// Storages of different arity never merge by truncation: a narrower
+    /// one refuses a wider source of any kind outright, in release builds
+    /// too — even one whose extra column happens to hold zeros.
+    #[test]
+    fn merging_a_wider_relation_is_caught() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for kind in all_kinds() {
+            for src_kind in all_kinds() {
+                let wide = filled(src_kind, 3, &[pad(&[1, 2, 0])]);
+                assert_eq!((wide.width(), kind.create().width()), (3, MAX_ARITY));
+                let narrow = filled(kind, 2, &[pad(&[1, 2])]);
+                let what = format!("{} from {}", kind.label(), src_kind.label());
+                let merged = catch_unwind(AssertUnwindSafe(|| narrow.merge_from(wide.as_ref(), 1)));
+                assert!(merged.is_err(), "merge: {what}");
+                let cut = catch_unwind(AssertUnwindSafe(|| narrow.retract_from(wide.as_ref(), 1)));
+                assert!(cut.is_err(), "retract: {what}");
+                assert_eq!(narrow.len(), 1, "{what}");
+                // The other way round nothing is lost, so nothing is refused.
+                assert_eq!(wide.merge_from(narrow.as_ref(), 1), 0, "{what}");
+                assert_eq!(wide.retract_from(narrow.as_ref(), 1), 1, "{what}");
+            }
+        }
+    }
+
+    /// The evaluator joins inside a scan's callback, which may come back
+    /// to the relation being scanned (a self-join, the head's membership
+    /// test): no backend may hold a lock across the callback.
+    #[test]
+    fn scan_callbacks_may_reenter_the_storage() {
+        for kind in all_kinds() {
+            let tuples: Vec<TupleBuf> = (0..50u64).map(|i| tuple(2, i % 5, i)).collect();
+            let s = filled(kind, 2, &tuples);
+            let (mut outer, mut inner, mut probe) = (s.make_ctx(), s.make_ctx(), s.make_ctx());
+            let mut pairs = 0;
+            s.scan_prefix(&[1], &mut outer, &mut |t| {
+                assert!(s.contains(t, &mut probe));
+                s.scan_prefix(&[t[0] + 1], &mut inner, &mut |_| pairs += 1);
+            });
+            assert_eq!(pairs, 100, "{}", kind.label());
+        }
     }
 
     #[test]
     fn retract_from_subtracts_on_all_backend_pairs() {
-        // Victim sets arrive either as a spec B-tree (the engine's Del
-        // accumulator) or as any other backend; both must subtract exactly.
-        for dst_kind in StorageKind::ALL {
-            for src_kind in [StorageKind::SpecBTree, StorageKind::GBTreeLocked] {
-                let dst = dst_kind.create();
-                let mut ctx = dst.make_ctx();
-                for i in 0..500u64 {
-                    dst.insert(&pad(&[i, i % 7]), &mut ctx);
-                }
-                let src = src_kind.create();
-                let mut sctx = src.make_ctx();
-                // Overlap 0..300 plus 100 tuples absent from dst.
-                for i in 0..300u64 {
-                    src.insert(&pad(&[i, i % 7]), &mut sctx);
-                }
-                for i in 1_000..1_100u64 {
-                    src.insert(&pad(&[i, 0]), &mut sctx);
-                }
-                for workers in [1usize, 4] {
-                    let dst2 = dst_kind.create();
-                    let mut c2 = dst2.make_ctx();
-                    dst.for_each(&mut |t| {
-                        dst2.insert(t, &mut c2);
-                    });
-                    let removed = dst2.retract_from(src.as_ref(), workers);
-                    assert_eq!(
-                        removed,
-                        300,
-                        "{} -= {} workers={workers}",
-                        dst_kind.label(),
-                        src_kind.label()
-                    );
-                    assert_eq!(dst2.len(), 200);
-                    assert!(!dst2.contains(&pad(&[0, 0]), &mut c2));
-                    assert!(dst2.contains(&pad(&[300, 300 % 7]), &mut c2));
+        // Victim sets arrive either as the same kind (the engine's Del
+        // accumulator: the tree-to-tree path where there is one) or as any
+        // other backend; both must subtract exactly.
+        for arity in 1..=MAX_ARITY {
+            let base: Vec<TupleBuf> = (0..500u64).map(|i| tuple(arity, i, i % 7)).collect();
+            // Overlap 0..300 plus 100 tuples absent from dst.
+            let mut victims = base[..300].to_vec();
+            victims.extend((1_000..1_100u64).map(|i| tuple(arity, i, 0)));
+            for dst_kind in all_kinds() {
+                for src_kind in [dst_kind, StorageKind::SpecBTree, StorageKind::GBTreeLocked] {
+                    let src = filled(src_kind, arity, &victims);
+                    for workers in [1usize, 4] {
+                        let what = format!(
+                            "{} -= {} arity {arity} workers {workers}",
+                            dst_kind.label(),
+                            src_kind.label()
+                        );
+                        let dst = filled(dst_kind, arity, &base);
+                        assert_eq!(dst.retract_from(src.as_ref(), workers), 300, "{what}");
+                        let left: Model<TupleBuf> = base[300..].iter().copied().collect();
+                        assert_eq!(contents(&*dst), left, "{what}");
+                        assert_eq!(src.len(), 400, "{what}: source untouched");
+                    }
                 }
             }
         }
@@ -2038,7 +1813,7 @@ mod tests {
 
     #[test]
     fn spec_btree_reports_hint_stats() {
-        let s = StorageKind::SpecBTree.create();
+        let s = StorageKind::SpecBTree.create_for(2);
         let mut ctx = s.make_ctx();
         for i in 0..100u64 {
             s.insert(&pad(&[0, i * 2]), &mut ctx);
@@ -2048,51 +1823,43 @@ mod tests {
         }
         let stats = s.hint_stats(&ctx).expect("spec btree keeps hints");
         assert!(stats.insert_hits > 0);
-        assert!(StorageKind::RbTreeLocked
-            .create()
-            .hint_stats(&StorageKind::RbTreeLocked.create().make_ctx())
-            .is_none());
-    }
-
-    fn chunk_scan_matches_prefix_scan(kind: StorageKind, prefix: &[u64]) {
-        let s = kind.create();
-        let mut ctx = s.make_ctx();
-        for a in 0..8u64 {
-            for b in 0..100u64 {
-                s.insert(&pad(&[a, b]), &mut ctx);
-            }
-        }
-        let mut want = Vec::new();
-        s.scan_prefix(prefix, &mut ctx, &mut |t| want.push(*t));
-        want.sort_unstable();
-        for n in [1usize, 3, 8, 64] {
-            let chunks = s.partition(n, prefix);
-            let mut got = Vec::new();
-            for c in &chunks {
-                s.scan_chunk(c, &mut ctx, &mut |t| got.push(*t));
-            }
-            got.sort_unstable();
-            assert_eq!(got, want, "{} n={n} prefix={prefix:?}", kind.label());
-        }
+        // A context answers only to the kind and width that made it.
+        assert!(StorageKind::SpecBTree.create().hint_stats(&ctx).is_none());
+        let rb = StorageKind::RbTreeLocked.create();
+        assert!(rb.hint_stats(&rb.make_ctx()).is_none());
     }
 
     #[test]
     fn partition_scan_equals_prefix_scan_on_all_backends() {
-        let sharded = [1usize, 2, 8].map(StorageKind::ShardedBTree);
-        for kind in StorageKind::ALL.iter().chain(&sharded).copied() {
-            chunk_scan_matches_prefix_scan(kind, &[]);
-            chunk_scan_matches_prefix_scan(kind, &[3]);
-            chunk_scan_matches_prefix_scan(kind, &[9]); // matches nothing
+        for kind in all_kinds() {
+            for arity in 1..=MAX_ARITY {
+                let tuples: Vec<TupleBuf> =
+                    (0..800u64).map(|i| tuple(arity, i % 8, i / 8)).collect();
+                let s = filled(kind, arity, &tuples);
+                let mut ctx = s.make_ctx();
+                // The whole relation, one leading value, one that matches nothing.
+                for prefix in [&[][..], &tuples[3][..1], &[999_999]] {
+                    let mut want = Vec::new();
+                    s.scan_prefix(prefix, &mut ctx, &mut |t| want.push(*t));
+                    want.sort_unstable();
+                    for n in [1usize, 3, 8, 64] {
+                        let mut got = Vec::new();
+                        for c in &s.partition(n, prefix) {
+                            s.scan_chunk(c, &mut ctx, &mut |t| got.push(*t));
+                        }
+                        got.sort_unstable();
+                        let what = format!("{} arity {arity} n={n} {prefix:?}", kind.label());
+                        assert_eq!(got, want, "{what}");
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn spec_btree_partition_emits_range_chunks() {
-        let s = StorageKind::SpecBTree.create();
-        let mut ctx = s.make_ctx();
-        for i in 0..5_000u64 {
-            s.insert(&pad(&[i / 100, i % 100]), &mut ctx);
-        }
+        let tuples: Vec<TupleBuf> = (0..5_000u64).map(|i| pad(&[i / 100, i % 100])).collect();
+        let s = filled(StorageKind::SpecBTree, 2, &tuples);
         let chunks = s.partition(8, &[]);
         assert!(chunks.len() > 1, "a deep tree should split");
         assert!(chunks
@@ -2104,11 +1871,8 @@ mod tests {
 
     #[test]
     fn fallback_partition_materializes_once_and_slices() {
-        let s = StorageKind::HashSetLocked.create();
-        let mut ctx = s.make_ctx();
-        for i in 0..100u64 {
-            s.insert(&pad(&[i]), &mut ctx);
-        }
+        let tuples: Vec<TupleBuf> = (0..100u64).map(|i| pad(&[i])).collect();
+        let s = filled(StorageKind::HashSetLocked, 1, &tuples);
         let chunks = s.partition(4, &[]);
         assert!(!chunks.is_empty());
         let total: usize = chunks
@@ -2123,11 +1887,9 @@ mod tests {
 
     #[test]
     fn sharded_partition_tags_and_groups_chunks_by_shard() {
-        let s = StorageKind::ShardedBTree(4).create();
+        let tuples: Vec<TupleBuf> = (0..8_000u64).map(|i| pad(&[i / 100, i % 100])).collect();
+        let s = filled(StorageKind::ShardedBTree(4), 2, &tuples);
         let mut ctx = s.make_ctx();
-        for i in 0..8_000u64 {
-            s.insert(&pad(&[i / 100, i % 100]), &mut ctx);
-        }
         assert_eq!(s.shard_count(), 4);
         let chunks = s.partition(32, &[]);
         assert!(chunks.len() > 4, "every populated shard should oversplit");
@@ -2156,18 +1918,13 @@ mod tests {
 
     #[test]
     fn sharded_merge_and_retract_run_shardwise() {
+        let run = |i: std::ops::Range<u64>| i.map(|i| pad(&[i, 1])).collect::<Vec<_>>();
         for (nshards, workers) in [(4usize, 1usize), (4, 4), (8, 3)] {
-            let dst = StorageKind::ShardedBTree(nshards).create();
-            let src = StorageKind::ShardedBTree(nshards).create();
-            let mut dctx = dst.make_ctx();
-            let mut sctx = src.make_ctx();
-            for i in 0..2_000u64 {
-                dst.insert(&pad(&[i, 1]), &mut dctx);
-            }
+            let kind = StorageKind::ShardedBTree(nshards);
+            let dst = filled(kind, 2, &run(0..2_000));
             // Overlap 1000..2000, fresh 2000..3000.
-            for i in 1_000..3_000u64 {
-                src.insert(&pad(&[i, 1]), &mut sctx);
-            }
+            let src = filled(kind, 2, &run(1_000..3_000));
+            let mut dctx = dst.make_ctx();
             let added = dst.merge_from(src.as_ref(), workers);
             assert_eq!(added, 1_000, "shards={nshards} workers={workers}");
             assert_eq!(dst.len(), 3_000);
@@ -2180,14 +1937,8 @@ mod tests {
             assert!(!dst.contains(&pad(&[1_500, 1]), &mut dctx));
         }
         // Mismatched shard counts fall back to the routed per-tuple path.
-        let dst = StorageKind::ShardedBTree(2).create();
-        let src = StorageKind::ShardedBTree(8).create();
-        let mut dctx = dst.make_ctx();
-        let mut sctx = src.make_ctx();
-        dst.insert(&pad(&[1]), &mut dctx);
-        for i in 0..100u64 {
-            src.insert(&pad(&[i]), &mut sctx);
-        }
+        let dst = filled(StorageKind::ShardedBTree(2), 2, &[pad(&[1, 1])]);
+        let src = filled(StorageKind::ShardedBTree(8), 2, &run(0..100));
         assert_eq!(dst.merge_from(src.as_ref(), 4), 99);
         assert_eq!(dst.len(), 100);
     }
@@ -2197,62 +1948,23 @@ mod tests {
         // Every tuple shares the leading column, so the shard map sends
         // all of them to a single shard — the worst case the balance
         // telemetry exists to expose. Correctness must be unaffected.
-        let s = StorageKind::ShardedBTree(8).create();
-        let mut ctx = s.make_ctx();
-        for i in 0..1_000u64 {
-            s.insert(&pad(&[7, i]), &mut ctx);
-        }
-        let sharded = s.as_sharded().expect("sharded backend");
-        let lens = sharded.shard_lens();
-        assert_eq!(lens.iter().sum::<usize>(), 1_000);
+        let tuples: Vec<TupleBuf> = (0..1_000u64).map(|i| pad(&[7, i])).collect();
+        let s = filled(StorageKind::ShardedBTree(8), 2, &tuples);
+        let lens: Vec<u64> = s.tree_stats().iter().map(|t| t.keys).collect();
+        assert_eq!(lens.len(), 8);
+        assert_eq!(lens.iter().sum::<u64>(), 1_000);
         assert_eq!(lens.iter().max().copied().unwrap(), 1_000, "{lens:?}");
         let mut got = Vec::new();
-        s.scan_prefix(&[7], &mut ctx, &mut |t| got.push(*t));
+        s.scan_prefix(&[7], &mut s.make_ctx(), &mut |t| got.push(*t));
         assert_eq!(got.len(), 1_000);
     }
 
     #[test]
-    fn pinned_counter_stripes_follow_home_shard() {
-        let counters = Arc::new(OpCounters::default());
-        let c = Arc::clone(&counters);
-        std::thread::spawn(move || {
-            pin_counter_stripe(3);
-            c.add_inserts(5);
-            // Re-pinning moves subsequent counts to the new stripe.
-            pin_counter_stripe(7);
-            c.add_inserts(2);
-        })
-        .join()
-        .unwrap();
-        assert_eq!(counters.snapshot().0, 7, "both stripes aggregate");
-        assert_eq!(counters.stripes[3].inserts.load(Relaxed), 5);
-        assert_eq!(counters.stripes[7].inserts.load(Relaxed), 2);
-    }
-
-    #[test]
-    fn counting_storage_counts_chunk_scans() {
-        let counters = Arc::new(OpCounters::default());
-        let s = CountingStorage::new(StorageKind::SpecBTree.create(), Arc::clone(&counters));
-        let mut ctx = s.make_ctx();
-        for i in 0..3_000u64 {
-            s.insert(&pad(&[i]), &mut ctx);
-        }
-        let before = counters.snapshot().2;
-        let chunks = s.partition(4, &[]);
-        for c in &chunks {
-            s.scan_chunk(c, &mut ctx, &mut |_| {});
-        }
-        let after = counters.snapshot().2;
-        assert_eq!(after - before, chunks.len() as u64);
-    }
-
-    #[test]
     fn clear_recycles_spec_btree_and_declines_elsewhere() {
-        let mut s = StorageKind::SpecBTree.create();
+        let tuples: Vec<TupleBuf> = (0..500u64).map(|i| pad(&[i, i])).collect();
+        let mut s = filled(StorageKind::SpecBTree, 2, &tuples);
         let mut ctx = s.make_ctx();
-        for i in 0..500u64 {
-            s.insert(&pad(&[i, i]), &mut ctx);
-        }
+        assert!(s.contains(&pad(&[7, 7]), &mut ctx));
         assert!(s.clear(), "spec btree supports cheap reset");
         assert!(s.is_empty());
         // The cleared storage is fully reusable (stale ctx hints included).
@@ -2260,18 +1972,8 @@ mod tests {
         assert!(s.contains(&pad(&[7, 7]), &mut ctx));
         assert_eq!(s.len(), 1);
 
-        // The counting wrapper forwards to its inner backend.
-        let counters = Arc::new(OpCounters::default());
-        let mut c = CountingStorage::new(StorageKind::SpecBTree.create(), Arc::clone(&counters));
-        let mut cctx = RelationStorage::make_ctx(&c);
-        c.insert(&pad(&[1]), &mut cctx);
-        assert!(RelationStorage::clear(&mut c));
-        assert!(RelationStorage::is_empty(&c));
-
         // Backends without a cheap reset decline (and keep their tuples).
-        let mut rb = StorageKind::RbTreeLocked.create();
-        let mut rctx = rb.make_ctx();
-        rb.insert(&pad(&[1]), &mut rctx);
+        let mut rb = filled(StorageKind::RbTreeLocked, 1, &[pad(&[1])]);
         assert!(!rb.clear());
         assert_eq!(rb.len(), 1);
     }
@@ -2279,7 +1981,7 @@ mod tests {
     #[test]
     fn concurrent_inserts_through_trait() {
         for kind in [StorageKind::SpecBTree, StorageKind::ConcurrentHashSet] {
-            let s = kind.create();
+            let s = kind.create_for(2);
             std::thread::scope(|scope| {
                 for t in 0..4u64 {
                     let s = &s;

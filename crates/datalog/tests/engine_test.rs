@@ -409,8 +409,8 @@ fn stats_accumulate_across_runs_and_reset() {
     assert_eq!(first.produced_tuples, 9 * 8 / 2);
 
     // A second run re-derives everything already present: every counter
-    // keeps growing (accumulate semantics), including the storage-level
-    // ones that come from the shared OpCounters snapshot.
+    // keeps growing (accumulate semantics), including the Table 2
+    // operation counts.
     engine.run().unwrap();
     let second = *engine.stats();
     assert!(second.iterations > first.iterations, "{second:?}");
@@ -467,4 +467,53 @@ fn eval_stats_to_json_shape() {
     ] {
         assert!(json.contains(key), "{key} missing in {json}");
     }
+}
+
+// ---------------------------------------------------------------------
+// The storage seam: same work, narrower trees
+// ---------------------------------------------------------------------
+
+/// A clock-free gate on what crossing `dyn RelationStorage` costs. On a
+/// fixed input the Table 2 operation counts and the tuples scanned are what
+/// the commit before the seam rework produced — when a counting wrapper
+/// around every storage took them — so the rework changed what a crossing
+/// costs, not how many there are; and the binary `path` relation is stored
+/// at its declared arity, not padded to `MAX_ARITY` words.
+#[test]
+fn seam_does_the_same_work_on_narrower_trees() {
+    let mut edges = Vec::new();
+    let mut x = 2019u64;
+    for _ in 0..900 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        edges.push(((x >> 33) % 300, (x >> 13) % 300));
+    }
+    let program = parse(TC_PROGRAM).unwrap();
+    let mut engine = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();
+    engine
+        .add_facts("edge", edges.iter().map(|&(a, b)| vec![a, b]))
+        .unwrap();
+    engine.run().unwrap();
+
+    let stats = engine.stats();
+    assert_eq!(stats.produced_tuples, 74_828);
+    assert_eq!(stats.inserts, 175_002);
+    assert_eq!(stats.membership_tests, 231_323);
+    assert_eq!(stats.lower_bound_calls, 74_911);
+    assert_eq!(stats.upper_bound_calls, 74_828);
+    assert_eq!(stats.tuples_scanned, 306_151);
+
+    // Node bytes per `path` tuple in the same run before the rework, when
+    // every relation was a tree of five-word keys.
+    const PADDED_BYTES_PER_TUPLE: f64 = 60.375;
+    let report = engine.storage_report();
+    let path = report.relations.iter().find(|r| r.name == "path").unwrap();
+    let tree = path.tree.as_ref().expect("a tree-backed relation");
+    assert_eq!(tree.keys, 74_828);
+    let bytes_per_tuple = tree.live_bytes as f64 / path.len as f64;
+    assert!(
+        bytes_per_tuple <= 0.5 * PADDED_BYTES_PER_TUPLE,
+        "{bytes_per_tuple:.1} node bytes per binary tuple"
+    );
 }

@@ -7,7 +7,7 @@
 //! fallback every other backend serves `scan_index` with.
 
 use datalog::storage::{pad, RelationStorage, TupleBuf};
-use datalog::StorageKind;
+use datalog::{StorageKind, MAX_ARITY};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -22,16 +22,56 @@ fn op() -> impl Strategy<Value = (bool, (u64, u64))> {
 }
 
 /// Backends that maintain real permuted trees.
-const INDEXED: [StorageKind; 3] = [
+const INDEXED: [StorageKind; 4] = [
     StorageKind::SpecBTree,
+    StorageKind::SpecBTreeNoHints,
     StorageKind::ShardedBTree(2),
     StorageKind::ShardedBTree(5),
 ];
 
-fn fill(storage: &dyn RelationStorage, keys: &[(u64, u64)]) {
+/// Backends that answer `scan_index` by filtering a sweep.
+const UNINDEXED: [StorageKind; 4] = [
+    StorageKind::ConcurrentHashSet,
+    StorageKind::HashSetLocked,
+    StorageKind::RbTreeLocked,
+    StorageKind::GBTreeLocked,
+];
+
+/// The `arity`-column tuple of a key: distinct keys give distinct tuples at
+/// every arity.
+fn tuple(arity: usize, (a, b): (u64, u64)) -> TupleBuf {
+    match arity {
+        1 => pad(&[a * 12 + b]),
+        _ => pad(&[a, b, a + b, 7, b % 3][..arity]),
+    }
+}
+
+/// The index the tests register: all `arity` columns, reversed.
+fn reversed(arity: usize) -> Vec<usize> {
+    (0..arity).rev().collect()
+}
+
+/// Every `(arity, width)` the tests run at: tuples of each arity in a
+/// storage as wide as the arity, as the engine makes them, and in the widest
+/// one, on which the index permutation is shorter than the storage is wide
+/// (what `bench/src/replay.rs` registers on a `create()`d relation).
+fn shapes() -> impl Iterator<Item = (usize, usize)> {
+    let widest = (1..MAX_ARITY).map(|arity| (arity, MAX_ARITY));
+    (1..=MAX_ARITY).map(|arity| (arity, arity)).chain(widest)
+}
+
+fn make(kind: StorageKind, width: usize) -> Box<dyn RelationStorage> {
+    if width == MAX_ARITY {
+        kind.create()
+    } else {
+        kind.create_for(width)
+    }
+}
+
+fn fill(storage: &dyn RelationStorage, arity: usize, keys: &[(u64, u64)]) {
     let mut ctx = storage.make_ctx();
-    for &(a, b) in keys {
-        storage.insert(&pad(&[a, b]), &mut ctx);
+    for &k in keys {
+        storage.insert(&tuple(arity, k), &mut ctx);
     }
 }
 
@@ -44,7 +84,8 @@ fn primary_set(storage: &dyn RelationStorage) -> BTreeSet<TupleBuf> {
 }
 
 /// Asserts every registered index agrees with the primary: full drains
-/// match, and single-column permuted probes match the filtered primary.
+/// match, and single-column permuted probes — of values that occur and of
+/// one that does not — match the filtered primary.
 fn assert_indexes_in_sync(storage: &dyn RelationStorage, when: &str) {
     let primary = primary_set(storage);
     let mut ctx = storage.make_ctx();
@@ -57,7 +98,8 @@ fn assert_indexes_in_sync(storage: &dyn RelationStorage, when: &str) {
             via_index, primary,
             "{when}: index {id} {perm:?} diverged from primary on full drain"
         );
-        for probe in 0..12u64 {
+        let present: BTreeSet<u64> = primary.iter().map(|t| t[perm[0]]).collect();
+        for probe in present.into_iter().chain([1_000]) {
             let mut got = BTreeSet::new();
             storage.scan_index(id, &perm, &[probe], &mut ctx, &mut |t| {
                 got.insert(*t);
@@ -83,22 +125,25 @@ proptest! {
     #[test]
     fn point_ops_keep_indexes_in_sync(ops in prop::collection::vec(op(), 0..160)) {
         for kind in INDEXED {
-            let mut storage = kind.create();
-            let id = storage.add_index(&[1, 0], 2);
-            prop_assert_eq!(id, Some(0), "{:?} must support indexes", kind);
-            // Registering the same permutation again is a no-op, not a
-            // second index.
-            prop_assert_eq!(storage.add_index(&[1, 0], 2), Some(0));
-            let mut ctx = storage.make_ctx();
-            for &(ins, (a, b)) in &ops {
-                let t = pad(&[a, b]);
-                if ins {
-                    storage.insert(&t, &mut ctx);
-                } else {
-                    storage.remove(&t, &mut ctx);
+            for (arity, width) in shapes() {
+                let mut storage = make(kind, width);
+                let perm = reversed(arity);
+                let id = storage.add_index(&perm, 2);
+                prop_assert_eq!(id, Some(0), "{:?} must support indexes", kind);
+                // Registering the same permutation again is a no-op, not a
+                // second index.
+                prop_assert_eq!(storage.add_index(&perm, 2), Some(0));
+                let mut ctx = storage.make_ctx();
+                for &(ins, k) in &ops {
+                    let t = tuple(arity, k);
+                    if ins {
+                        storage.insert(&t, &mut ctx);
+                    } else {
+                        storage.remove(&t, &mut ctx);
+                    }
                 }
+                assert_indexes_in_sync(&*storage, &format!("{kind:?} arity {arity} width {width} point ops"));
             }
-            assert_indexes_in_sync(&*storage, &format!("{kind:?} point ops"));
         }
     }
 
@@ -112,26 +157,33 @@ proptest! {
         retracted in prop::collection::vec(key(), 0..120),
     ) {
         for kind in INDEXED {
-            let mut storage = kind.create();
-            storage.add_index(&[1, 0], 2).unwrap();
-            fill(&*storage, &base);
-            assert_indexes_in_sync(&*storage, &format!("{kind:?} after backfill"));
+            for (arity, width) in shapes() {
+                let mut storage = make(kind, width);
+                let what = format!("{kind:?} arity {arity} width {width}");
+                storage.add_index(&reversed(arity), 2).unwrap();
+                fill(&*storage, arity, &base);
+                assert_indexes_in_sync(&*storage, &format!("{what} after backfill"));
 
-            // Merge from a same-kind source (fast path) and from a plain
-            // hash set (per-tuple fallback path).
-            let src = kind.create();
-            fill(&*src, &merged);
-            storage.merge_from(&*src, 4);
-            assert_indexes_in_sync(&*storage, &format!("{kind:?} after merge_from"));
+                // Merge from a source of the same kind and width (fast
+                // path) and retract a plain hash set (per-tuple fallback).
+                let src = make(kind, width);
+                fill(&*src, arity, &merged);
+                storage.merge_from(&*src, 4);
+                assert_indexes_in_sync(&*storage, &format!("{what} after merge_from"));
 
-            let flat = StorageKind::ConcurrentHashSet.create();
-            fill(&*flat, &retracted);
-            storage.retract_from(&*flat, 4);
-            assert_indexes_in_sync(&*storage, &format!("{kind:?} after retract_from"));
+                let flat = StorageKind::ConcurrentHashSet.create_for(arity);
+                fill(&*flat, arity, &retracted);
+                storage.retract_from(&*flat, 4);
+                assert_indexes_in_sync(&*storage, &format!("{what} after retract_from"));
 
-            if storage.clear() {
-                prop_assert!(storage.is_empty());
-                assert_indexes_in_sync(&*storage, &format!("{kind:?} after clear"));
+                // And the tree-to-tree retraction.
+                storage.retract_from(&*src, 4);
+                assert_indexes_in_sync(&*storage, &format!("{what} after bulk retract_from"));
+
+                if storage.clear() {
+                    prop_assert!(storage.is_empty());
+                    assert_indexes_in_sync(&*storage, &format!("{what} after clear"));
+                }
             }
         }
     }
@@ -147,22 +199,33 @@ proptest! {
         rounds in prop::collection::vec(prop::collection::vec(key(), 0..40), 0..4),
     ) {
         for kind in INDEXED {
-            let mut storage = kind.create();
-            let mut old_ctx = storage.make_ctx();
-            fill(&*storage, &keys);
-            storage.add_index(&[1, 0], 4).unwrap();
-            assert_indexes_in_sync(&*storage, &format!("{kind:?} late registration"));
-            for (i, round) in rounds.iter().enumerate() {
-                // One iteration's `new → full` fold (tree-to-tree path).
-                let new = kind.create();
-                fill(&*new, round);
-                storage.merge_from(&*new, 2);
-                // The context that predates the index inserts and probes.
-                storage.insert(&pad(&[i as u64, 11]), &mut old_ctx);
-                let mut hits = 0;
-                storage.scan_index(0, &[1, 0], &[11], &mut old_ctx, &mut |_| hits += 1);
-                prop_assert!(hits > i, "{:?}: round {} probe saw {} tuples", kind, i, hits);
-                assert_indexes_in_sync(&*storage, &format!("{kind:?} after round {i}"));
+            for (arity, width) in shapes() {
+                let mut storage = make(kind, width);
+                let what = format!("{kind:?} arity {arity} width {width}");
+                let perm = reversed(arity);
+                let mut old_ctx = storage.make_ctx();
+                fill(&*storage, arity, &keys);
+                storage.add_index(&perm, 4).unwrap();
+                assert_indexes_in_sync(&*storage, &format!("{what} late registration"));
+                for (i, round) in rounds.iter().enumerate() {
+                    // One iteration's `new → full` fold (tree-to-tree path).
+                    let new = make(kind, width);
+                    fill(&*new, arity, round);
+                    storage.merge_from(&*new, 2);
+                    // The context that predates the index inserts and
+                    // probes: one more tuple per round whose last column,
+                    // the index's leading one, is 11. The probe sees this
+                    // round's and every earlier round's (on one column they
+                    // are all the same tuple).
+                    let mut fresh = vec![i as u64; arity];
+                    fresh[arity - 1] = 11;
+                    storage.insert(&pad(&fresh), &mut old_ctx);
+                    let mut hits = 0;
+                    storage.scan_index(0, &perm, &[11], &mut old_ctx, &mut |_| hits += 1);
+                    let want = if arity == 1 { 1 } else { i + 1 };
+                    prop_assert!(hits >= want, "{}: round {} probe saw {} tuples", what, i, hits);
+                    assert_indexes_in_sync(&*storage, &format!("{what} after round {i}"));
+                }
             }
         }
     }
@@ -172,21 +235,24 @@ proptest! {
     /// the price of a sweep, which is why the planner assigns them no index.
     #[test]
     fn fallback_scan_index_filters_correctly(keys in prop::collection::vec(key(), 0..100)) {
-        for kind in [StorageKind::ConcurrentHashSet, StorageKind::HashSetLocked, StorageKind::RbTreeLocked] {
-            let mut storage = kind.create();
-            prop_assert_eq!(storage.add_index(&[1, 0], 2), None);
-            prop_assert!(storage.index_perms().is_empty());
-            fill(&*storage, &keys);
-            let primary = primary_set(&*storage);
-            let mut ctx = storage.make_ctx();
-            for probe in 0..12u64 {
-                let mut got = BTreeSet::new();
-                storage.scan_index(0, &[1, 0], &[probe], &mut ctx, &mut |t| {
-                    got.insert(*t);
-                });
-                let expect: BTreeSet<TupleBuf> =
-                    primary.iter().filter(|t| t[1] == probe).copied().collect();
-                prop_assert_eq!(got, expect, "{:?} fallback probe {}", kind, probe);
+        for kind in UNINDEXED {
+            for (arity, width) in shapes() {
+                let mut storage = make(kind, width);
+                let perm = reversed(arity);
+                prop_assert_eq!(storage.add_index(&perm, 2), None);
+                prop_assert!(storage.index_perms().is_empty());
+                fill(&*storage, arity, &keys);
+                let primary = primary_set(&*storage);
+                let mut ctx = storage.make_ctx();
+                for probe in 0..15u64 {
+                    let mut got = BTreeSet::new();
+                    storage.scan_index(0, &perm, &[probe], &mut ctx, &mut |t| {
+                        got.insert(*t);
+                    });
+                    let expect: BTreeSet<TupleBuf> =
+                        primary.iter().filter(|t| t[perm[0]] == probe).copied().collect();
+                    prop_assert_eq!(got, expect, "{:?} arity {} fallback probe {}", kind, arity, probe);
+                }
             }
         }
     }

@@ -278,6 +278,44 @@ fn negation_strata_recompute_to_reference() {
 }
 
 #[test]
+fn retracting_an_asserted_fact_of_a_recomputed_relation() {
+    // b(5) is asserted, not derived, and b's stratum negates the dirty c:
+    // the batch seeds a relation that delete–rederive never touches, since
+    // the fallback recomputes it. c(1) going lets b(1) in; b(5) goes.
+    let program = parse(
+        r#"
+        .decl a(x: number)
+        .decl c(x: number)
+        .decl b(x: number)
+        b(x) :- a(x), !c(x).
+    "#,
+    )
+    .unwrap();
+    let sharded = [1, 2, 8].map(StorageKind::ShardedBTree);
+    for kind in StorageKind::ALL.into_iter().chain(sharded) {
+        for threads in thread_counts() {
+            let mut engine = Engine::new(&program, kind, threads).unwrap();
+            engine.add_facts("a", [vec![1], vec![2]]).unwrap();
+            engine.add_fact("c", &[1]).unwrap();
+            engine.add_fact("b", &[5]).unwrap();
+            engine.run().unwrap();
+            assert_eq!(engine.relation("b").unwrap(), [vec![2], vec![5]]);
+
+            let batch = vec![("c".to_string(), vec![1]), ("b".to_string(), vec![5])];
+            let out = engine.retract_facts(batch).unwrap();
+            assert_eq!(out.retracted_inputs, 2, "{kind:?} × {threads}t");
+            assert!(out.recomputed_strata > 0, "{kind:?}: fallback expected");
+            assert_eq!(
+                engine.relation("b").unwrap(),
+                [vec![1], vec![2]],
+                "{kind:?} × {threads}t"
+            );
+            assert!(engine.relation("c").unwrap().is_empty());
+        }
+    }
+}
+
+#[test]
 fn same_generation_multi_stratum_retraction() {
     // Two joined recursive relations: sg depends on itself twice, so
     // delta rederivation has two versions per rule.

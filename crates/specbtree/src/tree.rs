@@ -1013,15 +1013,21 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             }
         }
 
-        // Unlock bottom-up. Spine nodes below (and including) a drained
-        // chain were not modified — abort restores their versions so
-        // optimistic readers holding stale pointers into them need not
-        // restart — but they *must* be unlocked: readers spin on
-        // write-locked nodes even unreachable ones.
+        // Unlock bottom-up. The donor and every spine node above it end
+        // their write: the predecessor left their subtree for `n`, so a
+        // remover or reader that passed `n` before this call and is still
+        // descending through them must fail its validation and restart —
+        // with its lease restored it would reach the donor, not find the
+        // key, and report it absent while it sits in `n`. The drained chain
+        // below the donor was not modified and holds no key anyone could
+        // miss — abort restores those versions so optimistic readers with
+        // stale pointers into it need not restart — but it *must* be
+        // unlocked: readers spin on write-locked nodes, even unreachable
+        // ones.
         for (i, s) in spine.iter().enumerate().rev() {
             // SAFETY: write-locked above.
             let sn = unsafe { &**s };
-            if Some(i) == holder {
+            if holder.is_some_and(|h| i <= h) {
                 sn.lock.end_write();
             } else {
                 sn.lock.abort_write();

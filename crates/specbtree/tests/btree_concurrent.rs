@@ -330,3 +330,25 @@ fn partition_while_racing_writers_is_memory_safe() {
     tree.check_invariants().unwrap();
     assert_eq!(tree.len(), 15_000);
 }
+
+/// A key that a racing remover pulls *up* — the predecessor an inner-key
+/// removal moves from a leaf into an ancestor two levels above it — must
+/// not be missed by the remover that is on its way down to that leaf: every
+/// spine node between the two ends its write, so the descent restarts and
+/// finds the key where it now is. (With the spine's versions restored, one
+/// removal in about 300 of this shape reported the key absent and left it
+/// in the tree.) Needs real parallelism to interleave; `remove_all_parallel`
+/// runs inline on one core.
+#[test]
+fn parallel_removal_never_misses_a_predecessor_pulled_past_it() {
+    for round in 0..3_000 {
+        // Three levels at the default capacity; the victims are a whole
+        // contiguous range, so leaves drain and separators get replaced.
+        let tree: BTreeSet<2> = (0..500u64).map(|i| [i, 0]).collect();
+        let victims: BTreeSet<2> = (0..300u64).map(|i| [i, 0]).collect();
+        let removed = tree.remove_all_parallel(&victims, 4);
+        assert_eq!(removed, 300, "round {round}");
+        assert_eq!(tree.iter().next(), Some([300, 0]), "round {round}");
+        assert_eq!(tree.len(), 200, "round {round}");
+    }
+}
