@@ -246,10 +246,14 @@ impl Contestant {
     pub fn create(&self) -> Box<dyn BenchSet> {
         match self {
             Contestant::GoogleBTree => Box::new(GoogleBTreeBench(GBTreeSet::new())),
-            Contestant::SeqBTree => Box::new(SeqBTreeBench {
-                tree: SeqBTreeSet::new(),
-                hints: Some(SeqHints::new()),
-            }),
+            Contestant::SeqBTree => {
+                let tree = SeqBTreeSet::new();
+                let hints = tree.create_hints();
+                Box::new(SeqBTreeBench {
+                    tree,
+                    hints: Some(hints),
+                })
+            }
             Contestant::SeqBTreeNoHints => Box::new(SeqBTreeBench {
                 tree: SeqBTreeSet::new(),
                 hints: None,
@@ -306,7 +310,7 @@ impl BenchSet for GoogleBTreeBench {
 
 struct SeqBTreeBench {
     tree: SeqBTreeSet<2>,
-    hints: Option<SeqHints>,
+    hints: Option<SeqHints<2>>,
 }
 
 impl BenchSet for SeqBTreeBench {

@@ -1,10 +1,9 @@
 //! The top-level engine: program loading, fact insertion, stratified
 //! semi-naive evaluation, and result/statistics extraction.
 
-use crate::ast::{Atom, Literal, Program, Rule, Term};
+use crate::ast::Program;
 use crate::eval::{
-    compile_one, compile_one_at, delta_positions, eval_plan, fill, has_unprefixed_inner_scan,
-    plan_delta_rel, side_table, source_order, Plan, SideTables, StorageEnv, WorkerCtxs,
+    delta_positions, eval_plan, side_table, source_order, SideTables, StorageEnv, WorkerCtxs,
     WorkerStats,
 };
 use crate::planner::{self, CostModel, IndexCatalog, Version};
@@ -13,6 +12,8 @@ use crate::strat::{stratify, StratError, Stratification, Stratum};
 use specbtree::{HintStats, TreeStats};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+mod dred;
 
 /// An error raised while building or running an engine.
 #[derive(Debug)]
@@ -235,32 +236,6 @@ impl RuleProfile {
             self.seconds
         )
     }
-}
-
-/// Prints one per-plan timing line when `DATALOG_RETRACT_TRACE` is set —
-/// retraction plans are synthesized on the fly, so they are invisible to
-/// `explain`/`profile`; this is the equivalent escape hatch.
-fn trace_plan(phase: &str, plan: &Plan, t0: std::time::Instant) {
-    if std::env::var_os("DATALOG_RETRACT_TRACE").is_some() {
-        eprintln!(
-            "{phase} plan {} ({:?} outer): {:.1}ms",
-            plan.id,
-            plan.steps.first(),
-            t0.elapsed().as_secs_f64() * 1e3
-        );
-    }
-}
-
-/// Builds the extended `full` view retraction plans evaluate against:
-/// positions `0..nrels` are the real relations, `nrels..2*nrels` the
-/// deletion accumulators (an empty placeholder where a relation has none).
-fn extended_full<'a>(
-    rels: &'a [Box<dyn RelationStorage>],
-    del_acc: &'a SideTables,
-    empty: &'a dyn RelationStorage,
-) -> Vec<&'a dyn RelationStorage> {
-    let accs = del_acc.iter().map(|acc| acc.as_deref().unwrap_or(empty));
-    rels.iter().map(|b| b.as_ref()).chain(accs).collect()
 }
 
 /// Escapes a string for embedding in a JSON literal.
@@ -500,52 +475,6 @@ impl Engine {
         self.plan_stratum(versions, stratum, deltas, iteration, &mut catalog);
         self.catalog = catalog;
         self.build_new_indexes(before);
-    }
-
-    /// Plans one synthetic retraction rule. With the planner on the
-    /// literals are cost-ordered from `cards` — the counts the retraction
-    /// found, which rederivation largely restores; the counts in between,
-    /// after the overdeleted tuples are gone, say little about what the
-    /// rederivation joins will meet — with deletion sets costed at 1, and
-    /// every scan the primary tree cannot serve gets an index: the deletion
-    /// sets' sizes are only known once the fixpoint they drive has ended,
-    /// and the index outlives the call. When hoisting the delta
-    /// still strands a scan without a bound prefix (planner off, or a
-    /// backend without indexes), the source-order version — which probes
-    /// the delta where it sits and sweeps the stranded relation once,
-    /// chunked across workers — is used if it strands none.
-    fn plan_synthetic(
-        &mut self,
-        rule: &Rule,
-        ids: &HashMap<String, usize>,
-        delta_pos: Option<usize>,
-        cards: &[f64],
-        next_plan_id: &mut usize,
-    ) -> Plan {
-        let mut plan = if self.planner_enabled {
-            let model = CostModel {
-                cards,
-                deltas: &[],
-                horizon: f64::INFINITY,
-                can_index: self.kind.supports_indexes(),
-            };
-            let before = self.catalog.len();
-            let plan = planner::plan_rule(rule, ids, delta_pos, &model, &mut self.catalog);
-            self.build_new_indexes(before);
-            plan
-        } else {
-            compile_one(rule, ids, delta_pos)
-        };
-        if delta_pos.is_some() && has_unprefixed_inner_scan(&plan) {
-            let catalog = self.planner_enabled.then_some(&self.catalog);
-            let flat = compile_one_at(rule, ids, delta_pos, false, catalog);
-            if !has_unprefixed_inner_scan(&flat) {
-                plan = flat;
-            }
-        }
-        plan.id = *next_plan_id;
-        *next_plan_id += 1;
-        plan
     }
 
     /// Per-worker scheduler counters from the last [`run`](Self::run)
@@ -797,598 +726,6 @@ impl Engine {
             entry.0 += 1;
             entry.1 += t0.elapsed().as_secs_f64();
         }
-    }
-
-    /// Withdraws one EDB fact — see [`retract_facts`](Self::retract_facts).
-    pub fn retract_fact(
-        &mut self,
-        relation: &str,
-        tuple: &[u64],
-    ) -> Result<RetractOutcome, EngineError> {
-        self.retract_facts([(relation.to_string(), tuple.to_vec())])
-    }
-
-    /// Withdraws a batch of EDB facts and incrementally repairs every
-    /// derived relation (delete–rederive, DRed):
-    ///
-    /// 1. **Overdelete.** Before anything is physically removed, deletion
-    ///    sets grow to a fixpoint: for every rule `h :- b1, …, bn` and
-    ///    every positive `bi` over a shrinking relation, the tuples of `h`
-    ///    derivable with `bi` drawn from the deletion delta (and the other
-    ///    literals from the *old* database) join `h`'s deletion set. This
-    ///    runs as ordinary semi-naive evaluation over synthetic rules whose
-    ///    heads are pseudo relations (id `nrels + r`) backed by the
-    ///    deletion accumulators.
-    /// 2. **Delete.** Each accumulator is bulk-retracted from its relation
-    ///    via [`RelationStorage::retract_from`] (structure-aware and
-    ///    parallel on the specialized B-tree).
-    /// 3. **Rederive.** Stratum by stratum: overdeleted EDB facts that
-    ///    were not themselves retracted are reinserted, then every rule
-    ///    with an overdeleted head is replayed as `h :- Δ⁻h, b1, …, bn` to
-    ///    re-prove deleted tuples from what survived, iterated semi-naively
-    ///    within the stratum.
-    /// 4. **Negation fallback.** DRed's overdelete/rederive split is
-    ///    unsound through negation (losing a tuple can *create*
-    ///    derivations), so the first stratum negating a shrinking relation
-    ///    — and everything after it — is recomputed from scratch from the
-    ///    surviving EDB.
-    ///
-    /// Facts that were never asserted are skipped, not errors; unknown
-    /// relations and arity mismatches are errors. The database afterwards
-    /// is identical to evaluating the program without the withdrawn facts
-    /// from scratch.
-    pub fn retract_facts(
-        &mut self,
-        facts: impl IntoIterator<Item = (String, Vec<u64>)>,
-    ) -> Result<RetractOutcome, EngineError> {
-        let nrels = self.program.decls.len();
-        let cards: Vec<f64> = self.counts.iter().map(|&n| n as f64).collect();
-        let size_before: i64 = self.counts.iter().map(|&n| n as i64).sum();
-        let mut outcome = RetractOutcome::default();
-
-        // Seed the deletion sets with the withdrawn facts.
-        let mut seeds: HashMap<usize, Vec<TupleBuf>> = HashMap::new();
-        for (name, tuple) in facts {
-            let rel = self.rel_id(&name)?;
-            let t = self.padded(rel, &tuple)?;
-            if self.edb[rel].remove(&t) {
-                outcome.retracted_inputs += 1;
-                seeds.entry(rel).or_default().push(t);
-            }
-        }
-        if seeds.is_empty() {
-            return Ok(outcome);
-        }
-        self.stats.retracted_inputs += outcome.retracted_inputs;
-
-        // Dirty-relation fixpoint in stratum order. The first stratum with
-        // a rule negating an already-dirty relation becomes the fallback
-        // point: it and everything after it are recomputed, so dirtiness
-        // past it is irrelevant (negated relations always live in strictly
-        // earlier strata, hence their dirtiness is settled here).
-        let strata = self.strat.strata.clone();
-        let mut dirty: HashSet<usize> = seeds.keys().copied().collect();
-        let mut fallback_from = strata.len();
-        'strata: for (si, stratum) in strata.iter().enumerate() {
-            for &ri in &stratum.rules {
-                if self.program.rules[ri]
-                    .body
-                    .iter()
-                    .any(|l| l.negated && dirty.contains(&self.strat.rel_ids[&l.atom.relation]))
-                {
-                    fallback_from = si;
-                    break 'strata;
-                }
-            }
-            loop {
-                let mut changed = false;
-                for &ri in &stratum.rules {
-                    let rule = &self.program.rules[ri];
-                    let head = self.strat.rel_ids[&rule.head.relation];
-                    if !dirty.contains(&head)
-                        && rule.body.iter().any(|l| {
-                            !l.negated && dirty.contains(&self.strat.rel_ids[&l.atom.relation])
-                        })
-                    {
-                        dirty.insert(head);
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-        }
-
-        // Stratum index per relation; pure EDB relations belong to none
-        // (usize::MAX) and are always handled by DRed, never by recompute.
-        let mut rel_stratum = vec![usize::MAX; nrels];
-        for (si, st) in strata.iter().enumerate() {
-            for &r in &st.relations {
-                rel_stratum[r] = si;
-            }
-        }
-        let dred_covers = |r: usize| rel_stratum[r] == usize::MAX || rel_stratum[r] < fallback_from;
-        let mut dred_dirty: Vec<usize> =
-            dirty.iter().copied().filter(|&r| dred_covers(r)).collect();
-        dred_dirty.sort_unstable();
-
-        // Extended relation-id space: `~del~r` at id `nrels + r` names the
-        // deletion accumulator of relation r (`~` is outside the parser's
-        // grammar, so the names can never collide with user relations).
-        let mut ext_ids = self.strat.rel_ids.clone();
-        let del_name: HashMap<usize, String> = dred_dirty
-            .iter()
-            .map(|&r| (r, format!("~del~{}", self.program.decls[r].name)))
-            .collect();
-        for (&r, n) in &del_name {
-            ext_ids.insert(n.clone(), nrels + r);
-        }
-
-        // Compile the overdeletion rules: Δ⁻h(args) :- b1, …, bn, h(args),
-        // one plan version per dirty positive body literal (which reads the
-        // deletion delta). The appended head literal restricts derivations
-        // to tuples actually present and is never a delta candidate, which
-        // is why versions are picked by hand instead of `compile_versions`.
-        let mut next_plan_id = 0usize;
-        let mut over_plans: Vec<Plan> = Vec::new();
-        for stratum in strata.iter().take(fallback_from) {
-            for &ri in &stratum.rules {
-                let rule = &self.program.rules[ri];
-                let head_rel = self.strat.rel_ids[&rule.head.relation];
-                let dirty_positions: Vec<usize> = rule
-                    .body
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| {
-                        !l.negated
-                            && dred_dirty
-                                .binary_search(&self.strat.rel_ids[&l.atom.relation])
-                                .is_ok()
-                    })
-                    .map(|(i, _)| i)
-                    .collect();
-                if dirty_positions.is_empty() {
-                    continue;
-                }
-                let mut body = rule.body.clone();
-                body.push(Literal {
-                    atom: rule.head.clone(),
-                    negated: false,
-                });
-                let syn = Rule {
-                    head: Atom {
-                        relation: del_name[&head_rel].clone(),
-                        terms: rule.head.terms.clone(),
-                    },
-                    body,
-                    constraints: rule.constraints.clone(),
-                };
-                // The first retraction that plans a reverse join builds
-                // its index here (`plan_synthetic`); the one-time backfill
-                // replaces a full relation scan per overdelete round.
-                for p in dirty_positions {
-                    over_plans.push(self.plan_synthetic(
-                        &syn,
-                        &ext_ids,
-                        Some(p),
-                        &cards,
-                        &mut next_plan_id,
-                    ));
-                }
-            }
-        }
-
-        // Phase 1 — overdelete to fixpoint. Nothing is physically removed
-        // yet, so non-delta positions still read the old database.
-        let mut pools: Vec<WorkerCtxs> = (0..self.threads).map(|_| WorkerCtxs::default()).collect();
-        let mut wstats: Vec<WorkerStats> = vec![WorkerStats::default(); self.threads];
-        // Stands in for the deletion set of a relation that has none; no
-        // plan reads one.
-        let empty = self.kind.create();
-
-        let mut del_acc = self.side_tables(&dred_dirty, 0);
-        let mut del_round = self.side_tables(&dred_dirty, 0);
-        // A seed of a relation the fallback recomputes has no deletion set:
-        // its fact is already out of `edb`, which is all the recompute reads.
-        for &r in &dred_dirty {
-            if let Some(ts) = seeds.get(&r) {
-                outcome.overdeleted += fill(side_table(&del_acc, r), ts, self.threads);
-                fill(side_table(&del_round, r), ts, self.threads);
-            }
-        }
-
-        let t_phase = std::time::Instant::now();
-        let phase_span = telemetry::span("dred.overdelete", dred_dirty.len() as u64);
-        if !over_plans.is_empty() {
-            loop {
-                let mut del_new = self.side_tables(&dred_dirty, nrels);
-                {
-                    let full = extended_full(&self.rels, &del_acc, empty.as_ref());
-                    let env = StorageEnv {
-                        full: &full,
-                        delta: &del_round,
-                        new: &del_new,
-                    };
-                    for plan in &over_plans {
-                        // A plan whose deletion delta is empty this round
-                        // derives nothing; skipping it matters for the
-                        // source-order versions, whose outer scan is a
-                        // full relation.
-                        let idle = plan_delta_rel(plan)
-                            .is_some_and(|r| del_round[r].as_ref().is_none_or(|s| s.is_empty()));
-                        if idle {
-                            continue;
-                        }
-                        let t0 = std::time::Instant::now();
-                        eval_plan(plan, &env, &mut pools, &mut wstats);
-                        trace_plan("overdelete", plan, t0);
-                    }
-                }
-                let mut grew = false;
-                for &r in &dred_dirty {
-                    let newly = del_new[nrels + r].take().expect("allocated above");
-                    let added = side_table(&del_acc, r).merge_from(newly.as_ref(), self.threads);
-                    outcome.overdeleted += added;
-                    grew |= added > 0;
-                    del_round[r] = Some(newly);
-                }
-                if !grew {
-                    break;
-                }
-            }
-        }
-
-        drop(phase_span);
-        outcome.overdelete_seconds = t_phase.elapsed().as_secs_f64();
-
-        // Phase 2 — physically remove every overdeleted tuple.
-        let t_phase = std::time::Instant::now();
-        let phase_span = telemetry::span("dred.delete", outcome.overdeleted);
-        for &r in &dred_dirty {
-            let acc = side_table(&del_acc, r);
-            if !acc.is_empty() {
-                let gone = self.rels[r].retract_from(acc, self.threads);
-                self.counts[r] -= gone as usize;
-            }
-        }
-        // One remove per overdeleted tuple.
-        self.stats.removes += outcome.overdeleted;
-        drop(phase_span);
-        outcome.delete_seconds = t_phase.elapsed().as_secs_f64();
-
-        // Phase 3 — rederive, stratum by stratum.
-        let t_phase = std::time::Instant::now();
-        let phase_span = telemetry::span("dred.rederive", 0);
-        for stratum in strata.iter().take(fallback_from) {
-            let ds: Vec<usize> = stratum
-                .relations
-                .iter()
-                .copied()
-                .filter(|&r| del_acc[r].as_ref().is_some_and(|a| !a.is_empty()))
-                .collect();
-            if ds.is_empty() {
-                continue;
-            }
-
-            // Overdeleted EDB facts that were not retracted survive by
-            // definition; putting them back seeds the rederivation delta.
-            // The full deletion sets are materialized on the side for the
-            // seed pass's batching below.
-            let mut round = self.side_tables(&ds, 0);
-            let mut del_tuples: HashMap<usize, Vec<TupleBuf>> = HashMap::new();
-            for &r in &ds {
-                let mut all: Vec<TupleBuf> = Vec::new();
-                let mut keep: Vec<TupleBuf> = Vec::new();
-                let edb = &self.edb[r];
-                side_table(&del_acc, r).for_each(&mut |t| {
-                    all.push(*t);
-                    if edb.contains(t) {
-                        keep.push(*t);
-                    }
-                });
-                if !keep.is_empty() {
-                    self.counts[r] += fill(self.rels[r].as_ref(), &keep, self.threads) as usize;
-                    fill(side_table(&round, r), &keep, self.threads);
-                    self.stats.inserts += keep.len() as u64;
-                    outcome.rederived += keep.len() as u64;
-                }
-                del_tuples.insert(r, all);
-            }
-
-            // One seed job per rule whose head rederives here. Each job
-            // carries up to three weapons, picked at runtime:
-            //
-            // * a support filter — a deleted tuple can only come back via
-            //   rule R if, for every head variable shared with a positive
-            //   body literal, its value occurs in that literal's relation.
-            //   Projecting the smallest such relation onto the shared
-            //   columns and filtering Δ⁻ against it prunes unrederivable
-            //   tuples for the cost of one small scan (Gupta–Mumick-style
-            //   rederivation pruning);
-            // * a deletion-first plan — h(args) :- Δ⁻h(args), b1, …, bn —
-            //   whose cost is |Δ⁻| × join fanout;
-            // * a body-first plan — h(args) :- b1, …, bn, Δ⁻h(args) — one
-            //   parallel sweep of the surviving body regardless of |Δ⁻|.
-            //
-            // Neither join shape dominates, so execution starts
-            // deletion-first in growing batches and switches to body-first
-            // when the projected total overtakes the sweep estimate. Delta
-            // versions (semi-naive follow-up rounds) reuse the overdelete
-            // hoisting heuristic instead.
-            struct SeedJob {
-                head_rel: usize,
-                del_plan: Plan,
-                alt_plan: Option<Plan>,
-                alt_outer: u64,
-                /// `(relation, [(body column, head column), …])` of the
-                /// support filter's projection.
-                filter: Option<(usize, Vec<(usize, usize)>)>,
-            }
-            let mut jobs: Vec<SeedJob> = Vec::new();
-            let mut delta_plans: Vec<Plan> = Vec::new();
-            for &ri in &stratum.rules {
-                let rule = self.program.rules[ri].clone();
-                let head_rel = self.strat.rel_ids[&rule.head.relation];
-                if !ds.contains(&head_rel) {
-                    continue;
-                }
-                let del_lit = Literal {
-                    atom: Atom {
-                        relation: del_name[&head_rel].clone(),
-                        terms: rule.head.terms.clone(),
-                    },
-                    negated: false,
-                };
-                let mut body = vec![del_lit.clone()];
-                body.extend(rule.body.iter().cloned());
-                let syn = Rule {
-                    head: rule.head.clone(),
-                    body,
-                    constraints: rule.constraints.clone(),
-                };
-                let del_plan = self.plan_synthetic(&syn, &ext_ids, None, &cards, &mut next_plan_id);
-                for (bi, lit) in syn.body.iter().enumerate().skip(1) {
-                    if !lit.negated && ds.contains(&ext_ids[&lit.atom.relation]) {
-                        delta_plans.push(self.plan_synthetic(
-                            &syn,
-                            &ext_ids,
-                            Some(bi),
-                            &cards,
-                            &mut next_plan_id,
-                        ));
-                    }
-                }
-                // Body-first alternative: head vars are body-bound (range
-                // restriction), so the trailing Δ⁻ literal is a pure check.
-                let (alt_plan, alt_outer) = match rule.body.first() {
-                    Some(first) if !first.negated => {
-                        let mut body = rule.body.clone();
-                        body.push(del_lit);
-                        let syn = Rule {
-                            head: rule.head.clone(),
-                            body,
-                            constraints: rule.constraints.clone(),
-                        };
-                        // Deliberately body-first — the whole point of
-                        // this alternative is one sweep of the surviving
-                        // body — so existing indexes apply, never the cost
-                        // order (which would put the small Δ⁻ literal back
-                        // in front).
-                        let catalog = self.planner_enabled.then_some(&self.catalog);
-                        let mut plan = compile_one_at(&syn, &ext_ids, None, true, catalog);
-                        plan.id = next_plan_id;
-                        next_plan_id += 1;
-                        let outer = self.strat.rel_ids[&first.atom.relation];
-                        (Some(plan), self.counts[outer] as u64)
-                    }
-                    _ => (None, u64::MAX),
-                };
-                // Support filter: the smallest positive body literal
-                // sharing variables with the head, worth a projection scan
-                // only when clearly cheaper than the deletion-first join.
-                let filter = rule
-                    .body
-                    .iter()
-                    .filter(|l| !l.negated)
-                    .filter_map(|lit| {
-                        let rel = self.strat.rel_ids[&lit.atom.relation];
-                        let pairs: Vec<(usize, usize)> = lit
-                            .atom
-                            .terms
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(cl, t)| match t {
-                                Term::Var(v) => rule
-                                    .head
-                                    .terms
-                                    .iter()
-                                    .position(|h| matches!(h, Term::Var(hv) if hv == v))
-                                    .map(|ch| (cl, ch)),
-                                _ => None,
-                            })
-                            .collect();
-                        if pairs.is_empty() {
-                            None
-                        } else {
-                            Some((rel, pairs))
-                        }
-                    })
-                    .min_by_key(|(rel, _)| self.counts[*rel])
-                    .filter(|(rel, _)| {
-                        self.counts[*rel] < del_tuples[&head_rel].len().saturating_mul(32)
-                    });
-                jobs.push(SeedJob {
-                    head_rel,
-                    del_plan,
-                    alt_plan,
-                    alt_outer,
-                    filter,
-                });
-            }
-
-            // Seed pass: re-prove deletions from the repaired database,
-            // one job at a time. Emission dedupes against the database and
-            // the side tables, so overlap between jobs (or between the
-            // batched prefix and a body-first sweep) is harmless.
-            const SEED_BATCH: usize = 256;
-            let no_delta: SideTables = Vec::new();
-            let new_tabs = self.side_tables(&ds, 0);
-            let mut projections: HashMap<(usize, usize), HashSet<u64>> = HashMap::new();
-            for job in &jobs {
-                let r = job.head_rel;
-                let dels: Vec<TupleBuf> = match &job.filter {
-                    Some((frel, pairs)) => {
-                        for &(cl, _) in pairs {
-                            projections.entry((*frel, cl)).or_insert_with(|| {
-                                let mut set = HashSet::new();
-                                self.rels[*frel].for_each(&mut |t| {
-                                    set.insert(t[cl]);
-                                });
-                                set
-                            });
-                        }
-                        del_tuples[&r]
-                            .iter()
-                            .filter(|t| {
-                                pairs
-                                    .iter()
-                                    .all(|&(cl, ch)| projections[&(*frel, cl)].contains(&t[ch]))
-                            })
-                            .copied()
-                            .collect()
-                    }
-                    None => del_tuples[&r].clone(),
-                };
-                if dels.is_empty() {
-                    continue; // nothing this rule could rederive
-                }
-
-                // Deletion-first in geometrically growing batches; bail to
-                // the body-first sweep once the projected total cost
-                // overtakes it.
-                let mut switch_to_alt = false;
-                let scanned0: u64 = wstats.iter().map(|w| w.tuples_scanned).sum();
-                let mut idx = 0usize;
-                let mut batch = if job.alt_plan.is_some() {
-                    SEED_BATCH
-                } else {
-                    dels.len()
-                };
-                while idx < dels.len() {
-                    let end = (idx + batch).min(dels.len());
-                    let part = self.table_for(r);
-                    fill(part.as_ref(), &dels[idx..end], self.threads);
-                    let saved = del_acc[r].replace(part);
-                    {
-                        let full = extended_full(&self.rels, &del_acc, empty.as_ref());
-                        let env = StorageEnv {
-                            full: &full,
-                            delta: &no_delta,
-                            new: &new_tabs,
-                        };
-                        let t0 = std::time::Instant::now();
-                        eval_plan(&job.del_plan, &env, &mut pools, &mut wstats);
-                        trace_plan("rederive-seed", &job.del_plan, t0);
-                    }
-                    del_acc[r] = saved;
-                    idx = end;
-                    batch = batch.saturating_mul(4);
-                    if idx < dels.len() {
-                        let scanned =
-                            wstats.iter().map(|w| w.tuples_scanned).sum::<u64>() - scanned0;
-                        let projected = (scanned as f64) * (dels.len() as f64) / (idx as f64);
-                        if projected > job.alt_outer as f64 {
-                            switch_to_alt = true;
-                            break;
-                        }
-                    }
-                }
-                if switch_to_alt {
-                    let full = extended_full(&self.rels, &del_acc, empty.as_ref());
-                    let env = StorageEnv {
-                        full: &full,
-                        delta: &no_delta,
-                        new: &new_tabs,
-                    };
-                    let plan = job.alt_plan.as_ref().expect("switch requires alt");
-                    let t0 = std::time::Instant::now();
-                    eval_plan(plan, &env, &mut pools, &mut wstats);
-                    trace_plan("rederive-alt", plan, t0);
-                }
-            }
-            for (r, added) in self.merge_stratum(&new_tabs) {
-                outcome.rederived += added;
-                side_table(&round, r).merge_from(side_table(&new_tabs, r), self.threads);
-            }
-
-            // Semi-naive rounds: rederived tuples may re-prove more.
-            let unfinished = |round: &SideTables| round.iter().flatten().any(|s| !s.is_empty());
-            while !delta_plans.is_empty() && unfinished(&round) {
-                let new_tabs = self.side_tables(&ds, 0);
-                {
-                    let full = extended_full(&self.rels, &del_acc, empty.as_ref());
-                    let env = StorageEnv {
-                        full: &full,
-                        delta: &round,
-                        new: &new_tabs,
-                    };
-                    for plan in &delta_plans {
-                        let idle = plan_delta_rel(plan)
-                            .is_some_and(|dr| round[dr].as_ref().is_none_or(|s| s.is_empty()));
-                        if idle {
-                            continue;
-                        }
-                        let t0 = std::time::Instant::now();
-                        eval_plan(plan, &env, &mut pools, &mut wstats);
-                        trace_plan("rederive-round", plan, t0);
-                    }
-                }
-                let mut grew = false;
-                for (_, added) in self.merge_stratum(&new_tabs) {
-                    outcome.rederived += added;
-                    grew |= added > 0;
-                }
-                round = new_tabs;
-                if !grew {
-                    break;
-                }
-            }
-        }
-
-        drop(phase_span);
-        outcome.rederive_seconds = t_phase.elapsed().as_secs_f64();
-
-        // Phase 4 — negation fallback: recompute the remaining strata from
-        // the surviving EDB.
-        let t_phase = std::time::Instant::now();
-        let phase_span = telemetry::span("dred.fallback", (strata.len() - fallback_from) as u64);
-        if fallback_from < strata.len() {
-            for stratum in &strata[fallback_from..] {
-                for &r in &stratum.relations {
-                    self.rels[r] = self.table_for(r);
-                    let tuples: Vec<TupleBuf> = self.edb[r].iter().copied().collect();
-                    self.counts[r] = fill(self.rels[r].as_ref(), &tuples, self.threads) as usize;
-                    self.stats.inserts += tuples.len() as u64;
-                }
-                // The replacement storages lost their index trees; rebuild
-                // the catalog's permutations (plans reference their ids)
-                // before the recompute scans run.
-                self.sync_indexes();
-                self.eval_stratum(stratum, &mut pools, &mut wstats, &mut next_plan_id);
-                outcome.recomputed_strata += 1;
-            }
-        }
-        drop(phase_span);
-        outcome.fallback_seconds = t_phase.elapsed().as_secs_f64();
-
-        self.stats.overdeleted_tuples += outcome.overdeleted;
-        self.stats.rederived_tuples += outcome.rederived;
-        self.absorb_worker_stats(&wstats);
-        let size_after: i64 = self.counts.iter().map(|&n| n as i64).sum();
-        outcome.net_removed = size_before - size_after;
-        debug_assert!(self.counts_are_exact());
-        Ok(outcome)
     }
 
     /// Folds every `new` side table of a stratum into its full relation
@@ -1822,6 +1159,34 @@ mod tests {
             eng.retract_fact("edge", &[1]),
             Err(EngineError::ArityMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn failed_batch_retracts_nothing() {
+        // A bad entry in the middle of a batch fails the call before the
+        // first fact leaves the EDB; the valid part can then be retried.
+        let facts: Vec<(&str, Vec<u64>)> = (1..6).map(|i| ("edge", vec![i, i + 1])).collect();
+        let program = parse(TC).unwrap();
+        let mut eng = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();
+        for (r, t) in &facts {
+            eng.add_fact(r, t).unwrap();
+        }
+        eng.run().unwrap();
+        let (edges, paths) = (eng.relation("edge").unwrap(), eng.relation("path").unwrap());
+        for bad in [("nope", vec![1]), ("edge", vec![1])] {
+            let batch = [("edge", vec![1, 2]), bad, ("edge", vec![3, 4])];
+            let batch = batch.map(|(r, t)| (r.to_string(), t));
+            assert!(eng.retract_facts(batch).is_err());
+            assert_eq!(eng.edb_len("edge").unwrap(), edges.len());
+            assert_eq!(eng.relation("edge").unwrap(), edges);
+            assert_eq!(eng.relation("path").unwrap(), paths);
+        }
+        let gone = [("edge", vec![1, 2]), ("edge", vec![3, 4])];
+        let out = eng
+            .retract_facts(gone.clone().map(|(r, t)| (r.to_string(), t)))
+            .unwrap();
+        assert_eq!(out.retracted_inputs, 2);
+        check_equiv(TC, &facts, &gone);
     }
 
     #[test]

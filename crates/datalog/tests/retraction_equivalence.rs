@@ -426,3 +426,71 @@ fn storage_report_shows_retraction_scars() {
     let json = after.to_json();
     assert!(json.contains("\"name\": \"path\"") && json.contains("\"graveyard_len\""));
 }
+
+/// What one retraction did, without a clock: the outcome's counts and the
+/// operations the engine and its workers issued for it.
+#[derive(Debug, PartialEq, Eq)]
+struct RetractionWork {
+    retracted_inputs: u64,
+    overdeleted: u64,
+    rederived: u64,
+    recomputed_strata: u64,
+    net_removed: i64,
+    tuples_scanned: u64,
+    tuples_emitted: u64,
+    membership_tests: u64,
+    lower_bound_calls: u64,
+}
+
+#[test]
+fn retraction_work_is_pinned() {
+    // One scenario through all four phases, one thread, planner on: a grid
+    // (every overdeleted path has other routes, so rederivation runs its
+    // batched seed pass and its semi-naive rounds), an asserted `path` fact
+    // that the overdeletion takes and the EDB puts back, and a stratum
+    // negating `path` that the fallback recomputes. The numbers are those
+    // of the commit before `retract_facts` was split into its phases: the
+    // split runs the same plans over the same batches, not merely to the
+    // same database.
+    let side = 12u64;
+    let edges = graphs::grid(side);
+    let gone = [edges[7], edges[60], edges[61], edges[150]];
+    let program = parse(UNREACH_PROGRAM).unwrap();
+    let mut engine = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();
+    engine.add_facts("edge", edge_facts(&edges)).unwrap();
+    engine
+        .add_facts("node", (0..side * side).map(|i| vec![i]))
+        .unwrap();
+    engine
+        .add_fact("path", &[gone[0].0, gone[0].1 + 1])
+        .unwrap();
+    engine.run().unwrap();
+    engine.reset_stats();
+    let out = engine
+        .retract_facts(gone.map(|(a, b)| ("edge".to_string(), vec![a, b])))
+        .unwrap();
+    let stats = engine.stats();
+    let work = RetractionWork {
+        retracted_inputs: out.retracted_inputs,
+        overdeleted: out.overdeleted,
+        rederived: out.rederived,
+        recomputed_strata: out.recomputed_strata,
+        net_removed: out.net_removed,
+        tuples_scanned: stats.tuples_scanned,
+        tuples_emitted: stats.tuples_emitted,
+        membership_tests: stats.membership_tests,
+        lower_bound_calls: stats.lower_bound_calls,
+    };
+    let pinned = RetractionWork {
+        retracted_inputs: 4,
+        overdeleted: 2220,
+        rederived: 2075,
+        recomputed_strata: 1,
+        net_removed: 4,
+        tuples_scanned: 145_852,
+        tuples_emitted: 19_227,
+        membership_tests: 160_245,
+        lower_bound_calls: 8_488,
+    };
+    assert_eq!(work, pinned);
+}

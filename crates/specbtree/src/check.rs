@@ -1,6 +1,7 @@
 //! Structural invariant checking — used pervasively by the test suite and
 //! available to downstream users for debugging.
 
+use crate::latch::Latch;
 use crate::node::{cmp3, NodePtr, Tuple};
 use crate::tree::BTreeSet;
 use std::cmp::Ordering;
@@ -39,16 +40,9 @@ impl TreeShape {
         }
         self.keys as f64 / (self.nodes * capacity) as f64
     }
-
-    /// Approximate heap footprint of the node storage in bytes, given the
-    /// per-node sizes of the tree's leaf and inner node types.
-    pub fn memory_bytes(&self, leaf_size: usize, inner_size: usize) -> usize {
-        let inners = self.nodes - self.leaves;
-        self.leaves * leaf_size + inners * inner_size
-    }
 }
 
-impl<const K: usize, const C: usize> BTreeSet<K, C> {
+impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// Verifies every structural invariant of the tree:
     ///
     /// 1. keys within each node are strictly ascending,
@@ -79,53 +73,27 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         Ok(shape)
     }
 
-    /// Approximate heap footprint of the tree's reachable nodes in bytes,
-    /// derived from the node counts and sizes. Quiescent phases only.
+    /// Heap footprint of the tree's reachable nodes in bytes. Quiescent
+    /// phases only.
     pub fn memory_usage(&self) -> usize {
-        self.shape().memory_bytes(
-            std::mem::size_of::<crate::node::LeafNode<K, C>>(),
-            std::mem::size_of::<crate::node::InnerNode<K, C>>(),
-        )
+        self.stats().live_bytes as usize
     }
 
-    /// Returns shape statistics without checking invariants. Quiescent
-    /// phases only.
+    /// Returns shape statistics without checking invariants (a view of
+    /// the [`stats`](Self::stats) census). Quiescent phases only.
     pub fn shape(&self) -> TreeShape {
-        // The checker already computes the shape; reuse it but ignore
-        // violations is not an option (errors abort traversal), so walk
-        // separately — cheap and simple.
-        let root = self.root.load(Relaxed);
-        let mut shape = TreeShape::default();
-        if root.is_null() {
-            return shape;
+        let s = self.stats();
+        TreeShape {
+            depth: s.depth,
+            nodes: (s.inner_nodes + s.leaf_nodes) as usize,
+            leaves: s.leaf_nodes as usize,
+            keys: s.keys as usize,
         }
-        let mut depth = 0usize;
-        let mut stack = vec![(root, 1usize)];
-        while let Some((p, d)) = stack.pop() {
-            let node = unsafe { &*p };
-            let num = node.num_clamped();
-            shape.nodes += 1;
-            shape.keys += num;
-            if node.is_inner() {
-                let inner = unsafe { node.as_inner() };
-                for i in 0..=num {
-                    let c = inner.child(i);
-                    if !c.is_null() {
-                        stack.push((c, d + 1));
-                    }
-                }
-            } else {
-                shape.leaves += 1;
-                depth = depth.max(d);
-            }
-        }
-        shape.depth = depth;
-        shape
     }
 }
 
-fn check_node<const K: usize, const C: usize>(
-    p: NodePtr<K, C>,
+fn check_node<const K: usize, const C: usize, L: Latch>(
+    p: NodePtr<K, C, L>,
     lower: Option<Tuple<K>>,
     upper: Option<Tuple<K>>,
     depth: usize,
@@ -134,10 +102,7 @@ fn check_node<const K: usize, const C: usize>(
 ) -> Result<(), InvariantViolation> {
     let node = unsafe { &*p };
     if node.lock.is_write_locked() {
-        return Err(InvariantViolation(format!(
-            "node {p:?} left write-locked (version {})",
-            node.lock.raw_version()
-        )));
+        return Err(InvariantViolation(format!("node {p:?} left write-locked")));
     }
     let num = node.num();
     if num > C {

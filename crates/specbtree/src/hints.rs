@@ -24,6 +24,7 @@
 //! [`BTreeSet::create_hints`]: crate::BTreeSet::create_hints
 
 use crate::node::NodePtr;
+use optlock::OptimisticRwLock;
 
 /// Hit/miss counters per hinted operation kind.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -103,18 +104,29 @@ impl HintStats {
     }
 }
 
+/// The operation kinds that keep a hinted leaf each.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HintKind {
+    Insert,
+    Contains,
+    Lower,
+    Upper,
+}
+
 /// Per-thread operation hints for one [`BTreeSet`](crate::BTreeSet).
 ///
 /// Obtained from [`BTreeSet::create_hints`](crate::BTreeSet::create_hints);
 /// pass `&mut` to the `_hinted` operation variants. Using hints created for
 /// a different tree is safe: the brand check simply treats every access as
 /// a miss and rebinds the hints to the new tree.
-pub struct BTreeHints<const K: usize, const C: usize = { crate::DEFAULT_NODE_CAPACITY }> {
+pub struct BTreeHints<
+    const K: usize,
+    const C: usize = { crate::DEFAULT_NODE_CAPACITY },
+    L = OptimisticRwLock,
+> {
     tree_id: u64,
-    insert_leaf: NodePtr<K, C>,
-    contains_leaf: NodePtr<K, C>,
-    lower_leaf: NodePtr<K, C>,
-    upper_leaf: NodePtr<K, C>,
+    /// The leaf most recently accessed, per [`HintKind`].
+    leaves: [NodePtr<K, C, L>; 4],
     /// Hit/miss statistics for this hint object (i.e. this thread).
     pub stats: HintStats,
 }
@@ -123,16 +135,13 @@ pub struct BTreeHints<const K: usize, const C: usize = { crate::DEFAULT_NODE_CAP
 // brand check proves they belong to the (alive, borrowed) tree; moving the
 // hint object to another thread is fine because every hinted access is
 // re-validated through the optimistic lock protocol.
-unsafe impl<const K: usize, const C: usize> Send for BTreeHints<K, C> {}
+unsafe impl<const K: usize, const C: usize, L> Send for BTreeHints<K, C, L> {}
 
-impl<const K: usize, const C: usize> BTreeHints<K, C> {
+impl<const K: usize, const C: usize, L> BTreeHints<K, C, L> {
     pub(crate) fn new(tree_id: u64) -> Self {
         Self {
             tree_id,
-            insert_leaf: std::ptr::null_mut(),
-            contains_leaf: std::ptr::null_mut(),
-            lower_leaf: std::ptr::null_mut(),
-            upper_leaf: std::ptr::null_mut(),
+            leaves: [std::ptr::null_mut(); 4],
             stats: HintStats::default(),
         }
     }
@@ -146,86 +155,35 @@ impl<const K: usize, const C: usize> BTreeHints<K, C> {
     /// (the statistics are kept — they belong to the thread, not the tree).
     pub(crate) fn rebind(&mut self, tree_id: u64) {
         self.tree_id = tree_id;
-        self.insert_leaf = std::ptr::null_mut();
-        self.contains_leaf = std::ptr::null_mut();
-        self.lower_leaf = std::ptr::null_mut();
-        self.upper_leaf = std::ptr::null_mut();
+        self.leaves = [std::ptr::null_mut(); 4];
     }
 
+    /// The leaf cached for operations of `kind` (null if none).
     #[inline]
-    pub(crate) fn insert_leaf(&self) -> NodePtr<K, C> {
-        self.insert_leaf
+    pub(crate) fn leaf(&self, kind: HintKind) -> NodePtr<K, C, L> {
+        self.leaves[kind as usize]
     }
 
+    /// Records the outcome of a hinted operation of `kind` that ended in
+    /// `node`. Only leaves are cached.
     #[inline]
-    pub(crate) fn contains_leaf(&self) -> NodePtr<K, C> {
-        self.contains_leaf
-    }
-
-    #[inline]
-    pub(crate) fn lower_leaf(&self) -> NodePtr<K, C> {
-        self.lower_leaf
-    }
-
-    #[inline]
-    pub(crate) fn upper_leaf(&self) -> NodePtr<K, C> {
-        self.upper_leaf
-    }
-
-    /// Records the outcome of a hinted insert. Only leaves are cached.
-    #[inline]
-    pub(crate) fn record_insert(&mut self, hit: bool, node: NodePtr<K, C>) {
-        if hit {
-            self.stats.insert_hits += 1;
-        } else {
-            self.stats.insert_misses += 1;
-        }
+    pub(crate) fn record(&mut self, kind: HintKind, hit: bool, node: NodePtr<K, C, L>) {
+        let s = &mut self.stats;
+        let (hits, misses) = match kind {
+            HintKind::Insert => (&mut s.insert_hits, &mut s.insert_misses),
+            HintKind::Contains => (&mut s.contains_hits, &mut s.contains_misses),
+            HintKind::Lower => (&mut s.lower_hits, &mut s.lower_misses),
+            HintKind::Upper => (&mut s.upper_hits, &mut s.upper_misses),
+        };
+        *(if hit { hits } else { misses }) += 1;
+        // SAFETY: a non-null `node` is a live node of the branded tree.
         if !node.is_null() && !unsafe { &*node }.is_inner() {
-            self.insert_leaf = node;
-        }
-    }
-
-    /// Records the outcome of a hinted membership test.
-    #[inline]
-    pub(crate) fn record_contains(&mut self, hit: bool, node: NodePtr<K, C>) {
-        if hit {
-            self.stats.contains_hits += 1;
-        } else {
-            self.stats.contains_misses += 1;
-        }
-        if !node.is_null() && !unsafe { &*node }.is_inner() {
-            self.contains_leaf = node;
-        }
-    }
-
-    /// Records the outcome of a hinted lower-bound query.
-    #[inline]
-    pub(crate) fn record_lower(&mut self, hit: bool, node: NodePtr<K, C>) {
-        if hit {
-            self.stats.lower_hits += 1;
-        } else {
-            self.stats.lower_misses += 1;
-        }
-        if !node.is_null() && !unsafe { &*node }.is_inner() {
-            self.lower_leaf = node;
-        }
-    }
-
-    /// Records the outcome of a hinted upper-bound query.
-    #[inline]
-    pub(crate) fn record_upper(&mut self, hit: bool, node: NodePtr<K, C>) {
-        if hit {
-            self.stats.upper_hits += 1;
-        } else {
-            self.stats.upper_misses += 1;
-        }
-        if !node.is_null() && !unsafe { &*node }.is_inner() {
-            self.upper_leaf = node;
+            self.leaves[kind as usize] = node;
         }
     }
 }
 
-impl<const K: usize, const C: usize> std::fmt::Debug for BTreeHints<K, C> {
+impl<const K: usize, const C: usize, L> std::fmt::Debug for BTreeHints<K, C, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BTreeHints")
             .field("tree_id", &self.tree_id)
@@ -296,7 +254,7 @@ mod tests {
         h.stats.insert_hits = 5;
         h.rebind(9);
         assert_eq!(h.tree_id(), 9);
-        assert!(h.insert_leaf().is_null());
+        assert!(h.leaf(HintKind::Insert).is_null());
         assert_eq!(h.stats.insert_hits, 5);
     }
 }

@@ -11,24 +11,26 @@
 //! inserts is memory-safe (all accesses are atomics, all indices clamped)
 //! but yields an unspecified element sequence.
 
-use crate::hints::BTreeHints;
+use crate::hints::{BTreeHints, HintKind};
+use crate::latch::Latch;
 use crate::node::{cmp3, NodePtr, Tuple};
 use crate::tree::BTreeSet;
+use optlock::OptimisticRwLock;
 use std::cmp::Ordering;
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering::Relaxed;
 
 /// An in-order cursor over a [`BTreeSet`], yielding tuples ascending.
-pub struct Iter<'a, const K: usize, const C: usize> {
+pub struct Iter<'a, const K: usize, const C: usize, L = OptimisticRwLock> {
     /// Current node; null means the iterator is exhausted.
-    node: NodePtr<K, C>,
+    node: NodePtr<K, C, L>,
     /// Index of the key to yield next within `node`.
     pos: usize,
-    _tree: PhantomData<&'a BTreeSet<K, C>>,
+    _tree: PhantomData<&'a BTreeSet<K, C, L>>,
 }
 
-impl<'a, const K: usize, const C: usize> Iter<'a, K, C> {
-    pub(crate) fn new(node: NodePtr<K, C>, pos: usize) -> Self {
+impl<'a, const K: usize, const C: usize, L> Iter<'a, K, C, L> {
+    pub(crate) fn new(node: NodePtr<K, C, L>, pos: usize) -> Self {
         let mut it = Self {
             node,
             pos,
@@ -40,6 +42,11 @@ impl<'a, const K: usize, const C: usize> Iter<'a, K, C> {
 
     pub(crate) fn exhausted() -> Self {
         Self::new(std::ptr::null_mut(), 0)
+    }
+
+    /// A cursor at a located position, exhausted if there is none.
+    pub(crate) fn at(pos: Option<(NodePtr<K, C, L>, usize)>) -> Self {
+        pos.map_or_else(Self::exhausted, |(node, pos)| Self::new(node, pos))
     }
 
     /// The tuple the cursor currently points at, without advancing.
@@ -100,7 +107,7 @@ impl<'a, const K: usize, const C: usize> Iter<'a, K, C> {
     }
 
     /// Descends to the leftmost leaf of the subtree rooted at `node`.
-    fn leftmost(mut node: NodePtr<K, C>) -> NodePtr<K, C> {
+    fn leftmost(mut node: NodePtr<K, C, L>) -> NodePtr<K, C, L> {
         loop {
             if node.is_null() {
                 return node;
@@ -116,7 +123,7 @@ impl<'a, const K: usize, const C: usize> Iter<'a, K, C> {
     }
 }
 
-impl<'a, const K: usize, const C: usize> Iterator for Iter<'a, K, C> {
+impl<'a, const K: usize, const C: usize, L> Iterator for Iter<'a, K, C, L> {
     type Item = Tuple<K>;
 
     fn next(&mut self) -> Option<Tuple<K>> {
@@ -141,7 +148,7 @@ impl<'a, const K: usize, const C: usize> Iterator for Iter<'a, K, C> {
         if n.is_inner() {
             // SAFETY: kind checked.
             let child = unsafe { n.as_inner() }.child(self.pos + 1);
-            self.node = Iter::<K, C>::leftmost(child);
+            self.node = Iter::<K, C, L>::leftmost(child);
             self.pos = 0;
         } else {
             self.pos += 1;
@@ -190,14 +197,14 @@ impl<'a, const K: usize, const C: usize> Iterator for Iter<'a, K, C> {
 }
 
 /// An in-order cursor bounded by an exclusive upper tuple.
-pub struct RangeIter<'a, const K: usize, const C: usize> {
-    inner: Iter<'a, K, C>,
+pub struct RangeIter<'a, const K: usize, const C: usize, L = OptimisticRwLock> {
+    inner: Iter<'a, K, C, L>,
     /// Exclusive upper bound; `None` = run to the end of the set.
     end: Option<Tuple<K>>,
 }
 
-impl<'a, const K: usize, const C: usize> RangeIter<'a, K, C> {
-    pub(crate) fn new(inner: Iter<'a, K, C>, end: Option<Tuple<K>>) -> Self {
+impl<'a, const K: usize, const C: usize, L> RangeIter<'a, K, C, L> {
+    pub(crate) fn new(inner: Iter<'a, K, C, L>, end: Option<Tuple<K>>) -> Self {
         Self { inner, end }
     }
 
@@ -256,7 +263,7 @@ impl<'a, const K: usize, const C: usize> RangeIter<'a, K, C> {
     }
 }
 
-impl<'a, const K: usize, const C: usize> Iterator for RangeIter<'a, K, C> {
+impl<'a, const K: usize, const C: usize, L> Iterator for RangeIter<'a, K, C, L> {
     type Item = Tuple<K>;
 
     fn next(&mut self) -> Option<Tuple<K>> {
@@ -284,7 +291,7 @@ pub struct RangeChunk<const K: usize> {
     pub upper: Option<Tuple<K>>,
 }
 
-impl<const K: usize, const C: usize> BTreeSet<K, C> {
+impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// The smallest stored tuple. Phase-concurrent.
     pub fn first(&self) -> Option<Tuple<K>> {
         self.iter().next()
@@ -318,85 +325,72 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
 
     /// An iterator over all tuples in ascending lexicographic order.
     /// Phase-concurrent (no concurrent inserts).
-    pub fn iter(&self) -> Iter<'_, K, C> {
+    pub fn iter(&self) -> Iter<'_, K, C, L> {
         let root = self.root.load(Relaxed);
         if root.is_null() {
             return Iter::exhausted();
         }
         // An empty leftmost leaf is legal after removals; Iter::new's
         // normalization climbs to the first real element (or exhausts).
-        Iter::new(Iter::<K, C>::leftmost(root), 0)
+        Iter::new(Iter::<K, C, L>::leftmost(root), 0)
     }
 
     /// Cursor at the first tuple `>= t` (C++ `lower_bound` semantics); the
     /// returned iterator runs to the end of the set.
-    pub fn lower_bound(&self, t: &Tuple<K>) -> Iter<'_, K, C> {
-        match self.lower_bound_pos(t) {
-            Some((node, pos)) => Iter::new(node, pos),
-            None => Iter::exhausted(),
-        }
+    pub fn lower_bound(&self, t: &Tuple<K>) -> Iter<'_, K, C, L> {
+        Iter::at(self.bound_pos(t, false))
     }
 
     /// Cursor at the first tuple `> t` (C++ `upper_bound` semantics).
-    pub fn upper_bound(&self, t: &Tuple<K>) -> Iter<'_, K, C> {
-        match self.upper_bound_pos(t) {
-            Some((node, pos)) => Iter::new(node, pos),
-            None => Iter::exhausted(),
-        }
+    pub fn upper_bound(&self, t: &Tuple<K>) -> Iter<'_, K, C, L> {
+        Iter::at(self.bound_pos(t, true))
     }
 
     /// Hinted variant of [`lower_bound`](Self::lower_bound).
-    pub fn lower_bound_hinted(&self, t: &Tuple<K>, hints: &mut BTreeHints<K, C>) -> Iter<'_, K, C> {
-        if hints.tree_id() == self.id {
-            let leaf = hints.lower_leaf();
-            if !leaf.is_null() {
-                if let Some(res) = self.try_hinted_bound(leaf, t, false) {
-                    hints.record_lower(true, leaf);
-                    return match res {
-                        Some((node, pos)) => Iter::new(node, pos),
-                        None => Iter::exhausted(),
-                    };
-                }
-            }
-        } else {
-            hints.rebind(self.id);
-        }
-        let res = self.lower_bound_pos(t);
-        let node = res.map(|(n, _)| n).unwrap_or(std::ptr::null_mut());
-        hints.record_lower(false, node);
-        match res {
-            Some((node, pos)) => Iter::new(node, pos),
-            None => Iter::exhausted(),
-        }
+    pub fn lower_bound_hinted(
+        &self,
+        t: &Tuple<K>,
+        hints: &mut BTreeHints<K, C, L>,
+    ) -> Iter<'_, K, C, L> {
+        self.bound_hinted(t, hints, HintKind::Lower)
     }
 
     /// Hinted variant of [`upper_bound`](Self::upper_bound).
-    pub fn upper_bound_hinted(&self, t: &Tuple<K>, hints: &mut BTreeHints<K, C>) -> Iter<'_, K, C> {
+    pub fn upper_bound_hinted(
+        &self,
+        t: &Tuple<K>,
+        hints: &mut BTreeHints<K, C, L>,
+    ) -> Iter<'_, K, C, L> {
+        self.bound_hinted(t, hints, HintKind::Upper)
+    }
+
+    /// The hinted bound query of `kind` (`Lower` or `Upper`): the cached
+    /// leaf if its key range encloses the answer, a descent otherwise.
+    fn bound_hinted(
+        &self,
+        t: &Tuple<K>,
+        hints: &mut BTreeHints<K, C, L>,
+        kind: HintKind,
+    ) -> Iter<'_, K, C, L> {
+        let strict = kind == HintKind::Upper;
         if hints.tree_id() == self.id {
-            let leaf = hints.upper_leaf();
+            let leaf = hints.leaf(kind);
             if !leaf.is_null() {
-                if let Some(res) = self.try_hinted_bound(leaf, t, true) {
-                    hints.record_upper(true, leaf);
-                    return match res {
-                        Some((node, pos)) => Iter::new(node, pos),
-                        None => Iter::exhausted(),
-                    };
+                if let Some(res) = self.try_hinted_bound(leaf, t, strict) {
+                    hints.record(kind, true, leaf);
+                    return Iter::at(res);
                 }
             }
         } else {
             hints.rebind(self.id);
         }
-        let res = self.upper_bound_pos(t);
-        let node = res.map(|(n, _)| n).unwrap_or(std::ptr::null_mut());
-        hints.record_upper(false, node);
-        match res {
-            Some((node, pos)) => Iter::new(node, pos),
-            None => Iter::exhausted(),
-        }
+        let res = self.bound_pos(t, strict);
+        hints.record(kind, false, res.map_or(std::ptr::null_mut(), |(n, _)| n));
+        Iter::at(res)
     }
 
     /// All tuples in `[lower, upper)`.
-    pub fn range(&self, lower: &Tuple<K>, upper: &Tuple<K>) -> RangeIter<'_, K, C> {
+    pub fn range(&self, lower: &Tuple<K>, upper: &Tuple<K>) -> RangeIter<'_, K, C, L> {
         RangeIter::new(self.lower_bound(lower), Some(*upper))
     }
 
@@ -406,7 +400,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     ///
     /// # Panics
     /// If `prefix.len() > K`.
-    pub fn prefix_range(&self, prefix: &[u64]) -> RangeIter<'_, K, C> {
+    pub fn prefix_range(&self, prefix: &[u64]) -> RangeIter<'_, K, C, L> {
         assert!(prefix.len() <= K, "prefix longer than tuple arity");
         let mut lower = [0u64; K];
         lower[..prefix.len()].copy_from_slice(prefix);
@@ -436,7 +430,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
 
     /// All tuples of a [`RangeChunk`] produced by
     /// [`partition`](Self::partition).
-    pub fn chunk_range(&self, chunk: &RangeChunk<K>) -> RangeIter<'_, K, C> {
+    pub fn chunk_range(&self, chunk: &RangeChunk<K>) -> RangeIter<'_, K, C, L> {
         let start = match &chunk.lower {
             Some(lo) => self.lower_bound(lo),
             None => self.iter(),
@@ -507,7 +501,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         // Keys of all nodes at one level, scanned left-to-right, are
         // sorted; subtrees entirely outside the bounds are pruned so a
         // narrow prefix partition never walks the whole level.
-        let mut level: Vec<NodePtr<K, C>> = vec![root];
+        let mut level: Vec<NodePtr<K, C, L>> = vec![root];
         let mut seps: Vec<Tuple<K>> = Vec::new();
         loop {
             seps.clear();

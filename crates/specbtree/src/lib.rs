@@ -22,11 +22,14 @@
 //! * **Tuple keys**: elements are fixed-arity `[u64; K]` tuples ordered
 //!   lexicographically with a single-pass three-way comparator.
 //!
-//! The [`seq`] module provides the sequential twin of the structure (the
-//! paper's "seq btree" baseline): same geometry and algorithms, no atomics,
-//! no locks — quantifying the cost of the synchronization machinery.
+//! The [`seq`] module provides the paper's "seq btree" baseline: this very
+//! tree with its per-node lock replaced by one that does nothing (the lock
+//! is a sealed type parameter of [`BTreeSet`], defaulting to
+//! [`optlock::OptimisticRwLock`]), behind an interface that takes `&mut
+//! self` to modify — so the gap between the two is the cost of the
+//! synchronization protocol and nothing else.
 //!
-//! There is one node layout, the paper's: individually allocated nodes,
+//! There is one tree and one node layout, the paper's: individually allocated nodes,
 //! classic binary search, plain last-leaf hints (DESIGN.md, "Layouts tried
 //! and removed", records the alternatives that were measured and deleted).
 //!
@@ -61,6 +64,7 @@
 mod check;
 mod hints;
 mod iter;
+mod latch;
 mod merge;
 mod node;
 pub mod seq;

@@ -88,7 +88,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     ///   append fast path — `specbtree.merge_splice` counts engagements);
     /// * the rest is partitioned by the *target's* upper-level separators
     ///   and merged chunk-by-chunk with a batched per-leaf merge join
-    ///   ([`merge_run`](Self::merge_run) — one descent, one write lock and
+    ///   (`merge_run` — one descent, one write lock and
     ///   one rebuild per target leaf instead of per tuple;
     ///   `specbtree.merge_chunks` counts chunks).
     ///

@@ -32,6 +32,7 @@
 //! * `num_elements` read optimistically is clamped to the node capacity
 //!   before being used as an index bound.
 
+use crate::latch::Latch;
 use optlock::OptimisticRwLock;
 use std::alloc::Layout;
 use std::cmp::Ordering;
@@ -69,7 +70,8 @@ pub fn cmp3<const K: usize>(a: &Tuple<K>, b: &Tuple<K>) -> Ordering {
 /// A type-erased node pointer. Both node kinds start with the `LeafNode`
 /// layout, so this is the canonical way to address any node; consult
 /// [`LeafNode::is_inner`] before widening to [`InnerNode`].
-pub(crate) type NodePtr<const K: usize, const C: usize> = *mut LeafNode<K, C>;
+pub(crate) type NodePtr<const K: usize, const C: usize, L = OptimisticRwLock> =
+    *mut LeafNode<K, C, L>;
 
 /// The common prefix of every node — and the entire layout of a leaf.
 ///
@@ -78,13 +80,13 @@ pub(crate) type NodePtr<const K: usize, const C: usize> = *mut LeafNode<K, C>;
 /// (`K = 2`, `C = 24`) a leaf is 408 bytes and an inner node 608 bytes at
 /// natural (8-byte) alignment.
 #[repr(C)]
-pub(crate) struct LeafNode<const K: usize, const C: usize> {
+pub(crate) struct LeafNode<const K: usize, const C: usize, L = OptimisticRwLock> {
     /// Version lock protecting this node's keys, counters and child array.
-    pub lock: OptimisticRwLock,
+    pub lock: L,
     /// The parent node (always an inner node), or null for the root.
     /// Covered by the *parent's* lock (or the tree's root lock for the
     /// root node), per the paper's locking rules.
-    pub parent: AtomicPtr<LeafNode<K, C>>,
+    pub parent: AtomicPtr<LeafNode<K, C, L>>,
     /// Index of this node within `parent`'s child array. Covered like
     /// `parent`.
     pub position: AtomicU16,
@@ -106,23 +108,26 @@ pub(crate) struct LeafNode<const K: usize, const C: usize> {
 /// `generic_const_exprs`; [`child`](Self::child)/[`set_child`](Self::set_child)
 /// hide the seam.
 #[repr(C)]
-pub(crate) struct InnerNode<const K: usize, const C: usize> {
-    pub base: LeafNode<K, C>,
-    children: [AtomicPtr<LeafNode<K, C>>; C],
-    last_child: AtomicPtr<LeafNode<K, C>>,
+pub(crate) struct InnerNode<const K: usize, const C: usize, L = OptimisticRwLock> {
+    pub base: LeafNode<K, C, L>,
+    children: [AtomicPtr<LeafNode<K, C, L>>; C],
+    last_child: AtomicPtr<LeafNode<K, C, L>>,
 }
 
-impl<const K: usize, const C: usize> LeafNode<K, C> {
+impl<const K: usize, const C: usize, L> LeafNode<K, C, L> {
     /// Allocates a fresh leaf node. All-zero is a valid initial state
     /// (unlocked lock, null parent, zero elements, leaf kind), so the
     /// allocation is a single zeroed request to the global allocator. Every
     /// field of `LeafNode` is valid at the all-zero bit pattern: atomics of
     /// integers are plain integers, `AtomicPtr` null is the zero pattern,
-    /// and `OptimisticRwLock` documents version 0 as a valid unlocked
-    /// state. The node lives until [`free_subtree`](Self::free_subtree)
+    /// and a [`Latch`] promises that all-zero is a valid unlocked state.
+    /// The node lives until [`free_subtree`](Self::free_subtree)
     /// reaches it (`BTreeSet::clear`/`Drop`).
-    pub fn alloc() -> NodePtr<K, C> {
-        alloc_zeroed_node(Layout::new::<Self>()) as NodePtr<K, C>
+    pub fn alloc() -> NodePtr<K, C, L>
+    where
+        L: Latch,
+    {
+        alloc_zeroed_node(Layout::new::<Self>()) as NodePtr<K, C, L>
     }
 
     /// Whether this node is an inner node (and may be widened with
@@ -138,12 +143,12 @@ impl<const K: usize, const C: usize> LeafNode<K, C> {
     /// `self.is_inner()` must be true, i.e. the node must have been
     /// allocated by [`InnerNode::alloc`].
     #[inline]
-    pub unsafe fn as_inner(&self) -> &InnerNode<K, C> {
+    pub unsafe fn as_inner(&self) -> &InnerNode<K, C, L> {
         debug_assert!(self.is_inner());
         // SAFETY: caller guarantees this node was allocated as an
         // `InnerNode`, whose first field is a `LeafNode` (`repr(C)`), so the
         // widening cast is layout-correct.
-        unsafe { &*(self as *const Self as *const InnerNode<K, C>) }
+        unsafe { &*(self as *const Self as *const InnerNode<K, C, L>) }
     }
 
     /// The element count clamped to the capacity. Optimistic readers may
@@ -289,7 +294,7 @@ impl<const K: usize, const C: usize> LeafNode<K, C> {
     /// `node` must be a valid tree node pointer, exclusively owned (the
     /// tree is being dropped or cleared: `&mut` access, no concurrent
     /// operations, no outstanding iterators).
-    pub unsafe fn free_subtree(node: NodePtr<K, C>) {
+    pub unsafe fn free_subtree(node: NodePtr<K, C, L>) {
         let mut stack = vec![node];
         while let Some(n) = stack.pop() {
             // SAFETY (for the whole body): the caller owns the subtree
@@ -307,7 +312,7 @@ impl<const K: usize, const C: usize> LeafNode<K, C> {
                             stack.push(c);
                         }
                     }
-                    drop(Box::from_raw(n as *mut InnerNode<K, C>));
+                    drop(Box::from_raw(n as *mut InnerNode<K, C, L>));
                 } else {
                     drop(Box::from_raw(n));
                 }
@@ -316,22 +321,25 @@ impl<const K: usize, const C: usize> LeafNode<K, C> {
     }
 }
 
-impl<const K: usize, const C: usize> InnerNode<K, C> {
+impl<const K: usize, const C: usize, L> InnerNode<K, C, L> {
     /// Allocates a fresh inner node (zeroed, kind flag set). `InnerNode`
     /// adds only atomic pointers to the leaf prefix, which are valid when
     /// zeroed (null), so the all-zero reasoning of [`LeafNode::alloc`]
     /// carries over.
-    pub fn alloc() -> NodePtr<K, C> {
+    pub fn alloc() -> NodePtr<K, C, L>
+    where
+        L: Latch,
+    {
         let p = alloc_zeroed_node(Layout::new::<Self>()) as *mut Self;
         // SAFETY: `p` is a valid, zero-initialized `InnerNode` allocation.
         unsafe { &*p }.base.inner_flag.store(1, Relaxed);
-        p as NodePtr<K, C>
+        p as NodePtr<K, C, L>
     }
 
     /// The `i`-th child pointer (`0 ..= num`). `i` must be `<= C`; the value
     /// may be stale or null under optimistic reads.
     #[inline]
-    pub fn child(&self, i: usize) -> NodePtr<K, C> {
+    pub fn child(&self, i: usize) -> NodePtr<K, C, L> {
         debug_assert!(i <= C);
         if i < C {
             self.children[i].load(Relaxed)
@@ -341,7 +349,7 @@ impl<const K: usize, const C: usize> InnerNode<K, C> {
     }
 
     #[inline]
-    pub fn set_child(&self, i: usize, p: NodePtr<K, C>) {
+    pub fn set_child(&self, i: usize, p: NodePtr<K, C, L>) {
         debug_assert!(i <= C);
         if i < C {
             self.children[i].store(p, Relaxed);

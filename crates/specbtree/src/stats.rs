@@ -186,7 +186,7 @@ fn bucket_label(b: usize) -> String {
     }
 }
 
-impl<const K: usize, const C: usize> BTreeSet<K, C> {
+impl<const K: usize, const C: usize, L> BTreeSet<K, C, L> {
     /// Takes a structural census of the tree (see [`TreeStats`]) with a
     /// single read-only traversal. Quiescent phases only — run it
     /// between evaluation phases, never against in-flight writers.
@@ -198,8 +198,8 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             buried_leaves: self.buried_leaves.load(Relaxed),
             ..TreeStats::default()
         };
-        let leaf_size = std::mem::size_of::<LeafNode<K, C>>() as u64;
-        let inner_size = std::mem::size_of::<InnerNode<K, C>>() as u64;
+        let leaf_size = std::mem::size_of::<LeafNode<K, C, L>>() as u64;
+        let inner_size = std::mem::size_of::<InnerNode<K, C, L>>() as u64;
         let buried_inners = s.buried_nodes - s.buried_leaves;
         s.abandoned_bytes = s.buried_leaves * leaf_size + buried_inners * inner_size;
 
@@ -278,7 +278,8 @@ mod tests {
     fn census_agrees_with_shape_and_len() {
         let set: BTreeSet<2> = (0..5_000u64).map(|i| [i * 7 % 5_000, i]).collect();
         let s = set.stats();
-        let shape = set.shape();
+        // The invariant checker's own walk, not `shape()`'s view of `s`.
+        let shape = set.check_invariants().unwrap();
         assert_eq!(s.depth, shape.depth);
         assert_eq!(s.keys as usize, set.len());
         assert_eq!(s.keys as usize, shape.keys);

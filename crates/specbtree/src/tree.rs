@@ -33,7 +33,8 @@
 //!   **memory-safe** — every field access is an atomic and every index is
 //!   clamped — but the sequence of elements observed is unspecified.
 
-use crate::hints::BTreeHints;
+use crate::hints::{BTreeHints, HintKind};
+use crate::latch::Latch;
 use crate::node::{cmp3, InnerNode, LeafNode, NodePtr, Tuple};
 use optlock::OptimisticRwLock;
 use std::cmp::Ordering;
@@ -115,19 +116,19 @@ fn note_insert_restart(
 /// });
 /// assert_eq!(set.len(), 401);
 /// ```
-pub struct BTreeSet<const K: usize, const C: usize = DEFAULT_NODE_CAPACITY> {
+pub struct BTreeSet<const K: usize, const C: usize = DEFAULT_NODE_CAPACITY, L = OptimisticRwLock> {
     /// The root node; null until the first insertion.
-    pub(crate) root: AtomicPtr<LeafNode<K, C>>,
+    pub(crate) root: AtomicPtr<LeafNode<K, C, L>>,
     /// Protects the root *pointer* (and the root node's parent link), per
     /// the paper's locking rules.
-    pub(crate) root_lock: OptimisticRwLock,
+    pub(crate) root_lock: L,
     /// Unique identity used to brand [`BTreeHints`] (see `hints` module).
     pub(crate) id: u64,
     /// Subtrees spliced out by `remove` (empty leaves, drained predecessor
     /// chains). They stay allocated until `clear`/`Drop` — racing
     /// optimistic readers may still hold pointers into them — and are
     /// individually freed then.
-    pub(crate) graveyard: std::sync::Mutex<Vec<NodePtr<K, C>>>,
+    pub(crate) graveyard: std::sync::Mutex<Vec<NodePtr<K, C, L>>>,
     /// Cumulative accounting of what `bury` has parked since the last
     /// `clear`, so [`BTreeSet::stats`] can report how much
     /// unreachable-but-allocated structure removals have produced:
@@ -138,27 +139,31 @@ pub struct BTreeSet<const K: usize, const C: usize = DEFAULT_NODE_CAPACITY> {
     pub(crate) buried_leaves: AtomicU64,
 }
 
-// SAFETY: the tree owns its nodes; tuples are plain integers. All shared
-// mutation happens through atomics under the optimistic locking protocol.
-unsafe impl<const K: usize, const C: usize> Send for BTreeSet<K, C> {}
-unsafe impl<const K: usize, const C: usize> Sync for BTreeSet<K, C> {}
+// SAFETY: the tree owns its nodes (the raw pointers in `root` and
+// `graveyard` are why these impls are needed at all); tuples are plain
+// integers and a latch holds no thread-bound state, so the tree may move
+// between threads whatever its latch. Sharing is another matter: all shared
+// mutation happens through atomics under the optimistic locking protocol,
+// so only the instantiation that really runs that protocol is `Sync`.
+unsafe impl<const K: usize, const C: usize, L: Latch + Send> Send for BTreeSet<K, C, L> {}
+unsafe impl<const K: usize, const C: usize> Sync for BTreeSet<K, C, OptimisticRwLock> {}
 
 /// Outcome of a descent that located (or inserted) a tuple.
-pub(crate) struct Located<const K: usize, const C: usize> {
+pub(crate) struct Located<const K: usize, const C: usize, L> {
     /// Whether a new tuple was inserted (false: it was already present).
     pub inserted: bool,
     /// The node where the tuple lives. May be an inner node when a
     /// duplicate was detected above leaf level.
-    pub node: NodePtr<K, C>,
+    pub node: NodePtr<K, C, L>,
 }
 
-impl<const K: usize, const C: usize> Default for BTreeSet<K, C> {
+impl<const K: usize, const C: usize, L: Latch> Default for BTreeSet<K, C, L> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<const K: usize, const C: usize> BTreeSet<K, C> {
+impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// Compile-time sanity of the geometry parameters.
     const GEOMETRY_OK: () = assert!(K >= 1 && C >= 4, "BTreeSet requires K >= 1, C >= 4");
 
@@ -168,7 +173,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         let _ = Self::GEOMETRY_OK;
         Self {
             root: AtomicPtr::new(std::ptr::null_mut()),
-            root_lock: OptimisticRwLock::new(),
+            root_lock: L::default(),
             id: TREE_IDS.fetch_add(1, Relaxed),
             graveyard: std::sync::Mutex::new(Vec::new()),
             buried_subtrees: AtomicU64::new(0),
@@ -179,7 +184,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
 
     /// Creates a hint container for this tree (the paper's "factory
     /// function for initial operation hints"). Each thread keeps its own.
-    pub fn create_hints(&self) -> BTreeHints<K, C> {
+    pub fn create_hints(&self) -> BTreeHints<K, C, L> {
         BTreeHints::new(self.id)
     }
 
@@ -207,12 +212,12 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// Inserts `t` using (and updating) thread-local operation hints
     /// (paper §3.2). On sorted workloads this skips the root-to-leaf
     /// descent almost always.
-    pub fn insert_hinted(&self, t: Tuple<K>, hints: &mut BTreeHints<K, C>) -> bool {
+    pub fn insert_hinted(&self, t: Tuple<K>, hints: &mut BTreeHints<K, C, L>) -> bool {
         if hints.tree_id() == self.id {
-            let leaf = hints.insert_leaf();
+            let leaf = hints.leaf(HintKind::Insert);
             if !leaf.is_null() {
                 if let Some(res) = self.try_hinted_insert(leaf, &t) {
-                    hints.record_insert(true, res.node);
+                    hints.record(HintKind::Insert, true, res.node);
                     return res.inserted;
                 }
             }
@@ -220,7 +225,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             hints.rebind(self.id);
         }
         let res = self.insert_located(&t);
-        hints.record_insert(false, res.node);
+        hints.record(HintKind::Insert, false, res.node);
         res.inserted
     }
 
@@ -230,12 +235,12 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     }
 
     /// Membership test with operation hints.
-    pub fn contains_hinted(&self, t: &Tuple<K>, hints: &mut BTreeHints<K, C>) -> bool {
+    pub fn contains_hinted(&self, t: &Tuple<K>, hints: &mut BTreeHints<K, C, L>) -> bool {
         if hints.tree_id() == self.id {
-            let leaf = hints.contains_leaf();
+            let leaf = hints.leaf(HintKind::Contains);
             if !leaf.is_null() {
                 if let Some(found) = self.try_hinted_contains(leaf, t) {
-                    hints.record_contains(true, leaf);
+                    hints.record(HintKind::Contains, true, leaf);
                     return found;
                 }
             }
@@ -243,7 +248,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             hints.rebind(self.id);
         }
         let res = self.locate_full(t);
-        hints.record_contains(false, res.1);
+        hints.record(HintKind::Contains, false, res.1);
         res.0.is_some()
     }
 
@@ -260,7 +265,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 continue;
             }
             if self.root.load(Relaxed).is_null() {
-                self.root.store(LeafNode::<K, C>::alloc(), Relaxed);
+                self.root.store(LeafNode::<K, C, L>::alloc(), Relaxed);
             }
             self.root_lock.end_write();
         }
@@ -269,7 +274,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// Obtains the current root together with a read lease on it
     /// (Algorithm 1, lines 13–17). The root must exist.
     #[inline]
-    pub(crate) fn read_root(&self) -> (NodePtr<K, C>, optlock::Lease) {
+    pub(crate) fn read_root(&self) -> (NodePtr<K, C, L>, L::Lease) {
         loop {
             let root_lease = self.root_lock.start_read();
             let root = self.root.load(Relaxed);
@@ -282,14 +287,14 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             // SAFETY: nodes are never freed while the tree is alive, so
             // even a stale root pointer references a live node.
             let lease = unsafe { &*root }.lock.start_read();
-            if self.root_lock.end_read(root_lease) {
+            if self.root_lock.validate(root_lease) {
                 return (root, lease);
             }
         }
     }
 
     /// Full optimistic insertion (Algorithm 1).
-    pub(crate) fn insert_located(&self, val: &Tuple<K>) -> Located<K, C> {
+    pub(crate) fn insert_located(&self, val: &Tuple<K>) -> Located<K, C, L> {
         self.ensure_root();
 
         let mut restarts = 0u64;
@@ -414,7 +419,11 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     ///
     /// Returns `None` when the hint does not apply (wrong leaf, lost race),
     /// in which case the caller falls back to the full descent.
-    fn try_hinted_insert(&self, leaf: NodePtr<K, C>, val: &Tuple<K>) -> Option<Located<K, C>> {
+    fn try_hinted_insert(
+        &self,
+        leaf: NodePtr<K, C, L>,
+        val: &Tuple<K>,
+    ) -> Option<Located<K, C, L>> {
         // SAFETY: hints are branded with the tree id, so `leaf` is a node of
         // *this* tree: live memory for as long as `&self` exists.
         let node = unsafe { &*leaf };
@@ -488,11 +497,11 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// knows its tuple was covered pre-split can finish the insert into the
     /// still-locked node without re-probing (see
     /// [`try_hinted_insert`](Self::try_hinted_insert)).
-    pub(crate) fn split(&self, node: NodePtr<K, C>) -> Tuple<K> {
+    pub(crate) fn split(&self, node: NodePtr<K, C, L>) -> Tuple<K> {
         chaos::checkpoint("btree::split");
         // Phase 1 (lines 2–23): write-lock the path bottom-up, stopping at
         // the first non-full ancestor or at the root lock.
-        let mut path: Vec<NodePtr<K, C>> = Vec::new();
+        let mut path: Vec<NodePtr<K, C, L>> = Vec::new();
         let mut holds_root_lock = false;
         let mut cur = node;
         loop {
@@ -505,20 +514,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 holds_root_lock = true;
                 break;
             }
-            // Lines 8–13: lock the parent, re-checking that it still *is*
-            // the parent (a concurrent split may have re-homed `cur`).
-            let mut p = parent;
-            loop {
-                // SAFETY: parent pointers always reference live nodes.
-                unsafe { &*p }.lock.start_write();
-                let now = unsafe { &*cur }.parent.load(Relaxed);
-                if now == p {
-                    break;
-                }
-                unsafe { &*p }.lock.abort_write();
-                debug_assert!(!now.is_null(), "a node never becomes the root");
-                p = now;
-            }
+            let p = Self::lock_parent(cur, parent); // lines 8–13
             path.push(p);
             // Line 20: stop at a non-full ancestor.
             if unsafe { &*p }.num() < C {
@@ -535,7 +531,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         } else {
             path.len() - 1 // the last entry is the non-full stopper
         };
-        let mut fresh: Vec<NodePtr<K, C>> = Vec::new();
+        let mut fresh: Vec<NodePtr<K, C, L>> = Vec::new();
         for i in (0..full_ancestors).rev() {
             fresh.extend(self.split_one(path[i]).1);
         }
@@ -553,6 +549,25 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         median
     }
 
+    /// Write-locks the parent of the write-locked, non-root `node`, last
+    /// seen to be `parent`, re-checking under the lock that it still *is*
+    /// the parent (a concurrent split may have re-homed `node`). Bottom-up,
+    /// hence deadlock-free.
+    fn lock_parent(node: NodePtr<K, C, L>, parent: NodePtr<K, C, L>) -> NodePtr<K, C, L> {
+        let mut p = parent;
+        loop {
+            // SAFETY: parent pointers always reference live nodes.
+            unsafe { &*p }.lock.start_write();
+            let now = unsafe { &*node }.parent.load(Relaxed);
+            if now == p {
+                return p;
+            }
+            unsafe { &*p }.lock.abort_write();
+            debug_assert!(!now.is_null(), "a node never becomes the root");
+            p = now;
+        }
+    }
+
     /// Splits a single full node whose own write lock and whose (current)
     /// parent's write lock — or the root lock — are held. Creates the
     /// sibling, moves the upper half across, and pushes the median key into
@@ -565,7 +580,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// could otherwise lock the sibling bottom-up and rewrite it while this
     /// chain of splits is still inserting into it. The caller releases it
     /// together with its path locks.
-    pub(crate) fn split_one(&self, x: NodePtr<K, C>) -> (Tuple<K>, Option<NodePtr<K, C>>) {
+    pub(crate) fn split_one(&self, x: NodePtr<K, C, L>) -> (Tuple<K>, Option<NodePtr<K, C, L>>) {
         let xn = unsafe { &*x };
         let n = xn.num();
         debug_assert_eq!(n, C, "only full nodes split");
@@ -574,10 +589,10 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
 
         let sib = if xn.is_inner() {
             telemetry::count(telemetry::Counter::BtreeInnerSplits);
-            InnerNode::<K, C>::alloc()
+            InnerNode::<K, C, L>::alloc()
         } else {
             telemetry::count(telemetry::Counter::BtreeLeafSplits);
-            LeafNode::<K, C>::alloc()
+            LeafNode::<K, C, L>::alloc()
         };
         // SAFETY: freshly allocated, private to us until published below.
         let sn = unsafe { &*sib };
@@ -613,7 +628,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         let parent = xn.parent.load(Relaxed);
         if parent.is_null() {
             // Root split (root lock held): grow the tree by one level.
-            let new_root = InnerNode::<K, C>::alloc();
+            let new_root = InnerNode::<K, C, L>::alloc();
             let rn = unsafe { &*new_root };
             rn.set_key(0, &median);
             rn.set_num(1);
@@ -660,14 +675,14 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     // ------------------------------------------------------------------
 
     /// Locates `t`, returning its position if present.
-    pub(crate) fn locate(&self, t: &Tuple<K>) -> Option<(NodePtr<K, C>, usize)> {
+    pub(crate) fn locate(&self, t: &Tuple<K>) -> Option<(NodePtr<K, C, L>, usize)> {
         self.locate_full(t).0
     }
 
     /// Like [`locate`](Self::locate), additionally reporting the last node
     /// visited (the leaf the search ended in when the tuple is absent) so
     /// hinted lookups can cache it.
-    fn locate_full(&self, t: &Tuple<K>) -> (Option<(NodePtr<K, C>, usize)>, NodePtr<K, C>) {
+    fn locate_full(&self, t: &Tuple<K>) -> (Option<(NodePtr<K, C, L>, usize)>, NodePtr<K, C, L>) {
         if self.root.load(Relaxed).is_null() {
             return (None, std::ptr::null_mut());
         }
@@ -712,7 +727,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     }
 
     /// Hinted membership fast path; `None` = hint not applicable.
-    fn try_hinted_contains(&self, leaf: NodePtr<K, C>, t: &Tuple<K>) -> Option<bool> {
+    fn try_hinted_contains(&self, leaf: NodePtr<K, C, L>, t: &Tuple<K>) -> Option<bool> {
         let node = unsafe { &*leaf };
         if node.is_inner() {
             return None;
@@ -731,18 +746,13 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         Some(found)
     }
 
-    /// Position of the first tuple `>= t` (`None` if all are smaller).
-    /// Also used by [`lower_bound`](Self::lower_bound).
-    pub(crate) fn lower_bound_pos(&self, t: &Tuple<K>) -> Option<(NodePtr<K, C>, usize)> {
-        self.bound_pos(t, /*strict=*/ false)
-    }
-
-    /// Position of the first tuple `> t`.
-    pub(crate) fn upper_bound_pos(&self, t: &Tuple<K>) -> Option<(NodePtr<K, C>, usize)> {
-        self.bound_pos(t, /*strict=*/ true)
-    }
-
-    fn bound_pos(&self, t: &Tuple<K>, strict: bool) -> Option<(NodePtr<K, C>, usize)> {
+    /// Position of the first tuple `>= t`, or `> t` if `strict` (`None` if
+    /// there is none).
+    pub(crate) fn bound_pos(
+        &self,
+        t: &Tuple<K>,
+        strict: bool,
+    ) -> Option<(NodePtr<K, C, L>, usize)> {
         if self.root.load(Relaxed).is_null() {
             return None;
         }
@@ -755,7 +765,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             let (mut cur, mut cur_lease) = self.read_root();
             // Closest enclosing key `>=`/`>` `t` seen on the descent: the
             // answer when the final leaf holds only smaller keys.
-            let mut candidate: Option<(NodePtr<K, C>, usize)> = None;
+            let mut candidate: Option<(NodePtr<K, C, L>, usize)> = None;
             loop {
                 let node = unsafe { &*cur };
                 let n = node.num_clamped();
@@ -802,10 +812,10 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// hinted leaf's key range strictly encloses the answer.
     pub(crate) fn try_hinted_bound(
         &self,
-        leaf: NodePtr<K, C>,
+        leaf: NodePtr<K, C, L>,
         t: &Tuple<K>,
         strict: bool,
-    ) -> Option<Option<(NodePtr<K, C>, usize)>> {
+    ) -> Option<Option<(NodePtr<K, C, L>, usize)>> {
         let node = unsafe { &*leaf };
         if node.is_inner() {
             return None;
@@ -923,6 +933,34 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         }
     }
 
+    /// Tries [`REMOVE_LOCK_ATTEMPTS`] times to write-lock `node`.
+    fn try_lock_bounded(node: &LeafNode<K, C, L>, checkpoint: &'static str) -> bool {
+        for _ in 0..REMOVE_LOCK_ATTEMPTS {
+            chaos::checkpoint(checkpoint);
+            if node.lock.try_start_write() {
+                return true;
+            }
+            chaos::hint::spin_loop();
+        }
+        false
+    }
+
+    /// Drops key `key` and child `child` from the write-locked inner node
+    /// `n` (`split_one`'s insertion shift, inverted).
+    fn splice_out(n: &InnerNode<K, C, L>, key: usize, child: usize) {
+        let num = n.base.num();
+        for j in key..num - 1 {
+            n.base.copy_key_within(j + 1, j);
+        }
+        for j in child..num {
+            let ch = n.child(j + 1);
+            n.set_child(j, ch);
+            // SAFETY: child links under `n`'s write lock.
+            unsafe { &*ch }.position.store(j as u16, Relaxed);
+        }
+        n.base.set_num(num - 1);
+    }
+
     /// Removes key `idx` of the write-locked inner node `n` by swapping in
     /// its in-order predecessor: the rightmost spine of `child(idx)` is
     /// write-locked top-down with bounded try-locks (see
@@ -934,25 +972,16 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// On success all locks are released and `true` is returned; on spine
     /// contention everything (including `n`'s lock) is released untouched
     /// and `false` tells the caller to restart.
-    fn remove_inner_key(&self, n: NodePtr<K, C>, idx: usize) -> bool {
+    fn remove_inner_key(&self, n: NodePtr<K, C, L>, idx: usize) -> bool {
         // SAFETY: `n` is write-locked by the caller; nodes stay live.
         let nn = unsafe { &*n };
         let ni = unsafe { nn.as_inner() };
-        let mut spine: Vec<NodePtr<K, C>> = Vec::new();
+        let mut spine: Vec<NodePtr<K, C, L>> = Vec::new();
         let mut cur = ni.child(idx);
         loop {
             // SAFETY: children read under held write locks are current.
             let cn = unsafe { &*cur };
-            let mut locked = false;
-            for _ in 0..REMOVE_LOCK_ATTEMPTS {
-                chaos::checkpoint("btree::remove::spine_lock");
-                if cn.lock.try_start_write() {
-                    locked = true;
-                    break;
-                }
-                chaos::hint::spin_loop();
-            }
-            if !locked {
+            if !Self::try_lock_bounded(cn, "btree::remove::spine_lock") {
                 // A splitter below may hold this node while waiting
                 // bottom-up for one of ours: back out entirely.
                 for s in spine.iter().rev() {
@@ -973,7 +1002,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         // The deepest spine node still holding keys donates the
         // predecessor; everything below it on the spine is empty.
         let holder = spine.iter().rposition(|&s| unsafe { &*s }.num() > 0);
-        let mut buried: NodePtr<K, C> = std::ptr::null_mut();
+        let mut buried: NodePtr<K, C, L> = std::ptr::null_mut();
         match holder {
             Some(h) => {
                 // SAFETY: spine nodes are write-locked above.
@@ -998,18 +1027,8 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 // The whole left subtree holds no keys: drop the key and
                 // the subtree from `n` (the right neighbor subtree's
                 // separator interval widens over the removed key's range).
-                let num = nn.num();
                 buried = ni.child(idx);
-                for j in idx..num - 1 {
-                    nn.copy_key_within(j + 1, j);
-                }
-                for j in idx..num {
-                    let ch = ni.child(j + 1);
-                    ni.set_child(j, ch);
-                    // SAFETY: child links under `n`'s write lock.
-                    unsafe { &*ch }.position.store(j as u16, Relaxed);
-                }
-                nn.set_num(num - 1);
+                Self::splice_out(ni, idx, idx);
             }
         }
 
@@ -1047,7 +1066,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// sibling lock — leaves the empty leaf in place: empty leaves are
     /// legal, reclamation is an optimization, and the policy never
     /// rebalances across the root region. Releases the leaf's lock.
-    fn try_unlink_empty_leaf(&self, leaf: NodePtr<K, C>) {
+    fn try_unlink_empty_leaf(&self, leaf: NodePtr<K, C, L>) {
         // SAFETY: write-locked by the caller; nodes stay live.
         let node = unsafe { &*leaf };
         debug_assert_eq!(node.num(), 0);
@@ -1057,20 +1076,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             node.lock.end_write();
             return; // empty root leaf stays: the tree may refill
         }
-        // Lock the (current) parent with the split path's re-check idiom
-        // (bottom-up, deadlock-free).
-        let mut p = parent;
-        loop {
-            // SAFETY: parent pointers always reference live nodes.
-            unsafe { &*p }.lock.start_write();
-            let now = node.parent.load(Relaxed);
-            if now == p {
-                break;
-            }
-            unsafe { &*p }.lock.abort_write();
-            debug_assert!(!now.is_null(), "a node never becomes the root");
-            p = now;
-        }
+        let p = Self::lock_parent(leaf, parent);
         let pn = unsafe { &*p };
         let pi = unsafe { pn.as_inner() };
         let pnum = pn.num();
@@ -1094,16 +1100,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         };
         // SAFETY: a child read under the parent's write lock is current.
         let sn = unsafe { &*sib };
-        let mut locked = false;
-        for _ in 0..REMOVE_LOCK_ATTEMPTS {
-            chaos::checkpoint("btree::remove::sibling_lock");
-            if sn.lock.try_start_write() {
-                locked = true;
-                break;
-            }
-            chaos::hint::spin_loop();
-        }
-        if !locked {
+        if !Self::try_lock_bounded(sn, "btree::remove::sibling_lock") {
             pn.lock.abort_write();
             node.lock.end_write();
             return;
@@ -1119,19 +1116,8 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         }
         let sep = pn.key(sep_idx);
         sn.insert_at(if at_front { 0 } else { sn.num() }, &sep);
-        // Splice the separator and the empty leaf out of the parent
-        // (split_one's insertion shift, inverted).
-        let drop_child = if at_front { 0 } else { pos };
-        for j in sep_idx..pnum - 1 {
-            pn.copy_key_within(j + 1, j);
-        }
-        for j in drop_child..pnum {
-            let ch = pi.child(j + 1);
-            pi.set_child(j, ch);
-            // SAFETY: child links under the parent's write lock.
-            unsafe { &*ch }.position.store(j as u16, Relaxed);
-        }
-        pn.set_num(pnum - 1);
+        // Splice the separator and the empty leaf out of the parent.
+        Self::splice_out(pi, sep_idx, if at_front { 0 } else { pos });
         telemetry::count(telemetry::Counter::BtreeLeafUnlinks);
         telemetry::flight::event("btree::leaf_unlink", leaf as u64, 0);
         sn.lock.end_write();
@@ -1144,7 +1130,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// freed while the tree is alive — racing optimistic readers may still
     /// hold pointers into them, and the memory-safety of stale descents
     /// depends on it — so spliced-out subtrees wait in the graveyard.
-    fn bury(&self, node: NodePtr<K, C>) {
+    fn bury(&self, node: NodePtr<K, C, L>) {
         // Account for what is being parked before parking it. The buried
         // subtree is unreachable from the root and no writer holds a path
         // to it any more, so this read-only walk races only with stale
@@ -1175,7 +1161,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     }
 }
 
-impl<const K: usize, const C: usize> BTreeSet<K, C> {
+impl<const K: usize, const C: usize, L> BTreeSet<K, C, L> {
     /// Removes every tuple, reclaiming all nodes. Requires exclusive
     /// access — the only "shrinking" operation, and exactly as in the
     /// paper's engine, only available between evaluation phases.
@@ -1206,13 +1192,13 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     }
 }
 
-impl<const K: usize, const C: usize> Drop for BTreeSet<K, C> {
+impl<const K: usize, const C: usize, L> Drop for BTreeSet<K, C, L> {
     fn drop(&mut self) {
         self.free_nodes();
     }
 }
 
-impl<const K: usize, const C: usize> Extend<Tuple<K>> for BTreeSet<K, C> {
+impl<const K: usize, const C: usize, L: Latch> Extend<Tuple<K>> for BTreeSet<K, C, L> {
     fn extend<I: IntoIterator<Item = Tuple<K>>>(&mut self, iter: I) {
         let mut hints = self.create_hints();
         for t in iter {
@@ -1221,7 +1207,7 @@ impl<const K: usize, const C: usize> Extend<Tuple<K>> for BTreeSet<K, C> {
     }
 }
 
-impl<const K: usize, const C: usize> FromIterator<Tuple<K>> for BTreeSet<K, C> {
+impl<const K: usize, const C: usize, L: Latch> FromIterator<Tuple<K>> for BTreeSet<K, C, L> {
     fn from_iter<I: IntoIterator<Item = Tuple<K>>>(iter: I) -> Self {
         let mut set = Self::new();
         set.extend(iter);
@@ -1229,7 +1215,7 @@ impl<const K: usize, const C: usize> FromIterator<Tuple<K>> for BTreeSet<K, C> {
     }
 }
 
-impl<const K: usize, const C: usize> std::fmt::Debug for BTreeSet<K, C> {
+impl<const K: usize, const C: usize, L: Latch> std::fmt::Debug for BTreeSet<K, C, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_set().entries(self.iter()).finish()
     }

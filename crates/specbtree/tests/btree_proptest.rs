@@ -3,7 +3,7 @@
 //! sequences, and all structural invariants must hold at every point.
 
 use proptest::prelude::*;
-use specbtree::seq::{SeqBTreeSet, SeqHints};
+use specbtree::seq::SeqBTreeSet;
 use specbtree::BTreeSet;
 use std::collections::BTreeSet as Model;
 
@@ -173,7 +173,7 @@ proptest! {
     #[test]
     fn seq_tree_matches_model(keys in prop::collection::vec(key_strategy(), 0..800)) {
         let mut tree: SeqBTreeSet<2, 4> = SeqBTreeSet::new();
-        let mut hints = SeqHints::new();
+        let mut hints = tree.create_hints();
         let mut model = Model::new();
         for (i, k) in keys.iter().enumerate() {
             // Alternate hinted and unhinted inserts.
@@ -344,8 +344,8 @@ proptest! {
     }
 
     /// The sequential tree's remove must mirror both the model and the
-    /// concurrent tree (shape-parity: both take the same single-threaded
-    /// decisions), and its own invariant checker must accept the result.
+    /// concurrent tree: one implementation under two latches takes the same
+    /// single-threaded decisions, so the shapes are equal too.
     #[test]
     fn seq_remove_matches_model_and_concurrent(
         ops in prop::collection::vec((key_strategy(), any::<bool>()), 0..600),
@@ -364,8 +364,7 @@ proptest! {
                 prop_assert_eq!(seq.remove(k), expect);
             }
         }
-        conc.check_invariants().unwrap();
-        seq.check_invariants().unwrap();
+        prop_assert_eq!(conc.check_invariants().unwrap(), seq.check_invariants().unwrap());
         prop_assert_eq!(seq.len(), model.len());
         prop_assert_eq!(conc.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
         prop_assert_eq!(seq.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
@@ -415,16 +414,34 @@ proptest! {
         prop_assert_eq!(sequential.iter().collect::<Vec<_>>(), expect);
     }
 
+    /// One tree under two latches: the same hinted operation sequence gets
+    /// the same answers, builds the same shape and hits the same hints.
     #[test]
-    fn seq_and_concurrent_trees_agree(keys in prop::collection::vec(key_strategy(), 0..500)) {
+    fn seq_and_concurrent_trees_agree(
+        ops in prop::collection::vec((key_strategy(), 0u8..6), 0..600),
+    ) {
         let conc: BTreeSet<2, 6> = BTreeSet::new();
         let mut seq: SeqBTreeSet<2, 6> = SeqBTreeSet::new();
-        for k in &keys {
-            prop_assert_eq!(conc.insert(*k), seq.insert(*k));
+        let (mut ch, mut sh) = (conc.create_hints(), seq.create_hints());
+        for (k, op) in &ops {
+            match op {
+                0 | 1 => prop_assert_eq!(conc.insert_hinted(*k, &mut ch), seq.insert_hinted(*k, &mut sh)),
+                2 => prop_assert_eq!(conc.contains_hinted(k, &mut ch), seq.contains_hinted(k, &mut sh)),
+                3 => prop_assert_eq!(
+                    conc.lower_bound_hinted(k, &mut ch).next(),
+                    seq.lower_bound_hinted(k, &mut sh).next()
+                ),
+                4 => prop_assert_eq!(
+                    conc.upper_bound_hinted(k, &mut ch).next(),
+                    seq.upper_bound_hinted(k, &mut sh).next()
+                ),
+                _ => prop_assert_eq!(conc.remove(k), seq.remove(k)),
+            }
         }
         prop_assert_eq!(conc.iter().collect::<Vec<_>>(), seq.iter().collect::<Vec<_>>());
-        // Bound queries agree too.
-        for p in keys.iter().take(30) {
+        prop_assert_eq!(conc.shape(), seq.shape());
+        prop_assert_eq!(ch.stats, sh.stats);
+        for (p, _) in ops.iter().take(30) {
             prop_assert_eq!(conc.lower_bound(p).next(), seq.lower_bound(p).next());
             prop_assert_eq!(conc.upper_bound(p).next(), seq.upper_bound(p).next());
         }
