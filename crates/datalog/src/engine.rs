@@ -192,25 +192,30 @@ pub struct RetractOutcome {
     /// EDB facts actually withdrawn (facts never asserted are ignored).
     pub retracted_inputs: u64,
     /// Distinct tuples overdeleted: the retracted facts plus every tuple
-    /// with a derivation passing through one of them.
+    /// with a derivation passing through one of them — of a stratum handed
+    /// over to recomputation, those found until it was.
     pub overdeleted: u64,
     /// Tuples the rederivation phase put back (alternative derivations,
     /// plus overdeleted EDB facts that were not themselves retracted).
     pub rederived: u64,
-    /// Strata recomputed from scratch because a rule negated a relation
-    /// whose contents shrank (DRed's overdelete/rederive split is unsound
-    /// through negation, so those strata fall back to full re-evaluation).
+    /// Strata recomputed from scratch: from the first whose deletion sets
+    /// grew past a quarter of what recomputing rebuilds, or with a rule
+    /// negating a relation whose contents shrank (DRed's overdelete/rederive
+    /// split is unsound through negation), to the last.
     pub recomputed_strata: u64,
     /// Net change in total database size (before − after). Negative when
     /// retraction *grows* the database through stratified negation.
     pub net_removed: i64,
+    /// Wall-clock seconds planning the overdeletion rules and building the
+    /// indexes they are the first to need (before phase 1).
+    pub plan_seconds: f64,
     /// Wall-clock seconds in the overdeletion fixpoint (phase 1).
     pub overdelete_seconds: f64,
     /// Wall-clock seconds physically removing tuples (phase 2).
     pub delete_seconds: f64,
     /// Wall-clock seconds re-proving overdeleted tuples (phase 3).
     pub rederive_seconds: f64,
-    /// Wall-clock seconds recomputing negation strata (phase 4).
+    /// Wall-clock seconds recomputing strata (phase 4).
     pub fallback_seconds: f64,
 }
 
@@ -303,6 +308,9 @@ pub struct Engine {
     /// Per rule, the versions its stratum last evaluated (what
     /// [`explain`](Self::explain) reports once the rule has run).
     executed: Vec<Vec<Version>>,
+    /// The synthetic versions the last [`retract_facts`](Self::retract_facts)
+    /// planned, each with the phase that ran it.
+    retraction: Vec<(&'static str, Box<Version>)>,
 }
 
 impl Engine {
@@ -336,6 +344,7 @@ impl Engine {
             planner_enabled: true,
             catalog: IndexCatalog::new(&arities),
             executed: vec![Vec::new(); program.rules.len()],
+            retraction: Vec::new(),
         };
         for (name, tuple) in &engine.program.facts.clone() {
             engine.add_fact(name, tuple)?;
@@ -984,7 +993,10 @@ impl Engine {
     /// routes through (`index=[perm]`); a version the cost model moved away
     /// from source order is followed by a `cardinalities:` line with what
     /// every body literal was costed with, and by the fixpoint iteration
-    /// of its last re-ordering if there was one.
+    /// of its last re-ordering if there was one. After a
+    /// [`retract_facts`](Self::retract_facts), a `retraction:` section lists
+    /// the synthetic versions it planned, by phase, over the deletion sets
+    /// `~del~r` and what each literal was costed with.
     pub fn explain(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -1026,6 +1038,26 @@ impl Engine {
                         }
                         out.push('\n');
                     }
+                }
+            }
+        }
+        if !self.retraction.is_empty() {
+            out.push_str("retraction:\n");
+            let dels: Vec<String> = (0..names.len()).map(|r| self.del_name(r)).collect();
+            let names: Vec<&str> = names
+                .iter()
+                .copied()
+                .chain(dels.iter().map(String::as_str))
+                .collect();
+            for (phase, v) in &self.retraction {
+                let _ = writeln!(
+                    out,
+                    "  {phase}, rule {}: {}",
+                    v.rule_idx,
+                    v.plan.describe(&names)
+                );
+                if !v.cards.is_empty() {
+                    let _ = writeln!(out, "    cardinalities: {}", v.describe_cards());
                 }
             }
         }
@@ -1089,13 +1121,16 @@ mod tests {
     #[test]
     fn retract_keeps_multi_derivation_paths() {
         // Diamond: 1→2→4 and 1→3→4; removing one branch keeps path(1,4).
-        let facts: Vec<(&str, Vec<u64>)> = vec![
+        // The chain beside it keeps the four overdeleted paths under the
+        // share of `path` at which the stratum would be recomputed instead.
+        let mut facts: Vec<(&str, Vec<u64>)> = vec![
             ("edge", vec![1, 2]),
             ("edge", vec![2, 4]),
             ("edge", vec![1, 3]),
             ("edge", vec![3, 4]),
             ("edge", vec![4, 5]),
         ];
+        facts.extend((10..16).map(|i| ("edge", vec![i, i + 1])));
         let program = parse(TC).unwrap();
         let mut eng = Engine::new(&program, StorageKind::SpecBTree, 2).unwrap();
         for (r, t) in &facts {

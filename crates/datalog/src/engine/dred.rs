@@ -1,23 +1,30 @@
-//! Delete–rederive (DRed): [`Engine::retract_facts`] and its four phases —
-//! `overdelete`, `delete`, `rederive`, `negation_fallback` — over one
-//! per-call [`Retraction`].
+//! Delete–rederive (DRed): [`Engine::retract_facts`] and its phases —
+//! planning, `overdelete`, `delete`, `rederive`, `negation_fallback` — over
+//! one per-call [`Retraction`].
 
 use super::{Engine, EngineError, RetractOutcome};
 use crate::ast::{Atom, Literal, Rule, Term};
 use crate::eval::{
-    compile_one, compile_one_at, eval_plan, fill, has_unprefixed_inner_scan, plan_delta_rel,
-    side_table, Plan, SideTables, StorageEnv, WorkerCtxs, WorkerStats,
+    compile_one_at, eval_plan, fill, has_unprefixed_inner_scan, plan_delta_rel, side_table, Plan,
+    SideTables, StorageEnv, WorkerCtxs, WorkerStats,
 };
-use crate::planner::{self, CostModel};
+use crate::planner::{self, CostModel, Version};
 use crate::storage::{RelationStorage, TupleBuf};
 use crate::strat::Stratum;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-/// Deletions the rederivation seed pass tries deletion-first before it
-/// first weighs the body-first sweep; each further batch is four times the
-/// last.
-const SEED_BATCH: usize = 256;
+/// A stratum is handed over to recomputation once `K` times its deletion
+/// sets reach what recomputing from it would rebuild, i.e. at a quarter.
+/// Measured (EXPERIMENTS.md, "Where delete–rederive stops paying"; one
+/// thread, deletion sets costed at their sizes): repairing a stratum costs
+/// what evaluating it does at 30 % overdeleted on a chain closure (no tuple
+/// comes back) and at 19 % on a grid closure (nearly all do), 2.3–2.6× at
+/// 50–55 %, 3.5× at 100 % (`pointsto`). At a quarter the work already sunk
+/// is 0.7–0.9 of an evaluation, so handing over then costs at most about
+/// twice the better of the two choices whatever the final share — measured
+/// 1.4–2.0× an evaluation from 25 % to 100 % — where finishing has no bound.
+const K: f64 = 4.0;
 
 /// Withdrawn facts per relation: what the deletion sets start from.
 type Seeds = HashMap<usize, Vec<TupleBuf>>;
@@ -25,8 +32,10 @@ type Seeds = HashMap<usize, Vec<TupleBuf>>;
 /// The state of one `retract_facts` call, handed from phase to phase.
 struct Retraction {
     strata: Vec<Stratum>,
-    /// The first stratum with a rule negating a shrinking relation: it and
-    /// every later one are recomputed (`strata.len()` when there is none).
+    /// The first stratum recomputed instead of repaired, as is every later
+    /// one (`strata.len()` when there is none): the first with a rule
+    /// negating a shrinking relation, or an earlier one `overdelete` handed
+    /// over.
     fallback_from: usize,
     /// The shrinking relations delete–rederive repairs — those in no
     /// stratum (pure EDB) or in one before `fallback_from` — ascending.
@@ -40,36 +49,28 @@ struct Retraction {
     /// Stands in for the deletion set of a relation that has none; no plan
     /// reads one.
     empty: Box<dyn RelationStorage>,
-    /// The counts the retraction found, which every synthetic rule is
-    /// costed with (see [`Engine::plan_synthetic`]).
+    /// What every synthetic rule is costed with, over the extended ids: the
+    /// relations at the counts the retraction found, which rederivation
+    /// largely restores (the counts in between, after the overdeleted
+    /// tuples are gone, say little about what the rederivation joins will
+    /// meet), then the deletion sets at their live sizes.
     cards: Vec<f64>,
     pools: Vec<WorkerCtxs>,
     wstats: Vec<WorkerStats>,
     next_plan_id: usize,
+    /// Every synthetic version planned, with the phase that runs it (boxed,
+    /// so that a retraction planning one rule allocates no kilobyte block).
+    versions: Vec<(&'static str, Box<Version>)>,
     outcome: RetractOutcome,
 }
 
-/// How one rule re-proves the deleted tuples of its head in the seed pass.
-/// Neither join shape dominates, so execution starts deletion-first in
-/// growing batches and switches to body-first when the projected total
-/// overtakes the sweep estimate.
-struct SeedJob {
-    head_rel: usize,
-    /// Deletion-first — `h(args) :- Δ⁻h(args), b1, …, bn` — at a cost of
-    /// |Δ⁻| × join fanout.
-    del_plan: Plan,
-    /// Body-first — `h(args) :- b1, …, bn, Δ⁻h(args)` — one parallel sweep
-    /// of the surviving body regardless of |Δ⁻|, and the size of its outer
-    /// relation.
-    alt_plan: Option<Plan>,
-    alt_outer: u64,
-    /// Support filter `(relation, [(body column, head column), …])`: a
-    /// deleted tuple can only come back via this rule if, for every head
-    /// variable shared with the literal, its value occurs in that column
-    /// of the relation. Projecting the relation and filtering Δ⁻ against it
-    /// prunes unrederivable tuples for one small scan (Gupta–Mumick-style
-    /// rederivation pruning).
-    filter: Option<(usize, Vec<(usize, usize)>)>,
+impl Retraction {
+    /// Counts `added` more tuples in the deletion set of relation `r`.
+    fn overdeleted(&mut self, r: usize, added: u64) {
+        let nrels = self.cards.len() / 2;
+        self.cards[nrels + r] += added as f64;
+        self.outcome.overdeleted += added;
+    }
 }
 
 /// `rule` with its head over relation `head` and one more positive literal,
@@ -103,13 +104,15 @@ impl Engine {
     /// derived relation (delete–rederive, DRed):
     ///
     /// 1. **Overdelete.** Before anything is physically removed, deletion
-    ///    sets grow to a fixpoint: for every rule `h :- b1, …, bn` and
-    ///    every positive `bi` over a shrinking relation, the tuples of `h`
-    ///    derivable with `bi` drawn from the deletion delta (and the other
-    ///    literals from the *old* database) join `h`'s deletion set. This
-    ///    runs as ordinary semi-naive evaluation over synthetic rules whose
-    ///    heads are pseudo relations (id `nrels + r`) backed by the
-    ///    deletion accumulators.
+    ///    sets grow to a fixpoint, stratum by stratum: for every rule
+    ///    `h :- b1, …, bn` and every positive `bi` over a shrinking
+    ///    relation, the tuples of `h` derivable with `bi` drawn from the
+    ///    deletion delta (and the other literals from the *old* database)
+    ///    join `h`'s deletion set. This runs as ordinary semi-naive
+    ///    evaluation over synthetic rules whose heads are pseudo relations
+    ///    (id `nrels + r`) backed by the deletion accumulators. A stratum
+    ///    whose deletion sets reach a quarter of what recomputing from it
+    ///    would rebuild is not overdeleted further: step 4 takes it over.
     /// 2. **Delete.** Each accumulator is bulk-retracted from its relation
     ///    via [`RelationStorage::retract_from`] (structure-aware and
     ///    parallel on the specialized B-tree).
@@ -118,11 +121,12 @@ impl Engine {
     ///    with an overdeleted head is replayed as `h :- Δ⁻h, b1, …, bn` to
     ///    re-prove deleted tuples from what survived, iterated semi-naively
     ///    within the stratum.
-    /// 4. **Negation fallback.** DRed's overdelete/rederive split is
-    ///    unsound through negation (losing a tuple can *create*
-    ///    derivations), so the first stratum negating a shrinking relation
-    ///    — and everything after it — is recomputed from scratch from the
-    ///    surviving EDB.
+    /// 4. **Fallback.** DRed's overdelete/rederive split is unsound through
+    ///    negation (losing a tuple can *create* derivations) and dearer
+    ///    than evaluation once most of a stratum is overdeleted, so the
+    ///    first stratum negating a shrinking relation or handed over by
+    ///    step 1 — and everything after it — is recomputed from scratch
+    ///    from the surviving EDB.
     ///
     /// Facts that were never asserted are skipped, not errors; unknown
     /// relations and arity mismatches are errors, and a batch holding one
@@ -148,15 +152,14 @@ impl Engine {
             return Ok(RetractOutcome::default());
         }
         let mut cx = self.begin_retraction(&seeds);
-        cx.outcome.retracted_inputs = seeds.values().map(|ts| ts.len() as u64).sum();
         self.stats.retracted_inputs += cx.outcome.retracted_inputs;
 
-        // Planning the overdeletion rules builds the indexes they are the
-        // first to need; that is not time spent overdeleting.
-        let plans = self.overdelete_plans(&mut cx);
-        let n = cx.dirty.len() as u64;
+        let (mut plans, n) = (Vec::new(), cx.dirty.len() as u64);
+        cx.outcome.plan_seconds = self.phase(&mut cx, "dred.plan", n, |e, cx| {
+            plans = e.overdelete_plans(cx);
+        });
         cx.outcome.overdelete_seconds = self.phase(&mut cx, "dred.overdelete", n, |e, cx| {
-            e.overdelete(cx, &plans, &seeds)
+            e.overdelete(cx, &plans)
         });
         let n = cx.outcome.overdeleted;
         cx.outcome.delete_seconds = self.phase(&mut cx, "dred.delete", n, Self::delete);
@@ -168,6 +171,7 @@ impl Engine {
         self.stats.overdeleted_tuples += cx.outcome.overdeleted;
         self.stats.rederived_tuples += cx.outcome.rederived;
         self.absorb_worker_stats(&cx.wstats);
+        self.retraction = cx.versions;
         let size_after: i64 = self.counts.iter().map(|&n| n as i64).sum();
         cx.outcome.net_removed = size_before - size_after;
         debug_assert!(self.counts_are_exact());
@@ -189,7 +193,8 @@ impl Engine {
     }
 
     /// Works out what withdrawing `seeds` dirties and where delete–rederive
-    /// hands over to recomputation, and sets up the call's tables.
+    /// hands over to recomputation, and sets up the call's tables, the
+    /// deletion sets holding the seeds.
     fn begin_retraction(&self, seeds: &Seeds) -> Retraction {
         let nrels = self.rels.len();
         let rel_ids = &self.strat.rel_ids;
@@ -239,87 +244,102 @@ impl Engine {
         for &r in &dirty {
             ext_ids.insert(self.del_name(r), nrels + r);
         }
-        Retraction {
+        let mut cards: Vec<f64> = self.counts.iter().map(|&n| n as f64).collect();
+        cards.resize(2 * nrels, 0.0);
+        let mut cx = Retraction {
             fallback_from,
             del_acc: self.side_tables(&dirty, 0),
             dirty,
             strata,
             ext_ids,
             empty: self.kind.create(),
-            cards: self.counts.iter().map(|&n| n as f64).collect(),
+            cards,
             pools: (0..self.threads).map(|_| WorkerCtxs::default()).collect(),
             wstats: vec![WorkerStats::default(); self.threads],
             next_plan_id: 0,
+            versions: Vec::new(),
             outcome: RetractOutcome::default(),
+        };
+        // A seed of a relation the fallback recomputes has no deletion set:
+        // its fact is already out of `edb`, which is all the recompute
+        // reads.
+        for (&r, ts) in seeds {
+            cx.outcome.retracted_inputs += ts.len() as u64;
+            if cx.dirty.binary_search(&r).is_ok() {
+                let added = fill(side_table(&cx.del_acc, r), ts, self.threads);
+                cx.overdeleted(r, added);
+            }
         }
+        cx
     }
 
-    /// Plans one synthetic retraction rule. With the planner on the
-    /// literals are cost-ordered from `cx.cards` — the counts the retraction
-    /// found, which rederivation largely restores; the counts in between,
-    /// after the overdeleted tuples are gone, say little about what the
-    /// rederivation joins will meet — with deletion sets costed at 1, and
-    /// every scan the primary tree cannot serve gets an index: the deletion
-    /// sets' sizes are only known once the fixpoint they drive has ended,
-    /// and the index outlives the call. When hoisting the delta
-    /// still strands a scan without a bound prefix (planner off, or a
+    /// Plans one synthetic retraction rule — `rule`, made from rule `ri` —
+    /// for `phase`, and keeps the version for [`explain`](Self::explain).
+    /// With the planner on the literals are cost-ordered from `cx.cards`
+    /// and the sizes of the `deltas` the plan will first read (`None`: the
+    /// deletion sets themselves), and every scan the primary tree cannot
+    /// serve gets an index, which outlives the call. When hoisting the
+    /// delta still strands a scan without a bound prefix (planner off, or a
     /// backend without indexes), the source-order version — which probes
     /// the delta where it sits and sweeps the stranded relation once,
     /// chunked across workers — is used if it strands none.
     fn plan_synthetic(
         &mut self,
         cx: &mut Retraction,
+        phase: &'static str,
+        ri: usize,
         rule: &Rule,
         delta_pos: Option<usize>,
+        deltas: Option<&[f64]>,
     ) -> Plan {
-        let ids = &cx.ext_ids;
-        let mut plan = if self.planner_enabled {
+        let (ids, nrels) = (&cx.ext_ids, self.rels.len());
+        let mut v = Version::new(ri, rule, ids, delta_pos, cx.next_plan_id);
+        cx.next_plan_id += 1;
+        if self.planner_enabled {
             let model = CostModel {
                 cards: &cx.cards,
-                deltas: &[],
+                deltas: deltas.unwrap_or(&cx.cards[nrels..]),
                 horizon: f64::INFINITY,
                 can_index: self.kind.supports_indexes(),
             };
             let before = self.catalog.len();
-            let plan = planner::plan_rule(rule, ids, delta_pos, &model, &mut self.catalog);
+            let batch = std::slice::from_mut(&mut v);
+            planner::replan(batch, ids, &model, &mut self.catalog, 1);
             self.build_new_indexes(before);
-            plan
-        } else {
-            compile_one(rule, ids, delta_pos)
-        };
-        if delta_pos.is_some() && has_unprefixed_inner_scan(&plan) {
+        }
+        if delta_pos.is_some() && has_unprefixed_inner_scan(&v.plan) {
             let catalog = self.planner_enabled.then_some(&self.catalog);
             let flat = compile_one_at(rule, ids, delta_pos, false, catalog);
             if !has_unprefixed_inner_scan(&flat) {
-                plan = flat;
+                let id = v.plan.id;
+                v.plan = Plan { id, ..flat };
+                v.order = (0..rule.body.len()).collect();
             }
         }
-        plan.id = cx.next_plan_id;
-        cx.next_plan_id += 1;
+        let plan = v.plan.clone();
+        cx.versions.push((phase, Box::new(v)));
         plan
     }
 
     /// The name of the pseudo relation holding relation `r`'s deletion set.
-    fn del_name(&self, r: usize) -> String {
+    pub(super) fn del_name(&self, r: usize) -> String {
         format!("~del~{}", self.program.decls[r].name)
     }
 
     /// Evaluates retraction `plans` over the relations extended by the
     /// deletion sets (`0..nrels` the real relations, `nrels..2*nrels` the
-    /// accumulators), reading `delta` and deriving into `new`. A plan whose
-    /// delta is empty this round derives nothing and is skipped, which
-    /// matters for the source-order versions, whose outer scan is a full
-    /// relation. `DATALOG_RETRACT_TRACE` prints one timing line per plan —
-    /// retraction plans are synthesized on the fly, so they are invisible
-    /// to `explain`/`profile`.
+    /// accumulators), reading `delta` — `None`: the deletion sets themselves
+    /// — and deriving into `new`. A plan whose delta is empty this round
+    /// derives nothing and is skipped, which matters for the source-order
+    /// versions, whose outer scan is a full relation.
     fn eval_retraction<'p>(
         &self,
         cx: &mut Retraction,
-        phase: &str,
         plans: impl IntoIterator<Item = &'p Plan>,
-        delta: &SideTables,
+        delta: Option<&SideTables>,
         new: &SideTables,
     ) {
+        let delta = delta.unwrap_or(&cx.del_acc);
         let empty = cx.empty.as_ref();
         let accs = cx.del_acc.iter().map(|acc| acc.as_deref().unwrap_or(empty));
         let full: Vec<&dyn RelationStorage> =
@@ -332,32 +352,24 @@ impl Engine {
         for plan in plans {
             let idle = plan_delta_rel(plan)
                 .is_some_and(|r| delta[r].as_ref().is_none_or(|s| s.is_empty()));
-            if idle {
-                continue;
-            }
-            let t0 = Instant::now();
-            eval_plan(plan, &env, &mut cx.pools, &mut cx.wstats);
-            if std::env::var_os("DATALOG_RETRACT_TRACE").is_some() {
-                eprintln!(
-                    "{phase} plan {} ({:?} outer): {:.1}ms",
-                    plan.id,
-                    plan.steps.first(),
-                    t0.elapsed().as_secs_f64() * 1e3
-                );
+            if !idle {
+                let _span = telemetry::span("eval.plan", plan.id as u64);
+                eval_plan(plan, &env, &mut cx.pools, &mut cx.wstats);
             }
         }
     }
 
-    /// Compiles the overdeletion rules `Δ⁻h(args) :- b1, …, bn, h(args)`,
-    /// one plan version per dirty positive body literal (which reads the
-    /// deletion delta). The appended head literal restricts derivations to
-    /// tuples actually present and is never a delta candidate. The first
-    /// retraction that plans a reverse join builds its index here
-    /// ([`plan_synthetic`](Self::plan_synthetic)); the one-time backfill
-    /// replaces a full relation scan per overdelete round.
-    fn overdelete_plans(&mut self, cx: &mut Retraction) -> Vec<Plan> {
-        let mut plans = Vec::new();
-        for si in 0..cx.fallback_from {
+    /// Compiles, per stratum, the overdeletion rules
+    /// `Δ⁻h(args) :- b1, …, bn, h(args)`, one plan version per dirty positive
+    /// body literal (which reads the deletion delta). The appended head
+    /// literal restricts derivations to tuples actually present and is
+    /// never a delta candidate. The first retraction that plans a reverse
+    /// join builds its index here ([`plan_synthetic`](Self::plan_synthetic));
+    /// the one-time backfill replaces a full relation scan per overdelete
+    /// round.
+    fn overdelete_plans(&mut self, cx: &mut Retraction) -> Vec<Vec<Plan>> {
+        let mut plans = vec![Vec::new(); cx.fallback_from];
+        for (si, plans) in plans.iter_mut().enumerate() {
             for ri in cx.strata[si].rules.clone() {
                 let rule = self.program.rules[ri].clone();
                 let head = &rule.head.relation;
@@ -369,7 +381,7 @@ impl Engine {
                 for (p, lit) in rule.body.iter().enumerate() {
                     let rel = self.strat.rel_ids[&lit.atom.relation];
                     if !lit.negated && cx.dirty.binary_search(&rel).is_ok() {
-                        plans.push(self.plan_synthetic(cx, &syn, Some(p)));
+                        plans.push(self.plan_synthetic(cx, "overdelete", ri, &syn, Some(p), None));
                     }
                 }
             }
@@ -377,33 +389,54 @@ impl Engine {
         plans
     }
 
-    /// Phase 1 — overdelete to fixpoint from the withdrawn facts. Nothing
-    /// is physically removed yet, so non-delta positions still read the old
-    /// database. A seed of a relation the fallback recomputes has no
-    /// deletion set: its fact is already out of `edb`, which is all the
-    /// recompute reads.
-    fn overdelete(&mut self, cx: &mut Retraction, plans: &[Plan], seeds: &Seeds) {
+    /// Phase 1 — overdelete, stratum by stratum (a stratum's deletions
+    /// depend only on earlier strata and itself), each to fixpoint: the
+    /// first round reads the deletion sets themselves as its delta, every
+    /// later one what the round before added. Nothing is physically removed
+    /// yet, so non-delta positions still read the old database.
+    ///
+    /// Before every round the stratum's deletion sets are weighed against
+    /// what recomputing from it would rebuild — the exact counts of its
+    /// relations and every later stratum's. Once [`K`] times the former
+    /// reach the latter, delete–rederive ends here: the stratum becomes
+    /// `fallback_from`, and its relations and those after it leave `dirty`.
+    fn overdelete(&mut self, cx: &mut Retraction, plans: &[Vec<Plan>]) {
         let nrels = self.rels.len();
-        let mut round = self.side_tables(&cx.dirty, 0);
-        for &r in &cx.dirty {
-            if let Some(ts) = seeds.get(&r) {
-                cx.outcome.overdeleted += fill(side_table(&cx.del_acc, r), ts, self.threads);
-                fill(side_table(&round, r), ts, self.threads);
+        for (si, plans) in plans.iter().enumerate() {
+            let mut rels = cx.strata[si].relations.clone();
+            rels.retain(|r| cx.dirty.binary_search(r).is_ok());
+            if rels.is_empty() {
+                continue;
             }
-        }
-        while !plans.is_empty() {
-            let mut new = self.side_tables(&cx.dirty, nrels);
-            self.eval_retraction(cx, "overdelete", plans, &round, &new);
-            let mut grew = false;
-            for &r in &cx.dirty {
-                let newly = new[nrels + r].take().expect("allocated above");
-                let added = side_table(&cx.del_acc, r).merge_from(newly.as_ref(), self.threads);
-                cx.outcome.overdeleted += added;
-                grew |= added > 0;
-                round[r] = Some(newly);
-            }
-            if !grew {
-                break;
+            let later = cx.strata[si..].iter().flat_map(|st| &st.relations);
+            let recomputed: Vec<usize> = later.copied().collect();
+            let rebuilt: usize = recomputed.iter().map(|&r| self.counts[r]).sum();
+            let mut round: Option<SideTables> = None;
+            loop {
+                let deleted: f64 = rels.iter().map(|&r| cx.cards[nrels + r]).sum();
+                if deleted > 0.0 && K * deleted >= rebuilt as f64 {
+                    cx.fallback_from = si;
+                    cx.dirty.retain(|r| !recomputed.contains(r));
+                    recomputed.iter().for_each(|&r| cx.del_acc[r] = None);
+                    return;
+                }
+                if plans.is_empty() {
+                    break;
+                }
+                let mut new = self.side_tables(&rels, nrels);
+                self.eval_retraction(cx, plans, round.as_ref(), &new);
+                let (mut next, mut grew) = (self.side_tables(&[], 0), false);
+                for &r in &rels {
+                    let newly = new[nrels + r].take().expect("allocated above");
+                    let added = side_table(&cx.del_acc, r).merge_from(newly.as_ref(), self.threads);
+                    cx.overdeleted(r, added);
+                    grew |= added > 0;
+                    next[r] = Some(newly);
+                }
+                if !grew {
+                    break;
+                }
+                round = Some(next);
             }
         }
     }
@@ -416,33 +449,30 @@ impl Engine {
             if !acc.is_empty() {
                 let gone = self.rels[r].retract_from(acc, self.threads);
                 self.counts[r] -= gone as usize;
+                self.stats.removes += cx.cards[self.rels.len() + r] as u64;
             }
         }
-        self.stats.removes += cx.outcome.overdeleted;
     }
 
     /// Phase 3 — rederive, stratum by stratum: put back what the EDB still
     /// asserts, re-prove deletions rule by rule from the repaired database
     /// (the seed pass), then iterate semi-naively on what came back.
     fn rederive(&mut self, cx: &mut Retraction) {
+        let nrels = self.rels.len();
         for si in 0..cx.fallback_from {
             let stratum = cx.strata[si].clone();
-            let overdeleted = |&r: &usize| cx.del_acc[r].as_ref().is_some_and(|a| !a.is_empty());
-            let ds: Vec<usize> = stratum
-                .relations
-                .iter()
-                .copied()
-                .filter(overdeleted)
-                .collect();
+            let mut ds = stratum.relations.clone();
+            ds.retain(|&r| cx.cards[nrels + r] > 0.0);
             if ds.is_empty() {
                 continue;
             }
 
             // Overdeleted EDB facts that were not retracted survive by
-            // definition; putting them back seeds the rederivation delta.
-            // The full deletion sets are materialized on the side for the
-            // seed pass's batching.
+            // definition; putting them back seeds the rederivation delta,
+            // whose size per relation `back` keeps. The full deletion sets
+            // are materialized on the side for the support filters.
             let mut round = self.side_tables(&ds, 0);
+            let mut back = vec![0.0; nrels];
             let mut del_tuples: HashMap<usize, Vec<TupleBuf>> = HashMap::new();
             for &r in &ds {
                 let (mut all, mut keep) = (Vec::new(), Vec::new());
@@ -458,18 +488,41 @@ impl Engine {
                     fill(side_table(&round, r), &keep, self.threads);
                     self.stats.inserts += keep.len() as u64;
                     cx.outcome.rederived += keep.len() as u64;
+                    back[r] = keep.len() as f64;
                 }
                 del_tuples.insert(r, all);
             }
 
-            let (jobs, delta_plans) = self.seed_jobs(cx, &stratum, &ds, &del_tuples);
-            self.seed_pass(cx, &ds, &jobs, &del_tuples, &round);
+            // Every rule whose head rederives here, as
+            // `h(args) :- Δ⁻h(args), b1, …, bn`.
+            let mut jobs: Vec<(usize, usize, Rule)> = Vec::new();
+            for &ri in &stratum.rules {
+                let rule = &self.program.rules[ri];
+                let head_rel = self.strat.rel_ids[&rule.head.relation];
+                if ds.contains(&head_rel) {
+                    let del = self.del_name(head_rel);
+                    let syn = with_head_literal(rule, &rule.head.relation, &del, true);
+                    jobs.push((ri, head_rel, syn));
+                }
+            }
+            self.seed_pass(cx, &jobs, &del_tuples, &round, &mut back);
 
-            // Semi-naive rounds: rederived tuples may re-prove more.
+            // Semi-naive rounds: rederived tuples may re-prove more, through
+            // the delta versions `h :- Δ⁻h, b1, …, Δbi, …, bn`.
+            let mut delta_plans = Vec::new();
+            for (ri, _, syn) in &jobs {
+                for (bi, lit) in syn.body.iter().enumerate().skip(1) {
+                    if !lit.negated && ds.contains(&cx.ext_ids[&lit.atom.relation]) {
+                        let deltas = Some(back.as_slice());
+                        let plan = self.plan_synthetic(cx, "rederive", *ri, syn, Some(bi), deltas);
+                        delta_plans.push(plan);
+                    }
+                }
+            }
             let unfinished = |round: &SideTables| round.iter().flatten().any(|s| !s.is_empty());
             while !delta_plans.is_empty() && unfinished(&round) {
                 let new = self.side_tables(&ds, 0);
-                self.eval_retraction(cx, "rederive-round", &delta_plans, &round, &new);
+                self.eval_retraction(cx, &delta_plans, Some(&round), &new);
                 let mut grew = false;
                 for (_, added) in self.merge_stratum(&new) {
                     cx.outcome.rederived += added;
@@ -481,60 +534,6 @@ impl Engine {
                 }
             }
         }
-    }
-
-    /// One [`SeedJob`] per rule of `stratum` whose head rederives here, and
-    /// the delta versions `h :- Δ⁻h, b1, …, Δbi, …, bn` the semi-naive
-    /// follow-up rounds run (planned like the overdeletion rules).
-    fn seed_jobs(
-        &mut self,
-        cx: &mut Retraction,
-        stratum: &Stratum,
-        ds: &[usize],
-        del_tuples: &HashMap<usize, Vec<TupleBuf>>,
-    ) -> (Vec<SeedJob>, Vec<Plan>) {
-        let (mut jobs, mut delta_plans) = (Vec::new(), Vec::new());
-        for &ri in &stratum.rules {
-            let rule = self.program.rules[ri].clone();
-            let head_rel = self.strat.rel_ids[&rule.head.relation];
-            if !ds.contains(&head_rel) {
-                continue;
-            }
-            let (head, del) = (&rule.head.relation, &self.del_name(head_rel));
-            let syn = with_head_literal(&rule, head, del, true);
-            let del_plan = self.plan_synthetic(cx, &syn, None);
-            for (bi, lit) in syn.body.iter().enumerate().skip(1) {
-                if !lit.negated && ds.contains(&cx.ext_ids[&lit.atom.relation]) {
-                    delta_plans.push(self.plan_synthetic(cx, &syn, Some(bi)));
-                }
-            }
-            // Head vars are body-bound (range restriction), so the
-            // trailing Δ⁻ literal of the body-first plan is a pure check.
-            // It is deliberately body-first — one sweep of the surviving
-            // body is its whole point — so existing indexes apply, never
-            // the cost order (which would put the small Δ⁻ literal back in
-            // front).
-            let (alt_plan, alt_outer) = match rule.body.first() {
-                Some(first) if !first.negated => {
-                    let syn = with_head_literal(&rule, head, del, false);
-                    let catalog = self.planner_enabled.then_some(&self.catalog);
-                    let mut plan = compile_one_at(&syn, &cx.ext_ids, None, true, catalog);
-                    plan.id = cx.next_plan_id;
-                    cx.next_plan_id += 1;
-                    let outer = self.strat.rel_ids[&first.atom.relation];
-                    (Some(plan), self.counts[outer] as u64)
-                }
-                _ => (None, u64::MAX),
-            };
-            jobs.push(SeedJob {
-                head_rel,
-                del_plan,
-                alt_plan,
-                alt_outer,
-                filter: self.support_filter(&rule, del_tuples[&head_rel].len()),
-            });
-        }
-        (jobs, delta_plans)
     }
 
     /// The support filter of `rule` over `deleted` head tuples: the
@@ -564,74 +563,69 @@ impl Engine {
             .filter(|(rel, _)| self.counts[*rel] < deleted.saturating_mul(32))
     }
 
-    /// Seed pass: re-proves the deletions of `ds` from the repaired
-    /// database, one job at a time, and merges what came back into the
-    /// relations and into `round`. Emission dedupes against the database
-    /// and the side tables, so overlap between jobs (or between the batched
-    /// prefix and a body-first sweep) is harmless.
+    /// Seed pass: re-proves the deletions from the repaired database, one
+    /// `(rule, head, h(args) :- Δ⁻h(args), b1, …, bn)` job at a time, and
+    /// merges what came back into the relations and into `round`, counting
+    /// it in `back`. Each job is ordered by cost like any rule, with Δ⁻h —
+    /// what its support filter left of it — at its size: deletion-first
+    /// while that is small, body-first with Δ⁻h a closing probe (head
+    /// variables are body-bound) once one sweep of the surviving body is
+    /// cheaper. Emission dedupes against the database and the side tables,
+    /// so overlap between jobs is harmless.
     fn seed_pass(
         &mut self,
         cx: &mut Retraction,
-        ds: &[usize],
-        jobs: &[SeedJob],
+        jobs: &[(usize, usize, Rule)],
         del_tuples: &HashMap<usize, Vec<TupleBuf>>,
         round: &SideTables,
+        back: &mut [f64],
     ) {
-        let no_delta: SideTables = Vec::new();
-        let new = self.side_tables(ds, 0);
+        let nrels = self.rels.len();
+        let ds: Vec<usize> = del_tuples.keys().copied().collect();
+        let (no_delta, new) = (self.side_tables(&[], 0), self.side_tables(&ds, 0));
         let mut projections: HashMap<(usize, usize), HashSet<u64>> = HashMap::new();
-        for job in jobs {
-            let r = job.head_rel;
-            let mut dels = del_tuples[&r].clone();
-            if let Some((frel, pairs)) = &job.filter {
-                for &(cl, _) in pairs {
-                    projections.entry((*frel, cl)).or_insert_with(|| {
+        for (ri, r, syn) in jobs {
+            let (r, all) = (*r, &del_tuples[r]);
+            let mut whole = None;
+            if let Some((frel, pairs)) = self.support_filter(&self.program.rules[*ri], all.len()) {
+                for &(cl, _) in &pairs {
+                    projections.entry((frel, cl)).or_insert_with(|| {
                         let mut set = HashSet::new();
-                        self.rels[*frel].for_each(&mut |t| {
+                        self.rels[frel].for_each(&mut |t| {
                             set.insert(t[cl]);
                         });
                         set
                     });
                 }
-                let supported = |&(cl, ch): &(usize, usize), t: &TupleBuf| {
-                    projections[&(*frel, cl)].contains(&t[ch])
+                let supported = |t: &&TupleBuf| {
+                    let has =
+                        |&(cl, ch): &(usize, usize)| projections[&(frel, cl)].contains(&t[ch]);
+                    pairs.iter().all(has)
                 };
-                dels.retain(|t| pairs.iter().all(|p| supported(p, t)));
-            }
-
-            // Deletion-first in geometrically growing batches; bail to the
-            // body-first sweep once the projected total cost overtakes it.
-            let scanned = |cx: &Retraction| cx.wstats.iter().map(|w| w.tuples_scanned).sum::<u64>();
-            let scanned0 = scanned(cx);
-            let mut idx = 0usize;
-            let mut batch = match job.alt_plan {
-                Some(_) => SEED_BATCH,
-                None => dels.len(),
-            };
-            while idx < dels.len() {
-                let end = (idx + batch).min(dels.len());
-                let part = self.table_for(r);
-                fill(part.as_ref(), &dels[idx..end], self.threads);
-                let saved = cx.del_acc[r].replace(part);
-                self.eval_retraction(cx, "rederive-seed", [&job.del_plan], &no_delta, &new);
-                cx.del_acc[r] = saved;
-                idx = end;
-                batch = batch.saturating_mul(4);
-                let projected = (scanned(cx) - scanned0) as f64 * dels.len() as f64 / idx as f64;
-                if idx < dels.len() && projected > job.alt_outer as f64 {
-                    self.eval_retraction(cx, "rederive-alt", &job.alt_plan, &no_delta, &new);
-                    break;
+                let dels: Vec<TupleBuf> = all.iter().filter(supported).copied().collect();
+                if dels.is_empty() {
+                    continue;
                 }
+                let part = self.table_for(r);
+                fill(part.as_ref(), &dels, self.threads);
+                whole = Some((cx.del_acc[r].replace(part), cx.cards[nrels + r]));
+                cx.cards[nrels + r] = dels.len() as f64;
+            }
+            let plan = self.plan_synthetic(cx, "rederive seed", *ri, syn, None, Some(back));
+            self.eval_retraction(cx, [&plan], Some(&no_delta), &new);
+            if let Some((acc, n)) = whole {
+                (cx.del_acc[r], cx.cards[nrels + r]) = (acc, n);
             }
         }
         for (r, added) in self.merge_stratum(&new) {
             cx.outcome.rederived += added;
+            back[r] += added as f64;
             side_table(round, r).merge_from(side_table(&new, r), self.threads);
         }
     }
 
-    /// Phase 4 — negation fallback: recompute the remaining strata from
-    /// the surviving EDB.
+    /// Phase 4 — fallback: recompute the strata delete–rederive does not
+    /// repair from the surviving EDB.
     fn negation_fallback(&mut self, cx: &mut Retraction) {
         for stratum in &cx.strata[cx.fallback_from..] {
             for &r in &stratum.relations {

@@ -207,13 +207,13 @@ const INDEX_COST: f64 = 8.0;
 
 /// What the orderer knows about the database a plan is about to run on.
 pub(crate) struct CostModel<'a> {
-    /// Tuples per relation id, as of now. Ids past the end (the retraction
-    /// engine's deletion sets) cost 1, which keeps them outermost-or-early.
+    /// Tuples per id a rule can name, as of now: every relation and, past
+    /// them, every deletion set a retraction plans over, at its live size.
     pub cards: &'a [f64],
     /// Current size of each relation's delta: what a delta literal is
     /// costed with, and — being what one execution of the plan merges into
     /// the relation — the upkeep an index on it adds. Zero outside the
-    /// stratum being evaluated; ids past the end count 1 as a delta literal.
+    /// stratum being evaluated.
     pub deltas: &'a [f64],
     /// Executions an index built now is expected to serve before the plan
     /// is ordered again.
@@ -279,7 +279,7 @@ pub(crate) fn cost_order(
             } else {
                 model.cards
             };
-            sizes.get(rel).copied().unwrap_or(1.0)
+            sizes[rel]
         })
         .collect();
     let mut search = Search {
@@ -379,7 +379,7 @@ impl<'a> Search<'a> {
             if self.catalog.find(rel, mask).is_some() {
                 cost.work = matches;
             } else if self.model.can_index {
-                let upkeep = self.model.deltas.get(rel).copied().unwrap_or(0.0);
+                let upkeep = self.model.deltas[rel];
                 let owned = matches + INDEX_COST * (n + upkeep) / (self.model.horizon * outer);
                 if owned < cost.work {
                     cost.work = owned;
@@ -473,20 +473,6 @@ pub(crate) fn register<'w>(
     }
 }
 
-/// Orders, compiles and index-assigns one version of `rule`, registering
-/// in `catalog` the indexes the order was costed with.
-pub(crate) fn plan_rule(
-    rule: &Rule,
-    rel_ids: &HashMap<String, usize>,
-    delta_pos: Option<usize>,
-    model: &CostModel<'_>,
-    catalog: &mut IndexCatalog,
-) -> Plan {
-    let ordered = cost_order(rule, rel_ids, delta_pos, model, catalog);
-    register(ordered.wants.iter(), catalog);
-    compile_ordered(rule, rel_ids, delta_pos, &ordered.order, Some(catalog))
-}
-
 /// One semi-naive version of a rule and the plan that currently runs for
 /// it. The plan's id is fixed at creation and survives every [`replan`].
 #[derive(Clone, Debug)]
@@ -499,8 +485,8 @@ pub(crate) struct Version {
     pub plan: Plan,
     /// The literal order `plan` was compiled from.
     pub order: Vec<usize>,
-    /// What each body literal was costed with when the plan last changed;
-    /// empty while it is still the source-order one.
+    /// What each body literal was costed with when the plan last changed,
+    /// or when it was first costed; empty until then.
     pub cards: Vec<f64>,
     /// The fixpoint iteration (past the first) at which the plan last
     /// changed: a new order, or an index for one of its scans.
@@ -569,16 +555,17 @@ pub(crate) fn replan(
     for (v, o) in versions.iter_mut().zip(ordered) {
         // The plan changes with its order, or by gaining an index.
         let changed = o.order != v.order || !o.wants.is_empty();
-        if !changed && catalog.len() == v.indexes_seen {
-            continue;
+        if changed || catalog.len() != v.indexes_seen {
+            let id = v.plan.id;
+            v.plan = compile_ordered(&v.rule, rel_ids, v.delta_pos, &o.order, Some(catalog));
+            v.plan.id = id;
+            v.indexes_seen = catalog.len();
         }
-        let id = v.plan.id;
-        v.plan = compile_ordered(&v.rule, rel_ids, v.delta_pos, &o.order, Some(catalog));
-        v.plan.id = id;
-        v.indexes_seen = catalog.len();
+        if changed || v.cards.is_empty() {
+            v.cards = o.cards;
+        }
         if changed {
             v.order = o.order;
-            v.cards = o.cards;
             if iteration > 1 {
                 v.replanned_at = Some(iteration);
             }
@@ -663,7 +650,8 @@ mod tests {
 
     fn order_of(rule: &Rule, ids: &HashMap<String, usize>, cards: &[f64]) -> Vec<usize> {
         let catalog = IndexCatalog::new(&vec![crate::ast::MAX_ARITY; cards.len()]);
-        cost_order(rule, ids, None, &model(cards, &[]), &catalog).order
+        let deltas = vec![0.0; cards.len()];
+        cost_order(rule, ids, None, &model(cards, &deltas), &catalog).order
     }
 
     #[test]
@@ -810,10 +798,11 @@ mod tests {
         // of its matches would repeat the sweep: load still goes first.
         let o = cost_order(&p.rules[0], &ids, Some(1), &plain, &catalog);
         assert_eq!((o.order, o.wants), (vec![1, 0, 2], vec![]));
-        let plan = plan_rule(&p.rules[0], &ids, Some(1), &plain, &mut catalog);
+        let mut version = [Version::new(0, &p.rules[0], &ids, Some(1), 0)];
+        replan(&mut version, &ids, &plain, &mut catalog, 1);
         assert_eq!(catalog.len(), 0);
         assert!(
-            crate::eval::has_unprefixed_inner_scan(&plan),
+            crate::eval::has_unprefixed_inner_scan(&version[0].plan),
             "compiled as the sweep it is"
         );
     }

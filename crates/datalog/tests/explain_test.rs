@@ -262,6 +262,41 @@ fn explain_after_a_run_reports_the_plans_that_ran() {
 }
 
 #[test]
+fn explain_after_a_retraction_lists_its_plans_and_what_they_were_costed_with() {
+    // Cutting one edge of a grid overdeletes paths that all have other
+    // routes: every phase of delete–rederive plans something.
+    let program = parse(STABLE_TC).unwrap();
+    let mut engine = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();
+    let edges = workloads::graphs::grid(8);
+    let facts = edges.iter().map(|&(a, b)| vec![a, b]);
+    engine.add_facts("edge", facts).unwrap();
+    engine.run().unwrap();
+    assert!(!engine.explain().contains("retraction:"));
+    let (a, b) = edges[edges.len() / 2];
+    let out = engine.retract_fact("edge", &[a, b]).unwrap();
+    assert!(out.rederived > 1 && out.recomputed_strata == 0, "{out:?}");
+
+    let plan = engine.explain();
+    let retraction = &plan[plan.find("retraction:").expect("a retraction section")..];
+    for phase in [
+        "overdelete, rule 1:",
+        "rederive seed, rule 0:",
+        "rederive, rule 1:",
+    ] {
+        assert!(retraction.contains(phase), "{phase} missing:\n{retraction}");
+    }
+    assert!(retraction.contains("emit ~del~path("), "{retraction}");
+    // The deletion set is costed at its size, not at a default of 1.
+    let costed = retraction.split("~del~path=").nth(1).expect(retraction);
+    let size: f64 = costed
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .and_then(|n| n.parse().ok())
+        .expect(retraction);
+    assert!(size > 1.0 && size <= out.overdeleted as f64, "{retraction}");
+}
+
+#[test]
 fn rule_profile_to_json_shape() {
     let program = parse(STABLE_TC).unwrap();
     let mut engine = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();

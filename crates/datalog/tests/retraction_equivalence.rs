@@ -35,6 +35,13 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
+/// Every backend (and three shard counts) at every thread count.
+fn every_kind_and_thread_count() -> impl Iterator<Item = (StorageKind, usize)> {
+    let sharded = [1, 2, 8].map(StorageKind::ShardedBTree);
+    let kinds = StorageKind::ALL.into_iter().chain(sharded);
+    kinds.flat_map(|kind| thread_counts().into_iter().map(move |t| (kind, t)))
+}
+
 fn edge_facts(edges: &[(u64, u64)]) -> impl Iterator<Item = Vec<u64>> + '_ {
     edges.iter().map(|&(a, b)| vec![a, b])
 }
@@ -78,16 +85,13 @@ fn surviving_tc(edges: &[(u64, u64)], gone: &[(u64, u64)]) -> Vec<Vec<u64>> {
 /// Runs one workload/retraction pair over the full backend × thread matrix.
 fn check_matrix(name: &str, edges: Vec<(u64, u64)>, gone: Vec<(u64, u64)>) {
     let expect = surviving_tc(&edges, &gone);
-    let sharded = [1, 2, 8].map(StorageKind::ShardedBTree);
-    for kind in StorageKind::ALL.into_iter().chain(sharded) {
-        for threads in thread_counts() {
-            let got = tc_retract(&edges, &gone, kind, threads);
-            assert_eq!(
-                got, expect,
-                "{name}: retraction on {kind:?} with {threads} threads \
-                 disagrees with from-scratch reference"
-            );
-        }
+    for (kind, threads) in every_kind_and_thread_count() {
+        let got = tc_retract(&edges, &gone, kind, threads);
+        assert_eq!(
+            got, expect,
+            "{name}: retraction on {kind:?} with {threads} threads \
+             disagrees with from-scratch reference"
+        );
     }
 }
 
@@ -291,27 +295,24 @@ fn retracting_an_asserted_fact_of_a_recomputed_relation() {
     "#,
     )
     .unwrap();
-    let sharded = [1, 2, 8].map(StorageKind::ShardedBTree);
-    for kind in StorageKind::ALL.into_iter().chain(sharded) {
-        for threads in thread_counts() {
-            let mut engine = Engine::new(&program, kind, threads).unwrap();
-            engine.add_facts("a", [vec![1], vec![2]]).unwrap();
-            engine.add_fact("c", &[1]).unwrap();
-            engine.add_fact("b", &[5]).unwrap();
-            engine.run().unwrap();
-            assert_eq!(engine.relation("b").unwrap(), [vec![2], vec![5]]);
+    for (kind, threads) in every_kind_and_thread_count() {
+        let mut engine = Engine::new(&program, kind, threads).unwrap();
+        engine.add_facts("a", [vec![1], vec![2]]).unwrap();
+        engine.add_fact("c", &[1]).unwrap();
+        engine.add_fact("b", &[5]).unwrap();
+        engine.run().unwrap();
+        assert_eq!(engine.relation("b").unwrap(), [vec![2], vec![5]]);
 
-            let batch = vec![("c".to_string(), vec![1]), ("b".to_string(), vec![5])];
-            let out = engine.retract_facts(batch).unwrap();
-            assert_eq!(out.retracted_inputs, 2, "{kind:?} × {threads}t");
-            assert!(out.recomputed_strata > 0, "{kind:?}: fallback expected");
-            assert_eq!(
-                engine.relation("b").unwrap(),
-                [vec![1], vec![2]],
-                "{kind:?} × {threads}t"
-            );
-            assert!(engine.relation("c").unwrap().is_empty());
-        }
+        let batch = vec![("c".to_string(), vec![1]), ("b".to_string(), vec![5])];
+        let out = engine.retract_facts(batch).unwrap();
+        assert_eq!(out.retracted_inputs, 2, "{kind:?} × {threads}t");
+        assert!(out.recomputed_strata > 0, "{kind:?}: fallback expected");
+        assert_eq!(
+            engine.relation("b").unwrap(),
+            [vec![1], vec![2]],
+            "{kind:?} × {threads}t"
+        );
+        assert!(engine.relation("c").unwrap().is_empty());
     }
 }
 
@@ -368,9 +369,12 @@ fn retraction_stats_accumulate() {
     let mut engine = Engine::new(&program, StorageKind::SpecBTree, 4).unwrap();
     engine.add_facts("edge", edge_facts(&edges)).unwrap();
     engine.run().unwrap();
-    let o1 = engine.retract_fact("edge", &[10, 11]).unwrap();
-    let o2 = engine.retract_fact("edge", &[20, 21]).unwrap();
+    // Tail cuts: each deletes under a quarter of `path`, so both are repaired
+    // tuple by tuple (a recomputed stratum is replaced, not removed from).
+    let o1 = engine.retract_fact("edge", &[28, 29]).unwrap();
+    let o2 = engine.retract_fact("edge", &[26, 27]).unwrap();
     assert!(o1.overdeleted > 0 && o2.overdeleted > 0);
+    assert_eq!(o1.recomputed_strata + o2.recomputed_strata, 0);
     let stats = engine.stats();
     assert_eq!(stats.retracted_inputs, 2);
     assert_eq!(
@@ -446,12 +450,11 @@ struct RetractionWork {
 fn retraction_work_is_pinned() {
     // One scenario through all four phases, one thread, planner on: a grid
     // (every overdeleted path has other routes, so rederivation runs its
-    // batched seed pass and its semi-naive rounds), an asserted `path` fact
-    // that the overdeletion takes and the EDB puts back, and a stratum
-    // negating `path` that the fallback recomputes. The numbers are those
-    // of the commit before `retract_facts` was split into its phases: the
-    // split runs the same plans over the same batches, not merely to the
-    // same database.
+    // seed pass and its semi-naive rounds), an asserted `path` fact that the
+    // overdeletion takes and the EDB puts back, and a stratum negating
+    // `path` that the fallback recomputes. `path`'s 2 220 deletions are a
+    // tenth of what recomputing from its stratum rebuilds (`path` and
+    // `unreach`, 20 736 tuples), so it is repaired, not handed over.
     let side = 12u64;
     let edges = graphs::grid(side);
     let gone = [edges[7], edges[60], edges[61], edges[150]];
@@ -481,16 +484,241 @@ fn retraction_work_is_pinned() {
         membership_tests: stats.membership_tests,
         lower_bound_calls: stats.lower_bound_calls,
     };
+    // The outcome's counts and `tuples_emitted` are those of the commit
+    // before `retract_facts` was split into phases: the same tuples are
+    // deleted and re-proved. The operation counts fell when deletion sets
+    // entered the cost model at their sizes:
     let pinned = RetractionWork {
         retracted_inputs: 4,
         overdeleted: 2220,
         rederived: 2075,
         recomputed_strata: 1,
         net_removed: 4,
-        tuples_scanned: 145_852,
+        // 145 852 before. 96 435 of those were the rederive rounds sweeping
+        // the whole of Δ⁻path once per delta version per round (costed at 1
+        // it was ordered next to the delta, stranded, and swapped for the
+        // source-order version it is the outer scan of); it is now a probe
+        // behind the body. 10 190 more went with the seed pass's two
+        // hand-rolled plans and the fixed-size batches it tried one in before
+        // switching to the other: the seed version is now one plan, ordered
+        // by cost.
+        tuples_scanned: 39_227,
         tuples_emitted: 19_227,
-        membership_tests: 160_245,
-        lower_bound_calls: 8_488,
+        // 160 245 before: every swept Δ⁻path tuple probed `edge` and `path`.
+        membership_tests: 57_288,
+        // 8 488 before: one range query per deletion in the seed batches.
+        lower_bound_calls: 4_758,
     };
     assert_eq!(work, pinned);
+}
+
+/// The benchmark's `pointsto` shape: withdrawing one `load` fact overdeletes
+/// all but a dozen of the 14 040 derived tuples, and all come back.
+#[test]
+fn overdeleting_a_whole_stratum_costs_no_more_than_1_5x_evaluating_it() {
+    use workloads::pointsto::{self, PointsToConfig};
+    let mut facts = pointsto::generate_facts(&PointsToConfig::scaled(5), 42);
+    let program = pointsto::program();
+    let mut engine = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();
+    pointsto::load_facts(&mut engine, &facts).unwrap();
+    engine.run().unwrap();
+    engine.reset_stats();
+    let (v, w, f) = facts.loads.pop().expect("a load fact");
+    let out = engine.retract_fact("load", &[v, w, f]).unwrap();
+    assert_eq!(out.recomputed_strata, 1, "{out:?}");
+    assert_eq!(out.rederived, 0, "handed over before anything is re-proved");
+
+    let mut scratch = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();
+    pointsto::load_facts(&mut scratch, &facts).unwrap();
+    scratch.run().unwrap();
+    for rel in ["vpt", "hpt"] {
+        assert_eq!(
+            engine.relation(rel).unwrap(),
+            scratch.relation(rel).unwrap()
+        );
+    }
+    let (retract, evaluate) = (
+        engine.stats().tuples_scanned,
+        scratch.stats().tuples_scanned,
+    );
+    assert!(
+        2 * retract <= 3 * evaluate,
+        "retraction scanned {retract} tuples, evaluation from scratch {evaluate}"
+    );
+}
+
+/// Asserts that `engine` holds what `program` evaluates to over `facts`.
+fn assert_matches_scratch(
+    engine: &Engine,
+    program: &datalog::Program,
+    facts: &[(&str, Vec<Vec<u64>>)],
+    what: &str,
+) {
+    let mut scratch = Engine::new(program, engine.storage_kind(), 1).unwrap();
+    for (rel, tuples) in facts {
+        scratch.add_facts(rel, tuples.iter().cloned()).unwrap();
+    }
+    scratch.run().unwrap();
+    for decl in &program.decls {
+        assert_eq!(
+            engine.relation(&decl.name).unwrap(),
+            scratch.relation(&decl.name).unwrap(),
+            "{what}: {} differs from a from-scratch evaluation",
+            decl.name
+        );
+    }
+}
+
+#[test]
+fn a_stratum_is_handed_over_exactly_past_a_quarter_overdeleted() {
+    // `reach` over a chain 0 → 1 → … → 99 from vertex 0: cutting the edge
+    // into vertex k overdeletes reach(k..=99), one tuple a round — 1 % of
+    // `reach` at k = 99, 99 % at k = 1.
+    let program = parse(
+        r#"
+        .decl source(x: number)
+        .decl edge(x: number, y: number)
+        .decl reach(x: number)
+        reach(x) :- source(x).
+        reach(y) :- reach(x), edge(x, y).
+    "#,
+    )
+    .unwrap();
+    let n = 100u64;
+    let edges = graphs::chain(n - 1);
+    for (kind, threads) in every_kind_and_thread_count() {
+        for lost in [1, 12, 24, 25, 26, 50, 99] {
+            let what = format!("{kind:?} × {threads}t, {lost} % of reach overdeleted");
+            let mut engine = Engine::new(&program, kind, threads).unwrap();
+            engine.add_fact("source", &[0]).unwrap();
+            engine.add_facts("edge", edge_facts(&edges)).unwrap();
+            engine.run().unwrap();
+            let k = n - lost;
+            let out = engine.retract_fact("edge", &[k - 1, k]).unwrap();
+            let reach: Vec<Vec<u64>> = (0..k).map(|v| vec![v]).collect();
+            assert_eq!(engine.relation("reach").unwrap(), reach, "{what}");
+            // Four times the deletion set reach `reach`'s 100 tuples at 25,
+            // and overdeletion stops right there.
+            let handed_over = lost >= 25;
+            assert_eq!(out.recomputed_strata, u64::from(handed_over), "{what}");
+            assert_eq!(out.overdeleted, 1 + lost.min(25), "{what}");
+            assert_eq!(out.rederived, 0, "{what}");
+        }
+    }
+}
+
+#[test]
+fn a_small_stratum_under_a_large_one_is_repaired_not_recomputed() {
+    // `on` loses its only tuple, but recomputing from its stratum would
+    // also rebuild the 1 830 `path` tuples behind it, none of which goes.
+    let program = parse(
+        r#"
+        .decl flag(x: number)
+        .decl on(x: number)
+        .decl edge(x: number, y: number)
+        .decl extra(x: number, y: number)
+        .decl path(x: number, y: number)
+        on(x) :- flag(x).
+        path(x, y) :- edge(x, y).
+        path(x, z) :- path(x, y), edge(y, z).
+        path(x, y) :- on(x), extra(x, y).
+    "#,
+    )
+    .unwrap();
+    let edges = graphs::chain(60);
+    for (kind, threads) in every_kind_and_thread_count() {
+        let what = format!("{kind:?} × {threads}t");
+        let mut engine = Engine::new(&program, kind, threads).unwrap();
+        engine.add_fact("flag", &[1]).unwrap();
+        engine.add_fact("extra", &[7, 9]).unwrap();
+        engine.add_facts("edge", edge_facts(&edges)).unwrap();
+        engine.run().unwrap();
+        let paths = engine.relation_len("path").unwrap() as u64;
+        engine.reset_stats();
+        let out = engine.retract_fact("flag", &[1]).unwrap();
+        assert_eq!((out.overdeleted, out.recomputed_strata), (2, 0), "{what}");
+        assert!(engine.relation("on").unwrap().is_empty(), "{what}");
+        assert_eq!(engine.relation_len("path").unwrap() as u64, paths, "{what}");
+        let scanned = engine.stats().tuples_scanned;
+        assert!(scanned < paths / 10, "{what}: {scanned} tuples scanned");
+    }
+}
+
+#[test]
+fn handing_over_a_middle_stratum() {
+    // Three strata: `a` is repaired; `reach` loses the start of its chain —
+    // all but one of its tuples — and is handed over, with an asserted fact
+    // of its own withdrawn in the same batch; `far` negates `reach` and is
+    // recomputed behind it.
+    let program = parse(
+        r#"
+        .decl in(x: number)
+        .decl a(x: number)
+        .decl edge(x: number, y: number)
+        .decl reach(x: number)
+        .decl node(x: number)
+        .decl far(x: number)
+        a(x) :- in(x).
+        reach(x) :- a(x).
+        reach(y) :- reach(x), edge(x, y).
+        far(x) :- node(x), !reach(x).
+    "#,
+    )
+    .unwrap();
+    let edges: Vec<Vec<u64>> = edge_facts(&graphs::chain(40)).collect();
+    let nodes: Vec<Vec<u64>> = (0..50).map(|v| vec![v]).collect();
+    for (kind, threads) in every_kind_and_thread_count() {
+        let what = format!("{kind:?} × {threads}t");
+        let mut engine = Engine::new(&program, kind, threads).unwrap();
+        engine.add_facts("in", [vec![0], vec![45]]).unwrap();
+        engine.add_facts("edge", edges.iter().cloned()).unwrap();
+        engine.add_facts("node", nodes.iter().cloned()).unwrap();
+        engine.add_fact("reach", &[47]).unwrap();
+        engine.run().unwrap();
+        assert_eq!(engine.relation_len("far").unwrap(), 7, "{what}");
+
+        let batch = [("in", vec![0]), ("reach", vec![47])];
+        let out = engine
+            .retract_facts(batch.map(|(r, t)| (r.to_string(), t)))
+            .unwrap();
+        assert_eq!(out.retracted_inputs, 2, "{what}");
+        assert_eq!(out.recomputed_strata, 2, "{what}: reach and far");
+        assert_eq!(engine.relation("a").unwrap(), [vec![45]], "{what}");
+        assert_eq!(engine.relation("reach").unwrap(), [vec![45]], "{what}");
+        assert_eq!(engine.relation_len("far").unwrap(), 49, "{what}");
+        let facts = [
+            ("in", vec![vec![45]]),
+            ("edge", edges.clone()),
+            ("node", nodes.clone()),
+        ];
+        assert_matches_scratch(&engine, &program, &facts, &what);
+    }
+}
+
+#[test]
+fn the_phases_of_an_outcome_add_up_to_the_call() {
+    // The first retraction of a closure plans a reverse join and builds the
+    // index for it over all 101 025 paths: time spent before overdeletion
+    // starts, and the largest share of the call.
+    let edges = graphs::chain(449);
+    let program = parse(TC_PROGRAM).unwrap();
+    let mut engine = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();
+    engine.add_facts("edge", edge_facts(&edges)).unwrap();
+    engine.run().unwrap();
+    assert!(engine.relation_len("path").unwrap() >= 100_000);
+    let indexes = engine.stats().index_builds;
+    let t0 = std::time::Instant::now();
+    let out = engine.retract_fact("edge", &[447, 448]).unwrap();
+    let call = t0.elapsed().as_secs_f64();
+    assert!(engine.stats().index_builds > indexes, "no index was built");
+    assert!(out.plan_seconds > 0.0);
+    let phases = out.plan_seconds
+        + out.overdelete_seconds
+        + out.delete_seconds
+        + out.rederive_seconds
+        + out.fallback_seconds;
+    assert!(
+        phases >= 0.9 * call && phases <= call,
+        "phases sum to {phases} s of a {call} s call: {out:?}"
+    );
 }
