@@ -101,9 +101,6 @@ pub struct Args {
     /// Sample the telemetry counters every N ms into `SAMPLES_<bin>.json`
     /// (`--sample-ms N`; needs the `telemetry` feature).
     pub sample_ms: Option<u64>,
-    /// Shard count for sharded-storage configurations (`--shards N`;
-    /// binaries that don't shard ignore it). `None` = binary default.
-    pub shards: Option<usize>,
 }
 
 impl Default for Args {
@@ -117,7 +114,6 @@ impl Default for Args {
             quick: false,
             trace_out: None,
             sample_ms: None,
-            shards: None,
         }
     }
 }
@@ -142,9 +138,6 @@ impl Args {
                 "--sample-ms" => {
                     out.sample_ms = Some(take("--sample-ms").parse().expect("--sample-ms: integer"))
                 }
-                "--shards" => {
-                    out.shards = Some(take("--shards").parse().expect("--shards: integer"))
-                }
                 "--threads" => {
                     out.threads = take("--threads")
                         .split(',')
@@ -158,7 +151,7 @@ impl Args {
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --scale N  --threads 1,2,4  --seed N  --part a  --csv  --quick  \
-                         --trace-out PATH  --sample-ms N  --shards N"
+                         --trace-out PATH  --sample-ms N"
                     );
                     std::process::exit(0);
                 }

@@ -9,7 +9,7 @@ use crate::eval::{
 use crate::planner::{self, CostModel, IndexCatalog, Version};
 use crate::storage::{pad, RelationStorage, StorageKind, TupleBuf};
 use crate::strat::{stratify, StratError, Stratification, Stratum};
-use specbtree::{HintStats, TreeStats};
+use specbtree::HintStats;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -94,9 +94,6 @@ pub struct EvalStats {
     /// Chunks claimed by workers off the shared cursor (chunk-driven
     /// scheduling only; one per plan under materialize-then-split).
     pub chunks_claimed: u64,
-    /// Chunks claimed outside the claiming worker's home shard (sharded
-    /// storage only — zero whenever relations have a single shard).
-    pub chunks_stolen: u64,
     /// Tuples scanned by outer and inner scans across all workers.
     pub tuples_scanned: u64,
     /// Tuples emitted into `new` relations across all workers.
@@ -116,8 +113,8 @@ pub struct EvalStats {
     /// overdeleted EDB facts that were not themselves retracted).
     pub rederived_tuples: u64,
     /// Secondary-index permutations registered on relation storages by
-    /// the planner (each registration backfills one permuted tree, or one
-    /// tree per shard under sharded storage). Zero with the planner off.
+    /// the planner (each registration backfills one permuted tree). Zero
+    /// with the planner off.
     pub index_builds: u64,
     /// Inner (non-outermost) scans served by a bound primary prefix or a
     /// secondary index — range queries instead of full sweeps.
@@ -141,7 +138,6 @@ impl EvalStats {
                 "\"lower_bound_calls\": {}, \"upper_bound_calls\": {}, ",
                 "\"input_tuples\": {}, \"produced_tuples\": {}, ",
                 "\"iterations\": {}, \"chunks_claimed\": {}, ",
-                "\"chunks_stolen\": {}, ",
                 "\"tuples_scanned\": {}, \"tuples_emitted\": {}, ",
                 "\"sched_imbalance\": {:.6}, \"removes\": {}, ",
                 "\"retracted_inputs\": {}, \"overdeleted_tuples\": {}, ",
@@ -157,7 +153,6 @@ impl EvalStats {
             self.produced_tuples,
             self.iterations,
             self.chunks_claimed,
-            self.chunks_stolen,
             self.tuples_scanned,
             self.tuples_emitted,
             self.sched_imbalance,
@@ -319,14 +314,6 @@ impl Engine {
     /// loaded immediately.
     pub fn new(program: &Program, kind: StorageKind, threads: usize) -> Result<Self, EngineError> {
         let strat = stratify(program)?;
-        // Resolve the sharded backend's *auto* shard count up front, so
-        // every relation and every side table created through `self.kind`
-        // for the engine's lifetime agrees on the shard map (shard-aligned
-        // tables are what make merges and retractions zero-cross-shard-lock).
-        let kind = match kind {
-            StorageKind::ShardedBTree(0) => StorageKind::ShardedBTree(threads.max(1)),
-            other => other,
-        };
         let arities: Vec<usize> = program.decls.iter().map(|d| d.arity).collect();
         let rels: Vec<_> = arities.iter().map(|&a| kind.create_for(a)).collect();
         let nrels = program.decls.len();
@@ -593,7 +580,6 @@ impl Engine {
         wstats.iter().for_each(|w| sum.merge(w));
         let stats = &mut self.stats;
         stats.chunks_claimed += sum.chunks_claimed;
-        stats.chunks_stolen += sum.chunks_stolen;
         stats.tuples_scanned += sum.tuples_scanned;
         stats.tuples_emitted += sum.tuples_emitted;
         stats.inner_scans_indexed += sum.inner_scans_indexed;
@@ -933,29 +919,11 @@ impl Engine {
                 .decls
                 .iter()
                 .enumerate()
-                .map(|(i, d)| {
-                    // Sharded relations report one aggregated census (per-
-                    // shard censuses folded with `TreeStats::absorb`) plus
-                    // the raw per-shard tuple counts for balance checks
-                    // (every key of this tree is a tuple).
-                    let per_tree = self.rels[i].tree_stats();
-                    let tree = (!per_tree.is_empty()).then(|| {
-                        let mut agg = TreeStats::default();
-                        per_tree.iter().for_each(|t| agg.absorb(t));
-                        agg
-                    });
-                    let shard_lens = if self.rels[i].shard_count() > 1 {
-                        per_tree.iter().map(|t| t.keys as usize).collect()
-                    } else {
-                        Vec::new()
-                    };
-                    crate::RelationReport {
-                        name: d.name.clone(),
-                        len: self.counts[i],
-                        tree,
-                        shard_lens,
-                        index_perms: self.rels[i].index_perms(),
-                    }
+                .map(|(i, d)| crate::RelationReport {
+                    name: d.name.clone(),
+                    len: self.counts[i],
+                    tree: self.rels[i].tree_stats(),
+                    index_perms: self.rels[i].index_perms(),
                 })
                 .collect(),
         }

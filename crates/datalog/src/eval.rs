@@ -25,10 +25,9 @@
 
 use crate::ast::{CmpOp, Rule, Term, MAX_ARITY};
 use crate::planner::IndexCatalog;
-use crate::storage::{shard_of, ChunkSpan, RelationStorage, StorageChunk, StorageCtx, TupleBuf};
+use crate::storage::{RelationStorage, StorageChunk, StorageCtx, TupleBuf};
 use specbtree::HintStats;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 /// Oversplit factor: each plan's outer scan is partitioned into
@@ -42,10 +41,6 @@ pub const CHUNKS_PER_WORKER: usize = 8;
 pub struct WorkerStats {
     /// Outer-loop chunks this worker claimed.
     pub chunks_claimed: u64,
-    /// Chunks claimed outside the worker's home shard (sharded storage
-    /// only: work stealing crossed a shard boundary; 0 when the backend
-    /// has a single shard).
-    pub chunks_stolen: u64,
     /// Tuples the worker's scans produced (outer chunks plus inner range
     /// scans).
     pub tuples_scanned: u64,
@@ -76,7 +71,6 @@ impl WorkerStats {
     /// Accumulates `other` into `self`.
     pub fn merge(&mut self, other: &WorkerStats) {
         self.chunks_claimed += other.chunks_claimed;
-        self.chunks_stolen += other.chunks_stolen;
         self.tuples_scanned += other.tuples_scanned;
         self.tuples_emitted += other.tuples_emitted;
         self.inner_scans_indexed += other.inner_scans_indexed;
@@ -692,15 +686,14 @@ impl WorkerCtxs {
     }
 }
 
-/// One plan execution as every worker sees it: the outer scan's chunks,
-/// grouped by shard with one claim cursor per group.
+/// One plan execution as every worker sees it: the outer scan's chunks
+/// and the cursor they are claimed off.
 struct Job<'a> {
     plan: &'a Plan,
     full: &'a [&'a dyn RelationStorage],
     bound: Vec<Bound<'a>>,
     chunks: Vec<StorageChunk>,
-    groups: Vec<Range<usize>>,
-    cursors: Vec<AtomicUsize>,
+    cursor: AtomicUsize,
 }
 
 /// Evaluates one plan over `env`, deriving tuples into `env.new`.
@@ -735,19 +728,12 @@ pub(crate) fn eval_plan(
     if chunks.is_empty() {
         return;
     }
-    // Chunks arrive grouped by shard id (one group for unsharded
-    // backends). Each group gets its own claim cursor; a worker
-    // drains its home group first and only then steals from the
-    // others, so under sharded storage a worker's scans stay
-    // inside the shard whose tree it owns.
-    let groups = shard_groups(&chunks);
     let job = Job {
         plan,
         full: env.full,
         bound,
-        cursors: groups.iter().map(|g| AtomicUsize::new(g.start)).collect(),
-        groups,
         chunks,
+        cursor: AtomicUsize::new(0),
     };
     // Never spawn more workers than there are chunks to claim — surplus
     // workers would only pay the spawn cost and exit — and with nothing
@@ -755,77 +741,45 @@ pub(crate) fn eval_plan(
     // fixpoint iteration.
     let active = workers.min(job.chunks.len());
     if active == 1 {
-        return job.run(0, &mut pools[0], &mut stats[0]);
+        return job.run(&mut pools[0], &mut stats[0]);
     }
     std::thread::scope(|s| {
-        let workers = pools.iter_mut().zip(stats.iter_mut()).take(active);
-        for (w, (ctxs, wstats)) in workers.enumerate() {
+        for (ctxs, wstats) in pools.iter_mut().zip(stats.iter_mut()).take(active) {
             let job = &job;
-            s.spawn(move || job.run(w, ctxs, wstats));
+            s.spawn(move || job.run(ctxs, wstats));
         }
     });
 }
 
-/// Splits a shard-grouped chunk vector into per-shard index ranges.
-/// `partition` contracts to emit chunks grouped shard-by-shard, so one
-/// boundary scan suffices; unsharded backends yield a single group.
-fn shard_groups(chunks: &[StorageChunk]) -> Vec<Range<usize>> {
-    let mut groups: Vec<Range<usize>> = Vec::new();
-    let mut start = 0usize;
-    for (i, c) in chunks.iter().enumerate().skip(1) {
-        if c.shard != chunks[start].shard {
-            groups.push(start..i);
-            start = i;
-        }
-    }
-    groups.push(start..chunks.len());
-    groups
-}
-
 impl Job<'_> {
-    /// One worker's claim loop: drain the home shard's chunk group off its
-    /// shared cursor, then steal from the other groups in rotation (home+1,
-    /// home+2, …) until every group is exhausted. The worker's contexts
-    /// for this plan are out of its pool for the whole loop and go back
-    /// afterwards, so their hints stay warm across plans and iterations.
-    fn run(&self, widx: usize, ctxs: &mut WorkerCtxs, stats: &mut WorkerStats) {
+    /// One worker's claim loop: chunks off the shared cursor until none are
+    /// left. The worker's contexts for this plan are out of its pool for
+    /// the whole loop and go back afterwards, so their hints stay warm
+    /// across plans and iterations.
+    fn run(&self, ctxs: &mut WorkerCtxs, stats: &mut WorkerStats) {
         let plan = self.plan;
-        let ngroups = self.groups.len();
-        let home = widx % ngroups;
-        let sharded = ngroups > 1;
         let mut sites = ctxs.take(plan.id, &self.bound, self.full);
         let (outer, inner) = sites.split_first_mut().expect("a site per step");
         let outer = outer.as_mut().expect("the outer scan's site");
         let mut evaluator = Evaluator { plan, stats };
         let mut vars = vec![0u64; plan.nvars];
-        for offset in 0..ngroups {
-            let g = (home + offset) % ngroups;
-            let stolen = offset > 0;
-            loop {
-                let i = self.cursors[g].fetch_add(1, Relaxed);
-                if i >= self.groups[g].end {
-                    break;
-                }
-                evaluator.stats.chunks_claimed += 1;
-                if stolen {
-                    evaluator.stats.chunks_stolen += 1;
-                    telemetry::count(telemetry::Counter::EvalShardSteals);
-                }
-                let chunk = &self.chunks[i];
-                // A range chunk starts with one descent to its lower
-                // bound; a snapshot chunk touches no tree.
-                if matches!(chunk.span, ChunkSpan::Range { .. }) {
-                    evaluator.stats.lower_bound_calls += 1;
-                }
-                let chunk_timer = telemetry::start_timer();
-                let _shard_span =
-                    sharded.then(|| telemetry::span("eval.shard", chunk.shard as u64));
-                let _span = telemetry::span("eval.chunk", i as u64);
-                outer.src.scan_chunk(chunk, &mut outer.ctx, &mut |t| {
-                    evaluator.join(0, t, &mut vars, inner);
-                });
-                chunk_timer.observe(telemetry::Hist::EvalChunkNanos);
+        loop {
+            let i = self.cursor.fetch_add(1, Relaxed);
+            let Some(chunk) = self.chunks.get(i) else {
+                break;
+            };
+            evaluator.stats.chunks_claimed += 1;
+            // A range chunk starts with one descent to its lower bound; a
+            // snapshot chunk touches no tree.
+            if matches!(chunk, StorageChunk::Range { .. }) {
+                evaluator.stats.lower_bound_calls += 1;
             }
+            let chunk_timer = telemetry::start_timer();
+            let _span = telemetry::span("eval.chunk", i as u64);
+            outer.src.scan_chunk(chunk, &mut outer.ctx, &mut |t| {
+                evaluator.join(0, t, &mut vars, inner);
+            });
+            chunk_timer.observe(telemetry::Hist::EvalChunkNanos);
         }
         ctxs.put(plan.id, sites);
     }
@@ -944,12 +898,6 @@ const PAR_FILL_MIN: usize = 4096;
 /// Large inputs are split and inserted from `workers` scoped threads;
 /// every [`RelationStorage`] backend is internally synchronized (insert
 /// takes `&self`), so concurrent seeding is safe for all of them.
-///
-/// A sharded destination gets the split *by the shard map* instead of by
-/// contiguous slices: tuples are pre-bucketed with [`shard_of`] and each
-/// worker inserts whole buckets, so no two workers ever write the same
-/// shard's tree — the fill becomes contention-free by construction, like
-/// the shard-parallel merge.
 pub(crate) fn fill(dst: &dyn RelationStorage, tuples: &[TupleBuf], workers: usize) -> u64 {
     let insert_all = |part: &[TupleBuf]| -> u64 {
         let mut ctx = dst.make_ctx();
@@ -959,24 +907,6 @@ pub(crate) fn fill(dst: &dyn RelationStorage, tuples: &[TupleBuf], workers: usiz
         return insert_all(tuples);
     }
     let added = AtomicU64::new(0);
-    let nshards = dst.shard_count();
-    if nshards > 1 {
-        let mut buckets: Vec<Vec<TupleBuf>> = vec![Vec::new(); nshards];
-        for t in tuples {
-            buckets[shard_of(t[0], nshards)].push(*t);
-        }
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers.min(nshards) {
-                s.spawn(|| {
-                    while let Some(bucket) = buckets.get(cursor.fetch_add(1, Relaxed)) {
-                        added.fetch_add(insert_all(bucket), Relaxed);
-                    }
-                });
-            }
-        });
-        return added.into_inner();
-    }
     let workers = workers.min(tuples.len());
     let per = tuples.len().div_ceil(workers);
     std::thread::scope(|s| {

@@ -57,5 +57,5 @@ pub use eval::{WorkerStats, CHUNKS_PER_WORKER};
 pub use io::IoError;
 pub use parser::{parse, ParseError};
 pub use report::{RelationReport, StorageReport};
-pub use storage::{shard_of, StorageKind};
+pub use storage::StorageKind;
 pub use strat::{stratify, StratError, Stratification};

@@ -24,14 +24,8 @@ pub struct RelationReport {
     pub len: usize,
     /// Structural census when the relation is backed by the specialized
     /// B-tree; `None` for baseline storages (hash set, red-black tree,
-    /// ...), which expose no comparable introspection. For a *sharded*
-    /// relation this is the per-shard censuses folded into one via
-    /// [`TreeStats::absorb`].
+    /// ...), which expose no comparable introspection.
     pub tree: Option<TreeStats>,
-    /// Per-shard tuple counts, in shard-index order; empty for unsharded
-    /// backends and for a single shard. `max / mean` of this vector is the relation's balance
-    /// figure.
-    pub shard_lens: Vec<usize>,
     /// Column permutations of the secondary indexes maintained on this
     /// relation (chosen by the query planner), in index-id order; empty
     /// when the relation has none or the backend does not support them.
@@ -75,16 +69,6 @@ impl StorageReport {
                 let perms: Vec<String> = rel.index_perms.iter().map(|p| format!("{p:?}")).collect();
                 let _ = writeln!(out, "  {:<18} {}", "indexes", perms.join(" "));
             }
-            if !rel.shard_lens.is_empty() {
-                let max = rel.shard_lens.iter().max().copied().unwrap_or(0);
-                let mean = rel.len as f64 / rel.shard_lens.len() as f64;
-                let balance = if mean > 0.0 { max as f64 / mean } else { 1.0 };
-                let _ = writeln!(
-                    out,
-                    "  {:<18} {:?} (balance {:.2})",
-                    "shards", rel.shard_lens, balance
-                );
-            }
         }
         out
     }
@@ -106,8 +90,6 @@ impl StorageReport {
                 Some(t) => out.push_str(&t.to_json()),
                 None => out.push_str("null"),
             }
-            let lens: Vec<String> = rel.shard_lens.iter().map(usize::to_string).collect();
-            let _ = write!(out, ", \"shard_lens\": [{}]", lens.join(", "));
             let perms: Vec<String> = rel
                 .index_perms
                 .iter()

@@ -27,7 +27,7 @@ use baselines::splitorder::SplitOrderedSet;
 use specbtree::{BTreeHints, BTreeSet, HintStats, TreeStats};
 use std::any::Any;
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// A tuple padded to the maximum arity.
@@ -61,19 +61,7 @@ pub type StorageCtx = Box<dyn Any + Send>;
 /// [`RelationStorage::partition`] and consumed by
 /// [`RelationStorage::scan_chunk`].
 #[derive(Clone, Debug)]
-pub struct StorageChunk {
-    /// The shard that produced this chunk — `0` for every unsharded
-    /// backend. [`RelationStorage::partition`] emits chunks grouped by
-    /// this id, and the work-stealing scheduler uses it to drain a
-    /// worker's home shard before stealing across shard boundaries.
-    pub shard: usize,
-    /// What the chunk actually covers.
-    pub span: ChunkSpan,
-}
-
-/// The scan interval of one [`StorageChunk`].
-#[derive(Clone, Debug)]
-pub enum ChunkSpan {
+pub enum StorageChunk {
     /// A half-open tuple interval `[lower, upper)` walked directly in an
     /// ordered backend (`None` bounds are unbounded). Produced natively by
     /// the specialized B-tree from its separator keys — no tuples are
@@ -142,15 +130,12 @@ pub trait RelationStorage: Send + Sync {
         let tuples = Arc::new(all);
         let per = tuples.len().div_ceil(n);
         (0..n)
-            .map(|i| StorageChunk {
-                shard: 0,
-                span: ChunkSpan::Materialized {
-                    tuples: Arc::clone(&tuples),
-                    start: i * per,
-                    end: ((i + 1) * per).min(tuples.len()),
-                },
+            .map(|i| StorageChunk::Materialized {
+                tuples: Arc::clone(&tuples),
+                start: i * per,
+                end: ((i + 1) * per).min(tuples.len()),
             })
-            .filter(|c| matches!(c.span, ChunkSpan::Materialized { start, end, .. } if start < end))
+            .filter(|c| matches!(c, StorageChunk::Materialized { start, end, .. } if start < end))
             .collect()
     }
 
@@ -163,13 +148,13 @@ pub trait RelationStorage: Send + Sync {
         _ctx: &mut StorageCtx,
         f: &mut dyn FnMut(&TupleBuf),
     ) {
-        match &chunk.span {
-            ChunkSpan::Materialized { tuples, start, end } => {
+        match chunk {
+            StorageChunk::Materialized { tuples, start, end } => {
                 tuples[*start..*end].iter().for_each(f);
             }
             // Generic backends never produce `Range` chunks, but honor one
             // robustly: full scan filtered to the interval.
-            ChunkSpan::Range { lower, upper } => self.for_each(&mut |t| {
+            StorageChunk::Range { lower, upper } => self.for_each(&mut |t| {
                 if lower.as_ref().is_none_or(|lo| t >= lo) && upper.as_ref().is_none_or(|hi| t < hi)
                 {
                     f(t);
@@ -217,19 +202,12 @@ pub trait RelationStorage: Send + Sync {
     /// with zeros; a wider storage's do not.
     fn width(&self) -> usize;
 
-    /// Structural censuses of the specialized B-trees holding this
-    /// relation's tuples: one per shard, one for the unsharded tree, none
-    /// for the baselines, which expose no comparable introspection.
-    /// Secondary indexes are not part of it. Quiescent phases only.
-    fn tree_stats(&self) -> Vec<TreeStats> {
-        Vec::new()
-    }
-
-    /// Number of independent shards backing this storage (1 for every
-    /// unsharded backend). The evaluator routes bulk fills and the
-    /// scheduler's home-shard assignment through this.
-    fn shard_count(&self) -> usize {
-        1
+    /// Structural census of the specialized B-tree holding this relation's
+    /// tuples; `None` for the baselines, which expose no comparable
+    /// introspection. Secondary indexes are not part of it. Quiescent
+    /// phases only.
+    fn tree_stats(&self) -> Option<TreeStats> {
+        None
     }
 
     /// Merges every tuple of `src` into `self` on up to `workers` threads,
@@ -352,18 +330,13 @@ pub enum StorageKind {
     GBTreeLocked,
     /// The lock-free split-ordered hash set (`TBB hashset`).
     ConcurrentHashSet,
-    /// The specialized B-tree hash-partitioned across N independent
-    /// per-shard trees (`btree (sharded)`).
-    /// The payload is the shard count; `0` means *auto* — resolved to
-    /// the worker-thread count by `Engine::new`.
-    ShardedBTree(usize),
 }
 
 // `create_for` names every width once; a wider `TupleBuf` needs an arm.
 const _: () = assert!(MAX_ARITY == 5);
 
 impl StorageKind {
-    /// All kinds, in the order the paper's Figure 5 legend lists them.
+    /// Every kind, in the order the paper's Figure 5 legend lists them.
     pub const ALL: [StorageKind; 6] = [
         StorageKind::SpecBTree,
         StorageKind::SpecBTreeNoHints,
@@ -382,7 +355,6 @@ impl StorageKind {
             StorageKind::HashSetLocked => "STL hashset",
             StorageKind::GBTreeLocked => "google btree",
             StorageKind::ConcurrentHashSet => "TBB hashset",
-            StorageKind::ShardedBTree(_) => "btree (sharded)",
         }
     }
 
@@ -392,10 +364,7 @@ impl StorageKind {
     /// holds the two together). A non-prefix search on any other kind is costed
     /// and compiled as the filtered scan it is.
     pub(crate) fn supports_indexes(&self) -> bool {
-        matches!(
-            self,
-            StorageKind::SpecBTree | StorageKind::SpecBTreeNoHints | StorageKind::ShardedBTree(_)
-        )
+        matches!(self, StorageKind::SpecBTree | StorageKind::SpecBTreeNoHints)
     }
 
     /// Creates an empty relation of this kind that stores `arity` columns
@@ -437,10 +406,6 @@ impl StorageKind {
             StorageKind::ConcurrentHashSet => {
                 Box::new(ConcHashStorage::<K>(SplitOrderedSet::new()))
             }
-            StorageKind::ShardedBTree(n) => Box::new(ShardedStorage::<K> {
-                shards: (0..(*n).max(1)).map(|_| BTreeSet::new()).collect(),
-                indexes: Vec::new(),
-            }),
         }
     }
 }
@@ -500,52 +465,6 @@ fn scan_tree_prefix<const K: usize>(
 ) {
     let it = lower_bound(tree, &key(prefix), hints);
     feed_below(it, prefix_upper(prefix).as_ref(), f);
-}
-
-/// Walks one chunk of `tree`'s [`partition`](RelationStorage::partition).
-fn scan_tree_chunk<const K: usize>(
-    tree: &BTreeSet<K>,
-    span: &ChunkSpan,
-    hints: Option<&mut BTreeHints<K>>,
-    f: &mut dyn FnMut(&TupleBuf),
-) {
-    match span {
-        // Snapshot chunks carry their own tuples; no tree access needed.
-        ChunkSpan::Materialized { tuples, start, end } => tuples[*start..*end].iter().for_each(f),
-        ChunkSpan::Range { lower, upper } => {
-            let it = match lower {
-                Some(lo) => lower_bound(tree, &key(lo), hints),
-                None => tree.iter(),
-            };
-            let hi = upper.as_ref().map(|hi| key::<K>(hi));
-            feed_below(it, hi.as_ref(), |t| f(&pad(t)));
-        }
-    }
-}
-
-/// The chunks of `tree` matching `prefix`, tagged with `shard`.
-fn tree_chunks<const K: usize>(
-    tree: &BTreeSet<K>,
-    shard: usize,
-    n: usize,
-    prefix: &[u64],
-) -> Vec<StorageChunk> {
-    if tree.is_empty() {
-        return Vec::new();
-    }
-    let chunks = if prefix.is_empty() {
-        tree.partition(n)
-    } else {
-        tree.partition_range(n, Some(&key(prefix)), prefix_upper(prefix).as_ref())
-    };
-    let chunk = |c: specbtree::RangeChunk<K>| StorageChunk {
-        shard,
-        span: ChunkSpan::Range {
-            lower: c.lower.map(|t| pad(&t)),
-            upper: c.upper.map(|t| pad(&t)),
-        },
-    };
-    chunks.into_iter().map(chunk).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -822,11 +741,37 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
     }
 
     fn partition(&self, n: usize, prefix: &[u64]) -> Vec<StorageChunk> {
-        tree_chunks(&self.tree, 0, n, prefix)
+        if self.tree.is_empty() {
+            return Vec::new();
+        }
+        let chunks = if prefix.is_empty() {
+            self.tree.partition(n)
+        } else {
+            let (lo, hi) = (key(prefix), prefix_upper(prefix));
+            self.tree.partition_range(n, Some(&lo), hi.as_ref())
+        };
+        let chunk = |c: specbtree::RangeChunk<K>| StorageChunk::Range {
+            lower: c.lower.map(|t| pad(&t)),
+            upper: c.upper.map(|t| pad(&t)),
+        };
+        chunks.into_iter().map(chunk).collect()
     }
 
     fn scan_chunk(&self, chunk: &StorageChunk, ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
-        scan_tree_chunk(&self.tree, &chunk.span, self.main_hints(ctx), f);
+        match chunk {
+            // Snapshot chunks carry their own tuples; no tree access needed.
+            StorageChunk::Materialized { tuples, start, end } => {
+                tuples[*start..*end].iter().for_each(f)
+            }
+            StorageChunk::Range { lower, upper } => {
+                let it = match lower {
+                    Some(lo) => lower_bound(&self.tree, &key(lo), self.main_hints(ctx)),
+                    None => self.tree.iter(),
+                };
+                let hi = upper.as_ref().map(|hi| key::<K>(hi));
+                feed_below(it, hi.as_ref(), |t| f(&pad(t)));
+            }
+        }
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&TupleBuf)) {
@@ -867,8 +812,8 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
         K
     }
 
-    fn tree_stats(&self) -> Vec<TreeStats> {
-        vec![self.tree.stats()]
+    fn tree_stats(&self) -> Option<TreeStats> {
+        Some(self.tree.stats())
     }
 
     fn merge_from(&self, src: &dyn RelationStorage, workers: usize) -> u64 {
@@ -955,416 +900,6 @@ fn scan_filtered(
             f(t);
         }
     });
-}
-
-// ---------------------------------------------------------------------
-// Sharded specialized-B-tree backend
-// ---------------------------------------------------------------------
-
-/// Routes a tuple to its shard by the **leading column only**, so every
-/// tuple sharing a first column — and therefore every bounded prefix scan,
-/// which fixes at least that column — lands in exactly one shard. The
-/// multiplier is the 64-bit golden-ratio (Fibonacci) mixing constant; the
-/// high bits it spreads dense small keys into are what the modulus sees.
-pub fn shard_of(t0: u64, nshards: usize) -> usize {
-    if nshards <= 1 {
-        return 0;
-    }
-    (t0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % nshards
-}
-
-/// The specialized B-tree hash-partitioned across N independent trees.
-///
-/// Each shard is a complete [`BTreeSet`], so no two shards ever share a
-/// root or a lock word. [`shard_of`] routes by
-/// the leading tuple column: point operations and bounded prefix scans
-/// touch exactly one shard, full scans visit shards in index order (tuple
-/// order *across* shards is not globally sorted — every engine-level
-/// consumer sorts or is order-insensitive).
-///
-/// `merge_from`/`retract_from` against another equally-sharded storage run
-/// one worker per shard with **zero cross-shard locks**: worker *i* only
-/// ever touches shard *i* of both trees, so the only synchronization left
-/// is the shard-index cursor. This is strictly stronger than the
-/// single-tree parallel merge, whose separator-aligned chunks still
-/// contend on shared parents.
-struct ShardedStorage<const K: usize> {
-    shards: Vec<BTreeSet<K>>,
-    indexes: Vec<ShardedIndex<K>>,
-}
-
-/// One secondary index of a sharded relation: per-shard permuted trees
-/// routed by the **permuted** leading column, so an index scan (which by
-/// construction binds that column) stays single-shard exactly like a
-/// primary prefix scan.
-struct ShardedIndex<const K: usize> {
-    order: IndexPerm<K>,
-    shards: Vec<BTreeSet<K>>,
-}
-
-impl<const K: usize> ShardedIndex<K> {
-    /// Permutes `t` and appends it to the destination-shard bucket.
-    #[inline]
-    fn bucket(&self, t: &[u64; K], buckets: &mut [Vec<[u64; K]>]) {
-        let p = self.order.permute(t);
-        buckets[shard_of(p[0], buckets.len())].push(p);
-    }
-
-    /// Applies a bucketed batch — sorted hinted inserts or removes — with
-    /// each destination shard owned by exactly one worker: the same
-    /// zero-cross-shard-lock discipline as the primary sharded merge.
-    fn apply_buckets(&self, buckets: Vec<Vec<[u64; K]>>, workers: usize, remove: bool) {
-        let w = workers.max(1).min(buckets.len().max(1));
-        let mut per_worker: Vec<Vec<(usize, Vec<[u64; K]>)>> = (0..w).map(|_| Vec::new()).collect();
-        for (b, bucket) in buckets.into_iter().enumerate() {
-            if !bucket.is_empty() {
-                per_worker[b % w].push((b, bucket));
-            }
-        }
-        let shards = &self.shards;
-        let run = |mine: Vec<(usize, Vec<[u64; K]>)>| {
-            for (b, mut bucket) in mine {
-                if remove {
-                    for p in &bucket {
-                        shards[b].remove(p);
-                    }
-                } else {
-                    bucket.sort_unstable();
-                    let mut hints = shards[b].create_hints();
-                    for p in bucket {
-                        shards[b].insert_hinted(p, &mut hints);
-                    }
-                }
-            }
-        };
-        if w == 1 {
-            per_worker.into_iter().for_each(run);
-        } else {
-            let run = &run;
-            std::thread::scope(|s| {
-                for mine in per_worker {
-                    s.spawn(move || run(mine));
-                }
-            });
-        }
-    }
-}
-
-/// Per-thread context for [`ShardedStorage`]: one hint set per primary
-/// shard, plus one per shard per secondary index (extended lazily for
-/// contexts that predate an index registration).
-struct ShardedCtx<const K: usize> {
-    main: Vec<BTreeHints<K>>,
-    idx: Vec<Vec<BTreeHints<K>>>,
-}
-
-impl<const K: usize> ShardedStorage<K> {
-    #[inline]
-    fn route(&self, t0: u64) -> usize {
-        shard_of(t0, self.shards.len())
-    }
-
-    #[inline]
-    fn ctx_of(ctx: &mut StorageCtx) -> &mut ShardedCtx<K> {
-        ctx.downcast_mut()
-            .expect("a context made by a sharded btree of this width")
-    }
-
-    /// The hint set for shard `s` of index `i`, growing the context if it
-    /// predates the index registration.
-    fn idx_hints<'c>(&self, ctx: &'c mut StorageCtx, i: usize, s: usize) -> &'c mut BTreeHints<K> {
-        let ctx = Self::ctx_of(ctx);
-        while ctx.idx.len() <= i {
-            let ix = &self.indexes[ctx.idx.len()];
-            ctx.idx
-                .push(ix.shards.iter().map(|t| t.create_hints()).collect());
-        }
-        &mut ctx.idx[i][s]
-    }
-
-    /// Replays every tuple of `src` against all secondary indexes after a
-    /// bulk primary merge/retract that bypassed per-tuple `insert`:
-    /// buckets the moved set per index by *destination index shard* and
-    /// applies each bucket on its owning worker — zero cross-shard locks,
-    /// like the primary sharded merge.
-    fn maintain_indexes(&self, src: &Self, workers: usize, remove: bool) {
-        if self.indexes.is_empty() || src.is_empty() {
-            return;
-        }
-        let timer = telemetry::start_timer();
-        for ix in &self.indexes {
-            let mut buckets: Vec<Vec<[u64; K]>> = vec![Vec::new(); ix.shards.len()];
-            for t in src.shards.iter().flat_map(|tree| tree.iter()) {
-                ix.bucket(&t, &mut buckets);
-            }
-            ix.apply_buckets(buckets, workers, remove);
-        }
-        timer.observe(telemetry::Hist::EvalIndexMaintainNanos);
-    }
-
-    /// Runs `op(i)` for every shard index on up to `workers` scoped
-    /// threads, summing the results. Zero cross-shard locks by
-    /// construction: the shard-index cursor is the only shared state, so
-    /// no two workers ever process the same shard.
-    fn shard_parallel(&self, workers: usize, op: &(dyn Fn(usize) -> u64 + Sync)) -> u64 {
-        let n = self.shards.len();
-        let run_one = |i: usize| -> u64 {
-            let timer = telemetry::start_timer();
-            let _span = telemetry::span("eval.shard", i as u64);
-            let r = op(i);
-            timer.observe(telemetry::Hist::EvalShardMergeNanos);
-            telemetry::count(telemetry::Counter::EvalShardMerges);
-            // Balance = per-shard tuples this operation moved. NOT the
-            // absolute shard size: `BTreeSet::len` is a deliberate O(n)
-            // full iteration, far too hot for a per-merge probe.
-            telemetry::record(telemetry::Hist::EvalShardBalance, r);
-            r
-        };
-        let workers = workers.max(1).min(n);
-        if workers == 1 {
-            return (0..n).map(run_one).sum();
-        }
-        let cursor = AtomicUsize::new(0);
-        let total = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    total.fetch_add(run_one(i), Relaxed);
-                });
-            }
-        });
-        total.into_inner()
-    }
-
-    /// `src` as an equally sharded storage of this width: the pairs whose
-    /// bulk operations run shard by shard.
-    fn aligned<'s>(&self, src: &'s dyn RelationStorage) -> Option<&'s Self> {
-        let other = src.as_any().downcast_ref::<Self>()?;
-        (other.shards.len() == self.shards.len()).then_some(other)
-    }
-}
-
-impl<const K: usize> RelationStorage for ShardedStorage<K> {
-    fn make_ctx(&self) -> StorageCtx {
-        // One hint set per shard: a worker's context follows it across
-        // whichever shards it ends up scanning or probing.
-        let hints = |trees: &[BTreeSet<K>]| trees.iter().map(|t| t.create_hints()).collect();
-        Box::new(ShardedCtx::<K> {
-            main: hints(&self.shards),
-            idx: self.indexes.iter().map(|ix| hints(&ix.shards)).collect(),
-        })
-    }
-
-    fn insert(&self, t: &TupleBuf, ctx: &mut StorageCtx) -> bool {
-        let t = key(t);
-        let s = self.route(t[0]);
-        let added = self.shards[s].insert_hinted(t, &mut Self::ctx_of(ctx).main[s]);
-        if added {
-            for (i, ix) in self.indexes.iter().enumerate() {
-                let p = ix.order.permute(&t);
-                let d = shard_of(p[0], ix.shards.len());
-                ix.shards[d].insert_hinted(p, self.idx_hints(ctx, i, d));
-            }
-        }
-        added
-    }
-
-    fn remove(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
-        // Unhinted, matching the single-tree backend: the removal
-        // protocol restarts from the root anyway.
-        let t = key(t);
-        let removed = self.shards[self.route(t[0])].remove(&t);
-        if removed {
-            for ix in &self.indexes {
-                let p = ix.order.permute(&t);
-                ix.shards[shard_of(p[0], ix.shards.len())].remove(&p);
-            }
-        }
-        removed
-    }
-
-    fn contains(&self, t: &TupleBuf, ctx: &mut StorageCtx) -> bool {
-        let s = self.route(t[0]);
-        self.shards[s].contains_hinted(&key(t), &mut Self::ctx_of(ctx).main[s])
-    }
-
-    fn scan_prefix(&self, prefix: &[u64], ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
-        let Some(&first) = prefix.first() else {
-            // Full scan: shards in index order (not globally sorted).
-            return self.for_each(f);
-        };
-        // A bounded prefix fixes the leading column, so exactly one shard
-        // can hold matches — the same single-tree scan as before, minus
-        // (nshards - 1) trees of irrelevant structure.
-        let s = self.route(first);
-        let hints = &mut Self::ctx_of(ctx).main[s];
-        scan_tree_prefix(&self.shards[s], prefix, Some(hints), |t| f(&pad(t)));
-    }
-
-    fn partition(&self, n: usize, prefix: &[u64]) -> Vec<StorageChunk> {
-        if let Some(&first) = prefix.first() {
-            // One shard holds every match; split inside it.
-            let s = self.route(first);
-            return tree_chunks(&self.shards[s], s, n, prefix);
-        }
-        // Full-scan split: every shard contributes its share of chunks,
-        // emitted grouped shard-by-shard so the scheduler can hand each
-        // worker a contiguous home-shard run.
-        let per = (n / self.shards.len()).max(1);
-        let shards = self.shards.iter().enumerate();
-        shards
-            .flat_map(|(s, tree)| tree_chunks(tree, s, per, &[]))
-            .collect()
-    }
-
-    fn scan_chunk(&self, chunk: &StorageChunk, ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
-        let hints = &mut Self::ctx_of(ctx).main[chunk.shard];
-        scan_tree_chunk(&self.shards[chunk.shard], &chunk.span, Some(hints), f);
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&TupleBuf)) {
-        let all = self.shards.iter().flat_map(|tree| tree.iter());
-        all.for_each(|t| f(&pad(&t)));
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|t| t.len()).sum()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.shards.iter().all(|t| t.is_empty())
-    }
-
-    fn hint_stats(&self, ctx: &StorageCtx) -> Option<HintStats> {
-        ctx.downcast_ref::<ShardedCtx<K>>().map(|c| {
-            let mut agg = HintStats::default();
-            let all = c.main.iter().chain(c.idx.iter().flatten());
-            all.for_each(|h| agg.merge(&h.stats));
-            agg
-        })
-    }
-
-    fn clear(&mut self) -> bool {
-        let index_trees = self.indexes.iter_mut().flat_map(|ix| &mut ix.shards);
-        self.shards
-            .iter_mut()
-            .chain(index_trees)
-            .for_each(|t| t.clear());
-        true
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn width(&self) -> usize {
-        K
-    }
-
-    fn tree_stats(&self) -> Vec<TreeStats> {
-        self.shards.iter().map(|t| t.stats()).collect()
-    }
-
-    fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn merge_from(&self, src: &dyn RelationStorage, workers: usize) -> u64 {
-        match self.aligned(src) {
-            // Shard-aligned: one worker per shard, each merging its
-            // shard's delta into its shard's tree. No cross-shard locks —
-            // the per-shard merge runs single-threaded against a tree no
-            // other worker touches. The bulk path bypasses per-tuple
-            // `insert`, so secondary indexes are replayed afterwards.
-            Some(other) => {
-                let added = self.shard_parallel(workers, &|i| {
-                    self.shards[i].insert_all_parallel(&other.shards[i], 1)
-                });
-                self.maintain_indexes(other, workers, false);
-                added
-            }
-            // Mismatched shard counts or a foreign backend: route every
-            // tuple through the shard map individually (`insert` maintains
-            // indexes inline).
-            None => merge_sequential(self, src),
-        }
-    }
-
-    fn retract_from(&self, src: &dyn RelationStorage, workers: usize) -> u64 {
-        match self.aligned(src) {
-            Some(other) => {
-                let removed = self.shard_parallel(workers, &|i| {
-                    self.shards[i].remove_all_parallel(&other.shards[i], 1)
-                });
-                self.maintain_indexes(other, workers, true);
-                removed
-            }
-            None => retract_sequential(self, src),
-        }
-    }
-
-    fn add_index(&mut self, perm: &[usize], workers: usize) -> Option<usize> {
-        if let Some(i) = self.indexes.iter().position(|ix| ix.order.perm == perm) {
-            return Some(i);
-        }
-        let timer = telemetry::start_timer();
-        let mut ix = ShardedIndex {
-            order: IndexPerm::new(perm)?,
-            shards: Vec::new(),
-        };
-        let mut buckets: Vec<Vec<[u64; K]>> = vec![Vec::new(); self.shards.len()];
-        for t in self.shards.iter().flat_map(|tree| tree.iter()) {
-            ix.bucket(&t, &mut buckets);
-        }
-        // One packed O(n) build per shard beats routing every tuple
-        // through the insert path of an initially empty tree; leftover
-        // workers parallelize the per-shard sorts.
-        let per_shard = (workers / buckets.len()).max(1);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|b| s.spawn(move || build_index_tree(b, per_shard)))
-                .collect();
-            ix.shards = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        });
-        self.indexes.push(ix);
-        timer.observe(telemetry::Hist::EvalIndexMaintainNanos);
-        telemetry::count(telemetry::Counter::EvalIndexBuilds);
-        Some(self.indexes.len() - 1)
-    }
-
-    fn index_perms(&self) -> Vec<Vec<usize>> {
-        self.indexes
-            .iter()
-            .map(|ix| ix.order.perm.clone())
-            .collect()
-    }
-
-    fn scan_index(
-        &self,
-        index: usize,
-        perm: &[usize],
-        prefix: &[u64],
-        ctx: &mut StorageCtx,
-        f: &mut dyn FnMut(&TupleBuf),
-    ) {
-        let (Some(ix), Some(&first)) = (self.indexes.get(index), prefix.first()) else {
-            // No such index, or nothing bound: a (filtered) sweep.
-            return scan_filtered(self, perm, prefix, ctx, f);
-        };
-        debug_assert_eq!(ix.order.perm, perm, "index id / permutation mismatch");
-        // The permuted prefix binds the permuted leading column, so the
-        // scan stays single-shard — same locality as a primary prefix scan.
-        let s = shard_of(first, ix.shards.len());
-        let hints = self.idx_hints(ctx, index, s);
-        scan_tree_prefix(&ix.shards[s], prefix, Some(hints), |t| {
-            f(&ix.order.unpermute(t))
-        });
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1569,12 +1104,6 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet as Model;
 
-    /// Every kind, the sharded one at three shard counts.
-    fn all_kinds() -> impl Iterator<Item = StorageKind> {
-        let sharded = [1usize, 2, 8].map(StorageKind::ShardedBTree);
-        StorageKind::ALL.into_iter().chain(sharded)
-    }
-
     /// An `arity`-column tuple made of `a` and `b`: distinct `(a, b)` give
     /// distinct tuples at every arity, and from arity 2 on the leading
     /// column is `a`.
@@ -1699,7 +1228,7 @@ mod tests {
 
     #[test]
     fn all_backends_conform() {
-        for kind in all_kinds() {
+        for kind in StorageKind::ALL {
             for arity in 1..=MAX_ARITY {
                 exercise(kind, arity);
                 exercise_indexes(kind, arity);
@@ -1723,10 +1252,9 @@ mod tests {
         let bytes_per_tuple = |arity: usize| {
             let tuples: Vec<TupleBuf> = (0..5_000u64).map(|i| tuple(arity, i, i)).collect();
             let s = filled(StorageKind::SpecBTree, arity, &tuples);
-            let stats = s.tree_stats();
-            assert_eq!(stats.len(), 1);
-            assert_eq!(stats[0].keys, 5_000);
-            stats[0].live_bytes as f64 / 5_000.0
+            let stats = s.tree_stats().expect("the spec btree has a census");
+            assert_eq!(stats.keys, 5_000);
+            stats.live_bytes as f64 / 5_000.0
         };
         let wide = bytes_per_tuple(MAX_ARITY);
         assert!(bytes_per_tuple(2) <= 0.5 * wide);
@@ -1736,7 +1264,7 @@ mod tests {
         let mut ctx = s.make_ctx();
         assert!(s.insert(&[1, 2, 3, 4, 5], &mut ctx));
         assert!(s.contains(&[1, 2, 3, 4, 5], &mut ctx));
-        assert!(StorageKind::RbTreeLocked.create().tree_stats().is_empty());
+        assert!(StorageKind::RbTreeLocked.create().tree_stats().is_none());
     }
 
     /// Storages of different arity never merge by truncation: a narrower
@@ -1745,8 +1273,8 @@ mod tests {
     #[test]
     fn merging_a_wider_relation_is_caught() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        for kind in all_kinds() {
-            for src_kind in all_kinds() {
+        for kind in StorageKind::ALL {
+            for src_kind in StorageKind::ALL {
                 let wide = filled(src_kind, 3, &[pad(&[1, 2, 0])]);
                 assert_eq!((wide.width(), kind.create().width()), (3, MAX_ARITY));
                 let narrow = filled(kind, 2, &[pad(&[1, 2])]);
@@ -1768,7 +1296,7 @@ mod tests {
     /// test): no backend may hold a lock across the callback.
     #[test]
     fn scan_callbacks_may_reenter_the_storage() {
-        for kind in all_kinds() {
+        for kind in StorageKind::ALL {
             let tuples: Vec<TupleBuf> = (0..50u64).map(|i| tuple(2, i % 5, i)).collect();
             let s = filled(kind, 2, &tuples);
             let (mut outer, mut inner, mut probe) = (s.make_ctx(), s.make_ctx(), s.make_ctx());
@@ -1791,7 +1319,7 @@ mod tests {
             // Overlap 0..300 plus 100 tuples absent from dst.
             let mut victims = base[..300].to_vec();
             victims.extend((1_000..1_100u64).map(|i| tuple(arity, i, 0)));
-            for dst_kind in all_kinds() {
+            for dst_kind in StorageKind::ALL {
                 for src_kind in [dst_kind, StorageKind::SpecBTree, StorageKind::GBTreeLocked] {
                     let src = filled(src_kind, arity, &victims);
                     for workers in [1usize, 4] {
@@ -1831,7 +1359,7 @@ mod tests {
 
     #[test]
     fn partition_scan_equals_prefix_scan_on_all_backends() {
-        for kind in all_kinds() {
+        for kind in StorageKind::ALL {
             for arity in 1..=MAX_ARITY {
                 let tuples: Vec<TupleBuf> =
                     (0..800u64).map(|i| tuple(arity, i % 8, i / 8)).collect();
@@ -1864,7 +1392,7 @@ mod tests {
         assert!(chunks.len() > 1, "a deep tree should split");
         assert!(chunks
             .iter()
-            .all(|c| c.shard == 0 && matches!(c.span, ChunkSpan::Range { .. })));
+            .all(|c| matches!(c, StorageChunk::Range { .. })));
         // Empty relations partition to no chunks at all.
         assert!(StorageKind::SpecBTree.create().partition(8, &[]).is_empty());
     }
@@ -1877,86 +1405,12 @@ mod tests {
         assert!(!chunks.is_empty());
         let total: usize = chunks
             .iter()
-            .map(|c| match &c.span {
-                ChunkSpan::Materialized { start, end, .. } => end - start,
-                ChunkSpan::Range { .. } => panic!("hash backend cannot emit ranges"),
+            .map(|c| match c {
+                StorageChunk::Materialized { start, end, .. } => end - start,
+                StorageChunk::Range { .. } => panic!("hash backend cannot emit ranges"),
             })
             .sum();
         assert_eq!(total, 100);
-    }
-
-    #[test]
-    fn sharded_partition_tags_and_groups_chunks_by_shard() {
-        let tuples: Vec<TupleBuf> = (0..8_000u64).map(|i| pad(&[i / 100, i % 100])).collect();
-        let s = filled(StorageKind::ShardedBTree(4), 2, &tuples);
-        let mut ctx = s.make_ctx();
-        assert_eq!(s.shard_count(), 4);
-        let chunks = s.partition(32, &[]);
-        assert!(chunks.len() > 4, "every populated shard should oversplit");
-        // Chunks arrive grouped: the shard id never decreases along the
-        // vector (the scheduler's home-shard runs rely on contiguity).
-        let shards: Vec<usize> = chunks.iter().map(|c| c.shard).collect();
-        let mut sorted = shards.clone();
-        sorted.sort_unstable();
-        assert_eq!(shards, sorted, "chunks must be grouped shard-by-shard");
-        assert!(shards.iter().any(|&s| s > 0), "multiple shards populated");
-        // A bounded prefix routes to exactly one shard.
-        let bounded = s.partition(8, &[3]);
-        assert!(!bounded.is_empty());
-        let first = bounded[0].shard;
-        assert!(bounded.iter().all(|c| c.shard == first));
-        // Scanning all chunks reproduces the full contents exactly once.
-        let mut got = Vec::new();
-        for c in &chunks {
-            s.scan_chunk(c, &mut ctx, &mut |t| got.push(*t));
-        }
-        assert_eq!(got.len(), 8_000);
-        got.sort_unstable();
-        got.dedup();
-        assert_eq!(got.len(), 8_000, "no tuple may appear in two shards");
-    }
-
-    #[test]
-    fn sharded_merge_and_retract_run_shardwise() {
-        let run = |i: std::ops::Range<u64>| i.map(|i| pad(&[i, 1])).collect::<Vec<_>>();
-        for (nshards, workers) in [(4usize, 1usize), (4, 4), (8, 3)] {
-            let kind = StorageKind::ShardedBTree(nshards);
-            let dst = filled(kind, 2, &run(0..2_000));
-            // Overlap 1000..2000, fresh 2000..3000.
-            let src = filled(kind, 2, &run(1_000..3_000));
-            let mut dctx = dst.make_ctx();
-            let added = dst.merge_from(src.as_ref(), workers);
-            assert_eq!(added, 1_000, "shards={nshards} workers={workers}");
-            assert_eq!(dst.len(), 3_000);
-            assert_eq!(src.len(), 2_000, "source untouched");
-
-            let removed = dst.retract_from(src.as_ref(), workers);
-            assert_eq!(removed, 2_000, "shards={nshards} workers={workers}");
-            assert_eq!(dst.len(), 1_000);
-            assert!(dst.contains(&pad(&[0, 1]), &mut dctx));
-            assert!(!dst.contains(&pad(&[1_500, 1]), &mut dctx));
-        }
-        // Mismatched shard counts fall back to the routed per-tuple path.
-        let dst = filled(StorageKind::ShardedBTree(2), 2, &[pad(&[1, 1])]);
-        let src = filled(StorageKind::ShardedBTree(8), 2, &run(0..100));
-        assert_eq!(dst.merge_from(src.as_ref(), 4), 99);
-        assert_eq!(dst.len(), 100);
-    }
-
-    #[test]
-    fn sharded_skew_concentrates_in_one_shard() {
-        // Every tuple shares the leading column, so the shard map sends
-        // all of them to a single shard — the worst case the balance
-        // telemetry exists to expose. Correctness must be unaffected.
-        let tuples: Vec<TupleBuf> = (0..1_000u64).map(|i| pad(&[7, i])).collect();
-        let s = filled(StorageKind::ShardedBTree(8), 2, &tuples);
-        let lens: Vec<u64> = s.tree_stats().iter().map(|t| t.keys).collect();
-        assert_eq!(lens.len(), 8);
-        assert_eq!(lens.iter().sum::<u64>(), 1_000);
-        assert_eq!(lens.iter().max().copied().unwrap(), 1_000, "{lens:?}");
-        let mut got = Vec::new();
-        s.scan_prefix(&[7], &mut s.make_ctx(), &mut |t| got.push(*t));
-        assert_eq!(got.len(), 1_000);
     }
 
     #[test]

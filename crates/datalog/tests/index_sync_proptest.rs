@@ -3,7 +3,7 @@
 //! and `clear`, every registered index permutation must yield **exactly**
 //! the primary's tuple set (and permuted-prefix probes must equal the
 //! filtered model). Covers the real index-maintaining backends (the
-//! specialized B-tree and its sharded variant) and the filtered-scan
+//! specialized B-tree, with and without hints) and the filtered-scan
 //! fallback every other backend serves `scan_index` with.
 
 use datalog::storage::{pad, RelationStorage, TupleBuf};
@@ -11,8 +11,8 @@ use datalog::{StorageKind, MAX_ARITY};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-/// Tiny key domain: collisions everywhere, so removes hit, merges dedupe,
-/// and every shard sees traffic.
+/// Tiny key domain: collisions everywhere, so removes hit and merges
+/// dedupe.
 fn key() -> impl Strategy<Value = (u64, u64)> {
     (0u64..12, 0u64..12)
 }
@@ -22,20 +22,14 @@ fn op() -> impl Strategy<Value = (bool, (u64, u64))> {
 }
 
 /// Backends that maintain real permuted trees.
-const INDEXED: [StorageKind; 4] = [
-    StorageKind::SpecBTree,
-    StorageKind::SpecBTreeNoHints,
-    StorageKind::ShardedBTree(2),
-    StorageKind::ShardedBTree(5),
-];
+const INDEXED: [StorageKind; 2] = [StorageKind::SpecBTree, StorageKind::SpecBTreeNoHints];
 
-/// Backends that answer `scan_index` by filtering a sweep.
-const UNINDEXED: [StorageKind; 4] = [
-    StorageKind::ConcurrentHashSet,
-    StorageKind::HashSetLocked,
-    StorageKind::RbTreeLocked,
-    StorageKind::GBTreeLocked,
-];
+/// Every other backend answers `scan_index` by filtering a sweep.
+fn unindexed() -> impl Iterator<Item = StorageKind> {
+    StorageKind::ALL
+        .into_iter()
+        .filter(|k| !INDEXED.contains(k))
+}
 
 /// The `arity`-column tuple of a key: distinct keys give distinct tuples at
 /// every arity.
@@ -149,7 +143,7 @@ proptest! {
 
     /// Bulk `merge_from` / `retract_from` (the engine's `new → full` fold
     /// and overdeletion subtraction) maintain the indexes too — including
-    /// the tree-to-tree and shard-aligned fast paths.
+    /// the tree-to-tree fast path.
     #[test]
     fn bulk_ops_keep_indexes_in_sync(
         base in prop::collection::vec(key(), 0..120),
@@ -235,7 +229,7 @@ proptest! {
     /// the price of a sweep, which is why the planner assigns them no index.
     #[test]
     fn fallback_scan_index_filters_correctly(keys in prop::collection::vec(key(), 0..100)) {
-        for kind in UNINDEXED {
+        for kind in unindexed() {
             for (arity, width) in shapes() {
                 let mut storage = make(kind, width);
                 let perm = reversed(arity);

@@ -97,41 +97,9 @@ fn merge_from_append_delta_on_btree_backends() {
 #[test]
 fn merge_from_empty_edges() {
     let a = tuples(3, 300, 48);
-    let sharded = [2, 8].map(StorageKind::ShardedBTree);
-    for kind in StorageKind::ALL.into_iter().chain(sharded) {
+    for kind in StorageKind::ALL {
         check_pair(kind, kind, &a, &[]);
         check_pair(kind, kind, &[], &a);
         check_pair(kind, kind, &[], &[]);
     }
-}
-
-/// Sharded merges: aligned shard counts take the shard-parallel
-/// structure-aware path (per-shard tree merges, no cross-shard locks);
-/// misaligned counts and cross-backend pairs fall back to the per-tuple
-/// merge. All must agree with the std-set model.
-#[test]
-fn merge_from_sharded_backends_match_model() {
-    let a = tuples(4, 600, 64);
-    let b = tuples(5, 600, 64);
-    for shards in [2usize, 8] {
-        let kind = StorageKind::ShardedBTree(shards);
-        check_pair(kind, kind, &a, &b);
-        check_pair(kind, StorageKind::ShardedBTree(3), &a, &b);
-        check_pair(kind, StorageKind::SpecBTree, &a, &b);
-        check_pair(StorageKind::SpecBTree, kind, &a, &b);
-    }
-}
-
-/// Skewed-hash corner: every tuple shares one leading column, so a single
-/// shard holds >90% of both sides and the other seven merge empty runs.
-#[test]
-fn merge_from_sharded_skewed_source() {
-    let a: Vec<(u64, u64)> = (0..400).map(|i| (7, i)).collect();
-    let b: Vec<(u64, u64)> = (300..700).map(|i| (7, i)).collect();
-    check_pair(
-        StorageKind::ShardedBTree(8),
-        StorageKind::ShardedBTree(8),
-        &a,
-        &b,
-    );
 }

@@ -190,10 +190,7 @@ fn mixed_arity_program_agrees_with_the_naive_reference() {
         assert_ne!(before[rel], after[rel], "the retraction reaches {rel}");
     }
 
-    let kinds = StorageKind::ALL
-        .into_iter()
-        .chain([1, 2, 8].map(StorageKind::ShardedBTree));
-    for kind in kinds {
+    for kind in StorageKind::ALL {
         for threads in [1, 2, 8] {
             for planner in [true, false] {
                 let what = format!("{kind:?}, {threads} threads, planner {planner}");
@@ -217,12 +214,8 @@ fn mixed_arity_program_agrees_with_the_naive_reference() {
                 let report = engine.storage_report();
                 for rel in ["hop", "rec"] {
                     let row = report.relations.iter().find(|r| r.name == rel).unwrap();
-                    let tree = matches!(
-                        kind,
-                        StorageKind::SpecBTree
-                            | StorageKind::SpecBTreeNoHints
-                            | StorageKind::ShardedBTree(_)
-                    );
+                    let tree =
+                        matches!(kind, StorageKind::SpecBTree | StorageKind::SpecBTreeNoHints);
                     assert_eq!(
                         !row.index_perms.is_empty(),
                         tree && planner,

@@ -1,8 +1,11 @@
 //! Differential test for the chunk-driven parallel scheduler: on every
-//! storage backend and at several thread counts, work-stealing evaluation
-//! must produce byte-identical relation contents to an independent
-//! reference closure computed over std sets.
+//! storage backend and at several thread counts, evaluation must produce
+//! byte-identical relation contents to an independent reference closure
+//! computed over std sets, with the same join work as one worker does.
 
+mod common;
+
+use common::thread_counts;
 use datalog::{parse, Engine, StorageKind};
 use workloads::graphs;
 
@@ -14,28 +17,32 @@ const TC_PROGRAM: &str = r#"
     path(x, z) :- path(x, y), edge(y, z).
 "#;
 
-/// Thread counts to exercise. `DATALOG_TEST_THREADS` (used by the CI smoke
-/// matrix) appends an extra count.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 4, 8];
-    if let Ok(extra) = std::env::var("DATALOG_TEST_THREADS") {
-        if let Ok(n) = extra.trim().parse::<usize>() {
-            if !counts.contains(&n) {
-                counts.push(n);
-            }
-        }
-    }
-    counts
-}
-
-fn run_tc(edges: &[(u64, u64)], kind: StorageKind, threads: usize) -> Vec<Vec<u64>> {
+/// The closure, and the join work that found it: tuples scanned and
+/// emitted, membership tests, inserts, and the range queries of inner
+/// scans — `lower_bound_calls` less the one descent that opens each range
+/// chunk of an outer scan, which only the B-tree kinds hand out. However
+/// the outer scans were cut into chunks, each chunk is claimed exactly
+/// once, so none of these may depend on the worker count.
+fn run_tc(edges: &[(u64, u64)], kind: StorageKind, threads: usize) -> (Vec<Vec<u64>>, [u64; 5]) {
     let program = parse(TC_PROGRAM).unwrap();
     let mut engine = Engine::new(&program, kind, threads).unwrap();
     engine
         .add_facts("edge", edges.iter().map(|&(a, b)| vec![a, b]))
         .unwrap();
     engine.run().unwrap();
-    engine.relation("path").unwrap()
+    let stats = engine.stats();
+    let range_chunks = match kind {
+        StorageKind::SpecBTree | StorageKind::SpecBTreeNoHints => stats.chunks_claimed,
+        _ => 0,
+    };
+    let work = [
+        stats.tuples_scanned,
+        stats.tuples_emitted,
+        stats.membership_tests,
+        stats.inserts,
+        stats.lower_bound_calls - range_chunks,
+    ];
+    (engine.relation("path").unwrap(), work)
 }
 
 fn check_workload(name: &str, edges: Vec<(u64, u64)>) {
@@ -45,15 +52,20 @@ fn check_workload(name: &str, edges: Vec<(u64, u64)>) {
         .map(|(a, b)| vec![a, b])
         .collect();
 
-    // The figure-legend kinds plus the sharded backend at several shard
-    // counts (1 = degenerate single shard, 8 > typical test thread count).
-    let sharded = [1, 2, 8].map(StorageKind::ShardedBTree);
-    for kind in StorageKind::ALL.into_iter().chain(sharded) {
+    for kind in StorageKind::ALL {
+        // `thread_counts` starts at one worker: every later count is held
+        // to that run's work.
+        let mut one_worker = None;
         for threads in thread_counts() {
+            let (path, work) = run_tc(&edges, kind, threads);
             assert_eq!(
-                run_tc(&edges, kind, threads),
-                expect,
+                path, expect,
                 "{name}: {kind:?} at {threads} threads disagrees with the reference closure"
+            );
+            assert_eq!(
+                work,
+                *one_worker.get_or_insert(work),
+                "{name}: {kind:?} at {threads} threads did other work than one worker"
             );
         }
     }
@@ -77,43 +89,6 @@ fn random_graph_closure_is_schedule_independent() {
 #[test]
 fn layered_dag_closure_is_schedule_independent() {
     check_workload("layered_dag(5,8,2,3)", graphs::layered_dag(5, 8, 2, 3));
-}
-
-/// Skewed-hash corner: a star graph whose tuples all share leading column
-/// 0 routes >90% of `path` into one shard. The closure must still match
-/// the reference, and the storage report must expose the imbalance.
-#[test]
-fn skewed_hash_concentrates_in_one_shard_and_stays_correct() {
-    let mut edges: Vec<(u64, u64)> = (1..=60).map(|i| (0, i)).collect();
-    // One stray edge keeps a second shard non-empty (0 and 1 hash apart).
-    edges.push((1, 2));
-    let expect: Vec<Vec<u64>> = graphs::reference_tc(&edges)
-        .into_iter()
-        .map(|(a, b)| vec![a, b])
-        .collect();
-
-    let program = parse(TC_PROGRAM).unwrap();
-    let mut engine = Engine::new(&program, StorageKind::ShardedBTree(8), 4).unwrap();
-    engine
-        .add_facts("edge", edges.iter().map(|&(a, b)| vec![a, b]))
-        .unwrap();
-    engine.run().unwrap();
-    assert_eq!(engine.relation("path").unwrap(), expect);
-
-    let report = engine.storage_report();
-    let rel = report
-        .relations
-        .iter()
-        .find(|r| r.name == "path")
-        .expect("path relation in report");
-    assert_eq!(rel.shard_lens.len(), 8, "one census entry per shard");
-    assert_eq!(rel.shard_lens.iter().sum::<usize>(), rel.len);
-    let max = *rel.shard_lens.iter().max().unwrap();
-    assert!(
-        max as f64 >= 0.9 * rel.len as f64,
-        "star graph should concentrate >90% in one shard, got {:?}",
-        rel.shard_lens
-    );
 }
 
 /// Scheduler observability: a multi-threaded chunk-driven run reports

@@ -9,6 +9,9 @@
 //! the `EXPLAIN` rendering of chosen permutations and justifying
 //! cardinalities.
 
+mod common;
+
+use common::thread_counts;
 use datalog::{parse, Engine, StorageKind};
 use std::collections::BTreeSet;
 use workloads::graphs;
@@ -46,27 +49,6 @@ const PROBE_PROGRAM: &str = r#"
     out(x, z) :- fact(y, x), link(y, z), probe(x).
 "#;
 
-/// Thread counts to exercise. `DATALOG_TEST_THREADS` (used by the CI smoke
-/// matrix) appends an extra count.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 4, 8];
-    if let Ok(extra) = std::env::var("DATALOG_TEST_THREADS") {
-        if let Ok(n) = extra.trim().parse::<usize>() {
-            if !counts.contains(&n) {
-                counts.push(n);
-            }
-        }
-    }
-    counts
-}
-
-/// Every backend, including the sharded tree at several shard counts.
-fn all_kinds() -> impl Iterator<Item = StorageKind> {
-    StorageKind::ALL
-        .into_iter()
-        .chain([1, 2, 8].map(StorageKind::ShardedBTree))
-}
-
 /// Parses `src`, loads `facts`, runs to fixpoint with the planner toggled
 /// per `planner`, and returns relation `out`.
 fn eval_rel(
@@ -96,7 +78,7 @@ fn check_matrix(
     out: &str,
     expect: &[Vec<u64>],
 ) {
-    for kind in all_kinds() {
+    for kind in StorageKind::ALL {
         for threads in thread_counts() {
             let on = eval_rel(src, facts, out, kind, threads, true);
             assert_eq!(
@@ -379,7 +361,7 @@ fn retraction_matrix_with_planner_on_and_off() {
         .map(|(a, b)| vec![a, b])
         .collect();
     let program = parse(TC_PROGRAM).unwrap();
-    for kind in all_kinds() {
+    for kind in StorageKind::ALL {
         for threads in [1, 4] {
             for planner in [true, false] {
                 let mut engine = Engine::new(&program, kind, threads).unwrap();

@@ -9,6 +9,9 @@
 //! negation (where retraction *grows* relations), and draining a program
 //! to empty one fact at a time.
 
+mod common;
+
+use common::thread_counts;
 use datalog::{parse, Engine, StorageKind};
 use std::collections::BTreeSet;
 use workloads::graphs;
@@ -21,25 +24,10 @@ const TC_PROGRAM: &str = r#"
     path(x, z) :- path(x, y), edge(y, z).
 "#;
 
-/// Thread counts to exercise. `DATALOG_TEST_THREADS` (used by the CI smoke
-/// matrix) appends an extra count.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 4, 8];
-    if let Ok(extra) = std::env::var("DATALOG_TEST_THREADS") {
-        if let Ok(n) = extra.trim().parse::<usize>() {
-            if !counts.contains(&n) {
-                counts.push(n);
-            }
-        }
-    }
-    counts
-}
-
-/// Every backend (and three shard counts) at every thread count.
+/// Every backend at every thread count.
 fn every_kind_and_thread_count() -> impl Iterator<Item = (StorageKind, usize)> {
-    let sharded = [1, 2, 8].map(StorageKind::ShardedBTree);
-    let kinds = StorageKind::ALL.into_iter().chain(sharded);
-    kinds.flat_map(|kind| thread_counts().into_iter().map(move |t| (kind, t)))
+    let threads = |kind| thread_counts().into_iter().map(move |t| (kind, t));
+    StorageKind::ALL.into_iter().flat_map(threads)
 }
 
 fn edge_facts(edges: &[(u64, u64)]) -> impl Iterator<Item = Vec<u64>> + '_ {

@@ -63,29 +63,6 @@ pub struct TreeStats {
 }
 
 impl TreeStats {
-    /// Folds another census into this one — the aggregation a *sharded*
-    /// relation needs to report itself as a single logical structure.
-    /// Additive fields (nodes, keys, occupancy buckets, bytes) sum; `depth`
-    /// takes the maximum over shards and `capacity` the maximum (all shards
-    /// share one `C` in practice, but an absorbed default-zero census must
-    /// not clobber it).
-    pub fn absorb(&mut self, other: &TreeStats) {
-        self.depth = self.depth.max(other.depth);
-        self.inner_nodes += other.inner_nodes;
-        self.leaf_nodes += other.leaf_nodes;
-        self.keys += other.keys;
-        self.leaf_keys += other.leaf_keys;
-        self.capacity = self.capacity.max(other.capacity);
-        for (b, n) in self.occupancy_hist.iter_mut().zip(other.occupancy_hist) {
-            *b += n;
-        }
-        self.graveyard_len += other.graveyard_len;
-        self.buried_nodes += other.buried_nodes;
-        self.buried_leaves += other.buried_leaves;
-        self.abandoned_bytes += other.abandoned_bytes;
-        self.live_bytes += other.live_bytes;
-    }
-
     /// Fraction of total leaf capacity holding real keys, in `[0, 1]`.
     pub fn leaf_fill(&self) -> f64 {
         if self.leaf_nodes == 0 {

@@ -132,13 +132,6 @@ pub enum Counter {
     /// `specbtree`: empty leaves spliced out of their parent after a
     /// remove drained them.
     BtreeLeafUnlinks,
-    /// `datalog`: per-shard delta merges performed by the sharded storage
-    /// backend (one per shard per merge pass; each runs against its own
-    /// tree with no cross-shard locks).
-    EvalShardMerges,
-    /// `datalog`: outer-scan chunks a worker claimed outside its home
-    /// shard (work stealing crossed a shard boundary).
-    EvalShardSteals,
     /// `datalog`: secondary index trees built (one per column permutation
     /// registered on a relation, backfill included).
     EvalIndexBuilds,
@@ -146,7 +139,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 26;
+    pub const COUNT: usize = 24;
 
     /// All counters, in declaration order.
     pub const ALL: [Counter; Self::COUNT] = [
@@ -173,8 +166,6 @@ impl Counter {
         Counter::BtreeRemoves,
         Counter::BtreeRemoveRestarts,
         Counter::BtreeLeafUnlinks,
-        Counter::EvalShardMerges,
-        Counter::EvalShardSteals,
         Counter::EvalIndexBuilds,
     ];
 
@@ -204,8 +195,6 @@ impl Counter {
             Counter::BtreeRemoves => "specbtree.removes",
             Counter::BtreeRemoveRestarts => "specbtree.remove_restarts",
             Counter::BtreeLeafUnlinks => "specbtree.leaf_unlinks",
-            Counter::EvalShardMerges => "datalog.shard_merges",
-            Counter::EvalShardSteals => "datalog.shard_steals",
             Counter::EvalIndexBuilds => "datalog.index_builds",
         }
     }
@@ -227,13 +216,6 @@ pub enum Hist {
     /// `datalog`: wall time of one merge phase — folding every `new`
     /// relation of a stratum into its full relation (nanoseconds).
     EvalMergeNanos,
-    /// `datalog`: per-shard tuple counts sampled after each sharded merge
-    /// pass — the spread of this histogram *is* the shard balance (a
-    /// single hot bucket means one shard soaks up the relation).
-    EvalShardBalance,
-    /// `datalog`: wall time of one shard's delta merge within a sharded
-    /// merge pass (nanoseconds).
-    EvalShardMergeNanos,
     /// `datalog`: wall time spent keeping secondary index trees in sync
     /// with their primary during bulk `merge_from`/`retract_from` passes
     /// and index backfill builds (nanoseconds).
@@ -242,7 +224,7 @@ pub enum Hist {
 
 impl Hist {
     /// Number of histograms (array dimension).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 6;
 
     /// All histograms, in declaration order.
     pub const ALL: [Hist; Self::COUNT] = [
@@ -251,8 +233,6 @@ impl Hist {
         Hist::EvalChunkNanos,
         Hist::EvalStratumNanos,
         Hist::EvalMergeNanos,
-        Hist::EvalShardBalance,
-        Hist::EvalShardMergeNanos,
         Hist::EvalIndexMaintainNanos,
     ];
 
@@ -264,8 +244,6 @@ impl Hist {
             Hist::EvalChunkNanos => "datalog.chunk_nanos",
             Hist::EvalStratumNanos => "datalog.stratum_nanos",
             Hist::EvalMergeNanos => "datalog.merge_nanos",
-            Hist::EvalShardBalance => "datalog.shard_balance",
-            Hist::EvalShardMergeNanos => "datalog.shard_merge_nanos",
             Hist::EvalIndexMaintainNanos => "datalog.index_maintain_nanos",
         }
     }

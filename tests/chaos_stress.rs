@@ -88,46 +88,6 @@ fn chaos_insert_vs_iterate_read_phase_is_consistent() {
     });
 }
 
-/// Sharded-storage corner: the sharded relation backend's merge runs one
-/// single-threaded `insert_all_parallel` per shard on concurrently
-/// scheduled workers, claiming zero cross-shard interference because the
-/// per-shard trees (and their arenas) share no state. Model exactly that
-/// pattern — two disjoint shard trees, one merge worker each — and let
-/// the schedule explorer interleave the bulk merges; each shard must end
-/// up identical to its sequential model with invariants intact.
-#[test]
-fn chaos_shard_local_merges_are_independent() {
-    chaos::model(chaos::seeds_from_env(0..48), || {
-        let shards: Arc<[BTreeSet<1, 4>; 2]> = Arc::new([BTreeSet::new(), BTreeSet::new()]);
-        let srcs: Arc<[BTreeSet<1, 4>; 2]> = Arc::new([BTreeSet::new(), BTreeSet::new()]);
-        // Pre-existing content and disjoint deltas, routed by parity (the
-        // shard map stand-in); the overlap at keys 2/3 exercises the
-        // per-tuple body path, the tail beyond each maximum the splice.
-        for k in 0..4u64 {
-            shards[(k % 2) as usize].insert([k]);
-        }
-        for k in 2..10u64 {
-            srcs[(k % 2) as usize].insert([k]);
-        }
-        let handles: Vec<_> = (0..2usize)
-            .map(|i| {
-                let (shards, srcs) = (shards.clone(), srcs.clone());
-                // workers == 1 keeps each merge inline on its chaos
-                // thread — no hidden native threads under the model.
-                chaos::thread::spawn(move || shards[i].insert_all_parallel(&srcs[i], 1))
-            })
-            .collect();
-        let added: u64 = handles.into_iter().map(|h| h.join()).sum();
-        assert_eq!(added, 6, "each shard gains the 3 new keys of its delta");
-        for (i, tree) in shards.iter().enumerate() {
-            tree.check_invariants().unwrap();
-            let ours: Vec<u64> = tree.iter().map(|t| t[0]).collect();
-            let model: Vec<u64> = (0..10u64).filter(|k| (k % 2) as usize == i).collect();
-            assert_eq!(ours, model, "shard {i} diverged from its model");
-        }
-    });
-}
-
 /// Port of `heavy_random_contention_with_invariant_audit` as a split storm:
 /// pseudo-random keys from per-thread splitmix streams at capacity 4 force
 /// splits to race; the result must match a sequential model exactly.
