@@ -75,9 +75,14 @@ impl From<StratError> for EngineError {
 /// only the most recent run (a ratio cannot meaningfully accumulate).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalStats {
-    /// Total `insert` calls on relation storages.
+    /// `insert` calls issued on relation storages: loaded facts, tuples a
+    /// merge or a delta seeding moved, and the head tuples workers offered
+    /// to `new` ([`WorkerStats::inserts`](crate::WorkerStats::inserts)).
     pub inserts: u64,
-    /// Total membership tests.
+    /// Membership tests issued: one per fully bound body literal reached,
+    /// and one per distinct head tuple of a worker's emit batch — so this
+    /// and `inserts` repeat exactly at one thread and move by where the
+    /// batches end at more.
     pub membership_tests: u64,
     /// Total `lower_bound` calls.
     pub lower_bound_calls: u64,

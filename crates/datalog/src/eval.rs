@@ -25,7 +25,7 @@
 
 use crate::ast::{CmpOp, Rule, Term, MAX_ARITY};
 use crate::planner::IndexCatalog;
-use crate::storage::{RelationStorage, StorageChunk, StorageCtx, TupleBuf};
+use crate::storage::{pad, RelationStorage, StorageChunk, StorageCtx, TupleBuf};
 use specbtree::HintStats;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
@@ -52,11 +52,13 @@ pub struct WorkerStats {
     /// Inner scans that fell through to an unindexed full sweep of the
     /// relation (no bound prefix, no secondary index).
     pub inner_scans_full: u64,
-    /// `insert` calls the worker issued (head tuples not in the full
-    /// relation, offered to `new`).
+    /// `insert` calls issued: head tuples not in the full relation, offered
+    /// to `new` — after duplicates within one emit batch are dropped, so the
+    /// count moves with where the batches end.
     pub inserts: u64,
-    /// Membership tests the worker issued (fully bound body literals and
-    /// the head's test against the full relation).
+    /// Membership tests issued: fully bound body literals, and the head's
+    /// test against the full relation once per distinct tuple of an emit
+    /// batch.
     pub membership_tests: u64,
     /// `lower_bound` calls: one per inner scan and per range chunk of an
     /// outer scan.
@@ -625,6 +627,9 @@ pub(crate) struct WorkerCtxs {
     plans: Vec<Vec<Option<(usize, StorageCtx)>>>,
     /// Hint statistics of the contexts re-plans retired.
     retired: HintStats,
+    /// The worker's emit batch: empty between plan executions, kept for its
+    /// allocation (a fresh 160 KB buffer per execution is an `mmap` each).
+    batch: Vec<u64>,
 }
 
 impl WorkerCtxs {
@@ -640,7 +645,7 @@ impl WorkerCtxs {
         if self.plans.len() <= id {
             self.plans.resize_with(id + 1, Vec::new);
         }
-        let Self { plans, retired } = self;
+        let Self { plans, retired, .. } = self;
         let mut retire = |old: Option<(usize, StorageCtx)>| {
             let stats = old.and_then(|(rel, ctx)| full.get(rel)?.hint_stats(&ctx));
             stats.inspect(|s| retired.merge(s));
@@ -712,10 +717,13 @@ pub(crate) fn eval_plan(
         (plan.steps.first(), bound.first())
     else {
         // Degenerate plan (starts with a check): evaluate sequentially.
-        let mut sites = pools[0].take(plan.id, &bound, env.full);
-        let stats = &mut stats[0];
-        Evaluator { plan, stats }.run_from(0, &mut vec![0u64; plan.nvars], &mut sites);
-        pools[0].put(plan.id, sites);
+        let ctxs = &mut pools[0];
+        let mut sites = ctxs.take(plan.id, &bound, env.full);
+        let (stats, batch) = (&mut stats[0], &mut ctxs.batch);
+        let mut evaluator = Evaluator { plan, stats, batch };
+        evaluator.run_from(0, &mut vec![0u64; plan.nvars], &mut sites);
+        evaluator.flush(&mut sites);
+        ctxs.put(plan.id, sites);
         return;
     };
     debug_assert!(
@@ -761,7 +769,8 @@ impl Job<'_> {
         let mut sites = ctxs.take(plan.id, &self.bound, self.full);
         let (outer, inner) = sites.split_first_mut().expect("a site per step");
         let outer = outer.as_mut().expect("the outer scan's site");
-        let mut evaluator = Evaluator { plan, stats };
+        let batch = &mut ctxs.batch;
+        let mut evaluator = Evaluator { plan, stats, batch };
         let mut vars = vec![0u64; plan.nvars];
         loop {
             let i = self.cursor.fetch_add(1, Relaxed);
@@ -779,6 +788,7 @@ impl Job<'_> {
             outer.src.scan_chunk(chunk, &mut outer.ctx, &mut |t| {
                 evaluator.join(0, t, &mut vars, inner);
             });
+            evaluator.flush(inner);
             chunk_timer.observe(telemetry::Hist::EvalChunkNanos);
         }
         ctxs.put(plan.id, sites);
@@ -790,7 +800,17 @@ impl Job<'_> {
 struct Evaluator<'p, 'c> {
     plan: &'p Plan,
     stats: &'c mut WorkerStats,
+    /// Head tuples derived and not yet offered to the head's two sites,
+    /// end to end at the head's arity.
+    batch: &'c mut Vec<u64>,
 }
+
+/// Head tuples a worker collects before it sorts them and applies them to
+/// the trees. 4 096 is where a sweep of a hand-written `tc_random` loop over
+/// `BTreeSet<2>` went flat (256: 0.97–1.07 s, 1 024: 0.81–0.94, 4 096:
+/// 0.81–0.90, 65 536: 0.81–0.89; EXPERIMENTS.md, "Writes in key order"),
+/// and at most 160 KB (arity 5) still sit in a per-core cache.
+const EMIT_BATCH: usize = 4096;
 
 impl Evaluator<'_, '_> {
     /// Takes tuple `t` of the scan at step `si` through the scan's binds
@@ -869,23 +889,57 @@ impl Evaluator<'_, '_> {
         }
     }
 
-    /// Emits the head tuple: the Figure 1 pattern — check the full
-    /// relation, insert into `new` when unseen.
+    /// Emits the head tuple into the batch; `sites` ends with the head's.
     fn emit(&mut self, vars: &[u64], sites: &mut [Option<Site<'_>>]) {
-        let [Some(full), Some(new)] = sites else {
-            unreachable!("the head's two sites follow the steps'")
-        };
-        let mut t = [0u64; MAX_ARITY];
-        for (w, slot) in t.iter_mut().zip(&self.plan.head_slots) {
+        let head = &self.plan.head_slots;
+        let width = head.len().max(1); // a nullary head is one zero column
+        let at = self.batch.len();
+        self.batch.resize(at + width, 0);
+        for (w, slot) in self.batch[at..].iter_mut().zip(head) {
             *w = slot.value(vars);
         }
-        self.stats.membership_tests += 1;
-        if !full.src.contains(&t, &mut full.ctx) {
-            self.stats.inserts += 1;
-            if new.src.insert(&t, &mut new.ctx) {
-                self.stats.tuples_emitted += 1;
+        if self.batch.len() >= EMIT_BATCH * width {
+            self.flush(sites);
+        }
+    }
+
+    /// Applies the batch at the head's arity; an arm per width, as in
+    /// [`StorageKind::create_for`](crate::storage::StorageKind::create_for).
+    fn flush(&mut self, sites: &mut [Option<Site<'_>>]) {
+        match self.plan.head_slots.len() {
+            0 | 1 => self.flush_as::<1>(sites),
+            2 => self.flush_as::<2>(sites),
+            3 => self.flush_as::<3>(sites),
+            4 => self.flush_as::<4>(sites),
+            _ => self.flush_as::<MAX_ARITY>(sites),
+        }
+    }
+
+    /// Applies the batch in key order, each distinct tuple once: the
+    /// Figure 1 pattern — check the full relation, insert into `new` when
+    /// unseen — with both trees visited leaf after leaf, so their hints
+    /// hit, instead of in the order the join produced the tuples. Deferring
+    /// the two calls changes no result: nothing a plan reads is written
+    /// while it runs ([`StorageEnv::bind`]). Every plan execution ends with
+    /// a flush, so `new` is complete when [`eval_plan`] returns.
+    fn flush_as<const K: usize>(&mut self, sites: &mut [Option<Site<'_>>]) {
+        let [.., Some(full), Some(new)] = sites else {
+            unreachable!("the head's two sites follow the steps'")
+        };
+        let (tuples, _) = self.batch.as_chunks_mut::<K>();
+        tuples.sort_unstable();
+        let mut last = None;
+        for t in tuples.iter().filter(|&t| last.replace(t) != Some(t)) {
+            let t = pad(t);
+            self.stats.membership_tests += 1;
+            if !full.src.contains(&t, &mut full.ctx) {
+                self.stats.inserts += 1;
+                if new.src.insert(&t, &mut new.ctx) {
+                    self.stats.tuples_emitted += 1;
+                }
             }
         }
+        self.batch.clear();
     }
 }
 

@@ -474,11 +474,13 @@ fn eval_stats_to_json_shape() {
 // ---------------------------------------------------------------------
 
 /// A clock-free gate on what crossing `dyn RelationStorage` costs. On a
-/// fixed input the Table 2 operation counts and the tuples scanned are what
-/// the commit before the seam rework produced — when a counting wrapper
-/// around every storage took them — so the rework changed what a crossing
-/// costs, not how many there are; and the binary `path` relation is stored
-/// at its declared arity, not padded to `MAX_ARITY` words.
+/// fixed input the join's work — tuples scanned, range queries, tuples
+/// produced — is what the commit before the seam rework produced, when a
+/// counting wrapper around every storage took the counts, so the rework
+/// changed what a crossing costs, not how many there are; the binary `path`
+/// relation is stored at its declared arity, not padded to `MAX_ARITY`
+/// words; and head tuples reach the two trees in key order, which is what
+/// the hint rates at the end hold.
 #[test]
 fn seam_does_the_same_work_on_narrower_trees() {
     let mut edges = Vec::new();
@@ -498,11 +500,28 @@ fn seam_does_the_same_work_on_narrower_trees() {
 
     let stats = engine.stats();
     assert_eq!(stats.produced_tuples, 74_828);
-    assert_eq!(stats.inserts, 175_002);
-    assert_eq!(stats.membership_tests, 231_323);
-    assert_eq!(stats.lower_bound_calls, 74_911);
     assert_eq!(stats.upper_bound_calls, 74_828);
     assert_eq!(stats.tuples_scanned, 306_151);
+    // One `lower_bound` per inner scan and per range chunk of an outer scan:
+    // the inner scans are as they were, and the delta trees, filled in key
+    // order now, are cut into one chunk fewer (74 911 with 83 chunks).
+    assert_eq!(stats.lower_bound_calls - stats.chunks_claimed, 74_828);
+    assert_eq!(stats.lower_bound_calls, 74_910);
+    // 231 323 and 175 002 when every head tuple was tested and offered where
+    // the join produced it: these two count calls issued, and a batch drops
+    // its duplicates before it issues any.
+    assert_eq!(stats.membership_tests, 173_912);
+    assert_eq!(stats.inserts, 151_818);
+
+    // The head's membership test hit 0.20 and the insert into `new` 0.48
+    // when they ran in join order; sorted batches with append hints reach
+    // 0.83 and 0.95 (counts repeat exactly at one worker).
+    let hints = &stats.hints;
+    let rate = |hits: u64, misses: u64| hits as f64 / (hits + misses) as f64;
+    let contains = rate(hints.contains_hits, hints.contains_misses);
+    let insert = rate(hints.insert_hits, hints.insert_misses);
+    assert!(contains >= 0.7, "contains hint rate {contains:.2}");
+    assert!(insert >= 0.85, "insert hint rate {insert:.2}");
 
     // Node bytes per `path` tuple in the same run before the rework, when
     // every relation was a tree of five-word keys.

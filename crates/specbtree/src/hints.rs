@@ -7,6 +7,26 @@
 //! requested tuple and, if so, skips the root-to-leaf traversal (and all its
 //! lock interactions) entirely.
 //!
+//! A leaf covers a tuple `t` when `first <= t <= last`: every key of the
+//! tree in that closed interval lives in this leaf, so a lookup, a bound or
+//! an insert of `t` is decided there. For inserts the rule is wider, and
+//! here the tree goes beyond the paper (whose Fig. 3a shows ordered inserts
+//! gaining nothing from hints): the leaf also covers `last < t < fence`,
+//! the *upper fence* being the separator that follows the leaf in the lowest
+//! ancestor whose last child the path to it does not go through — the
+//! smallest key of the tree above the leaf's own; a leaf on the rightmost
+//! spine has none. An ascending stream always lands one past the cached
+//! leaf's last key, so without this it would descend from the root on every
+//! insert. Reading the fence takes no lock: each level is read under that
+//! ancestor's own lease and validated, before the lease on the leaf, taken
+//! first, is upgraded. That is safe because a leaf's fence changes only
+//! through operations that write-lock the leaf (its own split, a
+//! predecessor pulled out of it, an empty neighbour unlinked into it, a
+//! splice behind it), which fail the upgrade, while an ancestor re-read
+//! after a split moved the leaf away can only show a *smaller* fence: a
+//! miss, never a wrong hit
+//! ([`BTreeSet::insert_hinted`](crate::BTreeSet::insert_hinted)).
+//!
 //! Hints are held in thread-local fashion by convention: each worker thread
 //! obtains one from [`BTreeSet::create_hints`] and threads it through its
 //! operations, exactly as the paper describes. Because tree nodes are never

@@ -508,7 +508,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 // so the group shrinks to the promoted parent median.
                 if pn.num() == C {
                     let pmedian = pn.key(C / 2);
-                    self.split(parent);
+                    self.split(parent, C / 2);
                     idx_hint = None;
                     bound = Some(pmedian);
                     if cn.parent.load(Relaxed) != parent {
@@ -540,7 +540,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                     idx_hint = None;
                     break; // consumed, or the rest re-routes via the parent
                 }
-                self.split_one(child);
+                self.split_one(child, C / 2);
                 idx_hint = None;
                 let mut nj = k;
                 while nj < j && cmp3(&run[nj], &median) == Ordering::Less {
@@ -702,7 +702,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             // here (a key *equal* to the median is caught as an
             // ancestor-separator duplicate on re-descent).
             let median = node.key(C / 2);
-            self.split(leaf);
+            self.split(leaf, C / 2);
             let mut nj = k;
             while nj < j && cmp3(&run[nj], &median) == Ordering::Less {
                 nj += 1;

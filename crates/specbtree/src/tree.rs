@@ -390,7 +390,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
                 // exact count is trustworthy.
                 let num = node.num();
                 if num == C {
-                    self.split(cur); // Algorithm 2
+                    self.split(cur, Self::leaf_split_point(idx)); // Algorithm 2
                     node.lock.end_write();
                     note_insert_restart(
                         telemetry::Counter::BtreeRestartSplitRetry,
@@ -416,6 +416,14 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// Hinted fast path: try to insert directly into a previously located
     /// leaf, walking upwards only if it must split (paper §3.2 — this is
     /// precisely why write locks are acquired bottom-up).
+    ///
+    /// The leaf takes `val` when `first <= val <= last` — every tree key in
+    /// that closed interval lives in this very leaf — or when `val` appends
+    /// to it: `last < val < fence`, the fence being the smallest key the
+    /// tree holds above the leaf's own
+    /// ([`below_upper_fence`](Self::below_upper_fence)). The second case is
+    /// what an ascending stream produces on every insert and goes beyond
+    /// the paper, whose hints miss there.
     ///
     /// Returns `None` when the hint does not apply (wrong leaf, lost race),
     /// in which case the caller falls back to the full descent.
@@ -446,19 +454,24 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         if n == 0 {
             return None;
         }
-        // The leaf covers `val` iff first <= val <= last: every tree key
-        // in that closed interval lives in this very leaf.
-        let covered = cmp3(&node.key(0), val) != Ordering::Greater
-            && cmp3(val, &node.key(n - 1)) != Ordering::Greater;
+        let below = cmp3(val, &node.key(0)) == Ordering::Less;
+        let appends = cmp3(val, &node.key(n - 1)) == Ordering::Greater;
         let (idx, found) = node.search(val, n);
         if !node.lock.validate(lease) {
             return None; // lost a race; let the slow path sort it out
         }
-        if !covered {
+        if below {
             return None; // genuine hint miss
         }
         if found {
             return done(false);
+        }
+        // The fence is read before the upgrade and stays true through it:
+        // only operations that write-lock this leaf change it (see
+        // `below_upper_fence`), and the upgrade fails if one ran since
+        // `lease`.
+        if appends && !self.below_upper_fence(leaf, val) {
+            return None; // genuine hint miss, or a lost race on the way up
         }
         if !node.lock.try_upgrade_to_write(lease) {
             return None;
@@ -467,12 +480,12 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
             // Split bottom-up right from the leaf (§3.2). The upgrade
             // came from the validated lease, so `val` is covered by
             // this leaf and absent from it; after the split it sorts
-            // either strictly below the median that moved up — i.e.
-            // into this very leaf, still write-locked and now
-            // half-empty, at the same index as before: finish the
-            // insert in place — or above it, into the fresh sibling:
-            // fall back to the slow path.
-            let sep = self.split(leaf);
+            // either strictly below the key that moved up — i.e.
+            // into this very leaf, still write-locked and no longer
+            // full, at the same index as before: finish the
+            // insert in place — or above it, into the fresh sibling
+            // (an append always does): fall back to the slow path.
+            let sep = self.split(leaf, Self::leaf_split_point(idx));
             if cmp3(val, &sep) != Ordering::Less {
                 node.lock.end_write();
                 return None;
@@ -481,6 +494,68 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         node.insert_at(idx, val);
         node.lock.end_write();
         done(true)
+    }
+
+    /// Whether `val` sorts below the upper fence of `leaf`: the separator
+    /// that follows the leaf in the lowest ancestor the path to it does not
+    /// leave through the last child — the smallest key of the tree above
+    /// the leaf's own. A leaf on the rightmost spine has none and takes any
+    /// `val`. `false` also stands for "could not tell".
+    ///
+    /// Lock-free and restart-free: every level is read under that
+    /// ancestor's own lease, which must show `node` as its child at `pos`
+    /// and validate, and a caller holding a read lease on the leaf from
+    /// before the call may act on `true` once that lease upgrades. The
+    /// reason is that a subtree's upper fence only ever goes *down* unless
+    /// the subtree's rightmost leaf is write-locked: the node's own split
+    /// lowers it to the promoted key; a split of an ancestor moves the
+    /// separator up or sideways but not its value; `remove_inner_key`
+    /// replaces it by a predecessor pulled out of the rightmost leaf below
+    /// it; a splice appends behind a write-locked rightmost spine; and the
+    /// one operation that raises a fence, unlinking the empty leaf to the
+    /// right, write-locks the leaf whose fence it raises. So with the levels
+    /// read one after the other, each under a lease of its own, the fence
+    /// found is at most the leaf's true one at the first read — a stale
+    /// ancestor (the leaf re-homed by a parent split in between) yields the
+    /// promoted key, which is below the leaf's own keys: a miss, never a
+    /// wrong hit — and the leaf's true fence does not move while the
+    /// caller's lease on it holds.
+    fn below_upper_fence(&self, leaf: NodePtr<K, C, L>, val: &Tuple<K>) -> bool {
+        let mut node = leaf;
+        // The lease `node` was read under as somebody's parent; the leaf's
+        // is the caller's.
+        let mut node_lease = None;
+        loop {
+            chaos::checkpoint("btree::insert::fence");
+            // SAFETY: `leaf` and every parent pointer reference live nodes.
+            let nn = unsafe { &*node };
+            let parent = nn.parent.load(Relaxed);
+            if parent.is_null() {
+                // `node` is the root — a node gets a parent only under its
+                // own write lock and never loses one — as of its lease.
+                return node_lease.is_none_or(|l| nn.lock.validate(l));
+            }
+            // SAFETY: as above; a parent is an inner node.
+            let pn = unsafe { &*parent };
+            let lease = pn.lock.start_read();
+            let pos = nn.position.load(Relaxed) as usize;
+            let num = pn.num_clamped();
+            if pos > num || unsafe { pn.as_inner() }.child(pos) != node {
+                return false;
+            }
+            let fence = (pos < num).then(|| pn.key(pos));
+            if !pn.lock.validate(lease) {
+                return false;
+            }
+            // Planted bug for the chaos self-test: an append that is not
+            // compared with the fence lands in this leaf whatever lives
+            // between the leaf and `val`.
+            let skip_compare = cfg!(all(chaos, feature = "chaos-inject-bug"));
+            match fence {
+                Some(fence) => return skip_compare || cmp3(val, &fence) == Ordering::Less,
+                None => (node, node_lease) = (parent, Some(lease)),
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -492,12 +567,13 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// (its lock is *not* released here); all path locks acquired inside
     /// are released.
     ///
-    /// Returns the median that was pushed out of `node` into its parent:
+    /// `node` splits at key `m`, its full ancestors at the median. Returns
+    /// the key that was pushed out of `node` into its parent:
     /// everything strictly below it still lives in `node`, so a caller that
     /// knows its tuple was covered pre-split can finish the insert into the
     /// still-locked node without re-probing (see
     /// [`try_hinted_insert`](Self::try_hinted_insert)).
-    pub(crate) fn split(&self, node: NodePtr<K, C, L>) -> Tuple<K> {
+    pub(crate) fn split(&self, node: NodePtr<K, C, L>, m: usize) -> Tuple<K> {
         chaos::checkpoint("btree::split");
         // Phase 1 (lines 2–23): write-lock the path bottom-up, stopping at
         // the first non-full ancestor or at the root lock.
@@ -533,9 +609,9 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         };
         let mut fresh: Vec<NodePtr<K, C, L>> = Vec::new();
         for i in (0..full_ancestors).rev() {
-            fresh.extend(self.split_one(path[i]).1);
+            fresh.extend(self.split_one(path[i], C / 2).1);
         }
-        let (median, sib) = self.split_one(node);
+        let (median, sib) = self.split_one(node, m);
         fresh.extend(sib);
 
         // Phase 3 (lines 28–35): release the path locks top-down, then the
@@ -568,23 +644,42 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         }
     }
 
+    /// Where a full leaf splits when the insert that found it full goes to
+    /// index `idx`: at the median, unless the insert appends. A leaf filled
+    /// by appends sits at the end of an ascending run, and the run's next
+    /// keys all go to the upper part: cut at the median, every leaf of the
+    /// run stays half empty for good; cut here, it stays full, and the
+    /// sibling starts with the one key that keeps it findable by a hint.
+    pub(crate) const fn leaf_split_point(idx: usize) -> usize {
+        if idx == C {
+            C - 2
+        } else {
+            C / 2
+        }
+    }
+
     /// Splits a single full node whose own write lock and whose (current)
     /// parent's write lock — or the root lock — are held. Creates the
-    /// sibling, moves the upper half across, and pushes the median key into
-    /// the parent (growing the tree by one level for a root split).
+    /// sibling, moves the keys above index `m` across, and pushes key `m`
+    /// into the parent (growing the tree by one level for a root split).
     ///
-    /// Returns that median and, when `x` is an inner node, its sibling —
+    /// Returns that key and, when `x` is an inner node, its sibling —
     /// still write-locked, as the original implementation does it: from the
     /// moment a child is re-homed its parent link leads to the sibling, so
     /// a thread holding that child's lock (a hinted insert splitting it)
     /// could otherwise lock the sibling bottom-up and rewrite it while this
     /// chain of splits is still inserting into it. The caller releases it
     /// together with its path locks.
-    pub(crate) fn split_one(&self, x: NodePtr<K, C, L>) -> (Tuple<K>, Option<NodePtr<K, C, L>>) {
+    pub(crate) fn split_one(
+        &self,
+        x: NodePtr<K, C, L>,
+        m: usize,
+    ) -> (Tuple<K>, Option<NodePtr<K, C, L>>) {
         let xn = unsafe { &*x };
         let n = xn.num();
         debug_assert_eq!(n, C, "only full nodes split");
-        let m = C / 2; // median index: lower half [0, m), median, upper half (m, C)
+        debug_assert!(0 < m && m < C - 1, "both sides keep a key");
+        // Lower part [0, m), the promoted key, upper part (m, C).
         let median = xn.key(m);
 
         let sib = if xn.is_inner() {
@@ -597,7 +692,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         // SAFETY: freshly allocated, private to us until published below.
         let sn = unsafe { &*sib };
 
-        // Move the upper half of the keys.
+        // Move the upper part of the keys.
         for (j, i) in (m + 1..C).enumerate() {
             let k = xn.key(i);
             sn.set_key(j, &k);

@@ -2,6 +2,9 @@
 //! identically to `std::collections::BTreeSet` on arbitrary operation
 //! sequences, and all structural invariants must hold at every point.
 
+mod common;
+
+use common::ascending_runs;
 use proptest::prelude::*;
 use specbtree::seq::SeqBTreeSet;
 use specbtree::BTreeSet;
@@ -194,33 +197,25 @@ proptest! {
     }
 
     /// Ascending runs are Datalog's dominant pattern: hinted appends with
-    /// duplicate-heavy rewinds cross every split transition at `C = 4`
-    /// while the model checks contents and the checker checks structure.
+    /// duplicate-heavy rewinds cross every split transition at `C = 4` —
+    /// the append that stays below the fence, the one that must not, the
+    /// one that splits its leaf full — while the model checks contents and
+    /// the checker checks structure, under both latches.
     #[test]
-    fn ascending_runs_match_model(
-        start in 0u64..1_000,
-        runs in prop::collection::vec((0u64..8, 1usize..120), 1..8),
-    ) {
+    fn ascending_runs_match_model(keys in ascending_runs()) {
         let tree: BTreeSet<2, 4> = BTreeSet::new();
-        let mut hints = tree.create_hints();
+        let mut seq: SeqBTreeSet<2, 4> = SeqBTreeSet::new();
+        let (mut hints, mut seq_hints) = (tree.create_hints(), seq.create_hints());
         let mut model = Model::new();
-        let mut k = start;
-        for (gap, len) in &runs {
-            k += gap; // occasional overlap between runs re-inserts duplicates
-            for _ in 0..*len {
-                let key = [k / 64, k % 64];
-                prop_assert_eq!(tree.insert_hinted(key, &mut hints), model.insert(key));
-                k += 1;
-            }
-            k = k.saturating_sub(*len as u64 / 2); // rewind: duplicate-heavy tail
-            for _ in 0..*len / 2 {
-                let key = [k / 64, k % 64];
-                prop_assert_eq!(tree.insert_hinted(key, &mut hints), model.insert(key));
-                k += 1;
-            }
+        for key in keys {
+            let fresh = model.insert(key);
+            prop_assert_eq!(tree.insert_hinted(key, &mut hints), fresh);
+            prop_assert_eq!(seq.insert_hinted(key, &mut seq_hints), fresh);
         }
-        tree.check_invariants().unwrap();
+        prop_assert_eq!(tree.check_invariants().unwrap(), seq.check_invariants().unwrap());
+        prop_assert_eq!(hints.stats, seq_hints.stats);
         prop_assert_eq!(tree.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
+        prop_assert_eq!(seq.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
     }
 
     /// Duplicate-heavy merges drive `merge_leaf_pass`'s forward cursor:

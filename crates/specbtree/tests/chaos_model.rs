@@ -327,6 +327,160 @@ fn hinted_leaf_split_waits_for_the_inner_split_rehoming_it() {
     );
 }
 
+/// A tree of `keys`, inserted in the order given, with insert hints on the
+/// leaf of `at`. Ascending inserts at `C = 4` leave two keys per leaf and
+/// one between.
+#[cfg(any(not(feature = "chaos-inject-bug"), chaos))]
+fn hinted_tree(
+    keys: impl IntoIterator<Item = u64>,
+    at: u64,
+) -> (Arc<BTreeSet<1, 4>>, specbtree::BTreeHints<1, 4>) {
+    let set: Arc<BTreeSet<1, 4>> = Arc::new(BTreeSet::new());
+    for k in keys {
+        set.insert([k]);
+    }
+    let mut hints = set.create_hints();
+    assert!(!set.insert_hinted([at], &mut hints));
+    (set, hints)
+}
+
+/// The keys of [0 10] 20 [30 40] 50 [60 70] 80 [90 100] 110 [120 130] under
+/// the full root [20 50 80 110].
+#[cfg(not(feature = "chaos-inject-bug"))]
+fn full_root() -> impl Iterator<Item = u64> {
+    (0..=13).map(|x| 10 * x)
+}
+
+/// Explores `scenario` under the random walk and under PCT with two
+/// preemptions, as the hinted-split model above does.
+#[cfg(not(feature = "chaos-inject-bug"))]
+fn explore(scenario: fn()) {
+    chaos::model(chaos::seeds_from_env(0..64), scenario);
+    chaos::model_with(
+        &chaos::Config::pct(2),
+        chaos::seeds_from_env(0..64),
+        scenario,
+    );
+}
+
+/// Checks the models' common ending: the structure is sound and iteration
+/// yields `base` and `added`, in order.
+#[cfg(any(not(feature = "chaos-inject-bug"), chaos))]
+fn assert_holds(set: &BTreeSet<1, 4>, base: impl IntoIterator<Item = u64>, added: &[u64]) {
+    set.check_invariants().unwrap();
+    let mut expect: Vec<u64> = base.into_iter().chain(added.iter().copied()).collect();
+    expect.sort_unstable();
+    let got: Vec<u64> = set.iter().map(|t| t[0]).collect();
+    assert_eq!(got, expect, "an append went to the wrong leaf");
+}
+
+/// An append-hinted inserter racing a second inserter that splits the very
+/// leaf the hint names: the appender reads the leaf, walks to its fence
+/// (`btree::insert::fence` lets the scheduler in between the levels) and
+/// upgrades the lease it took *first* — so a split of the leaf in between,
+/// which lowers the fence below the tuple, must fail the upgrade, and an
+/// append decided against the old fence must never land.
+#[cfg(not(feature = "chaos-inject-bug"))]
+#[test]
+fn append_hint_races_a_split_of_its_leaf() {
+    explore(|| {
+        let (set, mut hints) = hinted_tree(full_root(), 40);
+        // [30 40] becomes [30 40 42]: one more key fills it, the next
+        // splits it, whoever comes first.
+        set.insert([42]);
+        let appender = {
+            let set = set.clone();
+            chaos::thread::spawn(move || {
+                for k in [46u64, 48] {
+                    assert!(set.insert_hinted([k], &mut hints));
+                }
+            })
+        };
+        let splitter = {
+            let set = set.clone();
+            chaos::thread::spawn(move || {
+                for k in [35u64, 36] {
+                    assert!(set.insert([k]));
+                }
+            })
+        };
+        appender.join();
+        splitter.join();
+        assert_holds(&set, full_root(), &[42, 46, 48, 35, 36]);
+    });
+}
+
+/// An append-hinted inserter racing a split of the leaf's *parent*: the
+/// other thread's leaf split finds the root full and splits it, which
+/// re-homes [90 100] and [120 130] under a fresh inner sibling while the
+/// appender is between reading the parent link, the fence and upgrading.
+/// 105 stays below the fence 110 wherever the separator now lives; 115 must
+/// not (120 is in the next leaf); 140 and 150 append to the rightmost leaf,
+/// whose walk ends at whichever node is the root by then.
+#[cfg(not(feature = "chaos-inject-bug"))]
+#[test]
+fn append_hint_races_a_split_of_its_parent() {
+    explore(|| {
+        let (set, mut hints) = hinted_tree(full_root(), 100);
+        let appender = {
+            let set = set.clone();
+            chaos::thread::spawn(move || {
+                for k in [105u64, 115, 140, 150] {
+                    assert!(set.insert_hinted([k], &mut hints));
+                }
+            })
+        };
+        let splitter = {
+            let set = set.clone();
+            chaos::thread::spawn(move || {
+                // Fills [0 10], then splits it and the root above it.
+                for k in [1u64, 2, 3] {
+                    assert!(set.insert([k]));
+                }
+            })
+        };
+        appender.join();
+        splitter.join();
+        assert!(set.shape().depth >= 3, "the root must have split");
+        assert_holds(&set, full_root(), &[105, 115, 140, 150, 1, 2, 3]);
+    });
+}
+
+/// The root-leaf case: a hinted leaf with no parent has no fence, until the
+/// first root split gives it both. The appender's 40 belongs in the root
+/// leaf [10 20 30] only as long as that is the whole tree; once the other
+/// thread's inserts have split it, the leaf keeps the lower keys and 40
+/// lies beyond the separator above it. No later split touches the new
+/// root, so the descent's own planted bug has nothing to bite on here:
+/// under `chaos-inject-bug` whatever fails, fails at the fence.
+#[cfg(any(not(feature = "chaos-inject-bug"), chaos))]
+fn root_leaf_append_races_the_first_root_split() {
+    let (set, mut hints) = hinted_tree([10, 20, 30], 30);
+    let appender = {
+        let set = set.clone();
+        chaos::thread::spawn(move || {
+            assert!(set.insert_hinted([40], &mut hints));
+        })
+    };
+    let splitter = {
+        let set = set.clone();
+        chaos::thread::spawn(move || {
+            for k in [5u64, 15] {
+                assert!(set.insert([k]));
+            }
+        })
+    };
+    appender.join();
+    splitter.join();
+    assert_holds(&set, [10, 20, 30], &[40, 5, 15]);
+}
+
+#[cfg(not(feature = "chaos-inject-bug"))]
+#[test]
+fn append_hint_on_the_root_leaf_races_the_first_root_split() {
+    explore(root_leaf_append_races_the_first_root_split);
+}
+
 /// Remove racing insert of the *same* key: every schedule must resolve the
 /// contention to a linearizable history (insert-then-remove leaves the key
 /// absent, remove-then-insert leaves it present — both legal, two removes
@@ -570,5 +724,34 @@ fn planted_descent_bug_is_caught() {
     println!(
         "planted descent bug caught at seed {} after {} steps (trace {:#018x})",
         out.seed, out.steps, out.trace_hash
+    );
+}
+
+/// Mutation self-test for the append hint's fence: with the planted
+/// `chaos-inject-bug` defect compiled in (the tuple is not compared with
+/// the fence the walk found), an append decided after the first root split
+/// lands in the old root leaf although the separator above it is smaller.
+/// The harness must surface the misplaced key within a bounded seed budget;
+/// PCT's priorities are what let the splitter's two inserts run ahead of
+/// the appender's one, which a fair random walk all but never does.
+#[cfg(all(chaos, feature = "chaos-inject-bug"))]
+#[test]
+fn planted_fence_bug_is_caught() {
+    let out = chaos::find_failure(
+        &chaos::Config::pct(1),
+        0..256,
+        root_leaf_append_races_the_first_root_split,
+    );
+    let out = out.expect(
+        "the planted fence bug must be caught within 256 seeds; if this fails \
+         the append-hint models no longer reach the fence",
+    );
+    let failure = out.failure.unwrap_or_default();
+    println!(
+        "planted fence bug caught at seed {} after {} steps (trace {:#018x}): {}",
+        out.seed,
+        out.steps,
+        out.trace_hash,
+        failure.lines().next().unwrap_or_default()
     );
 }

@@ -4,6 +4,9 @@
 //! path that takes the `build_from_sorted` bulk-build shortcut — with the
 //! structural invariants intact afterwards.
 
+mod common;
+
+use common::ascending_runs;
 use proptest::prelude::*;
 use specbtree::BTreeSet;
 use std::collections::BTreeSet as Model;
@@ -187,6 +190,35 @@ proptest! {
             dst.iter().collect::<Vec<_>>(),
             (0..n + m).map(|i| [i, 7]).collect::<Vec<_>>()
         );
+    }
+
+    /// Trees grown by hinted appends are not the shape median splits give:
+    /// their leaves are full, each followed by a sibling the run had just
+    /// begun. Both merges must take such a target and such a source.
+    #[test]
+    fn merge_of_append_grown_trees_is_set_union(
+        a in ascending_runs(),
+        b in ascending_runs(),
+        workers in 1usize..5,
+    ) {
+        let grow = |keys: &[[u64; 2]]| {
+            let t: BTreeSet<2, 4> = BTreeSet::new();
+            let mut hints = t.create_hints();
+            for k in keys {
+                t.insert_hinted(*k, &mut hints);
+            }
+            t
+        };
+        let expect: Model<[u64; 2]> = a.iter().chain(b.iter()).copied().collect();
+        let (dst, src) = (grow(&a), grow(&b));
+        let added = dst.insert_all_parallel(&src, workers);
+        prop_assert_eq!(added as usize, expect.len() - model(&a).len());
+        dst.check_invariants().unwrap();
+        prop_assert_eq!(dst.iter().collect::<Vec<_>>(), expect.iter().copied().collect::<Vec<_>>());
+        let dst = grow(&a);
+        dst.insert_all(&src);
+        dst.check_invariants().unwrap();
+        prop_assert_eq!(dst.iter().collect::<Vec<_>>(), expect.into_iter().collect::<Vec<_>>());
     }
 
     /// A chain of merges from many small deltas — the semi-naive evaluation
