@@ -628,8 +628,17 @@ pub(crate) struct WorkerCtxs {
     /// Hint statistics of the contexts re-plans retired.
     retired: HintStats,
     /// The worker's emit batch: empty between plan executions, kept for its
-    /// allocation (a fresh 160 KB buffer per execution is an `mmap` each).
+    /// allocation (a fresh buffer of up to 640 KB per execution is an `mmap`
+    /// each).
+    buf: EmitBuf,
+}
+
+/// Head tuples derived and not yet offered to the head's two sites, end to
+/// end at the head's arity, and what sorting them ping-pongs with.
+#[derive(Default)]
+struct EmitBuf {
     batch: Vec<u64>,
+    scratch: Vec<u64>,
 }
 
 impl WorkerCtxs {
@@ -719,8 +728,8 @@ pub(crate) fn eval_plan(
         // Degenerate plan (starts with a check): evaluate sequentially.
         let ctxs = &mut pools[0];
         let mut sites = ctxs.take(plan.id, &bound, env.full);
-        let (stats, batch) = (&mut stats[0], &mut ctxs.batch);
-        let mut evaluator = Evaluator { plan, stats, batch };
+        let (stats, buf) = (&mut stats[0], &mut ctxs.buf);
+        let mut evaluator = Evaluator { plan, stats, buf };
         evaluator.run_from(0, &mut vec![0u64; plan.nvars], &mut sites);
         evaluator.flush(&mut sites);
         ctxs.put(plan.id, sites);
@@ -769,8 +778,8 @@ impl Job<'_> {
         let mut sites = ctxs.take(plan.id, &self.bound, self.full);
         let (outer, inner) = sites.split_first_mut().expect("a site per step");
         let outer = outer.as_mut().expect("the outer scan's site");
-        let batch = &mut ctxs.batch;
-        let mut evaluator = Evaluator { plan, stats, batch };
+        let buf = &mut ctxs.buf;
+        let mut evaluator = Evaluator { plan, stats, buf };
         let mut vars = vec![0u64; plan.nvars];
         loop {
             let i = self.cursor.fetch_add(1, Relaxed);
@@ -800,17 +809,21 @@ impl Job<'_> {
 struct Evaluator<'p, 'c> {
     plan: &'p Plan,
     stats: &'c mut WorkerStats,
-    /// Head tuples derived and not yet offered to the head's two sites,
-    /// end to end at the head's arity.
-    batch: &'c mut Vec<u64>,
+    buf: &'c mut EmitBuf,
 }
 
 /// Head tuples a worker collects before it sorts them and applies them to
-/// the trees. 4 096 is where a sweep of a hand-written `tc_random` loop over
-/// `BTreeSet<2>` went flat (256: 0.97–1.07 s, 1 024: 0.81–0.94, 4 096:
-/// 0.81–0.90, 65 536: 0.81–0.89; EXPERIMENTS.md, "Writes in key order"),
-/// and at most 160 KB (arity 5) still sit in a per-core cache.
-const EMIT_BATCH: usize = 4096;
+/// the trees. While sorting cost `n log n`, 4 096 was where a hand-written
+/// `tc_random` loop went flat (EXPERIMENTS.md, "Writes in key order"). With
+/// the counting sort a longer batch costs nothing to sort and drops more
+/// repeats: the benchmark's child at 1 024 / 16 384 / 65 536 against 4 096,
+/// ten alternating rounds each at seeds 42 and 7, read `run_s` 1.007 /
+/// **0.936 and 0.974** / 0.982× on `tc_random` (16 384 ahead in 9 and 10
+/// rounds of ten), 1.019 / **0.975 and 0.964** / 0.998× on `security` (9 and
+/// 10), 1.029 / 0.998 and 0.985 / 0.993× on `pointsto` (6 and 7), `rss_mb`
+/// within 0.6 % (EXPERIMENTS.md, "Key order by counting"). At most 640 KB
+/// (arity 5), and as much again for the sort's scratch.
+const EMIT_BATCH: usize = 16_384;
 
 impl Evaluator<'_, '_> {
     /// Takes tuple `t` of the scan at step `si` through the scan's binds
@@ -893,12 +906,13 @@ impl Evaluator<'_, '_> {
     fn emit(&mut self, vars: &[u64], sites: &mut [Option<Site<'_>>]) {
         let head = &self.plan.head_slots;
         let width = head.len().max(1); // a nullary head is one zero column
-        let at = self.batch.len();
-        self.batch.resize(at + width, 0);
-        for (w, slot) in self.batch[at..].iter_mut().zip(head) {
+        let batch = &mut self.buf.batch;
+        let at = batch.len();
+        batch.resize(at + width, 0);
+        for (w, slot) in batch[at..].iter_mut().zip(head) {
             *w = slot.value(vars);
         }
-        if self.batch.len() >= EMIT_BATCH * width {
+        if batch.len() >= EMIT_BATCH * width {
             self.flush(sites);
         }
     }
@@ -926,8 +940,9 @@ impl Evaluator<'_, '_> {
         let [.., Some(full), Some(new)] = sites else {
             unreachable!("the head's two sites follow the steps'")
         };
-        let (tuples, _) = self.batch.as_chunks_mut::<K>();
-        tuples.sort_unstable();
+        let EmitBuf { batch, scratch } = &mut *self.buf;
+        let (tuples, _) = batch.as_chunks_mut::<K>();
+        specbtree::sort_tuples(tuples, scratch);
         let mut last = None;
         for t in tuples.iter().filter(|&t| last.replace(t) != Some(t)) {
             let t = pad(t);
@@ -939,7 +954,7 @@ impl Evaluator<'_, '_> {
                 }
             }
         }
-        self.batch.clear();
+        batch.clear();
     }
 }
 

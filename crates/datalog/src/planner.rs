@@ -201,8 +201,13 @@ fn push_cols(mask: u32, out: &mut Vec<usize>) {
 
 /// What building an index costs per tuple it holds, and what keeping it
 /// costs per tuple merged into its relation afterwards, in units of one
-/// tuple touched by a scan (a sort-and-bulk-load, or one more tree insert,
-/// against one step of a leaf walk).
+/// tuple touched by a scan. Measured on `tc_random`'s 1.81 M-tuple `path`
+/// (2 vCPUs): a tuple a join scans costs 70 ns, 2.8 ns of it the leaf-walk
+/// step; a backfilled tuple 39 ns — three walks of the primary, the last a
+/// scatter, and a bulk load: 14 leaf-walk steps or 0.6 scanned tuples, where
+/// the comparison sort made it 88 ns, 1.3 — and a tuple merged in afterwards
+/// one more random-order tree insert, 770 ns, 11 scanned tuples. One
+/// constant stands for both and upkeep is the larger part, so it stays 8.
 const INDEX_COST: f64 = 8.0;
 
 /// What the orderer knows about the database a plan is about to run on.

@@ -236,7 +236,9 @@ pub trait RelationStorage: Send + Sync {
     }
 
     /// Registers a secondary index keyed by the column permutation `perm`,
-    /// backfilling it from the current contents on up to `workers` threads.
+    /// backfilling it from the current contents (`workers` is the caller's
+    /// thread budget; the B-tree's backfill, a counting sort straight out of
+    /// walks of the primary, runs on the calling thread).
     /// `perm` lists distinct columns of the storage; the engine lists all
     /// of a relation's, and a shorter list is completed with the remaining
     /// columns in ascending order. Returns the index id — stable for the
@@ -505,6 +507,15 @@ impl<const K: usize> IndexPerm<K> {
         self.cols.map(|c| t[c])
     }
 
+    /// How many leading key columns a backfill has to sort on: the columns
+    /// after them ascend as column numbers, so among tuples equal on the
+    /// first `lead` key columns primary order *is* index order — `[1, 0]`
+    /// sorts on one column, `[1, 0, 2]` on one, `[2, 1, 0]` on two.
+    fn lead(&self) -> usize {
+        let ascending = |i: &usize| self.cols[i - 1] < self.cols[*i];
+        K - 1 - (1..K).rev().take_while(ascending).count()
+    }
+
     /// Inverts [`permute`](Self::permute), widening on the way.
     #[inline]
     fn unpermute(&self, p: &[u64; K]) -> TupleBuf {
@@ -519,75 +530,6 @@ impl<const K: usize> IndexPerm<K> {
 struct IndexTree<const K: usize> {
     order: IndexPerm<K>,
     tree: BTreeSet<K>,
-}
-
-/// Sorts ascending on up to `workers` threads: parallel chunk sorts
-/// followed by parallel pairwise merges. Index backfill sorts millions of
-/// permuted tuples in one shot, where a single-threaded `sort_unstable`
-/// is the dominant cost of `add_index` on a populated relation.
-fn par_sort_tuples<T: Ord + Copy + Send>(tuples: Vec<T>, workers: usize) -> Vec<T> {
-    let n = tuples.len();
-    let workers = workers.max(1).min(n.max(1));
-    if workers == 1 || n < (1 << 15) {
-        let mut t = tuples;
-        t.sort_unstable();
-        return t;
-    }
-    let per = n.div_ceil(workers);
-    let mut runs: Vec<Vec<T>> = tuples.chunks(per).map(<[T]>::to_vec).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = runs
-            .drain(..)
-            .map(|mut run| {
-                s.spawn(move || {
-                    run.sort_unstable();
-                    run
-                })
-            })
-            .collect();
-        runs = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    });
-    while runs.len() > 1 {
-        let odd = (runs.len() % 2 == 1).then(|| runs.pop().unwrap());
-        let mut pairs = Vec::with_capacity(runs.len() / 2);
-        while let (Some(b), Some(a)) = (runs.pop(), runs.pop()) {
-            pairs.push((a, b));
-        }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = pairs
-                .into_iter()
-                .map(|(a, b)| s.spawn(move || merge_two_sorted(a, b)))
-                .collect();
-            runs = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        });
-        runs.extend(odd);
-    }
-    runs.pop().unwrap_or_default()
-}
-
-fn merge_two_sorted<T: Ord + Copy>(a: Vec<T>, b: Vec<T>) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// Sorts, dedupes, and bulk-builds a packed tree from `tuples` in O(n)
-/// — the backfill path for registering an index on a populated relation.
-fn build_index_tree<const K: usize>(tuples: Vec<[u64; K]>, workers: usize) -> BTreeSet<K> {
-    let mut sorted = par_sort_tuples(tuples, workers);
-    sorted.dedup();
-    BTreeSet::from_sorted(sorted)
 }
 
 // ---------------------------------------------------------------------
@@ -846,14 +788,19 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
         }
     }
 
-    fn add_index(&mut self, perm: &[usize], workers: usize) -> Option<usize> {
+    fn add_index(&mut self, perm: &[usize], _workers: usize) -> Option<usize> {
         if let Some(i) = self.indexes.iter().position(|ix| ix.order.perm == perm) {
             return Some(i);
         }
         let order = IndexPerm::new(perm)?;
         let timer = telemetry::start_timer();
-        let permuted: Vec<[u64; K]> = self.tree.iter().map(|t| order.permute(&t)).collect();
-        let tree = build_index_tree(permuted, workers);
+        // The primary is walked in key order, so ties on the leading
+        // `lead` key columns arrive sorted on the rest: one counting pass
+        // per varying digit of those, straight out of the walk.
+        let walk = || self.tree.iter().map(|t| order.permute(&t));
+        let sorted = specbtree::sorted_tuples(walk, order.lead());
+        debug_assert!(sorted.is_sorted_by(|a, b| a < b), "a permuted set");
+        let tree = BTreeSet::from_sorted(sorted);
         self.indexes.push(IndexTree { order, tree });
         timer.observe(telemetry::Hist::EvalIndexMaintainNanos);
         telemetry::count(telemetry::Counter::EvalIndexBuilds);

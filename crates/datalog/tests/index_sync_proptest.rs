@@ -81,6 +81,12 @@ fn primary_set(storage: &dyn RelationStorage) -> BTreeSet<TupleBuf> {
 /// match, and single-column permuted probes — of values that occur and of
 /// one that does not — match the filtered primary.
 fn assert_indexes_in_sync(storage: &dyn RelationStorage, when: &str) {
+    assert_in_sync_probing(storage, when, usize::MAX);
+}
+
+/// [`assert_indexes_in_sync`] probing at most `probes` of the values that
+/// occur, evenly spaced.
+fn assert_in_sync_probing(storage: &dyn RelationStorage, when: &str, probes: usize) {
     let primary = primary_set(storage);
     let mut ctx = storage.make_ctx();
     for (id, perm) in storage.index_perms().into_iter().enumerate() {
@@ -93,7 +99,8 @@ fn assert_indexes_in_sync(storage: &dyn RelationStorage, when: &str) {
             "{when}: index {id} {perm:?} diverged from primary on full drain"
         );
         let present: BTreeSet<u64> = primary.iter().map(|t| t[perm[0]]).collect();
-        for probe in present.into_iter().chain([1_000]) {
+        let stride = present.len().div_ceil(probes).max(1);
+        for probe in present.into_iter().step_by(stride).chain([1_000]) {
             let mut got = BTreeSet::new();
             storage.scan_index(id, &perm, &[probe], &mut ctx, &mut |t| {
                 got.insert(*t);
@@ -106,6 +113,96 @@ fn assert_indexes_in_sync(storage: &dyn RelationStorage, when: &str) {
             assert_eq!(
                 got, expect,
                 "{when}: index {id} {perm:?} probe {probe} diverged"
+            );
+        }
+    }
+}
+
+/// Backfills at the sizes where the counting sort engages (the proptests
+/// below stay under 144 tuples, which are compared): 20 000 tuples whose
+/// columns are dense near zero, dense above 2⁴⁰, dense below `u64::MAX`, or
+/// spread over the whole word — which a backfill that sorts on two columns
+/// or more compares — and on them every order of three columns, which
+/// between them sort on no, one and two leading key columns, the rotations
+/// of five, and at arity 2 a permutation shorter than the storage is wide.
+#[test]
+fn backfills_of_populated_relations_stay_in_sync() {
+    use workloads::rng::SplitMix64;
+    const N: usize = 20_000;
+    let three: [&[usize]; 6] = [
+        &[0, 1, 2],
+        &[0, 2, 1],
+        &[1, 0, 2],
+        &[1, 2, 0],
+        &[2, 0, 1],
+        &[2, 1, 0],
+    ];
+    let value = |name: &str, v: u64, rng: &mut SplitMix64| match name {
+        "dense" => v,
+        "above 2^40" => (1 << 40) + v,
+        "below u64::MAX" => u64::MAX - v,
+        _ => rng.next_u64(),
+    };
+    for (arity, domain) in [(2usize, 200u64), (3, 40), (5, 12)] {
+        let perms: Vec<Vec<usize>> = match arity {
+            2 => vec![vec![0, 1], vec![1, 0], vec![1]],
+            3 => three.iter().map(|p| p.to_vec()).collect(),
+            _ => (0..arity)
+                .map(|r| (0..arity).map(|c| (c + r) % arity).collect())
+                .collect(),
+        };
+        for name in ["dense", "above 2^40", "below u64::MAX", "spread"] {
+            let mut rng = SplitMix64::new(arity as u64);
+            let mut draw = |n: usize| {
+                let mut tuples = BTreeSet::new();
+                while tuples.len() < n {
+                    let t: Vec<u64> = (0..arity)
+                        .map(|_| value(name, rng.below(domain), &mut rng))
+                        .collect();
+                    tuples.insert(pad(&t));
+                }
+                tuples.into_iter().collect::<Vec<TupleBuf>>()
+            };
+            let (base, delta) = (draw(N), draw(N / 4));
+            let what = format!("arity {arity} {name}");
+            // One kind: the backfill does not know whether hints are on.
+            let mut storage = StorageKind::SpecBTree.create_for(arity);
+            let mut ctx = storage.make_ctx();
+            base.iter()
+                .for_each(|t| assert!(storage.insert(t, &mut ctx)));
+            for perm in &perms {
+                storage.add_index(perm, 2).expect("an indexed kind");
+            }
+            assert_eq!(storage.index_perms(), perms, "{what}");
+            assert_in_sync_probing(&*storage, &format!("{what} after backfill"), 8);
+            // Two bound columns, through every index: what a filtered
+            // sweep of the tuples finds is what `scan_index` must.
+            for (id, perm) in perms.iter().enumerate().filter(|(_, p)| p.len() > 1) {
+                for probe in base.iter().step_by(N / 5) {
+                    let prefix = [probe[perm[0]], probe[perm[1]]];
+                    let mut got = Vec::new();
+                    storage.scan_index(id, perm, &prefix, &mut ctx, &mut |t| got.push(*t));
+                    got.sort_unstable();
+                    let bound = |t: &&TupleBuf| [t[perm[0]], t[perm[1]]] == prefix;
+                    let want: Vec<TupleBuf> = base.iter().filter(bound).copied().collect();
+                    assert_eq!(got, want, "{what} {perm:?} {prefix:?}");
+                }
+            }
+            // Merged into and retracted from through the same indexes.
+            let src = StorageKind::SpecBTree.create_for(arity);
+            let mut src_ctx = src.make_ctx();
+            for t in &delta {
+                src.insert(t, &mut src_ctx);
+            }
+            storage.merge_from(&*src, 2);
+            assert_in_sync_probing(&*storage, &format!("{what} after merge_from"), 8);
+            storage.retract_from(&*src, 2);
+            assert_in_sync_probing(&*storage, &format!("{what} after retract_from"), 8);
+            let shared = |t: &&TupleBuf| delta.binary_search(t).is_ok();
+            assert_eq!(
+                storage.len(),
+                N - base.iter().filter(shared).count(),
+                "{what}"
             );
         }
     }

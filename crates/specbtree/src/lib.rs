@@ -68,6 +68,7 @@ mod latch;
 mod merge;
 mod node;
 pub mod seq;
+mod sort;
 mod stats;
 mod tree;
 
@@ -75,6 +76,7 @@ pub use check::{InvariantViolation, TreeShape};
 pub use hints::{BTreeHints, HintStats};
 pub use iter::{Iter, RangeChunk, RangeIter};
 pub use node::{cmp3, Tuple};
+pub use sort::{sort_tuples, sorted_tuples};
 pub use stats::{ArenaStats, TreeStats, OCCUPANCY_BUCKETS};
 pub use tree::{BTreeSet, DEFAULT_NODE_CAPACITY};
 

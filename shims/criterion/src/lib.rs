@@ -159,6 +159,36 @@ impl Bencher {
         }
         self.elapsed = start.elapsed();
     }
+
+    /// Times `routine` on a fresh input from `setup` per iteration; making
+    /// the input and dropping the output are not timed.
+    pub fn iter_batched<I, O>(
+        &mut self,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> O,
+        _size: BatchSize,
+    ) {
+        self.elapsed = Duration::ZERO;
+        for _ in 0..self.iters {
+            let input = setup();
+            let start = Instant::now();
+            let output = std::hint::black_box(routine(input));
+            self.elapsed += start.elapsed();
+            drop(output);
+        }
+    }
+}
+
+/// How many inputs real criterion prepares ahead of a timed batch; here
+/// every iteration gets its own, whichever is asked for.
+#[derive(Clone, Copy, Debug)]
+pub enum BatchSize {
+    /// Inputs small enough to hold many of.
+    SmallInput,
+    /// Inputs of which only a few fit in memory.
+    LargeInput,
+    /// One input per timed call.
+    PerIteration,
 }
 
 fn run_bench<F: FnMut(&mut Bencher)>(
