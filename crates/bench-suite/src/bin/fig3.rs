@@ -73,7 +73,7 @@ fn filled(c: Contestant, pts: &[[u64; 2]]) -> Box<dyn BenchSet> {
 
 fn main() {
     let args = Args::parse();
-    let obs = ObsSession::start("fig3", &args);
+    let obs = ObsSession::start(&args);
     let sides = sides(args.scale);
     let seed = args.seed;
 

@@ -126,7 +126,7 @@ fn run_one(name: &str, batches: &[Vec<[u64; 2]>], expected: usize) -> f64 {
 
 fn main() {
     let args = Args::parse();
-    let obs = ObsSession::start("fig4", &args);
+    let obs = ObsSession::start(&args);
     let total = if args.scale == 0 {
         1_000_000
     } else {

@@ -19,7 +19,7 @@ use workloads::Stopwatch;
 
 fn main() {
     let args = Args::parse();
-    let obs = ObsSession::start("fig5", &args);
+    let obs = ObsSession::start(&args);
     let scale = if args.scale == 0 { 6 } else { args.scale };
     let threads = if args.threads.is_empty() {
         vec![1, 2, 4, 8]

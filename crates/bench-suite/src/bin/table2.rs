@@ -70,7 +70,7 @@ fn sci(v: u64) -> String {
 
 fn main() {
     let args = Args::parse();
-    let obs = ObsSession::start("table2", &args);
+    let obs = ObsSession::start(&args);
     let scale = if args.scale == 0 { 6 } else { args.scale };
     let threads = args.threads.first().copied().unwrap_or(1);
 

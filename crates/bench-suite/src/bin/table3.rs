@@ -92,7 +92,7 @@ fn bench_bslack(batches: &[Vec<u32>], expected: usize) -> f64 {
 
 fn main() {
     let args = Args::parse();
-    let obs = ObsSession::start("table3", &args);
+    let obs = ObsSession::start(&args);
     let n = if args.scale == 0 {
         1_000_000
     } else {

@@ -11,11 +11,12 @@
 //! | `table2` | Table 2: workload properties & operation statistics |
 //! | `table3` | Table 3: 32-bit integer insertion vs PALM/Masstree/B-slack |
 //!
-//! All binaries accept `--scale`, `--threads` and `--seed` flags (see
-//! [`Args`]); defaults are scaled down from the paper's 100M-element runs
-//! so the full suite completes on a laptop. This library hosts the shared
-//! pieces: a tiny CLI parser, table formatting, and the [`BenchSet`]
-//! adapter that gives every §4.1 contestant a uniform surface.
+//! All binaries accept `--scale`, `--threads`, `--seed` and `--trace-out`
+//! flags (see [`Args`]); defaults are scaled down from the paper's
+//! 100M-element runs so the full suite completes on a laptop. This library
+//! hosts the shared pieces: a tiny CLI parser, table formatting, the
+//! [`obs::ObsSession`] behind `--trace-out`, and the [`BenchSet`] adapter
+//! that gives every §4.1 contestant a uniform surface.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,56 +28,21 @@ use baselines::splitorder::SplitOrderedSet;
 use specbtree::seq::{SeqBTreeSet, SeqHints};
 use specbtree::{BTreeHints, BTreeSet};
 
-pub mod json;
 pub mod obs;
 
-/// Writes the merged telemetry snapshot next to a bin's `BENCH_*.json`
-/// (as `TELEMETRY_<name>.json`) and prints the human-readable table.
-/// Silent no-op when the `telemetry` feature is off, so every bin can call
-/// it unconditionally.
-///
-/// The document goes through the shared [`json::JsonWriter`] like every
-/// `BENCH_*.json` file (same indentation and comma discipline), with the
-/// same top-level keys the CI telemetry job asserts: `enabled`,
-/// `counters`, `histograms` — plus `bench` naming the emitting binary.
+/// Prints the merged telemetry snapshot as a table and writes it as
+/// `TELEMETRY_<name>.json` ([`telemetry::Snapshot::to_json`]). Silent
+/// no-op when the `telemetry` feature is off, so every bin can call it
+/// unconditionally.
 pub fn emit_telemetry(name: &str) {
     let snap = telemetry::snapshot();
     if !snap.enabled {
         return;
     }
-    let mut w = json::JsonWriter::new();
-    w.begin_object();
-    w.field_str("bench", name);
-    w.field_bool("enabled", true);
-    w.begin_object_field("counters");
-    for (cname, v) in &snap.counters {
-        w.field_u64(cname, *v);
-    }
-    w.end_object();
-    w.begin_object_field("histograms");
-    for h in &snap.hists {
-        let buckets: Vec<String> = h
-            .buckets
-            .iter()
-            .map(|&(b, n)| format!("[{}, {n}]", telemetry::bucket_lo(b)))
-            .collect();
-        w.field_raw(
-            h.name,
-            &format!(
-                "{{\"count\": {}, \"sum\": {}, \"max\": {}, \"buckets\": [{}]}}",
-                h.count,
-                h.sum,
-                h.max,
-                buckets.join(", ")
-            ),
-        );
-    }
-    w.end_object();
-    w.end_object();
-    let path = format!("TELEMETRY_{name}.json");
-    std::fs::write(&path, w.finish()).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("-- telemetry ({name}) --");
     print!("{}", snap.to_table());
+    let path = format!("TELEMETRY_{name}.json");
+    std::fs::write(&path, snap.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("wrote {path}");
 }
 
@@ -93,14 +59,9 @@ pub struct Args {
     pub part: Option<String>,
     /// Emit machine-readable CSV instead of aligned tables.
     pub csv: bool,
-    /// Shrink workloads to CI-smoke size (`--quick`).
-    pub quick: bool,
     /// Write a Chrome trace-event file of the run's spans here
     /// (`--trace-out PATH`; needs the `telemetry` feature).
     pub trace_out: Option<String>,
-    /// Sample the telemetry counters every N ms into `SAMPLES_<bin>.json`
-    /// (`--sample-ms N`; needs the `telemetry` feature).
-    pub sample_ms: Option<u64>,
 }
 
 impl Default for Args {
@@ -111,9 +72,7 @@ impl Default for Args {
             seed: 42,
             part: None,
             csv: false,
-            quick: false,
             trace_out: None,
-            sample_ms: None,
         }
     }
 }
@@ -133,11 +92,7 @@ impl Args {
                 "--seed" => out.seed = take("--seed").parse().expect("--seed: integer"),
                 "--part" => out.part = Some(take("--part")),
                 "--csv" => out.csv = true,
-                "--quick" => out.quick = true,
                 "--trace-out" => out.trace_out = Some(take("--trace-out")),
-                "--sample-ms" => {
-                    out.sample_ms = Some(take("--sample-ms").parse().expect("--sample-ms: integer"))
-                }
                 "--threads" => {
                     out.threads = take("--threads")
                         .split(',')
@@ -150,8 +105,8 @@ impl Args {
                 }
                 "--help" | "-h" => {
                     eprintln!(
-                        "flags: --scale N  --threads 1,2,4  --seed N  --part a  --csv  --quick  \
-                         --trace-out PATH  --sample-ms N"
+                        "flags: --scale N  --threads 1,2,4  --seed N  --part a  --csv  \
+                         --trace-out PATH"
                     );
                     std::process::exit(0);
                 }

@@ -1,207 +1,46 @@
-//! Per-bin observability session: span-trace export + counter sampler.
+//! Per-bin observability session: span-trace export.
 //!
 //! Every harness binary brackets its work in an [`ObsSession`]:
 //!
 //! ```no_run
 //! # let args = bench_suite::Args::default();
-//! let mut obs = bench_suite::obs::ObsSession::start("fig3", &args);
+//! let obs = bench_suite::obs::ObsSession::start(&args);
 //! // ... run the benchmark ...
 //! obs.finish();
 //! ```
 //!
 //! `finish` drains the telemetry span buffers and writes a Chrome
-//! trace-event file when `--trace-out PATH` was given, and stops the
-//! background [`Sampler`] (started by `--sample-ms N`) and writes its
-//! time series to `SAMPLES_<name>.json`. Both are silent no-ops when the
-//! `telemetry` feature is off — in particular, **no trace file is
-//! created** on a feature-off build (CI's trace-smoke job asserts this),
-//! so a missing file is always distinguishable from an empty timeline.
-//!
-//! # Sampler overhead policy
-//!
-//! The sampler thread only merges the telemetry counter shards (relaxed
-//! atomic loads, no locks shared with workers) once per period; it never
-//! walks trees — tree censuses ([`specbtree::TreeStats`]) are quiescent-
-//! phase operations, so they enter the series only through explicit
-//! [`ObsSession::annotate`] calls at phase boundaries. Periods below
-//! 10 ms are clamped up to keep the sampler invisible in bench numbers.
+//! trace-event file when `--trace-out PATH` was given. It is a silent
+//! no-op when the `telemetry` feature is off — in particular, **no trace
+//! file is created** on a feature-off build, so a missing file is always
+//! distinguishable from an empty timeline.
 
-use crate::json::JsonWriter;
 use crate::Args;
-use std::sync::mpsc::{self, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
 
-/// Shortest allowed sampling period; `--sample-ms` below this is clamped.
-pub const MIN_SAMPLE_MS: u64 = 10;
-
-/// One periodic counter snapshot in a [`Sampler`]'s series.
-struct Sample {
-    t_ms: u64,
-    counters: Vec<(&'static str, u64)>,
-}
-
-/// A phase-boundary annotation attached via [`ObsSession::annotate`]:
-/// a label plus an already-serialized JSON payload (tree census, storage
-/// report, ...), timestamped on the sampler timeline.
-struct Annotation {
-    t_ms: u64,
-    label: String,
-    json: String,
-}
-
-struct Series {
-    samples: Vec<Sample>,
-    annotations: Vec<Annotation>,
-}
-
-/// A background thread snapshotting the telemetry counters at a fixed
-/// period. Created by [`ObsSession::start`] when `--sample-ms` is given
-/// (and telemetry is on); stopped and serialized by
-/// [`ObsSession::finish`].
-pub struct Sampler {
-    stop: Sender<()>,
-    handle: JoinHandle<()>,
-    series: Arc<Mutex<Series>>,
-    epoch: Instant,
-    period_ms: u64,
-}
-
-impl Sampler {
-    fn start(period_ms: u64) -> Sampler {
-        let period_ms = period_ms.max(MIN_SAMPLE_MS);
-        let series = Arc::new(Mutex::new(Series {
-            samples: Vec::new(),
-            annotations: Vec::new(),
-        }));
-        let epoch = Instant::now();
-        let (stop, rx) = mpsc::channel::<()>();
-        let worker_series = Arc::clone(&series);
-        let handle = std::thread::spawn(move || {
-            let period = std::time::Duration::from_millis(period_ms);
-            loop {
-                match rx.recv_timeout(period) {
-                    Err(RecvTimeoutError::Timeout) => {
-                        let snap = telemetry::snapshot();
-                        let mut s = worker_series.lock().unwrap();
-                        s.samples.push(Sample {
-                            t_ms: epoch.elapsed().as_millis() as u64,
-                            counters: snap.counters,
-                        });
-                    }
-                    // Stop requested or the session was dropped.
-                    Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
-                }
-            }
-        });
-        Sampler {
-            stop,
-            handle,
-            series,
-            epoch,
-            period_ms,
-        }
-    }
-
-    fn finish(self, name: &str) {
-        let _ = self.stop.send(());
-        let _ = self.handle.join();
-        let series = self.series.lock().unwrap();
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.field_str("bench", name);
-        w.field_u64("sample_ms", self.period_ms);
-        w.begin_array_field("samples");
-        for s in &series.samples {
-            let mut item = String::new();
-            item.push_str(&format!("{{\"t_ms\": {}, \"counters\": {{", s.t_ms));
-            let mut first = true;
-            for (cname, v) in &s.counters {
-                if *v == 0 {
-                    continue; // keep the series compact: zero rows carry no signal
-                }
-                if !first {
-                    item.push_str(", ");
-                }
-                first = false;
-                item.push_str(&format!("\"{cname}\": {v}"));
-            }
-            item.push_str("}}");
-            w.item_raw(&item);
-        }
-        w.end_array();
-        w.begin_array_field("annotations");
-        for a in &series.annotations {
-            w.item_raw(&format!(
-                "{{\"t_ms\": {}, \"label\": \"{}\", \"data\": {}}}",
-                a.t_ms,
-                crate::json::escape(&a.label),
-                a.json
-            ));
-        }
-        w.end_array();
-        w.end_object();
-        let path = format!("SAMPLES_{name}.json");
-        std::fs::write(&path, w.finish()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!(
-            "wrote {path} ({} samples, {} annotations)",
-            series.samples.len(),
-            series.annotations.len()
-        );
-    }
-}
-
-/// One binary run's observability scope: trace file + sampler, driven by
-/// the shared `--trace-out` / `--sample-ms` flags (see module docs).
+/// One binary run's observability scope: the trace file named by the
+/// shared `--trace-out` flag (see module docs).
 pub struct ObsSession {
-    name: String,
     trace_out: Option<String>,
-    sampler: Option<Sampler>,
 }
 
 impl ObsSession {
-    /// Opens the session. The sampler starts immediately when
-    /// `--sample-ms` was given; with telemetry off both facilities are
-    /// disabled (with a notice when flags asked for them).
-    pub fn start(name: &str, args: &Args) -> ObsSession {
-        if !telemetry::ENABLED && (args.trace_out.is_some() || args.sample_ms.is_some()) {
+    /// Opens the session. With telemetry off tracing is disabled (with a
+    /// notice when the flag asked for it).
+    pub fn start(args: &Args) -> ObsSession {
+        if !telemetry::ENABLED && args.trace_out.is_some() {
             eprintln!(
-                "note: --trace-out/--sample-ms need the `telemetry` feature; \
-                 rebuild with --features telemetry (no files will be written)"
+                "note: --trace-out needs the `telemetry` feature; \
+                 rebuild with --features telemetry (no file will be written)"
             );
         }
-        let sampler = match args.sample_ms {
-            Some(ms) if telemetry::ENABLED => Some(Sampler::start(ms)),
-            _ => None,
-        };
         ObsSession {
-            name: name.to_string(),
             trace_out: args.trace_out.clone().filter(|_| telemetry::ENABLED),
-            sampler,
         }
     }
 
-    /// Attaches a phase-boundary annotation (an already-serialized JSON
-    /// value, e.g. `TreeStats::to_json` or `StorageReport::to_json`) to
-    /// the sampler series. No-op when no sampler is running — quiescent
-    /// tree censuses never ride on the sampler thread itself.
-    pub fn annotate(&self, label: &str, json: &str) {
-        if let Some(s) = &self.sampler {
-            s.series.lock().unwrap().annotations.push(Annotation {
-                t_ms: s.epoch.elapsed().as_millis() as u64,
-                label: label.to_string(),
-                json: json.to_string(),
-            });
-        }
-    }
-
-    /// Stops the sampler (writing `SAMPLES_<name>.json`), drains every
-    /// thread's spans, and writes the Chrome trace to `--trace-out`.
+    /// Drains every thread's spans and writes the Chrome trace to
+    /// `--trace-out`.
     pub fn finish(self) {
-        if let Some(sampler) = self.sampler {
-            sampler.finish(&self.name);
-        }
         if let Some(path) = &self.trace_out {
             let records = telemetry::spans::drain_all();
             let dropped = telemetry::spans::dropped();
@@ -220,31 +59,29 @@ impl ObsSession {
 mod tests {
     use super::*;
 
-    fn args_with(trace_out: Option<&str>, sample_ms: Option<u64>) -> Args {
-        Args {
-            trace_out: trace_out.map(str::to_string),
-            sample_ms,
-            ..Args::default()
-        }
-    }
-
     #[test]
     fn session_without_flags_is_inert() {
-        let obs = ObsSession::start("unit", &Args::default());
-        obs.annotate("phase", "{}");
-        obs.finish(); // must not write any file or panic
+        ObsSession::start(&Args::default()).finish(); // must not write any file or panic
+    }
+
+    fn session_tracing_to(file: &str) -> (ObsSession, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join("bench_suite_obs_test");
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join(file);
+        let _ = std::fs::remove_file(&path);
+        let args = Args {
+            trace_out: path.to_str().map(str::to_string),
+            ..Args::default()
+        };
+        (ObsSession::start(&args), path)
     }
 
     #[test]
     fn feature_off_session_never_writes_a_trace() {
         if telemetry::ENABLED {
-            return; // live-path behavior is covered by the CI trace-smoke job
+            return;
         }
-        let dir = std::env::temp_dir().join("bench_suite_obs_test");
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("should_not_exist.json");
-        let _ = std::fs::remove_file(&path);
-        let obs = ObsSession::start("unit", &args_with(path.to_str(), Some(5)));
+        let (obs, path) = session_tracing_to("should_not_exist.json");
         obs.finish();
         assert!(
             !path.exists(),
@@ -253,24 +90,15 @@ mod tests {
     }
 
     #[test]
-    fn sampler_collects_and_serializes_when_enabled() {
+    fn feature_on_session_writes_the_spans_it_drained() {
         if !telemetry::ENABLED {
             return;
         }
-        let sampler = Sampler::start(MIN_SAMPLE_MS);
-        std::thread::sleep(std::time::Duration::from_millis(3 * MIN_SAMPLE_MS + 5));
-        telemetry::count(telemetry::Counter::BtreeLeafSplits);
-        let n = {
-            // Let at least one sample land, then snapshot the count.
-            std::thread::sleep(std::time::Duration::from_millis(2 * MIN_SAMPLE_MS));
-            sampler.series.lock().unwrap().samples.len()
-        };
-        assert!(n >= 1, "sampler produced no samples");
-        sampler.finish("obs_unit_test");
-        let path = "SAMPLES_obs_unit_test.json";
-        let doc = std::fs::read_to_string(path).expect("series written");
-        assert!(doc.contains("\"bench\": \"obs_unit_test\""));
-        assert!(doc.contains("\"samples\": ["));
-        let _ = std::fs::remove_file(path);
+        let (obs, path) = session_tracing_to("trace.json");
+        drop(telemetry::span("obs.unit", 0));
+        obs.finish();
+        let doc = std::fs::read_to_string(&path).expect("trace written");
+        assert!(doc.contains("traceEvents") && doc.contains("obs.unit"));
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -15,7 +15,7 @@ use common::thread_counts;
 use datalog::{parse, Engine, StorageKind};
 use std::collections::BTreeSet;
 use workloads::graphs;
-use workloads::pointsto::{self, PointsToConfig, PointsToFacts};
+use workloads::pointsto::{self, PointsToConfig};
 
 const TC_PROGRAM: &str = r#"
     .decl edge(x: number, y: number)
@@ -269,38 +269,45 @@ fn index_is_built_mid_fixpoint_once_the_scans_add_up() {
     );
 }
 
-/// The sum of what a run scanned and the range queries it made — the work
-/// the planner is there to save. Single-threaded, so it repeats exactly.
+/// Runs `src` over what `load` puts in and returns the sum of what the run
+/// scanned and the range queries it made — the work the planner is there to
+/// save — with the engine it ran on. Single-threaded, so it repeats exactly.
 fn join_work(
     src: &datalog::Program,
-    facts: &PointsToFacts,
+    load: impl Fn(&mut Engine),
     kind: StorageKind,
     planner: bool,
-) -> (u64, Vec<Vec<u64>>) {
+) -> (u64, Engine) {
     let mut engine = Engine::new(src, kind, 1).unwrap();
     engine.set_planner_enabled(planner);
-    pointsto::load_facts(&mut engine, facts).unwrap();
+    load(&mut engine);
     engine.run().unwrap();
     let s = engine.stats();
-    let mut closure = engine.relation("vpt").unwrap();
-    closure.extend(engine.relation("hpt").unwrap());
-    (
-        s.tuples_scanned + s.lower_bound_calls + s.upper_bound_calls,
-        closure,
-    )
+    let work = s.tuples_scanned + s.lower_bound_calls + s.upper_bound_calls;
+    (work, engine)
 }
 
 #[test]
 fn planner_never_does_more_join_work_than_source_order_on_fig5a() {
     let program = pointsto::program();
     let cfg = PointsToConfig::scaled(5);
+    let closure = |engine: &Engine| {
+        let mut closure = engine.relation("vpt").unwrap();
+        closure.extend(engine.relation("hpt").unwrap());
+        closure
+    };
     for kind in [StorageKind::SpecBTree, StorageKind::RbTreeLocked] {
         let (mut on_total, mut off_total) = (0u64, 0u64);
         for seed in 42..=52 {
             let facts = pointsto::generate_facts(&cfg, seed);
-            let (on, on_closure) = join_work(&program, &facts, kind, true);
-            let (off, off_closure) = join_work(&program, &facts, kind, false);
-            assert_eq!(on_closure, off_closure, "{kind:?}, seed {seed}");
+            let load = |e: &mut Engine| pointsto::load_facts(e, &facts).unwrap();
+            let (on, on_engine) = join_work(&program, load, kind, true);
+            let (off, off_engine) = join_work(&program, load, kind, false);
+            assert_eq!(
+                closure(&on_engine),
+                closure(&off_engine),
+                "{kind:?}, seed {seed}"
+            );
             assert!(
                 on <= off,
                 "{kind:?}, seed {seed}: planner-on did {on} scans + range queries, source order {off}"
@@ -315,6 +322,116 @@ fn planner_never_does_more_join_work_than_source_order_on_fig5a() {
             );
         }
     }
+}
+
+/// One rule over `decls` written in an adversarial literal order and in the
+/// best order a hand can write without secondary indexes. Returns the join
+/// work of the planner over the adversarial text, of source order over the
+/// same text and of source order over the hand-written one, with the
+/// planner's engine, after checking that all three derive the same `output`.
+fn against_hand_orders(
+    decls: &str,
+    [adversarial, best_hand]: [&str; 2],
+    output: &str,
+    load: impl Fn(&mut Engine),
+) -> (u64, u64, u64, Engine) {
+    let adversarial = parse(&format!("{decls} {adversarial}")).unwrap();
+    let best_hand = parse(&format!("{decls} {best_hand}")).unwrap();
+    let kind = StorageKind::SpecBTree;
+    let (on, planned) = join_work(&adversarial, &load, kind, true);
+    let (off, source_order) = join_work(&adversarial, &load, kind, false);
+    let (hand, by_hand) = join_work(&best_hand, &load, kind, false);
+    let out = planned.relation(output).unwrap();
+    assert!(!out.is_empty());
+    assert_eq!(out, source_order.relation(output).unwrap());
+    assert_eq!(out, by_hand.relation(output).unwrap());
+    (on, off, hand, planned)
+}
+
+#[test]
+fn planner_rescues_an_adversarial_order_without_building_an_index() {
+    // `hub` (500 hubs x 20 spokes) first, the 40-tuple `probe` last: source
+    // order scans all of `hub` as the outer loop. The right order (`probe`,
+    // `hub`, `spoke`) lands every join on a leading-column prefix, so it is a
+    // pure ordering problem and the minimal index cover is empty.
+    let decls = r#"
+        .decl hub(x: number, y: number)
+        .decl spoke(y: number, z: number)
+        .decl probe(x: number)
+        .decl out(x: number, z: number)
+        .output out
+    "#;
+    let rules = [
+        "out(x, z) :- hub(x, y), spoke(y, z), probe(x).",
+        "out(x, z) :- probe(x), hub(x, y), spoke(y, z).",
+    ];
+    let (nx, fan, np) = (500u64, 20u64, 40u64);
+    let (on, off, hand, planned) = against_hand_orders(decls, rules, "out", |e| {
+        let hub = (0..nx).flat_map(|x| (0..fan).map(move |k| vec![x, x * fan + k]));
+        e.add_facts("hub", hub).unwrap();
+        e.add_facts("spoke", (0..nx * fan).map(|y| vec![y, y + 1]))
+            .unwrap();
+        e.add_facts("probe", (0..np).map(|i| vec![i * (nx / np)]))
+            .unwrap();
+    });
+    assert_eq!(planned.relation_len("out").unwrap() as u64, np * fan);
+    assert!(
+        on <= hand,
+        "planner {on} scans + range queries, best hand order {hand}"
+    );
+    assert!(
+        on * 2 <= off,
+        "planner {on}, adversarial source order {off}"
+    );
+    assert_eq!(
+        planned.stats().index_builds,
+        0,
+        "the minimal cover must not over-build:\n{}",
+        planned.explain()
+    );
+}
+
+#[test]
+fn planner_beats_the_best_hand_order_where_only_an_index_helps() {
+    // `fact(y, x)` is entered through its second column once `probe` binds
+    // `x`: source order scans all of `fact` per probe, the best index-free
+    // hand order puts `fact` outermost and scans it once, and only a `[1,0]`
+    // index turns the join into point probes.
+    let decls = r#"
+        .decl probe(x: number)
+        .decl fact(y: number, x: number)
+        .decl link(y: number, z: number)
+        .decl outr(x: number, z: number)
+        .output outr
+    "#;
+    let rules = [
+        "outr(x, z) :- probe(x), fact(y, x), link(y, z).",
+        "outr(x, z) :- fact(y, x), link(y, z), probe(x).",
+    ];
+    let (n, domain, np) = (10_000u64, 500u64, 40u64);
+    let (on, off, hand, planned) = against_hand_orders(decls, rules, "outr", |e| {
+        e.add_facts("probe", (0..np).map(|i| vec![i * (domain / np)]))
+            .unwrap();
+        e.add_facts("fact", (0..n).map(|y| vec![y, y % domain]))
+            .unwrap();
+        e.add_facts("link", (0..n).map(|y| vec![y, y + 1])).unwrap();
+    });
+    assert_eq!(
+        planned.relation_len("outr").unwrap() as u64,
+        np * (n / domain)
+    );
+    assert!(
+        on < hand,
+        "planner {on} scans + range queries, best hand order {hand}"
+    );
+    assert!(
+        on * 2 <= off,
+        "planner {on}, adversarial source order {off}"
+    );
+    assert_eq!(planned.stats().index_builds, 1, "{}", planned.explain());
+    let report = planned.storage_report();
+    let fact = report.relations.iter().find(|r| r.name == "fact").unwrap();
+    assert_eq!(fact.index_perms, vec![vec![1, 0]]);
 }
 
 #[test]

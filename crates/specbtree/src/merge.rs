@@ -846,7 +846,6 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             unsafe { &*built }.parent.store(new_root, Relaxed);
             unsafe { &*built }.position.store(1, Relaxed);
             telemetry::count(telemetry::Counter::BtreeRootGrowth);
-            telemetry::flight::event("btree::root_swap", new_root as u64, 0);
             chaos::checkpoint("btree::root_swap");
             self.root.store(new_root, Relaxed);
             true

@@ -67,25 +67,14 @@ static TREE_IDS: AtomicU64 = AtomicU64::new(1);
 /// (reclamation is an optimization; empty leaves are legal).
 const REMOVE_LOCK_ATTEMPTS: usize = 8;
 
-/// Records one Algorithm 1 restart: the aggregate and per-cause counters,
-/// a flight-recorder event naming the node we restarted from, and — when
-/// the operation's restart count crosses the budget — a one-shot flight
-/// dump. Everything here compiles away without the `telemetry` feature
-/// (the budget is then `u64::MAX`, so the dump branch is unreachable).
+/// Records one Algorithm 1 restart: the operation's own count (recorded
+/// into `insert_restarts_per_op` when it completes) and the aggregate and
+/// per-cause counters, which must add up to it.
 #[inline]
-fn note_insert_restart(
-    cause: telemetry::Counter,
-    label: &'static str,
-    node: usize,
-    restarts: &mut u64,
-) {
+fn note_insert_restart(cause: telemetry::Counter, restarts: &mut u64) {
     *restarts += 1;
     telemetry::count(telemetry::Counter::BtreeInsertRestarts);
     telemetry::count(cause);
-    telemetry::flight::event(label, node as u64, *restarts);
-    if *restarts == telemetry::restart_budget().saturating_add(1) {
-        telemetry::flight::dump("btree insert exceeded its restart budget");
-    }
 }
 
 /// A concurrent ordered set of `K`-ary integer tuples backed by the
@@ -323,12 +312,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
                             node: cur,
                         };
                     }
-                    note_insert_restart(
-                        telemetry::Counter::BtreeRestartDescend,
-                        "btree::insert::restart::found_validate",
-                        cur as usize,
-                        &mut restarts,
-                    );
+                    note_insert_restart(telemetry::Counter::BtreeRestartDescend, &mut restarts);
                     continue 'restart;
                 }
 
@@ -337,35 +321,20 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
                     // SAFETY: is_inner just checked; kind never changes.
                     let next = unsafe { node.as_inner() }.child(idx);
                     if !skip_validate && !node.lock.validate(cur_lease) {
-                        note_insert_restart(
-                            telemetry::Counter::BtreeRestartDescend,
-                            "btree::insert::restart::descend_validate",
-                            cur as usize,
-                            &mut restarts,
-                        );
+                        note_insert_restart(telemetry::Counter::BtreeRestartDescend, &mut restarts);
                         continue 'restart; // line 27
                     }
                     if next.is_null() {
                         // Inconsistent snapshot that nevertheless validated
                         // cannot happen; defensive restart.
-                        note_insert_restart(
-                            telemetry::Counter::BtreeRestartDescend,
-                            "btree::insert::restart::null_child",
-                            cur as usize,
-                            &mut restarts,
-                        );
+                        note_insert_restart(telemetry::Counter::BtreeRestartDescend, &mut restarts);
                         continue 'restart;
                     }
                     // SAFETY: `next` was read under a validated lease, so it
                     // was a genuine child: a live, never-freed node.
                     let next_lease = unsafe { &*next }.lock.start_read(); // line 28
                     if !skip_validate && !node.lock.validate(cur_lease) {
-                        note_insert_restart(
-                            telemetry::Counter::BtreeRestartDescend,
-                            "btree::insert::restart::child_validate",
-                            cur as usize,
-                            &mut restarts,
-                        );
+                        note_insert_restart(telemetry::Counter::BtreeRestartDescend, &mut restarts);
                         continue 'restart; // line 29
                     }
                     cur = next;
@@ -376,12 +345,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
                 // Lines 35–36: request write access to the located leaf.
                 chaos::checkpoint("btree::insert::leaf_upgrade");
                 if !node.lock.try_upgrade_to_write(cur_lease) {
-                    note_insert_restart(
-                        telemetry::Counter::BtreeRestartLeafUpgrade,
-                        "btree::insert::restart::leaf_upgrade",
-                        cur as usize,
-                        &mut restarts,
-                    );
+                    note_insert_restart(telemetry::Counter::BtreeRestartLeafUpgrade, &mut restarts);
                     continue 'restart;
                 }
 
@@ -392,12 +356,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
                 if num == C {
                     self.split(cur, Self::leaf_split_point(idx)); // Algorithm 2
                     node.lock.end_write();
-                    note_insert_restart(
-                        telemetry::Counter::BtreeRestartSplitRetry,
-                        "btree::insert::restart::split_retry",
-                        cur as usize,
-                        &mut restarts,
-                    );
+                    note_insert_restart(telemetry::Counter::BtreeRestartSplitRetry, &mut restarts);
                     continue 'restart;
                 }
 
@@ -440,8 +399,8 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         }
         // The hinted path never restarts in place (a full leaf splits with
         // the insert finished in place, below); completed operations still
-        // record zero restarts so the telemetry CI invariant (restart
-        // counter == per-op histogram sum) holds.
+        // record zero restarts, so the histogram counts every insert and
+        // its sum stays the restart counter (`tests/telemetry_wiring.rs`).
         let done = |inserted: bool| {
             telemetry::record(telemetry::Hist::BtreeInsertRestartsPerOp, 0);
             Some(Located {
@@ -735,7 +694,6 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
             sn.parent.store(new_root, Relaxed);
             sn.position.store(1, Relaxed);
             telemetry::count(telemetry::Counter::BtreeRootGrowth);
-            telemetry::flight::event("btree::root_swap", new_root as u64, 0);
             chaos::checkpoint("btree::root_swap");
             self.root.store(new_root, Relaxed);
         } else {
@@ -1214,7 +1172,6 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         // Splice the separator and the empty leaf out of the parent.
         Self::splice_out(pi, sep_idx, if at_front { 0 } else { pos });
         telemetry::count(telemetry::Counter::BtreeLeafUnlinks);
-        telemetry::flight::event("btree::leaf_unlink", leaf as u64, 0);
         sn.lock.end_write();
         pn.lock.end_write();
         node.lock.end_write();

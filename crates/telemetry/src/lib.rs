@@ -16,23 +16,18 @@
 //! * **Histograms** ([`record`], [`Timer`]): log2-bucketed value
 //!   distributions (restart counts per operation, chunk scan latencies,
 //!   stratum fixpoint times), same sharding.
-//! * **Flight recorder** ([`flight`]): a fixed-size per-thread ring buffer
-//!   of recent labelled events (protocol step, node id, cause). When an
-//!   operation exceeds the [restart budget](restart_budget), the layer
-//!   dumps the ring — the diagnostic analog of the chaos harness's
-//!   schedule traces, but for production runs.
 //! * **Spans** ([`span`]/[`spans`]): per-thread timeline records (begin/end
 //!   nanoseconds, label, operand, thread id) drained by
 //!   [`spans::drain_all`] and exported as a Chrome trace
 //!   ([`trace_export::write_chrome_trace`]) — the *when/where* view the
-//!   three counting instruments cannot give.
+//!   two counting instruments cannot give.
 //!
 //! # Zero cost when off
 //!
 //! Everything is gated on the `enabled` cargo feature (consumer crates
 //! forward their own `telemetry` feature here). With the feature **off**
 //! every probe is an empty `#[inline(always)]` function, [`Timer`] and
-//! [`flight::Event`] are zero-sized, and no static storage exists — the
+//! [`Span`] are zero-sized, and no static storage exists — the
 //! `no_op_path` test module asserts this, and CI builds both ways. With it
 //! **on**, the cost of a probe is one thread-local read plus one relaxed
 //! atomic add.
@@ -41,8 +36,9 @@
 //!
 //! [`snapshot`] merges all shards into a [`Snapshot`] that renders as an
 //! aligned human-readable table ([`Snapshot::to_table`]) or a
-//! machine-readable JSON report ([`Snapshot::to_json`]). [`reset`] zeroes
-//! everything (between benchmark phases; quiescent callers only).
+//! machine-readable JSON report ([`Snapshot::to_json`]). Counters only
+//! grow: a reader that wants one phase takes a snapshot before and after
+//! and subtracts, as `tests/telemetry_wiring.rs` does.
 //!
 //! ```
 //! telemetry::count(telemetry::Counter::BtreeInsertRestarts);
@@ -114,9 +110,6 @@ pub enum Counter {
     BtreeMergePerTuple,
     /// `datalog`: semi-naive fixpoint iterations across all strata.
     EvalIterations,
-    /// `telemetry`: flight-recorder dumps emitted (restart budget
-    /// exceeded).
-    FlightDumps,
     /// `specbtree`: parallel `insert_all` merges served by the subtree
     /// splice fast path (a prebuilt run attached under one write-locked
     /// ancestor instead of per-tuple insertion).
@@ -139,7 +132,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 24;
+    pub const COUNT: usize = 23;
 
     /// All counters, in declaration order.
     pub const ALL: [Counter; Self::COUNT] = [
@@ -160,7 +153,6 @@ impl Counter {
         Counter::BtreeMergeBulkLoad,
         Counter::BtreeMergePerTuple,
         Counter::EvalIterations,
-        Counter::FlightDumps,
         Counter::BtreeMergeSplice,
         Counter::BtreeMergeChunks,
         Counter::BtreeRemoves,
@@ -189,7 +181,6 @@ impl Counter {
             Counter::BtreeMergeBulkLoad => "specbtree.merge_bulk_load",
             Counter::BtreeMergePerTuple => "specbtree.merge_per_tuple",
             Counter::EvalIterations => "datalog.iterations",
-            Counter::FlightDumps => "telemetry.flight_dumps",
             Counter::BtreeMergeSplice => "specbtree.merge_splice",
             Counter::BtreeMergeChunks => "specbtree.merge_chunks",
             Counter::BtreeRemoves => "specbtree.removes",
@@ -360,24 +351,6 @@ mod imp {
         }
         (buckets, sum, max)
     }
-
-    pub fn reset() {
-        for s in &COUNTERS {
-            for c in &s.0 {
-                c.store(0, Relaxed);
-            }
-        }
-        for s in &HISTS {
-            for h in &s.buckets {
-                for b in h {
-                    b.store(0, Relaxed);
-                }
-            }
-            for v in s.sum.iter().chain(s.max.iter()) {
-                v.store(0, Relaxed);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -414,14 +387,6 @@ pub fn record(h: Hist, value: u64) {
 #[inline(always)]
 pub fn record(_h: Hist, _value: u64) {}
 
-/// Resets every counter and histogram to zero. Callers must be quiescent
-/// (no concurrent probes) for the zeros to be meaningful.
-pub fn reset() {
-    #[cfg(feature = "enabled")]
-    imp::reset();
-    flight::clear();
-}
-
 /// A started wall-clock measurement; [`observe`](Timer::observe) records
 /// the elapsed nanoseconds into a histogram. Zero-sized (and clock-free)
 /// when telemetry is disabled.
@@ -454,237 +419,6 @@ impl Timer {
     pub fn observe(self, h: Hist) {
         record(h, self.elapsed_nanos());
     }
-}
-
-// ---------------------------------------------------------------------
-// Restart budget
-// ---------------------------------------------------------------------
-
-/// Default restart budget: an operation restarting this many times in a
-/// row is considered pathological and triggers a flight-recorder dump.
-pub const DEFAULT_RESTART_BUDGET: u64 = 64;
-
-/// Resolves a raw `TELEMETRY_RESTART_BUDGET` environment value to a
-/// budget: a missing variable or one that does not parse as an unsigned
-/// integer (after trimming whitespace) falls back to
-/// [`DEFAULT_RESTART_BUDGET`] — never a panic, because the env var is
-/// user input read on a hot-path fallback.
-pub fn parse_restart_budget(raw: Option<&str>) -> u64 {
-    raw.and_then(|s| s.trim().parse().ok())
-        .unwrap_or(DEFAULT_RESTART_BUDGET)
-}
-
-#[cfg(feature = "enabled")]
-mod budget {
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-    use std::sync::OnceLock;
-
-    // 0 is a valid budget ("dump on the first restart"), so the unset
-    // state is encoded as u64::MAX and resolved lazily from the env.
-    static BUDGET: AtomicU64 = AtomicU64::new(u64::MAX);
-    static ENV_DEFAULT: OnceLock<u64> = OnceLock::new();
-
-    pub fn get() -> u64 {
-        let v = BUDGET.load(Relaxed);
-        if v != u64::MAX {
-            return v;
-        }
-        *ENV_DEFAULT.get_or_init(|| {
-            super::parse_restart_budget(std::env::var("TELEMETRY_RESTART_BUDGET").ok().as_deref())
-        })
-    }
-
-    pub fn set(v: u64) {
-        BUDGET.store(v, Relaxed);
-    }
-}
-
-/// The restart budget: operations restarting more often than this dump the
-/// flight recorder. Defaults to [`DEFAULT_RESTART_BUDGET`], overridable via
-/// the `TELEMETRY_RESTART_BUDGET` environment variable or
-/// [`set_restart_budget`]. Effectively infinite when telemetry is disabled.
-#[inline(always)]
-pub fn restart_budget() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        budget::get()
-    }
-    #[cfg(not(feature = "enabled"))]
-    u64::MAX
-}
-
-/// Overrides the restart budget (`u64::MAX` restores the env/default
-/// resolution). No-op when telemetry is disabled.
-pub fn set_restart_budget(_budget: u64) {
-    #[cfg(feature = "enabled")]
-    budget::set(_budget);
-}
-
-// ---------------------------------------------------------------------
-// Flight recorder
-// ---------------------------------------------------------------------
-
-/// The per-thread flight recorder: a fixed-size ring buffer of recent
-/// labelled events, dumped when an operation exceeds the restart budget.
-pub mod flight {
-    /// Ring capacity per thread (events kept before overwriting).
-    pub const CAPACITY: usize = 256;
-
-    /// One recorded event. Zero-sized storage when telemetry is disabled.
-    #[derive(Clone, Copy, Debug)]
-    pub struct Event {
-        /// The protocol step or decision point (`"btree::insert::restart"`).
-        pub label: &'static str,
-        /// Primary operand — by convention a node id (pointer address).
-        pub a: u64,
-        /// Secondary operand — by convention a cause code or count.
-        pub b: u64,
-        /// Monotone per-thread sequence number.
-        pub seq: u64,
-    }
-
-    #[cfg(feature = "enabled")]
-    mod ring {
-        use super::{Event, CAPACITY};
-        use std::cell::RefCell;
-        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-        struct Ring {
-            events: Vec<Event>,
-            next: usize,
-            seq: u64,
-        }
-
-        thread_local! {
-            static RING: RefCell<Ring> = RefCell::new(Ring {
-                events: Vec::with_capacity(CAPACITY),
-                next: 0,
-                seq: 0,
-            });
-        }
-
-        /// Dumps remaining before stderr output is suppressed (floods of
-        /// pathological operations should not bury the first traces).
-        static DUMPS_LEFT: AtomicU64 = AtomicU64::new(8);
-
-        pub fn event(label: &'static str, a: u64, b: u64) {
-            RING.with(|r| {
-                let mut r = r.borrow_mut();
-                let seq = r.seq;
-                r.seq += 1;
-                let ev = Event { label, a, b, seq };
-                if r.events.len() < CAPACITY {
-                    r.events.push(ev);
-                } else {
-                    let slot = r.next;
-                    r.events[slot] = ev;
-                }
-                r.next = (r.next + 1) % CAPACITY;
-            });
-        }
-
-        pub fn clear() {
-            RING.with(|r| {
-                let mut r = r.borrow_mut();
-                r.events.clear();
-                r.next = 0;
-                r.seq = 0;
-            });
-        }
-
-        pub fn snapshot() -> Vec<Event> {
-            RING.with(|r| {
-                let r = r.borrow();
-                let mut out = Vec::with_capacity(r.events.len());
-                if r.events.len() == CAPACITY {
-                    out.extend_from_slice(&r.events[r.next..]);
-                    out.extend_from_slice(&r.events[..r.next]);
-                } else {
-                    out.extend_from_slice(&r.events);
-                }
-                out
-            })
-        }
-
-        pub fn try_take_dump_slot() -> bool {
-            DUMPS_LEFT
-                .fetch_update(Relaxed, Relaxed, |n| n.checked_sub(1))
-                .is_ok()
-        }
-
-        pub fn set_dump_limit(n: u64) {
-            DUMPS_LEFT.store(n, Relaxed);
-        }
-    }
-
-    /// Appends an event to the calling thread's ring.
-    #[cfg(feature = "enabled")]
-    #[inline]
-    pub fn event(label: &'static str, a: u64, b: u64) {
-        ring::event(label, a, b);
-    }
-
-    /// Appends an event to the calling thread's ring (no-op: disabled).
-    #[cfg(not(feature = "enabled"))]
-    #[inline(always)]
-    pub fn event(_label: &'static str, _a: u64, _b: u64) {}
-
-    /// The calling thread's recorded events, oldest first. Empty when
-    /// telemetry is disabled.
-    pub fn events() -> Vec<Event> {
-        #[cfg(feature = "enabled")]
-        {
-            ring::snapshot()
-        }
-        #[cfg(not(feature = "enabled"))]
-        Vec::new()
-    }
-
-    /// Clears the calling thread's ring.
-    pub fn clear() {
-        #[cfg(feature = "enabled")]
-        ring::clear();
-    }
-
-    /// Formats the calling thread's ring, newest last, and writes it to
-    /// stderr (rate-limited by [`set_dump_limit`]). Returns the rendered
-    /// dump, or `None` when telemetry is disabled, the ring is empty, or
-    /// the dump limit is exhausted. Increments
-    /// [`Counter::FlightDumps`](crate::Counter::FlightDumps).
-    pub fn dump(reason: &str) -> Option<String> {
-        let evs = events();
-        if evs.is_empty() {
-            return None;
-        }
-        #[cfg(feature = "enabled")]
-        if !ring::try_take_dump_slot() {
-            return None;
-        }
-        crate::count(crate::Counter::FlightDumps);
-        let mut out = format!(
-            "=== telemetry flight recorder: {reason} (thread {:?}, {} events) ===\n",
-            std::thread::current().id(),
-            evs.len()
-        );
-        for ev in &evs {
-            let _ = writeln!(
-                out,
-                "  #{:<8} {:<36} a={:#018x} b={}",
-                ev.seq, ev.label, ev.a, ev.b
-            );
-        }
-        eprint!("{out}");
-        Some(out)
-    }
-
-    /// Sets how many dumps may still be written to stderr (default 8 per
-    /// process). No-op when telemetry is disabled.
-    pub fn set_dump_limit(_n: u64) {
-        #[cfg(feature = "enabled")]
-        ring::set_dump_limit(_n);
-    }
-
-    use std::fmt::Write as _;
 }
 
 // ---------------------------------------------------------------------
@@ -783,20 +517,6 @@ impl Snapshot {
     /// The merged histogram named `name`, if present.
     pub fn hist(&self, name: &str) -> Option<&HistSnapshot> {
         self.hists.iter().find(|h| h.name == name)
-    }
-
-    /// The `n` largest non-zero counters, descending — "what restarted or
-    /// contended the most".
-    pub fn top(&self, n: usize) -> Vec<(&'static str, u64)> {
-        let mut v: Vec<_> = self
-            .counters
-            .iter()
-            .filter(|(_, val)| *val > 0)
-            .copied()
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        v.truncate(n);
-        v
     }
 
     /// Renders an aligned human-readable table (zero rows omitted).
@@ -901,31 +621,6 @@ mod taxonomy_tests {
     }
 
     #[test]
-    fn restart_budget_env_parsing_never_panics() {
-        // Garbage env values fall back to the default instead of
-        // panicking; the helper is pure, so this pins the behavior in
-        // both feature modes without touching the process environment.
-        assert_eq!(parse_restart_budget(None), DEFAULT_RESTART_BUDGET);
-        for garbage in [
-            "",
-            "  ",
-            "abc",
-            "-3",
-            "1.5",
-            "0x10",
-            "9999999999999999999999",
-        ] {
-            assert_eq!(
-                parse_restart_budget(Some(garbage)),
-                DEFAULT_RESTART_BUDGET,
-                "{garbage:?}"
-            );
-        }
-        assert_eq!(parse_restart_budget(Some("0")), 0);
-        assert_eq!(parse_restart_budget(Some(" 128\n")), 128);
-    }
-
-    #[test]
     fn bucket_math() {
         assert_eq!(bucket_of(0), 0);
         assert_eq!(bucket_of(1), 1);
@@ -948,9 +643,8 @@ mod taxonomy_tests {
 }
 
 /// The zero-cost contract: with the feature off, handles are zero-sized
-/// and snapshots are empty. (The CI `telemetry` job runs this module in a
-/// default build; the symmetric `live_path` module runs under
-/// `--features enabled`.)
+/// and snapshots are empty. (Every default-build `cargo test` runs this
+/// module; the symmetric `live_path` module runs under `--features enabled`.)
 #[cfg(all(test, not(feature = "enabled")))]
 mod no_op_path {
     use super::*;
@@ -989,15 +683,11 @@ mod no_op_path {
         add(Counter::LockSpinIterations, 1000);
         record(Hist::EvalDeltaTuples, 42);
         start_timer().observe(Hist::EvalChunkNanos);
-        flight::event("label", 1, 2);
         let snap = snapshot();
         assert!(!snap.enabled);
         assert!(snap.counters.is_empty());
         assert!(snap.hists.is_empty());
         assert_eq!(snap.counter("specbtree.insert_restarts"), 0);
-        assert!(flight::events().is_empty());
-        assert!(flight::dump("test").is_none());
-        assert_eq!(restart_budget(), u64::MAX);
         let json = snap.to_json();
         assert!(json.contains("\"enabled\": false"), "{json}");
         assert!(snap.to_table().contains("disabled"));
@@ -1048,32 +738,6 @@ mod live_path {
         t.observe(Hist::EvalChunkNanos);
         let snap = snapshot();
         assert!(snap.hist("datalog.chunk_nanos").unwrap().count >= 1);
-    }
-
-    #[test]
-    fn flight_ring_keeps_latest_events_in_order() {
-        flight::clear();
-        for i in 0..(flight::CAPACITY as u64 + 10) {
-            flight::event("step", i, 0);
-        }
-        let evs = flight::events();
-        assert_eq!(evs.len(), flight::CAPACITY);
-        assert_eq!(evs[0].a, 10, "oldest surviving event");
-        assert_eq!(evs.last().unwrap().a, flight::CAPACITY as u64 + 9);
-        assert!(evs.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
-        let dump = flight::dump("unit test").expect("dump available");
-        assert!(dump.contains("step"));
-        assert!(snapshot().counter("telemetry.flight_dumps") >= 1);
-        flight::clear();
-        assert!(flight::events().is_empty());
-    }
-
-    #[test]
-    fn restart_budget_is_settable() {
-        set_restart_budget(3);
-        assert_eq!(restart_budget(), 3);
-        set_restart_budget(u64::MAX); // restore env/default resolution
-        assert_eq!(restart_budget(), DEFAULT_RESTART_BUDGET);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! span's dense thread id, and the span operand rides in
 //! `args.arg`. Within one `tid` the events are emitted stack-ordered
 //! (every `B` has its `E`, properly nested, with non-decreasing `ts`) —
-//! `ci/validate_trace.py` checks exactly these properties.
+//! this module's tests check exactly these properties.
 //!
 //! RAII spans on one thread nest by construction (an inner span is
 //! dropped before the guard that encloses it), so the per-thread records
@@ -141,8 +141,8 @@ mod tests {
         }
     }
 
-    /// Minimal checker mirroring ci/validate_trace.py: per-tid monotone
-    /// timestamps and balanced, label-matched B/E nesting.
+    /// Per-tid monotone timestamps and balanced, label-matched B/E
+    /// nesting; returns the number of events.
     fn check_nesting(doc: &str) -> usize {
         let mut stacks: std::collections::HashMap<u64, Vec<String>> = Default::default();
         let mut last_ts: std::collections::HashMap<u64, f64> = Default::default();
