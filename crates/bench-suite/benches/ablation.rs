@@ -10,7 +10,12 @@
 //!   vs element-wise insertion;
 //! * **key order by counting** — `sort_tuples` vs `sort_unstable` over
 //!   batch sizes, key domains and widths: the measurement behind the
-//!   kernel's digit width and its crossover to comparing.
+//!   kernel's digit width and its crossover to comparing;
+//! * **runs, not tuples** — a sorted batch checked against one tree and
+//!   inserted into another tuple by tuple through hints, against one
+//!   `retain_absent` and one `insert_run`: the layer number under the
+//!   engine's flush, and where a crossover would show if a sparse batch
+//!   ever lost.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use specbtree::seq::SeqBTreeSet;
@@ -178,6 +183,64 @@ fn key_order_by_counting(c: &mut Criterion) {
     }
 }
 
+/// Figure 1's check-then-insert over one sorted batch, both ways. `full`
+/// holds the even values of `0..2n` as pairs, packed 24 to a leaf; a batch is
+/// `len` distinct values out of one window of the domain, wide enough for
+/// `per_leaf` of them to fall into each of `full`'s leaves it covers, half of
+/// them present; what is absent goes into a tree that starts empty. Sizes
+/// whose window would not fit the tree are left out.
+fn run_path(c: &mut Criterion) {
+    const LEAF: u64 = 25; // 24 keys and the separator that follows them
+    let pair = |v: u64| [v / 1_000, v % 1_000];
+    for n in [10_000u64, 1_000_000] {
+        let full: BTreeSet<2> = BTreeSet::from_sorted((0..n).map(|i| pair(2 * i)));
+        for len in [64u64, 1_024, 16_384] {
+            for (label, per_leaf) in [("0.1", 0.1f64), ("1", 1.0), ("8", 8.0)] {
+                let window = (len as f64 / per_leaf) as u64 * LEAF * 2;
+                if window > 2 * n {
+                    continue;
+                }
+                let mut rng = SplitMix64::new(n ^ len ^ window);
+                let start = rng.below(2 * n - window + 1);
+                let mut batch: Vec<[u64; 2]> = Vec::new();
+                while (batch.len() as u64) < len {
+                    batch.extend((0..len).map(|_| pair(start + rng.below(window))));
+                    batch.sort_unstable();
+                    batch.dedup();
+                }
+                batch.truncate(len as usize);
+                let mut group = c.benchmark_group(format!("run_path/tree={n}/per_leaf={label}"));
+                group.throughput(Throughput::Elements(len));
+                group.bench_function(BenchmarkId::new("per_tuple_hinted", len), |b| {
+                    let apply = |new: BTreeSet<2>| {
+                        let (mut seen, mut put) = (full.create_hints(), new.create_hints());
+                        for t in &batch {
+                            if !full.contains_hinted(t, &mut seen) {
+                                new.insert_hinted(*t, &mut put);
+                            }
+                        }
+                        new
+                    };
+                    b.iter_batched(BTreeSet::new, apply, BatchSize::SmallInput)
+                });
+                group.bench_function(BenchmarkId::new("runs", len), |b| {
+                    let apply = |(new, mut run): (BTreeSet<2>, Vec<[u64; 2]>)| {
+                        let kept = full.retain_absent(&mut run);
+                        black_box(new.insert_run(&run[..kept]));
+                        new
+                    };
+                    b.iter_batched(
+                        || (BTreeSet::new(), batch.clone()),
+                        apply,
+                        BatchSize::SmallInput,
+                    )
+                });
+                group.finish();
+            }
+        }
+    }
+}
+
 fn configured() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -189,6 +252,6 @@ criterion_group! {
     name = benches;
     config = configured();
     targets = node_capacity, hints_on_clustered_inserts, synchronization_cost, bulk_merge,
-        key_order_by_counting
+        key_order_by_counting, run_path
 }
 criterion_main!(benches);

@@ -17,15 +17,16 @@
 //! ([`RelationStorage::scan_chunk`]) with no intermediate tuple buffer;
 //! inner scans join inside the scan's callback the same way. Every worker
 //! owns private storage contexts (operation hints), bound to the plan's
-//! operation sites once per plan execution, and inserts into the shared
-//! `new` relation through the concurrent storage API. Reads (scans over
-//! stable relations) and writes (inserts into `new`) never target the same
+//! scan and check sites once per plan execution, and merges its head
+//! tuples, a sorted batch at a time, into the shared `new` relation through
+//! the concurrent storage API. Reads (scans over stable relations) and
+//! writes (batches merged into `new`) never target the same
 //! structure — the two-phase property (§2) the B-tree's synchronization is
 //! specialized for.
 
 use crate::ast::{CmpOp, Rule, Term, MAX_ARITY};
 use crate::planner::IndexCatalog;
-use crate::storage::{pad, RelationStorage, StorageChunk, StorageCtx, TupleBuf};
+use crate::storage::{RelationStorage, StorageChunk, StorageCtx, TupleBuf};
 use specbtree::HintStats;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
@@ -52,8 +53,8 @@ pub struct WorkerStats {
     /// Inner scans that fell through to an unindexed full sweep of the
     /// relation (no bound prefix, no secondary index).
     pub inner_scans_full: u64,
-    /// `insert` calls issued: head tuples not in the full relation, offered
-    /// to `new` — after duplicates within one emit batch are dropped, so the
+    /// Inserts issued: head tuples not in the full relation, offered to
+    /// `new` — after duplicates within one emit batch are dropped, so the
     /// count moves with where the batches end.
     pub inserts: u64,
     /// Membership tests issued: fully bound body literals, and the head's
@@ -563,26 +564,34 @@ pub(crate) struct StorageEnv<'a> {
     pub new: &'a SideTables,
 }
 
-/// One operation site of a plan — step `i` at index `i`, then the head's
-/// membership test and its insert — as `(relation, storage)`; `None` for a
-/// filter, which touches no storage.
+/// The operation site of step `i` of a plan, at index `i`, as `(relation,
+/// storage)`; `None` for a filter, which touches no storage.
 type Bound<'a> = Option<(usize, &'a dyn RelationStorage)>;
 
+/// The head's two tables: the full relation a flushed batch is anti-joined
+/// with and the `new` table the rest is merged into. No operation sites: a
+/// run reads and writes no hint, so no worker keeps a context for them.
+#[derive(Clone, Copy)]
+struct Head<'a> {
+    full: &'a dyn RelationStorage,
+    new: &'a dyn RelationStorage,
+}
+
 impl<'a> StorageEnv<'a> {
-    /// The storage every operation site of `plan` goes to, resolved once
-    /// per plan execution.
+    /// The storage every step of `plan` goes to and the head's two tables,
+    /// resolved once per plan execution.
     ///
-    /// Scans and membership tests read `full` and `delta`, inserts go to
-    /// `new`, and no table is both: the two-phase property (§2) that lets a
-    /// join run inside a scan's callback, since nothing a plan reads
-    /// changes while it runs.
-    fn bind(&self, plan: &Plan) -> Vec<Bound<'a>> {
+    /// Scans and membership tests, the head's batched one included, read
+    /// `full` and `delta`, batches go to `new`, and no table is both: the
+    /// two-phase property (§2) that lets a join run inside a scan's callback
+    /// and a batch wait for its flush: nothing a plan reads changes under it.
+    fn bind(&self, plan: &Plan) -> (Vec<Bound<'a>>, Head<'a>) {
         let source = |rel: usize, delta: bool| match delta {
             true => side_table(self.delta, rel),
             false => self.full[rel],
         };
         let new = side_table(self.new, plan.head_rel);
-        let mut sites: Vec<Bound<'a>> = plan
+        let sites: Vec<Bound<'a>> = plan
             .steps
             .iter()
             .map(|step| match step {
@@ -598,9 +607,8 @@ impl<'a> StorageEnv<'a> {
             "plan {} reads the table it derives into",
             plan.id
         );
-        sites.push(Some((plan.head_rel, self.full[plan.head_rel])));
-        sites.push(Some((plan.head_rel, new)));
-        sites
+        let full = self.full[plan.head_rel];
+        (sites, Head { full, new })
     }
 }
 
@@ -633,7 +641,7 @@ pub(crate) struct WorkerCtxs {
     buf: EmitBuf,
 }
 
-/// Head tuples derived and not yet offered to the head's two sites, end to
+/// Head tuples derived and not yet applied to the head's two tables, end to
 /// end at the head's arity, and what sorting them ping-pongs with.
 #[derive(Default)]
 struct EmitBuf {
@@ -706,6 +714,7 @@ struct Job<'a> {
     plan: &'a Plan,
     full: &'a [&'a dyn RelationStorage],
     bound: Vec<Bound<'a>>,
+    head: Head<'a>,
     chunks: Vec<StorageChunk>,
     cursor: AtomicUsize,
 }
@@ -721,7 +730,7 @@ pub(crate) fn eval_plan(
     stats: &mut [WorkerStats],
 ) {
     debug_assert_eq!(pools.len(), stats.len());
-    let bound = env.bind(plan);
+    let (bound, head) = env.bind(plan);
     let (Some(Step::Scan { prefix, .. }), Some(Some((_, outer)))) =
         (plan.steps.first(), bound.first())
     else {
@@ -729,9 +738,14 @@ pub(crate) fn eval_plan(
         let ctxs = &mut pools[0];
         let mut sites = ctxs.take(plan.id, &bound, env.full);
         let (stats, buf) = (&mut stats[0], &mut ctxs.buf);
-        let mut evaluator = Evaluator { plan, stats, buf };
+        let mut evaluator = Evaluator {
+            plan,
+            head,
+            stats,
+            buf,
+        };
         evaluator.run_from(0, &mut vec![0u64; plan.nvars], &mut sites);
-        evaluator.flush(&mut sites);
+        evaluator.flush();
         ctxs.put(plan.id, sites);
         return;
     };
@@ -749,6 +763,7 @@ pub(crate) fn eval_plan(
         plan,
         full: env.full,
         bound,
+        head,
         chunks,
         cursor: AtomicUsize::new(0),
     };
@@ -778,8 +793,12 @@ impl Job<'_> {
         let mut sites = ctxs.take(plan.id, &self.bound, self.full);
         let (outer, inner) = sites.split_first_mut().expect("a site per step");
         let outer = outer.as_mut().expect("the outer scan's site");
-        let buf = &mut ctxs.buf;
-        let mut evaluator = Evaluator { plan, stats, buf };
+        let mut evaluator = Evaluator {
+            plan,
+            head: self.head,
+            stats,
+            buf: &mut ctxs.buf,
+        };
         let mut vars = vec![0u64; plan.nvars];
         loop {
             let i = self.cursor.fetch_add(1, Relaxed);
@@ -797,7 +816,7 @@ impl Job<'_> {
             outer.src.scan_chunk(chunk, &mut outer.ctx, &mut |t| {
                 evaluator.join(0, t, &mut vars, inner);
             });
-            evaluator.flush(inner);
+            evaluator.flush();
             chunk_timer.observe(telemetry::Hist::EvalChunkNanos);
         }
         ctxs.put(plan.id, sites);
@@ -808,21 +827,23 @@ impl Job<'_> {
 /// counts are taken here, where each storage call is issued.
 struct Evaluator<'p, 'c> {
     plan: &'p Plan,
+    head: Head<'p>,
     stats: &'c mut WorkerStats,
     buf: &'c mut EmitBuf,
 }
 
 /// Head tuples a worker collects before it sorts them and applies them to
-/// the trees. While sorting cost `n log n`, 4 096 was where a hand-written
-/// `tc_random` loop went flat (EXPERIMENTS.md, "Writes in key order"). With
-/// the counting sort a longer batch costs nothing to sort and drops more
-/// repeats: the benchmark's child at 1 024 / 16 384 / 65 536 against 4 096,
-/// ten alternating rounds each at seeds 42 and 7, read `run_s` 1.007 /
-/// **0.936 and 0.974** / 0.982× on `tc_random` (16 384 ahead in 9 and 10
-/// rounds of ten), 1.019 / **0.975 and 0.964** / 0.998× on `security` (9 and
-/// 10), 1.029 / 0.998 and 0.985 / 0.993× on `pointsto` (6 and 7), `rss_mb`
-/// within 0.6 % (EXPERIMENTS.md, "Key order by counting"). At most 640 KB
-/// (arity 5), and as much again for the sort's scratch.
+/// the trees as one run. While sorting cost `n log n`, 4 096 was where a
+/// hand-written `tc_random` loop went flat (EXPERIMENTS.md, "Writes in key
+/// order"). With the counting sort a longer batch costs nothing to sort and
+/// drops more repeats: the benchmark's child at 1 024 / 16 384 / 65 536
+/// against 4 096, ten alternating rounds each at seeds 42 and 7, read `run_s`
+/// 1.007 / **0.936 and 0.974** / 0.982× on `tc_random` (16 384 ahead in 9 and
+/// 10 rounds of ten), 1.019 / **0.975 and 0.964** / 0.998× on `security` (9
+/// and 10), 1.029 / 0.998 and 0.985 / 0.993× on `pointsto` (6 and 7),
+/// `rss_mb` within 0.6 % (EXPERIMENTS.md, "Key order by counting"; swept
+/// while a batch was applied tuple by tuple). At most 640 KB (arity 5), and
+/// as much again for the sort's scratch.
 const EMIT_BATCH: usize = 16_384;
 
 impl Evaluator<'_, '_> {
@@ -851,7 +872,7 @@ impl Evaluator<'_, '_> {
     fn run_from(&mut self, si: usize, vars: &mut [u64], sites: &mut [Option<Site<'_>>]) {
         let plan = self.plan;
         let Some(step) = plan.steps.get(si) else {
-            return self.emit(vars, sites);
+            return self.emit(vars);
         };
         let (site, rest) = sites.split_first_mut().expect("a site per step");
         match (step, site) {
@@ -902,8 +923,8 @@ impl Evaluator<'_, '_> {
         }
     }
 
-    /// Emits the head tuple into the batch; `sites` ends with the head's.
-    fn emit(&mut self, vars: &[u64], sites: &mut [Option<Site<'_>>]) {
+    /// Emits the head tuple into the batch.
+    fn emit(&mut self, vars: &[u64]) {
         let head = &self.plan.head_slots;
         let width = head.len().max(1); // a nullary head is one zero column
         let batch = &mut self.buf.batch;
@@ -913,47 +934,47 @@ impl Evaluator<'_, '_> {
             *w = slot.value(vars);
         }
         if batch.len() >= EMIT_BATCH * width {
-            self.flush(sites);
+            self.flush();
         }
     }
 
     /// Applies the batch at the head's arity; an arm per width, as in
     /// [`StorageKind::create_for`](crate::storage::StorageKind::create_for).
-    fn flush(&mut self, sites: &mut [Option<Site<'_>>]) {
+    fn flush(&mut self) {
         match self.plan.head_slots.len() {
-            0 | 1 => self.flush_as::<1>(sites),
-            2 => self.flush_as::<2>(sites),
-            3 => self.flush_as::<3>(sites),
-            4 => self.flush_as::<4>(sites),
-            _ => self.flush_as::<MAX_ARITY>(sites),
+            0 | 1 => self.flush_as::<1>(),
+            2 => self.flush_as::<2>(),
+            3 => self.flush_as::<3>(),
+            4 => self.flush_as::<4>(),
+            _ => self.flush_as::<MAX_ARITY>(),
         }
     }
 
-    /// Applies the batch in key order, each distinct tuple once: the
-    /// Figure 1 pattern — check the full relation, insert into `new` when
-    /// unseen — with both trees visited leaf after leaf, so their hints
-    /// hit, instead of in the order the join produced the tuples. Deferring
-    /// the two calls changes no result: nothing a plan reads is written
-    /// while it runs ([`StorageEnv::bind`]). Every plan execution ends with
-    /// a flush, so `new` is complete when [`eval_plan`] returns.
-    fn flush_as<const K: usize>(&mut self, sites: &mut [Option<Site<'_>>]) {
-        let [.., Some(full), Some(new)] = sites else {
-            unreachable!("the head's two sites follow the steps'")
-        };
+    /// Applies the batch as one run: sorted, each distinct tuple once, then
+    /// the Figure 1 pattern — check the full relation, insert into `new`
+    /// when unseen — as one anti-join over `full` and one merge of what is
+    /// left into `new`: two calls a batch, each tree visited leaf group by
+    /// leaf group, not one call and one hint probe per tuple. Deferring them
+    /// changes no result: nothing a plan reads is written while it runs
+    /// ([`StorageEnv::bind`]). Every plan execution ends with a flush, so
+    /// `new` is complete when [`eval_plan`] returns.
+    fn flush_as<const K: usize>(&mut self) {
         let EmitBuf { batch, scratch } = &mut *self.buf;
         let (tuples, _) = batch.as_chunks_mut::<K>();
         specbtree::sort_tuples(tuples, scratch);
-        let mut last = None;
-        for t in tuples.iter().filter(|&t| last.replace(t) != Some(t)) {
-            let t = pad(t);
-            self.stats.membership_tests += 1;
-            if !full.src.contains(&t, &mut full.ctx) {
-                self.stats.inserts += 1;
-                if new.src.insert(&t, &mut new.ctx) {
-                    self.stats.tuples_emitted += 1;
-                }
+        let mut distinct = tuples.len().min(1);
+        for i in 1..tuples.len() {
+            if tuples[i] != tuples[distinct - 1] {
+                tuples[distinct] = tuples[i];
+                distinct += 1;
             }
         }
+        let run = &mut batch[..distinct * K];
+        let kept = self.head.full.retain_absent(run, K);
+        let added = self.head.new.insert_run(&run[..kept * K], K);
+        self.stats.membership_tests += distinct as u64;
+        self.stats.inserts += kept as u64;
+        self.stats.tuples_emitted += added;
         batch.clear();
     }
 }

@@ -106,6 +106,25 @@ pub trait RelationStorage: Send + Sync {
     /// concurrently inserted.
     fn contains(&self, t: &TupleBuf, ctx: &mut StorageCtx) -> bool;
 
+    /// The anti-join of a sorted batch with this relation: `run` holds
+    /// tuples of `arity` words each, end to end, strictly ascending; those
+    /// the relation does not contain are moved to its front, in order, and
+    /// counted. Concurrency as for [`contains`](Self::contains). The
+    /// specialized B-tree answers a run of its own width leaf group by leaf
+    /// group (`BTreeSet::retain_absent`); this default asks tuple by tuple.
+    fn retain_absent(&self, run: &mut [u64], arity: usize) -> usize {
+        absent_sequential(self, run, arity)
+    }
+
+    /// Inserts a sorted batch, laid out as for
+    /// [`retain_absent`](Self::retain_absent), and returns how many of its
+    /// tuples were new. Concurrency as for [`insert`](Self::insert). The
+    /// specialized B-tree merges a run of its own width leaf group by leaf
+    /// group (`BTreeSet::insert_run`); this default inserts tuple by tuple.
+    fn insert_run(&self, run: &[u64], arity: usize) -> u64 {
+        insert_sequential(self, run, arity)
+    }
+
     /// Calls `f` for every tuple whose leading words equal `prefix`.
     /// Quiescent phases only (the two-phase Datalog contract). `f` may
     /// read this or any other quiescent storage — the evaluator joins
@@ -314,6 +333,27 @@ fn retract_sequential(dst: &(impl RelationStorage + ?Sized), src: &dyn RelationS
     let mut removed = 0u64;
     src.for_each(&mut |t| removed += u64::from(dst.remove(t, &mut ctx)));
     removed
+}
+
+/// The per-tuple anti-join every backend supports: `contains` on each tuple
+/// of `run` through a context of its own, the absent ones kept.
+fn absent_sequential(s: &(impl RelationStorage + ?Sized), run: &mut [u64], arity: usize) -> usize {
+    let mut ctx = s.make_ctx();
+    let mut kept = 0;
+    for at in (0..run.len()).step_by(arity) {
+        if !s.contains(&pad(&run[at..at + arity]), &mut ctx) {
+            run.copy_within(at..at + arity, kept);
+            kept += arity;
+        }
+    }
+    kept / arity
+}
+
+/// The per-tuple batch insert every backend supports, new tuples counted.
+fn insert_sequential(s: &(impl RelationStorage + ?Sized), run: &[u64], arity: usize) -> u64 {
+    let mut ctx = s.make_ctx();
+    let added = |t: &[u64]| s.insert(&pad(t), &mut ctx);
+    run.chunks_exact(arity).map(added).filter(|&a| a).count() as u64
 }
 
 /// Which data structure backs each relation — the engine-level analog of
@@ -675,6 +715,24 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
                 .contains_hinted(&key(t), &mut Self::ctx_of(ctx).main)
         } else {
             self.tree.contains(&key(t))
+        }
+    }
+
+    // A run uses no hint, so both tree kinds take it the same way.
+    fn retain_absent(&self, run: &mut [u64], arity: usize) -> usize {
+        match run.as_chunks_mut::<K>() {
+            (tuples, []) if arity == K => self.tree.retain_absent(tuples),
+            _ => absent_sequential(self, run, arity),
+        }
+    }
+
+    /// An indexed relation takes the run through [`insert`](Self::insert),
+    /// tuple by tuple, so its indexes stay exact. No engine path gets
+    /// there: plans derive into `new` side tables, which carry no index.
+    fn insert_run(&self, run: &[u64], arity: usize) -> u64 {
+        match run.as_chunks::<K>() {
+            (tuples, []) if arity == K && self.indexes.is_empty() => self.tree.insert_run(tuples),
+            _ => insert_sequential(self, run, arity),
         }
     }
 
@@ -1173,12 +1231,62 @@ mod tests {
         }
     }
 
+    /// The two run methods against the model: on a storage of the run's
+    /// width, on a `create()`d one fed the same, narrower run, and on a
+    /// relation that carries an index, which the run must keep exact.
+    fn exercise_runs(kind: StorageKind, arity: usize) {
+        let base: Vec<TupleBuf> = (0..60u64).map(|i| tuple(arity, i % 6, i / 2)).collect();
+        let run: Model<TupleBuf> = (0..90u64).map(|i| tuple(arity, i % 9, i / 3)).collect();
+        let model: Model<TupleBuf> = base.iter().copied().collect();
+        let flat = |ts: &mut dyn Iterator<Item = &TupleBuf>| -> Vec<u64> {
+            ts.flat_map(|t| t[..arity].iter().copied()).collect()
+        };
+        let (all, absent) = (flat(&mut run.iter()), flat(&mut run.difference(&model)));
+        assert!(!absent.is_empty() && absent.len() < all.len());
+        let perm: Vec<usize> = (0..arity).rev().collect();
+        for (width, indexed) in [(arity, false), (MAX_ARITY, false), (arity, true)] {
+            let what = format!("{} arity {arity} in {width} words", kind.label());
+            let mut s = kind.create_for(width);
+            let index = indexed.then(|| s.add_index(&perm, 1)).flatten();
+            if indexed && index.is_none() {
+                continue;
+            }
+            let mut ctx = s.make_ctx();
+            base.iter()
+                .for_each(|t| assert!(s.insert(t, &mut ctx), "{what}"));
+
+            let mut words = all.clone();
+            let kept = s.retain_absent(&mut words, arity);
+            assert_eq!(words[..kept * arity], absent[..], "{what}");
+            assert_eq!(contents(&*s), model, "{what}: an anti-join writes nothing");
+            assert_eq!(s.retain_absent(&mut [], arity), 0, "{what}");
+
+            assert_eq!(
+                s.insert_run(&all, arity) as usize,
+                absent.len() / arity,
+                "{what}"
+            );
+            assert_eq!(s.insert_run(&all, arity), 0, "{what}: nothing left to add");
+            let union: Model<TupleBuf> = model.union(&run).copied().collect();
+            assert_eq!(contents(&*s), union, "{what}");
+            assert_eq!(s.retain_absent(&mut all.clone(), arity), 0, "{what}");
+            if let Some(id) = index {
+                let mut by_index = Model::new();
+                s.scan_index(id, &perm, &[], &mut ctx, &mut |t| {
+                    assert!(by_index.insert(*t))
+                });
+                assert_eq!(by_index, union, "{what}: index {perm:?}");
+            }
+        }
+    }
+
     #[test]
     fn all_backends_conform() {
         for kind in StorageKind::ALL {
             for arity in 1..=MAX_ARITY {
                 exercise(kind, arity);
                 exercise_indexes(kind, arity);
+                exercise_runs(kind, arity);
             }
         }
     }

@@ -1,5 +1,7 @@
 //! Differential test for the emit batch: head tuples wait in a per-worker
-//! buffer that is sorted, deduplicated and applied to the trees when it
+//! buffer that is sorted, deduplicated and applied as one run — an anti-join
+//! over the full relation, what is left merged into `new`; leaf group by
+//! leaf group on the trees, tuple by tuple on the other kinds — when it
 //! holds 16 384 tuples and when a worker's outer chunk or a degenerate plan
 //! ends. Every rule below sits on one side of one of those flush points, and
 //! the `far` rules on either side of the sort's own choice: a batch whose

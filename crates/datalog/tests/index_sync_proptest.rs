@@ -1,6 +1,6 @@
 //! Property tests pinning secondary indexes to their primary: after any
 //! interleaving of inserts, removes, bulk `merge_from`, `retract_from`,
-//! and `clear`, every registered index permutation must yield **exactly**
+//! `insert_run` and `clear`, every registered index permutation must yield **exactly**
 //! the primary's tuple set (and permuted-prefix probes must equal the
 //! filtered model). Covers the real index-maintaining backends (the
 //! specialized B-tree, with and without hints) and the filtered-scan
@@ -270,6 +270,15 @@ proptest! {
                 // And the tree-to-tree retraction.
                 storage.retract_from(&*src, 4);
                 assert_indexes_in_sync(&*storage, &format!("{what} after bulk retract_from"));
+
+                // A sorted batch, as a flush hands it over: what was
+                // retracted comes back, into the primary and every index.
+                let run: BTreeSet<TupleBuf> = retracted.iter().map(|&k| tuple(arity, k)).collect();
+                let fresh = run.difference(&primary_set(&*storage)).count();
+                let words: Vec<u64> = run.iter().flat_map(|t| t[..arity].iter().copied()).collect();
+                prop_assert_eq!(storage.insert_run(&words, arity) as usize, fresh, "{}", what);
+                prop_assert!(run.is_subset(&primary_set(&*storage)), "{}", what);
+                assert_indexes_in_sync(&*storage, &format!("{what} after insert_run"));
 
                 if storage.clear() {
                     prop_assert!(storage.is_empty());

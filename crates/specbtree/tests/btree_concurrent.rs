@@ -352,3 +352,87 @@ fn parallel_removal_never_misses_a_predecessor_pulled_past_it() {
         assert_eq!(tree.len(), 200, "round {round}");
     }
 }
+
+/// Threads for the run test: `DATALOG_TEST_THREADS` (CI's thread matrix runs
+/// this suite at 2 and at 8), four otherwise.
+fn run_threads() -> usize {
+    let set = std::env::var("DATALOG_TEST_THREADS").ok();
+    set.and_then(|n| n.trim().parse().ok()).unwrap_or(4).max(2)
+}
+
+/// Every thread merges overlapping sorted runs, point-inserts through a
+/// hint and anti-joins sorted probes against one tree, round after round.
+/// The tree ends as the union; every key is counted as added exactly once
+/// over all the return values; and each `retain_absent`, linearizable per
+/// key, kept every probe key that never got in and none that was there
+/// before the threads started.
+fn runs_inserts_and_anti_joins_on_one_tree<const C: usize>() {
+    const DOMAIN: u64 = 30_000;
+    const ROUNDS: u64 = 100;
+    let key = |v: u64| [v / 64, v % 64];
+    let draw = |seed: u64, n: usize| -> Model<[u64; 2]> {
+        let mut rng = seed;
+        (0..n).map(|_| key(splitmix(&mut rng) % DOMAIN)).collect()
+    };
+    let initial = draw(1, 4_000);
+    let tree: BTreeSet<2, C> = initial.iter().copied().collect();
+    let threads = run_threads() as u64;
+    // Per thread: what it offered, how many it was told were new, and each
+    // probe with what came back.
+    type Probe = (Vec<[u64; 2]>, Vec<[u64; 2]>);
+    let outcomes: Vec<(Model<[u64; 2]>, u64, Vec<Probe>)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let (tree, draw) = (&tree, &draw);
+                s.spawn(move || {
+                    let mut hints = tree.create_hints();
+                    let (mut offered, mut added, mut probes) = (Model::new(), 0u64, Vec::new());
+                    for round in 0..ROUNDS {
+                        // Seeds shared between neighbouring threads: runs overlap.
+                        let run = draw(100 + (t / 2) * ROUNDS + round, 300);
+                        let run: Vec<_> = run.into_iter().collect();
+                        added += tree.insert_run(&run);
+                        offered.extend(run);
+                        for k in draw(10_000 + t * ROUNDS + round, 60) {
+                            added += u64::from(tree.insert_hinted(k, &mut hints));
+                            offered.insert(k);
+                        }
+                        let probe: Vec<_> = draw(20_000 + round, 400).into_iter().collect();
+                        let mut buf = probe.clone();
+                        let kept = tree.retain_absent(&mut buf);
+                        buf.truncate(kept);
+                        probes.push((probe, buf));
+                    }
+                    (offered, added, probes)
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let mut model = initial.clone();
+    outcomes.iter().for_each(|(o, ..)| model.extend(o));
+    verify(&tree, &model);
+    let added: u64 = outcomes.iter().map(|(_, a, _)| a).sum();
+    assert_eq!(
+        added as usize,
+        model.len() - initial.len(),
+        "a key counted twice or never"
+    );
+    for (probe, kept) in outcomes.iter().flat_map(|(.., p)| p) {
+        assert!(
+            kept.is_sorted(),
+            "the kept keys are a subsequence of the probe"
+        );
+        let kept: Model<[u64; 2]> = kept.iter().copied().collect();
+        assert!(kept
+            .iter()
+            .all(|k| probe.contains(k) && !initial.contains(k)));
+        assert!(probe.iter().all(|k| model.contains(k) || kept.contains(k)));
+    }
+}
+
+#[test]
+fn concurrent_runs_point_inserts_and_anti_joins() {
+    runs_inserts_and_anti_joins_on_one_tree::<4>();
+    runs_inserts_and_anti_joins_on_one_tree::<{ specbtree::DEFAULT_NODE_CAPACITY }>();
+}

@@ -481,6 +481,140 @@ fn append_hint_on_the_root_leaf_races_the_first_root_split() {
     explore(root_leaf_append_races_the_first_root_split);
 }
 
+/// The keys of [0 10] 20 [30 40] 50 [60 70] 80 [90 100]: a root with room
+/// over four leaves.
+#[cfg(any(not(feature = "chaos-inject-bug"), chaos))]
+fn roomy_root() -> impl Iterator<Item = u64> {
+    (0..=10).map(|x| 10 * x)
+}
+
+/// `retain_absent` over `run` while `splitter` inserts: no key of `tree`
+/// before the call may come back as absent, and `absent`, which nobody
+/// inserts, must.
+#[cfg(any(not(feature = "chaos-inject-bug"), chaos))]
+fn anti_join_races(
+    tree: Arc<BTreeSet<1, 4>>,
+    run: &[u64],
+    splitter: &'static [u64],
+    absent: &[u64],
+) {
+    let mut buf: Vec<[u64; 1]> = run.iter().map(|&k| [k]).collect();
+    let reader = {
+        let tree = tree.clone();
+        chaos::thread::spawn(move || {
+            let kept = tree.retain_absent(&mut buf);
+            buf.truncate(kept);
+            buf
+        })
+    };
+    let writer = {
+        let tree = tree.clone();
+        chaos::thread::spawn(move || splitter.iter().for_each(|&k| assert!(tree.insert([k]))))
+    };
+    let kept: Vec<u64> = reader.join().iter().map(|t| t[0]).collect();
+    writer.join();
+    assert_eq!(kept, absent, "a key the tree held was reported absent");
+    tree.check_invariants().unwrap();
+}
+
+/// `retain_absent` racing a split of the leaf it is joining: [30 40 42 44]
+/// is full, the writer's 46 splits it — 42 moves up into the root, 44 into a
+/// fresh sibling — and its 41 then lands in the slot 42 left, while the
+/// reader is anywhere between routing 30 to that leaf and validating its
+/// lease on it. A join over the rewritten leaf finds neither 42 nor 44 below
+/// the old separator 50; only the validate knows. The run is denser than
+/// the leaf (thirty keys between 30 and 40), so the join is most of what
+/// the reader does and a preemption is likely to fall inside it.
+///
+/// Must be accepted without a restart: the whole split before the reader's
+/// lease on the leaf starts (the parent's lease then fails instead, as it
+/// must: its separators moved), or after the join validated. Writes to the
+/// group's *other* leaves that do not split never touch a lease the reader
+/// holds. Restarted though not strictly needed: a split of another leaf of
+/// the group ends on the parent, whose version is all the reader checks.
+#[cfg(any(not(feature = "chaos-inject-bug"), chaos))]
+fn anti_join_races_a_split_of_its_leaf() {
+    // Tenths: [0 100] 200 [300 400 420 440] 500 [600 700] 800 [900 1000].
+    let keys = roomy_root().chain([42, 44]).map(|k| [10 * k]);
+    let tree: Arc<BTreeSet<1, 4>> = Arc::new(keys.collect());
+    let dense: Vec<u64> = (301..=330).collect();
+    let run: Vec<u64> = [300]
+        .into_iter()
+        .chain(dense.clone())
+        .chain([400, 420, 440, 500, 600, 650])
+        .collect();
+    let absent: Vec<u64> = dense.into_iter().chain([650]).collect();
+    anti_join_races(tree, &run, &[460, 410], &absent);
+}
+
+#[cfg(not(feature = "chaos-inject-bug"))]
+#[test]
+fn a_split_of_the_leaf_being_joined_races_retain_absent() {
+    explore(anti_join_races_a_split_of_its_leaf);
+}
+
+/// `retain_absent` racing a split of the group's parent: the writer fills
+/// [0 10], splits it and the full root above it, so the node the reader
+/// routes its sub-runs by is halved under it and three of its five leaves
+/// now hang off a fresh sibling. Every separator — 20, 50, 80, 110, one of
+/// which becomes the new root's — is a run key and must be found wherever
+/// it lives by then.
+///
+/// Must be accepted without a restart: a split *above* the parent that
+/// only re-homes it (its parent link changes, its version does not), and
+/// anything in another group. Must restart: the parent's own split, since
+/// the bound the reader tracked no longer bounds what the parent owns.
+#[cfg(not(feature = "chaos-inject-bug"))]
+#[test]
+fn a_split_of_the_group_parent_races_retain_absent() {
+    explore(|| {
+        let tree: Arc<BTreeSet<1, 4>> = Arc::new(full_root().map(|k| [k]).collect());
+        let run = [0, 5, 20, 30, 50, 65, 80, 100, 110, 125, 130];
+        anti_join_races(tree.clone(), &run, &[1, 2, 3], &[5, 65, 125]);
+        assert!(tree.shape().depth >= 3, "the root must have split");
+    });
+}
+
+/// `insert_run` racing an append-hinted point insert on one leaf: the run
+/// holds the group's parent and try-locks [30 40] while the appender, which
+/// got there through its hint without passing the parent, reads the leaf,
+/// walks to its fence and upgrades. Whoever fills the leaf splits it; the
+/// appender's split waits for the parent the run holds, and the run gives a
+/// leaf it cannot lock eight tries before it lets go of the parent and
+/// descends again, so neither waits for the other for good.
+///
+/// Must be accepted without a restart: a hinted insert that fits into a
+/// leaf of the locked group the run is not merging right now — it touches
+/// no lock the run holds. Restarted by design: a run that finds its leaf
+/// locked (the bounded try-lock is what turns the one top-down edge of the
+/// protocol into a retry instead of a deadlock), and an appender whose
+/// leaf the run rewrote between its lease and its upgrade.
+#[cfg(not(feature = "chaos-inject-bug"))]
+#[test]
+fn an_append_hinted_insert_races_insert_run_on_one_leaf() {
+    explore(|| {
+        let (set, mut hints) = hinted_tree(roomy_root(), 40);
+        let appender = {
+            let set = set.clone();
+            chaos::thread::spawn(move || {
+                for k in [42u64, 44] {
+                    assert!(set.insert_hinted([k], &mut hints));
+                }
+            })
+        };
+        let runner = {
+            let set = set.clone();
+            chaos::thread::spawn(move || {
+                let run = [35u64, 40, 41, 43, 45, 47, 50].map(|k| [k]);
+                assert_eq!(set.insert_run(&run), 5, "40 and 50 were there");
+            })
+        };
+        appender.join();
+        runner.join();
+        assert_holds(&set, roomy_root(), &[42, 44, 35, 41, 43, 45, 47]);
+    });
+}
+
 /// Remove racing insert of the *same* key: every schedule must resolve the
 /// contention to a linearizable history (insert-then-remove leaves the key
 /// absent, remove-then-insert leaves it present — both legal, two removes
@@ -749,6 +883,37 @@ fn planted_fence_bug_is_caught() {
     let failure = out.failure.unwrap_or_default();
     println!(
         "planted fence bug caught at seed {} after {} steps (trace {:#018x}): {}",
+        out.seed,
+        out.steps,
+        out.trace_hash,
+        failure.lines().next().unwrap_or_default()
+    );
+}
+
+/// Mutation self-test for the anti-join's validate: with the planted
+/// `chaos-inject-bug` defect compiled in (a leaf's join is committed without
+/// validating the lease it was read under), a reader parked between taking
+/// its lease on [30 40 42 44] and reading it joins the halved leaf the
+/// writer's split left behind and reports 42 and 44, which never left the
+/// tree, as absent. One writer, so the descent's own planted bug has no
+/// stale lease to trust here: whatever fails, fails at the join. Over 1 024
+/// seeds PCT found it in 26 with one change point and in 62 with two, the
+/// random walk never: the reader has to sit out two whole inserts.
+#[cfg(all(chaos, feature = "chaos-inject-bug"))]
+#[test]
+fn planted_unvalidated_join_bug_is_caught() {
+    let out = chaos::find_failure(
+        &chaos::Config::pct(2),
+        0..256,
+        anti_join_races_a_split_of_its_leaf,
+    );
+    let out = out.expect(
+        "the planted join bug must be caught within 256 seeds; if this fails \
+         the run models no longer reach the window between lease and validate",
+    );
+    let failure = out.failure.unwrap_or_default();
+    println!(
+        "planted join bug caught at seed {} after {} steps (trace {:#018x}): {}",
         out.seed,
         out.steps,
         out.trace_hash,

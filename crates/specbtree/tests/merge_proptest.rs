@@ -2,7 +2,9 @@
 //! set union against a `std::collections::BTreeSet` model on adversarial
 //! input shapes — duplicate-heavy, fully overlapping, and the empty-target
 //! path that takes the `build_from_sorted` bulk-build shortcut — with the
-//! structural invariants intact afterwards.
+//! structural invariants intact afterwards. The run API (`retain_absent`,
+//! `insert_run`) is held to the same model at every key width and at both
+//! node capacities the suites use.
 
 mod common;
 
@@ -34,8 +36,107 @@ fn model(keys: &[[u64; 2]]) -> Model<[u64; 2]> {
     keys.iter().copied().collect()
 }
 
+/// `v` as a `K`-column key, order preserved: the trailing columns count in
+/// base 8, so neighbouring keys differ in a late column as often as not.
+fn key_of<const K: usize>(v: u64) -> [u64; K] {
+    let (mut t, mut v) = ([0u64; K], v);
+    for w in t[1..].iter_mut().rev() {
+        (*w, v) = (v % 8, v / 8);
+    }
+    t[0] = v;
+    t
+}
+
+/// One tree of `base`, one ascending `run`: `retain_absent` keeps exactly
+/// `run \ base`, in order, and writes nothing to the tree; `insert_run`
+/// counts exactly those and leaves `base ∪ run` in a sound tree, of which
+/// the run is then wholly present.
+fn check_run_at<const K: usize, const C: usize>(base: &Model<u64>, run: &Model<u64>) {
+    let what = format!("K={K} C={C} base={base:?} run={run:?}");
+    let tree: BTreeSet<K, C> = BTreeSet::new();
+    // Point inserts in a scattered order: median splits, separators at
+    // every level.
+    let mut order: Vec<u64> = base.iter().copied().collect();
+    order.sort_unstable_by_key(|v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    order.iter().for_each(|&v| assert!(tree.insert(key_of(v))));
+    let keys = |vs: &mut dyn Iterator<Item = &u64>| vs.map(|&v| key_of::<K>(v)).collect::<Vec<_>>();
+    let (all, absent) = (keys(&mut run.iter()), keys(&mut run.difference(base)));
+
+    let mut buf = all.clone();
+    let kept = tree.retain_absent(&mut buf);
+    assert_eq!(&buf[..kept], &absent[..], "retain_absent: {what}");
+    assert_eq!(
+        tree.iter().collect::<Vec<_>>(),
+        keys(&mut base.iter()),
+        "{what}"
+    );
+
+    assert_eq!(
+        tree.insert_run(&all),
+        absent.len() as u64,
+        "insert_run: {what}"
+    );
+    let shape = tree
+        .check_invariants()
+        .unwrap_or_else(|e| panic!("{e}: {what}"));
+    assert_eq!(shape.keys, base.union(run).count(), "{what}");
+    assert_eq!(
+        tree.iter().collect::<Vec<_>>(),
+        keys(&mut base.union(run)),
+        "{what}"
+    );
+    assert_eq!(
+        tree.retain_absent(&mut all.clone()),
+        0,
+        "all present now: {what}"
+    );
+    assert_eq!(tree.insert_run(&all), 0, "nothing left to add: {what}");
+}
+
+/// [`check_run_at`] at widths 1–3 and capacities 4 and the default.
+fn check_run(base: &Model<u64>, run: &Model<u64>) {
+    check_run_at::<1, 4>(base, run);
+    check_run_at::<2, 4>(base, run);
+    check_run_at::<3, 4>(base, run);
+    check_run_at::<1, { specbtree::DEFAULT_NODE_CAPACITY }>(base, run);
+    check_run_at::<2, { specbtree::DEFAULT_NODE_CAPACITY }>(base, run);
+    check_run_at::<3, { specbtree::DEFAULT_NODE_CAPACITY }>(base, run);
+}
+
+/// The shapes a random draw is unlikely to produce: the empty tree, a tree
+/// that is one leaf, runs wholly below the minimum and wholly above the
+/// maximum, the tree's own keys as the run — every separator at every
+/// level is a run key — and a run denser than any leaf.
+#[test]
+fn run_api_handles_the_edge_shapes() {
+    for n in [0u64, 1, 3, 4, 5, 24, 25, 120, 700] {
+        let base: Model<u64> = (0..n).map(|i| 1_000 + 3 * i).collect();
+        let runs: [Model<u64>; 7] = [
+            Model::new(),
+            (0..90).collect(),
+            (5_000..5_090).collect(),
+            base.clone(),
+            base.iter().map(|v| v + 1).collect(),
+            (990..1_000 + 3 * n + 10).collect(),
+            (0..6_000).step_by(7).collect(),
+        ];
+        runs.iter().for_each(|run| check_run(&base, run));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random base sets and random ascending runs over a domain a little
+    /// wider than the base's, so runs start below it, end above it, share
+    /// keys with it — leaf keys and separators alike — and fall between.
+    #[test]
+    fn run_api_matches_the_model(
+        base in prop::collection::vec(100u64..700, 0..400),
+        run in prop::collection::vec(0u64..800, 0..500),
+    ) {
+        check_run(&base.into_iter().collect(), &run.into_iter().collect());
+    }
 
     /// Duplicate-heavy inputs: most keys collide, both within each source
     /// and across the two trees. The union must still be exact and deduped.

@@ -128,11 +128,16 @@ pub enum Counter {
     /// `datalog`: secondary index trees built (one per column permutation
     /// registered on a relation, backfill included).
     EvalIndexBuilds,
+    /// `specbtree`: keys handed to `insert_run` / `retain_absent`.
+    BtreeRunKeys,
+    /// `specbtree`: descents those runs made — one per leaf group (and per
+    /// restart), so `run_keys / run_descents` is what a descent serves.
+    BtreeRunDescents,
 }
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 23;
+    pub const COUNT: usize = 25;
 
     /// All counters, in declaration order.
     pub const ALL: [Counter; Self::COUNT] = [
@@ -159,6 +164,8 @@ impl Counter {
         Counter::BtreeRemoveRestarts,
         Counter::BtreeLeafUnlinks,
         Counter::EvalIndexBuilds,
+        Counter::BtreeRunKeys,
+        Counter::BtreeRunDescents,
     ];
 
     /// The dotted `layer.event` name used in reports.
@@ -187,6 +194,8 @@ impl Counter {
             Counter::BtreeRemoveRestarts => "specbtree.remove_restarts",
             Counter::BtreeLeafUnlinks => "specbtree.leaf_unlinks",
             Counter::EvalIndexBuilds => "datalog.index_builds",
+            Counter::BtreeRunKeys => "specbtree.run_keys",
+            Counter::BtreeRunDescents => "specbtree.run_descents",
         }
     }
 }

@@ -262,8 +262,16 @@ mod tests {
             "reach = {reach}, produced = {}",
             s.produced_tuples
         );
-        // Ordered probing makes hints effective (§4.3 reports ~77%).
-        assert!(s.hints.hit_rate() > 0.3, "hint rate {}", s.hints.hit_rate());
+        // Ordered probing makes hints effective (§4.3 reports ~77% over all
+        // sites). What still probes through a hint here are the inner range
+        // scans and the negated check, 0.22 at this scale; the head's sorted
+        // writes, which hit at 0.8 and carried the rate past 0.3, now reach
+        // the trees as runs and read no hint.
+        assert!(
+            s.hints.hit_rate() > 0.15,
+            "hint rate {}",
+            s.hints.hit_rate()
+        );
     }
 
     #[test]

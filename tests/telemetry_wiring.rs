@@ -76,6 +76,7 @@ fn every_layer_reports_and_the_restart_causes_add_up() {
     telemetry::spans::drain_all();
 
     contended_inserts(20_000, 4, 2);
+    let between = telemetry::snapshot();
     chain_tc_with_a_retraction(64);
 
     let after = telemetry::snapshot();
@@ -113,6 +114,22 @@ fn every_layer_reports_and_the_restart_causes_add_up() {
     ] {
         assert!(recorded(name).0 > 0, "{name} never recorded");
     }
+
+    // Head tuples reach the trees as runs — a flushed batch anti-joined
+    // with `path`, merged into its `new` table, and `new` folded into `path`
+    // — and a descent serves a leaf group, not a key, even on a chain whose
+    // batches hold a few dozen tuples.
+    let in_runs = |name: &str| after.counter(name) - between.counter(name);
+    let (keys, descents) = (
+        in_runs("specbtree.run_keys"),
+        in_runs("specbtree.run_descents"),
+    );
+    assert!(keys > 0 && descents > 0, "no run reached a tree");
+    assert!(
+        descents < keys,
+        "{keys} run keys took {descents} descents: {:.1} keys a descent (11 325 took 1 261–1 279, 8.9, when this was written)",
+        keys as f64 / descents as f64
+    );
 
     // A parallel fixpoint that traces one thread or one phase is a wiring
     // regression; the trace format itself is `trace_export`'s to test.
