@@ -508,17 +508,18 @@ impl Engine {
         self.add_facts(relation, [tuple.to_vec()])
     }
 
-    /// Bulk-adds facts (convenience for workload generators).
+    /// Bulk-adds facts, all or none: a tuple of the wrong arity fails the batch.
     pub fn add_facts(
         &mut self,
         relation: &str,
         tuples: impl IntoIterator<Item = Vec<u64>>,
     ) -> Result<(), EngineError> {
         let rel = self.rel_id(relation)?;
+        let padded = tuples.into_iter().map(|t| self.padded(rel, &t));
+        let batch = padded.collect::<Result<Vec<TupleBuf>, _>>()?;
         let storage = self.rels[rel].as_ref();
         let mut ctx = storage.make_ctx();
-        for tuple in tuples {
-            let t = self.padded(rel, &tuple)?;
+        for t in batch {
             self.stats.inserts += 1;
             if storage.insert(&t, &mut ctx) {
                 self.stats.input_tuples += 1;
@@ -735,9 +736,8 @@ impl Engine {
     /// that many inserts.
     ///
     /// Relations of one stratum are independent, so their merges run
-    /// concurrently on scoped threads; each merge additionally splits the
-    /// remaining thread budget across the structure-aware parallel merge
-    /// inside the storage backend ([`RelationStorage::merge_from`]).
+    /// concurrently on scoped threads, each with its share of the workers for
+    /// the parallel merge inside the backend ([`RelationStorage::merge_from`]).
     fn merge_stratum(&mut self, new: &SideTables) -> Vec<(usize, u64)> {
         let timer = telemetry::start_timer();
         let tables = new.iter().enumerate();

@@ -27,7 +27,6 @@ use baselines::splitorder::SplitOrderedSet;
 use specbtree::{BTreeHints, BTreeSet, HintStats, TreeStats};
 use std::any::Any;
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// A tuple padded to the maximum arity.
@@ -613,50 +612,24 @@ impl<const K: usize> SpecBTreeStorage<K> {
         self.hints.then_some(&mut ctx.idx[i])
     }
 
-    /// Replays every tuple of `src` against all secondary indexes —
-    /// insertion or removal mirroring the primary bulk op that bypassed
-    /// the per-tuple [`RelationStorage::insert`] path. Parallel over
-    /// source chunks; every worker touches every index tree (the trees
-    /// are concurrent, so this contends instead of locking out).
-    fn maintain_indexes(&self, src: &Self, workers: usize, remove: bool) {
+    /// Replays `src` against every secondary index — the primary bulk op
+    /// that bypassed the per-tuple [`RelationStorage::insert`] path,
+    /// mirrored. A merge puts the permuted source in the index's order with
+    /// the kernel [`add_index`](RelationStorage::add_index) builds with and
+    /// hands it over as one run; a removal is `remove` per permuted tuple.
+    fn maintain_indexes(&self, src: &Self, remove: bool) {
         if self.indexes.is_empty() || src.tree.is_empty() {
             return;
         }
         let timer = telemetry::start_timer();
-        let chunks = src.tree.partition(workers.max(1) * 2);
-        let work = |chunk: &specbtree::RangeChunk<K>, hints: &mut Vec<BTreeHints<K>>| {
-            for t in src.tree.chunk_range(chunk) {
-                for (ix, h) in self.indexes.iter().zip(hints.iter_mut()) {
-                    let p = ix.order.permute(&t);
-                    if remove {
-                        ix.tree.remove(&p);
-                    } else {
-                        ix.tree.insert_hinted(p, h);
-                    }
-                }
+        for ix in &self.indexes {
+            let walk = || src.tree.iter().map(|t| ix.order.permute(&t));
+            if remove {
+                walk().for_each(|p| _ = ix.tree.remove(&p));
+            } else {
+                let run = specbtree::sorted_tuples(walk, ix.order.lead());
+                ix.tree.insert_run(&run);
             }
-        };
-        let fresh_hints = || -> Vec<BTreeHints<K>> {
-            self.indexes
-                .iter()
-                .map(|ix| ix.tree.create_hints())
-                .collect()
-        };
-        if workers <= 1 || chunks.len() <= 1 {
-            let mut hints = fresh_hints();
-            chunks.iter().for_each(|c| work(c, &mut hints));
-        } else {
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..workers.min(chunks.len()) {
-                    s.spawn(|| {
-                        let mut hints = fresh_hints();
-                        while let Some(c) = chunks.get(cursor.fetch_add(1, Relaxed)) {
-                            work(c, &mut hints);
-                        }
-                    });
-                }
-            });
         }
         timer.observe(telemetry::Hist::EvalIndexMaintainNanos);
     }
@@ -818,13 +791,13 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
 
     fn merge_from(&self, src: &dyn RelationStorage, workers: usize) -> u64 {
         match src.as_any().downcast_ref::<Self>() {
-            // Tree-to-tree: the structure-aware parallel merge (partition
-            // by the target's separators, bulk-load/splice disjoint runs).
+            // Tree-to-tree: the structure-aware parallel merge (the source
+            // cut into disjoint runs, each merged leaf group by leaf group).
             // The bulk path bypasses per-tuple `insert`, so secondary
             // indexes are replayed explicitly afterwards.
             Some(other) => {
                 let added = self.tree.insert_all_parallel(&other.tree, workers.max(1));
-                self.maintain_indexes(other, workers, false);
+                self.maintain_indexes(other, false);
                 added
             }
             // The per-tuple fallback routes through `insert`, which
@@ -835,11 +808,11 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
 
     fn retract_from(&self, src: &dyn RelationStorage, workers: usize) -> u64 {
         match src.as_any().downcast_ref::<Self>() {
-            // Tree-to-tree: chunk the victim set along the target's
-            // separators and remove each run on its own worker.
+            // Tree-to-tree: the victim set cut into disjoint runs, each
+            // removed by the worker that claims it.
             Some(other) => {
                 let removed = self.tree.remove_all_parallel(&other.tree, workers.max(1));
-                self.maintain_indexes(other, workers, true);
+                self.maintain_indexes(other, true);
                 removed
             }
             None => retract_sequential(self, src),

@@ -335,6 +335,36 @@ fn arity_mismatch_errors() {
     assert!(engine.add_fact("edge", &[1, 2, 3]).is_err());
 }
 
+/// A batch holding a malformed tuple adds nothing, as a failed
+/// `retract_facts` withdraws nothing: the well-formed tuples before it are
+/// not left behind in the relation, the EDB or the insert count.
+#[test]
+fn a_failed_batch_of_facts_adds_nothing() {
+    let program = parse(TC_PROGRAM).unwrap();
+    let mut engine = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();
+    engine
+        .add_facts("edge", (0..5u64).map(|i| vec![i, i + 1]))
+        .unwrap();
+    let before = (
+        engine.relation("edge").unwrap(),
+        engine.edb_len("edge").unwrap(),
+        engine.stats().inserts,
+        engine.stats().input_tuples,
+    );
+    assert!(engine.add_facts("edge", [vec![7, 8], vec![9]]).is_err());
+    let after = (
+        engine.relation("edge").unwrap(),
+        engine.edb_len("edge").unwrap(),
+        engine.stats().inserts,
+        engine.stats().input_tuples,
+    );
+    assert_eq!(before, after);
+    assert_eq!(engine.relation_len("edge").unwrap(), 5);
+    // The same batch without the bad tuple goes in whole.
+    engine.add_facts("edge", [vec![7, 8]]).unwrap();
+    assert_eq!(engine.edb_len("edge").unwrap(), 6);
+}
+
 #[test]
 fn larger_graph_parallel_equals_sequential() {
     let mut edges = Vec::new();

@@ -67,7 +67,7 @@ fn check_pair(dst_kind: StorageKind, src_kind: StorageKind, a: &[(u64, u64)], b:
 }
 
 /// Every (dst, src) backend pair, overlapping random sets: the B-tree pair
-/// exercises the structure-aware partition/splice path, everything else the
+/// exercises the structure-aware partition/grouped-merge path, everything else the
 /// sequential fallback — all must agree with the std-set model.
 #[test]
 fn merge_from_matches_model_on_all_backend_pairs() {
@@ -81,8 +81,8 @@ fn merge_from_matches_model_on_all_backend_pairs() {
 }
 
 /// Append-shaped deltas (source sorts entirely after the target maximum)
-/// on the B-tree backends: drives the splice fast path at every worker
-/// count, still checked against the model.
+/// on the B-tree backends: every run lands on the rightmost leaf group, at
+/// every worker count, still checked against the model.
 #[test]
 fn merge_from_append_delta_on_btree_backends() {
     let a: Vec<(u64, u64)> = (0..500).map(|i| (i, i % 7)).collect();

@@ -499,12 +499,17 @@ fn retraction_work_is_pinned() {
         // 160 245 before: every swept Δ⁻path tuple probed `edge` and `path`.
         // 57 288 until head tuples went to the trees in sorted batches: this
         // counts calls issued, and a batch drops its duplicates first.
-        membership_tests: 55_608,
+        // 55 608 while a merge spliced what sorted behind its target's last
+        // key in as a subtree of its own: this count and the next follow
+        // tree shape (a flush per range chunk, a batch's duplicates dropped
+        // per flush), and only they moved when every merge became runs.
+        membership_tests: 55_605,
         // 8 488 before: one range query per deletion in the seed batches.
         // 4 758 while the side tables, filled in join order, split their
         // leaves in half and were cut into 59 range chunks; filled in key
-        // order they are cut into 38. The inner scans' share has not moved.
-        lower_bound_calls: 4_737,
+        // order they are cut into 38, and into 31 (4 737 calls before) since
+        // no merge leaves a spliced tail. The inner scans' share has not moved.
+        lower_bound_calls: 4_730,
         inner_range_queries: 4_699,
     };
     assert_eq!(work, pinned);

@@ -21,8 +21,8 @@
 //! ancestor's own lease and validated, before the lease on the leaf, taken
 //! first, is upgraded. That is safe because a leaf's fence changes only
 //! through operations that write-lock the leaf (its own split, a
-//! predecessor pulled out of it, an empty neighbour unlinked into it, a
-//! splice behind it), which fail the upgrade, while an ancestor re-read
+//! predecessor pulled out of it, an empty neighbour unlinked into it),
+//! which fail the upgrade, while an ancestor re-read
 //! after a split moved the leaf away can only show a *smaller* fence: a
 //! miss, never a wrong hit
 //! ([`BTreeSet::insert_hinted`](crate::BTreeSet::insert_hinted)).

@@ -4,26 +4,27 @@
 //!
 //! Semi-naive evaluation merges the freshly derived `new` relation into the
 //! full relation after every iteration (`path.insert(newPath.begin(),
-//! newPath.end())` in the paper's Figure 1). Three specializations make
-//! this cheap:
+//! newPath.end())` in the paper's Figure 1). There is one way a tree goes
+//! into a tree, and it is by **runs**:
 //!
 //! 1. A sorted run is applied **leaf group by leaf group**, not tuple by
 //!    tuple: one descent to the parent of a leaf group serves every key the
 //!    group owns ([`BTreeSet::insert_run`], and its read twin
 //!    [`BTreeSet::retain_absent`] — the two calls a Datalog head's batch
-//!    makes). Only the sequential [`BTreeSet::insert_all`] still iterates
-//!    its source and inserts **with hints**.
-//! 2. Sorted runs are **bulk-loaded** into fully packed subtrees in O(n)
-//!    without any per-element descent. An empty target adopts the whole
-//!    source this way; a non-empty target still takes the bulk path for the
-//!    part of the source that sorts after its current maximum, splicing the
-//!    prebuilt subtree in under a single write-locked ancestor (the append
-//!    fast path — [`BTreeSet::insert_all_parallel`]).
-//! 3. The merge runs on **multiple workers**: the source is partitioned by
-//!    the *target's* upper-level separators (the same machinery parallel
-//!    scans use), so each worker's chunk maps onto a distinct region of the
-//!    target.
+//!    makes). No merge reads or writes a hint.
+//! 2. A source tree is cut into ascending runs along **its own** upper-level
+//!    separators (the machinery parallel scans use), the runs are claimed
+//!    off one cursor by up to `workers` threads, and each is one
+//!    `insert_run` — or, for a bulk removal, one `remove` per key
+//!    ([`BTreeSet::insert_all_parallel`], [`BTreeSet::remove_all_parallel`];
+//!    [`BTreeSet::insert_all`] is the former at one worker). The
+//!    runs are disjoint key ranges, so two workers meet only where a range
+//!    ends inside a leaf group of the target.
+//! 3. A sorted run is **bulk-loaded** into fully packed nodes in O(n)
+//!    without any per-element descent ([`BTreeSet::from_sorted`]); an empty
+//!    target adopts the whole source this way.
 
+use crate::iter::RangeIter;
 use crate::node::{cmp3, InnerNode, LeafNode, NodePtr, Tuple};
 use crate::tree::BTreeSet;
 use optlock::Lease;
@@ -32,13 +33,12 @@ use std::sync::atomic::AtomicU64;
 use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::Ordering::Relaxed;
 
-/// Body chunks produced per merge worker: small enough to keep partition
+/// Runs a source is cut into per merge worker: small enough to keep partition
 /// overhead negligible, large enough that claim-order imbalance evens out.
+/// What the cut buys is the second worker: with every merge forced onto the
+/// calling thread a two-worker run read 1.16× longer on `tc_random` and
+/// 1.13× on `security` (EXPERIMENTS.md, "Merge by callers").
 const MERGE_CHUNKS_PER_WORKER: usize = 4;
-
-/// Attempts to acquire the rightmost spine before the splice fast path
-/// gives up and falls back to per-tuple insertion.
-const SPLICE_ATTEMPTS: usize = 8;
 
 /// Attempts to try-lock a child leaf inside a merge group before the rest
 /// of the run falls back to a fresh descent. Bounded because a concurrent
@@ -46,56 +46,29 @@ const SPLICE_ATTEMPTS: usize = 8;
 const CHILD_LOCK_ATTEMPTS: usize = 8;
 
 impl<const K: usize, const C: usize> BTreeSet<K, C> {
-    /// Merges every tuple of `other` into `self`.
+    /// Merges every tuple of `other` into `self` on the calling thread:
+    /// [`insert_all_parallel`](Self::insert_all_parallel) at one worker.
     ///
     /// Concurrency-safe on the target (multiple threads may `insert_all`
     /// disjoint sources into the same target); the source must be quiescent
     /// (it is iterated).
     pub fn insert_all(&self, other: &BTreeSet<K, C>) {
-        if other.is_empty() {
-            return;
-        }
-        // Fast path: an empty target adopts a bulk-loaded copy wholesale.
-        if self.root.load(Relaxed).is_null() {
-            let built = build_from_sorted::<K, C>(other.iter());
-            if !built.is_null() {
-                if self.root_lock.try_start_write() {
-                    if self.root.load(Relaxed).is_null() {
-                        self.root.store(built, Relaxed);
-                        self.root_lock.end_write();
-                        telemetry::count(telemetry::Counter::BtreeMergeBulkLoad);
-                        return;
-                    }
-                    self.root_lock.end_write();
-                }
-                // Lost the race: discard the prebuilt copy, insert normally.
-                Self::abandon_subtree(built);
-            }
-        }
-        telemetry::count(telemetry::Counter::BtreeMergePerTuple);
-        let mut hints = self.create_hints();
-        for t in other.iter() {
-            self.insert_hinted(t, &mut hints);
-        }
+        self.insert_all_parallel(other, 1);
     }
 
     /// Merges every tuple of `other` into `self` on up to `workers`
     /// threads, returning how many tuples were actually added (i.e. were
     /// not already present).
     ///
-    /// Structure-aware end to end:
-    ///
-    /// * an empty target adopts a bulk-loaded copy wholesale (as
-    ///   [`insert_all`](Self::insert_all));
-    /// * the part of the source that sorts entirely **after** the target's
-    ///   current maximum is bulk-built and spliced in
-    ///   under a single write-locked ancestor of the rightmost spine (the
-    ///   append fast path — `specbtree.merge_splice` counts engagements);
-    /// * the rest is partitioned by the *target's* upper-level separators
-    ///   and merged chunk-by-chunk with a batched per-leaf merge join
-    ///   ([`insert_run`](Self::insert_run) — one descent, one write lock and
-    ///   one rebuild per target leaf instead of per tuple;
-    ///   `specbtree.merge_chunks` counts chunks).
+    /// An empty target adopts a bulk-loaded copy wholesale
+    /// (`specbtree.merge_bulk_load` counts those). Any other takes the
+    /// source as runs cut along the *source's* upper-level separators —
+    /// disjoint key ranges, each merged with a batched per-leaf merge join
+    /// ([`insert_run`](Self::insert_run): one descent per leaf group, one
+    /// write lock and one rebuild per target leaf instead of per tuple;
+    /// `specbtree.merge_chunks` counts runs). A source no deeper than a root
+    /// over leaves is one run and merges on the calling thread whatever
+    /// `workers` says: spawning costs more than a few hundred tuples do.
     ///
     /// `workers` is a request, capped to the machine's available
     /// parallelism: oversubscribed merge threads only add scheduling
@@ -105,119 +78,30 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// the target under concurrent merges/inserts; the source must be
     /// quiescent.
     pub fn insert_all_parallel(&self, other: &BTreeSet<K, C>, workers: usize) -> u64 {
-        if other.is_empty() {
-            return 0;
-        }
-        let workers = workers
-            .min(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            )
-            .max(1);
-        // Empty target: adopt a bulk-loaded copy wholesale.
         if self.root.load(Relaxed).is_null() {
-            let mut items: Vec<Tuple<K>> = Vec::with_capacity(other.len());
-            crate::iter::RangeIter::new(other.iter(), None).collect_into(&mut items);
+            let mut items = Vec::new();
+            RangeIter::new(other.iter(), None).collect_into(&mut items);
             let built = build_from_slice::<K, C>(&items);
-            if !built.is_null() {
-                if self.root_lock.try_start_write() {
-                    if self.root.load(Relaxed).is_null() {
-                        self.root.store(built, Relaxed);
-                        self.root_lock.end_write();
-                        telemetry::count(telemetry::Counter::BtreeMergeBulkLoad);
-                        return items.len() as u64;
-                    }
-                    self.root_lock.end_write();
-                }
-                Self::abandon_subtree(built);
+            if built.is_null() {
+                return 0;
             }
+            if self.root_lock.try_start_write() {
+                let adopted = self.root.load(Relaxed).is_null();
+                if adopted {
+                    self.root.store(built, Relaxed);
+                    telemetry::count(telemetry::Counter::BtreeMergeBulkLoad);
+                }
+                self.root_lock.end_write();
+                if adopted {
+                    return items.len() as u64;
+                }
+            }
+            // Lost the race for the root: discard the copy, merge the run.
+            // SAFETY: `built` was never published.
+            unsafe { LeafNode::free_subtree(built) };
+            return self.insert_run(&items);
         }
-
-        // Split the source at the target's maximum: the part beyond it is
-        // an append run served by the splice fast path, the rest (the
-        // "body") overlaps existing content and merges per tuple.
-        let tmax = self.last();
-        let tail: Vec<Tuple<K>> = match &tmax {
-            Some(m) => other.upper_bound(m).collect(),
-            None => Vec::new(), // transiently empty target: per-tuple below
-        };
-        let body_upper = tail.first().copied();
-        let added = AtomicU64::new(0);
-
-        // Partition the body by the *target's* separators so every chunk
-        // maps onto a distinct target region. A single worker takes the
-        // body as one run: chunk boundaries only exist to balance claims.
-        let nchunks = if workers == 1 {
-            1
-        } else {
-            workers.saturating_mul(MERGE_CHUNKS_PER_WORKER)
-        };
-        let chunks = self.partition_range(nchunks, None, body_upper.as_ref());
-        let has_body = match (other.first(), &body_upper) {
-            (Some(f), Some(hi)) => cmp3(&f, hi) == Ordering::Less,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-
-        let merge_tail = |tail: &[Tuple<K>]| {
-            if tail.is_empty() {
-                return;
-            }
-            let _span = telemetry::span("btree.splice", tail.len() as u64);
-            if tail.len() >= 2 && self.try_splice_append(tail) {
-                added.fetch_add(tail.len() as u64, Relaxed);
-                return;
-            }
-            // Splice not applicable (lost a race, full splice node, run too
-            // short/tall): batched merge fallback.
-            added.fetch_add(self.insert_run(tail), Relaxed);
-        };
-
-        let cursor = AtomicUsize::new(0);
-        let merge_chunks = || {
-            let mut buf: Vec<Tuple<K>> = Vec::with_capacity(other.len() / chunks.len().max(1) + 1);
-            let mut local = 0u64;
-            loop {
-                let i = cursor.fetch_add(1, Relaxed);
-                if i >= chunks.len() {
-                    break;
-                }
-                telemetry::count(telemetry::Counter::BtreeMergeChunks);
-                let _span = telemetry::span("btree.merge_chunk", i as u64);
-                buf.clear();
-                other.chunk_range(&chunks[i]).collect_into(&mut buf);
-                local += self.insert_run(&buf);
-            }
-            added.fetch_add(local, Relaxed);
-        };
-
-        let body_workers = if has_body {
-            workers.min(chunks.len()).max(1)
-        } else {
-            0
-        };
-        if workers <= 1 || body_workers + usize::from(!tail.is_empty()) <= 1 {
-            // Inline: nothing to run concurrently (also keeps the chaos
-            // harness in control — no hidden threads at `workers == 1`).
-            if has_body {
-                merge_chunks();
-            }
-            merge_tail(&tail);
-        } else {
-            std::thread::scope(|s| {
-                if !tail.is_empty() {
-                    s.spawn(|| merge_tail(&tail));
-                }
-                // Each worker runs the same chunk-claiming loop; the borrow
-                // keeps the closure reusable across spawns.
-                #[allow(clippy::needless_borrows_for_generic_args)]
-                for _ in 0..body_workers {
-                    s.spawn(&merge_chunks);
-                }
-            });
-        }
-        added.load(Relaxed)
+        other.for_each_run(workers, "btree.merge_chunk", |run| self.insert_run(run))
     }
 
     /// Removes every tuple of `other` from `self` on up to `workers`
@@ -225,70 +109,78 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// present).
     ///
     /// The bulk-retraction mirror of
-    /// [`insert_all_parallel`](Self::insert_all_parallel): the source is
-    /// partitioned by the *target's* upper-level separators, so each
-    /// worker's chunk maps onto a distinct target region and the
-    /// deletions it performs ([`remove`](Self::remove)) stay cache-local.
-    /// There is no bulk fast path: retraction removes keys one leaf shift
-    /// at a time and occasionally unlinks a drained leaf.
+    /// [`insert_all_parallel`](Self::insert_all_parallel): the same runs —
+    /// disjoint key ranges cut along the source's separators, so the
+    /// deletions of one worker ([`remove`](Self::remove)) stay cache-local
+    /// and apart from the next worker's — and the same rule for a small
+    /// source. There is no bulk fast path: retraction removes keys one leaf
+    /// shift at a time and occasionally unlinks a drained leaf.
     ///
     /// Concurrency contract as the merge: safe on the target under
     /// concurrent inserts/merges/removes; the source must be quiescent.
     pub fn remove_all_parallel(&self, other: &BTreeSet<K, C>, workers: usize) -> u64 {
-        if other.is_empty() || self.root.load(Relaxed).is_null() {
+        if self.root.load(Relaxed).is_null() {
             return 0;
         }
-        let workers = workers
-            .min(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            )
-            .max(1);
-        let nchunks = if workers == 1 {
-            1
-        } else {
-            workers.saturating_mul(MERGE_CHUNKS_PER_WORKER)
-        };
-        // Partition by the *target's* separators: every chunk of the source
-        // lands in a distinct region of the target tree.
-        let chunks = self.partition_range(nchunks, None, None);
-        let removed = AtomicU64::new(0);
-        let cursor = AtomicUsize::new(0);
-        let remove_chunks = || {
-            let mut buf: Vec<Tuple<K>> = Vec::with_capacity(other.len() / chunks.len().max(1) + 1);
-            let mut local = 0u64;
+        other.for_each_run(workers, "btree.remove_chunk", |run| {
+            run.iter().filter(|t| self.remove(t)).count() as u64
+        })
+    }
+
+    /// The one bulk driver: cuts this (quiescent) tree into at most
+    /// `workers × MERGE_CHUNKS_PER_WORKER` ascending runs of disjoint key
+    /// ranges, hands each to `apply` under a span named `span`, and sums
+    /// what `apply` returns. The runs are claimed off one cursor by up to
+    /// `workers` scoped threads, capped to the machine's parallelism. One
+    /// worker, or a tree [`partition`](Self::partition) will not cut (no
+    /// deeper than a root over leaves), is served on the calling thread,
+    /// which also keeps the chaos harness in control: no hidden threads at
+    /// `workers == 1`.
+    ///
+    /// The cut is made at one worker too. The boundaries buy no balance
+    /// there, but a run is copied out of the tree into a buffer that starts
+    /// empty — no walk to count the tuples first — and a quarter of the tree
+    /// at a time keeps that buffer, doubling included, under what the count
+    /// would have reserved: `peak_rss_mb` 0.96–0.98× on `tc_random` and
+    /// `security`, where the whole tree as one run read 1.02×.
+    fn for_each_run(
+        &self,
+        workers: usize,
+        span: &'static str,
+        apply: impl Fn(&[Tuple<K>]) -> u64 + Sync,
+    ) -> u64 {
+        if self.is_empty() {
+            return 0;
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = workers.clamp(1, cores);
+        let chunks = self.partition(workers.saturating_mul(MERGE_CHUNKS_PER_WORKER));
+        let (total, cursor) = (AtomicU64::new(0), AtomicUsize::new(0));
+        let claim = || {
+            let (mut run, mut sum) = (Vec::new(), 0u64);
             loop {
                 let i = cursor.fetch_add(1, Relaxed);
-                if i >= chunks.len() {
-                    break;
-                }
+                let Some(chunk) = chunks.get(i) else { break };
                 telemetry::count(telemetry::Counter::BtreeMergeChunks);
-                let _span = telemetry::span("btree.remove_chunk", i as u64);
-                buf.clear();
-                other.chunk_range(&chunks[i]).collect_into(&mut buf);
-                for t in &buf {
-                    if self.remove(t) {
-                        local += 1;
-                    }
-                }
+                let _span = telemetry::span(span, i as u64);
+                run.clear();
+                self.chunk_range(chunk).collect_into(&mut run);
+                sum += apply(&run);
             }
-            removed.fetch_add(local, Relaxed);
+            total.fetch_add(sum, Relaxed);
         };
-        let body_workers = workers.min(chunks.len()).max(1);
-        if body_workers <= 1 {
-            // Inline: keeps the chaos harness in control — no hidden
-            // threads at `workers == 1`.
-            remove_chunks();
-        } else {
-            std::thread::scope(|s| {
+        match workers.min(chunks.len()) {
+            1 => claim(),
+            threads => std::thread::scope(|s| {
+                // Each worker runs the same claiming loop; the borrow keeps
+                // the closure reusable across spawns.
                 #[allow(clippy::needless_borrows_for_generic_args)]
-                for _ in 0..body_workers {
-                    s.spawn(&remove_chunks);
+                for _ in 0..threads {
+                    s.spawn(&claim);
                 }
-            });
+            }),
         }
-        removed.load(Relaxed)
+        total.load(Relaxed)
     }
 
     /// Merges a strictly ascending, duplicate-free run into the tree with a
@@ -761,187 +653,6 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         k
     }
 
-    /// Splices an ascending run that sorts entirely after the target's
-    /// current maximum: `run[0]` becomes a separator in a rightmost-spine
-    /// ancestor and `run[1..]` is bulk-built as the new rightmost subtree.
-    ///
-    /// Locking: the whole rightmost spine is write-locked **bottom-up**
-    /// (leaf first, root lock last) — the same order Algorithm 2's split
-    /// uses, so the two protocols compose without deadlock. Under the
-    /// locks the spine is re-validated (still the rightmost path, target
-    /// maximum still below `run[0]`); any doubt returns `false` and the
-    /// caller falls back to per-tuple insertion.
-    fn try_splice_append(&self, run: &[Tuple<K>]) -> bool {
-        if run.len() < 2 || self.root.load(Relaxed).is_null() {
-            return false;
-        }
-        let sep = run[0];
-        // Build outside the locks: lock hold time stays O(depth).
-        let built = build_from_slice::<K, C>(&run[1..]);
-        debug_assert!(!built.is_null());
-        let built_h = subtree_height(built);
-
-        chaos::checkpoint("btree::splice");
-        let mut attempts = 0;
-        let spine: Vec<NodePtr<K, C>> = 'acquire: loop {
-            attempts += 1;
-            if attempts > SPLICE_ATTEMPTS {
-                Self::abandon_subtree(built);
-                return false;
-            }
-            // Optimistic descent along the rightmost spine (hand-over-hand
-            // validated, as Algorithm 1).
-            let (mut cur, mut cur_lease) = self.read_root();
-            loop {
-                // SAFETY: live node (nodes are never freed).
-                let node = unsafe { &*cur };
-                if !node.is_inner() {
-                    break;
-                }
-                let n = node.num_clamped();
-                // SAFETY: is_inner just checked; kind never changes.
-                let next = unsafe { node.as_inner() }.child(n);
-                if !node.lock.validate(cur_lease) || next.is_null() {
-                    continue 'acquire;
-                }
-                // SAFETY: read under a validated lease: a live child.
-                let next_lease = unsafe { &*next }.lock.start_read();
-                if !node.lock.validate(cur_lease) {
-                    continue 'acquire;
-                }
-                cur = next;
-                cur_lease = next_lease;
-            }
-            // SAFETY: live node.
-            if !unsafe { &*cur }.lock.try_upgrade_to_write(cur_lease) {
-                chaos::hint::spin_loop();
-                continue 'acquire;
-            }
-            // Climb, write-locking every ancestor with the same
-            // parent-re-check idiom as split(), ending at the root lock.
-            let mut spine = vec![cur];
-            let mut node = cur;
-            loop {
-                // SAFETY: spine nodes are live.
-                let parent = unsafe { &*node }.parent.load(Relaxed);
-                if parent.is_null() {
-                    self.root_lock.start_write();
-                    break;
-                }
-                let mut p = parent;
-                loop {
-                    // SAFETY: parent pointers always reference live nodes.
-                    unsafe { &*p }.lock.start_write();
-                    let now = unsafe { &*node }.parent.load(Relaxed);
-                    if now == p {
-                        break;
-                    }
-                    unsafe { &*p }.lock.abort_write();
-                    debug_assert!(!now.is_null(), "a node never becomes the root");
-                    p = now;
-                }
-                spine.push(p);
-                node = p;
-            }
-            // Validate under the locks: top of spine is the current root,
-            // every spine node is its parent's rightmost child, and the
-            // rightmost leaf's last key is still below the run.
-            let top_is_root = self.root.load(Relaxed) == *spine.last().unwrap();
-            let rightmost = spine.windows(2).all(|w| {
-                // SAFETY: write-locked spine nodes; parents are inner.
-                let pn = unsafe { &*w[1] };
-                unsafe { pn.as_inner() }.child(pn.num()) == w[0]
-            });
-            // SAFETY: the leaf is write-locked by us.
-            let leaf = unsafe { &*spine[0] };
-            let leaf_n = leaf.num();
-            let max_below = leaf_n > 0 && cmp3(&leaf.key(leaf_n - 1), &sep) == Ordering::Less;
-            if top_is_root && rightmost && max_below {
-                break spine;
-            }
-            // Stale path (or an empty leaf — only an empty tree has one,
-            // and that cannot be appended *after*): release and retry.
-            self.release_spine(&spine);
-            if leaf_n == 0 {
-                Self::abandon_subtree(built);
-                return false;
-            }
-        };
-
-        // Attach the prebuilt subtree at the level that keeps all leaves at
-        // equal depth: its root becomes a child of the spine node
-        // `built_h` levels above the leaf, or of a brand-new root when the
-        // run is as tall as the tree itself.
-        let h = spine.len();
-        let spliced = if built_h > h {
-            false // taller than the target: per-tuple fallback handles it
-        } else if built_h == h {
-            let old_root = *spine.last().unwrap();
-            let new_root = InnerNode::<K, C>::alloc();
-            // SAFETY: freshly allocated, private until published below.
-            let rn = unsafe { &*new_root };
-            rn.set_key(0, &sep);
-            rn.set_num(1);
-            let ri = unsafe { rn.as_inner() };
-            ri.set_child(0, old_root);
-            ri.set_child(1, built);
-            // SAFETY: old root is write-locked by us; `built` is private.
-            unsafe { &*old_root }.parent.store(new_root, Relaxed);
-            unsafe { &*old_root }.position.store(0, Relaxed);
-            unsafe { &*built }.parent.store(new_root, Relaxed);
-            unsafe { &*built }.position.store(1, Relaxed);
-            telemetry::count(telemetry::Counter::BtreeRootGrowth);
-            chaos::checkpoint("btree::root_swap");
-            self.root.store(new_root, Relaxed);
-            true
-        } else {
-            // SAFETY: write-locked spine node strictly above leaf level.
-            let a = spine[built_h];
-            let an = unsafe { &*a };
-            debug_assert!(an.is_inner());
-            let num = an.num();
-            if num < C {
-                an.set_key(num, &sep);
-                let ai = unsafe { an.as_inner() };
-                ai.set_child(num + 1, built);
-                // SAFETY: `built` is private until this store publishes it.
-                unsafe { &*built }.parent.store(a, Relaxed);
-                unsafe { &*built }.position.store((num + 1) as u16, Relaxed);
-                an.set_num(num + 1);
-                true
-            } else {
-                false // splice node full: fall back rather than split here
-            }
-        };
-
-        self.release_spine(&spine);
-        if spliced {
-            telemetry::count(telemetry::Counter::BtreeMergeSplice);
-        } else {
-            Self::abandon_subtree(built);
-        }
-        spliced
-    }
-
-    /// Releases a write-locked rightmost spine: root lock first, then the
-    /// node locks top-down (mirror of Algorithm 2's unlock phase).
-    fn release_spine(&self, spine: &[NodePtr<K, C>]) {
-        self.root_lock.end_write();
-        for p in spine.iter().rev() {
-            // SAFETY: every spine node is write-locked by the caller.
-            unsafe { &**p }.lock.end_write();
-        }
-    }
-
-    /// Frees a prebuilt, never-published subtree.
-    fn abandon_subtree(root: NodePtr<K, C>) {
-        if !root.is_null() {
-            // SAFETY: the subtree is private to the caller and never
-            // published.
-            unsafe { LeafNode::free_subtree(root) };
-        }
-    }
-
     /// Builds a fully packed tree from an ascending, duplicate-free tuple
     /// sequence in O(n).
     ///
@@ -949,7 +660,8 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// In debug builds, panics if the input is not strictly ascending.
     pub fn from_sorted<I: IntoIterator<Item = Tuple<K>>>(items: I) -> Self {
         let set = Self::new();
-        let root = build_from_sorted::<K, C>(items.into_iter());
+        let items: Vec<Tuple<K>> = items.into_iter().collect();
+        let root = build_from_slice::<K, C>(&items);
         if !root.is_null() {
             set.root.store(root, Relaxed);
         }
@@ -1104,46 +816,17 @@ fn merge_leaf_pass<const K: usize, const C: usize>(
     (k, fresh)
 }
 
-/// Height of a quiescent (freshly built) subtree: 1 for a lone leaf.
-fn subtree_height<const K: usize, const C: usize>(mut node: NodePtr<K, C>) -> usize {
-    let mut h = 0;
-    while !node.is_null() {
-        h += 1;
-        // SAFETY: live subtree nodes.
-        let n = unsafe { &*node };
-        if !n.is_inner() {
-            break;
-        }
-        // SAFETY: kind checked above.
-        node = unsafe { n.as_inner() }.child(0);
-    }
-    h
-}
-
-/// [`build_from_sorted`] over a slice (avoids re-collecting when the caller
-/// already materialized the run).
+/// Builds a packed subtree from a strictly ascending slice; returns null for
+/// an empty one. Leaves are filled to capacity (maximum compactness — the
+/// shape in-order insertion converges towards, taken to its limit).
 fn build_from_slice<const K: usize, const C: usize>(items: &[Tuple<K>]) -> NodePtr<K, C> {
-    build_from_sorted::<K, C>(items.iter().copied())
-}
-
-/// Builds a packed subtree from a sorted stream; returns null for an empty
-/// stream. Leaves are filled to capacity (maximum compactness — the shape
-/// in-order insertion converges towards, taken to its limit).
-fn build_from_sorted<const K: usize, const C: usize>(
-    items: impl Iterator<Item = Tuple<K>>,
-) -> NodePtr<K, C> {
-    let items: Vec<Tuple<K>> = items.collect();
     if items.is_empty() {
         return std::ptr::null_mut();
     }
-    if cfg!(debug_assertions) {
-        for w in items.windows(2) {
-            debug_assert!(
-                cmp3(&w[0], &w[1]) == Ordering::Less,
-                "from_sorted requires strictly ascending input"
-            );
-        }
-    }
+    debug_assert!(
+        items.is_sorted_by(|a, b| cmp3(a, b) == Ordering::Less),
+        "from_sorted requires strictly ascending input"
+    );
 
     // Level 0: pack items into full leaves, pulling one separator out of
     // the stream between consecutive leaves.

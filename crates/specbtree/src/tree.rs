@@ -470,7 +470,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// lowers it to the promoted key; a split of an ancestor moves the
     /// separator up or sideways but not its value; `remove_inner_key`
     /// replaces it by a predecessor pulled out of the rightmost leaf below
-    /// it; a splice appends behind a write-locked rightmost spine; and the
+    /// it (a merged run changes fences by these splits alone); and the
     /// one operation that raises a fence, unlinking the empty leaf to the
     /// right, write-locks the leaf whose fence it raises. So with the levels
     /// read one after the other, each under a lease of its own, the fence

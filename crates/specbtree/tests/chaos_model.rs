@@ -136,10 +136,12 @@ fn contains_during_inserts_has_no_false_negatives() {
 }
 
 /// Two threads race `insert_all` merges of *disjoint* sources into one
-/// target, both sorting after the target's maximum: every schedule makes
-/// both merges try the splice fast path on the same rightmost spine
-/// (`btree::splice` checkpoint), and whichever loses the validation must
-/// fall back to per-tuple inserts without losing or duplicating keys.
+/// target, both sorting after the target's maximum: two runs on the same
+/// rightmost leaf group. Every schedule makes both descend to its parent
+/// (`btree::merge::descend`) and contend for the upgrade
+/// (`btree::merge::group_upgrade`); whichever loses re-descends, finds the
+/// group the winner filled and split, and must neither lose nor duplicate
+/// a key.
 #[cfg(not(feature = "chaos-inject-bug"))]
 #[test]
 fn racing_disjoint_merges_keep_invariants() {
@@ -725,8 +727,8 @@ fn contains_during_removes_is_linearizable() {
 /// `remove_all_parallel` of the even half runs against an
 /// `insert_all_parallel` of a disjoint high run. The removal's
 /// deletes and possible leaf unlinks interleave with the merge's grouped
-/// leaf locking and splice fast path; every schedule must end with exactly
-/// the odd half plus the merged run, with both counts exact.
+/// leaf locking on the rightmost group; every schedule must end with
+/// exactly the odd half plus the merged run, with both counts exact.
 #[cfg(not(feature = "chaos-inject-bug"))]
 #[test]
 fn remove_all_racing_merge_keeps_invariants() {

@@ -1,8 +1,8 @@
 //! Property tests for `specbtree::merge`: bulk `insert_all` must behave as
 //! set union against a `std::collections::BTreeSet` model on adversarial
-//! input shapes — duplicate-heavy, fully overlapping, and the empty-target
-//! path that takes the `build_from_sorted` bulk-build shortcut — with the
-//! structural invariants intact afterwards. The run API (`retain_absent`,
+//! input shapes — duplicate-heavy, fully overlapping, append-only, and the
+//! empty-target path that adopts a bulk-built copy — with the structural
+//! invariants intact afterwards. The run API (`retain_absent`,
 //! `insert_run`) is held to the same model at every key width and at both
 //! node capacities the suites use.
 
@@ -138,27 +138,6 @@ proptest! {
         check_run(&base.into_iter().collect(), &run.into_iter().collect());
     }
 
-    /// Duplicate-heavy inputs: most keys collide, both within each source
-    /// and across the two trees. The union must still be exact and deduped.
-    #[test]
-    fn duplicate_heavy_merge_is_set_union(
-        a in prop::collection::vec(dup_heavy_key(), 0..200),
-        b in prop::collection::vec(dup_heavy_key(), 0..200),
-    ) {
-        let ta: BTreeSet<2, 4> = build(&a);
-        let tb: BTreeSet<2, 4> = build(&b);
-        ta.insert_all(&tb);
-        let shape = ta.check_invariants().unwrap();
-        let expect: Model<[u64; 2]> = a.iter().chain(b.iter()).copied().collect();
-        prop_assert_eq!(shape.keys, expect.len());
-        prop_assert_eq!(
-            ta.iter().collect::<Vec<_>>(),
-            expect.iter().copied().collect::<Vec<_>>()
-        );
-        // The source must be untouched by the merge.
-        prop_assert_eq!(tb.iter().collect::<Vec<_>>(), model(&b).into_iter().collect::<Vec<_>>());
-    }
-
     /// Fully-overlapping inputs: target and source hold exactly the same
     /// key set, so every single insert during the merge is a duplicate hit.
     /// The target must come out unchanged.
@@ -173,7 +152,7 @@ proptest! {
         prop_assert_eq!(ta.len(), model(&keys).len());
     }
 
-    /// Merging into an empty target takes the `build_from_sorted` bulk path;
+    /// Merging into an empty target adopts a bulk-built copy of the source;
     /// the result must be indistinguishable from element-wise insertion.
     #[test]
     fn empty_target_bulk_path_matches_model(keys in prop::collection::vec(key(), 0..400)) {
@@ -217,28 +196,34 @@ proptest! {
         );
     }
 
-    /// The parallel merge at 1/2/4/8 workers must be indistinguishable from
-    /// the sequential `insert_all` and the `std` model on duplicate-heavy
-    /// inputs, and the fused `added` count must equal the true growth.
+    /// Duplicate-heavy inputs — most keys collide, within each source and
+    /// across the two trees: `insert_all`, which is the merge at one worker
+    /// with the count dropped, and `insert_all_parallel` at 1/2/4/8 workers
+    /// all leave the `std` model's union, exact and deduped, the fused
+    /// `added` count is the true growth, and the source is untouched.
     #[test]
-    fn parallel_merge_matches_sequential_and_model(
+    fn every_merge_matches_the_model(
         a in prop::collection::vec(dup_heavy_key(), 0..200),
         b in prop::collection::vec(dup_heavy_key(), 0..200),
     ) {
         let expect: Model<[u64; 2]> = a.iter().chain(b.iter()).copied().collect();
         let pre = model(&a);
-        for workers in [1usize, 2, 4, 8] {
+        for workers in [None, Some(1usize), Some(2), Some(4), Some(8)] {
             let dst: BTreeSet<2, 4> = build(&a);
             let src: BTreeSet<2, 4> = build(&b);
-            let added = dst.insert_all_parallel(&src, workers);
+            match workers {
+                None => dst.insert_all(&src),
+                Some(w) => prop_assert_eq!(
+                    dst.insert_all_parallel(&src, w) as usize,
+                    expect.len() - pre.len()
+                ),
+            }
             let shape = dst.check_invariants().unwrap();
-            prop_assert_eq!(added as usize, expect.len() - pre.len());
             prop_assert_eq!(shape.keys, expect.len());
             prop_assert_eq!(
                 dst.iter().collect::<Vec<_>>(),
                 expect.iter().copied().collect::<Vec<_>>()
             );
-            // The source must be untouched by the merge.
             prop_assert_eq!(
                 src.iter().collect::<Vec<_>>(),
                 model(&b).into_iter().collect::<Vec<_>>()
@@ -269,10 +254,9 @@ proptest! {
         );
     }
 
-    /// Append-only deltas (everything sorts after the target's maximum) are
-    /// the splice fast path's home turf; whether or not the splice engages
-    /// on a given shape (it bails on full spine nodes), the result must be
-    /// exact.
+    /// Append-only deltas (everything sorts after the target's maximum):
+    /// every run lands on the rightmost leaf group and fills it, split by
+    /// split; the result must be exact at every worker count.
     #[test]
     fn parallel_merge_append_only_is_exact(
         n in 1u64..300,
@@ -341,44 +325,6 @@ proptest! {
         prop_assert_eq!(
             acc.iter().collect::<Vec<_>>(),
             expect.into_iter().collect::<Vec<_>>()
-        );
-    }
-}
-
-/// Deterministic coverage for the splice fast path: across a sweep of
-/// append-shaped merges at several target sizes, the rightmost spine must
-/// accept at least one spliced subtree (the path legitimately bails when a
-/// spine node is full, but it cannot bail on *every* shape), and every
-/// merge must still be exact. The counter assertion is keyed on the
-/// `telemetry` feature; correctness is asserted unconditionally.
-#[test]
-fn append_only_delta_engages_splice_fast_path() {
-    let before = telemetry::snapshot().counter("specbtree.merge_splice");
-    for n in [40u64, 64, 97, 150, 221, 300] {
-        for m in [8u64, 16, 31] {
-            let dst: BTreeSet<2, 4> = BTreeSet::new();
-            for i in 0..n {
-                dst.insert([i, 1]);
-            }
-            let src: BTreeSet<2, 4> = BTreeSet::new();
-            for i in n..n + m {
-                src.insert([i, 1]);
-            }
-            let added = dst.insert_all_parallel(&src, 1);
-            assert_eq!(added, m, "append merge added count (n={n}, m={m})");
-            let shape = dst.check_invariants().unwrap();
-            assert_eq!(shape.keys, (n + m) as usize);
-            assert_eq!(
-                dst.iter().collect::<Vec<_>>(),
-                (0..n + m).map(|i| [i, 1]).collect::<Vec<_>>()
-            );
-        }
-    }
-    let after = telemetry::snapshot().counter("specbtree.merge_splice");
-    if telemetry::ENABLED {
-        assert!(
-            after > before,
-            "no append merge took the splice fast path (before={before}, after={after})"
         );
     }
 }

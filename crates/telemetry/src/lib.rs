@@ -105,17 +105,11 @@ pub enum Counter {
     /// `specbtree`: `insert_all` merges served by the empty-target bulk
     /// load fast path.
     BtreeMergeBulkLoad,
-    /// `specbtree`: `insert_all` merges that fell back to hinted per-tuple
-    /// insertion.
-    BtreeMergePerTuple,
     /// `datalog`: semi-naive fixpoint iterations across all strata.
     EvalIterations,
-    /// `specbtree`: parallel `insert_all` merges served by the subtree
-    /// splice fast path (a prebuilt run attached under one write-locked
-    /// ancestor instead of per-tuple insertion).
-    BtreeMergeSplice,
-    /// `specbtree`: source chunks processed by parallel `insert_all`
-    /// workers (target-separator-aligned partitions).
+    /// `specbtree`: runs a bulk merge or removal cut its source into
+    /// (disjoint key ranges along the source's separators; one for a
+    /// source no deeper than a root over leaves).
     BtreeMergeChunks,
     /// `specbtree`: successful `remove` operations (tuple was present).
     BtreeRemoves,
@@ -137,7 +131,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 25;
+    pub const COUNT: usize = 23;
 
     /// All counters, in declaration order.
     pub const ALL: [Counter; Self::COUNT] = [
@@ -156,9 +150,7 @@ impl Counter {
         Counter::BtreeInnerSplits,
         Counter::BtreeRootGrowth,
         Counter::BtreeMergeBulkLoad,
-        Counter::BtreeMergePerTuple,
         Counter::EvalIterations,
-        Counter::BtreeMergeSplice,
         Counter::BtreeMergeChunks,
         Counter::BtreeRemoves,
         Counter::BtreeRemoveRestarts,
@@ -186,9 +178,7 @@ impl Counter {
             Counter::BtreeInnerSplits => "specbtree.inner_splits",
             Counter::BtreeRootGrowth => "specbtree.root_growth",
             Counter::BtreeMergeBulkLoad => "specbtree.merge_bulk_load",
-            Counter::BtreeMergePerTuple => "specbtree.merge_per_tuple",
             Counter::EvalIterations => "datalog.iterations",
-            Counter::BtreeMergeSplice => "specbtree.merge_splice",
             Counter::BtreeMergeChunks => "specbtree.merge_chunks",
             Counter::BtreeRemoves => "specbtree.removes",
             Counter::BtreeRemoveRestarts => "specbtree.remove_restarts",

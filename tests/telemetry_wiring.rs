@@ -45,9 +45,12 @@ fn contended_inserts(per_thread: u64, writers: u64, readers: u64) {
     assert_eq!(tree.len() as u64, per_thread * writers);
 }
 
-/// Transitive closure of a chain on two workers, then one edge withdrawn
-/// mid-chain.
-fn chain_tc_with_a_retraction(nodes: u64) {
+/// Transitive closure of a grid on two workers, then one edge withdrawn.
+/// The grid's middle deltas hold a thousand tuples and more: deep enough for
+/// `partition` to cut, so both the plans and the merges put the second
+/// worker to work (a delta no deeper than a root over leaves stays, plan and
+/// merge, on the calling thread).
+fn grid_tc_with_a_retraction(side: u64) {
     let program = parse(
         r#"
         .decl edge(x: number, y: number)
@@ -59,14 +62,13 @@ fn chain_tc_with_a_retraction(nodes: u64) {
     )
     .unwrap();
     let mut engine = Engine::new(&program, StorageKind::SpecBTree, 2).unwrap();
-    let edges = graphs::chain(nodes);
+    let edges = graphs::grid(side);
     engine
         .add_facts("edge", edges.iter().map(|&(a, b)| vec![a, b]))
         .unwrap();
     engine.run().unwrap();
-    engine
-        .retract_fact("edge", &[nodes / 4, nodes / 4 + 1])
-        .unwrap();
+    let (a, b) = edges[edges.len() / 2];
+    engine.retract_fact("edge", &[a, b]).unwrap();
 }
 
 #[test]
@@ -77,7 +79,7 @@ fn every_layer_reports_and_the_restart_causes_add_up() {
 
     contended_inserts(20_000, 4, 2);
     let between = telemetry::snapshot();
-    chain_tc_with_a_retraction(64);
+    grid_tc_with_a_retraction(14);
 
     let after = telemetry::snapshot();
     let counted = |name: &str| after.counter(name) - before.counter(name);
@@ -117,8 +119,8 @@ fn every_layer_reports_and_the_restart_causes_add_up() {
 
     // Head tuples reach the trees as runs — a flushed batch anti-joined
     // with `path`, merged into its `new` table, and `new` folded into `path`
-    // — and a descent serves a leaf group, not a key, even on a chain whose
-    // batches hold a few dozen tuples.
+    // — and a descent serves a leaf group, not a key, on a grid whose batches
+    // hold from a few dozen tuples to a few thousand.
     let in_runs = |name: &str| after.counter(name) - between.counter(name);
     let (keys, descents) = (
         in_runs("specbtree.run_keys"),
@@ -127,7 +129,7 @@ fn every_layer_reports_and_the_restart_causes_add_up() {
     assert!(keys > 0 && descents > 0, "no run reached a tree");
     assert!(
         descents < keys,
-        "{keys} run keys took {descents} descents: {:.1} keys a descent (11 325 took 1 261–1 279, 8.9, when this was written)",
+        "{keys} run keys took {descents} descents: {:.1} keys a descent (46 223–46 285 took 1 647–1 714, 27–28, when this was written)",
         keys as f64 / descents as f64
     );
 
