@@ -3,15 +3,14 @@
 
 use crate::ast::Program;
 use crate::eval::{
-    delta_positions, eval_plan, side_table, source_order, SideTables, StorageEnv, WorkerCtxs,
-    WorkerStats,
+    delta_positions, eval_plan, insert_tuples, side_table, source_order, SideTables, StorageEnv,
+    WorkerCtxs,
 };
 use crate::planner::{self, CostModel, IndexCatalog, Version};
 use crate::storage::{pad, RelationStorage, StorageKind, TupleBuf};
 use crate::strat::{stratify, StratError, Stratification, Stratum};
 use specbtree::HintStats;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 mod dred;
 
@@ -73,11 +72,15 @@ impl From<StratError> for EngineError {
 /// The one exception is [`sched_imbalance`](Self::sched_imbalance), which
 /// — like [`Engine::worker_stats`] and [`Engine::profile`] — describes
 /// only the most recent run (a ratio cannot meaningfully accumulate).
+///
+/// Each worker counts the join's operations into an `EvalStats` of its own
+/// ([`Engine::worker_stats`]), which [`merge`](Self::merge) adds up.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalStats {
-    /// `insert` calls issued on relation storages: loaded facts, tuples a
-    /// merge or a delta seeding moved, and the head tuples workers offered
-    /// to `new` ([`WorkerStats::inserts`](crate::WorkerStats::inserts)).
+    /// Tuples offered to relation storages: loaded facts, tuples a merge or
+    /// a delta seeding moved, and the head tuples workers offered to `new`
+    /// — those the full relation lacked, after an emit batch dropped its
+    /// duplicates, so that count moves with where the batches end.
     pub inserts: u64,
     /// Membership tests issued: one per fully bound body literal reached,
     /// and one per distinct head tuple of a worker's emit batch — so this
@@ -133,6 +136,50 @@ pub struct EvalStats {
 }
 
 impl EvalStats {
+    /// Adds every count of `other` to `self` and merges its hint
+    /// statistics; `sched_imbalance` is left as it is.
+    pub fn merge(&mut self, other: &EvalStats) {
+        let EvalStats {
+            inserts,
+            membership_tests,
+            lower_bound_calls,
+            upper_bound_calls,
+            input_tuples,
+            produced_tuples,
+            iterations,
+            chunks_claimed,
+            tuples_scanned,
+            tuples_emitted,
+            sched_imbalance: _,
+            removes,
+            retracted_inputs,
+            overdeleted_tuples,
+            rederived_tuples,
+            index_builds,
+            inner_scans_indexed,
+            inner_scans_full,
+            hints,
+        } = other;
+        self.inserts += inserts;
+        self.membership_tests += membership_tests;
+        self.lower_bound_calls += lower_bound_calls;
+        self.upper_bound_calls += upper_bound_calls;
+        self.input_tuples += input_tuples;
+        self.produced_tuples += produced_tuples;
+        self.iterations += iterations;
+        self.chunks_claimed += chunks_claimed;
+        self.tuples_scanned += tuples_scanned;
+        self.tuples_emitted += tuples_emitted;
+        self.removes += removes;
+        self.retracted_inputs += retracted_inputs;
+        self.overdeleted_tuples += overdeleted_tuples;
+        self.rederived_tuples += rederived_tuples;
+        self.index_builds += index_builds;
+        self.inner_scans_indexed += inner_scans_indexed;
+        self.inner_scans_full += inner_scans_full;
+        self.hints.merge(hints);
+    }
+
     /// Serializes every field as one JSON object (hand-rolled,
     /// dependency-free; the `hints` field nests
     /// [`HintStats::to_json`]).
@@ -285,8 +332,8 @@ pub struct Engine {
     threads: usize,
     rels: Vec<Box<dyn RelationStorage>>,
     /// Tuples per relation, kept in step by every path that changes one
-    /// (`add_fact`'s inserted flag, `merge_from`'s and `retract_from`'s
-    /// returned counts) — the storages themselves only count by walking.
+    /// (the counts `insert_tuples`, `merge_from` and `retract_from` return)
+    /// — the storages themselves only count by walking.
     counts: Vec<usize>,
     /// The extensional database: per relation, exactly the facts asserted
     /// through [`add_fact`](Self::add_fact) (and program facts), kept apart
@@ -294,8 +341,8 @@ pub struct Engine {
     /// back and what a from-scratch recompute starts from.
     edb: Vec<HashSet<TupleBuf>>,
     stats: EvalStats,
-    /// Per-worker scheduler counters from the last run.
-    worker_stats: Vec<WorkerStats>,
+    /// Per-worker counters from the last run.
+    worker_stats: Vec<EvalStats>,
     /// Per-rule (by rule index) evaluation counts and time.
     profile: HashMap<usize, (u64, f64)>,
     /// Cost-based join ordering + automatic secondary indexes (default
@@ -478,9 +525,11 @@ impl Engine {
         self.build_new_indexes(before);
     }
 
-    /// Per-worker scheduler counters from the last [`run`](Self::run)
-    /// (index = worker id; empty before the first run).
-    pub fn worker_stats(&self) -> &[WorkerStats] {
+    /// Per-worker counters from the last [`run`](Self::run) (index = worker
+    /// id; empty before the first run): the join's operations, the fields
+    /// [`EvalStats::merge`] sums into [`stats`](Self::stats), and nothing
+    /// else.
+    pub fn worker_stats(&self) -> &[EvalStats] {
         &self.worker_stats
     }
 
@@ -517,16 +566,11 @@ impl Engine {
         let rel = self.rel_id(relation)?;
         let padded = tuples.into_iter().map(|t| self.padded(rel, &t));
         let batch = padded.collect::<Result<Vec<TupleBuf>, _>>()?;
-        let storage = self.rels[rel].as_ref();
-        let mut ctx = storage.make_ctx();
-        for t in batch {
-            self.stats.inserts += 1;
-            if storage.insert(&t, &mut ctx) {
-                self.stats.input_tuples += 1;
-                self.counts[rel] += 1;
-            }
-            self.edb[rel].insert(t);
-        }
+        let added = insert_tuples(self.rels[rel].as_ref(), &batch);
+        self.stats.inserts += batch.len() as u64;
+        self.stats.input_tuples += added;
+        self.counts[rel] += added as usize;
+        self.edb[rel].extend(batch);
         Ok(())
     }
 
@@ -548,7 +592,7 @@ impl Engine {
         // thread-local hints, kept across rules and fixpoint iterations)
         // and per-worker scheduler counters.
         let mut pools: Vec<WorkerCtxs> = (0..self.threads).map(|_| WorkerCtxs::default()).collect();
-        let mut wstats: Vec<WorkerStats> = vec![WorkerStats::default(); self.threads];
+        let mut wstats = vec![EvalStats::default(); self.threads];
         let mut next_plan_id = 0usize;
 
         for (si, stratum) in self.strat.strata.clone().iter().enumerate() {
@@ -562,7 +606,7 @@ impl Engine {
 
         // Aggregate the workers' counters and compute the load-imbalance
         // figure (max/mean of tuples scanned across workers).
-        self.absorb_worker_stats(&wstats);
+        wstats.iter().for_each(|w| self.stats.merge(w));
         let active = wstats.iter().filter(|w| w.chunks_claimed > 0).count();
         self.stats.sched_imbalance = if active > 0 && self.stats.tuples_scanned > 0 {
             let mean = self.stats.tuples_scanned as f64 / self.threads as f64;
@@ -577,23 +621,6 @@ impl Engine {
         self.stats.produced_tuples += (size_after - size_before) as u64;
         debug_assert!(self.counts_are_exact());
         Ok(())
-    }
-
-    /// Adds what the workers of a run or a retraction counted to the
-    /// engine's totals.
-    fn absorb_worker_stats(&mut self, wstats: &[WorkerStats]) {
-        let mut sum = WorkerStats::default();
-        wstats.iter().for_each(|w| sum.merge(w));
-        let stats = &mut self.stats;
-        stats.chunks_claimed += sum.chunks_claimed;
-        stats.tuples_scanned += sum.tuples_scanned;
-        stats.tuples_emitted += sum.tuples_emitted;
-        stats.inner_scans_indexed += sum.inner_scans_indexed;
-        stats.inner_scans_full += sum.inner_scans_full;
-        stats.inserts += sum.inserts;
-        stats.membership_tests += sum.membership_tests;
-        stats.lower_bound_calls += sum.lower_bound_calls;
-        stats.upper_bound_calls += sum.upper_bound_calls;
     }
 
     /// An empty storage of the engine's kind at relation `r`'s arity: what
@@ -623,7 +650,7 @@ impl Engine {
         &mut self,
         stratum: &Stratum,
         pools: &mut [WorkerCtxs],
-        wstats: &mut [WorkerStats],
+        wstats: &mut [EvalStats],
         next_plan_id: &mut usize,
     ) {
         let stratum_timer = telemetry::start_timer();
@@ -657,12 +684,6 @@ impl Engine {
             self.stats.inserts += seeded;
         }
 
-        // A cleared side-table set parked for reuse: once the loop is
-        // two iterations deep, the outgoing delta tables are cleared and
-        // become the next iteration's `new`, instead of allocating a
-        // fresh storage per relation per iteration.
-        let mut spare: Option<SideTables> = None;
-
         for iteration in 1u64.. {
             self.stats.iterations += 1;
             telemetry::count(telemetry::Counter::EvalIterations);
@@ -672,9 +693,7 @@ impl Engine {
                 telemetry::record(telemetry::Hist::EvalDeltaTuples, delta_size as u64);
             }
             self.replan(&mut rec, stratum, &deltas, iteration);
-            let new = spare
-                .take()
-                .unwrap_or_else(|| self.side_tables(&stratum.relations, 0));
+            let new = self.side_tables(&stratum.relations, 0);
             self.eval_versions(&rec, &delta, &new, pools, wstats);
             let mut any = false;
             for (r, added) in self.merge_stratum(&new) {
@@ -684,13 +703,7 @@ impl Engine {
             if !any {
                 break;
             }
-            let mut old = std::mem::replace(&mut delta, new);
-            // Park the outgoing delta tables for the next iteration if
-            // every backend supports a cheap reset; otherwise drop them
-            // and allocate fresh ones next iteration.
-            if old.iter_mut().flatten().all(|s| s.clear()) {
-                spare = Some(old);
-            }
+            delta = new;
         }
         self.record(rec);
         stratum_timer.observe(telemetry::Hist::EvalStratumNanos);
@@ -711,7 +724,7 @@ impl Engine {
         delta: &SideTables,
         new: &SideTables,
         pools: &mut [WorkerCtxs],
-        wstats: &mut [WorkerStats],
+        wstats: &mut [EvalStats],
     ) {
         let full: Vec<&dyn RelationStorage> = self.rels.iter().map(|b| b.as_ref()).collect();
         let env = StorageEnv {
@@ -735,46 +748,22 @@ impl Engine {
     /// `self.counts` exact, sizes the next iteration's deltas and counts as
     /// that many inserts.
     ///
-    /// Relations of one stratum are independent, so their merges run
-    /// concurrently on scoped threads, each with its share of the workers for
-    /// the parallel merge inside the backend ([`RelationStorage::merge_from`]).
+    /// Relation after relation, each with every worker: the merge inside
+    /// the backend ([`RelationStorage::merge_from`]) cuts a source into runs
+    /// for them, and keeps one too small to cut on the calling thread.
     fn merge_stratum(&mut self, new: &SideTables) -> Vec<(usize, u64)> {
         let timer = telemetry::start_timer();
-        let tables = new.iter().enumerate();
-        let jobs: Vec<(usize, &dyn RelationStorage)> = tables
-            .filter_map(|(r, s)| Some((r, s.as_deref()?)))
-            .collect();
-        let rels = &self.rels;
-        let merge = |&(r, src): &(usize, &dyn RelationStorage), workers: usize| {
+        let mut added = Vec::new();
+        for (r, src) in new.iter().enumerate() {
+            let Some(src) = src.as_deref() else { continue };
             let _span = telemetry::span("eval.merge", r as u64);
-            (r, rels[r].merge_from(src, workers.max(1)))
-        };
-        let added: Vec<(usize, u64)> = if self.threads <= 1 || jobs.len() <= 1 {
-            jobs.iter().map(|job| merge(job, self.threads)).collect()
-        } else {
-            let outer = self.threads.min(jobs.len());
-            let inner = (self.threads / outer).max(1);
-            let cursor = AtomicUsize::new(0);
-            let claim = || {
-                let mut mine = Vec::new();
-                while let Some(job) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                    mine.push(merge(job, inner));
-                }
-                mine
-            };
-            std::thread::scope(|s| {
-                let workers: Vec<_> = (0..outer).map(|_| s.spawn(claim)).collect();
-                let joined = workers.into_iter().map(|w| w.join());
-                joined
-                    .flat_map(|r| r.expect("merge worker panicked"))
-                    .collect()
-            })
-        };
-        // `new` holds only tuples the full relation lacked when they were
-        // derived, so a merge adds — and counts as inserted — all of them.
-        for &(r, n) in &added {
+            let n = self.rels[r].merge_from(src, self.threads);
+            // `new` holds only tuples the full relation lacked when they
+            // were derived, so a merge adds — and counts as inserted — all
+            // of them.
             self.counts[r] += n as usize;
             self.stats.inserts += n;
+            added.push((r, n));
         }
         timer.observe(telemetry::Hist::EvalMergeNanos);
         added

@@ -2,11 +2,11 @@
 //! planning, `overdelete`, `delete`, `rederive`, `negation_fallback` — over
 //! one per-call [`Retraction`].
 
-use super::{Engine, EngineError, RetractOutcome};
+use super::{Engine, EngineError, EvalStats, RetractOutcome};
 use crate::ast::{Atom, Literal, Rule, Term};
 use crate::eval::{
-    compile_one_at, eval_plan, fill, has_unprefixed_inner_scan, plan_delta_rel, side_table, Plan,
-    SideTables, StorageEnv, WorkerCtxs, WorkerStats,
+    compile_one_at, eval_plan, has_unprefixed_inner_scan, insert_tuples, plan_delta_rel,
+    side_table, Plan, SideTables, StorageEnv, WorkerCtxs,
 };
 use crate::planner::{self, CostModel, Version};
 use crate::storage::{RelationStorage, TupleBuf};
@@ -56,7 +56,7 @@ struct Retraction {
     /// meet), then the deletion sets at their live sizes.
     cards: Vec<f64>,
     pools: Vec<WorkerCtxs>,
-    wstats: Vec<WorkerStats>,
+    wstats: Vec<EvalStats>,
     next_plan_id: usize,
     /// Every synthetic version planned, with the phase that runs it (boxed,
     /// so that a retraction planning one rule allocates no kilobyte block).
@@ -170,7 +170,7 @@ impl Engine {
 
         self.stats.overdeleted_tuples += cx.outcome.overdeleted;
         self.stats.rederived_tuples += cx.outcome.rederived;
-        self.absorb_worker_stats(&cx.wstats);
+        cx.wstats.iter().for_each(|w| self.stats.merge(w));
         self.retraction = cx.versions;
         let size_after: i64 = self.counts.iter().map(|&n| n as i64).sum();
         cx.outcome.net_removed = size_before - size_after;
@@ -255,7 +255,7 @@ impl Engine {
             empty: self.kind.create(),
             cards,
             pools: (0..self.threads).map(|_| WorkerCtxs::default()).collect(),
-            wstats: vec![WorkerStats::default(); self.threads],
+            wstats: vec![EvalStats::default(); self.threads],
             next_plan_id: 0,
             versions: Vec::new(),
             outcome: RetractOutcome::default(),
@@ -266,7 +266,7 @@ impl Engine {
         for (&r, ts) in seeds {
             cx.outcome.retracted_inputs += ts.len() as u64;
             if cx.dirty.binary_search(&r).is_ok() {
-                let added = fill(side_table(&cx.del_acc, r), ts, self.threads);
+                let added = insert_tuples(side_table(&cx.del_acc, r), ts);
                 cx.overdeleted(r, added);
             }
         }
@@ -484,8 +484,8 @@ impl Engine {
                     }
                 });
                 if !keep.is_empty() {
-                    self.counts[r] += fill(self.rels[r].as_ref(), &keep, self.threads) as usize;
-                    fill(side_table(&round, r), &keep, self.threads);
+                    self.counts[r] += insert_tuples(self.rels[r].as_ref(), &keep) as usize;
+                    insert_tuples(side_table(&round, r), &keep);
                     self.stats.inserts += keep.len() as u64;
                     cx.outcome.rederived += keep.len() as u64;
                     back[r] = keep.len() as f64;
@@ -607,7 +607,7 @@ impl Engine {
                     continue;
                 }
                 let part = self.table_for(r);
-                fill(part.as_ref(), &dels, self.threads);
+                insert_tuples(part.as_ref(), &dels);
                 whole = Some((cx.del_acc[r].replace(part), cx.cards[nrels + r]));
                 cx.cards[nrels + r] = dels.len() as f64;
             }
@@ -631,7 +631,7 @@ impl Engine {
             for &r in &stratum.relations {
                 self.rels[r] = self.table_for(r);
                 let tuples: Vec<TupleBuf> = self.edb[r].iter().copied().collect();
-                self.counts[r] = fill(self.rels[r].as_ref(), &tuples, self.threads) as usize;
+                self.counts[r] = insert_tuples(self.rels[r].as_ref(), &tuples) as usize;
                 self.stats.inserts += tuples.len() as u64;
             }
             // The replacement storages lost their index trees; rebuild the

@@ -27,63 +27,15 @@
 use crate::ast::{CmpOp, Rule, Term, MAX_ARITY};
 use crate::planner::IndexCatalog;
 use crate::storage::{RelationStorage, StorageChunk, StorageCtx, TupleBuf};
+use crate::EvalStats;
 use specbtree::HintStats;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Oversplit factor: each plan's outer scan is partitioned into
 /// `CHUNKS_PER_WORKER ×` the worker count so the shared cursor can smooth
 /// out skew (a worker stuck on a dense chunk simply claims fewer).
-pub const CHUNKS_PER_WORKER: usize = 8;
-
-/// Per-worker scheduler counters, accumulated across plans and iterations
-/// of one engine run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WorkerStats {
-    /// Outer-loop chunks this worker claimed.
-    pub chunks_claimed: u64,
-    /// Tuples the worker's scans produced (outer chunks plus inner range
-    /// scans).
-    pub tuples_scanned: u64,
-    /// Tuples the worker inserted into `new` relations.
-    pub tuples_emitted: u64,
-    /// Inner (non-outermost) scans served by a bound prefix or a
-    /// secondary index — a range query rather than a full sweep.
-    pub inner_scans_indexed: u64,
-    /// Inner scans that fell through to an unindexed full sweep of the
-    /// relation (no bound prefix, no secondary index).
-    pub inner_scans_full: u64,
-    /// Inserts issued: head tuples not in the full relation, offered to
-    /// `new` — after duplicates within one emit batch are dropped, so the
-    /// count moves with where the batches end.
-    pub inserts: u64,
-    /// Membership tests issued: fully bound body literals, and the head's
-    /// test against the full relation once per distinct tuple of an emit
-    /// batch.
-    pub membership_tests: u64,
-    /// `lower_bound` calls: one per inner scan and per range chunk of an
-    /// outer scan.
-    pub lower_bound_calls: u64,
-    /// `upper_bound` calls in the sense of Figure 1's synthesized code:
-    /// inner scans bounded above, i.e. with a bound prefix. The scan stops
-    /// at the bound; no descent is made for it.
-    pub upper_bound_calls: u64,
-}
-
-impl WorkerStats {
-    /// Accumulates `other` into `self`.
-    pub fn merge(&mut self, other: &WorkerStats) {
-        self.chunks_claimed += other.chunks_claimed;
-        self.tuples_scanned += other.tuples_scanned;
-        self.tuples_emitted += other.tuples_emitted;
-        self.inner_scans_indexed += other.inner_scans_indexed;
-        self.inner_scans_full += other.inner_scans_full;
-        self.inserts += other.inserts;
-        self.membership_tests += other.membership_tests;
-        self.lower_bound_calls += other.lower_bound_calls;
-        self.upper_bound_calls += other.upper_bound_calls;
-    }
-}
+const CHUNKS_PER_WORKER: usize = 8;
 
 /// A compiled term: a constant or a slot in the variable environment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -722,12 +674,13 @@ struct Job<'a> {
 /// Evaluates one plan over `env`, deriving tuples into `env.new`.
 ///
 /// `pools` are the persistent per-worker contexts and `stats` the
-/// per-worker counters, both indexed by worker.
+/// per-worker counters, both indexed by worker. This is where `datalog`
+/// spawns threads, and the only place.
 pub(crate) fn eval_plan(
     plan: &Plan,
     env: &StorageEnv<'_>,
     pools: &mut [WorkerCtxs],
-    stats: &mut [WorkerStats],
+    stats: &mut [EvalStats],
 ) {
     debug_assert_eq!(pools.len(), stats.len());
     let (bound, head) = env.bind(plan);
@@ -788,7 +741,7 @@ impl Job<'_> {
     /// left. The worker's contexts for this plan are out of its pool for
     /// the whole loop and go back afterwards, so their hints stay warm
     /// across plans and iterations.
-    fn run(&self, ctxs: &mut WorkerCtxs, stats: &mut WorkerStats) {
+    fn run(&self, ctxs: &mut WorkerCtxs, stats: &mut EvalStats) {
         let plan = self.plan;
         let mut sites = ctxs.take(plan.id, &self.bound, self.full);
         let (outer, inner) = sites.split_first_mut().expect("a site per step");
@@ -828,7 +781,7 @@ impl Job<'_> {
 struct Evaluator<'p, 'c> {
     plan: &'p Plan,
     head: Head<'p>,
-    stats: &'c mut WorkerStats,
+    stats: &'c mut EvalStats,
     buf: &'c mut EmitBuf,
 }
 
@@ -938,18 +891,6 @@ impl Evaluator<'_, '_> {
         }
     }
 
-    /// Applies the batch at the head's arity; an arm per width, as in
-    /// [`StorageKind::create_for`](crate::storage::StorageKind::create_for).
-    fn flush(&mut self) {
-        match self.plan.head_slots.len() {
-            0 | 1 => self.flush_as::<1>(),
-            2 => self.flush_as::<2>(),
-            3 => self.flush_as::<3>(),
-            4 => self.flush_as::<4>(),
-            _ => self.flush_as::<MAX_ARITY>(),
-        }
-    }
-
     /// Applies the batch as one run: sorted, each distinct tuple once, then
     /// the Figure 1 pattern — check the full relation, insert into `new`
     /// when unseen — as one anti-join over `full` and one merge of what is
@@ -958,20 +899,13 @@ impl Evaluator<'_, '_> {
     /// changes no result: nothing a plan reads is written while it runs
     /// ([`StorageEnv::bind`]). Every plan execution ends with a flush, so
     /// `new` is complete when [`eval_plan`] returns.
-    fn flush_as<const K: usize>(&mut self) {
+    fn flush(&mut self) {
         let EmitBuf { batch, scratch } = &mut *self.buf;
-        let (tuples, _) = batch.as_chunks_mut::<K>();
-        specbtree::sort_tuples(tuples, scratch);
-        let mut distinct = tuples.len().min(1);
-        for i in 1..tuples.len() {
-            if tuples[i] != tuples[distinct - 1] {
-                tuples[distinct] = tuples[i];
-                distinct += 1;
-            }
-        }
-        let run = &mut batch[..distinct * K];
-        let kept = self.head.full.retain_absent(run, K);
-        let added = self.head.new.insert_run(&run[..kept * K], K);
+        let width = self.plan.head_slots.len().max(1);
+        let distinct = sort_distinct(batch, width, scratch);
+        let run = &mut batch[..distinct * width];
+        let kept = self.head.full.retain_absent(run, width);
+        let added = self.head.new.insert_run(&run[..kept * width], width);
         self.stats.membership_tests += distinct as u64;
         self.stats.inserts += kept as u64;
         self.stats.tuples_emitted += added;
@@ -979,32 +913,40 @@ impl Evaluator<'_, '_> {
     }
 }
 
-/// Below this many tuples a parallel [`fill`] is not worth the thread
-/// spawn overhead.
-const PAR_FILL_MIN: usize = 4096;
-
-/// Seeds a storage with tuples, returning how many were not in it yet.
-///
-/// Large inputs are split and inserted from `workers` scoped threads;
-/// every [`RelationStorage`] backend is internally synchronized (insert
-/// takes `&self`), so concurrent seeding is safe for all of them.
-pub(crate) fn fill(dst: &dyn RelationStorage, tuples: &[TupleBuf], workers: usize) -> u64 {
-    let insert_all = |part: &[TupleBuf]| -> u64 {
-        let mut ctx = dst.make_ctx();
-        part.iter().filter(|t| dst.insert(t, &mut ctx)).count() as u64
-    };
-    if workers <= 1 || tuples.len() < PAR_FILL_MIN {
-        return insert_all(tuples);
-    }
-    let added = AtomicU64::new(0);
-    let workers = workers.min(tuples.len());
-    let per = tuples.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        for chunk in tuples.chunks(per) {
-            s.spawn(|| added.fetch_add(insert_all(chunk), Relaxed));
+/// Sorts `batch` — tuples of `width` words each, end to end — ascending,
+/// moves each distinct tuple once to its front and returns how many there
+/// are; `scratch` as for [`specbtree::sort_tuples`]. An arm per width, as in
+/// [`StorageKind::create_for`](crate::storage::StorageKind::create_for).
+fn sort_distinct(batch: &mut [u64], width: usize, scratch: &mut Vec<u64>) -> usize {
+    fn distinct<const K: usize>(batch: &mut [u64], scratch: &mut Vec<u64>) -> usize {
+        let (tuples, _) = batch.as_chunks_mut::<K>();
+        specbtree::sort_tuples(tuples, scratch);
+        let mut n = tuples.len().min(1);
+        for i in 1..tuples.len() {
+            if tuples[i] != tuples[n - 1] {
+                tuples[n] = tuples[i];
+                n += 1;
+            }
         }
-    });
-    added.into_inner()
+        n
+    }
+    match width {
+        0 | 1 => distinct::<1>(batch, scratch),
+        2 => distinct::<2>(batch, scratch),
+        3 => distinct::<3>(batch, scratch),
+        4 => distinct::<4>(batch, scratch),
+        _ => distinct::<MAX_ARITY>(batch, scratch),
+    }
+}
+
+/// Stores `tuples` in `dst` as one sorted run of its width and returns how
+/// many were new: how loaded facts and every retraction write reach a
+/// relation, the way a flushed batch reaches `new`.
+pub(crate) fn insert_tuples(dst: &dyn RelationStorage, tuples: &[TupleBuf]) -> u64 {
+    let width = dst.width();
+    let mut run: Vec<u64> = tuples.iter().flat_map(|t| &t[..width]).copied().collect();
+    let distinct = sort_distinct(&mut run, width, &mut Vec::new());
+    dst.insert_run(&run[..distinct * width], width)
 }
 
 #[cfg(test)]

@@ -53,7 +53,6 @@ mod strat;
 
 pub use ast::{Program, MAX_ARITY};
 pub use engine::{Engine, EngineError, EvalStats, RetractOutcome, RuleProfile};
-pub use eval::{WorkerStats, CHUNKS_PER_WORKER};
 pub use io::IoError;
 pub use parser::{parse, ParseError};
 pub use report::{RelationReport, StorageReport};

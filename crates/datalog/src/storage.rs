@@ -119,7 +119,9 @@ pub trait RelationStorage: Send + Sync {
     /// [`retain_absent`](Self::retain_absent), and returns how many of its
     /// tuples were new. Concurrency as for [`insert`](Self::insert). The
     /// specialized B-tree merges a run of its own width leaf group by leaf
-    /// group (`BTreeSet::insert_run`); this default inserts tuple by tuple.
+    /// group (`BTreeSet::insert_run`), and into each secondary index the
+    /// same run permuted and put in the index's order; this default inserts
+    /// tuple by tuple.
     fn insert_run(&self, run: &[u64], arity: usize) -> u64 {
         insert_sequential(self, run, arity)
     }
@@ -195,18 +197,6 @@ pub trait RelationStorage: Send + Sync {
     /// Hint statistics accumulated in `ctx`, if this backend keeps any.
     fn hint_stats(&self, _ctx: &StorageCtx) -> Option<HintStats> {
         None
-    }
-
-    /// Removes every tuple, retaining the backend's allocated capacity
-    /// where it can. Returns `true` when the receiver is now empty and
-    /// reusable; the default returns `false` ("not supported — allocate a
-    /// fresh storage instead").
-    ///
-    /// The engine uses this to recycle the per-stratum delta/new side
-    /// tables across fixpoint iterations instead of allocating a fresh
-    /// storage (and re-registering its indexes) every round.
-    fn clear(&mut self) -> bool {
-        false
     }
 
     /// The storage as its concrete type:
@@ -612,18 +602,21 @@ impl<const K: usize> SpecBTreeStorage<K> {
         self.hints.then_some(&mut ctx.idx[i])
     }
 
-    /// Replays `src` against every secondary index — the primary bulk op
-    /// that bypassed the per-tuple [`RelationStorage::insert`] path,
-    /// mirrored. A merge puts the permuted source in the index's order with
-    /// the kernel [`add_index`](RelationStorage::add_index) builds with and
-    /// hands it over as one run; a removal is `remove` per permuted tuple.
-    fn maintain_indexes(&self, src: &Self, remove: bool) {
-        if self.indexes.is_empty() || src.tree.is_empty() {
+    /// Replays a bulk operation on the primary against every secondary
+    /// index: `walk` yields its tuples ascending, the same on every call. A
+    /// merge puts them, permuted, in the index's order with the kernel
+    /// [`add_index`](RelationStorage::add_index) builds with and hands them
+    /// over as one run; a removal is `remove` per permuted tuple.
+    fn maintain_indexes<I>(&self, walk: impl Fn() -> I, remove: bool)
+    where
+        I: Iterator<Item = [u64; K]>,
+    {
+        if self.indexes.is_empty() || walk().next().is_none() {
             return;
         }
         let timer = telemetry::start_timer();
         for ix in &self.indexes {
-            let walk = || src.tree.iter().map(|t| ix.order.permute(&t));
+            let walk = || walk().map(|t| ix.order.permute(&t));
             if remove {
                 walk().for_each(|p| _ = ix.tree.remove(&p));
             } else {
@@ -699,12 +692,13 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
         }
     }
 
-    /// An indexed relation takes the run through [`insert`](Self::insert),
-    /// tuple by tuple, so its indexes stay exact. No engine path gets
-    /// there: plans derive into `new` side tables, which carry no index.
     fn insert_run(&self, run: &[u64], arity: usize) -> u64 {
         match run.as_chunks::<K>() {
-            (tuples, []) if arity == K && self.indexes.is_empty() => self.tree.insert_run(tuples),
+            (tuples, []) if arity == K => {
+                let added = self.tree.insert_run(tuples);
+                self.maintain_indexes(|| tuples.iter().copied(), false);
+                added
+            }
             _ => insert_sequential(self, run, arity),
         }
     }
@@ -767,16 +761,6 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
         })
     }
 
-    fn clear(&mut self) -> bool {
-        // Clearing re-brands the tree, so hints cached in still-live
-        // worker contexts degrade to misses rather than dangling. Index
-        // trees clear alongside the primary but keep their registered
-        // permutations.
-        self.tree.clear();
-        self.indexes.iter_mut().for_each(|ix| ix.tree.clear());
-        true
-    }
-
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -797,7 +781,7 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
             // indexes are replayed explicitly afterwards.
             Some(other) => {
                 let added = self.tree.insert_all_parallel(&other.tree, workers.max(1));
-                self.maintain_indexes(other, false);
+                self.maintain_indexes(|| other.tree.iter(), false);
                 added
             }
             // The per-tuple fallback routes through `insert`, which
@@ -812,7 +796,7 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
             // removed by the worker that claims it.
             Some(other) => {
                 let removed = self.tree.remove_all_parallel(&other.tree, workers.max(1));
-                self.maintain_indexes(other, true);
+                self.maintain_indexes(|| other.tree.iter(), true);
                 removed
             }
             None => retract_sequential(self, src),
@@ -1439,25 +1423,6 @@ mod tests {
             })
             .sum();
         assert_eq!(total, 100);
-    }
-
-    #[test]
-    fn clear_recycles_spec_btree_and_declines_elsewhere() {
-        let tuples: Vec<TupleBuf> = (0..500u64).map(|i| pad(&[i, i])).collect();
-        let mut s = filled(StorageKind::SpecBTree, 2, &tuples);
-        let mut ctx = s.make_ctx();
-        assert!(s.contains(&pad(&[7, 7]), &mut ctx));
-        assert!(s.clear(), "spec btree supports cheap reset");
-        assert!(s.is_empty());
-        // The cleared storage is fully reusable (stale ctx hints included).
-        assert!(s.insert(&pad(&[7, 7]), &mut ctx));
-        assert!(s.contains(&pad(&[7, 7]), &mut ctx));
-        assert_eq!(s.len(), 1);
-
-        // Backends without a cheap reset decline (and keep their tuples).
-        let mut rb = filled(StorageKind::RbTreeLocked, 1, &[pad(&[1])]);
-        assert!(!rb.clear());
-        assert_eq!(rb.len(), 1);
     }
 
     #[test]

@@ -383,6 +383,30 @@ fn larger_graph_parallel_equals_sequential() {
     assert_eq!(seq, tc_reference(&edges));
 }
 
+/// Facts go in as one sorted run whatever order they arrive in: 20 000
+/// shuffled edges loaded by one `add_facts` fill their leaves the way a
+/// merge does (0.68 full, 514 KB of nodes, when they went in one by one).
+#[test]
+fn shuffled_facts_load_into_full_leaves() {
+    let program = parse(TC_PROGRAM).unwrap();
+    let mut engine = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();
+    let shuffled = (0..20_000u64).map(|i| i * 7_919 % 20_000);
+    engine
+        .add_facts("edge", shuffled.map(|k| vec![k / 100, k % 100]))
+        .unwrap();
+    assert_eq!(engine.stats().input_tuples, 20_000);
+    let report = engine.storage_report();
+    let edge = report.relations.iter().find(|r| r.name == "edge").unwrap();
+    let tree = edge.tree.as_ref().expect("a tree-backed relation");
+    assert_eq!(tree.keys, 20_000);
+    let fill = tree.leaf_fill();
+    assert!(
+        fill >= 0.9,
+        "leaves {fill:.3} full, {} node bytes",
+        tree.live_bytes
+    );
+}
+
 #[test]
 fn query_returns_prefix_matches() {
     let program = parse(TC_PROGRAM).unwrap();

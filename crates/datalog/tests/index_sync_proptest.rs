@@ -1,6 +1,6 @@
 //! Property tests pinning secondary indexes to their primary: after any
-//! interleaving of inserts, removes, bulk `merge_from`, `retract_from`,
-//! `insert_run` and `clear`, every registered index permutation must yield **exactly**
+//! interleaving of inserts, removes, bulk `merge_from`, `retract_from` and
+//! `insert_run`, every registered index permutation must yield **exactly**
 //! the primary's tuple set (and permuted-prefix probes must equal the
 //! filtered model). Covers the real index-maintaining backends (the
 //! specialized B-tree, with and without hints) and the filtered-scan
@@ -62,7 +62,7 @@ fn make(kind: StorageKind, width: usize) -> Box<dyn RelationStorage> {
     }
 }
 
-fn fill(storage: &dyn RelationStorage, arity: usize, keys: &[(u64, u64)]) {
+fn insert_keys(storage: &dyn RelationStorage, arity: usize, keys: &[(u64, u64)]) {
     let mut ctx = storage.make_ctx();
     for &k in keys {
         storage.insert(&tuple(arity, k), &mut ctx);
@@ -252,18 +252,18 @@ proptest! {
                 let mut storage = make(kind, width);
                 let what = format!("{kind:?} arity {arity} width {width}");
                 storage.add_index(&reversed(arity), 2).unwrap();
-                fill(&*storage, arity, &base);
+                insert_keys(&*storage, arity, &base);
                 assert_indexes_in_sync(&*storage, &format!("{what} after backfill"));
 
                 // Merge from a source of the same kind and width (fast
                 // path) and retract a plain hash set (per-tuple fallback).
                 let src = make(kind, width);
-                fill(&*src, arity, &merged);
+                insert_keys(&*src, arity, &merged);
                 storage.merge_from(&*src, 4);
                 assert_indexes_in_sync(&*storage, &format!("{what} after merge_from"));
 
                 let flat = StorageKind::ConcurrentHashSet.create_for(arity);
-                fill(&*flat, arity, &retracted);
+                insert_keys(&*flat, arity, &retracted);
                 storage.retract_from(&*flat, 4);
                 assert_indexes_in_sync(&*storage, &format!("{what} after retract_from"));
 
@@ -271,19 +271,16 @@ proptest! {
                 storage.retract_from(&*src, 4);
                 assert_indexes_in_sync(&*storage, &format!("{what} after bulk retract_from"));
 
-                // A sorted batch, as a flush hands it over: what was
-                // retracted comes back, into the primary and every index.
+                // A sorted batch, as a retraction's put-back hands it over:
+                // what was retracted comes back, into the primary and, as a
+                // permuted run where the storage is as wide as the tuples,
+                // into every index.
                 let run: BTreeSet<TupleBuf> = retracted.iter().map(|&k| tuple(arity, k)).collect();
                 let fresh = run.difference(&primary_set(&*storage)).count();
                 let words: Vec<u64> = run.iter().flat_map(|t| t[..arity].iter().copied()).collect();
                 prop_assert_eq!(storage.insert_run(&words, arity) as usize, fresh, "{}", what);
                 prop_assert!(run.is_subset(&primary_set(&*storage)), "{}", what);
                 assert_indexes_in_sync(&*storage, &format!("{what} after insert_run"));
-
-                if storage.clear() {
-                    prop_assert!(storage.is_empty());
-                    assert_indexes_in_sync(&*storage, &format!("{what} after clear"));
-                }
             }
         }
     }
@@ -304,13 +301,13 @@ proptest! {
                 let what = format!("{kind:?} arity {arity} width {width}");
                 let perm = reversed(arity);
                 let mut old_ctx = storage.make_ctx();
-                fill(&*storage, arity, &keys);
+                insert_keys(&*storage, arity, &keys);
                 storage.add_index(&perm, 4).unwrap();
                 assert_indexes_in_sync(&*storage, &format!("{what} late registration"));
                 for (i, round) in rounds.iter().enumerate() {
                     // One iteration's `new → full` fold (tree-to-tree path).
                     let new = make(kind, width);
-                    fill(&*new, arity, round);
+                    insert_keys(&*new, arity, round);
                     storage.merge_from(&*new, 2);
                     // The context that predates the index inserts and
                     // probes: one more tuple per round whose last column,
@@ -341,7 +338,7 @@ proptest! {
                 let perm = reversed(arity);
                 prop_assert_eq!(storage.add_index(&perm, 2), None);
                 prop_assert!(storage.index_perms().is_empty());
-                fill(&*storage, arity, &keys);
+                insert_keys(&*storage, arity, &keys);
                 let primary = primary_set(&*storage);
                 let mut ctx = storage.make_ctx();
                 for probe in 0..15u64 {

@@ -6,7 +6,7 @@
 mod common;
 
 use common::thread_counts;
-use datalog::{parse, Engine, StorageKind, WorkerStats};
+use datalog::{parse, Engine, EvalStats, StorageKind};
 use workloads::graphs;
 
 const TC_PROGRAM: &str = r#"
@@ -47,7 +47,7 @@ fn run_tc(edges: &[(u64, u64)], kind: StorageKind, threads: usize) -> (Vec<Vec<u
         stats.tuples_emitted,
         stats.lower_bound_calls - range_chunks,
     ];
-    let sum = |f: fn(&WorkerStats) -> u64| engine.worker_stats().iter().map(f).sum::<u64>();
+    let sum = |f: fn(&EvalStats) -> u64| engine.worker_stats().iter().map(f).sum::<u64>();
     let (emitted, inserts, tests) = (
         sum(|w| w.tuples_emitted),
         sum(|w| w.inserts),

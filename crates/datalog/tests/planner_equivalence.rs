@@ -201,6 +201,54 @@ fn reverse_join_builds_and_uses_secondary_index() {
     );
 }
 
+/// Facts added after a run reach the index that run built: `edge` carries
+/// `[1, 0]`, the second batch — twenty new chains, and an edge into every
+/// old chain's start — goes into it as runs, and a second run derives what
+/// one run over every fact does, on every backend.
+#[test]
+fn facts_added_to_an_indexed_relation_reach_its_index() {
+    let chains = |cs: std::ops::Range<u64>| {
+        let edges = cs.flat_map(|c| (0..50u64).map(move |i| (c * 100 + i, c * 100 + i + 1)));
+        pairs(&edges.collect::<Vec<_>>())
+    };
+    let seeds = |cs: std::ops::Range<u64>| cs.map(|c| vec![c * 100 + 50]).collect::<Vec<_>>();
+    let links = (0..40u64).map(|c| vec![c * 100 + 70, c * 100]);
+    let first = [("edge", chains(0..40)), ("seed", seeds(0..40))];
+    let later = [
+        ("edge", chains(40..60).into_iter().chain(links).collect()),
+        ("seed", seeds(40..60)),
+    ];
+    let program = parse(REVERSE_PROGRAM).unwrap();
+    for kind in StorageKind::ALL {
+        for threads in [1, 2] {
+            let mut engine = Engine::new(&program, kind, threads).unwrap();
+            let mut load = |facts: &[(&str, Vec<Vec<u64>>)]| {
+                for (name, rows) in facts {
+                    engine.add_facts(name, rows.iter().cloned()).unwrap();
+                }
+                engine.run().unwrap();
+            };
+            load(&first);
+            load(&later);
+            let report = engine.storage_report();
+            let edge = report.relations.iter().find(|r| r.name == "edge").unwrap();
+            let indexed = kind == StorageKind::SpecBTree || kind == StorageKind::SpecBTreeNoHints;
+            let want: Vec<Vec<usize>> = if indexed { vec![vec![1, 0]] } else { vec![] };
+            assert_eq!(edge.index_perms, want, "{kind:?}");
+            let all: Vec<(&str, Vec<Vec<u64>>)> = first
+                .iter()
+                .zip(&later)
+                .map(|((name, a), (_, b))| (*name, a.iter().chain(b).cloned().collect()))
+                .collect();
+            assert_eq!(
+                engine.relation("back").unwrap(),
+                eval_rel(REVERSE_PROGRAM, &all, "back", kind, threads, true),
+                "{kind:?} at {threads} threads"
+            );
+        }
+    }
+}
+
 #[test]
 fn index_built_for_one_plan_serves_every_later_plan_that_can_use_it() {
     // `near`'s base rule enters `edge` through its second column from forty

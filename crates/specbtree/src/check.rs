@@ -73,12 +73,6 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         Ok(shape)
     }
 
-    /// Heap footprint of the tree's reachable nodes in bytes. Quiescent
-    /// phases only.
-    pub fn memory_usage(&self) -> usize {
-        self.stats().live_bytes as usize
-    }
-
     /// Returns shape statistics without checking invariants (a view of
     /// the [`stats`](Self::stats) census). Quiescent phases only.
     pub fn shape(&self) -> TreeShape {

@@ -79,45 +79,3 @@ pub use node::{cmp3, Tuple};
 pub use sort::{sort_tuples, sorted_tuples};
 pub use stats::{ArenaStats, TreeStats, OCCUPANCY_BUCKETS};
 pub use tree::{BTreeSet, DEFAULT_NODE_CAPACITY};
-
-/// Packs a pair of 32-bit values into a single word, preserving
-/// lexicographic order (`(a, b) < (c, d)` iff packed order agrees).
-///
-/// Many Datalog engines (Soufflé included) use 32-bit domains; packing two
-/// columns into one word halves the key size for binary relations.
-///
-/// ```
-/// use specbtree::{pack_pair, unpack_pair};
-/// assert!(pack_pair(1, 9) < pack_pair(2, 0));
-/// assert_eq!(unpack_pair(pack_pair(7, 13)), (7, 13));
-/// ```
-#[inline]
-pub fn pack_pair(a: u32, b: u32) -> u64 {
-    ((a as u64) << 32) | b as u64
-}
-
-/// Inverse of [`pack_pair`].
-#[inline]
-pub fn unpack_pair(p: u64) -> (u32, u32) {
-    ((p >> 32) as u32, p as u32)
-}
-
-#[cfg(test)]
-mod pack_tests {
-    use super::*;
-
-    #[test]
-    fn pack_preserves_lexicographic_order() {
-        let pairs = [(0u32, 0u32), (0, 1), (1, 0), (1, u32::MAX), (2, 0)];
-        for w in pairs.windows(2) {
-            assert!(pack_pair(w[0].0, w[0].1) < pack_pair(w[1].0, w[1].1));
-        }
-    }
-
-    #[test]
-    fn pack_roundtrip_extremes() {
-        for &(a, b) in &[(0, 0), (u32::MAX, 0), (0, u32::MAX), (u32::MAX, u32::MAX)] {
-            assert_eq!(unpack_pair(pack_pair(a, b)), (a, b));
-        }
-    }
-}

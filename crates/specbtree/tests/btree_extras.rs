@@ -61,16 +61,16 @@ fn arity_four_and_five() {
 }
 
 #[test]
-fn memory_usage_grows_with_content() {
+fn live_bytes_grow_with_content() {
     let t: BTreeSet<2> = BTreeSet::new();
-    assert_eq!(t.memory_usage(), 0);
+    assert_eq!(t.stats().live_bytes, 0);
     t.insert([1, 1]);
-    let one = t.memory_usage();
+    let one = t.stats().live_bytes;
     assert!(one > 0);
     for i in 0..50_000u64 {
         t.insert([i, i]);
     }
-    let many = t.memory_usage();
+    let many = t.stats().live_bytes;
     assert!(many > one * 100, "one={one}, many={many}");
     // Sanity: bytes per element bounded by a small constant factor of the
     // key size (16 bytes/tuple at arity 2).
