@@ -15,11 +15,16 @@
 //!   inserted into another tuple by tuple through hints, against one
 //!   `retain_absent` and one `insert_run`: the layer number under the
 //!   engine's flush, and where a crossover would show if a sparse batch
-//!   ever lost.
+//!   ever lost;
+//! * **reads by blocks** — a join's first inner scan looked up once per
+//!   binding through a hint, against a block of bindings sorted by key that
+//!   looks each distinct key up once: the layer number under the engine's
+//!   block (`eval.rs`, `BLOCK`), with the sorted block looked up once per
+//!   binding as the control.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use specbtree::seq::SeqBTreeSet;
-use specbtree::{sort_tuples, BTreeSet};
+use specbtree::{sort_tuples, BTreeHints, BTreeSet};
 use std::hint::black_box;
 use workloads::points::points_2d;
 use workloads::rng::SplitMix64;
@@ -241,6 +246,93 @@ fn run_path(c: &mut Criterion) {
     }
 }
 
+/// Calls `f` for every pair of `tree` under `key`, through `hints`: the
+/// engine's `scan_prefix` on a tree of pairs.
+fn scan_key(tree: &BTreeSet<2>, hints: &mut BTreeHints<2>, key: u64, mut f: impl FnMut(&[u64; 2])) {
+    for t in tree.lower_bound_hinted(&[key, 0], hints) {
+        if t[0] != key {
+            break;
+        }
+        f(&t);
+    }
+}
+
+/// Figure 1's first inner scan over `len` bindings, three ways. The inner
+/// tree holds `n` pairs whose first column takes `n / 2` values: the size of
+/// `tc_random`'s `edge` (3 000) and about that of `security`'s `conn`
+/// (10 000). A binding is a key drawn uniformly from that column, in the
+/// order a delta scan would hand it out, and a payload; each binding folds
+/// its range with its payload. `per_binding_hinted` looks every binding up
+/// through one hint, as Figure 1 does; `block` sorts the bindings by key
+/// with their positions, looks each distinct key up once and replays its
+/// range for every binding that shares it, as the engine does; the control
+/// `sorted_per_binding` sorts them the same way and looks every binding up.
+fn block_join(c: &mut Criterion) {
+    for n in [3_000u64, 10_000] {
+        let mut rng = SplitMix64::new(n);
+        let mut pairs: Vec<[u64; 2]> = (0..n).map(|_| [rng.below(n / 2), rng.below(n)]).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let tree: BTreeSet<2> = BTreeSet::from_sorted(pairs);
+        for len in [1_024usize, 4_096, 16_384] {
+            let bindings: Vec<[u64; 2]> = (0..len)
+                .map(|_| [rng.below(n / 2), rng.next_u64()])
+                .collect();
+            let mut group = c.benchmark_group(format!("block_join/tree={n}"));
+            group.throughput(Throughput::Elements(len as u64));
+            let mut hints = tree.create_hints();
+            group.bench_function(BenchmarkId::new("per_binding_hinted", len), |b| {
+                b.iter(|| {
+                    let mut acc = 0u64;
+                    for &[key, payload] in &bindings {
+                        scan_key(&tree, &mut hints, key, |t| {
+                            acc = acc.wrapping_add(t[1] ^ payload)
+                        });
+                    }
+                    black_box(acc)
+                })
+            });
+            let (mut keyed, mut scratch, mut range) = (Vec::new(), Vec::new(), Vec::new());
+            let mut sorted = |keyed: &mut Vec<[u64; 2]>| {
+                keyed.clear();
+                keyed.extend(bindings.iter().zip(0..).map(|(&[key, _], i)| [key, i]));
+                sort_tuples(keyed, &mut scratch);
+            };
+            group.bench_function(BenchmarkId::new("block", len), |b| {
+                b.iter(|| {
+                    sorted(&mut keyed);
+                    let mut acc = 0u64;
+                    for run in keyed.chunk_by(|a, b| a[0] == b[0]) {
+                        range.clear();
+                        scan_key(&tree, &mut hints, run[0][0], |t| range.push(*t));
+                        for &[_, i] in run {
+                            let payload = bindings[i as usize][1];
+                            range
+                                .iter()
+                                .for_each(|t| acc = acc.wrapping_add(t[1] ^ payload));
+                        }
+                    }
+                    black_box(acc)
+                })
+            });
+            group.bench_function(BenchmarkId::new("sorted_per_binding", len), |b| {
+                b.iter(|| {
+                    sorted(&mut keyed);
+                    let mut acc = 0u64;
+                    for &[key, i] in &keyed {
+                        let payload = bindings[i as usize][1];
+                        scan_key(&tree, &mut hints, key, |t| {
+                            acc = acc.wrapping_add(t[1] ^ payload)
+                        });
+                    }
+                    black_box(acc)
+                })
+            });
+            group.finish();
+        }
+    }
+}
+
 fn configured() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -252,6 +344,6 @@ criterion_group! {
     name = benches;
     config = configured();
     targets = node_capacity, hints_on_clustered_inserts, synchronization_cost, bulk_merge,
-        key_order_by_counting, run_path
+        key_order_by_counting, run_path, block_join
 }
 criterion_main!(benches);

@@ -14,10 +14,12 @@
 //! space into many more chunks than workers
 //! ([`RelationStorage::partition`]), and workers claim chunks off a shared
 //! atomic cursor, walking each chunk directly in the tree
-//! ([`RelationStorage::scan_chunk`]) with no intermediate tuple buffer;
-//! inner scans join inside the scan's callback the same way. Every worker
-//! owns private storage contexts (operation hints), bound to the plan's
-//! scan and check sites once per plan execution, and merges its head
+//! ([`RelationStorage::scan_chunk`]) with no intermediate tuple buffer.
+//! The first inner scan takes the bindings the outer scan passes a sorted
+//! block at a time, one range query per distinct key where Figure 1 issues
+//! one per binding; deeper scans join inside the scan's callback. Every
+//! worker owns private storage contexts (operation hints), bound to the
+//! plan's scan and check sites once per plan execution, and merges its head
 //! tuples, a sorted batch at a time, into the shared `new` relation through
 //! the concurrent storage API. Reads (scans over stable relations) and
 //! writes (batches merged into `new`) never target the same
@@ -572,6 +574,18 @@ struct Site<'a> {
     ctx: StorageCtx,
 }
 
+impl Site<'_> {
+    /// Calls `f` for every tuple a scan through `index` (the primary tree
+    /// when `None`) finds under `prefix`.
+    fn range(&mut self, index: &Option<IndexSel>, prefix: &[u64], f: &mut dyn FnMut(&TupleBuf)) {
+        let Self { src, ctx, .. } = self;
+        match index {
+            Some(sel) => src.scan_index(sel.id, &sel.perm, prefix, ctx, f),
+            None => src.scan_prefix(prefix, ctx, f),
+        }
+    }
+}
+
 /// One worker's operation contexts (the paper's thread-local hints),
 /// living across rules and fixpoint iterations.
 ///
@@ -591,6 +605,8 @@ pub(crate) struct WorkerCtxs {
     /// allocation (a fresh buffer of up to 640 KB per execution is an `mmap`
     /// each).
     buf: EmitBuf,
+    /// The worker's block of bindings, kept the same way.
+    block: Block,
 }
 
 /// Head tuples derived and not yet applied to the head's two tables, end to
@@ -599,6 +615,32 @@ pub(crate) struct WorkerCtxs {
 struct EmitBuf {
     batch: Vec<u64>,
     scratch: Vec<u64>,
+}
+
+/// Bindings that passed a plan's outer scan and wait for its first inner
+/// scan, which looks each distinct key up once for all of them.
+#[derive(Default)]
+struct Block {
+    /// Each binding's environment, `nvars` words, end to end.
+    envs: Vec<u64>,
+    /// `(key…, binding#)` per binding, end to end.
+    keys: Vec<u64>,
+    /// What sorting `keys` ping-pongs with.
+    scratch: Vec<u64>,
+    /// The range of the key being replayed.
+    range: Vec<TupleBuf>,
+}
+
+impl Block {
+    /// Adds the binding `vars` under the key `prefix` reads off it and
+    /// returns how many bindings the block holds.
+    fn push(&mut self, prefix: &[Slot], vars: &[u64]) -> usize {
+        let n = self.keys.len() / (prefix.len() + 1);
+        self.keys.extend(prefix.iter().map(|s| s.value(vars)));
+        self.keys.push(n as u64);
+        self.envs.extend_from_slice(vars);
+        n + 1
+    }
 }
 
 impl WorkerCtxs {
@@ -696,6 +738,7 @@ pub(crate) fn eval_plan(
             head,
             stats,
             buf,
+            flush_at: EMIT_BATCH,
         };
         evaluator.run_from(0, &mut vec![0u64; plan.nvars], &mut sites);
         evaluator.flush();
@@ -741,16 +784,25 @@ impl Job<'_> {
     /// left. The worker's contexts for this plan are out of its pool for
     /// the whole loop and go back afterwards, so their hints stay warm
     /// across plans and iterations.
+    /// Where step 1 is a scan with a bound prefix, the bindings wait for it
+    /// in a block ([`Evaluator::run_block`]) that ends when full and where
+    /// its chunk does.
     fn run(&self, ctxs: &mut WorkerCtxs, stats: &mut EvalStats) {
         let plan = self.plan;
         let mut sites = ctxs.take(plan.id, &self.bound, self.full);
         let (outer, inner) = sites.split_first_mut().expect("a site per step");
         let outer = outer.as_mut().expect("the outer scan's site");
+        let keyed = match plan.steps.get(1) {
+            Some(Step::Scan { prefix, .. }) if !prefix.is_empty() => Some(prefix.as_slice()),
+            _ => None,
+        };
+        let block = &mut ctxs.block;
         let mut evaluator = Evaluator {
             plan,
             head: self.head,
             stats,
             buf: &mut ctxs.buf,
+            flush_at: keyed.map_or(EMIT_BATCH, |_| BATCH_CEILING),
         };
         let mut vars = vec![0u64; plan.nvars];
         loop {
@@ -767,8 +819,16 @@ impl Job<'_> {
             let chunk_timer = telemetry::start_timer();
             let _span = telemetry::span("eval.chunk", i as u64);
             outer.src.scan_chunk(chunk, &mut outer.ctx, &mut |t| {
-                evaluator.join(0, t, &mut vars, inner);
+                let Some(prefix) = keyed else {
+                    return evaluator.join(0, t, &mut vars, inner);
+                };
+                if evaluator.bind(0, t, &mut vars) && block.push(prefix, &vars) == BLOCK {
+                    evaluator.run_block(block, &mut vars, inner);
+                }
             });
+            if keyed.is_some() {
+                evaluator.run_block(block, &mut vars, inner);
+            }
             evaluator.flush();
             chunk_timer.observe(telemetry::Hist::EvalChunkNanos);
         }
@@ -783,6 +843,9 @@ struct Evaluator<'p, 'c> {
     head: Head<'p>,
     stats: &'c mut EvalStats,
     buf: &'c mut EmitBuf,
+    /// Where [`emit`](Self::emit) flushes: [`EMIT_BATCH`] head tuples, or
+    /// [`BATCH_CEILING`] while blocks flush between them.
+    flush_at: usize,
 }
 
 /// Head tuples a worker collects before it sorts them and applies them to
@@ -799,12 +862,26 @@ struct Evaluator<'p, 'c> {
 /// as much again for the sort's scratch.
 const EMIT_BATCH: usize = 16_384;
 
+/// Bindings a block holds. Against a lookup per binding, the benchmark's
+/// child (one worker, 12 rounds) read `run_s` 0.79 / 0.78 / 0.78 / 0.83× on
+/// `security` and 0.81 / 0.81 / 0.79 / 0.79× on `tc_random` at 4 096 / 8 192
+/// / 16 384 / 32 768, and 1 024 trailed (0.88 and 0.90×): this is the
+/// smallest block on the plateau (EXPERIMENTS.md, "Reads by blocks"; the
+/// layer is `ablation`'s group `block_join`).
+const BLOCK: usize = 4_096;
+
+/// The emit batch's ceiling inside a block, past which a large fan-out is
+/// flushed before the block ends. Below it the batch waits for the end: one
+/// cut inside a block spans the block's key range, and flushing at
+/// [`EMIT_BATCH`] inside blocks read 0.87 / 0.83× where waiting read 0.83 /
+/// 0.80× on `security` / `tc_random` (the same child, 8 rounds).
+const BATCH_CEILING: usize = 4 * EMIT_BATCH;
+
 impl Evaluator<'_, '_> {
     /// Takes tuple `t` of the scan at step `si` through the scan's binds
-    /// and checks and, if it passes, through the steps after it; `rest`
-    /// are the sites of those steps.
+    /// and checks, and returns whether it passes them.
     #[inline]
-    fn join(&mut self, si: usize, t: &TupleBuf, vars: &mut [u64], rest: &mut [Option<Site<'_>>]) {
+    fn bind(&mut self, si: usize, t: &TupleBuf, vars: &mut [u64]) -> bool {
         let Step::Scan { checks, binds, .. } = &self.plan.steps[si] else {
             unreachable!("only scans produce tuples")
         };
@@ -816,8 +893,55 @@ impl Evaluator<'_, '_> {
         for (col, var) in binds {
             vars[*var] = t[*col];
         }
-        if checks.iter().all(|(col, slot)| t[*col] == slot.value(vars)) {
+        checks.iter().all(|(col, slot)| t[*col] == slot.value(vars))
+    }
+
+    /// Takes tuple `t` of the scan at step `si` through the scan's binds
+    /// and checks and, if it passes, through the steps after it; `rest`
+    /// are the sites of those steps.
+    #[inline]
+    fn join(&mut self, si: usize, t: &TupleBuf, vars: &mut [u64], rest: &mut [Option<Site<'_>>]) {
+        if self.bind(si, t, vars) {
             self.run_from(si + 1, vars, rest);
+        }
+    }
+
+    /// Runs step 1, a scan with a bound prefix, and the steps after it for
+    /// every binding in `block`, and empties it; `sites` starts at step 1's.
+    /// Sorted by the scan's key, each distinct key's range is read once (one
+    /// `lower_bound_calls` and `upper_bound_calls` each) and replayed through
+    /// [`join`](Self::join) for every binding that shares the key (one
+    /// `inner_scans_indexed` each). The emit batch is flushed between blocks.
+    fn run_block(&mut self, block: &mut Block, vars: &mut [u64], sites: &mut [Option<Site<'_>>]) {
+        let Step::Scan { prefix, index, .. } = &self.plan.steps[1] else {
+            unreachable!("a block waits for a scan")
+        };
+        let (site, rest) = sites.split_first_mut().expect("a site per step");
+        let site = site.as_mut().expect("scans have a site");
+        let (width, nvars, keys) = (prefix.len() + 1, vars.len(), &mut block.keys);
+        // Every tuple ends in its binding's number: none is a repeat.
+        sort_distinct(keys, width, &mut block.scratch);
+        let mut at = 0;
+        while at < keys.len() {
+            let key = &keys[at..at + width - 1];
+            block.range.clear();
+            site.range(index, key, &mut |t| block.range.push(*t));
+            self.stats.lower_bound_calls += 1;
+            self.stats.upper_bound_calls += 1;
+            while at < keys.len() && keys[at..at + width - 1] == *key {
+                let binding = keys[at + width - 1] as usize;
+                vars.copy_from_slice(&block.envs[binding * nvars..][..nvars]);
+                self.stats.inner_scans_indexed += 1;
+                for t in &block.range {
+                    self.join(1, t, vars, rest);
+                }
+                at += width;
+            }
+        }
+        keys.clear();
+        block.envs.clear();
+        if self.buf.batch.len() >= EMIT_BATCH * self.plan.head_slots.len().max(1) {
+            self.flush();
         }
     }
 
@@ -862,15 +986,7 @@ impl Evaluator<'_, '_> {
                 }
                 // The join runs inside the scan: the tuple is used where
                 // the tree yields it, never copied aside first.
-                let mut join = |t: &TupleBuf| self.join(si, t, vars, rest);
-                match index {
-                    Some(sel) => {
-                        let (id, perm) = (sel.id, &sel.perm);
-                        site.src
-                            .scan_index(id, perm, consts, &mut site.ctx, &mut join)
-                    }
-                    None => site.src.scan_prefix(consts, &mut site.ctx, &mut join),
-                }
+                site.range(index, consts, &mut |t| self.join(si, t, vars, rest));
             }
             (_, None) => unreachable!("scans and checks have a site"),
         }
@@ -886,7 +1002,7 @@ impl Evaluator<'_, '_> {
         for (w, slot) in batch[at..].iter_mut().zip(head) {
             *w = slot.value(vars);
         }
-        if batch.len() >= EMIT_BATCH * width {
+        if batch.len() >= self.flush_at * width {
             self.flush();
         }
     }

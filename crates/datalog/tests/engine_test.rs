@@ -554,13 +554,17 @@ fn seam_does_the_same_work_on_narrower_trees() {
 
     let stats = engine.stats();
     assert_eq!(stats.produced_tuples, 74_828);
-    assert_eq!(stats.upper_bound_calls, 74_828);
     assert_eq!(stats.tuples_scanned, 306_151);
-    // One `lower_bound` per inner scan and per range chunk of an outer scan:
-    // the inner scans are as they were, and the delta trees, filled in key
-    // order now, are cut into one chunk fewer (74 911 with 83 chunks).
-    assert_eq!(stats.lower_bound_calls - stats.chunks_claimed, 74_828);
-    assert_eq!(stats.lower_bound_calls, 74_910);
+    // The join looks `edge` up once per `path` tuple of a delta, as Figure 1
+    // does; the worker issues one range query per distinct key of a sorted
+    // block of those bindings (74 828 when it issued one per binding).
+    assert_eq!(stats.inner_scans_indexed, 74_828);
+    assert_eq!(stats.upper_bound_calls, 13_977);
+    assert!(4 * stats.upper_bound_calls < stats.inner_scans_indexed);
+    // One `lower_bound` per range query and per range chunk of an outer
+    // scan; the delta trees, filled in key order, are cut into 82 chunks.
+    assert_eq!(stats.lower_bound_calls - stats.chunks_claimed, 13_977);
+    assert_eq!(stats.lower_bound_calls, 14_059);
     // 231 323 and 175 002 when every head tuple was tested and offered where
     // the join produced it: these two count calls issued, and a batch drops
     // its duplicates before it issues any (173 912 and 151 818 while a batch
