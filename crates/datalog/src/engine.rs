@@ -4,7 +4,7 @@
 use crate::ast::Program;
 use crate::eval::{
     delta_positions, eval_plan, insert_tuples, side_table, source_order, SideTables, StorageEnv,
-    WorkerCtxs,
+    Worker,
 };
 use crate::planner::{self, CostModel, IndexCatalog, Version};
 use crate::storage::{pad, RelationStorage, StorageKind, TupleBuf};
@@ -73,8 +73,9 @@ impl From<StratError> for EngineError {
 /// — like [`Engine::worker_stats`] and [`Engine::profile`] — describes
 /// only the most recent run (a ratio cannot meaningfully accumulate).
 ///
-/// Each worker counts the join's operations into an `EvalStats` of its own
-/// ([`Engine::worker_stats`]), which [`merge`](Self::merge) adds up.
+/// Each worker counts the join's operations and its sites' hints into an
+/// `EvalStats` of its own ([`Engine::worker_stats`]), which
+/// [`merge`](Self::merge) adds up.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalStats {
     /// Tuples offered to relation storages: loaded facts, tuples a merge or
@@ -99,8 +100,8 @@ pub struct EvalStats {
     pub produced_tuples: u64,
     /// Semi-naive fixpoint iterations across all strata.
     pub iterations: u64,
-    /// Chunks claimed by workers off the shared cursor (chunk-driven
-    /// scheduling only; one per plan under materialize-then-split).
+    /// Chunks claimed by workers off the shared cursor; a plan that starts
+    /// with a check runs on one worker and claims none.
     pub chunks_claimed: u64,
     /// Tuples scanned by outer and inner scans across all workers.
     pub tuples_scanned: u64,
@@ -131,7 +132,10 @@ pub struct EvalStats {
     /// prefix, no secondary index) — each one re-reads a whole relation
     /// per outer tuple.
     pub inner_scans_full: u64,
-    /// Aggregated operation-hint statistics (specialized B-tree only).
+    /// Operation-hint statistics of the scan and check sites (specialized
+    /// B-tree only): each worker makes a context per site for every plan
+    /// execution and counts its hits and misses here, a retraction's
+    /// probes included.
     pub hints: HintStats,
 }
 
@@ -476,20 +480,17 @@ impl Engine {
     }
 
     /// The source-order versions of `rules` (rules of `stratum`),
-    /// non-recursive and recursive apart, with plan ids from
-    /// `next_plan_id` on that stay with them through every re-plan.
+    /// non-recursive and recursive apart.
     fn versions_of(
         &self,
         stratum: &Stratum,
         rules: impl Iterator<Item = usize>,
-        next_plan_id: &mut usize,
     ) -> (Vec<Version>, Vec<Version>) {
         let (mut base, mut rec) = (Vec::new(), Vec::new());
         for ri in rules {
             let rule = &self.program.rules[ri];
             for p in delta_positions(rule, &self.strat.rel_ids, &stratum.relations) {
-                let v = Version::new(ri, rule, &self.strat.rel_ids, p, *next_plan_id);
-                *next_plan_id += 1;
+                let v = Version::new(ri, rule, &self.strat.rel_ids, p);
                 if p.is_some() { &mut rec } else { &mut base }.push(v);
             }
         }
@@ -526,9 +527,9 @@ impl Engine {
     }
 
     /// Per-worker counters from the last [`run`](Self::run) (index = worker
-    /// id; empty before the first run): the join's operations, the fields
-    /// [`EvalStats::merge`] sums into [`stats`](Self::stats), and nothing
-    /// else.
+    /// id; empty before the first run): the join's operations and the hints
+    /// of the worker's sites, the fields [`EvalStats::merge`] sums into
+    /// [`stats`](Self::stats), and nothing else.
     pub fn worker_stats(&self) -> &[EvalStats] {
         &self.worker_stats
     }
@@ -588,24 +589,17 @@ impl Engine {
         // nothing is walked, planned or built before the first stratum.
         let size_before: usize = self.counts.iter().sum();
 
-        // Persistent per-worker operation-hint contexts (paper §3.2:
-        // thread-local hints, kept across rules and fixpoint iterations)
-        // and per-worker scheduler counters.
-        let mut pools: Vec<WorkerCtxs> = (0..self.threads).map(|_| WorkerCtxs::default()).collect();
-        let mut wstats = vec![EvalStats::default(); self.threads];
-        let mut next_plan_id = 0usize;
-
+        // One worker per thread: its counters, and the buffers its plan
+        // executions reuse. Hint contexts live for one plan execution.
+        let mut workers: Vec<Worker> = (0..self.threads).map(|_| Worker::default()).collect();
         for (si, stratum) in self.strat.strata.clone().iter().enumerate() {
             let _span = telemetry::span("eval.stratum", si as u64);
-            self.eval_stratum(stratum, &mut pools, &mut wstats, &mut next_plan_id);
-        }
-
-        for pool in &pools {
-            self.stats.hints.merge(&pool.hint_stats(&self.rels));
+            self.eval_stratum(stratum, &mut workers);
         }
 
         // Aggregate the workers' counters and compute the load-imbalance
         // figure (max/mean of tuples scanned across workers).
+        let wstats: Vec<EvalStats> = workers.into_iter().map(|w| w.stats).collect();
         wstats.iter().for_each(|w| self.stats.merge(w));
         let active = wstats.iter().filter(|w| w.chunks_claimed > 0).count();
         self.stats.sched_imbalance = if active > 0 && self.stats.tuples_scanned > 0 {
@@ -646,26 +640,19 @@ impl Engine {
     /// before every iteration, from the counts and delta sizes of that
     /// moment. Shared by [`run`](Self::run) and the negation-fallback
     /// recompute inside [`retract_facts`](Self::retract_facts).
-    fn eval_stratum(
-        &mut self,
-        stratum: &Stratum,
-        pools: &mut [WorkerCtxs],
-        wstats: &mut [EvalStats],
-        next_plan_id: &mut usize,
-    ) {
+    fn eval_stratum(&mut self, stratum: &Stratum, workers: &mut [Worker]) {
         let stratum_timer = telemetry::start_timer();
         for &ri in &stratum.rules {
             self.executed[ri].clear();
         }
-        let (mut base, mut rec) =
-            self.versions_of(stratum, stratum.rules.iter().copied(), next_plan_id);
+        let (mut base, mut rec) = self.versions_of(stratum, stratum.rules.iter().copied());
         self.replan(&mut base, stratum, &self.whole_deltas(stratum), 1);
 
         // Phase 1: non-recursive rules derive directly into `new`, then
         // merge (no version of them reads a delta).
         {
             let new = self.side_tables(&stratum.relations, 0);
-            self.eval_versions(&base, &Vec::new(), &new, pools, wstats);
+            self.eval_versions(&base, &Vec::new(), &new, workers);
             self.merge_stratum(&new);
         }
         self.record(base);
@@ -694,7 +681,7 @@ impl Engine {
             }
             self.replan(&mut rec, stratum, &deltas, iteration);
             let new = self.side_tables(&stratum.relations, 0);
-            self.eval_versions(&rec, &delta, &new, pools, wstats);
+            self.eval_versions(&rec, &delta, &new, workers);
             let mut any = false;
             for (r, added) in self.merge_stratum(&new) {
                 deltas[r] = added as f64;
@@ -723,8 +710,7 @@ impl Engine {
         versions: &[Version],
         delta: &SideTables,
         new: &SideTables,
-        pools: &mut [WorkerCtxs],
-        wstats: &mut [EvalStats],
+        workers: &mut [Worker],
     ) {
         let full: Vec<&dyn RelationStorage> = self.rels.iter().map(|b| b.as_ref()).collect();
         let env = StorageEnv {
@@ -734,8 +720,8 @@ impl Engine {
         };
         for v in versions {
             let t0 = std::time::Instant::now();
-            let _span = telemetry::span("eval.plan", v.plan.id as u64);
-            eval_plan(&v.plan, &env, pools, wstats);
+            let _span = telemetry::span("eval.plan", v.plan.head_rel as u64);
+            eval_plan(&v.plan, &env, workers);
             let entry = self.profile.entry(v.rule_idx).or_insert((0, 0.0));
             entry.0 += 1;
             entry.1 += t0.elapsed().as_secs_f64();
@@ -980,7 +966,7 @@ impl Engine {
             // the way `eval_stratum` does: base versions, then recursive.
             let unrun = stratum.rules.iter().copied();
             let unrun = unrun.filter(|&ri| self.executed[ri].is_empty());
-            let (mut base, mut rec) = self.versions_of(stratum, unrun, &mut 0);
+            let (mut base, mut rec) = self.versions_of(stratum, unrun);
             if self.planner_enabled {
                 let deltas = self.whole_deltas(stratum);
                 self.plan_stratum(&mut base, stratum, &deltas, 1, &mut catalog);

@@ -2,11 +2,11 @@
 //! planning, `overdelete`, `delete`, `rederive`, `negation_fallback` — over
 //! one per-call [`Retraction`].
 
-use super::{Engine, EngineError, EvalStats, RetractOutcome};
+use super::{Engine, EngineError, RetractOutcome};
 use crate::ast::{Atom, Literal, Rule, Term};
 use crate::eval::{
     compile_one_at, eval_plan, has_unprefixed_inner_scan, insert_tuples, plan_delta_rel,
-    side_table, Plan, SideTables, StorageEnv, WorkerCtxs,
+    side_table, Plan, SideTables, StorageEnv, Worker,
 };
 use crate::planner::{self, CostModel, Version};
 use crate::storage::{RelationStorage, TupleBuf};
@@ -55,9 +55,7 @@ struct Retraction {
     /// tuples are gone, say little about what the rederivation joins will
     /// meet), then the deletion sets at their live sizes.
     cards: Vec<f64>,
-    pools: Vec<WorkerCtxs>,
-    wstats: Vec<EvalStats>,
-    next_plan_id: usize,
+    workers: Vec<Worker>,
     /// Every synthetic version planned, with the phase that runs it (boxed,
     /// so that a retraction planning one rule allocates no kilobyte block).
     versions: Vec<(&'static str, Box<Version>)>,
@@ -170,7 +168,7 @@ impl Engine {
 
         self.stats.overdeleted_tuples += cx.outcome.overdeleted;
         self.stats.rederived_tuples += cx.outcome.rederived;
-        cx.wstats.iter().for_each(|w| self.stats.merge(w));
+        cx.workers.iter().for_each(|w| self.stats.merge(&w.stats));
         self.retraction = cx.versions;
         let size_after: i64 = self.counts.iter().map(|&n| n as i64).sum();
         cx.outcome.net_removed = size_before - size_after;
@@ -254,9 +252,7 @@ impl Engine {
             ext_ids,
             empty: self.kind.create(),
             cards,
-            pools: (0..self.threads).map(|_| WorkerCtxs::default()).collect(),
-            wstats: vec![EvalStats::default(); self.threads],
-            next_plan_id: 0,
+            workers: (0..self.threads).map(|_| Worker::default()).collect(),
             versions: Vec::new(),
             outcome: RetractOutcome::default(),
         };
@@ -293,8 +289,7 @@ impl Engine {
         deltas: Option<&[f64]>,
     ) -> Plan {
         let (ids, nrels) = (&cx.ext_ids, self.rels.len());
-        let mut v = Version::new(ri, rule, ids, delta_pos, cx.next_plan_id);
-        cx.next_plan_id += 1;
+        let mut v = Version::new(ri, rule, ids, delta_pos);
         if self.planner_enabled {
             let model = CostModel {
                 cards: &cx.cards,
@@ -311,8 +306,7 @@ impl Engine {
             let catalog = self.planner_enabled.then_some(&self.catalog);
             let flat = compile_one_at(rule, ids, delta_pos, false, catalog);
             if !has_unprefixed_inner_scan(&flat) {
-                let id = v.plan.id;
-                v.plan = Plan { id, ..flat };
+                v.plan = flat;
                 v.order = (0..rule.body.len()).collect();
             }
         }
@@ -353,8 +347,8 @@ impl Engine {
             let idle = plan_delta_rel(plan)
                 .is_some_and(|r| delta[r].as_ref().is_none_or(|s| s.is_empty()));
             if !idle {
-                let _span = telemetry::span("eval.plan", plan.id as u64);
-                eval_plan(plan, &env, &mut cx.pools, &mut cx.wstats);
+                let _span = telemetry::span("eval.plan", plan.head_rel as u64);
+                eval_plan(plan, &env, &mut cx.workers);
             }
         }
     }
@@ -638,7 +632,7 @@ impl Engine {
             // catalog's permutations (plans reference their ids) before the
             // recompute scans run.
             self.sync_indexes();
-            self.eval_stratum(stratum, &mut cx.pools, &mut cx.wstats, &mut cx.next_plan_id);
+            self.eval_stratum(stratum, &mut cx.workers);
             cx.outcome.recomputed_strata += 1;
         }
     }

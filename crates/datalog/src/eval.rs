@@ -18,8 +18,8 @@
 //! The first inner scan takes the bindings the outer scan passes a sorted
 //! block at a time, one range query per distinct key where Figure 1 issues
 //! one per binding; deeper scans join inside the scan's callback. Every
-//! worker owns private storage contexts (operation hints), bound to the
-//! plan's scan and check sites once per plan execution, and merges its head
+//! worker makes private storage contexts (operation hints) for the plan's
+//! scan and check sites when it starts a plan execution, and merges its head
 //! tuples, a sorted batch at a time, into the shared `new` relation through
 //! the concurrent storage API. Reads (scans over stable relations) and
 //! writes (batches merged into `new`) never target the same
@@ -30,7 +30,6 @@ use crate::ast::{CmpOp, Rule, Term, MAX_ARITY};
 use crate::planner::IndexCatalog;
 use crate::storage::{RelationStorage, StorageChunk, StorageCtx, TupleBuf};
 use crate::EvalStats;
-use specbtree::HintStats;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -97,10 +96,6 @@ pub(crate) enum Step {
 /// A compiled plan version of one rule.
 #[derive(Clone, Debug)]
 pub(crate) struct Plan {
-    /// Unique id across all plans of a run (assigned by the engine); used
-    /// to give every operation site its own hint context, as Soufflé's
-    /// generated code does.
-    pub id: usize,
     pub head_rel: usize,
     pub head_slots: Vec<Slot>,
     pub steps: Vec<Step>,
@@ -354,7 +349,6 @@ pub(crate) fn compile_ordered(
         .collect();
 
     Plan {
-        id: 0, // assigned by the engine
         head_rel: rel_ids[&rule.head.relation],
         head_slots,
         steps,
@@ -518,13 +512,13 @@ pub(crate) struct StorageEnv<'a> {
     pub new: &'a SideTables,
 }
 
-/// The operation site of step `i` of a plan, at index `i`, as `(relation,
-/// storage)`; `None` for a filter, which touches no storage.
-type Bound<'a> = Option<(usize, &'a dyn RelationStorage)>;
+/// The storage step `i` of a plan goes to, at index `i`; `None` for a
+/// filter, which touches no storage.
+type Bound<'a> = Option<&'a dyn RelationStorage>;
 
 /// The head's two tables: the full relation a flushed batch is anti-joined
 /// with and the `new` table the rest is merged into. No operation sites: a
-/// run reads and writes no hint, so no worker keeps a context for them.
+/// run reads and writes no hint, so no worker makes a context for them.
 #[derive(Clone, Copy)]
 struct Head<'a> {
     full: &'a dyn RelationStorage,
@@ -550,35 +544,59 @@ impl<'a> StorageEnv<'a> {
             .iter()
             .map(|step| match step {
                 Step::Scan { rel, delta, .. } | Step::Check { rel, delta, .. } => {
-                    Some((*rel, source(*rel, *delta)))
+                    Some(source(*rel, *delta))
                 }
                 Step::Filter { .. } => None,
             })
             .collect();
-        let reads_new = |&(_, src): &(usize, &dyn RelationStorage)| std::ptr::addr_eq(src, new);
+        let reads_new = |src: &&dyn RelationStorage| std::ptr::addr_eq(*src, new);
         assert!(
             !sites.iter().flatten().any(reads_new),
-            "plan {} reads the table it derives into",
-            plan.id
+            "a plan for relation {} reads the table it derives into",
+            plan.head_rel
         );
         let full = self.full[plan.head_rel];
         (sites, Head { full, new })
     }
 }
 
-/// An operation site during one plan execution: where the operation goes
-/// and this worker's context for it, both settled before the first tuple.
+/// An operation site during one worker's execution of one plan: where the
+/// operation goes and the worker's context for it (the paper's thread-local
+/// hints), made before the first tuple.
+///
+/// Every scan and check site has a context of its own: distinct sites have
+/// distinct access streams, and sharing one hint between them makes each
+/// evict the other's cached leaf. Soufflé's generated code likewise creates
+/// one operation context per call site, inside each query's parallel
+/// section.
 struct Site<'a> {
-    rel: usize,
     src: &'a dyn RelationStorage,
     ctx: StorageCtx,
 }
 
-impl Site<'_> {
+impl<'a> Site<'a> {
+    /// A fresh context for every site of `bound`.
+    fn open(bound: &[Bound<'a>]) -> Vec<Option<Self>> {
+        let open = |src: &'a dyn RelationStorage| Site {
+            src,
+            ctx: src.make_ctx(),
+        };
+        bound.iter().map(|b| b.map(open)).collect()
+    }
+
+    /// Adds the hint statistics of the contexts of `sites` to `stats`.
+    fn close(sites: &[Option<Self>], stats: &mut EvalStats) {
+        for Site { src, ctx } in sites.iter().flatten() {
+            if let Some(hints) = src.hint_stats(ctx) {
+                stats.hints.merge(&hints);
+            }
+        }
+    }
+
     /// Calls `f` for every tuple a scan through `index` (the primary tree
     /// when `None`) finds under `prefix`.
     fn range(&mut self, index: &Option<IndexSel>, prefix: &[u64], f: &mut dyn FnMut(&TupleBuf)) {
-        let Self { src, ctx, .. } = self;
+        let Self { src, ctx } = self;
         match index {
             Some(sel) => src.scan_index(sel.id, &sel.perm, prefix, ctx, f),
             None => src.scan_prefix(prefix, ctx, f),
@@ -586,26 +604,16 @@ impl Site<'_> {
     }
 }
 
-/// One worker's operation contexts (the paper's thread-local hints),
-/// living across rules and fixpoint iterations.
-///
-/// There is one per *operation site* of every plan: distinct scan/probe
-/// sites have distinct access streams, and sharing one hint between them
-/// makes each evict the other's cached leaf (Soufflé likewise creates one
-/// operation context per call site in its generated code). A context made
-/// for a previous iteration's delta relation rebinds through the hint
-/// branding when the delta is replaced.
+/// What one worker keeps from one plan execution to the next.
 #[derive(Default)]
-pub(crate) struct WorkerCtxs {
-    /// `[plan id][site]`: the relation a context was made for, and it.
-    plans: Vec<Vec<Option<(usize, StorageCtx)>>>,
-    /// Hint statistics of the contexts re-plans retired.
-    retired: HintStats,
-    /// The worker's emit batch: empty between plan executions, kept for its
+pub(crate) struct Worker {
+    /// The join's operations and the hints of the worker's sites.
+    pub stats: EvalStats,
+    /// The emit batch: empty between plan executions, kept for its
     /// allocation (a fresh buffer of up to 640 KB per execution is an `mmap`
     /// each).
     buf: EmitBuf,
-    /// The worker's block of bindings, kept the same way.
+    /// The block of bindings, kept the same way.
     block: Block,
 }
 
@@ -643,96 +651,26 @@ impl Block {
     }
 }
 
-impl WorkerCtxs {
-    /// Takes the contexts of plan `id` out for one execution over `bound`.
-    /// A re-plan keeps the plan's id and may move another relation to a
-    /// site: that site starts over with a context of the new relation.
-    fn take<'a>(
-        &mut self,
-        id: usize,
-        bound: &[Bound<'a>],
-        full: &[&dyn RelationStorage],
-    ) -> Vec<Option<Site<'a>>> {
-        if self.plans.len() <= id {
-            self.plans.resize_with(id + 1, Vec::new);
-        }
-        let Self { plans, retired, .. } = self;
-        let mut retire = |old: Option<(usize, StorageCtx)>| {
-            let stats = old.and_then(|(rel, ctx)| full.get(rel)?.hint_stats(&ctx));
-            stats.inspect(|s| retired.merge(s));
-        };
-        plans[id].resize_with(bound.len(), || None);
-        let sites = bound.iter().zip(&mut plans[id]).map(|(site, kept)| {
-            let kept = kept.take();
-            let Some((rel, src)) = *site else {
-                retire(kept);
-                return None;
-            };
-            let ctx = match kept {
-                Some((had, ctx)) if had == rel => ctx,
-                stale => {
-                    retire(stale);
-                    src.make_ctx()
-                }
-            };
-            Some(Site { rel, src, ctx })
-        });
-        sites.collect()
-    }
-
-    /// Puts back what [`take`](Self::take) handed out.
-    fn put(&mut self, id: usize, sites: Vec<Option<Site<'_>>>) {
-        let keep = |s: Option<Site<'_>>| s.map(|s| (s.rel, s.ctx));
-        self.plans[id] = sites.into_iter().map(keep).collect();
-    }
-
-    /// Sums hint statistics over all contexts. The full relations serve as
-    /// the interpreter for every role — a relation's side tables are of its
-    /// kind and width, and reading a context's statistics only inspects
-    /// the context — so stats survive the per-iteration replacement of
-    /// delta/new relations.
-    pub(crate) fn hint_stats(&self, full: &[Box<dyn RelationStorage>]) -> HintStats {
-        let mut total = self.retired;
-        for (rel, ctx) in self.plans.iter().flatten().flatten() {
-            if let Some(s) = full[*rel].hint_stats(ctx) {
-                total.merge(&s);
-            }
-        }
-        total
-    }
-}
-
 /// One plan execution as every worker sees it: the outer scan's chunks
 /// and the cursor they are claimed off.
 struct Job<'a> {
     plan: &'a Plan,
-    full: &'a [&'a dyn RelationStorage],
     bound: Vec<Bound<'a>>,
     head: Head<'a>,
     chunks: Vec<StorageChunk>,
     cursor: AtomicUsize,
 }
 
-/// Evaluates one plan over `env`, deriving tuples into `env.new`.
-///
-/// `pools` are the persistent per-worker contexts and `stats` the
-/// per-worker counters, both indexed by worker. This is where `datalog`
-/// spawns threads, and the only place.
-pub(crate) fn eval_plan(
-    plan: &Plan,
-    env: &StorageEnv<'_>,
-    pools: &mut [WorkerCtxs],
-    stats: &mut [EvalStats],
-) {
-    debug_assert_eq!(pools.len(), stats.len());
+/// Evaluates one plan over `env`, deriving tuples into `env.new`, with one
+/// worker per thread. This is where `datalog` spawns threads, and the only
+/// place.
+pub(crate) fn eval_plan(plan: &Plan, env: &StorageEnv<'_>, workers: &mut [Worker]) {
     let (bound, head) = env.bind(plan);
-    let (Some(Step::Scan { prefix, .. }), Some(Some((_, outer)))) =
-        (plan.steps.first(), bound.first())
+    let (Some(Step::Scan { prefix, .. }), Some(Some(outer))) = (plan.steps.first(), bound.first())
     else {
         // Degenerate plan (starts with a check): evaluate sequentially.
-        let ctxs = &mut pools[0];
-        let mut sites = ctxs.take(plan.id, &bound, env.full);
-        let (stats, buf) = (&mut stats[0], &mut ctxs.buf);
+        let Worker { stats, buf, .. } = &mut workers[0];
+        let mut sites = Site::open(&bound);
         let mut evaluator = Evaluator {
             plan,
             head,
@@ -742,22 +680,20 @@ pub(crate) fn eval_plan(
         };
         evaluator.run_from(0, &mut vec![0u64; plan.nvars], &mut sites);
         evaluator.flush();
-        ctxs.put(plan.id, sites);
-        return;
+        return Site::close(&sites, evaluator.stats);
     };
     debug_assert!(
         prefix.iter().all(|s| matches!(s, Slot::Const(_))),
         "outermost prefix can only contain constants"
     );
     let consts: Vec<u64> = prefix.iter().map(|s| s.value(&[])).collect();
-    let workers = pools.len().max(1);
-    let chunks = outer.partition(workers * CHUNKS_PER_WORKER, &consts);
+    let threads = workers.len().max(1);
+    let chunks = outer.partition(threads * CHUNKS_PER_WORKER, &consts);
     if chunks.is_empty() {
         return;
     }
     let job = Job {
         plan,
-        full: env.full,
         bound,
         head,
         chunks,
@@ -767,41 +703,40 @@ pub(crate) fn eval_plan(
     // workers would only pay the spawn cost and exit — and with nothing
     // to distribute run inline: the spawn cost recurs once per plan per
     // fixpoint iteration.
-    let active = workers.min(job.chunks.len());
+    let active = threads.min(job.chunks.len());
     if active == 1 {
-        return job.run(&mut pools[0], &mut stats[0]);
+        return job.run(&mut workers[0]);
     }
     std::thread::scope(|s| {
-        for (ctxs, wstats) in pools.iter_mut().zip(stats.iter_mut()).take(active) {
+        for worker in workers.iter_mut().take(active) {
             let job = &job;
-            s.spawn(move || job.run(ctxs, wstats));
+            s.spawn(move || job.run(worker));
         }
     });
 }
 
 impl Job<'_> {
     /// One worker's claim loop: chunks off the shared cursor until none are
-    /// left. The worker's contexts for this plan are out of its pool for
-    /// the whole loop and go back afterwards, so their hints stay warm
-    /// across plans and iterations.
+    /// left, through contexts the worker makes for this execution and whose
+    /// hint statistics it counts afterwards.
     /// Where step 1 is a scan with a bound prefix, the bindings wait for it
     /// in a block ([`Evaluator::run_block`]) that ends when full and where
     /// its chunk does.
-    fn run(&self, ctxs: &mut WorkerCtxs, stats: &mut EvalStats) {
+    fn run(&self, worker: &mut Worker) {
         let plan = self.plan;
-        let mut sites = ctxs.take(plan.id, &self.bound, self.full);
+        let Worker { stats, buf, block } = worker;
+        let mut sites = Site::open(&self.bound);
         let (outer, inner) = sites.split_first_mut().expect("a site per step");
         let outer = outer.as_mut().expect("the outer scan's site");
         let keyed = match plan.steps.get(1) {
             Some(Step::Scan { prefix, .. }) if !prefix.is_empty() => Some(prefix.as_slice()),
             _ => None,
         };
-        let block = &mut ctxs.block;
         let mut evaluator = Evaluator {
             plan,
             head: self.head,
             stats,
-            buf: &mut ctxs.buf,
+            buf,
             flush_at: keyed.map_or(EMIT_BATCH, |_| BATCH_CEILING),
         };
         let mut vars = vec![0u64; plan.nvars];
@@ -832,7 +767,7 @@ impl Job<'_> {
             evaluator.flush();
             chunk_timer.observe(telemetry::Hist::EvalChunkNanos);
         }
-        ctxs.put(plan.id, sites);
+        Site::close(&sites, evaluator.stats);
     }
 }
 

@@ -27,8 +27,7 @@
 //!
 //! A [`Version`] is one semi-naive version of a rule with the plan that
 //! currently runs; [`replan`] re-orders a batch of them in place between
-//! fixpoint iterations and keeps every plan id, so the workers' hint
-//! contexts (keyed by plan id) stay warm.
+//! fixpoint iterations.
 
 use crate::ast::{Rule, Term};
 use crate::eval::{compile_one, compile_ordered, source_order, Plan};
@@ -479,7 +478,7 @@ pub(crate) fn register<'w>(
 }
 
 /// One semi-naive version of a rule and the plan that currently runs for
-/// it. The plan's id is fixed at creation and survives every [`replan`].
+/// it.
 #[derive(Clone, Debug)]
 pub(crate) struct Version {
     /// Index of the rule in the program (profiling, `EXPLAIN`).
@@ -502,21 +501,18 @@ pub(crate) struct Version {
 }
 
 impl Version {
-    /// The source-order plan (delta hoisted) of one version, with `id`.
+    /// The source-order plan (delta hoisted) of one version.
     pub(crate) fn new(
         rule_idx: usize,
         rule: &Rule,
         rel_ids: &HashMap<String, usize>,
         delta_pos: Option<usize>,
-        id: usize,
     ) -> Self {
-        let mut plan = compile_one(rule, rel_ids, delta_pos);
-        plan.id = id;
         Self {
             rule_idx,
             rule: rule.clone(),
             delta_pos,
-            plan,
+            plan: compile_one(rule, rel_ids, delta_pos),
             order: source_order(rule.body.len(), delta_pos),
             cards: Vec::new(),
             replanned_at: None,
@@ -561,9 +557,7 @@ pub(crate) fn replan(
         // The plan changes with its order, or by gaining an index.
         let changed = o.order != v.order || !o.wants.is_empty();
         if changed || catalog.len() != v.indexes_seen {
-            let id = v.plan.id;
             v.plan = compile_ordered(&v.rule, rel_ids, v.delta_pos, &o.order, Some(catalog));
-            v.plan.id = id;
             v.indexes_seen = catalog.len();
         }
         if changed || v.cards.is_empty() {
@@ -803,7 +797,7 @@ mod tests {
         // of its matches would repeat the sweep: load still goes first.
         let o = cost_order(&p.rules[0], &ids, Some(1), &plain, &catalog);
         assert_eq!((o.order, o.wants), (vec![1, 0, 2], vec![]));
-        let mut version = [Version::new(0, &p.rules[0], &ids, Some(1), 0)];
+        let mut version = [Version::new(0, &p.rules[0], &ids, Some(1))];
         replan(&mut version, &ids, &plain, &mut catalog, 1);
         assert_eq!(catalog.len(), 0);
         assert!(
@@ -813,13 +807,13 @@ mod tests {
     }
 
     #[test]
-    fn replan_keeps_plan_ids_and_records_the_iteration() {
+    fn replan_records_the_iteration() {
         let p = parse(LOAD_RULE).unwrap();
         let ids = rel_ids(&["load", "vpt", "hpt"]);
         let mut catalog = IndexCatalog::new(&[3, 2, 3]);
         let mut versions = vec![
-            Version::new(0, &p.rules[0], &ids, Some(1), 7),
-            Version::new(0, &p.rules[0], &ids, Some(2), 8),
+            Version::new(0, &p.rules[0], &ids, Some(1)),
+            Version::new(0, &p.rules[0], &ids, Some(2)),
         ];
         // Iteration 1: hpt is all but empty — Δvpt joins it before load.
         let early = model(&[100.0, 60.0, 1.0], &[0.0, 60.0, 1.0]);
@@ -829,7 +823,7 @@ mod tests {
             versions[0].replanned_at, None,
             "the first order is not a re-plan"
         );
-        // Iteration 5: hpt has outgrown load; the order flips, the id stays.
+        // Iteration 5: hpt has outgrown load; the order flips.
         let late = CostModel {
             horizon: 5.0,
             ..model(&[100.0, 3000.0, 3000.0], &[0.0, 300.0, 300.0])
@@ -837,7 +831,6 @@ mod tests {
         replan(&mut versions, &ids, &late, &mut catalog, 5);
         assert_eq!(versions[0].order, vec![1, 0, 2]);
         assert_eq!(versions[0].replanned_at, Some(5));
-        assert_eq!((versions[0].plan.id, versions[1].plan.id), (7, 8));
         assert_eq!(versions[0].describe_cards(), "load=100, Δvpt=300, hpt=3000");
         // Every scan of both versions found its index in the shared catalog.
         for v in &versions {

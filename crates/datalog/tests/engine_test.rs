@@ -307,6 +307,25 @@ fn hint_rates_higher_for_spec_btree_than_absent_for_others() {
     );
 }
 
+/// A retraction's plans probe through hints too, and its workers' counts
+/// reach the engine's.
+#[test]
+fn retraction_counts_its_hinted_probes() {
+    let program = parse(TC_PROGRAM).unwrap();
+    let mut engine = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();
+    engine
+        .add_facts("edge", (0..40).map(|i| vec![i, i + 1]))
+        .unwrap();
+    engine.run().unwrap();
+    let probes = |e: &Engine| e.stats().hints.hits() + e.stats().hints.misses();
+    let before = probes(&engine);
+    engine.retract_fact("edge", &[38, 39]).unwrap();
+    assert!(
+        probes(&engine) > before,
+        "the retraction's probes went uncounted"
+    );
+}
+
 #[test]
 fn rerun_after_adding_facts_reaches_new_fixpoint() {
     let program = parse(TC_PROGRAM).unwrap();

@@ -7,6 +7,7 @@ mod common;
 
 use common::thread_counts;
 use datalog::{parse, Engine, EvalStats, StorageKind};
+use specbtree::HintStats;
 use workloads::graphs;
 
 const TC_PROGRAM: &str = r#"
@@ -130,4 +131,25 @@ fn worker_stats_are_populated() {
     assert_eq!(engine.worker_stats().len(), 4);
     let total: u64 = engine.worker_stats().iter().map(|w| w.chunks_claimed).sum();
     assert_eq!(total, stats.chunks_claimed);
+}
+
+/// Each worker counts the hints of the contexts it made: after one run the
+/// workers' hint statistics add up to the engine's.
+#[test]
+fn worker_stats_carry_their_hints() {
+    let edges = graphs::random_graph(300, 10, 42);
+    let program = parse(TC_PROGRAM).unwrap();
+    let mut engine = Engine::new(&program, StorageKind::SpecBTree, 2).unwrap();
+    engine
+        .add_facts("edge", edges.iter().map(|&(a, b)| vec![a, b]))
+        .unwrap();
+    engine.run().unwrap();
+
+    let mut sum = HintStats::default();
+    engine
+        .worker_stats()
+        .iter()
+        .for_each(|w| sum.merge(&w.hints));
+    assert_eq!(sum, engine.stats().hints);
+    assert!(sum.hits() + sum.misses() > 0, "no hinted call counted");
 }

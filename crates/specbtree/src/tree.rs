@@ -29,7 +29,7 @@
 //! * Ordered iteration and the `lower_bound` / `upper_bound` iterators are
 //!   *phase-concurrent*: they are only guaranteed to return correct results
 //!   while no concurrent insert runs (the semi-naive evaluation guarantees
-//!   this [51]). Running them concurrently with inserts is still
+//!   this \[51\]). Running them concurrently with inserts is still
 //!   **memory-safe** — every field access is an atomic and every index is
 //!   clamped — but the sequence of elements observed is unspecified.
 
