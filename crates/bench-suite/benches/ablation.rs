@@ -16,11 +16,11 @@
 //!   `retain_absent` and one `insert_run`: the layer number under the
 //!   engine's flush, and where a crossover would show if a sparse batch
 //!   ever lost;
-//! * **reads by blocks** — a join's first inner scan looked up once per
-//!   binding through a hint, against a block of bindings sorted by key that
-//!   looks each distinct key up once: the layer number under the engine's
-//!   block (`eval.rs`, `BLOCK`), with the sorted block looked up once per
-//!   binding as the control.
+//! * **reads by blocks** — a join's inner scan, and a check at step 2,
+//!   looked up once per binding through a hint, against a block of bindings
+//!   sorted by key that looks each distinct key up once: the layer number
+//!   under the engine's blocks (`eval.rs`, `BLOCK`), with the sorted block
+//!   looked up once per binding as the scan's control.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use specbtree::seq::SeqBTreeSet;
@@ -329,8 +329,57 @@ fn block_join(c: &mut Criterion) {
                 })
             });
             group.finish();
+            block_check(c, n, &tree, len, &mut rng);
         }
     }
+}
+
+/// A check at step 2 over `len` bindings, both ways: each binding probes a
+/// fully bound pair of `tree`, drawn from `len / 4` pairs half of which the
+/// tree holds, so a block shares each probe among about four bindings, as
+/// `pointsto`'s `probe vpt(v4,v0)` does (788 K probes, 152 K distinct per
+/// block). `per_binding_hinted` makes one `contains` per binding through
+/// one hint, in the order step 1's replay hands them out; `block` sorts the
+/// probes with their positions, makes one `contains` per distinct pair and
+/// replays the answer for every binding that shares it.
+fn block_check(c: &mut Criterion, n: u64, tree: &BTreeSet<2>, len: usize, rng: &mut SplitMix64) {
+    let held: Vec<[u64; 2]> = tree.iter().collect();
+    let pool: Vec<[u64; 2]> = (0..len / 4)
+        .map(|i| match i % 2 {
+            0 => held[rng.below(held.len() as u64) as usize],
+            _ => [rng.next_u64() >> 40, rng.next_u64() >> 40],
+        })
+        .collect();
+    let probes: Vec<[u64; 2]> = (0..len)
+        .map(|_| pool[rng.below(pool.len() as u64) as usize])
+        .collect();
+    let mut group = c.benchmark_group(format!("block_join/check/tree={n}"));
+    group.throughput(Throughput::Elements(len as u64));
+    let mut hints = tree.create_hints();
+    group.bench_function(BenchmarkId::new("per_binding_hinted", len), |b| {
+        b.iter(|| {
+            let found = probes
+                .iter()
+                .filter(|p| tree.contains_hinted(p, &mut hints));
+            black_box(found.count())
+        })
+    });
+    let (mut keyed, mut scratch) = (Vec::new(), Vec::new());
+    group.bench_function(BenchmarkId::new("block", len), |b| {
+        b.iter(|| {
+            keyed.clear();
+            keyed.extend(probes.iter().zip(0..).map(|(&[x, y], i)| [x, y, i]));
+            sort_tuples(&mut keyed, &mut scratch);
+            let mut found = 0usize;
+            for run in keyed.chunk_by(|a, b| a[..2] == b[..2]) {
+                if tree.contains_hinted(&[run[0][0], run[0][1]], &mut hints) {
+                    found += run.len();
+                }
+            }
+            black_box(found)
+        })
+    });
+    group.finish();
 }
 
 fn configured() -> Criterion {

@@ -83,16 +83,19 @@ pub struct EvalStats {
     /// — those the full relation lacked, after an emit batch dropped its
     /// duplicates, so that count moves with where the batches end.
     pub inserts: u64,
-    /// Membership tests issued: one per fully bound body literal reached,
-    /// and one per distinct head tuple of a worker's emit batch — so this
-    /// and `inserts` repeat exactly at one thread and move by where the
-    /// batches end at more.
+    /// Membership tests issued: one per distinct tuple of a body check's
+    /// block of bindings, and one per distinct head tuple of a worker's emit
+    /// batch — so this and `inserts` repeat exactly at one thread and move
+    /// by where the blocks and batches end at more.
     pub membership_tests: u64,
-    /// Total `lower_bound` calls.
+    /// Total `lower_bound` calls: one per distinct key of an inner scan's
+    /// block of bindings, per unprefixed inner scan and per range chunk of
+    /// an outer scan.
     pub lower_bound_calls: u64,
     /// Total `upper_bound` calls in the sense of Figure 1's synthesized
-    /// code: range queries bounded above. The scan stops at the bound; no
-    /// tree descent is made for it.
+    /// code: range queries bounded above, one per distinct key of an inner
+    /// scan's block of bindings. The scan stops at the bound; no tree
+    /// descent is made for it.
     pub upper_bound_calls: u64,
     /// Tuples loaded as input facts.
     pub input_tuples: u64,
@@ -126,7 +129,9 @@ pub struct EvalStats {
     /// with the planner off.
     pub index_builds: u64,
     /// Inner (non-outermost) scans served by a bound primary prefix or a
-    /// secondary index — range queries instead of full sweeps.
+    /// secondary index — range queries instead of full sweeps — counted
+    /// once per binding that reaches one: the join's lookups, which a block
+    /// answers with one range query per distinct key.
     pub inner_scans_indexed: u64,
     /// Inner scans that fell through to an unindexed full sweep (no bound
     /// prefix, no secondary index) — each one re-reads a whole relation

@@ -15,16 +15,16 @@
 //! ([`RelationStorage::partition`]), and workers claim chunks off a shared
 //! atomic cursor, walking each chunk directly in the tree
 //! ([`RelationStorage::scan_chunk`]) with no intermediate tuple buffer.
-//! The first inner scan takes the bindings the outer scan passes a sorted
-//! block at a time, one range query per distinct key where Figure 1 issues
-//! one per binding; deeper scans join inside the scan's callback. Every
-//! worker makes private storage contexts (operation hints) for the plan's
-//! scan and check sites when it starts a plan execution, and merges its head
-//! tuples, a sorted batch at a time, into the shared `new` relation through
-//! the concurrent storage API. Reads (scans over stable relations) and
-//! writes (batches merged into `new`) never target the same
-//! structure — the two-phase property (§2) the B-tree's synchronization is
-//! specialized for.
+//! Every later scan with a bound prefix and every check takes the bindings
+//! that reach it a sorted block at a time, one range query or membership
+//! test per distinct key where Figure 1 issues one per binding; a lone
+//! worker's blocks and emit batch span its chunks. Every worker makes
+//! private storage contexts (operation hints) for the plan's scan and check
+//! sites when it starts a plan execution, and merges its head tuples, a
+//! sorted batch at a time, into the shared `new` relation through the
+//! concurrent storage API. Reads (scans over stable relations) and writes
+//! (batches merged into `new`) never target the same structure — the
+//! two-phase property (§2) the B-tree's synchronization is specialized for.
 
 use crate::ast::{CmpOp, Rule, Term, MAX_ARITY};
 use crate::planner::IndexCatalog;
@@ -532,7 +532,8 @@ impl<'a> StorageEnv<'a> {
     /// Scans and membership tests, the head's batched one included, read
     /// `full` and `delta`, batches go to `new`, and no table is both: the
     /// two-phase property (§2) that lets a join run inside a scan's callback
-    /// and a batch wait for its flush: nothing a plan reads changes under it.
+    /// and bindings and a batch wait for their blocks and flush: nothing a
+    /// plan reads changes under it.
     fn bind(&self, plan: &Plan) -> (Vec<Bound<'a>>, Head<'a>) {
         let source = |rel: usize, delta: bool| match delta {
             true => side_table(self.delta, rel),
@@ -613,8 +614,8 @@ pub(crate) struct Worker {
     /// allocation (a fresh buffer of up to 640 KB per execution is an `mmap`
     /// each).
     buf: EmitBuf,
-    /// The block of bindings, kept the same way.
-    block: Block,
+    /// A block of bindings per step, kept the same way.
+    blocks: Vec<Block>,
 }
 
 /// Head tuples derived and not yet applied to the head's two tables, end to
@@ -625,29 +626,40 @@ struct EmitBuf {
     scratch: Vec<u64>,
 }
 
-/// Bindings that passed a plan's outer scan and wait for its first inner
-/// scan, which looks each distinct key up once for all of them.
+/// Bindings that reached a keyed step ([`Step::key`]) and wait for it to
+/// look each distinct key up once for all of them.
 #[derive(Default)]
 struct Block {
     /// Each binding's environment, `nvars` words, end to end.
     envs: Vec<u64>,
-    /// `(key…, binding#)` per binding, end to end.
+    /// `(key…, where the binding's environment starts in envs)` per
+    /// binding, end to end, sorted with the emit batch's scratch.
     keys: Vec<u64>,
-    /// What sorting `keys` ping-pongs with.
-    scratch: Vec<u64>,
-    /// The range of the key being replayed.
+    /// The range of the key being replayed, for a scan.
     range: Vec<TupleBuf>,
 }
 
 impl Block {
-    /// Adds the binding `vars` under the key `prefix` reads off it and
-    /// returns how many bindings the block holds.
-    fn push(&mut self, prefix: &[Slot], vars: &[u64]) -> usize {
-        let n = self.keys.len() / (prefix.len() + 1);
-        self.keys.extend(prefix.iter().map(|s| s.value(vars)));
-        self.keys.push(n as u64);
+    /// Adds the binding `vars` under the key `key` reads off it and returns
+    /// whether the block is full.
+    fn push(&mut self, key: &[Slot], vars: &[u64]) -> bool {
+        self.keys.extend(key.iter().map(|s| s.value(vars)));
+        self.keys.push(self.envs.len() as u64);
         self.envs.extend_from_slice(vars);
-        n + 1
+        self.envs.len() == BLOCK * vars.len()
+    }
+}
+
+impl Step {
+    /// What the bindings that reach this step wait in a block sorted by: a
+    /// scan's bound prefix, a check's tuple. `None` for a filter and an
+    /// unprefixed scan, which run per binding in place.
+    fn key(&self) -> Option<&[Slot]> {
+        match self {
+            Step::Scan { prefix, .. } if !prefix.is_empty() => Some(prefix),
+            Step::Check { terms, .. } => Some(terms),
+            _ => None,
+        }
     }
 }
 
@@ -659,6 +671,8 @@ struct Job<'a> {
     head: Head<'a>,
     chunks: Vec<StorageChunk>,
     cursor: AtomicUsize,
+    /// One worker claims every chunk: its blocks and batch span them.
+    alone: bool,
 }
 
 /// Evaluates one plan over `env`, deriving tuples into `env.new`, with one
@@ -669,17 +683,12 @@ pub(crate) fn eval_plan(plan: &Plan, env: &StorageEnv<'_>, workers: &mut [Worker
     let (Some(Step::Scan { prefix, .. }), Some(Some(outer))) = (plan.steps.first(), bound.first())
     else {
         // Degenerate plan (starts with a check): evaluate sequentially.
-        let Worker { stats, buf, .. } = &mut workers[0];
+        let Worker { stats, buf, blocks } = &mut workers[0];
         let mut sites = Site::open(&bound);
-        let mut evaluator = Evaluator {
-            plan,
-            head,
-            stats,
-            buf,
-            flush_at: EMIT_BATCH,
-        };
-        evaluator.run_from(0, &mut vec![0u64; plan.nvars], &mut sites);
-        evaluator.flush();
+        let mut evaluator = Evaluator::new(plan, head, stats, buf, blocks);
+        let mut vars = vec![0u64; plan.nvars];
+        evaluator.run_from(0, &mut vars, &mut sites, blocks);
+        evaluator.finish(0, &mut vars, &mut sites, blocks);
         return Site::close(&sites, evaluator.stats);
     };
     debug_assert!(
@@ -692,19 +701,20 @@ pub(crate) fn eval_plan(plan: &Plan, env: &StorageEnv<'_>, workers: &mut [Worker
     if chunks.is_empty() {
         return;
     }
+    // Never spawn more workers than there are chunks to claim — surplus
+    // workers would only pay the spawn cost and exit — and with nothing
+    // to distribute run inline: the spawn cost recurs once per plan per
+    // fixpoint iteration.
+    let active = threads.min(chunks.len());
     let job = Job {
         plan,
         bound,
         head,
         chunks,
         cursor: AtomicUsize::new(0),
+        alone: active == 1,
     };
-    // Never spawn more workers than there are chunks to claim — surplus
-    // workers would only pay the spawn cost and exit — and with nothing
-    // to distribute run inline: the spawn cost recurs once per plan per
-    // fixpoint iteration.
-    let active = threads.min(job.chunks.len());
-    if active == 1 {
+    if job.alone {
         return job.run(&mut workers[0]);
     }
     std::thread::scope(|s| {
@@ -718,27 +728,16 @@ pub(crate) fn eval_plan(plan: &Plan, env: &StorageEnv<'_>, workers: &mut [Worker
 impl Job<'_> {
     /// One worker's claim loop: chunks off the shared cursor until none are
     /// left, through contexts the worker makes for this execution and whose
-    /// hint statistics it counts afterwards.
-    /// Where step 1 is a scan with a bound prefix, the bindings wait for it
-    /// in a block ([`Evaluator::run_block`]) that ends when full and where
-    /// its chunk does.
+    /// hint statistics it counts afterwards. Beside other workers it runs its
+    /// blocks and batch at each chunk's end; alone, after its last chunk.
     fn run(&self, worker: &mut Worker) {
         let plan = self.plan;
-        let Worker { stats, buf, block } = worker;
+        let Worker { stats, buf, blocks } = worker;
         let mut sites = Site::open(&self.bound);
         let (outer, inner) = sites.split_first_mut().expect("a site per step");
         let outer = outer.as_mut().expect("the outer scan's site");
-        let keyed = match plan.steps.get(1) {
-            Some(Step::Scan { prefix, .. }) if !prefix.is_empty() => Some(prefix.as_slice()),
-            _ => None,
-        };
-        let mut evaluator = Evaluator {
-            plan,
-            head: self.head,
-            stats,
-            buf,
-            flush_at: keyed.map_or(EMIT_BATCH, |_| BATCH_CEILING),
-        };
+        let mut evaluator = Evaluator::new(plan, self.head, stats, buf, blocks);
+        let inner_blocks = &mut blocks[1..];
         let mut vars = vec![0u64; plan.nvars];
         loop {
             let i = self.cursor.fetch_add(1, Relaxed);
@@ -754,25 +753,21 @@ impl Job<'_> {
             let chunk_timer = telemetry::start_timer();
             let _span = telemetry::span("eval.chunk", i as u64);
             outer.src.scan_chunk(chunk, &mut outer.ctx, &mut |t| {
-                let Some(prefix) = keyed else {
-                    return evaluator.join(0, t, &mut vars, inner);
-                };
-                if evaluator.bind(0, t, &mut vars) && block.push(prefix, &vars) == BLOCK {
-                    evaluator.run_block(block, &mut vars, inner);
-                }
+                evaluator.join(0, t, &mut vars, inner, inner_blocks)
             });
-            if keyed.is_some() {
-                evaluator.run_block(block, &mut vars, inner);
+            if !self.alone {
+                evaluator.finish(1, &mut vars, inner, inner_blocks);
             }
-            evaluator.flush();
             chunk_timer.observe(telemetry::Hist::EvalChunkNanos);
         }
+        evaluator.finish(1, &mut vars, inner, inner_blocks);
         Site::close(&sites, evaluator.stats);
     }
 }
 
 /// The nested-loop join of one plan on one worker. The Table 2 operation
-/// counts are taken here, where each storage call is issued.
+/// counts are taken here, where each storage call is issued. Steps `si..`
+/// take `sites` and `blocks` that start at step `si`'s.
 struct Evaluator<'p, 'c> {
     plan: &'p Plan,
     head: Head<'p>,
@@ -801,8 +796,9 @@ const EMIT_BATCH: usize = 16_384;
 /// child (one worker, 12 rounds) read `run_s` 0.79 / 0.78 / 0.78 / 0.83× on
 /// `security` and 0.81 / 0.81 / 0.79 / 0.79× on `tc_random` at 4 096 / 8 192
 /// / 16 384 / 32 768, and 1 024 trailed (0.88 and 0.90×): this is the
-/// smallest block on the plateau (EXPERIMENTS.md, "Reads by blocks"; the
-/// layer is `ablation`'s group `block_join`).
+/// smallest block on the plateau (EXPERIMENTS.md, "Reads by blocks"; swept
+/// while only step 1 read by blocks; the layer is `ablation`'s group
+/// `block_join`). Every keyed step's block has this size.
 const BLOCK: usize = 4_096;
 
 /// The emit batch's ceiling inside a block, past which a large fan-out is
@@ -812,7 +808,28 @@ const BLOCK: usize = 4_096;
 /// 0.80× on `security` / `tc_random` (the same child, 8 rounds).
 const BATCH_CEILING: usize = 4 * EMIT_BATCH;
 
-impl Evaluator<'_, '_> {
+impl<'p, 'c> Evaluator<'p, 'c> {
+    /// An evaluator of `plan` on one worker; `blocks` grows to a block per
+    /// step.
+    fn new(
+        plan: &'p Plan,
+        head: Head<'p>,
+        stats: &'c mut EvalStats,
+        buf: &'c mut EmitBuf,
+        blocks: &mut Vec<Block>,
+    ) -> Self {
+        blocks.resize_with(blocks.len().max(plan.steps.len()), Block::default);
+        let blocked = plan.steps.iter().skip(1).any(|s| s.key().is_some());
+        let flush_at = if blocked { BATCH_CEILING } else { EMIT_BATCH };
+        Evaluator {
+            plan,
+            head,
+            stats,
+            buf,
+            flush_at,
+        }
+    }
+
     /// Takes tuple `t` of the scan at step `si` through the scan's binds
     /// and checks, and returns whether it passes them.
     #[inline]
@@ -832,99 +849,161 @@ impl Evaluator<'_, '_> {
     }
 
     /// Takes tuple `t` of the scan at step `si` through the scan's binds
-    /// and checks and, if it passes, through the steps after it; `rest`
-    /// are the sites of those steps.
+    /// and checks and, if it passes, through the steps after it; `sites`
+    /// and `blocks` start at step `si + 1`'s.
     #[inline]
-    fn join(&mut self, si: usize, t: &TupleBuf, vars: &mut [u64], rest: &mut [Option<Site<'_>>]) {
+    fn join(
+        &mut self,
+        si: usize,
+        t: &TupleBuf,
+        vars: &mut [u64],
+        sites: &mut [Option<Site<'_>>],
+        blocks: &mut [Block],
+    ) {
         if self.bind(si, t, vars) {
-            self.run_from(si + 1, vars, rest);
+            self.run_from(si + 1, vars, sites, blocks);
         }
     }
 
-    /// Runs step 1, a scan with a bound prefix, and the steps after it for
-    /// every binding in `block`, and empties it; `sites` starts at step 1's.
-    /// Sorted by the scan's key, each distinct key's range is read once (one
-    /// `lower_bound_calls` and `upper_bound_calls` each) and replayed through
-    /// [`join`](Self::join) for every binding that shares the key (one
-    /// `inner_scans_indexed` each). The emit batch is flushed between blocks.
-    fn run_block(&mut self, block: &mut Block, vars: &mut [u64], sites: &mut [Option<Site<'_>>]) {
-        let Step::Scan { prefix, index, .. } = &self.plan.steps[1] else {
-            unreachable!("a block waits for a scan")
-        };
+    /// Runs steps `si..` and the emit for the binding `vars`. A keyed step
+    /// adds the binding to its block and runs that block once it is full.
+    #[inline]
+    fn run_from(
+        &mut self,
+        si: usize,
+        vars: &mut [u64],
+        sites: &mut [Option<Site<'_>>],
+        blocks: &mut [Block],
+    ) {
+        let plan = self.plan;
+        match plan.steps.get(si).map(Step::key) {
+            None => self.emit(vars),
+            Some(Some(key)) => {
+                if blocks[0].push(key, vars) {
+                    self.run_block(si, vars, sites, blocks);
+                }
+            }
+            Some(None) => self.run_in_place(si, vars, sites, blocks),
+        }
+    }
+
+    /// Runs step `si`, a filter or an unprefixed scan, and the steps after
+    /// it for the binding `vars`.
+    fn run_in_place(
+        &mut self,
+        si: usize,
+        vars: &mut [u64],
+        sites: &mut [Option<Site<'_>>],
+        blocks: &mut [Block],
+    ) {
         let (site, rest) = sites.split_first_mut().expect("a site per step");
-        let site = site.as_mut().expect("scans have a site");
-        let (width, nvars, keys) = (prefix.len() + 1, vars.len(), &mut block.keys);
-        // Every tuple ends in its binding's number: none is a repeat.
-        sort_distinct(keys, width, &mut block.scratch);
+        let deeper = &mut blocks[1..];
+        match (&self.plan.steps[si], site) {
+            (Step::Filter { op, lhs, rhs }, _) => {
+                if op.eval(lhs.value(vars), rhs.value(vars)) {
+                    self.run_from(si + 1, vars, rest, deeper);
+                }
+            }
+            (Step::Scan { index, .. }, Some(site)) => {
+                // A sweep per binding, the join inside its callback. Not `&[]`:
+                // hash sets swept 3× slower with it (EXPERIMENTS.md, "Figure 5").
+                self.stats.lower_bound_calls += 1;
+                self.stats.inner_scans_full += 1;
+                let all = &[0][..0];
+                site.range(index, all, &mut |t| self.join(si, t, vars, rest, deeper));
+            }
+            _ => unreachable!("a check has a key, a scan a site"),
+        }
+    }
+
+    /// Runs the keyed step `si` and the steps after it for every binding in
+    /// its block, and empties it. Sorted by the step's key, each distinct
+    /// key is looked up once: a scan reads its range into a buffer (one
+    /// `lower_bound_calls` and `upper_bound_calls` each), a check makes one
+    /// `contains` (one `membership_tests`). Every binding under the key is
+    /// then replayed into the next step (one `inner_scans_indexed` each for
+    /// a scan). The emit batch is flushed between blocks.
+    fn run_block(
+        &mut self,
+        si: usize,
+        vars: &mut [u64],
+        sites: &mut [Option<Site<'_>>],
+        blocks: &mut [Block],
+    ) {
+        let step = &self.plan.steps[si];
+        let (Some(site), rest) = sites.split_first_mut().expect("a site per step") else {
+            unreachable!("keyed steps have a site")
+        };
+        let (block, deeper) = blocks.split_first_mut().expect("a block per step");
+        let Block { envs, keys, range } = block;
+        if keys.is_empty() {
+            return;
+        }
+        let (width, nvars) = (step.key().map_or(0, <[Slot]>::len) + 1, vars.len());
+        // Every tuple ends in where its binding starts: none is a repeat.
+        sort_distinct(keys, width, &mut self.buf.scratch);
         let mut at = 0;
         while at < keys.len() {
             let key = &keys[at..at + width - 1];
-            block.range.clear();
-            site.range(index, key, &mut |t| block.range.push(*t));
-            self.stats.lower_bound_calls += 1;
-            self.stats.upper_bound_calls += 1;
-            while at < keys.len() && keys[at..at + width - 1] == *key {
-                let binding = keys[at + width - 1] as usize;
-                vars.copy_from_slice(&block.envs[binding * nvars..][..nvars]);
-                self.stats.inner_scans_indexed += 1;
-                for t in &block.range {
-                    self.join(1, t, vars, rest);
+            let run = keys[at..].chunks_exact(width);
+            let end = at + run.take_while(|k| k[..width - 1] == *key).count() * width;
+            let envs_at = keys[at..end]
+                .chunks_exact(width)
+                .map(|k| k[width - 1] as usize);
+            match step {
+                Step::Scan { index, .. } => {
+                    range.clear();
+                    site.range(index, key, &mut |t| range.push(*t));
+                    self.stats.lower_bound_calls += 1;
+                    self.stats.upper_bound_calls += 1;
+                    for env in envs_at {
+                        vars.copy_from_slice(&envs[env..][..nvars]);
+                        self.stats.inner_scans_indexed += 1;
+                        for t in range.iter() {
+                            self.join(si, t, vars, rest, deeper);
+                        }
+                    }
                 }
-                at += width;
+                Step::Check { negated, .. } => {
+                    let mut t = [0u64; MAX_ARITY];
+                    t[..key.len()].copy_from_slice(key);
+                    self.stats.membership_tests += 1;
+                    if site.src.contains(&t, &mut site.ctx) != *negated {
+                        for env in envs_at {
+                            vars.copy_from_slice(&envs[env..][..nvars]);
+                            self.run_from(si + 1, vars, rest, deeper);
+                        }
+                    }
+                }
+                Step::Filter { .. } => unreachable!("a filter has no key"),
             }
+            at = end;
         }
+        // The binding that filled the block may be in the middle of a
+        // replay above it, which goes on with the environment it pushed.
+        vars.copy_from_slice(&envs[envs.len() - nvars..]);
         keys.clear();
-        block.envs.clear();
+        envs.clear();
         if self.buf.batch.len() >= EMIT_BATCH * self.plan.head_slots.len().max(1) {
             self.flush();
         }
     }
 
-    /// Runs steps `si..` and the emit; `sites` starts at step `si`'s.
-    fn run_from(&mut self, si: usize, vars: &mut [u64], sites: &mut [Option<Site<'_>>]) {
-        let plan = self.plan;
-        let Some(step) = plan.steps.get(si) else {
-            return self.emit(vars);
-        };
-        let (site, rest) = sites.split_first_mut().expect("a site per step");
-        match (step, site) {
-            (Step::Filter { op, lhs, rhs }, _) => {
-                if op.eval(lhs.value(vars), rhs.value(vars)) {
-                    self.run_from(si + 1, vars, rest);
-                }
+    /// Runs what waits in the blocks of steps `si..`, step by step, since a
+    /// block's replay fills the blocks below it, and flushes the emit batch.
+    fn finish(
+        &mut self,
+        si: usize,
+        vars: &mut [u64],
+        sites: &mut [Option<Site<'_>>],
+        blocks: &mut [Block],
+    ) {
+        for j in si..self.plan.steps.len() {
+            if self.plan.steps[j].key().is_some() {
+                self.run_block(j, vars, &mut sites[j - si..], &mut blocks[j - si..]);
             }
-            (Step::Check { terms, negated, .. }, Some(site)) => {
-                let mut t = [0u64; MAX_ARITY];
-                for (w, slot) in t.iter_mut().zip(terms) {
-                    *w = slot.value(vars);
-                }
-                self.stats.membership_tests += 1;
-                if site.src.contains(&t, &mut site.ctx) != *negated {
-                    self.run_from(si + 1, vars, rest);
-                }
-            }
-            (Step::Scan { prefix, index, .. }, Some(site)) => {
-                let mut consts = [0u64; MAX_ARITY];
-                for (c, s) in consts.iter_mut().zip(prefix) {
-                    *c = s.value(vars);
-                }
-                let consts = &consts[..prefix.len()];
-                // A range query is a `lower_bound` and, when bounded above,
-                // an `upper_bound` in Figure 1's synthesized code; here the
-                // scan stops at the bound instead of descending for it.
-                self.stats.lower_bound_calls += 1;
-                if prefix.is_empty() {
-                    self.stats.inner_scans_full += 1;
-                } else {
-                    self.stats.upper_bound_calls += 1;
-                    self.stats.inner_scans_indexed += 1;
-                }
-                // The join runs inside the scan: the tuple is used where
-                // the tree yields it, never copied aside first.
-                site.range(index, consts, &mut |t| self.join(si, t, vars, rest));
-            }
-            (_, None) => unreachable!("scans and checks have a site"),
         }
+        self.flush();
     }
 
     /// Emits the head tuple into the batch.
@@ -986,7 +1065,8 @@ fn sort_distinct(batch: &mut [u64], width: usize, scratch: &mut Vec<u64>) -> usi
         2 => distinct::<2>(batch, scratch),
         3 => distinct::<3>(batch, scratch),
         4 => distinct::<4>(batch, scratch),
-        _ => distinct::<MAX_ARITY>(batch, scratch),
+        5 => distinct::<5>(batch, scratch),
+        _ => distinct::<{ MAX_ARITY + 1 }>(batch, scratch),
     }
 }
 

@@ -1,20 +1,26 @@
-//! Differential test for reads by blocks: the bindings that pass a plan's
-//! outer scan wait in a block of 4 096, sorted by the key of the first inner
-//! scan, which looks each distinct key up once and replays its range for
-//! every binding that shares it. A block ends when it is full and where its
-//! chunk ends; the emit batch is flushed between blocks, and inside one only
-//! past a ceiling of four batches. Every rule below puts one edge of that
+//! Differential test for reads by blocks: the bindings that reach a scan
+//! with a bound prefix or a check, at any step after the outer scan, wait in
+//! a block of 4 096 sorted by that step's key, which is looked up once per
+//! distinct key — a range read into a buffer, or one `contains` — and
+//! replayed for every binding that shares it. A block runs when it is full
+//! (a deeper one in the middle of the replay above it) and where its worker
+//! stops: a worker alone keeps its blocks and emit batch from one chunk to
+//! the next, one of several ends them with each chunk. The emit batch is
+//! flushed between blocks, and inside one only past a ceiling of four
+//! batches. Every rule below puts one edge of that
 //! path in play, and every relation it derives is written down from the
-//! inputs' definitions (`path` is the reference closure), never evaluated.
-//! Every storage kind, at one and two threads (and `DATALOG_TEST_THREADS`),
-//! with the planner off — source order, so each edge is where its rule puts
-//! it — and on.
+//! inputs' definitions (`path` is the reference closure) or, for the
+//! four-literal rules, evaluated by the naive evaluator. Every storage kind,
+//! at one and two threads (and `DATALOG_TEST_THREADS`), with the planner off
+//! — source order, so each edge is where its rule puts it — and on.
 
 mod common;
 
+use common::naive::{self, naive};
 use common::with_extra;
 use datalog::{parse, Engine, StorageKind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use workloads::graphs;
 
 /// The block size of `eval.rs` (private there): the sizes below are chosen
@@ -207,12 +213,33 @@ fn every_block_edge_agrees_with_the_definitions() {
     }
 }
 
+/// The chunks a kind that is not a tree cuts `len` outer tuples into at
+/// `threads` workers, as the default `partition` does: eight a worker, of
+/// `len.div_ceil(8 × threads)` tuples each but the last.
+fn chunks(len: u64, threads: usize) -> impl Iterator<Item = Range<u64>> {
+    let per = len.div_ceil(8 * threads as u64);
+    (0..len)
+        .step_by(per as usize)
+        .map(move |s| s..len.min(s + per))
+}
+
+/// How many blocks `bindings` (those of each chunk of `len` outer tuples)
+/// fill: a worker alone runs one block that is not full per plan, and
+/// several workers one per chunk.
+fn blocks(len: u64, threads: usize, bindings: impl Fn(Range<u64>) -> u64) -> u64 {
+    match threads {
+        1 => bindings(0..len).div_ceil(BLOCK),
+        _ => chunks(len, threads)
+            .map(|c| bindings(c).div_ceil(BLOCK))
+            .sum(),
+    }
+}
+
 /// Every binding of `c1` and `c2` looks up the constant key `(7)`, so each
 /// block issues one range query whatever its size, and the count is the
-/// number of blocks: a chunk of `wide` ends on a full block and opens no
-/// other, one of `wider` opens one more for its last binding. A kind that
-/// is not a tree cuts an outer scan as the default `partition` does: into
-/// eight chunks a worker, evenly, and hands out no range chunk to open.
+/// number of blocks: 33 at one worker (40 while a block ended where its
+/// chunk did, as it still does beside another worker: 48 at two). A kind
+/// that is not a tree hands out no range chunk to open.
 #[test]
 fn a_key_is_looked_up_once_a_block() {
     const KEYED: &str = r#"
@@ -225,12 +252,6 @@ fn a_key_is_looked_up_once_a_block() {
         c2(x) :- wider(x, _, _), pair(7, _).
     "#;
     let program = parse(KEYED).unwrap();
-    let blocks = |tuples: u64, chunks: u64| {
-        let per = tuples.div_ceil(chunks);
-        (0..chunks)
-            .map(|i| (tuples - (i * per).min(tuples)).min(per).div_ceil(BLOCK))
-            .sum::<u64>()
-    };
     for threads in with_extra(&[1, 2]) {
         let mut engine = Engine::new(&program, StorageKind::RbTreeLocked, threads).unwrap();
         engine.set_planner_enabled(false);
@@ -240,11 +261,192 @@ fn a_key_is_looked_up_once_a_block() {
         }
         engine.run().unwrap();
         let stats = engine.stats();
-        let chunks = 8 * threads as u64;
-        let queries = blocks(WIDE, chunks) + blocks(WIDER, chunks);
-        assert_eq!(stats.upper_bound_calls, queries, "{threads} threads");
+        let queries = stats.upper_bound_calls;
+        let all = |c: Range<u64>| c.end - c.start;
+        let want = blocks(WIDE, threads, all) + blocks(WIDER, threads, all);
+        assert_eq!(queries, want, "{threads} threads: range queries");
+        match threads {
+            1 => assert_eq!(queries, 33),
+            2 => assert_eq!(queries, 48),
+            _ => {}
+        }
         assert_eq!(stats.lower_bound_calls, queries, "{threads} threads");
         assert_eq!(stats.inner_scans_indexed, WIDE + WIDER, "{threads} threads");
         assert_eq!(engine.relation("c2").unwrap().len() as u64, WIDER);
+    }
+}
+
+/// A check at step 2 over the constant tuple `(7, 0)`: every binding that
+/// reaches it shares the key, so each block makes one `contains` (one per
+/// binding while checks were not blocked). `pair(7, 0)` holds, so nothing is
+/// derived and the emit batch issues no membership test of its own.
+#[test]
+fn a_check_is_made_once_a_block() {
+    const CHECKED: &str = r#"
+        .decl wide(x: number, y: number, m: number)
+        .decl third(y: number, z: number)
+        .decl pair(k: number, z: number)
+        .decl none(x: number)
+        none(x) :- wide(x, y, _), third(y, _), !pair(7, 0).
+    "#;
+    let program = parse(CHECKED).unwrap();
+    let reach = |c: Range<u64>| c.filter(|&x| third(key(x)).is_some()).count() as u64;
+    for threads in with_extra(&[1, 2]) {
+        let mut engine = Engine::new(&program, StorageKind::RbTreeLocked, threads).unwrap();
+        engine.set_planner_enabled(false);
+        let mut db = facts();
+        for rel in ["wide", "third", "pair"] {
+            engine.add_facts(rel, db.remove(rel).unwrap()).unwrap();
+        }
+        engine.run().unwrap();
+        let tests = engine.stats().membership_tests;
+        let want = blocks(WIDE, threads, reach);
+        assert_eq!(tests, want, "{threads} threads: membership tests");
+        assert!(engine.relation("none").unwrap().is_empty());
+    }
+}
+
+/// `src(x, key)`'s tuples: three blocks of step 1 less a thousand bindings,
+/// so blocks end inside chunks and, at one worker, a block spans several;
+/// every binding reaches up to three `mid` tuples, so step 2 gets about six
+/// blocks there, each filled in the middle of a replay of step 1's ranges.
+const SRC: u64 = 3 * BLOCK - 1_000;
+/// The keys `src` and `mid` join on, and the values `mid` leads to.
+const DEEP_KEYS: u64 = 64;
+
+/// Four-literal rules with a deeper step of every kind: a scan with a
+/// bound prefix at step 2 on the primary (`low`) and, with the planner on,
+/// through an index (`d2`, which the planner starts at the small `hi` and
+/// joins to `mid` and `src` through their second columns), positive and
+/// negated checks at steps 2 and 3, a filter between steps 1 and 2 (`j !=
+/// k`), and constants in a check, in a scan's prefix and in the outer scan.
+const DEEP: &str = r#"
+    .decl src(x: number, k: number)
+    .decl mid(k: number, j: number)
+    .decl low(j: number, w: number)
+    .decl hi(b: number, j: number)
+    .decl ok(v: number)
+    .decl ban(a: number, c: number)
+    .decl d1(x: number, w: number)
+    .decl d2(x: number, b: number)
+    .decl d3(x: number, j: number)
+    .decl d4(x: number, k: number)
+    .decl d5(x: number, w: number)
+
+    d1(x, w) :- src(x, k), mid(k, j), low(j, w), !ban(w, 7).
+    d2(x, b) :- src(x, k), mid(k, j), hi(b, j), ok(b).
+    d3(x, j) :- src(x, k), mid(k, j), ok(j), !ban(j, k), j != k.
+    d4(x, k) :- src(x, k), mid(k, j), !ban(j, k), ok(j).
+    d5(x, w) :- src(x, 5), mid(5, j), low(j, w), ok(8).
+"#;
+
+fn deep_facts() -> naive::Db {
+    let keys = 0..DEEP_KEYS;
+    let rel = |name: &str, tuples: Vec<Vec<u64>>| (name.to_string(), tuples.into_iter().collect());
+    let mid = keys.clone().flat_map(|k| {
+        let js = BTreeSet::from([k, (7 * k + 3) % DEEP_KEYS, (13 * k + 5) % DEEP_KEYS]);
+        js.into_iter().map(move |j| vec![k, j])
+    });
+    // Every fifth `low` range is empty; even `j` lead to two `hi` tuples.
+    let low = keys.clone().filter(|j| j % 5 != 4);
+    let hi = keys.clone().flat_map(|j| {
+        let second = j.is_multiple_of(2).then(|| vec![300 + j, j]);
+        [vec![200 + j, j]].into_iter().chain(second)
+    });
+    let ban_k = keys.clone().flat_map(|j| {
+        let ks = (0..DEEP_KEYS).filter(move |k| (j + k).is_multiple_of(5));
+        ks.map(move |k| vec![j, k])
+    });
+    naive::Db::from([
+        rel(
+            "src",
+            (0..SRC).map(|x| vec![x, (x / 3) % DEEP_KEYS]).collect(),
+        ),
+        rel("mid", mid.collect()),
+        rel(
+            "low",
+            low.flat_map(|j| [vec![j, 2 * j], vec![j, 2 * j + 1]])
+                .collect(),
+        ),
+        rel("hi", hi.collect()),
+        rel(
+            "ok",
+            (0..400).filter(|v| v % 3 != 1).map(|v| vec![v]).collect(),
+        ),
+        rel(
+            "ban",
+            (0..128)
+                .step_by(4)
+                .map(|w| vec![w, 7])
+                .chain(ban_k)
+                .collect(),
+        ),
+    ])
+}
+
+#[test]
+fn deeper_blocks_agree_with_the_naive_evaluator() {
+    let program = parse(DEEP).unwrap();
+    let facts = deep_facts();
+    // Every 97th `src` tuple, `mid`'s key 5 (all of `d5`) and one `ban`
+    // tuple, which sends the retraction to the negation fallback.
+    let batch: Vec<(String, Vec<u64>)> = (0..SRC)
+        .step_by(97)
+        .map(|x| ("src".to_string(), vec![x, (x / 3) % DEEP_KEYS]))
+        .chain(
+            facts["mid"]
+                .range(vec![5]..vec![6])
+                .map(|t| ("mid".to_string(), t.clone())),
+        )
+        .chain([("ban".to_string(), vec![0, 7])])
+        .collect();
+    let mut surviving = facts.clone();
+    for (rel, tuple) in &batch {
+        assert!(
+            surviving.get_mut(rel).unwrap().remove(tuple),
+            "{rel}{tuple:?}"
+        );
+    }
+    let (before, after) = (naive(&program, &facts), naive(&program, &surviving));
+    for rel in ["d1", "d2", "d3", "d4", "d5"] {
+        assert!(!before[rel].is_empty(), "{rel} is exercised");
+        assert_ne!(before[rel], after[rel], "the retraction reaches {rel}");
+    }
+    assert!(
+        before["d1"].len() as u64 > 8 * BLOCK,
+        "step 2 runs many blocks"
+    );
+
+    let matches = |engine: &Engine, expect: &naive::Db, what: &str| {
+        for rel in ["d1", "d2", "d3", "d4", "d5"] {
+            let got = engine.relation(rel).unwrap();
+            assert_eq!(got.len(), expect[rel].len(), "{what}: size of {rel}");
+            assert!(got.iter().eq(&expect[rel]), "{what}: relation {rel}");
+        }
+    };
+    for kind in StorageKind::ALL {
+        for threads in with_extra(&[1, 2]) {
+            for planner in [false, true] {
+                let what = format!("{kind:?}, {threads} threads, planner {planner}");
+                let mut engine = Engine::new(&program, kind, threads).unwrap();
+                engine.set_planner_enabled(planner);
+                for (rel, tuples) in &facts {
+                    engine.add_facts(rel, tuples.iter().cloned()).unwrap();
+                }
+                engine.run().unwrap();
+                matches(&engine, &before, &what);
+                let explain = engine.explain();
+                let d2 = explain.lines().find(|l| l.contains("emit d2(")).unwrap();
+                let tree = matches!(kind, StorageKind::SpecBTree | StorageKind::SpecBTreeNoHints);
+                let deep_index = d2.split(" ⋈ ").skip(2).any(|s| s.contains(" index="));
+                assert_eq!(
+                    deep_index,
+                    tree && planner,
+                    "{what}: a step of `d2` past the first inner one is an index range: {d2}"
+                );
+                engine.retract_facts(batch.clone()).unwrap();
+                matches(&engine, &after, &format!("{what}, after the retraction"));
+            }
+        }
     }
 }

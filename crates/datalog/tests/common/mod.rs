@@ -1,6 +1,9 @@
-//! Shared by the equivalence suites that sweep thread counts; each suite
-//! uses one of the two.
+//! Shared by the equivalence suites: the thread counts they sweep and the
+//! naive evaluator some of them check against; each suite uses what it
+//! needs.
 #![allow(dead_code)]
+
+pub mod naive;
 
 /// Thread counts to exercise. `DATALOG_TEST_THREADS` (used by the CI smoke
 /// matrix) appends an extra count.

@@ -2,8 +2,11 @@
 //! buffer that is sorted, deduplicated and applied as one run — an anti-join
 //! over the full relation, what is left merged into `new`; leaf group by
 //! leaf group on the trees, tuple by tuple on the other kinds — when it
-//! holds 16 384 tuples and when a worker's outer chunk or a degenerate plan
-//! ends. Every rule below sits on one side of one of those flush points, and
+//! holds 16 384 tuples (in a plan that reads by blocks, at the first block
+//! boundary after that, or past 65 536), when a chunk ends if several
+//! workers share the plan, and once when a worker has run its last chunk or
+//! a degenerate plan ends: a worker alone keeps one batch across its chunks.
+//! Every rule below sits on one side of one of those flush points, and
 //! the `far` rules on either side of the sort's own choice: a batch whose
 //! columns vary in a few bits is put in order by counting, one whose columns
 //! spread over the whole word by comparing. The expected relations are

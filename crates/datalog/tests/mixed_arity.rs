@@ -8,9 +8,11 @@
 //! with a naive bottom-up evaluator that shares nothing with the engine but
 //! the parser and the stratifier.
 
-use datalog::ast::{Literal, Program, Term};
-use datalog::{parse, stratify, Engine, StorageKind, MAX_ARITY};
-use std::collections::{BTreeMap, BTreeSet};
+mod common;
+
+use common::naive::{naive, Db};
+use datalog::{parse, Engine, StorageKind, MAX_ARITY};
+use std::collections::BTreeSet;
 
 const PROGRAM: &str = r#"
     .decl node(x: number)
@@ -42,87 +44,6 @@ const PROGRAM: &str = r#"
     unreturned(a, b, c) :- hop(a, b, c), !reach(c, a).
     quiet(a, b, c, d, e) :- rec(a, b, c, d, e), !back5(a), !start(e).
 "#;
-
-type Db = BTreeMap<String, BTreeSet<Vec<u64>>>;
-type Env = BTreeMap<String, u64>;
-
-/// `env` extended so that `terms` matches `tuple`, if it can be.
-fn unify(terms: &[Term], tuple: &[u64], env: &Env) -> Option<Env> {
-    let mut env = env.clone();
-    for (term, &value) in terms.iter().zip(tuple) {
-        let bound = match term {
-            Term::Const(c) => *c,
-            Term::Var(v) => *env.entry(v.clone()).or_insert(value),
-            Term::Wildcard => value,
-        };
-        if bound != value {
-            return None;
-        }
-    }
-    Some(env)
-}
-
-/// Calls `found` with every binding of the positive literals `body`.
-fn solve(body: &[&Literal], db: &Db, env: &Env, found: &mut dyn FnMut(&Env)) {
-    let Some((lit, rest)) = body.split_first() else {
-        return found(env);
-    };
-    for tuple in &db[&lit.atom.relation] {
-        if let Some(env) = unify(&lit.atom.terms, tuple, env) {
-            solve(rest, db, &env, found);
-        }
-    }
-}
-
-/// Naive bottom-up evaluation, stratum by stratum: every rule over the
-/// whole database, again and again, until nothing is new.
-fn naive(program: &Program, facts: &Db) -> Db {
-    let value = |t: &Term, env: &Env| match t {
-        Term::Const(c) => *c,
-        Term::Var(v) => env[v],
-        Term::Wildcard => unreachable!("wildcards only occur in positive literals"),
-    };
-    let mut db: Db = program
-        .decls
-        .iter()
-        .map(|d| {
-            (
-                d.name.clone(),
-                facts.get(&d.name).cloned().unwrap_or_default(),
-            )
-        })
-        .collect();
-    for stratum in &stratify(program).unwrap().strata {
-        loop {
-            let mut derived: Vec<(&str, Vec<u64>)> = Vec::new();
-            for rule in stratum.rules.iter().map(|&ri| &program.rules[ri]) {
-                let (negative, positive): (Vec<&Literal>, Vec<&Literal>) =
-                    rule.body.iter().partition(|l| l.negated);
-                solve(&positive, &db, &Env::new(), &mut |env| {
-                    let absent = |l: &&Literal| {
-                        let t: Vec<u64> = l.atom.terms.iter().map(|t| value(t, env)).collect();
-                        !db[&l.atom.relation].contains(&t)
-                    };
-                    let holds = |c: &datalog::ast::Constraint| {
-                        c.op.eval(value(&c.lhs, env), value(&c.rhs, env))
-                    };
-                    if negative.iter().all(absent) && rule.constraints.iter().all(holds) {
-                        let head = rule.head.terms.iter().map(|t| value(t, env)).collect();
-                        derived.push((&rule.head.relation, head));
-                    }
-                });
-            }
-            let mut grew = false;
-            for (rel, tuple) in derived {
-                grew |= db.get_mut(rel).unwrap().insert(tuple);
-            }
-            if !grew {
-                break;
-            }
-        }
-    }
-    db
-}
 
 /// An 18-node graph with cycles, three start nodes, one asserted fact each
 /// in `lonely` and `quiet` (rule-defined relations of the strata the

@@ -24,9 +24,12 @@ const TC_PROGRAM: &str = r#"
 /// chunk is claimed exactly once, so none of these may depend on the worker
 /// count.
 ///
-/// The range queries issued are not among them either: a plan's first inner
-/// scan issues one per distinct key of a block of bindings, and a block ends
-/// where its chunk does (389 at one worker against 399 at two on `grid(6)`).
+/// The range queries issued are not among them either: an inner scan with a
+/// bound prefix issues one per distinct key of a block of bindings, a worker
+/// alone keeps its blocks across the chunks it claims, and several workers
+/// end theirs with each chunk (180 at one worker on `grid(6)`, 380–405 at two
+/// to eight on the kinds that cut a delta evenly; the trees cut these small
+/// deltas into one chunk each and read 180 at every count).
 ///
 /// The head's membership tests and inserts are not among them: they count
 /// calls issued after a worker's emit batch has dropped its duplicates, and
