@@ -55,8 +55,7 @@ impl From<StratError> for EngineError {
 }
 
 /// Aggregate evaluation statistics — the quantities the paper's Table 2
-/// reports ("Evaluation Statistics") plus hint effectiveness (§4.3's hint
-/// hit rates).
+/// reports ("Evaluation Statistics").
 ///
 /// The four operation counts are taken where the engine and its workers
 /// issue the calls — one per `insert`, per membership test and per range
@@ -73,9 +72,8 @@ impl From<StratError> for EngineError {
 /// — like [`Engine::worker_stats`] and [`Engine::profile`] — describes
 /// only the most recent run (a ratio cannot meaningfully accumulate).
 ///
-/// Each worker counts the join's operations and its sites' hints into an
-/// `EvalStats` of its own ([`Engine::worker_stats`]), which
-/// [`merge`](Self::merge) adds up.
+/// Each worker counts the join's operations into an `EvalStats` of its own
+/// ([`Engine::worker_stats`]), which [`merge`](Self::merge) adds up.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalStats {
     /// Tuples offered to relation storages: loaded facts, tuples a merge or
@@ -137,10 +135,10 @@ pub struct EvalStats {
     /// prefix, no secondary index) — each one re-reads a whole relation
     /// per outer tuple.
     pub inner_scans_full: u64,
-    /// Operation-hint statistics of the scan and check sites (specialized
-    /// B-tree only): each worker makes a context per site for every plan
-    /// execution and counts its hits and misses here, a retraction's
-    /// probes included.
+    /// Operation-hint statistics. The engine writes none: its scans and
+    /// checks read by sorted blocks through the tree's unhinted operations,
+    /// so this stays zero. It is kept because the repository benchmark
+    /// reads it.
     pub hints: HintStats,
 }
 
@@ -532,9 +530,9 @@ impl Engine {
     }
 
     /// Per-worker counters from the last [`run`](Self::run) (index = worker
-    /// id; empty before the first run): the join's operations and the hints
-    /// of the worker's sites, the fields [`EvalStats::merge`] sums into
-    /// [`stats`](Self::stats), and nothing else.
+    /// id; empty before the first run): the join's operations, the fields
+    /// [`EvalStats::merge`] sums into [`stats`](Self::stats), and nothing
+    /// else.
     pub fn worker_stats(&self) -> &[EvalStats] {
         &self.worker_stats
     }

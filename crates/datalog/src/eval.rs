@@ -18,13 +18,14 @@
 //! Every later scan with a bound prefix and every check takes the bindings
 //! that reach it a sorted block at a time, one range query or membership
 //! test per distinct key where Figure 1 issues one per binding; a lone
-//! worker's blocks and emit batch span its chunks. Every worker makes
-//! private storage contexts (operation hints) for the plan's scan and check
-//! sites when it starts a plan execution, and merges its head tuples, a
-//! sorted batch at a time, into the shared `new` relation through the
-//! concurrent storage API. Reads (scans over stable relations) and writes
-//! (batches merged into `new`) never target the same structure — the
-//! two-phase property (§2) the B-tree's synchronization is specialized for.
+//! worker's blocks and emit batch span its chunks, and every lookup goes
+//! through the tree's unhinted operations: a block's sorted keys already
+//! hold the locality the paper's thread-local hints cache. Every worker
+//! merges its head tuples, a sorted batch at a time, into the shared `new`
+//! relation through the concurrent storage API. Reads (scans over stable
+//! relations) and writes (batches merged into `new`) never target the same
+//! structure — the two-phase property (§2) the B-tree's synchronization is
+//! specialized for.
 
 use crate::ast::{CmpOp, Rule, Term, MAX_ARITY};
 use crate::planner::IndexCatalog;
@@ -518,7 +519,7 @@ type Bound<'a> = Option<&'a dyn RelationStorage>;
 
 /// The head's two tables: the full relation a flushed batch is anti-joined
 /// with and the `new` table the rest is merged into. No operation sites: a
-/// run reads and writes no hint, so no worker makes a context for them.
+/// run needs no scratch, so no worker makes a context for them.
 #[derive(Clone, Copy)]
 struct Head<'a> {
     full: &'a dyn RelationStorage,
@@ -562,14 +563,12 @@ impl<'a> StorageEnv<'a> {
 }
 
 /// An operation site during one worker's execution of one plan: where the
-/// operation goes and the worker's context for it (the paper's thread-local
-/// hints), made before the first tuple.
+/// operation goes and the worker's context for it, made before the first
+/// tuple.
 ///
-/// Every scan and check site has a context of its own: distinct sites have
-/// distinct access streams, and sharing one hint between them makes each
-/// evict the other's cached leaf. Soufflé's generated code likewise creates
-/// one operation context per call site, inside each query's parallel
-/// section.
+/// Every scan and check site has a context of its own: a locked baseline
+/// replays a scan's matches out of it, and the callback may scan the same
+/// relation again at a deeper site.
 struct Site<'a> {
     src: &'a dyn RelationStorage,
     ctx: StorageCtx,
@@ -583,15 +582,6 @@ impl<'a> Site<'a> {
             ctx: src.make_ctx(),
         };
         bound.iter().map(|b| b.map(open)).collect()
-    }
-
-    /// Adds the hint statistics of the contexts of `sites` to `stats`.
-    fn close(sites: &[Option<Self>], stats: &mut EvalStats) {
-        for Site { src, ctx } in sites.iter().flatten() {
-            if let Some(hints) = src.hint_stats(ctx) {
-                stats.hints.merge(&hints);
-            }
-        }
     }
 
     /// Calls `f` for every tuple a scan through `index` (the primary tree
@@ -608,7 +598,7 @@ impl<'a> Site<'a> {
 /// What one worker keeps from one plan execution to the next.
 #[derive(Default)]
 pub(crate) struct Worker {
-    /// The join's operations and the hints of the worker's sites.
+    /// The join's operations.
     pub stats: EvalStats,
     /// The emit batch: empty between plan executions, kept for its
     /// allocation (a fresh buffer of up to 640 KB per execution is an `mmap`
@@ -688,8 +678,7 @@ pub(crate) fn eval_plan(plan: &Plan, env: &StorageEnv<'_>, workers: &mut [Worker
         let mut evaluator = Evaluator::new(plan, head, stats, buf, blocks);
         let mut vars = vec![0u64; plan.nvars];
         evaluator.run_from(0, &mut vars, &mut sites, blocks);
-        evaluator.finish(0, &mut vars, &mut sites, blocks);
-        return Site::close(&sites, evaluator.stats);
+        return evaluator.finish(0, &mut vars, &mut sites, blocks);
     };
     debug_assert!(
         prefix.iter().all(|s| matches!(s, Slot::Const(_))),
@@ -727,9 +716,9 @@ pub(crate) fn eval_plan(plan: &Plan, env: &StorageEnv<'_>, workers: &mut [Worker
 
 impl Job<'_> {
     /// One worker's claim loop: chunks off the shared cursor until none are
-    /// left, through contexts the worker makes for this execution and whose
-    /// hint statistics it counts afterwards. Beside other workers it runs its
-    /// blocks and batch at each chunk's end; alone, after its last chunk.
+    /// left, through contexts the worker makes for this execution. Beside
+    /// other workers it runs its blocks and batch at each chunk's end; alone,
+    /// after its last chunk.
     fn run(&self, worker: &mut Worker) {
         let plan = self.plan;
         let Worker { stats, buf, blocks } = worker;
@@ -752,7 +741,7 @@ impl Job<'_> {
             }
             let chunk_timer = telemetry::start_timer();
             let _span = telemetry::span("eval.chunk", i as u64);
-            outer.src.scan_chunk(chunk, &mut outer.ctx, &mut |t| {
+            outer.src.scan_chunk(chunk, &mut |t| {
                 evaluator.join(0, t, &mut vars, inner, inner_blocks)
             });
             if !self.alone {
@@ -761,7 +750,6 @@ impl Job<'_> {
             chunk_timer.observe(telemetry::Hist::EvalChunkNanos);
         }
         evaluator.finish(1, &mut vars, inner, inner_blocks);
-        Site::close(&sites, evaluator.stats);
     }
 }
 
@@ -1025,7 +1013,7 @@ impl<'p, 'c> Evaluator<'p, 'c> {
     /// the Figure 1 pattern — check the full relation, insert into `new`
     /// when unseen — as one anti-join over `full` and one merge of what is
     /// left into `new`: two calls a batch, each tree visited leaf group by
-    /// leaf group, not one call and one hint probe per tuple. Deferring them
+    /// leaf group, not one call and one probe per tuple. Deferring them
     /// changes no result: nothing a plan reads is written while it runs
     /// ([`StorageEnv::bind`]). Every plan execution ends with a flush, so
     /// `new` is complete when [`eval_plan`] returns.

@@ -5,8 +5,7 @@
 //! the system whose end-to-end performance depends on the relation data
 //! structure underneath. Relations are pluggable ([`StorageKind`]) so the
 //! engine can run the same program over the specialized concurrent B-tree
-//! (with or without operation hints) and every baseline structure the paper
-//! compares against.
+//! and every baseline structure the paper compares against.
 //!
 //! Pipeline: [`parse`] (or the [`ast::build`] API) → [`stratify`]
 //! (dependency analysis, SCC condensation, safety checks) → [`Engine::run`]

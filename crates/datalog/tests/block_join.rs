@@ -202,7 +202,7 @@ fn every_block_edge_agrees_with_the_definitions() {
                 }
                 let explain = engine.explain();
                 let perm = explain.lines().find(|l| l.contains("emit perm(")).unwrap();
-                let tree = matches!(kind, StorageKind::SpecBTree | StorageKind::SpecBTreeNoHints);
+                let tree = kind == StorageKind::SpecBTree;
                 assert_eq!(
                     perm.contains("index=[1,"),
                     tree && planner,
@@ -437,7 +437,7 @@ fn deeper_blocks_agree_with_the_naive_evaluator() {
                 matches(&engine, &before, &what);
                 let explain = engine.explain();
                 let d2 = explain.lines().find(|l| l.contains("emit d2(")).unwrap();
-                let tree = matches!(kind, StorageKind::SpecBTree | StorageKind::SpecBTreeNoHints);
+                let tree = kind == StorageKind::SpecBTree;
                 let deep_index = d2.split(" ⋈ ").skip(2).any(|s| s.contains(" index="));
                 assert_eq!(
                     deep_index,

@@ -3,6 +3,7 @@
 //! counts — the cross-product §4.3 of the paper exercises.
 
 use datalog::{parse, Engine, StorageKind};
+use specbtree::HintStats;
 use std::collections::BTreeSet;
 
 /// Reference transitive closure via repeated squaring over a set.
@@ -288,42 +289,6 @@ fn stats_reflect_workload() {
     assert!(stats.upper_bound_calls <= stats.lower_bound_calls);
     assert!(stats.upper_bound_calls > 0);
     assert!(stats.iterations >= 50, "chain needs ~n iterations");
-    // The recursive scan pattern is highly ordered: hints must hit.
-    assert!(stats.hints.hits() > 0);
-}
-
-#[test]
-fn hint_rates_higher_for_spec_btree_than_absent_for_others() {
-    let edges: Vec<(u64, u64)> = (0..30).map(|i| (i, i + 1)).collect();
-    let program = parse(TC_PROGRAM).unwrap();
-    let mut engine = Engine::new(&program, StorageKind::RbTreeLocked, 2).unwrap();
-    engine
-        .add_facts("edge", edges.iter().map(|&(a, b)| vec![a, b]))
-        .unwrap();
-    engine.run().unwrap();
-    assert_eq!(
-        engine.stats().hints.hits() + engine.stats().hints.misses(),
-        0
-    );
-}
-
-/// A retraction's plans probe through hints too, and its workers' counts
-/// reach the engine's.
-#[test]
-fn retraction_counts_its_hinted_probes() {
-    let program = parse(TC_PROGRAM).unwrap();
-    let mut engine = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();
-    engine
-        .add_facts("edge", (0..40).map(|i| vec![i, i + 1]))
-        .unwrap();
-    engine.run().unwrap();
-    let probes = |e: &Engine| e.stats().hints.hits() + e.stats().hints.misses();
-    let before = probes(&engine);
-    engine.retract_fact("edge", &[38, 39]).unwrap();
-    assert!(
-        probes(&engine) > before,
-        "the retraction's probes went uncounted"
-    );
 }
 
 #[test]
@@ -552,8 +517,8 @@ fn eval_stats_to_json_shape() {
 /// counting wrapper around every storage took the counts, so the rework
 /// changed what a crossing costs, not how many there are; the binary `path`
 /// relation is stored at its declared arity, not padded to `MAX_ARITY`
-/// words; and head tuples reach the two trees as sorted runs, not one by
-/// one, which is what the idle head hints at the end hold.
+/// words; head tuples reach the two trees as sorted runs, not one by one;
+/// and neither the run nor a retraction issues a hinted operation.
 #[test]
 fn seam_does_the_same_work_on_narrower_trees() {
     let mut edges = Vec::new();
@@ -593,13 +558,10 @@ fn seam_does_the_same_work_on_narrower_trees() {
     assert_eq!(stats.membership_tests, 172_842);
     assert_eq!(stats.inserts, 151_473);
 
-    // The head issues no probe: a flushed batch is one anti-join over `path`
-    // and one grouped merge into its `new` table, and this program has no
-    // check site, so nobody reads the contains hint or the insert hint (the
-    // per-tuple head hit them at 0.83 and 0.95).
-    let hints = &stats.hints;
-    assert_eq!(hints.contains_hits + hints.contains_misses, 0);
-    assert_eq!(hints.insert_hits + hints.insert_misses, 0);
+    // No hinted operation: a flushed batch is one anti-join over `path` and
+    // one grouped merge into its `new` table, and the scans read by blocks
+    // through the tree's unhinted lower bound.
+    assert_eq!(stats.hints, HintStats::default());
 
     // Node bytes per `path` tuple in the same run before the rework, when
     // every relation was a tree of five-word keys.
@@ -613,4 +575,9 @@ fn seam_does_the_same_work_on_narrower_trees() {
         bytes_per_tuple <= 0.5 * PADDED_BYTES_PER_TUPLE,
         "{bytes_per_tuple:.1} node bytes per binary tuple"
     );
+
+    // A retraction's plans read the same way.
+    let (a, b) = edges[0];
+    engine.retract_fact("edge", &[a, b]).unwrap();
+    assert_eq!(engine.stats().hints, HintStats::default());
 }

@@ -22,7 +22,7 @@ fn op() -> impl Strategy<Value = (bool, (u64, u64))> {
 }
 
 /// Backends that maintain real permuted trees.
-const INDEXED: [StorageKind; 2] = [StorageKind::SpecBTree, StorageKind::SpecBTreeNoHints];
+const INDEXED: [StorageKind; 1] = [StorageKind::SpecBTree];
 
 /// Every other backend answers `scan_index` by filtering a sweep.
 fn unindexed() -> impl Iterator<Item = StorageKind> {

@@ -81,15 +81,13 @@ fn merge_from_matches_model_on_all_backend_pairs() {
 }
 
 /// Append-shaped deltas (source sorts entirely after the target maximum)
-/// on the B-tree backends: every run lands on the rightmost leaf group, at
+/// on the B-tree backend: every run lands on the rightmost leaf group, at
 /// every worker count, still checked against the model.
 #[test]
 fn merge_from_append_delta_on_btree_backends() {
     let a: Vec<(u64, u64)> = (0..500).map(|i| (i, i % 7)).collect();
     let b: Vec<(u64, u64)> = (500..900).map(|i| (i, i % 7)).collect();
-    for kind in [StorageKind::SpecBTree, StorageKind::SpecBTreeNoHints] {
-        check_pair(kind, kind, &a, &b);
-    }
+    check_pair(StorageKind::SpecBTree, StorageKind::SpecBTree, &a, &b);
 }
 
 /// Merging an empty source and merging into an empty target are both exact

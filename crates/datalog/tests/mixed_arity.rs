@@ -135,8 +135,7 @@ fn mixed_arity_program_agrees_with_the_naive_reference() {
                 let report = engine.storage_report();
                 for rel in ["hop", "rec"] {
                     let row = report.relations.iter().find(|r| r.name == rel).unwrap();
-                    let tree =
-                        matches!(kind, StorageKind::SpecBTree | StorageKind::SpecBTreeNoHints);
+                    let tree = kind == StorageKind::SpecBTree;
                     assert_eq!(
                         !row.index_perms.is_empty(),
                         tree && planner,

@@ -232,7 +232,7 @@ fn facts_added_to_an_indexed_relation_reach_its_index() {
             load(&later);
             let report = engine.storage_report();
             let edge = report.relations.iter().find(|r| r.name == "edge").unwrap();
-            let indexed = kind == StorageKind::SpecBTree || kind == StorageKind::SpecBTreeNoHints;
+            let indexed = kind == StorageKind::SpecBTree;
             let want: Vec<Vec<usize>> = if indexed { vec![vec![1, 0]] } else { vec![] };
             assert_eq!(edge.index_perms, want, "{kind:?}");
             let all: Vec<(&str, Vec<Vec<u64>>)> = first

@@ -123,11 +123,11 @@ fn main() {
     }
     let s = engine.stats();
     eprintln!(
-        "[stats] {} iterations, {} inserts, {} membership tests, {} range queries, {:.0}% hint hits",
+        "[stats] {} iterations, {} inserts, {} membership tests, {} lower bounds for {} indexed inner scans",
         s.iterations,
         s.inserts,
         s.membership_tests,
-        s.lower_bound_calls + s.upper_bound_calls,
-        s.hints.hit_rate() * 100.0
+        s.lower_bound_calls,
+        s.inner_scans_indexed
     );
 }

@@ -44,10 +44,8 @@ fn main() {
         stats.lower_bound_calls + stats.upper_bound_calls
     );
     println!(
-        "operation hints: {} hits / {} misses ({:.0}%)",
-        stats.hints.hits(),
-        stats.hints.misses(),
-        stats.hints.hit_rate() * 100.0
+        "reads by blocks: {} lower bounds and {} membership tests for {} indexed inner scans",
+        stats.lower_bound_calls, stats.membership_tests, stats.inner_scans_indexed
     );
 
     // Inspect: the variables with the largest points-to sets.

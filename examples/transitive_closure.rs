@@ -44,11 +44,15 @@ fn main() {
             let secs = start.elapsed().as_secs_f64();
             let paths = engine.relation_len("path").expect("path exists");
             assert_eq!(paths, expected.len(), "{} diverged", kind.label());
+            let s = engine.stats();
             println!(
-                "{:<16} {threads} thread(s): {secs:.3}s, {} fixpoint iterations, hint rate {:.0}%",
+                "{:<16} {threads} thread(s): {secs:.3}s, {} fixpoint iterations, \
+                 {} lower bounds and {} membership tests for {} indexed inner scans",
                 kind.label(),
-                engine.stats().iterations,
-                engine.stats().hints.hit_rate() * 100.0,
+                s.iterations,
+                s.lower_bound_calls,
+                s.membership_tests,
+                s.inner_scans_indexed,
             );
         }
     }

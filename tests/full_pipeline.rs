@@ -63,7 +63,6 @@ fn pointsto_engine_output_matches_reference_across_backends() {
     let expect = pointsto::reference_vpt(&facts);
     for kind in [
         StorageKind::SpecBTree,
-        StorageKind::SpecBTreeNoHints,
         StorageKind::GBTreeLocked,
         StorageKind::ConcurrentHashSet,
     ] {
