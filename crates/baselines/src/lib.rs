@@ -13,7 +13,6 @@
 //! | [`hashset`] | C++ `std::unordered_set` ("STL hashset") | O(1)-ops, no-range baseline |
 //! | [`gbtree`] | Google's C++ B-tree ("google btree") | state-of-the-art sequential B-tree |
 //! | [`splitorder`] | Intel TBB `concurrent_unordered_set` (split-ordered list) | industry-standard concurrent set |
-//! | [`concurrent_hashset`] | — (lock-striped alternative) | simpler concurrent set used in stress tests |
 //! | [`global_lock`] | "google btree + global lock" | coarse-grained parallelization |
 //! | [`lockcoupling`] | classical fine-grained R/W-lock B-tree (§3.1 survey) | pessimistic-locking ablation |
 //! | [`reduction`] | OpenMP reduction over Google B-tree ("reduction btree") | private-insert-then-merge |
@@ -31,7 +30,6 @@
 
 pub mod bplus;
 pub mod bslack;
-pub mod concurrent_hashset;
 pub mod gbtree;
 pub mod global_lock;
 pub mod hashset;

@@ -6,7 +6,6 @@
 
 use baselines::bplus::BPlusMap;
 use baselines::bslack::BSlackTree;
-use baselines::concurrent_hashset::ConcurrentHashSet;
 use baselines::gbtree::GBTreeSet;
 use baselines::hashset::HashSet as OaHashSet;
 use baselines::lockcoupling::LockCouplingBTree;
@@ -73,21 +72,6 @@ proptest! {
         let mut expect: Vec<u64> = m.into_iter().collect();
         expect.sort_unstable();
         prop_assert_eq!(collected, expect);
-    }
-
-    #[test]
-    fn concurrent_hashset_matches_model(ops in keys()) {
-        let s = ConcurrentHashSet::new();
-        let mut m = std::collections::HashSet::new();
-        for k in &ops {
-            prop_assert_eq!(s.insert(*k), m.insert(*k));
-        }
-        prop_assert_eq!(s.len(), m.len());
-        let mut snap = s.snapshot();
-        snap.sort_unstable();
-        let mut expect: Vec<u64> = m.into_iter().collect();
-        expect.sort_unstable();
-        prop_assert_eq!(snap, expect);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use crate::ast::Program;
 use crate::eval::{
-    delta_positions, eval_plan, insert_tuples, side_table, source_order, SideTables, StorageEnv,
-    Worker,
+    delta_positions, eval_plan, insert_tuples, plan_delta_rel, side_table, source_order,
+    SideTables, StorageEnv, Worker,
 };
 use crate::planner::{self, CostModel, IndexCatalog, Version};
 use crate::storage::{pad, RelationStorage, StorageKind, TupleBuf};
@@ -69,8 +69,8 @@ impl From<StratError> for EngineError {
 /// adding to the same totals, and [`Engine::reset_stats`] restarts all of
 /// them from zero.
 /// The one exception is [`sched_imbalance`](Self::sched_imbalance), which
-/// — like [`Engine::worker_stats`] and [`Engine::profile`] — describes
-/// only the most recent run (a ratio cannot meaningfully accumulate).
+/// — like [`Engine::worker_stats`] — describes only the most recent run (a
+/// ratio cannot meaningfully accumulate).
 ///
 /// Each worker counts the join's operations into an `EvalStats` of its own
 /// ([`Engine::worker_stats`]), which [`merge`](Self::merge) adds up.
@@ -250,7 +250,10 @@ pub struct RetractOutcome {
     /// over to recomputation, those found until it was.
     pub overdeleted: u64,
     /// Tuples the rederivation phase put back (alternative derivations,
-    /// plus overdeleted EDB facts that were not themselves retracted).
+    /// plus overdeleted EDB facts that were not themselves retracted). On a
+    /// database that holds facts added since the last run, it also counts
+    /// what those facts derive through what came back, which the next run
+    /// would derive anyway.
     pub rederived: u64,
     /// Strata recomputed from scratch: from the first whose deletion sets
     /// grew past a quarter of what recomputing rebuilds, or with a rule
@@ -362,7 +365,7 @@ pub struct Engine {
     /// Per rule, the versions its stratum last evaluated (what
     /// [`explain`](Self::explain) reports once the rule has run).
     executed: Vec<Vec<Version>>,
-    /// The synthetic versions the last [`retract_facts`](Self::retract_facts)
+    /// The versions the last [`retract_facts`](Self::retract_facts)
     /// planned, each with the phase that ran it.
     retraction: Vec<(&'static str, Box<Version>)>,
 }
@@ -601,12 +604,13 @@ impl Engine {
         }
 
         // Aggregate the workers' counters and compute the load-imbalance
-        // figure (max/mean of tuples scanned across workers).
+        // figure (max/mean of this run's tuples scanned across workers).
         let wstats: Vec<EvalStats> = workers.into_iter().map(|w| w.stats).collect();
         wstats.iter().for_each(|w| self.stats.merge(w));
         let active = wstats.iter().filter(|w| w.chunks_claimed > 0).count();
-        self.stats.sched_imbalance = if active > 0 && self.stats.tuples_scanned > 0 {
-            let mean = self.stats.tuples_scanned as f64 / self.threads as f64;
+        let scanned: u64 = wstats.iter().map(|w| w.tuples_scanned).sum();
+        self.stats.sched_imbalance = if active > 0 && scanned > 0 {
+            let mean = scanned as f64 / self.threads as f64;
             let max = wstats.iter().map(|w| w.tuples_scanned).max().unwrap_or(0);
             max as f64 / mean
         } else {
@@ -638,10 +642,9 @@ impl Engine {
     }
 
     /// Evaluates one stratum to fixpoint over the current contents of
-    /// `self.rels`: non-recursive rules once, then the semi-naive loop,
-    /// whose versions are ordered once the base rules have merged and again
-    /// before every iteration, from the counts and delta sizes of that
-    /// moment. Shared by [`run`](Self::run) and the negation-fallback
+    /// `self.rels`: non-recursive rules once, then the semi-naive
+    /// [`fixpoint`](Self::fixpoint) from the whole of the stratum's
+    /// relations. Shared by [`run`](Self::run) and the negation-fallback
     /// recompute inside [`retract_facts`](Self::retract_facts).
     fn eval_stratum(&mut self, stratum: &Stratum, workers: &mut [Worker]) {
         let stratum_timer = telemetry::start_timer();
@@ -653,27 +656,42 @@ impl Engine {
 
         // Phase 1: non-recursive rules derive directly into `new`, then
         // merge (no version of them reads a delta).
-        {
-            let new = self.side_tables(&stratum.relations, 0);
-            self.eval_versions(&base, &Vec::new(), &new, workers);
-            self.merge_stratum(&new);
-        }
+        let new = self.side_tables(&stratum.relations, 0);
+        self.eval_versions(&base, &[], &Vec::new(), &new, workers);
+        self.merge_stratum(&new);
         self.record(base);
-
-        if !stratum.recursive || rec.is_empty() {
-            stratum_timer.observe(telemetry::Hist::EvalStratumNanos);
-            return;
-        }
 
         // Phase 2: the semi-naive fixpoint. Delta starts as the full
         // current contents of the stratum's relations.
-        let mut delta = self.side_tables(&stratum.relations, 0);
-        let mut deltas = self.whole_deltas(stratum);
-        for &r in &stratum.relations {
-            let seeded = side_table(&delta, r).merge_from(self.rels[r].as_ref(), self.threads);
-            self.stats.inserts += seeded;
+        if stratum.recursive && !rec.is_empty() {
+            let delta = self.side_tables(&stratum.relations, 0);
+            for &r in &stratum.relations {
+                let seeded = side_table(&delta, r).merge_from(self.rels[r].as_ref(), self.threads);
+                self.stats.inserts += seeded;
+            }
+            let deltas = self.whole_deltas(stratum);
+            self.fixpoint(stratum, &mut rec, delta, deltas, workers);
+            self.record(rec);
         }
+        stratum_timer.observe(telemetry::Hist::EvalStratumNanos);
+    }
 
+    /// Figure 1's semi-naive loop over `stratum`'s recursive versions `rec`,
+    /// from `delta` (`deltas[r]` tuples of relation `r`) to fixpoint: the
+    /// versions are ordered before every iteration from the counts and
+    /// delta sizes of that moment, and each round's `new` tables are merged
+    /// into the relations and become the next delta. Returns the tuples
+    /// added. [`run`](Self::run) starts it from whole relations, a
+    /// retraction's rederivation from what it put back.
+    fn fixpoint(
+        &mut self,
+        stratum: &Stratum,
+        rec: &mut [Version],
+        mut delta: SideTables,
+        mut deltas: Vec<f64>,
+        workers: &mut [Worker],
+    ) -> u64 {
+        let mut total = 0;
         for iteration in 1u64.. {
             self.stats.iterations += 1;
             telemetry::count(telemetry::Counter::EvalIterations);
@@ -682,12 +700,13 @@ impl Engine {
                 let delta_size: f64 = deltas.iter().sum();
                 telemetry::record(telemetry::Hist::EvalDeltaTuples, delta_size as u64);
             }
-            self.replan(&mut rec, stratum, &deltas, iteration);
+            self.replan(rec, stratum, &deltas, iteration);
             let new = self.side_tables(&stratum.relations, 0);
-            self.eval_versions(&rec, &delta, &new, workers);
+            self.eval_versions(rec, &[], &delta, &new, workers);
             let mut any = false;
             for (r, added) in self.merge_stratum(&new) {
                 deltas[r] = added as f64;
+                total += added;
                 any |= added > 0;
             }
             if !any {
@@ -695,8 +714,7 @@ impl Engine {
             }
             delta = new;
         }
-        self.record(rec);
-        stratum_timer.observe(telemetry::Hist::EvalStratumNanos);
+        total
     }
 
     /// Keeps evaluated versions for [`explain`](Self::explain).
@@ -706,22 +724,33 @@ impl Engine {
         }
     }
 
-    /// Evaluates every version's current plan over the full relations,
-    /// `delta` and `new`, attributing the time to the version's rule.
+    /// Evaluates every version's current plan over the relations followed by
+    /// `extra` (a retraction's deletion sets, at ids `nrels..`), `delta` and
+    /// `new`, attributing the time to the version's rule. A version whose
+    /// delta is empty this round derives nothing and is skipped, which
+    /// matters for the source-order retraction versions, whose outer scan
+    /// is a full relation.
     fn eval_versions(
         &mut self,
         versions: &[Version],
+        extra: &[&dyn RelationStorage],
         delta: &SideTables,
         new: &SideTables,
         workers: &mut [Worker],
     ) {
-        let full: Vec<&dyn RelationStorage> = self.rels.iter().map(|b| b.as_ref()).collect();
+        let rels = self.rels.iter().map(|b| b.as_ref());
+        let full: Vec<&dyn RelationStorage> = rels.chain(extra.iter().copied()).collect();
         let env = StorageEnv {
             full: &full,
             delta,
             new,
         };
         for v in versions {
+            let idle = plan_delta_rel(&v.plan)
+                .is_some_and(|r| delta[r].as_ref().is_none_or(|s| s.is_empty()));
+            if idle {
+                continue;
+            }
             let t0 = std::time::Instant::now();
             let _span = telemetry::span("eval.plan", v.plan.head_rel as u64);
             eval_plan(&v.plan, &env, workers);
@@ -815,8 +844,10 @@ impl Engine {
         &self.program.symbols
     }
 
-    /// Per-rule evaluation profile of the last run, hottest rules first —
-    /// the engine's analog of Soufflé's profiler output.
+    /// Per-rule evaluation profile of the last run and of the retractions
+    /// since, hottest rules first — the engine's analog of Soufflé's
+    /// profiler output. A retraction's versions count toward the rule they
+    /// were made from.
     pub fn profile(&self) -> Vec<RuleProfile> {
         let mut out: Vec<RuleProfile> = self
             .profile
@@ -946,8 +977,9 @@ impl Engine {
     /// every body literal was costed with, and by the fixpoint iteration
     /// of its last re-ordering if there was one. After a
     /// [`retract_facts`](Self::retract_facts), a `retraction:` section lists
-    /// the synthetic versions it planned, by phase, over the deletion sets
-    /// `~del~r` and what each literal was costed with.
+    /// the versions it planned, by phase — the synthetic ones over the
+    /// deletion sets `~del~r`, then the recursive ones rederivation
+    /// propagated with — and what each literal was costed with.
     pub fn explain(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

@@ -3,10 +3,9 @@
 //! one per-call [`Retraction`].
 
 use super::{Engine, EngineError, RetractOutcome};
-use crate::ast::{Atom, Literal, Rule, Term};
+use crate::ast::{Atom, Literal, Rule};
 use crate::eval::{
-    compile_one_at, eval_plan, has_unprefixed_inner_scan, insert_tuples, plan_delta_rel,
-    side_table, Plan, SideTables, StorageEnv, Worker,
+    compile_one_at, has_unprefixed_inner_scan, insert_tuples, side_table, SideTables, Worker,
 };
 use crate::planner::{self, CostModel, Version};
 use crate::storage::{RelationStorage, TupleBuf};
@@ -56,8 +55,10 @@ struct Retraction {
     /// meet), then the deletion sets at their live sizes.
     cards: Vec<f64>,
     workers: Vec<Worker>,
-    /// Every synthetic version planned, with the phase that runs it (boxed,
-    /// so that a retraction planning one rule allocates no kilobyte block).
+    /// Every version planned, with the phase that runs it: the synthetic
+    /// ones, and the ordinary recursive ones rederivation propagates with
+    /// (boxed, so that a retraction planning one rule allocates no kilobyte
+    /// block).
     versions: Vec<(&'static str, Box<Version>)>,
     outcome: RetractOutcome,
 }
@@ -88,6 +89,20 @@ fn with_head_literal(rule: &Rule, head: &str, lit: &str, in_front: bool) -> Rule
     syn
 }
 
+/// The deletion sets as the relations past the declared ones, `~del~r` at
+/// `nrels + r`: `empty` stands in for a relation that has none, which no
+/// plan reads.
+fn deletion_sets<'a>(
+    del_acc: &'a SideTables,
+    empty: &'a dyn RelationStorage,
+) -> Vec<&'a dyn RelationStorage> {
+    let set = |acc: &'a Option<Box<dyn RelationStorage>>| match acc {
+        Some(acc) => acc.as_ref(),
+        None => empty,
+    };
+    del_acc.iter().map(set).collect()
+}
+
 impl Engine {
     /// Withdraws one EDB fact — see [`retract_facts`](Self::retract_facts).
     pub fn retract_fact(
@@ -115,10 +130,11 @@ impl Engine {
     ///    via [`RelationStorage::retract_from`] (structure-aware and
     ///    parallel on the specialized B-tree).
     /// 3. **Rederive.** Stratum by stratum: overdeleted EDB facts that
-    ///    were not themselves retracted are reinserted, then every rule
-    ///    with an overdeleted head is replayed as `h :- Δ⁻h, b1, …, bn` to
-    ///    re-prove deleted tuples from what survived, iterated semi-naively
-    ///    within the stratum.
+    ///    were not themselves retracted go back together with what every
+    ///    rule with an overdeleted head, replayed once as
+    ///    `h :- Δ⁻h, b1, …, bn`, re-proves from what survived; the
+    ///    stratum's semi-naive loop, the one [`run`](Self::run) uses, then
+    ///    propagates what came back.
     /// 4. **Fallback.** DRed's overdelete/rederive split is unsound through
     ///    negation (losing a tuple can *create* derivations) and dearer
     ///    than evaluation once most of a stratum is overdeleted, so the
@@ -271,14 +287,14 @@ impl Engine {
 
     /// Plans one synthetic retraction rule — `rule`, made from rule `ri` —
     /// for `phase`, and keeps the version for [`explain`](Self::explain).
-    /// With the planner on the literals are cost-ordered from `cx.cards`
-    /// and the sizes of the `deltas` the plan will first read (`None`: the
-    /// deletion sets themselves), and every scan the primary tree cannot
-    /// serve gets an index, which outlives the call. When hoisting the
-    /// delta still strands a scan without a bound prefix (planner off, or a
-    /// backend without indexes), the source-order version — which probes
-    /// the delta where it sits and sweeps the stranded relation once,
-    /// chunked across workers — is used if it strands none.
+    /// With the planner on the literals are cost-ordered from `cx.cards`,
+    /// the delta — a deletion set — at its size, and every scan the primary
+    /// tree cannot serve gets an index, which outlives the call. When
+    /// hoisting the delta still strands a scan without a bound prefix
+    /// (planner off, or a backend without indexes), the source-order
+    /// version — which probes the delta where it sits and sweeps the
+    /// stranded relation once, chunked across workers — is used if it
+    /// strands none.
     fn plan_synthetic(
         &mut self,
         cx: &mut Retraction,
@@ -286,14 +302,13 @@ impl Engine {
         ri: usize,
         rule: &Rule,
         delta_pos: Option<usize>,
-        deltas: Option<&[f64]>,
-    ) -> Plan {
+    ) -> Version {
         let (ids, nrels) = (&cx.ext_ids, self.rels.len());
         let mut v = Version::new(ri, rule, ids, delta_pos);
         if self.planner_enabled {
             let model = CostModel {
                 cards: &cx.cards,
-                deltas: deltas.unwrap_or(&cx.cards[nrels..]),
+                deltas: &cx.cards[nrels..],
                 horizon: f64::INFINITY,
                 can_index: self.kind.supports_indexes(),
             };
@@ -310,47 +325,13 @@ impl Engine {
                 v.order = (0..rule.body.len()).collect();
             }
         }
-        let plan = v.plan.clone();
-        cx.versions.push((phase, Box::new(v)));
-        plan
+        cx.versions.push((phase, Box::new(v.clone())));
+        v
     }
 
     /// The name of the pseudo relation holding relation `r`'s deletion set.
     pub(super) fn del_name(&self, r: usize) -> String {
         format!("~del~{}", self.program.decls[r].name)
-    }
-
-    /// Evaluates retraction `plans` over the relations extended by the
-    /// deletion sets (`0..nrels` the real relations, `nrels..2*nrels` the
-    /// accumulators), reading `delta` — `None`: the deletion sets themselves
-    /// — and deriving into `new`. A plan whose delta is empty this round
-    /// derives nothing and is skipped, which matters for the source-order
-    /// versions, whose outer scan is a full relation.
-    fn eval_retraction<'p>(
-        &self,
-        cx: &mut Retraction,
-        plans: impl IntoIterator<Item = &'p Plan>,
-        delta: Option<&SideTables>,
-        new: &SideTables,
-    ) {
-        let delta = delta.unwrap_or(&cx.del_acc);
-        let empty = cx.empty.as_ref();
-        let accs = cx.del_acc.iter().map(|acc| acc.as_deref().unwrap_or(empty));
-        let full: Vec<&dyn RelationStorage> =
-            self.rels.iter().map(|b| b.as_ref()).chain(accs).collect();
-        let env = StorageEnv {
-            full: &full,
-            delta,
-            new,
-        };
-        for plan in plans {
-            let idle = plan_delta_rel(plan)
-                .is_some_and(|r| delta[r].as_ref().is_none_or(|s| s.is_empty()));
-            if !idle {
-                let _span = telemetry::span("eval.plan", plan.head_rel as u64);
-                eval_plan(plan, &env, &mut cx.workers);
-            }
-        }
     }
 
     /// Compiles, per stratum, the overdeletion rules
@@ -361,7 +342,7 @@ impl Engine {
     /// join builds its index here ([`plan_synthetic`](Self::plan_synthetic));
     /// the one-time backfill replaces a full relation scan per overdelete
     /// round.
-    fn overdelete_plans(&mut self, cx: &mut Retraction) -> Vec<Vec<Plan>> {
+    fn overdelete_plans(&mut self, cx: &mut Retraction) -> Vec<Vec<Version>> {
         let mut plans = vec![Vec::new(); cx.fallback_from];
         for (si, plans) in plans.iter_mut().enumerate() {
             for ri in cx.strata[si].rules.clone() {
@@ -375,7 +356,7 @@ impl Engine {
                 for (p, lit) in rule.body.iter().enumerate() {
                     let rel = self.strat.rel_ids[&lit.atom.relation];
                     if !lit.negated && cx.dirty.binary_search(&rel).is_ok() {
-                        plans.push(self.plan_synthetic(cx, "overdelete", ri, &syn, Some(p), None));
+                        plans.push(self.plan_synthetic(cx, "overdelete", ri, &syn, Some(p)));
                     }
                 }
             }
@@ -394,7 +375,7 @@ impl Engine {
     /// relations and every later stratum's. Once [`K`] times the former
     /// reach the latter, delete–rederive ends here: the stratum becomes
     /// `fallback_from`, and its relations and those after it leave `dirty`.
-    fn overdelete(&mut self, cx: &mut Retraction, plans: &[Vec<Plan>]) {
+    fn overdelete(&mut self, cx: &mut Retraction, plans: &[Vec<Version>]) {
         let nrels = self.rels.len();
         for (si, plans) in plans.iter().enumerate() {
             let mut rels = cx.strata[si].relations.clone();
@@ -418,7 +399,9 @@ impl Engine {
                     break;
                 }
                 let mut new = self.side_tables(&rels, nrels);
-                self.eval_retraction(cx, plans, round.as_ref(), &new);
+                let extra = deletion_sets(&cx.del_acc, cx.empty.as_ref());
+                let delta = round.as_ref().unwrap_or(&cx.del_acc);
+                self.eval_versions(plans, &extra, delta, &new, &mut cx.workers);
                 let (mut next, mut grew) = (self.side_tables(&[], 0), false);
                 for &r in &rels {
                     let newly = new[nrels + r].take().expect("allocated above");
@@ -448,9 +431,15 @@ impl Engine {
         }
     }
 
-    /// Phase 3 — rederive, stratum by stratum: put back what the EDB still
-    /// asserts, re-prove deletions rule by rule from the repaired database
-    /// (the seed pass), then iterate semi-naively on what came back.
+    /// Phase 3 — rederive, stratum by stratum, with what a run has. The
+    /// overdeleted EDB facts that were not retracted, and what one batch of
+    /// seed versions `h(args) :- ~del~h(args), b1, …, bn` re-proves from the
+    /// repaired database, go back in one merge; the stratum's own
+    /// [`fixpoint`](Self::fixpoint) then propagates them through its
+    /// ordinary recursive versions. On a database at a fixpoint that loop
+    /// derives only overdeleted tuples; on one holding facts added since
+    /// the last run it may also derive what those imply, which the next
+    /// run would derive anyway.
     fn rederive(&mut self, cx: &mut Retraction) {
         let nrels = self.rels.len();
         for si in 0..cx.fallback_from {
@@ -460,161 +449,42 @@ impl Engine {
             if ds.is_empty() {
                 continue;
             }
-
             // Overdeleted EDB facts that were not retracted survive by
-            // definition; putting them back seeds the rederivation delta,
-            // whose size per relation `back` keeps. The full deletion sets
-            // are materialized on the side for the support filters.
-            let mut round = self.side_tables(&ds, 0);
-            let mut back = vec![0.0; nrels];
-            let mut del_tuples: HashMap<usize, Vec<TupleBuf>> = HashMap::new();
+            // definition.
+            let new = self.side_tables(&ds, 0);
             for &r in &ds {
-                let (mut all, mut keep) = (Vec::new(), Vec::new());
-                let edb = &self.edb[r];
+                let (edb, mut keep) = (&self.edb[r], Vec::new());
                 side_table(&cx.del_acc, r).for_each(&mut |t| {
-                    all.push(*t);
                     if edb.contains(t) {
                         keep.push(*t);
                     }
                 });
-                if !keep.is_empty() {
-                    self.counts[r] += insert_tuples(self.rels[r].as_ref(), &keep) as usize;
-                    insert_tuples(side_table(&round, r), &keep);
-                    self.stats.inserts += keep.len() as u64;
-                    cx.outcome.rederived += keep.len() as u64;
-                    back[r] = keep.len() as f64;
-                }
-                del_tuples.insert(r, all);
+                insert_tuples(side_table(&new, r), &keep);
             }
-
-            // Every rule whose head rederives here, as
-            // `h(args) :- Δ⁻h(args), b1, …, bn`.
-            let mut jobs: Vec<(usize, usize, Rule)> = Vec::new();
+            let mut seeds = Vec::new();
             for &ri in &stratum.rules {
                 let rule = &self.program.rules[ri];
-                let head_rel = self.strat.rel_ids[&rule.head.relation];
-                if ds.contains(&head_rel) {
-                    let del = self.del_name(head_rel);
+                let head = self.strat.rel_ids[&rule.head.relation];
+                if ds.contains(&head) {
+                    let del = self.del_name(head);
                     let syn = with_head_literal(rule, &rule.head.relation, &del, true);
-                    jobs.push((ri, head_rel, syn));
+                    seeds.push(self.plan_synthetic(cx, "rederive seed", ri, &syn, None));
                 }
             }
-            self.seed_pass(cx, &jobs, &del_tuples, &round, &mut back);
-
-            // Semi-naive rounds: rederived tuples may re-prove more, through
-            // the delta versions `h :- Δ⁻h, b1, …, Δbi, …, bn`.
-            let mut delta_plans = Vec::new();
-            for (ri, _, syn) in &jobs {
-                for (bi, lit) in syn.body.iter().enumerate().skip(1) {
-                    if !lit.negated && ds.contains(&cx.ext_ids[&lit.atom.relation]) {
-                        let deltas = Some(back.as_slice());
-                        let plan = self.plan_synthetic(cx, "rederive", *ri, syn, Some(bi), deltas);
-                        delta_plans.push(plan);
-                    }
-                }
+            let extra = deletion_sets(&cx.del_acc, cx.empty.as_ref());
+            self.eval_versions(&seeds, &extra, &Vec::new(), &new, &mut cx.workers);
+            let mut deltas = vec![0.0; nrels];
+            for (r, added) in self.merge_stratum(&new) {
+                cx.outcome.rederived += added;
+                deltas[r] = added as f64;
             }
-            let unfinished = |round: &SideTables| round.iter().flatten().any(|s| !s.is_empty());
-            while !delta_plans.is_empty() && unfinished(&round) {
-                let new = self.side_tables(&ds, 0);
-                self.eval_retraction(cx, &delta_plans, Some(&round), &new);
-                let mut grew = false;
-                for (_, added) in self.merge_stratum(&new) {
-                    cx.outcome.rederived += added;
-                    grew |= added > 0;
-                }
-                round = new;
-                if !grew {
-                    break;
-                }
+            let (_, mut rec) = self.versions_of(&stratum, stratum.rules.iter().copied());
+            if !rec.is_empty() && deltas.iter().any(|&n| n > 0.0) {
+                let workers = &mut cx.workers;
+                cx.outcome.rederived += self.fixpoint(&stratum, &mut rec, new, deltas, workers);
+                let ran = rec.into_iter().map(|v| ("rederive", Box::new(v)));
+                cx.versions.extend(ran);
             }
-        }
-    }
-
-    /// The support filter of `rule` over `deleted` head tuples: the
-    /// smallest positive body literal sharing variables with the head,
-    /// worth a projection scan only when clearly cheaper than the
-    /// deletion-first join.
-    fn support_filter(&self, rule: &Rule, deleted: usize) -> Option<(usize, Vec<(usize, usize)>)> {
-        let head_column = |t: &Term| match t {
-            Term::Var(v) => rule
-                .head
-                .terms
-                .iter()
-                .position(|h| matches!(h, Term::Var(hv) if hv == v)),
-            _ => None,
-        };
-        let shared = |lit: &Literal| {
-            let terms = lit.atom.terms.iter().enumerate();
-            let pairs: Vec<(usize, usize)> = terms
-                .filter_map(|(cl, t)| Some((cl, head_column(t)?)))
-                .collect();
-            (!pairs.is_empty()).then(|| (self.strat.rel_ids[&lit.atom.relation], pairs))
-        };
-        let positive = rule.body.iter().filter(|l| !l.negated);
-        positive
-            .filter_map(shared)
-            .min_by_key(|(rel, _)| self.counts[*rel])
-            .filter(|(rel, _)| self.counts[*rel] < deleted.saturating_mul(32))
-    }
-
-    /// Seed pass: re-proves the deletions from the repaired database, one
-    /// `(rule, head, h(args) :- Δ⁻h(args), b1, …, bn)` job at a time, and
-    /// merges what came back into the relations and into `round`, counting
-    /// it in `back`. Each job is ordered by cost like any rule, with Δ⁻h —
-    /// what its support filter left of it — at its size: deletion-first
-    /// while that is small, body-first with Δ⁻h a closing probe (head
-    /// variables are body-bound) once one sweep of the surviving body is
-    /// cheaper. Emission dedupes against the database and the side tables,
-    /// so overlap between jobs is harmless.
-    fn seed_pass(
-        &mut self,
-        cx: &mut Retraction,
-        jobs: &[(usize, usize, Rule)],
-        del_tuples: &HashMap<usize, Vec<TupleBuf>>,
-        round: &SideTables,
-        back: &mut [f64],
-    ) {
-        let nrels = self.rels.len();
-        let ds: Vec<usize> = del_tuples.keys().copied().collect();
-        let (no_delta, new) = (self.side_tables(&[], 0), self.side_tables(&ds, 0));
-        let mut projections: HashMap<(usize, usize), HashSet<u64>> = HashMap::new();
-        for (ri, r, syn) in jobs {
-            let (r, all) = (*r, &del_tuples[r]);
-            let mut whole = None;
-            if let Some((frel, pairs)) = self.support_filter(&self.program.rules[*ri], all.len()) {
-                for &(cl, _) in &pairs {
-                    projections.entry((frel, cl)).or_insert_with(|| {
-                        let mut set = HashSet::new();
-                        self.rels[frel].for_each(&mut |t| {
-                            set.insert(t[cl]);
-                        });
-                        set
-                    });
-                }
-                let supported = |t: &&TupleBuf| {
-                    let has =
-                        |&(cl, ch): &(usize, usize)| projections[&(frel, cl)].contains(&t[ch]);
-                    pairs.iter().all(has)
-                };
-                let dels: Vec<TupleBuf> = all.iter().filter(supported).copied().collect();
-                if dels.is_empty() {
-                    continue;
-                }
-                let part = self.table_for(r);
-                insert_tuples(part.as_ref(), &dels);
-                whole = Some((cx.del_acc[r].replace(part), cx.cards[nrels + r]));
-                cx.cards[nrels + r] = dels.len() as f64;
-            }
-            let plan = self.plan_synthetic(cx, "rederive seed", *ri, syn, None, Some(back));
-            self.eval_retraction(cx, [&plan], Some(&no_delta), &new);
-            if let Some((acc, n)) = whole {
-                (cx.del_acc[r], cx.cards[nrels + r]) = (acc, n);
-            }
-        }
-        for (r, added) in self.merge_stratum(&new) {
-            cx.outcome.rederived += added;
-            back[r] += added as f64;
-            side_table(round, r).merge_from(side_table(&new, r), self.threads);
         }
     }
 

@@ -478,8 +478,8 @@ fn scan_tree_prefix<const K: usize>(tree: &BTreeSet<K>, prefix: &[u64], f: impl 
 /// The key order of one secondary index: a B-tree over column-permuted
 /// copies of the primary tuples, so a search binding the permutation's
 /// leading columns becomes an ordinary prefix range scan. Storing *whole*
-/// permuted tuples (not projections) keeps the index a faithful bijection
-/// of the primary, which is what the sync proptests pin.
+/// permuted tuples (not some of their columns) keeps the index a faithful
+/// bijection of the primary, which is what the sync proptests pin.
 struct IndexPerm<const K: usize> {
     /// The permutation as registered.
     perm: Vec<usize>,

@@ -286,6 +286,14 @@ fn explain_after_a_retraction_lists_its_plans_and_what_they_were_costed_with() {
         assert!(retraction.contains(phase), "{phase} missing:\n{retraction}");
     }
     assert!(retraction.contains("emit ~del~path("), "{retraction}");
+    // Rederivation propagates with the run's own recursive version, listed
+    // under its phase: it reads Δpath and no deletion set.
+    let rederive = retraction.lines().find(|l| l.contains("rederive, rule 1:"));
+    let rederive = rederive.expect(retraction);
+    assert!(
+        rederive.contains("scan Δpath") && !rederive.contains("~del~"),
+        "{rederive}"
+    );
     // The deletion set is costed at its size, not at a default of 1.
     let costed = retraction.split("~del~path=").nth(1).expect(retraction);
     let size: f64 = costed

@@ -134,3 +134,27 @@ fn worker_stats_are_populated() {
     let total: u64 = engine.worker_stats().iter().map(|w| w.chunks_claimed).sum();
     assert_eq!(total, stats.chunks_claimed);
 }
+
+/// `sched_imbalance` describes the last run alone: one worker did all of its
+/// work, so it reads 1.0 on a second run and on a run after a retraction,
+/// whatever the accumulated counters hold.
+#[test]
+fn one_worker_is_balanced_on_every_run() {
+    let edges = graphs::chain(200);
+    let program = parse(TC_PROGRAM).unwrap();
+    let mut engine = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();
+    engine
+        .add_facts("edge", edges.iter().map(|&(a, b)| vec![a, b]))
+        .unwrap();
+    let mut imbalance = Vec::new();
+    engine.run().unwrap();
+    imbalance.push(engine.stats().sched_imbalance);
+    engine.add_fact("edge", &[200, 201]).unwrap();
+    engine.run().unwrap();
+    imbalance.push(engine.stats().sched_imbalance);
+    engine.retract_fact("edge", &[198, 199]).unwrap();
+    engine.add_fact("edge", &[201, 202]).unwrap();
+    engine.run().unwrap();
+    imbalance.push(engine.stats().sched_imbalance);
+    assert_eq!(imbalance, [1.0; 3]);
+}
