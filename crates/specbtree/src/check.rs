@@ -19,29 +19,6 @@ impl std::fmt::Display for InvariantViolation {
 
 impl std::error::Error for InvariantViolation {}
 
-/// Aggregate shape statistics of a tree (see [`BTreeSet::shape`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TreeShape {
-    /// Number of levels (0 for an empty tree; 1 for a lone root leaf).
-    pub depth: usize,
-    /// Total node count.
-    pub nodes: usize,
-    /// Leaf node count.
-    pub leaves: usize,
-    /// Total keys stored.
-    pub keys: usize,
-}
-
-impl TreeShape {
-    /// Average node fill grade in `[0, 1]`.
-    pub fn fill_grade(&self, capacity: usize) -> f64 {
-        if self.nodes == 0 {
-            return 0.0;
-        }
-        self.keys as f64 / (self.nodes * capacity) as f64
-    }
-}
-
 impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// Verifies every structural invariant of the tree:
     ///
@@ -53,12 +30,12 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// 5. all leaves sit at the same depth,
     /// 6. no node is left write-locked.
     ///
-    /// Quiescent phases only. Returns the tree shape on success.
-    pub fn check_invariants(&self) -> Result<TreeShape, InvariantViolation> {
+    /// Quiescent phases only. [`stats`](Self::stats) counts what the tree
+    /// holds.
+    pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         let root = self.root.load(Relaxed);
-        let mut shape = TreeShape::default();
         if root.is_null() {
-            return Ok(shape);
+            return Ok(());
         }
         if self.root_lock.is_write_locked() {
             return Err(InvariantViolation("root lock left write-locked".into()));
@@ -67,22 +44,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         if !rn.parent.load(Relaxed).is_null() {
             return Err(InvariantViolation("root has a parent pointer".into()));
         }
-        let mut leaf_depth = None;
-        check_node(root, None, None, 1, &mut leaf_depth, &mut shape)?;
-        shape.depth = leaf_depth.unwrap_or(0);
-        Ok(shape)
-    }
-
-    /// Returns shape statistics without checking invariants (a view of
-    /// the [`stats`](Self::stats) census). Quiescent phases only.
-    pub fn shape(&self) -> TreeShape {
-        let s = self.stats();
-        TreeShape {
-            depth: s.depth,
-            nodes: (s.inner_nodes + s.leaf_nodes) as usize,
-            leaves: s.leaf_nodes as usize,
-            keys: s.keys as usize,
-        }
+        check_node(root, None, None, 1, &mut None)
     }
 }
 
@@ -92,7 +54,6 @@ fn check_node<const K: usize, const C: usize, L: Latch>(
     upper: Option<Tuple<K>>,
     depth: usize,
     leaf_depth: &mut Option<usize>,
-    shape: &mut TreeShape,
 ) -> Result<(), InvariantViolation> {
     let node = unsafe { &*p };
     if node.lock.is_write_locked() {
@@ -104,9 +65,6 @@ fn check_node<const K: usize, const C: usize, L: Latch>(
             "node {p:?} overfull: {num} > capacity {C}"
         )));
     }
-    shape.nodes += 1;
-    shape.keys += num;
-
     for i in 0..num {
         let k = node.key(i);
         if i > 0 && cmp3(&node.key(i - 1), &k) != Ordering::Less {
@@ -157,10 +115,9 @@ fn check_node<const K: usize, const C: usize, L: Latch>(
             }
             let lo = if i == 0 { lower } else { Some(node.key(i - 1)) };
             let hi = if i == num { upper } else { Some(node.key(i)) };
-            check_node(c, lo, hi, depth + 1, leaf_depth, shape)?;
+            check_node(c, lo, hi, depth + 1, leaf_depth)?;
         }
     } else {
-        shape.leaves += 1;
         match leaf_depth {
             None => *leaf_depth = Some(depth),
             Some(d) if *d != depth => {

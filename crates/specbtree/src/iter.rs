@@ -373,20 +373,15 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         kind: HintKind,
     ) -> Iter<'_, K, C, L> {
         let strict = kind == HintKind::Upper;
-        if hints.tree_id() == self.id {
-            let leaf = hints.leaf(kind);
-            if !leaf.is_null() {
-                if let Some(res) = self.try_hinted_bound(leaf, t, strict) {
-                    hints.record(kind, true, leaf);
-                    return Iter::at(res);
-                }
-            }
-        } else {
-            hints.rebind(self.id);
-        }
-        let res = self.bound_pos(t, strict);
-        hints.record(kind, false, res.map_or(std::ptr::null_mut(), |(n, _)| n));
-        Iter::at(res)
+        Iter::at(self.hinted(
+            hints,
+            kind,
+            |leaf| self.try_hinted_bound(leaf, t, strict).map(Some),
+            || {
+                let res = self.bound_pos(t, strict);
+                (res, res.map_or(std::ptr::null_mut(), |(n, _)| n))
+            },
+        ))
     }
 
     /// All tuples in `[lower, upper)`.

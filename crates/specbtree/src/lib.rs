@@ -72,7 +72,7 @@ mod sort;
 mod stats;
 mod tree;
 
-pub use check::{InvariantViolation, TreeShape};
+pub use check::InvariantViolation;
 pub use hints::{BTreeHints, HintStats};
 pub use iter::{Iter, RangeChunk, RangeIter};
 pub use node::{cmp3, Tuple};

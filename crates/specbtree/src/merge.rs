@@ -11,7 +11,10 @@
 //!    tuple: one descent to the parent of a leaf group serves every key the
 //!    group owns ([`BTreeSet::insert_run`], and its read twin
 //!    [`BTreeSet::retain_absent`] — the two calls a Datalog head's batch
-//!    makes). No merge reads or writes a hint.
+//!    makes). A leaf the run fills splits the one way a point insert's
+//!    does, `split_one` at `leaf_split_point`, and the keys above the cut
+//!    re-route to the new sibling under the same group lock. No merge
+//!    reads or writes a hint.
 //! 2. A source tree is cut into ascending runs along **its own** upper-level
 //!    separators (the machinery parallel scans use), the runs are claimed
 //!    off one cursor by up to `workers` threads, and each is one
@@ -246,6 +249,8 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// the tree is one leaf; its lease, validated after the child was read;
     /// and the tightest right-hand separator strictly *above* it (its own
     /// bound sub-runs, not the group). `None`: an ancestor's separator is `val`.
+    /// The point operations' [`descend`](Self::descend) stops one level lower
+    /// and counts the last node's key in its bound, hence the second loop.
     fn descend_to_group(
         &self,
         val: &Tuple<K>,
@@ -387,8 +392,9 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         let mut k = i;
         // Routing hint: the run is ascending, so once a child is done the
         // next key sorts at or after its separator — a short forward scan
-        // replaces a fresh binary search. Invalidated by splits (they
-        // reshuffle the separator array).
+        // replaces a fresh binary search. Invalidated by the parent's split
+        // (it reshuffles the separator array); a child's split only inserts
+        // after the hint.
         let mut idx_hint: Option<usize> = None;
         'group: while k < run.len() && below(&run[k], &bound) {
             // Route run[k] with the parent's exact separators.
@@ -465,29 +471,19 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                     // median: `j` is unaffected by the tightened bound.
                 }
                 // Both locks held and the parent has room: split the child
-                // in place. When the pending batch sorts entirely at or
-                // beyond the median, the split fuses with the merge — the
-                // leaf's upper half and the batch keys stream straight into
-                // the fresh sibling, each key written once to its final
-                // home, instead of copy-then-revisit. Otherwise the leaf
-                // retains the lower half and batch keys below the median
-                // continue merging right here; in both cases the remainder
-                // re-routes through the parent's extended separators —
+                // in place. The leaf keeps the lower part, so the batch keys
+                // below the promoted key continue merging right here; the
+                // rest re-route through the parent's extended separators —
                 // still under the same group lock, no re-descent.
                 let m = Self::leaf_split_point(cn.search(&run[k], C).0);
                 let median = cn.key(m);
-                if cmp3(&run[k], &median) != Ordering::Less {
-                    let (nk, fadd) = self.split_leaf_merged(parent, child, run, k, j, m);
-                    *added += fadd;
-                    k = nk;
-                    idx_hint = None;
-                    break; // consumed, or the rest re-routes via the parent
-                }
                 self.split_one(child, m);
-                idx_hint = None;
                 let mut nj = k;
                 while nj < j && cmp3(&run[nj], &median) == Ordering::Less {
                     nj += 1;
+                }
+                if nj == k {
+                    break;
                 }
                 j = nj;
             }
@@ -495,117 +491,6 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         }
         pn.lock.end_write();
         k
-    }
-
-    /// Splits a full leaf (its own and its parent's write locks held, the
-    /// parent with room) while streaming `run[k..j)` — which sorts entirely
-    /// at or beyond the promoted median — into the new sibling: the leaf
-    /// keeps the lower half, the sibling is filled by a forward merge of
-    /// the leaf's upper half and the batch keys, each key written once to
-    /// its final position, and the median is pushed into the parent exactly
-    /// as [`split_one`](Self::split_one) would. Where `split_one` copies
-    /// the upper half and leaves the batch to re-visit the sibling through
-    /// the router, this writes the merged result directly. Returns the new
-    /// run position and the number of keys added.
-    ///
-    /// The sibling never strands upper-half keys: a batch key is only taken
-    /// while the remaining slots exceed the remaining upper-half keys
-    /// (`li > s`); once that slack is gone the rest of the batch re-routes
-    /// (the sibling comes out exactly full, so the router splits it).
-    fn split_leaf_merged(
-        &self,
-        parent: NodePtr<K, C>,
-        child: NodePtr<K, C>,
-        run: &[Tuple<K>],
-        mut k: usize,
-        j: usize,
-        m: usize,
-    ) -> (usize, u64) {
-        // SAFETY: both write-locked by the caller.
-        let cn = unsafe { &*child };
-        debug_assert!(!cn.is_inner());
-        debug_assert_eq!(cn.num(), C);
-        let median = cn.key(m);
-        // A batch key equal to the median is a duplicate: its element now
-        // moves to the parent. At most one (the run is strictly ascending).
-        if k < j && cmp3(&run[k], &median) == Ordering::Equal {
-            k += 1;
-        }
-        telemetry::count(telemetry::Counter::BtreeLeafSplits);
-        let sib = LeafNode::<K, C>::alloc();
-        // SAFETY: freshly allocated, private until published below.
-        let sn = unsafe { &*sib };
-        let mut added = 0u64;
-        let mut li = m + 1;
-        let mut s = 0usize;
-        loop {
-            if k < j && li < C {
-                match cn.cmp_key(li, &run[k]) {
-                    Ordering::Less => {
-                        let t = cn.key(li);
-                        sn.set_key(s, &t);
-                        li += 1;
-                        s += 1;
-                    }
-                    Ordering::Equal => k += 1, // duplicate: the leaf copy moves
-                    Ordering::Greater => {
-                        if li <= s {
-                            break; // no slack left: the rest re-routes
-                        }
-                        sn.set_key(s, &run[k]);
-                        k += 1;
-                        s += 1;
-                        added += 1;
-                    }
-                }
-            } else if li < C {
-                let t = cn.key(li);
-                sn.set_key(s, &t);
-                li += 1;
-                s += 1;
-            } else if k < j && s < C {
-                sn.set_key(s, &run[k]);
-                k += 1;
-                s += 1;
-                added += 1;
-            } else {
-                break;
-            }
-        }
-        // Drain any upper-half keys left when the batch closed early (the
-        // slack invariant guarantees they fit).
-        while li < C {
-            let t = cn.key(li);
-            sn.set_key(s, &t);
-            li += 1;
-            s += 1;
-        }
-        sn.set_num(s);
-        cn.set_num(m);
-
-        // Promote the median into the (held) parent, as split_one does.
-        // SAFETY: write-locked by the caller; known inner.
-        let pn = unsafe { &*parent };
-        let pi = unsafe { pn.as_inner() };
-        let pnum = pn.num();
-        debug_assert!(pnum < C, "caller ensures the parent has room");
-        let pos = cn.position.load(Relaxed) as usize;
-        debug_assert_eq!(pi.child(pos), child, "position link out of date");
-        for q in (pos..pnum).rev() {
-            pn.copy_key_within(q, q + 1);
-        }
-        for q in ((pos + 1)..=pnum).rev() {
-            let ch = pi.child(q);
-            pi.set_child(q + 1, ch);
-            // SAFETY: children of the write-locked parent are live.
-            unsafe { &*ch }.position.store((q + 1) as u16, Relaxed);
-        }
-        pn.set_key(pos, &median);
-        pi.set_child(pos + 1, sib);
-        sn.parent.store(parent, Relaxed);
-        sn.position.store((pos + 1) as u16, Relaxed);
-        pn.set_num(pnum + 1);
-        (k, added)
     }
 
     /// Merges run keys into a write-locked leaf — the root, while the tree
@@ -745,7 +630,8 @@ fn join_leaf<const K: usize, const C: usize>(
     Some(j)
 }
 
-/// One merge pass of `run[k..j)` into a write-locked leaf. Pass 1 counts
+/// One merge pass of `run[k..j)` into a write-locked leaf. A batch above
+/// the leaf's keys is appended as it stands; otherwise pass 1 counts
 /// the fresh (non-duplicate) run keys compare-only — with the lazy
 /// word-by-word [`cmp_key`](LeafNode::cmp_key), tuples usually decide on
 /// their leading column — cutting off the moment the leaf would overflow.
@@ -765,6 +651,16 @@ fn merge_leaf_pass<const K: usize, const C: usize>(
     // Jump-start the scan: every leaf key below the first run key's lower
     // bound compares `Less` anyway, so skip them in O(log n) up front.
     let (mut li, _) = node.search(&run[k], n);
+    if li == n {
+        // The batch sorts above the leaf's keys: append what fits. An
+        // ascending run takes this for every sibling its splits hand it.
+        let fresh = (j - k).min(C - n);
+        for (slot, t) in (n..).zip(&run[k..k + fresh]) {
+            node.set_key(slot, t);
+        }
+        node.set_num(n + fresh);
+        return (k + fresh, fresh);
+    }
     let mut fresh = 0usize;
     while k < j {
         let ord = if li < n {
@@ -943,12 +839,8 @@ mod tests {
     #[test]
     fn from_sorted_is_compact() {
         let s = Set::from_sorted(pairs(1000));
-        let shape = s.shape();
-        assert!(
-            shape.fill_grade(8) > 0.9,
-            "bulk-loaded tree should be packed, got {}",
-            shape.fill_grade(8)
-        );
+        let fill = s.stats().leaf_fill();
+        assert!(fill > 0.9, "bulk-loaded tree should be packed, got {fill}");
     }
 
     #[test]
@@ -968,7 +860,7 @@ mod tests {
         dst.insert_all(&src);
         assert_eq!(dst.len(), 300);
         dst.check_invariants().unwrap();
-        assert!(dst.shape().fill_grade(8) > 0.9, "bulk path not taken?");
+        assert!(dst.stats().leaf_fill() > 0.9, "bulk path not taken?");
     }
 
     #[test]
@@ -1026,6 +918,50 @@ mod tests {
         interleaved.iter_mut().for_each(|r| r.sort_unstable());
         let fill = grow(&interleaved);
         assert!((0.62..0.72).contains(&fill), "interleaved runs: {fill:.3}");
+    }
+
+    /// Runs whose keys all sort at or above the cut of the full leaf they
+    /// land in: the leaf splits as a point insert's would, and the keys
+    /// above the promoted one re-route to the new sibling. A packed tree of
+    /// 23 full leaves whose first group is full takes appends past an
+    /// interior leaf's last key (cut at `C - 2`), keys between that leaf's
+    /// fourth- and third-to-last (cut at the median), and appends to the
+    /// rightmost leaf and past it. The leaf, inner-node and leaf-key counts
+    /// are pinned: moving either cut by one changes them.
+    #[test]
+    fn runs_above_the_cut_of_a_full_leaf_build_pinned_trees() {
+        let base: Vec<Tuple<2>> = (0..200u64).map(|i| [i, 0]).collect();
+        let cases: [(Vec<Vec<Tuple<2>>>, [u64; 3]); 3] = [
+            // Leaf [9 .. 16] of the first group, appended to.
+            (vec![(1..=20).map(|j| [16, j]).collect()], [26, 5, 195]),
+            // The same leaf, between 13 and 14.
+            (vec![(1..=16).map(|j| [13, j]).collect()], [27, 5, 190]),
+            // The tree's last leaf, ending in 199, then past the tree.
+            (
+                vec![
+                    (1..=20).map(|j| [199, j]).collect(),
+                    (200..230).map(|i| [i, 0]).collect(),
+                ],
+                [30, 5, 221],
+            ),
+        ];
+        for (runs, [leaves, inners, leaf_keys]) in cases {
+            let t = Set::from_sorted(base.clone());
+            let added: u64 = runs.iter().map(|r| t.insert_run(r)).sum();
+            assert_eq!(added as usize, runs.iter().map(Vec::len).sum::<usize>());
+            t.check_invariants().unwrap();
+            let mut expect: Vec<Tuple<2>> =
+                base.iter().chain(runs.iter().flatten()).copied().collect();
+            expect.sort_unstable();
+            assert!(t.iter().eq(expect), "contents");
+            let s = t.stats();
+            assert_eq!(
+                (s.leaf_nodes, s.inner_nodes, s.leaf_keys),
+                (leaves, inners, leaf_keys),
+                "runs starting at {:?}",
+                runs[0][0]
+            );
+        }
     }
 
     #[test]

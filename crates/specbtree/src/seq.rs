@@ -20,11 +20,12 @@
 //! });
 //! ```
 
-use crate::check::{InvariantViolation, TreeShape};
+use crate::check::InvariantViolation;
 use crate::hints::BTreeHints;
 use crate::iter::Iter;
 use crate::latch::NoLatch;
 use crate::node::Tuple;
+use crate::stats::TreeStats;
 use crate::tree::{BTreeSet, DEFAULT_NODE_CAPACITY};
 
 /// Operation hints for a [`SeqBTreeSet`], from
@@ -143,13 +144,13 @@ impl<const K: usize, const C: usize> SeqBTreeSet<K, C> {
     }
 
     /// Verifies the structural invariants
-    /// ([`BTreeSet::check_invariants`]), returning the tree shape.
-    pub fn check_invariants(&self) -> Result<TreeShape, InvariantViolation> {
+    /// ([`BTreeSet::check_invariants`]).
+    pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         self.tree.check_invariants()
     }
 
-    /// The tree's aggregate shape ([`BTreeSet::shape`]).
-    pub fn shape(&self) -> TreeShape {
-        self.tree.shape()
+    /// The tree's structural census ([`BTreeSet::stats`]).
+    pub fn stats(&self) -> TreeStats {
+        self.tree.stats()
     }
 }

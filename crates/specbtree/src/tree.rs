@@ -18,7 +18,9 @@
 //!
 //! * `insert` is a direct port of the paper's **Algorithm 1** (optimistic
 //!   root acquisition, validated hand-over-hand descent, lease upgrade at
-//!   the leaf).
+//!   the leaf). Its read side is written once, as
+//!   [`descend`](BTreeSet::descend), and runs under every lookup, insert
+//!   and remove; each caller validates or upgrades the lease it ends on.
 //! * Node splitting is a direct port of **Algorithm 2** (bottom-up
 //!   write-locking of the full path, split, top-down unlock).
 //!
@@ -67,14 +69,14 @@ static TREE_IDS: AtomicU64 = AtomicU64::new(1);
 /// (reclamation is an optimization; empty leaves are legal).
 const REMOVE_LOCK_ATTEMPTS: usize = 8;
 
-/// Records one Algorithm 1 restart: the operation's own count (recorded
-/// into `insert_restarts_per_op` when it completes) and the aggregate and
-/// per-cause counters, which must add up to it.
+/// Records `n` Algorithm 1 restarts of `cause`: the operation's own count
+/// (recorded into `insert_restarts_per_op` when it completes) and the
+/// aggregate and per-cause counters, which must add up to it.
 #[inline]
-fn note_insert_restart(cause: telemetry::Counter, restarts: &mut u64) {
-    *restarts += 1;
-    telemetry::count(telemetry::Counter::BtreeInsertRestarts);
-    telemetry::count(cause);
+fn note_insert_restarts(cause: telemetry::Counter, n: u64, restarts: &mut u64) {
+    *restarts += n;
+    telemetry::add(telemetry::Counter::BtreeInsertRestarts, n);
+    telemetry::add(cause, n);
 }
 
 /// A concurrent ordered set of `K`-ary integer tuples backed by the
@@ -137,13 +139,21 @@ pub struct BTreeSet<const K: usize, const C: usize = DEFAULT_NODE_CAPACITY, L = 
 unsafe impl<const K: usize, const C: usize, L: Latch + Send> Send for BTreeSet<K, C, L> {}
 unsafe impl<const K: usize, const C: usize> Sync for BTreeSet<K, C, OptimisticRwLock> {}
 
-/// Outcome of a descent that located (or inserted) a tuple.
-pub(crate) struct Located<const K: usize, const C: usize, L> {
-    /// Whether a new tuple was inserted (false: it was already present).
-    pub inserted: bool,
-    /// The node where the tuple lives. May be an inner node when a
-    /// duplicate was detected above leaf level.
+/// Where [`BTreeSet::descend`] stopped: the node that holds the tuple, or
+/// the leaf it would go to.
+pub(crate) struct Descent<const K: usize, const C: usize, L: Latch> {
     pub node: NodePtr<K, C, L>,
+    /// The lease on `node`, not yet validated: the caller validates it or
+    /// upgrades it to a write lock, and descends again if that fails.
+    pub lease: L::Lease,
+    /// The tuple's rank in `node`, and whether the key there is the tuple.
+    pub idx: usize,
+    pub found: bool,
+    /// The smallest key on the path that is `>=` the tuple (`>` if the
+    /// descent was `strict`), `node`'s own included: a bound query's answer.
+    pub above: Option<(NodePtr<K, C, L>, usize)>,
+    /// How often the descent restarted before it got here.
+    pub restarts: u64,
 }
 
 impl<const K: usize, const C: usize, L: Latch> Default for BTreeSet<K, C, L> {
@@ -195,50 +205,64 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// Inserts `t`, returning `true` if it was not yet present.
     /// Thread-safe; lock-free for readers of other parts of the tree.
     pub fn insert(&self, t: Tuple<K>) -> bool {
-        self.insert_located(&t).inserted
+        self.insert_located(&t).0
     }
 
     /// Inserts `t` using (and updating) thread-local operation hints
     /// (paper §3.2). On sorted workloads this skips the root-to-leaf
     /// descent almost always.
     pub fn insert_hinted(&self, t: Tuple<K>, hints: &mut BTreeHints<K, C, L>) -> bool {
-        if hints.tree_id() == self.id {
-            let leaf = hints.leaf(HintKind::Insert);
-            if !leaf.is_null() {
-                if let Some(res) = self.try_hinted_insert(leaf, &t) {
-                    hints.record(HintKind::Insert, true, res.node);
-                    return res.inserted;
-                }
-            }
-        } else {
-            hints.rebind(self.id);
-        }
-        let res = self.insert_located(&t);
-        hints.record(HintKind::Insert, false, res.node);
-        res.inserted
+        self.hinted(
+            hints,
+            HintKind::Insert,
+            |leaf| self.try_hinted_insert(leaf, &t),
+            || self.insert_located(&t),
+        )
     }
 
     /// Membership test. Thread-safe and linearizable under concurrency.
     pub fn contains(&self, t: &Tuple<K>) -> bool {
-        self.locate(t).is_some()
+        self.lookup(t, false).is_some_and(|d| d.found)
     }
 
     /// Membership test with operation hints.
     pub fn contains_hinted(&self, t: &Tuple<K>, hints: &mut BTreeHints<K, C, L>) -> bool {
-        if hints.tree_id() == self.id {
-            let leaf = hints.leaf(HintKind::Contains);
+        self.hinted(
+            hints,
+            HintKind::Contains,
+            |leaf| self.try_hinted_contains(leaf, t),
+            || match self.lookup(t, false) {
+                Some(d) => (d.found, d.node),
+                None => (false, std::ptr::null_mut()),
+            },
+        )
+    }
+
+    /// The dispatch every hinted operation of `kind` shares: the cached
+    /// leaf if the hints carry this tree's brand and `fast` can decide the
+    /// operation there, `slow` otherwise, which returns the node to cache
+    /// beside the result. Records the hit or miss.
+    pub(crate) fn hinted<R>(
+        &self,
+        hints: &mut BTreeHints<K, C, L>,
+        kind: HintKind,
+        fast: impl FnOnce(NodePtr<K, C, L>) -> Option<R>,
+        slow: impl FnOnce() -> (R, NodePtr<K, C, L>),
+    ) -> R {
+        if hints.tree_id() != self.id {
+            hints.rebind(self.id);
+        } else {
+            let leaf = hints.leaf(kind);
             if !leaf.is_null() {
-                if let Some(found) = self.try_hinted_contains(leaf, t) {
-                    hints.record(HintKind::Contains, true, leaf);
-                    return found;
+                if let Some(res) = fast(leaf) {
+                    hints.record(kind, true, leaf);
+                    return res;
                 }
             }
-        } else {
-            hints.rebind(self.id);
         }
-        let res = self.locate_full(t);
-        hints.record(HintKind::Contains, false, res.1);
-        res.0.is_some()
+        let (res, node) = slow();
+        hints.record(kind, false, node);
+        res
     }
 
     // ------------------------------------------------------------------
@@ -282,93 +306,115 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         }
     }
 
-    /// Full optimistic insertion (Algorithm 1).
-    pub(crate) fn insert_located(&self, val: &Tuple<K>) -> Located<K, C, L> {
-        self.ensure_root();
-
+    /// Algorithm 1's read side, under every lookup, insert and remove
+    /// (lines 13–33): from the root, rank `t` in each node — the first key
+    /// `>= t`, or `> t` if `strict` — and read the child at that rank,
+    /// re-validating the parent once the child's lease has started; restart
+    /// from the root whenever that fails. Stops at the node holding `t`
+    /// (never when `strict`) or at the leaf `t` would go to. The root must
+    /// exist. Inlined into each caller, which then reads no field it does
+    /// not use and branches on no `strict` it does not pass: left a call,
+    /// as the compiler left it, the three workloads ran 3–4 % longer.
+    #[inline(always)]
+    pub(crate) fn descend(&self, t: &Tuple<K>, strict: bool) -> Descent<K, C, L> {
         let mut restarts = 0u64;
         'restart: loop {
-            chaos::checkpoint("btree::insert::descend");
-            // Lines 13–17: root node + lease.
-            let (mut cur, mut cur_lease) = self.read_root();
-
-            // Lines 20–49: descend.
+            chaos::checkpoint("btree::descend");
+            let (mut cur, mut lease) = self.read_root();
+            let mut above = None;
             loop {
-                // SAFETY: live node (nodes are never freed).
+                // SAFETY: live node (nodes are never freed while the tree
+                // is alive; spliced-out nodes go to the graveyard).
                 let node = unsafe { &*cur };
-                let is_inner = node.is_inner();
-                let (idx, found) = node.search(val, node.num_clamped());
-                // Planted bug for the chaos self-test: trusting an interior
-                // rank without re-validating the lease lets a torn rank
-                // pick the wrong child.
-                let skip_validate = cfg!(all(chaos, feature = "chaos-inject-bug"));
-
-                // Line 22: value already present => done.
-                if found {
-                    if node.lock.validate(cur_lease) {
-                        telemetry::record(telemetry::Hist::BtreeInsertRestartsPerOp, restarts);
-                        return Located {
-                            inserted: false,
-                            node: cur,
-                        };
-                    }
-                    note_insert_restart(telemetry::Counter::BtreeRestartDescend, &mut restarts);
-                    continue 'restart;
-                }
-
-                // Lines 25–33: inner node — move down.
-                if is_inner {
-                    // SAFETY: is_inner just checked; kind never changes.
-                    let next = unsafe { node.as_inner() }.child(idx);
-                    if !skip_validate && !node.lock.validate(cur_lease) {
-                        note_insert_restart(telemetry::Counter::BtreeRestartDescend, &mut restarts);
-                        continue 'restart; // line 27
-                    }
-                    if next.is_null() {
-                        // Inconsistent snapshot that nevertheless validated
-                        // cannot happen; defensive restart.
-                        note_insert_restart(telemetry::Counter::BtreeRestartDescend, &mut restarts);
-                        continue 'restart;
-                    }
-                    // SAFETY: `next` was read under a validated lease, so it
-                    // was a genuine child: a live, never-freed node.
-                    let next_lease = unsafe { &*next }.lock.start_read(); // line 28
-                    if !skip_validate && !node.lock.validate(cur_lease) {
-                        note_insert_restart(telemetry::Counter::BtreeRestartDescend, &mut restarts);
-                        continue 'restart; // line 29
-                    }
-                    cur = next;
-                    cur_lease = next_lease;
-                    continue;
-                }
-
-                // Lines 35–36: request write access to the located leaf.
-                chaos::checkpoint("btree::insert::leaf_upgrade");
-                if !node.lock.try_upgrade_to_write(cur_lease) {
-                    note_insert_restart(telemetry::Counter::BtreeRestartLeafUpgrade, &mut restarts);
-                    continue 'restart;
-                }
-
-                // Lines 39–43: make space if necessary. The write upgrade
-                // succeeded, so the pre-upgrade reads are current and the
-                // exact count is trustworthy.
-                let num = node.num();
-                if num == C {
-                    self.split(cur, Self::leaf_split_point(idx)); // Algorithm 2
-                    node.lock.end_write();
-                    note_insert_restart(telemetry::Counter::BtreeRestartSplitRetry, &mut restarts);
-                    continue 'restart;
-                }
-
-                // Lines 45–48: insert into this leaf.
-                node.insert_at(idx, val);
-                node.lock.end_write();
-                telemetry::record(telemetry::Hist::BtreeInsertRestartsPerOp, restarts);
-                return Located {
-                    inserted: true,
-                    node: cur,
+                let n = node.num_clamped();
+                let (idx, found) = if strict {
+                    (node.search_upper(t, n), false)
+                } else {
+                    node.search(t, n)
                 };
+                if idx < n {
+                    above = Some((cur, idx));
+                }
+                // Line 22: the tuple is here, or this is its leaf.
+                if found || !node.is_inner() {
+                    return Descent {
+                        node: cur,
+                        lease,
+                        idx,
+                        found,
+                        above,
+                        restarts,
+                    };
+                }
+                // Lines 25–33: an inner node — move down. Planted bug for
+                // the chaos self-test: trusting an interior rank without
+                // re-validating the lease lets a torn rank pick the wrong
+                // child.
+                let skip_validate = cfg!(all(chaos, feature = "chaos-inject-bug"));
+                // SAFETY: is_inner just checked; kind never changes.
+                let next = unsafe { node.as_inner() }.child(idx);
+                if (!skip_validate && !node.lock.validate(lease)) || next.is_null() {
+                    restarts += 1;
+                    continue 'restart; // line 27
+                }
+                // SAFETY: read under a validated lease: a live child.
+                let next_lease = unsafe { &*next }.lock.start_read(); // line 28
+                if !skip_validate && !node.lock.validate(lease) {
+                    restarts += 1;
+                    continue 'restart; // line 29
+                }
+                cur = next;
+                lease = next_lease;
             }
+        }
+    }
+
+    /// Full optimistic insertion (Algorithm 1): whether `val` was inserted
+    /// (false: it was already present), and the node it lives in — an inner
+    /// node when a duplicate was found above leaf level.
+    pub(crate) fn insert_located(&self, val: &Tuple<K>) -> (bool, NodePtr<K, C, L>) {
+        use telemetry::Counter::{
+            BtreeRestartDescend, BtreeRestartLeafUpgrade, BtreeRestartSplitRetry,
+        };
+        self.ensure_root();
+        let mut restarts = 0u64;
+        loop {
+            let d = self.descend(val, false);
+            note_insert_restarts(BtreeRestartDescend, d.restarts, &mut restarts);
+            // SAFETY: live node (nodes are never freed).
+            let node = unsafe { &*d.node };
+            if d.found {
+                // Line 22: value already present => done.
+                if node.lock.validate(d.lease) {
+                    telemetry::record(telemetry::Hist::BtreeInsertRestartsPerOp, restarts);
+                    return (false, d.node);
+                }
+                note_insert_restarts(BtreeRestartDescend, 1, &mut restarts);
+                continue;
+            }
+
+            // Lines 35–36: request write access to the located leaf.
+            chaos::checkpoint("btree::insert::leaf_upgrade");
+            if !node.lock.try_upgrade_to_write(d.lease) {
+                note_insert_restarts(BtreeRestartLeafUpgrade, 1, &mut restarts);
+                continue;
+            }
+
+            // Lines 39–43: make space if necessary. The write upgrade
+            // succeeded, so the pre-upgrade reads are current and the
+            // exact count is trustworthy.
+            if node.num() == C {
+                self.split(d.node, Self::leaf_split_point(d.idx)); // Algorithm 2
+                node.lock.end_write();
+                note_insert_restarts(BtreeRestartSplitRetry, 1, &mut restarts);
+                continue;
+            }
+
+            // Lines 45–48: insert into this leaf.
+            node.insert_at(d.idx, val);
+            node.lock.end_write();
+            telemetry::record(telemetry::Hist::BtreeInsertRestartsPerOp, restarts);
+            return (true, d.node);
         }
     }
 
@@ -386,11 +432,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     ///
     /// Returns `None` when the hint does not apply (wrong leaf, lost race),
     /// in which case the caller falls back to the full descent.
-    fn try_hinted_insert(
-        &self,
-        leaf: NodePtr<K, C, L>,
-        val: &Tuple<K>,
-    ) -> Option<Located<K, C, L>> {
+    fn try_hinted_insert(&self, leaf: NodePtr<K, C, L>, val: &Tuple<K>) -> Option<bool> {
         // SAFETY: hints are branded with the tree id, so `leaf` is a node of
         // *this* tree: live memory for as long as `&self` exists.
         let node = unsafe { &*leaf };
@@ -403,10 +445,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         // its sum stays the restart counter (`tests/telemetry_wiring.rs`).
         let done = |inserted: bool| {
             telemetry::record(telemetry::Hist::BtreeInsertRestartsPerOp, 0);
-            Some(Located {
-                inserted,
-                node: leaf,
-            })
+            Some(inserted)
         };
         let lease = node.lock.start_read();
         let n = node.num_clamped();
@@ -727,55 +766,22 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     // Lookups
     // ------------------------------------------------------------------
 
-    /// Locates `t`, returning its position if present.
-    pub(crate) fn locate(&self, t: &Tuple<K>) -> Option<(NodePtr<K, C, L>, usize)> {
-        self.locate_full(t).0
-    }
-
-    /// Like [`locate`](Self::locate), additionally reporting the last node
-    /// visited (the leaf the search ended in when the tuple is absent) so
-    /// hinted lookups can cache it.
-    fn locate_full(&self, t: &Tuple<K>) -> (Option<(NodePtr<K, C, L>, usize)>, NodePtr<K, C, L>) {
+    /// [`descend`](Self::descend) for a read: restarted until the lease on
+    /// the node it stopped at validates. `None` on a tree never inserted
+    /// into. Inlined for the reason `descend` is.
+    #[inline(always)]
+    fn lookup(&self, t: &Tuple<K>, strict: bool) -> Option<Descent<K, C, L>> {
         if self.root.load(Relaxed).is_null() {
-            return (None, std::ptr::null_mut());
+            return None;
         }
-        let mut attempts = 0u64;
-        'restart: loop {
-            if attempts > 0 {
-                telemetry::count(telemetry::Counter::BtreeLookupRestarts);
+        loop {
+            let d = self.descend(t, strict);
+            telemetry::add(telemetry::Counter::BtreeLookupRestarts, d.restarts);
+            // SAFETY: live node (nodes are never freed).
+            if unsafe { &*d.node }.lock.validate(d.lease) {
+                return Some(d);
             }
-            attempts += 1;
-            let (mut cur, mut cur_lease) = self.read_root();
-            loop {
-                let node = unsafe { &*cur };
-                let is_inner = node.is_inner();
-                let (idx, found) = node.search(t, node.num_clamped());
-                if found {
-                    if node.lock.validate(cur_lease) {
-                        return (Some((cur, idx)), cur);
-                    }
-                    continue 'restart;
-                }
-                if !is_inner {
-                    if node.lock.validate(cur_lease) {
-                        return (None, cur);
-                    }
-                    continue 'restart;
-                }
-                let next = unsafe { node.as_inner() }.child(idx);
-                if !node.lock.validate(cur_lease) {
-                    continue 'restart;
-                }
-                if next.is_null() {
-                    continue 'restart;
-                }
-                let next_lease = unsafe { &*next }.lock.start_read();
-                if !node.lock.validate(cur_lease) {
-                    continue 'restart;
-                }
-                cur = next;
-                cur_lease = next_lease;
-            }
+            telemetry::count(telemetry::Counter::BtreeLookupRestarts);
         }
     }
 
@@ -806,59 +812,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         t: &Tuple<K>,
         strict: bool,
     ) -> Option<(NodePtr<K, C, L>, usize)> {
-        if self.root.load(Relaxed).is_null() {
-            return None;
-        }
-        let mut attempts = 0u64;
-        'restart: loop {
-            if attempts > 0 {
-                telemetry::count(telemetry::Counter::BtreeLookupRestarts);
-            }
-            attempts += 1;
-            let (mut cur, mut cur_lease) = self.read_root();
-            // Closest enclosing key `>=`/`>` `t` seen on the descent: the
-            // answer when the final leaf holds only smaller keys.
-            let mut candidate: Option<(NodePtr<K, C, L>, usize)> = None;
-            loop {
-                let node = unsafe { &*cur };
-                let n = node.num_clamped();
-                let idx = if strict {
-                    node.search_upper(t, n)
-                } else {
-                    let (idx, found) = node.search(t, n);
-                    if found {
-                        if node.lock.validate(cur_lease) {
-                            return Some((cur, idx));
-                        }
-                        continue 'restart;
-                    }
-                    idx
-                };
-                if !node.is_inner() {
-                    let res = if idx < n { Some((cur, idx)) } else { candidate };
-                    if node.lock.validate(cur_lease) {
-                        return res;
-                    }
-                    continue 'restart;
-                }
-                let next = unsafe { node.as_inner() }.child(idx);
-                if !node.lock.validate(cur_lease) {
-                    continue 'restart;
-                }
-                if next.is_null() {
-                    continue 'restart;
-                }
-                if idx < n {
-                    candidate = Some((cur, idx));
-                }
-                let next_lease = unsafe { &*next }.lock.start_read();
-                if !node.lock.validate(cur_lease) {
-                    continue 'restart;
-                }
-                cur = next;
-                cur_lease = next_lease;
-            }
-        }
+        self.lookup(t, strict).and_then(|d| d.above)
     }
 
     /// Hinted bound fast path shared by lower/upper bound: applies when the
@@ -868,7 +822,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         leaf: NodePtr<K, C, L>,
         t: &Tuple<K>,
         strict: bool,
-    ) -> Option<Option<(NodePtr<K, C, L>, usize)>> {
+    ) -> Option<(NodePtr<K, C, L>, usize)> {
         let node = unsafe { &*leaf };
         if node.is_inner() {
             return None;
@@ -894,14 +848,11 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         } else {
             node.search(t, n).0
         };
-        if !node.lock.validate(lease) {
-            return None;
-        }
-        if !covered {
+        if !node.lock.validate(lease) || !covered {
             return None;
         }
         debug_assert!(idx < n);
-        Some(Some((leaf, idx)))
+        Some((leaf, idx))
     }
 
     // ------------------------------------------------------------------
@@ -924,65 +875,38 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         if self.root.load(Relaxed).is_null() {
             return false;
         }
-        let mut restarts = 0u64;
-        'restart: loop {
-            if restarts > 0 {
-                telemetry::count(telemetry::Counter::BtreeRemoveRestarts);
-                chaos::hint::spin_loop();
-            }
-            restarts += 1;
-            chaos::checkpoint("btree::remove::descend");
-            let (mut cur, mut cur_lease) = self.read_root();
-            loop {
-                // SAFETY: live node (nodes are never freed while the tree
-                // is alive; spliced-out nodes go to the graveyard).
-                let node = unsafe { &*cur };
-                let is_inner = node.is_inner();
-                let (idx, found) = node.search(t, node.num_clamped());
-                if found {
-                    // The upgrade doubles as the lease validation: success
-                    // means the pre-upgrade search result is current.
-                    if !node.lock.try_upgrade_to_write(cur_lease) {
-                        continue 'restart;
-                    }
-                    if is_inner {
-                        if !self.remove_inner_key(cur, idx) {
-                            continue 'restart;
-                        }
+        loop {
+            let d = self.descend(t, false);
+            telemetry::add(telemetry::Counter::BtreeRemoveRestarts, d.restarts);
+            // SAFETY: live node (nodes are never freed while the tree is
+            // alive; spliced-out nodes go to the graveyard).
+            let node = unsafe { &*d.node };
+            if !d.found {
+                if node.lock.validate(d.lease) {
+                    return false;
+                }
+            } else if node.lock.try_upgrade_to_write(d.lease) {
+                // The upgrade doubled as the lease validation: the search
+                // result is current.
+                let removed = if node.is_inner() {
+                    self.remove_inner_key(d.node, d.idx)
+                } else {
+                    chaos::checkpoint("btree::remove::key");
+                    node.remove_at(d.idx);
+                    if node.num() == 0 {
+                        self.try_unlink_empty_leaf(d.node);
                     } else {
-                        chaos::checkpoint("btree::remove::key");
-                        node.remove_at(idx);
-                        if node.num() == 0 {
-                            self.try_unlink_empty_leaf(cur);
-                        } else {
-                            node.lock.end_write();
-                        }
+                        node.lock.end_write();
                     }
+                    true
+                };
+                if removed {
                     telemetry::count(telemetry::Counter::BtreeRemoves);
                     return true;
                 }
-                if !is_inner {
-                    if node.lock.validate(cur_lease) {
-                        return false;
-                    }
-                    continue 'restart;
-                }
-                // SAFETY: is_inner just checked; kind never changes.
-                let next = unsafe { node.as_inner() }.child(idx);
-                if !node.lock.validate(cur_lease) {
-                    continue 'restart;
-                }
-                if next.is_null() {
-                    continue 'restart;
-                }
-                // SAFETY: read under a validated lease: a live child.
-                let next_lease = unsafe { &*next }.lock.start_read();
-                if !node.lock.validate(cur_lease) {
-                    continue 'restart;
-                }
-                cur = next;
-                cur_lease = next_lease;
             }
+            telemetry::count(telemetry::Counter::BtreeRemoveRestarts);
+            chaos::hint::spin_loop();
         }
     }
 
@@ -1096,10 +1020,13 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         // stale pointers into it need not restart — but it *must* be
         // unlocked: readers spin on write-locked nodes, even unreachable
         // ones.
+        // Planted bug for the chaos self-test: restoring every version lets
+        // a reader that passed `n` miss the predecessor pulled up into it.
+        let keep_versions = cfg!(all(chaos, feature = "chaos-inject-bug"));
         for (i, s) in spine.iter().enumerate().rev() {
             // SAFETY: write-locked above.
             let sn = unsafe { &**s };
-            if holder.is_some_and(|h| i <= h) {
+            if !keep_versions && holder.is_some_and(|h| i <= h) {
                 sn.lock.end_write();
             } else {
                 sn.lock.abort_write();

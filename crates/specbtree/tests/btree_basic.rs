@@ -351,7 +351,7 @@ fn interleaved_clusters_never_append_past_a_fence() {
         t.check_invariants().unwrap();
     }
     assert!(t.iter().eq(model.iter().copied()));
-    assert!(t.shape().depth >= 3);
+    assert!(t.stats().depth >= 3);
 }
 
 /// Sorted streams leave full leaves behind them, and the split that does it
@@ -369,7 +369,12 @@ fn appended_to_leaves_split_full() {
     }
     let fill = sorted.stats().leaf_fill();
     assert!(fill >= 0.9, "leaf fill {fill:.3} after ascending inserts");
-    assert_eq!(sorted.check_invariants().unwrap(), seq.shape());
+    sorted.check_invariants().unwrap();
+    let (a, b) = (sorted.stats(), seq.stats());
+    assert_eq!(
+        (a.depth, a.inner_nodes, a.leaf_nodes, a.keys, a.leaf_keys),
+        (b.depth, b.inner_nodes, b.leaf_nodes, b.keys, b.leaf_keys)
+    );
 
     let shuffled: BTreeSet<2> = BTreeSet::new();
     let mut h = shuffled.create_hints();
@@ -486,11 +491,12 @@ fn shape_reports_plausible_statistics() {
     for i in 0..10_000u64 {
         t.insert([i, 0]);
     }
-    let shape = t.check_invariants().unwrap();
-    assert_eq!(shape.keys, 10_000);
-    assert!(shape.depth >= 3, "10k keys in 8-wide nodes is deep");
-    assert!(shape.leaves > 100);
-    let fill = shape.fill_grade(8);
+    t.check_invariants().unwrap();
+    let stats = t.stats();
+    assert_eq!(stats.keys, 10_000);
+    assert!(stats.depth >= 3, "10k keys in 8-wide nodes is deep");
+    assert!(stats.leaf_nodes > 100);
+    let fill = stats.leaf_fill();
     assert!(fill > 0.3 && fill <= 1.0, "fill {fill}");
 }
 
@@ -524,12 +530,13 @@ fn split_cascade_through_every_level() {
                 .unwrap_or_else(|e| panic!("i={i}: {e}"));
         }
     }
-    let shape = t.check_invariants().unwrap();
+    t.check_invariants().unwrap();
+    let stats = t.stats();
     assert!(
-        shape.depth >= 6,
-        "cascades must have grown the tree: {shape:?}"
+        stats.depth >= 6,
+        "cascades must have grown the tree: {stats:?}"
     );
-    assert_eq!(shape.keys, 10_000);
+    assert_eq!(stats.keys, 10_000);
 }
 
 #[test]

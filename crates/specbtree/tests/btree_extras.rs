@@ -85,12 +85,12 @@ fn shape_depth_grows_logarithmically() {
     for i in 0..10_000u64 {
         t.insert([i]);
         if i.is_power_of_two() {
-            let d = t.shape().depth;
+            let d = t.stats().depth;
             assert!(d >= last_depth);
             last_depth = d;
         }
     }
-    let d = t.shape().depth;
+    let d = t.stats().depth;
     // 10k keys, min fanout 2 for C=4 → depth well under 14 and over 4.
     assert!((4..=14).contains(&d), "depth {d}");
 }
@@ -114,8 +114,11 @@ fn default_capacity_reexported() {
     for i in 0..(DEFAULT_NODE_CAPACITY as u64 * 3) {
         t.insert([0, i]);
     }
-    let shape = t.shape();
-    assert!(shape.nodes >= 3, "three nodes after tripling capacity");
+    let stats = t.stats();
+    assert!(
+        stats.inner_nodes + stats.leaf_nodes >= 3,
+        "three nodes after tripling capacity"
+    );
 }
 
 #[test]

@@ -7,8 +7,14 @@ mod common;
 use common::ascending_runs;
 use proptest::prelude::*;
 use specbtree::seq::SeqBTreeSet;
-use specbtree::BTreeSet;
+use specbtree::{BTreeSet, TreeStats};
 use std::collections::BTreeSet as Model;
+
+/// What one tree's decisions fix, under either latch: depth, node counts
+/// and keys (`live_bytes` differs by the latch word).
+fn census(s: TreeStats) -> (usize, u64, u64, u64, u64) {
+    (s.depth, s.inner_nodes, s.leaf_nodes, s.keys, s.leaf_keys)
+}
 
 /// Keys from a smallish domain so that duplicates and dense leaves occur.
 fn key_strategy() -> impl Strategy<Value = [u64; 2]> {
@@ -212,7 +218,9 @@ proptest! {
             prop_assert_eq!(tree.insert_hinted(key, &mut hints), fresh);
             prop_assert_eq!(seq.insert_hinted(key, &mut seq_hints), fresh);
         }
-        prop_assert_eq!(tree.check_invariants().unwrap(), seq.check_invariants().unwrap());
+        tree.check_invariants().unwrap();
+        seq.check_invariants().unwrap();
+        prop_assert_eq!(census(tree.stats()), census(seq.stats()));
         prop_assert_eq!(hints.stats, seq_hints.stats);
         prop_assert_eq!(tree.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
         prop_assert_eq!(seq.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
@@ -359,7 +367,9 @@ proptest! {
                 prop_assert_eq!(seq.remove(k), expect);
             }
         }
-        prop_assert_eq!(conc.check_invariants().unwrap(), seq.check_invariants().unwrap());
+        conc.check_invariants().unwrap();
+        seq.check_invariants().unwrap();
+        prop_assert_eq!(census(conc.stats()), census(seq.stats()));
         prop_assert_eq!(seq.len(), model.len());
         prop_assert_eq!(conc.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
         prop_assert_eq!(seq.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
@@ -434,7 +444,7 @@ proptest! {
             }
         }
         prop_assert_eq!(conc.iter().collect::<Vec<_>>(), seq.iter().collect::<Vec<_>>());
-        prop_assert_eq!(conc.shape(), seq.shape());
+        prop_assert_eq!(census(conc.stats()), census(seq.stats()));
         prop_assert_eq!(ch.stats, sh.stats);
         for (p, _) in ops.iter().take(30) {
             prop_assert_eq!(conc.lower_bound(p).next(), seq.lower_bound(p).next());

@@ -54,8 +54,9 @@ fn duplicate_insert_race_is_linearizable() {
             .count();
         assert_eq!(wins, 1, "duplicate key must be inserted exactly once");
         check_set_history(&history).unwrap();
-        let shape = set.check_invariants().unwrap();
-        assert_eq!(shape.keys, 3);
+        set.check_invariants().unwrap();
+        let stats = set.stats();
+        assert_eq!(stats.keys, 3);
         assert!(set.contains(&[5]) && set.contains(&[10]) && set.contains(&[11]));
     });
 }
@@ -85,9 +86,10 @@ fn concurrent_splits_keep_invariants() {
         for h in handles {
             h.join();
         }
-        let shape = set.check_invariants().unwrap();
-        assert_eq!(shape.keys, 8, "keys 0..=7, the shared key 4 deduplicated");
-        assert!(shape.depth >= 2, "eight keys at capacity 4 must have split");
+        set.check_invariants().unwrap();
+        let stats = set.stats();
+        assert_eq!(stats.keys, 8, "keys 0..=7, the shared key 4 deduplicated");
+        assert!(stats.depth >= 2, "eight keys at capacity 4 must have split");
         for k in 0..8u64 {
             assert!(set.contains(&[k]), "key {k} lost");
         }
@@ -166,8 +168,9 @@ fn racing_disjoint_merges_keep_invariants() {
         for h in handles {
             h.join();
         }
-        let shape = set.check_invariants().unwrap();
-        assert_eq!(shape.keys, 16);
+        set.check_invariants().unwrap();
+        let stats = set.stats();
+        assert_eq!(stats.keys, 16);
         let got: Vec<u64> = set.iter().map(|t| t[0]).collect();
         let expect: Vec<u64> = (0..6).chain(10..15).chain(20..25).collect();
         assert_eq!(got, expect, "merged contents wrong");
@@ -204,8 +207,9 @@ fn racing_overlapping_merges_count_exactly_once() {
         for h in handles {
             h.join();
         }
-        let shape = set.check_invariants().unwrap();
-        assert_eq!(shape.keys, 8, "union of {{0,2,4}} with both sources");
+        set.check_invariants().unwrap();
+        let stats = set.stats();
+        assert_eq!(stats.keys, 8, "union of {{0,2,4}} with both sources");
         assert_eq!(
             added.load(std::sync::atomic::Ordering::Relaxed),
             5,
@@ -258,9 +262,10 @@ fn interior_descent_survives_interior_rewrites() {
         };
         low.join();
         high.join();
-        let shape = set.check_invariants().unwrap();
+        set.check_invariants().unwrap();
+        let stats = set.stats();
         assert_eq!(
-            shape.keys, 23,
+            stats.keys, 23,
             "5 seeded + 15 new low (10 is a duplicate) + 3 high"
         );
         for k in (0u64..=16).chain([20, 30, 40, 50, 60, 70]) {
@@ -443,7 +448,7 @@ fn append_hint_races_a_split_of_its_parent() {
         };
         appender.join();
         splitter.join();
-        assert!(set.shape().depth >= 3, "the root must have split");
+        assert!(set.stats().depth >= 3, "the root must have split");
         assert_holds(&set, full_root(), &[105, 115, 140, 150, 1, 2, 3]);
     });
 }
@@ -573,7 +578,7 @@ fn a_split_of_the_group_parent_races_retain_absent() {
         let tree: Arc<BTreeSet<1, 4>> = Arc::new(full_root().map(|k| [k]).collect());
         let run = [0, 5, 20, 30, 50, 65, 80, 100, 110, 125, 130];
         anti_join_races(tree.clone(), &run, &[1, 2, 3], &[5, 65, 125]);
-        assert!(tree.shape().depth >= 3, "the root must have split");
+        assert!(tree.stats().depth >= 3, "the root must have split");
     });
 }
 
@@ -811,12 +816,63 @@ fn racing_removers_claim_each_key_once() {
     });
 }
 
+/// A reader racing the predecessor swap of an inner-key removal. Keys 0..8
+/// at `C = 4` make the root [2 5] over [0 1] [3 4] [6 7]; `remove(5)` takes
+/// 4, the maximum of the leaf left of 5, up into the root. A reader that
+/// ranked 4 in the old root and took its lease on [3 4] before the swap
+/// must fail that lease once it looks again — the donor's write moved its
+/// version on — and find 4 in the root on its way down again: reported
+/// absent, 4 is lost to every lookup that passed the root first.
+///
+/// Must be accepted without a restart: a reader whose whole descent falls
+/// before the remover's upgrade of the root or after its unlock. Must
+/// restart: a lease on the root or on [3 4] taken before the swap. Six
+/// lookups give the swap six windows to land in. The bounds check what the
+/// contract promises: a validated position, read by a phase-concurrent
+/// iterator (on the correct tree PCT at depth 1 has `lower_bound(5)` yield
+/// the 4 the swap wrote into the slot 5 held, at seed 50).
+#[cfg(any(not(feature = "chaos-inject-bug"), chaos))]
+fn predecessor_swap_races_a_reader() {
+    let set: Arc<BTreeSet<1, 4>> = Arc::new((0..8).map(|k| [k]).collect());
+    let stats = set.stats();
+    assert_eq!((stats.depth, stats.leaf_nodes, stats.leaf_keys), (2, 3, 6));
+    let remover = {
+        let set = set.clone();
+        chaos::thread::spawn(move || assert!(set.remove(&[5])))
+    };
+    let reader = {
+        let set = set.clone();
+        chaos::thread::spawn(move || {
+            for _ in 0..6 {
+                assert!(set.contains(&[4]), "4 lost past the pulled-up predecessor");
+            }
+            // A bound's position is validated, the keys the iterator then
+            // reads are not (iteration is phase-concurrent): the swap may
+            // write 4 into the slot that held 5, or empty [3 4] first.
+            let at4 = set.lower_bound(&[4]).next();
+            assert!(matches!(at4, Some([4] | [5])), "lower_bound(4) = {at4:?}");
+            let at5 = set.lower_bound(&[5]).next();
+            assert!(matches!(at5, Some([4..=6])), "lower_bound(5) = {at5:?}");
+        })
+    };
+    remover.join();
+    reader.join();
+    assert_holds(&set, [0, 1, 2, 3, 4, 6, 7], &[]);
+}
+
+#[cfg(not(feature = "chaos-inject-bug"))]
+#[test]
+fn a_reader_races_the_predecessor_swap_of_a_removal() {
+    explore(predecessor_swap_races_a_reader);
+}
+
 /// Mutation self-test for the descent's lease validation: with the planted
 /// `chaos-inject-bug` defect compiled in (an interior rank skips the
-/// per-node lease validation in the insert descent), a reader that ranks
-/// its key in the root, gets parked, and resumes after the writer's run has
-/// *root-split* that node proceeds on a stale lease over the halved old
-/// root and routes its key into a subtree that no longer covers it. The
+/// per-node lease validation in the descent every lookup, insert and
+/// remove shares), an inserter that ranks its key in the root, gets
+/// parked, and resumes after the writer's run has *root-split* that node
+/// proceeds on a stale lease over the halved old root and routes its key
+/// into a subtree that no longer covers it. The
 /// harness must surface the misplaced key (an invariant violation or a
 /// failed membership check) within a bounded seed budget — proving the
 /// chaos checkpoints on the descent give the scheduler the preemption
@@ -916,6 +972,39 @@ fn planted_unvalidated_join_bug_is_caught() {
     let failure = out.failure.unwrap_or_default();
     println!(
         "planted join bug caught at seed {} after {} steps (trace {:#018x}): {}",
+        out.seed,
+        out.steps,
+        out.trace_hash,
+        failure.lines().next().unwrap_or_default()
+    );
+}
+
+/// Mutation self-test for the predecessor swap: with the planted
+/// `chaos-inject-bug` defect compiled in (the spine of an inner-key removal
+/// is released with every version restored, the donor's included), a
+/// reader holding a lease on [3 4] from before the swap validates it after,
+/// finds only 3 and reports 4 absent while it sits in the root. The window
+/// is one preemption point per lookup, between the reader's last root
+/// validation and its first read of the leaf. With every planted defect
+/// compiled in, PCT at depth 2 fails the model at seed 51; so does the
+/// descent's defect alone, which lookups run too. The spine's defect alone
+/// failed it at seed 345 at depth 2 and at seed 307 at depth 1, so the
+/// budget is 512 seeds at depth 2.
+#[cfg(all(chaos, feature = "chaos-inject-bug"))]
+#[test]
+fn planted_predecessor_swap_bug_is_caught() {
+    let out = chaos::find_failure(
+        &chaos::Config::pct(2),
+        0..512,
+        predecessor_swap_races_a_reader,
+    );
+    let out = out.expect(
+        "the planted predecessor-swap bug must be caught within 512 seeds; if \
+         this fails the removal models no longer reach a lease across the swap",
+    );
+    let failure = out.failure.unwrap_or_default();
+    println!(
+        "planted predecessor-swap bug caught at seed {} after {} steps (trace {:#018x}): {}",
         out.seed,
         out.steps,
         out.trace_hash,

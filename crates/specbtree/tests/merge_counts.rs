@@ -26,8 +26,9 @@ fn append_merge<const C: usize>(n: u64, m: u64) -> (TreeStats, TreeStats, [u64; 
     let (before, was) = (dst.stats(), counters());
     assert_eq!(dst.insert_all_parallel(&src, 1), m, "n={n} m={m} C={C}");
     let now = counters();
-    let shape = dst.check_invariants().unwrap();
-    assert_eq!(shape.keys, (n + m) as usize, "n={n} m={m} C={C}");
+    dst.check_invariants().unwrap();
+    let stats = dst.stats();
+    assert_eq!(stats.keys, n + m, "n={n} m={m} C={C}");
     let expect: Vec<Tuple<2>> = (0..n + m).map(|i| [i, 1]).collect();
     assert_eq!(dst.iter().collect::<Vec<_>>(), expect, "n={n} m={m} C={C}");
     (before, dst.stats(), [now[0] - was[0], now[1] - was[1]])

@@ -76,10 +76,13 @@ fn check_run_at<const K: usize, const C: usize>(base: &Model<u64>, run: &Model<u
         absent.len() as u64,
         "insert_run: {what}"
     );
-    let shape = tree
-        .check_invariants()
+    tree.check_invariants()
         .unwrap_or_else(|e| panic!("{e}: {what}"));
-    assert_eq!(shape.keys, base.union(run).count(), "{what}");
+    assert_eq!(
+        tree.stats().keys as usize,
+        base.union(run).count(),
+        "{what}"
+    );
     assert_eq!(
         tree.iter().collect::<Vec<_>>(),
         keys(&mut base.union(run)),
@@ -159,9 +162,10 @@ proptest! {
         let dst: BTreeSet<2, 4> = BTreeSet::new();
         let src: BTreeSet<2, 4> = build(&keys);
         dst.insert_all(&src);
-        let shape = dst.check_invariants().unwrap();
+        dst.check_invariants().unwrap();
+        let stats = dst.stats();
         let expect = model(&keys);
-        prop_assert_eq!(shape.keys, expect.len());
+        prop_assert_eq!(stats.keys as usize, expect.len());
         prop_assert_eq!(
             dst.iter().collect::<Vec<_>>(),
             expect.into_iter().collect::<Vec<_>>()
@@ -218,8 +222,9 @@ proptest! {
                     expect.len() - pre.len()
                 ),
             }
-            let shape = dst.check_invariants().unwrap();
-            prop_assert_eq!(shape.keys, expect.len());
+            dst.check_invariants().unwrap();
+            let stats = dst.stats();
+            prop_assert_eq!(stats.keys as usize, expect.len());
             prop_assert_eq!(
                 dst.iter().collect::<Vec<_>>(),
                 expect.iter().copied().collect::<Vec<_>>()

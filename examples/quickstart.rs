@@ -57,11 +57,12 @@ fn main() {
     assert_eq!(counts.iter().sum::<usize>(), edges.len());
 
     // Structural health check (debug/diagnostic API).
-    let shape = edges.check_invariants().expect("invariants hold");
+    edges.check_invariants().expect("invariants hold");
+    let stats = edges.stats();
     println!(
-        "tree: depth {}, {} nodes, fill grade {:.0}%",
-        shape.depth,
-        shape.nodes,
-        shape.fill_grade(specbtree::DEFAULT_NODE_CAPACITY) * 100.0
+        "tree: depth {}, {} nodes, leaf fill {:.0}%",
+        stats.depth,
+        stats.inner_nodes + stats.leaf_nodes,
+        stats.leaf_fill() * 100.0
     );
 }

@@ -116,8 +116,9 @@ fn chaos_split_storm_matches_model() {
             h.join();
         }
         let model: std::collections::BTreeSet<u64> = batches.into_iter().flatten().collect();
-        let shape = tree.check_invariants().unwrap();
-        assert_eq!(shape.keys, model.len());
+        tree.check_invariants().unwrap();
+        let stats = tree.stats();
+        assert_eq!(stats.keys as usize, model.len());
         let ours: Vec<u64> = tree.iter().map(|t| t[0]).collect();
         let theirs: Vec<u64> = model.into_iter().collect();
         assert_eq!(ours, theirs);
