@@ -9,8 +9,9 @@
 //! * **bulk merge** — the specialized `insert_all` (empty-target bulk path)
 //!   vs element-wise insertion;
 //! * **key order by counting** — `sort_tuples` vs `sort_unstable` over
-//!   batch sizes, key domains and widths: the measurement behind the
-//!   kernel's digit width and its crossover to comparing;
+//!   batch sizes, key domains and widths, and a block's keys sorted on the
+//!   key alone vs whole: the measurement behind the kernel's widest digit
+//!   and its crossover to comparing;
 //! * **runs, not tuples** — a sorted batch checked against one tree and
 //!   inserted into another tuple by tuple through hints, against one
 //!   `retain_absent` and one `insert_run`: the layer number under the
@@ -149,41 +150,78 @@ fn bulk_merge(c: &mut Criterion) {
 /// 2²⁰ tuples sorted `n` at a time, every slice fresh from the generator:
 /// the same slice sorted again and again teaches the branch predictor its
 /// comparisons (`sort_unstable` reads 2.5× faster that way at `n` = 1 024).
-/// Dense domains are what the engine sorts; on full-width keys the kernel
-/// sweeps once for the bits that vary and hands over to `sort_unstable`.
+/// Dense domains are what the engine sorts — 2¹¹ and 2¹² are `tc_random`'s
+/// and `security`'s identifiers, 2¹³ the widest digit — and on full-width
+/// keys the kernel sweeps once for the bits that vary and hands over to
+/// `sort_unstable`. The block case is a block's keys: `K − 1` key columns
+/// and the binding's offset, ascending in each slice as pushed, sorted on
+/// the key alone (`lead = K − 1`) against sorting whole tuples.
 fn key_order_by_counting(c: &mut Criterion) {
     const POOL: usize = 1 << 20;
 
-    fn run<const K: usize>(c: &mut Criterion, n: usize, bits: u32) {
+    fn pool<const K: usize>(n: usize, bits: u32) -> Vec<[u64; K]> {
         let mut rng = SplitMix64::new(n as u64 ^ u64::from(bits));
-        let pool: Vec<[u64; K]> = (0..POOL)
+        (0..POOL)
             .map(|_| std::array::from_fn(|_| rng.next_u64() >> (64 - bits)))
-            .collect();
+            .collect()
+    }
+
+    fn bench<const K: usize>(
+        group: &mut criterion::BenchmarkGroup<'_>,
+        (name, n): (&str, usize),
+        pool: &[[u64; K]],
+        mut sort: impl FnMut(&mut [[u64; K]]),
+    ) {
+        group.bench_function(BenchmarkId::new(name, n), |b| {
+            let sort = |mut pool: Vec<[u64; K]>| {
+                sort(&mut pool);
+                pool
+            };
+            b.iter_batched(|| pool.to_vec(), sort, BatchSize::LargeInput)
+        });
+    }
+
+    fn run<const K: usize>(c: &mut Criterion, n: usize, bits: u32) {
+        let pool = pool::<K>(n, bits);
         let mut group = c.benchmark_group(format!("sort_tuples/K={K}/domain=2^{bits}"));
         group.throughput(Throughput::Elements(POOL as u64));
         let mut scratch = Vec::new();
-        group.bench_function(BenchmarkId::new("sort_tuples", n), |b| {
-            let sort = |mut pool: Vec<[u64; K]>| {
-                pool.chunks_mut(n)
-                    .for_each(|slice| sort_tuples(slice, &mut scratch));
-                pool
-            };
-            b.iter_batched(|| pool.clone(), sort, BatchSize::LargeInput)
+        bench(&mut group, ("sort_tuples", n), &pool, |pool| {
+            pool.chunks_mut(n)
+                .for_each(|slice| sort_tuples(slice, K, &mut scratch))
         });
-        group.bench_function(BenchmarkId::new("sort_unstable", n), |b| {
-            let sort = |mut pool: Vec<[u64; K]>| {
-                pool.chunks_mut(n).for_each(<[_]>::sort_unstable);
-                pool
-            };
-            b.iter_batched(|| pool.clone(), sort, BatchSize::LargeInput)
+        bench(&mut group, ("sort_unstable", n), &pool, |pool| {
+            pool.chunks_mut(n).for_each(<[_]>::sort_unstable)
         });
         group.finish();
     }
 
-    for bits in [11, 32, 64] {
+    fn block<const K: usize>(c: &mut Criterion, n: usize, bits: u32) {
+        let mut pool = pool::<K>(n, bits);
+        let offsets = (0..n as u64).cycle().map(|i| i * K as u64);
+        pool.iter_mut().zip(offsets).for_each(|(t, i)| t[K - 1] = i);
+        let mut group = c.benchmark_group(format!("sort_tuples/block/K={K}/domain=2^{bits}"));
+        group.throughput(Throughput::Elements(POOL as u64));
+        let mut scratch = Vec::new();
+        for (name, lead) in [("key_alone", K - 1), ("whole", K)] {
+            bench(&mut group, (name, n), &pool, |pool| {
+                pool.chunks_mut(n)
+                    .for_each(|slice| sort_tuples(slice, lead, &mut scratch))
+            });
+        }
+        group.finish();
+    }
+
+    for bits in [11, 12, 13, 32, 64] {
         for n in [64, 1 << 8, 1 << 10, 1 << 12, POOL] {
             run::<2>(c, n, bits);
             run::<3>(c, n, bits);
+        }
+    }
+    for bits in [11, 12] {
+        for n in [1 << 10, 1 << 12] {
+            block::<2>(c, n, bits);
+            block::<3>(c, n, bits);
         }
     }
 }
@@ -296,7 +334,7 @@ fn block_join(c: &mut Criterion) {
             let mut sorted = |keyed: &mut Vec<[u64; 2]>| {
                 keyed.clear();
                 keyed.extend(bindings.iter().zip(0..).map(|(&[key, _], i)| [key, i]));
-                sort_tuples(keyed, &mut scratch);
+                sort_tuples(keyed, 1, &mut scratch);
             };
             group.bench_function(BenchmarkId::new("block", len), |b| {
                 b.iter(|| {
@@ -369,7 +407,7 @@ fn block_check(c: &mut Criterion, n: u64, tree: &BTreeSet<2>, len: usize, rng: &
         b.iter(|| {
             keyed.clear();
             keyed.extend(probes.iter().zip(0..).map(|(&[x, y], i)| [x, y, i]));
-            sort_tuples(&mut keyed, &mut scratch);
+            sort_tuples(&mut keyed, 2, &mut scratch);
             let mut found = 0usize;
             for run in keyed.chunk_by(|a, b| a[..2] == b[..2]) {
                 if tree.contains_hinted(&[run[0][0], run[0][1]], &mut hints) {

@@ -623,7 +623,8 @@ struct Block {
     /// Each binding's environment, `nvars` words, end to end.
     envs: Vec<u64>,
     /// `(key…, where the binding's environment starts in envs)` per
-    /// binding, end to end, sorted with the emit batch's scratch.
+    /// binding, end to end: pushed with ascending offsets, then sorted on
+    /// the key alone with the emit batch's scratch.
     keys: Vec<u64>,
     /// The range of the key being replayed, for a scan.
     range: Vec<TupleBuf>,
@@ -786,7 +787,10 @@ const EMIT_BATCH: usize = 16_384;
 /// / 16 384 / 32 768, and 1 024 trailed (0.88 and 0.90×): this is the
 /// smallest block on the plateau (EXPERIMENTS.md, "Reads by blocks"; swept
 /// while only step 1 read by blocks; the layer is `ablation`'s group
-/// `block_join`). Every keyed step's block has this size.
+/// `block_join`). Every keyed step's block has this size. A binding's
+/// offset (up to this many times the plan's variables, 13–15 bits) is
+/// never sorted on: offsets ascend as pushed, so a block sorts on the
+/// key's digits alone.
 const BLOCK: usize = 4_096;
 
 /// The emit batch's ceiling inside a block, past which a large fan-out is
@@ -905,12 +909,14 @@ impl<'p, 'c> Evaluator<'p, 'c> {
     }
 
     /// Runs the keyed step `si` and the steps after it for every binding in
-    /// its block, and empties it. Sorted by the step's key, each distinct
-    /// key is looked up once: a scan reads its range into a buffer (one
-    /// `lower_bound_calls` and `upper_bound_calls` each), a check makes one
-    /// `contains` (one `membership_tests`). Every binding under the key is
-    /// then replayed into the next step (one `inner_scans_indexed` each for
-    /// a scan). The emit batch is flushed between blocks.
+    /// its block, and empties it. Sorted on the step's key alone — stably,
+    /// so the bindings under a key replay in the order they were pushed —
+    /// each distinct key is looked up once: a scan reads its range into a
+    /// buffer (one `lower_bound_calls` and `upper_bound_calls` each), a
+    /// check makes one `contains` (one `membership_tests`). Every binding
+    /// under the key is then replayed into the next step (one
+    /// `inner_scans_indexed` each for a scan). The emit batch is flushed
+    /// between blocks.
     fn run_block(
         &mut self,
         si: usize,
@@ -928,8 +934,7 @@ impl<'p, 'c> Evaluator<'p, 'c> {
             return;
         }
         let (width, nvars) = (step.key().map_or(0, <[Slot]>::len) + 1, vars.len());
-        // Every tuple ends in where its binding starts: none is a repeat.
-        sort_distinct(keys, width, &mut self.buf.scratch);
+        sort_batch(keys, width, width - 1, &mut self.buf.scratch);
         let mut at = 0;
         while at < keys.len() {
             let key = &keys[at..at + width - 1];
@@ -1020,7 +1025,7 @@ impl<'p, 'c> Evaluator<'p, 'c> {
     fn flush(&mut self) {
         let EmitBuf { batch, scratch } = &mut *self.buf;
         let width = self.plan.head_slots.len().max(1);
-        let distinct = sort_distinct(batch, width, scratch);
+        let distinct = sort_batch(batch, width, width, scratch);
         let run = &mut batch[..distinct * width];
         let kept = self.head.full.retain_absent(run, width);
         let added = self.head.new.insert_run(&run[..kept * width], width);
@@ -1031,14 +1036,20 @@ impl<'p, 'c> Evaluator<'p, 'c> {
     }
 }
 
-/// Sorts `batch` — tuples of `width` words each, end to end — ascending,
-/// moves each distinct tuple once to its front and returns how many there
-/// are; `scratch` as for [`specbtree::sort_tuples`]. An arm per width, as in
+/// Sorts `batch` — tuples of `width` words each, end to end — on their
+/// first `lead` words with [`specbtree::sort_tuples`] (`scratch` as there)
+/// and returns how many tuples lead it: sorted whole (`lead == width`), each
+/// distinct tuple moved once to the front; sorted on fewer words (a block's
+/// keys, each ending in where its binding starts, so none is a repeat),
+/// all of them. An arm per width, as in
 /// [`StorageKind::create_for`](crate::storage::StorageKind::create_for).
-fn sort_distinct(batch: &mut [u64], width: usize, scratch: &mut Vec<u64>) -> usize {
-    fn distinct<const K: usize>(batch: &mut [u64], scratch: &mut Vec<u64>) -> usize {
+fn sort_batch(batch: &mut [u64], width: usize, lead: usize, scratch: &mut Vec<u64>) -> usize {
+    fn sort<const K: usize>(batch: &mut [u64], lead: usize, scratch: &mut Vec<u64>) -> usize {
         let (tuples, _) = batch.as_chunks_mut::<K>();
-        specbtree::sort_tuples(tuples, scratch);
+        specbtree::sort_tuples(tuples, lead, scratch);
+        if lead < K {
+            return tuples.len();
+        }
         let mut n = tuples.len().min(1);
         for i in 1..tuples.len() {
             if tuples[i] != tuples[n - 1] {
@@ -1049,12 +1060,12 @@ fn sort_distinct(batch: &mut [u64], width: usize, scratch: &mut Vec<u64>) -> usi
         n
     }
     match width {
-        0 | 1 => distinct::<1>(batch, scratch),
-        2 => distinct::<2>(batch, scratch),
-        3 => distinct::<3>(batch, scratch),
-        4 => distinct::<4>(batch, scratch),
-        5 => distinct::<5>(batch, scratch),
-        _ => distinct::<{ MAX_ARITY + 1 }>(batch, scratch),
+        0 | 1 => sort::<1>(batch, lead, scratch),
+        2 => sort::<2>(batch, lead, scratch),
+        3 => sort::<3>(batch, lead, scratch),
+        4 => sort::<4>(batch, lead, scratch),
+        5 => sort::<5>(batch, lead, scratch),
+        _ => sort::<{ MAX_ARITY + 1 }>(batch, lead, scratch),
     }
 }
 
@@ -1064,7 +1075,7 @@ fn sort_distinct(batch: &mut [u64], width: usize, scratch: &mut Vec<u64>) -> usi
 pub(crate) fn insert_tuples(dst: &dyn RelationStorage, tuples: &[TupleBuf]) -> u64 {
     let width = dst.width();
     let mut run: Vec<u64> = tuples.iter().flat_map(|t| &t[..width]).copied().collect();
-    let distinct = sort_distinct(&mut run, width, &mut Vec::new());
+    let distinct = sort_batch(&mut run, width, width, &mut Vec::new());
     dst.insert_run(&run[..distinct * width], width)
 }
 

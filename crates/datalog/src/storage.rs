@@ -545,10 +545,10 @@ struct SpecBTreeStorage<const K: usize> {
 
 impl<const K: usize> SpecBTreeStorage<K> {
     /// Replays a bulk operation on the primary against every secondary
-    /// index: `walk` yields its tuples ascending, the same on every call. A
-    /// merge puts them, permuted, in the index's order with the kernel
-    /// [`add_index`](RelationStorage::add_index) builds with and hands them
-    /// over as one run; a removal is `remove` per permuted tuple.
+    /// index: `walk` yields its tuples ascending, the same on every call.
+    /// They are put, permuted, in the index's order with the kernel
+    /// [`add_index`](RelationStorage::add_index) builds with; a merge hands
+    /// them over as one run, a removal is `remove` per tuple in that order.
     fn maintain_indexes<I>(&self, walk: impl Fn() -> I, remove: bool)
     where
         I: Iterator<Item = [u64; K]>,
@@ -559,10 +559,10 @@ impl<const K: usize> SpecBTreeStorage<K> {
         let timer = telemetry::start_timer();
         for ix in &self.indexes {
             let walk = || walk().map(|t| ix.order.permute(&t));
+            let run = specbtree::sorted_tuples(walk, ix.order.lead());
             if remove {
-                walk().for_each(|p| _ = ix.tree.remove(&p));
+                run.iter().for_each(|p| _ = ix.tree.remove(p));
             } else {
-                let run = specbtree::sorted_tuples(walk, ix.order.lead());
                 ix.tree.insert_run(&run);
             }
         }

@@ -1,21 +1,26 @@
 //! Key order by counting: the sort that establishes
-//! [`BTreeSet::from_sorted`](crate::BTreeSet::from_sorted)'s precondition
-//! and puts a batch of writes in the order hinted operations want. Datalog
-//! identifiers are dense, so one sweep finds the few bits per column on
-//! which a batch's tuples differ (`OR ^ AND`), and every [`DIGIT_BITS`]-wide
-//! digit holding one becomes a stable counting pass, least significant
-//! first; wide keys go to `sort_unstable`, by a rule read off the input.
+//! [`BTreeSet::from_sorted`](crate::BTreeSet::from_sorted)'s precondition,
+//! puts a batch of writes in the order a run wants and a block of bindings
+//! in key order. Datalog identifiers are dense, so one sweep finds the bits
+//! per column on which a batch's tuples differ (`OR ^ AND`); each column's
+//! span of them is cut into the fewest equal digits of at most
+//! [`MAX_DIGIT_BITS`], and every digit that varies becomes a stable
+//! counting pass, least significant first, over a count table no larger
+//! than the digit's largest value. Only the first `lead` columns are sorted
+//! on; wide keys go to `sort_unstable`, by a rule read off the input.
 
 use crate::Tuple;
 use std::{array::from_fn, mem::replace, mem::swap};
 
-/// Bits per counting pass. Measured on this 2-vCPU host, as all below
-/// (`bench-suite`'s `ablation`, group `sort_tuples`, ns per tuple): 11 bits
-/// sort 4 096 pairs over 1 500 values in a pass per column, 8.5 against 8
-/// bits' 19.6, and backfill `tc_random`'s reverse index in one (`retract_s`
-/// 0.71–0.79× of 8 bits', `run_s` 0.97–1.01× on the benchmark's workloads).
-const DIGIT_BITS: u32 = 11;
-const BUCKETS: usize = 1 << DIGIT_BITS;
+/// The widest digit a counting pass sorts on. Measured on a 2-vCPU host,
+/// as all below (`bench-suite`'s `ablation`, group `sort_tuples`, 2²⁰
+/// tuples sorted `n` at a time, medians of three rounds): on a 2¹³ domain
+/// one 13-bit pass a column read 0.40–0.65× of 12 bits' two 7-bit passes
+/// at `n` = 4 096 and 16 384, and 0.94–1.14× at 1 024; 2¹¹ and 2¹² domains
+/// take one pass a column under either bound (0.81–1.22×, noise). An
+/// 11-bit bound gave 2¹² two passes a column, 1.1–2.5× of 13 bits'; 16 bits
+/// read 1.5–1.8× of 13 on 2¹² and 2¹³ domains, whose tables leave L1.
+const MAX_DIGIT_BITS: u32 = 13;
 
 /// Slices shorter than this are compared: at 64 tuples the sweep and the
 /// plan alone cost 10–30 % of `sort_unstable`'s 1.3–1.6 µs.
@@ -30,64 +35,98 @@ const SHORT: usize = 128;
 const PASSES_PER_LEVEL: usize = 2;
 const ENTRIES_PER_TUPLE: usize = 4;
 
-fn bucket<const K: usize>(t: &Tuple<K>, col: usize, shift: u32) -> usize {
-    (t[col] >> shift) as usize & (BUCKETS - 1)
+/// What one counting pass sorts on: the bits of column `col` from `shift`
+/// under `mask`, at most `top` in the batch.
+#[derive(Clone, Copy)]
+struct Digit {
+    col: usize,
+    shift: u32,
+    mask: u64,
+    top: usize,
 }
 
-/// The tuple count and the passes (column, digit's first bit, largest digit
-/// there) sorting on the first `lead` columns: none if comparing is cheaper.
+impl Digit {
+    fn of<const K: usize>(&self, t: &Tuple<K>) -> usize {
+        (t[self.col] >> self.shift & self.mask) as usize
+    }
+}
+
+/// The tuple count and the digits sorting on the first `lead` columns,
+/// least significant first: `None` if comparing is cheaper.
 fn plan<const K: usize>(
     tuples: impl Iterator<Item = Tuple<K>>,
     lead: usize,
-) -> (usize, Vec<(usize, u32, usize)>) {
+) -> (usize, Option<Vec<Digit>>) {
     let (mut n, mut or, mut and) = (0usize, [0u64; K], [u64::MAX; K]);
     tuples.for_each(|t| {
         n += 1;
         (or, and) = (from_fn(|c| or[c] | t[c]), from_fn(|c| and[c] & t[c]));
     });
-    let shifts = (0..u64::BITS).step_by(DIGIT_BITS as usize);
-    let digits = (0..lead)
-        .rev()
-        .flat_map(|c| shifts.clone().map(move |s| (c, s)))
-        .map(|(c, s)| (c, s, bucket(&or, c, s)))
-        .filter(|&(c, s, top)| top != bucket(&and, c, s));
+    let digits = (0..lead).rev().flat_map(|col| {
+        let varying = or[col] ^ and[col];
+        let low = varying.trailing_zeros();
+        let span = (u64::BITS - varying.leading_zeros()).saturating_sub(low);
+        let count = span.div_ceil(MAX_DIGIT_BITS);
+        let bits = span.div_ceil(count.max(1));
+        (0..count)
+            .map(move |i| {
+                let (shift, mask) = (low + i * bits, (1 << bits) - 1);
+                let top = (or[col] >> shift & mask) as usize;
+                Digit {
+                    col,
+                    shift,
+                    mask,
+                    top,
+                }
+            })
+            .filter(move |d| d.top != d.of(&and))
+    });
     let (passes, entries) = digits
         .clone()
-        .fold((0, 0), |(p, e), d| (p + 1, e + d.2 + 1));
+        .fold((0, 0), |(p, e), d| (p + 1, e + d.top + 1));
     let levels = (usize::BITS - n.saturating_sub(1).leading_zeros()) as usize;
     let counting = (SHORT..u32::MAX as usize).contains(&n)
         && PASSES_PER_LEVEL * passes * n + entries / ENTRIES_PER_TUPLE <= levels * n;
-    (n, digits.filter(|_| counting).collect())
+    (n, counting.then(|| digits.collect()))
 }
 
 /// One stable counting pass over the tuples `src` yields — twice, the same:
-/// counted, then each moved to the next free slot of its bucket in `dst`.
+/// counted in `at`, then each moved to the next free slot of its digit in
+/// `dst`.
 fn pass<const K: usize, I: Iterator<Item = Tuple<K>>>(
     src: impl Fn() -> I,
     dst: &mut [Tuple<K>],
-    (col, shift, top): (usize, u32, usize),
+    d: Digit,
+    at: &mut Vec<u32>,
 ) {
-    let (mut at, mut sum) = ([0u32; BUCKETS], 0);
-    src().for_each(|t| at[bucket(&t, col, shift)] += 1);
-    at[..=top].iter_mut().for_each(|a| sum += replace(a, sum));
+    let mut sum = 0;
+    at.clear();
+    at.resize(d.top + 1, 0);
+    src().for_each(|t| at[d.of(&t)] += 1);
+    at.iter_mut().for_each(|a| sum += replace(a, sum));
     src().for_each(|t| {
-        let slot = &mut at[bucket(&t, col, shift)];
+        let slot = &mut at[d.of(&t)];
         dst[*slot as usize] = t;
         *slot += 1;
     });
 }
 
-/// Sorts `tuples` ascending, as `sort_unstable` would. `scratch` is working
-/// memory, grown to the slice's size: keep it for the next call.
-pub fn sort_tuples<const K: usize>(tuples: &mut [Tuple<K>], scratch: &mut Vec<u64>) {
-    let (n, digits) = plan(tuples.iter().copied(), K);
-    if digits.is_empty() {
+/// Sorts `tuples` on their first `lead` columns, stably: tuples equal on
+/// those keep their input order. With `lead = K` that is ascending, as
+/// `sort_unstable` would have it; with fewer, the rest must ascend as given
+/// among tuples equal on the lead, so that the comparison fallback (short
+/// or wide input), which sorts whole tuples, gives the same order.
+/// `scratch` is working memory, grown to the slice's size: keep it for the
+/// next call.
+pub fn sort_tuples<const K: usize>(tuples: &mut [Tuple<K>], lead: usize, scratch: &mut Vec<u64>) {
+    let (n, Some(digits)) = plan(tuples.iter().copied(), lead) else {
         return tuples.sort_unstable();
-    }
+    };
     scratch.resize(scratch.len().max(n * K), 0);
     let (mut src, (mut dst, _)) = (tuples, scratch[..n * K].as_chunks_mut::<K>());
+    let mut at = Vec::new();
     for &d in &digits {
-        pass(|| src.iter().copied(), dst, d);
+        pass(|| src.iter().copied(), dst, d, &mut at);
         swap(&mut src, &mut dst);
     }
     if digits.len() % 2 == 1 {
@@ -103,17 +142,19 @@ pub fn sorted_tuples<const K: usize, I: Iterator<Item = Tuple<K>>>(
     lead: usize,
 ) -> Vec<Tuple<K>> {
     let (n, digits) = plan(walk(), lead);
-    if digits.is_empty() {
+    let Some([first, rest @ ..]) = digits.as_deref() else {
         let mut all = Vec::with_capacity(n);
         walk().for_each(|t| all.push(t));
-        all.sort_unstable();
+        if digits.is_none() {
+            all.sort_unstable();
+        }
         return all;
-    }
-    let (mut a, mut b) = (vec![[0; K]; n], Vec::new());
-    pass(&walk, &mut a, digits[0]);
-    for &d in &digits[1..] {
+    };
+    let (mut a, mut b, mut at) = (vec![[0; K]; n], Vec::new(), Vec::new());
+    pass(&walk, &mut a, *first, &mut at);
+    for &d in rest {
         b.resize(n, [0; K]);
-        pass(|| a.iter().copied(), &mut b, d);
+        pass(|| a.iter().copied(), &mut b, d, &mut at);
         swap(&mut a, &mut b);
     }
     a

@@ -1,8 +1,9 @@
 //! Seeded sweep pinning the counting sort to `sort_unstable`: every width,
 //! sizes on both sides of the short-slice rule and of the emit batch,
 //! column domains on both sides of the passes-against-levels rule (dense
-//! ones count, full-width ones compare, mixed ones decide per input), and
-//! the input orders a comparison sort treats specially. The kernel reports
+//! ones count, full-width ones compare, mixed ones decide per input) and of
+//! the widest digit (12 to 14 varying bits: one digit or two), and the
+//! input orders a comparison sort treats specially. The kernel reports
 //! nothing about the side it took; the sizes and domains are what put a
 //! case on one.
 
@@ -35,12 +36,16 @@ impl Domain {
     }
 }
 
-const UNIFORM: [Domain; 6] = [
+const UNIFORM: [Domain; 10] = [
     Domain::One,
     Domain::Below(7),
     Domain::Below(300),
+    Domain::Below(4_096),
+    Domain::Below(8_192),
+    Domain::Below(1 << 14),
     Domain::Below(70_000),
     Domain::Offset(300),
+    Domain::Offset(12_000),
     Domain::Full,
 ];
 
@@ -70,7 +75,7 @@ fn sweep<const K: usize>() {
             let mut got = want.clone();
             want.sort_unstable();
             for order in ["random", "sorted", "reversed"] {
-                sort_tuples(&mut got, &mut scratch);
+                sort_tuples(&mut got, K, &mut scratch);
                 assert!(got == want, "{what}, {order} input");
                 if order == "sorted" {
                     got.reverse();
@@ -80,7 +85,7 @@ fn sweep<const K: usize>() {
             // turn; a fresh one does as well, on a slice of another size.
             got.reverse();
             let half = &mut got[n / 2..];
-            sort_tuples(half, &mut Vec::new());
+            sort_tuples(half, K, &mut Vec::new());
             assert!(half == &want[..n - n / 2], "{what}, the lower half");
         }
     }
@@ -95,27 +100,33 @@ fn sort_tuples_is_sort_unstable_at_every_width() {
     sweep::<5>();
 }
 
-/// The pass-skipping entry: the input ascends on the skipped columns and is
-/// shuffled on the `lead` it sorts on, so the output is in order only if
-/// every pass kept equal digits in the order it found them.
+/// Sorting on the first `lead` columns only, both entries: the input
+/// ascends on the skipped columns and is shuffled on the `lead` it sorts
+/// on, so the output is in order only if every pass kept equal digits in
+/// the order it found them. Below the short-slice rule `sort_tuples`
+/// compares whole tuples, which must give the same order.
 fn skip<const K: usize>() {
     let mut rng = SplitMix64::new(0xface + K as u64);
+    let mut scratch = Vec::new();
     for n in SIZES {
         for cols in domains::<K>() {
             for lead in 0..=K {
+                let what = format!("K = {K}, n = {n}, lead = {lead}, {cols:?}");
                 let mut input = draw(n, &cols, &mut rng);
                 input.sort_unstable_by(|a, b| a[lead..].cmp(&b[lead..]));
                 let mut want = input.clone();
                 want.sort_unstable();
                 let got = sorted_tuples(|| input.iter().copied(), lead);
-                assert!(got == want, "K = {K}, n = {n}, lead = {lead}, {cols:?}");
+                assert!(got == want, "{what}, sorted_tuples");
+                sort_tuples(&mut input, lead, &mut scratch);
+                assert!(input == want, "{what}, sort_tuples");
             }
         }
     }
 }
 
 #[test]
-fn sorted_tuples_is_stable_on_the_columns_it_skips() {
+fn both_entries_are_stable_on_the_columns_they_skip() {
     skip::<1>();
     skip::<2>();
     skip::<3>();
