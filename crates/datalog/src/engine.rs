@@ -87,13 +87,13 @@ pub struct EvalStats {
     /// by where the blocks and batches end at more.
     pub membership_tests: u64,
     /// Total `lower_bound` calls: one per distinct key of an inner scan's
-    /// block of bindings, per unprefixed inner scan and per range chunk of
-    /// an outer scan.
+    /// block of bindings — one per block for a scan with no bound prefix,
+    /// whose one key is empty — and one per range chunk of an outer scan.
     pub lower_bound_calls: u64,
     /// Total `upper_bound` calls in the sense of Figure 1's synthesized
     /// code: range queries bounded above, one per distinct key of an inner
-    /// scan's block of bindings. The scan stops at the bound; no tree
-    /// descent is made for it.
+    /// scan's block of bindings; a scan with no bound prefix makes none. The
+    /// scan stops at the bound; no tree descent is made for it.
     pub upper_bound_calls: u64,
     /// Tuples loaded as input facts.
     pub input_tuples: u64,
@@ -132,8 +132,9 @@ pub struct EvalStats {
     /// answers with one range query per distinct key.
     pub inner_scans_indexed: u64,
     /// Inner scans that fell through to an unindexed full sweep (no bound
-    /// prefix, no secondary index) — each one re-reads a whole relation
-    /// per outer tuple.
+    /// prefix, no secondary index), counted once per binding that reaches
+    /// one: the join's lookups, which a block answers with one read of the
+    /// whole relation.
     pub inner_scans_full: u64,
     /// Operation-hint statistics. The engine writes none: its scans and
     /// checks read by sorted blocks through the tree's unhinted operations,
@@ -596,7 +597,7 @@ impl Engine {
         let size_before: usize = self.counts.iter().sum();
 
         // One worker per thread: its counters, and the buffers its plan
-        // executions reuse. Hint contexts live for one plan execution.
+        // executions reuse.
         let mut workers: Vec<Worker> = (0..self.threads).map(|_| Worker::default()).collect();
         for (si, stratum) in self.strat.strata.clone().iter().enumerate() {
             let _span = telemetry::span("eval.stratum", si as u64);

@@ -14,10 +14,11 @@
 //! space into many more chunks than workers
 //! ([`RelationStorage::partition`]), and workers claim chunks off a shared
 //! atomic cursor, walking each chunk directly in the tree
-//! ([`RelationStorage::scan_chunk`]) with no intermediate tuple buffer.
-//! Every later scan with a bound prefix and every check takes the bindings
-//! that reach it a sorted block at a time, one range query or membership
-//! test per distinct key where Figure 1 issues one per binding; a lone
+//! ([`RelationStorage::scan_chunk`]) with no intermediate tuple buffer; the
+//! rest of the join runs inside that walk. Every later scan and check takes
+//! the bindings that reach it a sorted block at a time, one range query or
+//! membership test per distinct key where Figure 1 issues one per binding
+//! (a scan with no bound prefix reads its relation once a block); a lone
 //! worker's blocks and emit batch span its chunks, and every lookup goes
 //! through the tree's unhinted operations: a block's sorted keys already
 //! hold the locality the paper's thread-local hints cache. Every worker
@@ -358,7 +359,8 @@ pub(crate) fn compile_ordered(
 }
 
 /// Whether any non-outermost step is a scan with no bound prefix *and* no
-/// secondary index — an unindexed full scan re-run once per outer tuple.
+/// secondary index — an unindexed full scan, read once a block and replayed
+/// whole for every outer tuple.
 /// Such plans are only worth keeping when the outer loop is known to be
 /// tiny; the retraction planner uses this to decide between delta-hoisted
 /// and source-order versions of its synthetic rules (checked *after*
@@ -518,8 +520,7 @@ pub(crate) struct StorageEnv<'a> {
 type Bound<'a> = Option<&'a dyn RelationStorage>;
 
 /// The head's two tables: the full relation a flushed batch is anti-joined
-/// with and the `new` table the rest is merged into. No operation sites: a
-/// run needs no scratch, so no worker makes a context for them.
+/// with and the `new` table the rest is merged into.
 #[derive(Clone, Copy)]
 struct Head<'a> {
     full: &'a dyn RelationStorage,
@@ -532,16 +533,16 @@ impl<'a> StorageEnv<'a> {
     ///
     /// Scans and membership tests, the head's batched one included, read
     /// `full` and `delta`, batches go to `new`, and no table is both: the
-    /// two-phase property (§2) that lets a join run inside a scan's callback
-    /// and bindings and a batch wait for their blocks and flush: nothing a
-    /// plan reads changes under it.
+    /// two-phase property (§2) that lets the join run inside the outer
+    /// scan's walk and bindings and a batch wait for their blocks and
+    /// flush: nothing a plan reads changes under it.
     fn bind(&self, plan: &Plan) -> (Vec<Bound<'a>>, Head<'a>) {
         let source = |rel: usize, delta: bool| match delta {
             true => side_table(self.delta, rel),
             false => self.full[rel],
         };
         let new = side_table(self.new, plan.head_rel);
-        let sites: Vec<Bound<'a>> = plan
+        let bound: Vec<Bound<'a>> = plan
             .steps
             .iter()
             .map(|step| match step {
@@ -553,45 +554,30 @@ impl<'a> StorageEnv<'a> {
             .collect();
         let reads_new = |src: &&dyn RelationStorage| std::ptr::addr_eq(*src, new);
         assert!(
-            !sites.iter().flatten().any(reads_new),
+            !bound.iter().flatten().any(reads_new),
             "a plan for relation {} reads the table it derives into",
             plan.head_rel
         );
         let full = self.full[plan.head_rel];
-        (sites, Head { full, new })
+        (bound, Head { full, new })
     }
 }
 
-/// An operation site during one worker's execution of one plan: where the
-/// operation goes and the worker's context for it, made before the first
-/// tuple.
-///
-/// Every scan and check site has a context of its own: a locked baseline
-/// replays a scan's matches out of it, and the callback may scan the same
-/// relation again at a deeper site.
-struct Site<'a> {
-    src: &'a dyn RelationStorage,
-    ctx: StorageCtx,
-}
-
-impl<'a> Site<'a> {
-    /// A fresh context for every site of `bound`.
-    fn open(bound: &[Bound<'a>]) -> Vec<Option<Self>> {
-        let open = |src: &'a dyn RelationStorage| Site {
-            src,
-            ctx: src.make_ctx(),
-        };
-        bound.iter().map(|b| b.map(open)).collect()
-    }
-
-    /// Calls `f` for every tuple a scan through `index` (the primary tree
-    /// when `None`) finds under `prefix`.
-    fn range(&mut self, index: &Option<IndexSel>, prefix: &[u64], f: &mut dyn FnMut(&TupleBuf)) {
-        let Self { src, ctx } = self;
-        match index {
-            Some(sel) => src.scan_index(sel.id, &sel.perm, prefix, ctx, f),
-            None => src.scan_prefix(prefix, ctx, f),
-        }
+/// Reads the tuples a scan through `index` (the primary tree when `None`)
+/// finds under `prefix` into `out`. The callback only copies: no storage is
+/// called from inside another's callback, but for the outer scan's.
+fn read_range(
+    src: &dyn RelationStorage,
+    index: &Option<IndexSel>,
+    prefix: &[u64],
+    ctx: &mut StorageCtx,
+    out: &mut Vec<TupleBuf>,
+) {
+    out.clear();
+    let push = &mut |t: &TupleBuf| out.push(*t);
+    match index {
+        Some(sel) => src.scan_index(sel.id, &sel.perm, prefix, ctx, push),
+        None => src.scan_prefix(prefix, ctx, push),
     }
 }
 
@@ -616,8 +602,8 @@ struct EmitBuf {
     scratch: Vec<u64>,
 }
 
-/// Bindings that reached a keyed step ([`Step::key`]) and wait for it to
-/// look each distinct key up once for all of them.
+/// Bindings that reached a scan or a check ([`Step::key`]) and wait for it
+/// to look each distinct key up once for all of them.
 #[derive(Default)]
 struct Block {
     /// Each binding's environment, `nvars` words, end to end.
@@ -626,7 +612,8 @@ struct Block {
     /// binding, end to end: pushed with ascending offsets, then sorted on
     /// the key alone with the emit batch's scratch.
     keys: Vec<u64>,
-    /// The range of the key being replayed, for a scan.
+    /// The range of the key being replayed, for a scan: the whole relation
+    /// for a sweep.
     range: Vec<TupleBuf>,
 }
 
@@ -643,13 +630,13 @@ impl Block {
 
 impl Step {
     /// What the bindings that reach this step wait in a block sorted by: a
-    /// scan's bound prefix, a check's tuple. `None` for a filter and an
-    /// unprefixed scan, which run per binding in place.
+    /// scan's bound prefix (empty for a sweep), a check's tuple. `None` for
+    /// a filter, which runs per binding in place.
     fn key(&self) -> Option<&[Slot]> {
         match self {
-            Step::Scan { prefix, .. } if !prefix.is_empty() => Some(prefix),
+            Step::Scan { prefix, .. } => Some(prefix),
             Step::Check { terms, .. } => Some(terms),
-            _ => None,
+            Step::Filter { .. } => None,
         }
     }
 }
@@ -675,11 +662,10 @@ pub(crate) fn eval_plan(plan: &Plan, env: &StorageEnv<'_>, workers: &mut [Worker
     else {
         // Degenerate plan (starts with a check): evaluate sequentially.
         let Worker { stats, buf, blocks } = &mut workers[0];
-        let mut sites = Site::open(&bound);
-        let mut evaluator = Evaluator::new(plan, head, stats, buf, blocks);
+        let mut evaluator = Evaluator::new(plan, &bound, head, stats, buf, blocks);
         let mut vars = vec![0u64; plan.nvars];
-        evaluator.run_from(0, &mut vars, &mut sites, blocks);
-        return evaluator.finish(0, &mut vars, &mut sites, blocks);
+        evaluator.run_from(0, &mut vars, blocks);
+        return evaluator.finish(0, &mut vars, blocks);
     };
     debug_assert!(
         prefix.iter().all(|s| matches!(s, Slot::Const(_))),
@@ -717,16 +703,13 @@ pub(crate) fn eval_plan(plan: &Plan, env: &StorageEnv<'_>, workers: &mut [Worker
 
 impl Job<'_> {
     /// One worker's claim loop: chunks off the shared cursor until none are
-    /// left, through contexts the worker makes for this execution. Beside
-    /// other workers it runs its blocks and batch at each chunk's end; alone,
-    /// after its last chunk.
+    /// left. Beside other workers it runs its blocks and batch at each
+    /// chunk's end; alone, after its last chunk.
     fn run(&self, worker: &mut Worker) {
         let plan = self.plan;
         let Worker { stats, buf, blocks } = worker;
-        let mut sites = Site::open(&self.bound);
-        let (outer, inner) = sites.split_first_mut().expect("a site per step");
-        let outer = outer.as_mut().expect("the outer scan's site");
-        let mut evaluator = Evaluator::new(plan, self.head, stats, buf, blocks);
+        let outer = self.bound[0].expect("the outer scan's storage");
+        let mut evaluator = Evaluator::new(plan, &self.bound, self.head, stats, buf, blocks);
         let inner_blocks = &mut blocks[1..];
         let mut vars = vec![0u64; plan.nvars];
         loop {
@@ -742,24 +725,28 @@ impl Job<'_> {
             }
             let chunk_timer = telemetry::start_timer();
             let _span = telemetry::span("eval.chunk", i as u64);
-            outer.src.scan_chunk(chunk, &mut |t| {
-                evaluator.join(0, t, &mut vars, inner, inner_blocks)
+            outer.scan_chunk(chunk, &mut |t| {
+                evaluator.join(0, t, &mut vars, inner_blocks)
             });
             if !self.alone {
-                evaluator.finish(1, &mut vars, inner, inner_blocks);
+                evaluator.finish(1, &mut vars, inner_blocks);
             }
             chunk_timer.observe(telemetry::Hist::EvalChunkNanos);
         }
-        evaluator.finish(1, &mut vars, inner, inner_blocks);
+        evaluator.finish(1, &mut vars, inner_blocks);
     }
 }
 
 /// The nested-loop join of one plan on one worker. The Table 2 operation
 /// counts are taken here, where each storage call is issued. Steps `si..`
-/// take `sites` and `blocks` that start at step `si`'s.
+/// take `blocks` that start at step `si`'s.
 struct Evaluator<'p, 'c> {
     plan: &'p Plan,
+    /// The storage of every step ([`StorageEnv::bind`]).
+    bound: &'p [Bound<'p>],
     head: Head<'p>,
+    /// The one context every lookup of this worker goes through.
+    ctx: StorageCtx,
     stats: &'c mut EvalStats,
     buf: &'c mut EmitBuf,
     /// Where [`emit`](Self::emit) flushes: [`EMIT_BATCH`] head tuples, or
@@ -805,6 +792,7 @@ impl<'p, 'c> Evaluator<'p, 'c> {
     /// step.
     fn new(
         plan: &'p Plan,
+        bound: &'p [Bound<'p>],
         head: Head<'p>,
         stats: &'c mut EvalStats,
         buf: &'c mut EmitBuf,
@@ -815,7 +803,9 @@ impl<'p, 'c> Evaluator<'p, 'c> {
         let flush_at = if blocked { BATCH_CEILING } else { EMIT_BATCH };
         Evaluator {
             plan,
+            bound,
             head,
+            ctx: StorageCtx,
             stats,
             buf,
             flush_at,
@@ -841,93 +831,50 @@ impl<'p, 'c> Evaluator<'p, 'c> {
     }
 
     /// Takes tuple `t` of the scan at step `si` through the scan's binds
-    /// and checks and, if it passes, through the steps after it; `sites`
-    /// and `blocks` start at step `si + 1`'s.
+    /// and checks and, if it passes, through the steps after it; `blocks`
+    /// start at step `si + 1`'s.
     #[inline]
-    fn join(
-        &mut self,
-        si: usize,
-        t: &TupleBuf,
-        vars: &mut [u64],
-        sites: &mut [Option<Site<'_>>],
-        blocks: &mut [Block],
-    ) {
+    fn join(&mut self, si: usize, t: &TupleBuf, vars: &mut [u64], blocks: &mut [Block]) {
         if self.bind(si, t, vars) {
-            self.run_from(si + 1, vars, sites, blocks);
+            self.run_from(si + 1, vars, blocks);
         }
     }
 
-    /// Runs steps `si..` and the emit for the binding `vars`. A keyed step
-    /// adds the binding to its block and runs that block once it is full.
+    /// Runs steps `si..` and the emit for the binding `vars`. A scan or a
+    /// check adds the binding to its block and runs that block once it is
+    /// full; a filter runs in place.
     #[inline]
-    fn run_from(
-        &mut self,
-        si: usize,
-        vars: &mut [u64],
-        sites: &mut [Option<Site<'_>>],
-        blocks: &mut [Block],
-    ) {
+    fn run_from(&mut self, si: usize, vars: &mut [u64], blocks: &mut [Block]) {
         let plan = self.plan;
-        match plan.steps.get(si).map(Step::key) {
+        match plan.steps.get(si) {
             None => self.emit(vars),
-            Some(Some(key)) => {
-                if blocks[0].push(key, vars) {
-                    self.run_block(si, vars, sites, blocks);
-                }
-            }
-            Some(None) => self.run_in_place(si, vars, sites, blocks),
-        }
-    }
-
-    /// Runs step `si`, a filter or an unprefixed scan, and the steps after
-    /// it for the binding `vars`.
-    fn run_in_place(
-        &mut self,
-        si: usize,
-        vars: &mut [u64],
-        sites: &mut [Option<Site<'_>>],
-        blocks: &mut [Block],
-    ) {
-        let (site, rest) = sites.split_first_mut().expect("a site per step");
-        let deeper = &mut blocks[1..];
-        match (&self.plan.steps[si], site) {
-            (Step::Filter { op, lhs, rhs }, _) => {
+            Some(Step::Filter { op, lhs, rhs }) => {
                 if op.eval(lhs.value(vars), rhs.value(vars)) {
-                    self.run_from(si + 1, vars, rest, deeper);
+                    self.run_from(si + 1, vars, &mut blocks[1..]);
                 }
             }
-            (Step::Scan { index, .. }, Some(site)) => {
-                // A sweep per binding, the join inside its callback. Not `&[]`:
-                // hash sets swept 3× slower with it (EXPERIMENTS.md, "Figure 5").
-                self.stats.lower_bound_calls += 1;
-                self.stats.inner_scans_full += 1;
-                let all = &[0][..0];
-                site.range(index, all, &mut |t| self.join(si, t, vars, rest, deeper));
+            Some(step) => {
+                let key = step.key().expect("a scan or a check has a key");
+                if blocks[0].push(key, vars) {
+                    self.run_block(si, vars, blocks);
+                }
             }
-            _ => unreachable!("a check has a key, a scan a site"),
         }
     }
 
-    /// Runs the keyed step `si` and the steps after it for every binding in
-    /// its block, and empties it. Sorted on the step's key alone — stably,
-    /// so the bindings under a key replay in the order they were pushed —
-    /// each distinct key is looked up once: a scan reads its range into a
-    /// buffer (one `lower_bound_calls` and `upper_bound_calls` each), a
+    /// Runs step `si`, a scan or a check, and the steps after it for every
+    /// binding in its block, and empties it. Sorted on the step's key alone
+    /// — stably, so the bindings under a key replay in the order they were
+    /// pushed — each distinct key is looked up once: a scan reads its range
+    /// into a buffer (one `lower_bound_calls`, and one `upper_bound_calls`
+    /// but for a sweep, whose one empty key reads the whole relation), a
     /// check makes one `contains` (one `membership_tests`). Every binding
     /// under the key is then replayed into the next step (one
-    /// `inner_scans_indexed` each for a scan). The emit batch is flushed
-    /// between blocks.
-    fn run_block(
-        &mut self,
-        si: usize,
-        vars: &mut [u64],
-        sites: &mut [Option<Site<'_>>],
-        blocks: &mut [Block],
-    ) {
+    /// `inner_scans_indexed` each for a scan, `inner_scans_full` for a
+    /// sweep). The emit batch is flushed between blocks.
+    fn run_block(&mut self, si: usize, vars: &mut [u64], blocks: &mut [Block]) {
         let step = &self.plan.steps[si];
-        let (Some(site), rest) = sites.split_first_mut().expect("a site per step") else {
-            unreachable!("keyed steps have a site")
-        };
+        let src = self.bound[si].expect("a scan or a check has a storage");
         let (block, deeper) = blocks.split_first_mut().expect("a block per step");
         let Block { envs, keys, range } = block;
         if keys.is_empty() {
@@ -945,15 +892,18 @@ impl<'p, 'c> Evaluator<'p, 'c> {
                 .map(|k| k[width - 1] as usize);
             match step {
                 Step::Scan { index, .. } => {
-                    range.clear();
-                    site.range(index, key, &mut |t| range.push(*t));
+                    read_range(src, index, key, &mut self.ctx, range);
+                    let sweep = key.is_empty();
                     self.stats.lower_bound_calls += 1;
-                    self.stats.upper_bound_calls += 1;
+                    self.stats.upper_bound_calls += u64::from(!sweep);
                     for env in envs_at {
                         vars.copy_from_slice(&envs[env..][..nvars]);
-                        self.stats.inner_scans_indexed += 1;
+                        match sweep {
+                            true => self.stats.inner_scans_full += 1,
+                            false => self.stats.inner_scans_indexed += 1,
+                        }
                         for t in range.iter() {
-                            self.join(si, t, vars, rest, deeper);
+                            self.join(si, t, vars, deeper);
                         }
                     }
                 }
@@ -961,10 +911,10 @@ impl<'p, 'c> Evaluator<'p, 'c> {
                     let mut t = [0u64; MAX_ARITY];
                     t[..key.len()].copy_from_slice(key);
                     self.stats.membership_tests += 1;
-                    if site.src.contains(&t, &mut site.ctx) != *negated {
+                    if src.contains(&t, &mut self.ctx) != *negated {
                         for env in envs_at {
                             vars.copy_from_slice(&envs[env..][..nvars]);
-                            self.run_from(si + 1, vars, rest, deeper);
+                            self.run_from(si + 1, vars, deeper);
                         }
                     }
                 }
@@ -984,16 +934,10 @@ impl<'p, 'c> Evaluator<'p, 'c> {
 
     /// Runs what waits in the blocks of steps `si..`, step by step, since a
     /// block's replay fills the blocks below it, and flushes the emit batch.
-    fn finish(
-        &mut self,
-        si: usize,
-        vars: &mut [u64],
-        sites: &mut [Option<Site<'_>>],
-        blocks: &mut [Block],
-    ) {
+    fn finish(&mut self, si: usize, vars: &mut [u64], blocks: &mut [Block]) {
         for j in si..self.plan.steps.len() {
             if self.plan.steps[j].key().is_some() {
-                self.run_block(j, vars, &mut sites[j - si..], &mut blocks[j - si..]);
+                self.run_block(j, vars, &mut blocks[j - si..]);
             }
         }
         self.flush();

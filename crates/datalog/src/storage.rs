@@ -11,13 +11,16 @@
 //! affect equality or lexicographic prefix order — and a backend narrows
 //! them on the way in and widens them on the way out.
 //!
-//! Point operations and scans take a per-thread [`StorageCtx`]: a scratch
-//! buffer the locked baselines copy a scan's matches into, so that no lock
-//! is held while the caller's callback runs. Any context serves storages of
-//! every kind and width. The specialized B-tree keeps nothing in it: the
-//! evaluator reads by sorted blocks, which find the locality the paper's
-//! operation hints (§3.2) cached per thread, so the engine's tree reads and
-//! writes without them.
+//! Point operations and scans take a per-thread [`StorageCtx`], which holds
+//! nothing: the evaluator reads by sorted blocks, which find the locality
+//! the paper's operation hints (§3.2) cached per thread, so the engine's
+//! tree reads and writes without them.
+//!
+//! The evaluator calls no storage from inside a storage call's callback
+//! but [`RelationStorage::scan_chunk`]'s: the join runs inside the outer
+//! scan, and every later step reads its matches into a buffer first. That
+//! is what lets the locked baselines call a scan's callback under their
+//! lock.
 
 use crate::ast::MAX_ARITY;
 use baselines::gbtree::GBTreeSet;
@@ -53,12 +56,11 @@ fn key<const K: usize>(words: &[u64]) -> [u64; K] {
     std::array::from_fn(|i| words.get(i).copied().unwrap_or(0))
 }
 
-/// A per-thread operation context: the scratch a locked baseline's scan
-/// fills under the lock and replays to the callback after it.
+/// A per-thread operation context. It holds nothing: no backend keeps
+/// per-thread state, and the type stays only for the callers that still
+/// pass one.
 #[derive(Default)]
-pub struct StorageCtx {
-    matches: Vec<TupleBuf>,
-}
+pub struct StorageCtx;
 
 /// One unit of parallel scan work handed out by
 /// [`RelationStorage::partition`] and consumed by
@@ -94,7 +96,7 @@ pub enum StorageChunk {
 pub trait RelationStorage: Send + Sync {
     /// Creates a fresh per-thread context.
     fn make_ctx(&self) -> StorageCtx {
-        StorageCtx::default()
+        StorageCtx
     }
 
     /// Inserts `t`, returning `true` if newly inserted. Safe to call
@@ -133,9 +135,8 @@ pub trait RelationStorage: Send + Sync {
     }
 
     /// Calls `f` for every tuple whose leading words equal `prefix`.
-    /// Quiescent phases only (the two-phase Datalog contract). `f` may
-    /// read this or any other quiescent storage — the evaluator joins
-    /// inside it — through contexts other than `ctx`.
+    /// Quiescent phases only (the two-phase Datalog contract). `f` must not
+    /// call into any storage: a locked kind runs it under its lock.
     fn scan_prefix(&self, prefix: &[u64], ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf));
 
     /// Splits the tuples matching `prefix` into at most `n` chunks for
@@ -165,25 +166,21 @@ pub trait RelationStorage: Send + Sync {
             .collect()
     }
 
-    /// Calls `f` for every tuple in `chunk`, in backend order. Quiescent
-    /// phases only.
+    /// Calls `f` for every tuple in `chunk`, a chunk this storage's
+    /// [`partition`](Self::partition) cut, in backend order. Quiescent
+    /// phases only. `f` may read any quiescent storage: the evaluator joins
+    /// inside it. The default serves the snapshot chunks the default
+    /// `partition` cuts, with no lock held.
     fn scan_chunk(&self, chunk: &StorageChunk, f: &mut dyn FnMut(&TupleBuf)) {
-        match chunk {
-            StorageChunk::Materialized { tuples, start, end } => {
-                tuples[*start..*end].iter().for_each(f);
-            }
-            // Generic backends never produce `Range` chunks, but honor one
-            // robustly: full scan filtered to the interval.
-            StorageChunk::Range { lower, upper } => self.for_each(&mut |t| {
-                if lower.as_ref().is_none_or(|lo| t >= lo) && upper.as_ref().is_none_or(|hi| t < hi)
-                {
-                    f(t);
-                }
-            }),
-        }
+        let StorageChunk::Materialized { tuples, start, end } = chunk else {
+            panic!("a range chunk goes back to the storage that cut it");
+        };
+        tuples[*start..*end].iter().for_each(f);
     }
 
-    /// Calls `f` for every stored tuple. Quiescent phases only.
+    /// Calls `f` for every stored tuple. Quiescent phases only. `f` may
+    /// write another storage (the per-tuple merge does) but not this one: a
+    /// locked kind runs it under its lock.
     fn for_each(&self, f: &mut dyn FnMut(&TupleBuf));
 
     /// Number of stored tuples. Quiescent phases only.
@@ -268,11 +265,11 @@ pub trait RelationStorage: Send + Sync {
     /// all `i < prefix.len()` — a prefix scan *in the permuted column
     /// order*, yielding tuples in their **original** column order.
     /// Backends with a registered index `index` serve this as a range scan
-    /// of the permuted tree; the default filters a full scan — correct,
-    /// but the cost of a full scan per call, which is why the planner
-    /// never assigns an index [`add_index`](Self::add_index) did not
-    /// register. Quiescent phases only; `f` as for
-    /// [`scan_prefix`](Self::scan_prefix).
+    /// of the permuted tree, and only for an id
+    /// [`add_index`](Self::add_index) returned; the default filters a full
+    /// scan — correct, but the cost of a full scan per call, which is why
+    /// the planner assigns no index on a kind that registers none.
+    /// Quiescent phases only; `f` as for [`scan_prefix`](Self::scan_prefix).
     fn scan_index(
         &self,
         index: usize,
@@ -282,7 +279,11 @@ pub trait RelationStorage: Send + Sync {
         f: &mut dyn FnMut(&TupleBuf),
     ) {
         let _ = index;
-        scan_filtered(self, perm, prefix, ctx, f);
+        self.scan_prefix(&[], ctx, &mut |t| {
+            if prefix.iter().zip(perm).all(|(&v, &c)| t[c] == v) {
+                f(t);
+            }
+        });
     }
 }
 
@@ -413,15 +414,15 @@ impl StorageKind {
                 tree: BTreeSet::new(),
                 indexes: Vec::new(),
             }),
-            StorageKind::RbTreeLocked => Box::new(LockedOrderedStorage(GlobalLock::new(
-                RbTreeSet::<[u64; K]>::new(),
-            ))),
-            StorageKind::HashSetLocked => {
-                Box::new(HashSetStorage::<K>(GlobalLock::new(OaHashSet::new())))
+            StorageKind::RbTreeLocked => {
+                Box::new(Locked::<_, K>(GlobalLock::new(RbTreeSet::new())))
             }
-            StorageKind::GBTreeLocked => Box::new(LockedOrderedStorage(GlobalLock::new(
-                GBTreeSet::<[u64; K]>::new(),
-            ))),
+            StorageKind::HashSetLocked => {
+                Box::new(Locked::<_, K>(GlobalLock::new(OaHashSet::new())))
+            }
+            StorageKind::GBTreeLocked => {
+                Box::new(Locked::<_, K>(GlobalLock::new(GBTreeSet::new())))
+            }
             StorageKind::ConcurrentHashSet => {
                 Box::new(ConcHashStorage::<K>(SplitOrderedSet::new()))
             }
@@ -637,20 +638,15 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
     }
 
     fn scan_chunk(&self, chunk: &StorageChunk, f: &mut dyn FnMut(&TupleBuf)) {
-        match chunk {
-            // Snapshot chunks carry their own tuples; no tree access needed.
-            StorageChunk::Materialized { tuples, start, end } => {
-                tuples[*start..*end].iter().for_each(f)
-            }
-            StorageChunk::Range { lower, upper } => {
-                let it = match lower {
-                    Some(lo) => self.tree.lower_bound(&key(lo)),
-                    None => self.tree.iter(),
-                };
-                let hi = upper.as_ref().map(|hi| key::<K>(hi));
-                feed_below(it, hi.as_ref(), |t| f(&pad(t)));
-            }
-        }
+        let StorageChunk::Range { lower, upper } = chunk else {
+            panic!("a snapshot chunk goes back to the storage that cut it");
+        };
+        let it = match lower {
+            Some(lo) => self.tree.lower_bound(&key(lo)),
+            None => self.tree.iter(),
+        };
+        let hi = upper.as_ref().map(|hi| key::<K>(hi));
+        feed_below(it, hi.as_ref(), |t| f(&pad(t)));
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&TupleBuf)) {
@@ -738,96 +734,77 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
         index: usize,
         perm: &[usize],
         prefix: &[u64],
-        ctx: &mut StorageCtx,
+        _ctx: &mut StorageCtx,
         f: &mut dyn FnMut(&TupleBuf),
     ) {
         let Some(ix) = self.indexes.get(index) else {
-            // No such index (e.g. a storage rebuilt mid-retraction before
-            // re-registration): the filtered-full-scan fallback is always
-            // correct.
-            return scan_filtered(self, perm, prefix, ctx, f);
+            panic!("index {index} was never registered on this relation");
         };
         debug_assert_eq!(ix.order.perm, perm, "index id / permutation mismatch");
         scan_tree_prefix(&ix.tree, prefix, |t| f(&ix.order.unpermute(t)));
     }
 }
 
-/// [`RelationStorage::scan_index`] without an index: a filtered sweep.
-fn scan_filtered(
-    storage: &(impl RelationStorage + ?Sized),
-    perm: &[usize],
-    prefix: &[u64],
-    ctx: &mut StorageCtx,
-    f: &mut dyn FnMut(&TupleBuf),
-) {
-    storage.scan_prefix(&[], ctx, &mut |t| {
-        if prefix.iter().zip(perm).all(|(&v, &c)| t[c] == v) {
-            f(t);
-        }
-    });
-}
-
 // ---------------------------------------------------------------------
 // Globally locked sequential backends
 // ---------------------------------------------------------------------
 
-/// What the locked adapter needs of a sequential ordered set.
-trait OrderedSet<T>: Send + 'static {
-    fn insert(&mut self, t: T) -> bool;
-    fn remove(&mut self, t: &T) -> bool;
-    fn contains(&self, t: &T) -> bool;
+/// What the locked adapter needs of a sequential set of width-`K` keys.
+trait SeqSet<const K: usize>: Send + 'static {
+    fn insert(&mut self, t: [u64; K]) -> bool;
+    fn remove(&mut self, t: &[u64; K]) -> bool;
+    fn contains(&self, t: &[u64; K]) -> bool;
     fn len(&self) -> usize;
-    fn iter(&self) -> impl Iterator<Item = T> + '_;
-    fn lower_bound(&self, lo: &T) -> impl Iterator<Item = T> + '_;
+    fn iter(&self) -> impl Iterator<Item = [u64; K]> + '_;
+    /// Calls `f` for every key whose leading words equal `prefix`.
+    fn scan(&self, prefix: &[u64], f: impl FnMut(&[u64; K]));
 }
 
-macro_rules! impl_ordered_set {
-    ($($set:ident),*) => {$(
-        impl<T: Ord + Copy + Send + 'static> OrderedSet<T> for $set<T> {
-            fn insert(&mut self, t: T) -> bool {
+macro_rules! impl_seq_set {
+    ($($set:ident: |$s:ident, $prefix:ident, $f:ident| $scan:expr;)*) => {$(
+        impl<const K: usize> SeqSet<K> for $set<[u64; K]> {
+            fn insert(&mut self, t: [u64; K]) -> bool {
                 $set::insert(self, t)
             }
-            fn remove(&mut self, t: &T) -> bool {
+            fn remove(&mut self, t: &[u64; K]) -> bool {
                 $set::remove(self, t)
             }
-            fn contains(&self, t: &T) -> bool {
+            fn contains(&self, t: &[u64; K]) -> bool {
                 $set::contains(self, t)
             }
             fn len(&self) -> usize {
                 $set::len(self)
             }
-            fn iter(&self) -> impl Iterator<Item = T> + '_ {
+            fn iter(&self) -> impl Iterator<Item = [u64; K]> + '_ {
                 $set::iter(self)
             }
-            fn lower_bound(&self, lo: &T) -> impl Iterator<Item = T> + '_ {
-                $set::lower_bound(self, lo)
+            fn scan(&self, $prefix: &[u64], mut $f: impl FnMut(&[u64; K])) {
+                let $s = self;
+                $scan
             }
         }
     )*};
 }
-impl_ordered_set!(RbTreeSet, GBTreeSet);
-
-/// Runs one locked scan: `collect` copies the matches out into the
-/// context's scratch buffer while it holds the lock, and `f` sees them
-/// after it is released. The evaluator joins inside `f` and may come back
-/// to this very relation (a self-join, or the head's membership test);
-/// the mutex is not reentrant, and a scan that held it across `f` would
-/// also order lock acquisitions by plan shape, not by any global order.
-fn scan_unlocked(
-    ctx: &mut StorageCtx,
-    collect: impl FnOnce(&mut Vec<TupleBuf>),
-    f: &mut dyn FnMut(&TupleBuf),
-) {
-    ctx.matches.clear();
-    collect(&mut ctx.matches);
-    ctx.matches.iter().for_each(f);
+impl_seq_set! {
+    RbTreeSet: |s, prefix, f| {
+        feed_below(s.lower_bound(&key(prefix)), prefix_upper(prefix).as_ref(), &mut f)
+    };
+    GBTreeSet: |s, prefix, f| {
+        feed_below(s.lower_bound(&key(prefix)), prefix_upper(prefix).as_ref(), &mut f)
+    };
+    // No range queries: a filtered sweep, the structural deficiency the
+    // paper's comparison highlights.
+    OaHashSet: |s, prefix, f| {
+        s.iter().filter(|t| t.starts_with(prefix)).for_each(|t| f(&t))
+    };
 }
 
-/// A sequential ordered set behind one global lock (`STL rbtset`,
-/// `google btree`).
-struct LockedOrderedStorage<S, const K: usize>(GlobalLock<S>);
+/// A sequential set behind one global lock (`STL rbtset`, `STL hashset`,
+/// `google btree`). Every operation holds the lock, a scan's and
+/// [`for_each`](RelationStorage::for_each)'s callbacks included.
+struct Locked<S, const K: usize>(GlobalLock<S>);
 
-impl<S: OrderedSet<[u64; K]>, const K: usize> RelationStorage for LockedOrderedStorage<S, K> {
+impl<S: SeqSet<K>, const K: usize> RelationStorage for Locked<S, K> {
     fn insert(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
         self.0.with(|s| s.insert(key(t)))
     }
@@ -840,55 +817,8 @@ impl<S: OrderedSet<[u64; K]>, const K: usize> RelationStorage for LockedOrderedS
         self.0.with(|s| s.contains(&key(t)))
     }
 
-    fn scan_prefix(&self, prefix: &[u64], ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
-        let (lo, hi) = (key(prefix), prefix_upper(prefix));
-        let matches = |out: &mut Vec<TupleBuf>| {
-            self.0
-                .with(|s| feed_below(s.lower_bound(&lo), hi.as_ref(), |t| out.push(pad(t))))
-        };
-        scan_unlocked(ctx, matches, f);
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&TupleBuf)) {
-        self.0.with(|s| s.iter().for_each(|t| f(&pad(&t))));
-    }
-
-    fn len(&self) -> usize {
-        self.0.with(|s| s.len())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn width(&self) -> usize {
-        K
-    }
-}
-
-struct HashSetStorage<const K: usize>(GlobalLock<OaHashSet<[u64; K]>>);
-
-impl<const K: usize> RelationStorage for HashSetStorage<K> {
-    fn insert(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
-        self.0.with(|s| s.insert(key(t)))
-    }
-
-    fn remove(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
-        self.0.with(|s| s.remove(&key(t)))
-    }
-
-    fn contains(&self, t: &TupleBuf, _ctx: &mut StorageCtx) -> bool {
-        self.0.with(|s| s.contains(&key(t)))
-    }
-
-    fn scan_prefix(&self, prefix: &[u64], ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
-        // Hash sets cannot answer range queries: full scan + filter — the
-        // structural deficiency the paper's comparison highlights.
-        let matches = |out: &mut Vec<TupleBuf>| {
-            self.0
-                .with(|s| out.extend(s.iter().filter(|t| t.starts_with(prefix)).map(|t| pad(&t))))
-        };
-        scan_unlocked(ctx, matches, f);
+    fn scan_prefix(&self, prefix: &[u64], _ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
+        self.0.with(|s| s.scan(prefix, |t| f(&pad(t))));
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&TupleBuf)) {
@@ -1191,26 +1121,50 @@ mod tests {
         }
     }
 
-    /// The evaluator joins inside a scan's callback, which may come back
-    /// to the relation being scanned (a self-join, the head's membership
-    /// test): no backend may hold a lock across the callback. One set of
-    /// contexts serves every kind and width.
+    /// A scan hands its callback every match, once, before it returns —
+    /// its only output — and a locked kind holds its lock across the
+    /// callback, so the callback calls into no storage. A callback that
+    /// unwinds releases it: the storage answers again. Every kind and
+    /// arity, a prefix scan and an index scan (a filtered sweep on the
+    /// kinds without indexes).
     #[test]
-    fn scan_callbacks_may_reenter_the_storage() {
-        let any = StorageKind::SpecBTree.create();
-        let (mut outer, mut inner, mut probe) = (any.make_ctx(), any.make_ctx(), any.make_ctx());
+    fn a_scan_calls_back_with_every_match_while_it_runs() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         for kind in StorageKind::ALL {
             for arity in 1..=MAX_ARITY {
+                let what = format!("{} arity {arity}", kind.label());
                 let tuples: Vec<TupleBuf> = (0..50u64).map(|i| tuple(arity, i % 5, i)).collect();
-                let s = filled(kind, arity, &tuples);
-                let lead = tuples[1][0];
-                let matching = tuples.iter().filter(|t| t[0] == lead).count();
-                let mut pairs = 0;
-                s.scan_prefix(&[lead], &mut outer, &mut |t| {
-                    assert!(s.contains(t, &mut probe));
-                    s.scan_prefix(&t[..1], &mut inner, &mut |_| pairs += 1);
+                let mut s = filled(kind, arity, &tuples);
+                let perm: Vec<usize> = (0..arity).rev().collect();
+                let index = s.add_index(&perm, 1).unwrap_or(0);
+                let mut ctx = s.make_ctx();
+                let probe = tuples[1];
+                let by_prefix: Model<TupleBuf> = tuples
+                    .iter()
+                    .filter(|t| t[0] == probe[0])
+                    .copied()
+                    .collect();
+                let mut seen = Model::new();
+                s.scan_prefix(&probe[..1], &mut ctx, &mut |t| {
+                    assert!(seen.insert(*t), "{what}")
                 });
-                assert_eq!(pairs, matching * matching, "{} arity {arity}", kind.label());
+                assert_eq!(seen, by_prefix, "{what}");
+                let last = perm[0];
+                let by_index: Model<TupleBuf> = tuples
+                    .iter()
+                    .filter(|t| t[last] == probe[last])
+                    .copied()
+                    .collect();
+                seen.clear();
+                let mut add = |t: &TupleBuf| assert!(seen.insert(*t), "{what}");
+                s.scan_index(index, &perm, &[probe[last]], &mut ctx, &mut add);
+                assert_eq!(seen, by_index, "{what}");
+                let unwound = catch_unwind(AssertUnwindSafe(|| {
+                    s.scan_prefix(&[], &mut ctx, &mut |_| panic!("the first match"))
+                }));
+                assert!(unwound.is_err(), "{what}");
+                assert!(s.contains(&probe, &mut ctx), "{what}: released on unwind");
+                assert_eq!(contents(&*s).len(), tuples.len(), "{what}");
             }
         }
     }
@@ -1268,6 +1222,23 @@ mod tests {
                         assert_eq!(got, want, "{what}");
                     }
                 }
+            }
+        }
+    }
+
+    /// A chunk is served by the kind that cut it: the tree cuts key ranges,
+    /// every other kind snapshot slices, and neither walks the other's.
+    #[test]
+    fn a_chunk_goes_back_to_the_storage_that_cut_it() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let tuples: Vec<TupleBuf> = (0..100u64).map(|i| pad(&[i])).collect();
+        let tree = filled(StorageKind::SpecBTree, 1, &tuples);
+        for kind in StorageKind::ALL.into_iter().skip(1) {
+            let other = filled(kind, 1, &tuples);
+            for (cut, walk) in [(&tree, &other), (&other, &tree)] {
+                let chunk = &cut.partition(1, &[])[0];
+                let walked = catch_unwind(AssertUnwindSafe(|| walk.scan_chunk(chunk, &mut |_| {})));
+                assert!(walked.is_err(), "{}", kind.label());
             }
         }
     }

@@ -1,8 +1,9 @@
 //! Differential test for reads by blocks: the bindings that reach a scan
-//! with a bound prefix or a check, at any step after the outer scan, wait in
-//! a block of 4 096 sorted by that step's key, which is looked up once per
-//! distinct key — a range read into a buffer, or one `contains` — and
-//! replayed for every binding that shares it. A block runs when it is full
+//! or a check, at any step after the outer scan, wait in a block of 4 096
+//! sorted by that step's key, which is looked up once per distinct key — a
+//! range read into a buffer (the whole relation for a scan with no bound
+//! prefix), or one `contains` — and replayed for every binding that shares
+//! it. A block runs when it is full
 //! (a deeper one in the middle of the replay above it) and where its worker
 //! stops: a worker alone keeps its blocks and emit batch from one chunk to
 //! the next, one of several ends them with each chunk. The emit batch is
@@ -119,8 +120,8 @@ fn facts() -> Db {
         ),
         // Joined on its second column: the planner serves that through an
         // index whose permuted prefix is the key, with `rev` or `wide` as
-        // the inner scan. Small, for the planner-off run sweeps all of it
-        // once per binding.
+        // the inner scan. Small, for the planner-off run sweeps it and
+        // replays all of it for every binding.
         (
             "rev",
             keys.clone()
@@ -276,6 +277,45 @@ fn a_key_is_looked_up_once_a_block() {
     }
 }
 
+/// An inner scan with no bound prefix (`pair(_, z)`) reads its relation
+/// once a block and replays it for every binding in the block: one
+/// `lower_bound_calls` a block (one a binding while a sweep ran in place,
+/// the join inside its callback), one `inner_scans_full` a binding, and no
+/// `upper_bound_calls`. One worker, whose blocks span its chunks; a tree's
+/// range chunks each open with a descent of their own.
+#[test]
+fn a_sweep_is_made_once_a_block() {
+    const SWEPT: &str = r#"
+        .decl wider(x: number, y: number, m: number)
+        .decl pair(k: number, z: number)
+        .decl s(x: number, z: number)
+        s(x, z) :- wider(x, _, _), pair(_, z).
+    "#;
+    let program = parse(SWEPT).unwrap();
+    for kind in StorageKind::ALL {
+        let what = kind.label();
+        let mut engine = Engine::new(&program, kind, 1).unwrap();
+        engine.set_planner_enabled(false);
+        let mut db = facts();
+        for rel in ["wider", "pair"] {
+            engine.add_facts(rel, db.remove(rel).unwrap()).unwrap();
+        }
+        engine.run().unwrap();
+        let stats = engine.stats();
+        let opened = match kind {
+            StorageKind::SpecBTree => stats.chunks_claimed,
+            _ => 0,
+        };
+        let sweeps = blocks(WIDER, 1, |c| c.end - c.start);
+        assert_eq!(sweeps, 17);
+        assert_eq!(stats.lower_bound_calls - opened, sweeps, "{what}");
+        assert_eq!(stats.inner_scans_full, WIDER, "{what}");
+        assert_eq!(stats.upper_bound_calls, 0, "{what}");
+        assert_eq!(stats.tuples_scanned, WIDER + 2 * WIDER, "{what}");
+        assert_eq!(engine.relation("s").unwrap().len() as u64, 2 * WIDER);
+    }
+}
+
 /// A check at step 2 over the constant tuple `(7, 0)`: every binding that
 /// reaches it shares the key, so each block makes one `contains` (one per
 /// binding while checks were not blocked). `pair(7, 0)` holds, so nothing is
@@ -317,9 +357,11 @@ const DEEP_KEYS: u64 = 64;
 /// Four-literal rules with a deeper step of every kind: a scan with a
 /// bound prefix at step 2 on the primary (`low`) and, with the planner on,
 /// through an index (`d2`, which the planner starts at the small `hi` and
-/// joins to `mid` and `src` through their second columns), positive and
-/// negated checks at steps 2 and 3, a filter between steps 1 and 2 (`j !=
-/// k`), and constants in a check, in a scan's prefix and in the outer scan.
+/// joins to `mid` and `src` through their second columns), a scan with no
+/// bound prefix at step 2 (`few`, swept once a block), positive and
+/// negated checks at steps 2 and 3, filters between steps 1 and 2 (`j !=
+/// k`) and after a sweep (`a != j`), and constants in a check, in a scan's
+/// prefix and in the outer scan.
 const DEEP: &str = r#"
     .decl src(x: number, k: number)
     .decl mid(k: number, j: number)
@@ -332,12 +374,15 @@ const DEEP: &str = r#"
     .decl d3(x: number, j: number)
     .decl d4(x: number, k: number)
     .decl d5(x: number, w: number)
+    .decl few(a: number, b: number)
+    .decl d6(x: number, b: number)
 
     d1(x, w) :- src(x, k), mid(k, j), low(j, w), !ban(w, 7).
     d2(x, b) :- src(x, k), mid(k, j), hi(b, j), ok(b).
     d3(x, j) :- src(x, k), mid(k, j), ok(j), !ban(j, k), j != k.
     d4(x, k) :- src(x, k), mid(k, j), !ban(j, k), ok(j).
     d5(x, w) :- src(x, 5), mid(5, j), low(j, w), ok(8).
+    d6(x, b) :- src(x, k), mid(k, j), few(a, b), a != j.
 "#;
 
 fn deep_facts() -> naive::Db {
@@ -369,6 +414,8 @@ fn deep_facts() -> naive::Db {
                 .collect(),
         ),
         rel("hi", hi.collect()),
+        // Swept whole at step 2: `(j, ·)` is filtered out after the sweep.
+        rel("few", vec![vec![3, 0], vec![3, 1], vec![5, 1], vec![8, 2]]),
         rel(
             "ok",
             (0..400).filter(|v| v % 3 != 1).map(|v| vec![v]).collect(),
@@ -383,6 +430,9 @@ fn deep_facts() -> naive::Db {
         ),
     ])
 }
+
+/// What `DEEP` derives.
+const DERIVED: [&str; 6] = ["d1", "d2", "d3", "d4", "d5", "d6"];
 
 #[test]
 fn deeper_blocks_agree_with_the_naive_evaluator() {
@@ -408,7 +458,7 @@ fn deeper_blocks_agree_with_the_naive_evaluator() {
         );
     }
     let (before, after) = (naive(&program, &facts), naive(&program, &surviving));
-    for rel in ["d1", "d2", "d3", "d4", "d5"] {
+    for rel in DERIVED {
         assert!(!before[rel].is_empty(), "{rel} is exercised");
         assert_ne!(before[rel], after[rel], "the retraction reaches {rel}");
     }
@@ -416,9 +466,13 @@ fn deeper_blocks_agree_with_the_naive_evaluator() {
         before["d1"].len() as u64 > 8 * BLOCK,
         "step 2 runs many blocks"
     );
+    assert!(
+        before["d6"].len() as u64 > 2 * SRC,
+        "step 2 sweeps many blocks"
+    );
 
     let matches = |engine: &Engine, expect: &naive::Db, what: &str| {
-        for rel in ["d1", "d2", "d3", "d4", "d5"] {
+        for rel in DERIVED {
             let got = engine.relation(rel).unwrap();
             assert_eq!(got.len(), expect[rel].len(), "{what}: size of {rel}");
             assert!(got.iter().eq(&expect[rel]), "{what}: relation {rel}");
@@ -443,6 +497,12 @@ fn deeper_blocks_agree_with_the_naive_evaluator() {
                     deep_index,
                     tree && planner,
                     "{what}: a step of `d2` past the first inner one is an index range: {d2}"
+                );
+                let d6 = explain.lines().find(|l| l.contains("emit d6(")).unwrap();
+                let swept = d6.split(" ⋈ ").nth(2).unwrap().starts_with("scan few");
+                assert!(
+                    swept || planner,
+                    "{what}: `d6` sweeps `few` at step 2: {d6}"
                 );
                 engine.retract_facts(batch.clone()).unwrap();
                 matches(&engine, &after, &format!("{what}, after the retraction"));

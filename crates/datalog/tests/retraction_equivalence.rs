@@ -556,9 +556,11 @@ fn retraction_work_is_pinned() {
         // no merge leaves a spliced tail. 4 730 and 4 699 while a plan's first
         // inner scan issued one range query per outer tuple: it issues one per
         // distinct key of a sorted block of them now, and the join still looks
-        // up once per tuple, which the scans and emits above hold.
-        lower_bound_calls: 677,
-        inner_range_queries: 646,
+        // up once per tuple, which the scans and emits above hold. 677 and
+        // 646 while a scan with no bound prefix swept its relation once per
+        // binding: 143 such sweeps are now one per block.
+        lower_bound_calls: 534,
+        inner_range_queries: 503,
     };
     assert_eq!(work, pinned);
 }
