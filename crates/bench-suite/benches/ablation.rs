@@ -6,8 +6,8 @@
 //!   targets;
 //! * **synchronization cost** — concurrent tree vs its sequential twin on
 //!   one thread (the ≤25% overhead §4.1 reports);
-//! * **bulk merge** — the specialized `insert_all` (empty-target bulk path)
-//!   vs element-wise insertion;
+//! * **bulk merge** — an empty target filled by `insert_all`, as runs, vs
+//!   element-wise insertion;
 //! * **key order by counting** — `sort_tuples` vs `sort_unstable` over
 //!   batch sizes, key domains and widths, and a block's keys sorted on the
 //!   key alone vs whole: the measurement behind the kernel's widest digit
@@ -123,12 +123,15 @@ fn synchronization_cost(c: &mut Criterion) {
     group.finish();
 }
 
+/// An empty target filled by a tree: as runs, the one way a tree goes into
+/// a tree (the first fills and splits the root leaf, the rest go in by leaf
+/// groups), against a point insert per tuple.
 fn bulk_merge(c: &mut Criterion) {
     let src: BTreeSet<2> = BTreeSet::from_sorted(points_2d(SIDE, true, 0));
     let mut group = c.benchmark_group("ablation_merge_into_empty");
     group.throughput(Throughput::Elements(SIDE * SIDE));
 
-    group.bench_function("specialized insert_all (bulk path)", |b| {
+    group.bench_function("insert_all (runs)", |b| {
         b.iter(|| {
             let dst: BTreeSet<2> = BTreeSet::new();
             dst.insert_all(&src);

@@ -59,24 +59,31 @@ enum Tok {
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: usize,
     col: usize,
+    /// Set by the parser from a clause's first token until the lexer hands
+    /// out the `.` that ends it: inside a clause a `.` is always that
+    /// terminator, so a fact directly followed by another (`a(1).a(2).`)
+    /// reads as two facts, and a `.` followed by a letter is a directive
+    /// only where a statement starts.
+    in_clause: bool,
 }
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Self {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
+            in_clause: false,
         }
     }
 
     fn bump(&mut self) -> Option<u8> {
-        let c = self.src.get(self.pos).copied()?;
+        let c = self.src.as_bytes().get(self.pos).copied()?;
         self.pos += 1;
         if c == b'\n' {
             self.line += 1;
@@ -87,12 +94,21 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
+    /// The next character, which may take more than one byte.
+    fn bump_char(&mut self) -> Option<char> {
+        let c = self.src.get(self.pos..)?.chars().next()?;
+        // Its continuation bytes are not line breaks: one column for all.
+        self.pos += c.len_utf8() - 1;
+        self.bump();
+        Some(c)
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src.as_bytes().get(self.pos + 1).copied()
     }
 
     fn skip_trivia(&mut self) {
@@ -145,14 +161,11 @@ impl<'a> Lexer<'a> {
                         break;
                     }
                 }
-                let name = std::str::from_utf8(&self.src[start..self.pos])
-                    .expect("ascii")
-                    .to_string();
-                Ok((Tok::Name(name), line, col))
+                Ok((Tok::Name(self.src[start..self.pos].to_string()), line, col))
             }
             b'.' => {
                 // Either a keyword (`.decl`) or the clause terminator.
-                if matches!(self.peek2(), Some(c) if c.is_ascii_alphabetic()) {
+                if !self.in_clause && matches!(self.peek2(), Some(c) if c.is_ascii_alphabetic()) {
                     self.bump(); // '.'
                     let start = self.pos;
                     while let Some(c) = self.peek() {
@@ -162,12 +175,14 @@ impl<'a> Lexer<'a> {
                             break;
                         }
                     }
-                    let kw = std::str::from_utf8(&self.src[start..self.pos])
-                        .expect("ascii")
-                        .to_string();
-                    Ok((Tok::Keyword(kw), line, col))
+                    Ok((
+                        Tok::Keyword(self.src[start..self.pos].to_string()),
+                        line,
+                        col,
+                    ))
                 } else {
                     self.bump();
+                    self.in_clause = false;
                     Ok((Tok::Punct('.'), line, col))
                 }
             }
@@ -180,23 +195,19 @@ impl<'a> Lexer<'a> {
                 self.bump(); // opening quote
                 let mut out = String::new();
                 loop {
-                    match self.bump() {
+                    match self.bump_char() {
                         None => return Err(err(line, col, "unterminated string literal".into())),
-                        Some(b'"') => break,
-                        Some(b'\\') => match self.bump() {
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
+                        Some('"') => break,
+                        Some('\\') => match self.bump_char() {
+                            Some('n') => out.push('\n'),
+                            Some('t') => out.push('\t'),
+                            Some('"') => out.push('"'),
+                            Some('\\') => out.push('\\'),
                             other => {
-                                return Err(err(
-                                    line,
-                                    col,
-                                    format!("invalid escape {:?}", other.map(|c| c as char)),
-                                ))
+                                return Err(err(line, col, format!("invalid escape {other:?}")))
                             }
                         },
-                        Some(c) => out.push(c as char),
+                        Some(c) => out.push(c),
                     }
                 }
                 Ok((Tok::Str(out), line, col))
@@ -232,11 +243,10 @@ impl<'a> Lexer<'a> {
                 self.bump();
                 Ok((Tok::Punct(c as char), line, col))
             }
-            other => Err(err(
-                line,
-                col,
-                format!("unexpected character {:?}", other as char),
-            )),
+            _ => {
+                let c = self.bump_char().unwrap_or_default();
+                Err(err(line, col, format!("unexpected character {c:?}")))
+            }
         }
     }
 }
@@ -327,7 +337,10 @@ impl<'a> Parser<'a> {
                         other => return Err(self.error(format!("unknown directive .{other}"))),
                     }
                 }
-                Tok::Name(_) => self.parse_clause(&mut program)?,
+                Tok::Name(_) => {
+                    self.lexer.in_clause = true;
+                    self.parse_clause(&mut program)?
+                }
                 other => {
                     return Err(
                         self.error(format!("expected a declaration or clause, found {other:?}"))
@@ -646,6 +659,20 @@ mod tests {
     #[test]
     fn rejects_unknown_directive() {
         let err = parse(".frobnicate e").unwrap_err();
+        assert!(err.message.contains("unknown directive"), "{err}");
+    }
+
+    #[test]
+    fn clauses_need_no_space_between_them() {
+        let p = parse(
+            ".decl a(x: number)\n.decl b(x: number)\na(1).a(2).b(X) :- a(X).a(3).\n.output b",
+        )
+        .unwrap();
+        assert_eq!(p.facts.len(), 3);
+        assert_eq!(p.rules.len(), 1);
+        assert!(p.decl("b").unwrap().is_output);
+        // Where a statement starts, a `.` before a letter is a directive.
+        let err = parse(".decl a(x: number)\na(1).\n.frobnicate a").unwrap_err();
         assert!(err.message.contains("unknown directive"), "{err}");
     }
 

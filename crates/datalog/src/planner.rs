@@ -356,7 +356,7 @@ impl<'a> Search<'a> {
                 Term::Const(_) => mask |= 1 << c,
                 Term::Var(v) if bound.contains(v.as_str()) => mask |= 1 << c,
                 Term::Var(_) => free = true,
-                Term::Wildcard => free |= !lit.negated,
+                Term::Wildcard => free = true,
             }
         }
         if !free {

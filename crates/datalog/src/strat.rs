@@ -101,17 +101,22 @@ pub fn stratify(program: &Program) -> Result<Stratification, StratError> {
                 )));
             }
         }
-        for lit in &rule.body {
-            if lit.negated {
-                for t in &lit.atom.terms {
-                    if let Term::Var(v) = t {
-                        if !positive_vars.contains(&v.as_str()) {
-                            return Err(StratError(format!(
-                                "{}: variable {v} of negated literal not bound positively",
-                                label()
-                            )));
-                        }
+        for lit in rule.body.iter().filter(|l| l.negated) {
+            for t in &lit.atom.terms {
+                match t {
+                    Term::Var(v) if !positive_vars.contains(&v.as_str()) => {
+                        return Err(StratError(format!(
+                            "{}: variable {v} of negated literal not bound positively",
+                            label()
+                        )));
                     }
+                    Term::Wildcard => {
+                        return Err(StratError(format!(
+                            "{}: wildcard not allowed in a negated literal",
+                            label()
+                        )));
+                    }
+                    _ => {}
                 }
             }
         }
@@ -377,6 +382,18 @@ mod tests {
         p.fact("a", &[1]);
         let err = stratify(&p).unwrap_err();
         assert!(err.0.contains("arity"), "{err}");
+    }
+
+    #[test]
+    fn wildcard_in_negation_rejected() {
+        let p = parse(".decl a(x:n)\n.decl b(x:n)\n.decl c(x:n, y:n)\nb(x) :- a(x), !c(x, _).")
+            .unwrap();
+        let err = stratify(&p).unwrap_err();
+        assert!(
+            err.0.contains("wildcard") && err.0.contains("negated"),
+            "{err}"
+        );
+        assert!(err.0.contains("rule 0"), "names the rule: {err}");
     }
 
     #[test]

@@ -27,6 +27,29 @@ fn string_literals_intern_at_parse_time() {
 }
 
 #[test]
+fn string_literals_decode_as_utf8() {
+    let mut p = parse(".decl p(s: symbol)\n.output p\np(\"café\"). p(\"日本\").").unwrap();
+    let cafe = p.facts[0].1[0];
+    assert_eq!(p.symbols.resolve(cafe), Some("café"));
+    assert_eq!(
+        p.intern("café"),
+        cafe,
+        "the literal and the API share an ordinal"
+    );
+    let mut engine = Engine::new(&p, StorageKind::SpecBTree, 1).unwrap();
+    engine.run().unwrap();
+    let mut rows = engine.relation_display("p").unwrap();
+    rows.sort();
+    assert_eq!(
+        rows,
+        vec![vec!["café".to_string()], vec!["日本".to_string()]]
+    );
+    // A stray character is named whole, not by its first byte.
+    let err = parse(".decl p(s: symbol)\np(1) é").unwrap_err();
+    assert!(err.message.contains("'é'"), "{err}");
+}
+
+#[test]
 fn column_types_recorded() {
     let p = parse(".decl mixed(name: symbol, age: number, x: whatever)").unwrap();
     assert_eq!(

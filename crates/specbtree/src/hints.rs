@@ -21,17 +21,22 @@
 //! ancestor's own lease and validated, before the lease on the leaf, taken
 //! first, is upgraded. That is safe because a leaf's fence changes only
 //! through operations that write-lock the leaf (its own split, a
-//! predecessor pulled out of it, an empty neighbour unlinked into it),
-//! which fail the upgrade, while an ancestor re-read
-//! after a split moved the leaf away can only show a *smaller* fence: a
-//! miss, never a wrong hit
-//! ([`BTreeSet::insert_hinted`](crate::BTreeSet::insert_hinted)).
+//! predecessor pulled out of it), which fail the upgrade, while an
+//! ancestor re-read after a split moved the leaf away can only show a
+//! *smaller* fence: a miss, never a wrong hit
+//! ([`BTreeSet::insert_hinted`](crate::BTreeSet::insert_hinted)). A
+//! separator removed together with the drained subtree to its left moves
+//! only the *lower* fence of the subtree to its right, and the leaves that
+//! leave with it are write-locked and released with a new version, so an
+//! insert that leased one before fails its upgrade instead of writing
+//! into the graveyard.
 //!
 //! Hints are held in thread-local fashion by convention: each worker thread
 //! obtains one from [`BTreeSet::create_hints`] and threads it through its
 //! operations, exactly as the paper describes. Because tree nodes are never
-//! freed or moved while the tree is alive (a leaf unlinked by `remove` waits
-//! in the graveyard, where a stale hint simply stops covering anything), a
+//! freed or moved while the tree is alive (a drained leaf spliced out by
+//! `remove` waits in the graveyard, where a stale hint simply stops covering
+//! anything), a
 //! cached leaf pointer can never dangle; to make the API safe across tree
 //! lifetimes and `clear` as well, each hint is **branded** with the unique
 //! id of the tree it was created for, and a tree only dereferences hints

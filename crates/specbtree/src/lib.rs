@@ -11,8 +11,9 @@
 //! * **Nodes are never freed or moved** while the tree is alive, which
 //!   keeps stale pointers harmless and lets hints live forever. Relations
 //!   only grow during a fixpoint; between fixpoints [`BTreeSet::remove`]
-//!   retracts tuples, tolerating underflow and parking unlinked leaves in a
-//!   graveyard until `clear`/`Drop`.
+//!   retracts tuples, tolerating underflow: a drained leaf stays until the
+//!   separator to its right goes, leaves with it and waits in a graveyard
+//!   until `clear`/`Drop`.
 //! * **Optimistic fine-grained locking** ([`optlock`]): readers validate
 //!   version leases instead of taking locks, writers upgrade in place and
 //!   escalate bottom-up on splits (paper Algorithms 1 and 2).

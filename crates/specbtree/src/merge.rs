@@ -23,11 +23,12 @@
 //!    [`BTreeSet::insert_all`] is the former at one worker). The
 //!    runs are disjoint key ranges, so two workers meet only where a range
 //!    ends inside a leaf group of the target.
-//! 3. A sorted run is **bulk-loaded** into fully packed nodes in O(n)
-//!    without any per-element descent ([`BTreeSet::from_sorted`]); an empty
-//!    target adopts the whole source this way.
+//!    An empty target takes the source the same way: the first run fills
+//!    the root leaf and splits it, and the rest goes in by groups.
+//! 3. A sorted sequence is **bulk-loaded** into a new tree of fully packed
+//!    nodes in O(n) without any per-element descent
+//!    ([`BTreeSet::from_sorted`]).
 
-use crate::iter::RangeIter;
 use crate::node::{cmp3, InnerNode, LeafNode, NodePtr, Tuple};
 use crate::tree::BTreeSet;
 use optlock::Lease;
@@ -63,10 +64,9 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// threads, returning how many tuples were actually added (i.e. were
     /// not already present).
     ///
-    /// An empty target adopts a bulk-loaded copy wholesale
-    /// (`specbtree.merge_bulk_load` counts those). Any other takes the
-    /// source as runs cut along the *source's* upper-level separators —
-    /// disjoint key ranges, each merged with a batched per-leaf merge join
+    /// The target, empty or not, takes the source as runs cut along the
+    /// *source's* upper-level separators — disjoint key ranges, each
+    /// merged with a batched per-leaf merge join
     /// ([`insert_run`](Self::insert_run): one descent per leaf group, one
     /// write lock and one rebuild per target leaf instead of per tuple;
     /// `specbtree.merge_chunks` counts runs). A source no deeper than a root
@@ -81,29 +81,6 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// the target under concurrent merges/inserts; the source must be
     /// quiescent.
     pub fn insert_all_parallel(&self, other: &BTreeSet<K, C>, workers: usize) -> u64 {
-        if self.root.load(Relaxed).is_null() {
-            let mut items = Vec::new();
-            RangeIter::new(other.iter(), None).collect_into(&mut items);
-            let built = build_from_slice::<K, C>(&items);
-            if built.is_null() {
-                return 0;
-            }
-            if self.root_lock.try_start_write() {
-                let adopted = self.root.load(Relaxed).is_null();
-                if adopted {
-                    self.root.store(built, Relaxed);
-                    telemetry::count(telemetry::Counter::BtreeMergeBulkLoad);
-                }
-                self.root_lock.end_write();
-                if adopted {
-                    return items.len() as u64;
-                }
-            }
-            // Lost the race for the root: discard the copy, merge the run.
-            // SAFETY: `built` was never published.
-            unsafe { LeafNode::free_subtree(built) };
-            return self.insert_run(&items);
-        }
         other.for_each_run(workers, "btree.merge_chunk", |run| self.insert_run(run))
     }
 
@@ -117,7 +94,8 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// deletions of one worker ([`remove`](Self::remove)) stay cache-local
     /// and apart from the next worker's — and the same rule for a small
     /// source. There is no bulk fast path: retraction removes keys one leaf
-    /// shift at a time and occasionally unlinks a drained leaf.
+    /// shift at a time, and a drained leaf leaves the tree only with the
+    /// separator to its right.
     ///
     /// Concurrency contract as the merge: safe on the target under
     /// concurrent inserts/merges/removes; the source must be quiescent.
@@ -494,10 +472,10 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     }
 
     /// Merges run keys into a write-locked leaf — the root, while the tree
-    /// is one node tall — splitting through the regular bottom-up path as
-    /// needed (after the first split the tree is two levels and subsequent
-    /// batches take the grouped path). Releases the lock and returns the
-    /// new run position.
+    /// is one node tall — in one pass, and splits it through the regular
+    /// bottom-up path if it filled before the run ended: the tree is then
+    /// two levels, and the caller re-descends into the grouped path for the
+    /// rest. Releases the lock and returns the new run position.
     fn merge_into_root_leaf(
         &self,
         leaf: NodePtr<K, C>,
@@ -505,34 +483,15 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         i: usize,
         added: &mut u64,
     ) -> usize {
-        // No ancestor, no bound: the rest of the run belongs here.
-        let mut j = run.len();
         // SAFETY: write-locked by us.
         let node = unsafe { &*leaf };
-        let mut k = i;
-        loop {
-            let (nk, fresh) = merge_leaf_pass(node, run, k, j);
-            *added += fresh as u64;
-            k = nk;
-            if k >= j {
-                break;
-            }
-            // Capacity cut: the leaf is exactly full. Split it (Algorithm 2
-            // expects and keeps our write lock); the leaf retains the lower
-            // half, so batch keys below the promoted median continue right
-            // here (a key *equal* to the median is caught as an
-            // ancestor-separator duplicate on re-descent).
-            let m = Self::leaf_split_point(node.search(&run[k], C).0);
-            let median = node.key(m);
-            self.split(leaf, m);
-            let mut nj = k;
-            while nj < j && cmp3(&run[nj], &median) == Ordering::Less {
-                nj += 1;
-            }
-            if nj == k {
-                break; // the whole remainder sorts beyond the median
-            }
-            j = nj;
+        // No ancestor, no bound: the rest of the run belongs here.
+        let (k, fresh) = merge_leaf_pass(node, run, i, run.len());
+        *added += fresh as u64;
+        if k < run.len() {
+            // The leaf is exactly full (Algorithm 2 expects and keeps our
+            // write lock).
+            self.split(leaf, Self::leaf_split_point(node.search(&run[k], C).0));
         }
         node.lock.end_write();
         k
@@ -853,14 +812,28 @@ mod tests {
         assert_eq!(s.len(), 502);
     }
 
+    /// An empty target takes the source as runs, like any other: the first
+    /// fills the root leaf and splits it, and every leaf after it is
+    /// appended to and split full (22 of 24 keys stay). At `Set`'s capacity
+    /// the same split keeps 6 of 8, where a bulk-built copy was full.
     #[test]
-    fn insert_all_into_empty_takes_bulk_path() {
+    fn insert_all_into_empty_appends_full_leaves() {
+        let keys: Vec<Tuple<2>> = (0..3_000u64).map(|i| [i / 10, i % 10]).collect();
+        let src: BTreeSet<2> = BTreeSet::from_sorted(keys.iter().copied());
+        let dst: BTreeSet<2> = BTreeSet::new();
+        assert_eq!(dst.insert_all_parallel(&src, 1), 3_000);
+        dst.check_invariants().unwrap();
+        assert!(dst.iter().eq(keys));
+        let fill = dst.stats().leaf_fill();
+        assert!(fill >= 0.9, "appended runs left leaves {fill:.3} full");
+
         let src = Set::from_sorted(pairs(300));
         let dst = Set::new();
         dst.insert_all(&src);
-        assert_eq!(dst.len(), 300);
         dst.check_invariants().unwrap();
-        assert!(dst.stats().leaf_fill() > 0.9, "bulk path not taken?");
+        assert!(dst.iter().eq(pairs(300)));
+        let fill = dst.stats().leaf_fill();
+        assert!(fill >= 0.74, "appended runs left leaves {fill:.3} full");
     }
 
     #[test]

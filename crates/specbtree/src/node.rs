@@ -24,8 +24,10 @@
 //! # Safety invariants
 //!
 //! * Nodes are allocated individually from the global allocator and
-//!   **never freed or moved** while the tree is alive (subtrees unlinked by
-//!   `remove` are parked in the tree's graveyard until `clear`/`Drop`).
+//!   **never freed or moved** while the tree is alive (the subtrees
+//!   `remove` splices out — a drained subtree with the separator to its
+//!   right, a drained predecessor chain — are parked in the tree's
+//!   graveyard until `clear`/`Drop`).
 //!   Dereferencing any pointer ever published inside the tree is therefore
 //!   memory-safe; only the *values* read may be stale.
 //! * A node's kind (leaf/inner) is fixed at allocation and never changes.

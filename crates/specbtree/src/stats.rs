@@ -225,6 +225,7 @@ impl<const K: usize, const C: usize, L> BTreeSet<K, C, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Tuple;
 
     #[test]
     fn bucket_boundaries() {
@@ -276,18 +277,60 @@ mod tests {
         }
         let after = set.stats();
         assert_eq!(after.keys, 0);
-        // Heavy removal drains leaves; every drained leaf the unlinker
-        // managed to splice out is accounted as buried.
+        // Heavy removal drains leaves; every drained leaf leaves with the
+        // separator to its right and is accounted as buried.
         assert_eq!(
             before.leaf_nodes,
             after.leaf_nodes + (after.buried_leaves - before.buried_leaves)
         );
+        // Only the rightmost leaf, with no separator to its right, stays.
+        assert_eq!(after.leaf_nodes, 1, "{after:?}");
         assert!(after.abandoned_bytes >= after.buried_nodes);
         set.clear();
         let cleared = set.stats();
         assert_eq!(cleared.graveyard_len, 0);
         assert_eq!(cleared.buried_nodes, 0);
         assert_eq!(cleared.abandoned_bytes, 0);
+    }
+
+    /// The shape a Datalog retraction leaves: every tuple of some sources
+    /// withdrawn, so one contiguous key range drains, removed ascending.
+    /// `from_sorted` at `C = 4` packs the keys of ranks `5j .. 5j + 3` into
+    /// leaf `j` and puts rank `5j + 4`, the separator to its right, above
+    /// it. Removing ranks 120 ..= 167 drains leaves 24 ..= 32 and removes
+    /// the separator right of each, so all nine must end up buried; leaf 33
+    /// keeps rank 168 and stays, and so does leaf 23, whose separator
+    /// (rank 119) is not removed.
+    #[test]
+    fn a_drained_range_buries_every_leaf_whose_separator_went() {
+        let keys: Vec<Tuple<2>> = (0..40u64)
+            .flat_map(|x| (0..12u64).map(move |y| [x, y]))
+            .collect();
+        let set: BTreeSet<2, 4> = BTreeSet::from_sorted(keys.iter().copied());
+        let before = set.stats();
+        assert_eq!((before.leaf_nodes, before.graveyard_len), (97, 0));
+        let (drained, kept): (Vec<Tuple<2>>, Vec<Tuple<2>>) =
+            keys.iter().partition(|t| (10..14).contains(&t[0]));
+        assert_eq!(drained.len(), 48);
+        for t in &drained {
+            assert!(set.remove(t));
+        }
+        set.check_invariants().unwrap();
+        assert!(set.iter().eq(kept));
+        let after = set.stats();
+        assert_eq!(after.buried_leaves, 9, "{after:?}");
+        assert_eq!(after.leaf_nodes, before.leaf_nodes - 9, "{after:?}");
+        assert_eq!(
+            after.occupancy_hist[0], 0,
+            "a drained leaf stayed: {after:?}"
+        );
+        // Eight leaves went alone; the ninth was the last child of an inner
+        // node whose other children had gone, and left with it.
+        assert_eq!(
+            (after.graveyard_len, after.buried_nodes),
+            (9, 10),
+            "{after:?}"
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! graveyard reclaimed on `clear`/`Drop`), so stale pointers always
 //! reference live memory and operation hints can never dangle. Underflow
 //! is tolerated rather than rebalanced — sparse and even empty leaves are
-//! legal — and a fully drained leaf is opportunistically spliced out under
-//! its parent's lock.
+//! legal — and a drained leaf stays in place until the separator to its
+//! right is removed, which splices it out together with that separator.
 //!
 //! * `insert` is a direct port of the paper's **Algorithm 1** (optimistic
 //!   root acquisition, validated hand-over-hand descent, lease upgrade at
@@ -60,13 +60,11 @@ pub const DEFAULT_NODE_CAPACITY: usize = 24;
 static TREE_IDS: AtomicU64 = AtomicU64::new(1);
 
 /// Bounded attempts to write-lock each node of the predecessor spine
-/// during an inner-key remove, and the sibling leaf during empty-leaf
-/// reclamation. Both acquisitions run top-down while a parent-side write
-/// lock is already held — the inverse of the split protocol's bottom-up
-/// order — so an unbounded acquire could deadlock against a splitter
-/// holding the lower node and waiting for ours. On failure the remove
-/// restarts (spine) or the empty leaf is simply left in place
-/// (reclamation is an optimization; empty leaves are legal).
+/// during an inner-key remove. The spine is locked top-down while the
+/// inner node's write lock is already held — the inverse of the split
+/// protocol's bottom-up order — so an unbounded acquire could deadlock
+/// against a splitter holding the lower node and waiting for ours. On
+/// failure the remove restarts.
 const REMOVE_LOCK_ATTEMPTS: usize = 8;
 
 /// Records `n` Algorithm 1 restarts of `cause`: the operation's own count
@@ -115,10 +113,10 @@ pub struct BTreeSet<const K: usize, const C: usize = DEFAULT_NODE_CAPACITY, L = 
     pub(crate) root_lock: L,
     /// Unique identity used to brand [`BTreeHints`] (see `hints` module).
     pub(crate) id: u64,
-    /// Subtrees spliced out by `remove` (empty leaves, drained predecessor
-    /// chains). They stay allocated until `clear`/`Drop` — racing
-    /// optimistic readers may still hold pointers into them — and are
-    /// individually freed then.
+    /// Subtrees spliced out by `remove` (empty subtrees dropped with the
+    /// separator to their right, drained predecessor chains). They stay
+    /// allocated until `clear`/`Drop` — racing optimistic readers may still
+    /// hold pointers into them — and are individually freed then.
     pub(crate) graveyard: std::sync::Mutex<Vec<NodePtr<K, C, L>>>,
     /// Cumulative accounting of what `bury` has parked since the last
     /// `clear`, so [`BTreeSet::stats`] can report how much
@@ -509,15 +507,18 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// lowers it to the promoted key; a split of an ancestor moves the
     /// separator up or sideways but not its value; `remove_inner_key`
     /// replaces it by a predecessor pulled out of the rightmost leaf below
-    /// it (a merged run changes fences by these splits alone); and the
-    /// one operation that raises a fence, unlinking the empty leaf to the
-    /// right, write-locks the leaf whose fence it raises. So with the levels
-    /// read one after the other, each under a lease of its own, the fence
-    /// found is at most the leaf's true one at the first read — a stale
-    /// ancestor (the leaf re-homed by a parent split in between) yields the
-    /// promoted key, which is below the leaf's own keys: a miss, never a
-    /// wrong hit — and the leaf's true fence does not move while the
-    /// caller's lease on it holds.
+    /// it, or drops it together with the empty subtree to its left, which
+    /// moves the *lower* fence of the subtree to its right and no upper
+    /// one (a merged run changes fences by these splits alone). So with
+    /// the levels read one after the other, each under a lease of its own,
+    /// the fence found is at most the leaf's true one at the first read —
+    /// a stale ancestor (the leaf re-homed by a parent split in between)
+    /// yields the promoted key, which is below the leaf's own keys: a miss,
+    /// never a wrong hit — and the leaf's true fence does not move while
+    /// the caller's lease on it holds. A leaf buried after that lease was
+    /// taken fails the upgrade (the removal releases it with a new
+    /// version); one buried before fails the walk where its subtree was
+    /// spliced out: that node no longer shows the subtree as a child.
     fn below_upper_fence(&self, leaf: NodePtr<K, C, L>, val: &Tuple<K>) -> bool {
         let mut node = leaf;
         // The lease `node` was read under as somebody's parent; the leaf's
@@ -866,11 +867,13 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// fail their lease validation and retry.
     ///
     /// Underflow is tolerated, never rebalanced: leaves may go sparse or
-    /// empty (searches, bounds and iteration all handle that), and a fully
-    /// drained leaf is opportunistically spliced out of its parent. A key
-    /// found in an *inner* node is replaced by its in-order predecessor,
-    /// pulled from the rightmost spine of the left subtree under a
-    /// top-down chain of bounded try-write-locks.
+    /// empty (searches, bounds and iteration all handle that), and a
+    /// drained leaf stays where it is. A key found in an *inner* node is
+    /// replaced by its in-order predecessor, pulled from the rightmost
+    /// spine of the left subtree under a top-down chain of bounded
+    /// try-write-locks; when that subtree holds no key the separator and
+    /// the subtree leave together, the one way a drained leaf leaves the
+    /// tree.
     pub fn remove(&self, t: &Tuple<K>) -> bool {
         if self.root.load(Relaxed).is_null() {
             return false;
@@ -893,11 +896,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
                 } else {
                     chaos::checkpoint("btree::remove::key");
                     node.remove_at(d.idx);
-                    if node.num() == 0 {
-                        self.try_unlink_empty_leaf(d.node);
-                    } else {
-                        node.lock.end_write();
-                    }
+                    node.lock.end_write();
                     true
                 };
                 if removed {
@@ -908,18 +907,6 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
             telemetry::count(telemetry::Counter::BtreeRemoveRestarts);
             chaos::hint::spin_loop();
         }
-    }
-
-    /// Tries [`REMOVE_LOCK_ATTEMPTS`] times to write-lock `node`.
-    fn try_lock_bounded(node: &LeafNode<K, C, L>, checkpoint: &'static str) -> bool {
-        for _ in 0..REMOVE_LOCK_ATTEMPTS {
-            chaos::checkpoint(checkpoint);
-            if node.lock.try_start_write() {
-                return true;
-            }
-            chaos::hint::spin_loop();
-        }
-        false
     }
 
     /// Drops key `key` and child `child` from the write-locked inner node
@@ -958,7 +945,16 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         loop {
             // SAFETY: children read under held write locks are current.
             let cn = unsafe { &*cur };
-            if !Self::try_lock_bounded(cn, "btree::remove::spine_lock") {
+            let mut locked = false;
+            for _ in 0..REMOVE_LOCK_ATTEMPTS {
+                chaos::checkpoint("btree::remove::spine_lock");
+                if cn.lock.try_start_write() {
+                    locked = true;
+                    break;
+                }
+                chaos::hint::spin_loop();
+            }
+            if !locked {
                 // A splitter below may hold this node while waiting
                 // bottom-up for one of ours: back out entirely.
                 for s in spine.iter().rev() {
@@ -1009,27 +1005,27 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
             }
         }
 
-        // Unlock bottom-up. The donor and every spine node above it end
-        // their write: the predecessor left their subtree for `n`, so a
-        // remover or reader that passed `n` before this call and is still
-        // descending through them must fail its validation and restart —
-        // with its lease restored it would reach the donor, not find the
-        // key, and report it absent while it sits in `n`. The drained chain
-        // below the donor was not modified and holds no key anyone could
-        // miss — abort restores those versions so optimistic readers with
-        // stale pointers into it need not restart — but it *must* be
-        // unlocked: readers spin on write-locked nodes, even unreachable
-        // ones.
+        // Unlock bottom-up, every spine node ending its write. The donor and
+        // the spine above it lost the predecessor to `n`: a remover or reader
+        // that passed `n` before this call and is still descending through
+        // them must fail its validation and restart — with its lease
+        // restored it would reach the donor, not find the key, and report
+        // it absent while it sits in `n`. The nodes below the donor (all of
+        // them in the `None` arm) leave the tree: an insert that leased one
+        // on its descent, or through a hint, and has yet to upgrade must
+        // fail the upgrade — with the version restored its key would land
+        // in the graveyard and be lost.
         // Planted bug for the chaos self-test: restoring every version lets
-        // a reader that passed `n` miss the predecessor pulled up into it.
+        // a reader that passed `n` miss the predecessor pulled up into it,
+        // and an insert land in a buried leaf.
         let keep_versions = cfg!(all(chaos, feature = "chaos-inject-bug"));
-        for (i, s) in spine.iter().enumerate().rev() {
+        for s in spine.iter().rev() {
             // SAFETY: write-locked above.
             let sn = unsafe { &**s };
-            if !keep_versions && holder.is_some_and(|h| i <= h) {
-                sn.lock.end_write();
-            } else {
+            if keep_versions {
                 sn.lock.abort_write();
+            } else {
+                sn.lock.end_write();
             }
         }
         nn.lock.end_write();
@@ -1039,73 +1035,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         true
     }
 
-    /// Best-effort reclamation of a write-locked, fully drained leaf:
-    /// re-homes the adjacent parent separator (a real element!) into a
-    /// sibling leaf and splices the empty leaf out of its parent. Any
-    /// obstacle — root leaf, unary parent, inner/full sibling, contended
-    /// sibling lock — leaves the empty leaf in place: empty leaves are
-    /// legal, reclamation is an optimization, and the policy never
-    /// rebalances across the root region. Releases the leaf's lock.
-    fn try_unlink_empty_leaf(&self, leaf: NodePtr<K, C, L>) {
-        // SAFETY: write-locked by the caller; nodes stay live.
-        let node = unsafe { &*leaf };
-        debug_assert_eq!(node.num(), 0);
-        chaos::checkpoint("btree::remove::leaf_unlink");
-        let parent = node.parent.load(Relaxed);
-        if parent.is_null() {
-            node.lock.end_write();
-            return; // empty root leaf stays: the tree may refill
-        }
-        let p = Self::lock_parent(leaf, parent);
-        let pn = unsafe { &*p };
-        let pi = unsafe { pn.as_inner() };
-        let pnum = pn.num();
-        let pos = node.position.load(Relaxed) as usize;
-        debug_assert_eq!(pi.child(pos), leaf, "position link out of date");
-        if pnum == 0 {
-            // Unary parent: no separator to dispose of, no sibling to
-            // take it. The empty leaf stays.
-            pn.lock.abort_write();
-            node.lock.end_write();
-            return;
-        }
-        // The separator adjacent to the leaf moves into the neighboring
-        // sibling: left of the leaf it becomes the left sibling's new
-        // maximum; for the leftmost leaf, key 0 becomes the right
-        // sibling's new minimum.
-        let (sep_idx, sib, at_front) = if pos > 0 {
-            (pos - 1, pi.child(pos - 1), false)
-        } else {
-            (0, pi.child(1), true)
-        };
-        // SAFETY: a child read under the parent's write lock is current.
-        let sn = unsafe { &*sib };
-        if !Self::try_lock_bounded(sn, "btree::remove::sibling_lock") {
-            pn.lock.abort_write();
-            node.lock.end_write();
-            return;
-        }
-        if sn.is_inner() || sn.num() == C {
-            // An inner sibling (the leaf's level was already spliced
-            // around elsewhere — impossible today, defensive) or one with
-            // no room: keep the empty leaf.
-            sn.lock.abort_write();
-            pn.lock.abort_write();
-            node.lock.end_write();
-            return;
-        }
-        let sep = pn.key(sep_idx);
-        sn.insert_at(if at_front { 0 } else { sn.num() }, &sep);
-        // Splice the separator and the empty leaf out of the parent.
-        Self::splice_out(pi, sep_idx, if at_front { 0 } else { pos });
-        telemetry::count(telemetry::Counter::BtreeLeafUnlinks);
-        sn.lock.end_write();
-        pn.lock.end_write();
-        node.lock.end_write();
-        self.bury(leaf);
-    }
-
-    /// Parks an unlinked subtree until `clear`/`Drop`. Nodes are never
+    /// Parks a spliced-out subtree until `clear`/`Drop`. Nodes are never
     /// freed while the tree is alive — racing optimistic readers may still
     /// hold pointers into them, and the memory-safety of stale descents
     /// depends on it — so spliced-out subtrees wait in the graveyard.

@@ -319,9 +319,9 @@ proptest! {
         prop_assert_eq!(tree.iter().last(), model.iter().next_back().copied());
     }
 
-    /// Remove-heavy sequences drain the tree entirely, crossing the
-    /// empty-leaf unlink path and the predecessor-swap inner deletion many
-    /// times; reinsertion into the hollowed shape must still agree with a
+    /// Remove-heavy sequences drain the tree entirely, crossing both arms
+    /// of the inner-key removal — the predecessor swap and the splice that
+    /// takes a drained subtree out with its separator — many times; reinsertion into the hollowed shape must still agree with a
     /// fresh model.
     #[test]
     fn drain_and_reinsert_matches_model(keys in prop::collection::vec(key_strategy(), 1..400)) {

@@ -731,8 +731,9 @@ fn contains_during_removes_is_linearizable() {
 /// Bulk retraction racing a bulk merge on the same target: a
 /// `remove_all_parallel` of the even half runs against an
 /// `insert_all_parallel` of a disjoint high run. The removal's
-/// deletes and possible leaf unlinks interleave with the merge's grouped
-/// leaf locking on the rightmost group; every schedule must end with
+/// deletes, and the splices that take drained leaves out with their
+/// separators, interleave with the merge's grouped leaf locking on the
+/// rightmost group; every schedule must end with
 /// exactly the odd half plus the merged run, with both counts exact.
 #[cfg(not(feature = "chaos-inject-bug"))]
 #[test]
@@ -775,8 +776,9 @@ fn remove_all_racing_merge_keeps_invariants() {
 
 /// Two threads race removals over overlapping victim sets: each contended
 /// key must be won by exactly one remover (true returns partition the
-/// victims), empty leaves left behind must be tolerated or unlinked
-/// cleanly, and draining an entire subtree must not strand the iterator.
+/// victims), a drained leaf must stay legal until its separator goes and
+/// then leave with it, and draining an entire subtree must not strand the
+/// iterator.
 #[cfg(not(feature = "chaos-inject-bug"))]
 #[test]
 fn racing_removers_claim_each_key_once() {
@@ -792,7 +794,8 @@ fn racing_removers_claim_each_key_once() {
                 chaos::thread::spawn(move || {
                     let mut local = 0u64;
                     // Both threads attack the same six keys, draining two
-                    // full leaves' worth: leaf-unlink races leaf-unlink.
+                    // leaves and removing the separator right of each:
+                    // splice races splice.
                     for k in [0u64, 1, 2, 3, 4, 5] {
                         if set.remove(&[k]) {
                             local += 1;
@@ -864,6 +867,148 @@ fn predecessor_swap_races_a_reader() {
 #[test]
 fn a_reader_races_the_predecessor_swap_of_a_removal() {
     explore(predecessor_swap_races_a_reader);
+}
+
+/// Runs `setup` on a plain thread, off the model's schedule: the chaos
+/// instrumentation is inert outside the model's virtual threads, so a long
+/// setup takes no steps and leaves every PCT change point to the race that
+/// follows it.
+#[cfg(not(feature = "chaos-inject-bug"))]
+fn off_schedule<T: Send>(setup: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| s.spawn(setup).join().expect("setup panicked"))
+}
+
+/// [`explore`], then PCT with a change point about every 25 steps over 512
+/// seeds. The drained-leaf models look for an insert preempted in the few
+/// steps between its descent's last validation and its leaf upgrade, and
+/// not before: a window `explore`'s two change points hit in 0.1–0.3 % of
+/// seeds, its random walk never. With the buried leaf's version restored on
+/// release, this configuration caught the lost insert in 2.3 % of 2 048
+/// seeds at the splice and 1.3 % below a donor.
+#[cfg(not(feature = "chaos-inject-bug"))]
+fn explore_densely(scenario: fn()) {
+    explore(scenario);
+    let cfg = chaos::Config {
+        pct_expected_steps: 200,
+        ..chaos::Config::pct(8)
+    };
+    chaos::model_with(&cfg, chaos::seeds_from_env(0..512), scenario);
+}
+
+/// The one way a drained leaf leaves the tree, against inserts into its
+/// range. Off the schedule, the tree gets `0, 10, .. 10 * (n - 1)` at
+/// `C = 4` in ascending order (two keys a leaf, one between), hints cached
+/// on the leaf of `drained`, and then `drained` removed. In the race the
+/// remover removes `sep`, the separator to the drained leaf's right; one
+/// thread inserts `added[0]` plainly; another inserts `added[1]` through
+/// the cached hint and then reads through hints cached on the leaf too.
+/// With the leaf still empty the removal takes it out of the tree for
+/// good, so an insert that leased it before must fail its upgrade and
+/// re-descend; if an insert got there first the leaf donates its maximum
+/// to `sep`'s slot and stays. The history must be linearizable, the
+/// contents exact and every leaf either live or buried.
+#[cfg(not(feature = "chaos-inject-bug"))]
+fn drained_leaf_leaves_under_racing_inserts(n: u64, drained: [u64; 2], sep: u64, added: [u64; 2]) {
+    let (set, leaves, mut insert_hints, mut read_hints) = off_schedule(|| {
+        let set: Arc<BTreeSet<1, 4>> = Arc::new(BTreeSet::new());
+        for k in (0..n).map(|x| 10 * x) {
+            set.insert([k]);
+        }
+        let leaves = set.stats().leaf_nodes;
+        let mut insert_hints = set.create_hints();
+        assert!(!set.insert_hinted([drained[1]], &mut insert_hints));
+        let mut read_hints = set.create_hints();
+        assert!(set.contains_hinted(&[drained[0]], &mut read_hints));
+        for k in drained {
+            assert!(set.remove(&[k]));
+        }
+        (set, leaves, insert_hints, read_hints)
+    });
+    let rec = Arc::new(Recorder::new());
+    let (below, above) = (drained[0] - 10, sep + 10);
+    // The checker starts from an empty set: the keys the history touches
+    // entered it during the setup.
+    for k in [below, sep, above] {
+        rec.run(0, Op::Insert(vec![k]), || set.contains(&[k]));
+    }
+    let remover = {
+        let (set, rec) = (set.clone(), rec.clone());
+        chaos::thread::spawn(move || {
+            assert!(rec.run(0, Op::Remove(vec![sep]), || set.remove(&[sep])));
+        })
+    };
+    let inserter = {
+        let (set, rec) = (set.clone(), rec.clone());
+        chaos::thread::spawn(move || {
+            let k = added[0];
+            let fresh = rec.run(1, Op::Insert(vec![k]), || set.insert([k]));
+            assert!(fresh, "{k} was never in the tree");
+        })
+    };
+    let hinted = {
+        let (set, rec) = (set.clone(), rec.clone());
+        chaos::thread::spawn(move || {
+            let k = added[1];
+            let fresh = rec.run(2, Op::Insert(vec![k]), || {
+                set.insert_hinted([k], &mut insert_hints)
+            });
+            assert!(fresh, "{k} was never in the tree");
+            for k in [below, added[0], added[1], sep, above] {
+                rec.run(2, Op::Contains(vec![k]), || {
+                    set.contains_hinted(&[k], &mut read_hints)
+                });
+            }
+            // A bound's position is validated, the keys the iterator then
+            // reads are not (iteration is phase-concurrent): a slot at or
+            // after the bound only ever takes an inserted key or one above
+            // it, and a cursor in a buried leaf climbs out.
+            let at = set
+                .lower_bound_hinted(&[added[0] + 1], &mut read_hints)
+                .next();
+            assert!(
+                at.is_none_or(|[x]| x >= added[0]),
+                "lower_bound({}) = {at:?}",
+                added[0] + 1
+            );
+        })
+    };
+    remover.join();
+    inserter.join();
+    hinted.join();
+    for k in added.into_iter().chain([sep]) {
+        rec.run(0, Op::Contains(vec![k]), || set.contains(&[k]));
+    }
+    let history = Arc::try_unwrap(rec)
+        .expect("all threads joined")
+        .into_history();
+    check_set_history(&history).unwrap();
+    let base = (0..n)
+        .map(|x| 10 * x)
+        .filter(|k| !drained.contains(k) && *k != sep);
+    assert_holds(&set, base, &added);
+    let stats = set.stats();
+    assert_eq!(stats.leaf_nodes + stats.buried_leaves, leaves, "{stats:?}");
+    assert!(stats.graveyard_len <= 1, "{stats:?}");
+}
+
+/// The splice: keys 0, 10, .. 70 make the root [20 50] over [0 10] [30 40]
+/// [60 70]. [30 40] is drained; removing 50 finds the whole subtree left
+/// of it empty and drops 50 and the leaf from the root together, while 35
+/// and 45 are inserted into the leaf's range.
+#[cfg(not(feature = "chaos-inject-bug"))]
+#[test]
+fn a_drained_leaf_leaves_with_its_separator_under_stale_hints() {
+    explore_densely(|| drained_leaf_leaves_under_racing_inserts(8, [30, 40], 50, [35, 45]));
+}
+
+/// Below an inner donor: keys 0, 10, .. 170 make the root [80] over
+/// [20 50] over [0 10] [30 40] [60 70]. [60 70] is drained; removing 80
+/// pulls 50 up out of [20 50] and buries the drained leaf that was its
+/// right child, while 65 and 75 are inserted into the leaf's range.
+#[cfg(not(feature = "chaos-inject-bug"))]
+#[test]
+fn a_drained_chain_leaves_below_an_inner_donor() {
+    explore_densely(|| drained_leaf_leaves_under_racing_inserts(18, [60, 70], 80, [65, 75]));
 }
 
 /// Mutation self-test for the descent's lease validation: with the planted

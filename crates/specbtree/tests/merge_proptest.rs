@@ -1,8 +1,8 @@
 //! Property tests for `specbtree::merge`: bulk `insert_all` must behave as
 //! set union against a `std::collections::BTreeSet` model on adversarial
-//! input shapes — duplicate-heavy, fully overlapping, append-only, and the
-//! empty-target path that adopts a bulk-built copy — with the structural
-//! invariants intact afterwards. The run API (`retain_absent`,
+//! input shapes — duplicate-heavy, fully overlapping, append-only, and an
+//! empty target, which takes the source as runs like any other — with the
+//! structural invariants intact afterwards. The run API (`retain_absent`,
 //! `insert_run`) is held to the same model at every key width and at both
 //! node capacities the suites use.
 
@@ -155,10 +155,11 @@ proptest! {
         prop_assert_eq!(ta.len(), model(&keys).len());
     }
 
-    /// Merging into an empty target adopts a bulk-built copy of the source;
-    /// the result must be indistinguishable from element-wise insertion.
+    /// Merging into an empty target takes the source as runs, the first
+    /// of which fills and splits the root leaf; the result must be
+    /// indistinguishable from element-wise insertion.
     #[test]
-    fn empty_target_bulk_path_matches_model(keys in prop::collection::vec(key(), 0..400)) {
+    fn empty_target_merge_matches_model(keys in prop::collection::vec(key(), 0..400)) {
         let dst: BTreeSet<2, 4> = BTreeSet::new();
         let src: BTreeSet<2, 4> = build(&keys);
         dst.insert_all(&src);
@@ -170,7 +171,8 @@ proptest! {
             dst.iter().collect::<Vec<_>>(),
             expect.into_iter().collect::<Vec<_>>()
         );
-        // Bulk-built trees must answer point queries like incremental ones.
+        // A tree grown by runs must answer point queries like one grown by
+        // point inserts.
         for k in keys.iter().take(30) {
             prop_assert!(dst.contains(k));
         }

@@ -102,9 +102,6 @@ pub enum Counter {
     BtreeInnerSplits,
     /// `specbtree`: root splits growing the tree by one level.
     BtreeRootGrowth,
-    /// `specbtree`: `insert_all` merges served by the empty-target bulk
-    /// load fast path.
-    BtreeMergeBulkLoad,
     /// `datalog`: semi-naive fixpoint iterations across all strata.
     EvalIterations,
     /// `specbtree`: runs a bulk merge or removal cut its source into
@@ -113,12 +110,9 @@ pub enum Counter {
     BtreeMergeChunks,
     /// `specbtree`: successful `remove` operations (tuple was present).
     BtreeRemoves,
-    /// `specbtree`: remove operations restarted (failed validation or
-    /// contended spine/sibling locks).
+    /// `specbtree`: remove operations restarted (failed validation or a
+    /// contended spine lock).
     BtreeRemoveRestarts,
-    /// `specbtree`: empty leaves spliced out of their parent after a
-    /// remove drained them.
-    BtreeLeafUnlinks,
     /// `datalog`: secondary index trees built (one per column permutation
     /// registered on a relation, backfill included).
     EvalIndexBuilds,
@@ -131,7 +125,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 23;
+    pub const COUNT: usize = 21;
 
     /// All counters, in declaration order.
     pub const ALL: [Counter; Self::COUNT] = [
@@ -149,12 +143,10 @@ impl Counter {
         Counter::BtreeLeafSplits,
         Counter::BtreeInnerSplits,
         Counter::BtreeRootGrowth,
-        Counter::BtreeMergeBulkLoad,
         Counter::EvalIterations,
         Counter::BtreeMergeChunks,
         Counter::BtreeRemoves,
         Counter::BtreeRemoveRestarts,
-        Counter::BtreeLeafUnlinks,
         Counter::EvalIndexBuilds,
         Counter::BtreeRunKeys,
         Counter::BtreeRunDescents,
@@ -177,12 +169,10 @@ impl Counter {
             Counter::BtreeLeafSplits => "specbtree.leaf_splits",
             Counter::BtreeInnerSplits => "specbtree.inner_splits",
             Counter::BtreeRootGrowth => "specbtree.root_growth",
-            Counter::BtreeMergeBulkLoad => "specbtree.merge_bulk_load",
             Counter::EvalIterations => "datalog.iterations",
             Counter::BtreeMergeChunks => "specbtree.merge_chunks",
             Counter::BtreeRemoves => "specbtree.removes",
             Counter::BtreeRemoveRestarts => "specbtree.remove_restarts",
-            Counter::BtreeLeafUnlinks => "specbtree.leaf_unlinks",
             Counter::EvalIndexBuilds => "datalog.index_builds",
             Counter::BtreeRunKeys => "specbtree.run_keys",
             Counter::BtreeRunDescents => "specbtree.run_descents",
