@@ -27,6 +27,7 @@
 // module-level `allow` with per-site SAFETY comments. Everything else in
 // this crate remains safe code.
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bplus;
 pub mod bslack;

@@ -109,6 +109,7 @@ pub struct SplitOrderedSet<T> {
 // segment tables; all shared mutation is via atomics, nodes are never freed
 // while shared (`Drop` takes `&mut self`).
 unsafe impl<T: Send> Send for SplitOrderedSet<T> {}
+// SAFETY: see `Send` above.
 unsafe impl<T: Send + Sync> Sync for SplitOrderedSet<T> {}
 
 impl<T: HashKey + Ord> Default for SplitOrderedSet<T> {
@@ -328,6 +329,7 @@ impl<T: HashKey + Ord> SplitOrderedSet<T> {
         // SAFETY: list nodes are live for the lifetime of the set.
         let mut curr = unsafe { (*start).next.load(Ordering::Acquire) };
         while !curr.is_null() {
+            // SAFETY: as above; `curr` is non-null.
             let c = unsafe { &*curr };
             match Self::node_less(skey, &probe, c) {
                 std::cmp::Ordering::Greater => curr = c.next.load(Ordering::Acquire),
@@ -358,6 +360,7 @@ impl<T: HashKey + Ord> SplitOrderedSet<T> {
         // SAFETY: list nodes are live for the lifetime of the set.
         let mut curr = unsafe { (*start).next.load(Ordering::Acquire) };
         while !curr.is_null() {
+            // SAFETY: as above; `curr` is non-null.
             let c = unsafe { &*curr };
             match Self::node_less(skey, &probe, c) {
                 std::cmp::Ordering::Greater => curr = c.next.load(Ordering::Acquire),
@@ -399,6 +402,8 @@ impl<T> Drop for SplitOrderedSet<T> {
         while !curr.is_null() {
             // SAFETY: exclusive access; each node freed exactly once.
             let next = unsafe { *(*curr).next.get_mut() };
+            // SAFETY: `curr` came from `Box::into_raw` and nothing reaches it
+            // after this step.
             unsafe { drop(Box::from_raw(curr)) };
             curr = next;
         }

@@ -7,7 +7,7 @@
 use baselines::bplus::BPlusMap;
 use baselines::bslack::BSlackTree;
 use baselines::gbtree::GBTreeSet;
-use baselines::hashset::HashSet as OaHashSet;
+use baselines::hashset::HashSet as ChainedHashSet;
 use baselines::lockcoupling::LockCouplingBTree;
 use baselines::masstree::MasstreeAnalog;
 use baselines::rbtree::RbTreeSet;
@@ -58,7 +58,7 @@ proptest! {
 
     #[test]
     fn hashset_matches_model(ops in keys()) {
-        let mut s = OaHashSet::new();
+        let mut s = ChainedHashSet::new();
         let mut m = std::collections::HashSet::new();
         for k in &ops {
             prop_assert_eq!(s.insert(*k), m.insert(*k));

@@ -22,7 +22,7 @@
 #![forbid(unsafe_code)]
 
 use baselines::gbtree::GBTreeSet;
-use baselines::hashset::HashSet as OaHashSet;
+use baselines::hashset::HashSet as ChainedHashSet;
 use baselines::rbtree::RbTreeSet;
 use baselines::splitorder::SplitOrderedSet;
 use specbtree::seq::{SeqBTreeSet, SeqHints};
@@ -171,9 +171,9 @@ pub enum Contestant {
     BTreeNoHints,
     /// Red-black tree (`std::set` analog).
     StlRbtset,
-    /// Open-addressing hash set (`std::unordered_set` analog).
+    /// Node-based chained hash set (`std::unordered_set` analog).
     StlHashset,
-    /// Sharded concurrent hash set (TBB analog).
+    /// Lock-free split-ordered hash set (TBB analog).
     TbbHashset,
 }
 
@@ -219,7 +219,7 @@ impl Contestant {
                 hints: None,
             }),
             Contestant::StlRbtset => Box::new(RbBench(RbTreeSet::new())),
-            Contestant::StlHashset => Box::new(HashBench(OaHashSet::new())),
+            Contestant::StlHashset => Box::new(HashBench(ChainedHashSet::new())),
             Contestant::TbbHashset => Box::new(TbbBench(SplitOrderedSet::new())),
         }
     }
@@ -333,7 +333,7 @@ impl BenchSet for RbBench {
     }
 }
 
-struct HashBench(OaHashSet<[u64; 2]>);
+struct HashBench(ChainedHashSet<[u64; 2]>);
 
 impl BenchSet for HashBench {
     fn insert(&mut self, t: [u64; 2]) -> bool {

@@ -215,14 +215,14 @@ pub struct Rule {
 impl fmt::Display for Rule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} :- ", self.head)?;
-        for (i, l) in self.body.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{l}")?;
+        let mut sep = "";
+        for l in &self.body {
+            write!(f, "{sep}{l}")?;
+            sep = ", ";
         }
         for c in &self.constraints {
-            write!(f, ", {c}")?;
+            write!(f, "{sep}{c}")?;
+            sep = ", ";
         }
         write!(f, ".")
     }
@@ -406,6 +406,25 @@ mod tests {
             "path(X, Z) :- path(X, Y), edge(Y, Z), !blocked(Z, 0)."
         );
         assert_eq!(w().to_string(), "_");
+    }
+
+    /// Literals and constraints share one separator: a rule of literals,
+    /// of both, or of constraints alone displays as text that parses back
+    /// to the same rule.
+    #[test]
+    fn displayed_rules_parse_back() {
+        let decls = ".decl a(x: number, y: number)\n.decl b(x: number)\n";
+        for rule in [
+            "b(x) :- a(x, y), !b(y).",
+            "b(x) :- a(x, y), x < y, y != 3.",
+            "b(1) :- 1 < 2.",
+        ] {
+            let parsed = crate::parser::parse(&format!("{decls}{rule}")).unwrap();
+            let text = parsed.rules[0].to_string();
+            let again = crate::parser::parse(&format!("{decls}{text}"))
+                .unwrap_or_else(|e| panic!("`{text}` does not parse: {e:?}"));
+            assert_eq!(again.rules, parsed.rules, "{text}");
+        }
     }
 
     #[test]

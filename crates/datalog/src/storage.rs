@@ -25,7 +25,7 @@
 use crate::ast::MAX_ARITY;
 use baselines::gbtree::GBTreeSet;
 use baselines::global_lock::GlobalLock;
-use baselines::hashset::HashSet as OaHashSet;
+use baselines::hashset::HashSet as ChainedHashSet;
 use baselines::rbtree::RbTreeSet;
 use baselines::splitorder::SplitOrderedSet;
 use specbtree::{BTreeSet, TreeStats};
@@ -349,7 +349,7 @@ pub enum StorageKind {
     SpecBTree,
     /// Red-black tree behind a global lock (`STL rbtset`).
     RbTreeLocked,
-    /// Open-addressing hash set behind a global lock (`STL hashset`).
+    /// Node-based chained hash set behind a global lock (`STL hashset`).
     HashSetLocked,
     /// The sequential Vec-node B-tree behind a global lock (`google btree`).
     GBTreeLocked,
@@ -418,7 +418,7 @@ impl StorageKind {
                 Box::new(Locked::<_, K>(GlobalLock::new(RbTreeSet::new())))
             }
             StorageKind::HashSetLocked => {
-                Box::new(Locked::<_, K>(GlobalLock::new(OaHashSet::new())))
+                Box::new(Locked::<_, K>(GlobalLock::new(ChainedHashSet::new())))
             }
             StorageKind::GBTreeLocked => {
                 Box::new(Locked::<_, K>(GlobalLock::new(GBTreeSet::new())))
@@ -794,7 +794,7 @@ impl_seq_set! {
     };
     // No range queries: a filtered sweep, the structural deficiency the
     // paper's comparison highlights.
-    OaHashSet: |s, prefix, f| {
+    ChainedHashSet: |s, prefix, f| {
         s.iter().filter(|t| t.starts_with(prefix)).for_each(|t| f(&t))
     };
 }

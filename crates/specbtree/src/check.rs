@@ -2,7 +2,7 @@
 //! available to downstream users for debugging.
 
 use crate::latch::Latch;
-use crate::node::{cmp3, NodePtr, Tuple};
+use crate::node::{cmp3, LeafNode, Tuple};
 use crate::tree::BTreeSet;
 use std::cmp::Ordering;
 use std::sync::atomic::Ordering::Relaxed;
@@ -33,15 +33,13 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// Quiescent phases only. [`stats`](Self::stats) counts what the tree
     /// holds.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        let root = self.root.load(Relaxed);
-        if root.is_null() {
+        let Some(root) = self.root_node() else {
             return Ok(());
-        }
+        };
         if self.root_lock.is_write_locked() {
             return Err(InvariantViolation("root lock left write-locked".into()));
         }
-        let rn = unsafe { &*root };
-        if !rn.parent.load(Relaxed).is_null() {
+        if root.parent().is_some() {
             return Err(InvariantViolation("root has a parent pointer".into()));
         }
         check_node(root, None, None, 1, &mut None)
@@ -49,80 +47,81 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
 }
 
 fn check_node<const K: usize, const C: usize, L: Latch>(
-    p: NodePtr<K, C, L>,
+    node: &LeafNode<K, C, L>,
     lower: Option<Tuple<K>>,
     upper: Option<Tuple<K>>,
     depth: usize,
     leaf_depth: &mut Option<usize>,
 ) -> Result<(), InvariantViolation> {
-    let node = unsafe { &*p };
     if node.lock.is_write_locked() {
-        return Err(InvariantViolation(format!("node {p:?} left write-locked")));
+        return Err(InvariantViolation(format!(
+            "node {node:p} left write-locked"
+        )));
     }
     let num = node.num();
     if num > C {
         return Err(InvariantViolation(format!(
-            "node {p:?} overfull: {num} > capacity {C}"
+            "node {node:p} overfull: {num} > capacity {C}"
         )));
     }
     for i in 0..num {
         let k = node.key(i);
         if i > 0 && cmp3(&node.key(i - 1), &k) != Ordering::Less {
             return Err(InvariantViolation(format!(
-                "node {p:?}: keys not strictly ascending at index {i}"
+                "node {node:p}: keys not strictly ascending at index {i}"
             )));
         }
         if let Some(lo) = &lower {
             if cmp3(&k, lo) != Ordering::Greater {
                 return Err(InvariantViolation(format!(
-                    "node {p:?}: key {k:?} not above separator {lo:?}"
+                    "node {node:p}: key {k:?} not above separator {lo:?}"
                 )));
             }
         }
         if let Some(hi) = &upper {
             if cmp3(&k, hi) != Ordering::Less {
                 return Err(InvariantViolation(format!(
-                    "node {p:?}: key {k:?} not below separator {hi:?}"
+                    "node {node:p}: key {k:?} not below separator {hi:?}"
                 )));
             }
         }
     }
 
-    if node.is_inner() {
+    if let Some(inner) = node.inner() {
         // A unary inner node (0 keys, exactly 1 child) is legal after
         // removals: the underflow policy never rebalances across the root
         // region, so key-exhausted inners simply pass descent through.
         // The `0..=num` child walk below covers it (one child, no keys).
-        let inner = unsafe { node.as_inner() };
         for i in 0..=num {
-            let c = inner.child(i);
-            if c.is_null() {
+            let Some(cn) = inner.child(i) else {
                 return Err(InvariantViolation(format!(
-                    "inner node {p:?}: child {i} is null"
+                    "inner node {node:p}: child {i} is null"
                 )));
-            }
-            let cn = unsafe { &*c };
-            if cn.parent.load(Relaxed) != p {
+            };
+            if !cn
+                .parent()
+                .is_some_and(|parent| std::ptr::eq(parent, inner))
+            {
                 return Err(InvariantViolation(format!(
-                    "child {c:?} of {p:?} has wrong parent pointer"
+                    "child {cn:p} of {node:p} has wrong parent pointer"
                 )));
             }
             if cn.position.load(Relaxed) as usize != i {
                 return Err(InvariantViolation(format!(
-                    "child {c:?} of {p:?} has position {} but sits at {i}",
+                    "child {cn:p} of {node:p} has position {} but sits at {i}",
                     cn.position.load(Relaxed)
                 )));
             }
             let lo = if i == 0 { lower } else { Some(node.key(i - 1)) };
             let hi = if i == num { upper } else { Some(node.key(i)) };
-            check_node(c, lo, hi, depth + 1, leaf_depth)?;
+            check_node(cn, lo, hi, depth + 1, leaf_depth)?;
         }
     } else {
         match leaf_depth {
             None => *leaf_depth = Some(depth),
             Some(d) if *d != depth => {
                 return Err(InvariantViolation(format!(
-                    "leaf {p:?} at depth {depth}, expected {d}"
+                    "leaf {node:p} at depth {depth}, expected {d}"
                 )));
             }
             _ => {}

@@ -48,7 +48,7 @@
 //!
 //! [`BTreeSet::create_hints`]: crate::BTreeSet::create_hints
 
-use crate::node::NodePtr;
+use crate::node::{LeafNode, NodePtr};
 use optlock::OptimisticRwLock;
 
 /// Hit/miss counters per hinted operation kind.
@@ -150,13 +150,15 @@ pub struct BTreeHints<
     L = OptimisticRwLock,
 > {
     tree_id: u64,
-    /// The leaf most recently accessed, per [`HintKind`].
+    /// The leaf most recently accessed, per [`HintKind`]: raw, because the
+    /// hints outlive any one borrow of the tree. The tree turns one back
+    /// into a borrow only behind the brand check (`BTreeSet::hinted`).
     leaves: [NodePtr<K, C, L>; 4],
     /// Hit/miss statistics for this hint object (i.e. this thread).
     pub stats: HintStats,
 }
 
-// SAFETY: the raw pointers are only dereferenced by tree methods after the
+// SAFETY: the raw pointers are only dereferenced by the tree after the
 // brand check proves they belong to the (alive, borrowed) tree; moving the
 // hint object to another thread is fine because every hinted access is
 // re-validated through the optimistic lock protocol.
@@ -192,7 +194,7 @@ impl<const K: usize, const C: usize, L> BTreeHints<K, C, L> {
     /// Records the outcome of a hinted operation of `kind` that ended in
     /// `node`. Only leaves are cached.
     #[inline]
-    pub(crate) fn record(&mut self, kind: HintKind, hit: bool, node: NodePtr<K, C, L>) {
+    pub(crate) fn record(&mut self, kind: HintKind, hit: bool, node: Option<&LeafNode<K, C, L>>) {
         let s = &mut self.stats;
         let (hits, misses) = match kind {
             HintKind::Insert => (&mut s.insert_hits, &mut s.insert_misses),
@@ -201,9 +203,8 @@ impl<const K: usize, const C: usize, L> BTreeHints<K, C, L> {
             HintKind::Upper => (&mut s.upper_hits, &mut s.upper_misses),
         };
         *(if hit { hits } else { misses }) += 1;
-        // SAFETY: a non-null `node` is a live node of the branded tree.
-        if !node.is_null() && !unsafe { &*node }.is_inner() {
-            self.leaves[kind as usize] = node;
+        if let Some(leaf) = node.filter(|n| !n.is_inner()) {
+            self.leaves[kind as usize] = leaf.ptr();
         }
     }
 }

@@ -13,54 +13,40 @@
 
 use crate::hints::{BTreeHints, HintKind};
 use crate::latch::Latch;
-use crate::node::{cmp3, NodePtr, Tuple};
+use crate::node::{cmp3, LeafNode, Tuple};
 use crate::tree::BTreeSet;
 use optlock::OptimisticRwLock;
 use std::cmp::Ordering;
-use std::marker::PhantomData;
 use std::sync::atomic::Ordering::Relaxed;
 
 /// An in-order cursor over a [`BTreeSet`], yielding tuples ascending.
 pub struct Iter<'a, const K: usize, const C: usize, L = OptimisticRwLock> {
-    /// Current node; null means the iterator is exhausted.
-    node: NodePtr<K, C, L>,
+    /// Current node, borrowed from the tree; `None` means the iterator is
+    /// exhausted.
+    node: Option<&'a LeafNode<K, C, L>>,
     /// Index of the key to yield next within `node`.
     pos: usize,
-    _tree: PhantomData<&'a BTreeSet<K, C, L>>,
 }
 
 impl<'a, const K: usize, const C: usize, L> Iter<'a, K, C, L> {
-    pub(crate) fn new(node: NodePtr<K, C, L>, pos: usize) -> Self {
-        let mut it = Self {
-            node,
-            pos,
-            _tree: PhantomData,
-        };
+    pub(crate) fn new(node: Option<&'a LeafNode<K, C, L>>, pos: usize) -> Self {
+        let mut it = Self { node, pos };
         it.normalize();
         it
     }
 
-    pub(crate) fn exhausted() -> Self {
-        Self::new(std::ptr::null_mut(), 0)
-    }
-
     /// A cursor at a located position, exhausted if there is none.
-    pub(crate) fn at(pos: Option<(NodePtr<K, C, L>, usize)>) -> Self {
-        pos.map_or_else(Self::exhausted, |(node, pos)| Self::new(node, pos))
+    pub(crate) fn at(pos: Option<(&'a LeafNode<K, C, L>, usize)>) -> Self {
+        match pos {
+            Some((node, pos)) => Self::new(Some(node), pos),
+            None => Self::new(None, 0),
+        }
     }
 
     /// The tuple the cursor currently points at, without advancing.
     pub fn peek(&self) -> Option<Tuple<K>> {
-        if self.node.is_null() {
-            return None;
-        }
-        // SAFETY: non-null cursor nodes are live tree nodes.
-        let n = unsafe { &*self.node };
-        if self.pos < n.num_clamped() {
-            Some(n.key(self.pos))
-        } else {
-            None
-        }
+        let n = self.node?;
+        (self.pos < n.num_clamped()).then(|| n.key(self.pos))
     }
 
     /// Climbs until the cursor comes up from a non-last child, leaving it
@@ -68,25 +54,22 @@ impl<'a, const K: usize, const C: usize, L> Iter<'a, K, C, L> {
     /// the in-order-successor step shared by [`Iterator::next`], `fold` and
     /// `collect_into`.
     fn climb(&mut self) {
-        let mut cur = self.node;
+        let Some(mut cur) = self.node else {
+            return;
+        };
         loop {
-            // SAFETY: live tree node.
-            let cn = unsafe { &*cur };
-            let parent = cn.parent.load(Relaxed);
-            if parent.is_null() {
-                self.node = std::ptr::null_mut();
+            let Some(parent) = cur.parent() else {
+                self.node = None;
                 return;
-            }
-            // SAFETY: parent links reference live nodes.
-            let pn = unsafe { &*parent };
-            let pnum = pn.num_clamped();
-            let i = (cn.position.load(Relaxed) as usize).min(pnum);
+            };
+            let pnum = parent.num_clamped();
+            let i = (cur.position.load(Relaxed) as usize).min(pnum);
             if i < pnum {
-                self.node = parent;
+                self.node = Some(&parent.base);
                 self.pos = i;
                 return;
             }
-            cur = parent;
+            cur = &parent.base;
         }
     }
 
@@ -96,9 +79,7 @@ impl<'a, const K: usize, const C: usize, L> Iter<'a, K, C, L> {
     /// positions legal mid-tree, so this can climb more than one level
     /// (an empty leaf under a unary inner chain).
     fn normalize(&mut self) {
-        while !self.node.is_null() {
-            // SAFETY: non-null cursor nodes are live tree nodes.
-            let n = unsafe { &*self.node };
+        while let Some(n) = self.node {
             if self.pos < n.num_clamped() {
                 return;
             }
@@ -107,19 +88,11 @@ impl<'a, const K: usize, const C: usize, L> Iter<'a, K, C, L> {
     }
 
     /// Descends to the leftmost leaf of the subtree rooted at `node`.
-    fn leftmost(mut node: NodePtr<K, C, L>) -> NodePtr<K, C, L> {
-        loop {
-            if node.is_null() {
-                return node;
-            }
-            // SAFETY: live tree node.
-            let n = unsafe { &*node };
-            if !n.is_inner() {
-                return node;
-            }
-            // SAFETY: kind checked above.
-            node = unsafe { n.as_inner() }.child(0);
+    fn leftmost(mut node: &'a LeafNode<K, C, L>) -> Option<&'a LeafNode<K, C, L>> {
+        while let Some(inner) = node.inner() {
+            node = inner.child(0)?;
         }
+        Some(node)
     }
 }
 
@@ -131,11 +104,7 @@ impl<'a, const K: usize, const C: usize, L> Iterator for Iter<'a, K, C, L> {
         // descent may land on a keyless node: climb past it rather than
         // treating it as exhaustion. The cursor only exhausts at the root.
         let (n, num) = loop {
-            if self.node.is_null() {
-                return None;
-            }
-            // SAFETY: live tree node.
-            let n = unsafe { &*self.node };
+            let n = self.node?;
             let num = n.num_clamped();
             if self.pos < num {
                 break (n, num);
@@ -145,10 +114,8 @@ impl<'a, const K: usize, const C: usize, L> Iterator for Iter<'a, K, C, L> {
         let item = n.key(self.pos);
 
         // Advance to the in-order successor.
-        if n.is_inner() {
-            // SAFETY: kind checked.
-            let child = unsafe { n.as_inner() }.child(self.pos + 1);
-            self.node = Iter::<K, C, L>::leftmost(child);
+        if let Some(inner) = n.inner() {
+            self.node = inner.child(self.pos + 1).and_then(Self::leftmost);
             self.pos = 0;
         } else {
             self.pos += 1;
@@ -168,9 +135,7 @@ impl<'a, const K: usize, const C: usize, L> Iterator for Iter<'a, K, C, L> {
         F: FnMut(B, Self::Item) -> B,
     {
         let mut acc = init;
-        while !self.node.is_null() {
-            // SAFETY: non-null cursor nodes are live tree nodes.
-            let n = unsafe { &*self.node };
+        while let Some(n) = self.node {
             if n.is_inner() {
                 // One separator key, then descend right of it: next()
                 // already implements that step.
@@ -215,13 +180,7 @@ impl<'a, const K: usize, const C: usize, L> RangeIter<'a, K, C, L> {
     /// chunk edge), its run is copied without any per-key comparison.
     /// Phase-concurrent like [`Iter`]: quiescent trees only.
     pub fn collect_into(mut self, buf: &mut Vec<Tuple<K>>) {
-        loop {
-            let node = self.inner.node;
-            if node.is_null() {
-                return;
-            }
-            // SAFETY: non-null cursor nodes are live tree nodes.
-            let n = unsafe { &*node };
+        while let Some(n) = self.inner.node {
             let num = n.num_clamped();
             if self.inner.pos >= num {
                 // Empty leaf (legal after removals): climb past it.
@@ -273,7 +232,7 @@ impl<'a, const K: usize, const C: usize, L> Iterator for RangeIter<'a, K, C, L> 
         let t = self.inner.next()?;
         if let Some(end) = &self.end {
             if cmp3(&t, end) != Ordering::Less {
-                self.inner.node = std::ptr::null_mut();
+                self.inner.node = None;
                 return None;
             }
         }
@@ -300,25 +259,19 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// The largest stored tuple. Phase-concurrent (O(depth): descends the
     /// rightmost spine).
     pub fn last(&self) -> Option<Tuple<K>> {
-        let mut node = self.root.load(Relaxed);
+        let mut node = self.root_node();
         // Deepest key seen on the rightmost spine: separator bounds make
         // every key below it larger, so each keyed level overwrites it.
         // It is the answer when the rightmost leaf itself is empty (legal
         // after removals), and unary inners (num == 0) pass straight
         // through via child(num) == child(0).
         let mut best: Option<Tuple<K>> = None;
-        while !node.is_null() {
-            // SAFETY: live tree node.
-            let n = unsafe { &*node };
+        while let Some(n) = node {
             let num = n.num_clamped();
             if num > 0 {
                 best = Some(n.key(num - 1));
             }
-            if !n.is_inner() {
-                return best;
-            }
-            // SAFETY: kind checked.
-            node = unsafe { n.as_inner() }.child(num);
+            node = n.inner().and_then(|inner| inner.child(num));
         }
         best
     }
@@ -326,13 +279,9 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// An iterator over all tuples in ascending lexicographic order.
     /// Phase-concurrent (no concurrent inserts).
     pub fn iter(&self) -> Iter<'_, K, C, L> {
-        let root = self.root.load(Relaxed);
-        if root.is_null() {
-            return Iter::exhausted();
-        }
         // An empty leftmost leaf is legal after removals; Iter::new's
         // normalization climbs to the first real element (or exhausts).
-        Iter::new(Iter::<K, C, L>::leftmost(root), 0)
+        Iter::new(self.root_node().and_then(Iter::leftmost), 0)
     }
 
     /// Cursor at the first tuple `>= t` (C++ `lower_bound` semantics); the
@@ -376,10 +325,10 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         Iter::at(self.hinted(
             hints,
             kind,
-            |leaf| self.try_hinted_bound(leaf, t, strict).map(Some),
+            |leaf| Self::try_hinted_bound(leaf, t, strict).map(Some),
             || {
                 let res = self.bound_pos(t, strict);
-                (res, res.map_or(std::ptr::null_mut(), |(n, _)| n))
+                (res, res.map(|(n, _)| n))
             },
         ))
     }
@@ -466,23 +415,13 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         if n <= 1 {
             return full;
         }
-        let root = self.root.load(Relaxed);
-        if root.is_null() {
+        // Depth 0 (root leaf) or depth 1 (root over leaves): one chunk.
+        let Some(root) = self.root_node() else {
             return full;
-        }
-        {
-            // Depth 0 (root leaf) or depth 1 (root over leaves): one chunk.
-            // SAFETY: the root pointer references a live tree node.
-            let r = unsafe { &*root };
-            if !r.is_inner() {
-                return full;
-            }
-            // SAFETY: kind checked above.
-            let c0 = unsafe { r.as_inner() }.child(0);
-            // SAFETY: non-null children of live inner nodes are live.
-            if c0.is_null() || !unsafe { &*c0 }.is_inner() {
-                return full;
-            }
+        };
+        let c0 = root.inner().and_then(|r| r.child(0));
+        if !c0.is_some_and(LeafNode::is_inner) {
+            return full;
         }
 
         // A separator is usable only strictly inside (lower, upper): a
@@ -496,13 +435,11 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         // Keys of all nodes at one level, scanned left-to-right, are
         // sorted; subtrees entirely outside the bounds are pruned so a
         // narrow prefix partition never walks the whole level.
-        let mut level: Vec<NodePtr<K, C, L>> = vec![root];
+        let mut level: Vec<&LeafNode<K, C, L>> = vec![root];
         let mut seps: Vec<Tuple<K>> = Vec::new();
-        loop {
+        'levels: loop {
             seps.clear();
-            for &p in &level {
-                // SAFETY: live tree nodes collected below.
-                let node = unsafe { &*p };
+            for node in &level {
                 for i in 0..node.num_clamped() {
                     let k = node.key(i);
                     if in_range(&k) {
@@ -513,21 +450,17 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
             if seps.len() >= n - 1 {
                 break;
             }
-            // SAFETY: level nodes are live; kind checked before widening.
-            let first = unsafe { &*level[0] };
-            if !first.is_inner() {
-                break; // leaf level reached; use what we have
-            }
             let mut next = Vec::with_capacity(level.len() * (C + 1));
-            for &p in &level {
-                let node = unsafe { &*p };
-                let inner = unsafe { node.as_inner() };
+            for node in &level {
+                // All leaves sit at one depth: one leaf is the leaf level.
+                let Some(inner) = node.inner() else {
+                    break 'levels; // leaf level reached; use what we have
+                };
                 let num = node.num_clamped();
                 for i in 0..=num {
-                    let c = inner.child(i);
-                    if c.is_null() {
+                    let Some(c) = inner.child(i) else {
                         continue;
-                    }
+                    };
                     // Child i subtends keys in (key(i-1), key(i)); skip
                     // subtrees that cannot intersect [lower, upper).
                     if i > 0 {

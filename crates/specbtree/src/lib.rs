@@ -58,9 +58,12 @@
 //! ```
 
 #![warn(missing_docs)]
-// `unsafe` is confined to the node layer and the pointer-chasing descent
-// code, each site carrying a SAFETY comment; the public API is entirely safe.
+// `unsafe` is confined to the node layer (node.rs) and the tree's root,
+// allocation, hint and reclamation accessors (tree.rs), which turn raw node
+// links into borrows of the tree; everything else holds those borrows. Each
+// block carries its SAFETY argument, and the public API is entirely safe.
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod check;
 mod hints;

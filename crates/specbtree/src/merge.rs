@@ -29,10 +29,11 @@
 //!    nodes in O(n) without any per-element descent
 //!    ([`BTreeSet::from_sorted`]).
 
-use crate::node::{cmp3, InnerNode, LeafNode, NodePtr, Tuple};
+use crate::node::{cmp3, InnerNode, LeafNode, Tuple};
 use crate::tree::BTreeSet;
 use optlock::Lease;
 use std::cmp::Ordering;
+use std::ptr;
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::Ordering::Relaxed;
@@ -48,6 +49,25 @@ const MERGE_CHUNKS_PER_WORKER: usize = 4;
 /// of the run falls back to a fresh descent. Bounded because a concurrent
 /// splitter holding the child may be blocked on *our* parent lock.
 const CHILD_LOCK_ATTEMPTS: usize = 8;
+
+/// Where [`BTreeSet::descend_to_group`] stopped.
+#[derive(Clone, Copy)]
+enum Group<'t, const K: usize, const C: usize> {
+    /// The root, while the tree is one leaf: nothing bounds its run keys.
+    RootLeaf(&'t LeafNode<K, C>),
+    /// The parent of the leaf group on the key's path.
+    Parent(&'t InnerNode<K, C>),
+}
+
+impl<'t, const K: usize, const C: usize> Group<'t, K, C> {
+    /// The node whose lease the descent returned.
+    fn node(self) -> &'t LeafNode<K, C> {
+        match self {
+            Group::RootLeaf(leaf) => leaf,
+            Group::Parent(parent) => parent,
+        }
+    }
+}
 
 impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// Merges every tuple of `other` into `self` on the calling thread:
@@ -201,21 +221,19 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         telemetry::add(telemetry::Counter::BtreeRunKeys, run.len() as u64);
         let (mut added, mut i) = (0u64, 0usize);
         while i < run.len() {
-            let Some((target, lease, upper, is_leaf)) = self.descend_to_group(&run[i]) else {
+            let Some((group, lease, upper)) = self.descend_to_group(&run[i]) else {
                 i += 1; // an ancestor's separator: a duplicate
                 continue;
             };
             // The group's parent, not a leaf: the whole group merges below.
             chaos::checkpoint("btree::merge::group_upgrade");
-            // SAFETY: live node (nodes are never freed).
-            if !unsafe { &*target }.lock.try_upgrade_to_write(lease) {
+            if !group.node().lock.try_upgrade_to_write(lease) {
                 chaos::hint::spin_loop();
                 continue;
             }
-            i = if is_leaf {
-                self.merge_into_root_leaf(target, run, i, &mut added)
-            } else {
-                self.merge_group(target, run, i, &upper, &mut added)
+            i = match group {
+                Group::RootLeaf(leaf) => self.merge_into_root_leaf(leaf, run, i, &mut added),
+                Group::Parent(parent) => self.merge_group(parent, run, i, &upper, &mut added),
             };
         }
         added
@@ -223,27 +241,25 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
 
     /// The descent both run operations share — Algorithm 1's read side,
     /// restarted until it validates: the lowest inner node on `val`'s path
-    /// (the parent of `val`'s leaf group) or, flagged `true`, the root while
-    /// the tree is one leaf; its lease, validated after the child was read;
-    /// and the tightest right-hand separator strictly *above* it (its own
-    /// bound sub-runs, not the group). `None`: an ancestor's separator is `val`.
+    /// (the parent of `val`'s leaf group) or the root while the tree is one
+    /// leaf; its lease, validated after the child was read; and the tightest
+    /// right-hand separator strictly *above* it (its own bound sub-runs, not
+    /// the group). `None`: an ancestor's separator is `val`.
     /// The point operations' [`descend`](Self::descend) stops one level lower
     /// and counts the last node's key in its bound, hence the second loop.
     fn descend_to_group(
         &self,
         val: &Tuple<K>,
-    ) -> Option<(NodePtr<K, C>, Lease, Option<Tuple<K>>, bool)> {
+    ) -> Option<(Group<'_, K, C>, Lease, Option<Tuple<K>>)> {
         telemetry::count(telemetry::Counter::BtreeRunDescents);
         'acquire: loop {
             chaos::checkpoint("btree::merge::descend");
-            let (mut cur, mut cur_lease) = self.read_root();
+            let (root, mut cur_lease) = self.read_root();
+            let Some(mut node) = root.inner() else {
+                return Some((Group::RootLeaf(root), cur_lease, None));
+            };
             let mut upper: Option<Tuple<K>> = None;
             loop {
-                // SAFETY: live node (nodes are never freed).
-                let node = unsafe { &*cur };
-                if !node.is_inner() {
-                    return Some((cur, cur_lease, upper, true));
-                }
                 let n = node.num_clamped();
                 let (idx, found) = node.search(val, n);
                 if found {
@@ -252,26 +268,23 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                     }
                     continue 'acquire;
                 }
-                // SAFETY: is_inner checked; node kind never changes.
-                let next = unsafe { node.as_inner() }.child(idx);
+                let next = node.child(idx);
                 let up = (idx < n).then(|| node.key(idx));
-                if !node.lock.validate(cur_lease) || next.is_null() {
+                let valid = node.lock.validate(cur_lease);
+                let (true, Some(next)) = (valid, next) else {
                     continue 'acquire;
-                }
-                // SAFETY: read under a validated lease: a live child, and a
-                // node's kind never changes.
-                if !unsafe { &*next }.is_inner() {
-                    return Some((cur, cur_lease, upper, false));
-                }
+                };
+                let Some(next) = next.inner() else {
+                    return Some((Group::Parent(node), cur_lease, upper));
+                };
                 if up.is_some() {
                     upper = up;
                 }
-                // SAFETY: as above.
-                let next_lease = unsafe { &*next }.lock.start_read();
+                let next_lease = next.lock.start_read();
                 if !node.lock.validate(cur_lease) {
                     continue 'acquire;
                 }
-                cur = next;
+                node = next;
                 cur_lease = next_lease;
             }
         }
@@ -304,35 +317,33 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         telemetry::add(telemetry::Counter::BtreeRunKeys, run.len() as u64);
         let (mut kept, mut i) = (0usize, 0usize);
         'run: while i < run.len() {
-            let Some((parent, lease, upper, is_leaf)) = self.descend_to_group(&run[i]) else {
+            let Some((group, lease, upper)) = self.descend_to_group(&run[i]) else {
                 i += 1; // an ancestor's separator: present
                 continue;
             };
-            // SAFETY: live node (nodes are never freed).
-            let pn = unsafe { &*parent };
-            if is_leaf {
-                // The root leaf is the whole tree: nothing bounds the join.
-                i = join_leaf(pn, lease, run, i, &None, &mut kept).unwrap_or(i);
-                continue;
-            }
-            // SAFETY: seen inner during the descent; kind never changes.
-            let pi = unsafe { pn.as_inner() };
+            let pn = match group {
+                Group::RootLeaf(leaf) => {
+                    // The root leaf is the whole tree: nothing bounds the join.
+                    i = join_leaf(leaf, lease, run, i, &None, &mut kept).unwrap_or(i);
+                    continue;
+                }
+                Group::Parent(parent) => parent,
+            };
             let (mut x, _) = pn.search(&run[i], pn.num_clamped());
             while i < run.len() && below(&run[i], &upper) {
                 let n = pn.num_clamped();
                 let found;
                 (x, found) = route_from(pn, &run[i], x, n);
-                let child = pi.child(x);
+                let child = pn.child(x);
                 let sep = if x < n { Some(pn.key(x)) } else { upper };
-                if !pn.lock.validate(lease) || child.is_null() {
+                let valid = pn.lock.validate(lease);
+                let (true, Some(cn)) = (valid, child) else {
                     continue 'run;
-                }
+                };
                 if found {
                     i += 1; // the parent's separator: present
                     continue;
                 }
-                // SAFETY: read under a validated lease: a live child.
-                let cn = unsafe { &*child };
                 let child_lease = cn.lock.start_read();
                 if !pn.lock.validate(lease) {
                     continue 'run;
@@ -353,15 +364,12 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// try-lock failed, in which case the caller re-descends for the rest.
     fn merge_group(
         &self,
-        parent: NodePtr<K, C>,
+        pn: &InnerNode<K, C>,
         run: &[Tuple<K>],
         i: usize,
         upper: &Option<Tuple<K>>,
         added: &mut u64,
     ) -> usize {
-        // SAFETY: write-locked by us; seen inner during the descent.
-        let pn = unsafe { &*parent };
-        let pi = unsafe { pn.as_inner() };
         // The group bound: run keys strictly below it belong under this
         // parent. Tightens to the promoted median if the parent itself
         // splits. Checked once per sub-batch, not once per key — each key
@@ -387,8 +395,9 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 continue 'group;
             }
             idx_hint = Some(idx);
-            let child = pi.child(idx);
-            debug_assert!(!child.is_null());
+            // Children of a write-locked parent stay its children
+            // (re-homing requires the parent's lock).
+            let cn = pn.exact_child(idx);
             // Sub-batch: keys below the child's right-hand separator (its
             // own for an interior child, the group bound for the rightmost),
             // matched once: tested per key it cost `tc_random` a fifth.
@@ -404,9 +413,6 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             // up), so waiting here unboundedly would deadlock — after a few
             // attempts the group is abandoned and the rest of the run
             // re-descends once the parent lock is released.
-            // SAFETY: children of a write-locked parent are live and stay
-            // its children (re-homing requires the parent's lock).
-            let cn = unsafe { &*child };
             let mut locked = false;
             for _ in 0..CHILD_LOCK_ATTEMPTS {
                 chaos::checkpoint("btree::merge::child_lock");
@@ -434,10 +440,10 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 // so the group shrinks to the promoted parent median.
                 if pn.num() == C {
                     let pmedian = pn.key(C / 2);
-                    self.split(parent, C / 2);
+                    self.split(pn, C / 2);
                     idx_hint = None;
                     bound = Some(pmedian);
-                    if cn.parent.load(Relaxed) != parent {
+                    if !cn.parent().is_some_and(|p| ptr::eq(p, pn)) {
                         // The child moved to the sibling, so its pending
                         // keys sort at or beyond the median: outside the
                         // tightened group bound. The group loop terminates.
@@ -455,7 +461,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 // still under the same group lock, no re-descent.
                 let m = Self::leaf_split_point(cn.search(&run[k], C).0);
                 let median = cn.key(m);
-                self.split_one(child, m);
+                self.split_one(cn, m);
                 let mut nj = k;
                 while nj < j && cmp3(&run[nj], &median) == Ordering::Less {
                     nj += 1;
@@ -478,20 +484,18 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// rest. Releases the lock and returns the new run position.
     fn merge_into_root_leaf(
         &self,
-        leaf: NodePtr<K, C>,
+        node: &LeafNode<K, C>,
         run: &[Tuple<K>],
         i: usize,
         added: &mut u64,
     ) -> usize {
-        // SAFETY: write-locked by us.
-        let node = unsafe { &*leaf };
         // No ancestor, no bound: the rest of the run belongs here.
         let (k, fresh) = merge_leaf_pass(node, run, i, run.len());
         *added += fresh as u64;
         if k < run.len() {
             // The leaf is exactly full (Algorithm 2 expects and keeps our
             // write lock).
-            self.split(leaf, Self::leaf_split_point(node.search(&run[k], C).0));
+            self.split(node, Self::leaf_split_point(node.search(&run[k], C).0));
         }
         node.lock.end_write();
         k
@@ -505,9 +509,8 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     pub fn from_sorted<I: IntoIterator<Item = Tuple<K>>>(items: I) -> Self {
         let set = Self::new();
         let items: Vec<Tuple<K>> = items.into_iter().collect();
-        let root = build_from_slice::<K, C>(&items);
-        if !root.is_null() {
-            set.root.store(root, Relaxed);
+        if let Some(root) = build_from_slice(&set, &items) {
+            set.root.store(root.ptr(), Relaxed);
         }
         set
     }
@@ -671,12 +674,16 @@ fn merge_leaf_pass<const K: usize, const C: usize>(
     (k, fresh)
 }
 
-/// Builds a packed subtree from a strictly ascending slice; returns null for
-/// an empty one. Leaves are filled to capacity (maximum compactness — the
-/// shape in-order insertion converges towards, taken to its limit).
-fn build_from_slice<const K: usize, const C: usize>(items: &[Tuple<K>]) -> NodePtr<K, C> {
+/// Builds a packed subtree of `set`'s nodes from a strictly ascending slice;
+/// `None` for an empty one. Leaves are filled to capacity (maximum
+/// compactness — the shape in-order insertion converges towards, taken to
+/// its limit).
+fn build_from_slice<'t, const K: usize, const C: usize>(
+    set: &'t BTreeSet<K, C>,
+    items: &[Tuple<K>],
+) -> Option<&'t LeafNode<K, C>> {
     if items.is_empty() {
-        return std::ptr::null_mut();
+        return None;
     }
     debug_assert!(
         items.is_sorted_by(|a, b| cmp3(a, b) == Ordering::Less),
@@ -686,7 +693,7 @@ fn build_from_slice<const K: usize, const C: usize>(items: &[Tuple<K>]) -> NodeP
     // Level 0: pack items into full leaves, pulling one separator out of
     // the stream between consecutive leaves.
     let n = items.len();
-    let mut leaves: Vec<NodePtr<K, C>> = Vec::new();
+    let mut leaves: Vec<&LeafNode<K, C>> = Vec::new();
     let mut seps: Vec<Tuple<K>> = Vec::new();
     let mut i = 0;
     while i < n {
@@ -696,13 +703,11 @@ fn build_from_slice<const K: usize, const C: usize>(items: &[Tuple<K>]) -> NodeP
         if n - i - take == 1 && take > 1 {
             take -= 1;
         }
-        let leaf = LeafNode::<K, C>::alloc();
-        // SAFETY: freshly allocated, private.
-        let ln = unsafe { &*leaf };
+        let leaf = set.alloc_leaf();
         for (slot, item) in items[i..i + take].iter().enumerate() {
-            ln.set_key(slot, item);
+            leaf.set_key(slot, item);
         }
-        ln.set_num(take);
+        leaf.set_num(take);
         leaves.push(leaf);
         i += take;
         if i < n {
@@ -717,7 +722,7 @@ fn build_from_slice<const K: usize, const C: usize>(items: &[Tuple<K>]) -> NodeP
     let mut level_seps = seps;
     while nodes.len() > 1 {
         debug_assert_eq!(level_seps.len() + 1, nodes.len());
-        let mut new_nodes: Vec<NodePtr<K, C>> = Vec::new();
+        let mut new_nodes: Vec<&LeafNode<K, C>> = Vec::new();
         let mut new_seps: Vec<Tuple<K>> = Vec::new();
         let mut ni = 0;
         let mut si = 0;
@@ -729,20 +734,14 @@ fn build_from_slice<const K: usize, const C: usize>(items: &[Tuple<K>]) -> NodeP
                 group -= 1;
             }
             debug_assert!(group >= 2 || nodes.len() == 1);
-            let inner = InnerNode::<K, C>::alloc();
-            // SAFETY: freshly allocated, private.
-            let pn = unsafe { &*inner };
-            let pi = unsafe { pn.as_inner() };
+            let inner = set.alloc_inner();
             for (slot, key) in level_seps[si..si + group - 1].iter().enumerate() {
-                pn.set_key(slot, key);
+                inner.set_key(slot, key);
             }
-            pn.set_num(group - 1);
+            inner.set_num(group - 1);
             for (slot, &child) in nodes[ni..ni + group].iter().enumerate() {
-                pi.set_child(slot, child);
-                // SAFETY: children were allocated by this builder.
-                let cn = unsafe { &*child };
-                cn.parent.store(inner, Relaxed);
-                cn.position.store(slot as u16, Relaxed);
+                inner.set_child(slot, child);
+                child.set_parent(inner, slot);
             }
             ni += group;
             si += group - 1;
@@ -750,12 +749,12 @@ fn build_from_slice<const K: usize, const C: usize>(items: &[Tuple<K>]) -> NodeP
                 new_seps.push(level_seps[si]);
                 si += 1;
             }
-            new_nodes.push(inner);
+            new_nodes.push(&inner.base);
         }
         nodes = new_nodes;
         level_seps = new_seps;
     }
-    nodes[0]
+    Some(nodes[0])
 }
 
 #[cfg(test)]

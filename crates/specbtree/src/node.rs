@@ -21,16 +21,29 @@
 //! be stale or mutually inconsistent — never undefined behaviour — and the
 //! lease validation decides whether they can be used.
 //!
-//! # Safety invariants
+//! # Safety invariants: node links are borrows of the tree
 //!
-//! * Nodes are allocated individually from the global allocator and
-//!   **never freed or moved** while the tree is alive (the subtrees
-//!   `remove` splices out — a drained subtree with the separator to its
-//!   right, a drained predecessor chain — are parked in the tree's
-//!   graveyard until `clear`/`Drop`).
-//!   Dereferencing any pointer ever published inside the tree is therefore
-//!   memory-safe; only the *values* read may be stale.
-//! * A node's kind (leaf/inner) is fixed at allocation and never changes.
+//! * Nodes are allocated individually from the global allocator, each for
+//!   one tree, and **never freed or moved** while that tree is alive: only
+//!   `BTreeSet::free_nodes`, which takes `&mut self`, frees them (the
+//!   subtrees `remove` splices out — a drained subtree with the separator
+//!   to its right, a drained predecessor chain — are parked in the tree's
+//!   graveyard until then). **Nodes never change trees**: no link ever
+//!   names a node allocated for another tree.
+//! * So every non-null pointer in a tree's `root`, a node's `parent` or a
+//!   child slot names a node that lives as long as the tree is borrowed,
+//!   and a node reached from `&'t BTreeSet` is handed out as `&'t
+//!   LeafNode` / `&'t InnerNode`, as is every node reached from it. This
+//!   argument is made once, on the accessors that turn a link into a
+//!   borrow — `BTreeSet::root_node`, [`LeafNode::parent`],
+//!   [`InnerNode::child`] and the tree's allocation helpers; a hint's
+//!   cached leaf, which outlives any one borrow, becomes one in
+//!   `BTreeSet::hinted`, behind the tree-id brand. Nowhere else turns a
+//!   pointer into a node; only the *values* read through a borrow may be
+//!   stale.
+//! * A node's kind (leaf/inner) is fixed at allocation and never changes;
+//!   [`LeafNode::inner`] is the one check that widens a node, and a
+//!   `parent` link always names an inner node, so it is typed as one.
 //! * `num_elements` read optimistically is clamped to the node capacity
 //!   before being used as an index bound.
 
@@ -38,6 +51,7 @@ use crate::latch::Latch;
 use optlock::OptimisticRwLock;
 use std::alloc::Layout;
 use std::cmp::Ordering;
+use std::ops::Deref;
 
 // Node fields go through `chaos::sync` so the schedule-exploration harness
 // can interleave threads between any two field accesses. In normal builds
@@ -70,8 +84,8 @@ pub fn cmp3<const K: usize>(a: &Tuple<K>, b: &Tuple<K>) -> Ordering {
 }
 
 /// A type-erased node pointer. Both node kinds start with the `LeafNode`
-/// layout, so this is the canonical way to address any node; consult
-/// [`LeafNode::is_inner`] before widening to [`InnerNode`].
+/// layout, so this is the canonical way to address any node; it is held raw
+/// only in the links themselves, the hints and the graveyard.
 pub(crate) type NodePtr<const K: usize, const C: usize, L = OptimisticRwLock> =
     *mut LeafNode<K, C, L>;
 
@@ -85,10 +99,10 @@ pub(crate) type NodePtr<const K: usize, const C: usize, L = OptimisticRwLock> =
 pub(crate) struct LeafNode<const K: usize, const C: usize, L = OptimisticRwLock> {
     /// Version lock protecting this node's keys, counters and child array.
     pub lock: L,
-    /// The parent node (always an inner node), or null for the root.
-    /// Covered by the *parent's* lock (or the tree's root lock for the
-    /// root node), per the paper's locking rules.
-    pub parent: AtomicPtr<LeafNode<K, C, L>>,
+    /// The parent node, or null for the root. Covered by the *parent's*
+    /// lock (or the tree's root lock for the root node), per the paper's
+    /// locking rules.
+    parent: AtomicPtr<InnerNode<K, C, L>>,
     /// Index of this node within `parent`'s child array. Covered like
     /// `parent`.
     pub position: AtomicU16,
@@ -132,25 +146,47 @@ impl<const K: usize, const C: usize, L> LeafNode<K, C, L> {
         alloc_zeroed_node(Layout::new::<Self>()) as NodePtr<K, C, L>
     }
 
-    /// Whether this node is an inner node (and may be widened with
-    /// [`as_inner`](Self::as_inner)).
+    /// Whether this node is an inner node.
     #[inline]
     pub fn is_inner(&self) -> bool {
         self.inner_flag.load(Relaxed) != 0
     }
 
-    /// Widens to the inner-node view.
-    ///
-    /// # Safety
-    /// `self.is_inner()` must be true, i.e. the node must have been
-    /// allocated by [`InnerNode::alloc`].
+    /// The inner-node view of this node, `None` for a leaf.
     #[inline]
-    pub unsafe fn as_inner(&self) -> &InnerNode<K, C, L> {
-        debug_assert!(self.is_inner());
-        // SAFETY: caller guarantees this node was allocated as an
-        // `InnerNode`, whose first field is a `LeafNode` (`repr(C)`), so the
-        // widening cast is layout-correct.
-        unsafe { &*(self as *const Self as *const InnerNode<K, C, L>) }
+    pub fn inner(&self) -> Option<&InnerNode<K, C, L>> {
+        if !self.is_inner() {
+            return None;
+        }
+        // SAFETY: the flag is set only by `InnerNode::alloc` and never
+        // changes, so this node is the `base` prefix of an `InnerNode`
+        // (`repr(C)`, first field): the widening cast is layout-correct.
+        Some(unsafe { &*std::ptr::from_ref(self).cast::<InnerNode<K, C, L>>() })
+    }
+
+    /// The raw link to this node, as the tree's `root`, a child slot, a
+    /// hint or the graveyard holds it.
+    #[inline]
+    pub fn ptr(&self) -> NodePtr<K, C, L> {
+        std::ptr::from_ref(self).cast_mut()
+    }
+
+    /// The parent, `None` for the root. Read like any field: stale or
+    /// racing under optimistic reads, exact under the parent's lock.
+    #[inline]
+    pub fn parent(&self) -> Option<&InnerNode<K, C, L>> {
+        // SAFETY: a non-null parent link names an inner node of this node's
+        // tree, which outlives the borrow of `self` (module docs).
+        unsafe { self.parent.load(Relaxed).as_ref() }
+    }
+
+    /// Makes this node child `position` of `parent`. Caller holds the
+    /// parent's write lock (or owns both nodes exclusively).
+    #[inline]
+    pub fn set_parent(&self, parent: &InnerNode<K, C, L>, position: usize) {
+        self.parent
+            .store(std::ptr::from_ref(parent).cast_mut(), Relaxed);
+        self.position.store(position as u16, Relaxed);
     }
 
     /// The element count clamped to the capacity. Optimistic readers may
@@ -299,24 +335,19 @@ impl<const K: usize, const C: usize, L> LeafNode<K, C, L> {
     pub unsafe fn free_subtree(node: NodePtr<K, C, L>) {
         let mut stack = vec![node];
         while let Some(n) = stack.pop() {
-            // SAFETY (for the whole body): the caller owns the subtree
-            // exclusively; every reachable pointer is a live node that
-            // `alloc` obtained from the global allocator with the node
-            // type's exact layout, so it is freed exactly once with the
-            // matching `Box` type.
+            // SAFETY: the caller owns the subtree exclusively; every
+            // reachable pointer is a live node that `alloc` obtained from the
+            // global allocator with the node type's exact layout, so it is
+            // freed exactly once with the matching `Box` type.
             unsafe {
-                let leaf = &*n;
-                if leaf.is_inner() {
-                    let inner = leaf.as_inner();
-                    for i in 0..=leaf.num() {
-                        let c = inner.child(i);
-                        if !c.is_null() {
-                            stack.push(c);
-                        }
+                match (*n).inner() {
+                    Some(inner) => {
+                        stack.extend(
+                            (0..=inner.num()).filter_map(|i| inner.child(i).map(LeafNode::ptr)),
+                        );
+                        drop(Box::from_raw(n.cast::<InnerNode<K, C, L>>()));
                     }
-                    drop(Box::from_raw(n as *mut InnerNode<K, C, L>));
-                } else {
-                    drop(Box::from_raw(n));
+                    None => drop(Box::from_raw(n)),
                 }
             }
         }
@@ -328,36 +359,60 @@ impl<const K: usize, const C: usize, L> InnerNode<K, C, L> {
     /// adds only atomic pointers to the leaf prefix, which are valid when
     /// zeroed (null), so the all-zero reasoning of [`LeafNode::alloc`]
     /// carries over.
-    pub fn alloc() -> NodePtr<K, C, L>
+    pub fn alloc() -> *mut Self
     where
         L: Latch,
     {
-        let p = alloc_zeroed_node(Layout::new::<Self>()) as *mut Self;
+        let p = alloc_zeroed_node(Layout::new::<Self>()).cast::<Self>();
         // SAFETY: `p` is a valid, zero-initialized `InnerNode` allocation.
         unsafe { &*p }.base.inner_flag.store(1, Relaxed);
-        p as NodePtr<K, C, L>
+        p
     }
 
-    /// The `i`-th child pointer (`0 ..= num`). `i` must be `<= C`; the value
-    /// may be stale or null under optimistic reads.
+    /// The `i`-th child (`0 ..= num`). `i` must be `<= C`; the link may be
+    /// stale or null under optimistic reads.
     #[inline]
-    pub fn child(&self, i: usize) -> NodePtr<K, C, L> {
+    pub fn child(&self, i: usize) -> Option<&LeafNode<K, C, L>> {
         debug_assert!(i <= C);
-        if i < C {
+        let p = if i < C {
             self.children[i].load(Relaxed)
         } else {
             self.last_child.load(Relaxed)
-        }
+        };
+        // SAFETY: a non-null child link names a node of this node's tree,
+        // which outlives the borrow of `self` (module docs).
+        unsafe { p.as_ref() }
     }
 
+    /// The `i`-th child (`0 ..= num`) of a node read exactly — under its
+    /// write lock, or owned — where every such slot is set.
     #[inline]
-    pub fn set_child(&self, i: usize, p: NodePtr<K, C, L>) {
+    pub fn exact_child(&self, i: usize) -> &LeafNode<K, C, L> {
+        self.child(i)
+            .expect("an exactly read inner node has all its children")
+    }
+
+    /// Links `child` into slot `i`. Caller holds this node's write lock (or
+    /// owns it exclusively).
+    #[inline]
+    pub fn set_child(&self, i: usize, child: &LeafNode<K, C, L>) {
         debug_assert!(i <= C);
         if i < C {
-            self.children[i].store(p, Relaxed);
+            self.children[i].store(child.ptr(), Relaxed);
         } else {
-            self.last_child.store(p, Relaxed);
+            self.last_child.store(child.ptr(), Relaxed);
         }
+    }
+}
+
+/// An inner node is its leaf prefix plus children: the `node`/`inner_node`
+/// view of the C++ original.
+impl<const K: usize, const C: usize, L> Deref for InnerNode<K, C, L> {
+    type Target = LeafNode<K, C, L>;
+
+    #[inline]
+    fn deref(&self) -> &LeafNode<K, C, L> {
+        &self.base
     }
 }
 
@@ -379,12 +434,35 @@ mod tests {
     type Leaf = LeafNode<2, 8>;
     type Inner = InnerNode<2, 8>;
 
-    fn free_leaf(p: NodePtr<2, 8>) {
-        unsafe { drop(Box::from_raw(p)) }
+    /// A node the test owns: freed with every child linked below it when
+    /// the guard drops.
+    struct Owned(NodePtr<2, 8>);
+
+    impl Owned {
+        fn leaf() -> Self {
+            Self(Leaf::alloc())
+        }
+
+        fn inner() -> Self {
+            Self(Inner::alloc().cast())
+        }
     }
 
-    fn free_inner(p: NodePtr<2, 8>) {
-        unsafe { drop(Box::from_raw(p as *mut Inner)) }
+    impl Deref for Owned {
+        type Target = Leaf;
+
+        fn deref(&self) -> &Leaf {
+            // SAFETY: the node lives until the guard drops.
+            unsafe { &*self.0 }
+        }
+    }
+
+    impl Drop for Owned {
+        fn drop(&mut self) {
+            // SAFETY: the test owns the node and every child it linked, and
+            // links each child once.
+            unsafe { Leaf::free_subtree(self.0) }
+        }
     }
 
     #[test]
@@ -408,67 +486,62 @@ mod tests {
 
     #[test]
     fn fresh_leaf_is_empty_unlocked_leaf() {
-        let p = Leaf::alloc();
-        let leaf = unsafe { &*p };
-        assert!(!leaf.is_inner());
+        let leaf = Owned::leaf();
+        assert!(leaf.inner().is_none());
         assert_eq!(leaf.num(), 0);
         assert!(!leaf.lock.is_write_locked());
-        assert!(leaf.parent.load(Relaxed).is_null());
-        free_leaf(p);
+        assert!(leaf.parent().is_none());
     }
 
     #[test]
     fn fresh_inner_has_kind_flag_and_null_children() {
-        let p = Inner::alloc();
-        let leaf = unsafe { &*p };
-        assert!(leaf.is_inner());
-        let inner = unsafe { leaf.as_inner() };
+        let node = Owned::inner();
+        let inner = node.inner().expect("allocated as inner");
         for i in 0..=8 {
-            assert!(inner.child(i).is_null());
+            assert!(inner.child(i).is_none());
         }
-        free_inner(p);
     }
 
     #[test]
     fn key_roundtrip() {
-        let p = Leaf::alloc();
-        let leaf = unsafe { &*p };
+        let leaf = Owned::leaf();
         leaf.set_key(3, &[7, u64::MAX]);
         assert_eq!(leaf.key(3), [7, u64::MAX]);
         leaf.copy_key_within(3, 0);
         assert_eq!(leaf.key(0), [7, u64::MAX]);
-        free_leaf(p);
     }
 
+    /// Slot `C` is the separate `last_child` field. Children 0 and 8 are
+    /// linked, so the node claims all eight keys for the guard to free both.
     #[test]
     fn child_slot_seam_at_capacity() {
-        let p = Inner::alloc();
-        let inner = unsafe { (&*p).as_inner() };
-        let kid = Leaf::alloc();
-        inner.set_child(8, kid); // last_child slot
-        assert_eq!(inner.child(8), kid);
-        assert!(inner.child(7).is_null());
-        inner.set_child(0, kid);
-        assert_eq!(inner.child(0), kid);
-        free_leaf(kid);
-        free_inner(p);
+        let node = Owned::inner();
+        let inner = node.inner().unwrap();
+        let (first, last) = (Owned::leaf(), Owned::leaf());
+        inner.set_child(8, &last); // last_child slot
+        assert!(inner.child(8).is_some_and(|c| std::ptr::eq(c, &*last)));
+        assert!(inner.child(7).is_none());
+        inner.set_child(0, &first);
+        assert!(inner.child(0).is_some_and(|c| std::ptr::eq(c, &*first)));
+        last.set_parent(inner, 8);
+        assert!(last.parent().is_some_and(|p| std::ptr::eq(p, inner)));
+        assert_eq!(last.position.load(Relaxed), 8);
+        inner.set_num(8);
+        std::mem::forget((first, last)); // freed with `node`
     }
 
     #[test]
     fn num_clamped_bounds_garbage_counters() {
-        let p = Leaf::alloc();
-        let leaf = unsafe { &*p };
+        let leaf = Owned::leaf();
         leaf.num_elements.store(u16::MAX, Relaxed);
         assert_eq!(leaf.num_clamped(), 8);
         leaf.num_elements.store(3, Relaxed);
         assert_eq!(leaf.num_clamped(), 3);
-        free_leaf(p);
     }
 
     #[test]
     fn search_finds_lower_bound_and_exact() {
-        let p = Leaf::alloc();
-        let leaf = unsafe { &*p };
+        let leaf = Owned::leaf();
         for (i, v) in [[1u64, 0], [3, 0], [5, 0], [7, 0]].iter().enumerate() {
             leaf.set_key(i, v);
         }
@@ -478,13 +551,11 @@ mod tests {
         assert_eq!(leaf.search(&[2, 0], 4), (1, false));
         assert_eq!(leaf.search(&[7, 0], 4), (3, true));
         assert_eq!(leaf.search(&[8, 0], 4), (4, false));
-        free_leaf(p);
     }
 
     #[test]
     fn search_upper_is_strict() {
-        let p = Leaf::alloc();
-        let leaf = unsafe { &*p };
+        let leaf = Owned::leaf();
         for (i, v) in [[1u64, 0], [3, 0], [3, 5], [7, 0]].iter().enumerate() {
             leaf.set_key(i, v);
         }
@@ -494,22 +565,18 @@ mod tests {
         assert_eq!(leaf.search_upper(&[3, 0], 4), 2);
         assert_eq!(leaf.search_upper(&[3, 5], 4), 3);
         assert_eq!(leaf.search_upper(&[7, 0], 4), 4);
-        free_leaf(p);
     }
 
     #[test]
     fn search_on_empty_prefix() {
-        let p = Leaf::alloc();
-        let leaf = unsafe { &*p };
+        let leaf = Owned::leaf();
         assert_eq!(leaf.search(&[1, 1], 0), (0, false));
         assert_eq!(leaf.search_upper(&[1, 1], 0), 0);
-        free_leaf(p);
     }
 
     #[test]
     fn insert_at_and_remove_at_shift_the_suffix() {
-        let p = Leaf::alloc();
-        let leaf = unsafe { &*p };
+        let leaf = Owned::leaf();
         for i in 0..6u64 {
             leaf.set_key(i as usize, &[i * 10, 0]);
         }
@@ -530,23 +597,20 @@ mod tests {
             got,
             vec![[5, 0], [10, 0], [20, 0], [30, 0], [40, 0], [60, 0]]
         );
-        free_leaf(p);
     }
 
     #[test]
     fn free_subtree_handles_multi_level_tree() {
-        // Build a 2-level tree by hand, then free it; run under Miri/ASan to
-        // catch leaks or double frees.
-        let root = Inner::alloc();
-        let l0 = Leaf::alloc();
-        let l1 = Leaf::alloc();
-        unsafe {
-            let r = &*root;
-            r.set_key(0, &[10, 0]);
-            r.set_num(1);
-            r.as_inner().set_child(0, l0);
-            r.as_inner().set_child(1, l1);
-            Leaf::free_subtree(root);
+        // Build a 2-level tree by hand, then free it with the root's guard;
+        // run under Miri/ASan to catch leaks or double frees.
+        let root = Owned::inner();
+        let r = root.inner().unwrap();
+        r.set_key(0, &[10, 0]);
+        r.set_num(1);
+        for (i, leaf) in [Owned::leaf(), Owned::leaf()].into_iter().enumerate() {
+            r.set_child(i, &leaf);
+            leaf.set_parent(r, i);
+            std::mem::forget(leaf); // freed with `root`
         }
     }
 

@@ -180,26 +180,16 @@ impl<const K: usize, const C: usize, L> BTreeSet<K, C, L> {
         let buried_inners = s.buried_nodes - s.buried_leaves;
         s.abandoned_bytes = s.buried_leaves * leaf_size + buried_inners * inner_size;
 
-        let root = self.root.load(Relaxed);
-        if root.is_null() {
+        let Some(root) = self.root_node() else {
             return s;
-        }
+        };
         let mut stack = vec![(root, 1usize)];
-        while let Some((p, d)) = stack.pop() {
-            // SAFETY: quiescent tree; every reachable node is live.
-            let node = unsafe { &*p };
+        while let Some((node, d)) = stack.pop() {
             let num = node.num_clamped();
             s.keys += num as u64;
-            if node.is_inner() {
+            if let Some(inner) = node.inner() {
                 s.inner_nodes += 1;
-                // SAFETY: kind checked.
-                let inner = unsafe { node.as_inner() };
-                for i in 0..=num {
-                    let c = inner.child(i);
-                    if !c.is_null() {
-                        stack.push((c, d + 1));
-                    }
-                }
+                stack.extend((0..=num).filter_map(|i| Some((inner.child(i)?, d + 1))));
             } else {
                 s.leaf_nodes += 1;
                 s.leaf_keys += num as u64;

@@ -40,6 +40,7 @@ use crate::latch::Latch;
 use crate::node::{cmp3, InnerNode, LeafNode, NodePtr, Tuple};
 use optlock::OptimisticRwLock;
 use std::cmp::Ordering;
+use std::ptr;
 // The root pointer participates in the optimistic protocol, so it goes
 // through `chaos::sync` (instrumented under `--cfg chaos`, a std alias
 // otherwise).
@@ -135,12 +136,13 @@ pub struct BTreeSet<const K: usize, const C: usize = DEFAULT_NODE_CAPACITY, L = 
 // mutation happens through atomics under the optimistic locking protocol,
 // so only the instantiation that really runs that protocol is `Sync`.
 unsafe impl<const K: usize, const C: usize, L: Latch + Send> Send for BTreeSet<K, C, L> {}
+// SAFETY: see `Send` above.
 unsafe impl<const K: usize, const C: usize> Sync for BTreeSet<K, C, OptimisticRwLock> {}
 
 /// Where [`BTreeSet::descend`] stopped: the node that holds the tuple, or
 /// the leaf it would go to.
-pub(crate) struct Descent<const K: usize, const C: usize, L: Latch> {
-    pub node: NodePtr<K, C, L>,
+pub(crate) struct Descent<'t, const K: usize, const C: usize, L: Latch> {
+    pub node: &'t LeafNode<K, C, L>,
     /// The lease on `node`, not yet validated: the caller validates it or
     /// upgrades it to a write lock, and descends again if that fails.
     pub lease: L::Lease,
@@ -149,7 +151,7 @@ pub(crate) struct Descent<const K: usize, const C: usize, L: Latch> {
     pub found: bool,
     /// The smallest key on the path that is `>=` the tuple (`>` if the
     /// descent was `strict`), `node`'s own included: a bound query's answer.
-    pub above: Option<(NodePtr<K, C, L>, usize)>,
+    pub above: Option<(&'t LeafNode<K, C, L>, usize)>,
     /// How often the descent restarted before it got here.
     pub restarts: u64,
 }
@@ -177,6 +179,20 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
             buried_nodes: AtomicU64::new(0),
             buried_leaves: AtomicU64::new(0),
         }
+    }
+
+    /// A fresh leaf for this tree, unpublished until the caller links it.
+    pub(crate) fn alloc_leaf(&self) -> &LeafNode<K, C, L> {
+        // SAFETY: nothing but `free_nodes(&mut self)` frees a node linked
+        // into this tree, and nothing frees one that never is: the borrow
+        // of `self` ends first.
+        unsafe { &*LeafNode::alloc() }
+    }
+
+    /// A fresh inner node for this tree, as [`alloc_leaf`](Self::alloc_leaf).
+    pub(crate) fn alloc_inner(&self) -> &InnerNode<K, C, L> {
+        // SAFETY: as `alloc_leaf`.
+        unsafe { &*InnerNode::alloc() }
     }
 
     /// Creates a hint container for this tree (the paper's "factory
@@ -214,7 +230,10 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
             hints,
             HintKind::Insert,
             |leaf| self.try_hinted_insert(leaf, &t),
-            || self.insert_located(&t),
+            || {
+                let (inserted, node) = self.insert_located(&t);
+                (inserted, Some(node))
+            },
         )
     }
 
@@ -228,10 +247,10 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         self.hinted(
             hints,
             HintKind::Contains,
-            |leaf| self.try_hinted_contains(leaf, t),
+            |leaf| Self::try_hinted_contains(leaf, t),
             || match self.lookup(t, false) {
-                Some(d) => (d.found, d.node),
-                None => (false, std::ptr::null_mut()),
+                Some(d) => (d.found, Some(d.node)),
+                None => (false, None),
             },
         )
     }
@@ -240,20 +259,24 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// leaf if the hints carry this tree's brand and `fast` can decide the
     /// operation there, `slow` otherwise, which returns the node to cache
     /// beside the result. Records the hit or miss.
-    pub(crate) fn hinted<R>(
-        &self,
+    pub(crate) fn hinted<'t, R>(
+        &'t self,
         hints: &mut BTreeHints<K, C, L>,
         kind: HintKind,
-        fast: impl FnOnce(NodePtr<K, C, L>) -> Option<R>,
-        slow: impl FnOnce() -> (R, NodePtr<K, C, L>),
+        fast: impl FnOnce(&'t LeafNode<K, C, L>) -> Option<R>,
+        slow: impl FnOnce() -> (R, Option<&'t LeafNode<K, C, L>>),
     ) -> R {
         if hints.tree_id() != self.id {
             hints.rebind(self.id);
         } else {
-            let leaf = hints.leaf(kind);
-            if !leaf.is_null() {
+            // SAFETY: the hints carry this tree's brand, and a tree's brand
+            // changes with every `clear`, so a cached pointer names a leaf
+            // allocated for this tree since its last `clear`: it lives until
+            // `free_nodes(&mut self)`, past the borrow of `self`.
+            let leaf: Option<&'t LeafNode<K, C, L>> = unsafe { hints.leaf(kind).as_ref() };
+            if let Some(leaf) = leaf {
                 if let Some(res) = fast(leaf) {
-                    hints.record(kind, true, leaf);
+                    hints.record(kind, true, Some(leaf));
                     return res;
                 }
             }
@@ -276,7 +299,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
                 continue;
             }
             if self.root.load(Relaxed).is_null() {
-                self.root.store(LeafNode::<K, C, L>::alloc(), Relaxed);
+                self.root.store(self.alloc_leaf().ptr(), Relaxed);
             }
             self.root_lock.end_write();
         }
@@ -285,19 +308,16 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// Obtains the current root together with a read lease on it
     /// (Algorithm 1, lines 13–17). The root must exist.
     #[inline]
-    pub(crate) fn read_root(&self) -> (NodePtr<K, C, L>, L::Lease) {
+    pub(crate) fn read_root(&self) -> (&LeafNode<K, C, L>, L::Lease) {
         loop {
             let root_lease = self.root_lock.start_read();
-            let root = self.root.load(Relaxed);
-            if root.is_null() {
+            let Some(root) = self.root_node() else {
                 // Only possible before the first insert; callers that can
-                // see an empty tree handle null themselves.
+                // see an empty tree handle that themselves.
                 chaos::hint::spin_loop();
                 continue;
-            }
-            // SAFETY: nodes are never freed while the tree is alive, so
-            // even a stale root pointer references a live node.
-            let lease = unsafe { &*root }.lock.start_read();
+            };
+            let lease = root.lock.start_read();
             if self.root_lock.validate(root_lease) {
                 return (root, lease);
             }
@@ -314,16 +334,13 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// not use and branches on no `strict` it does not pass: left a call,
     /// as the compiler left it, the three workloads ran 3–4 % longer.
     #[inline(always)]
-    pub(crate) fn descend(&self, t: &Tuple<K>, strict: bool) -> Descent<K, C, L> {
+    pub(crate) fn descend(&self, t: &Tuple<K>, strict: bool) -> Descent<'_, K, C, L> {
         let mut restarts = 0u64;
         'restart: loop {
             chaos::checkpoint("btree::descend");
-            let (mut cur, mut lease) = self.read_root();
+            let (mut node, mut lease) = self.read_root();
             let mut above = None;
             loop {
-                // SAFETY: live node (nodes are never freed while the tree
-                // is alive; spliced-out nodes go to the graveyard).
-                let node = unsafe { &*cur };
                 let n = node.num_clamped();
                 let (idx, found) = if strict {
                     (node.search_upper(t, n), false)
@@ -331,37 +348,37 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
                     node.search(t, n)
                 };
                 if idx < n {
-                    above = Some((cur, idx));
+                    above = Some((node, idx));
                 }
                 // Line 22: the tuple is here, or this is its leaf.
-                if found || !node.is_inner() {
+                let inner = if found { None } else { node.inner() };
+                let Some(inner) = inner else {
                     return Descent {
-                        node: cur,
+                        node,
                         lease,
                         idx,
                         found,
                         above,
                         restarts,
                     };
-                }
+                };
                 // Lines 25–33: an inner node — move down. Planted bug for
                 // the chaos self-test: trusting an interior rank without
                 // re-validating the lease lets a torn rank pick the wrong
                 // child.
                 let skip_validate = cfg!(all(chaos, feature = "chaos-inject-bug"));
-                // SAFETY: is_inner just checked; kind never changes.
-                let next = unsafe { node.as_inner() }.child(idx);
-                if (!skip_validate && !node.lock.validate(lease)) || next.is_null() {
+                let next = inner.child(idx);
+                let valid = skip_validate || node.lock.validate(lease);
+                let (true, Some(next)) = (valid, next) else {
                     restarts += 1;
                     continue 'restart; // line 27
-                }
-                // SAFETY: read under a validated lease: a live child.
-                let next_lease = unsafe { &*next }.lock.start_read(); // line 28
+                };
+                let next_lease = next.lock.start_read(); // line 28
                 if !skip_validate && !node.lock.validate(lease) {
                     restarts += 1;
                     continue 'restart; // line 29
                 }
-                cur = next;
+                node = next;
                 lease = next_lease;
             }
         }
@@ -370,7 +387,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// Full optimistic insertion (Algorithm 1): whether `val` was inserted
     /// (false: it was already present), and the node it lives in — an inner
     /// node when a duplicate was found above leaf level.
-    pub(crate) fn insert_located(&self, val: &Tuple<K>) -> (bool, NodePtr<K, C, L>) {
+    pub(crate) fn insert_located(&self, val: &Tuple<K>) -> (bool, &LeafNode<K, C, L>) {
         use telemetry::Counter::{
             BtreeRestartDescend, BtreeRestartLeafUpgrade, BtreeRestartSplitRetry,
         };
@@ -379,13 +396,12 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         loop {
             let d = self.descend(val, false);
             note_insert_restarts(BtreeRestartDescend, d.restarts, &mut restarts);
-            // SAFETY: live node (nodes are never freed).
-            let node = unsafe { &*d.node };
+            let node = d.node;
             if d.found {
                 // Line 22: value already present => done.
                 if node.lock.validate(d.lease) {
                     telemetry::record(telemetry::Hist::BtreeInsertRestartsPerOp, restarts);
-                    return (false, d.node);
+                    return (false, node);
                 }
                 note_insert_restarts(BtreeRestartDescend, 1, &mut restarts);
                 continue;
@@ -402,7 +418,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
             // succeeded, so the pre-upgrade reads are current and the
             // exact count is trustworthy.
             if node.num() == C {
-                self.split(d.node, Self::leaf_split_point(d.idx)); // Algorithm 2
+                self.split(node, Self::leaf_split_point(d.idx)); // Algorithm 2
                 node.lock.end_write();
                 note_insert_restarts(BtreeRestartSplitRetry, 1, &mut restarts);
                 continue;
@@ -412,7 +428,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
             node.insert_at(d.idx, val);
             node.lock.end_write();
             telemetry::record(telemetry::Hist::BtreeInsertRestartsPerOp, restarts);
-            return (true, d.node);
+            return (true, node);
         }
     }
 
@@ -430,10 +446,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     ///
     /// Returns `None` when the hint does not apply (wrong leaf, lost race),
     /// in which case the caller falls back to the full descent.
-    fn try_hinted_insert(&self, leaf: NodePtr<K, C, L>, val: &Tuple<K>) -> Option<bool> {
-        // SAFETY: hints are branded with the tree id, so `leaf` is a node of
-        // *this* tree: live memory for as long as `&self` exists.
-        let node = unsafe { &*leaf };
+    fn try_hinted_insert(&self, node: &LeafNode<K, C, L>, val: &Tuple<K>) -> Option<bool> {
         if node.is_inner() {
             return None; // hints only ever cache leaves; defensive
         }
@@ -466,7 +479,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         // only operations that write-lock this leaf change it (see
         // `below_upper_fence`), and the upgrade fails if one ran since
         // `lease`.
-        if appends && !self.below_upper_fence(leaf, val) {
+        if appends && !Self::below_upper_fence(node, val) {
             return None; // genuine hint miss, or a lost race on the way up
         }
         if !node.lock.try_upgrade_to_write(lease) {
@@ -481,7 +494,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
             // full, at the same index as before: finish the
             // insert in place — or above it, into the fresh sibling
             // (an append always does): fall back to the slow path.
-            let sep = self.split(leaf, Self::leaf_split_point(idx));
+            let sep = self.split(node, Self::leaf_split_point(idx));
             if cmp3(val, &sep) != Ordering::Less {
                 node.lock.end_write();
                 return None;
@@ -519,31 +532,26 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// taken fails the upgrade (the removal releases it with a new
     /// version); one buried before fails the walk where its subtree was
     /// spliced out: that node no longer shows the subtree as a child.
-    fn below_upper_fence(&self, leaf: NodePtr<K, C, L>, val: &Tuple<K>) -> bool {
+    fn below_upper_fence(leaf: &LeafNode<K, C, L>, val: &Tuple<K>) -> bool {
         let mut node = leaf;
         // The lease `node` was read under as somebody's parent; the leaf's
         // is the caller's.
         let mut node_lease = None;
         loop {
             chaos::checkpoint("btree::insert::fence");
-            // SAFETY: `leaf` and every parent pointer reference live nodes.
-            let nn = unsafe { &*node };
-            let parent = nn.parent.load(Relaxed);
-            if parent.is_null() {
+            let Some(parent) = node.parent() else {
                 // `node` is the root — a node gets a parent only under its
                 // own write lock and never loses one — as of its lease.
-                return node_lease.is_none_or(|l| nn.lock.validate(l));
-            }
-            // SAFETY: as above; a parent is an inner node.
-            let pn = unsafe { &*parent };
-            let lease = pn.lock.start_read();
-            let pos = nn.position.load(Relaxed) as usize;
-            let num = pn.num_clamped();
-            if pos > num || unsafe { pn.as_inner() }.child(pos) != node {
+                return node_lease.is_none_or(|l| node.lock.validate(l));
+            };
+            let lease = parent.lock.start_read();
+            let pos = node.position.load(Relaxed) as usize;
+            let num = parent.num_clamped();
+            if pos > num || !parent.child(pos).is_some_and(|c| ptr::eq(c, node)) {
                 return false;
             }
-            let fence = (pos < num).then(|| pn.key(pos));
-            if !pn.lock.validate(lease) {
+            let fence = (pos < num).then(|| parent.key(pos));
+            if !parent.lock.validate(lease) {
                 return false;
             }
             // Planted bug for the chaos self-test: an append that is not
@@ -552,7 +560,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
             let skip_compare = cfg!(all(chaos, feature = "chaos-inject-bug"));
             match fence {
                 Some(fence) => return skip_compare || cmp3(val, &fence) == Ordering::Less,
-                None => (node, node_lease) = (parent, Some(lease)),
+                None => (node, node_lease) = (&parent.base, Some(lease)),
             }
         }
     }
@@ -572,30 +580,29 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// knows its tuple was covered pre-split can finish the insert into the
     /// still-locked node without re-probing (see
     /// [`try_hinted_insert`](Self::try_hinted_insert)).
-    pub(crate) fn split(&self, node: NodePtr<K, C, L>, m: usize) -> Tuple<K> {
+    pub(crate) fn split(&self, node: &LeafNode<K, C, L>, m: usize) -> Tuple<K> {
         chaos::checkpoint("btree::split");
         // Phase 1 (lines 2–23): write-lock the path bottom-up, stopping at
         // the first non-full ancestor or at the root lock.
-        let mut path: Vec<NodePtr<K, C, L>> = Vec::new();
+        let mut path: Vec<&InnerNode<K, C, L>> = Vec::new();
         let mut holds_root_lock = false;
         let mut cur = node;
         loop {
-            let parent = unsafe { &*cur }.parent.load(Relaxed);
-            if parent.is_null() {
+            let Some(parent) = cur.parent() else {
                 // `cur` is the root (we hold its write lock, so nobody can
                 // re-root it underneath us): take the tree's root lock.
                 self.root_lock.start_write();
-                debug_assert_eq!(self.root.load(Relaxed), cur);
+                debug_assert!(self.root_node().is_some_and(|r| ptr::eq(r, cur)));
                 holds_root_lock = true;
                 break;
-            }
+            };
             let p = Self::lock_parent(cur, parent); // lines 8–13
             path.push(p);
             // Line 20: stop at a non-full ancestor.
-            if unsafe { &*p }.num() < C {
+            if p.num() < C {
                 break;
             }
-            cur = p;
+            cur = &p.base;
         }
 
         // Phase 2 (line 26): split the chain of full nodes top-down, so
@@ -606,7 +613,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         } else {
             path.len() - 1 // the last entry is the non-full stopper
         };
-        let mut fresh: Vec<NodePtr<K, C, L>> = Vec::new();
+        let mut fresh: Vec<&InnerNode<K, C, L>> = Vec::new();
         for i in (0..full_ancestors).rev() {
             fresh.extend(self.split_one(path[i], C / 2).1);
         }
@@ -619,7 +626,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
             self.root_lock.end_write();
         }
         for p in path.iter().rev().chain(&fresh) {
-            unsafe { &**p }.lock.end_write();
+            p.lock.end_write();
         }
         median
     }
@@ -628,18 +635,19 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// seen to be `parent`, re-checking under the lock that it still *is*
     /// the parent (a concurrent split may have re-homed `node`). Bottom-up,
     /// hence deadlock-free.
-    fn lock_parent(node: NodePtr<K, C, L>, parent: NodePtr<K, C, L>) -> NodePtr<K, C, L> {
+    fn lock_parent<'t>(
+        node: &'t LeafNode<K, C, L>,
+        parent: &'t InnerNode<K, C, L>,
+    ) -> &'t InnerNode<K, C, L> {
         let mut p = parent;
         loop {
-            // SAFETY: parent pointers always reference live nodes.
-            unsafe { &*p }.lock.start_write();
-            let now = unsafe { &*node }.parent.load(Relaxed);
-            if now == p {
+            p.lock.start_write();
+            let now = node.parent();
+            if now.is_some_and(|now| ptr::eq(now, p)) {
                 return p;
             }
-            unsafe { &*p }.lock.abort_write();
-            debug_assert!(!now.is_null(), "a node never becomes the root");
-            p = now;
+            p.lock.abort_write();
+            p = now.expect("a node never becomes the root");
         }
     }
 
@@ -669,98 +677,90 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// could otherwise lock the sibling bottom-up and rewrite it while this
     /// chain of splits is still inserting into it. The caller releases it
     /// together with its path locks.
-    pub(crate) fn split_one(
-        &self,
-        x: NodePtr<K, C, L>,
+    pub(crate) fn split_one<'t>(
+        &'t self,
+        x: &'t LeafNode<K, C, L>,
         m: usize,
-    ) -> (Tuple<K>, Option<NodePtr<K, C, L>>) {
-        let xn = unsafe { &*x };
-        let n = xn.num();
+    ) -> (Tuple<K>, Option<&'t InnerNode<K, C, L>>) {
+        let n = x.num();
         debug_assert_eq!(n, C, "only full nodes split");
         debug_assert!(0 < m && m < C - 1, "both sides keep a key");
         // Lower part [0, m), the promoted key, upper part (m, C).
-        let median = xn.key(m);
+        let median = x.key(m);
 
-        let sib = if xn.is_inner() {
+        let x_inner = x.inner();
+        let (sib, sib_inner) = if x_inner.is_some() {
             telemetry::count(telemetry::Counter::BtreeInnerSplits);
-            InnerNode::<K, C, L>::alloc()
+            let sib = self.alloc_inner();
+            (&sib.base, Some(sib))
         } else {
             telemetry::count(telemetry::Counter::BtreeLeafSplits);
-            LeafNode::<K, C, L>::alloc()
+            (self.alloc_leaf(), None)
         };
-        // SAFETY: freshly allocated, private to us until published below.
-        let sn = unsafe { &*sib };
 
         // Move the upper part of the keys.
         for (j, i) in (m + 1..C).enumerate() {
-            let k = xn.key(i);
-            sn.set_key(j, &k);
+            let k = x.key(i);
+            sib.set_key(j, &k);
         }
-        sn.set_num(C - m - 1);
+        sib.set_num(C - m - 1);
 
         // Move the corresponding children (inner nodes only), re-homing
         // each moved child. The children themselves are not locked: their
         // `parent`/`position` fields are covered by the parent's lock,
         // which we hold for `x` and take on `sib` before any child points
         // at it.
-        if xn.is_inner() {
-            let took = sn.lock.try_start_write();
+        if let (Some(xi), Some(si)) = (x_inner, sib_inner) {
+            let took = si.lock.try_start_write();
             debug_assert!(took, "a fresh node is unlocked and unreachable");
-            let xi = unsafe { xn.as_inner() };
-            let si = unsafe { sn.as_inner() };
             for (j, i) in (m + 1..=C).enumerate() {
-                let ch = xi.child(i);
-                debug_assert!(!ch.is_null());
+                let ch = xi.exact_child(i);
                 si.set_child(j, ch);
-                let chn = unsafe { &*ch };
-                chn.parent.store(sib, Relaxed);
-                chn.position.store(j as u16, Relaxed);
+                ch.set_parent(si, j);
             }
         }
-        xn.set_num(m);
+        x.set_num(m);
 
-        let parent = xn.parent.load(Relaxed);
-        if parent.is_null() {
-            // Root split (root lock held): grow the tree by one level.
-            let new_root = InnerNode::<K, C, L>::alloc();
-            let rn = unsafe { &*new_root };
-            rn.set_key(0, &median);
-            rn.set_num(1);
-            let ri = unsafe { rn.as_inner() };
-            ri.set_child(0, x);
-            ri.set_child(1, sib);
-            xn.parent.store(new_root, Relaxed);
-            xn.position.store(0, Relaxed);
-            sn.parent.store(new_root, Relaxed);
-            sn.position.store(1, Relaxed);
-            telemetry::count(telemetry::Counter::BtreeRootGrowth);
-            chaos::checkpoint("btree::root_swap");
-            self.root.store(new_root, Relaxed);
-        } else {
-            // SAFETY: the parent is write-locked: in phase 1, or as the
-            // fresh sibling a previous `split_one` created locked.
-            let pn = unsafe { &*parent };
-            let pi = unsafe { pn.as_inner() };
-            let pnum = pn.num();
-            debug_assert!(pnum < C, "the parent of a splitting node has room");
-            let pos = xn.position.load(Relaxed) as usize;
-            debug_assert_eq!(pi.child(pos), x, "position link out of date");
+        match x.parent() {
+            None => {
+                // Root split (root lock held): grow the tree by one level.
+                let new_root = self.alloc_inner();
+                new_root.set_key(0, &median);
+                new_root.set_num(1);
+                new_root.set_child(0, x);
+                new_root.set_child(1, sib);
+                x.set_parent(new_root, 0);
+                sib.set_parent(new_root, 1);
+                telemetry::count(telemetry::Counter::BtreeRootGrowth);
+                chaos::checkpoint("btree::root_swap");
+                self.root.store(new_root.ptr(), Relaxed);
+            }
+            Some(parent) => {
+                // The parent is write-locked: in phase 1, or as the fresh
+                // sibling a previous `split_one` created locked.
+                let pnum = parent.num();
+                debug_assert!(pnum < C, "the parent of a splitting node has room");
+                let pos = x.position.load(Relaxed) as usize;
+                debug_assert!(
+                    parent.child(pos).is_some_and(|c| ptr::eq(c, x)),
+                    "position link out of date"
+                );
 
-            for j in (pos..pnum).rev() {
-                pn.copy_key_within(j, j + 1);
+                for j in (pos..pnum).rev() {
+                    parent.copy_key_within(j, j + 1);
+                }
+                for j in ((pos + 1)..=pnum).rev() {
+                    let ch = parent.exact_child(j);
+                    parent.set_child(j + 1, ch);
+                    ch.position.store((j + 1) as u16, Relaxed);
+                }
+                parent.set_key(pos, &median);
+                parent.set_child(pos + 1, sib);
+                sib.set_parent(parent, pos + 1);
+                parent.set_num(pnum + 1);
             }
-            for j in ((pos + 1)..=pnum).rev() {
-                let ch = pi.child(j);
-                pi.set_child(j + 1, ch);
-                unsafe { &*ch }.position.store((j + 1) as u16, Relaxed);
-            }
-            pn.set_key(pos, &median);
-            pi.set_child(pos + 1, sib);
-            sn.parent.store(parent, Relaxed);
-            sn.position.store((pos + 1) as u16, Relaxed);
-            pn.set_num(pnum + 1);
         }
-        (median, xn.is_inner().then_some(sib))
+        (median, sib_inner)
     }
 
     // ------------------------------------------------------------------
@@ -771,15 +771,14 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// the node it stopped at validates. `None` on a tree never inserted
     /// into. Inlined for the reason `descend` is.
     #[inline(always)]
-    fn lookup(&self, t: &Tuple<K>, strict: bool) -> Option<Descent<K, C, L>> {
+    fn lookup(&self, t: &Tuple<K>, strict: bool) -> Option<Descent<'_, K, C, L>> {
         if self.root.load(Relaxed).is_null() {
             return None;
         }
         loop {
             let d = self.descend(t, strict);
             telemetry::add(telemetry::Counter::BtreeLookupRestarts, d.restarts);
-            // SAFETY: live node (nodes are never freed).
-            if unsafe { &*d.node }.lock.validate(d.lease) {
+            if d.node.lock.validate(d.lease) {
                 return Some(d);
             }
             telemetry::count(telemetry::Counter::BtreeLookupRestarts);
@@ -787,8 +786,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     }
 
     /// Hinted membership fast path; `None` = hint not applicable.
-    fn try_hinted_contains(&self, leaf: NodePtr<K, C, L>, t: &Tuple<K>) -> Option<bool> {
-        let node = unsafe { &*leaf };
+    fn try_hinted_contains(node: &LeafNode<K, C, L>, t: &Tuple<K>) -> Option<bool> {
         if node.is_inner() {
             return None;
         }
@@ -812,19 +810,17 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         &self,
         t: &Tuple<K>,
         strict: bool,
-    ) -> Option<(NodePtr<K, C, L>, usize)> {
+    ) -> Option<(&LeafNode<K, C, L>, usize)> {
         self.lookup(t, strict).and_then(|d| d.above)
     }
 
     /// Hinted bound fast path shared by lower/upper bound: applies when the
     /// hinted leaf's key range strictly encloses the answer.
-    pub(crate) fn try_hinted_bound(
-        &self,
-        leaf: NodePtr<K, C, L>,
+    pub(crate) fn try_hinted_bound<'t>(
+        node: &'t LeafNode<K, C, L>,
         t: &Tuple<K>,
         strict: bool,
-    ) -> Option<(NodePtr<K, C, L>, usize)> {
-        let node = unsafe { &*leaf };
+    ) -> Option<(&'t LeafNode<K, C, L>, usize)> {
         if node.is_inner() {
             return None;
         }
@@ -853,7 +849,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
             return None;
         }
         debug_assert!(idx < n);
-        Some((leaf, idx))
+        Some((node, idx))
     }
 
     // ------------------------------------------------------------------
@@ -881,9 +877,7 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         loop {
             let d = self.descend(t, false);
             telemetry::add(telemetry::Counter::BtreeRemoveRestarts, d.restarts);
-            // SAFETY: live node (nodes are never freed while the tree is
-            // alive; spliced-out nodes go to the graveyard).
-            let node = unsafe { &*d.node };
+            let node = d.node;
             if !d.found {
                 if node.lock.validate(d.lease) {
                     return false;
@@ -891,13 +885,14 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
             } else if node.lock.try_upgrade_to_write(d.lease) {
                 // The upgrade doubled as the lease validation: the search
                 // result is current.
-                let removed = if node.is_inner() {
-                    self.remove_inner_key(d.node, d.idx)
-                } else {
-                    chaos::checkpoint("btree::remove::key");
-                    node.remove_at(d.idx);
-                    node.lock.end_write();
-                    true
+                let removed = match node.inner() {
+                    Some(inner) => self.remove_inner_key(inner, d.idx),
+                    None => {
+                        chaos::checkpoint("btree::remove::key");
+                        node.remove_at(d.idx);
+                        node.lock.end_write();
+                        true
+                    }
                 };
                 if removed {
                     telemetry::count(telemetry::Counter::BtreeRemoves);
@@ -912,17 +907,16 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// Drops key `key` and child `child` from the write-locked inner node
     /// `n` (`split_one`'s insertion shift, inverted).
     fn splice_out(n: &InnerNode<K, C, L>, key: usize, child: usize) {
-        let num = n.base.num();
+        let num = n.num();
         for j in key..num - 1 {
-            n.base.copy_key_within(j + 1, j);
+            n.copy_key_within(j + 1, j);
         }
         for j in child..num {
-            let ch = n.child(j + 1);
+            let ch = n.exact_child(j + 1);
             n.set_child(j, ch);
-            // SAFETY: child links under `n`'s write lock.
-            unsafe { &*ch }.position.store(j as u16, Relaxed);
+            ch.position.store(j as u16, Relaxed);
         }
-        n.base.set_num(num - 1);
+        n.set_num(num - 1);
     }
 
     /// Removes key `idx` of the write-locked inner node `n` by swapping in
@@ -936,19 +930,14 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// On success all locks are released and `true` is returned; on spine
     /// contention everything (including `n`'s lock) is released untouched
     /// and `false` tells the caller to restart.
-    fn remove_inner_key(&self, n: NodePtr<K, C, L>, idx: usize) -> bool {
-        // SAFETY: `n` is write-locked by the caller; nodes stay live.
-        let nn = unsafe { &*n };
-        let ni = unsafe { nn.as_inner() };
-        let mut spine: Vec<NodePtr<K, C, L>> = Vec::new();
-        let mut cur = ni.child(idx);
+    fn remove_inner_key(&self, n: &InnerNode<K, C, L>, idx: usize) -> bool {
+        let mut spine: Vec<&LeafNode<K, C, L>> = Vec::new();
+        let mut cur = n.exact_child(idx);
         loop {
-            // SAFETY: children read under held write locks are current.
-            let cn = unsafe { &*cur };
             let mut locked = false;
             for _ in 0..REMOVE_LOCK_ATTEMPTS {
                 chaos::checkpoint("btree::remove::spine_lock");
-                if cn.lock.try_start_write() {
+                if cur.lock.try_start_write() {
                     locked = true;
                     break;
                 }
@@ -958,50 +947,46 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
                 // A splitter below may hold this node while waiting
                 // bottom-up for one of ours: back out entirely.
                 for s in spine.iter().rev() {
-                    // SAFETY: locked above, unmodified.
-                    unsafe { &**s }.lock.abort_write();
+                    s.lock.abort_write();
                 }
-                nn.lock.abort_write();
+                n.lock.abort_write();
                 return false;
             }
             spine.push(cur);
-            if !cn.is_inner() {
+            let Some(inner) = cur.inner() else {
                 break;
-            }
-            // SAFETY: kind checked.
-            cur = unsafe { cn.as_inner() }.child(cn.num());
+            };
+            cur = inner.exact_child(inner.num());
         }
 
         // The deepest spine node still holding keys donates the
         // predecessor; everything below it on the spine is empty.
-        let holder = spine.iter().rposition(|&s| unsafe { &*s }.num() > 0);
-        let mut buried: NodePtr<K, C, L> = std::ptr::null_mut();
+        let holder = spine.iter().rposition(|s| s.num() > 0);
+        let mut buried = None;
         match holder {
             Some(h) => {
-                // SAFETY: spine nodes are write-locked above.
-                let hn = unsafe { &*spine[h] };
+                let hn = spine[h];
                 let hnum = hn.num();
-                let pred;
-                if hn.is_inner() {
+                let donor_inner = hn.inner();
+                let pred = hn.key(hnum - 1);
+                if let Some(hi) = donor_inner {
                     // The donated key's right subtree is exactly the
                     // drained chain below: drop key and chain together.
-                    pred = hn.key(hnum - 1);
-                    debug_assert_eq!(unsafe { hn.as_inner() }.child(hnum), spine[h + 1]);
+                    debug_assert!(hi.child(hnum).is_some_and(|c| ptr::eq(c, spine[h + 1])));
                     hn.set_num(hnum - 1);
-                    buried = spine[h + 1];
+                    buried = Some(spine[h + 1]);
                 } else {
-                    pred = hn.key(hnum - 1);
                     chaos::checkpoint("btree::remove::key");
                     hn.remove_at(hnum - 1);
                 }
-                nn.set_key(idx, &pred);
+                n.set_key(idx, &pred);
             }
             None => {
                 // The whole left subtree holds no keys: drop the key and
                 // the subtree from `n` (the right neighbor subtree's
                 // separator interval widens over the removed key's range).
-                buried = ni.child(idx);
-                Self::splice_out(ni, idx, idx);
+                buried = n.child(idx);
+                Self::splice_out(n, idx, idx);
             }
         }
 
@@ -1020,16 +1005,14 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
         // and an insert land in a buried leaf.
         let keep_versions = cfg!(all(chaos, feature = "chaos-inject-bug"));
         for s in spine.iter().rev() {
-            // SAFETY: write-locked above.
-            let sn = unsafe { &**s };
             if keep_versions {
-                sn.lock.abort_write();
+                s.lock.abort_write();
             } else {
-                sn.lock.end_write();
+                s.lock.end_write();
             }
         }
-        nn.lock.end_write();
-        if !buried.is_null() {
+        n.lock.end_write();
+        if let Some(buried) = buried {
             self.bury(buried);
         }
         true
@@ -1039,38 +1022,40 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     /// freed while the tree is alive — racing optimistic readers may still
     /// hold pointers into them, and the memory-safety of stale descents
     /// depends on it — so spliced-out subtrees wait in the graveyard.
-    fn bury(&self, node: NodePtr<K, C, L>) {
+    fn bury(&self, node: &LeafNode<K, C, L>) {
         // Account for what is being parked before parking it. The buried
         // subtree is unreachable from the root and no writer holds a path
         // to it any more, so this read-only walk races only with stale
         // optimistic readers — which never modify structure.
         let (mut nodes, mut leaves) = (0u64, 0u64);
         let mut stack = vec![node];
-        while let Some(p) = stack.pop() {
-            // SAFETY: buried nodes stay allocated until `clear`/`Drop`.
-            let n = unsafe { &*p };
+        while let Some(n) = stack.pop() {
             nodes += 1;
-            if n.is_inner() {
-                // SAFETY: kind checked.
-                let inner = unsafe { n.as_inner() };
-                for i in 0..=n.num_clamped() {
-                    let c = inner.child(i);
-                    if !c.is_null() {
-                        stack.push(c);
-                    }
-                }
-            } else {
-                leaves += 1;
+            match n.inner() {
+                Some(inner) => stack.extend((0..=n.num_clamped()).filter_map(|i| inner.child(i))),
+                None => leaves += 1,
             }
         }
         self.buried_subtrees.fetch_add(1, Relaxed);
         self.buried_nodes.fetch_add(nodes, Relaxed);
         self.buried_leaves.fetch_add(leaves, Relaxed);
-        self.graveyard.lock().unwrap().push(node);
+        self.graveyard.lock().unwrap().push(node.ptr());
     }
 }
 
 impl<const K: usize, const C: usize, L> BTreeSet<K, C, L> {
+    /// The root, `None` before the first insert. Every node reached from it
+    /// is borrowed for as long as the tree is.
+    #[inline]
+    pub(crate) fn root_node(&self) -> Option<&LeafNode<K, C, L>> {
+        // SAFETY: every non-null link in the tree — the root, a parent, a
+        // child slot — names a node allocated for this tree, and nodes never
+        // change trees. Only `free_nodes`, which takes `&mut self`, frees
+        // one, so the node outlives the borrow of `self`, and so does every
+        // node reached from it (node.rs, "Safety invariants").
+        unsafe { self.root.load(Relaxed).as_ref() }
+    }
+
     /// Removes every tuple, reclaiming all nodes. Requires exclusive
     /// access — the only "shrinking" operation, and exactly as in the
     /// paper's engine, only available between evaluation phases.
