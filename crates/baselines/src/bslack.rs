@@ -261,7 +261,7 @@ impl<T: Ord + Copy> BSlackCore<T> {
         }
     }
 
-    fn collect_into(&self, out: &mut Vec<T>) {
+    fn append_to(&self, out: &mut Vec<T>) {
         fn rec<T: Ord + Copy>(node: &Node<T>, out: &mut Vec<T>) {
             match node {
                 Node::Leaf { keys } => out.extend_from_slice(keys),
@@ -374,7 +374,7 @@ impl<T: ShardKey> BSlackTree<T> {
     pub fn snapshot_sorted(&self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.len());
         for s in &self.shards {
-            s.lock().collect_into(&mut out);
+            s.lock().append_to(&mut out);
         }
         out.sort_unstable();
         out

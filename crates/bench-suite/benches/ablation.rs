@@ -287,8 +287,8 @@ fn run_path(c: &mut Criterion) {
     }
 }
 
-/// Calls `f` for every pair of `tree` under `key`, through `hints`: the
-/// engine's `scan_prefix` on a tree of pairs.
+/// Calls `f` for every pair of `tree` under `key`, through `hints`: Figure
+/// 1's hinted `lower_bound` on a tree of pairs.
 fn scan_key(tree: &BTreeSet<2>, hints: &mut BTreeHints<2>, key: u64, mut f: impl FnMut(&[u64; 2])) {
     for t in tree.lower_bound_hinted(&[key, 0], hints) {
         if t[0] != key {
@@ -305,9 +305,11 @@ fn scan_key(tree: &BTreeSet<2>, hints: &mut BTreeHints<2>, key: u64, mut f: impl
 /// order a delta scan would hand it out, and a payload; each binding folds
 /// its range with its payload. `per_binding_hinted` looks every binding up
 /// through one hint, as Figure 1 does; `block` sorts the bindings by key
-/// with their positions, looks each distinct key up once and replays its
-/// range for every binding that shares it, as the engine does; the control
-/// `sorted_per_binding` sorts them the same way and looks every binding up.
+/// with their positions, reads each distinct key's range once through
+/// `prefix_range`, unhinted and walked by `for_each` as the engine's
+/// `scan_prefix` reads it, and replays that range for every binding that
+/// shares it; the control `sorted_per_binding` sorts them the same way and
+/// looks every binding up through the hint.
 fn block_join(c: &mut Criterion) {
     for n in [3_000u64, 10_000] {
         let mut rng = SplitMix64::new(n);
@@ -345,7 +347,7 @@ fn block_join(c: &mut Criterion) {
                     let mut acc = 0u64;
                     for run in keyed.chunk_by(|a, b| a[0] == b[0]) {
                         range.clear();
-                        scan_key(&tree, &mut hints, run[0][0], |t| range.push(*t));
+                        tree.prefix_range(&run[0][..1]).for_each(|t| range.push(t));
                         for &[_, i] in run {
                             let payload = bindings[i as usize][1];
                             range

@@ -971,8 +971,8 @@ impl<'p, 'c> Evaluator<'p, 'c> {
         let width = self.plan.head_slots.len().max(1);
         let distinct = sort_batch(batch, width, width, scratch);
         let run = &mut batch[..distinct * width];
-        let kept = self.head.full.retain_absent(run, width);
-        let added = self.head.new.insert_run(&run[..kept * width], width);
+        let kept = self.head.full.retain_absent(run);
+        let added = self.head.new.insert_run(&run[..kept * width]);
         self.stats.membership_tests += distinct as u64;
         self.stats.inserts += kept as u64;
         self.stats.tuples_emitted += added;
@@ -1020,7 +1020,7 @@ pub(crate) fn insert_tuples(dst: &dyn RelationStorage, tuples: &[TupleBuf]) -> u
     let width = dst.width();
     let mut run: Vec<u64> = tuples.iter().flat_map(|t| &t[..width]).copied().collect();
     let distinct = sort_batch(&mut run, width, width, &mut Vec::new());
-    dst.insert_run(&run[..distinct * width], width)
+    dst.insert_run(&run[..distinct * width])
 }
 
 #[cfg(test)]

@@ -9,7 +9,15 @@
 //! from Soufflé's generated code. At the trait boundary tuples travel as
 //! [`TupleBuf`]s — padded to [`MAX_ARITY`] words; padding zeros never
 //! affect equality or lexicographic prefix order — and a backend narrows
-//! them on the way in and widens them on the way out.
+//! them on the way in and widens them on the way out. A sorted run
+//! ([`RelationStorage::insert_run`], [`RelationStorage::retain_absent`])
+//! is the other way tuples cross: end to end at the storage's width.
+//!
+//! The specialized B-tree's adapter reads through the tree's own cursor: a
+//! prefix scan is `prefix_range`, a chunk `chunk_range`, both walked a leaf
+//! at a time by `for_each`, and a prefix's bounds are the tree's
+//! [`RangeChunk::prefix`], which the two locked ordered baselines scan
+//! between too.
 //!
 //! Point operations and scans take a per-thread [`StorageCtx`], which holds
 //! nothing: the evaluator reads by sorted blocks, which find the locality
@@ -28,7 +36,7 @@ use baselines::global_lock::GlobalLock;
 use baselines::hashset::HashSet as ChainedHashSet;
 use baselines::rbtree::RbTreeSet;
 use baselines::splitorder::SplitOrderedSet;
-use specbtree::{BTreeSet, TreeStats};
+use specbtree::{BTreeSet, RangeChunk, TreeStats};
 use std::any::Any;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -114,24 +122,25 @@ pub trait RelationStorage: Send + Sync {
     fn contains(&self, t: &TupleBuf, ctx: &mut StorageCtx) -> bool;
 
     /// The anti-join of a sorted batch with this relation: `run` holds
-    /// tuples of `arity` words each, end to end, strictly ascending; those
-    /// the relation does not contain are moved to its front, in order, and
-    /// counted. Concurrency as for [`contains`](Self::contains). The
-    /// specialized B-tree answers a run of its own width leaf group by leaf
-    /// group (`BTreeSet::retain_absent`); this default asks tuple by tuple.
-    fn retain_absent(&self, run: &mut [u64], arity: usize) -> usize {
-        absent_sequential(self, run, arity)
+    /// tuples of the storage's [`width`](Self::width) words each, end to
+    /// end, strictly ascending; those the relation does not contain are
+    /// moved to its front, in order, and counted. Concurrency as for
+    /// [`contains`](Self::contains). The specialized B-tree answers the run
+    /// leaf group by leaf group (`BTreeSet::retain_absent`); this default
+    /// asks tuple by tuple.
+    fn retain_absent(&self, run: &mut [u64]) -> usize {
+        absent_sequential(self, run)
     }
 
     /// Inserts a sorted batch, laid out as for
     /// [`retain_absent`](Self::retain_absent), and returns how many of its
     /// tuples were new. Concurrency as for [`insert`](Self::insert). The
-    /// specialized B-tree merges a run of its own width leaf group by leaf
-    /// group (`BTreeSet::insert_run`), and into each secondary index the
-    /// same run permuted and put in the index's order; this default inserts
-    /// tuple by tuple.
-    fn insert_run(&self, run: &[u64], arity: usize) -> u64 {
-        insert_sequential(self, run, arity)
+    /// specialized B-tree merges the run leaf group by leaf group
+    /// (`BTreeSet::insert_run`), and into each secondary index the same run
+    /// permuted and put in the index's order; this default inserts tuple by
+    /// tuple.
+    fn insert_run(&self, run: &[u64]) -> u64 {
+        insert_sequential(self, run)
     }
 
     /// Calls `f` for every tuple whose leading words equal `prefix`.
@@ -322,8 +331,8 @@ fn retract_sequential(dst: &(impl RelationStorage + ?Sized), src: &dyn RelationS
 
 /// The per-tuple anti-join every backend supports: `contains` on each tuple
 /// of `run` through a context of its own, the absent ones kept.
-fn absent_sequential(s: &(impl RelationStorage + ?Sized), run: &mut [u64], arity: usize) -> usize {
-    let mut ctx = s.make_ctx();
+fn absent_sequential(s: &(impl RelationStorage + ?Sized), run: &mut [u64]) -> usize {
+    let (arity, mut ctx) = (s.width(), s.make_ctx());
     let mut kept = 0;
     for at in (0..run.len()).step_by(arity) {
         if !s.contains(&pad(&run[at..at + arity]), &mut ctx) {
@@ -335,8 +344,8 @@ fn absent_sequential(s: &(impl RelationStorage + ?Sized), run: &mut [u64], arity
 }
 
 /// The per-tuple batch insert every backend supports, new tuples counted.
-fn insert_sequential(s: &(impl RelationStorage + ?Sized), run: &[u64], arity: usize) -> u64 {
-    let mut ctx = s.make_ctx();
+fn insert_sequential(s: &(impl RelationStorage + ?Sized), run: &[u64]) -> u64 {
+    let (arity, mut ctx) = (s.width(), s.make_ctx());
     let added = |t: &[u64]| s.insert(&pad(t), &mut ctx);
     run.chunks_exact(arity).map(added).filter(|&a| a).count() as u64
 }
@@ -428,48 +437,6 @@ impl StorageKind {
             }
         }
     }
-}
-
-/// Computes the exclusive upper bound of a prefix range, or `None` when the
-/// prefix is empty or saturated (scan to the end).
-fn prefix_upper<const K: usize>(prefix: &[u64]) -> Option<[u64; K]> {
-    let mut hi = key::<K>(prefix);
-    for i in (0..prefix.len()).rev() {
-        let (v, overflow) = hi[i].overflowing_add(1);
-        hi[i] = v;
-        if !overflow {
-            hi[i + 1..].fill(0);
-            return Some(hi);
-        }
-    }
-    None
-}
-
-/// Feeds `f` the tuples of an ascending cursor that sort below `hi` — the
-/// one scan loop of every ordered backend.
-#[inline]
-fn feed_below<const K: usize>(
-    it: impl Iterator<Item = [u64; K]>,
-    hi: Option<&[u64; K]>,
-    mut f: impl FnMut(&[u64; K]),
-) {
-    for t in it {
-        if hi.is_some_and(|hi| specbtree::cmp3(&t, hi) != Ordering::Less) {
-            break;
-        }
-        f(&t);
-    }
-}
-
-/// Feeds `f` the tuples of `tree` that start with `prefix`: one descent to
-/// the lower bound, then the leaf walk stops at the first tuple past the
-/// range (no second descent for an end cursor the walk would not use).
-fn scan_tree_prefix<const K: usize>(tree: &BTreeSet<K>, prefix: &[u64], f: impl FnMut(&[u64; K])) {
-    feed_below(
-        tree.lower_bound(&key(prefix)),
-        prefix_upper(prefix).as_ref(),
-        f,
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -598,39 +565,31 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
         self.tree.contains(&key(t))
     }
 
-    fn retain_absent(&self, run: &mut [u64], arity: usize) -> usize {
-        match run.as_chunks_mut::<K>() {
-            (tuples, []) if arity == K => self.tree.retain_absent(tuples),
-            _ => absent_sequential(self, run, arity),
-        }
+    fn retain_absent(&self, run: &mut [u64]) -> usize {
+        let (tuples, rest) = run.as_chunks_mut::<K>();
+        debug_assert!(rest.is_empty(), "a run of {K}-word tuples");
+        self.tree.retain_absent(tuples)
     }
 
-    fn insert_run(&self, run: &[u64], arity: usize) -> u64 {
-        match run.as_chunks::<K>() {
-            (tuples, []) if arity == K => {
-                let added = self.tree.insert_run(tuples);
-                self.maintain_indexes(|| tuples.iter().copied(), false);
-                added
-            }
-            _ => insert_sequential(self, run, arity),
-        }
+    fn insert_run(&self, run: &[u64]) -> u64 {
+        let (tuples, rest) = run.as_chunks::<K>();
+        debug_assert!(rest.is_empty(), "a run of {K}-word tuples");
+        let added = self.tree.insert_run(tuples);
+        self.maintain_indexes(|| tuples.iter().copied(), false);
+        added
     }
 
     fn scan_prefix(&self, prefix: &[u64], _ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
-        scan_tree_prefix(&self.tree, prefix, |t| f(&pad(t)));
+        self.tree.prefix_range(prefix).for_each(|t| f(&pad(&t)));
     }
 
     fn partition(&self, n: usize, prefix: &[u64]) -> Vec<StorageChunk> {
         if self.tree.is_empty() {
             return Vec::new();
         }
-        let chunks = if prefix.is_empty() {
-            self.tree.partition(n)
-        } else {
-            let (lo, hi) = (key(prefix), prefix_upper(prefix));
-            self.tree.partition_range(n, Some(&lo), hi.as_ref())
-        };
-        let chunk = |c: specbtree::RangeChunk<K>| StorageChunk::Range {
+        let RangeChunk { lower, upper } = RangeChunk::prefix(prefix);
+        let chunks = self.tree.partition_range(n, lower.as_ref(), upper.as_ref());
+        let chunk = |c: RangeChunk<K>| StorageChunk::Range {
             lower: c.lower.map(|t| pad(&t)),
             upper: c.upper.map(|t| pad(&t)),
         };
@@ -641,12 +600,9 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
         let StorageChunk::Range { lower, upper } = chunk else {
             panic!("a snapshot chunk goes back to the storage that cut it");
         };
-        let it = match lower {
-            Some(lo) => self.tree.lower_bound(&key(lo)),
-            None => self.tree.iter(),
-        };
-        let hi = upper.as_ref().map(|hi| key::<K>(hi));
-        feed_below(it, hi.as_ref(), |t| f(&pad(t)));
+        let (lower, upper) = (lower.map(|t| key(&t)), upper.map(|t| key(&t)));
+        let walk = self.tree.chunk_range(&RangeChunk { lower, upper });
+        walk.for_each(|t| f(&pad(&t)));
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&TupleBuf)) {
@@ -741,13 +697,32 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
             panic!("index {index} was never registered on this relation");
         };
         debug_assert_eq!(ix.order.perm, perm, "index id / permutation mismatch");
-        scan_tree_prefix(&ix.tree, prefix, |t| f(&ix.order.unpermute(t)));
+        ix.tree
+            .prefix_range(prefix)
+            .for_each(|t| f(&ix.order.unpermute(&t)));
     }
 }
 
 // ---------------------------------------------------------------------
 // Globally locked sequential backends
 // ---------------------------------------------------------------------
+
+/// Feeds `f` the tuples of an ordered baseline that start with `prefix`:
+/// `seek` is the set's `lower_bound`, and the walk stops at the prefix's
+/// end, as the tree's [`prefix_range`](BTreeSet::prefix_range) does.
+fn feed_below<const K: usize, I: Iterator<Item = [u64; K]>>(
+    prefix: &[u64],
+    seek: impl FnOnce(&[u64; K]) -> I,
+    mut f: impl FnMut(&[u64; K]),
+) {
+    let RangeChunk { lower, upper } = RangeChunk::prefix(prefix);
+    for t in seek(&lower.unwrap_or([0; K])) {
+        if upper.is_some_and(|hi| specbtree::cmp3(&t, &hi) != Ordering::Less) {
+            break;
+        }
+        f(&t);
+    }
+}
 
 /// What the locked adapter needs of a sequential set of width-`K` keys.
 trait SeqSet<const K: usize>: Send + 'static {
@@ -786,12 +761,8 @@ macro_rules! impl_seq_set {
     )*};
 }
 impl_seq_set! {
-    RbTreeSet: |s, prefix, f| {
-        feed_below(s.lower_bound(&key(prefix)), prefix_upper(prefix).as_ref(), &mut f)
-    };
-    GBTreeSet: |s, prefix, f| {
-        feed_below(s.lower_bound(&key(prefix)), prefix_upper(prefix).as_ref(), &mut f)
-    };
+    RbTreeSet: |s, prefix, f| feed_below(prefix, |lo| s.lower_bound(lo), &mut f);
+    GBTreeSet: |s, prefix, f| feed_below(prefix, |lo| s.lower_bound(lo), &mut f);
     // No range queries: a filtered sweep, the structural deficiency the
     // paper's comparison highlights.
     ChainedHashSet: |s, prefix, f| {
@@ -1006,21 +977,22 @@ mod tests {
         }
     }
 
-    /// The two run methods against the model: on a storage of the run's
-    /// width, on a `create()`d one fed the same, narrower run, and on a
-    /// relation that carries an index, which the run must keep exact.
+    /// The two run methods against the model: on a storage of the tuples'
+    /// width, on a `create()`d one fed the same tuples padded to its width,
+    /// and on a relation that carries an index, which the run must keep
+    /// exact.
     fn exercise_runs(kind: StorageKind, arity: usize) {
         let base: Vec<TupleBuf> = (0..60u64).map(|i| tuple(arity, i % 6, i / 2)).collect();
         let run: Model<TupleBuf> = (0..90u64).map(|i| tuple(arity, i % 9, i / 3)).collect();
         let model: Model<TupleBuf> = base.iter().copied().collect();
-        let flat = |ts: &mut dyn Iterator<Item = &TupleBuf>| -> Vec<u64> {
-            ts.flat_map(|t| t[..arity].iter().copied()).collect()
-        };
-        let (all, absent) = (flat(&mut run.iter()), flat(&mut run.difference(&model)));
-        assert!(!absent.is_empty() && absent.len() < all.len());
         let perm: Vec<usize> = (0..arity).rev().collect();
         for (width, indexed) in [(arity, false), (MAX_ARITY, false), (arity, true)] {
             let what = format!("{} arity {arity} in {width} words", kind.label());
+            let flat = |ts: &mut dyn Iterator<Item = &TupleBuf>| -> Vec<u64> {
+                ts.flat_map(|t| t[..width].iter().copied()).collect()
+            };
+            let (all, absent) = (flat(&mut run.iter()), flat(&mut run.difference(&model)));
+            assert!(!absent.is_empty() && absent.len() < all.len());
             let mut s = kind.create_for(width);
             let index = indexed.then(|| s.add_index(&perm, 1)).flatten();
             if indexed && index.is_none() {
@@ -1031,20 +1003,16 @@ mod tests {
                 .for_each(|t| assert!(s.insert(t, &mut ctx), "{what}"));
 
             let mut words = all.clone();
-            let kept = s.retain_absent(&mut words, arity);
-            assert_eq!(words[..kept * arity], absent[..], "{what}");
+            let kept = s.retain_absent(&mut words);
+            assert_eq!(words[..kept * width], absent[..], "{what}");
             assert_eq!(contents(&*s), model, "{what}: an anti-join writes nothing");
-            assert_eq!(s.retain_absent(&mut [], arity), 0, "{what}");
+            assert_eq!(s.retain_absent(&mut []), 0, "{what}");
 
-            assert_eq!(
-                s.insert_run(&all, arity) as usize,
-                absent.len() / arity,
-                "{what}"
-            );
-            assert_eq!(s.insert_run(&all, arity), 0, "{what}: nothing left to add");
+            assert_eq!(s.insert_run(&all) as usize, absent.len() / width, "{what}");
+            assert_eq!(s.insert_run(&all), 0, "{what}: nothing left to add");
             let union: Model<TupleBuf> = model.union(&run).copied().collect();
             assert_eq!(contents(&*s), union, "{what}");
-            assert_eq!(s.retain_absent(&mut all.clone(), arity), 0, "{what}");
+            assert_eq!(s.retain_absent(&mut all.clone()), 0, "{what}");
             if let Some(id) = index {
                 let mut by_index = Model::new();
                 s.scan_index(id, &perm, &[], &mut ctx, &mut |t| {
@@ -1064,16 +1032,6 @@ mod tests {
                 exercise_runs(kind, arity);
             }
         }
-    }
-
-    #[test]
-    fn prefix_upper_handles_saturation() {
-        assert_eq!(prefix_upper::<2>(&[]), None);
-        assert_eq!(prefix_upper::<1>(&[3]), Some([4]));
-        assert_eq!(prefix_upper::<MAX_ARITY>(&[3]).map(|t| t[0]), Some(4));
-        assert_eq!(prefix_upper::<2>(&[u64::MAX]), None);
-        // Carry into the previous word.
-        assert_eq!(prefix_upper::<3>(&[7, u64::MAX]), Some([8, 0, 0]));
     }
 
     #[test]

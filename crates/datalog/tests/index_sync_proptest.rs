@@ -272,13 +272,13 @@ proptest! {
                 assert_indexes_in_sync(&*storage, &format!("{what} after bulk retract_from"));
 
                 // A sorted batch, as a retraction's put-back hands it over:
-                // what was retracted comes back, into the primary and, as a
-                // permuted run where the storage is as wide as the tuples,
-                // into every index.
+                // what was retracted comes back, padded to the storage's
+                // width, into the primary and, as a permuted run, into
+                // every index.
                 let run: BTreeSet<TupleBuf> = retracted.iter().map(|&k| tuple(arity, k)).collect();
                 let fresh = run.difference(&primary_set(&*storage)).count();
-                let words: Vec<u64> = run.iter().flat_map(|t| t[..arity].iter().copied()).collect();
-                prop_assert_eq!(storage.insert_run(&words, arity) as usize, fresh, "{}", what);
+                let words: Vec<u64> = run.iter().flat_map(|t| t[..width].iter().copied()).collect();
+                prop_assert_eq!(storage.insert_run(&words) as usize, fresh, "{}", what);
                 prop_assert!(run.is_subset(&primary_set(&*storage)), "{}", what);
                 assert_indexes_in_sync(&*storage, &format!("{what} after insert_run"));
             }

@@ -3,7 +3,12 @@
 //! The tree is a classic B-tree: elements live in inner nodes too, so the
 //! iterator is a `(node, position)` cursor that descends into subtrees after
 //! visiting an inner key and climbs via parent links when a leaf is
-//! exhausted — the same cursor the Soufflé implementation uses.
+//! exhausted — the same cursor the Soufflé implementation uses. There is
+//! one cursor, [`Iter`], for every read: a full scan, a bound query, a
+//! range, a prefix and a [`RangeChunk`] of a partition differ only in where
+//! it starts and in its optional exclusive end. Its `fold` (under `count`,
+//! `for_each`, `sum`, …) is the one bulk walk: a leaf at a time, comparing
+//! with the end only in the leaf whose last key reaches it.
 //!
 //! Iteration is *phase-concurrent* (see the [`tree`](crate::tree) module
 //! docs): correct results require that no insert runs concurrently, which
@@ -19,18 +24,25 @@ use optlock::OptimisticRwLock;
 use std::cmp::Ordering;
 use std::sync::atomic::Ordering::Relaxed;
 
-/// An in-order cursor over a [`BTreeSet`], yielding tuples ascending.
+/// An in-order cursor over a [`BTreeSet`], yielding tuples ascending up to
+/// an optional exclusive end.
 pub struct Iter<'a, const K: usize, const C: usize, L = OptimisticRwLock> {
     /// Current node, borrowed from the tree; `None` means the iterator is
     /// exhausted.
     node: Option<&'a LeafNode<K, C, L>>,
     /// Index of the key to yield next within `node`.
     pos: usize,
+    /// Exclusive end; `None` = run to the end of the set.
+    end: Option<Tuple<K>>,
 }
 
 impl<'a, const K: usize, const C: usize, L> Iter<'a, K, C, L> {
     pub(crate) fn new(node: Option<&'a LeafNode<K, C, L>>, pos: usize) -> Self {
-        let mut it = Self { node, pos };
+        let mut it = Self {
+            node,
+            pos,
+            end: None,
+        };
         it.normalize();
         it
     }
@@ -43,16 +55,26 @@ impl<'a, const K: usize, const C: usize, L> Iter<'a, K, C, L> {
         }
     }
 
-    /// The tuple the cursor currently points at, without advancing.
+    /// The tuple the cursor currently points at, without advancing; `None`
+    /// once it is exhausted or at its end.
     pub fn peek(&self) -> Option<Tuple<K>> {
         let n = self.node?;
-        (self.pos < n.num_clamped()).then(|| n.key(self.pos))
+        (self.pos < n.num_clamped())
+            .then(|| n.key(self.pos))
+            .filter(|t| !self.reaches_end(t))
+    }
+
+    /// Whether `t` lies at or past the cursor's end.
+    #[inline]
+    fn reaches_end(&self, t: &Tuple<K>) -> bool {
+        self.end
+            .as_ref()
+            .is_some_and(|end| cmp3(t, end) != Ordering::Less)
     }
 
     /// Climbs until the cursor comes up from a non-last child, leaving it
     /// on that parent's separator key, or exhausts it at the root. This is
-    /// the in-order-successor step shared by [`Iterator::next`], `fold` and
-    /// `collect_into`.
+    /// the in-order-successor step shared by [`Iterator::next`] and `fold`.
     fn climb(&mut self) {
         let Some(mut cur) = self.node else {
             return;
@@ -112,6 +134,11 @@ impl<'a, const K: usize, const C: usize, L> Iterator for Iter<'a, K, C, L> {
             self.climb();
         };
         let item = n.key(self.pos);
+        if self.reaches_end(&item) {
+            // Fused: the position at or past the end is never observed.
+            self.node = None;
+            return None;
+        }
 
         // Advance to the in-order successor.
         if let Some(inner) = n.inner() {
@@ -127,32 +154,44 @@ impl<'a, const K: usize, const C: usize, L> Iterator for Iter<'a, K, C, L> {
         Some(item)
     }
 
-    /// Bulk traversal: `count`, `sum`, `for_each` and friends all funnel
-    /// through `fold`, so full scans stream each leaf as one slot walk
-    /// instead of paying [`Iterator::next`]'s per-element cursor checks.
+    /// The bulk walk: `count`, `sum`, `for_each` and friends all funnel
+    /// through `fold`, which streams each leaf as one slot walk instead of
+    /// paying [`Iterator::next`]'s per-element cursor checks. It compares
+    /// with the end only in the leaf whose last key reaches it: that leaf
+    /// holds the end, so the walk stops there. A separator key in an inner
+    /// node goes through `next`.
     fn fold<B, F>(mut self, init: B, mut f: F) -> B
     where
         F: FnMut(B, Self::Item) -> B,
     {
         let mut acc = init;
         while let Some(n) = self.node {
-            if n.is_inner() {
-                // One separator key, then descend right of it: next()
-                // already implements that step.
-                match self.next() {
-                    Some(t) => acc = f(acc, t),
-                    None => break,
-                }
-                continue;
-            }
             let num = n.num_clamped();
             if self.pos >= num {
                 // Empty leaf (legal after removals): climb past it.
                 self.climb();
                 continue;
             }
-            for i in self.pos..num {
+            if n.is_inner() {
+                // One separator key, then descend right of it.
+                match self.next() {
+                    Some(t) => acc = f(acc, t),
+                    None => break,
+                }
+                continue;
+            }
+            let mut stop = num;
+            if let Some(end) = &self.end {
+                if cmp3(&n.key(num - 1), end) != Ordering::Less {
+                    let at_end = |&i: &usize| cmp3(&n.key(i), end) != Ordering::Less;
+                    stop = (self.pos..num).find(at_end).unwrap_or(num);
+                }
+            }
+            for i in self.pos..stop {
                 acc = f(acc, n.key(i));
+            }
+            if stop < num {
+                break; // the end falls inside this leaf
             }
             // Climb until we come up from a non-last child, once per leaf.
             self.climb();
@@ -161,93 +200,49 @@ impl<'a, const K: usize, const C: usize, L> Iterator for Iter<'a, K, C, L> {
     }
 }
 
-/// An in-order cursor bounded by an exclusive upper tuple.
-pub struct RangeIter<'a, const K: usize, const C: usize, L = OptimisticRwLock> {
-    inner: Iter<'a, K, C, L>,
-    /// Exclusive upper bound; `None` = run to the end of the set.
-    end: Option<Tuple<K>>,
-}
-
-impl<'a, const K: usize, const C: usize, L> RangeIter<'a, K, C, L> {
-    pub(crate) fn new(inner: Iter<'a, K, C, L>, end: Option<Tuple<K>>) -> Self {
-        Self { inner, end }
-    }
-
-    /// Drains the cursor into `buf`, copying whole leaf runs in bulk
-    /// instead of paying [`Iterator::next`]'s per-element cursor checks —
-    /// the shape the merge path wants when materializing a chunk. When a
-    /// leaf's last key is below the bound (the common case away from the
-    /// chunk edge), its run is copied without any per-key comparison.
-    /// Phase-concurrent like [`Iter`]: quiescent trees only.
-    pub fn collect_into(mut self, buf: &mut Vec<Tuple<K>>) {
-        while let Some(n) = self.inner.node {
-            let num = n.num_clamped();
-            if self.inner.pos >= num {
-                // Empty leaf (legal after removals): climb past it.
-                self.inner.climb();
-                continue;
-            }
-            if n.is_inner() {
-                // One separator key, then descend right of it: next()
-                // already implements that step (and the bound check).
-                match self.next() {
-                    Some(t) => buf.push(t),
-                    None => return,
-                }
-                continue;
-            }
-            // Leaf: copy the remaining run of keys. Per-key bound compares
-            // only happen when the leaf's last key reaches the bound — the
-            // common interior leaf copies compare-free.
-            let mut stop = num;
-            if let Some(end) = &self.end {
-                if cmp3(&n.key(num - 1), end) != Ordering::Less {
-                    let mut s = self.inner.pos;
-                    while s < num && cmp3(&n.key(s), end) == Ordering::Less {
-                        s += 1;
-                    }
-                    stop = s;
-                }
-            }
-            for i in self.inner.pos..stop {
-                buf.push(n.key(i));
-            }
-            if stop < num {
-                return; // bound hit inside the leaf
-            }
-            // Climb until we come up from a non-last child (Iter::next's
-            // tail), once per leaf instead of once per element.
-            self.inner.climb();
-        }
-    }
-}
-
-impl<'a, const K: usize, const C: usize, L> Iterator for RangeIter<'a, K, C, L> {
-    type Item = Tuple<K>;
-
-    fn next(&mut self) -> Option<Tuple<K>> {
-        // Advance first, check after: materializes each tuple once instead
-        // of peek + re-read. Reaching the bound fuses the cursor so the
-        // overshot position is never observed.
-        let t = self.inner.next()?;
-        if let Some(end) = &self.end {
-            if cmp3(&t, end) != Ordering::Less {
-                self.inner.node = None;
-                return None;
-            }
-        }
-        Some(t)
-    }
-}
-
-/// A half-open tuple interval `[lower, upper)` produced by
-/// [`BTreeSet::partition`]; `None` bounds are unbounded.
+/// A half-open tuple interval `[lower, upper)`, as
+/// [`BTreeSet::partition`] cuts them and [`RangeChunk::prefix`] bounds a
+/// prefix; `None` bounds are unbounded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RangeChunk<const K: usize> {
     /// Inclusive lower bound (`None` = from the smallest tuple).
     pub lower: Option<Tuple<K>>,
     /// Exclusive upper bound (`None` = to the largest tuple).
     pub upper: Option<Tuple<K>>,
+}
+
+impl<const K: usize> RangeChunk<K> {
+    /// The interval of every tuple whose first `prefix.len()` words equal
+    /// `prefix`: from the prefix padded with zeros to the prefix
+    /// incremented at its last word (carrying leftwards), padded likewise.
+    /// The empty prefix is unbounded on both sides, and an all-max prefix
+    /// has no upper bound.
+    ///
+    /// # Panics
+    /// If `prefix.len() > K`.
+    pub fn prefix(prefix: &[u64]) -> Self {
+        assert!(prefix.len() <= K, "prefix longer than tuple arity");
+        if prefix.is_empty() {
+            return Self {
+                lower: None,
+                upper: None,
+            };
+        }
+        let mut lower = [0u64; K];
+        lower[..prefix.len()].copy_from_slice(prefix);
+        let mut upper = lower;
+        // A word that overflows wraps to zero and carries into the one
+        // before it; `all` stops at the first that does not.
+        let saturated = upper[..prefix.len()].iter_mut().rev().all(|w| {
+            let (v, overflow) = w.overflowing_add(1);
+            *w = v;
+            overflow
+        });
+        Self {
+            lower: Some(lower),
+            upper: (!saturated).then_some(upper),
+        }
+    }
 }
 
 impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
@@ -334,8 +329,9 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     }
 
     /// All tuples in `[lower, upper)`.
-    pub fn range(&self, lower: &Tuple<K>, upper: &Tuple<K>) -> RangeIter<'_, K, C, L> {
-        RangeIter::new(self.lower_bound(lower), Some(*upper))
+    pub fn range(&self, lower: &Tuple<K>, upper: &Tuple<K>) -> Iter<'_, K, C, L> {
+        let (lower, upper) = (Some(*lower), Some(*upper));
+        self.chunk_range(&RangeChunk { lower, upper })
     }
 
     /// All tuples whose first `prefix.len()` words equal `prefix` — the
@@ -344,42 +340,21 @@ impl<const K: usize, const C: usize, L: Latch> BTreeSet<K, C, L> {
     ///
     /// # Panics
     /// If `prefix.len() > K`.
-    pub fn prefix_range(&self, prefix: &[u64]) -> RangeIter<'_, K, C, L> {
-        assert!(prefix.len() <= K, "prefix longer than tuple arity");
-        let mut lower = [0u64; K];
-        lower[..prefix.len()].copy_from_slice(prefix);
-        // The exclusive upper bound is the prefix incremented at its last
-        // word, padded with zeros; if the prefix is all-max, no upper bound
-        // exists.
-        let mut upper = lower;
-        let mut carry = true;
-        for w in upper[..prefix.len()].iter_mut().rev() {
-            if !carry {
-                break;
-            }
-            let (v, overflow) = w.overflowing_add(1);
-            *w = v;
-            carry = overflow;
-        }
-        for w in upper[prefix.len()..].iter_mut() {
-            *w = 0;
-        }
-        let end = if carry || prefix.is_empty() {
-            None
-        } else {
-            Some(upper)
-        };
-        RangeIter::new(self.lower_bound(&lower), end)
+    pub fn prefix_range(&self, prefix: &[u64]) -> Iter<'_, K, C, L> {
+        self.chunk_range(&RangeChunk::prefix(prefix))
     }
 
-    /// All tuples of a [`RangeChunk`] produced by
-    /// [`partition`](Self::partition).
-    pub fn chunk_range(&self, chunk: &RangeChunk<K>) -> RangeIter<'_, K, C, L> {
+    /// All tuples of a [`RangeChunk`]: one descent to its lower bound, and
+    /// a cursor that ends at its upper bound.
+    pub fn chunk_range(&self, chunk: &RangeChunk<K>) -> Iter<'_, K, C, L> {
         let start = match &chunk.lower {
             Some(lo) => self.lower_bound(lo),
             None => self.iter(),
         };
-        RangeIter::new(start, chunk.upper)
+        Iter {
+            end: chunk.upper,
+            ..start
+        }
     }
 
     /// Splits the key space into at most `n` contiguous chunks of roughly
@@ -546,6 +521,33 @@ mod tests {
             all.extend(t.chunk_range(c));
         }
         all
+    }
+
+    #[test]
+    fn prefix_bounds_handle_saturation() {
+        let unbounded = RangeChunk {
+            lower: None,
+            upper: None,
+        };
+        assert_eq!(RangeChunk::<2>::prefix(&[]), unbounded);
+        assert_eq!(RangeChunk::<1>::prefix(&[3]).upper, Some([4]));
+        assert_eq!(
+            RangeChunk::<5>::prefix(&[3]),
+            RangeChunk {
+                lower: Some([3, 0, 0, 0, 0]),
+                upper: Some([4, 0, 0, 0, 0]),
+            }
+        );
+        assert_eq!(RangeChunk::<2>::prefix(&[u64::MAX]).upper, None);
+        // Carry into the previous word.
+        assert_eq!(
+            RangeChunk::<3>::prefix(&[7, u64::MAX]),
+            RangeChunk {
+                lower: Some([7, u64::MAX, 0]),
+                upper: Some([8, 0, 0]),
+            }
+        );
+        assert_eq!(RangeChunk::<2>::prefix(&[u64::MAX, u64::MAX]).upper, None);
     }
 
     #[test]

@@ -22,6 +22,11 @@
 //!   traversals entirely.
 //! * **Tuple keys**: elements are fixed-arity `[u64; K]` tuples ordered
 //!   lexicographically with a single-pass three-way comparator.
+//! * **One cursor** ([`Iter`]): a full scan, a bound query, a range, a
+//!   prefix ([`RangeChunk::prefix`]) and a chunk of a parallel
+//!   [`partition`](BTreeSet::partition) are the same `(node, position)`
+//!   cursor with an optional exclusive end, and its `fold` (under `count`,
+//!   `for_each`, …) walks it a leaf at a time.
 //!
 //! The [`seq`] module provides the paper's "seq btree" baseline: this very
 //! tree with its per-node lock replaced by one that does nothing (the lock
@@ -78,7 +83,7 @@ mod tree;
 
 pub use check::InvariantViolation;
 pub use hints::{BTreeHints, HintStats};
-pub use iter::{Iter, RangeChunk, RangeIter};
+pub use iter::{Iter, RangeChunk};
 pub use node::{cmp3, Tuple};
 pub use sort::{sort_tuples, sorted_tuples};
 pub use stats::{ArenaStats, TreeStats, OCCUPANCY_BUCKETS};

@@ -165,7 +165,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 telemetry::count(telemetry::Counter::BtreeMergeChunks);
                 let _span = telemetry::span(span, i as u64);
                 run.clear();
-                self.chunk_range(chunk).collect_into(&mut run);
+                self.chunk_range(chunk).for_each(|t| run.push(t));
                 sum += apply(&run);
             }
             total.fetch_add(sum, Relaxed);

@@ -257,14 +257,18 @@ fn stress_many_short_trees() {
 
 #[test]
 fn racing_iteration_is_memory_safe() {
-    // Iterating while inserts run violates the phase contract: the element
-    // sequence is unspecified, but every access must stay memory-safe
-    // (atomic fields, clamped indices, never-freed nodes). This test only
-    // asserts absence of crashes and loose sanity bounds.
+    // Iterating while inserts run violates the phase contract, and the
+    // element sequence is unspecified: a cursor overtaken by a split climbs
+    // to the promoted key and yields again keys it already passed, and a
+    // read racing a shift is an unvalidated word load that can tear a
+    // tuple across two keys. What must hold is memory safety (atomic
+    // fields, clamped indices, never-freed nodes): every word read is a
+    // word the test stored in that column, or a fresh node's zero.
     let tree: BTreeSet<2, 4> = BTreeSet::new();
     for i in 0..1_000u64 {
         tree.insert([i, 0]);
     }
+    let stored = |t: &[u64; 2]| assert!(t[0] < 2_000 && t[1] <= 10, "a word never stored: {t:?}");
     std::thread::scope(|s| {
         let writer = {
             let tree = &tree;
@@ -274,15 +278,24 @@ fn racing_iteration_is_memory_safe() {
                 }
             })
         };
-        for _ in 0..3 {
+        for scanner in 0..3 {
             let tree = &tree;
             s.spawn(move || {
-                // Repeated scans while the writer mutates.
+                // Repeated scans while the writer mutates. Two step with
+                // `next`, capped so that a cursor overtaken again and again
+                // still ends; the third walks by `for_each`, a leaf at a
+                // time as the engine's scans do, which no `take` can cap
+                // (`Take` steps with `next`): it ends once the writer has
+                // stopped and the tree holds still.
                 for _ in 0..30 {
-                    let count = tree.iter().take(100_000).count();
-                    assert!(count <= 21_000, "scan invented tuples: {count}");
-                    let bounded = tree.range(&[100, 0], &[200, 0]).take(100_000).count();
-                    assert!(bounded <= 21_000);
+                    if scanner == 0 {
+                        tree.iter().for_each(|t| stored(&t));
+                        tree.range(&[100, 0], &[200, 0]).for_each(|t| stored(&t));
+                    } else {
+                        tree.iter().take(100_000).for_each(|t| stored(&t));
+                        let bounded = tree.range(&[100, 0], &[200, 0]).take(100_000);
+                        bounded.for_each(|t| stored(&t));
+                    }
                 }
             });
         }
@@ -294,6 +307,7 @@ fn racing_iteration_is_memory_safe() {
     // (i % 2000, i/2000 + 1) — 2000 × 10 distinct tuples with second
     // dimension >= 1, disjoint from the first pass.
     assert_eq!(tree.len(), 1_000 + 20_000);
+    assert_eq!(tree.range(&[100, 0], &[200, 0]).count(), 100 * 11);
 }
 
 #[test]

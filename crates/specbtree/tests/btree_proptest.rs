@@ -7,7 +7,7 @@ mod common;
 use common::ascending_runs;
 use proptest::prelude::*;
 use specbtree::seq::SeqBTreeSet;
-use specbtree::{BTreeSet, TreeStats};
+use specbtree::{BTreeSet, Iter, TreeStats};
 use std::collections::BTreeSet as Model;
 
 /// What one tree's decisions fix, under either latch: depth, node counts
@@ -24,6 +24,16 @@ fn key_strategy() -> impl Strategy<Value = [u64; 2]> {
 /// Keys spanning the full u64 domain, hitting boundary arithmetic.
 fn wide_key_strategy() -> impl Strategy<Value = [u64; 2]> {
     (any::<u64>(), any::<u64>()).prop_map(|(a, b)| [a, b])
+}
+
+/// What `cursor()` yields stepped with `next`, and walked by `for_each`.
+fn both_walks<'a>(cursor: impl Fn() -> Iter<'a, 2, 4>) -> (Vec<[u64; 2]>, Vec<[u64; 2]>) {
+    let (mut stepped, mut walked) = (Vec::new(), Vec::new());
+    for t in cursor() {
+        stepped.push(t);
+    }
+    cursor().for_each(|t| walked.push(t));
+    (stepped, walked)
 }
 
 proptest! {
@@ -317,6 +327,46 @@ proptest! {
             prop_assert_eq!(tree.lower_bound(p).next(), model.range(*p..).next().copied());
         }
         prop_assert_eq!(tree.iter().last(), model.iter().next_back().copied());
+    }
+
+    /// Bounded reads, walked both ways a cursor is walked: step by step
+    /// with `next`, and by `for_each`, the leaf-at-a-time walk that compares
+    /// with the end only in the leaf the end falls in. A removal per two
+    /// inserts leaves drained leaves and unary inner nodes for both to
+    /// climb past.
+    #[test]
+    fn bounded_reads_walk_like_the_model(
+        ops in prop::collection::vec((key_strategy(), 0u8..3), 0..800),
+        lo in key_strategy(),
+        hi in key_strategy(),
+        n in 1usize..12,
+    ) {
+        let tree: BTreeSet<2, 4> = BTreeSet::new();
+        let mut model = Model::new();
+        for (k, op) in &ops {
+            if *op == 0 {
+                prop_assert_eq!(tree.remove(k), model.remove(k));
+            } else {
+                prop_assert_eq!(tree.insert(*k), model.insert(*k));
+            }
+        }
+        tree.check_invariants().unwrap();
+        let in_range: Vec<_> = model.iter().filter(|t| lo <= **t && **t < hi).copied().collect();
+        prop_assert_eq!(tree.range(&lo, &hi).peek(), in_range.first().copied());
+        prop_assert_eq!(both_walks(|| tree.range(&lo, &hi)), (in_range.clone(), in_range));
+        for prefix in [&[][..], &lo[..1], &lo[..]] {
+            let want: Vec<_> = model.iter().filter(|t| t.starts_with(prefix)).copied().collect();
+            let walks = both_walks(|| tree.prefix_range(prefix));
+            prop_assert_eq!(walks, (want.clone(), want), "prefix {:?}", prefix);
+        }
+        let (mut stepped, mut walked) = (Vec::new(), Vec::new());
+        for c in &tree.partition(n) {
+            let (s, w) = both_walks(|| tree.chunk_range(c));
+            stepped.extend(s);
+            walked.extend(w);
+        }
+        let all: Vec<_> = model.iter().copied().collect();
+        prop_assert_eq!((stepped, walked), (all.clone(), all));
     }
 
     /// Remove-heavy sequences drain the tree entirely, crossing both arms
