@@ -12,11 +12,12 @@
 //!   batch sizes, key domains and widths, and a block's keys sorted on the
 //!   key alone vs whole: the measurement behind the kernel's widest digit
 //!   and its crossover to comparing;
-//! * **runs, not tuples** — a sorted batch checked against one tree and
-//!   inserted into another tuple by tuple through hints, against one
-//!   `retain_absent` and one `insert_run`: the layer number under the
-//!   engine's flush, and where a crossover would show if a sparse batch
-//!   ever lost;
+//! * **runs, not tuples** — a batch checked against one tree and inserted
+//!   into another tuple by tuple through hints, the other then merged into
+//!   the first, against the batch sorted into a run and merged into the
+//!   first tree by one `insert_run` whose reported keys are the second:
+//!   the layer number under the engine's flush and merge, and where a
+//!   crossover would show if a sparse batch ever lost;
 //! * **reads by blocks** — a join's inner scan, and a check at step 2,
 //!   looked up once per binding through a hint, against a block of bindings
 //!   sorted by key that looks each distinct key up once: the layer number
@@ -229,17 +230,24 @@ fn key_order_by_counting(c: &mut Criterion) {
     }
 }
 
-/// Figure 1's check-then-insert over one sorted batch, both ways. `full`
-/// holds the even values of `0..2n` as pairs, packed 24 to a leaf; a batch is
-/// `len` distinct values out of one window of the domain, wide enough for
+/// Figure 1's check-then-insert over one batch, both ways. `full` holds the
+/// even values of `0..2n` as pairs, packed 24 to a leaf; a batch is `len`
+/// distinct values out of one window of the domain, wide enough for
 /// `per_leaf` of them to fall into each of `full`'s leaves it covers, half of
-/// them present; what is absent goes into a tree that starts empty. Sizes
-/// whose window would not fit the tree are left out.
+/// them present, in the order a join would emit them. Both ways end with
+/// `full` holding the batch and a tree that started empty — the next delta —
+/// holding what `full` lacked. `per_tuple_hinted` is Figure 1: a hinted
+/// `contains` on `full` and a hinted insert into the delta per tuple, then
+/// the delta merged into `full`; `runs` is the engine's flush and merge: the
+/// batch sorted into a run, merged into `full` by one `insert_run`, and what
+/// it reports merged into the delta as one run. A fresh copy of `full` is
+/// built outside the clock for every call. Sizes whose window would not fit
+/// the tree are left out.
 fn run_path(c: &mut Criterion) {
     const LEAF: u64 = 25; // 24 keys and the separator that follows them
     let pair = |v: u64| [v / 1_000, v % 1_000];
     for n in [10_000u64, 1_000_000] {
-        let full: BTreeSet<2> = BTreeSet::from_sorted((0..n).map(|i| pair(2 * i)));
+        let full = || BTreeSet::<2>::from_sorted((0..n).map(|i| pair(2 * i)));
         for len in [64u64, 1_024, 16_384] {
             for (label, per_leaf) in [("0.1", 0.1f64), ("1", 1.0), ("8", 8.0)] {
                 let window = (len as f64 / per_leaf) as u64 * LEAF * 2;
@@ -255,30 +263,39 @@ fn run_path(c: &mut Criterion) {
                     batch.dedup();
                 }
                 batch.truncate(len as usize);
+                for i in (1..batch.len()).rev() {
+                    batch.swap(i, rng.below(i as u64 + 1) as usize);
+                }
                 let mut group = c.benchmark_group(format!("run_path/tree={n}/per_leaf={label}"));
                 group.throughput(Throughput::Elements(len));
                 group.bench_function(BenchmarkId::new("per_tuple_hinted", len), |b| {
-                    let apply = |new: BTreeSet<2>| {
+                    let apply = |full: BTreeSet<2>| {
+                        let new = BTreeSet::new();
                         let (mut seen, mut put) = (full.create_hints(), new.create_hints());
                         for t in &batch {
                             if !full.contains_hinted(t, &mut seen) {
                                 new.insert_hinted(*t, &mut put);
                             }
                         }
-                        new
+                        full.insert_all(&new);
+                        (full, new)
                     };
-                    b.iter_batched(BTreeSet::new, apply, BatchSize::SmallInput)
+                    b.iter_batched(full, apply, BatchSize::LargeInput)
                 });
                 group.bench_function(BenchmarkId::new("runs", len), |b| {
-                    let apply = |(new, mut run): (BTreeSet<2>, Vec<[u64; 2]>)| {
-                        let kept = full.retain_absent(&mut run);
-                        black_box(new.insert_run(&run[..kept]));
-                        new
+                    let mut scratch = Vec::new();
+                    let mut apply = |(full, mut run): (BTreeSet<2>, Vec<[u64; 2]>)| {
+                        sort_tuples(&mut run, 2, &mut scratch);
+                        run.dedup();
+                        let (delta, mut added) = (BTreeSet::<2>::new(), Vec::new());
+                        full.insert_run(&run, |t| added.push(*t));
+                        delta.insert_run(&added, |_| {});
+                        (full, delta)
                     };
                     b.iter_batched(
-                        || (BTreeSet::new(), batch.clone()),
-                        apply,
-                        BatchSize::SmallInput,
+                        || (full(), batch.clone()),
+                        &mut apply,
+                        BatchSize::LargeInput,
                     )
                 });
                 group.finish();

@@ -3,8 +3,8 @@
 
 use crate::ast::Program;
 use crate::eval::{
-    delta_positions, eval_plan, insert_tuples, plan_delta_rel, side_table, source_order,
-    SideTables, StorageEnv, Worker,
+    delta_positions, eval_plan, insert_tuples, merge_runs, plan_delta_rel, side_table,
+    source_order, SideTables, StorageEnv, Worker,
 };
 use crate::planner::{self, CostModel, IndexCatalog, Version};
 use crate::storage::{pad, RelationStorage, StorageKind, TupleBuf};
@@ -76,15 +76,16 @@ impl From<StratError> for EngineError {
 /// ([`Engine::worker_stats`]), which [`merge`](Self::merge) adds up.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalStats {
-    /// Tuples offered to relation storages: loaded facts, tuples a merge or
-    /// a delta seeding moved, and the head tuples workers offered to `new`
-    /// — those the full relation lacked, after an emit batch dropped its
-    /// duplicates, so that count moves with where the batches end.
+    /// Tuples offered to relation storages: loaded facts, tuples a delta
+    /// seeding moved, and each tuple an iteration's merge added twice — into
+    /// the full relation and into the next delta, Figure 1's
+    /// `path.insert(newPath)` and `newPath.insert(t)`.
     pub inserts: u64,
     /// Membership tests issued: one per distinct tuple of a body check's
     /// block of bindings, and one per distinct head tuple of a worker's emit
-    /// batch — so this and `inserts` repeat exactly at one thread and move
-    /// by where the blocks and batches end at more.
+    /// batch, which the iteration's merge looks up in the full relation —
+    /// so this repeats exactly at one thread and moves by where the blocks
+    /// and batches end at more.
     pub membership_tests: u64,
     /// Total `lower_bound` calls: one per distinct key of an inner scan's
     /// block of bindings — one per block for a scan with no bound prefix,
@@ -106,7 +107,11 @@ pub struct EvalStats {
     pub chunks_claimed: u64,
     /// Tuples scanned by outer and inner scans across all workers.
     pub tuples_scanned: u64,
-    /// Tuples emitted into `new` relations across all workers.
+    /// Tuples the relations lacked: what the iterations' merges of the
+    /// workers' runs added. The merges count it, not the workers. After a
+    /// retraction it also counts the overdeleted EDB facts rederivation
+    /// puts back, which are merged as a run of the first worker's and were
+    /// never membership-tested, so it may then exceed `membership_tests`.
     pub tuples_emitted: u64,
     /// Scheduler imbalance: max over workers of tuples scanned, divided
     /// by the mean (1.0 = perfectly balanced; meaningful with ≥2 threads).
@@ -626,8 +631,8 @@ impl Engine {
     }
 
     /// An empty storage of the engine's kind at relation `r`'s arity: what
-    /// every delta, `new` and retraction table of `r` is, so that it merges
-    /// with `r` tree to tree.
+    /// every delta and retraction table of `r` is, so that it merges with
+    /// `r` tree to tree.
     fn table_for(&self, r: usize) -> Box<dyn RelationStorage> {
         self.kind.create_for(self.program.decls[r].arity)
     }
@@ -655,11 +660,11 @@ impl Engine {
         let (mut base, mut rec) = self.versions_of(stratum, stratum.rules.iter().copied());
         self.replan(&mut base, stratum, &self.whole_deltas(stratum), 1);
 
-        // Phase 1: non-recursive rules derive directly into `new`, then
-        // merge (no version of them reads a delta).
-        let new = self.side_tables(&stratum.relations, 0);
-        self.eval_versions(&base, &[], &Vec::new(), &new, workers);
-        self.merge_stratum(&new);
+        // Phase 1: non-recursive rules derive into the workers' runs, then
+        // merge (no version of them reads a delta, and phase 2 starts from
+        // whole relations, so the merge writes none).
+        self.eval_versions(&base, &[], &Vec::new(), workers);
+        self.merge_stratum(&stratum.relations, workers, &Vec::new());
         self.record(base);
 
         // Phase 2: the semi-naive fixpoint. Delta starts as the full
@@ -680,9 +685,10 @@ impl Engine {
     /// Figure 1's semi-naive loop over `stratum`'s recursive versions `rec`,
     /// from `delta` (`deltas[r]` tuples of relation `r`) to fixpoint: the
     /// versions are ordered before every iteration from the counts and
-    /// delta sizes of that moment, and each round's `new` tables are merged
-    /// into the relations and become the next delta. Returns the tuples
-    /// added. [`run`](Self::run) starts it from whole relations, a
+    /// delta sizes of that moment, and each round's runs are merged into
+    /// the relations, what they added making the next delta. The delta a
+    /// round read is dropped before that merge builds the next. Returns the
+    /// tuples added. [`run`](Self::run) starts it from whole relations, a
     /// retraction's rederivation from what it put back.
     fn fixpoint(
         &mut self,
@@ -702,10 +708,10 @@ impl Engine {
                 telemetry::record(telemetry::Hist::EvalDeltaTuples, delta_size as u64);
             }
             self.replan(rec, stratum, &deltas, iteration);
-            let new = self.side_tables(&stratum.relations, 0);
-            self.eval_versions(rec, &[], &delta, &new, workers);
+            self.eval_versions(rec, &[], &delta, workers);
+            delta = self.side_tables(&stratum.relations, 0);
             let mut any = false;
-            for (r, added) in self.merge_stratum(&new) {
+            for (r, added) in self.merge_stratum(&stratum.relations, workers, &delta) {
                 deltas[r] = added as f64;
                 total += added;
                 any |= added > 0;
@@ -713,7 +719,6 @@ impl Engine {
             if !any {
                 break;
             }
-            delta = new;
         }
         total
     }
@@ -726,8 +731,9 @@ impl Engine {
     }
 
     /// Evaluates every version's current plan over the relations followed by
-    /// `extra` (a retraction's deletion sets, at ids `nrels..`), `delta` and
-    /// `new`, attributing the time to the version's rule. A version whose
+    /// `extra` (a retraction's deletion sets, at ids `nrels..`) and `delta`,
+    /// deriving into the workers' runs, attributing the time to the
+    /// version's rule. A version whose
     /// delta is empty this round derives nothing and is skipped, which
     /// matters for the source-order retraction versions, whose outer scan
     /// is a full relation.
@@ -736,16 +742,11 @@ impl Engine {
         versions: &[Version],
         extra: &[&dyn RelationStorage],
         delta: &SideTables,
-        new: &SideTables,
         workers: &mut [Worker],
     ) {
         let rels = self.rels.iter().map(|b| b.as_ref());
         let full: Vec<&dyn RelationStorage> = rels.chain(extra.iter().copied()).collect();
-        let env = StorageEnv {
-            full: &full,
-            delta,
-            new,
-        };
+        let env = StorageEnv { full: &full, delta };
         for v in versions {
             let idle = plan_delta_rel(&v.plan)
                 .is_some_and(|r| delta[r].as_ref().is_none_or(|s| s.is_empty()));
@@ -761,27 +762,31 @@ impl Engine {
         }
     }
 
-    /// Folds every `new` side table of a stratum into its full relation
-    /// (Figure 1 line 17 for the whole stratum), returning per relation the
-    /// number of tuples actually added — which is also what keeps
-    /// `self.counts` exact, sizes the next iteration's deltas and counts as
-    /// that many inserts.
+    /// Merges the runs the workers derived for each of `rels` into its full
+    /// relation (Figure 1's `contains` and `insert` for the whole stratum)
+    /// and writes what each run added into the relation's table in `delta`,
+    /// where there is one: the next iteration's delta. Returns per relation
+    /// the number of tuples added — which is also what keeps `self.counts`
+    /// exact and sizes the next iteration's deltas.
     ///
     /// Relation after relation, each with every worker: the merge inside
-    /// the backend ([`RelationStorage::merge_from`]) cuts a source into runs
-    /// for them, and keeps one too small to cut on the calling thread.
-    fn merge_stratum(&mut self, new: &SideTables) -> Vec<(usize, u64)> {
+    /// the backend ([`RelationStorage::merge_runs`]) cuts the runs' key space
+    /// into ranges claimed off one cursor, and keeps a few small runs on the
+    /// calling thread.
+    fn merge_stratum(
+        &mut self,
+        rels: &[usize],
+        workers: &mut [Worker],
+        delta: &SideTables,
+    ) -> Vec<(usize, u64)> {
         let timer = telemetry::start_timer();
         let mut added = Vec::new();
-        for (r, src) in new.iter().enumerate() {
-            let Some(src) = src.as_deref() else { continue };
+        for &r in rels {
             let _span = telemetry::span("eval.merge", r as u64);
-            let n = self.rels[r].merge_from(src, self.threads);
-            // `new` holds only tuples the full relation lacked when they
-            // were derived, so a merge adds — and counts as inserted — all
-            // of them.
+            let into = self.rels[r].as_ref();
+            let delta = delta.get(r).and_then(|t| t.as_deref());
+            let n = merge_runs(workers, r, into, delta, self.threads, &mut self.stats);
             self.counts[r] += n as usize;
-            self.stats.inserts += n;
             added.push((r, n));
         }
         timer.observe(telemetry::Hist::EvalMergeNanos);

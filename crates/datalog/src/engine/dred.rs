@@ -5,7 +5,8 @@
 use super::{Engine, EngineError, RetractOutcome};
 use crate::ast::{Atom, Literal, Rule};
 use crate::eval::{
-    compile_one_at, has_unprefixed_inner_scan, insert_tuples, side_table, SideTables, Worker,
+    compile_one_at, has_unprefixed_inner_scan, insert_tuples, merge_runs, side_table, SideTables,
+    Worker,
 };
 use crate::planner::{self, CostModel, Version};
 use crate::storage::{RelationStorage, TupleBuf};
@@ -367,8 +368,9 @@ impl Engine {
     /// Phase 1 — overdelete, stratum by stratum (a stratum's deletions
     /// depend only on earlier strata and itself), each to fixpoint: the
     /// first round reads the deletion sets themselves as its delta, every
-    /// later one what the round before added. Nothing is physically removed
-    /// yet, so non-delta positions still read the old database.
+    /// later one what the round before added, which the merge of the
+    /// round's runs into the deletion sets writes. Nothing is physically
+    /// removed yet, so non-delta positions still read the old database.
     ///
     /// Before every round the stratum's deletion sets are weighed against
     /// what recomputing from it would rebuild — the exact counts of its
@@ -398,17 +400,19 @@ impl Engine {
                 if plans.is_empty() {
                     break;
                 }
-                let mut new = self.side_tables(&rels, nrels);
                 let extra = deletion_sets(&cx.del_acc, cx.empty.as_ref());
                 let delta = round.as_ref().unwrap_or(&cx.del_acc);
-                self.eval_versions(plans, &extra, delta, &new, &mut cx.workers);
-                let (mut next, mut grew) = (self.side_tables(&[], 0), false);
+                self.eval_versions(plans, &extra, delta, &mut cx.workers);
+                drop(round.take()); // before the merge builds the next
+                let next = self.side_tables(&rels, 0);
+                let mut grew = false;
                 for &r in &rels {
-                    let newly = new[nrels + r].take().expect("allocated above");
-                    let added = side_table(&cx.del_acc, r).merge_from(newly.as_ref(), self.threads);
+                    let (acc, delta) = (side_table(&cx.del_acc, r), side_table(&next, r));
+                    let (workers, stats) = (&mut cx.workers, &mut self.stats);
+                    let added =
+                        merge_runs(workers, nrels + r, acc, Some(delta), self.threads, stats);
                     cx.overdeleted(r, added);
                     grew |= added > 0;
-                    next[r] = Some(newly);
                 }
                 if !grew {
                     break;
@@ -432,11 +436,12 @@ impl Engine {
     }
 
     /// Phase 3 — rederive, stratum by stratum, with what a run has. The
-    /// overdeleted EDB facts that were not retracted, and what one batch of
-    /// seed versions `h(args) :- ~del~h(args), b1, …, bn` re-proves from the
-    /// repaired database, go back in one merge; the stratum's own
-    /// [`fixpoint`](Self::fixpoint) then propagates them through its
-    /// ordinary recursive versions. On a database at a fixpoint that loop
+    /// overdeleted EDB facts that were not retracted, as a run of their
+    /// own, and what one batch of seed versions
+    /// `h(args) :- ~del~h(args), b1, …, bn` re-proves from the repaired
+    /// database, go back in one merge, which writes the first delta; the
+    /// stratum's own [`fixpoint`](Self::fixpoint) then propagates them
+    /// through its ordinary recursive versions. On a database at a fixpoint that loop
     /// derives only overdeleted tuples; on one holding facts added since
     /// the last run it may also derive what those imply, which the next
     /// run would derive anyway.
@@ -451,7 +456,6 @@ impl Engine {
             }
             // Overdeleted EDB facts that were not retracted survive by
             // definition.
-            let new = self.side_tables(&ds, 0);
             for &r in &ds {
                 let (edb, mut keep) = (&self.edb[r], Vec::new());
                 side_table(&cx.del_acc, r).for_each(&mut |t| {
@@ -459,7 +463,7 @@ impl Engine {
                         keep.push(*t);
                     }
                 });
-                insert_tuples(side_table(&new, r), &keep);
+                cx.workers[0].append(r, self.rels[r].width(), &keep);
             }
             let mut seeds = Vec::new();
             for &ri in &stratum.rules {
@@ -472,16 +476,17 @@ impl Engine {
                 }
             }
             let extra = deletion_sets(&cx.del_acc, cx.empty.as_ref());
-            self.eval_versions(&seeds, &extra, &Vec::new(), &new, &mut cx.workers);
+            self.eval_versions(&seeds, &extra, &Vec::new(), &mut cx.workers);
+            let delta = self.side_tables(&ds, 0);
             let mut deltas = vec![0.0; nrels];
-            for (r, added) in self.merge_stratum(&new) {
+            for (r, added) in self.merge_stratum(&ds, &mut cx.workers, &delta) {
                 cx.outcome.rederived += added;
                 deltas[r] = added as f64;
             }
             let (_, mut rec) = self.versions_of(&stratum, stratum.rules.iter().copied());
             if !rec.is_empty() && deltas.iter().any(|&n| n > 0.0) {
                 let workers = &mut cx.workers;
-                cx.outcome.rederived += self.fixpoint(&stratum, &mut rec, new, deltas, workers);
+                cx.outcome.rederived += self.fixpoint(&stratum, &mut rec, delta, deltas, workers);
                 let ran = rec.into_iter().map(|v| ("rederive", Box::new(v)));
                 cx.versions.extend(ran);
             }

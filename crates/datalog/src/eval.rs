@@ -22,11 +22,17 @@
 //! worker's blocks and emit batch span its chunks, and every lookup goes
 //! through the tree's unhinted operations: a block's sorted keys already
 //! hold the locality the paper's thread-local hints cache. Every worker
-//! merges its head tuples, a sorted batch at a time, into the shared `new`
-//! relation through the concurrent storage API. Reads (scans over stable
-//! relations) and writes (batches merged into `new`) never target the same
-//! structure — the two-phase property (§2) the B-tree's synchronization is
-//! specialized for.
+//! sorts its head tuples a batch at a time and appends each batch, as a
+//! sorted run, to a buffer of its own: a flush touches no shared structure.
+//! At the iteration's end one call per relation ([`merge_runs`]) merges
+//! every worker's runs into the full relation, key range by key range,
+//! the ranges claimed off one cursor by the workers, and writes what each
+//! run added into the next
+//! delta — Figure 1's `!path.contains(t)` and its `newPath.insert(t)` and
+//! `path.insert(newPath)` are that one merge, and a derived tuple meets the
+//! full relation once. Reads (scans over stable relations) and writes (the
+//! merge, after every plan has run) never overlap — the two-phase property
+//! (§2) the B-tree's synchronization is specialized for.
 
 use crate::ast::{CmpOp, Rule, Term, MAX_ARITY};
 use crate::planner::IndexCatalog;
@@ -490,8 +496,8 @@ impl Plan {
     }
 }
 
-/// The delta or `new` side tables of one evaluation round, by relation id
-/// (`None` where the round has none).
+/// The delta tables of one evaluation round, by relation id (`None` where
+/// the round has none).
 pub(crate) type SideTables = Vec<Option<Box<dyn RelationStorage>>>;
 
 /// The side table of `rel`, which the caller knows to exist.
@@ -511,39 +517,28 @@ pub(crate) struct StorageEnv<'a> {
     pub full: &'a [&'a dyn RelationStorage],
     /// Delta relations of the current stratum.
     pub delta: &'a SideTables,
-    /// The `new` relations tuples are derived into.
-    pub new: &'a SideTables,
 }
 
 /// The storage step `i` of a plan goes to, at index `i`; `None` for a
 /// filter, which touches no storage.
 type Bound<'a> = Option<&'a dyn RelationStorage>;
 
-/// The head's two tables: the full relation a flushed batch is anti-joined
-/// with and the `new` table the rest is merged into.
-#[derive(Clone, Copy)]
-struct Head<'a> {
-    full: &'a dyn RelationStorage,
-    new: &'a dyn RelationStorage,
-}
-
 impl<'a> StorageEnv<'a> {
-    /// The storage every step of `plan` goes to and the head's two tables,
-    /// resolved once per plan execution.
+    /// The storage every step of `plan` goes to, resolved once per plan
+    /// execution.
     ///
-    /// Scans and membership tests, the head's batched one included, read
-    /// `full` and `delta`, batches go to `new`, and no table is both: the
-    /// two-phase property (§2) that lets the join run inside the outer
-    /// scan's walk and bindings and a batch wait for their blocks and
-    /// flush: nothing a plan reads changes under it.
-    fn bind(&self, plan: &Plan) -> (Vec<Bound<'a>>, Head<'a>) {
+    /// Scans and membership tests read `full` and `delta`; head tuples go
+    /// to the worker's own runs, which no plan reads, and reach a relation
+    /// only in the merge after every plan has run: the two-phase property
+    /// (§2) that lets the join run inside the outer scan's walk and
+    /// bindings wait for their blocks: nothing a plan reads changes under
+    /// it.
+    fn bind(&self, plan: &Plan) -> Vec<Bound<'a>> {
         let source = |rel: usize, delta: bool| match delta {
             true => side_table(self.delta, rel),
             false => self.full[rel],
         };
-        let new = side_table(self.new, plan.head_rel);
-        let bound: Vec<Bound<'a>> = plan
-            .steps
+        plan.steps
             .iter()
             .map(|step| match step {
                 Step::Scan { rel, delta, .. } | Step::Check { rel, delta, .. } => {
@@ -551,15 +546,7 @@ impl<'a> StorageEnv<'a> {
                 }
                 Step::Filter { .. } => None,
             })
-            .collect();
-        let reads_new = |src: &&dyn RelationStorage| std::ptr::addr_eq(*src, new);
-        assert!(
-            !bound.iter().flatten().any(reads_new),
-            "a plan for relation {} reads the table it derives into",
-            plan.head_rel
-        );
-        let full = self.full[plan.head_rel];
-        (bound, Head { full, new })
+            .collect()
     }
 }
 
@@ -581,25 +568,134 @@ fn read_range(
     }
 }
 
-/// What one worker keeps from one plan execution to the next.
+/// What one worker keeps from one plan execution to the next, each buffer
+/// for its allocation (a fresh buffer of up to 640 KB per execution is an
+/// `mmap` each).
 #[derive(Default)]
 pub(crate) struct Worker {
     /// The join's operations.
     pub stats: EvalStats,
-    /// The emit batch: empty between plan executions, kept for its
-    /// allocation (a fresh buffer of up to 640 KB per execution is an `mmap`
-    /// each).
-    buf: EmitBuf,
-    /// A block of bindings per step, kept the same way.
+    /// What the emit batch's and every block's sort ping-pongs with.
+    scratch: Vec<u64>,
+    /// A block of bindings per step.
     blocks: Vec<Block>,
+    /// The runs this worker's flushes appended, by head relation id, until
+    /// the iteration's merge takes them ([`merge_runs`]).
+    runs: Vec<Runs>,
 }
 
-/// Head tuples derived and not yet applied to the head's two tables, end to
-/// end at the head's arity, and what sorting them ping-pongs with.
+impl Worker {
+    /// Appends `tuples`, cut to `width` words, as a run of this worker's for
+    /// head `head`, sorted and each distinct tuple once, as a flush does.
+    pub(crate) fn append(&mut self, head: usize, width: usize, tuples: &[TupleBuf]) {
+        let runs = runs_of(&mut self.runs, head);
+        runs.words.extend(tuples.iter().flat_map(|t| &t[..width]));
+        runs.seal(width, &mut self.scratch);
+    }
+}
+
+/// One worker's sorted runs for one head relation, end to end in one
+/// buffer at the head's arity, followed by the emit batch that will be the
+/// next run. While the buffer holds no more tuples than the iterations'
+/// merges have added to the relation (`merged`), its runs stay apart. Past
+/// that, a run no shorter than the one before it is merged into it,
+/// repeats dropped, back to the last run sealed below the mark: past the
+/// mark the runs shrink from first to last, each a set of what the worker
+/// derived, and a buffer that derives the same tuples again stops growing.
+/// Kept flat, a closure that re-derives most of its relation each round
+/// held every derivation (peak RSS 14 → 362 MiB on the symmetric closure
+/// of a 300-vertex graph); merged from the first run, `tc_random` paid 8 %
+/// of `run_s` in moves that found few repeats (DESIGN.md, "What the runs
+/// cost").
 #[derive(Default)]
-struct EmitBuf {
-    batch: Vec<u64>,
-    scratch: Vec<u64>,
+struct Runs {
+    words: Vec<u64>,
+    /// Where each run ends in `words`.
+    ends: Vec<usize>,
+    /// How many of the runs were sealed below the mark, and stay apart.
+    apart: usize,
+    /// The tuples the merges of the worker's runs added to the relation.
+    merged: usize,
+}
+
+impl Runs {
+    /// Where the emit batch starts: after the last run.
+    fn batch_start(&self) -> usize {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// Sorts the emit batch, keeps each distinct tuple of `width` words
+    /// once and makes it a run, past the mark merged into the runs before
+    /// it while it is no shorter than the last of them; returns the batch's
+    /// distinct tuples.
+    fn seal(&mut self, width: usize, scratch: &mut Vec<u64>) -> usize {
+        let start = self.batch_start();
+        let distinct = sort_batch(&mut self.words[start..], width, width, scratch);
+        self.words.truncate(start + distinct * width);
+        if distinct > 0 {
+            self.ends.push(self.words.len());
+        }
+        if self.words.len() <= self.merged * width {
+            self.apart = self.ends.len();
+        }
+        while let [.., mid, hi] = self.ends[self.apart..] {
+            let lo = self.ends.len().checked_sub(3).map_or(0, |i| self.ends[i]);
+            if hi - mid < mid - lo {
+                break;
+            }
+            scratch.clear();
+            scratch.reserve_exact(mid - lo);
+            scratch.extend_from_slice(&self.words[lo..mid]);
+            let end = merge_sorted(scratch, &mut self.words[lo..hi], width);
+            self.words.truncate(lo + end);
+            self.ends.pop();
+            *self.ends.last_mut().expect("two runs were merged") = self.words.len();
+        }
+        distinct
+    }
+
+    /// The runs, in the order they were sealed.
+    fn iter(&self) -> impl Iterator<Item = &[u64]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(a, &b)| &self.words[a..b])
+    }
+}
+
+/// The runs of head `head` in `runs`, which grows to hold them.
+fn runs_of(runs: &mut Vec<Runs>, head: usize) -> &mut Runs {
+    if runs.len() <= head {
+        runs.resize_with(head + 1, Runs::default);
+    }
+    &mut runs[head]
+}
+
+/// Merges the runs every worker appended for head `head` into `into` on up
+/// to `threads` threads and writes what each run added into `delta`, when
+/// there is one, as a run ([`RelationStorage::merge_runs`]): Figure 1's
+/// `contains` and `insert` of every tuple the iteration derived. Empties the
+/// workers' runs of `head`, keeping their allocation, and returns how many
+/// tuples were added, which `stats` counts as emitted and as inserted into
+/// `into` and into `delta`: `path.insert(newPath)` and `newPath.insert(t)`.
+pub(crate) fn merge_runs(
+    workers: &mut [Worker],
+    head: usize,
+    into: &dyn RelationStorage,
+    delta: Option<&dyn RelationStorage>,
+    threads: usize,
+    stats: &mut EvalStats,
+) -> u64 {
+    let of = workers.iter().filter_map(|w| w.runs.get(head));
+    let runs: Vec<&[u64]> = of.flat_map(Runs::iter).collect();
+    let added = into.merge_runs(&runs, delta, threads);
+    for runs in workers.iter_mut().filter_map(|w| w.runs.get_mut(head)) {
+        runs.words.clear();
+        runs.ends.clear();
+        runs.apart = 0;
+        runs.merged += added as usize;
+    }
+    stats.tuples_emitted += added;
+    stats.inserts += added * (1 + u64::from(delta.is_some()));
+    added
 }
 
 /// Bindings that reached a scan or a check ([`Step::key`]) and wait for it
@@ -646,23 +742,21 @@ impl Step {
 struct Job<'a> {
     plan: &'a Plan,
     bound: Vec<Bound<'a>>,
-    head: Head<'a>,
     chunks: Vec<StorageChunk>,
     cursor: AtomicUsize,
     /// One worker claims every chunk: its blocks and batch span them.
     alone: bool,
 }
 
-/// Evaluates one plan over `env`, deriving tuples into `env.new`, with one
-/// worker per thread. This is where `datalog` spawns threads, and the only
-/// place.
+/// Evaluates one plan over `env`, deriving tuples into the workers' runs,
+/// with one worker per thread. This is where `datalog` spawns threads, and
+/// the only place.
 pub(crate) fn eval_plan(plan: &Plan, env: &StorageEnv<'_>, workers: &mut [Worker]) {
-    let (bound, head) = env.bind(plan);
+    let bound = env.bind(plan);
     let (Some(Step::Scan { prefix, .. }), Some(Some(outer))) = (plan.steps.first(), bound.first())
     else {
         // Degenerate plan (starts with a check): evaluate sequentially.
-        let Worker { stats, buf, blocks } = &mut workers[0];
-        let mut evaluator = Evaluator::new(plan, &bound, head, stats, buf, blocks);
+        let (mut evaluator, blocks) = Evaluator::new(plan, &bound, &mut workers[0]);
         let mut vars = vec![0u64; plan.nvars];
         evaluator.run_from(0, &mut vars, blocks);
         return evaluator.finish(0, &mut vars, blocks);
@@ -685,7 +779,6 @@ pub(crate) fn eval_plan(plan: &Plan, env: &StorageEnv<'_>, workers: &mut [Worker
     let job = Job {
         plan,
         bound,
-        head,
         chunks,
         cursor: AtomicUsize::new(0),
         alone: active == 1,
@@ -707,9 +800,8 @@ impl Job<'_> {
     /// chunk's end; alone, after its last chunk.
     fn run(&self, worker: &mut Worker) {
         let plan = self.plan;
-        let Worker { stats, buf, blocks } = worker;
         let outer = self.bound[0].expect("the outer scan's storage");
-        let mut evaluator = Evaluator::new(plan, &self.bound, self.head, stats, buf, blocks);
+        let (mut evaluator, blocks) = Evaluator::new(plan, &self.bound, worker);
         let inner_blocks = &mut blocks[1..];
         let mut vars = vec![0u64; plan.nvars];
         loop {
@@ -744,11 +836,12 @@ struct Evaluator<'p, 'c> {
     plan: &'p Plan,
     /// The storage of every step ([`StorageEnv::bind`]).
     bound: &'p [Bound<'p>],
-    head: Head<'p>,
     /// The one context every lookup of this worker goes through.
     ctx: StorageCtx,
     stats: &'c mut EvalStats,
-    buf: &'c mut EmitBuf,
+    scratch: &'c mut Vec<u64>,
+    /// The worker's runs of the head relation, the emit batch at their end.
+    out: &'c mut Runs,
     /// Where [`emit`](Self::emit) flushes: [`EMIT_BATCH`] head tuples, or
     /// [`BATCH_CEILING`] while blocks flush between them.
     flush_at: usize,
@@ -788,28 +881,27 @@ const BLOCK: usize = 4_096;
 const BATCH_CEILING: usize = 4 * EMIT_BATCH;
 
 impl<'p, 'c> Evaluator<'p, 'c> {
-    /// An evaluator of `plan` on one worker; `blocks` grows to a block per
-    /// step.
+    /// An evaluator of `plan` on `worker`, and the worker's blocks, grown
+    /// to a block per step.
     fn new(
         plan: &'p Plan,
         bound: &'p [Bound<'p>],
-        head: Head<'p>,
-        stats: &'c mut EvalStats,
-        buf: &'c mut EmitBuf,
-        blocks: &mut Vec<Block>,
-    ) -> Self {
+        worker: &'c mut Worker,
+    ) -> (Self, &'c mut [Block]) {
+        let blocks = &mut worker.blocks;
         blocks.resize_with(blocks.len().max(plan.steps.len()), Block::default);
         let blocked = plan.steps.iter().skip(1).any(|s| s.key().is_some());
         let flush_at = if blocked { BATCH_CEILING } else { EMIT_BATCH };
-        Evaluator {
+        let evaluator = Evaluator {
             plan,
             bound,
-            head,
             ctx: StorageCtx,
-            stats,
-            buf,
+            stats: &mut worker.stats,
+            scratch: &mut worker.scratch,
+            out: runs_of(&mut worker.runs, plan.head_rel),
             flush_at,
-        }
+        };
+        (evaluator, blocks)
     }
 
     /// Takes tuple `t` of the scan at step `si` through the scan's binds
@@ -881,7 +973,7 @@ impl<'p, 'c> Evaluator<'p, 'c> {
             return;
         }
         let (width, nvars) = (step.key().map_or(0, <[Slot]>::len) + 1, vars.len());
-        sort_batch(keys, width, width - 1, &mut self.buf.scratch);
+        sort_batch(keys, width, width - 1, self.scratch);
         let mut at = 0;
         while at < keys.len() {
             let key = &keys[at..at + width - 1];
@@ -927,7 +1019,8 @@ impl<'p, 'c> Evaluator<'p, 'c> {
         vars.copy_from_slice(&envs[envs.len() - nvars..]);
         keys.clear();
         envs.clear();
-        if self.buf.batch.len() >= EMIT_BATCH * self.plan.head_slots.len().max(1) {
+        let batch = self.out.words.len() - self.out.batch_start();
+        if batch >= EMIT_BATCH * self.plan.head_slots.len().max(1) {
             self.flush();
         }
     }
@@ -947,36 +1040,29 @@ impl<'p, 'c> Evaluator<'p, 'c> {
     fn emit(&mut self, vars: &[u64]) {
         let head = &self.plan.head_slots;
         let width = head.len().max(1); // a nullary head is one zero column
-        let batch = &mut self.buf.batch;
-        let at = batch.len();
-        batch.resize(at + width, 0);
-        for (w, slot) in batch[at..].iter_mut().zip(head) {
+        let words = &mut self.out.words;
+        let at = words.len();
+        words.resize(at + width, 0);
+        for (w, slot) in words[at..].iter_mut().zip(head) {
             *w = slot.value(vars);
         }
-        if batch.len() >= self.flush_at * width {
+        if words.len() - self.out.batch_start() >= self.flush_at * width {
             self.flush();
         }
     }
 
-    /// Applies the batch as one run: sorted, each distinct tuple once, then
-    /// the Figure 1 pattern — check the full relation, insert into `new`
-    /// when unseen — as one anti-join over `full` and one merge of what is
-    /// left into `new`: two calls a batch, each tree visited leaf group by
-    /// leaf group, not one call and one probe per tuple. Deferring them
-    /// changes no result: nothing a plan reads is written while it runs
-    /// ([`StorageEnv::bind`]). Every plan execution ends with a flush, so
-    /// `new` is complete when [`eval_plan`] returns.
+    /// Makes the batch a run of the worker's: sorted, each distinct tuple
+    /// once. Nothing shared is touched: Figure 1's check of the full
+    /// relation and its insert of what is unseen are the iteration's merge
+    /// of every worker's runs ([`merge_runs`]), which counts what it adds.
+    /// Deferring them changes no result: nothing a plan reads is written
+    /// while it runs ([`StorageEnv::bind`]). Each distinct tuple of the
+    /// batch counts as one membership test, here, whether or not runs
+    /// merged past the mark ([`Runs`]) drop it again before the merge.
     fn flush(&mut self) {
-        let EmitBuf { batch, scratch } = &mut *self.buf;
         let width = self.plan.head_slots.len().max(1);
-        let distinct = sort_batch(batch, width, width, scratch);
-        let run = &mut batch[..distinct * width];
-        let kept = self.head.full.retain_absent(run);
-        let added = self.head.new.insert_run(&run[..kept * width]);
-        self.stats.membership_tests += distinct as u64;
-        self.stats.inserts += kept as u64;
-        self.stats.tuples_emitted += added;
-        batch.clear();
+        let distinct = self.out.seal(width, self.scratch) as u64;
+        self.stats.membership_tests += distinct;
     }
 }
 
@@ -1013,20 +1099,91 @@ fn sort_batch(batch: &mut [u64], width: usize, lead: usize, scratch: &mut Vec<u6
     }
 }
 
+/// Merges the sorted run `a` into `buf`, whose tail past `a`'s length
+/// holds a sorted run `b` — tuples of `width` words each, end to end, each
+/// distinct within its run — and returns how many words of `buf` now hold
+/// their union, sorted, each distinct tuple once. Written front to back: a
+/// tuple is never written past the next one of `b` still to be read. An
+/// arm per width, as in [`sort_batch`].
+fn merge_sorted(a: &[u64], buf: &mut [u64], width: usize) -> usize {
+    fn merge<const K: usize>(a: &[u64], buf: &mut [u64]) -> usize {
+        let a = a.as_chunks::<K>().0;
+        let buf = buf.as_chunks_mut::<K>().0;
+        let (mut i, mut j, mut w) = (0, a.len(), 0);
+        while i < a.len() && j < buf.len() {
+            let order = a[i].cmp(&buf[j]);
+            buf[w] = if order.is_le() { a[i] } else { buf[j] };
+            w += 1;
+            i += usize::from(order.is_le());
+            j += usize::from(order.is_ge());
+        }
+        let rest = a.len() - i;
+        buf[w..w + rest].copy_from_slice(&a[i..]);
+        buf.copy_within(j.., w + rest);
+        (w + rest + buf.len() - j) * K
+    }
+    match width {
+        0 | 1 => merge::<1>(a, buf),
+        2 => merge::<2>(a, buf),
+        3 => merge::<3>(a, buf),
+        4 => merge::<4>(a, buf),
+        _ => merge::<MAX_ARITY>(a, buf),
+    }
+}
+
 /// Stores `tuples` in `dst` as one sorted run of its width and returns how
 /// many were new: how loaded facts and every retraction write reach a
-/// relation, the way a flushed batch reaches `new`.
+/// relation, the way a flushed batch's run reaches its relation.
 pub(crate) fn insert_tuples(dst: &dyn RelationStorage, tuples: &[TupleBuf]) -> u64 {
     let width = dst.width();
     let mut run: Vec<u64> = tuples.iter().flat_map(|t| &t[..width]).copied().collect();
     let distinct = sort_batch(&mut run, width, width, &mut Vec::new());
-    dst.insert_run(&run[..distinct * width])
+    dst.merge_runs(&[&run[..distinct * width]], None, 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse;
+
+    /// Below the mark a worker's runs stay apart; past it they merge and
+    /// drop repeats, so a head that derives the same tuples batch after
+    /// batch stops growing (flat, these 400 batches would hold 40 000
+    /// tuples), every run still strictly ascending.
+    #[test]
+    fn runs_past_the_mark_merge_and_drop_repeats() {
+        let (width, mut scratch) = (2, Vec::new());
+        let mut runs = Runs {
+            merged: 1_000,
+            ..Runs::default()
+        };
+        let mut seal = |runs: &mut Runs, from: u64| {
+            runs.words
+                .extend((from..from + 100).rev().flat_map(|i| [i % 7, i]));
+            runs.seal(width, &mut scratch)
+        };
+        for b in 0..10 {
+            assert_eq!(seal(&mut runs, b * 100), 100);
+        }
+        assert_eq!(runs.ends.len(), 10, "below the mark the runs stay apart");
+        for b in 0..390 {
+            assert_eq!(seal(&mut runs, b % 10 * 100), 100);
+        }
+        assert!(
+            runs.words.len() <= (1_000 + 3 * 1_000) * width,
+            "{}",
+            runs.words.len()
+        );
+        let mut all = std::collections::BTreeSet::new();
+        for run in runs.iter() {
+            let tuples: Vec<&[u64]> = run.chunks(width).collect();
+            assert!(tuples.windows(2).all(|w| w[0] < w[1]), "a run ascends");
+            all.extend(tuples);
+        }
+        let model: std::collections::BTreeSet<Vec<u64>> =
+            (0..1_000).map(|i| vec![i % 7, i]).collect();
+        assert!(all.iter().copied().eq(model.iter().map(Vec::as_slice)));
+    }
 
     fn rel_ids(names: &[&str]) -> HashMap<String, usize> {
         names

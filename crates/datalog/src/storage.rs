@@ -9,9 +9,11 @@
 //! from Soufflé's generated code. At the trait boundary tuples travel as
 //! [`TupleBuf`]s — padded to [`MAX_ARITY`] words; padding zeros never
 //! affect equality or lexicographic prefix order — and a backend narrows
-//! them on the way in and widens them on the way out. A sorted run
-//! ([`RelationStorage::insert_run`], [`RelationStorage::retain_absent`])
-//! is the other way tuples cross: end to end at the storage's width.
+//! them on the way in and widens them on the way out. Sorted runs
+//! ([`RelationStorage::merge_runs`]) are the other way tuples cross: end to
+//! end at the storage's width. A merge of runs is also the anti-join of
+//! Figure 1's `!path.contains(t)`: it writes what it added into the next
+//! delta, and nothing else looks a derived tuple up in its relation.
 //!
 //! The specialized B-tree's adapter reads through the tree's own cursor: a
 //! prefix scan is `prefix_range`, a chunk `chunk_range`, both walked a leaf
@@ -121,26 +123,40 @@ pub trait RelationStorage: Send + Sync {
     /// concurrently inserted.
     fn contains(&self, t: &TupleBuf, ctx: &mut StorageCtx) -> bool;
 
-    /// The anti-join of a sorted batch with this relation: `run` holds
-    /// tuples of the storage's [`width`](Self::width) words each, end to
-    /// end, strictly ascending; those the relation does not contain are
-    /// moved to its front, in order, and counted. Concurrency as for
-    /// [`contains`](Self::contains). The specialized B-tree answers the run
-    /// leaf group by leaf group (`BTreeSet::retain_absent`); this default
-    /// asks tuple by tuple.
-    fn retain_absent(&self, run: &mut [u64]) -> usize {
-        absent_sequential(self, run)
-    }
-
-    /// Inserts a sorted batch, laid out as for
-    /// [`retain_absent`](Self::retain_absent), and returns how many of its
-    /// tuples were new. Concurrency as for [`insert`](Self::insert). The
-    /// specialized B-tree merges the run leaf group by leaf group
-    /// (`BTreeSet::insert_run`), and into each secondary index the same run
-    /// permuted and put in the index's order; this default inserts tuple by
-    /// tuple.
-    fn insert_run(&self, run: &[u64]) -> u64 {
-        insert_sequential(self, run)
+    /// Merges sorted runs into this relation, writes what each run added
+    /// into `delta`, when there is one, as one run, and returns how many
+    /// tuples were added. A run holds tuples of the storage's
+    /// [`width`](Self::width) words each, end to end, strictly ascending;
+    /// runs may overlap, and a tuple two runs hold is added, and written to
+    /// `delta`, once. Concurrency as for [`insert`](Self::insert). The
+    /// specialized B-tree cuts the runs' key space into ranges claimed off
+    /// one cursor on up to `workers` threads, merges each run's piece of a
+    /// range leaf group by leaf group (`BTreeSet::insert_runs`), and puts
+    /// what a piece added, permuted, into each secondary index as one run
+    /// too; this default inserts tuple by tuple on the calling thread,
+    /// whatever `workers` says, a locked kind taking its lock per tuple.
+    fn merge_runs(
+        &self,
+        runs: &[&[u64]],
+        delta: Option<&dyn RelationStorage>,
+        workers: usize,
+    ) -> u64 {
+        let _ = workers;
+        let (arity, mut ctx) = (self.width(), self.make_ctx());
+        let (mut added, mut fresh) = (0, Vec::new());
+        for run in runs {
+            fresh.clear();
+            for t in run.chunks_exact(arity) {
+                if self.insert(&pad(t), &mut ctx) {
+                    fresh.extend_from_slice(t);
+                }
+            }
+            added += (fresh.len() / arity) as u64;
+            if let Some(delta) = delta {
+                delta.merge_runs(&[&fresh], None, 1);
+            }
+        }
+        added
     }
 
     /// Calls `f` for every tuple whose leading words equal `prefix`.
@@ -220,9 +236,9 @@ pub trait RelationStorage: Send + Sync {
     }
 
     /// Merges every tuple of `src` into `self` on up to `workers` threads,
-    /// returning how many tuples were actually added — the engine's
-    /// end-of-iteration `new → full` fold, with duplicate detection fused
-    /// into the merge itself (no second counting pass).
+    /// returning how many tuples were actually added — how the engine seeds
+    /// a fixpoint's first delta with a whole relation, with duplicate
+    /// detection fused into the merge itself (no second counting pass).
     ///
     /// The default is the sequential per-tuple fallback every backend
     /// supports; the specialized B-tree overrides it with the parallel
@@ -327,27 +343,6 @@ fn retract_sequential(dst: &(impl RelationStorage + ?Sized), src: &dyn RelationS
     let mut removed = 0u64;
     src.for_each(&mut |t| removed += u64::from(dst.remove(t, &mut ctx)));
     removed
-}
-
-/// The per-tuple anti-join every backend supports: `contains` on each tuple
-/// of `run` through a context of its own, the absent ones kept.
-fn absent_sequential(s: &(impl RelationStorage + ?Sized), run: &mut [u64]) -> usize {
-    let (arity, mut ctx) = (s.width(), s.make_ctx());
-    let mut kept = 0;
-    for at in (0..run.len()).step_by(arity) {
-        if !s.contains(&pad(&run[at..at + arity]), &mut ctx) {
-            run.copy_within(at..at + arity, kept);
-            kept += arity;
-        }
-    }
-    kept / arity
-}
-
-/// The per-tuple batch insert every backend supports, new tuples counted.
-fn insert_sequential(s: &(impl RelationStorage + ?Sized), run: &[u64]) -> u64 {
-    let (arity, mut ctx) = (s.width(), s.make_ctx());
-    let added = |t: &[u64]| s.insert(&pad(t), &mut ctx);
-    run.chunks_exact(arity).map(added).filter(|&a| a).count() as u64
 }
 
 /// Which data structure backs each relation — the engine-level analog of
@@ -513,8 +508,9 @@ struct SpecBTreeStorage<const K: usize> {
 
 impl<const K: usize> SpecBTreeStorage<K> {
     /// Replays a bulk operation on the primary against every secondary
-    /// index: `walk` yields its tuples ascending, the same on every call.
-    /// They are put, permuted, in the index's order with the kernel
+    /// index: `walk` yields its tuples ascending, the same on every call —
+    /// what a run added, or a whole source tree. They are put, permuted, in
+    /// the index's order with the kernel
     /// [`add_index`](RelationStorage::add_index) builds with; a merge hands
     /// them over as one run, a removal is `remove` per tuple in that order.
     fn maintain_indexes<I>(&self, walk: impl Fn() -> I, remove: bool)
@@ -531,7 +527,7 @@ impl<const K: usize> SpecBTreeStorage<K> {
             if remove {
                 run.iter().for_each(|p| _ = ix.tree.remove(p));
             } else {
-                ix.tree.insert_run(&run);
+                ix.tree.insert_run(&run, |_| {});
             }
         }
         timer.observe(telemetry::Hist::EvalIndexMaintainNanos);
@@ -565,18 +561,31 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
         self.tree.contains(&key(t))
     }
 
-    fn retain_absent(&self, run: &mut [u64]) -> usize {
-        let (tuples, rest) = run.as_chunks_mut::<K>();
-        debug_assert!(rest.is_empty(), "a run of {K}-word tuples");
-        self.tree.retain_absent(tuples)
-    }
-
-    fn insert_run(&self, run: &[u64]) -> u64 {
-        let (tuples, rest) = run.as_chunks::<K>();
-        debug_assert!(rest.is_empty(), "a run of {K}-word tuples");
-        let added = self.tree.insert_run(tuples);
-        self.maintain_indexes(|| tuples.iter().copied(), false);
-        added
+    fn merge_runs(
+        &self,
+        runs: &[&[u64]],
+        delta: Option<&dyn RelationStorage>,
+        workers: usize,
+    ) -> u64 {
+        let runs: Vec<&[[u64; K]]> = runs
+            .iter()
+            .map(|run| {
+                let (tuples, rest) = run.as_chunks::<K>();
+                debug_assert!(rest.is_empty(), "a run of {K}-word tuples");
+                tuples
+            })
+            .collect();
+        let sink = |added: &[[u64; K]]| {
+            if let Some(delta) = delta {
+                delta.merge_runs(&[added.as_flattened()], None, 1);
+            }
+            self.maintain_indexes(|| added.iter().copied(), false);
+        };
+        // Nobody takes what was added from a table without a delta or an
+        // index: loaded facts, a delta table itself.
+        let takes = delta.is_some() || !self.indexes.is_empty();
+        self.tree
+            .insert_runs(&runs, workers.max(1), takes.then_some(&sink))
     }
 
     fn scan_prefix(&self, prefix: &[u64], _ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
@@ -977,22 +986,29 @@ mod tests {
         }
     }
 
-    /// The two run methods against the model: on a storage of the tuples'
+    /// A merge of runs against the model: on a storage of the tuples'
     /// width, on a `create()`d one fed the same tuples padded to its width,
-    /// and on a relation that carries an index, which the run must keep
-    /// exact.
+    /// and on a relation that carries an index, which the merge must keep
+    /// exact. Two overlapping runs add their union less what was there,
+    /// each new tuple once, and the delta holds exactly those.
     fn exercise_runs(kind: StorageKind, arity: usize) {
         let base: Vec<TupleBuf> = (0..60u64).map(|i| tuple(arity, i % 6, i / 2)).collect();
-        let run: Model<TupleBuf> = (0..90u64).map(|i| tuple(arity, i % 9, i / 3)).collect();
+        let runs: [Model<TupleBuf>; 2] = [
+            (0..90u64).map(|i| tuple(arity, i % 9, i / 3)).collect(),
+            (45..120u64).map(|i| tuple(arity, i % 9, i / 3)).collect(),
+        ];
         let model: Model<TupleBuf> = base.iter().copied().collect();
+        let union: Model<TupleBuf> = runs.iter().flatten().copied().collect();
+        let fresh: Model<TupleBuf> = union.difference(&model).copied().collect();
+        assert!(!fresh.is_empty() && fresh.len() < union.len());
         let perm: Vec<usize> = (0..arity).rev().collect();
         for (width, indexed) in [(arity, false), (MAX_ARITY, false), (arity, true)] {
             let what = format!("{} arity {arity} in {width} words", kind.label());
-            let flat = |ts: &mut dyn Iterator<Item = &TupleBuf>| -> Vec<u64> {
-                ts.flat_map(|t| t[..width].iter().copied()).collect()
+            let flat = |ts: &Model<TupleBuf>| -> Vec<u64> {
+                ts.iter().flat_map(|t| t[..width].iter().copied()).collect()
             };
-            let (all, absent) = (flat(&mut run.iter()), flat(&mut run.difference(&model)));
-            assert!(!absent.is_empty() && absent.len() < all.len());
+            let words = runs.each_ref().map(flat);
+            let words: Vec<&[u64]> = words.iter().map(Vec::as_slice).collect();
             let mut s = kind.create_for(width);
             let index = indexed.then(|| s.add_index(&perm, 1)).flatten();
             if indexed && index.is_none() {
@@ -1002,23 +1018,25 @@ mod tests {
             base.iter()
                 .for_each(|t| assert!(s.insert(t, &mut ctx), "{what}"));
 
-            let mut words = all.clone();
-            let kept = s.retain_absent(&mut words);
-            assert_eq!(words[..kept * width], absent[..], "{what}");
-            assert_eq!(contents(&*s), model, "{what}: an anti-join writes nothing");
-            assert_eq!(s.retain_absent(&mut []), 0, "{what}");
-
-            assert_eq!(s.insert_run(&all) as usize, absent.len() / width, "{what}");
-            assert_eq!(s.insert_run(&all), 0, "{what}: nothing left to add");
-            let union: Model<TupleBuf> = model.union(&run).copied().collect();
-            assert_eq!(contents(&*s), union, "{what}");
-            assert_eq!(s.retain_absent(&mut all.clone()), 0, "{what}");
+            let delta = kind.create_for(width);
+            let added = s.merge_runs(&words, Some(delta.as_ref()), 2);
+            assert_eq!(added as usize, fresh.len(), "{what}");
+            assert_eq!(
+                contents(&*delta),
+                fresh,
+                "{what}: the delta is what was added"
+            );
+            let all: Model<TupleBuf> = model.union(&union).copied().collect();
+            assert_eq!(contents(&*s), all, "{what}");
+            assert_eq!(s.merge_runs(&words, Some(delta.as_ref()), 2), 0, "{what}");
+            assert_eq!(s.merge_runs(&[], None, 2), 0, "{what}");
+            assert_eq!(contents(&*delta), fresh, "{what}: nothing more added");
             if let Some(id) = index {
                 let mut by_index = Model::new();
                 s.scan_index(id, &perm, &[], &mut ctx, &mut |t| {
                     assert!(by_index.insert(*t))
                 });
-                assert_eq!(by_index, union, "{what}: index {perm:?}");
+                assert_eq!(by_index, all, "{what}: index {perm:?}");
             }
         }
     }

@@ -1,7 +1,8 @@
 //! Differential test for the emit batch: head tuples wait in a per-worker
-//! buffer that is sorted, deduplicated and applied as one run — an anti-join
-//! over the full relation, what is left merged into `new`; leaf group by
-//! leaf group on the trees, tuple by tuple on the other kinds — when it
+//! buffer that is sorted, deduplicated and sealed as one run — which the
+//! iteration's merge puts into the full relation, what it adds into the
+//! next delta; leaf group by leaf group on the trees, tuple by tuple on the
+//! other kinds — when it
 //! holds 16 384 tuples (in a plan that reads by blocks, at the first block
 //! boundary after that, or past 65 536), when a chunk ends if several
 //! workers share the plan, and once when a worker has run its last chunk or

@@ -555,12 +555,16 @@ fn seam_does_the_same_work_on_narrower_trees() {
     // its duplicates before it issues any (173 912 and 151 818 while a batch
     // held 4 096 tuples; one of 16 384 holds more repeats of a tuple, and
     // 173 330 and 151 663 while it was flushed where each chunk ended).
+    // 151 473 inserts while a flush inserted into a `new` tree what its
+    // anti-join with `path` found absent — a tuple once per batch that held
+    // it — and `new` was then merged into `path`: the iteration's merge now
+    // counts each tuple it adds twice, into `path` and into the next delta.
     assert_eq!(stats.membership_tests, 172_842);
-    assert_eq!(stats.inserts, 151_473);
+    assert_eq!(stats.inserts, 150_556);
 
-    // No hinted operation: a flushed batch is one anti-join over `path` and
-    // one grouped merge into its `new` table, and the scans read by blocks
-    // through the tree's unhinted lower bound.
+    // No hinted operation: a flushed batch is a sorted run of the worker's,
+    // the iteration merges the runs into `path` leaf group by leaf group,
+    // and the scans read by blocks through the tree's unhinted lower bound.
     assert_eq!(stats.hints, HintStats::default());
 
     // Node bytes per `path` tuple in the same run before the rework, when

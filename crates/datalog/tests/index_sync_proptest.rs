@@ -1,6 +1,6 @@
 //! Property tests pinning secondary indexes to their primary: after any
 //! interleaving of inserts, removes, bulk `merge_from`, `retract_from` and
-//! `insert_run`, every registered index permutation must yield **exactly**
+//! `merge_runs`, every registered index permutation must yield **exactly**
 //! the primary's tuple set (and permuted-prefix probes must equal the
 //! filtered model). Covers the real index-maintaining backends (the
 //! specialized B-tree, with and without hints) and the filtered-scan
@@ -271,16 +271,22 @@ proptest! {
                 storage.retract_from(&*src, 4);
                 assert_indexes_in_sync(&*storage, &format!("{what} after bulk retract_from"));
 
-                // A sorted batch, as a retraction's put-back hands it over:
+                // Sorted runs, as an iteration's merge hands them over:
                 // what was retracted comes back, padded to the storage's
-                // width, into the primary and, as a permuted run, into
-                // every index.
+                // width, as a run and again as its back half, into the
+                // primary, into the delta once, and, what a run added as a
+                // permuted run, into every index.
                 let run: BTreeSet<TupleBuf> = retracted.iter().map(|&k| tuple(arity, k)).collect();
-                let fresh = run.difference(&primary_set(&*storage)).count();
+                let fresh: BTreeSet<TupleBuf> =
+                    run.difference(&primary_set(&*storage)).copied().collect();
                 let words: Vec<u64> = run.iter().flat_map(|t| t[..width].iter().copied()).collect();
-                prop_assert_eq!(storage.insert_run(&words) as usize, fresh, "{}", what);
+                let back = &words[words.len() / width / 2 * width..];
+                let delta = kind.create_for(width);
+                let added = storage.merge_runs(&[&words, back], Some(delta.as_ref()), 2);
+                prop_assert_eq!(added as usize, fresh.len(), "{}", what);
+                prop_assert_eq!(primary_set(&*delta), fresh, "{}", what);
                 prop_assert!(run.is_subset(&primary_set(&*storage)), "{}", what);
-                assert_indexes_in_sync(&*storage, &format!("{what} after insert_run"));
+                assert_indexes_in_sync(&*storage, &format!("{what} after merge_runs"));
             }
         }
     }

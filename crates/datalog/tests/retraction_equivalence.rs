@@ -511,9 +511,10 @@ fn retraction_work_is_pinned() {
         lower_bound_calls: stats.lower_bound_calls,
         inner_range_queries: stats.lower_bound_calls - stats.chunks_claimed,
     };
-    // The outcome's counts and `tuples_emitted` are those of the commit
-    // before `retract_facts` was split into phases: the same tuples are
-    // deleted and re-proved. The operation counts fell when deletion sets
+    // The outcome's counts and `tuples_emitted` (but for one, below) are
+    // those of the commit before `retract_facts` was split into phases: the
+    // same tuples are deleted and re-proved. The operation counts fell when
+    // deletion sets
     // entered the cost model at their sizes:
     let pinned = RetractionWork {
         retracted_inputs: 4,
@@ -532,7 +533,10 @@ fn retraction_work_is_pinned() {
         // the seed batch ran: it now goes back with the seeds' tuples, and
         // the seeds' scans of `path` no longer meet it.
         tuples_scanned: 39_225,
-        tuples_emitted: 19_227,
+        // 19 227 while the asserted `path` fact went back into the seed
+        // batch's `new` table uncounted: it is now a run of its own, and the
+        // merge counts every tuple it adds.
+        tuples_emitted: 19_228,
         // 160 245 before: every swept Δ⁻path tuple probed `edge` and `path`.
         // 57 288 until head tuples went to the trees in sorted batches: this
         // counts calls issued, and a batch drops its duplicates first.
@@ -545,9 +549,9 @@ fn retraction_work_is_pinned() {
         // per distinct tuple of a sorted block, and blocks and batches span
         // a worker's chunks. 51 964 while rederivation iterated versions of
         // its own, `path :- ~del~path, …, Δbi, …`, each ending in a probe of
-        // Δ⁻path: the run's versions propagate now and the emit's anti-join
-        // alone filters (3 272 fewer with the asserted fact put back first,
-        // as before; 8 more as it goes back with the seeds).
+        // Δ⁻path: the run's versions propagate now and the merge of the
+        // emitted runs alone filters (3 272 fewer with the asserted fact put
+        // back first, as before; 8 more as it goes back with the seeds).
         membership_tests: 48_700,
         // 8 488 before: one range query per deletion in the seed batches.
         // 4 758 while the side tables, filled in join order, split their

@@ -2,29 +2,35 @@
 //! merge operation which leverages the structure in one B-tree when merged
 //! into another").
 //!
-//! Semi-naive evaluation merges the freshly derived `new` relation into the
-//! full relation after every iteration (`path.insert(newPath.begin(),
-//! newPath.end())` in the paper's Figure 1). There is one way a tree goes
-//! into a tree, and it is by **runs**:
+//! Semi-naive evaluation merges what an iteration derived into the full
+//! relation after every iteration (`path.insert(newPath.begin(),
+//! newPath.end())` in the paper's Figure 1). There is one way keys go
+//! into a tree in bulk, and it is by **runs**:
 //!
 //! 1. A sorted run is applied **leaf group by leaf group**, not tuple by
 //!    tuple: one descent to the parent of a leaf group serves every key the
-//!    group owns ([`BTreeSet::insert_run`], and its read twin
-//!    [`BTreeSet::retain_absent`] — the two calls a Datalog head's batch
-//!    makes). A leaf the run fills splits the one way a point insert's
+//!    group owns ([`BTreeSet::insert_run`]), and each key the run adds is
+//!    handed to the caller, in run order — the merge is also the anti-join
+//!    Figure 1's `!path.contains(t)` makes, and what it reports is the next
+//!    delta. A leaf the run fills splits the one way a point insert's
 //!    does, `split_one` at `leaf_split_point`, and the keys above the cut
 //!    re-route to the new sibling under the same group lock. No merge
 //!    reads or writes a hint.
-//! 2. A source tree is cut into ascending runs along **its own** upper-level
-//!    separators (the machinery parallel scans use), the runs are claimed
-//!    off one cursor by up to `workers` threads, and each is one
+//! 2. Many runs, whose key ranges overlap (a Datalog iteration's flushed
+//!    batches), are cut into key ranges at keys sampled from all of them,
+//!    and the ranges claimed off one cursor by up to `workers` threads, a
+//!    range one `insert_run` per run's piece of it
+//!    ([`BTreeSet::insert_runs`]). A source tree is cut into
+//!    ascending runs along **its own** upper-level separators (the
+//!    machinery parallel scans use) and claimed the same way, each run one
 //!    `insert_run` — or, for a bulk removal, one `remove` per key
 //!    ([`BTreeSet::insert_all_parallel`], [`BTreeSet::remove_all_parallel`];
-//!    [`BTreeSet::insert_all`] is the former at one worker). The
-//!    runs are disjoint key ranges, so two workers meet only where a range
-//!    ends inside a leaf group of the target.
-//!    An empty target takes the source the same way: the first run fills
-//!    the root leaf and splits it, and the rest goes in by groups.
+//!    [`BTreeSet::insert_all`] is the former at one worker). Two workers
+//!    meet where their runs fall into one leaf group of the target; the
+//!    group's write lock orders them, and each added key is reported by the
+//!    one run that wrote it. An empty target takes the source the same way:
+//!    the first run fills the root leaf and splits it, and the rest goes in
+//!    by groups.
 //! 3. A sorted sequence is **bulk-loaded** into a new tree of fully packed
 //!    nodes in O(n) without any per-element descent
 //!    ([`BTreeSet::from_sorted`]).
@@ -49,6 +55,9 @@ const MERGE_CHUNKS_PER_WORKER: usize = 4;
 /// of the run falls back to a fresh descent. Bounded because a concurrent
 /// splitter holding the child may be blocked on *our* parent lock.
 const CHILD_LOCK_ATTEMPTS: usize = 8;
+
+/// What [`BTreeSet::insert_runs`] hands the keys each piece of a run added.
+pub type RunSink<'a, const K: usize> = dyn Fn(&[Tuple<K>]) + Sync + 'a;
 
 /// Where [`BTreeSet::descend_to_group`] stopped.
 #[derive(Clone, Copy)]
@@ -101,7 +110,9 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// the target under concurrent merges/inserts; the source must be
     /// quiescent.
     pub fn insert_all_parallel(&self, other: &BTreeSet<K, C>, workers: usize) -> u64 {
-        other.for_each_run(workers, "btree.merge_chunk", |run| self.insert_run(run))
+        other.for_each_run(workers, "btree.merge_chunk", |run| {
+            self.insert_run(run, |_| {})
+        })
     }
 
     /// Removes every tuple of `other` from `self` on up to `workers`
@@ -128,15 +139,82 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         })
     }
 
-    /// The one bulk driver: cuts this (quiescent) tree into at most
+    /// Merges `runs` into the tree on up to `workers` threads and hands
+    /// `added`, if there is one, the keys each piece of a run added,
+    /// ascending, once the piece is in; returns how many keys were added.
+    /// Each run is strictly ascending and duplicate-free; their key ranges
+    /// may overlap, and a key two runs hold is added, and handed over, by
+    /// exactly one of them.
+    /// The key space is cut into at most `n = workers ×
+    /// MERGE_CHUNKS_PER_WORKER` ranges at the `n`-quantiles of a sample of
+    /// every run (every run read at one stride, about `n²` keys in all),
+    /// and the ranges are claimed off one cursor; a range merges its piece
+    /// of every run, one [`insert_run`](Self::insert_run) each. Runs
+    /// claimed whole that span the key space walk the same leaf groups side
+    /// by side; cut at the longest run's quantiles, one chunk's run of a
+    /// Datalog iteration left most keys to two ranges, and the two-worker
+    /// merge of a 1 500-vertex closure took 0.30–0.33 s where the sampled
+    /// cut takes 0.20–0.22 s (0.33 s at one worker). One worker, or fewer
+    /// keys than a root over full leaves holds (`C²`), is one range, merged
+    /// on the calling thread, as a source too shallow to cut is in
+    /// [`insert_all_parallel`](Self::insert_all_parallel).
+    ///
+    /// Two ranges still meet where a leaf group straddles their bound, and
+    /// at its parent's write lock. A piece that descends to the group after
+    /// the other let go of it finds the other's keys in the leaf's merge
+    /// pass and skips them, without a restart; one whose lease the other's
+    /// write invalidated re-descends, as any merge's upgrade does, and what
+    /// it merged before stays merged and reported.
+    pub fn insert_runs(
+        &self,
+        runs: &[&[Tuple<K>]],
+        workers: usize,
+        added: Option<&RunSink<'_, K>>,
+    ) -> u64 {
+        let keys: usize = runs.iter().map(|r| r.len()).sum();
+        let n = match cap(workers) {
+            w if w > 1 && keys >= C * C => w * MERGE_CHUNKS_PER_WORKER,
+            _ => 1,
+        };
+        let stride = (keys / (n * n)).max(1);
+        let mut sample: Vec<Tuple<K>> = runs
+            .iter()
+            .flat_map(|r| r.iter().step_by(stride))
+            .copied()
+            .collect();
+        sample.sort_unstable();
+        let mut cuts: Vec<Tuple<K>> = (1..n).map(|i| sample[i * sample.len() / n]).collect();
+        cuts.dedup();
+        let start = |run: &[Tuple<K>], cut: Option<&Tuple<K>>| {
+            cut.map_or(run.len(), |c| {
+                run.partition_point(|t| cmp3(t, c) == Ordering::Less)
+            })
+        };
+        claim(cuts.len() + 1, workers, "btree.run", |i, fresh| {
+            let mut n = 0;
+            for run in runs {
+                let lo = i.checked_sub(1).map_or(0, |c| start(run, Some(&cuts[c])));
+                let piece = &run[lo..start(run, cuts.get(i))];
+                let Some(added) = added else {
+                    n += self.insert_run(piece, |_| {});
+                    continue;
+                };
+                fresh.clear();
+                n += self.insert_run(piece, |t| fresh.push(*t));
+                if !fresh.is_empty() {
+                    added(fresh);
+                }
+            }
+            n
+        })
+    }
+
+    /// The bulk driver over a tree: cuts this (quiescent) tree into at most
     /// `workers × MERGE_CHUNKS_PER_WORKER` ascending runs of disjoint key
-    /// ranges, hands each to `apply` under a span named `span`, and sums
-    /// what `apply` returns. The runs are claimed off one cursor by up to
-    /// `workers` scoped threads, capped to the machine's parallelism. One
-    /// worker, or a tree [`partition`](Self::partition) will not cut (no
-    /// deeper than a root over leaves), is served on the calling thread,
-    /// which also keeps the chaos harness in control: no hidden threads at
-    /// `workers == 1`.
+    /// ranges and hands each to `apply` ([`claim`]), summing what it
+    /// returns. A tree [`partition`](Self::partition) will not cut (no
+    /// deeper than a root over leaves) is one run, served on the calling
+    /// thread.
     ///
     /// The cut is made at one worker too. The boundaries buy no balance
     /// there, but a run is copied out of the tree into a buffer that starts
@@ -153,35 +231,11 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         if self.is_empty() {
             return 0;
         }
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let workers = workers.clamp(1, cores);
-        let chunks = self.partition(workers.saturating_mul(MERGE_CHUNKS_PER_WORKER));
-        let (total, cursor) = (AtomicU64::new(0), AtomicUsize::new(0));
-        let claim = || {
-            let (mut run, mut sum) = (Vec::new(), 0u64);
-            loop {
-                let i = cursor.fetch_add(1, Relaxed);
-                let Some(chunk) = chunks.get(i) else { break };
-                telemetry::count(telemetry::Counter::BtreeMergeChunks);
-                let _span = telemetry::span(span, i as u64);
-                run.clear();
-                self.chunk_range(chunk).for_each(|t| run.push(t));
-                sum += apply(&run);
-            }
-            total.fetch_add(sum, Relaxed);
-        };
-        match workers.min(chunks.len()) {
-            1 => claim(),
-            threads => std::thread::scope(|s| {
-                // Each worker runs the same claiming loop; the borrow keeps
-                // the closure reusable across spawns.
-                #[allow(clippy::needless_borrows_for_generic_args)]
-                for _ in 0..threads {
-                    s.spawn(&claim);
-                }
-            }),
-        }
-        total.load(Relaxed)
+        let chunks = self.partition(cap(workers).saturating_mul(MERGE_CHUNKS_PER_WORKER));
+        claim(chunks.len(), workers, span, |i, run| {
+            self.chunk_range(&chunks[i]).for_each(|t| run.push(t));
+            apply(run)
+        })
     }
 
     /// Merges a strictly ascending, duplicate-free run into the tree with a
@@ -193,7 +247,10 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// transitions and an O(leaf) shift per key; this pays one descent and
     /// two lock transitions per parent group (up to `C + 1` leaves) plus a
     /// bounded try-lock per leaf and one O(leaf + batch) in-place merge per
-    /// touched leaf. Returns the number of keys actually added. Safe under
+    /// touched leaf. Hands `added` every key the run adds, in run order,
+    /// while the lock of the leaf it goes into is held, and returns their
+    /// number: the run less what the tree held, which is what Figure 1's
+    /// `contains` before each insert would have found. Safe under
     /// concurrent runs, merges and point inserts; reads and writes no hint.
     ///
     /// Group ownership argument: the descent tracks the tightest right-hand
@@ -212,14 +269,19 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     /// extra per-level state bloats the hot loop for a descent that is only
     /// 3–4 levels; the grouped lock already amortizes the descent across
     /// dozens of leaves.
-    pub fn insert_run(&self, run: &[Tuple<K>]) -> u64 {
+    pub fn insert_run(&self, run: &[Tuple<K>], mut added: impl FnMut(&Tuple<K>)) -> u64 {
         debug_assert!(run.is_sorted_by(|a, b| cmp3(a, b) == Ordering::Less));
         if run.is_empty() {
             return 0;
         }
         self.ensure_root();
         telemetry::add(telemetry::Counter::BtreeRunKeys, run.len() as u64);
-        let (mut added, mut i) = (0u64, 0usize);
+        let mut n = 0u64;
+        let added = &mut |t: &Tuple<K>| {
+            n += 1;
+            added(t)
+        };
+        let mut i = 0usize;
         while i < run.len() {
             let Some((group, lease, upper)) = self.descend_to_group(&run[i]) else {
                 i += 1; // an ancestor's separator: a duplicate
@@ -232,14 +294,14 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 continue;
             }
             i = match group {
-                Group::RootLeaf(leaf) => self.merge_into_root_leaf(leaf, run, i, &mut added),
-                Group::Parent(parent) => self.merge_group(parent, run, i, &upper, &mut added),
+                Group::RootLeaf(leaf) => self.merge_into_root_leaf(leaf, run, i, added),
+                Group::Parent(parent) => self.merge_group(parent, run, i, &upper, added),
             };
         }
-        added
+        n
     }
 
-    /// The descent both run operations share — Algorithm 1's read side,
+    /// The descent of a run — Algorithm 1's read side,
     /// restarted until it validates: the lowest inner node on `val`'s path
     /// (the parent of `val`'s leaf group) or the root while the tree is one
     /// leaf; its lease, validated after the child was read; and the tightest
@@ -290,73 +352,6 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         }
     }
 
-    /// The read twin of [`insert_run`](Self::insert_run): moves the keys of
-    /// the strictly ascending `run` that the tree lacks to its front, in
-    /// order, and returns their number. One descent per leaf group, no lock,
-    /// no hint. Linearizable per key under concurrent inserts: one present
-    /// before the call is never kept, one absent until it returns always is.
-    ///
-    /// Ownership argument. What the parent owns changes only through writes
-    /// that end on the parent (its split, a separator swapped in from its
-    /// spine), so while its lease validates every run key from `run[i]` up
-    /// to `upper` is the parent's separator, or in the one child its
-    /// separators route it to, or nowhere: an ancestor's separator is below
-    /// `run[i]` or at least `upper`, and a key moves from under the parent
-    /// to an ancestor only when the parent splits. Each child is read under
-    /// a lease of its own taken hand over hand (child lease started, parent
-    /// lease validated again), so the leaf joined owned the sub-run when its
-    /// lease began. Nothing is written to `run` before that lease validates:
-    /// `run` is input and output at once, and compacting over a torn read
-    /// loses keys the retry needs. A failed validation re-descends for the
-    /// rest; what was committed stays.
-    pub fn retain_absent(&self, run: &mut [Tuple<K>]) -> usize {
-        debug_assert!(run.is_sorted_by(|a, b| cmp3(a, b) == Ordering::Less));
-        if self.root.load(Relaxed).is_null() {
-            return run.len();
-        }
-        telemetry::add(telemetry::Counter::BtreeRunKeys, run.len() as u64);
-        let (mut kept, mut i) = (0usize, 0usize);
-        'run: while i < run.len() {
-            let Some((group, lease, upper)) = self.descend_to_group(&run[i]) else {
-                i += 1; // an ancestor's separator: present
-                continue;
-            };
-            let pn = match group {
-                Group::RootLeaf(leaf) => {
-                    // The root leaf is the whole tree: nothing bounds the join.
-                    i = join_leaf(leaf, lease, run, i, &None, &mut kept).unwrap_or(i);
-                    continue;
-                }
-                Group::Parent(parent) => parent,
-            };
-            let (mut x, _) = pn.search(&run[i], pn.num_clamped());
-            while i < run.len() && below(&run[i], &upper) {
-                let n = pn.num_clamped();
-                let found;
-                (x, found) = route_from(pn, &run[i], x, n);
-                let child = pn.child(x);
-                let sep = if x < n { Some(pn.key(x)) } else { upper };
-                let valid = pn.lock.validate(lease);
-                let (true, Some(cn)) = (valid, child) else {
-                    continue 'run;
-                };
-                if found {
-                    i += 1; // the parent's separator: present
-                    continue;
-                }
-                let child_lease = cn.lock.start_read();
-                if !pn.lock.validate(lease) {
-                    continue 'run;
-                }
-                match join_leaf(cn, child_lease, run, i, &sep, &mut kept) {
-                    Some(j) => i = j,
-                    None => continue 'run,
-                }
-            }
-        }
-        kept
-    }
-
     /// Merges run keys into the group of child leaves below the
     /// write-locked inner node `parent`, whose subtree owns every run key
     /// strictly below `upper`. Releases the lock and returns the new run
@@ -368,7 +363,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         run: &[Tuple<K>],
         i: usize,
         upper: &Option<Tuple<K>>,
-        added: &mut u64,
+        added: &mut impl FnMut(&Tuple<K>),
     ) -> usize {
         // The group bound: run keys strictly below it belong under this
         // parent. Tightens to the promoted median if the parent itself
@@ -400,13 +395,11 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
             let cn = pn.exact_child(idx);
             // Sub-batch: keys below the child's right-hand separator (its
             // own for an interior child, the group bound for the rightmost),
-            // matched once: tested per key it cost `tc_random` a fifth.
+            // found once per sub-batch: tested per key it cost `tc_random` a
+            // fifth.
             let mut j = run.len();
             if let Some(sep) = if idx < n { Some(pn.key(idx)) } else { bound } {
-                j = k + 1;
-                while j < run.len() && cmp3(&run[j], &sep) == Ordering::Less {
-                    j += 1;
-                }
+                j = k + 1 + count_below(&run[k + 1..], &sep);
             }
             // Bounded try-lock. A concurrent splitter already holding this
             // child blocks on *our* parent lock (Algorithm 2 locks bottom-
@@ -426,9 +419,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 break 'group;
             }
             loop {
-                let (nk, fresh) = merge_leaf_pass(cn, run, k, j);
-                *added += fresh as u64;
-                k = nk;
+                k = merge_leaf_pass(cn, run, k, j, added);
                 if k >= j {
                     break;
                 }
@@ -462,10 +453,7 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 let m = Self::leaf_split_point(cn.search(&run[k], C).0);
                 let median = cn.key(m);
                 self.split_one(cn, m);
-                let mut nj = k;
-                while nj < j && cmp3(&run[nj], &median) == Ordering::Less {
-                    nj += 1;
-                }
+                let nj = k + count_below(&run[k..j], &median);
                 if nj == k {
                     break;
                 }
@@ -487,11 +475,10 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         node: &LeafNode<K, C>,
         run: &[Tuple<K>],
         i: usize,
-        added: &mut u64,
+        added: &mut impl FnMut(&Tuple<K>),
     ) -> usize {
         // No ancestor, no bound: the rest of the run belongs here.
-        let (k, fresh) = merge_leaf_pass(node, run, i, run.len());
-        *added += fresh as u64;
+        let k = merge_leaf_pass(node, run, i, run.len(), added);
         if k < run.len() {
             // The leaf is exactly full (Algorithm 2 expects and keeps our
             // write lock).
@@ -516,10 +503,75 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     }
 }
 
+/// `workers`, capped to the machine's parallelism (asked only for more than
+/// one: the query reads cgroup files): oversubscribed merge threads only add
+/// scheduling latency to a phase that is memory-bound, never throughput.
+fn cap(workers: usize) -> usize {
+    let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
+    workers.clamp(1, if workers > 1 { cores() } else { 1 })
+}
+
+/// The one bulk driver: hands `0..n` to `apply` under a span named `span`,
+/// claimed off one cursor by up to [`cap`]`(workers)` scoped threads, each
+/// with a buffer of its own that `apply` finds empty, and sums what `apply`
+/// returns. One worker, or one item, is served on the calling thread, which
+/// also keeps the chaos harness in control: no hidden threads at
+/// `workers == 1`.
+fn claim<T>(
+    n: usize,
+    workers: usize,
+    span: &'static str,
+    apply: impl Fn(usize, &mut Vec<T>) -> u64 + Sync,
+) -> u64 {
+    let (total, cursor) = (AtomicU64::new(0), AtomicUsize::new(0));
+    let claim = || {
+        let (mut buf, mut sum) = (Vec::new(), 0u64);
+        loop {
+            let i = cursor.fetch_add(1, Relaxed);
+            if i >= n {
+                break;
+            }
+            telemetry::count(telemetry::Counter::BtreeMergeChunks);
+            let _span = telemetry::span(span, i as u64);
+            buf.clear();
+            sum += apply(i, &mut buf);
+        }
+        total.fetch_add(sum, Relaxed);
+    };
+    match cap(workers.min(n)) {
+        0 | 1 => claim(),
+        threads => std::thread::scope(|s| {
+            // Each worker runs the same claiming loop; the borrow keeps
+            // the closure reusable across spawns.
+            #[allow(clippy::needless_borrows_for_generic_args)]
+            for _ in 0..threads {
+                s.spawn(&claim);
+            }
+        }),
+    }
+    total.load(Relaxed)
+}
+
 /// Whether `t` sorts below the bound `hi`; no bound is above everything.
 #[inline]
 fn below<const K: usize>(t: &Tuple<K>, hi: &Option<Tuple<K>>) -> bool {
     hi.as_ref().is_none_or(|u| cmp3(t, u) == Ordering::Less)
+}
+
+/// How many keys of the ascending `run` sort below `bound`, found by
+/// galloping: in steps logarithmic in the answer. A sub-batch is mostly a
+/// few keys, but a run filling a gap inside one leaf has all its keys
+/// below the cut of every split there, and a scan read them again after
+/// each: 1.2 M keys in 60 dense bands, every other band first, took 448 ms
+/// against 20 ms ascending.
+fn count_below<const K: usize>(run: &[Tuple<K>], bound: &Tuple<K>) -> usize {
+    let below = |t: &Tuple<K>| cmp3(t, bound) == Ordering::Less;
+    let mut hi = 1;
+    while hi < run.len() && below(&run[hi]) {
+        hi *= 2;
+    }
+    let lo = hi / 2;
+    lo + run[lo..hi.min(run.len())].partition_point(below)
 }
 
 /// Routes `t` by `node`'s first `n` separators, scanning forward from `x`,
@@ -542,71 +594,23 @@ fn route_from<const K: usize, const C: usize>(
     (x, false)
 }
 
-/// Merge-joins the keys of `run[i..]` below `bound` with `leaf`, read under
-/// `lease`, and — once the lease validates — moves those the leaf does not
-/// hold up to `run[*kept..]`. Returns where the sub-run ended; `None`, with
-/// nothing written, if the lease did not validate.
-fn join_leaf<const K: usize, const C: usize>(
-    leaf: &LeafNode<K, C>,
-    lease: Lease,
-    run: &mut [Tuple<K>],
-    i: usize,
-    bound: &Option<Tuple<K>>,
-    kept: &mut usize,
-) -> Option<usize> {
-    let n = leaf.num_clamped();
-    let (mut li, _) = leaf.search(&run[i], n);
-    // Run positions the leaf holds, at most one per key of the leaf.
-    let (mut hits, mut nh) = ([0usize; C], 0usize);
-    let mut j = i;
-    // A run key not above a key of the leaf is below the leaf's bound.
-    while j < run.len() && li < n {
-        match leaf.cmp_key(li, &run[j]) {
-            Ordering::Less => li += 1,
-            Ordering::Equal => {
-                hits[nh] = j;
-                (nh, li, j) = (nh + 1, li + 1, j + 1);
-            }
-            Ordering::Greater => j += 1,
-        }
-    }
-    // Past the leaf's last key: absent as far as the leaf's interval goes.
-    while j < run.len() && below(&run[j], bound) {
-        j += 1;
-    }
-    chaos::checkpoint("btree::run::join");
-    // Planted bug for the chaos self-test: a join committed without
-    // validating the leaf's lease reports keys of a torn leaf absent.
-    let skip_validate = cfg!(all(chaos, feature = "chaos-inject-bug"));
-    if !skip_validate && !leaf.lock.validate(lease) {
-        return None;
-    }
-    let mut from = i;
-    for &hit in hits[..nh].iter().chain([&j]) {
-        if *kept != from {
-            run.copy_within(from..hit, *kept);
-        }
-        *kept += hit - from;
-        from = hit + 1;
-    }
-    Some(j)
-}
-
 /// One merge pass of `run[k..j)` into a write-locked leaf. A batch above
 /// the leaf's keys is appended as it stands; otherwise pass 1 counts
 /// the fresh (non-duplicate) run keys compare-only — with the lazy
 /// word-by-word [`cmp_key`](LeafNode::cmp_key), tuples usually decide on
 /// their leading column — cutting off the moment the leaf would overflow.
 /// Pass 2 merges them backward in place: each key moves at most once and
-/// the untouched prefix stays put. Returns the new run position and the
-/// number of keys added; a position short of `j` means the leaf was left
-/// exactly full (ready to split).
+/// the untouched prefix stays put. Every key the pass adds goes to `added`
+/// as it is counted, in run order: the leaf's write lock is held, so the
+/// count is what pass 2 writes. Returns the new run position; one short of
+/// `j` means the leaf was left exactly full (ready to split).
 fn merge_leaf_pass<const K: usize, const C: usize>(
     node: &LeafNode<K, C>,
     run: &[Tuple<K>],
     k: usize,
     j: usize,
-) -> (usize, usize) {
+    added: &mut impl FnMut(&Tuple<K>),
+) -> usize {
     let n = node.num();
     let start = k;
     let mut k = k;
@@ -619,9 +623,10 @@ fn merge_leaf_pass<const K: usize, const C: usize>(
         let fresh = (j - k).min(C - n);
         for (slot, t) in (n..).zip(&run[k..k + fresh]) {
             node.set_key(slot, t);
+            added(t);
         }
         node.set_num(n + fresh);
-        return (k + fresh, fresh);
+        return k + fresh;
     }
     let mut fresh = 0usize;
     while k < j {
@@ -640,6 +645,7 @@ fn merge_leaf_pass<const K: usize, const C: usize>(
                 if n + fresh + 1 > C {
                     break;
                 }
+                added(&run[k]);
                 fresh += 1;
                 k += 1;
             }
@@ -671,7 +677,7 @@ fn merge_leaf_pass<const K: usize, const C: usize>(
         node.set_num(n + fresh);
     }
     debug_assert!(k >= j || n + fresh == C);
-    (k, fresh)
+    k
 }
 
 /// Builds a packed subtree of `set`'s nodes from a strictly ascending slice;
@@ -864,7 +870,7 @@ mod tests {
     fn leaves_grown_by_ascending_runs_are_full() {
         let grow = |runs: &[Vec<Tuple<2>>]| {
             let t: BTreeSet<2> = BTreeSet::new();
-            let added: u64 = runs.iter().map(|r| t.insert_run(r)).sum();
+            let added: u64 = runs.iter().map(|r| t.insert_run(r, |_| {})).sum();
             assert_eq!(added as usize, runs.iter().map(Vec::len).sum::<usize>());
             t.check_invariants().unwrap();
             t.stats().leaf_fill()
@@ -919,7 +925,7 @@ mod tests {
         ];
         for (runs, [leaves, inners, leaf_keys]) in cases {
             let t = Set::from_sorted(base.clone());
-            let added: u64 = runs.iter().map(|r| t.insert_run(r)).sum();
+            let added: u64 = runs.iter().map(|r| t.insert_run(r, |_| {})).sum();
             assert_eq!(added as usize, runs.iter().map(Vec::len).sum::<usize>());
             t.check_invariants().unwrap();
             let mut expect: Vec<Tuple<2>> =

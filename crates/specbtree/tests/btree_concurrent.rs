@@ -374,13 +374,12 @@ fn run_threads() -> usize {
     set.and_then(|n| n.trim().parse().ok()).unwrap_or(4).max(2)
 }
 
-/// Every thread merges overlapping sorted runs, point-inserts through a
-/// hint and anti-joins sorted probes against one tree, round after round.
-/// The tree ends as the union; every key is counted as added exactly once
-/// over all the return values; and each `retain_absent`, linearizable per
-/// key, kept every probe key that never got in and none that was there
-/// before the threads started.
-fn runs_inserts_and_anti_joins_on_one_tree<const C: usize>() {
+/// Every thread merges overlapping sorted runs and point-inserts through a
+/// hint into one tree, round after round. The tree ends as the union, and
+/// every key that was not there before is reported as added exactly once
+/// over all the threads: by the one `insert_run` that wrote it, in that
+/// run's ascending order, or by the point insert that returned `true`.
+fn runs_and_inserts_on_one_tree<const C: usize>() {
     const DOMAIN: u64 = 30_000;
     const ROUNDS: u64 = 100;
     let key = |v: u64| [v / 64, v % 64];
@@ -391,33 +390,34 @@ fn runs_inserts_and_anti_joins_on_one_tree<const C: usize>() {
     let initial = draw(1, 4_000);
     let tree: BTreeSet<2, C> = initial.iter().copied().collect();
     let threads = run_threads() as u64;
-    // Per thread: what it offered, how many it was told were new, and each
-    // probe with what came back.
-    type Probe = (Vec<[u64; 2]>, Vec<[u64; 2]>);
-    let outcomes: Vec<(Model<[u64; 2]>, u64, Vec<Probe>)> = std::thread::scope(|s| {
+    // Per thread: what it offered, how many it was told were new, and the
+    // keys it was told it added.
+    type Outcome = (Model<[u64; 2]>, u64, Vec<[u64; 2]>);
+    let outcomes: Vec<Outcome> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..threads)
             .map(|t| {
                 let (tree, draw) = (&tree, &draw);
                 s.spawn(move || {
                     let mut hints = tree.create_hints();
-                    let (mut offered, mut added, mut probes) = (Model::new(), 0u64, Vec::new());
+                    let (mut offered, mut added, mut reported) = (Model::new(), 0u64, Vec::new());
                     for round in 0..ROUNDS {
                         // Seeds shared between neighbouring threads: runs overlap.
                         let run = draw(100 + (t / 2) * ROUNDS + round, 300);
                         let run: Vec<_> = run.into_iter().collect();
-                        added += tree.insert_run(&run);
+                        let mut fresh = Vec::new();
+                        added += tree.insert_run(&run, |k| fresh.push(*k));
+                        assert!(fresh.is_sorted(), "a run reports its keys in run order");
+                        reported.extend(fresh);
                         offered.extend(run);
                         for k in draw(10_000 + t * ROUNDS + round, 60) {
-                            added += u64::from(tree.insert_hinted(k, &mut hints));
+                            if tree.insert_hinted(k, &mut hints) {
+                                added += 1;
+                                reported.push(k);
+                            }
                             offered.insert(k);
                         }
-                        let probe: Vec<_> = draw(20_000 + round, 400).into_iter().collect();
-                        let mut buf = probe.clone();
-                        let kept = tree.retain_absent(&mut buf);
-                        buf.truncate(kept);
-                        probes.push((probe, buf));
                     }
-                    (offered, added, probes)
+                    (offered, added, reported)
                 })
             })
             .collect();
@@ -426,27 +426,77 @@ fn runs_inserts_and_anti_joins_on_one_tree<const C: usize>() {
     let mut model = initial.clone();
     outcomes.iter().for_each(|(o, ..)| model.extend(o));
     verify(&tree, &model);
-    let added: u64 = outcomes.iter().map(|(_, a, _)| a).sum();
-    assert_eq!(
-        added as usize,
-        model.len() - initial.len(),
-        "a key counted twice or never"
+    check_reported(
+        &initial,
+        &model,
+        outcomes.iter().flat_map(|(.., r)| r),
+        outcomes.iter().map(|(_, a, _)| a).sum(),
     );
-    for (probe, kept) in outcomes.iter().flat_map(|(.., p)| p) {
-        assert!(
-            kept.is_sorted(),
-            "the kept keys are a subsequence of the probe"
-        );
-        let kept: Model<[u64; 2]> = kept.iter().copied().collect();
-        assert!(kept
-            .iter()
-            .all(|k| probe.contains(k) && !initial.contains(k)));
-        assert!(probe.iter().all(|k| model.contains(k) || kept.contains(k)));
+}
+
+/// The keys reported as added, counted `added` times in all: each once,
+/// and together what `model` holds beyond `initial`.
+fn check_reported<'a>(
+    initial: &Model<[u64; 2]>,
+    model: &Model<[u64; 2]>,
+    reported: impl Iterator<Item = &'a [u64; 2]>,
+    added: u64,
+) {
+    let mut once = Model::new();
+    for k in reported {
+        assert!(once.insert(*k), "{k:?} reported as added twice");
     }
+    assert_eq!(added as usize, once.len(), "a count and its keys disagree");
+    let grown: Model<[u64; 2]> = model.difference(initial).copied().collect();
+    assert_eq!(
+        once, grown,
+        "the keys reported are not what the tree gained"
+    );
 }
 
 #[test]
-fn concurrent_runs_point_inserts_and_anti_joins() {
-    runs_inserts_and_anti_joins_on_one_tree::<4>();
-    runs_inserts_and_anti_joins_on_one_tree::<{ specbtree::DEFAULT_NODE_CAPACITY }>();
+fn concurrent_runs_and_point_inserts_report_each_key_once() {
+    runs_and_inserts_on_one_tree::<4>();
+    runs_and_inserts_on_one_tree::<{ specbtree::DEFAULT_NODE_CAPACITY }>();
+}
+
+/// One `insert_runs` call over overlapping runs on the test's worker count:
+/// key ranges cut across the runs are claimed off one cursor by that many
+/// threads, and what each run's pieces report adds up to the growth, every
+/// key once.
+fn insert_runs_on_workers<const C: usize>() {
+    let key = |v: u64| [v / 64, v % 64];
+    let mut rng = 7u64;
+    let initial: Model<[u64; 2]> = (0..5_000)
+        .map(|_| key(splitmix(&mut rng) % 40_000))
+        .collect();
+    let tree: BTreeSet<2, C> = initial.iter().copied().collect();
+    let runs: Vec<Vec<[u64; 2]>> = (0..64)
+        .map(|_| {
+            let run: Model<[u64; 2]> = (0..900).map(|_| key(splitmix(&mut rng) % 40_000)).collect();
+            run.into_iter().collect()
+        })
+        .collect();
+    let slices: Vec<&[[u64; 2]]> = runs.iter().map(Vec::as_slice).collect();
+    let reported = std::sync::Mutex::new(Vec::new());
+    let report = |keys: &[[u64; 2]]| {
+        assert!(keys.is_sorted(), "a run reports its keys in run order");
+        reported.lock().unwrap().extend_from_slice(keys);
+    };
+    let added = tree.insert_runs(&slices, run_threads(), Some(&report));
+    let mut model = initial.clone();
+    model.extend(runs.iter().flatten());
+    verify(&tree, &model);
+    check_reported(
+        &initial,
+        &model,
+        reported.into_inner().unwrap().iter(),
+        added,
+    );
+}
+
+#[test]
+fn insert_runs_reports_each_key_once_across_workers() {
+    insert_runs_on_workers::<4>();
+    insert_runs_on_workers::<{ specbtree::DEFAULT_NODE_CAPACITY }>();
 }

@@ -490,96 +490,57 @@ fn append_hint_on_the_root_leaf_races_the_first_root_split() {
 
 /// The keys of [0 10] 20 [30 40] 50 [60 70] 80 [90 100]: a root with room
 /// over four leaves.
-#[cfg(any(not(feature = "chaos-inject-bug"), chaos))]
+#[cfg(not(feature = "chaos-inject-bug"))]
 fn roomy_root() -> impl Iterator<Item = u64> {
     (0..=10).map(|x| 10 * x)
 }
 
-/// `retain_absent` over `run` while `splitter` inserts: no key of `tree`
-/// before the call may come back as absent, and `absent`, which nobody
-/// inserts, must.
-#[cfg(any(not(feature = "chaos-inject-bug"), chaos))]
-fn anti_join_races(
-    tree: Arc<BTreeSet<1, 4>>,
-    run: &[u64],
-    splitter: &'static [u64],
-    absent: &[u64],
-) {
-    let mut buf: Vec<[u64; 1]> = run.iter().map(|&k| [k]).collect();
-    let reader = {
-        let tree = tree.clone();
+/// Two overlapping runs merged into one leaf group at once, each reporting
+/// the keys it adds: [0 10] 20 [30 40] 50 [60 70] 80 [90 100] under a root
+/// with room for one more separator, and runs that share 12, 35, 42 and 55
+/// and between them put twelve keys between 30 and 50, so leaves split and
+/// the root splits too. Every added key is reported by exactly one run, each run's
+/// in ascending order, and the counts match the keys.
+///
+/// Must be accepted without a restart: the second run's descent reaching
+/// the group after the first run let go of its parent — it finds the first
+/// run's keys in the leaf's merge pass and skips them — and either run's
+/// group lock taken while the other merges elsewhere. Restarted by design:
+/// an upgrade of the parent's lease after the other run wrote under it
+/// (`btree::merge::group_upgrade`), and a run whose child try-lock gives
+/// up; what the first attempt merged stays merged and reported.
+#[cfg(not(feature = "chaos-inject-bug"))]
+fn overlapping_runs_race_into_one_leaf_group() {
+    let set: Arc<BTreeSet<1, 4>> = Arc::new(roomy_root().map(|k| [k]).collect());
+    let runs: [&'static [u64]; 2] = [
+        &[5, 12, 31, 33, 35, 37, 41, 42, 43, 55],
+        &[12, 32, 34, 35, 36, 42, 44, 46, 55, 95],
+    ];
+    let handles = runs.map(|run| {
+        let set = set.clone();
         chaos::thread::spawn(move || {
-            let kept = tree.retain_absent(&mut buf);
-            buf.truncate(kept);
-            buf
+            let run: Vec<[u64; 1]> = run.iter().map(|&k| [k]).collect();
+            let mut reported = Vec::new();
+            let n = set.insert_run(&run, |t| reported.push(t[0]));
+            assert_eq!(n as usize, reported.len(), "a count and its keys disagree");
+            assert!(reported.is_sorted(), "reported out of run order");
+            reported
         })
-    };
-    let writer = {
-        let tree = tree.clone();
-        chaos::thread::spawn(move || splitter.iter().for_each(|&k| assert!(tree.insert([k]))))
-    };
-    let kept: Vec<u64> = reader.join().iter().map(|t| t[0]).collect();
-    writer.join();
-    assert_eq!(kept, absent, "a key the tree held was reported absent");
-    tree.check_invariants().unwrap();
-}
-
-/// `retain_absent` racing a split of the leaf it is joining: [30 40 42 44]
-/// is full, the writer's 46 splits it — 42 moves up into the root, 44 into a
-/// fresh sibling — and its 41 then lands in the slot 42 left, while the
-/// reader is anywhere between routing 30 to that leaf and validating its
-/// lease on it. A join over the rewritten leaf finds neither 42 nor 44 below
-/// the old separator 50; only the validate knows. The run is denser than
-/// the leaf (thirty keys between 30 and 40), so the join is most of what
-/// the reader does and a preemption is likely to fall inside it.
-///
-/// Must be accepted without a restart: the whole split before the reader's
-/// lease on the leaf starts (the parent's lease then fails instead, as it
-/// must: its separators moved), or after the join validated. Writes to the
-/// group's *other* leaves that do not split never touch a lease the reader
-/// holds. Restarted though not strictly needed: a split of another leaf of
-/// the group ends on the parent, whose version is all the reader checks.
-#[cfg(any(not(feature = "chaos-inject-bug"), chaos))]
-fn anti_join_races_a_split_of_its_leaf() {
-    // Tenths: [0 100] 200 [300 400 420 440] 500 [600 700] 800 [900 1000].
-    let keys = roomy_root().chain([42, 44]).map(|k| [10 * k]);
-    let tree: Arc<BTreeSet<1, 4>> = Arc::new(keys.collect());
-    let dense: Vec<u64> = (301..=330).collect();
-    let run: Vec<u64> = [300]
-        .into_iter()
-        .chain(dense.clone())
-        .chain([400, 420, 440, 500, 600, 650])
-        .collect();
-    let absent: Vec<u64> = dense.into_iter().chain([650]).collect();
-    anti_join_races(tree, &run, &[460, 410], &absent);
-}
-
-#[cfg(not(feature = "chaos-inject-bug"))]
-#[test]
-fn a_split_of_the_leaf_being_joined_races_retain_absent() {
-    explore(anti_join_races_a_split_of_its_leaf);
-}
-
-/// `retain_absent` racing a split of the group's parent: the writer fills
-/// [0 10], splits it and the full root above it, so the node the reader
-/// routes its sub-runs by is halved under it and three of its five leaves
-/// now hang off a fresh sibling. Every separator — 20, 50, 80, 110, one of
-/// which becomes the new root's — is a run key and must be found wherever
-/// it lives by then.
-///
-/// Must be accepted without a restart: a split *above* the parent that
-/// only re-homes it (its parent link changes, its version does not), and
-/// anything in another group. Must restart: the parent's own split, since
-/// the bound the reader tracked no longer bounds what the parent owns.
-#[cfg(not(feature = "chaos-inject-bug"))]
-#[test]
-fn a_split_of_the_group_parent_races_retain_absent() {
-    explore(|| {
-        let tree: Arc<BTreeSet<1, 4>> = Arc::new(full_root().map(|k| [k]).collect());
-        let run = [0, 5, 20, 30, 50, 65, 80, 100, 110, 125, 130];
-        anti_join_races(tree.clone(), &run, &[1, 2, 3], &[5, 65, 125]);
-        assert!(tree.stats().depth >= 3, "the root must have split");
     });
+    let mut reported: Vec<u64> = handles.into_iter().flat_map(|h| h.join()).collect();
+    reported.sort_unstable();
+    let added = [
+        5, 12, 31, 32, 33, 34, 35, 36, 37, 41, 42, 43, 44, 46, 55, 95,
+    ];
+    assert_eq!(reported, added, "a key reported twice or never");
+    assert_holds(&set, roomy_root(), &added);
+    assert!(set.stats().depth >= 3, "the root must have split");
+}
+
+#[cfg(not(feature = "chaos-inject-bug"))]
+#[test]
+fn overlapping_runs_report_each_added_key_once() {
+    explore(overlapping_runs_race_into_one_leaf_group);
 }
 
 /// `insert_run` racing an append-hinted point insert on one leaf: the run
@@ -613,7 +574,7 @@ fn an_append_hinted_insert_races_insert_run_on_one_leaf() {
             let set = set.clone();
             chaos::thread::spawn(move || {
                 let run = [35u64, 40, 41, 43, 45, 47, 50].map(|k| [k]);
-                assert_eq!(set.insert_run(&run), 5, "40 and 50 were there");
+                assert_eq!(set.insert_run(&run, |_| {}), 5, "40 and 50 were there");
             })
         };
         appender.join();
@@ -1086,37 +1047,6 @@ fn planted_fence_bug_is_caught() {
     let failure = out.failure.unwrap_or_default();
     println!(
         "planted fence bug caught at seed {} after {} steps (trace {:#018x}): {}",
-        out.seed,
-        out.steps,
-        out.trace_hash,
-        failure.lines().next().unwrap_or_default()
-    );
-}
-
-/// Mutation self-test for the anti-join's validate: with the planted
-/// `chaos-inject-bug` defect compiled in (a leaf's join is committed without
-/// validating the lease it was read under), a reader parked between taking
-/// its lease on [30 40 42 44] and reading it joins the halved leaf the
-/// writer's split left behind and reports 42 and 44, which never left the
-/// tree, as absent. One writer, so the descent's own planted bug has no
-/// stale lease to trust here: whatever fails, fails at the join. Over 1 024
-/// seeds PCT found it in 26 with one change point and in 62 with two, the
-/// random walk never: the reader has to sit out two whole inserts.
-#[cfg(all(chaos, feature = "chaos-inject-bug"))]
-#[test]
-fn planted_unvalidated_join_bug_is_caught() {
-    let out = chaos::find_failure(
-        &chaos::Config::pct(2),
-        0..256,
-        anti_join_races_a_split_of_its_leaf,
-    );
-    let out = out.expect(
-        "the planted join bug must be caught within 256 seeds; if this fails \
-         the run models no longer reach the window between lease and validate",
-    );
-    let failure = out.failure.unwrap_or_default();
-    println!(
-        "planted join bug caught at seed {} after {} steps (trace {:#018x}): {}",
         out.seed,
         out.steps,
         out.trace_hash,

@@ -2,9 +2,9 @@
 //! set union against a `std::collections::BTreeSet` model on adversarial
 //! input shapes — duplicate-heavy, fully overlapping, append-only, and an
 //! empty target, which takes the source as runs like any other — with the
-//! structural invariants intact afterwards. The run API (`retain_absent`,
-//! `insert_run`) is held to the same model at every key width and at both
-//! node capacities the suites use.
+//! structural invariants intact afterwards. The run API (`insert_run`, and
+//! the keys it reports as added) is held to the same model at every key
+//! width and at both node capacities the suites use.
 
 mod common;
 
@@ -47,11 +47,11 @@ fn key_of<const K: usize>(v: u64) -> [u64; K] {
     t
 }
 
-/// One tree of `base`, one ascending `run`: `retain_absent` keeps exactly
-/// `run \ base`, in order, and writes nothing to the tree; `insert_run`
-/// counts exactly those and leaves `base ∪ run` in a sound tree, of which
-/// the run is then wholly present.
-fn check_run_at<const K: usize, const C: usize>(base: &Model<u64>, run: &Model<u64>) {
+/// One tree of `base`, one ascending `run`: `insert_run` reports exactly
+/// `run \ base`, ascending, counts those and leaves `base ∪ run` in a
+/// sound tree, of which the run is then wholly present. Returns the tree's
+/// growth in leaves and inner nodes.
+fn check_run_at<const K: usize, const C: usize>(base: &Model<u64>, run: &Model<u64>) -> [u64; 2] {
     let what = format!("K={K} C={C} base={base:?} run={run:?}");
     let tree: BTreeSet<K, C> = BTreeSet::new();
     // Point inserts in a scattered order: median splits, separators at
@@ -62,20 +62,14 @@ fn check_run_at<const K: usize, const C: usize>(base: &Model<u64>, run: &Model<u
     let keys = |vs: &mut dyn Iterator<Item = &u64>| vs.map(|&v| key_of::<K>(v)).collect::<Vec<_>>();
     let (all, absent) = (keys(&mut run.iter()), keys(&mut run.difference(base)));
 
-    let mut buf = all.clone();
-    let kept = tree.retain_absent(&mut buf);
-    assert_eq!(&buf[..kept], &absent[..], "retain_absent: {what}");
+    let before = tree.stats();
+    let mut reported = Vec::new();
     assert_eq!(
-        tree.iter().collect::<Vec<_>>(),
-        keys(&mut base.iter()),
-        "{what}"
-    );
-
-    assert_eq!(
-        tree.insert_run(&all),
+        tree.insert_run(&all, |t| reported.push(*t)),
         absent.len() as u64,
         "insert_run: {what}"
     );
+    assert_eq!(reported, absent, "the keys reported as added: {what}");
     tree.check_invariants()
         .unwrap_or_else(|e| panic!("{e}: {what}"));
     assert_eq!(
@@ -88,28 +82,37 @@ fn check_run_at<const K: usize, const C: usize>(base: &Model<u64>, run: &Model<u
         keys(&mut base.union(run)),
         "{what}"
     );
+    let report = |t: &[u64; K]| panic!("{t:?} reported twice: {what}");
     assert_eq!(
-        tree.retain_absent(&mut all.clone()),
+        tree.insert_run(&all, report),
         0,
-        "all present now: {what}"
+        "nothing left to add: {what}"
     );
-    assert_eq!(tree.insert_run(&all), 0, "nothing left to add: {what}");
+    let after = tree.stats();
+    [
+        after.leaf_nodes - before.leaf_nodes,
+        after.inner_nodes - before.inner_nodes,
+    ]
 }
 
-/// [`check_run_at`] at widths 1–3 and capacities 4 and the default.
-fn check_run(base: &Model<u64>, run: &Model<u64>) {
+/// [`check_run_at`] at widths 1–3 and capacities 4 and the default; the
+/// growth at width 2 for each capacity.
+fn check_run(base: &Model<u64>, run: &Model<u64>) -> [[u64; 2]; 2] {
     check_run_at::<1, 4>(base, run);
-    check_run_at::<2, 4>(base, run);
+    let small = check_run_at::<2, 4>(base, run);
     check_run_at::<3, 4>(base, run);
     check_run_at::<1, { specbtree::DEFAULT_NODE_CAPACITY }>(base, run);
-    check_run_at::<2, { specbtree::DEFAULT_NODE_CAPACITY }>(base, run);
+    let default = check_run_at::<2, { specbtree::DEFAULT_NODE_CAPACITY }>(base, run);
     check_run_at::<3, { specbtree::DEFAULT_NODE_CAPACITY }>(base, run);
+    [small, default]
 }
 
 /// The shapes a random draw is unlikely to produce: the empty tree, a tree
 /// that is one leaf, runs wholly below the minimum and wholly above the
 /// maximum, the tree's own keys as the run — every separator at every
-/// level is a run key — and a run denser than any leaf.
+/// level is a run key — and a run denser than any leaf. The dense runs into
+/// the largest tree split leaves and parents at both capacities, so the
+/// keys a run reports are held to the model across both kinds of split.
 #[test]
 fn run_api_handles_the_edge_shapes() {
     for n in [0u64, 1, 3, 4, 5, 24, 25, 120, 700] {
@@ -123,7 +126,13 @@ fn run_api_handles_the_edge_shapes() {
             (990..1_000 + 3 * n + 10).collect(),
             (0..6_000).step_by(7).collect(),
         ];
-        runs.iter().for_each(|run| check_run(&base, run));
+        let grown: Vec<[[u64; 2]; 2]> = runs.iter().map(|run| check_run(&base, run)).collect();
+        if n == 700 {
+            for c in 0..2 {
+                let split = |g: &[[u64; 2]; 2]| g[c][0] > 0 && g[c][1] > 0;
+                assert!(grown.iter().any(split), "no run split a parent: {grown:?}");
+            }
+        }
     }
 }
 

@@ -104,9 +104,10 @@ pub enum Counter {
     BtreeRootGrowth,
     /// `datalog`: semi-naive fixpoint iterations across all strata.
     EvalIterations,
-    /// `specbtree`: runs a bulk merge or removal cut its source into
-    /// (disjoint key ranges along the source's separators; one for a
-    /// source no deeper than a root over leaves).
+    /// `specbtree`: runs a bulk merge or removal applied: the runs a
+    /// source tree was cut into (disjoint key ranges along its separators;
+    /// one for a source no deeper than a root over leaves), and every run
+    /// handed to `insert_runs`.
     BtreeMergeChunks,
     /// `specbtree`: successful `remove` operations (tuple was present).
     BtreeRemoves,
@@ -116,7 +117,8 @@ pub enum Counter {
     /// `datalog`: secondary index trees built (one per column permutation
     /// registered on a relation, backfill included).
     EvalIndexBuilds,
-    /// `specbtree`: keys handed to `insert_run` / `retain_absent`.
+    /// `specbtree`: keys handed to `insert_run`, whether it adds them or
+    /// finds them present (the anti-join is the merge).
     BtreeRunKeys,
     /// `specbtree`: descents those runs made — one per leaf group (and per
     /// restart), so `run_keys / run_descents` is what a descent serves.

@@ -117,10 +117,10 @@ fn every_layer_reports_and_the_restart_causes_add_up() {
         assert!(recorded(name).0 > 0, "{name} never recorded");
     }
 
-    // Head tuples reach the trees as runs — a flushed batch anti-joined
-    // with `path`, merged into its `new` table, and `new` folded into `path`
-    // — and a descent serves a leaf group, not a key, on a grid whose batches
-    // hold from a few dozen tuples to a few thousand.
+    // Head tuples reach the trees as runs — every flushed batch merged into
+    // `path`, what it added into the next delta — and a descent serves a
+    // leaf group, not a key, on a grid whose batches hold from a few dozen
+    // tuples to a few thousand.
     let in_runs = |name: &str| after.counter(name) - between.counter(name);
     let (keys, descents) = (
         in_runs("specbtree.run_keys"),
@@ -129,7 +129,7 @@ fn every_layer_reports_and_the_restart_causes_add_up() {
     assert!(keys > 0 && descents > 0, "no run reached a tree");
     assert!(
         descents < keys,
-        "{keys} run keys took {descents} descents: {:.1} keys a descent (46 223–46 285 took 1 647–1 714, 27–28, when this was written)",
+        "{keys} run keys took {descents} descents: {:.1} keys a descent (32 871–32 898 took 1 397–1 445, 23–24, when this was written; 46 223–46 285 took 1 647–1 714 while a flush anti-joined its batch and merged it into `new`)",
         keys as f64 / descents as f64
     );
 
