@@ -22,9 +22,17 @@
 //!   looked up once per binding through a hint, against a block of bindings
 //!   sorted by key that looks each distinct key up once: the layer number
 //!   under the engine's blocks (`eval.rs`, `BLOCK`), with the sorted block
-//!   looked up once per binding as the scan's control.
+//!   looked up once per binding as the scan's control;
+//! * **a keyed sweep against an index** — bindings that enter a 1.8 M-pair
+//!   relation through its second column, served by the whole relation
+//!   replayed for every binding, by one pass a block that keeps what
+//!   matches the block's keys, and by a `[1, 0]` index built for them and
+//!   probed; and the index's build alone: the crossover the planner's
+//!   `INDEX_COST` prices.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use datalog::storage::{RelationStorage, StorageCtx, TupleBuf};
+use datalog::StorageKind;
 use specbtree::seq::SeqBTreeSet;
 use specbtree::{sort_tuples, BTreeHints, BTreeSet};
 use std::hint::black_box;
@@ -442,6 +450,190 @@ fn block_check(c: &mut Criterion, n: u64, tree: &BTreeSet<2>, len: usize, rng: &
     group.finish();
 }
 
+/// The pairs of a dense closure, `(x, y)` over 1 500 × 1 500 vertices with
+/// four in five held — the size and shape of `tc_random`'s 1.8 M-tuple
+/// `path`, which a retraction enters through its second column — as one
+/// sorted run of words.
+fn closure_pairs() -> Vec<u64> {
+    let mut rng = SplitMix64::new(1_500);
+    let mut words = Vec::new();
+    for x in 0..1_500u64 {
+        for y in 0..1_500u64 {
+            if rng.below(5) != 0 {
+                words.extend([x, y]);
+            }
+        }
+    }
+    words
+}
+
+/// A storage of pairs as the engine builds one, holding `words`.
+fn pair_storage(words: &[u64]) -> Box<dyn RelationStorage> {
+    let storage = StorageKind::SpecBTree.create_for(2);
+    storage.merge_runs(&[words], None, 1);
+    storage
+}
+
+/// The engine's block size (`eval.rs`, `BLOCK`).
+const BLOCK: usize = 4_096;
+
+/// `bindings` (a key of the relation's second column and a payload each)
+/// sorted by key a block at a time, with each block's distinct keys:
+/// `keyed` holds `[key, binding]` sorted, and `f` runs for every block.
+fn by_blocks(
+    bindings: &[[u64; 2]],
+    keyed: &mut Vec<[u64; 2]>,
+    scratch: &mut Vec<u64>,
+    mut f: impl FnMut(&[[u64; 2]]),
+) {
+    for (b, block) in bindings.chunks(BLOCK).enumerate() {
+        keyed.clear();
+        let at = (b * BLOCK) as u64;
+        keyed.extend(block.iter().zip(at..).map(|(&[key, _], i)| [key, i]));
+        sort_tuples(keyed, 1, scratch);
+        f(keyed);
+    }
+}
+
+/// Adds `t[0] ^ payload` to `acc` for every match `t` of every binding
+/// under one key: the replay all three ways share.
+fn replay<'a>(
+    bindings: &[[u64; 2]],
+    run: impl IntoIterator<Item = &'a [u64; 2]>,
+    matches: &[TupleBuf],
+    acc: &mut u64,
+) {
+    for &[_, i] in run {
+        let payload = bindings[i as usize][1];
+        matches
+            .iter()
+            .for_each(|t| *acc = acc.wrapping_add(t[0] ^ payload));
+    }
+}
+
+/// Bindings that enter a 1.8 M-pair relation through its second column,
+/// three ways, at 30 (the deleted edges of `tc_random`'s retraction), 4 096
+/// (a block) and 40 000 (past the crossover, ten blocks) bindings:
+/// `replay_whole` reads the relation once into a buffer and replays all of
+/// it for every binding, filtering on the key — what a scan with no bound
+/// prefix did — and is timed at 30 bindings only, for at 4 096 it reads
+/// 7 G tuples; `keyed_sweep` makes one pass a block, keeping the tuples
+/// whose second column is one of the block's keys (found through an open
+/// addressing table, as `eval.rs`'s `sweep` does), and replays each kept
+/// tuple for the bindings under its key; `index_and_probes` builds a `[1, 0]`
+/// index on a fresh copy of the relation (the copy outside the clock) and
+/// reads each distinct key's range through it. Every way replays the same
+/// matches.
+fn block_sweep(c: &mut Criterion) {
+    let words = closure_pairs();
+    let rel = pair_storage(&words);
+    let mut rng = SplitMix64::new(30);
+    for len in [30usize, 4_096, 40_000] {
+        let bindings: Vec<[u64; 2]> = (0..len)
+            .map(|_| [rng.below(1_500), rng.next_u64()])
+            .collect();
+        let mut group = c.benchmark_group("block_join/sweep");
+        group.throughput(Throughput::Elements(len as u64));
+        let (mut keyed, mut scratch, mut range) = (Vec::new(), Vec::new(), Vec::new());
+        let mut ctx = StorageCtx;
+        if len == 30 {
+            group.bench_function(BenchmarkId::new("replay_whole", len), |b| {
+                b.iter(|| {
+                    let mut acc = 0u64;
+                    by_blocks(&bindings, &mut keyed, &mut scratch, |keyed| {
+                        range.clear();
+                        rel.scan_prefix(&[], &mut ctx, &mut |t| range.push(*t));
+                        for &[key, i] in keyed {
+                            let payload = bindings[i as usize][1];
+                            for t in range.iter().filter(|t| t[1] == key) {
+                                acc = acc.wrapping_add(t[0] ^ payload);
+                            }
+                        }
+                    });
+                    black_box(acc)
+                })
+            });
+        }
+        let (mut table, mut kept): (Vec<u64>, Vec<(usize, TupleBuf)>) = (Vec::new(), Vec::new());
+        group.bench_function(BenchmarkId::new("keyed_sweep", len), |b| {
+            b.iter(|| {
+                let mut acc = 0u64;
+                by_blocks(&bindings, &mut keyed, &mut scratch, |keyed| {
+                    let firsts =
+                        || (0..keyed.len()).filter(|&i| i == 0 || keyed[i - 1][0] != keyed[i][0]);
+                    let slots = (4 * firsts().count()).next_power_of_two();
+                    let slot = |k: u64| {
+                        (k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - slots.trailing_zeros()))
+                            as usize
+                    };
+                    table.clear();
+                    table.resize(slots, 0);
+                    for i in firsts() {
+                        let mut s = slot(keyed[i][0]);
+                        while table[s] != 0 {
+                            s = (s + 1) & (slots - 1);
+                        }
+                        table[s] = i as u64 + 1;
+                    }
+                    kept.clear();
+                    rel.scan_prefix(&[], &mut ctx, &mut |t| {
+                        let mut s = slot(t[1]);
+                        while let Some(i) = table[s].checked_sub(1).map(|i| i as usize) {
+                            if keyed[i][0] == t[1] {
+                                return kept.push((i, *t));
+                            }
+                            s = (s + 1) & (slots - 1);
+                        }
+                    });
+                    for &(i, t) in &kept {
+                        let run = keyed[i..].iter().take_while(|k| k[0] == t[1]);
+                        replay(&bindings, run, std::slice::from_ref(&t), &mut acc);
+                    }
+                });
+                black_box(acc)
+            })
+        });
+        group.bench_function(BenchmarkId::new("index_and_probes", len), |b| {
+            b.iter_batched(
+                || pair_storage(&words),
+                |mut rel| {
+                    let id = rel.add_index(&[1, 0], 1).expect("the tree indexes");
+                    let mut acc = 0u64;
+                    by_blocks(&bindings, &mut keyed, &mut scratch, |keyed| {
+                        for run in keyed.chunk_by(|a, b| a[0] == b[0]) {
+                            range.clear();
+                            let push = &mut |t: &TupleBuf| range.push(*t);
+                            rel.scan_index(id, &[1, 0], &[run[0][0]], &mut ctx, push);
+                            replay(&bindings, run, &range, &mut acc);
+                        }
+                    });
+                    (black_box(acc), rel)
+                },
+                BatchSize::PerIteration,
+            )
+        });
+        group.finish();
+    }
+}
+
+/// A `[1, 0]` index built on the 1.8 M-pair relation of [`block_sweep`]
+/// (`add_index`: three walks of the primary, the counting sort and the bulk
+/// load), each on a fresh copy built outside the clock; the throughput is
+/// backfilled tuples. What `INDEX_COST` weighs a pass against.
+fn index_build(c: &mut Criterion) {
+    let words = closure_pairs();
+    let mut group = c.benchmark_group("index_build");
+    group.throughput(Throughput::Elements((words.len() / 2) as u64));
+    group.bench_function(BenchmarkId::new("add_index", "pairs=1.8M"), |b| {
+        b.iter_batched(
+            || pair_storage(&words),
+            |mut rel| (rel.add_index(&[1, 0], 1), rel),
+            BatchSize::PerIteration,
+        )
+    });
+    group.finish();
+}
+
 fn configured() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -453,6 +645,6 @@ criterion_group! {
     name = benches;
     config = configured();
     targets = node_capacity, hints_on_clustered_inserts, synchronization_cost, bulk_merge,
-        key_order_by_counting, run_path, block_join
+        key_order_by_counting, run_path, block_join, block_sweep, index_build
 }
 criterion_main!(benches);

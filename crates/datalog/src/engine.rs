@@ -105,7 +105,9 @@ pub struct EvalStats {
     /// Chunks claimed by workers off the shared cursor; a plan that starts
     /// with a check runs on one worker and claims none.
     pub chunks_claimed: u64,
-    /// Tuples scanned by outer and inner scans across all workers.
+    /// Tuples scanned by outer and inner scans across all workers: each
+    /// tuple a binding's scan is replayed with, and every tuple a keyed
+    /// sweep's pass reads (once a block) to find its matches.
     pub tuples_scanned: u64,
     /// Tuples the relations lacked: what the iterations' merges of the
     /// workers' runs added. The merges count it, not the workers. After a

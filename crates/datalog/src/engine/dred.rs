@@ -289,13 +289,15 @@ impl Engine {
     /// Plans one synthetic retraction rule — `rule`, made from rule `ri` —
     /// for `phase`, and keeps the version for [`explain`](Self::explain).
     /// With the planner on the literals are cost-ordered from `cx.cards`,
-    /// the delta — a deletion set — at its size, and every scan the primary
-    /// tree cannot serve gets an index, which outlives the call. When
-    /// hoisting the delta still strands a scan without a bound prefix
-    /// (planner off, or a backend without indexes), the source-order
-    /// version — which probes the delta where it sits and sweeps the
-    /// stranded relation once, chunked across workers — is used if it
-    /// strands none.
+    /// the delta — a deletion set — at its size, and a scan the primary
+    /// tree cannot serve by a prefix gets an index only where building it
+    /// reads less than the keyed sweep would in this one execution (the
+    /// horizon is 1): a deletion set of fewer than about eight blocks of
+    /// bindings sweeps. An index built here outlives the call. When
+    /// hoisting the delta still strands a cross product — a scan with
+    /// nothing fixed — the source-order version, which probes the delta
+    /// where it sits and scans the stranded relation once, chunked across
+    /// workers, is used if it strands none.
     fn plan_synthetic(
         &mut self,
         cx: &mut Retraction,
@@ -310,7 +312,7 @@ impl Engine {
             let model = CostModel {
                 cards: &cx.cards,
                 deltas: &cx.cards[nrels..],
-                horizon: f64::INFINITY,
+                horizon: 1.0,
                 can_index: self.kind.supports_indexes(),
             };
             let before = self.catalog.len();
@@ -339,10 +341,9 @@ impl Engine {
     /// `Δ⁻h(args) :- b1, …, bn, h(args)`, one plan version per dirty positive
     /// body literal (which reads the deletion delta). The appended head
     /// literal restricts derivations to tuples actually present and is
-    /// never a delta candidate. The first retraction that plans a reverse
-    /// join builds its index here ([`plan_synthetic`](Self::plan_synthetic));
-    /// the one-time backfill replaces a full relation scan per overdelete
-    /// round.
+    /// never a delta candidate. A reverse join is swept by key, once a
+    /// block, unless its deletion set is large enough that an index pays
+    /// ([`plan_synthetic`](Self::plan_synthetic)).
     fn overdelete_plans(&mut self, cx: &mut Retraction) -> Vec<Vec<Version>> {
         let mut plans = vec![Vec::new(); cx.fallback_from];
         for (si, plans) in plans.iter_mut().enumerate() {

@@ -17,8 +17,12 @@
 //! ([`RelationStorage::scan_chunk`]) with no intermediate tuple buffer; the
 //! rest of the join runs inside that walk. Every later scan and check takes
 //! the bindings that reach it a sorted block at a time, one range query or
-//! membership test per distinct key where Figure 1 issues one per binding
-//! (a scan with no bound prefix reads its relation once a block); a lone
+//! membership test per distinct key where Figure 1 issues one per binding.
+//! A scan with no bound prefix reads its relation once a block: keyed by
+//! the columns fixed before it (a *keyed sweep*), it keeps only the tuples
+//! that match one of the block's keys and replays each under its key;
+//! with nothing fixed it replays the whole relation for every binding. A
+//! lone
 //! worker's blocks and emit batch span its chunks, and every lookup goes
 //! through the tree's unhinted operations: a block's sorted keys already
 //! hold the locality the paper's thread-local hints cache. Every worker
@@ -81,11 +85,16 @@ pub(crate) enum Step {
     /// equality constraints on later columns; `binds` assign columns to
     /// fresh variables. When `index` is set, the prefix is in the index's
     /// *permuted* column order and the scan routes through
-    /// [`RelationStorage::scan_index`].
+    /// [`RelationStorage::scan_index`]. A *keyed sweep* — an inner scan
+    /// with no bound leading column and no index, but columns fixed before
+    /// it runs — names those columns in `swept`, and `prefix` holds their
+    /// values: its block reads the relation once and keeps the tuples that
+    /// match one of its keys.
     Scan {
         rel: usize,
         delta: bool,
         prefix: Vec<Slot>,
+        swept: Vec<usize>,
         checks: Vec<(usize, Slot)>,
         binds: Vec<(usize, usize)>,
         index: Option<IndexSel>,
@@ -157,12 +166,13 @@ pub(crate) fn compile_one(
 
 /// [`compile_one`] with an explicit hoisting choice and an optional index
 /// catalog. `hoist: false` leaves the delta literal at its source position:
-/// when hoisting would strand a later literal without any bound prefix,
-/// evaluating the body in source order and probing the delta where it sits
-/// can be cheaper — the full scan becomes the outermost loop and runs
-/// once, chunked across workers. With the planner enabled this fallback
-/// rarely fires: a stranded scan usually gets a secondary index, and
-/// [`has_unprefixed_inner_scan`] only reports scans that did not.
+/// when hoisting would strand a later literal that shares no variable with
+/// the literals before it — a cross product, which replays the whole
+/// relation for every binding — evaluating the body in source order and
+/// probing the delta where it sits can be cheaper: the full scan becomes
+/// the outermost loop and runs once, chunked across workers. A stranded
+/// literal with a fixed column is a keyed sweep, read once a block, and
+/// [`has_unprefixed_inner_scan`] does not report it.
 pub(crate) fn compile_one_at(
     rule: &Rule,
     rel_ids: &HashMap<String, usize>,
@@ -280,9 +290,13 @@ pub(crate) fn compile_ordered(
                 }
             }
         }
-        let mut index = None;
-        let inner = li != order[0] && !delta && fixed & (fixed + 1) != 0;
-        if let Some((id, perm)) = catalog.filter(|_| inner).and_then(|c| c.find(rel, fixed)) {
+        let (mut index, mut swept) = (None, Vec::new());
+        let inner = li != order[0];
+        let permuted = inner && !delta && fixed & (fixed + 1) != 0;
+        if let Some((id, perm)) = catalog
+            .filter(|_| permuted)
+            .and_then(|c| c.find(rel, fixed))
+        {
             let slots: Vec<(usize, Slot)> =
                 prefix.iter().copied().enumerate().chain(checks).collect();
             let slot_of = |c: usize| slots.iter().find(|s| s.0 == c).expect("fixed column").1;
@@ -298,11 +312,16 @@ pub(crate) fn compile_ordered(
                 id,
                 perm: perm.to_vec(),
             });
+        } else if inner && prefix.is_empty() {
+            let is_fixed = |&(c, _): &(usize, Slot)| fixed & (1 << c) != 0;
+            (swept, prefix) = checks.iter().filter(|s| is_fixed(s)).copied().unzip();
+            checks.retain(|s| !is_fixed(s));
         }
         steps.push(Step::Scan {
             rel,
             delta,
             prefix,
+            swept,
             checks,
             binds,
             index,
@@ -364,14 +383,14 @@ pub(crate) fn compile_ordered(
     }
 }
 
-/// Whether any non-outermost step is a scan with no bound prefix *and* no
-/// secondary index — an unindexed full scan, read once a block and replayed
-/// whole for every outer tuple.
+/// Whether any non-outermost step is a scan with nothing fixed — no bound
+/// prefix, no secondary index, no column a keyed sweep could match: a cross
+/// product, read once a block and replayed whole for every outer tuple.
 /// Such plans are only worth keeping when the outer loop is known to be
 /// tiny; the retraction planner uses this to decide between delta-hoisted
 /// and source-order versions of its synthetic rules (checked *after*
-/// index assignment, so an index-served reverse join no longer triggers
-/// the fallback).
+/// index assignment). A keyed sweep's `prefix` holds its key, so it is not
+/// reported.
 pub(crate) fn has_unprefixed_inner_scan(plan: &Plan) -> bool {
     plan.steps.iter().skip(1).any(
         |s| matches!(s, Step::Scan { prefix, index, .. } if prefix.is_empty() && index.is_none()),
@@ -408,6 +427,7 @@ impl Plan {
                     rel,
                     delta,
                     prefix,
+                    swept,
                     checks,
                     binds,
                     index,
@@ -428,7 +448,17 @@ impl Plan {
                                 .join(",")
                         ));
                     }
-                    if !prefix.is_empty() {
+                    if !swept.is_empty() {
+                        detail.push(format!(
+                            "key=({})",
+                            swept
+                                .iter()
+                                .zip(prefix)
+                                .map(|(c, s)| format!("#{c}={}", slot(s)))
+                                .collect::<Vec<_>>()
+                                .join(",")
+                        ));
+                    } else if !prefix.is_empty() {
                         detail.push(format!(
                             "prefix=({})",
                             prefix.iter().map(slot).collect::<Vec<_>>().join(",")
@@ -454,10 +484,9 @@ impl Plan {
                                 .join(",")
                         ));
                     }
-                    let kind = if prefix.is_empty() && index.is_none() {
-                        "scan"
-                    } else {
-                        "range"
+                    let kind = match prefix.len() > swept.len() || index.is_some() {
+                        true => "range",
+                        false => "scan",
                     };
                     parts.push(format!("{kind} {src} {}", detail.join(" ")));
                 }
@@ -566,6 +595,59 @@ fn read_range(
         Some(sel) => src.scan_index(sel.id, &sel.perm, prefix, ctx, push),
         None => src.scan_prefix(prefix, ctx, push),
     }
+}
+
+/// One pass of a keyed sweep over `src`: copies into `out`, in the order
+/// the pass reads them, the tuples whose `swept` columns hold the key of a
+/// binding in `keys` — a block's, sorted, each binding's key followed by
+/// one word — each with where the first binding under its key starts in
+/// `keys`, and returns how many tuples the pass read. Keys are found
+/// through `table`, open addressing at four slots or more a distinct key.
+/// Copied during the pass and replayed after it, as a range is: a locked
+/// kind holds its lock while it scans.
+fn sweep(
+    src: &dyn RelationStorage,
+    swept: &[usize],
+    keys: &[u64],
+    table: &mut Vec<u64>,
+    ctx: &mut StorageCtx,
+    out: &mut Vec<(usize, TupleBuf)>,
+) -> u64 {
+    let (k, width) = (swept.len(), swept.len() + 1);
+    let firsts = || {
+        let starts = (0..keys.len()).step_by(width);
+        starts.filter(|&at| at == 0 || keys[at - width..][..k] != keys[at..][..k])
+    };
+    let slots = (4 * firsts().count()).next_power_of_two();
+    let slot = |key: &[u64]| {
+        let h = key
+            .iter()
+            .fold(0, |h: u64, &v| (h ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        (h >> (64 - slots.trailing_zeros())) as usize
+    };
+    table.clear();
+    table.resize(slots, 0);
+    for at in firsts() {
+        let mut s = slot(&keys[at..][..k]);
+        while table[s] != 0 {
+            s = (s + 1) & (slots - 1);
+        }
+        table[s] = at as u64 + 1;
+    }
+    let (mut read, mut key) = (0, [0; MAX_ARITY]);
+    out.clear();
+    src.scan_prefix(&[], ctx, &mut |t| {
+        read += 1;
+        key.iter_mut().zip(swept).for_each(|(v, &c)| *v = t[c]);
+        let mut s = slot(&key[..k]);
+        while let Some(at) = table[s].checked_sub(1).map(|at| at as usize) {
+            if keys[at..][..k] == key[..k] {
+                return out.push((at, *t));
+            }
+            s = (s + 1) & (slots - 1);
+        }
+    });
+    read
 }
 
 /// What one worker keeps from one plan execution to the next, each buffer
@@ -709,8 +791,11 @@ struct Block {
     /// the key alone with the emit batch's scratch.
     keys: Vec<u64>,
     /// The range of the key being replayed, for a scan: the whole relation
-    /// for a sweep.
+    /// for a sweep with no key.
     range: Vec<TupleBuf>,
+    /// What a keyed sweep's pass kept: each tuple that matches a key of the
+    /// block, with where the key's first binding starts in `keys`.
+    kept: Vec<(usize, TupleBuf)>,
 }
 
 impl Block {
@@ -871,7 +956,7 @@ const EMIT_BATCH: usize = 16_384;
 /// offset (up to this many times the plan's variables, 13–15 bits) is
 /// never sorted on: offsets ascend as pushed, so a block sorts on the
 /// key's digits alone.
-const BLOCK: usize = 4_096;
+pub(crate) const BLOCK: usize = 4_096;
 
 /// The emit batch's ceiling inside a block, past which a large fan-out is
 /// flushed before the block ends. Below it the batch waits for the end: one
@@ -959,21 +1044,34 @@ impl<'p, 'c> Evaluator<'p, 'c> {
     /// — stably, so the bindings under a key replay in the order they were
     /// pushed — each distinct key is looked up once: a scan reads its range
     /// into a buffer (one `lower_bound_calls`, and one `upper_bound_calls`
-    /// but for a sweep, whose one empty key reads the whole relation), a
-    /// check makes one `contains` (one `membership_tests`). Every binding
-    /// under the key is then replayed into the next step (one
-    /// `inner_scans_indexed` each for a scan, `inner_scans_full` for a
-    /// sweep). The emit batch is flushed between blocks.
+    /// but for a sweep with no key, whose one empty key reads the whole
+    /// relation), a check makes one `contains` (one `membership_tests`).
+    /// Every binding under the key is then replayed into the next step (one
+    /// `inner_scans_indexed` each for a range, `inner_scans_full` for a
+    /// sweep). A keyed sweep instead reads its relation once for the whole
+    /// block (one `lower_bound_calls`, every tuple read one
+    /// `tuples_scanned`), keeping what matches a key ([`sweep`]), and
+    /// replays each kept tuple into every binding under its key (one
+    /// `inner_scans_full` a binding). The emit batch is flushed between
+    /// blocks.
     fn run_block(&mut self, si: usize, vars: &mut [u64], blocks: &mut [Block]) {
         let step = &self.plan.steps[si];
         let src = self.bound[si].expect("a scan or a check has a storage");
         let (block, deeper) = blocks.split_first_mut().expect("a block per step");
-        let Block { envs, keys, range } = block;
-        if keys.is_empty() {
+        if block.keys.is_empty() {
             return;
         }
         let (width, nvars) = (step.key().map_or(0, <[Slot]>::len) + 1, vars.len());
-        sort_batch(keys, width, width - 1, self.scratch);
+        sort_batch(&mut block.keys, width, width - 1, self.scratch);
+        if let Step::Scan { swept, .. } = step {
+            if !swept.is_empty() {
+                self.run_sweep(si, swept, width, block, vars, deeper);
+                block.keys.clear(); // no key is looked up below
+            }
+        }
+        let Block {
+            envs, keys, range, ..
+        } = block;
         let mut at = 0;
         while at < keys.len() {
             let key = &keys[at..at + width - 1];
@@ -1022,6 +1120,38 @@ impl<'p, 'c> Evaluator<'p, 'c> {
         let batch = self.out.words.len() - self.out.batch_start();
         if batch >= EMIT_BATCH * self.plan.head_slots.len().max(1) {
             self.flush();
+        }
+    }
+
+    /// Runs the keyed sweep at step `si` over `block`, its keys sorted
+    /// (`width` words a binding): one pass ([`sweep`]), then each tuple it
+    /// kept replayed into every binding under its key. Out of line: inlined
+    /// into [`run_block`](Self::run_block), it pushed [`bind`](Self::bind)
+    /// out of line on every range's replay, a call per scanned tuple.
+    #[inline(never)]
+    fn run_sweep(
+        &mut self,
+        si: usize,
+        swept: &[usize],
+        width: usize,
+        block: &mut Block,
+        vars: &mut [u64],
+        deeper: &mut [Block],
+    ) {
+        let src = self.bound[si].expect("a scan has a storage");
+        let kept = &mut block.kept;
+        let read = sweep(src, swept, &block.keys, self.scratch, &mut self.ctx, kept);
+        self.stats.lower_bound_calls += 1;
+        self.stats.tuples_scanned += read;
+        self.stats.inner_scans_full += (block.keys.len() / width) as u64;
+        let nvars = vars.len();
+        for &(at, t) in &block.kept {
+            let key = &block.keys[at..at + width - 1];
+            let run = block.keys[at..].chunks_exact(width);
+            for k in run.take_while(|k| k[..width - 1] == *key) {
+                vars.copy_from_slice(&block.envs[k[width - 1] as usize..][..nvars]);
+                self.join(si, &t, vars, deeper);
+            }
         }
     }
 

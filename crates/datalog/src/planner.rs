@@ -12,9 +12,12 @@
 //!    columns yields an estimated `n^((a-b)/a)` matches per outer binding;
 //!    that is also what its scan touches when the bound columns are a
 //!    leading prefix or the leading columns of a registered index.
-//!    Otherwise the primary tree only serves the bound leading run (the
-//!    whole relation when column 0 is free) — unless an index is built,
-//!    whose build and upkeep are then charged to the scan ([`INDEX_COST`]).
+//!    Otherwise the primary tree only serves the bound leading run or, when
+//!    column 0 is free, a keyed sweep: one pass over the relation a block
+//!    of up to [`BLOCK`] bindings, `n / min(outer, BLOCK)` a binding, plus
+//!    its matches — unless an index is built, whose build and upkeep are
+//!    then charged to the scan ([`INDEX_COST`]). Within one execution with
+//!    no upkeep the index pays past `INDEX_COST × BLOCK` bindings.
 //! 2. **Registration** ([`register`]): the searches whose index paid are
 //!    chain-covered per relation (Soufflé's "MinIndex": by Dilworth's
 //!    theorem the fewest permutations serving a set of bound-column masks
@@ -30,7 +33,7 @@
 //! fixpoint iterations.
 
 use crate::ast::{Rule, Term};
-use crate::eval::{compile_one, compile_ordered, source_order, Plan};
+use crate::eval::{compile_one, compile_ordered, source_order, Plan, BLOCK};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The set of secondary-index permutations registered per relation.
@@ -202,11 +205,17 @@ fn push_cols(mask: u32, out: &mut Vec<usize>) {
 /// costs per tuple merged into its relation afterwards, in units of one
 /// tuple touched by a scan. Measured on `tc_random`'s 1.81 M-tuple `path`
 /// (2 vCPUs): a tuple a join scans costs 70 ns, 2.8 ns of it the leaf-walk
-/// step; a backfilled tuple 39 ns — three walks of the primary, the last a
-/// scatter, and a bulk load: 14 leaf-walk steps or 0.6 scanned tuples, where
-/// the comparison sort made it 88 ns, 1.3 — and a tuple merged in afterwards
-/// one more random-order tree insert, 770 ns, 11 scanned tuples. One
-/// constant stands for both and upkeep is the larger part, so it stays 8.
+/// step; a backfilled tuple 45–47 ns (`ablation` group `index_build`, 1.8 M
+/// pairs, medians of ten runs; 39 ns when first measured) — three walks of
+/// the primary, the last a scatter, and a bulk load, where the comparison
+/// sort made it 88 ns — and a tuple merged in afterwards one more
+/// random-order tree insert, 770 ns, 11 scanned tuples. A keyed sweep's
+/// pass reads a tuple in 10–16 ns (group `block_join/sweep`, 30 bindings):
+/// a build costs three to four passes, and where nearly every tuple
+/// matches a key the pass also copies each, so sweeping lost past two
+/// blocks of bindings there (EXPERIMENTS.md, "A keyed sweep"). One
+/// constant stands for both and upkeep is the larger part, so it stays 8,
+/// and with it a crossover at eight blocks.
 const INDEX_COST: f64 = 8.0;
 
 /// What the orderer knows about the database a plan is about to run on.
@@ -219,8 +228,10 @@ pub(crate) struct CostModel<'a> {
     /// the relation — the upkeep an index on it adds. Zero outside the
     /// stratum being evaluated.
     pub deltas: &'a [f64],
-    /// Executions an index built now is expected to serve before the plan
-    /// is ordered again.
+    /// Executions an index built now is expected to serve, over which its
+    /// build is spread: a run's iteration number (as many iterations to
+    /// come as have run), 1 for a retraction's synthetic rules, which run
+    /// once a call.
     pub horizon: f64,
     /// Whether the storage backend can build secondary indexes at all.
     pub can_index: bool,
@@ -257,7 +268,8 @@ pub(crate) struct Ordered {
 /// one probe that half the bindings are assumed to pass. An index is
 /// assumed, and reported in [`Ordered::wants`], only where
 /// `m + INDEX_COST·(n + Δn) / (horizon·outer)` undercuts the scan the
-/// primary tree can serve.
+/// primary tree can serve: its leading run, or a keyed sweep's
+/// `n / min(outer, BLOCK) + m`.
 ///
 /// All orders are searched, depth first, cheapest next scan first. A
 /// partial order is dropped once it costs what the best complete one does,
@@ -372,14 +384,20 @@ impl<'a> Search<'a> {
         let (a, b) = (lit.atom.terms.len(), mask.count_ones() as usize);
         let n = self.best.cards[li].max(1.0);
         let matches = est_matches(n, a, b);
-        // What the primary tree serves: the bound leading run.
+        // What the primary tree serves: the bound leading run, or, for an
+        // inner scan with none but a fixed column, a keyed sweep — one pass
+        // over the relation a block, then the binding's matches.
         let lead = (!mask).trailing_zeros() as usize;
+        let inner = !self.path.is_empty();
         let mut cost = ScanCost {
-            work: est_matches(n, a, lead),
+            work: match lead == 0 && b > 0 && inner {
+                true => n / outer.min(BLOCK as f64) + matches,
+                false => est_matches(n, a, lead),
+            },
             matches,
             want: None,
         };
-        if lead < b && !self.path.is_empty() && rel < self.catalog.nrels() {
+        if lead < b && inner && rel < self.catalog.nrels() {
             if self.catalog.find(rel, mask).is_some() {
                 cost.work = matches;
             } else if self.model.can_index {
@@ -731,42 +749,41 @@ mod tests {
         let catalog = IndexCatalog::new(&[3, 2, 3]);
         let cards = [100.0, 5000.0, 5000.0];
         let dvpt = |n: f64| [0.0, n, 0.0];
-        // Δvpt(W,H) binds load's second column. Sixty outer tuples repay
-        // building load[1,..] within one execution …
-        let o = cost_order(
-            &p.rules[0],
-            &ids,
-            Some(1),
-            &model(&cards, &dvpt(60.0)),
-            &catalog,
-        );
-        assert_eq!((o.order, o.wants), (vec![1, 0, 2], vec![(0, 0b010)]));
-        // … two do not: load is scanned in full, and nothing is built.
-        let o = cost_order(
-            &p.rules[0],
-            &ids,
-            Some(1),
-            &model(&cards, &dvpt(2.0)),
-            &catalog,
-        );
-        assert_eq!((o.order, o.wants), (vec![1, 0, 2], vec![]));
-        // By the fortieth iteration of such deltas the scans have added up.
-        let small = dvpt(2.0);
-        let late = CostModel {
-            horizon: 40.0,
-            ..model(&cards, &small)
+        let wants = |deltas: &[f64], horizon: f64| {
+            let m = CostModel {
+                horizon,
+                ..model(&cards, deltas)
+            };
+            let o = cost_order(&p.rules[0], &ids, Some(1), &m, &catalog);
+            assert_eq!(o.order, vec![1, 0, 2]);
+            o.wants
         };
-        let o = cost_order(&p.rules[0], &ids, Some(1), &late, &catalog);
-        assert_eq!(o.wants, vec![(0, 0b010)]);
-        // Δhpt(H,F,G) enters vpt through its second column. Twenty outer
-        // tuples repay indexing 5 000 vpt tuples, but not indexing them and
-        // the 10 000 more this iteration is about to merge.
+        // Δvpt(W,H) binds load's second column. A keyed sweep reads load
+        // once a block: within one execution sixty outer tuples make one
+        // pass, cheaper than building load[1,..], and so do eight blocks
+        // less a thousand bindings; eight blocks and a thousand more read
+        // load more often than the build does (`INDEX_COST`).
+        let block = BLOCK as f64;
+        assert_eq!(wants(&dvpt(60.0), 1.0), vec![]);
+        assert_eq!(wants(&dvpt(8.0 * block - 1024.0), 1.0), vec![]);
+        assert_eq!(wants(&dvpt(8.0 * block + 1024.0), 1.0), vec![(0, 0b010)]);
+        // By the fortieth iteration of sixty-tuple deltas the passes have
+        // added up.
+        assert_eq!(wants(&dvpt(60.0), 40.0), vec![(0, 0b010)]);
+        // Δhpt(H,F,G) enters vpt through its second column. By the
+        // sixteenth iteration twenty outer tuples repay indexing 5 000 vpt
+        // tuples, but not indexing them and the 10 000 more this iteration
+        // is about to merge: vpt is swept then.
         let cards = [1e6, 5000.0, 5000.0];
+        let late = |deltas| CostModel {
+            horizon: 16.0,
+            ..model(&cards, deltas)
+        };
         let o = cost_order(
             &p.rules[0],
             &ids,
             Some(2),
-            &model(&cards, &[0.0, 0.0, 20.0]),
+            &late(&[0.0, 0.0, 20.0]),
             &catalog,
         );
         assert_eq!(
@@ -777,10 +794,43 @@ mod tests {
             &p.rules[0],
             &ids,
             Some(2),
-            &model(&cards, &[0.0, 1e4, 20.0]),
+            &late(&[0.0, 1e4, 20.0]),
             &catalog,
         );
         assert_eq!((o.order, o.wants), (vec![2, 1, 0], vec![(0, 0b110)]));
+    }
+
+    /// The overdeletion rule of a closure's retraction, costed as a
+    /// retraction costs it (one execution): the deletion set of `edge`
+    /// enters `path` through its second column. Below eight blocks of
+    /// bindings a keyed sweep reads `path` once a block and nothing is
+    /// built; above, building `path[1,0]` reads it less.
+    #[test]
+    fn a_deletion_set_sweeps_below_the_crossover_and_is_indexed_above() {
+        let p = parse(
+            ".decl edge(x:n, y:n)\n.decl path(x:n, y:n)\n.decl del(x:n, y:n)\n\
+             del(X,Z) :- path(X,Y), edge(Y,Z), path(X,Z).",
+        )
+        .unwrap();
+        let ids = rel_ids(&["edge", "path", "del"]);
+        let catalog = IndexCatalog::new(&[2, 2, 2]);
+        let cards = [1e5, 1.8e6, 0.0];
+        let wants = |deleted: f64| {
+            let deltas = [deleted, 0.0, 0.0];
+            let o = cost_order(
+                &p.rules[0],
+                &ids,
+                Some(1),
+                &model(&cards, &deltas),
+                &catalog,
+            );
+            assert_eq!(o.order[0], 1, "the deletion set drives the join");
+            o.wants
+        };
+        let block = BLOCK as f64;
+        assert_eq!(wants(30.0), vec![]);
+        assert_eq!(wants(8.0 * block - 1024.0), vec![]);
+        assert_eq!(wants(8.0 * block + 1024.0), vec![(1, 0b10)]);
     }
 
     #[test]
@@ -792,17 +842,18 @@ mod tests {
             can_index: false,
             ..model(&[1000.0, 5000.0, 20_000.0], &[0.0, 60.0, 0.0])
         };
-        // load, entered through column 1, is a 1 000-tuple sweep per outer
-        // tuple. hpt's prefix range looks cheaper (20 000^⅔ ≈ 737), but each
-        // of its matches would repeat the sweep: load still goes first.
+        // load, entered through column 1, is swept once a block: the sixty
+        // outer tuples read its 1 000 tuples once. hpt's prefix range passes
+        // on 20 000^⅔ ≈ 737 matches per outer tuple, each of which would
+        // reach load: load goes first.
         let o = cost_order(&p.rules[0], &ids, Some(1), &plain, &catalog);
         assert_eq!((o.order, o.wants), (vec![1, 0, 2], vec![]));
         let mut version = [Version::new(0, &p.rules[0], &ids, Some(1))];
         replan(&mut version, &ids, &plain, &mut catalog, 1);
         assert_eq!(catalog.len(), 0);
         assert!(
-            crate::eval::has_unprefixed_inner_scan(&version[0].plan),
-            "compiled as the sweep it is"
+            matches!(&version[0].plan.steps[1], Step::Scan { swept, .. } if swept == &[1]),
+            "compiled as the sweep keyed by load's second column it is"
         );
     }
 

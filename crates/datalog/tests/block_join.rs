@@ -1,9 +1,11 @@
 //! Differential test for reads by blocks: the bindings that reach a scan
 //! or a check, at any step after the outer scan, wait in a block of 4 096
 //! sorted by that step's key, which is looked up once per distinct key — a
-//! range read into a buffer (the whole relation for a scan with no bound
-//! prefix), or one `contains` — and replayed for every binding that shares
-//! it. A block runs when it is full
+//! range read into a buffer (the whole relation for a scan with nothing
+//! fixed), or one `contains` — and replayed for every binding that shares
+//! it. A scan whose fixed columns do not lead its relation (a keyed sweep)
+//! reads the relation once for the whole block, keeping the tuples that
+//! match one of its keys. A block runs when it is full
 //! (a deeper one in the middle of the replay above it) and where its worker
 //! stops: a worker alone keeps its blocks and emit batch from one chunk to
 //! the next, one of several ends them with each chunk. The emit batch is
@@ -42,7 +44,8 @@ const KEYS: u64 = 256;
 const SPOKES: u64 = 66_000;
 /// Where `rev`'s first column starts.
 const REV: u64 = 1 << 20;
-/// `rev` holds every key that is a multiple of this.
+/// `rev` holds every key that is a multiple of this, and two blocks of tuples whose
+/// second column is no key.
 const REV_STEP: u64 = 64;
 
 /// `wide(x, key(x), x % 3)`: three bindings in a row share a key, so the key
@@ -118,14 +121,16 @@ fn facts() -> Db {
                 .flat_map(|y| (0..3).filter_map(move |m| Some(vec![y, m, tri(y, m)?])))
                 .collect(),
         ),
-        // Joined on its second column: the planner serves that through an
-        // index whose permuted prefix is the key, with `rev` or `wide` as
-        // the inner scan. Small, for the planner-off run sweeps it and
-        // replays all of it for every binding.
+        // Joined on its second column. `wide`'s 65 536 bindings, sixteen
+        // blocks, read `rev` less through an index built once than by a pass
+        // a block: with the planner the tree serves the join through an
+        // index whose permuted prefix is the key. Every other run sweeps
+        // `rev`, sixteen blocks of it, keyed by that column.
         (
             "rev",
             keys.clone()
                 .step_by(REV_STEP as usize)
+                .chain(KEYS..KEYS + 2 * BLOCK)
                 .map(|y| vec![REV + y, y])
                 .collect(),
         ),
@@ -204,10 +209,13 @@ fn every_block_edge_agrees_with_the_definitions() {
                 let explain = engine.explain();
                 let perm = explain.lines().find(|l| l.contains("emit perm(")).unwrap();
                 let tree = kind == StorageKind::SpecBTree;
-                assert_eq!(
-                    perm.contains("index=[1,"),
-                    tree && planner,
-                    "{what}: `perm`'s inner scan is an index range: {perm}"
+                let inner = match tree && planner {
+                    true => "range rev index=[1,0] prefix=(v1)",
+                    false => "scan rev key=(#1=v1)",
+                };
+                assert!(
+                    perm.contains(inner),
+                    "{what}: `perm` reads `{inner}`: {perm}"
                 );
             }
         }
@@ -346,6 +354,53 @@ fn a_check_is_made_once_a_block() {
     }
 }
 
+/// An inner scan entered through its second column (`rev(b, y)`, `y` bound
+/// by `wider`), planner off: one read of `rev` a block, which keeps the
+/// tuples whose second column is one of the block's keys — one
+/// `lower_bound_calls` a block, no `upper_bound_calls`, every tuple of `rev`
+/// scanned once a block and each match once for every binding under its
+/// key — and one `inner_scans_full` a binding. One worker, whose blocks
+/// span its chunks; a tree's range chunks each open with a descent of
+/// their own.
+#[test]
+fn a_keyed_sweep_reads_its_relation_once_a_block() {
+    const KEYED: &str = r#"
+        .decl wider(x: number, y: number, m: number)
+        .decl rev(b: number, y: number)
+        .decl k(x: number, b: number)
+        k(x, b) :- wider(x, y, _), rev(b, y).
+    "#;
+    let program = parse(KEYED).unwrap();
+    for kind in StorageKind::ALL {
+        let what = kind.label();
+        let mut engine = Engine::new(&program, kind, 1).unwrap();
+        engine.set_planner_enabled(false);
+        let mut db = facts();
+        let rev = db["rev"].len() as u64;
+        for rel in ["wider", "rev"] {
+            engine.add_facts(rel, db.remove(rel).unwrap()).unwrap();
+        }
+        engine.run().unwrap();
+        let stats = engine.stats();
+        let opened = match kind {
+            StorageKind::SpecBTree => stats.chunks_claimed,
+            _ => 0,
+        };
+        let sweeps = blocks(WIDER, 1, |c| c.end - c.start);
+        let matched = (0..WIDER).filter(|&x| key(x).is_multiple_of(REV_STEP));
+        let matched = matched.count() as u64;
+        assert_eq!(stats.lower_bound_calls - opened, sweeps, "{what}");
+        assert_eq!(stats.inner_scans_full, WIDER, "{what}");
+        assert_eq!(stats.upper_bound_calls, 0, "{what}");
+        assert_eq!(
+            stats.tuples_scanned,
+            WIDER + sweeps * rev + matched,
+            "{what}"
+        );
+        assert_eq!(engine.relation("k").unwrap().len() as u64, matched);
+    }
+}
+
 /// `src(x, key)`'s tuples: three blocks of step 1 less a thousand bindings,
 /// so blocks end inside chunks and, at one worker, a block spans several;
 /// every binding reaches up to three `mid` tuples, so step 2 gets about six
@@ -355,10 +410,11 @@ const SRC: u64 = 3 * BLOCK - 1_000;
 const DEEP_KEYS: u64 = 64;
 
 /// Four-literal rules with a deeper step of every kind: a scan with a
-/// bound prefix at step 2 on the primary (`low`) and, with the planner on,
-/// through an index (`d2`, which the planner starts at the small `hi` and
-/// joins to `mid` and `src` through their second columns), a scan with no
-/// bound prefix at step 2 (`few`, swept once a block), positive and
+/// bound prefix at step 2 on the primary (`low`), keyed sweeps past step 1
+/// (`d2`, which the planner starts at the small `hi` and joins to `mid` and
+/// `src` through their second columns, and source order joins to `hi`
+/// through its second), a scan with nothing fixed at step 2 (`few`, swept
+/// once a block), positive and
 /// negated checks at steps 2 and 3, filters between steps 1 and 2 (`j !=
 /// k`) and after a sweep (`a != j`), and constants in a check, in a scan's
 /// prefix and in the outer scan.
@@ -491,12 +547,10 @@ fn deeper_blocks_agree_with_the_naive_evaluator() {
                 matches(&engine, &before, &what);
                 let explain = engine.explain();
                 let d2 = explain.lines().find(|l| l.contains("emit d2(")).unwrap();
-                let tree = kind == StorageKind::SpecBTree;
-                let deep_index = d2.split(" ⋈ ").skip(2).any(|s| s.contains(" index="));
-                assert_eq!(
-                    deep_index,
-                    tree && planner,
-                    "{what}: a step of `d2` past the first inner one is an index range: {d2}"
+                let deep_sweep = d2.split(" ⋈ ").skip(2).any(|s| s.contains(" key=("));
+                assert!(
+                    deep_sweep,
+                    "{what}: a step of `d2` past the first inner one is a keyed sweep: {d2}"
                 );
                 let d6 = explain.lines().find(|l| l.contains("emit d6(")).unwrap();
                 let swept = d6.split(" ⋈ ").nth(2).unwrap().starts_with("scan few");
@@ -507,6 +561,131 @@ fn deeper_blocks_agree_with_the_naive_evaluator() {
                 engine.retract_facts(batch.clone()).unwrap();
                 matches(&engine, &after, &format!("{what}, after the retraction"));
             }
+        }
+    }
+}
+
+/// `big`'s tuples but for the pairs `k3` joins: more than a block, so the
+/// sweeps below read a relation larger than a block, and every key of
+/// `src` has about fifty.
+const BIG: u64 = BLOCK + 500;
+
+/// Keyed sweeps of every shape, planner off: source order leaves each
+/// `big` literal entered through columns that do not lead it. Constants in
+/// the swept atom, alone (`k6`, one key for every binding) or beside a
+/// bound column (`k1`); a key of two columns (`k5`); a repeated variable
+/// the atom binds itself (`k2`, checked after the pass); a check of the
+/// swept relation right after it (`k3`, positive, and `k4`, negated — a
+/// locked kind would hang if it were made while the pass holds its lock);
+/// a sweep at step 2 with a negation after it (`k7`). Every storage kind,
+/// one and two threads (and `DATALOG_TEST_THREADS`), against the naive
+/// evaluator, before and after a retraction, whose synthetic rules sweep
+/// too.
+#[test]
+fn keyed_sweeps_agree_with_the_naive_evaluator() {
+    const SWEPT: &str = r#"
+        .decl src(x: number, k: number)
+        .decl pair(k: number, c: number)
+        .decl fan(k: number, j: number)
+        .decl big(a: number, k: number, c: number)
+        .decl ban(a: number)
+        .decl k1(x: number, a: number)
+        .decl k2(x: number, a: number)
+        .decl k3(x: number, a: number)
+        .decl k4(x: number, a: number)
+        .decl k5(k: number, a: number)
+        .decl k6(x: number, a: number)
+        .decl k7(x: number, a: number)
+
+        k1(x, a) :- src(x, k), big(a, k, 1).
+        k2(x, a) :- src(x, k), big(a, k, a).
+        k3(x, a) :- src(x, k), big(a, k, c), big(c, k, a).
+        k4(x, a) :- src(x, k), big(a, k, c), !big(c, k, 0).
+        k5(k, a) :- pair(k, c), big(a, k, c).
+        k6(x, a) :- src(x, _), big(a, 5, 2).
+        k7(x, a) :- src(x, k), fan(k, j), big(a, j, _), !ban(a).
+    "#;
+    const KEYS: u64 = 64;
+    const SRCS: u64 = 96;
+    let program = parse(SWEPT).unwrap();
+    let rel = |name: &str, tuples: Vec<Vec<u64>>| (name.to_string(), tuples.into_iter().collect());
+    // `big(a, a % 97, c)`: keys past 63 are no key of `src`; `c` is `a % 3`
+    // but for every seventh tuple, which holds `a` itself (`k2`) or, past
+    // `BIG`, a partner `a - BIG` that holds it back (`k3`).
+    let big = (0..BIG).map(|a| match a % 7 {
+        0 => vec![a, a % 97, a],
+        _ => vec![a, a % 97, a % 3],
+    });
+    let partners = (0..BIG)
+        .step_by(11)
+        .flat_map(|a| [vec![a, a % 97, BIG + a], vec![BIG + a, a % 97, a]]);
+    let facts: naive::Db = naive::Db::from([
+        rel("src", (0..SRCS).map(|x| vec![x, x % KEYS]).collect()),
+        rel("pair", (0..KEYS).map(|k| vec![k, k % 3]).collect()),
+        rel(
+            "fan",
+            (0..KEYS)
+                .flat_map(|k| (0..3).map(move |i| vec![k, (k + 9 * i) % 97]))
+                .collect(),
+        ),
+        rel("big", big.chain(partners).collect()),
+        rel("ban", (0..BIG).step_by(5).map(|a| vec![a]).collect()),
+    ]);
+    let batch: Vec<(String, Vec<u64>)> = (0..BIG)
+        .step_by(61)
+        .map(|a| {
+            (
+                "big".to_string(),
+                facts["big"].range(vec![a]..).next().unwrap().clone(),
+            )
+        })
+        .chain(
+            (0..SRCS)
+                .step_by(9)
+                .map(|x| ("src".to_string(), vec![x, x % KEYS])),
+        )
+        .collect();
+    let mut surviving = facts.clone();
+    for (rel, tuple) in &batch {
+        surviving.get_mut(rel).unwrap().remove(tuple);
+    }
+    let (before, after) = (naive(&program, &facts), naive(&program, &surviving));
+    let derived = ["k1", "k2", "k3", "k4", "k5", "k6", "k7"];
+    for rel in derived {
+        assert!(!before[rel].is_empty(), "{rel} is exercised");
+        assert_ne!(before[rel], after[rel], "the retraction reaches {rel}");
+    }
+    assert!(
+        facts["big"].len() as u64 > BLOCK,
+        "`big` is larger than a block"
+    );
+    let matches = |engine: &Engine, expect: &naive::Db, what: &str| {
+        for rel in derived {
+            let got = engine.relation(rel).unwrap();
+            assert_eq!(got.len(), expect[rel].len(), "{what}: size of {rel}");
+            assert!(got.iter().eq(&expect[rel]), "{what}: relation {rel}");
+        }
+    };
+    for kind in StorageKind::ALL {
+        for threads in with_extra(&[1, 2]) {
+            let what = format!("{kind:?}, {threads} threads");
+            let mut engine = Engine::new(&program, kind, threads).unwrap();
+            engine.set_planner_enabled(false);
+            for (rel, tuples) in &facts {
+                engine.add_facts(rel, tuples.iter().cloned()).unwrap();
+            }
+            engine.run().unwrap();
+            matches(&engine, &before, &what);
+            let explain = engine.explain();
+            for rel in derived {
+                let plan = explain
+                    .lines()
+                    .find(|l| l.contains(&format!("emit {rel}(")))
+                    .unwrap();
+                assert!(plan.contains("scan big key=("), "{what}: {plan}");
+            }
+            engine.retract_facts(batch.clone()).unwrap();
+            matches(&engine, &after, &format!("{what}, after the retraction"));
         }
     }
 }

@@ -39,7 +39,9 @@ const REVERSE_PROGRAM: &str = r#"
 
 /// Adversarial source order: `fact` first (big, nothing bound), `probe`
 /// last (tiny). The cost model must rotate `probe` to the front, after
-/// which `fact` is entered through its second column (`[1, 0]` index).
+/// which `fact` is entered through its second column: swept by that
+/// column once a block, or through a `[1, 0]` index once enough bindings
+/// repay building it.
 const PROBE_PROGRAM: &str = r#"
     .decl probe(x: number)
     .decl fact(y: number, x: number)
@@ -149,8 +151,12 @@ fn reverse_reachability_matrix() {
 #[test]
 fn reverse_join_builds_and_uses_secondary_index() {
     // Forty chains of fifty edges, every chain end seeded: each iteration
-    // walks all chains one edge back, so Δback holds 40 tuples and scanning
-    // `edge` (2000 tuples) for each of them costs more than indexing it.
+    // walks all chains one edge back, so Δback holds 40 tuples, one block,
+    // which a keyed sweep serves with one read of `edge` (2000 tuples). An
+    // index built once reads `edge` as often as eight such passes
+    // (`INDEX_COST`), so the orderer, which expects as many iterations to
+    // come as have run, builds it at the ninth: the eight before it swept
+    // `edge`, 8 × 40 bindings.
     let edges: Vec<(u64, u64)> = (0..40u64)
         .flat_map(|c| (0..50u64).map(move |i| (c * 100 + i, c * 100 + i + 1)))
         .collect();
@@ -169,8 +175,9 @@ fn reverse_join_builds_and_uses_secondary_index() {
         "inner edge probes must route through the secondary index: {stats:?}"
     );
     assert_eq!(
-        stats.inner_scans_full, 0,
-        "no inner scan should fall back to a full scan here: {stats:?}"
+        stats.inner_scans_full,
+        8 * 40,
+        "the first eight iterations sweep `edge`, the rest read its index: {stats:?}"
     );
     // The chosen permutation is observable on the storage itself.
     let report = engine.storage_report();
@@ -178,7 +185,7 @@ fn reverse_join_builds_and_uses_secondary_index() {
     assert_eq!(edge.index_perms, vec![vec![1, 0]], "catalog chose [1,0]");
 
     // A later run finds the index in place and plans through it from its
-    // first iteration: twenty more chains, no full inner scan, no new build.
+    // first iteration: twenty more chains, no more sweeps, no new build.
     let more: Vec<(u64, u64)> = (40..60u64)
         .flat_map(|c| (0..50u64).map(move |i| (c * 100 + i, c * 100 + i + 1)))
         .collect();
@@ -191,7 +198,7 @@ fn reverse_join_builds_and_uses_secondary_index() {
     let stats = engine.stats();
     assert_eq!(
         (stats.index_builds, stats.inner_scans_full),
-        (1, 0),
+        (1, 8 * 40),
         "{stats:?}"
     );
     assert!(
@@ -251,10 +258,13 @@ fn facts_added_to_an_indexed_relation_reach_its_index() {
 
 #[test]
 fn index_built_for_one_plan_serves_every_later_plan_that_can_use_it() {
-    // `near`'s base rule enters `edge` through its second column from forty
-    // probes and builds `edge[1,0]`. The recursive rule of the same stratum
-    // and the rule of the stratum above bind a tuple or two per execution —
-    // never enough to have built the index themselves — and must still find it.
+    // `near`'s rules enter `edge` through its second column. Forty
+    // bindings an execution are one block, which a keyed sweep serves with
+    // one read of `edge`: the base rule, which runs once, sweeps it, and so
+    // does the recursive one until its ninth iteration, which builds
+    // `edge[1,0]` (8 × 40 sweeps before, 40 of the base rule's). The rule of
+    // the stratum above binds one tuple — never enough to have built the
+    // index itself — and must still find it.
     let program = parse(
         r#"
         .decl edge(x: number, y: number)
@@ -283,12 +293,17 @@ fn index_built_for_one_plan_serves_every_later_plan_that_can_use_it() {
     assert_eq!(engine.relation_len("near").unwrap(), 40 * 50);
     assert_eq!(engine.relation("before").unwrap(), vec![vec![6u64]]);
     let stats = engine.stats();
+    let explain = engine.explain();
     assert_eq!(
         (stats.index_builds, stats.inner_scans_full),
-        (1, 0),
-        "{stats:?}\n{}",
-        engine.explain()
+        (1, 40 + 8 * 40),
+        "{stats:?}\n{explain}"
     );
+    let before = explain
+        .lines()
+        .find(|l| l.contains("emit before("))
+        .unwrap();
+    assert!(before.contains("range edge index=[1,0]"), "{explain}");
 }
 
 #[test]
@@ -363,10 +378,13 @@ fn planner_never_does_more_join_work_than_source_order_on_fig5a() {
             on_total += on;
             off_total += off;
         }
+        // Source order sweeps a relation by what is bound once a block, as
+        // the planner's orders do: the totals at seeds 42–52 are 2.17 M
+        // (planner) and 2.18 M (source order) on the tree.
         if kind == StorageKind::SpecBTree {
             assert!(
-                on_total * 5 < off_total,
-                "with indexes the planner should save most of the work: {on_total} vs {off_total}"
+                on_total < off_total,
+                "the planner saves work over source order: {on_total} vs {off_total}"
             );
         }
     }
@@ -440,11 +458,15 @@ fn planner_rescues_an_adversarial_order_without_building_an_index() {
 }
 
 #[test]
-fn planner_beats_the_best_hand_order_where_only_an_index_helps() {
+fn planner_beats_the_best_hand_order_by_sweeping_fact_once() {
     // `fact(y, x)` is entered through its second column once `probe` binds
-    // `x`: source order scans all of `fact` per probe, the best index-free
-    // hand order puts `fact` outermost and scans it once, and only a `[1,0]`
-    // index turns the join into point probes.
+    // `x`: the best hand order puts `fact` outermost and looks `link` up
+    // for every one of its tuples; with `probe` first a keyed sweep reads
+    // `fact` once for the block of forty probes and looks `link` up for
+    // the matches alone. One pass costs less than building a `[1,0]` index
+    // (eight passes' worth), so nothing is built, and the adversarial text
+    // run in source order sweeps the same way: the executor keys a sweep
+    // by what is bound whoever ordered the join.
     let decls = r#"
         .decl probe(x: number)
         .decl fact(y: number, x: number)
@@ -469,17 +491,13 @@ fn planner_beats_the_best_hand_order_where_only_an_index_helps() {
         np * (n / domain)
     );
     assert!(
-        on < hand,
+        on * 2 <= hand,
         "planner {on} scans + range queries, best hand order {hand}"
     );
-    assert!(
-        on * 2 <= off,
-        "planner {on}, adversarial source order {off}"
-    );
-    assert_eq!(planned.stats().index_builds, 1, "{}", planned.explain());
-    let report = planned.storage_report();
-    let fact = report.relations.iter().find(|r| r.name == "fact").unwrap();
-    assert_eq!(fact.index_perms, vec![vec![1, 0]]);
+    assert_eq!(on, off, "the adversarial text sweeps `fact` by key too");
+    let explain = planned.explain();
+    assert_eq!(planned.stats().index_builds, 0, "{explain}");
+    assert!(explain.contains("scan fact key=(#1=v0)"), "{explain}");
 }
 
 #[test]
@@ -599,9 +617,10 @@ fn explain_shows_index_choice_and_cardinalities() {
     let link: Vec<(u64, u64)> = (0..5000u64).map(|y| (y, y + 1)).collect();
     let program = parse(PROBE_PROGRAM).unwrap();
     let mut engine = Engine::new(&program, StorageKind::SpecBTree, 2).unwrap();
-    // Just enough probes for fact's [1,0] index to repay its build — as
-    // long as explain charges it what a run does (no upkeep: nothing merges
-    // into `fact` in this stratum), which is checked against a run below.
+    // Ten probes, one block: `fact` is swept by its second column once
+    // rather than indexed on it, for a build reads it as often as eight
+    // passes — as long as explain charges an index what a run does, which
+    // is checked against a run below.
     engine
         .add_facts("probe", (0..10u64).map(|x| vec![x]))
         .unwrap();
@@ -609,8 +628,8 @@ fn explain_shows_index_choice_and_cardinalities() {
     engine.add_facts("link", pairs(&link)).unwrap();
     let explain = engine.explain();
     assert!(
-        explain.contains("index=[1,0]"),
-        "explain must show the chosen permutation on fact:\n{explain}"
+        explain.contains("scan fact key=(#1=v0)") && !explain.contains("index="),
+        "explain must show the choice made on fact:\n{explain}"
     );
     assert!(
         explain.contains("cardinalities:"),
@@ -628,9 +647,9 @@ fn explain_shows_index_choice_and_cardinalities() {
     assert!(!legacy.contains("index=") && !legacy.contains("cardinalities:"));
     // Explain never mutates: no indexes were built by either rendering.
     assert_eq!(engine.stats().index_builds, 0);
-    // What ran is what explain reports afterwards, index and all.
+    // What ran is what explain reports afterwards.
     engine.set_planner_enabled(true);
     engine.run().unwrap();
     assert_eq!(engine.explain(), explain);
-    assert_eq!(engine.stats().index_builds, 1);
+    assert_eq!(engine.stats().index_builds, 0);
 }
