@@ -27,8 +27,9 @@
 //!   relation through its second column, served by the whole relation
 //!   replayed for every binding, by one pass a block that keeps what
 //!   matches the block's keys, and by a `[1, 0]` index built for them and
-//!   probed; and the index's build alone: the crossover the planner's
-//!   `INDEX_COST` prices.
+//!   probed; and the index's build alone. The engine sweeps and builds no
+//!   index; these time the storage's index primitive against the sweep it
+//!   would replace (DESIGN.md, "Query planning").
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use datalog::storage::{RelationStorage, StorageCtx, TupleBuf};
@@ -619,7 +620,7 @@ fn block_sweep(c: &mut Criterion) {
 /// A `[1, 0]` index built on the 1.8 M-pair relation of [`block_sweep`]
 /// (`add_index`: three walks of the primary, the counting sort and the bulk
 /// load), each on a fresh copy built outside the clock; the throughput is
-/// backfilled tuples. What `INDEX_COST` weighs a pass against.
+/// backfilled tuples: what a build would cost against a pass of the sweep.
 fn index_build(c: &mut Criterion) {
     let words = closure_pairs();
     let mut group = c.benchmark_group("index_build");

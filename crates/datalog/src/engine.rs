@@ -6,7 +6,7 @@ use crate::eval::{
     delta_positions, eval_plan, insert_tuples, merge_runs, plan_delta_rel, side_table,
     source_order, SideTables, StorageEnv, Worker,
 };
-use crate::planner::{self, CostModel, IndexCatalog, Version};
+use crate::planner::{self, CostModel, Version};
 use crate::storage::{pad, RelationStorage, StorageKind, TupleBuf};
 use crate::strat::{stratify, StratError, Stratification, Stratum};
 use specbtree::HintStats;
@@ -129,19 +129,18 @@ pub struct EvalStats {
     /// Tuples put back by rederivation (alternative derivations plus
     /// overdeleted EDB facts that were not themselves retracted).
     pub rederived_tuples: u64,
-    /// Secondary-index permutations registered on relation storages by
-    /// the planner (each registration backfills one permuted tree). Zero
-    /// with the planner off.
+    /// Secondary indexes built. The engine builds none: every scan reads
+    /// the relation's primary tree, by a bound prefix or a sweep, so this
+    /// stays zero. It is kept because the repository benchmark reads it.
     pub index_builds: u64,
-    /// Inner (non-outermost) scans served by a bound primary prefix or a
-    /// secondary index — range queries instead of full sweeps — counted
-    /// once per binding that reaches one: the join's lookups, which a block
-    /// answers with one range query per distinct key.
+    /// Inner (non-outermost) scans served by a bound leading prefix — range
+    /// queries instead of sweeps — counted once per binding that reaches
+    /// one: the join's lookups, which a block answers with one range query
+    /// per distinct key.
     pub inner_scans_indexed: u64,
-    /// Inner scans that fell through to an unindexed full sweep (no bound
-    /// prefix, no secondary index), counted once per binding that reaches
-    /// one: the join's lookups, which a block answers with one read of the
-    /// whole relation.
+    /// Inner scans with no bound prefix, keyed sweeps included, counted
+    /// once per binding that reaches one: the join's lookups, which a block
+    /// answers with one read of the whole relation.
     pub inner_scans_full: u64,
     /// Operation-hint statistics. The engine writes none: its scans and
     /// checks read by sorted blocks through the tree's unhinted operations,
@@ -235,8 +234,8 @@ impl EvalStats {
         )
     }
 
-    /// Fraction of inner scans served by a bound prefix or secondary
-    /// index (1.0 when no inner scans ran — nothing needed rescuing).
+    /// Fraction of inner scans served by a bound prefix (1.0 when no inner
+    /// scans ran — nothing needed rescuing).
     pub fn index_hit_ratio(&self) -> f64 {
         let total = self.inner_scans_indexed + self.inner_scans_full;
         if total == 0 {
@@ -271,8 +270,7 @@ pub struct RetractOutcome {
     /// Net change in total database size (before − after). Negative when
     /// retraction *grows* the database through stratified negation.
     pub net_removed: i64,
-    /// Wall-clock seconds planning the overdeletion rules and building the
-    /// indexes they are the first to need (before phase 1).
+    /// Wall-clock seconds planning the overdeletion rules (before phase 1).
     pub plan_seconds: f64,
     /// Wall-clock seconds in the overdeletion fixpoint (phase 1).
     pub overdelete_seconds: f64,
@@ -363,13 +361,9 @@ pub struct Engine {
     worker_stats: Vec<EvalStats>,
     /// Per-rule (by rule index) evaluation counts and time.
     profile: HashMap<usize, (u64, f64)>,
-    /// Cost-based join ordering + automatic secondary indexes (default
-    /// on; [`set_planner_enabled`](Self::set_planner_enabled)).
+    /// Cost-based join ordering (default on;
+    /// [`set_planner_enabled`](Self::set_planner_enabled)).
     planner_enabled: bool,
-    /// Secondary-index permutations registered so far, per relation. The
-    /// catalog only ever grows — storage-level index ids are positions in
-    /// it, so compiled plans stay valid across incremental runs.
-    catalog: IndexCatalog,
     /// Per rule, the versions its stratum last evaluated (what
     /// [`explain`](Self::explain) reports once the rule has run).
     executed: Vec<Vec<Version>>,
@@ -384,8 +378,11 @@ impl Engine {
     /// loaded immediately.
     pub fn new(program: &Program, kind: StorageKind, threads: usize) -> Result<Self, EngineError> {
         let strat = stratify(program)?;
-        let arities: Vec<usize> = program.decls.iter().map(|d| d.arity).collect();
-        let rels: Vec<_> = arities.iter().map(|&a| kind.create_for(a)).collect();
+        let rels: Vec<_> = program
+            .decls
+            .iter()
+            .map(|d| kind.create_for(d.arity))
+            .collect();
         let nrels = program.decls.len();
         let mut engine = Self {
             program: program.clone(),
@@ -399,7 +396,6 @@ impl Engine {
             worker_stats: Vec::new(),
             profile: HashMap::new(),
             planner_enabled: true,
-            catalog: IndexCatalog::new(&arities),
             executed: vec![Vec::new(); program.rules.len()],
             retraction: Vec::new(),
         };
@@ -415,61 +411,28 @@ impl Engine {
     }
 
     /// Enables or disables the cost-based planner (default: enabled).
-    /// When off, rules compile in source order with delta hoisting and no
-    /// secondary indexes — the pre-planner behavior, kept as an A/B
-    /// baseline for the bench suite. Indexes registered while the planner
-    /// was on stay maintained (the catalog never shrinks) but no new plan
-    /// will route through them.
+    /// When off, rules compile in source order with delta hoisting — the
+    /// pre-planner behavior, kept as an A/B baseline for the bench suite.
     pub fn set_planner_enabled(&mut self, on: bool) {
         self.planner_enabled = on;
     }
 
-    /// Whether cost-based planning + secondary indexes are in effect.
+    /// Whether cost-based join ordering is in effect.
     pub fn planner_enabled(&self) -> bool {
         self.planner_enabled
     }
 
-    /// Builds on the storages every catalog permutation they lack: what a
-    /// planning step just added, or all of a relation's after the negation
-    /// fallback replaced its storage. Plans only carry catalog ids, and
-    /// the catalog only gains entries on backends that build indexes, so
-    /// every id a plan routes through was registered here.
-    fn sync_indexes(&mut self) {
-        for (rel, storage) in self.rels.iter_mut().enumerate() {
-            let have = storage.index_perms().len();
-            for (id, perm) in self.catalog.perms(rel).iter().enumerate().skip(have) {
-                let got = storage.add_index(perm, self.threads);
-                debug_assert_eq!(got, Some(id), "storage and catalog index ids diverged");
-            }
+    /// Re-orders `versions` of `stratum` for the database as it is now. A
+    /// relation the stratum defines is still growing, so it is costed at no
+    /// less than the largest relation the stratum reads — never at the
+    /// near-empty state the first iterations find it in. `deltas[r]` is the
+    /// current size of relation `r`'s delta (its whole content before the
+    /// first iteration): what a delta literal is costed with. No-op with
+    /// the planner off.
+    fn replan(&self, versions: &mut [Version], stratum: &Stratum, deltas: &[f64], iteration: u64) {
+        if !self.planner_enabled {
+            return;
         }
-    }
-
-    /// Counts what a planning step added to the catalog since it held
-    /// `before` permutations, and builds it.
-    fn build_new_indexes(&mut self, before: usize) {
-        let added = self.catalog.len() - before;
-        if added > 0 {
-            self.stats.index_builds += added as u64;
-            self.sync_indexes();
-        }
-    }
-
-    /// Re-orders `versions` of `stratum` for the database as it is now,
-    /// registering in `catalog` the indexes the new orders were costed
-    /// with. A relation the stratum defines is still growing, so it is
-    /// costed at no less than the largest relation the stratum reads —
-    /// never at the near-empty state the first iterations find it in.
-    /// `deltas[r]` is the current size of relation `r`'s delta (its whole
-    /// content before the first iteration): what a delta literal is costed
-    /// with, and what an index on `r` has to absorb per iteration.
-    fn plan_stratum(
-        &self,
-        versions: &mut [Version],
-        stratum: &Stratum,
-        deltas: &[f64],
-        iteration: u64,
-        catalog: &mut IndexCatalog,
-    ) {
         let rel_ids = &self.strat.rel_ids;
         let floor = versions
             .iter()
@@ -487,10 +450,8 @@ impl Engine {
         let model = CostModel {
             cards: &cards,
             deltas,
-            horizon: iteration as f64,
-            can_index: self.kind.supports_indexes(),
         };
-        planner::replan(versions, rel_ids, &model, catalog, iteration);
+        planner::replan(versions, rel_ids, &model, iteration);
     }
 
     /// The source-order versions of `rules` (rules of `stratum`),
@@ -519,25 +480,6 @@ impl Engine {
             deltas[r] = self.counts[r] as f64;
         }
         deltas
-    }
-
-    /// [`plan_stratum`](Self::plan_stratum) against the engine's own
-    /// catalog, building the indexes it gains. No-op with the planner off.
-    fn replan(
-        &mut self,
-        versions: &mut [Version],
-        stratum: &Stratum,
-        deltas: &[f64],
-        iteration: u64,
-    ) {
-        if !self.planner_enabled {
-            return;
-        }
-        let mut catalog = std::mem::take(&mut self.catalog);
-        let before = catalog.len();
-        self.plan_stratum(versions, stratum, deltas, iteration, &mut catalog);
-        self.catalog = catalog;
-        self.build_new_indexes(before);
     }
 
     /// Per-worker counters from the last [`run`](Self::run) (index = worker
@@ -598,9 +540,6 @@ impl Engine {
     /// Runs the stratified semi-naive evaluation to fixpoint.
     pub fn run(&mut self) -> Result<(), EngineError> {
         self.profile.clear();
-        // Indexes are built when a plan about to run was costed with one
-        // (DRed's synthetic shapes when a retraction first plans them), so
-        // nothing is walked, planned or built before the first stratum.
         let size_before: usize = self.counts.iter().sum();
 
         // One worker per thread: its counters, and the buffers its plan
@@ -945,7 +884,6 @@ impl Engine {
                     name: d.name.clone(),
                     len: self.counts[i],
                     tree: self.rels[i].tree_stats(),
-                    index_perms: self.rels[i].index_perms(),
                 })
                 .collect(),
         }
@@ -977,13 +915,14 @@ impl Engine {
     ///
     /// A rule whose stratum has been evaluated shows the versions that
     /// last *ran*; any other shows the versions a run would start from,
-    /// planned against the current database without building an index or
-    /// otherwise touching the engine. With the planner enabled, plans show
-    /// the cost-chosen literal order and the secondary index each scan
-    /// routes through (`index=[perm]`); a version the cost model moved away
-    /// from source order is followed by a `cardinalities:` line with what
-    /// every body literal was costed with, and by the fixpoint iteration
-    /// of its last re-ordering if there was one. After a
+    /// planned against the current database without touching the engine.
+    /// With the planner enabled, plans show the cost-chosen literal order
+    /// and how each scan reads its relation: `range` over a bound prefix,
+    /// `scan … key=(…)` for a keyed sweep, a bare `scan` with nothing
+    /// fixed. A version the cost model moved away from source order is
+    /// followed by a `cardinalities:` line with what every body literal was
+    /// costed with, and by the fixpoint iteration of its last re-ordering if
+    /// there was one. After a
     /// [`retract_facts`](Self::retract_facts), a `retraction:` section lists
     /// the versions it planned, by phase — the synthetic ones over the
     /// deletion sets `~del~r`, then the recursive ones rederivation
@@ -992,7 +931,6 @@ impl Engine {
         use std::fmt::Write as _;
         let mut out = String::new();
         let names: Vec<&str> = self.program.decls.iter().map(|d| d.name.as_str()).collect();
-        let mut catalog = self.catalog.clone();
         for (si, stratum) in self.strat.strata.iter().enumerate() {
             let rels: Vec<&str> = stratum.relations.iter().map(|&r| names[r]).collect();
             let _ = writeln!(
@@ -1010,11 +948,9 @@ impl Engine {
             let unrun = stratum.rules.iter().copied();
             let unrun = unrun.filter(|&ri| self.executed[ri].is_empty());
             let (mut base, mut rec) = self.versions_of(stratum, unrun);
-            if self.planner_enabled {
-                let deltas = self.whole_deltas(stratum);
-                self.plan_stratum(&mut base, stratum, &deltas, 1, &mut catalog);
-                self.plan_stratum(&mut rec, stratum, &deltas, 1, &mut catalog);
-            }
+            let deltas = self.whole_deltas(stratum);
+            self.replan(&mut base, stratum, &deltas, 1);
+            self.replan(&mut rec, stratum, &deltas, 1);
             for &ri in &stratum.rules {
                 let _ = writeln!(out, "  rule {ri}: {}", self.program.rules[ri]);
                 let ran = self.executed[ri].iter().chain(&base).chain(&rec);

@@ -289,17 +289,14 @@ impl Engine {
     /// Plans one synthetic retraction rule — `rule`, made from rule `ri` —
     /// for `phase`, and keeps the version for [`explain`](Self::explain).
     /// With the planner on the literals are cost-ordered from `cx.cards`,
-    /// the delta — a deletion set — at its size, and a scan the primary
-    /// tree cannot serve by a prefix gets an index only where building it
-    /// reads less than the keyed sweep would in this one execution (the
-    /// horizon is 1): a deletion set of fewer than about eight blocks of
-    /// bindings sweeps. An index built here outlives the call. When
+    /// the delta — a deletion set — at its size; a scan the primary tree
+    /// cannot serve by a prefix is a keyed sweep, once a block. When
     /// hoisting the delta still strands a cross product — a scan with
     /// nothing fixed — the source-order version, which probes the delta
     /// where it sits and scans the stranded relation once, chunked across
     /// workers, is used if it strands none.
     fn plan_synthetic(
-        &mut self,
+        &self,
         cx: &mut Retraction,
         phase: &'static str,
         ri: usize,
@@ -312,17 +309,11 @@ impl Engine {
             let model = CostModel {
                 cards: &cx.cards,
                 deltas: &cx.cards[nrels..],
-                horizon: 1.0,
-                can_index: self.kind.supports_indexes(),
             };
-            let before = self.catalog.len();
-            let batch = std::slice::from_mut(&mut v);
-            planner::replan(batch, ids, &model, &mut self.catalog, 1);
-            self.build_new_indexes(before);
+            planner::replan(std::slice::from_mut(&mut v), ids, &model, 1);
         }
         if delta_pos.is_some() && has_unprefixed_inner_scan(&v.plan) {
-            let catalog = self.planner_enabled.then_some(&self.catalog);
-            let flat = compile_one_at(rule, ids, delta_pos, false, catalog);
+            let flat = compile_one_at(rule, ids, delta_pos, false);
             if !has_unprefixed_inner_scan(&flat) {
                 v.plan = flat;
                 v.order = (0..rule.body.len()).collect();
@@ -342,9 +333,8 @@ impl Engine {
     /// body literal (which reads the deletion delta). The appended head
     /// literal restricts derivations to tuples actually present and is
     /// never a delta candidate. A reverse join is swept by key, once a
-    /// block, unless its deletion set is large enough that an index pays
-    /// ([`plan_synthetic`](Self::plan_synthetic)).
-    fn overdelete_plans(&mut self, cx: &mut Retraction) -> Vec<Vec<Version>> {
+    /// block ([`plan_synthetic`](Self::plan_synthetic)).
+    fn overdelete_plans(&self, cx: &mut Retraction) -> Vec<Vec<Version>> {
         let mut plans = vec![Vec::new(); cx.fallback_from];
         for (si, plans) in plans.iter_mut().enumerate() {
             for ri in cx.strata[si].rules.clone() {
@@ -504,10 +494,6 @@ impl Engine {
                 self.counts[r] = insert_tuples(self.rels[r].as_ref(), &tuples) as usize;
                 self.stats.inserts += tuples.len() as u64;
             }
-            // The replacement storages lost their index trees; rebuild the
-            // catalog's permutations (plans reference their ids) before the
-            // recompute scans run.
-            self.sync_indexes();
             self.eval_stratum(stratum, &mut cx.workers);
             cx.outcome.recomputed_strata += 1;
         }

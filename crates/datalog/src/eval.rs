@@ -18,11 +18,11 @@
 //! rest of the join runs inside that walk. Every later scan and check takes
 //! the bindings that reach it a sorted block at a time, one range query or
 //! membership test per distinct key where Figure 1 issues one per binding.
-//! A scan with no bound prefix reads its relation once a block: keyed by
-//! the columns fixed before it (a *keyed sweep*), it keeps only the tuples
-//! that match one of the block's keys and replays each under its key;
-//! with nothing fixed it replays the whole relation for every binding. A
-//! lone
+//! Every scan reads the relation's one tree, through no secondary index. A
+//! scan with no bound prefix reads its relation once a block: keyed by the
+//! columns fixed before it (a *keyed sweep*), it keeps only the tuples that
+//! match one of the block's keys and replays each under its key; with
+//! nothing fixed it replays the whole relation for every binding. A lone
 //! worker's blocks and emit batch span its chunks, and every lookup goes
 //! through the tree's unhinted operations: a block's sorted keys already
 //! hold the locality the paper's thread-local hints cache. Every worker
@@ -39,7 +39,6 @@
 //! (§2) the B-tree's synchronization is specialized for.
 
 use crate::ast::{CmpOp, Rule, Term, MAX_ARITY};
-use crate::planner::IndexCatalog;
 use crate::storage::{RelationStorage, StorageChunk, StorageCtx, TupleBuf};
 use crate::EvalStats;
 use std::collections::HashMap;
@@ -67,29 +66,15 @@ impl Slot {
     }
 }
 
-/// A secondary index chosen for a scan step: the registered index id on
-/// the scanned relation plus the column permutation it is keyed by. The
-/// permutation is carried in the plan (rather than looked up at run time)
-/// so workers can translate prefix values and result tuples without
-/// touching shared catalog state.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct IndexSel {
-    pub id: usize,
-    pub perm: Vec<usize>,
-}
-
 /// One step of a compiled plan.
 #[derive(Clone, Debug)]
 pub(crate) enum Step {
     /// Scan a relation with the leading `prefix` bound; `checks` are
     /// equality constraints on later columns; `binds` assign columns to
-    /// fresh variables. When `index` is set, the prefix is in the index's
-    /// *permuted* column order and the scan routes through
-    /// [`RelationStorage::scan_index`]. A *keyed sweep* — an inner scan
-    /// with no bound leading column and no index, but columns fixed before
-    /// it runs — names those columns in `swept`, and `prefix` holds their
-    /// values: its block reads the relation once and keeps the tuples that
-    /// match one of its keys.
+    /// fresh variables. A *keyed sweep* — an inner scan with no bound
+    /// leading column but columns fixed before it runs — names those
+    /// columns in `swept`, and `prefix` holds their values: its block reads
+    /// the relation once and keeps the tuples that match one of its keys.
     Scan {
         rel: usize,
         delta: bool,
@@ -97,7 +82,6 @@ pub(crate) enum Step {
         swept: Vec<usize>,
         checks: Vec<(usize, Slot)>,
         binds: Vec<(usize, usize)>,
-        index: Option<IndexSel>,
     },
     /// Membership test of a fully bound tuple (possibly negated).
     Check {
@@ -151,54 +135,49 @@ pub(crate) fn source_order(nlits: usize, delta_pos: Option<usize>) -> Vec<usize>
     order
 }
 
-/// Compiles one version in source order, without secondary indexes;
-/// `delta_pos` marks the body literal that reads the delta relation and is
-/// hoisted to the front. The retraction machinery picks delta positions
-/// itself (its synthetic rules carry appended/prepended literals that must
-/// never drive a delta).
+/// Compiles one version in source order; `delta_pos` marks the body
+/// literal that reads the delta relation and is hoisted to the front. The
+/// retraction machinery picks delta positions itself (its synthetic rules
+/// carry appended/prepended literals that must never drive a delta).
 pub(crate) fn compile_one(
     rule: &Rule,
     rel_ids: &HashMap<String, usize>,
     delta_pos: Option<usize>,
 ) -> Plan {
-    compile_one_at(rule, rel_ids, delta_pos, true, None)
+    compile_one_at(rule, rel_ids, delta_pos, true)
 }
 
-/// [`compile_one`] with an explicit hoisting choice and an optional index
-/// catalog. `hoist: false` leaves the delta literal at its source position:
-/// when hoisting would strand a later literal that shares no variable with
-/// the literals before it — a cross product, which replays the whole
-/// relation for every binding — evaluating the body in source order and
-/// probing the delta where it sits can be cheaper: the full scan becomes
-/// the outermost loop and runs once, chunked across workers. A stranded
-/// literal with a fixed column is a keyed sweep, read once a block, and
-/// [`has_unprefixed_inner_scan`] does not report it.
+/// [`compile_one`] with an explicit hoisting choice. `hoist: false` leaves
+/// the delta literal at its source position: when hoisting would strand a
+/// later literal that shares no variable with the literals before it — a
+/// cross product, which replays the whole relation for every binding —
+/// evaluating the body in source order and probing the delta where it sits
+/// can be cheaper: the full scan becomes the outermost loop and runs once,
+/// chunked across workers. A stranded literal with a fixed column is a
+/// keyed sweep, read once a block, and [`has_unprefixed_inner_scan`] does
+/// not report it.
 pub(crate) fn compile_one_at(
     rule: &Rule,
     rel_ids: &HashMap<String, usize>,
     delta_pos: Option<usize>,
     hoist: bool,
-    catalog: Option<&IndexCatalog>,
 ) -> Plan {
     let order = source_order(rule.body.len(), delta_pos.filter(|_| hoist));
-    compile_ordered(rule, rel_ids, delta_pos, &order, catalog)
+    compile_ordered(rule, rel_ids, delta_pos, &order)
 }
 
 /// Compiles one version with a fully explicit literal evaluation order
 /// (`order[0]` becomes the outermost loop); the cost-based planner computes
-/// orders and calls this directly. An inner scan of a stored relation whose
-/// fixed columns — constants and variables bound by earlier literals —
-/// are exactly the leading columns of an index in `catalog` becomes a range
-/// query over that index: the fixed columns move from `checks` into a
-/// prefix *in the index's permuted order* and the step carries the
-/// [`IndexSel`]. Any other scan is served by the primary tree: its bound
-/// leading columns as a prefix, the rest as checks.
+/// orders and calls this directly. Every scan is served by the primary
+/// tree: its bound leading columns as a prefix, the rest as checks; an
+/// inner scan with no bound leading column but a column fixed before it —
+/// a constant or a variable bound by an earlier literal — becomes a keyed
+/// sweep, its fixed columns moved from `checks` into its key.
 pub(crate) fn compile_ordered(
     rule: &Rule,
     rel_ids: &HashMap<String, usize>,
     delta_pos: Option<usize>,
     order: &[usize],
-    catalog: Option<&IndexCatalog>,
 ) -> Plan {
     debug_assert_eq!(order.len(), rule.body.len());
     let mut var_ids: HashMap<String, usize> = HashMap::new();
@@ -256,7 +235,7 @@ pub(crate) fn compile_ordered(
         let mut in_prefix = true;
         // Columns fixed before the scan runs. A repeated variable bound by
         // this literal's own earlier column (`e(X, X)`) is not: it stays a
-        // post-scan check whichever tree serves the scan.
+        // post-scan check, never a sweep's key.
         let mut fixed = 0u32;
         for (col, t) in lit.atom.terms.iter().enumerate() {
             let slot_if_bound = match t {
@@ -290,29 +269,8 @@ pub(crate) fn compile_ordered(
                 }
             }
         }
-        let (mut index, mut swept) = (None, Vec::new());
-        let inner = li != order[0];
-        let permuted = inner && !delta && fixed & (fixed + 1) != 0;
-        if let Some((id, perm)) = catalog
-            .filter(|_| permuted)
-            .and_then(|c| c.find(rel, fixed))
-        {
-            let slots: Vec<(usize, Slot)> =
-                prefix.iter().copied().enumerate().chain(checks).collect();
-            let slot_of = |c: usize| slots.iter().find(|s| s.0 == c).expect("fixed column").1;
-            prefix = perm[..fixed.count_ones() as usize]
-                .iter()
-                .map(|&c| slot_of(c))
-                .collect();
-            checks = slots
-                .into_iter()
-                .filter(|(c, _)| fixed & (1 << c) == 0)
-                .collect();
-            index = Some(IndexSel {
-                id,
-                perm: perm.to_vec(),
-            });
-        } else if inner && prefix.is_empty() {
+        let mut swept = Vec::new();
+        if li != order[0] && prefix.is_empty() {
             let is_fixed = |&(c, _): &(usize, Slot)| fixed & (1 << c) != 0;
             (swept, prefix) = checks.iter().filter(|s| is_fixed(s)).copied().unzip();
             checks.retain(|s| !is_fixed(s));
@@ -324,7 +282,6 @@ pub(crate) fn compile_ordered(
             swept,
             checks,
             binds,
-            index,
         });
     }
 
@@ -384,17 +341,15 @@ pub(crate) fn compile_ordered(
 }
 
 /// Whether any non-outermost step is a scan with nothing fixed — no bound
-/// prefix, no secondary index, no column a keyed sweep could match: a cross
-/// product, read once a block and replayed whole for every outer tuple.
-/// Such plans are only worth keeping when the outer loop is known to be
-/// tiny; the retraction planner uses this to decide between delta-hoisted
-/// and source-order versions of its synthetic rules (checked *after*
-/// index assignment). A keyed sweep's `prefix` holds its key, so it is not
-/// reported.
+/// prefix, no column a keyed sweep could match: a cross product, read once
+/// a block and replayed whole for every outer tuple. Such plans are only
+/// worth keeping when the outer loop is known to be tiny; the retraction
+/// planner uses this to decide between delta-hoisted and source-order
+/// versions of its synthetic rules. A keyed sweep's `prefix` holds its key,
+/// so it is not reported.
 pub(crate) fn has_unprefixed_inner_scan(plan: &Plan) -> bool {
-    plan.steps.iter().skip(1).any(
-        |s| matches!(s, Step::Scan { prefix, index, .. } if prefix.is_empty() && index.is_none()),
-    )
+    let unfixed = |s: &Step| matches!(s, Step::Scan { prefix, .. } if prefix.is_empty());
+    plan.steps.iter().skip(1).any(unfixed)
 }
 
 /// The relation id whose delta the plan reads, if any. Evaluating a plan
@@ -430,7 +385,6 @@ impl Plan {
                     swept,
                     checks,
                     binds,
-                    index,
                 } => {
                     let src = if *delta {
                         format!("Δ{}", names[*rel])
@@ -438,16 +392,6 @@ impl Plan {
                         names[*rel].to_string()
                     };
                     let mut detail = Vec::new();
-                    if let Some(sel) = index {
-                        detail.push(format!(
-                            "index=[{}]",
-                            sel.perm
-                                .iter()
-                                .map(|c| c.to_string())
-                                .collect::<Vec<_>>()
-                                .join(",")
-                        ));
-                    }
                     if !swept.is_empty() {
                         detail.push(format!(
                             "key=({})",
@@ -484,7 +428,7 @@ impl Plan {
                                 .join(",")
                         ));
                     }
-                    let kind = match prefix.len() > swept.len() || index.is_some() {
+                    let kind = match prefix.len() > swept.len() {
                         true => "range",
                         false => "scan",
                     };
@@ -579,22 +523,17 @@ impl<'a> StorageEnv<'a> {
     }
 }
 
-/// Reads the tuples a scan through `index` (the primary tree when `None`)
-/// finds under `prefix` into `out`. The callback only copies: no storage is
-/// called from inside another's callback, but for the outer scan's.
+/// Reads the tuples `src` holds under `prefix` into `out`. The callback only
+/// copies: no storage is called from inside another's callback, but for the
+/// outer scan's.
 fn read_range(
     src: &dyn RelationStorage,
-    index: &Option<IndexSel>,
     prefix: &[u64],
     ctx: &mut StorageCtx,
     out: &mut Vec<TupleBuf>,
 ) {
     out.clear();
-    let push = &mut |t: &TupleBuf| out.push(*t);
-    match index {
-        Some(sel) => src.scan_index(sel.id, &sel.perm, prefix, ctx, push),
-        None => src.scan_prefix(prefix, ctx, push),
-    }
+    src.scan_prefix(prefix, ctx, &mut |t| out.push(*t));
 }
 
 /// One pass of a keyed sweep over `src`: copies into `out`, in the order
@@ -1081,8 +1020,8 @@ impl<'p, 'c> Evaluator<'p, 'c> {
                 .chunks_exact(width)
                 .map(|k| k[width - 1] as usize);
             match step {
-                Step::Scan { index, .. } => {
-                    read_range(src, index, key, &mut self.ctx, range);
+                Step::Scan { .. } => {
+                    read_range(src, key, &mut self.ctx, range);
                     let sweep = key.is_empty();
                     self.stats.lower_bound_calls += 1;
                     self.stats.upper_bound_calls += u64::from(!sweep);

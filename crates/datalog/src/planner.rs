@@ -1,32 +1,18 @@
-//! Cost-based join ordering and secondary indexes that pay for themselves.
+//! Cost-based join ordering.
 //!
-//! Soufflé-style evaluation only indexes joins on a *leading-column*
-//! prefix of the primary tree; any literal binding a non-leading column
-//! degrades to a full scan per outer tuple. This module orders the
-//! literals of one rule version by what the join will cost *against the
-//! database as it is when the plan runs*, and decides, scan by scan,
-//! whether a column-permuted secondary index is worth building:
-//!
-//! 1. **Ordering** ([`cost_order`]): the order with the fewest estimated
-//!    tuples touched. A relation of `n` tuples and arity `a` with `b` bound
-//!    columns yields an estimated `n^((a-b)/a)` matches per outer binding;
-//!    that is also what its scan touches when the bound columns are a
-//!    leading prefix or the leading columns of a registered index.
-//!    Otherwise the primary tree only serves the bound leading run or, when
-//!    column 0 is free, a keyed sweep: one pass over the relation a block
-//!    of up to [`BLOCK`] bindings, `n / min(outer, BLOCK)` a binding, plus
-//!    its matches — unless an index is built, whose build and upkeep are
-//!    then charged to the scan ([`INDEX_COST`]). Within one execution with
-//!    no upkeep the index pays past `INDEX_COST × BLOCK` bindings.
-//! 2. **Registration** ([`register`]): the searches whose index paid are
-//!    chain-covered per relation (Soufflé's "MinIndex": by Dilworth's
-//!    theorem the fewest permutations serving a set of bound-column masks
-//!    is a minimum chain partition of the subset lattice, found by
-//!    bipartite matching — [`cover_masks`]) and added to the
-//!    [`IndexCatalog`]; the engine builds what the catalog gained.
-//! 3. **Compilation** ([`crate::eval::compile_ordered`]) routes every inner
-//!    scan whose fixed columns lead a catalog index through that index; a
-//!    scan no index serves stays the filtered primary scan it is.
+//! Soufflé-style evaluation serves a join on a *leading-column* prefix of
+//! the primary tree. This module orders the literals of one rule version by
+//! what the join will cost *against the database as it is when the plan
+//! runs* ([`cost_order`]). Every inner scan of the compiled plan
+//! ([`crate::eval::compile_ordered`]) is one of three reads of the primary
+//! tree, and the orderer prices each: a range over the bound leading
+//! columns; a *keyed sweep* when column 0 is free but another is fixed, one
+//! pass over the relation a block of up to [`BLOCK`] bindings that keeps
+//! the tuples matching one of the block's keys; and a sweep with nothing
+//! fixed. No secondary index is built: since keyed sweeps, the indexes the
+//! planner chose paid for nothing on any benchmark workload, and without
+//! them a plan no longer depends on the storage kind (DESIGN.md, "Query
+//! planning").
 //!
 //! A [`Version`] is one semi-naive version of a rule with the plan that
 //! currently runs; [`replan`] re-orders a batch of them in place between
@@ -34,189 +20,7 @@
 
 use crate::ast::{Rule, Term};
 use crate::eval::{compile_one, compile_ordered, source_order, Plan, BLOCK};
-use std::collections::{BTreeMap, HashMap, HashSet};
-
-/// The set of secondary-index permutations registered per relation.
-///
-/// A permutation's position in its relation's list is the storage-level
-/// index id ([`crate::storage::RelationStorage::add_index`] dedupes by
-/// permutation, so engine-side and storage-side ids stay aligned as long
-/// as both register in the same order — which [`add`](Self::add)'s
-/// dedupe-by-perm guarantees).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct IndexCatalog {
-    /// Declared arity per relation id. Permutations cover exactly the
-    /// declared columns; trailing [`crate::ast::MAX_ARITY`] padding is
-    /// zero on both sides of the permutation and never affects order.
-    arities: Vec<usize>,
-    /// Registered permutations per relation, in registration order.
-    perms: Vec<Vec<Vec<usize>>>,
-}
-
-impl IndexCatalog {
-    pub(crate) fn new(arities: &[usize]) -> Self {
-        Self {
-            arities: arities.to_vec(),
-            perms: vec![Vec::new(); arities.len()],
-        }
-    }
-
-    pub(crate) fn nrels(&self) -> usize {
-        self.perms.len()
-    }
-
-    /// Registers `perm` on `rel`, returning its index id; re-registering
-    /// an existing permutation returns the original id.
-    pub(crate) fn add(&mut self, rel: usize, perm: Vec<usize>) -> usize {
-        debug_assert_eq!(
-            perm.len(),
-            self.arities[rel],
-            "index permutation must cover exactly the declared columns"
-        );
-        if let Some(i) = self.perms[rel].iter().position(|p| *p == perm) {
-            return i;
-        }
-        self.perms[rel].push(perm);
-        self.perms[rel].len() - 1
-    }
-
-    /// The registered permutations of `rel`, id-ordered.
-    pub(crate) fn perms(&self, rel: usize) -> &[Vec<usize>] {
-        &self.perms[rel]
-    }
-
-    /// Finds an index on `rel` whose leading columns are exactly the
-    /// bound-column set `mask`, returning `(id, perm)`.
-    pub(crate) fn find(&self, rel: usize, mask: u32) -> Option<(usize, &[usize])> {
-        if rel >= self.perms.len() {
-            return None;
-        }
-        let k = mask.count_ones() as usize;
-        self.perms[rel].iter().enumerate().find_map(|(i, perm)| {
-            if perm.len() < k {
-                return None;
-            }
-            let lead: u32 = perm[..k].iter().map(|&c| 1u32 << c).sum();
-            (lead == mask).then_some((i, perm.as_slice()))
-        })
-    }
-
-    /// Total number of registered permutations.
-    pub(crate) fn len(&self) -> usize {
-        self.perms.iter().map(Vec::len).sum()
-    }
-}
-
-/// A mask is a *prefix run* (`{0, 1, …, k-1}`) iff `mask + 1` is a power
-/// of two — those searches are served by the primary tree for free.
-fn is_prefix_run(mask: u32) -> bool {
-    mask & (mask + 1) == 0
-}
-
-/// Minimum chain cover of a set of search signatures (Soufflé's
-/// "MinIndex" construction): returns the smallest set of column
-/// permutations such that every mask is the leading-column set of some
-/// permutation. Masks that are empty or prefix runs are dropped first
-/// (the primary tree serves them); `arity` pads each permutation out to
-/// a full column bijection so the index tree stores whole tuples.
-pub(crate) fn cover_masks(masks: &[u32], arity: usize) -> Vec<Vec<usize>> {
-    let full = (1u32 << arity) - 1;
-    let mut uniq: Vec<u32> = masks
-        .iter()
-        .map(|&m| m & full)
-        .filter(|&m| m != 0 && !is_prefix_run(m))
-        .collect();
-    uniq.sort_unstable();
-    uniq.dedup();
-    if uniq.is_empty() {
-        return Vec::new();
-    }
-    let n = uniq.len();
-    // Maximum bipartite matching over strict-subset pairs (Kuhn's
-    // augmenting paths): left side = chain predecessors, right side =
-    // chain successors. Dilworth: #chains = n − |matching|.
-    let adj: Vec<Vec<usize>> = uniq
-        .iter()
-        .map(|&a| {
-            uniq.iter()
-                .enumerate()
-                .filter(|&(_, &b)| a != b && a & b == a)
-                .map(|(j, _)| j)
-                .collect()
-        })
-        .collect();
-    fn augment(
-        i: usize,
-        adj: &[Vec<usize>],
-        seen: &mut [bool],
-        succ_of: &mut [usize],
-        pred_of: &mut [usize],
-    ) -> bool {
-        for &j in &adj[i] {
-            if seen[j] {
-                continue;
-            }
-            seen[j] = true;
-            if pred_of[j] == usize::MAX || augment(pred_of[j], adj, seen, succ_of, pred_of) {
-                succ_of[i] = j;
-                pred_of[j] = i;
-                return true;
-            }
-        }
-        false
-    }
-    let mut succ_of = vec![usize::MAX; n];
-    let mut pred_of = vec![usize::MAX; n];
-    for i in 0..n {
-        let mut seen = vec![false; n];
-        augment(i, &adj, &mut seen, &mut succ_of, &mut pred_of);
-    }
-    // Each chain starts at a mask with no matched predecessor; walking
-    // successor links visits S₁ ⊂ S₂ ⊂ … ⊂ Sₖ in order.
-    let mut perms = Vec::new();
-    for start in (0..n).filter(|&i| pred_of[i] == usize::MAX) {
-        let mut perm: Vec<usize> = Vec::with_capacity(arity);
-        let mut covered = 0u32;
-        let mut cur = start;
-        loop {
-            push_cols(uniq[cur] & !covered, &mut perm);
-            covered |= uniq[cur];
-            if succ_of[cur] == usize::MAX {
-                break;
-            }
-            cur = succ_of[cur];
-        }
-        push_cols(full & !covered, &mut perm);
-        perms.push(perm);
-    }
-    perms
-}
-
-/// Appends the column indices of `mask` in ascending order.
-fn push_cols(mask: u32, out: &mut Vec<usize>) {
-    for c in 0..32 {
-        if mask & (1 << c) != 0 {
-            out.push(c);
-        }
-    }
-}
-
-/// What building an index costs per tuple it holds, and what keeping it
-/// costs per tuple merged into its relation afterwards, in units of one
-/// tuple touched by a scan. Measured on `tc_random`'s 1.81 M-tuple `path`
-/// (2 vCPUs): a tuple a join scans costs 70 ns, 2.8 ns of it the leaf-walk
-/// step; a backfilled tuple 45–47 ns (`ablation` group `index_build`, 1.8 M
-/// pairs, medians of ten runs; 39 ns when first measured) — three walks of
-/// the primary, the last a scatter, and a bulk load, where the comparison
-/// sort made it 88 ns — and a tuple merged in afterwards one more
-/// random-order tree insert, 770 ns, 11 scanned tuples. A keyed sweep's
-/// pass reads a tuple in 10–16 ns (group `block_join/sweep`, 30 bindings):
-/// a build costs three to four passes, and where nearly every tuple
-/// matches a key the pass also copies each, so sweeping lost past two
-/// blocks of bindings there (EXPERIMENTS.md, "A keyed sweep"). One
-/// constant stands for both and upkeep is the larger part, so it stays 8,
-/// and with it a crossover at eight blocks.
-const INDEX_COST: f64 = 8.0;
+use std::collections::{HashMap, HashSet};
 
 /// What the orderer knows about the database a plan is about to run on.
 pub(crate) struct CostModel<'a> {
@@ -224,17 +28,8 @@ pub(crate) struct CostModel<'a> {
     /// them, every deletion set a retraction plans over, at its live size.
     pub cards: &'a [f64],
     /// Current size of each relation's delta: what a delta literal is
-    /// costed with, and — being what one execution of the plan merges into
-    /// the relation — the upkeep an index on it adds. Zero outside the
-    /// stratum being evaluated.
+    /// costed with. Zero outside the stratum being evaluated.
     pub deltas: &'a [f64],
-    /// Executions an index built now is expected to serve, over which its
-    /// build is spread: a run's iteration number (as many iterations to
-    /// come as have run), 1 for a retraction's synthetic rules, which run
-    /// once a call.
-    pub horizon: f64,
-    /// Whether the storage backend can build secondary indexes at all.
-    pub can_index: bool,
 }
 
 /// Estimated tuples of an `n`-tuple relation of arity `a` that agree with
@@ -247,9 +42,6 @@ fn est_matches(n: f64, a: usize, b: usize) -> f64 {
 pub(crate) struct Ordered {
     /// Body positions, outermost first.
     pub order: Vec<usize>,
-    /// `(relation, bound-column mask)` of every scan costed with an index
-    /// the catalog does not have yet.
-    pub wants: Vec<(usize, u32)>,
     /// The cardinality each body literal was costed with (the delta's size
     /// for the delta literal).
     pub cards: Vec<f64>,
@@ -258,18 +50,18 @@ pub(crate) struct Ordered {
 /// Cost-driven literal ordering: the order minimizing the estimated
 /// tuples touched by the whole join, `Σ outerᵢ · workᵢ`, where `outerᵢ` is
 /// the estimated number of bindings reaching literal `i` and `workᵢ` what
-/// one binding makes its scan touch (see the module docs). Summing over
-/// the plan is what keeps a scan nothing can serve from being deferred
-/// behind a cheap-looking literal whose every match would repeat it.
+/// one binding makes its scan touch. A relation of `n` tuples and arity `a`
+/// with `b` fixed columns passes on `m = n^((a-b)/a)` matches a binding. Its
+/// scan touches as many when the fixed columns lead, `n^((a-l)/a)` when only
+/// the first `l` of them do, and a keyed sweep's `n / min(outer, BLOCK) + m`
+/// when column 0 is free. Summing over the plan is what keeps a scan no
+/// prefix serves from being deferred behind a cheap-looking literal whose
+/// every match would repeat it.
 ///
 /// The delta literal (body position `delta_pos`) is forced outermost —
-/// semi-naive evaluation depends on it. A negation is
-/// eligible once fully bound; it and every other fully bound literal are
-/// one probe that half the bindings are assumed to pass. An index is
-/// assumed, and reported in [`Ordered::wants`], only where
-/// `m + INDEX_COST·(n + Δn) / (horizon·outer)` undercuts the scan the
-/// primary tree can serve: its leading run, or a keyed sweep's
-/// `n / min(outer, BLOCK) + m`.
+/// semi-naive evaluation depends on it. A negation is eligible once fully
+/// bound; it and every other fully bound literal are one probe that half
+/// the bindings are assumed to pass.
 ///
 /// All orders are searched, depth first, cheapest next scan first. A
 /// partial order is dropped once it costs what the best complete one does,
@@ -279,13 +71,12 @@ pub(crate) struct Ordered {
 /// 3 µs for the three-literal points-to rules, 0.3 ms for 8 literals,
 /// 10 ms for 12). Equal scans are tried in source order and the first of
 /// equally cheap orders wins, which keeps plans — and `EXPLAIN` output —
-/// deterministic across runs and thread counts.
+/// deterministic across runs, thread counts and storage kinds.
 pub(crate) fn cost_order(
     rule: &Rule,
     rel_ids: &HashMap<String, usize>,
     delta_pos: Option<usize>,
     model: &CostModel<'_>,
-    catalog: &IndexCatalog,
 ) -> Ordered {
     let cards: Vec<f64> = (0..rule.body.len())
         .map(|li| {
@@ -300,16 +91,11 @@ pub(crate) fn cost_order(
         .collect();
     let mut search = Search {
         rule,
-        rel_ids,
-        model,
-        catalog,
         path: Vec::new(),
-        wants: Vec::new(),
         seen: HashMap::new(),
         best_cost: f64::INFINITY,
         best: Ordered {
             order: Vec::new(),
-            wants: Vec::new(),
             cards,
         },
     };
@@ -329,17 +115,13 @@ pub(crate) fn cost_order(
     best
 }
 
-/// Depth-first search over literal orders; `path`/`wants` are the order
-/// under construction, `seen` the `(spent, outer)` every set of placed
-/// literals was reached with, `best` the cheapest complete order so far
-/// (none while `best_cost` is infinite).
+/// Depth-first search over literal orders; `path` is the order under
+/// construction, `seen` the `(spent, outer)` every set of placed literals
+/// was reached with, `best` the cheapest complete order so far (none while
+/// `best_cost` is infinite).
 struct Search<'a> {
     rule: &'a Rule,
-    rel_ids: &'a HashMap<String, usize>,
-    model: &'a CostModel<'a>,
-    catalog: &'a IndexCatalog,
     path: Vec<usize>,
-    wants: Vec<(usize, u32)>,
     seen: HashMap<u64, Vec<(f64, f64)>>,
     best_cost: f64,
     best: Ordered,
@@ -351,8 +133,6 @@ struct ScanCost {
     work: f64,
     /// Bindings it passes on per outer binding.
     matches: f64,
-    /// The index search the work figure assumes, if the catalog lacks it.
-    want: Option<(usize, u32)>,
 }
 
 impl<'a> Search<'a> {
@@ -375,41 +155,22 @@ impl<'a> Search<'a> {
             return Some(ScanCost {
                 work: 1.0,
                 matches: 0.5,
-                want: None,
             });
         } else if lit.negated {
             return None;
         }
-        let rel = self.rel_ids[&lit.atom.relation];
         let (a, b) = (lit.atom.terms.len(), mask.count_ones() as usize);
         let n = self.best.cards[li].max(1.0);
         let matches = est_matches(n, a, b);
-        // What the primary tree serves: the bound leading run, or, for an
-        // inner scan with none but a fixed column, a keyed sweep — one pass
-        // over the relation a block, then the binding's matches.
+        // The bound leading run, or, for an inner scan with none but a
+        // fixed column, a keyed sweep: one pass over the relation a block,
+        // then the binding's matches.
         let lead = (!mask).trailing_zeros() as usize;
-        let inner = !self.path.is_empty();
-        let mut cost = ScanCost {
-            work: match lead == 0 && b > 0 && inner {
-                true => n / outer.min(BLOCK as f64) + matches,
-                false => est_matches(n, a, lead),
-            },
-            matches,
-            want: None,
+        let work = match lead == 0 && b > 0 && !self.path.is_empty() {
+            true => n / outer.min(BLOCK as f64) + matches,
+            false => est_matches(n, a, lead),
         };
-        if lead < b && inner && rel < self.catalog.nrels() {
-            if self.catalog.find(rel, mask).is_some() {
-                cost.work = matches;
-            } else if self.model.can_index {
-                let upkeep = self.model.deltas[rel];
-                let owned = matches + INDEX_COST * (n + upkeep) / (self.model.horizon * outer);
-                if owned < cost.work {
-                    cost.work = owned;
-                    cost.want = Some((rel, mask));
-                }
-            }
-        }
-        Some(cost)
+        Some(ScanCost { work, matches })
     }
 
     /// Appends `li`, costed as `cost`, to the path and searches on from
@@ -440,11 +201,7 @@ impl<'a> Search<'a> {
             })
             .collect();
         self.path.push(li);
-        self.wants.extend(cost.want);
         self.extend(bound, passed, spent);
-        if cost.want.is_some() {
-            self.wants.pop();
-        }
         self.path.pop();
         for v in fresh {
             bound.remove(v);
@@ -462,35 +219,12 @@ impl<'a> Search<'a> {
             if spent < self.best_cost {
                 self.best_cost = spent;
                 self.best.order.clone_from(&self.path);
-                self.best.wants.clone_from(&self.wants);
             }
             return;
         }
         next.sort_by(|x, y| x.1.work.total_cmp(&y.1.work));
         for (li, cost) in next {
             self.place(li, cost, bound, outer, spent);
-        }
-    }
-}
-
-/// Adds to `catalog` the fewest permutations serving every wanted
-/// `(relation, mask)` search it does not serve yet (one chain cover per
-/// relation). The caller compares [`IndexCatalog::len`] before and after to
-/// learn what to build.
-pub(crate) fn register<'w>(
-    wants: impl Iterator<Item = &'w (usize, u32)>,
-    catalog: &mut IndexCatalog,
-) {
-    // Ordered by relation: registration order must not depend on a hasher.
-    let mut per_rel: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
-    for &(rel, mask) in wants {
-        if catalog.find(rel, mask).is_none() {
-            per_rel.entry(rel).or_default().push(mask);
-        }
-    }
-    for (rel, masks) in per_rel {
-        for perm in cover_masks(&masks, catalog.arities[rel]) {
-            catalog.add(rel, perm);
         }
     }
 }
@@ -507,15 +241,12 @@ pub(crate) struct Version {
     pub plan: Plan,
     /// The literal order `plan` was compiled from.
     pub order: Vec<usize>,
-    /// What each body literal was costed with when the plan last changed,
+    /// What each body literal was costed with when the order last changed,
     /// or when it was first costed; empty until then.
     pub cards: Vec<f64>,
-    /// The fixpoint iteration (past the first) at which the plan last
-    /// changed: a new order, or an index for one of its scans.
+    /// The fixpoint iteration (past the first) at which the order last
+    /// changed.
     pub replanned_at: Option<u64>,
-    /// Size of the catalog `plan` was compiled against; 0 for the
-    /// source-order plan, which is compiled against none.
-    indexes_seen: usize,
 }
 
 impl Version {
@@ -534,7 +265,6 @@ impl Version {
             order: source_order(rule.body.len(), delta_pos),
             cards: Vec::new(),
             replanned_at: None,
-            indexes_seen: 0,
         }
     }
 
@@ -553,35 +283,22 @@ impl Version {
 }
 
 /// Re-orders a batch of versions for the database as it is now: every
-/// version is costed afresh, the indexes the batch wants are registered
-/// together (so one permutation can serve several versions), and a version
-/// is recompiled only when its order changed or the catalog holds indexes
-/// its plan was not compiled against — registered here, or earlier for
-/// another plan, stratum or run. `iteration` is recorded on versions whose
-/// plan changed after the first.
+/// version is costed afresh and recompiled only when its order changed.
+/// `iteration` is recorded on versions whose order changed after the first.
 pub(crate) fn replan(
     versions: &mut [Version],
     rel_ids: &HashMap<String, usize>,
     model: &CostModel<'_>,
-    catalog: &mut IndexCatalog,
     iteration: u64,
 ) {
-    let ordered: Vec<Ordered> = versions
-        .iter()
-        .map(|v| cost_order(&v.rule, rel_ids, v.delta_pos, model, catalog))
-        .collect();
-    register(ordered.iter().flat_map(|o| &o.wants), catalog);
-    for (v, o) in versions.iter_mut().zip(ordered) {
-        // The plan changes with its order, or by gaining an index.
-        let changed = o.order != v.order || !o.wants.is_empty();
-        if changed || catalog.len() != v.indexes_seen {
-            v.plan = compile_ordered(&v.rule, rel_ids, v.delta_pos, &o.order, Some(catalog));
-            v.indexes_seen = catalog.len();
-        }
+    for v in versions {
+        let o = cost_order(&v.rule, rel_ids, v.delta_pos, model);
+        let changed = o.order != v.order;
         if changed || v.cards.is_empty() {
             v.cards = o.cards;
         }
         if changed {
+            v.plan = compile_ordered(&v.rule, rel_ids, v.delta_pos, &o.order);
             v.order = o.order;
             if iteration > 1 {
                 v.replanned_at = Some(iteration);
@@ -604,71 +321,14 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn prefix_runs_are_dropped() {
-        // {0} and {0,1} are leading prefixes — the primary tree serves them.
-        assert!(cover_masks(&[0b1, 0b11], 3).is_empty());
-    }
-
-    #[test]
-    fn single_mask_single_perm() {
-        // {1} on a binary relation → index keyed column 1 then column 0.
-        assert_eq!(cover_masks(&[0b10], 2), vec![vec![1, 0]]);
-    }
-
-    #[test]
-    fn chain_collapses_to_one_perm() {
-        // {2} ⊂ {1,2} ⊂ {1,2,3}: one chain, one index.
-        assert_eq!(
-            cover_masks(&[0b100, 0b110, 0b1110], 4),
-            vec![vec![2, 1, 3, 0]]
-        );
-    }
-
-    #[test]
-    fn incomparable_masks_need_two_perms() {
-        // {1,2} and {0,2} are incomparable — no single leading-column
-        // order serves both.
-        let perms = cover_masks(&[0b110, 0b101], 3);
-        assert_eq!(perms.len(), 2);
-        for p in &perms {
-            let mut sorted = p.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, vec![0, 1, 2], "each perm is a full bijection");
-        }
-    }
-
-    #[test]
-    fn diamond_takes_two_chains() {
-        // {1}, {2} ⊂ {1,2}: maximum matching has size 1 → two chains.
-        let perms = cover_masks(&[0b10, 0b100, 0b110], 3);
-        assert_eq!(perms.len(), 2);
-        // One of the chains runs {1} ⊂ {1,2} or {2} ⊂ {1,2}; both masks
-        // must be served by *some* perm's leading columns.
-        let serves = |mask: u32| {
-            perms.iter().any(|p| {
-                let k = mask.count_ones() as usize;
-                p[..k].iter().map(|&c| 1u32 << c).sum::<u32>() == mask
-            })
-        };
-        assert!(serves(0b10) && serves(0b100) && serves(0b110));
-    }
-
-    /// A model over `cards` and `deltas` for a single execution on an
-    /// indexing backend.
+    /// A model over `cards` and `deltas`.
     fn model<'a>(cards: &'a [f64], deltas: &'a [f64]) -> CostModel<'a> {
-        CostModel {
-            cards,
-            deltas,
-            horizon: 1.0,
-            can_index: true,
-        }
+        CostModel { cards, deltas }
     }
 
     fn order_of(rule: &Rule, ids: &HashMap<String, usize>, cards: &[f64]) -> Vec<usize> {
-        let catalog = IndexCatalog::new(&vec![crate::ast::MAX_ARITY; cards.len()]);
         let deltas = vec![0.0; cards.len()];
-        cost_order(rule, ids, None, &model(cards, &deltas), &catalog).order
+        cost_order(rule, ids, None, &model(cards, &deltas)).order
     }
 
     #[test]
@@ -712,13 +372,7 @@ mod tests {
         let ids = rel_ids(&["edge", "path"]);
         // Even a delta far larger than the other literal stays outermost.
         let big_delta = model(&[10.0, 1000.0], &[0.0, 1e6]);
-        let o = cost_order(
-            &p.rules[0],
-            &ids,
-            Some(0),
-            &big_delta,
-            &IndexCatalog::new(&[2, 2]),
-        );
+        let o = cost_order(&p.rules[0], &ids, Some(0), &big_delta);
         assert_eq!((o.order, o.cards), (vec![0, 1], vec![1e6, 10.0]));
     }
 
@@ -743,114 +397,18 @@ mod tests {
          vpt(V,G) :- load(V,W,F), vpt(W,H), hpt(H,F,G).";
 
     #[test]
-    fn index_is_wanted_only_when_it_pays() {
+    fn keyed_sweep_is_costed_once_a_block_and_scans_early() {
         let p = parse(LOAD_RULE).unwrap();
         let ids = rel_ids(&["load", "vpt", "hpt"]);
-        let catalog = IndexCatalog::new(&[3, 2, 3]);
-        let cards = [100.0, 5000.0, 5000.0];
-        let dvpt = |n: f64| [0.0, n, 0.0];
-        let wants = |deltas: &[f64], horizon: f64| {
-            let m = CostModel {
-                horizon,
-                ..model(&cards, deltas)
-            };
-            let o = cost_order(&p.rules[0], &ids, Some(1), &m, &catalog);
-            assert_eq!(o.order, vec![1, 0, 2]);
-            o.wants
-        };
-        // Δvpt(W,H) binds load's second column. A keyed sweep reads load
-        // once a block: within one execution sixty outer tuples make one
-        // pass, cheaper than building load[1,..], and so do eight blocks
-        // less a thousand bindings; eight blocks and a thousand more read
-        // load more often than the build does (`INDEX_COST`).
-        let block = BLOCK as f64;
-        assert_eq!(wants(&dvpt(60.0), 1.0), vec![]);
-        assert_eq!(wants(&dvpt(8.0 * block - 1024.0), 1.0), vec![]);
-        assert_eq!(wants(&dvpt(8.0 * block + 1024.0), 1.0), vec![(0, 0b010)]);
-        // By the fortieth iteration of sixty-tuple deltas the passes have
-        // added up.
-        assert_eq!(wants(&dvpt(60.0), 40.0), vec![(0, 0b010)]);
-        // Δhpt(H,F,G) enters vpt through its second column. By the
-        // sixteenth iteration twenty outer tuples repay indexing 5 000 vpt
-        // tuples, but not indexing them and the 10 000 more this iteration
-        // is about to merge: vpt is swept then.
-        let cards = [1e6, 5000.0, 5000.0];
-        let late = |deltas| CostModel {
-            horizon: 16.0,
-            ..model(&cards, deltas)
-        };
-        let o = cost_order(
-            &p.rules[0],
-            &ids,
-            Some(2),
-            &late(&[0.0, 0.0, 20.0]),
-            &catalog,
-        );
-        assert_eq!(
-            (o.order, o.wants),
-            (vec![2, 1, 0], vec![(1, 0b10), (0, 0b110)])
-        );
-        let o = cost_order(
-            &p.rules[0],
-            &ids,
-            Some(2),
-            &late(&[0.0, 1e4, 20.0]),
-            &catalog,
-        );
-        assert_eq!((o.order, o.wants), (vec![2, 1, 0], vec![(0, 0b110)]));
-    }
-
-    /// The overdeletion rule of a closure's retraction, costed as a
-    /// retraction costs it (one execution): the deletion set of `edge`
-    /// enters `path` through its second column. Below eight blocks of
-    /// bindings a keyed sweep reads `path` once a block and nothing is
-    /// built; above, building `path[1,0]` reads it less.
-    #[test]
-    fn a_deletion_set_sweeps_below_the_crossover_and_is_indexed_above() {
-        let p = parse(
-            ".decl edge(x:n, y:n)\n.decl path(x:n, y:n)\n.decl del(x:n, y:n)\n\
-             del(X,Z) :- path(X,Y), edge(Y,Z), path(X,Z).",
-        )
-        .unwrap();
-        let ids = rel_ids(&["edge", "path", "del"]);
-        let catalog = IndexCatalog::new(&[2, 2, 2]);
-        let cards = [1e5, 1.8e6, 0.0];
-        let wants = |deleted: f64| {
-            let deltas = [deleted, 0.0, 0.0];
-            let o = cost_order(
-                &p.rules[0],
-                &ids,
-                Some(1),
-                &model(&cards, &deltas),
-                &catalog,
-            );
-            assert_eq!(o.order[0], 1, "the deletion set drives the join");
-            o.wants
-        };
-        let block = BLOCK as f64;
-        assert_eq!(wants(30.0), vec![]);
-        assert_eq!(wants(8.0 * block - 1024.0), vec![]);
-        assert_eq!(wants(8.0 * block + 1024.0), vec![(1, 0b10)]);
-    }
-
-    #[test]
-    fn backend_without_indexes_gets_no_index_and_scans_early() {
-        let p = parse(LOAD_RULE).unwrap();
-        let ids = rel_ids(&["load", "vpt", "hpt"]);
-        let mut catalog = IndexCatalog::new(&[3, 2, 3]);
-        let plain = CostModel {
-            can_index: false,
-            ..model(&[1000.0, 5000.0, 20_000.0], &[0.0, 60.0, 0.0])
-        };
+        let sizes = model(&[1000.0, 5000.0, 20_000.0], &[0.0, 60.0, 0.0]);
         // load, entered through column 1, is swept once a block: the sixty
         // outer tuples read its 1 000 tuples once. hpt's prefix range passes
         // on 20 000^⅔ ≈ 737 matches per outer tuple, each of which would
         // reach load: load goes first.
-        let o = cost_order(&p.rules[0], &ids, Some(1), &plain, &catalog);
-        assert_eq!((o.order, o.wants), (vec![1, 0, 2], vec![]));
+        let o = cost_order(&p.rules[0], &ids, Some(1), &sizes);
+        assert_eq!(o.order, vec![1, 0, 2]);
         let mut version = [Version::new(0, &p.rules[0], &ids, Some(1))];
-        replan(&mut version, &ids, &plain, &mut catalog, 1);
-        assert_eq!(catalog.len(), 0);
+        replan(&mut version, &ids, &sizes, 1);
         assert!(
             matches!(&version[0].plan.steps[1], Step::Scan { swept, .. } if swept == &[1]),
             "compiled as the sweep keyed by load's second column it is"
@@ -861,29 +419,26 @@ mod tests {
     fn replan_records_the_iteration() {
         let p = parse(LOAD_RULE).unwrap();
         let ids = rel_ids(&["load", "vpt", "hpt"]);
-        let mut catalog = IndexCatalog::new(&[3, 2, 3]);
         let mut versions = vec![
             Version::new(0, &p.rules[0], &ids, Some(1)),
             Version::new(0, &p.rules[0], &ids, Some(2)),
         ];
         // Iteration 1: hpt is all but empty — Δvpt joins it before load.
         let early = model(&[100.0, 60.0, 1.0], &[0.0, 60.0, 1.0]);
-        replan(&mut versions, &ids, &early, &mut catalog, 1);
+        replan(&mut versions, &ids, &early, 1);
         assert_eq!(versions[0].order, vec![1, 2, 0]);
         assert_eq!(
             versions[0].replanned_at, None,
             "the first order is not a re-plan"
         );
         // Iteration 5: hpt has outgrown load; the order flips.
-        let late = CostModel {
-            horizon: 5.0,
-            ..model(&[100.0, 3000.0, 3000.0], &[0.0, 300.0, 300.0])
-        };
-        replan(&mut versions, &ids, &late, &mut catalog, 5);
+        let late = model(&[100.0, 3000.0, 3000.0], &[0.0, 300.0, 300.0]);
+        replan(&mut versions, &ids, &late, 5);
         assert_eq!(versions[0].order, vec![1, 0, 2]);
         assert_eq!(versions[0].replanned_at, Some(5));
         assert_eq!(versions[0].describe_cards(), "load=100, Δvpt=300, hpt=3000");
-        // Every scan of both versions found its index in the shared catalog.
+        // Every inner scan of both versions has a column fixed: a range or
+        // a keyed sweep, never a cross product.
         for v in &versions {
             assert!(
                 !crate::eval::has_unprefixed_inner_scan(&v.plan),
@@ -900,76 +455,33 @@ mod tests {
         // (assign, 300), not 0. load, bound by Δvpt, goes first.
         let p = parse(&format!(".decl assign(v:n, w:n)\n{LOAD_RULE}")).unwrap();
         let ids = rel_ids(&["load", "vpt", "hpt", "assign"]);
-        let catalog = IndexCatalog::new(&[3, 2, 3, 2]);
         let deltas = [0.0, 60.0, 0.0, 0.0];
         let floored = model(&[100.0, 300.0, 300.0, 300.0], &deltas);
-        let o = cost_order(&p.rules[0], &ids, Some(1), &floored, &catalog);
+        let o = cost_order(&p.rules[0], &ids, Some(1), &floored);
         assert_eq!(o.order, vec![1, 0, 2]);
         // Costed at its true size of zero, hpt would have gone first.
         let unfloored = model(&[100.0, 60.0, 0.0, 300.0], &deltas);
-        let o = cost_order(&p.rules[0], &ids, Some(1), &unfloored, &catalog);
+        let o = cost_order(&p.rules[0], &ids, Some(1), &unfloored);
         assert_eq!(o.order, vec![1, 2, 0]);
     }
 
     #[test]
-    fn compile_rewrites_scan_to_permuted_prefix() {
-        let p = parse(
-            ".decl probe(x:n)\n.decl fact(y:n, x:n)\n.decl out(x:n)\n\
-             out(X) :- probe(X), fact(Y, X).",
-        )
-        .unwrap();
-        let ids = rel_ids(&["probe", "fact", "out"]);
-        let mut catalog = IndexCatalog::new(&[1, 2, 1]);
-        catalog.add(1, vec![1, 0]);
-        let plan = compile_one_at(&p.rules[0], &ids, None, true, Some(&catalog));
-        match &plan.steps[1] {
-            Step::Scan {
-                prefix,
-                checks,
-                index,
-                ..
-            } => {
-                assert_eq!(prefix.len(), 1, "bound column moved into the prefix");
-                assert!(checks.is_empty(), "covered check folded away");
-                let sel = index.as_ref().expect("index assigned");
-                assert_eq!((sel.id, sel.perm.as_slice()), (0, &[1usize, 0][..]));
-            }
-            other => panic!("unexpected step {other:?}"),
-        }
-        assert!(!crate::eval::has_unprefixed_inner_scan(&plan));
-    }
-
-    #[test]
-    fn repeated_variable_check_survives_an_index() {
+    fn repeated_variable_stays_a_check_in_a_sweep() {
         // fact(Y, Y): the second Y is bound by the scan's own bind — it
-        // must stay a check even when an index exists.
+        // must stay a check, not become a sweep's key.
         let p = parse(
             ".decl probe(x:n)\n.decl fact(y:n, x:n)\n.decl out(x:n)\n\
              out(X) :- probe(X), fact(Y, Y).",
         )
         .unwrap();
         let ids = rel_ids(&["probe", "fact", "out"]);
-        let mut catalog = IndexCatalog::new(&[1, 2, 1]);
-        catalog.add(1, vec![1, 0]);
-        let plan = compile_one_at(&p.rules[0], &ids, None, true, Some(&catalog));
+        let plan = compile_one_at(&p.rules[0], &ids, None, true);
         match &plan.steps[1] {
-            Step::Scan { checks, index, .. } => {
+            Step::Scan { checks, swept, .. } => {
                 assert_eq!(checks.len(), 1, "intra-tuple equality stays a check");
-                assert!(index.is_none(), "no eligible bound column → no index");
+                assert!(swept.is_empty(), "no column fixed before it → no key");
             }
             other => panic!("unexpected step {other:?}"),
         }
-    }
-
-    #[test]
-    fn catalog_find_and_dedupe() {
-        let mut c = IndexCatalog::new(&[2, 3]);
-        assert_eq!(c.add(1, vec![2, 0, 1]), 0);
-        assert_eq!(c.add(1, vec![2, 0, 1]), 0, "dedupe keeps the id");
-        assert_eq!(c.add(1, vec![1, 2, 0]), 1);
-        assert_eq!(c.find(1, 0b100).map(|(i, _)| i), Some(0));
-        assert_eq!(c.find(1, 0b110).map(|(i, _)| i), Some(1));
-        assert_eq!(c.find(1, 0b011), None);
-        assert_eq!(c.find(0, 0b10), None);
     }
 }

@@ -26,10 +26,6 @@ pub struct RelationReport {
     /// B-tree; `None` for baseline storages (hash set, red-black tree,
     /// ...), which expose no comparable introspection.
     pub tree: Option<TreeStats>,
-    /// Column permutations of the secondary indexes maintained on this
-    /// relation (chosen by the query planner), in index-id order; empty
-    /// when the relation has none or the backend does not support them.
-    pub index_perms: Vec<Vec<usize>>,
 }
 
 /// Point-in-time storage health of every relation of an engine, from
@@ -65,10 +61,6 @@ impl StorageReport {
                     let _ = writeln!(out, "{}: {} tuples (no tree census)", rel.name, rel.len);
                 }
             }
-            if !rel.index_perms.is_empty() {
-                let perms: Vec<String> = rel.index_perms.iter().map(|p| format!("{p:?}")).collect();
-                let _ = writeln!(out, "  {:<18} {}", "indexes", perms.join(" "));
-            }
         }
         out
     }
@@ -90,15 +82,6 @@ impl StorageReport {
                 Some(t) => out.push_str(&t.to_json()),
                 None => out.push_str("null"),
             }
-            let perms: Vec<String> = rel
-                .index_perms
-                .iter()
-                .map(|p| {
-                    let cols: Vec<String> = p.iter().map(usize::to_string).collect();
-                    format!("[{}]", cols.join(", "))
-                })
-                .collect();
-            let _ = write!(out, ", \"index_perms\": [{}]", perms.join(", "));
             out.push('}');
         }
         out.push_str("]}");

@@ -26,6 +26,13 @@
 //! the paper's operation hints (§3.2) cached per thread, so the engine's
 //! tree reads and writes without them.
 //!
+//! The seam still offers column-permuted secondary indexes
+//! ([`RelationStorage::add_index`], [`RelationStorage::scan_index`]), which
+//! the specialized B-tree keeps in step with every write. The engine builds
+//! none — every plan reads the primary tree by a prefix or a sweep — and
+//! only the repository benchmark and the `ablation` bench build them, to
+//! time the layer.
+//!
 //! The evaluator calls no storage from inside a storage call's callback
 //! but [`RelationStorage::scan_chunk`]'s: the join runs inside the outer
 //! scan, and every later step reads its matches into a buffer first. That
@@ -264,9 +271,9 @@ pub trait RelationStorage: Send + Sync {
     /// backfilling it from the current contents (`workers` is the caller's
     /// thread budget; the B-tree's backfill, a counting sort straight out of
     /// walks of the primary, runs on the calling thread).
-    /// `perm` lists distinct columns of the storage; the engine lists all
-    /// of a relation's, and a shorter list is completed with the remaining
-    /// columns in ascending order. Returns the index id — stable for the
+    /// `perm` lists distinct columns of the storage; a list shorter than
+    /// the storage's width is completed with the remaining columns in
+    /// ascending order. Returns the index id — stable for the
     /// life of the storage, and idempotent: re-registering an existing
     /// permutation returns its id without rebuilding. May be called between
     /// fixpoint iterations on a non-empty relation: the backfill reads the
@@ -292,8 +299,7 @@ pub trait RelationStorage: Send + Sync {
     /// Backends with a registered index `index` serve this as a range scan
     /// of the permuted tree, and only for an id
     /// [`add_index`](Self::add_index) returned; the default filters a full
-    /// scan — correct, but the cost of a full scan per call, which is why
-    /// the planner assigns no index on a kind that registers none.
+    /// scan — correct, but the cost of a full scan per call.
     /// Quiescent phases only; `f` as for [`scan_prefix`](Self::scan_prefix).
     fn scan_index(
         &self,
@@ -383,15 +389,6 @@ impl StorageKind {
             StorageKind::GBTreeLocked => "google btree",
             StorageKind::ConcurrentHashSet => "TBB hashset",
         }
-    }
-
-    /// Whether relations of this kind build secondary indexes — what
-    /// [`RelationStorage::add_index`] answers with `Some`, known to the
-    /// planner before any relation exists (the `all_backends_conform` test
-    /// holds the two together). A non-prefix search on any other kind is costed
-    /// and compiled as the filtered scan it is.
-    pub(crate) fn supports_indexes(&self) -> bool {
-        matches!(self, StorageKind::SpecBTree)
     }
 
     /// Creates an empty relation of this kind that stores `arity` columns
@@ -945,9 +942,9 @@ mod tests {
         let tuples: Vec<TupleBuf> = (0..40u64).map(|i| tuple(arity, i % 5, i / 3)).collect();
         let model: Model<TupleBuf> = tuples.iter().copied().collect();
         for mut s in [kind.create_for(arity), kind.create()] {
-            // What the planner is told up front is what the storage answers.
+            // Only the specialized B-tree builds an index.
             let id = s.add_index(&perm, 2);
-            assert_eq!(id.is_some(), kind.supports_indexes(), "{what}");
+            assert_eq!(id.is_some(), kind == StorageKind::SpecBTree, "{what}");
             let mut ctx = s.make_ctx();
             // Half through the backfill of a second index, half through
             // inserts that maintain both.

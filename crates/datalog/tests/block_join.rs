@@ -121,11 +121,8 @@ fn facts() -> Db {
                 .flat_map(|y| (0..3).filter_map(move |m| Some(vec![y, m, tri(y, m)?])))
                 .collect(),
         ),
-        // Joined on its second column. `wide`'s 65 536 bindings, sixteen
-        // blocks, read `rev` less through an index built once than by a pass
-        // a block: with the planner the tree serves the join through an
-        // index whose permuted prefix is the key. Every other run sweeps
-        // `rev`, sixteen blocks of it, keyed by that column.
+        // Joined on its second column: `wide`'s 65 536 bindings, sixteen
+        // blocks, sweep `rev` sixteen times, keyed by that column.
         (
             "rev",
             keys.clone()
@@ -208,11 +205,9 @@ fn every_block_edge_agrees_with_the_definitions() {
                 }
                 let explain = engine.explain();
                 let perm = explain.lines().find(|l| l.contains("emit perm(")).unwrap();
-                let tree = kind == StorageKind::SpecBTree;
-                let inner = match tree && planner {
-                    true => "range rev index=[1,0] prefix=(v1)",
-                    false => "scan rev key=(#1=v1)",
-                };
+                // Every kind, planner on or off, sweeps `rev` keyed by its
+                // second column, once a block.
+                let inner = "scan rev key=(#1=v1)";
                 assert!(
                     perm.contains(inner),
                     "{what}: `perm` reads `{inner}`: {perm}"

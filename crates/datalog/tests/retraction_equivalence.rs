@@ -620,9 +620,8 @@ fn overdeleting_a_whole_stratum_costs_no_more_than_1_5x_evaluating_it() {
 /// paths that cross the cut, and nothing that survives is looked at twice —
 /// but for one read of the closure. The deleted edges enter `path` through
 /// its second column: the first overdelete round sweeps `path` once for
-/// their block of four sources, which costs an eighth of building an index
-/// on that column by `INDEX_COST`. Past that pass the retraction scans at
-/// most a quarter of what evaluating the rest does.
+/// their block of four sources. Past that pass the retraction scans at most
+/// a quarter of what evaluating the rest does.
 #[test]
 fn cutting_the_tail_of_a_chain_scans_at_most_a_quarter_of_evaluating_the_rest() {
     let edges = graphs::chain(400);
@@ -817,8 +816,7 @@ fn handing_over_a_middle_stratum() {
 fn the_phases_of_an_outcome_add_up_to_the_call() {
     // The first retraction of a closure plans a reverse join: one deleted
     // edge, one binding, which a keyed sweep serves with one read of the
-    // 101 025 paths, where an index built on them reads them as often as
-    // eight passes. Nothing is built, and the sweep is the largest share
+    // 101 025 paths. Nothing is built, and the sweep is the largest share
     // of the call, inside the overdelete phase.
     let edges = graphs::chain(449);
     let program = parse(TC_PROGRAM).unwrap();

@@ -115,7 +115,9 @@ pub enum Counter {
     /// contended spine lock).
     BtreeRemoveRestarts,
     /// `datalog`: secondary index trees built (one per column permutation
-    /// registered on a relation, backfill included).
+    /// registered on a relation, backfill included). The engine builds
+    /// none; only a direct `add_index` on a storage — the repository
+    /// benchmark's and the `ablation` bench's — counts here.
     EvalIndexBuilds,
     /// `specbtree`: keys handed to `insert_run`, whether it adds them or
     /// finds them present (the anti-join is the merge).
