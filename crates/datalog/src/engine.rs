@@ -6,7 +6,7 @@ use crate::eval::{
     delta_positions, eval_plan, insert_tuples, merge_runs, plan_delta_rel, side_table,
     source_order, SideTables, StorageEnv, Worker,
 };
-use crate::planner::{self, CostModel, Version};
+use crate::planner::{CostModel, Version};
 use crate::storage::{pad, RelationStorage, StorageKind, TupleBuf};
 use crate::strat::{stratify, StratError, Stratification, Stratum};
 use specbtree::HintStats;
@@ -411,8 +411,9 @@ impl Engine {
     }
 
     /// Enables or disables the cost-based planner (default: enabled).
-    /// When off, rules compile in source order with delta hoisting — the
-    /// pre-planner behavior, kept as an A/B baseline for the bench suite.
+    /// When off, every version — a run's and a retraction's — compiles in
+    /// source order with its delta hoisted outermost: the pre-planner
+    /// behavior, kept as an A/B baseline for the bench suite.
     pub fn set_planner_enabled(&mut self, on: bool) {
         self.planner_enabled = on;
     }
@@ -422,21 +423,32 @@ impl Engine {
         self.planner_enabled
     }
 
-    /// Re-orders `versions` of `stratum` for the database as it is now. A
-    /// relation the stratum defines is still growing, so it is costed at no
-    /// less than the largest relation the stratum reads — never at the
-    /// near-empty state the first iterations find it in. `deltas[r]` is the
-    /// current size of relation `r`'s delta (its whole content before the
-    /// first iteration): what a delta literal is costed with. No-op with
-    /// the planner off.
-    fn replan(&self, versions: &mut [Version], stratum: &Stratum, deltas: &[f64], iteration: u64) {
-        if !self.planner_enabled {
-            return;
-        }
+    /// The versions of `rules` (rules of `stratum`) that read a delta, or
+    /// with `recursive` false the ones that read none, each ordered once for
+    /// the database as it is now ([`Version::new`]). A relation the stratum
+    /// defines is still growing, so it is costed at no less than the largest
+    /// relation these rules read — never at the near-empty state the first
+    /// iterations find it in. `deltas[r]` is the size of relation `r`'s
+    /// delta as the versions' fixpoint starts (its whole content in a run):
+    /// what a delta literal is costed with. Source order with the planner
+    /// off.
+    fn versions_of(
+        &self,
+        stratum: &Stratum,
+        rules: impl Iterator<Item = usize>,
+        recursive: bool,
+        deltas: &[f64],
+    ) -> Vec<Version> {
         let rel_ids = &self.strat.rel_ids;
+        let mut versions: Vec<(usize, Option<usize>)> = Vec::new();
+        for ri in rules {
+            let rule = &self.program.rules[ri];
+            let ps = delta_positions(rule, rel_ids, &stratum.relations).into_iter();
+            versions.extend(ps.filter(|p| p.is_some() == recursive).map(|p| (ri, p)));
+        }
         let floor = versions
             .iter()
-            .flat_map(|v| &v.rule.body)
+            .flat_map(|&(ri, _)| &self.program.rules[ri].body)
             .filter(|l| !l.negated)
             .map(|l| self.counts[rel_ids[&l.atom.relation]])
             .max()
@@ -451,25 +463,9 @@ impl Engine {
             cards: &cards,
             deltas,
         };
-        planner::replan(versions, rel_ids, &model, iteration);
-    }
-
-    /// The source-order versions of `rules` (rules of `stratum`),
-    /// non-recursive and recursive apart.
-    fn versions_of(
-        &self,
-        stratum: &Stratum,
-        rules: impl Iterator<Item = usize>,
-    ) -> (Vec<Version>, Vec<Version>) {
-        let (mut base, mut rec) = (Vec::new(), Vec::new());
-        for ri in rules {
-            let rule = &self.program.rules[ri];
-            for p in delta_positions(rule, &self.strat.rel_ids, &stratum.relations) {
-                let v = Version::new(ri, rule, &self.strat.rel_ids, p);
-                if p.is_some() { &mut rec } else { &mut base }.push(v);
-            }
-        }
-        (base, rec)
+        let model = self.planner_enabled.then_some(&model);
+        let version = |(ri, p)| Version::new(ri, &self.program.rules[ri], rel_ids, p, model);
+        versions.into_iter().map(version).collect()
     }
 
     /// The delta sizes a fixpoint of `stratum` starts from: the whole
@@ -578,12 +574,12 @@ impl Engine {
         self.kind.create_for(self.program.decls[r].arity)
     }
 
-    /// A fresh table for each of `rels`, at index `offset + r`.
-    fn side_tables(&self, rels: &[usize], offset: usize) -> SideTables {
+    /// A fresh table for each of `rels`, at index `r`.
+    fn side_tables(&self, rels: &[usize]) -> SideTables {
         let mut tables: SideTables = Vec::new();
-        tables.resize_with(offset + self.rels.len(), || None);
+        tables.resize_with(self.rels.len(), || None);
         for &r in rels {
-            tables[offset + r] = Some(self.table_for(r));
+            tables[r] = Some(self.table_for(r));
         }
         tables
     }
@@ -598,8 +594,8 @@ impl Engine {
         for &ri in &stratum.rules {
             self.executed[ri].clear();
         }
-        let (mut base, mut rec) = self.versions_of(stratum, stratum.rules.iter().copied());
-        self.replan(&mut base, stratum, &self.whole_deltas(stratum), 1);
+        let rules = stratum.rules.iter().copied();
+        let base = self.versions_of(stratum, rules, false, &self.whole_deltas(stratum));
 
         // Phase 1: non-recursive rules derive into the workers' runs, then
         // merge (no version of them reads a delta, and phase 2 starts from
@@ -610,58 +606,54 @@ impl Engine {
 
         // Phase 2: the semi-naive fixpoint. Delta starts as the full
         // current contents of the stratum's relations.
-        if stratum.recursive && !rec.is_empty() {
-            let delta = self.side_tables(&stratum.relations, 0);
+        if stratum.recursive {
+            let delta = self.side_tables(&stratum.relations);
             for &r in &stratum.relations {
                 let seeded = side_table(&delta, r).merge_from(self.rels[r].as_ref(), self.threads);
                 self.stats.inserts += seeded;
             }
             let deltas = self.whole_deltas(stratum);
-            self.fixpoint(stratum, &mut rec, delta, deltas, workers);
+            let (_, rec) = self.fixpoint(stratum, delta, &deltas, workers);
             self.record(rec);
         }
         stratum_timer.observe(telemetry::Hist::EvalStratumNanos);
     }
 
-    /// Figure 1's semi-naive loop over `stratum`'s recursive versions `rec`,
-    /// from `delta` (`deltas[r]` tuples of relation `r`) to fixpoint: the
-    /// versions are ordered before every iteration from the counts and
-    /// delta sizes of that moment, and each round's runs are merged into
-    /// the relations, what they added making the next delta. The delta a
-    /// round read is dropped before that merge builds the next. Returns the
-    /// tuples added. [`run`](Self::run) starts it from whole relations, a
-    /// retraction's rederivation from what it put back.
+    /// Figure 1's semi-naive loop over `stratum`'s recursive versions, from
+    /// `delta` (`deltas[r]` tuples of relation `r`) to fixpoint. The
+    /// versions are ordered once, from the counts and delta sizes it starts
+    /// with, and each round's runs are merged into the relations, what they
+    /// added making the next delta. The delta a round read is dropped
+    /// before that merge builds the next. Returns the tuples added and the
+    /// versions that ran. [`run`](Self::run) starts it from whole
+    /// relations, a retraction's rederivation from what it put back.
     fn fixpoint(
         &mut self,
         stratum: &Stratum,
-        rec: &mut [Version],
         mut delta: SideTables,
-        mut deltas: Vec<f64>,
+        deltas: &[f64],
         workers: &mut [Worker],
-    ) -> u64 {
-        let mut total = 0;
-        for iteration in 1u64.. {
+    ) -> (u64, Vec<Version>) {
+        let rec = self.versions_of(stratum, stratum.rules.iter().copied(), true, deltas);
+        if rec.is_empty() {
+            return (0, rec);
+        }
+        let (mut total, mut round) = (0, deltas.iter().sum::<f64>() as u64);
+        loop {
             self.stats.iterations += 1;
             telemetry::count(telemetry::Counter::EvalIterations);
             let _iter_span = telemetry::span("eval.iteration", self.stats.iterations);
-            if telemetry::ENABLED {
-                let delta_size: f64 = deltas.iter().sum();
-                telemetry::record(telemetry::Hist::EvalDeltaTuples, delta_size as u64);
-            }
-            self.replan(rec, stratum, &deltas, iteration);
-            self.eval_versions(rec, &[], &delta, workers);
-            delta = self.side_tables(&stratum.relations, 0);
-            let mut any = false;
-            for (r, added) in self.merge_stratum(&stratum.relations, workers, &delta) {
-                deltas[r] = added as f64;
-                total += added;
-                any |= added > 0;
-            }
-            if !any {
+            telemetry::record(telemetry::Hist::EvalDeltaTuples, round);
+            self.eval_versions(&rec, &[], &delta, workers);
+            delta = self.side_tables(&stratum.relations);
+            let added = self.merge_stratum(&stratum.relations, workers, &delta);
+            round = added.iter().map(|&(_, n)| n).sum();
+            total += round;
+            if round == 0 {
                 break;
             }
         }
-        total
+        (total, rec)
     }
 
     /// Keeps evaluated versions for [`explain`](Self::explain).
@@ -674,10 +666,9 @@ impl Engine {
     /// Evaluates every version's current plan over the relations followed by
     /// `extra` (a retraction's deletion sets, at ids `nrels..`) and `delta`,
     /// deriving into the workers' runs, attributing the time to the
-    /// version's rule. A version whose
-    /// delta is empty this round derives nothing and is skipped, which
-    /// matters for the source-order retraction versions, whose outer scan
-    /// is a full relation.
+    /// version's rule. A version whose delta is empty this round derives
+    /// nothing: its outer loop is the delta. It is skipped before its
+    /// storages are bound, and is not counted in the rule's profile.
     fn eval_versions(
         &mut self,
         versions: &[Version],
@@ -921,8 +912,8 @@ impl Engine {
     /// `scan … key=(…)` for a keyed sweep, a bare `scan` with nothing
     /// fixed. A version the cost model moved away from source order is
     /// followed by a `cardinalities:` line with what every body literal was
-    /// costed with, and by the fixpoint iteration of its last re-ordering if
-    /// there was one. After a
+    /// costed with: a recursive version's as its fixpoint started, since a
+    /// version is ordered once. After a
     /// [`retract_facts`](Self::retract_facts), a `retraction:` section lists
     /// the versions it planned, by phase — the synthetic ones over the
     /// deletion sets `~del~r`, then the recursive ones rederivation
@@ -947,23 +938,16 @@ impl Engine {
             // the way `eval_stratum` does: base versions, then recursive.
             let unrun = stratum.rules.iter().copied();
             let unrun = unrun.filter(|&ri| self.executed[ri].is_empty());
-            let (mut base, mut rec) = self.versions_of(stratum, unrun);
             let deltas = self.whole_deltas(stratum);
-            self.replan(&mut base, stratum, &deltas, 1);
-            self.replan(&mut rec, stratum, &deltas, 1);
+            let base = self.versions_of(stratum, unrun.clone(), false, &deltas);
+            let rec = self.versions_of(stratum, unrun, true, &deltas);
             for &ri in &stratum.rules {
                 let _ = writeln!(out, "  rule {ri}: {}", self.program.rules[ri]);
                 let ran = self.executed[ri].iter().chain(&base).chain(&rec);
                 for (vi, v) in ran.filter(|v| v.rule_idx == ri).enumerate() {
                     let _ = writeln!(out, "    version {vi}: {}", v.plan.describe(&names));
-                    if v.order != source_order(v.rule.body.len(), v.delta_pos)
-                        || v.replanned_at.is_some()
-                    {
-                        let _ = write!(out, "      cardinalities: {}", v.describe_cards());
-                        if let Some(k) = v.replanned_at {
-                            let _ = write!(out, " (replanned at iteration {k})");
-                        }
-                        out.push('\n');
+                    if v.order != source_order(v.rule.body.len(), v.delta_pos) {
+                        let _ = writeln!(out, "      cardinalities: {}", v.describe_cards());
                     }
                 }
             }

@@ -4,11 +4,8 @@
 
 use super::{Engine, EngineError, RetractOutcome};
 use crate::ast::{Atom, Literal, Rule};
-use crate::eval::{
-    compile_one_at, has_unprefixed_inner_scan, insert_tuples, merge_runs, side_table, SideTables,
-    Worker,
-};
-use crate::planner::{self, CostModel, Version};
+use crate::eval::{insert_tuples, merge_runs, side_table, SideTables, Worker};
+use crate::planner::{CostModel, Version};
 use crate::storage::{RelationStorage, TupleBuf};
 use crate::strat::Stratum;
 use std::collections::{HashMap, HashSet};
@@ -263,7 +260,7 @@ impl Engine {
         cards.resize(2 * nrels, 0.0);
         let mut cx = Retraction {
             fallback_from,
-            del_acc: self.side_tables(&dirty, 0),
+            del_acc: self.side_tables(&dirty),
             dirty,
             strata,
             ext_ids,
@@ -289,12 +286,9 @@ impl Engine {
     /// Plans one synthetic retraction rule — `rule`, made from rule `ri` —
     /// for `phase`, and keeps the version for [`explain`](Self::explain).
     /// With the planner on the literals are cost-ordered from `cx.cards`,
-    /// the delta — a deletion set — at its size; a scan the primary tree
-    /// cannot serve by a prefix is a keyed sweep, once a block. When
-    /// hoisting the delta still strands a cross product — a scan with
-    /// nothing fixed — the source-order version, which probes the delta
-    /// where it sits and scans the stranded relation once, chunked across
-    /// workers, is used if it strands none.
+    /// the delta — a deletion set — at its size and outermost; a scan the
+    /// primary tree cannot serve by a prefix is a keyed sweep, once a
+    /// block. With it off, source order with the delta hoisted.
     fn plan_synthetic(
         &self,
         cx: &mut Retraction,
@@ -303,22 +297,12 @@ impl Engine {
         rule: &Rule,
         delta_pos: Option<usize>,
     ) -> Version {
-        let (ids, nrels) = (&cx.ext_ids, self.rels.len());
-        let mut v = Version::new(ri, rule, ids, delta_pos);
-        if self.planner_enabled {
-            let model = CostModel {
-                cards: &cx.cards,
-                deltas: &cx.cards[nrels..],
-            };
-            planner::replan(std::slice::from_mut(&mut v), ids, &model, 1);
-        }
-        if delta_pos.is_some() && has_unprefixed_inner_scan(&v.plan) {
-            let flat = compile_one_at(rule, ids, delta_pos, false);
-            if !has_unprefixed_inner_scan(&flat) {
-                v.plan = flat;
-                v.order = (0..rule.body.len()).collect();
-            }
-        }
+        let model = CostModel {
+            cards: &cx.cards,
+            deltas: &cx.cards[self.rels.len()..],
+        };
+        let model = self.planner_enabled.then_some(&model);
+        let v = Version::new(ri, rule, &cx.ext_ids, delta_pos, model);
         cx.versions.push((phase, Box::new(v.clone())));
         v
     }
@@ -395,7 +379,7 @@ impl Engine {
                 let delta = round.as_ref().unwrap_or(&cx.del_acc);
                 self.eval_versions(plans, &extra, delta, &mut cx.workers);
                 drop(round.take()); // before the merge builds the next
-                let next = self.side_tables(&rels, 0);
+                let next = self.side_tables(&rels);
                 let mut grew = false;
                 for &r in &rels {
                     let (acc, delta) = (side_table(&cx.del_acc, r), side_table(&next, r));
@@ -468,16 +452,15 @@ impl Engine {
             }
             let extra = deletion_sets(&cx.del_acc, cx.empty.as_ref());
             self.eval_versions(&seeds, &extra, &Vec::new(), &mut cx.workers);
-            let delta = self.side_tables(&ds, 0);
+            let delta = self.side_tables(&ds);
             let mut deltas = vec![0.0; nrels];
             for (r, added) in self.merge_stratum(&ds, &mut cx.workers, &delta) {
                 cx.outcome.rederived += added;
                 deltas[r] = added as f64;
             }
-            let (_, mut rec) = self.versions_of(&stratum, stratum.rules.iter().copied());
-            if !rec.is_empty() && deltas.iter().any(|&n| n > 0.0) {
-                let workers = &mut cx.workers;
-                cx.outcome.rederived += self.fixpoint(&stratum, &mut rec, delta, deltas, workers);
+            if deltas.iter().any(|&n| n > 0.0) {
+                let (added, rec) = self.fixpoint(&stratum, delta, &deltas, &mut cx.workers);
+                cx.outcome.rederived += added;
                 let ran = rec.into_iter().map(|v| ("rederive", Box::new(v)));
                 cx.versions.extend(ran);
             }

@@ -135,44 +135,19 @@ pub(crate) fn source_order(nlits: usize, delta_pos: Option<usize>) -> Vec<usize>
     order
 }
 
-/// Compiles one version in source order; `delta_pos` marks the body
-/// literal that reads the delta relation and is hoisted to the front. The
-/// retraction machinery picks delta positions itself (its synthetic rules
-/// carry appended/prepended literals that must never drive a delta).
-pub(crate) fn compile_one(
-    rule: &Rule,
-    rel_ids: &HashMap<String, usize>,
-    delta_pos: Option<usize>,
-) -> Plan {
-    compile_one_at(rule, rel_ids, delta_pos, true)
-}
-
-/// [`compile_one`] with an explicit hoisting choice. `hoist: false` leaves
-/// the delta literal at its source position: when hoisting would strand a
-/// later literal that shares no variable with the literals before it — a
-/// cross product, which replays the whole relation for every binding —
-/// evaluating the body in source order and probing the delta where it sits
-/// can be cheaper: the full scan becomes the outermost loop and runs once,
-/// chunked across workers. A stranded literal with a fixed column is a
-/// keyed sweep, read once a block, and [`has_unprefixed_inner_scan`] does
-/// not report it.
-pub(crate) fn compile_one_at(
-    rule: &Rule,
-    rel_ids: &HashMap<String, usize>,
-    delta_pos: Option<usize>,
-    hoist: bool,
-) -> Plan {
-    let order = source_order(rule.body.len(), delta_pos.filter(|_| hoist));
-    compile_ordered(rule, rel_ids, delta_pos, &order)
-}
-
 /// Compiles one version with a fully explicit literal evaluation order
-/// (`order[0]` becomes the outermost loop); the cost-based planner computes
-/// orders and calls this directly. Every scan is served by the primary
-/// tree: its bound leading columns as a prefix, the rest as checks; an
-/// inner scan with no bound leading column but a column fixed before it —
-/// a constant or a variable bound by an earlier literal — becomes a keyed
+/// (`order[0]` becomes the outermost loop): the cost-based planner's, or
+/// [`source_order`] with the planner off. The retraction machinery picks
+/// delta positions itself (its synthetic rules carry appended/prepended
+/// literals that must never drive a delta). Every scan is served by the
+/// primary tree: its bound leading columns as a prefix, the rest as checks;
+/// an inner scan with no bound leading column but a column fixed before it
+/// — a constant or a variable bound by an earlier literal — becomes a keyed
 /// sweep, its fixed columns moved from `checks` into its key.
+///
+/// The delta literal must come first: a plan reads its delta only at its
+/// first scan or check, the outer loop of Figure 1, so a delta is only ever
+/// iterated or, fully bound by constants, probed once.
 pub(crate) fn compile_ordered(
     rule: &Rule,
     rel_ids: &HashMap<String, usize>,
@@ -180,6 +155,10 @@ pub(crate) fn compile_ordered(
     order: &[usize],
 ) -> Plan {
     debug_assert_eq!(order.len(), rule.body.len());
+    assert!(
+        delta_pos.is_none_or(|p| order.first() == Some(&p)),
+        "the delta literal is the outermost: {order:?} for {delta_pos:?}"
+    );
     let mut var_ids: HashMap<String, usize> = HashMap::new();
     let mut bound: Vec<bool> = Vec::new();
     fn var_of(var_ids: &mut HashMap<String, usize>, bound: &mut Vec<bool>, name: &str) -> usize {
@@ -340,23 +319,11 @@ pub(crate) fn compile_ordered(
     }
 }
 
-/// Whether any non-outermost step is a scan with nothing fixed — no bound
-/// prefix, no column a keyed sweep could match: a cross product, read once
-/// a block and replayed whole for every outer tuple. Such plans are only
-/// worth keeping when the outer loop is known to be tiny; the retraction
-/// planner uses this to decide between delta-hoisted and source-order
-/// versions of its synthetic rules. A keyed sweep's `prefix` holds its key,
-/// so it is not reported.
-pub(crate) fn has_unprefixed_inner_scan(plan: &Plan) -> bool {
-    let unfixed = |s: &Step| matches!(s, Step::Scan { prefix, .. } if prefix.is_empty());
-    plan.steps.iter().skip(1).any(unfixed)
-}
-
-/// The relation id whose delta the plan reads, if any. Evaluating a plan
-/// whose delta source is empty is a no-op; callers skip it outright, which
-/// matters for non-hoisted versions whose *outer* scan is a full relation.
+/// The relation whose delta the plan reads, if any: its first scan or
+/// check is the only step that may read one ([`compile_ordered`]).
 pub(crate) fn plan_delta_rel(plan: &Plan) -> Option<usize> {
-    plan.steps.iter().find_map(|s| match s {
+    let storage = |s: &&Step| !matches!(s, Step::Filter { .. });
+    match plan.steps.iter().find(storage)? {
         Step::Scan {
             rel, delta: true, ..
         }
@@ -364,7 +331,7 @@ pub(crate) fn plan_delta_rel(plan: &Plan) -> Option<usize> {
             rel, delta: true, ..
         } => Some(*rel),
         _ => None,
-    })
+    }
 }
 
 impl Plan {
@@ -506,16 +473,16 @@ impl<'a> StorageEnv<'a> {
     /// (§2) that lets the join run inside the outer scan's walk and
     /// bindings wait for their blocks: nothing a plan reads changes under
     /// it.
+    ///
+    /// The first scan or check reads the delta if the plan has one
+    /// ([`plan_delta_rel`]); every later one reads `full`.
     fn bind(&self, plan: &Plan) -> Vec<Bound<'a>> {
-        let source = |rel: usize, delta: bool| match delta {
-            true => side_table(self.delta, rel),
-            false => self.full[rel],
-        };
+        let mut delta = plan_delta_rel(plan).map(|r| side_table(self.delta, r));
         plan.steps
             .iter()
             .map(|step| match step {
-                Step::Scan { rel, delta, .. } | Step::Check { rel, delta, .. } => {
-                    Some(source(*rel, *delta))
+                Step::Scan { rel, .. } | Step::Check { rel, .. } => {
+                    Some(delta.take().unwrap_or(self.full[*rel]))
                 }
                 Step::Filter { .. } => None,
             })
@@ -1270,7 +1237,7 @@ mod tests {
     ) -> Vec<Plan> {
         delta_positions(rule, rel_ids, stratum_rels)
             .into_iter()
-            .map(|p| compile_one(rule, rel_ids, p))
+            .map(|p| compile_ordered(rule, rel_ids, p, &source_order(rule.body.len(), p)))
             .collect()
     }
 

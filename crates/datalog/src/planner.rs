@@ -14,12 +14,13 @@
 //! them a plan no longer depends on the storage kind (DESIGN.md, "Query
 //! planning").
 //!
-//! A [`Version`] is one semi-naive version of a rule with the plan that
-//! currently runs; [`replan`] re-orders a batch of them in place between
-//! fixpoint iterations.
+//! A [`Version`] is one semi-naive version of a rule with the one plan it
+//! runs: ordered when it is made, for the database of that moment — a
+//! fixpoint's recursive versions from the delta sizes the fixpoint starts
+//! with — and never re-ordered. Its delta literal is the outer loop.
 
 use crate::ast::{Rule, Term};
-use crate::eval::{compile_one, compile_ordered, source_order, Plan, BLOCK};
+use crate::eval::{compile_ordered, source_order, Plan, BLOCK};
 use std::collections::{HashMap, HashSet};
 
 /// What the orderer knows about the database a plan is about to run on.
@@ -229,8 +230,7 @@ impl<'a> Search<'a> {
     }
 }
 
-/// One semi-naive version of a rule and the plan that currently runs for
-/// it.
+/// One semi-naive version of a rule and the plan that runs for it.
 #[derive(Clone, Debug)]
 pub(crate) struct Version {
     /// Index of the rule in the program (profiling, `EXPLAIN`).
@@ -241,30 +241,35 @@ pub(crate) struct Version {
     pub plan: Plan,
     /// The literal order `plan` was compiled from.
     pub order: Vec<usize>,
-    /// What each body literal was costed with when the order last changed,
-    /// or when it was first costed; empty until then.
+    /// What each body literal was costed with; empty when the version was
+    /// not costed.
     pub cards: Vec<f64>,
-    /// The fixpoint iteration (past the first) at which the order last
-    /// changed.
-    pub replanned_at: Option<u64>,
 }
 
 impl Version {
-    /// The source-order plan (delta hoisted) of one version.
+    /// One version, cost-ordered for `model`, or in source order with the
+    /// delta hoisted when there is none (the planner is off).
     pub(crate) fn new(
         rule_idx: usize,
         rule: &Rule,
         rel_ids: &HashMap<String, usize>,
         delta_pos: Option<usize>,
+        model: Option<&CostModel<'_>>,
     ) -> Self {
+        let Ordered { order, cards } = match model {
+            Some(model) => cost_order(rule, rel_ids, delta_pos, model),
+            None => Ordered {
+                order: source_order(rule.body.len(), delta_pos),
+                cards: Vec::new(),
+            },
+        };
         Self {
             rule_idx,
             rule: rule.clone(),
             delta_pos,
-            plan: compile_one(rule, rel_ids, delta_pos),
-            order: source_order(rule.body.len(), delta_pos),
-            cards: Vec::new(),
-            replanned_at: None,
+            plan: compile_ordered(rule, rel_ids, delta_pos, &order),
+            order,
+            cards,
         }
     }
 
@@ -282,35 +287,10 @@ impl Version {
     }
 }
 
-/// Re-orders a batch of versions for the database as it is now: every
-/// version is costed afresh and recompiled only when its order changed.
-/// `iteration` is recorded on versions whose order changed after the first.
-pub(crate) fn replan(
-    versions: &mut [Version],
-    rel_ids: &HashMap<String, usize>,
-    model: &CostModel<'_>,
-    iteration: u64,
-) {
-    for v in versions {
-        let o = cost_order(&v.rule, rel_ids, v.delta_pos, model);
-        let changed = o.order != v.order;
-        if changed || v.cards.is_empty() {
-            v.cards = o.cards;
-        }
-        if changed {
-            v.plan = compile_ordered(&v.rule, rel_ids, v.delta_pos, &o.order);
-            v.order = o.order;
-            if iteration > 1 {
-                v.replanned_at = Some(iteration);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{compile_one_at, Step};
+    use crate::eval::Step;
     use crate::parser::parse;
 
     fn rel_ids(names: &[&str]) -> HashMap<String, usize> {
@@ -407,44 +387,37 @@ mod tests {
         // reach load: load goes first.
         let o = cost_order(&p.rules[0], &ids, Some(1), &sizes);
         assert_eq!(o.order, vec![1, 0, 2]);
-        let mut version = [Version::new(0, &p.rules[0], &ids, Some(1))];
-        replan(&mut version, &ids, &sizes, 1);
+        let version = Version::new(0, &p.rules[0], &ids, Some(1), Some(&sizes));
         assert!(
-            matches!(&version[0].plan.steps[1], Step::Scan { swept, .. } if swept == &[1]),
+            matches!(&version.plan.steps[1], Step::Scan { swept, .. } if swept == &[1]),
             "compiled as the sweep keyed by load's second column it is"
         );
     }
 
     #[test]
-    fn replan_records_the_iteration() {
+    fn a_version_is_ordered_for_the_counts_it_is_made_with() {
+        // Each version is costed once, when it is made: a fixpoint's at its
+        // start, never again while it runs. (The engine once re-costed them
+        // every iteration and recorded where an order changed; no workload
+        // ever re-ordered one after its first costing.)
         let p = parse(LOAD_RULE).unwrap();
         let ids = rel_ids(&["load", "vpt", "hpt"]);
-        let mut versions = vec![
-            Version::new(0, &p.rules[0], &ids, Some(1)),
-            Version::new(0, &p.rules[0], &ids, Some(2)),
-        ];
-        // Iteration 1: hpt is all but empty — Δvpt joins it before load.
+        // A fixpoint that starts with hpt all but empty: Δvpt joins it before
+        // load.
         let early = model(&[100.0, 60.0, 1.0], &[0.0, 60.0, 1.0]);
-        replan(&mut versions, &ids, &early, 1);
-        assert_eq!(versions[0].order, vec![1, 2, 0]);
-        assert_eq!(
-            versions[0].replanned_at, None,
-            "the first order is not a re-plan"
-        );
-        // Iteration 5: hpt has outgrown load; the order flips.
+        let v = Version::new(0, &p.rules[0], &ids, Some(1), Some(&early));
+        assert_eq!(v.order, vec![1, 2, 0]);
+        // One that starts with hpt past load: load goes first.
         let late = model(&[100.0, 3000.0, 3000.0], &[0.0, 300.0, 300.0]);
-        replan(&mut versions, &ids, &late, 5);
+        let versions =
+            [Some(1), Some(2)].map(|d| Version::new(0, &p.rules[0], &ids, d, Some(&late)));
         assert_eq!(versions[0].order, vec![1, 0, 2]);
-        assert_eq!(versions[0].replanned_at, Some(5));
         assert_eq!(versions[0].describe_cards(), "load=100, Δvpt=300, hpt=3000");
         // Every inner scan of both versions has a column fixed: a range or
         // a keyed sweep, never a cross product.
         for v in &versions {
-            assert!(
-                !crate::eval::has_unprefixed_inner_scan(&v.plan),
-                "{:?}",
-                v.plan
-            );
+            let cross = |s: &Step| matches!(s, Step::Scan { prefix, .. } if prefix.is_empty());
+            assert!(!v.plan.steps[1..].iter().any(cross), "{:?}", v.plan);
         }
     }
 
@@ -475,7 +448,7 @@ mod tests {
         )
         .unwrap();
         let ids = rel_ids(&["probe", "fact", "out"]);
-        let plan = compile_one_at(&p.rules[0], &ids, None, true);
+        let plan = compile_ordered(&p.rules[0], &ids, None, &[0, 1]);
         match &plan.steps[1] {
             Step::Scan { checks, swept, .. } => {
                 assert_eq!(checks.len(), 1, "intra-tuple equality stays a check");

@@ -208,7 +208,7 @@ fn explain_is_stable_across_thread_counts_and_runs() {
 fn explain_after_a_run_reports_the_plans_that_ran() {
     // The paper's points-to program (Fig. 5a): vpt and hpt are defined by
     // the one recursive stratum, so before a run both are empty and only
-    // the counts of each iteration say how rule 3 should be ordered.
+    // the counts as the fixpoint starts say how rule 3 should be ordered.
     use workloads::pointsto::{self, PointsToConfig};
     let program = pointsto::program();
     let mut engine = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();
@@ -238,9 +238,12 @@ fn explain_after_a_run_reports_the_plans_that_ran() {
     assert_eq!(engine.explain(), after);
     assert_eq!(engine.stats().index_builds, 0);
 
-    // `g` is `r` × `r`: it outgrows `e` while the fixpoint runs, and rule 2
-    // re-orders part-way through, from a range over `g` to a sweep of `e`
-    // that probes `g`. What ran is on record with what it was costed with.
+    // `g` is `r` × `r`: it outgrows `e` while the fixpoint runs. Rule 2 is
+    // ordered once, as the fixpoint starts, and runs that plan to the end:
+    // a range over `g`, then over `e`. (It was once re-costed every
+    // iteration, and re-ordered at the 54th into a sweep of `e` that
+    // probes `g`, costed with the empty delta `Δr=0` of a round it never
+    // ran in.)
     let program = parse(
         r#"
         .decl start(x: number)
@@ -258,22 +261,17 @@ fn explain_after_a_run_reports_the_plans_that_ran() {
     engine
         .add_facts("e", (0..200u64).map(|i| vec![i, i + 1]))
         .unwrap();
-    let planned = "scan Δr bind=(#0→v0) ⋈ range g prefix=(v0)";
+    let planned = "scan Δr bind=(#0→v0) ⋈ range g prefix=(v0) bind=(#1→v1) ⋈ range e";
     assert!(engine.explain().contains(planned), "{}", engine.explain());
     engine.run().unwrap();
+    assert_eq!(engine.relation_len("r").unwrap(), 201);
     let after = engine.explain();
     let rule2 = &after[after.find("rule 2:").expect("rule 2")..];
-    let version0: Vec<&str> = rule2.lines().skip(1).take(2).collect();
-    let (sweep, probe) = ("scan Δr bind=(#0→v0) ⋈ scan e", "probe g(");
-    assert!(
-        version0[0].contains(sweep) && version0[0].contains(probe),
-        "{rule2}"
-    );
-    assert_eq!(
-        version0[1].trim(),
-        "cardinalities: Δr=0, g=729, e=200 (replanned at iteration 54)",
-        "{rule2}"
-    );
+    let version0 = rule2.lines().nth(1).unwrap();
+    assert!(version0.contains(planned), "{rule2}");
+    // Both versions run in source order, the delta hoisted: nothing to
+    // report beside the plans.
+    assert!(!rule2.contains("cardinalities:"), "{rule2}");
 }
 
 #[test]

@@ -687,3 +687,77 @@ fn plans_do_not_depend_on_the_storage_kind() {
         }
     }
 }
+
+/// Asserts that every plan `explain` lists reads its delta, if it has one,
+/// at its first scan or check and nowhere else; returns how many do.
+fn deltas_read_first(explain: &str, what: &str) -> usize {
+    let plans = explain.lines().filter(|l| l.contains(" emit "));
+    let mut with_delta = 0;
+    for line in plans {
+        let (_, plan) = line.split_once(": ").expect(line);
+        let mut steps = plan.split(" ⋈ ").filter(|s| !s.starts_with("filter "));
+        with_delta += usize::from(steps.next().expect(line).contains('Δ'));
+        assert!(
+            steps.all(|s| !s.contains('Δ')),
+            "{what}: a delta read below the first step: {line}"
+        );
+    }
+    with_delta
+}
+
+/// Small instances of the benchmark's three programs — `pointsto`,
+/// `security` and `tc_random` — each run and then withdrawing what the
+/// benchmark withdraws, planner on and off: every plan that ran, and every
+/// plan the retraction made, has its delta as its outer loop.
+#[test]
+fn every_workload_plan_reads_its_delta_at_its_first_step() {
+    use workloads::network::{self, NetworkConfig};
+    let tail = |n: usize| n - (n / 100).max(1);
+    let pt = pointsto::generate_facts(&PointsToConfig::scaled(5), 42);
+    let net = network::generate_facts(&NetworkConfig::scaled(2), 42);
+    let random = graphs::random_graph(300, 2, 42);
+    let batch = |rel: &str, rows: Vec<Vec<u64>>| -> Vec<(String, Vec<u64>)> {
+        rows.into_iter().map(|t| (rel.to_string(), t)).collect()
+    };
+    let loads = pt.loads[tail(pt.loads.len())..].iter();
+    let sensitive = net.sensitive[tail(net.sensitive.len())..].iter();
+    type Load<'a> = Box<dyn Fn(&mut Engine) + 'a>;
+    let workloads: [(&str, datalog::Program, Load, _); 3] = [
+        (
+            "pointsto",
+            pointsto::program(),
+            Box::new(|e| pointsto::load_facts(e, &pt).unwrap()),
+            batch("load", loads.map(|&(a, b, c)| vec![a, b, c]).collect()),
+        ),
+        (
+            "security",
+            network::program(),
+            Box::new(|e| network::load_facts(e, &net).unwrap()),
+            batch("sensitive", sensitive.map(|&a| vec![a]).collect()),
+        ),
+        (
+            "tc_random",
+            parse(TC_PROGRAM).unwrap(),
+            Box::new(|e| e.add_facts("edge", pairs(&random)).unwrap()),
+            batch("edge", pairs(&random[tail(random.len())..])),
+        ),
+    ];
+    for (name, program, load, gone) in &workloads {
+        for planner in [true, false] {
+            let what = format!("{name} with planner={planner}");
+            let mut engine = Engine::new(program, StorageKind::SpecBTree, 1).unwrap();
+            engine.set_planner_enabled(planner);
+            load(&mut engine);
+            engine.run().unwrap();
+            assert!(deltas_read_first(&engine.explain(), &what) > 0, "{what}");
+            let out = engine.retract_facts(gone.clone()).unwrap();
+            assert!(out.retracted_inputs > 0, "{what}");
+            let explain = engine.explain();
+            let retraction = explain.split_once("retraction:\n").expect(&explain).1;
+            assert!(
+                deltas_read_first(retraction, &what) > 0,
+                "{what}: {retraction}"
+            );
+        }
+    }
+}

@@ -846,3 +846,72 @@ fn the_phases_of_an_outcome_add_up_to_the_call() {
         "phases sum to {phases} s of a {call} s call: {out:?}"
     );
 }
+
+#[test]
+fn an_overdelete_version_reads_its_deletion_set_as_its_outer_loop() {
+    // The benchmark's `security` rule over 24 exposed hosts, each reaching
+    // 100, of which 40 are sensitive. Withdrawing three sensitive hosts
+    // overdeletes the 72 pairs that reach them, a tenth of `vulnerable`.
+    let program = parse(
+        r#"
+        .decl exposed(a: number)
+        .decl reach(a: number, b: number)
+        .decl sensitive(b: number)
+        .decl vulnerable(a: number, b: number)
+        vulnerable(a, b) :- exposed(a), reach(a, b), sensitive(b).
+        "#,
+    )
+    .unwrap();
+    let exposed: Vec<Vec<u64>> = (0..24).map(|a| vec![a]).collect();
+    let reach: Vec<Vec<u64>> = (0..40u64)
+        .flat_map(|a| (0..100).map(move |b| vec![a, b]))
+        .collect();
+    let sensitive: Vec<Vec<u64>> = (0..40).map(|b| vec![b]).collect();
+    let gone = [vec![3], vec![17], vec![31]];
+    let mut engine = Engine::new(&program, StorageKind::SpecBTree, 1).unwrap();
+    engine
+        .add_facts("exposed", exposed.iter().cloned())
+        .unwrap();
+    engine.add_facts("reach", reach.iter().cloned()).unwrap();
+    engine
+        .add_facts("sensitive", sensitive.iter().cloned())
+        .unwrap();
+    engine.run().unwrap();
+    assert_eq!(engine.relation_len("vulnerable").unwrap(), 24 * 40);
+    engine.reset_stats();
+    let batch = gone.iter().map(|t| ("sensitive".to_string(), t.clone()));
+    let out = engine.retract_facts(batch).unwrap();
+    assert_eq!((out.overdeleted, out.recomputed_strata), (3 + 72, 0));
+
+    // Δ⁻sensitive is the outer loop, every exposed host crossed with each of
+    // its three tuples, `reach` probed. The plan read Δ⁻sensitive where it
+    // sat in the rule's body when the deletion set was first ordered
+    // outermost and the cross product swapped for the flat plan: `exposed`
+    // outermost, a range of `reach` for each exposed host, Δ⁻sensitive
+    // probed for each of the 2 400 pairs.
+    // In an overdelete round the delta of `sensitive` is its deletion set.
+    let plan = engine.explain();
+    let overdelete = plan.lines().find(|l| l.contains("overdelete, rule 0:"));
+    let overdelete = overdelete.expect(&plan);
+    assert!(
+        overdelete.contains("rule 0: scan Δsensitive bind=(#0→v0) ⋈ scan exposed "),
+        "{overdelete}"
+    );
+    // The flat plan scanned 2 496 tuples: 24 exposed hosts and their 2 400
+    // `reach` pairs, and the rederive seed's 72 deleted pairs. This one
+    // scans 147: 3 deleted hosts, 3 × 24 crossed exposed hosts, and the
+    // same 72.
+    assert_eq!(engine.stats().tuples_scanned, 147);
+    let facts = [
+        ("exposed", exposed),
+        ("reach", reach),
+        (
+            "sensitive",
+            sensitive
+                .into_iter()
+                .filter(|t| !gone.contains(t))
+                .collect(),
+        ),
+    ];
+    assert_matches_scratch(&engine, &program, &facts, "security's rule");
+}

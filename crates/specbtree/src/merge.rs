@@ -43,6 +43,7 @@ use std::ptr;
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::Ordering::Relaxed;
+use std::sync::OnceLock;
 
 /// Runs a source is cut into per merge worker: small enough to keep partition
 /// overhead negligible, large enough that claim-order imbalance evens out.
@@ -503,12 +504,17 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
     }
 }
 
-/// `workers`, capped to the machine's parallelism (asked only for more than
-/// one: the query reads cgroup files): oversubscribed merge threads only add
-/// scheduling latency to a phase that is memory-bound, never throughput.
+/// `workers`, capped to the machine's parallelism: oversubscribed merge
+/// threads only add scheduling latency to a phase that is memory-bound,
+/// never throughput. The query reads cgroup files, so it is made once per
+/// process, and only for more than one worker.
 fn cap(workers: usize) -> usize {
-    let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
-    workers.clamp(1, if workers > 1 { cores() } else { 1 })
+    static CORES: OnceLock<usize> = OnceLock::new();
+    if workers <= 1 {
+        return 1;
+    }
+    let ask = || std::thread::available_parallelism().map_or(1, |n| n.get());
+    workers.min(*CORES.get_or_init(ask))
 }
 
 /// The one bulk driver: hands `0..n` to `apply` under a span named `span`,
@@ -771,6 +777,15 @@ mod tests {
 
     fn pairs(n: u64) -> Vec<Tuple<2>> {
         (0..n).map(|i| [i / 10, i % 10]).collect()
+    }
+
+    #[test]
+    fn cap_is_the_workers_within_the_machine() {
+        assert_eq!((cap(0), cap(1)), (1, 1));
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for workers in [2, 3, cores, cores + 1, 1 << 20] {
+            assert_eq!(cap(workers), workers.min(cores), "{workers}");
+        }
     }
 
     #[test]
