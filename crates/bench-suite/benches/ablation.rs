@@ -15,7 +15,7 @@
 //! * **runs, not tuples** — a batch checked against one tree and inserted
 //!   into another tuple by tuple through hints, the other then merged into
 //!   the first, against the batch sorted into a run and merged into the
-//!   first tree by one `insert_run` whose reported keys are the second:
+//!   first tree by one `insert_runs`, whose returned run is the delta:
 //!   the layer number under the engine's flush and merge, and where a
 //!   crossover would show if a sparse batch ever lost;
 //! * **reads by blocks** — a join's inner scan, and a check at step 2,
@@ -244,12 +244,12 @@ fn key_order_by_counting(c: &mut Criterion) {
 /// distinct values out of one window of the domain, wide enough for
 /// `per_leaf` of them to fall into each of `full`'s leaves it covers, half of
 /// them present, in the order a join would emit them. Both ways end with
-/// `full` holding the batch and a tree that started empty — the next delta —
-/// holding what `full` lacked. `per_tuple_hinted` is Figure 1: a hinted
-/// `contains` on `full` and a hinted insert into the delta per tuple, then
-/// the delta merged into `full`; `runs` is the engine's flush and merge: the
-/// batch sorted into a run, merged into `full` by one `insert_run`, and what
-/// it reports merged into the delta as one run. A fresh copy of `full` is
+/// `full` holding the batch and the next delta holding what `full` lacked.
+/// `per_tuple_hinted` is Figure 1: a hinted `contains` on `full` and a
+/// hinted insert into a delta tree per tuple, then the delta merged into
+/// `full`; `runs` is the engine's flush and merge: the batch sorted into a
+/// run and merged into `full` by one `insert_runs`, whose returned run of
+/// what it added is the delta. A fresh copy of `full` is
 /// built outside the clock for every call. Sizes whose window would not fit
 /// the tree are left out.
 fn run_path(c: &mut Criterion) {
@@ -296,9 +296,7 @@ fn run_path(c: &mut Criterion) {
                     let mut apply = |(full, mut run): (BTreeSet<2>, Vec<[u64; 2]>)| {
                         sort_tuples(&mut run, 2, &mut scratch);
                         run.dedup();
-                        let (delta, mut added) = (BTreeSet::<2>::new(), Vec::new());
-                        full.insert_run(&run, |t| added.push(*t));
-                        delta.insert_run(&added, |_| {});
+                        let delta = full.insert_runs(&[&run], 1);
                         (full, delta)
                     };
                     b.iter_batched(
@@ -471,7 +469,7 @@ fn closure_pairs() -> Vec<u64> {
 /// A storage of pairs as the engine builds one, holding `words`.
 fn pair_storage(words: &[u64]) -> Box<dyn RelationStorage> {
     let storage = StorageKind::SpecBTree.create_for(2);
-    storage.merge_runs(&[words], None, 1);
+    storage.merge_runs(&[words], 1);
     storage
 }
 

@@ -3,8 +3,7 @@
 
 use crate::ast::Program;
 use crate::eval::{
-    delta_positions, eval_plan, insert_tuples, merge_runs, plan_delta_rel, side_table,
-    source_order, SideTables, StorageEnv, Worker,
+    delta_positions, eval_plan, insert_tuples, merge_runs, source_order, Run, StorageEnv, Worker,
 };
 use crate::planner::{CostModel, Version};
 use crate::storage::{pad, RelationStorage, StorageKind, TupleBuf};
@@ -76,10 +75,10 @@ impl From<StratError> for EngineError {
 /// ([`Engine::worker_stats`]), which [`merge`](Self::merge) adds up.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalStats {
-    /// Tuples offered to relation storages: loaded facts, tuples a delta
-    /// seeding moved, and each tuple an iteration's merge added twice — into
-    /// the full relation and into the next delta, Figure 1's
-    /// `path.insert(newPath)` and `newPath.insert(t)`.
+    /// Tuples offered to relation storages and deltas: loaded facts, the
+    /// tuples a fixpoint's first delta is copied out from, and each tuple an
+    /// iteration's merge added twice — into the full relation and into the
+    /// next delta, Figure 1's `path.insert(newPath)` and `newPath.insert(t)`.
     pub inserts: u64,
     /// Membership tests issued: one per distinct tuple of a body check's
     /// block of bindings, and one per distinct head tuple of a worker's emit
@@ -89,7 +88,9 @@ pub struct EvalStats {
     pub membership_tests: u64,
     /// Total `lower_bound` calls: one per distinct key of an inner scan's
     /// block of bindings — one per block for a scan with no bound prefix,
-    /// whose one key is empty — and one per range chunk of an outer scan.
+    /// whose one key is empty — and one per range chunk of an outer scan of
+    /// a relation; an outer scan of a delta slices a sorted run and makes
+    /// none.
     pub lower_bound_calls: u64,
     /// Total `upper_bound` calls in the sense of Figure 1's synthesized
     /// code: range queries bounded above, one per distinct key of an inner
@@ -348,7 +349,7 @@ pub struct Engine {
     threads: usize,
     rels: Vec<Box<dyn RelationStorage>>,
     /// Tuples per relation, kept in step by every path that changes one
-    /// (the counts `insert_tuples`, `merge_from` and `retract_from` return)
+    /// (the counts `insert_tuples`, `merge_runs` and `retract_from` return)
     /// — the storages themselves only count by walking.
     counts: Vec<usize>,
     /// The extensional database: per relation, exactly the facts asserted
@@ -567,21 +568,11 @@ impl Engine {
         Ok(())
     }
 
-    /// An empty storage of the engine's kind at relation `r`'s arity: what
-    /// every delta and retraction table of `r` is, so that it merges with
-    /// `r` tree to tree.
+    /// An empty storage of the engine's kind at relation `r`'s arity: what a
+    /// deletion set of `r` is, so that it retracts from `r` tree to tree, and
+    /// what a recomputed relation starts from.
     fn table_for(&self, r: usize) -> Box<dyn RelationStorage> {
         self.kind.create_for(self.program.decls[r].arity)
-    }
-
-    /// A fresh table for each of `rels`, at index `r`.
-    fn side_tables(&self, rels: &[usize]) -> SideTables {
-        let mut tables: SideTables = Vec::new();
-        tables.resize_with(self.rels.len(), || None);
-        for &r in rels {
-            tables[r] = Some(self.table_for(r));
-        }
-        tables
     }
 
     /// Evaluates one stratum to fixpoint over the current contents of
@@ -599,42 +590,41 @@ impl Engine {
 
         // Phase 1: non-recursive rules derive into the workers' runs, then
         // merge (no version of them reads a delta, and phase 2 starts from
-        // whole relations, so the merge writes none).
-        self.eval_versions(&base, &[], &Vec::new(), workers);
-        self.merge_stratum(&stratum.relations, workers, &Vec::new());
+        // whole relations, so what the merge adds is no delta).
+        self.eval_versions(&base, &[], &[], workers);
+        self.merge_stratum(&stratum.relations, workers, false);
         self.record(base);
 
         // Phase 2: the semi-naive fixpoint. Delta starts as the full
-        // current contents of the stratum's relations.
+        // current contents of the stratum's relations, copied out as runs.
         if stratum.recursive {
-            let delta = self.side_tables(&stratum.relations);
+            let mut delta = vec![Run::default(); self.rels.len()];
             for &r in &stratum.relations {
-                let seeded = side_table(&delta, r).merge_from(self.rels[r].as_ref(), self.threads);
-                self.stats.inserts += seeded;
+                delta[r] = Run::of(self.rels[r].as_ref());
             }
-            let deltas = self.whole_deltas(stratum);
-            let (_, rec) = self.fixpoint(stratum, delta, &deltas, workers);
+            self.stats.inserts += delta.iter().map(Run::len).sum::<usize>() as u64;
+            let (_, rec) = self.fixpoint(stratum, delta, workers);
             self.record(rec);
         }
         stratum_timer.observe(telemetry::Hist::EvalStratumNanos);
     }
 
     /// Figure 1's semi-naive loop over `stratum`'s recursive versions, from
-    /// `delta` (`deltas[r]` tuples of relation `r`) to fixpoint. The
-    /// versions are ordered once, from the counts and delta sizes it starts
-    /// with, and each round's runs are merged into the relations, what they
-    /// added making the next delta. The delta a round read is dropped
-    /// before that merge builds the next. Returns the tuples added and the
-    /// versions that ran. [`run`](Self::run) starts it from whole
-    /// relations, a retraction's rederivation from what it put back.
+    /// `delta`, one run per relation id, to fixpoint. The versions are
+    /// ordered once, from the counts and delta sizes it starts with, and
+    /// each round's runs are merged into the relations, what they added
+    /// making the next delta. The delta a round read is dropped before that
+    /// merge returns the next. Returns the tuples added and the versions
+    /// that ran. [`run`](Self::run) starts it from whole relations, a
+    /// retraction's rederivation from what it put back.
     fn fixpoint(
         &mut self,
         stratum: &Stratum,
-        mut delta: SideTables,
-        deltas: &[f64],
+        mut delta: Vec<Run>,
         workers: &mut [Worker],
     ) -> (u64, Vec<Version>) {
-        let rec = self.versions_of(stratum, stratum.rules.iter().copied(), true, deltas);
+        let deltas: Vec<f64> = delta.iter().map(|d| d.len() as f64).collect();
+        let rec = self.versions_of(stratum, stratum.rules.iter().copied(), true, &deltas);
         if rec.is_empty() {
             return (0, rec);
         }
@@ -645,9 +635,9 @@ impl Engine {
             let _iter_span = telemetry::span("eval.iteration", self.stats.iterations);
             telemetry::record(telemetry::Hist::EvalDeltaTuples, round);
             self.eval_versions(&rec, &[], &delta, workers);
-            delta = self.side_tables(&stratum.relations);
-            let added = self.merge_stratum(&stratum.relations, workers, &delta);
-            round = added.iter().map(|&(_, n)| n).sum();
+            delta.clear();
+            delta = self.merge_stratum(&stratum.relations, workers, true);
+            round = delta.iter().map(Run::len).sum::<usize>() as u64;
             total += round;
             if round == 0 {
                 break;
@@ -664,25 +654,24 @@ impl Engine {
     }
 
     /// Evaluates every version's current plan over the relations followed by
-    /// `extra` (a retraction's deletion sets, at ids `nrels..`) and `delta`,
-    /// deriving into the workers' runs, attributing the time to the
-    /// version's rule. A version whose delta is empty this round derives
-    /// nothing: its outer loop is the delta. It is skipped before its
-    /// storages are bound, and is not counted in the rule's profile.
+    /// `extra` (a retraction's deletion sets, at ids `nrels..`) and `delta`
+    /// (by relation id), deriving into the workers' runs, attributing the
+    /// time to the version's rule. A version whose delta is empty this round
+    /// derives nothing: its outer loop is the delta. It is skipped, and is
+    /// not counted in the rule's profile.
     fn eval_versions(
         &mut self,
         versions: &[Version],
         extra: &[&dyn RelationStorage],
-        delta: &SideTables,
+        delta: &[Run],
         workers: &mut [Worker],
     ) {
         let rels = self.rels.iter().map(|b| b.as_ref());
         let full: Vec<&dyn RelationStorage> = rels.chain(extra.iter().copied()).collect();
         let env = StorageEnv { full: &full, delta };
+        let empty = |r: usize| delta.get(r).is_none_or(Run::is_empty);
         for v in versions {
-            let idle = plan_delta_rel(&v.plan)
-                .is_some_and(|r| delta[r].as_ref().is_none_or(|s| s.is_empty()));
-            if idle {
+            if v.plan.delta.is_some_and(empty) {
                 continue;
             }
             let t0 = std::time::Instant::now();
@@ -695,31 +684,26 @@ impl Engine {
     }
 
     /// Merges the runs the workers derived for each of `rels` into its full
-    /// relation (Figure 1's `contains` and `insert` for the whole stratum)
-    /// and writes what each run added into the relation's table in `delta`,
-    /// where there is one: the next iteration's delta. Returns per relation
-    /// the number of tuples added — which is also what keeps `self.counts`
-    /// exact and sizes the next iteration's deltas.
+    /// relation (Figure 1's `contains` and `insert` for the whole stratum).
+    /// Returns, by relation id, what each merge added — with `delta`, the
+    /// next iteration's delta; without, nothing, each run dropped as soon as
+    /// its count has kept `self.counts` exact.
     ///
     /// Relation after relation, each with every worker: the merge inside
     /// the backend ([`RelationStorage::merge_runs`]) cuts the runs' key space
     /// into ranges claimed off one cursor, and keeps a few small runs on the
     /// calling thread.
-    fn merge_stratum(
-        &mut self,
-        rels: &[usize],
-        workers: &mut [Worker],
-        delta: &SideTables,
-    ) -> Vec<(usize, u64)> {
+    fn merge_stratum(&mut self, rels: &[usize], workers: &mut [Worker], delta: bool) -> Vec<Run> {
         let timer = telemetry::start_timer();
-        let mut added = Vec::new();
+        let mut added = vec![Run::default(); self.rels.len()];
         for &r in rels {
             let _span = telemetry::span("eval.merge", r as u64);
             let into = self.rels[r].as_ref();
-            let delta = delta.get(r).and_then(|t| t.as_deref());
-            let n = merge_runs(workers, r, into, delta, self.threads, &mut self.stats);
-            self.counts[r] += n as usize;
-            added.push((r, n));
+            let run = merge_runs(workers, r, into, delta, self.threads, &mut self.stats);
+            self.counts[r] += run.len();
+            if delta {
+                added[r] = run;
+            }
         }
         timer.observe(telemetry::Hist::EvalMergeNanos);
         added

@@ -4,7 +4,7 @@
 
 use super::{Engine, EngineError, RetractOutcome};
 use crate::ast::{Atom, Literal, Rule};
-use crate::eval::{insert_tuples, merge_runs, side_table, SideTables, Worker};
+use crate::eval::{insert_tuples, merge_runs, Run, Worker};
 use crate::planner::{CostModel, Version};
 use crate::storage::{RelationStorage, TupleBuf};
 use crate::strat::Stratum;
@@ -41,11 +41,9 @@ struct Retraction {
     /// `nrels + r`, the deletion set of relation `r` (`~` is outside the
     /// parser's grammar, so the names cannot collide with user relations).
     ext_ids: HashMap<String, usize>,
-    /// Everything overdeleted, per dirty relation.
-    del_acc: SideTables,
-    /// Stands in for the deletion set of a relation that has none; no plan
-    /// reads one.
-    empty: Box<dyn RelationStorage>,
+    /// Everything overdeleted, by relation id: the deletion set of every
+    /// relation, empty but for the dirty ones (an empty tree holds no node).
+    del_acc: Vec<Box<dyn RelationStorage>>,
     /// What every synthetic rule is costed with, over the extended ids: the
     /// relations at the counts the retraction found, which rederivation
     /// largely restores (the counts in between, after the overdeleted
@@ -88,17 +86,9 @@ fn with_head_literal(rule: &Rule, head: &str, lit: &str, in_front: bool) -> Rule
 }
 
 /// The deletion sets as the relations past the declared ones, `~del~r` at
-/// `nrels + r`: `empty` stands in for a relation that has none, which no
-/// plan reads.
-fn deletion_sets<'a>(
-    del_acc: &'a SideTables,
-    empty: &'a dyn RelationStorage,
-) -> Vec<&'a dyn RelationStorage> {
-    let set = |acc: &'a Option<Box<dyn RelationStorage>>| match acc {
-        Some(acc) => acc.as_ref(),
-        None => empty,
-    };
-    del_acc.iter().map(set).collect()
+/// `nrels + r`.
+fn deletion_sets(del_acc: &[Box<dyn RelationStorage>]) -> Vec<&dyn RelationStorage> {
+    del_acc.iter().map(Box::as_ref).collect()
 }
 
 impl Engine {
@@ -260,11 +250,10 @@ impl Engine {
         cards.resize(2 * nrels, 0.0);
         let mut cx = Retraction {
             fallback_from,
-            del_acc: self.side_tables(&dirty),
+            del_acc: (0..nrels).map(|r| self.table_for(r)).collect(),
             dirty,
             strata,
             ext_ids,
-            empty: self.kind.create(),
             cards,
             workers: (0..self.threads).map(|_| Worker::default()).collect(),
             versions: Vec::new(),
@@ -276,7 +265,7 @@ impl Engine {
         for (&r, ts) in seeds {
             cx.outcome.retracted_inputs += ts.len() as u64;
             if cx.dirty.binary_search(&r).is_ok() {
-                let added = insert_tuples(side_table(&cx.del_acc, r), ts);
+                let added = insert_tuples(cx.del_acc[r].as_ref(), ts);
                 cx.overdeleted(r, added);
             }
         }
@@ -288,7 +277,10 @@ impl Engine {
     /// With the planner on the literals are cost-ordered from `cx.cards`,
     /// the delta — a deletion set — at its size and outermost; a scan the
     /// primary tree cannot serve by a prefix is a keyed sweep, once a
-    /// block. With it off, source order with the delta hoisted.
+    /// block. With it off, source order with the delta hoisted. An
+    /// overdelete round's delta is what the deletion set of the delta
+    /// literal's relation `r` last grew by: the delta of `~del~r`, at
+    /// `nrels + r`.
     fn plan_synthetic(
         &self,
         cx: &mut Retraction,
@@ -302,7 +294,8 @@ impl Engine {
             deltas: &cx.cards[self.rels.len()..],
         };
         let model = self.planner_enabled.then_some(&model);
-        let v = Version::new(ri, rule, &cx.ext_ids, delta_pos, model);
+        let mut v = Version::new(ri, rule, &cx.ext_ids, delta_pos, model);
+        v.plan.delta = v.plan.delta.map(|r| self.rels.len() + r);
         cx.versions.push((phase, Box::new(v.clone())));
         v
     }
@@ -342,10 +335,11 @@ impl Engine {
 
     /// Phase 1 — overdelete, stratum by stratum (a stratum's deletions
     /// depend only on earlier strata and itself), each to fixpoint: the
-    /// first round reads the deletion sets themselves as its delta, every
-    /// later one what the round before added, which the merge of the
-    /// round's runs into the deletion sets writes. Nothing is physically
-    /// removed yet, so non-delta positions still read the old database.
+    /// first round reads the deletion sets themselves, copied out as runs,
+    /// as its delta, every later one what the round before added, which the
+    /// merge of the round's runs into the deletion sets returns. Nothing is
+    /// physically removed yet, so non-delta positions still read the old
+    /// database.
     ///
     /// Before every round the stratum's deletion sets are weighed against
     /// what recomputing from it would rebuild — the exact counts of its
@@ -363,36 +357,44 @@ impl Engine {
             let later = cx.strata[si..].iter().flat_map(|st| &st.relations);
             let recomputed: Vec<usize> = later.copied().collect();
             let rebuilt: usize = recomputed.iter().map(|&r| self.counts[r]).sum();
-            let mut round: Option<SideTables> = None;
+            let mut delta: Vec<Run> = Vec::new();
             loop {
                 let deleted: f64 = rels.iter().map(|&r| cx.cards[nrels + r]).sum();
                 if deleted > 0.0 && K * deleted >= rebuilt as f64 {
                     cx.fallback_from = si;
                     cx.dirty.retain(|r| !recomputed.contains(r));
-                    recomputed.iter().for_each(|&r| cx.del_acc[r] = None);
+                    for &r in &recomputed {
+                        cx.del_acc[r] = self.table_for(r);
+                    }
                     return;
                 }
                 if plans.is_empty() {
                     break;
                 }
-                let extra = deletion_sets(&cx.del_acc, cx.empty.as_ref());
-                let delta = round.as_ref().unwrap_or(&cx.del_acc);
-                self.eval_versions(plans, &extra, delta, &mut cx.workers);
-                drop(round.take()); // before the merge builds the next
-                let next = self.side_tables(&rels);
-                let mut grew = false;
-                for &r in &rels {
-                    let (acc, delta) = (side_table(&cx.del_acc, r), side_table(&next, r));
-                    let (workers, stats) = (&mut cx.workers, &mut self.stats);
-                    let added =
-                        merge_runs(workers, nrels + r, acc, Some(delta), self.threads, stats);
-                    cx.overdeleted(r, added);
-                    grew |= added > 0;
+                let extra = deletion_sets(&cx.del_acc);
+                if delta.is_empty() {
+                    // The first round reads whole every deletion set a
+                    // version reads as its delta.
+                    delta = vec![Run::default(); 2 * nrels];
+                    for d in plans.iter().filter_map(|v| v.plan.delta) {
+                        if delta[d].is_empty() {
+                            delta[d] = Run::of(extra[d - nrels]);
+                        }
+                    }
                 }
-                if !grew {
+                self.eval_versions(plans, &extra, &delta, &mut cx.workers);
+                delta.fill(Run::default()); // before the merge returns the next
+                for &r in &rels {
+                    let (workers, stats) = (&mut cx.workers, &mut self.stats);
+                    delta[nrels + r] =
+                        merge_runs(workers, nrels + r, extra[r], true, self.threads, stats);
+                }
+                for &r in &rels {
+                    cx.overdeleted(r, delta[nrels + r].len() as u64);
+                }
+                if delta.iter().all(Run::is_empty) {
                     break;
                 }
-                round = Some(next);
             }
         }
     }
@@ -401,7 +403,7 @@ impl Engine {
     /// each).
     fn delete(&mut self, cx: &mut Retraction) {
         for &r in &cx.dirty {
-            let acc = side_table(&cx.del_acc, r);
+            let acc = cx.del_acc[r].as_ref();
             if !acc.is_empty() {
                 let gone = self.rels[r].retract_from(acc, self.threads);
                 self.counts[r] -= gone as usize;
@@ -431,9 +433,10 @@ impl Engine {
             }
             // Overdeleted EDB facts that were not retracted survive by
             // definition.
+            let sets = deletion_sets(&cx.del_acc);
             for &r in &ds {
                 let (edb, mut keep) = (&self.edb[r], Vec::new());
-                side_table(&cx.del_acc, r).for_each(&mut |t| {
+                sets[r].for_each(&mut |t| {
                     if edb.contains(t) {
                         keep.push(*t);
                     }
@@ -450,16 +453,13 @@ impl Engine {
                     seeds.push(self.plan_synthetic(cx, "rederive seed", ri, &syn, None));
                 }
             }
-            let extra = deletion_sets(&cx.del_acc, cx.empty.as_ref());
-            self.eval_versions(&seeds, &extra, &Vec::new(), &mut cx.workers);
-            let delta = self.side_tables(&ds);
-            let mut deltas = vec![0.0; nrels];
-            for (r, added) in self.merge_stratum(&ds, &mut cx.workers, &delta) {
-                cx.outcome.rederived += added;
-                deltas[r] = added as f64;
-            }
-            if deltas.iter().any(|&n| n > 0.0) {
-                let (added, rec) = self.fixpoint(&stratum, delta, &deltas, &mut cx.workers);
+            let extra = deletion_sets(&cx.del_acc);
+            self.eval_versions(&seeds, &extra, &[], &mut cx.workers);
+            let delta = self.merge_stratum(&ds, &mut cx.workers, true);
+            let put_back = delta.iter().map(Run::len).sum::<usize>() as u64;
+            cx.outcome.rederived += put_back;
+            if put_back > 0 {
+                let (added, rec) = self.fixpoint(&stratum, delta, &mut cx.workers);
                 cx.outcome.rederived += added;
                 let ran = rec.into_iter().map(|v| ("rederive", Box::new(v)));
                 cx.versions.extend(ran);

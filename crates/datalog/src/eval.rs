@@ -39,9 +39,10 @@
 //! (§2) the B-tree's synchronization is specialized for.
 
 use crate::ast::{CmpOp, Rule, Term, MAX_ARITY};
-use crate::storage::{RelationStorage, StorageChunk, StorageCtx, TupleBuf};
+use crate::storage::{pad, RelationStorage, StorageChunk, StorageCtx, TupleBuf};
 use crate::EvalStats;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Oversplit factor: each plan's outer scan is partitioned into
@@ -77,7 +78,6 @@ pub(crate) enum Step {
     /// the relation once and keeps the tuples that match one of its keys.
     Scan {
         rel: usize,
-        delta: bool,
         prefix: Vec<Slot>,
         swept: Vec<usize>,
         checks: Vec<(usize, Slot)>,
@@ -86,7 +86,6 @@ pub(crate) enum Step {
     /// Membership test of a fully bound tuple (possibly negated).
     Check {
         rel: usize,
-        delta: bool,
         terms: Vec<Slot>,
         negated: bool,
     },
@@ -101,6 +100,9 @@ pub(crate) struct Plan {
     pub head_slots: Vec<Slot>,
     pub steps: Vec<Step>,
     pub nvars: usize,
+    /// The relation whose delta the plan's first step, a scan, reads instead
+    /// of the relation it names, if any ([`compile_ordered`]).
+    pub delta: Option<usize>,
 }
 
 /// The delta position of every semi-naive version of `rule`: one per
@@ -145,9 +147,9 @@ pub(crate) fn source_order(nlits: usize, delta_pos: Option<usize>) -> Vec<usize>
 /// — a constant or a variable bound by an earlier literal — becomes a keyed
 /// sweep, its fixed columns moved from `checks` into its key.
 ///
-/// The delta literal must come first: a plan reads its delta only at its
-/// first scan or check, the outer loop of Figure 1, so a delta is only ever
-/// iterated or, fully bound by constants, probed once.
+/// The delta literal must come first: a plan reads its delta only as its
+/// outer scan, Figure 1's outer loop, ahead of every filter, and only ever
+/// iterates it — over the range its constants fix, if they bind it fully.
 pub(crate) fn compile_ordered(
     rule: &Rule,
     rel_ids: &HashMap<String, usize>,
@@ -176,7 +178,6 @@ pub(crate) fn compile_ordered(
     for &li in order {
         let lit = &rule.body[li];
         let rel = rel_ids[&lit.atom.relation];
-        let delta = delta_pos == Some(li);
 
         // Fully bound (or negated, which safety guarantees is fully bound)?
         let fully_bound = lit.atom.terms.iter().all(|t| match t {
@@ -187,7 +188,7 @@ pub(crate) fn compile_ordered(
                 .unwrap_or(false),
             Term::Wildcard => false,
         });
-        if fully_bound || lit.negated {
+        if fully_bound && delta_pos != Some(li) || lit.negated {
             let terms: Vec<Slot> = lit
                 .atom
                 .terms
@@ -200,7 +201,6 @@ pub(crate) fn compile_ordered(
                 .collect();
             steps.push(Step::Check {
                 rel,
-                delta,
                 terms,
                 negated: lit.negated,
             });
@@ -256,7 +256,6 @@ pub(crate) fn compile_ordered(
         }
         steps.push(Step::Scan {
             rel,
-            delta,
             prefix,
             swept,
             checks,
@@ -291,7 +290,9 @@ pub(crate) fn compile_ordered(
             };
             let (lhs, lpos) = slot_and_pos(&c.lhs);
             let (rhs, rpos) = slot_and_pos(&c.rhs);
-            filters.push((lpos.max(rpos), Step::Filter { op: c.op, lhs, rhs }));
+            // Never ahead of the first step, which may read the delta.
+            let pos = lpos.max(rpos).max(steps.len().min(1));
+            filters.push((pos, Step::Filter { op: c.op, lhs, rhs }));
         }
         // Insert from the back so earlier positions stay valid.
         filters.sort_by_key(|(pos, _)| std::cmp::Reverse(*pos));
@@ -316,21 +317,7 @@ pub(crate) fn compile_ordered(
         head_slots,
         steps,
         nvars: bound.len(),
-    }
-}
-
-/// The relation whose delta the plan reads, if any: its first scan or
-/// check is the only step that may read one ([`compile_ordered`]).
-pub(crate) fn plan_delta_rel(plan: &Plan) -> Option<usize> {
-    let storage = |s: &&Step| !matches!(s, Step::Filter { .. });
-    match plan.steps.iter().find(storage)? {
-        Step::Scan {
-            rel, delta: true, ..
-        }
-        | Step::Check {
-            rel, delta: true, ..
-        } => Some(*rel),
-        _ => None,
+        delta: delta_pos.map(|p| rel_ids[&rule.body[p].atom.relation]),
     }
 }
 
@@ -342,22 +329,23 @@ impl Plan {
             Slot::Const(c) => c.to_string(),
             Slot::Var(v) => format!("v{v}"),
         };
+        // The first scan reads the delta ([`eval_plan`]).
+        let mut delta = self.delta;
+        let mut src = |rel: usize| match delta.take() {
+            Some(d) => format!("Δ{}", names[d]),
+            None => names[rel].to_string(),
+        };
         let mut parts = Vec::new();
         for step in &self.steps {
             match step {
                 Step::Scan {
                     rel,
-                    delta,
                     prefix,
                     swept,
                     checks,
                     binds,
                 } => {
-                    let src = if *delta {
-                        format!("Δ{}", names[*rel])
-                    } else {
-                        names[*rel].to_string()
-                    };
+                    let src = src(*rel);
                     let mut detail = Vec::new();
                     if !swept.is_empty() {
                         detail.push(format!(
@@ -403,15 +391,10 @@ impl Plan {
                 }
                 Step::Check {
                     rel,
-                    delta,
                     terms,
                     negated,
                 } => {
-                    let src = if *delta {
-                        format!("Δ{}", names[*rel])
-                    } else {
-                        names[*rel].to_string()
-                    };
+                    let src = src(*rel);
                     let neg = if *negated { "!" } else { "" };
                     parts.push(format!(
                         "probe {neg}{src}({})",
@@ -436,71 +419,109 @@ impl Plan {
     }
 }
 
-/// The delta tables of one evaluation round, by relation id (`None` where
-/// the round has none).
-pub(crate) type SideTables = Vec<Option<Box<dyn RelationStorage>>>;
-
-/// The side table of `rel`, which the caller knows to exist.
-pub(crate) fn side_table(tables: &SideTables, rel: usize) -> &dyn RelationStorage {
-    let table = tables.get(rel).and_then(|t| t.as_deref());
-    table.expect("a side table for every relation a plan reads the delta of or derives")
+/// A delta: `width` words a tuple, strictly ascending — what a merge added
+/// to a relation, held as the merge's slots in key order
+/// ([`RelationStorage::merge_runs`]), or a whole relation a fixpoint starts
+/// from, one slot. A plan reads it only as its outer scan.
+#[derive(Clone, Default)]
+pub(crate) struct Run {
+    slots: Vec<Vec<u64>>,
+    width: usize,
 }
 
-/// Resolves `delta` flags to concrete storages for one evaluation round.
+impl Run {
+    /// `src`'s tuples, copied out once: read in its order, sorted only if
+    /// that order is not the tuples' (the hash kinds).
+    pub(crate) fn of(src: &dyn RelationStorage) -> Self {
+        let width = src.width();
+        let mut words = Vec::with_capacity(src.len() * width);
+        src.for_each(&mut |t| words.extend_from_slice(&t[..width]));
+        if !words.chunks_exact(width).is_sorted() {
+            sort_batch(&mut words, width, width, &mut Vec::new());
+        }
+        Self {
+            slots: vec![words],
+            width,
+        }
+    }
+
+    /// Tuples in the run.
+    pub(crate) fn len(&self) -> usize {
+        let words: usize = self.slots.iter().map(Vec::len).sum();
+        words.checked_div(self.width).unwrap_or(0)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.iter().all(Vec::is_empty)
+    }
+
+    /// The tuples that start with `prefix` in at most `n` slices of equal
+    /// length, give or take one, and one a [`BLOCK`] of them at most
+    /// (DESIGN.md, "The delta is a run"): cut by position in the run, so
+    /// the cut does not depend on where the slots end.
+    fn slices(&self, prefix: &[u64], n: usize) -> Vec<Chunk<'_>> {
+        let w = self.width;
+        // How many tuples lead below `prefix` (`past`: not above it), by
+        // bisection of each slot; the slots ascend one after another.
+        let below = |past: bool| -> usize {
+            let count = |slot: &Vec<u64>| {
+                let (mut lo, mut hi) = (0, slot.len() / w);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    let lead = &slot[mid * w..][..prefix.len()];
+                    match lead < prefix || past && lead == prefix {
+                        true => lo = mid + 1,
+                        false => hi = mid,
+                    }
+                }
+                lo
+            };
+            self.slots.iter().map(count).sum()
+        };
+        let start = below(false);
+        let len = below(true) - start;
+        let n = n.min(len.div_ceil(BLOCK));
+        let chunk = |i: usize| Chunk::Run(self, start + i * len / n..start + (i + 1) * len / n);
+        (0..n).map(chunk).collect()
+    }
+
+    /// Calls `f` for the tuples at positions `at` of the run, in order.
+    fn for_each_in(&self, at: Range<usize>, f: &mut dyn FnMut(&TupleBuf)) {
+        let (w, mut skip, mut take) = (self.width, at.start, at.len());
+        for slot in &self.slots {
+            let n = slot.len() / w;
+            let (lo, k) = (skip.min(n), take.min(n - skip.min(n)));
+            let tuples = slot[lo * w..(lo + k) * w].chunks_exact(w);
+            tuples.for_each(|t| f(&pad(t)));
+            (skip, take) = (skip - lo, take - k);
+        }
+    }
+}
+
+/// One unit of an outer scan: a relation's chunk, or positions of a delta.
+enum Chunk<'a> {
+    Rel(StorageChunk),
+    Run(&'a Run, Range<usize>),
+}
+
+/// What one evaluation round reads.
 ///
 /// `full` is a slice of borrowed storages (not owned boxes) so callers can
 /// splice extra *pseudo relations* past the declared ids — the retraction
 /// engine maps relation id `nrels + r` to the deletion accumulator of
 /// relation `r` and compiles plans against the extended id space.
+///
+/// Scans and membership tests read `full`, but for the outer scan of a plan
+/// with a delta ([`eval_plan`]); head tuples go to the worker's own runs,
+/// which no plan reads, and reach a relation only in the merge after every
+/// plan has run: the two-phase property (§2) that lets the join run inside
+/// the outer scan's walk and bindings wait for their blocks: nothing a plan
+/// reads changes under it.
 pub(crate) struct StorageEnv<'a> {
     /// Full contents of every relation (indexed by relation id).
     pub full: &'a [&'a dyn RelationStorage],
-    /// Delta relations of the current stratum.
-    pub delta: &'a SideTables,
-}
-
-/// The storage step `i` of a plan goes to, at index `i`; `None` for a
-/// filter, which touches no storage.
-type Bound<'a> = Option<&'a dyn RelationStorage>;
-
-impl<'a> StorageEnv<'a> {
-    /// The storage every step of `plan` goes to, resolved once per plan
-    /// execution.
-    ///
-    /// Scans and membership tests read `full` and `delta`; head tuples go
-    /// to the worker's own runs, which no plan reads, and reach a relation
-    /// only in the merge after every plan has run: the two-phase property
-    /// (§2) that lets the join run inside the outer scan's walk and
-    /// bindings wait for their blocks: nothing a plan reads changes under
-    /// it.
-    ///
-    /// The first scan or check reads the delta if the plan has one
-    /// ([`plan_delta_rel`]); every later one reads `full`.
-    fn bind(&self, plan: &Plan) -> Vec<Bound<'a>> {
-        let mut delta = plan_delta_rel(plan).map(|r| side_table(self.delta, r));
-        plan.steps
-            .iter()
-            .map(|step| match step {
-                Step::Scan { rel, .. } | Step::Check { rel, .. } => {
-                    Some(delta.take().unwrap_or(self.full[*rel]))
-                }
-                Step::Filter { .. } => None,
-            })
-            .collect()
-    }
-}
-
-/// Reads the tuples `src` holds under `prefix` into `out`. The callback only
-/// copies: no storage is called from inside another's callback, but for the
-/// outer scan's.
-fn read_range(
-    src: &dyn RelationStorage,
-    prefix: &[u64],
-    ctx: &mut StorageCtx,
-    out: &mut Vec<TupleBuf>,
-) {
-    out.clear();
-    src.scan_prefix(prefix, ctx, &mut |t| out.push(*t));
+    /// The round's deltas, by relation id; an id past the end has none.
+    pub delta: &'a [Run],
 }
 
 /// One pass of a keyed sweep over `src`: copies into `out`, in the order
@@ -658,31 +679,35 @@ fn runs_of(runs: &mut Vec<Runs>, head: usize) -> &mut Runs {
 }
 
 /// Merges the runs every worker appended for head `head` into `into` on up
-/// to `threads` threads and writes what each run added into `delta`, when
-/// there is one, as a run ([`RelationStorage::merge_runs`]): Figure 1's
-/// `contains` and `insert` of every tuple the iteration derived. Empties the
-/// workers' runs of `head`, keeping their allocation, and returns how many
-/// tuples were added, which `stats` counts as emitted and as inserted into
-/// `into` and into `delta`: `path.insert(newPath)` and `newPath.insert(t)`.
+/// to `threads` threads and returns what they added, as one run
+/// ([`RelationStorage::merge_runs`]): Figure 1's `contains` and `insert` of
+/// every tuple the iteration derived. Empties the workers' runs of `head`,
+/// keeping their allocation. `stats` counts each added tuple as emitted and
+/// inserted, twice when the run is the next `delta`: `path.insert(newPath)`
+/// and `newPath.insert(t)`.
 pub(crate) fn merge_runs(
     workers: &mut [Worker],
     head: usize,
     into: &dyn RelationStorage,
-    delta: Option<&dyn RelationStorage>,
+    delta: bool,
     threads: usize,
     stats: &mut EvalStats,
-) -> u64 {
+) -> Run {
     let of = workers.iter().filter_map(|w| w.runs.get(head));
     let runs: Vec<&[u64]> = of.flat_map(Runs::iter).collect();
-    let added = into.merge_runs(&runs, delta, threads);
+    let added = Run {
+        slots: into.merge_runs(&runs, threads),
+        width: into.width(),
+    };
+    let n = added.len();
     for runs in workers.iter_mut().filter_map(|w| w.runs.get_mut(head)) {
         runs.words.clear();
         runs.ends.clear();
         runs.apart = 0;
-        runs.merged += added as usize;
+        runs.merged += n;
     }
-    stats.tuples_emitted += added;
-    stats.inserts += added * (1 + u64::from(delta.is_some()));
+    stats.tuples_emitted += n as u64;
+    stats.inserts += n as u64 * (1 + u64::from(delta));
     added
 }
 
@@ -716,13 +741,13 @@ impl Block {
 }
 
 impl Step {
-    /// What the bindings that reach this step wait in a block sorted by: a
-    /// scan's bound prefix (empty for a sweep), a check's tuple. `None` for
-    /// a filter, which runs per binding in place.
-    fn key(&self) -> Option<&[Slot]> {
+    /// The relation this step reads, and what the bindings that reach it
+    /// wait in a block sorted by: a scan's bound prefix (empty for a sweep),
+    /// a check's tuple. `None` for a filter, which runs per binding in place.
+    fn key(&self) -> Option<(usize, &[Slot])> {
         match self {
-            Step::Scan { prefix, .. } => Some(prefix),
-            Step::Check { terms, .. } => Some(terms),
+            Step::Scan { rel, prefix, .. } => Some((*rel, prefix)),
+            Step::Check { rel, terms, .. } => Some((*rel, terms)),
             Step::Filter { .. } => None,
         }
     }
@@ -732,8 +757,8 @@ impl Step {
 /// and the cursor they are claimed off.
 struct Job<'a> {
     plan: &'a Plan,
-    bound: Vec<Bound<'a>>,
-    chunks: Vec<StorageChunk>,
+    full: &'a [&'a dyn RelationStorage],
+    chunks: Vec<Chunk<'a>>,
     cursor: AtomicUsize,
     /// One worker claims every chunk: its blocks and batch span them.
     alone: bool,
@@ -743,11 +768,10 @@ struct Job<'a> {
 /// with one worker per thread. This is where `datalog` spawns threads, and
 /// the only place.
 pub(crate) fn eval_plan(plan: &Plan, env: &StorageEnv<'_>, workers: &mut [Worker]) {
-    let bound = env.bind(plan);
-    let (Some(Step::Scan { prefix, .. }), Some(Some(outer))) = (plan.steps.first(), bound.first())
-    else {
+    let Some(Step::Scan { rel, prefix, .. }) = plan.steps.first() else {
         // Degenerate plan (starts with a check): evaluate sequentially.
-        let (mut evaluator, blocks) = Evaluator::new(plan, &bound, &mut workers[0]);
+        debug_assert!(plan.delta.is_none(), "a delta is read as an outer scan");
+        let (mut evaluator, blocks) = Evaluator::new(plan, env.full, &mut workers[0]);
         let mut vars = vec![0u64; plan.nvars];
         evaluator.run_from(0, &mut vars, blocks);
         return evaluator.finish(0, &mut vars, blocks);
@@ -758,7 +782,15 @@ pub(crate) fn eval_plan(plan: &Plan, env: &StorageEnv<'_>, workers: &mut [Worker
     );
     let consts: Vec<u64> = prefix.iter().map(|s| s.value(&[])).collect();
     let threads = workers.len().max(1);
-    let chunks = outer.partition(threads * CHUNKS_PER_WORKER, &consts);
+    let n = threads * CHUNKS_PER_WORKER;
+    let chunks = match plan.delta {
+        Some(r) => env.delta[r].slices(&consts, n),
+        None => env.full[*rel]
+            .partition(n, &consts)
+            .into_iter()
+            .map(Chunk::Rel)
+            .collect(),
+    };
     if chunks.is_empty() {
         return;
     }
@@ -769,7 +801,7 @@ pub(crate) fn eval_plan(plan: &Plan, env: &StorageEnv<'_>, workers: &mut [Worker
     let active = threads.min(chunks.len());
     let job = Job {
         plan,
-        bound,
+        full: env.full,
         chunks,
         cursor: AtomicUsize::new(0),
         alone: active == 1,
@@ -791,8 +823,8 @@ impl Job<'_> {
     /// chunk's end; alone, after its last chunk.
     fn run(&self, worker: &mut Worker) {
         let plan = self.plan;
-        let outer = self.bound[0].expect("the outer scan's storage");
-        let (mut evaluator, blocks) = Evaluator::new(plan, &self.bound, worker);
+        let (outer, _) = plan.steps[0].key().expect("the outer scan");
+        let (mut evaluator, blocks) = Evaluator::new(plan, self.full, worker);
         let inner_blocks = &mut blocks[1..];
         let mut vars = vec![0u64; plan.nvars];
         loop {
@@ -802,15 +834,17 @@ impl Job<'_> {
             };
             evaluator.stats.chunks_claimed += 1;
             // A range chunk starts with one descent to its lower bound; a
-            // snapshot chunk touches no tree.
-            if matches!(chunk, StorageChunk::Range { .. }) {
+            // snapshot chunk and a slice of a delta touch no tree.
+            if matches!(chunk, Chunk::Rel(StorageChunk::Range { .. })) {
                 evaluator.stats.lower_bound_calls += 1;
             }
             let chunk_timer = telemetry::start_timer();
             let _span = telemetry::span("eval.chunk", i as u64);
-            outer.scan_chunk(chunk, &mut |t| {
-                evaluator.join(0, t, &mut vars, inner_blocks)
-            });
+            let f = &mut |t: &TupleBuf| evaluator.join(0, t, &mut vars, inner_blocks);
+            match chunk {
+                Chunk::Rel(chunk) => self.full[outer].scan_chunk(chunk, f),
+                Chunk::Run(run, at) => run.for_each_in(at.clone(), f),
+            }
             if !self.alone {
                 evaluator.finish(1, &mut vars, inner_blocks);
             }
@@ -825,8 +859,8 @@ impl Job<'_> {
 /// take `blocks` that start at step `si`'s.
 struct Evaluator<'p, 'c> {
     plan: &'p Plan,
-    /// The storage of every step ([`StorageEnv::bind`]).
-    bound: &'p [Bound<'p>],
+    /// Every relation, by id ([`StorageEnv::full`]).
+    full: &'p [&'p dyn RelationStorage],
     /// The one context every lookup of this worker goes through.
     ctx: StorageCtx,
     stats: &'c mut EvalStats,
@@ -876,7 +910,7 @@ impl<'p, 'c> Evaluator<'p, 'c> {
     /// to a block per step.
     fn new(
         plan: &'p Plan,
-        bound: &'p [Bound<'p>],
+        full: &'p [&'p dyn RelationStorage],
         worker: &'c mut Worker,
     ) -> (Self, &'c mut [Block]) {
         let blocks = &mut worker.blocks;
@@ -885,7 +919,7 @@ impl<'p, 'c> Evaluator<'p, 'c> {
         let flush_at = if blocked { BATCH_CEILING } else { EMIT_BATCH };
         let evaluator = Evaluator {
             plan,
-            bound,
+            full,
             ctx: StorageCtx,
             stats: &mut worker.stats,
             scratch: &mut worker.scratch,
@@ -937,7 +971,7 @@ impl<'p, 'c> Evaluator<'p, 'c> {
                 }
             }
             Some(step) => {
-                let key = step.key().expect("a scan or a check has a key");
+                let (_, key) = step.key().expect("a scan or a check has a key");
                 if blocks[0].push(key, vars) {
                     self.run_block(si, vars, blocks);
                 }
@@ -962,12 +996,13 @@ impl<'p, 'c> Evaluator<'p, 'c> {
     /// blocks.
     fn run_block(&mut self, si: usize, vars: &mut [u64], blocks: &mut [Block]) {
         let step = &self.plan.steps[si];
-        let src = self.bound[si].expect("a scan or a check has a storage");
+        let (rel, slots) = step.key().expect("a scan or a check has a key");
+        let src = self.full[rel];
         let (block, deeper) = blocks.split_first_mut().expect("a block per step");
         if block.keys.is_empty() {
             return;
         }
-        let (width, nvars) = (step.key().map_or(0, <[Slot]>::len) + 1, vars.len());
+        let (width, nvars) = (slots.len() + 1, vars.len());
         sort_batch(&mut block.keys, width, width - 1, self.scratch);
         if let Step::Scan { swept, .. } = step {
             if !swept.is_empty() {
@@ -988,7 +1023,10 @@ impl<'p, 'c> Evaluator<'p, 'c> {
                 .map(|k| k[width - 1] as usize);
             match step {
                 Step::Scan { .. } => {
-                    read_range(src, key, &mut self.ctx, range);
+                    // Copied first: no storage is called from inside another's
+                    // callback, but for the outer scan's.
+                    range.clear();
+                    src.scan_prefix(key, &mut self.ctx, &mut |t| range.push(*t));
                     let sweep = key.is_empty();
                     self.stats.lower_bound_calls += 1;
                     self.stats.upper_bound_calls += u64::from(!sweep);
@@ -1044,7 +1082,8 @@ impl<'p, 'c> Evaluator<'p, 'c> {
         vars: &mut [u64],
         deeper: &mut [Block],
     ) {
-        let src = self.bound[si].expect("a scan has a storage");
+        let (rel, _) = self.plan.steps[si].key().expect("a sweep is a scan");
+        let src = self.full[rel];
         let kept = &mut block.kept;
         let read = sweep(src, swept, &block.keys, self.scratch, &mut self.ctx, kept);
         self.stats.lower_bound_calls += 1;
@@ -1092,7 +1131,7 @@ impl<'p, 'c> Evaluator<'p, 'c> {
     /// relation and its insert of what is unseen are the iteration's merge
     /// of every worker's runs ([`merge_runs`]), which counts what it adds.
     /// Deferring them changes no result: nothing a plan reads is written
-    /// while it runs ([`StorageEnv::bind`]). Each distinct tuple of the
+    /// while it runs ([`StorageEnv`]). Each distinct tuple of the
     /// batch counts as one membership test, here, whether or not runs
     /// merged past the mark ([`Runs`]) drop it again before the merge.
     fn flush(&mut self) {
@@ -1174,7 +1213,8 @@ pub(crate) fn insert_tuples(dst: &dyn RelationStorage, tuples: &[TupleBuf]) -> u
     let width = dst.width();
     let mut run: Vec<u64> = tuples.iter().flat_map(|t| &t[..width]).copied().collect();
     let distinct = sort_batch(&mut run, width, width, &mut Vec::new());
-    dst.merge_runs(&[&run[..distinct * width]], None, 1)
+    let added = dst.merge_runs(&[&run[..distinct * width]], 1);
+    (added.iter().map(Vec::len).sum::<usize>() / width) as u64
 }
 
 #[cfg(test)]
@@ -1249,10 +1289,10 @@ mod tests {
         let plans = compile_versions(&p.rules[0], &ids, &[1]);
         assert_eq!(plans.len(), 1);
         let plan = &plans[0];
-        assert_eq!(plan.nvars, 2);
+        assert_eq!((plan.nvars, plan.delta), (2, None));
         assert!(matches!(
             &plan.steps[0],
-            Step::Scan { rel: 0, delta: false, prefix, binds, .. }
+            Step::Scan { rel: 0, prefix, binds, .. }
                 if prefix.is_empty() && binds.len() == 2
         ));
     }
@@ -1269,21 +1309,12 @@ mod tests {
         assert_eq!(plans.len(), 1, "one recursive occurrence, one version");
         let plan = &plans[0];
         // Step 0: delta scan of path; step 1: edge scan with bound prefix Y.
-        assert!(matches!(
-            &plan.steps[0],
-            Step::Scan {
-                rel: 1,
-                delta: true,
-                ..
-            }
-        ));
+        assert_eq!(plan.delta, Some(1));
+        assert!(matches!(&plan.steps[0], Step::Scan { rel: 1, .. }));
         match &plan.steps[1] {
-            Step::Scan {
-                rel: 0,
-                delta: false,
-                prefix,
-                ..
-            } => assert_eq!(prefix.len(), 1, "Y binds edge's first column"),
+            Step::Scan { rel: 0, prefix, .. } => {
+                assert_eq!(prefix.len(), 1, "Y binds edge's first column")
+            }
             other => panic!("unexpected step {other:?}"),
         }
     }
@@ -1294,8 +1325,10 @@ mod tests {
         let ids = rel_ids(&["p"]);
         let plans = compile_versions(&p.rules[0], &ids, &[0]);
         assert_eq!(plans.len(), 2);
-        assert!(matches!(&plans[0].steps[0], Step::Scan { delta: true, .. }));
-        assert!(matches!(&plans[1].steps[0], Step::Scan { delta: true, .. }));
+        for plan in &plans {
+            assert_eq!(plan.delta, Some(0));
+            assert!(matches!(&plan.steps[0], Step::Scan { rel: 0, .. }));
+        }
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! them on the way in and widens them on the way out. Sorted runs
 //! ([`RelationStorage::merge_runs`]) are the other way tuples cross: end to
 //! end at the storage's width. A merge of runs is also the anti-join of
-//! Figure 1's `!path.contains(t)`: it writes what it added into the next
-//! delta, and nothing else looks a derived tuple up in its relation.
+//! Figure 1's `!path.contains(t)`: it returns what it added as sorted
+//! slots in key order, which are the next delta — no storage holds a
+//! delta — and nothing else looks a derived tuple up in its relation.
 //!
 //! The specialized B-tree's adapter reads through the tree's own cursor: a
 //! prefix scan is `prefix_range`, a chunk `chunk_range`, both walked a leaf
@@ -130,40 +131,23 @@ pub trait RelationStorage: Send + Sync {
     /// concurrently inserted.
     fn contains(&self, t: &TupleBuf, ctx: &mut StorageCtx) -> bool;
 
-    /// Merges sorted runs into this relation, writes what each run added
-    /// into `delta`, when there is one, as one run, and returns how many
-    /// tuples were added. A run holds tuples of the storage's
+    /// Merges sorted runs into this relation and returns what they added,
+    /// each tuple once, as slots in key order: taken in order, one strictly
+    /// ascending run. A run holds tuples of the storage's
     /// [`width`](Self::width) words each, end to end, strictly ascending;
-    /// runs may overlap, and a tuple two runs hold is added, and written to
-    /// `delta`, once. Concurrency as for [`insert`](Self::insert). The
-    /// specialized B-tree cuts the runs' key space into ranges claimed off
-    /// one cursor on up to `workers` threads, merges each run's piece of a
-    /// range leaf group by leaf group (`BTreeSet::insert_runs`), and puts
-    /// what a piece added, permuted, into each secondary index as one run
-    /// too; this default inserts tuple by tuple on the calling thread,
-    /// whatever `workers` says, a locked kind taking its lock per tuple.
-    fn merge_runs(
-        &self,
-        runs: &[&[u64]],
-        delta: Option<&dyn RelationStorage>,
-        workers: usize,
-    ) -> u64 {
+    /// runs may overlap. Concurrency as for [`insert`](Self::insert). The
+    /// specialized B-tree merges on up to `workers` threads, a slot per key
+    /// range it claims (`BTreeSet::insert_runs`), and puts what was added,
+    /// permuted, into each secondary index as one run; this default inserts
+    /// tuple by tuple on the calling thread, a locked kind taking its lock
+    /// per tuple, and sorts what was new into one slot.
+    fn merge_runs(&self, runs: &[&[u64]], workers: usize) -> Vec<Vec<u64>> {
         let _ = workers;
-        let (arity, mut ctx) = (self.width(), self.make_ctx());
-        let (mut added, mut fresh) = (0, Vec::new());
-        for run in runs {
-            fresh.clear();
-            for t in run.chunks_exact(arity) {
-                if self.insert(&pad(t), &mut ctx) {
-                    fresh.extend_from_slice(t);
-                }
-            }
-            added += (fresh.len() / arity) as u64;
-            if let Some(delta) = delta {
-                delta.merge_runs(&[&fresh], None, 1);
-            }
-        }
-        added
+        let (width, mut ctx) = (self.width(), self.make_ctx());
+        let tuples = runs.iter().flat_map(|run| run.chunks_exact(width));
+        let mut added: Vec<&[u64]> = tuples.filter(|t| self.insert(&pad(t), &mut ctx)).collect();
+        added.sort_unstable();
+        vec![added.concat()]
     }
 
     /// Calls `f` for every tuple whose leading words equal `prefix`.
@@ -558,12 +542,7 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
         self.tree.contains(&key(t))
     }
 
-    fn merge_runs(
-        &self,
-        runs: &[&[u64]],
-        delta: Option<&dyn RelationStorage>,
-        workers: usize,
-    ) -> u64 {
+    fn merge_runs(&self, runs: &[&[u64]], workers: usize) -> Vec<Vec<u64>> {
         let runs: Vec<&[[u64; K]]> = runs
             .iter()
             .map(|run| {
@@ -572,17 +551,9 @@ impl<const K: usize> RelationStorage for SpecBTreeStorage<K> {
                 tuples
             })
             .collect();
-        let sink = |added: &[[u64; K]]| {
-            if let Some(delta) = delta {
-                delta.merge_runs(&[added.as_flattened()], None, 1);
-            }
-            self.maintain_indexes(|| added.iter().copied(), false);
-        };
-        // Nobody takes what was added from a table without a delta or an
-        // index: loaded facts, a delta table itself.
-        let takes = delta.is_some() || !self.indexes.is_empty();
-        self.tree
-            .insert_runs(&runs, workers.max(1), takes.then_some(&sink))
+        let added = self.tree.insert_runs(&runs, workers.max(1));
+        self.maintain_indexes(|| added.iter().flatten().copied(), false);
+        added.into_iter().map(Vec::into_flattened).collect()
     }
 
     fn scan_prefix(&self, prefix: &[u64], _ctx: &mut StorageCtx, f: &mut dyn FnMut(&TupleBuf)) {
@@ -987,7 +958,8 @@ mod tests {
     /// width, on a `create()`d one fed the same tuples padded to its width,
     /// and on a relation that carries an index, which the merge must keep
     /// exact. Two overlapping runs add their union less what was there,
-    /// each new tuple once, and the delta holds exactly those.
+    /// each new tuple once, and the merge returns exactly those, ascending;
+    /// merged again, they add nothing.
     fn exercise_runs(kind: StorageKind, arity: usize) {
         let base: Vec<TupleBuf> = (0..60u64).map(|i| tuple(arity, i % 6, i / 2)).collect();
         let runs: [Model<TupleBuf>; 2] = [
@@ -1015,19 +987,18 @@ mod tests {
             base.iter()
                 .for_each(|t| assert!(s.insert(t, &mut ctx), "{what}"));
 
-            let delta = kind.create_for(width);
-            let added = s.merge_runs(&words, Some(delta.as_ref()), 2);
-            assert_eq!(added as usize, fresh.len(), "{what}");
-            assert_eq!(
-                contents(&*delta),
-                fresh,
-                "{what}: the delta is what was added"
+            let added = s.merge_runs(&words, 2).concat();
+            let tuples: Vec<&[u64]> = added.chunks_exact(width).collect();
+            assert!(
+                tuples.is_sorted_by(|a, b| a < b),
+                "{what}: an ascending run"
             );
+            let grown: Vec<&[u64]> = fresh.iter().map(|t| &t[..width]).collect();
+            assert_eq!(tuples, grown, "{what}: the run is what was added");
             let all: Model<TupleBuf> = model.union(&union).copied().collect();
             assert_eq!(contents(&*s), all, "{what}");
-            assert_eq!(s.merge_runs(&words, Some(delta.as_ref()), 2), 0, "{what}");
-            assert_eq!(s.merge_runs(&[], None, 2), 0, "{what}");
-            assert_eq!(contents(&*delta), fresh, "{what}: nothing more added");
+            assert!(s.merge_runs(&words, 2).concat().is_empty(), "{what}");
+            assert!(s.merge_runs(&[], 2).concat().is_empty(), "{what}");
             if let Some(id) = index {
                 let mut by_index = Model::new();
                 s.scan_index(id, &perm, &[], &mut ctx, &mut |t| {

@@ -185,6 +185,45 @@ fn constants_and_wildcards_in_rules() {
     assert_eq!(engine.relation("hits").unwrap(), vec![vec![1], vec![2]]);
 }
 
+/// A delta literal bound by constants alone is the outer scan of the range
+/// they fix, not a probe, and a comparison of constants runs after it:
+/// `gate(1, 7)` reads Δgate's tuples that start with `(1, 7)`, on every
+/// kind, at one worker and two, the planner on and off.
+#[test]
+fn a_delta_bound_by_constants_is_scanned_over_its_range() {
+    let program = parse(
+        r#"
+        .decl e(x: number, y: number)
+        .decl gate(x: number, y: number)
+        .decl r(x: number)
+        .output r
+        r(y) :- e(0, y).
+        gate(1, x) :- r(x), x > 6.
+        r(y) :- gate(1, 7), r(x), e(x, y), 1 < 2.
+        "#,
+    )
+    .unwrap();
+    let edges = [[0, 5], [0, 7], [5, 6], [6, 7], [7, 8], [8, 9]];
+    for kind in StorageKind::ALL {
+        for (threads, planner) in [(1, true), (2, true), (1, false)] {
+            let mut engine = Engine::new(&program, kind, threads).unwrap();
+            engine.set_planner_enabled(planner);
+            engine.add_facts("e", edges.map(Vec::from)).unwrap();
+            engine.run().unwrap();
+            let what = format!("{} {threads} {planner}", kind.label());
+            let r: Vec<Vec<u64>> = (5..10).map(|x| vec![x]).collect();
+            assert_eq!(engine.relation("r").unwrap(), r, "{what}");
+            let gates: Vec<Vec<u64>> = (7..10).map(|x| vec![1, x]).collect();
+            assert_eq!(engine.relation("gate").unwrap(), gates, "{what}");
+            let plan = engine.explain();
+            assert!(
+                plan.contains("range Δgate prefix=(1,7) ⋈ filter 1 < 2 ⋈ "),
+                "{what}:\n{plan}"
+            );
+        }
+    }
+}
+
 #[test]
 fn repeated_variable_join() {
     let program = parse(
@@ -547,9 +586,12 @@ fn seam_does_the_same_work_on_narrower_trees() {
     assert_eq!(stats.upper_bound_calls, 5_897);
     assert!(12 * stats.upper_bound_calls < stats.inner_scans_indexed);
     // One `lower_bound` per range query and per range chunk of an outer
-    // scan; the delta trees, filled in key order, are cut into 82 chunks.
-    assert_eq!(stats.lower_bound_calls - stats.chunks_claimed, 5_897);
-    assert_eq!(stats.lower_bound_calls, 5_979);
+    // scan of a relation: `edge`'s 8, in the rule that copies it into
+    // `path`. A delta is a sorted run whose 25 slices open no descent: 5 979
+    // calls and 82 chunks while the deltas were trees, each chunk opening
+    // with a descent.
+    assert_eq!(stats.lower_bound_calls, 5_897 + 8);
+    assert_eq!(stats.chunks_claimed, 8 + 25);
     // 231 323 and 175 002 when every head tuple was tested and offered where
     // the join produced it: these two count calls issued, and a batch drops
     // its duplicates before it issues any (173 912 and 151 818 while a batch

@@ -274,17 +274,17 @@ proptest! {
                 // Sorted runs, as an iteration's merge hands them over:
                 // what was retracted comes back, padded to the storage's
                 // width, as a run and again as its back half, into the
-                // primary, into the delta once, and, what a run added as a
-                // permuted run, into every index.
+                // primary, returned once, ascending, and, what the runs added,
+                // as a permuted run, into every index.
                 let run: BTreeSet<TupleBuf> = retracted.iter().map(|&k| tuple(arity, k)).collect();
                 let fresh: BTreeSet<TupleBuf> =
                     run.difference(&primary_set(&*storage)).copied().collect();
                 let words: Vec<u64> = run.iter().flat_map(|t| t[..width].iter().copied()).collect();
                 let back = &words[words.len() / width / 2 * width..];
-                let delta = kind.create_for(width);
-                let added = storage.merge_runs(&[&words, back], Some(delta.as_ref()), 2);
-                prop_assert_eq!(added as usize, fresh.len(), "{}", what);
-                prop_assert_eq!(primary_set(&*delta), fresh, "{}", what);
+                let added = storage.merge_runs(&[&words, back], 2).concat();
+                let added: Vec<TupleBuf> = added.chunks_exact(width).map(pad).collect();
+                prop_assert!(added.is_sorted_by(|a, b| a < b), "{}", what);
+                prop_assert_eq!(added, fresh.iter().copied().collect::<Vec<_>>(), "{}", what);
                 prop_assert!(run.is_subset(&primary_set(&*storage)), "{}", what);
                 assert_indexes_in_sync(&*storage, &format!("{what} after merge_runs"));
             }

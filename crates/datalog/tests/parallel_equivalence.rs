@@ -157,3 +157,30 @@ fn one_worker_is_balanced_on_every_run() {
     imbalance.push(engine.stats().sched_imbalance);
     assert_eq!(imbalance, [1.0; 3]);
 }
+
+/// Two workers cut the same chunks on every run: a delta is a sorted run,
+/// sliced by index, so the cut no longer follows the shape concurrent
+/// merges give a tree. While deltas were trees, `pointsto`'s two-worker
+/// `chunks_claimed` read 4 545–4 785 across runs of the benchmark's child,
+/// and this program 455 and 515 in five runs. The benchmark's points-to
+/// program at its scale, five times at two workers: the chunks claimed and
+/// every relation are the same each time.
+#[test]
+fn two_workers_cut_the_same_chunks_on_every_run() {
+    use workloads::pointsto::{self, PointsToConfig};
+    let facts = pointsto::generate_facts(&PointsToConfig::scaled(5), 42);
+    let program = pointsto::program();
+    let run = || {
+        let mut engine = Engine::new(&program, StorageKind::SpecBTree, 2).unwrap();
+        pointsto::load_facts(&mut engine, &facts).unwrap();
+        engine.run().unwrap();
+        let rels = ["vpt", "hpt"].map(|r| engine.relation(r).unwrap());
+        (engine.stats().chunks_claimed, rels)
+    };
+    let first = run();
+    for _ in 1..5 {
+        let again = run();
+        assert_eq!(again.0, first.0, "chunks claimed");
+        assert!(again.1 == first.1, "relations");
+    }
+}

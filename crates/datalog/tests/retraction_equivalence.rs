@@ -573,9 +573,14 @@ fn retraction_work_is_pinned() {
         // 646 while a scan with no bound prefix swept its relation once per
         // binding: 143 such sweeps are now one per block. 534 and 503 while
         // the two versions above read `path[1,0]` once per distinct key:
-        // each keyed sweep is now one read a block.
-        lower_bound_calls: 391,
-        inner_range_queries: 360,
+        // each keyed sweep is now one read a block. 391 while every delta
+        // was a tree: 28 of the 31 chunks claimed were a delta's, each opening
+        // with a descent; a delta is a sorted run now, sliced by index.
+        lower_bound_calls: 363,
+        // `lower_bound_calls` less `chunks_claimed`: the 360 inner range
+        // queries less those 28 delta slices, which open no descent (360
+        // while every chunk did).
+        inner_range_queries: 332,
     };
     assert_eq!(work, pinned);
 }
@@ -889,12 +894,16 @@ fn an_overdelete_version_reads_its_deletion_set_as_its_outer_loop() {
     // outermost and the cross product swapped for the flat plan: `exposed`
     // outermost, a range of `reach` for each exposed host, Δ⁻sensitive
     // probed for each of the 2 400 pairs.
-    // In an overdelete round the delta of `sensitive` is its deletion set.
+    // In an overdelete round the delta of `sensitive` is what its deletion
+    // set grew by, the delta of `~del~sensitive`, and EXPLAIN names it so
+    // (`scan Δsensitive …` while a plan's delta was named after the relation
+    // its first step reads, which told a Δ⁻ from a run's Δ⁺ only by the
+    // phase label).
     let plan = engine.explain();
     let overdelete = plan.lines().find(|l| l.contains("overdelete, rule 0:"));
     let overdelete = overdelete.expect(&plan);
     assert!(
-        overdelete.contains("rule 0: scan Δsensitive bind=(#0→v0) ⋈ scan exposed "),
+        overdelete.contains("rule 0: scan Δ~del~sensitive bind=(#0→v0) ⋈ scan exposed "),
         "{overdelete}"
     );
     // The flat plan scanned 2 496 tuples: 24 exposed hosts and their 2 400

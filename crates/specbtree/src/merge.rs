@@ -20,7 +20,8 @@
 //!    batches), are cut into key ranges at keys sampled from all of them,
 //!    and the ranges claimed off one cursor by up to `workers` threads, a
 //!    range one `insert_run` per run's piece of it
-//!    ([`BTreeSet::insert_runs`]). A source tree is cut into
+//!    ([`BTreeSet::insert_runs`]), which returns what each range added,
+//!    sorted, range after range: the next delta. A source tree is cut into
 //!    ascending runs along **its own** upper-level separators (the
 //!    machinery parallel scans use) and claimed the same way, each run one
 //!    `insert_run` — or, for a bulk removal, one `remove` per key
@@ -56,9 +57,6 @@ const MERGE_CHUNKS_PER_WORKER: usize = 4;
 /// of the run falls back to a fresh descent. Bounded because a concurrent
 /// splitter holding the child may be blocked on *our* parent lock.
 const CHILD_LOCK_ATTEMPTS: usize = 8;
-
-/// What [`BTreeSet::insert_runs`] hands the keys each piece of a run added.
-pub type RunSink<'a, const K: usize> = dyn Fn(&[Tuple<K>]) + Sync + 'a;
 
 /// Where [`BTreeSet::descend_to_group`] stopped.
 #[derive(Clone, Copy)]
@@ -140,44 +138,51 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
         })
     }
 
-    /// Merges `runs` into the tree on up to `workers` threads and hands
-    /// `added`, if there is one, the keys each piece of a run added,
-    /// ascending, once the piece is in; returns how many keys were added.
-    /// Each run is strictly ascending and duplicate-free; their key ranges
-    /// may overlap, and a key two runs hold is added, and handed over, by
-    /// exactly one of them.
-    /// The key space is cut into at most `n = workers ×
-    /// MERGE_CHUNKS_PER_WORKER` ranges at the `n`-quantiles of a sample of
-    /// every run (every run read at one stride, about `n²` keys in all),
-    /// and the ranges are claimed off one cursor; a range merges its piece
-    /// of every run, one [`insert_run`](Self::insert_run) each. Runs
-    /// claimed whole that span the key space walk the same leaf groups side
-    /// by side; cut at the longest run's quantiles, one chunk's run of a
-    /// Datalog iteration left most keys to two ranges, and the two-worker
-    /// merge of a 1 500-vertex closure took 0.30–0.33 s where the sampled
-    /// cut takes 0.20–0.22 s (0.33 s at one worker). One worker, or fewer
-    /// keys than a root over full leaves holds (`C²`), is one range, merged
-    /// on the calling thread, as a source too shallow to cut is in
-    /// [`insert_all_parallel`](Self::insert_all_parallel).
+    /// Merges `runs` into the tree on up to `workers` threads and returns
+    /// the keys they added as ascending slots in key order, none empty: the
+    /// keys of each slot strictly ascend and sort above every key of the
+    /// slot before. Each run is strictly ascending and duplicate-free; their
+    /// key ranges may overlap, and a key two runs hold is added, and
+    /// returned, once.
+    /// The key space is cut into `n = workers × MERGE_CHUNKS_PER_WORKER`
+    /// ranges, or one a `C³` keys if that makes more, at the `n`-quantiles
+    /// of a sample of every run (every run read at one stride, about
+    /// `n × min(n, C)` keys in all), and the ranges are claimed off one
+    /// cursor; a range merges its piece of every run, one
+    /// [`insert_run`](Self::insert_run) each. Runs claimed whole that span
+    /// the key space walk the same leaf groups side by side; cut at the
+    /// longest run's quantiles, one chunk's run of a Datalog iteration left
+    /// most keys to two ranges, and the two-worker merge of a 1 500-vertex
+    /// closure took 0.30–0.33 s where the sampled cut takes 0.20–0.22 s
+    /// (0.33 s at one worker). One worker, or fewer keys than a root over
+    /// full leaves holds (`C²`), cuts only by the `C³` bound, and ranges
+    /// are then merged on the calling thread, as a source too shallow to
+    /// cut is in [`insert_all_parallel`](Self::insert_all_parallel).
+    ///
+    /// A range collects what its pieces added into a slot reserved at their
+    /// length and shrunk to what they added. The pieces interleave, so the
+    /// slot is sorted once, by the stable sort, which merges the ascending
+    /// pieces it finds; the slots are returned as they are, in range order,
+    /// and no key is copied again. The `C³` bound keeps a slot and its
+    /// sort's scratch small, so the next range's slot and the tree's new
+    /// nodes reuse their memory: one range at one worker held
+    /// `tc_random`'s peak resident set 2–4 MiB above a delta tree's
+    /// (EXPERIMENTS.md, "The delta is a run").
     ///
     /// Two ranges still meet where a leaf group straddles their bound, and
     /// at its parent's write lock. A piece that descends to the group after
     /// the other let go of it finds the other's keys in the leaf's merge
     /// pass and skips them, without a restart; one whose lease the other's
     /// write invalidated re-descends, as any merge's upgrade does, and what
-    /// it merged before stays merged and reported.
-    pub fn insert_runs(
-        &self,
-        runs: &[&[Tuple<K>]],
-        workers: usize,
-        added: Option<&RunSink<'_, K>>,
-    ) -> u64 {
+    /// it merged before stays merged and returned.
+    pub fn insert_runs(&self, runs: &[&[Tuple<K>]], workers: usize) -> Vec<Vec<Tuple<K>>> {
         let keys: usize = runs.iter().map(|r| r.len()).sum();
         let n = match cap(workers) {
             w if w > 1 && keys >= C * C => w * MERGE_CHUNKS_PER_WORKER,
             _ => 1,
         };
-        let stride = (keys / (n * n)).max(1);
+        let n = n.max(keys / (C * C * C));
+        let stride = (keys / (n * n.min(C))).max(1);
         let mut sample: Vec<Tuple<K>> = runs
             .iter()
             .flat_map(|r| r.iter().step_by(stride))
@@ -191,23 +196,24 @@ impl<const K: usize, const C: usize> BTreeSet<K, C> {
                 run.partition_point(|t| cmp3(t, c) == Ordering::Less)
             })
         };
-        claim(cuts.len() + 1, workers, "btree.run", |i, fresh| {
-            let mut n = 0;
+        let slots: Vec<OnceLock<Vec<Tuple<K>>>> =
+            (0..=cuts.len()).map(|_| OnceLock::new()).collect();
+        claim(slots.len(), workers, "btree.run", |i, _: &mut Vec<()>| {
+            let piece = |run: &[Tuple<K>]| {
+                i.checked_sub(1).map_or(0, |c| start(run, Some(&cuts[c])))..start(run, cuts.get(i))
+            };
+            let mut slot = Vec::with_capacity(runs.iter().map(|run| piece(run).len()).sum());
             for run in runs {
-                let lo = i.checked_sub(1).map_or(0, |c| start(run, Some(&cuts[c])));
-                let piece = &run[lo..start(run, cuts.get(i))];
-                let Some(added) = added else {
-                    n += self.insert_run(piece, |_| {});
-                    continue;
-                };
-                fresh.clear();
-                n += self.insert_run(piece, |t| fresh.push(*t));
-                if !fresh.is_empty() {
-                    added(fresh);
-                }
+                self.insert_run(&run[piece(run)], |t| slot.push(*t));
             }
+            slot.sort();
+            slot.shrink_to_fit();
+            let n = slot.len() as u64;
+            _ = slots[i].set(slot);
             n
-        })
+        });
+        let slots = slots.into_iter().flat_map(OnceLock::into_inner);
+        slots.filter(|slot| !slot.is_empty()).collect()
     }
 
     /// The bulk driver over a tree: cuts this (quiescent) tree into at most

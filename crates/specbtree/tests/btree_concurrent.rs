@@ -462,8 +462,9 @@ fn concurrent_runs_and_point_inserts_report_each_key_once() {
 
 /// One `insert_runs` call over overlapping runs on the test's worker count:
 /// key ranges cut across the runs are claimed off one cursor by that many
-/// threads, and what each run's pieces report adds up to the growth, every
-/// key once.
+/// threads, and the slots the call returns, none empty, are one strictly
+/// ascending run taken in order, and that run is the growth, every key
+/// once.
 fn insert_runs_on_workers<const C: usize>() {
     let key = |v: u64| [v / 64, v % 64];
     let mut rng = 7u64;
@@ -478,20 +479,20 @@ fn insert_runs_on_workers<const C: usize>() {
         })
         .collect();
     let slices: Vec<&[[u64; 2]]> = runs.iter().map(Vec::as_slice).collect();
-    let reported = std::sync::Mutex::new(Vec::new());
-    let report = |keys: &[[u64; 2]]| {
-        assert!(keys.is_sorted(), "a run reports its keys in run order");
-        reported.lock().unwrap().extend_from_slice(keys);
-    };
-    let added = tree.insert_runs(&slices, run_threads(), Some(&report));
+    let slots = tree.insert_runs(&slices, run_threads());
+    assert!(slots.iter().all(|slot| !slot.is_empty()), "no empty slot");
+    let added = slots.concat();
+    assert!(
+        added.windows(2).all(|w| w[0] < w[1]),
+        "the added run ascends"
+    );
     let mut model = initial.clone();
     model.extend(runs.iter().flatten());
     verify(&tree, &model);
-    check_reported(
-        &initial,
-        &model,
-        reported.into_inner().unwrap().iter(),
-        added,
+    check_reported(&initial, &model, added.iter(), added.len() as u64);
+    assert!(
+        tree.insert_runs(&slices, run_threads()).is_empty(),
+        "the same runs again add nothing"
     );
 }
 
